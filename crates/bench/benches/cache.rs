@@ -105,10 +105,11 @@ fn bench_session_replay(c: &mut Criterion) {
     });
     // Same warm replay with profiling on: the gap to `warm_cached` is
     // the live-collector overhead on this session.
+    let profiled = ParallelExecutor::serial().profiled(true);
     g.bench_function("warm_cached_profiled", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(warm_store.query_profiled(q).unwrap());
+                black_box(profiled.run(&warm_store, ExecRequest::new(q)).unwrap());
             }
         })
     });

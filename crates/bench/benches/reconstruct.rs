@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mloc::config::PlodLevel;
 use mloc::prelude::*;
-use mloc::query::engine::force_general_reconstruct;
 use mloc::query::plan::make_plan;
 use mloc_datagen::gts_like_2d;
 use mloc_pfs::MemBackend;
@@ -39,15 +38,13 @@ fn bench_reconstruct_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("reconstruct");
     for (name, q) in &queries {
         let plan = make_plan(&store, q).unwrap();
-        g.bench_with_input(BenchmarkId::new("fast", name), q, |b, q| {
-            force_general_reconstruct(false);
-            b.iter(|| black_box(exec.execute_plan(&store, q, &plan, None).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("general", name), q, |b, q| {
-            force_general_reconstruct(true);
-            b.iter(|| black_box(exec.execute_plan(&store, q, &plan, None).unwrap()));
-            force_general_reconstruct(false);
-        });
+        for (path, general) in [("fast", false), ("general", true)] {
+            g.bench_with_input(BenchmarkId::new(path, name), q, |b, q| {
+                let mut req = ExecRequest::planned(q, &plan, None);
+                req.force_general_reconstruct = general;
+                b.iter(|| black_box(exec.run(&store, req).unwrap()))
+            });
+        }
     }
     g.finish();
 }

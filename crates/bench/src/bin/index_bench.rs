@@ -143,13 +143,14 @@ fn run_passes(
     queries: &[Query],
     passes: usize,
 ) -> (f64, Profile) {
+    let exec = exec.clone().profiled(true);
     let mut merged = Profile::default();
     let t = Instant::now();
     for _ in 0..passes {
         for q in queries {
-            let (res, m, p) = exec.execute_profiled(store, q).unwrap();
-            black_box((res, m));
-            merged.merge_from(p);
+            let out = exec.run(store, ExecRequest::new(q)).unwrap();
+            black_box((out.result, out.metrics));
+            merged.merge_from(out.profile);
         }
     }
     (t.elapsed().as_secs_f64(), merged)

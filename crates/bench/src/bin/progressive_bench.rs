@@ -157,8 +157,8 @@ fn main() {
     ));
 
     // Obs counters on a profiled ladder.
-    let exec = ParallelExecutor::serial();
-    let mut prof_pq = exec.progressive_profiled(&store, &q).unwrap();
+    let exec = ParallelExecutor::serial().profiled(true);
+    let mut prof_pq = exec.progressive(&store, &q).unwrap();
     prof_pq.run_to_completion().unwrap();
     let profile = prof_pq.profile().clone();
     assert_eq!(

@@ -52,12 +52,13 @@ fn run_session_profiled(
     store: &MlocStore<'_>,
     queries: &[Query],
 ) -> (f64, Profile) {
+    let exec = exec.clone().profiled(true);
     let t = Instant::now();
     let mut profiles = Vec::with_capacity(queries.len());
     for q in queries {
-        let (res, m, p) = exec.execute_profiled(store, q).unwrap();
-        black_box((res, m));
-        profiles.push(p);
+        let out = exec.run(store, ExecRequest::new(q)).unwrap();
+        black_box((out.result, out.metrics));
+        profiles.push(out.profile);
     }
     (t.elapsed().as_secs_f64(), Profile::merge(profiles))
 }
@@ -86,11 +87,13 @@ fn main() {
     ));
 
     // 1. Replay vs threaded: identical results, structure, counters.
-    let replay = ParallelExecutor::new(args.ranks, CostModel::default());
-    let threaded = ParallelExecutor::new(args.ranks, CostModel::default()).threaded(true);
+    let replay = ParallelExecutor::new(args.ranks, CostModel::default()).profiled(true);
+    let threaded = replay.clone().threaded(true);
     for q in &queries {
-        let (res_r, m_r, p_r) = replay.execute_profiled(&store, q).unwrap();
-        let (res_t, m_t, p_t) = threaded.execute_profiled(&store, q).unwrap();
+        let r = replay.run(&store, ExecRequest::new(q)).unwrap();
+        let t = threaded.run(&store, ExecRequest::new(q)).unwrap();
+        let (res_r, m_r, p_r) = (r.result, r.metrics, r.profile);
+        let (res_t, m_t, p_t) = (t.result, t.metrics, t.profile);
         assert_eq!(res_r, res_t, "threaded result diverged");
         assert_eq!(p_r.structure(), p_t.structure(), "span structure diverged");
         assert_eq!(p_r.counters, p_t.counters, "counters diverged");

@@ -680,6 +680,7 @@ fn query(args: &Args) -> Result<(), String> {
     let progressive =
         args.optional("progressive").is_some_and(|v| v == "true") || target_error.is_some();
     let profile_mode = parse_profile(args)?;
+    let exec = exec.profiled(profile_mode != ProfileMode::Off);
     // --repeat replays the query; with --cache-mb the later passes are
     // warm and show the cache's effect on io/decompress time.
     let repeat = args.optional_parsed::<usize>("repeat")?.unwrap_or(1).max(1);
@@ -690,12 +691,7 @@ fn query(args: &Args) -> Result<(), String> {
             // Progressive ladder: serve a base-precision answer, then
             // pull byte-group refinements (to the target error bound,
             // or all the way) and print what each step cost.
-            let mut pq = if profile_mode == ProfileMode::Off {
-                exec.progressive(&store, &q)
-            } else {
-                exec.progressive_profiled(&store, &q)
-            }
-            .map_err(|e| e.to_string())?;
+            let mut pq = exec.progressive(&store, &q).map_err(|e| e.to_string())?;
             match target_error {
                 Some(eps) => pq.run_to_target_error(eps),
                 None => pq.run_to_completion(),
@@ -724,14 +720,14 @@ fn query(args: &Args) -> Result<(), String> {
                 last_profile = Some(profile);
             }
             (res, m)
-        } else if profile_mode == ProfileMode::Off {
-            exec.execute(&store, &q).map_err(|e| e.to_string())?
         } else {
-            let (res, m, profile) = exec
-                .execute_profiled(&store, &q)
+            let out = exec
+                .run(&store, ExecRequest::new(&q))
                 .map_err(|e| e.to_string())?;
-            last_profile = Some(profile);
-            (res, m)
+            if profile_mode != ProfileMode::Off {
+                last_profile = Some(out.profile);
+            }
+            (out.result, out.metrics)
         };
         let cache_note = if cache.is_some() {
             format!(

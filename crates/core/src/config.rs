@@ -1,6 +1,7 @@
 //! Dataset configuration: bins, chunks, level order, codec, PLoD.
 
 use crate::fileorg;
+use crate::wire::{Reader, Writer};
 use crate::{MlocError, Result};
 use mloc_compress::CodecKind;
 use mloc_hilbert::CurveKind;
@@ -190,6 +191,58 @@ impl MlocConfig {
         } else {
             mloc_hilbert::GridOrder::new(grid.grid_extents(), self.curve)
         }
+    }
+
+    /// Append the persisted fields in the one wire format the dataset
+    /// catalog and every variable's meta file share (`build_threads`
+    /// is a runtime knob and is never stored).
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        w.usize_vec(&self.shape);
+        w.usize_vec(&self.chunk_shape);
+        w.u32(self.num_bins as u32);
+        w.u8(self.level_order.to_tag());
+        let (codec_tag, codec_param) = self.codec.to_tag();
+        w.u8(codec_tag);
+        w.f64(codec_param);
+        w.u8(u8::from(self.plod));
+        w.u8(match self.curve {
+            CurveKind::Hilbert => 0,
+            CurveKind::ZOrder => 1,
+            CurveKind::RowMajor => 2,
+        });
+        w.u32(self.subset_levels);
+        w.u64(self.stripe_size);
+    }
+
+    /// Parse and validate what [`Self::encode_into`] wrote.
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<MlocConfig> {
+        let shape = r.usize_vec()?;
+        let chunk_shape = r.usize_vec()?;
+        let num_bins = r.u32()? as usize;
+        let level_order = LevelOrder::from_tag(r.u8()?)?;
+        let codec_tag = r.u8()?;
+        let codec = CodecKind::from_tag(codec_tag, r.f64()?)?;
+        let plod = r.u8()? != 0;
+        let curve = match r.u8()? {
+            0 => CurveKind::Hilbert,
+            1 => CurveKind::ZOrder,
+            2 => CurveKind::RowMajor,
+            _ => return Err(MlocError::Corrupt("unknown curve kind")),
+        };
+        let config = MlocConfig {
+            shape,
+            chunk_shape,
+            num_bins,
+            level_order,
+            codec,
+            plod,
+            curve,
+            subset_levels: r.u32()?,
+            stripe_size: r.u64()?,
+            build_threads: 0,
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// Number of byte groups per unit under this configuration.
@@ -395,6 +448,50 @@ mod tests {
         assert!(a.effective_build_threads() >= 1, "0 resolves to the cores");
         let one = MlocConfig::builder(vec![8, 8]).build_threads(1).build();
         assert_eq!(one.effective_build_threads(), 1);
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // Bytes captured from the commit before the catalog and meta
+        // encoders were folded into `encode_into`: a dataset written
+        // then must open now, so neither payload may move by a byte.
+        let config = MlocConfig::builder(vec![64, 32, 8])
+            .chunk_shape(vec![16, 16, 4])
+            .num_bins(12)
+            .level_order(LevelOrder::Vsm)
+            .codec(CodecKind::Isabela { error_bound: 0.001 })
+            .curve(CurveKind::ZOrder)
+            .subset_levels(3)
+            .stripe_size(1 << 16)
+            .build_threads(5)
+            .build();
+        let body = "03000000400000000000000020000000000000000800000000000000\
+                    03000000100000000000000010000000000000000400000000000000\
+                    0c0000000103fca9f1d24d62503f0001030000000000010000000000";
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let catalog = crate::dataset::encode_config(&config);
+        assert_eq!(hex(&catalog), format!("54000000{body}"));
+        let (decoded, used) = crate::dataset::decode_config(&catalog).unwrap();
+        assert_eq!((decoded, used), (config.clone(), catalog.len()));
+
+        let meta = crate::store::VariableMeta {
+            var: "temp".into(),
+            config,
+            bin_bounds: (0..=12).map(|i| i as f64 * 0.5).collect(),
+            total_points: 16384,
+        };
+        let bounds = "0d0000000000000000000000000000000000e03f000000000000f03f\
+                      000000000000f83f000000000000004000000000000004400000000000000840\
+                      0000000000000c40000000000000104000000000000012400000000000001440\
+                      00000000000016400000000000001840";
+        assert_eq!(
+            hex(&meta.encode()),
+            format!("4d4d4554020400000074656d70{body}{bounds}0040000000000000")
+        );
+        assert_eq!(
+            crate::store::VariableMeta::decode(&meta.encode()).unwrap(),
+            meta
+        );
     }
 
     #[test]

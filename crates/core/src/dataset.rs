@@ -20,29 +20,15 @@ use crate::query::multivar::{select_then_fetch, MultiVarResult};
 use crate::store::MlocStore;
 use crate::wire::{Reader, Writer};
 use crate::{fileorg, MlocError, Result};
-use mloc_compress::CodecKind;
-use mloc_hilbert::CurveKind;
 use mloc_pfs::StorageBackend;
 
 pub(crate) const CATALOG_MAGIC: &[u8] = b"MCAT1\n";
 
+/// The catalog's config record: a `u32` length, then the
+/// [`MlocConfig`] wire body.
 pub(crate) fn encode_config(config: &MlocConfig) -> Vec<u8> {
     let mut w = Writer::new();
-    w.usize_vec(&config.shape);
-    w.usize_vec(&config.chunk_shape);
-    w.u32(config.num_bins as u32);
-    w.u8(config.level_order.to_tag());
-    let (tag, param) = config.codec.to_tag();
-    w.u8(tag);
-    w.f64(param);
-    w.u8(u8::from(config.plod));
-    w.u8(match config.curve {
-        CurveKind::Hilbert => 0,
-        CurveKind::ZOrder => 1,
-        CurveKind::RowMajor => 2,
-    });
-    w.u32(config.subset_levels);
-    w.u64(config.stripe_size);
+    config.encode_into(&mut w);
     let body = w.finish();
     let mut out = Vec::with_capacity(4 + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -50,6 +36,8 @@ pub(crate) fn encode_config(config: &MlocConfig) -> Vec<u8> {
     out
 }
 
+/// Parse a catalog config record; returns the config and the bytes
+/// the record occupied.
 pub(crate) fn decode_config(data: &[u8]) -> Result<(MlocConfig, usize)> {
     if data.len() < 4 {
         return Err(MlocError::Corrupt("catalog truncated"));
@@ -58,36 +46,7 @@ pub(crate) fn decode_config(data: &[u8]) -> Result<(MlocConfig, usize)> {
     if data.len() < 4 + body_len {
         return Err(MlocError::Corrupt("catalog truncated"));
     }
-    let mut r = Reader::new(&data[4..4 + body_len]);
-    let shape = r.usize_vec()?;
-    let chunk_shape = r.usize_vec()?;
-    let num_bins = r.u32()? as usize;
-    let level_order = crate::config::LevelOrder::from_tag(r.u8()?)?;
-    let tag = r.u8()?;
-    let param = r.f64()?;
-    let codec = CodecKind::from_tag(tag, param)?;
-    let plod = r.u8()? != 0;
-    let curve = match r.u8()? {
-        0 => CurveKind::Hilbert,
-        1 => CurveKind::ZOrder,
-        2 => CurveKind::RowMajor,
-        _ => return Err(MlocError::Corrupt("bad curve tag")),
-    };
-    let subset_levels = r.u32()?;
-    let stripe_size = r.u64()?;
-    let config = MlocConfig {
-        shape,
-        chunk_shape,
-        num_bins,
-        level_order,
-        codec,
-        plod,
-        curve,
-        subset_levels,
-        stripe_size,
-        build_threads: 0,
-    };
-    config.validate()?;
+    let config = MlocConfig::decode_from(&mut Reader::new(&data[4..4 + body_len]))?;
     Ok((config, 4 + body_len))
 }
 

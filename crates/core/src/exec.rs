@@ -8,13 +8,13 @@
 //! reconstruction are measured.
 
 use crate::metrics::QueryMetrics;
-use crate::query::engine::{process_units, RankOutput, RefineUnit};
+use crate::query::engine::{process_units, RankJob, RankOutput, RefineUnit};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::{Collector, Label, Profile};
-use mloc_pfs::{simulate_reads, CostModel, RankIo, ReadOp, RetryPolicy};
+use mloc_pfs::{simulate_reads, CostModel, ReadOp, RetryPolicy, SimReport};
 use mloc_runtime::{column_order, spmd};
 use std::time::Instant;
 
@@ -37,18 +37,77 @@ pub struct ParallelExecutor {
     threaded: bool,
     retry: RetryPolicy,
     allow_degraded: bool,
+    pub(crate) profiled: bool,
+}
+
+/// One execution request for [`ParallelExecutor::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExecRequest<'r> {
+    pub query: &'r Query,
+    /// A pre-built plan for `query`; `None` plans it as part of the
+    /// run (a profiled run then times planning as the `plan` span).
+    pub plan: Option<&'r Plan>,
+    /// Keep only these global positions (multi-variable retrieval,
+    /// §III-D.4). Must be sorted ascending and duplicate-free — the
+    /// engine intersects it with each unit's monotone position stream
+    /// by galloping, never by hashing.
+    pub position_filter: Option<&'r [u64]>,
+    /// Record a [`RefineUnit`] for every refinable unit — PLoD
+    /// data-bearing, values wanted, no value filter, no position
+    /// filter — for a progressive query (see
+    /// [`crate::progressive::ProgressiveQuery`]). Emitted positions
+    /// and values are identical with and without capture.
+    pub(crate) capture_refine: bool,
+    /// Test hook: force the per-point reference reconstruct path even
+    /// for units the bulk paths could serve, so differential tests can
+    /// prove them identical. Reaches every rank in both executor modes.
+    #[doc(hidden)]
+    pub force_general_reconstruct: bool,
+}
+
+impl<'r> ExecRequest<'r> {
+    /// Plan and run `query` with no position filter.
+    pub fn new(query: &'r Query) -> Self {
+        ExecRequest {
+            query,
+            plan: None,
+            position_filter: None,
+            capture_refine: false,
+            force_general_reconstruct: false,
+        }
+    }
+
+    /// Run a pre-built plan, optionally position-filtered.
+    pub fn planned(query: &'r Query, plan: &'r Plan, position_filter: Option<&'r [u64]>) -> Self {
+        ExecRequest {
+            plan: Some(plan),
+            position_filter,
+            ..ExecRequest::new(query)
+        }
+    }
+}
+
+/// What [`ParallelExecutor::run`] hands back.
+#[derive(Debug)]
+pub struct ExecOutput {
+    pub result: QueryResult,
+    pub metrics: QueryMetrics,
+    /// The merged per-rank profile; empty unless the executor is
+    /// [`ParallelExecutor::profiled`]. Its stage spans carry the
+    /// *same* floats as `metrics` (`io`/`rank/decompress`/
+    /// `rank/reconstruct` `max_rank_seconds` equal `io_s`/
+    /// `decompress_s`/`reconstruct_s` exactly), and per-rank
+    /// collectors are merged in rank order, so replay and threaded
+    /// modes yield structurally identical profiles.
+    pub profile: Profile,
+    /// Captured refinement units in deterministic rank-merge order.
+    pub(crate) refine_units: Vec<RefineUnit>,
 }
 
 impl ParallelExecutor {
     /// Single-rank executor with the default (Lens-like) cost model.
     pub fn serial() -> Self {
-        ParallelExecutor {
-            nranks: 1,
-            cost_model: CostModel::default(),
-            threaded: false,
-            retry: RetryPolicy::none(),
-            allow_degraded: true,
-        }
+        ParallelExecutor::new(1, CostModel::default())
     }
 
     /// Executor with an explicit rank count and cost model.
@@ -60,6 +119,7 @@ impl ParallelExecutor {
             threaded: false,
             retry: RetryPolicy::none(),
             allow_degraded: true,
+            profiled: false,
         }
     }
 
@@ -79,10 +139,24 @@ impl ParallelExecutor {
     }
 
     /// Whether queries may complete at reduced PLoD precision when a
-    /// non-base byte-group extent is unreadable after retries (default:
-    /// true). When disabled, any unreadable extent fails the query.
+    /// *non-base* byte-group extent of a value-filterless unit is
+    /// unreadable or corrupt after retries (default: true): the unit
+    /// is reconstructed from the parts before the loss (exact
+    /// positions, coarser values) and the loss is recorded in
+    /// [`QueryMetrics::degradation`]. Index headers, bitmaps, base
+    /// parts, value-filtered units, and the footers themselves always
+    /// fail loudly — degrading any of those could silently change
+    /// *which* points match. When disabled, any unreadable extent
+    /// fails the query.
     pub fn allow_degraded(mut self, allow: bool) -> Self {
         self.allow_degraded = allow;
+        self
+    }
+
+    /// Record a span/counter [`Profile`] of every run (default: off,
+    /// at the cost of one branch per call site).
+    pub fn profiled(mut self, profiled: bool) -> Self {
+        self.profiled = profiled;
         self
     }
 
@@ -113,35 +187,12 @@ impl ParallelExecutor {
         store: &MlocStore<'_>,
         query: &Query,
     ) -> Result<(QueryResult, QueryMetrics)> {
-        let plan = make_plan(store, query)?;
-        self.execute_plan(store, query, &plan, None)
-    }
-
-    /// Plan and execute a query with profiling on, additionally
-    /// returning the merged per-rank [`Profile`].
-    ///
-    /// The profile's stage spans carry the *same* floats as the
-    /// returned metrics (`io`/`rank/decompress`/`rank/reconstruct`
-    /// `max_rank_seconds` equal `io_s`/`decompress_s`/`reconstruct_s`
-    /// exactly), and per-rank collectors are merged in rank order, so
-    /// replay and threaded modes yield structurally identical profiles.
-    pub fn execute_profiled(
-        &self,
-        store: &MlocStore<'_>,
-        query: &Query,
-    ) -> Result<(QueryResult, QueryMetrics, Profile)> {
-        let t = Instant::now();
-        let plan = make_plan(store, query)?;
-        let plan_s = t.elapsed().as_secs_f64();
-        self.run_plan(store, query, &plan, None, true, Some(plan_s), false)
-            .map(|(result, metrics, profile, _)| (result, metrics, profile))
+        let out = self.run(store, ExecRequest::new(query))?;
+        Ok((out.result, out.metrics))
     }
 
     /// Execute a pre-built plan, optionally restricting output to a
-    /// set of global positions (multi-variable retrieval). The filter
-    /// must be sorted ascending and duplicate-free; the engine
-    /// intersects it with each unit's monotone position stream by
-    /// galloping rather than hashing.
+    /// sorted, duplicate-free set of global positions.
     pub fn execute_plan(
         &self,
         store: &MlocStore<'_>,
@@ -149,104 +200,69 @@ impl ParallelExecutor {
         plan: &Plan,
         position_filter: Option<&[u64]>,
     ) -> Result<(QueryResult, QueryMetrics)> {
-        self.run_plan(store, query, plan, position_filter, false, None, false)
-            .map(|(result, metrics, _, _)| (result, metrics))
+        let out = self.run(store, ExecRequest::planned(query, plan, position_filter))?;
+        Ok((out.result, out.metrics))
     }
 
-    /// [`ParallelExecutor::execute_plan`] with profiling on.
-    pub fn execute_plan_profiled(
-        &self,
-        store: &MlocStore<'_>,
-        query: &Query,
-        plan: &Plan,
-        position_filter: Option<&[u64]>,
-    ) -> Result<(QueryResult, QueryMetrics, Profile)> {
-        self.run_plan(store, query, plan, position_filter, true, None, false)
-            .map(|(result, metrics, profile, _)| (result, metrics, profile))
-    }
-
-    /// Execute a pre-built plan while capturing per-unit refinement
-    /// state for a progressive query (see
-    /// [`crate::progressive::ProgressiveQuery`]). Captured units are
-    /// returned in deterministic rank-merge order.
-    pub(crate) fn execute_plan_capturing(
-        &self,
-        store: &MlocStore<'_>,
-        query: &Query,
-        plan: &Plan,
-        profiled: bool,
-    ) -> Result<(QueryResult, QueryMetrics, Profile, Vec<RefineUnit>)> {
-        self.run_plan(store, query, plan, None, profiled, None, true)
-    }
-
-    #[allow(clippy::too_many_arguments)] // private dispatcher behind the typed entry points
-    fn run_plan(
-        &self,
-        store: &MlocStore<'_>,
-        query: &Query,
-        plan: &Plan,
-        position_filter: Option<&[u64]>,
-        profiled: bool,
-        plan_s: Option<f64>,
-        capture: bool,
-    ) -> Result<(QueryResult, QueryMetrics, Profile, Vec<RefineUnit>)> {
+    /// Execute a request: assign the plan's units to ranks in column
+    /// order, run every rank's fetch → decode → reconstruct pipeline,
+    /// price the read traces on the simulated PFS, and gather.
+    pub fn run(&self, store: &MlocStore<'_>, req: ExecRequest<'_>) -> Result<ExecOutput> {
+        let mut profile = Profile::default();
+        let planned;
+        let plan = match req.plan {
+            Some(plan) => plan,
+            None => {
+                let t = Instant::now();
+                planned = make_plan(store, req.query)?;
+                if self.profiled {
+                    profile.record_path(&["plan"], t.elapsed().as_secs_f64());
+                }
+                &planned
+            }
+        };
         let unit_bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
         let assignment = column_order(&unit_bins, self.nranks);
-        let cache_stats_before = profiled.then(|| store.cache().map(|c| c.stats()));
+        let cache_before = store.cache().filter(|_| self.profiled).map(|c| c.stats());
         // Replica-masked reads are counted by the backend itself (the
         // router can't attribute them to ranks); take a delta so each
         // query reports only its own masks.
         let read_repairs_before = store.backend().read_repair_count();
 
-        let run_rank = |rank: usize| -> Result<(RankOutput, Vec<ReadOp>, Vec<u64>, Profile)> {
-            let my_units: Vec<WorkUnit> = assignment.per_rank[rank]
+        let run_rank = |rank: usize| -> Result<(RankOutput, Profile)> {
+            let units: Vec<WorkUnit> = assignment.per_rank[rank]
                 .iter()
                 .map(|&i| plan.units[i])
                 .collect();
-            let mut io = RankIo::with_retry(store.backend(), self.retry);
-            let mut obs = Collector::new(profiled);
-            obs.begin("rank");
-            let mut out = process_units(
+            let job = RankJob {
                 store,
-                query,
-                &my_units,
-                &mut io,
-                position_filter,
-                self.allow_degraded,
-                capture,
-                &mut obs,
-            )?;
+                req,
+                units: &units,
+                retry: self.retry,
+                allow_degraded: self.allow_degraded,
+            };
+            let mut obs = Collector::new(self.profiled);
+            obs.begin("rank");
+            let out = process_units(&job, &mut obs)?;
             obs.end();
-            out.retries = io.retries();
-            out.retry_wait_s = io.retry_wait_s();
-            out.retries_exhausted = io.retries_exhausted();
-            let depths = io.batch_depths().to_vec();
-            Ok((out, io.into_trace(), depths, obs.finish()))
+            Ok((out, obs.finish()))
         };
-        type RankRes = Result<(RankOutput, Vec<ReadOp>, Vec<u64>, Profile)>;
-        let rank_results: Vec<RankRes> = if self.threaded {
+        let rank_results: Vec<Result<(RankOutput, Profile)>> = if self.threaded {
             spmd(self.nranks, |comm| run_rank(comm.rank()))
         } else {
             (0..self.nranks).map(run_rank).collect()
         };
 
-        let mut outputs = Vec::with_capacity(self.nranks);
-        let mut traces = Vec::with_capacity(self.nranks);
-        let mut batch_depths = Vec::new();
-        let mut profile = Profile::default();
-        if let Some(s) = plan_s {
-            profile.record_path(&["plan"], s);
-        }
         // Rank order is the merge order in both executor modes — this
         // is what makes replay and threaded profiles identical.
+        let mut outputs = Vec::with_capacity(self.nranks);
+        let mut traces: Vec<Vec<ReadOp>> = Vec::with_capacity(self.nranks);
         for r in rank_results {
-            let (out, trace, depths, rank_profile) = r?;
+            let (mut out, rank_profile) = r?;
+            traces.push(std::mem::take(&mut out.io.trace));
             outputs.push(out);
-            traces.push(trace);
-            batch_depths.extend(depths);
             profile.merge_from(rank_profile);
         }
-
         let sim = simulate_reads(&traces, &self.cost_model);
 
         let mut metrics = QueryMetrics {
@@ -258,11 +274,12 @@ impl ParallelExecutor {
             per_rank_io: sim.per_rank_seconds.clone(),
             ..Default::default()
         };
-        let mut gather = Collector::new(profiled);
+        let mut gather = Collector::new(self.profiled);
         gather.begin("gather");
         let mut positions = Vec::new();
         let mut values = Vec::new();
         let mut refine_units = Vec::new();
+        let mut batch_depths = Vec::new();
         for (rank, out) in outputs.into_iter().enumerate() {
             let cpu = out.decompress_s + out.reconstruct_s;
             let io = sim.per_rank_seconds[rank];
@@ -271,63 +288,23 @@ impl ParallelExecutor {
             metrics.decompress_s = metrics.decompress_s.max(out.decompress_s);
             metrics.reconstruct_s = metrics.reconstruct_s.max(out.reconstruct_s);
             metrics.response_s = metrics.response_s.max(io + cpu);
-            metrics.index_bytes += out.index_bytes;
-            metrics.data_bytes += out.data_bytes;
-            metrics.cache_hits += out.cache_hits;
-            metrics.cache_misses += out.cache_misses;
-            metrics.bytes_saved += out.bytes_saved;
-            metrics.fused_reads += out.fused_reads;
-            metrics.fused_bytes_saved += out.fused_bytes;
-            metrics.retries += out.retries;
-            metrics.retry_wait_s = metrics.retry_wait_s.max(out.retry_wait_s);
-            metrics.retries_exhausted += out.retries_exhausted;
+            metrics.add_rank_io(&out.io);
             metrics.degraded_units += out.degradation.events.len() as u64;
             metrics.degradation.merge(&out.degradation);
             positions.extend(out.positions);
             values.extend(out.values);
             refine_units.extend(out.refine_units);
+            batch_depths.extend(out.io.batch_depths);
         }
-        metrics.bytes_read = metrics.index_bytes + metrics.data_bytes;
         metrics.read_repairs = store
             .backend()
             .read_repair_count()
             .saturating_sub(read_repairs_before);
         gather.end();
 
-        if profiled {
-            // Simulated I/O is attributed per rank after the fact: the
-            // span's max-over-ranks equals `metrics.io_s` exactly.
-            profile.record_over_ranks(&["io"], &sim.per_rank_seconds);
-            let per = |f: fn(&mloc_pfs::RankIoBreakdown) -> f64| -> Vec<f64> {
-                sim.per_rank.iter().map(f).collect()
-            };
-            profile.record_over_ranks(&["io", "seek"], &per(|b| b.seek_s));
-            profile.record_over_ranks(&["io", "open"], &per(|b| b.open_s));
-            profile.record_over_ranks(&["io", "transfer"], &per(|b| b.transfer_s));
+        if self.profiled {
             profile.merge_from(gather.finish());
-            profile.add_counter("io.bytes", Label::None, sim.total_bytes);
-            profile.add_counter("io.seeks", Label::None, sim.total_seeks);
-            profile.add_counter("io.opens", Label::None, sim.total_opens);
-            for (rank, b) in sim.per_rank.iter().enumerate() {
-                profile.add_counter("rank.io.bytes", Label::Index(rank as u32), b.bytes);
-            }
-            profile.add_counter("plan.units", Label::None, plan.units.len() as u64);
-            profile.add_counter("plan.bins", Label::None, plan.bins_touched as u64);
-            profile.add_counter("plan.aligned_bins", Label::None, plan.aligned_bins as u64);
-            profile.add_counter("plan.chunks", Label::None, plan.chunks_touched as u64);
-            if metrics.retries > 0 {
-                profile.add_counter("pfs.retries", Label::None, metrics.retries);
-            }
-            if metrics.retries_exhausted > 0 {
-                profile.add_counter(
-                    "io.retries_exhausted",
-                    Label::None,
-                    metrics.retries_exhausted,
-                );
-            }
-            if metrics.read_repairs > 0 {
-                profile.add_counter("io.read_repair", Label::None, metrics.read_repairs);
-            }
+            self.annotate(&mut profile, store, plan, &metrics, &sim, &traces);
             // Submission-queue shape: how many batches went down and
             // how deep each one was.
             if !batch_depths.is_empty() {
@@ -337,26 +314,9 @@ impl ParallelExecutor {
                     h.observe(d as f64);
                 }
             }
-            // Per-shard PFS breakdown: attribute every traced op to the
-            // shard that owns its file (sharded backends only).
-            let backend = store.backend();
-            if backend.shard_count() > 1 {
-                for op in traces.iter().flatten().filter(|op| !op.cached) {
-                    let shard = backend.shard_of(&op.file) as u32;
-                    profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
-                    profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
-                }
-            }
-            if metrics.fused_reads > 0 {
-                profile.add_counter("fusion.reads", Label::None, metrics.fused_reads);
-                profile.add_counter("fusion.bytes_saved", Label::None, metrics.fused_bytes_saved);
-            }
-            if metrics.degraded_units > 0 {
-                profile.add_counter("degraded.units", Label::None, metrics.degraded_units);
-            }
             // Shared-cache churn over the whole query (insert/evict are
             // cache-wide, unlike the per-rank hit/miss counters).
-            if let (Some(Some(before)), Some(cache)) = (cache_stats_before, store.cache()) {
+            if let (Some(before), Some(cache)) = (cache_before, store.cache()) {
                 let after = cache.stats();
                 profile.add_counter(
                     "cache.insertions",
@@ -373,8 +333,68 @@ impl ParallelExecutor {
             }
         }
 
-        let result = QueryResult::from_parts(positions, query.wants_values().then_some(values));
-        Ok((result, metrics, profile, refine_units))
+        let values = req.query.wants_values().then_some(values);
+        Ok(ExecOutput {
+            result: QueryResult::from_parts(positions, values),
+            metrics,
+            profile,
+            refine_units,
+        })
+    }
+
+    /// Attribute the simulated I/O, the plan shape and the fault
+    /// counters of one run to its profile.
+    fn annotate(
+        &self,
+        profile: &mut Profile,
+        store: &MlocStore<'_>,
+        plan: &Plan,
+        metrics: &QueryMetrics,
+        sim: &SimReport,
+        traces: &[Vec<ReadOp>],
+    ) {
+        // Simulated I/O is attributed per rank after the fact: the
+        // span's max-over-ranks equals `metrics.io_s` exactly.
+        profile.record_over_ranks(&["io"], &sim.per_rank_seconds);
+        let per = |f: fn(&mloc_pfs::RankIoBreakdown) -> f64| -> Vec<f64> {
+            sim.per_rank.iter().map(f).collect()
+        };
+        profile.record_over_ranks(&["io", "seek"], &per(|b| b.seek_s));
+        profile.record_over_ranks(&["io", "open"], &per(|b| b.open_s));
+        profile.record_over_ranks(&["io", "transfer"], &per(|b| b.transfer_s));
+        profile.add_counter("io.bytes", Label::None, sim.total_bytes);
+        profile.add_counter("io.seeks", Label::None, sim.total_seeks);
+        profile.add_counter("io.opens", Label::None, sim.total_opens);
+        for (rank, b) in sim.per_rank.iter().enumerate() {
+            profile.add_counter("rank.io.bytes", Label::Index(rank as u32), b.bytes);
+        }
+        profile.add_counter("plan.units", Label::None, plan.units.len() as u64);
+        profile.add_counter("plan.bins", Label::None, plan.bins_touched as u64);
+        profile.add_counter("plan.aligned_bins", Label::None, plan.aligned_bins as u64);
+        profile.add_counter("plan.chunks", Label::None, plan.chunks_touched as u64);
+        // Fault and sharing counters appear only when they fired.
+        for (name, value) in [
+            ("pfs.retries", metrics.retries),
+            ("io.retries_exhausted", metrics.retries_exhausted),
+            ("io.read_repair", metrics.read_repairs),
+            ("fusion.reads", metrics.fused_reads),
+            ("fusion.bytes_saved", metrics.fused_bytes_saved),
+            ("degraded.units", metrics.degraded_units),
+        ] {
+            if value > 0 {
+                profile.add_counter(name, Label::None, value);
+            }
+        }
+        // Per-shard PFS breakdown: attribute every traced op to the
+        // shard that owns its file (sharded backends only).
+        let backend = store.backend();
+        if backend.shard_count() > 1 {
+            for op in traces.iter().flatten().filter(|op| !op.cached) {
+                let shard = backend.shard_of(&op.file) as u32;
+                profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
+                profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
+            }
+        }
     }
 }
 

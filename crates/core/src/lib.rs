@@ -79,7 +79,7 @@ pub use cache::{BlockCache, ByteView, CacheStats};
 pub use config::{ConfigBuilder, LevelOrder, MlocConfig, PlodLevel};
 pub use dataset::Dataset;
 pub use degrade::{DegradationEvent, DegradationReport};
-pub use exec::ParallelExecutor;
+pub use exec::{ExecOutput, ExecRequest, ParallelExecutor};
 pub use fusion::{ExtentFuser, FusionStats};
 pub use integrity::ExtentFooter;
 pub use metrics::QueryMetrics;
@@ -89,7 +89,7 @@ pub use store::MlocStore;
 pub use verify::{verify_dataset, verify_variable, ExtentDamage, VerifyReport};
 
 /// Observability re-export: span/counter/histogram profiles
-/// ([`obs::Profile`]) returned by the `*_profiled` query entry points
+/// ([`obs::Profile`]) returned in [`ExecOutput`] by a profiled executor
 /// and embedded in [`build::BuildReport`].
 pub use mloc_bitmap as bitmap;
 pub use mloc_obs as obs;
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use crate::cache::{BlockCache, CacheStats};
     pub use crate::config::{LevelOrder, MlocConfig, PlodLevel};
     pub use crate::degrade::{DegradationEvent, DegradationReport};
-    pub use crate::exec::ParallelExecutor;
+    pub use crate::exec::{ExecOutput, ExecRequest, ParallelExecutor};
     pub use crate::fusion::{ExtentFuser, FusionStats};
     pub use crate::progressive::{ProgressiveQuery, ProgressiveStep};
     pub use crate::query::{Query, QueryOutput, QueryResult};

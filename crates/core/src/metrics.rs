@@ -3,6 +3,7 @@
 //! (filtering + assembling results).
 
 use crate::degrade::DegradationReport;
+use crate::query::engine::FetchReport;
 
 /// Per-query metrics. Component times are critical-path values (the
 /// slowest rank); per-rank detail is kept for scalability plots.
@@ -75,6 +76,23 @@ impl QueryMetrics {
     /// estimate used when components are reported separately.
     pub fn component_sum(&self) -> f64 {
         self.io_s + self.decompress_s + self.reconstruct_s
+    }
+
+    /// Fold one rank's fetch counters in: byte and event counts sum
+    /// over ranks, simulated backoff is a critical-path maximum (like
+    /// `io_s`), and `bytes_read` stays the index + data total.
+    pub(crate) fn add_rank_io(&mut self, io: &FetchReport) {
+        self.index_bytes += io.index_bytes;
+        self.data_bytes += io.data_bytes;
+        self.bytes_read = self.index_bytes + self.data_bytes;
+        self.cache_hits += io.cache_hits;
+        self.cache_misses += io.cache_misses;
+        self.bytes_saved += io.bytes_saved;
+        self.fused_reads += io.fused_reads;
+        self.fused_bytes_saved += io.fused_bytes;
+        self.retries += io.retries;
+        self.retry_wait_s = self.retry_wait_s.max(io.retry_wait_s);
+        self.retries_exhausted += io.retries_exhausted;
     }
 
     /// Merge another query's metrics into an accumulating average

@@ -32,21 +32,19 @@
 //! [`DegradationReport`] path instead of failing the query, and the
 //! per-step error bound accounts for every capped unit.
 
-use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::cache::{BlockPart, ByteView, CachedBlock};
 use crate::config::PlodLevel;
-use crate::degrade::{DegradationEvent, DegradationReport};
-use crate::exec::ParallelExecutor;
-use crate::fusion::coalesced_read_results;
+use crate::degrade::DegradationEvent;
+use crate::exec::{ExecOutput, ExecRequest, ParallelExecutor};
 use crate::metrics::QueryMetrics;
 use crate::plod;
-use crate::query::engine::RefineUnit;
+use crate::query::engine::{Decoder, Fetched, Fetcher, RefineUnit, Want};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
-use mloc_obs::{Label, Profile};
-use mloc_pfs::{simulate_reads, RankIo};
-use std::sync::Arc;
+use mloc_obs::{Collector, Label, Profile};
+use mloc_pfs::simulate_reads;
 use std::time::Instant;
 
 /// One step of a progressive query: what arrived, what it cost, and
@@ -119,31 +117,10 @@ pub struct ProgressiveQuery<'s, 'a> {
     /// summed; component times are summed too (steps are sequential
     /// pulls, not parallel ranks).
     metrics: QueryMetrics,
+    /// Merged profile over all steps (empty unless the executor is
+    /// profiled).
     profile: Profile,
-    profiled: bool,
     done: bool,
-}
-
-/// Fold one step's execution metrics into the cumulative report,
-/// leaving the plan-shape fields (`bins_touched`, ...) alone.
-fn add_step_metrics(acc: &mut QueryMetrics, other: &QueryMetrics) {
-    acc.io_s += other.io_s;
-    acc.decompress_s += other.decompress_s;
-    acc.reconstruct_s += other.reconstruct_s;
-    acc.response_s += other.response_s;
-    acc.bytes_read += other.bytes_read;
-    acc.index_bytes += other.index_bytes;
-    acc.data_bytes += other.data_bytes;
-    acc.seeks += other.seeks;
-    acc.cache_hits += other.cache_hits;
-    acc.cache_misses += other.cache_misses;
-    acc.bytes_saved += other.bytes_saved;
-    acc.fused_reads += other.fused_reads;
-    acc.fused_bytes_saved += other.fused_bytes_saved;
-    acc.retries += other.retries;
-    acc.retry_wait_s += other.retry_wait_s;
-    acc.degraded_units += other.degraded_units;
-    acc.degradation.merge(&other.degradation);
 }
 
 impl<'s, 'a> ProgressiveQuery<'s, 'a> {
@@ -151,7 +128,6 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         exec: ParallelExecutor,
         store: &'s MlocStore<'a>,
         query: &Query,
-        profiled: bool,
     ) -> Result<Self> {
         let t = Instant::now();
         let plan = make_plan(store, query)?;
@@ -164,80 +140,59 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             && query.wants_values()
             && query.points.is_none()
             && target_parts > 1;
-        if !ladder {
-            return Self::start_single_shot(exec, store, query, &plan, profiled);
-        }
 
-        // Split the plan by bin class. `value_filter` is a per-bin
-        // property (all units of a misaligned bin carry it), so each
-        // sub-plan owns whole bins and the two executions touch
-        // disjoint files.
-        let mut base_units: Vec<WorkUnit> = Vec::new();
-        let mut filtered_units: Vec<WorkUnit> = Vec::new();
-        for u in &plan.units {
-            if u.value_filter {
-                filtered_units.push(*u);
-            } else {
-                base_units.push(*u);
-            }
-        }
+        // Split the plan by bin class: refinable bins start at the
+        // base level and climb; value-filtered bins go straight to the
+        // target level — their membership decision needs full-
+        // precision values — and so does everything when there is no
+        // ladder to climb (one step at the target, done immediately).
+        // `value_filter` is a per-bin property (all units of a
+        // misaligned bin carry it), so each sub-plan owns whole bins
+        // and the two executions touch disjoint files.
+        let (base_units, target_units): (Vec<WorkUnit>, Vec<WorkUnit>) =
+            plan.units.iter().partition(|u| ladder && !u.value_filter);
         let sub_plan = |units: Vec<WorkUnit>| Plan {
             units,
             bins_touched: plan.bins_touched,
             aligned_bins: plan.aligned_bins,
             chunks_touched: plan.chunks_touched,
         };
+        let mut runs: Vec<ExecOutput> = Vec::new();
+        if ladder {
+            let base_query = query.clone().with_plod(PlodLevel::new(1)?);
+            let base_plan = sub_plan(base_units);
+            let mut req = ExecRequest::planned(&base_query, &base_plan, None);
+            req.capture_refine = true;
+            runs.push(exec.run(store, req)?);
+        }
+        if !ladder || !target_units.is_empty() {
+            let target_plan = sub_plan(target_units);
+            runs.push(exec.run(store, ExecRequest::planned(query, &target_plan, None))?);
+        }
 
-        let base_level = PlodLevel::new(1).expect("level 1 is valid");
-        let base_query = query.clone().with_plod(base_level);
-        let (res_a, m_a, prof_a, mut captured) =
-            exec.execute_plan_capturing(store, &base_query, &sub_plan(base_units), profiled)?;
+        let mut runs = runs.into_iter();
+        let first = runs.next().expect("step 0 runs at least one sub-plan");
+        let (mut positions, values) = first.result.into_parts();
+        let mut values = values.unwrap_or_default();
+        let (mut metrics, mut profile) = (first.metrics, first.profile);
         // Deterministic order regardless of rank assignment, and
         // maximal read coalescing per refinement pull.
+        let mut captured = first.refine_units;
         captured.sort_by_key(|u| (u.bin, u.chunk_rank));
-
-        // Value-filtered bins go straight to the target level — their
-        // membership decision needs full-precision values.
-        let filtered = if filtered_units.is_empty() {
-            None
-        } else if profiled {
-            let (r, m, p) =
-                exec.execute_plan_profiled(store, query, &sub_plan(filtered_units), None)?;
-            Some((r, m, p))
-        } else {
-            let (r, m) = exec.execute_plan(store, query, &sub_plan(filtered_units), None)?;
-            Some((r, m, Profile::default()))
-        };
-
-        let (mut positions, vals_a) = res_a.into_parts();
-        let mut values = vals_a.unwrap_or_default();
-        let mut metrics = m_a.clone();
-        let mut profile = Profile::default();
-        if profiled {
-            profile.merge_from(prof_a);
+        for run in runs {
+            let (p, v) = run.result.into_parts();
+            positions.extend(p);
+            values.extend(v.unwrap_or_default());
+            metrics.accumulate(&run.metrics);
+            profile.merge_from(run.profile);
         }
-        let mut step_bytes = m_a.bytes_read;
-        let mut step_saved = m_a.bytes_saved;
-        let mut step_fused = m_a.fused_bytes_saved;
-        let mut step_io = m_a.io_s;
-        if let Some((r, m, p)) = filtered {
-            let (p2, v2) = r.into_parts();
-            positions.extend(p2);
-            values.extend(v2.unwrap_or_default());
-            add_step_metrics(&mut metrics, &m);
-            if profiled {
-                profile.merge_from(p);
-            }
-            step_bytes += m.bytes_read;
-            step_saved += m.bytes_saved;
-            step_fused += m.fused_bytes_saved;
-            step_io += m.io_s;
-        }
+        // The plan shape describes the whole ladder, not the sum of
+        // its sub-plans.
         metrics.bins_touched = plan.bins_touched;
         metrics.aligned_bins = plan.aligned_bins;
         metrics.chunks_touched = plan.chunks_touched;
-        let result = QueryResult::from_parts(positions, Some(values));
-        if result.len() > u32::MAX as usize {
+        let result = QueryResult::from_parts(positions, query.wants_values().then_some(values));
+        if !captured.is_empty() && result.len() > u32::MAX as usize {
             return Err(MlocError::Invalid(
                 "progressive result too large to index".into(),
             ));
@@ -262,103 +217,22 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 cap: target_parts,
             });
         }
-        // Step-0 degradation (impossible at the base level today, but
-        // kept total): a loss already caps the unit's ladder.
-        for e in &metrics.degradation.events {
-            if let Some(st) = units
-                .iter_mut()
-                .find(|s| s.unit.bin == e.bin && s.unit.chunk_rank == e.chunk_rank)
-            {
-                st.cap = st.cap.min(e.lost_part);
-            }
-        }
-
+        let next_part = if units.is_empty() { target_parts } else { 1 };
         let mut pq = ProgressiveQuery {
             store,
             exec,
             query: query.clone(),
             target_parts,
-            next_part: if units.is_empty() { target_parts } else { 1 },
+            next_part,
             result,
             units,
             steps: Vec::new(),
             metrics,
             profile,
-            profiled,
-            done: false,
+            done: next_part >= target_parts,
         };
-        pq.done = pq.next_part >= pq.target_parts;
-        let step = ProgressiveStep {
-            step: 0,
-            level: if pq.units.is_empty() {
-                query.plod
-            } else {
-                base_level
-            },
-            error_bound: pq.bound_after(pq.next_part),
-            bytes_read: step_bytes,
-            bytes_saved: step_saved,
-            fused_bytes_saved: step_fused,
-            io_s: step_io,
-            capped_units: pq.capped_units(),
-            done: pq.done,
-        };
-        pq.record_step(step, t.elapsed().as_secs_f64(), "step0");
-        Ok(pq)
-    }
-
-    /// Degenerate ladder (no PLoD layout, positions-only output, or a
-    /// membership query): one step at the target, done immediately.
-    fn start_single_shot(
-        exec: ParallelExecutor,
-        store: &'s MlocStore<'a>,
-        query: &Query,
-        plan: &Plan,
-        profiled: bool,
-    ) -> Result<Self> {
-        let t = Instant::now();
-        let (result, metrics, profile) = if profiled {
-            exec.execute_plan_profiled(store, query, plan, None)?
-        } else {
-            let (r, m) = exec.execute_plan(store, query, plan, None)?;
-            (r, m, Profile::default())
-        };
-        let error_bound = if metrics.degradation.is_degraded() {
-            metrics.degradation.error_bound()
-        } else if query.wants_values() {
-            plod::relative_error_bound(query.plod)
-        } else {
-            // Positions are exact at any PLoD level: bitmaps decide
-            // membership, and misaligned bins filter at the target.
-            0.0
-        };
-        let step = ProgressiveStep {
-            step: 0,
-            level: query.plod,
-            error_bound,
-            bytes_read: metrics.bytes_read,
-            bytes_saved: metrics.bytes_saved,
-            fused_bytes_saved: metrics.fused_bytes_saved,
-            io_s: metrics.io_s,
-            capped_units: metrics.degraded_units,
-            done: true,
-        };
-        let target_parts = query.plod.num_parts();
-        let mut pq = ProgressiveQuery {
-            store,
-            exec,
-            query: query.clone(),
-            target_parts,
-            next_part: target_parts,
-            result,
-            units: Vec::new(),
-            steps: Vec::new(),
-            metrics,
-            profile,
-            profiled,
-            done: true,
-        };
-        pq.record_step(step, t.elapsed().as_secs_f64(), "step0");
+        let cost = pq.metrics.clone();
+        pq.record_step(&cost, t.elapsed().as_secs_f64(), "step0");
         Ok(pq)
     }
 
@@ -366,11 +240,13 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
     /// merge it into the result in place. Returns `None` once the
     /// ladder is complete (target reached, or every unit capped).
     ///
-    /// Reads re-enter the store's shared block cache and extent fuser,
-    /// so a warm refinement step costs only the bytes nobody has
-    /// fetched yet. A damaged extent caps the affected unit's ladder
-    /// (when the executor allows degradation) and is recorded in the
-    /// cumulative [`QueryMetrics::degradation`] report.
+    /// A pull is the one-shot retrieval restricted to part `p`: the
+    /// same fetch (block cache, extent fuser, retries, checksum
+    /// verification) and decode stages the engine runs, so a warm
+    /// refinement step costs only the bytes nobody has fetched yet. A
+    /// damaged extent caps the affected unit's ladder (when the
+    /// executor allows degradation) and is recorded in the cumulative
+    /// [`QueryMetrics::degradation`] report.
     pub fn next_refinement(&mut self) -> Result<Option<ProgressiveStep>> {
         if self.done {
             return Ok(None);
@@ -379,179 +255,118 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let p = self.next_part;
         debug_assert!(p >= 1 && p < self.target_parts);
         let store = self.store;
-        let config = store.config();
-        let byte_codec = config.codec.byte_codec();
-        let cache = store.cache().map(Arc::as_ref);
-        let fuser = store.fuser().map(Arc::as_ref);
-        let scope = store.cache_scope();
-        let mut io = RankIo::with_retry(store.backend(), self.exec.retry_policy());
+        let mut obs = Collector::new(self.exec.profiled);
+        let mut fetcher = Fetcher::new(store, self.exec.retry_policy());
+        let mut decoder = Decoder::new(store.config().codec);
+        let read_repairs_before = store.backend().read_repair_count();
+        // (`accumulate` adopts the folded-in report's rank count.)
+        let mut step = QueryMetrics {
+            nranks: self.metrics.nranks,
+            ..Default::default()
+        };
+        // (unit index, decoded part bytes) pending application, and the
+        // units whose part could not be fetched.
+        let mut parts: Vec<(usize, CachedBlock)> = Vec::new();
+        let mut lost: Vec<(usize, MlocError)> = Vec::new();
 
-        let mut bytes_read = 0u64;
-        let mut bytes_saved = 0u64;
-        let mut fused_bytes = 0u64;
-        let mut fused_reads = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut decompress_s = 0.0f64;
-        let mut new_events: Vec<DegradationEvent> = Vec::new();
-        // (unit index, decompressed part bytes) pending application.
-        let mut fetched: Vec<(usize, ByteView)> = Vec::new();
-
-        // Walk the units bin by bin (they are sorted), coalescing each
-        // bin's cache misses into as few physical reads as the one-shot
-        // engine would.
-        let mut i = 0usize;
-        while i < self.units.len() {
-            let bin = self.units[i].unit.bin;
-            let mut j = i;
-            while j < self.units.len() && self.units[j].unit.bin == bin {
-                j += 1;
-            }
-            let data_file = store.data_file(bin);
-            let mut wants: Vec<(u64, u32)> = Vec::new();
-            let mut slots: Vec<usize> = Vec::new();
-            let mut footer: Option<Arc<crate::integrity::ExtentFooter>> = None;
-            for k in i..j {
-                let st = &self.units[k];
-                if st.cap <= p || st.unit.count == 0 {
-                    continue;
+        // Walk the still-climbing units bin by bin (they are sorted), so
+        // each bin's wants coalesce into as few physical reads as the
+        // one-shot engine would issue.
+        let live: Vec<usize> = (0..self.units.len())
+            .filter(|&k| self.units[k].cap > p && self.units[k].unit.count > 0)
+            .collect();
+        let bin_of = |k: usize| self.units[k].unit.bin;
+        let groups: Vec<&[usize]> = live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)).collect();
+        for group in groups {
+            let bin = self.units[group[0]].unit.bin;
+            let wants: Vec<Want> = group
+                .iter()
+                .map(|&k| {
+                    let (unit, part) = (&self.units[k].unit, BlockPart::PlodPart(p as u8));
+                    let key = fetcher.key(bin, unit.chunk_rank, part);
+                    (key, unit.part_locs[p].offset, unit.part_locs[p].clen)
+                })
+                .collect();
+            let footer = self.units[group[0]].unit.footer.as_ref();
+            let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (want idx, bytes)
+            fetcher.wants(&store.data_file(bin), &wants, Some(footer), |w, got| {
+                match got {
+                    Ok(Fetched::Cached(block)) => parts.push((group[w], block)),
+                    Ok(Fetched::Raw(raw)) => stored.push((w, raw)),
+                    Err(e) => lost.push((group[w], e)),
                 }
-                let loc = st.unit.part_locs[p];
-                let bkey = BlockKey {
-                    scope: Arc::clone(scope),
-                    bin: bin as u32,
-                    chunk_rank: st.unit.chunk_rank as u32,
-                    part: BlockPart::PlodPart(p as u8),
-                };
-                if let Some(c) = cache {
-                    if let Some(CachedBlock::Bytes(b)) = c.get(&bkey) {
-                        io.record_cached(&data_file, loc.offset, u64::from(loc.clen));
-                        cache_hits += 1;
-                        bytes_saved += u64::from(loc.clen);
-                        fetched.push((k, b));
-                        continue;
-                    }
-                    cache_misses += 1;
-                }
-                wants.push((loc.offset, loc.clen));
-                slots.push(k);
-                footer = Some(Arc::clone(&st.unit.footer));
-            }
-            i = j;
-            if wants.is_empty() {
-                continue;
-            }
-            let results =
-                coalesced_read_results(&mut io, &data_file, &wants, footer.as_deref(), fuser);
+                Ok(())
+            })?;
             let td = Instant::now();
-            for (w_i, r) in results.into_iter().enumerate() {
-                let k = slots[w_i];
-                match r.res {
-                    Ok(view) => {
-                        if r.fused {
-                            fused_reads += 1;
-                            fused_bytes += u64::from(wants[w_i].1);
-                        } else {
-                            bytes_read += u64::from(wants[w_i].1);
-                        }
-                        let decomp = byte_codec.decompress(&view)?;
-                        let count = self.units[k].unit.count as usize;
-                        if decomp.len() != count * plod::PART_BYTES[p] {
-                            return Err(MlocError::Corrupt("unit length mismatch"));
-                        }
-                        let pv = ByteView::from(decomp);
-                        if let Some(c) = cache {
-                            c.insert(
-                                BlockKey {
-                                    scope: Arc::clone(scope),
-                                    bin: bin as u32,
-                                    chunk_rank: self.units[k].unit.chunk_rank as u32,
-                                    part: BlockPart::PlodPart(p as u8),
-                                },
-                                CachedBlock::Bytes(pv.clone()),
-                            );
-                        }
-                        fetched.push((k, pv));
-                    }
-                    Err(e) => {
-                        // Same degradability rule as the one-shot
-                        // engine: a non-base part of a filterless unit
-                        // may be dropped; parts after it become
-                        // unreachable, capping the ladder here.
-                        if !self.exec.degradation_allowed() {
-                            return Err(e);
-                        }
-                        let st = &mut self.units[k];
-                        st.cap = p;
-                        new_events.push(DegradationEvent {
-                            bin: st.unit.bin,
-                            chunk_rank: st.unit.chunk_rank,
-                            lost_part: p,
-                            points: u64::from(st.unit.count),
-                            reason: e.to_string(),
-                        });
-                    }
-                }
+            for (w, raw) in stored {
+                let count = self.units[group[w]].unit.count as usize;
+                let block = decoder.decode(&mut fetcher, wants[w].0.clone(), &raw, count)?;
+                parts.push((group[w], block));
             }
-            decompress_s += td.elapsed().as_secs_f64();
+            step.decompress_s += td.elapsed().as_secs_f64();
+        }
+        // Same degradability rule as the one-shot engine: a non-base
+        // part of a filterless unit may be dropped; parts after it
+        // become unreachable, capping the ladder here.
+        for (k, e) in lost {
+            if !self.exec.degradation_allowed() {
+                return Err(e);
+            }
+            let st = &mut self.units[k];
+            st.cap = p;
+            step.degradation.events.push(DegradationEvent {
+                bin: st.unit.bin,
+                chunk_rank: st.unit.chunk_rank,
+                lost_part: p,
+                points: u64::from(st.unit.count),
+                reason: e.to_string(),
+            });
         }
 
         // Apply the deltas in place: one byte merged per value.
         let tr = Instant::now();
-        if !fetched.is_empty() {
+        if !parts.is_empty() {
             let values = self
                 .result
                 .values_mut()
                 .ok_or(MlocError::Corrupt("progressive ladder without values"))?;
-            for (k, part_bytes) in &fetched {
+            for (k, block) in &parts {
                 let st = &self.units[*k];
-                plod::refine_into(values, &st.result_idx, &st.unit.val_idx, part_bytes, p)?;
+                let part = block
+                    .as_bytes()
+                    .ok_or(MlocError::Corrupt("missing PLoD part"))?;
+                plod::refine_into(values, &st.result_idx, &st.unit.val_idx, part, p)?;
             }
         }
-        let reconstruct_s = tr.elapsed().as_secs_f64();
+        step.reconstruct_s = tr.elapsed().as_secs_f64();
 
-        // Account the step.
-        self.metrics.retries += io.retries();
-        self.metrics.retry_wait_s += io.retry_wait_s();
-        let trace = io.into_trace();
-        let sim = simulate_reads(std::slice::from_ref(&trace), self.exec.cost_model());
-        let io_s = sim.per_rank_seconds.first().copied().unwrap_or(0.0);
-        self.metrics.seeks += sim.total_seeks;
-        self.metrics.io_s += io_s;
-        self.metrics.decompress_s += decompress_s;
-        self.metrics.reconstruct_s += reconstruct_s;
-        self.metrics.response_s += io_s + decompress_s + reconstruct_s;
-        self.metrics.bytes_read += bytes_read;
-        self.metrics.data_bytes += bytes_read;
-        self.metrics.bytes_saved += bytes_saved;
-        self.metrics.cache_hits += cache_hits;
-        self.metrics.cache_misses += cache_misses;
-        self.metrics.fused_reads += fused_reads;
-        self.metrics.fused_bytes_saved += fused_bytes;
-        self.metrics.degraded_units += new_events.len() as u64;
-        let new_report = DegradationReport { events: new_events };
-        self.metrics.degradation.merge(&new_report);
+        // Account the step exactly like a one-rank execution.
+        obs.count("hotpath.copy_bytes", decoder.copy_bytes);
+        let io = fetcher.finish(&mut obs);
+        let sim = simulate_reads(std::slice::from_ref(&io.trace), self.exec.cost_model());
+        step.add_rank_io(&io);
+        step.io_s = sim.per_rank_seconds.first().copied().unwrap_or(0.0);
+        step.seeks = sim.total_seeks;
+        step.response_s = step.io_s + step.decompress_s + step.reconstruct_s;
+        step.read_repairs = store
+            .backend()
+            .read_repair_count()
+            .saturating_sub(read_repairs_before);
+        step.degraded_units = step.degradation.events.len() as u64;
+        self.metrics.accumulate(&step);
+        self.profile.merge_from(obs.finish());
 
         self.next_part = p + 1;
-        let applied = self.next_part;
         // Done when the target is reached, or when damage has capped
         // every unit at or below the applied level (nothing left to
         // fetch — the bound is frozen).
-        self.done = applied >= self.target_parts || self.units.iter().all(|s| s.cap <= applied);
-        let step = ProgressiveStep {
-            step: self.steps.len(),
-            level: PlodLevel::new(applied.min(self.target_parts) as u8)
-                .expect("applied parts within level range"),
-            error_bound: self.bound_after(applied),
-            bytes_read,
-            bytes_saved,
-            fused_bytes_saved: fused_bytes,
-            io_s,
-            capped_units: self.capped_units(),
-            done: self.done,
-        };
-        self.record_step(step.clone(), t.elapsed().as_secs_f64(), "refine");
-        Ok(Some(step))
+        self.done = self.next_part >= self.target_parts
+            || self.units.iter().all(|s| s.cap <= self.next_part);
+        Ok(Some(self.record_step(
+            &step,
+            t.elapsed().as_secs_f64(),
+            "refine",
+        )))
     }
 
     /// Pull refinements until the error bound is ≤ `target_error` or
@@ -586,14 +401,10 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         &self.steps
     }
 
-    /// Merged profile over all steps (empty unless started profiled).
+    /// Merged profile over all steps (empty unless the executor that
+    /// started the query is profiled).
     pub fn profile(&self) -> &Profile {
         &self.profile
-    }
-
-    /// The query this handle is refining.
-    pub fn query(&self) -> &Query {
-        &self.query
     }
 
     /// Worst-case relative error bound of the current result.
@@ -612,20 +423,18 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         (self.result, self.metrics, self.steps, self.profile)
     }
 
-    /// Units currently capped below the target by damaged extents.
-    fn capped_units(&self) -> u64 {
-        self.units
-            .iter()
-            .filter(|s| s.cap < self.target_parts)
-            .count() as u64
-    }
-
     /// Worst-case relative bound once `applied` parts have been merged
     /// into the refinable units: the coarsest unit governs — a capped
-    /// unit sits at `min(cap, applied)` parts, value-filtered bins at
-    /// the target. Monotonically non-increasing in `applied` because
-    /// caps only freeze levels, never lower them.
+    /// unit sits at `min(cap, applied)` parts, everything served at
+    /// the target sits there unless a lost extent degraded it.
+    /// Monotonically non-increasing in `applied` because caps only
+    /// freeze levels, never lower them.
     fn bound_after(&self, applied: usize) -> f64 {
+        if !self.query.wants_values() {
+            // Positions are exact at any PLoD level: bitmaps decide
+            // membership, and misaligned bins filter at the target.
+            return 0.0;
+        }
         let mut worst = self.target_parts;
         for s in &self.units {
             worst = worst.min(s.cap.min(applied));
@@ -635,11 +444,34 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         } else {
             PlodLevel::new(worst.max(1) as u8).expect("parts within level range")
         };
-        plod::relative_error_bound(level)
+        plod::relative_error_bound(level).max(self.metrics.degradation.error_bound())
     }
 
-    fn record_step(&mut self, step: ProgressiveStep, wall_s: f64, span: &'static str) {
-        if self.profiled {
+    /// Log the step that just ran, whose reads cost `cost`.
+    fn record_step(
+        &mut self,
+        cost: &QueryMetrics,
+        wall_s: f64,
+        span: &'static str,
+    ) -> ProgressiveStep {
+        let applied = self.next_part.min(self.target_parts);
+        let step = ProgressiveStep {
+            step: self.steps.len(),
+            level: if self.units.is_empty() {
+                self.query.plod
+            } else {
+                PlodLevel::new(applied as u8).expect("applied parts within level range")
+            },
+            error_bound: self.bound_after(applied),
+            bytes_read: cost.bytes_read,
+            bytes_saved: cost.bytes_saved,
+            fused_bytes_saved: cost.fused_bytes_saved,
+            io_s: cost.io_s,
+            // Every degradation event caps exactly one unit's ladder.
+            capped_units: self.metrics.degraded_units,
+            done: self.done,
+        };
+        if self.exec.profiled {
             self.profile.record_path(&["progressive", span], wall_s);
             self.profile
                 .add_counter("progressive.steps", Label::None, 1);
@@ -649,7 +481,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 step.bytes_read,
             );
         }
-        self.steps.push(step);
+        self.steps.push(step.clone());
+        step
     }
 }
 
@@ -659,24 +492,15 @@ impl ParallelExecutor {
     /// [`ProgressiveQuery::next_refinement`] to sharpen it one byte
     /// group at a time. Step 0 runs through this executor (any rank
     /// count, replay or threaded); refinement pulls are single-rank
-    /// reads costed by the same PFS model.
+    /// reads costed by the same PFS model. A profiled executor makes
+    /// the handle accumulate a merged [`Profile`] (per-step spans plus
+    /// `progressive.steps` / `progressive.bytes_per_step` counters).
     pub fn progressive<'s, 'a>(
         &self,
         store: &'s MlocStore<'a>,
         query: &Query,
     ) -> Result<ProgressiveQuery<'s, 'a>> {
-        ProgressiveQuery::start(self.clone(), store, query, false)
-    }
-
-    /// [`ParallelExecutor::progressive`] with profiling on: the handle
-    /// accumulates a merged [`Profile`] (per-step spans plus
-    /// `progressive.steps` / `progressive.bytes_per_step` counters).
-    pub fn progressive_profiled<'s, 'a>(
-        &self,
-        store: &'s MlocStore<'a>,
-        query: &Query,
-    ) -> Result<ProgressiveQuery<'s, 'a>> {
-        ProgressiveQuery::start(self.clone(), store, query, true)
+        ProgressiveQuery::start(self.clone(), store, query)
     }
 }
 

@@ -1,0 +1,446 @@
+//! Stage 1 — fetch: every stored byte a rank touches enters through
+//! a [`Fetcher`], so a cache hit, a fused want and a physical read of
+//! the same extent are traced, verified and counted in one place. Two
+//! operations: one keyed extent ([`Fetcher::extent`], and
+//! [`Fetcher::footer`] for the one block whose cold form is two
+//! reads), and a coalesced want-list ([`Fetcher::wants`]).
+
+use crate::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::fusion::{coalesced_read_results, ExtentFuser};
+use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
+use crate::store::MlocStore;
+use crate::Result;
+use mloc_obs::Collector;
+use mloc_pfs::{RankIo, ReadOp, RetryPolicy};
+use std::sync::Arc;
+
+/// What one rank's fetches cost, by where the bytes came from.
+#[derive(Debug, Clone, Default)]
+pub struct FetchReport {
+    /// Bytes read from index files.
+    pub index_bytes: u64,
+    /// Bytes read from data files.
+    pub data_bytes: u64,
+    /// Block-cache hits (0 without a cache).
+    pub cache_hits: u64,
+    /// Block-cache misses (0 without a cache).
+    pub cache_misses: u64,
+    /// Compressed bytes served from the cache instead of the PFS.
+    pub bytes_saved: u64,
+    /// Cache inserts the budget turned away.
+    pub cache_rejected: u64,
+    /// Wants served by another session's physical read through the
+    /// extent fuser (0 without fusion).
+    pub fused_reads: u64,
+    /// Bytes of those fused wants — kept off the PFS and excluded from
+    /// `index_bytes`/`data_bytes`, like cache-served bytes.
+    pub fused_bytes: u64,
+    /// Transient-read retries performed.
+    pub retries: u64,
+    /// Simulated backoff seconds accumulated by those retries.
+    pub retry_wait_s: f64,
+    /// Reads abandoned because the retry backoff budget ran out.
+    pub retries_exhausted: u64,
+    /// Every logical read in issue order; the PFS simulator prices it.
+    pub trace: Vec<ReadOp>,
+    /// Request counts of the submitted read batches, in order.
+    pub batch_depths: Vec<u64>,
+}
+
+/// One keyed extent of a coalesced want-list: the cache key of the
+/// block it holds, its byte offset in the file, and its stored length.
+pub(crate) type Want = (BlockKey, u64, u32);
+
+/// How a want was served.
+pub(crate) enum Fetched {
+    /// By the block cache, in its cached (decoded) form.
+    Cached(CachedBlock),
+    /// As verified stored bytes, off the PFS or a fused read.
+    Raw(ByteView),
+}
+
+impl Fetched {
+    /// The block's bytes, for index blocks (whose stored and cached
+    /// forms coincide).
+    pub fn into_bytes(self) -> Option<ByteView> {
+        match self {
+            Fetched::Cached(CachedBlock::Bytes(b)) | Fetched::Raw(b) => Some(b),
+            Fetched::Cached(_) => None,
+        }
+    }
+}
+
+/// Index-file blocks are stored uncompressed, so the bytes read *are*
+/// the cached form and count as index bytes; data-file blocks count
+/// as data bytes and are cached only once decoded.
+fn is_index(part: BlockPart) -> bool {
+    match part {
+        BlockPart::IndexHeader | BlockPart::Summary | BlockPart::Bitmap => true,
+        BlockPart::Footer(which) => which == 0,
+        BlockPart::Floats | BlockPart::PlodPart(_) => false,
+    }
+}
+
+/// Per-rank fetch state: the I/O handle, the store's cache and fuser,
+/// and all byte / hit / miss / fused / rejected / retry accounting.
+pub(crate) struct Fetcher<'s, 'a> {
+    io: RankIo<'a>,
+    cache: Option<&'s BlockCache>,
+    fuser: Option<&'s ExtentFuser>,
+    scope: &'s Arc<str>,
+    /// Counters so far ([`Self::finish`] adds retries and the trace).
+    pub report: FetchReport,
+}
+
+impl<'s, 'a> Fetcher<'s, 'a> {
+    pub fn new(store: &'s MlocStore<'a>, retry: RetryPolicy) -> Self {
+        Fetcher {
+            io: RankIo::with_retry(store.backend(), retry),
+            cache: store.cache().map(Arc::as_ref),
+            fuser: store.fuser().map(Arc::as_ref),
+            scope: store.cache_scope(),
+            report: FetchReport::default(),
+        }
+    }
+
+    /// Cache key of one block of this store's variable.
+    pub fn key(&self, bin: usize, chunk_rank: usize, part: BlockPart) -> BlockKey {
+        BlockKey {
+            scope: Arc::clone(self.scope),
+            bin: bin as u32,
+            chunk_rank: chunk_rank as u32,
+            part,
+        }
+    }
+
+    /// Probe the cache. A block of the wrong kind for its key is a
+    /// miss, never a wrong answer.
+    fn probe(&mut self, key: &BlockKey) -> Option<CachedBlock> {
+        let cache = self.cache?;
+        let block = cache.get(key).filter(|b| match key.part {
+            BlockPart::Footer(_) => b.as_footer().is_some(),
+            BlockPart::Floats => b.as_floats().is_some(),
+            _ => b.as_bytes().is_some(),
+        });
+        if block.is_none() {
+            self.report.cache_misses += 1;
+        }
+        block
+    }
+
+    /// Account a cache hit on `[off, off + len)`: the extent stays
+    /// visible in the trace (flagged cached) at zero simulated cost.
+    fn hit(&mut self, file: &str, off: u64, len: u64) {
+        self.io.record_cached(file, off, len);
+        self.report.cache_hits += 1;
+        self.report.bytes_saved += len;
+    }
+
+    fn count_read(&mut self, part: BlockPart, len: u64) {
+        if is_index(part) {
+            self.report.index_bytes += len;
+        } else {
+            self.report.data_bytes += len;
+        }
+    }
+
+    /// Offer a block to the cache (a no-op without one).
+    pub fn publish(&mut self, key: BlockKey, block: CachedBlock) {
+        if let Some(c) = self.cache {
+            if !c.insert(key, block) {
+                self.report.cache_rejected += 1;
+            }
+        }
+    }
+
+    /// Fetch one keyed extent `[off, off + len)` of an index file
+    /// (header, summary): a cache probe, else one sequential read
+    /// verified against `footer`. Single extents bypass the fuser.
+    pub fn extent(
+        &mut self,
+        file: &str,
+        key: BlockKey,
+        (off, len): (u64, u64),
+        footer: &ExtentFooter,
+    ) -> Result<ByteView> {
+        if let Some(CachedBlock::Bytes(b)) = self.probe(&key) {
+            self.hit(file, off, len);
+            return Ok(b);
+        }
+        let raw = ByteView::new(Arc::new(self.io.read(file, off, len)?));
+        footer.verify(file, off, &raw)?;
+        self.count_read(key.part, len);
+        self.publish(key, CachedBlock::Bytes(raw.clone()));
+        Ok(raw)
+    }
+
+    /// Fetch a file's per-extent checksum footer.
+    ///
+    /// Cold: one untraced `len()` plus two traced reads — the fixed
+    /// trailer at the end of the file, then the table it locates —
+    /// whose lengths sum to [`ExtentFooter::encoded_len`]. Warm: one
+    /// cached trace record of that same total, so fault-free cold/warm
+    /// byte accounting mirrors every other cached block. A footer that
+    /// cannot be loaded or fails its own CRC is always a hard error:
+    /// without it nothing in the file can be trusted.
+    pub fn footer(&mut self, file: &str, key: BlockKey) -> Result<Arc<ExtentFooter>> {
+        if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
+            self.hit(file, f.payload_len(), f.encoded_len());
+            return Ok(f);
+        }
+        let flen = self.io.backend().len(file)?;
+        if flen < TRAILER_LEN {
+            return Err(corrupt_extent(
+                file,
+                0,
+                flen,
+                "file shorter than footer trailer",
+            ));
+        }
+        let trailer = self.io.read(file, flen - TRAILER_LEN, TRAILER_LEN)?;
+        let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
+        let mut region = self.io.read(file, payload_len, table_len)?;
+        region.extend_from_slice(&trailer);
+        let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
+        self.count_read(key.part, footer.encoded_len());
+        self.publish(key, CachedBlock::Footer(Arc::clone(&footer)));
+        Ok(footer)
+    }
+
+    /// Fetch a want-list from one file, handing `sink` each want's
+    /// index and outcome: cache hits first, in want order (traced at
+    /// zero cost), then the misses, in want order — coalesced into as
+    /// few physical reads as possible, or fused with a concurrent
+    /// session's, each a verified view into the merged extent with no
+    /// per-want copy. Failures are per want; the sink decides which
+    /// are fatal by returning them.
+    pub fn wants(
+        &mut self,
+        file: &str,
+        wants: &[Want],
+        footer: Option<&ExtentFooter>,
+        mut sink: impl FnMut(usize, Result<Fetched>) -> Result<()>,
+    ) -> Result<()> {
+        let mut missed: Vec<usize> = Vec::new();
+        for (i, (key, off, len)) in wants.iter().enumerate() {
+            match self.probe(key) {
+                Some(block) => {
+                    self.hit(file, *off, u64::from(*len));
+                    sink(i, Ok(Fetched::Cached(block)))?;
+                }
+                None => missed.push(i),
+            }
+        }
+        if missed.is_empty() {
+            return Ok(());
+        }
+        let extents: Vec<(u64, u32)> = missed.iter().map(|&i| (wants[i].1, wants[i].2)).collect();
+        let reads = coalesced_read_results(&mut self.io, file, &extents, footer, self.fuser);
+        for (i, read) in missed.into_iter().zip(reads) {
+            let (key, _, len) = &wants[i];
+            let got = read.res.map(|view| {
+                if read.fused {
+                    self.report.fused_reads += 1;
+                    self.report.fused_bytes += u64::from(*len);
+                } else {
+                    self.count_read(key.part, u64::from(*len));
+                }
+                if is_index(key.part) {
+                    self.publish(key.clone(), CachedBlock::Bytes(view.clone()));
+                }
+                Fetched::Raw(view)
+            });
+            sink(i, got)?;
+        }
+        Ok(())
+    }
+
+    /// Close the rank's I/O: emit the cache and fusion counters into
+    /// `obs` and hand back the full report with the read trace.
+    pub fn finish(self, obs: &mut Collector) -> FetchReport {
+        let mut r = self.report;
+        obs.count("cache.hits", r.cache_hits);
+        obs.count("cache.misses", r.cache_misses);
+        obs.count("cache.bytes_saved", r.bytes_saved);
+        obs.count("cache.rejected_inserts", r.cache_rejected);
+        if r.fused_reads > 0 {
+            obs.count("fusion.fused_reads", r.fused_reads);
+            obs.count("fusion.bytes_saved", r.fused_bytes);
+        }
+        r.retries = self.io.retries();
+        r.retry_wait_s = self.io.retry_wait_s();
+        r.retries_exhausted = self.io.retries_exhausted();
+        r.batch_depths = self.io.batch_depths().to_vec();
+        r.trace = self.io.into_trace();
+        r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::Decoder;
+    use super::*;
+    use crate::build::build_variable;
+    use crate::config::MlocConfig;
+    use crate::index::{decode_summary, header_size, BinIndex};
+    use mloc_pfs::{MemBackend, StorageBackend};
+
+    const BIN: usize = 1;
+
+    /// Fetch the block `part` of chunk rank `r` through the operation
+    /// the engine uses for its kind, decoding a data part so a cache
+    /// can keep it; returns the fetcher's report.
+    fn fetch(store: &MlocStore<'_>, index: &BinIndex, r: usize, part: BlockPart) -> FetchReport {
+        let mut f = Fetcher::new(store, RetryPolicy::none());
+        let mut quiet = Collector::disabled();
+        let idx_file = store.index_file(BIN);
+        let key = f.key(BIN, r, part);
+        // The file footers every other fetch verifies against come
+        // from a fetcher of their own, so they stay out of the report.
+        let footer_of = |file: &str, which: u8| {
+            let mut g = Fetcher::new(store, RetryPolicy::none());
+            let key = g.key(BIN, 0, BlockPart::Footer(which));
+            g.footer(file, key).unwrap()
+        };
+        match part {
+            BlockPart::Footer(_) => drop(f.footer(&idx_file, key).unwrap()),
+            BlockPart::IndexHeader => {
+                let len = header_size(index.chunks.len(), index.num_parts);
+                let footer = footer_of(&idx_file, 0);
+                f.extent(&idx_file, key, (0, len), &footer).unwrap();
+            }
+            BlockPart::Summary => {
+                let span = (index.summary_file_offset(), index.summary_bytes);
+                let footer = footer_of(&idx_file, 0);
+                f.extent(&idx_file, key, span, &footer).unwrap();
+            }
+            BlockPart::Bitmap => {
+                let want = (key, index.bitmap_file_offset(r), index.chunks[r].bitmap_len);
+                let footer = footer_of(&idx_file, 0);
+                f.wants(&idx_file, &[want], Some(&footer), |_, got| got.map(drop))
+                    .unwrap();
+            }
+            BlockPart::PlodPart(p) => {
+                let file = store.data_file(BIN);
+                let loc = index.chunks[r].units[usize::from(p)];
+                let footer = footer_of(&file, 1);
+                let want = (key.clone(), loc.offset, loc.clen);
+                let mut stored = None;
+                f.wants(&file, &[want], Some(&footer), |_, got| {
+                    if let Fetched::Raw(raw) = got? {
+                        stored = Some(raw);
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                if let Some(raw) = stored {
+                    let count = index.chunks[r].count as usize;
+                    Decoder::new(store.config().codec)
+                        .decode(&mut f, key, &raw, count)
+                        .unwrap();
+                }
+            }
+            BlockPart::Floats => unreachable!("the fixture is a PLoD layout"),
+        }
+        f.finish(&mut quiet)
+    }
+
+    /// The logical footprint of a report, and the file span its trace
+    /// covers with whether the simulator is charged for it.
+    fn shape(r: &FetchReport) -> (u64, String, u64, u64, bool) {
+        let footprint = r.index_bytes + r.data_bytes + r.bytes_saved + r.fused_bytes;
+        let off = r.trace.iter().map(|op| op.offset).min().unwrap();
+        let len = r.trace.iter().map(|op| op.len).sum();
+        assert!(r.trace.iter().all(|op| op.file == r.trace[0].file));
+        let charged = r.trace.iter().any(|op| !op.cached);
+        assert_eq!(charged, r.trace.iter().all(|op| !op.cached));
+        (footprint, r.trace[0].file.clone(), off, len, charged)
+    }
+
+    #[test]
+    fn every_block_kind_has_one_footprint_cold_warm_and_fused() {
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        let open = || MlocStore::open(&be, "ds", "v").unwrap();
+        let plain = open();
+
+        // Locate the extents from the index itself.
+        let idx_file = plain.index_file(BIN);
+        let raw = be.read(&idx_file, 0, be.len(&idx_file).unwrap()).unwrap();
+        let index = BinIndex::decode_header(&raw).unwrap();
+        let s0 = index.summary_file_offset() as usize;
+        let summaries = decode_summary(
+            &raw[s0..s0 + index.summary_bytes as usize],
+            index.chunks.len(),
+        )
+        .unwrap();
+        // A partial chunk: it has a bitmap to read and a data unit.
+        let r = (0..index.chunks.len())
+            .find(|&r| index.chunks[r].count > 0 && !summaries[r].all_of_chunk)
+            .expect("a partially covered chunk");
+        let payload_len = ExtentFooter::split_verified(&raw, &idx_file).unwrap().len() as u64;
+        let part0 = index.chunks[r].units[0];
+        let hdr_len = header_size(index.chunks.len(), index.num_parts);
+        let table: [(BlockPart, String, u64, u64, bool); 5] = [
+            (BlockPart::IndexHeader, idx_file.clone(), 0, hdr_len, false),
+            (
+                BlockPart::Summary,
+                idx_file.clone(),
+                index.summary_file_offset(),
+                index.summary_bytes,
+                false,
+            ),
+            (
+                BlockPart::Bitmap,
+                idx_file.clone(),
+                index.bitmap_file_offset(r),
+                u64::from(index.chunks[r].bitmap_len),
+                true,
+            ),
+            (
+                BlockPart::PlodPart(0),
+                plain.data_file(BIN),
+                part0.offset,
+                u64::from(part0.clen),
+                true,
+            ),
+            (
+                BlockPart::Footer(0),
+                idx_file.clone(),
+                payload_len,
+                raw.len() as u64 - payload_len,
+                false,
+            ),
+        ];
+
+        for (part, file, off, len, coalesced) in table {
+            let want = |charged: bool| (len, file.clone(), off, len, charged);
+            let cold = fetch(&plain, &index, r, part);
+            assert_eq!(shape(&cold), want(true), "{part:?} cold");
+            assert_eq!(cold.cache_misses + cold.cache_hits + cold.fused_reads, 0);
+
+            let cached = open().with_cache(Arc::new(BlockCache::with_budget_mb(8)));
+            let fill = fetch(&cached, &index, r, part);
+            assert_eq!(shape(&fill), want(true), "{part:?} cache fill");
+            let warm = fetch(&cached, &index, r, part);
+            assert_eq!(shape(&warm), want(false), "{part:?} warm");
+            assert_eq!((warm.cache_hits, warm.bytes_saved), (1, len));
+
+            // Single extents bypass the fuser; want-lists share reads.
+            let fuser = Arc::new(ExtentFuser::with_window_mb(8));
+            let fusing = open().with_fusion(Arc::clone(&fuser));
+            fuser.begin_window();
+            let lead = fetch(&fusing, &index, r, part);
+            assert_eq!(shape(&lead), want(true), "{part:?} fusion leader");
+            let follow = fetch(&fusing, &index, r, part);
+            assert_eq!(shape(&follow), want(!coalesced), "{part:?} fusion follower");
+            assert_eq!(follow.fused_reads, u64::from(coalesced));
+            assert_eq!(follow.fused_bytes, if coalesced { len } else { 0 });
+        }
+    }
+}

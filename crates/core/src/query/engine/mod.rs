@@ -1,0 +1,382 @@
+//! Per-rank query execution, one module per stage of the paper's
+//! Fig. 5 pipeline: [`fetch`] reads index and data extents (through
+//! the block cache and extent fuser), [`decode`] decompresses them,
+//! [`reconstruct`] filters and maps them to global positions. This
+//! module drives a rank's work units through the three, bin by bin.
+//!
+//! The hot path is zero-copy (see `DESIGN.md`, "hot-path memory
+//! discipline"): coalesced reads hand out [`ByteView`]s into shared
+//! extent buffers instead of per-want copies.
+
+mod decode;
+mod fetch;
+mod reconstruct;
+
+pub(crate) use decode::Decoder;
+pub use fetch::FetchReport;
+pub(crate) use fetch::{Fetched, Fetcher, Want};
+
+use crate::cache::{BlockPart, ByteView, CachedBlock};
+use crate::degrade::{DegradationEvent, DegradationReport};
+use crate::exec::ExecRequest;
+use crate::index::{decode_summary, header_size, BinIndex, ChunkSummary, UnitLoc};
+use crate::integrity::ExtentFooter;
+use crate::query::plan::WorkUnit;
+use crate::store::MlocStore;
+use crate::Result;
+use mloc_obs::{Collector, Label};
+use mloc_pfs::RetryPolicy;
+use reconstruct::Reconstructor;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// One rank's partial result plus its CPU component times.
+#[derive(Debug, Default)]
+pub struct RankOutput {
+    /// Matching global positions.
+    pub positions: Vec<u64>,
+    /// Values aligned with positions (empty for position-only output).
+    pub values: Vec<f64>,
+    /// Seconds spent in codec decompression.
+    pub decompress_s: f64,
+    /// Seconds spent assembling/filtering results.
+    pub reconstruct_s: f64,
+    /// What the rank's fetches cost, with its read trace.
+    pub io: FetchReport,
+    /// Extent losses this rank worked around by reducing PLoD
+    /// precision (empty = full fidelity).
+    pub degradation: DegradationReport,
+    /// Refinement state captured for a progressive query (empty unless
+    /// the request asked for capture).
+    pub refine_units: Vec<RefineUnit>,
+}
+
+/// What a progressive query remembers about one refinable work unit
+/// after its step-0 pass, so later refinement pulls read only the next
+/// byte-group extents — index headers, bitmaps, positions, and footers
+/// are planned once here and never re-read.
+#[derive(Debug, Clone)]
+pub struct RefineUnit {
+    /// Value bin (names the data file).
+    pub bin: usize,
+    /// Chunk rank within the bin.
+    pub chunk_rank: usize,
+    /// Points stored in the unit — the byte length of each one-byte
+    /// tail part.
+    pub count: u32,
+    /// Extent location of every PLoD part, from the bin index header.
+    pub part_locs: Vec<UnitLoc>,
+    /// The data file's checksum footer, shared with step 0's reads.
+    pub footer: Arc<ExtentFooter>,
+    /// Per emitted point: its rank within the unit's value array (the
+    /// byte index inside each tail part).
+    pub val_idx: Vec<u32>,
+    /// Per emitted point: its global position (ascending).
+    pub positions: Vec<u64>,
+}
+
+/// One rank's share of a request, and the executor's rules for it.
+pub struct RankJob<'j, 'a> {
+    pub store: &'j MlocStore<'a>,
+    pub req: ExecRequest<'j>,
+    /// This rank's work units, grouped by bin and ordered by chunk
+    /// rank within a bin (the plan and the column-order assignment
+    /// both preserve this).
+    pub units: &'j [WorkUnit],
+    pub retry: RetryPolicy,
+    /// See [`crate::ParallelExecutor::allow_degraded`].
+    pub allow_degraded: bool,
+}
+
+/// One bin's blocks as the fetch and decode stages fill them in;
+/// the per-unit vectors are indexed like the rank's units of the bin.
+pub(crate) struct BinBlocks {
+    pub index: BinIndex,
+    /// The v2 chunk summaries (`None` for v1 files).
+    pub summaries: Option<Vec<ChunkSummary>>,
+    /// Per unit: its stored bitmap (a WAH stream, then — v2 — the
+    /// chunk's rank/select directory), when one had to be read.
+    pub bitmaps: Vec<Option<ByteView>>,
+    /// Per unit: the summary said "all of chunk", so the bitmap was
+    /// never read and is synthesized as all ones.
+    pub full: Vec<bool>,
+    /// The data file's checksum footer (iff any unit touched data).
+    pub dat_footer: Option<Arc<ExtentFooter>>,
+    /// Per unit, per part: the decoded data block — PLoD byte groups,
+    /// or the one whole-value block; empty for units that read none.
+    pub parts: Vec<Vec<Option<CachedBlock>>>,
+    /// Per unit: the leading parts usable for assembly — the query's
+    /// count, or fewer when a lost extent degraded the unit.
+    pub eff_parts: Vec<usize>,
+}
+
+/// The three stages' per-rank state.
+struct Rank<'j, 'a> {
+    job: &'j RankJob<'j, 'a>,
+    fetcher: Fetcher<'j, 'a>,
+    decoder: Decoder,
+    recon: Reconstructor<'j, 'a>,
+    out: RankOutput,
+    // Two-level-index accounting: chunks whose bitmap read the v2
+    // summary made unnecessary (full chunks), and chunks that still
+    // needed their bitmap.
+    summary_skips: u64,
+    summary_hits: u64,
+}
+
+/// Process one rank's work units.
+///
+/// `obs` records this rank's span/counter profile; the decompress and
+/// reconstruct spans mirror the *identical* measured floats that land
+/// in [`RankOutput`], so profiles reconcile exactly with
+/// [`crate::QueryMetrics`]. Pass [`Collector::disabled`] to skip all
+/// recording at the cost of one branch per call site.
+pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
+    let mut rank = Rank {
+        job,
+        fetcher: Fetcher::new(job.store, job.retry),
+        decoder: Decoder::new(job.store.config().codec),
+        recon: Reconstructor::new(job),
+        out: RankOutput::default(),
+        summary_skips: 0,
+        summary_hits: 0,
+    };
+    for group in job.units.chunk_by(|a, b| a.bin == b.bin) {
+        let bin = Label::Index(group[0].bin as u32);
+        obs.count_labeled("bin.units", bin, group.len() as u64);
+        let mut blocks = rank.read_index(group, obs)?;
+        rank.read_data(group, &mut blocks, obs)?;
+        rank.reconstruct(group, &blocks, obs)?;
+    }
+    Ok(rank.finish(obs))
+}
+
+impl Rank<'_, '_> {
+    /// Fetch one bin's index blocks in file order: footer, header,
+    /// summary, then the bitmaps of this rank's chunks.
+    fn read_index(&mut self, group: &[WorkUnit], obs: &mut Collector) -> Result<BinBlocks> {
+        let store = self.job.store;
+        let bin = group[0].bin;
+        let bytes_before = self.fetcher.report.index_bytes;
+        obs.begin("index-read");
+
+        // The index file's checksum footer comes first: every extent
+        // read from the file below (header, bitmaps) is verified
+        // against it, and none of them is degradable — a damaged index
+        // fails the query loudly.
+        let file = store.index_file(bin);
+        let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
+        let footer = self.fetcher.footer(&file, footer_key)?;
+
+        // Index header + directory: one sequential read, cached whole.
+        let hdr_len = header_size(store.grid().num_chunks(), store.config().num_parts());
+        let hdr_key = self.fetcher.key(bin, 0, BlockPart::IndexHeader);
+        let hdr = self.fetcher.extent(&file, hdr_key, (0, hdr_len), &footer)?;
+        let index = BinIndex::decode_header(&hdr)?;
+
+        // v2 chunk summaries: one extent right after the header, read
+        // whenever the file carries one. The read is version-driven —
+        // never cache- or plan-state-driven — so cold and warm runs of
+        // the same query access identical extents, and the header →
+        // summary → first-bitmap reads stay physically contiguous.
+        let summaries = if index.summary_bytes > 0 {
+            let span = (index.summary_file_offset(), index.summary_bytes);
+            let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
+            let raw = self.fetcher.extent(&file, sum_key, span, &footer)?;
+            Some(decode_summary(&raw, index.chunks.len())?)
+        } else {
+            None
+        };
+
+        // Positional bitmaps for this rank's chunks, as one want-list.
+        let mut bitmaps: Vec<Option<ByteView>> = vec![None; group.len()];
+        let mut full = vec![false; group.len()];
+        let mut wants: Vec<Want> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new(); // unit idx in group
+        for (gi, u) in group.iter().enumerate() {
+            let len = index.chunks[u.chunk_rank].bitmap_len;
+            if len == 0 {
+                continue;
+            }
+            // Summary classification (v2): a full chunk's bitmap is
+            // all ones, so it is synthesized at reconstruction instead
+            // of read; partial chunks still fetch their bitmap.
+            if let Some(sums) = &summaries {
+                if sums[u.chunk_rank].all_of_chunk {
+                    full[gi] = true;
+                    self.summary_skips += 1;
+                    continue;
+                }
+                self.summary_hits += 1;
+            }
+            let key = self.fetcher.key(bin, u.chunk_rank, BlockPart::Bitmap);
+            wants.push((key, index.bitmap_file_offset(u.chunk_rank), len));
+            slots.push(gi);
+        }
+        self.fetcher.wants(&file, &wants, Some(&footer), |k, got| {
+            bitmaps[slots[k]] = got?.into_bytes();
+            Ok(())
+        })?;
+        obs.end(); // index-read
+        let bytes = self.fetcher.report.index_bytes - bytes_before;
+        obs.count_labeled("bin.index.bytes", Label::Index(bin as u32), bytes);
+        Ok(BinBlocks {
+            index,
+            summaries,
+            bitmaps,
+            full,
+            dat_footer: None,
+            parts: vec![Vec::new(); group.len()],
+            eff_parts: vec![self.recon.n_parts; group.len()],
+        })
+    }
+
+    /// Fetch and decode one bin's data units (only for units that
+    /// need data). Cached at part granularity: a PLoD level-k query
+    /// reuses parts 0..k of any earlier query over the same chunk,
+    /// whatever its level.
+    fn read_data(
+        &mut self,
+        group: &[WorkUnit],
+        blocks: &mut BinBlocks,
+        obs: &mut Collector,
+    ) -> Result<()> {
+        let (store, n_parts) = (self.job.store, self.recon.n_parts);
+        let config = store.config();
+        let bin = group[0].bin;
+        obs.begin("data-read");
+        let file = store.data_file(bin);
+        let bytes_before = self.fetcher.report.data_bytes;
+        // The data file's footer is needed iff any unit actually
+        // touches data. The condition depends only on the plan and the
+        // index — never on cache state — so cold and warm runs of the
+        // same query access it identically.
+        let chunks = &blocks.index.chunks;
+        let reads_data = |u: &WorkUnit| u.needs_data && chunks[u.chunk_rank].count > 0;
+        if group.iter().any(reads_data) {
+            let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
+            blocks.dat_footer = Some(self.fetcher.footer(&file, key)?);
+        }
+        let mut wants: Vec<Want> = Vec::new();
+        let mut slots: Vec<(usize, usize)> = Vec::new(); // (unit idx, part)
+        for (gi, u) in group.iter().enumerate().filter(|(_, u)| reads_data(u)) {
+            blocks.parts[gi] = vec![None; n_parts];
+            for (p, loc) in chunks[u.chunk_rank].units[..n_parts].iter().enumerate() {
+                let part = if config.plod {
+                    BlockPart::PlodPart(p as u8)
+                } else {
+                    BlockPart::Floats
+                };
+                let key = self.fetcher.key(bin, u.chunk_rank, part);
+                wants.push((key, loc.offset, loc.clen));
+                slots.push((gi, p));
+            }
+        }
+
+        // Sort the per-want outcomes: cache hits are already decoded;
+        // stored bytes queue for decompression; a failed want is fatal
+        // unless it is degradable — a non-base PLoD part of a unit
+        // with no value filter (degrading a filtered unit could
+        // silently change which points match). A unit's wants arrive in
+        // part order, so its first loss is its lowest: everything from
+        // that part on is dropped at reconstruction.
+        let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (want idx, bytes)
+        let degrade = self.job.allow_degraded && config.plod;
+        let (parts, eff_parts) = (&mut blocks.parts, &mut blocks.eff_parts);
+        let events = &mut self.out.degradation.events;
+        let footer = blocks.dat_footer.as_deref();
+        self.fetcher.wants(&file, &wants, footer, |k, got| {
+            let (gi, p) = slots[k];
+            match got {
+                Ok(Fetched::Cached(block)) => parts[gi][p] = Some(block),
+                Ok(Fetched::Raw(view)) => stored.push((k, view)),
+                Err(e) => {
+                    if !(degrade && p > 0 && !group[gi].value_filter) {
+                        return Err(e);
+                    }
+                    if p < eff_parts[gi] {
+                        eff_parts[gi] = p;
+                        events.push(DegradationEvent {
+                            bin,
+                            chunk_rank: group[gi].chunk_rank,
+                            lost_part: p,
+                            points: u64::from(chunks[group[gi].chunk_rank].count),
+                            reason: e.to_string(),
+                        });
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        obs.end(); // data-read
+        let bytes = self.fetcher.report.data_bytes - bytes_before;
+        obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), bytes);
+        let codec = Label::Name(config.codec.name());
+        obs.count_labeled("decompress.units", codec, stored.len() as u64);
+
+        // Decompress the fetched units (timed); cache hits above skip
+        // this entirely, which is where warm-session time goes to ~0.
+        let t = Instant::now();
+        for (k, view) in stored {
+            let (gi, p) = slots[k];
+            let count = chunks[group[gi].chunk_rank].count as usize;
+            let key = wants[k].0.clone();
+            let block = self.decoder.decode(&mut self.fetcher, key, &view, count)?;
+            blocks.parts[gi][p] = Some(block);
+        }
+        // The profile span gets the same float as the metric, so the
+        // two reports reconcile exactly, not just "within noise".
+        let dt = t.elapsed().as_secs_f64();
+        self.out.decompress_s += dt;
+        obs.record("decompress", dt);
+        Ok(())
+    }
+
+    /// Reconstruct one bin's units: decode bitmaps, assemble values,
+    /// filter, map to global positions (timed).
+    fn reconstruct(
+        &mut self,
+        group: &[WorkUnit],
+        blocks: &BinBlocks,
+        obs: &mut Collector,
+    ) -> Result<()> {
+        let t = Instant::now();
+        // Upper bound on results this group can add: every set bit of
+        // every unit. Reserving once keeps the emit loop free of
+        // doubling reallocations (filters only shrink the bound).
+        let expected: usize = group
+            .iter()
+            .map(|u| blocks.index.chunks[u.chunk_rank].count as usize)
+            .sum();
+        self.out.positions.reserve(expected);
+        if self.job.req.query.wants_values() {
+            self.out.values.reserve(expected);
+        }
+        for (gi, u) in group.iter().enumerate() {
+            self.recon.unit(gi, u, blocks, &mut self.out)?;
+        }
+        let dt = t.elapsed().as_secs_f64();
+        self.out.reconstruct_s += dt;
+        obs.record("reconstruct", dt);
+        Ok(())
+    }
+
+    /// Emit the deferred chunks, publish the rank's counters, and
+    /// close its I/O.
+    fn finish(mut self, obs: &mut Collector) -> RankOutput {
+        if self.recon.has_deferred() {
+            let t = Instant::now();
+            self.recon.emit_deferred(&mut self.out);
+            let dt = t.elapsed().as_secs_f64();
+            self.out.reconstruct_s += dt;
+            obs.record("reconstruct", dt);
+        }
+        obs.count("index.summary_hits", self.summary_hits);
+        obs.count("index.summary_skips", self.summary_skips);
+        obs.count("index.rank_calls", self.recon.rank_calls);
+        let copy_bytes = self.decoder.copy_bytes + self.recon.copy_bytes;
+        obs.count("hotpath.copy_bytes", copy_bytes);
+        self.out.io = self.fetcher.finish(obs);
+        self.out
+    }
+}

@@ -1,0 +1,959 @@
+//! Stage 3 — reconstruct: decode bitmaps, assemble values, filter, and
+//! map chunk-local offsets to global positions.
+//!
+//! The hot path is run-aware (see `DESIGN.md`, "hot-path memory
+//! discipline"): the loops consume WAH *runs* so a fill of ones
+//! becomes one bulk range operation, and per-chunk scratch buffers
+//! (PLoD floats, coordinates, bitmap words) are reused across work
+//! units. The per-point general path is kept as the differential
+//! oracle the bulk paths are tested against.
+
+use super::{BinBlocks, RankJob, RankOutput, RefineUnit};
+use crate::cache::CachedBlock;
+use crate::config::{PlodLevel, NUM_PARTS};
+use crate::index::ChunkSummary;
+use crate::plod;
+use crate::query::plan::{parts_used, WorkUnit};
+use crate::{MlocError, Result};
+use mloc_bitmap::{RankSelectDir, WahBitmap, WahRef};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Decompose a chunk-local offset into global coordinates without
+/// allocating (scratch holds the result).
+#[inline]
+fn local_to_coords_into(ranges: &[(usize, usize)], mut local: u64, scratch: &mut [usize]) {
+    for d in (0..ranges.len()).rev() {
+        let (s, e) = ranges[d];
+        let extent = (e - s) as u64;
+        scratch[d] = s + (local % extent) as usize;
+        local /= extent;
+    }
+}
+
+/// Sorted-slice membership with a monotone cursor: a galloping
+/// replacement for the old `HashSet<u64>` position filter. Queries
+/// must arrive in non-decreasing order (which reconstruction
+/// guarantees per work unit: chunk-local row-major order maps
+/// monotonically to global row-major positions).
+struct Gallop<'a> {
+    sorted: &'a [u64],
+    idx: usize,
+}
+
+impl<'a> Gallop<'a> {
+    fn new(sorted: &'a [u64]) -> Self {
+        Gallop { sorted, idx: 0 }
+    }
+
+    /// Advance the cursor to the first element `>= x`.
+    fn seek(&mut self, x: u64) {
+        let s = self.sorted;
+        if self.idx >= s.len() || s[self.idx] >= x {
+            return;
+        }
+        // Gallop: double the step until the window brackets x, then
+        // binary-search inside it. O(log distance) per call, O(n + m
+        // log n/m) over an intersection.
+        let mut lo = self.idx; // invariant: s[lo] < x
+        let mut step = 1usize;
+        while lo + step < s.len() && s[lo + step] < x {
+            lo += step;
+            step <<= 1;
+        }
+        let hi = (lo + step + 1).min(s.len());
+        self.idx = lo + 1 + s[lo + 1..hi].partition_point(|&v| v < x);
+    }
+
+    /// Whether `x` is in the set; advances the cursor.
+    fn contains(&mut self, x: u64) -> bool {
+        self.seek(x);
+        self.idx < self.sorted.len() && self.sorted[self.idx] == x
+    }
+
+    /// All elements in `[lo, hi)`; advances the cursor past them.
+    fn range(&mut self, lo: u64, hi: u64) -> &'a [u64] {
+        self.seek(lo);
+        let start = self.idx;
+        let end = start + self.sorted[start..].partition_point(|&v| v < hi);
+        self.idx = end;
+        &self.sorted[start..end]
+    }
+}
+
+/// Incremental chunk-local → global row-major position cursor.
+///
+/// Replaces per-point `local_to_coords` + `linearize` (a div/mod plus
+/// a multiply/add per dimension per point): the cursor starts at
+/// chunk-local offset 0 and only ever moves forward by run lengths, so
+/// a whole chunk is walked with additions and odometer carries —
+/// no division anywhere, not even per run.
+struct ChunkEmitter {
+    /// Global row-major stride per dimension (from the domain shape).
+    strides: Vec<u64>,
+    /// Current chunk's extent per dimension.
+    extents: Vec<u64>,
+    /// Odometer: chunk-local coordinates of the cursor's row.
+    c: Vec<u64>,
+    /// Global position of the cursor's row start.
+    row_base: u64,
+    /// Cursor offset within the current row.
+    in_row: u64,
+    /// Innermost (contiguous) extent: the chunk row width.
+    row_w: u64,
+    /// Chunk rows after the cursor's row.
+    rows_left: u64,
+}
+
+impl ChunkEmitter {
+    fn new(shape: &[usize]) -> Self {
+        let dims = shape.len();
+        let mut strides = vec![1u64; dims];
+        for d in (0..dims.saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * shape[d + 1] as u64;
+        }
+        ChunkEmitter {
+            strides,
+            extents: vec![0; dims],
+            c: vec![0; dims],
+            row_base: 0,
+            in_row: 0,
+            row_w: 0,
+            rows_left: 0,
+        }
+    }
+
+    /// Point the cursor at chunk-local offset 0 of a chunk, given its
+    /// clamped region ranges.
+    fn set_chunk(&mut self, ranges: &[(usize, usize)]) {
+        debug_assert_eq!(ranges.len(), self.strides.len());
+        self.row_base = 0;
+        let mut rows = 1u64;
+        for (d, &(s, e)) in ranges.iter().enumerate() {
+            self.extents[d] = (e - s) as u64;
+            self.c[d] = 0;
+            self.row_base += s as u64 * self.strides[d];
+            rows *= self.extents[d];
+        }
+        self.in_row = 0;
+        self.row_w = *self.extents.last().expect("chunk has dimensions");
+        self.rows_left = (rows / self.row_w.max(1)).saturating_sub(1);
+    }
+
+    /// Carry the odometer into the next chunk row. Must not be called
+    /// with `rows_left == 0`.
+    #[inline]
+    fn next_row(&mut self) {
+        self.in_row = 0;
+        self.rows_left -= 1;
+        let mut d = self.extents.len() - 2;
+        loop {
+            self.c[d] += 1;
+            self.row_base += self.strides[d];
+            if self.c[d] < self.extents[d] {
+                return;
+            }
+            self.row_base -= self.extents[d] * self.strides[d];
+            self.c[d] = 0;
+            d -= 1;
+        }
+    }
+
+    /// Move the cursor forward by `n` chunk-local offsets (a run of
+    /// unset bits). A cursor landing exactly on the chunk end stays
+    /// parked past the last row's width.
+    fn advance(&mut self, n: u64) {
+        self.in_row += n;
+        while self.in_row >= self.row_w && self.rows_left > 0 {
+            self.in_row -= self.row_w;
+            let carry_over = self.in_row;
+            self.next_row();
+            self.in_row = carry_over;
+        }
+    }
+
+    /// Walk the next `len` chunk-local offsets (a run of set bits) as
+    /// contiguous row segments, calling `f(row_coords, g0, vi, take)`
+    /// for each: `row_coords` are the segment's chunk-local
+    /// coordinates (innermost entry = segment start), `g0` its first
+    /// global position, `vi` its first index into the chunk's
+    /// reconstructed values (`vi0` + offset within the run), and
+    /// `take` its point count. Consecutive global positions within a
+    /// segment map to consecutive value indices, so callers filter and
+    /// copy sub-slices instead of points. Leaves the cursor at the end
+    /// of the run.
+    fn walk_run<F>(&mut self, len: u64, vi0: u64, mut f: F)
+    where
+        F: FnMut(&[u64], u64, usize, u64),
+    {
+        let dims = self.extents.len();
+        let w = self.row_w;
+        let mut remaining = len;
+        let mut vi = vi0 as usize;
+        loop {
+            // The run covers `take` contiguous global positions of the
+            // cursor's chunk row.
+            let take = remaining.min(w - self.in_row);
+            self.c[dims - 1] = self.in_row;
+            f(&self.c, self.row_base + self.in_row, vi, take);
+            remaining -= take;
+            vi += take as usize;
+            self.in_row += take;
+            if remaining == 0 {
+                // Eagerly carry a row boundary (unless the chunk is
+                // exhausted, where the cursor parks past the last row).
+                if self.in_row == w && self.rows_left > 0 {
+                    self.next_row();
+                }
+                return;
+            }
+            self.next_row();
+        }
+    }
+}
+/// Clamps the row segments [`ChunkEmitter::walk_run`] hands out to the
+/// query's spatial region.
+struct RowClamp<'q> {
+    /// The region's ranges; `None` when the chunk lies wholly inside
+    /// the region (nothing to clamp).
+    sc: Option<&'q [(usize, usize)]>,
+    /// Outer-dimension verdicts only change when the row changes, so
+    /// the last row's answer is cached keyed by its global row base.
+    row: u64,
+    row_ok: bool,
+}
+
+impl RowClamp<'_> {
+    /// The part of segment `(c, g0, vi, take)` of a chunk spanning
+    /// `ranges` that lies inside the region, or `None` when none does.
+    #[inline]
+    fn clamp(
+        &mut self,
+        ranges: &[(usize, usize)],
+        c: &[u64],
+        g0: u64,
+        vi: usize,
+        take: u64,
+    ) -> Option<(u64, usize, u64)> {
+        let Some(sc) = self.sc else {
+            return Some((g0, vi, take));
+        };
+        let last = c.len() - 1;
+        let row_base = g0 - c[last];
+        if row_base != self.row {
+            self.row = row_base;
+            self.row_ok = (0..last).all(|d| {
+                let gc = ranges[d].0 + c[d] as usize;
+                gc >= sc[d].0 && gc < sc[d].1
+            });
+        }
+        if !self.row_ok {
+            return None;
+        }
+        // Clamp the innermost extent.
+        let col0 = ranges[last].0 as u64 + c[last];
+        let lo = (sc[last].0 as u64).max(col0);
+        let hi = (sc[last].1 as u64).min(col0 + take);
+        if lo >= hi {
+            return None;
+        }
+        Some((g0 + (lo - col0), vi + (lo - col0) as usize, hi - lo))
+    }
+}
+
+/// Deferred per-chunk gather target for units with no per-point
+/// filter.
+///
+/// Bin bitmaps over continuous data are scatter-heavy (isolated set
+/// bits), so emitting per unit pays the row-major cursor *per set
+/// bit*. Units that nothing can reject instead scatter their values
+/// into a chunk-shaped block with pure local arithmetic (one add and
+/// one store per run) and mark coverage in `mask`; after all groups,
+/// one pass per chunk walks the mask word-by-word and emits whole row
+/// segments in bulk. The mask — rather than assuming full coverage —
+/// keeps this correct when a chunk's bins are split across ranks by
+/// the column-order assignment.
+struct ChunkScatter {
+    /// Chunk-local values, ordered by local offset (empty when the
+    /// query is position-only).
+    block: Vec<f64>,
+    /// One bit per chunk-local offset: set iff some unit on this rank
+    /// covered it.
+    mask: Vec<u64>,
+    /// Whether emission must clamp to the query's spatial region
+    /// (identical for every unit of one chunk).
+    spatial: bool,
+}
+
+/// Set `len` bits of `mask` starting at bit `start`.
+#[inline]
+fn set_bits(mask: &mut [u64], start: u64, len: u64) {
+    let mut w = (start / 64) as usize;
+    let mut bit = start % 64;
+    let mut rem = len;
+    while rem > 0 {
+        let take = (64 - bit).min(rem);
+        let m = if take == 64 {
+            !0u64
+        } else {
+            ((1u64 << take) - 1) << bit
+        };
+        mask[w] |= m;
+        w += 1;
+        bit = 0;
+        rem -= take;
+    }
+}
+thread_local! {
+    /// Recycled `(block, mask)` buffer pairs for [`ChunkScatter`].
+    /// Invariant: every pooled buffer is all-zero, so acquiring one
+    /// skips the full-block memset — emission re-zeroes exactly the
+    /// covered ranges (cache-hot, proportional to result size) before
+    /// returning buffers here.
+    static SCATTER_POOL: std::cell::RefCell<Vec<(Vec<f64>, Vec<u64>)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Most buffers a thread's pool retains (bounds long-session memory;
+/// one block is a chunk's worth of `f64`s).
+const SCATTER_POOL_CAP: usize = 64;
+
+/// What every reconstruct path sees of one unit: bitmap decoded,
+/// values assembled.
+struct UnitView<'u> {
+    unit: &'u WorkUnit,
+    /// The chunk's extent per dimension, clamped at the domain edge.
+    ranges: &'u [(usize, usize)],
+    bitmap: WahRef<'u>,
+    /// The unit's values in bitmap rank order, present iff they must
+    /// be checked against the value constraint.
+    filter_vals: Option<&'u [f64]>,
+    /// The same values, present iff the query outputs values.
+    out_vals: Option<&'u [f64]>,
+}
+
+/// Whether `v` satisfies the half-open value constraint `[lo, hi)`.
+#[inline]
+fn within((lo, hi): (f64, f64), v: f64) -> bool {
+    v >= lo && v < hi
+}
+
+/// Buffers reused across every chunk of every bin: the PLoD assembly
+/// target, the bitmap word buffer, and the chunk's clamped ranges.
+#[derive(Default)]
+struct Scratch {
+    values: Vec<f64>,
+    words: Vec<u32>,
+    ranges: Vec<(usize, usize)>,
+}
+
+/// One rank's reconstruct stage.
+pub(crate) struct Reconstructor<'j, 'a> {
+    job: &'j RankJob<'j, 'a>,
+    /// Sorted, duplicate-free global positions the output is
+    /// restricted to: the caller's filter, else a membership query's
+    /// point set.
+    filter: Option<&'j [u64]>,
+    /// The query is a point-set probe (no caller filter overrides it).
+    membership: bool,
+    /// The value constraint, unbounded when the query has none.
+    vc: (f64, f64),
+    /// Parts of a data-bearing unit the query's PLoD level uses.
+    pub n_parts: usize,
+    scratch: Scratch,
+    coords: Vec<usize>,
+    emitter: ChunkEmitter,
+    /// Chunk-rank-keyed scatter targets for filterless units, emitted
+    /// in bulk after the last bin (BTreeMap ⇒ deterministic order).
+    scatter: BTreeMap<usize, ChunkScatter>,
+    /// Sampled-directory rank probes the membership path issued.
+    pub rank_calls: u64,
+    /// Allocation proxy: bytes PLoD assembly materialized.
+    pub copy_bytes: u64,
+}
+
+impl<'j, 'a> Reconstructor<'j, 'a> {
+    pub fn new(job: &'j RankJob<'j, 'a>) -> Self {
+        let (grid, req) = (job.store.grid(), &job.req);
+        debug_assert!(
+            req.position_filter
+                .is_none_or(|f| f.windows(2).all(|w| w[0] < w[1])),
+            "position filter must be sorted and duplicate-free"
+        );
+        Reconstructor {
+            job,
+            // A membership query routes its sorted point set through
+            // the same position-filter machinery as multi-variable
+            // retrieval, so every execution mode inherits that path's
+            // correctness; an explicit caller filter wins (multivar
+            // pre-intersects the point set itself and keeps the
+            // streaming gallop route).
+            filter: req.position_filter.or(req.query.points.as_deref()),
+            membership: req.position_filter.is_none() && req.query.points.is_some(),
+            vc: req.query.vc.unwrap_or((f64::MIN, f64::MAX)),
+            n_parts: parts_used(job.store.config(), req.query),
+            scratch: Scratch::default(),
+            coords: vec![0; grid.dims()],
+            emitter: ChunkEmitter::new(grid.shape()),
+            scatter: BTreeMap::new(),
+            rank_calls: 0,
+            copy_bytes: 0,
+        }
+    }
+
+    /// The row clamp for a chunk: live only when the chunk straddles
+    /// the query's spatial region.
+    fn clamp(&self, spatial: bool) -> RowClamp<'j> {
+        let region = self.job.req.query.sc.as_ref().filter(|_| spatial);
+        RowClamp {
+            sc: region.map(|r| r.ranges()),
+            row: u64::MAX,
+            row_ok: false,
+        }
+    }
+
+    /// Reconstruct unit `gi` of a bin's group into `out`, or defer it
+    /// to the per-chunk scatter ([`Self::emit_deferred`]).
+    pub fn unit(
+        &mut self,
+        gi: usize,
+        u: &WorkUnit,
+        bin: &BinBlocks,
+        out: &mut RankOutput,
+    ) -> Result<()> {
+        // The scratch is lent to the unit's view for the call, so the
+        // paths can borrow `self` whole.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let done = self.unit_with(&mut scratch, gi, u, bin, out);
+        self.scratch = scratch;
+        done
+    }
+
+    fn unit_with(
+        &mut self,
+        scratch: &mut Scratch,
+        gi: usize,
+        u: &WorkUnit,
+        bin: &BinBlocks,
+        out: &mut RankOutput,
+    ) -> Result<()> {
+        let entry = &bin.index.chunks[u.chunk_rank];
+        if entry.count == 0 {
+            return Ok(());
+        }
+        let (store, req) = (self.job.store, &self.job.req);
+        let query = req.query;
+        let ranges = &mut scratch.ranges;
+        store
+            .grid()
+            .chunk_ranges_into(store.order().cell_at(u.chunk_rank), ranges);
+        let chunk_points: u64 = ranges.iter().map(|&(s, e)| (e - s) as u64).product();
+        // Bytes past the self-delimiting WAH stream are the chunk's
+        // rank/select directory (empty in v1 files).
+        let mut dir_bytes: &[u8] = &[];
+        let ones_holder;
+        let bitmap: WahRef<'_> = if bin.full[gi] {
+            // The summary said "all of chunk", so the bitmap was never
+            // read; synthesize the all-ones bitmap. The invariant
+            // check below still cross-checks the flag against the
+            // directory's count.
+            ones_holder = WahBitmap::ones(chunk_points);
+            ones_holder.as_ref()
+        } else {
+            let bm_bytes: &[u8] = bin.bitmaps[gi].as_ref().map_or(&[], |v| v.as_slice());
+            let (bm, used) = WahRef::decode_into(bm_bytes, &mut scratch.words)?;
+            dir_bytes = &bm_bytes[used..];
+            bm
+        };
+        // A corrupted bitmap must not index past the decoded values
+        // or outside the chunk.
+        if bitmap.len() != chunk_points || bitmap.count_ones() != u64::from(entry.count) {
+            return Err(MlocError::Corrupt("index bitmap inconsistent"));
+        }
+
+        // Reconstructed values for this chunk: assembled into the
+        // reusable scratch (PLoD), or borrowed from the shared float
+        // block (borrowed, not taken — the block must not be freed
+        // inside the timed reconstruct loop). The invariants "output
+        // wants values / value filter ⇒ the unit carries them" are
+        // checked once per unit, not per point.
+        let parts = &bin.parts[gi];
+        let vals: Option<&[f64]> = if !u.needs_data {
+            None
+        } else if store.config().plod {
+            // A degraded unit assembles only the parts before its
+            // first lost extent — same positions, coarser values, the
+            // loss already recorded by the fetch stage.
+            let eff = bin.eff_parts[gi];
+            let level = if eff == self.n_parts {
+                query.plod
+            } else {
+                PlodLevel::new(eff as u8)
+                    .map_err(|_| MlocError::Corrupt("degraded below base precision"))?
+            };
+            let mut refs: [&[u8]; NUM_PARTS] = [&[]; NUM_PARTS];
+            for (r, part) in refs.iter_mut().zip(parts).take(eff) {
+                let bytes = part.as_ref().and_then(CachedBlock::as_bytes);
+                *r = bytes.ok_or(MlocError::Corrupt("missing PLoD part"))?;
+            }
+            plod::assemble_into(&refs[..eff], level, &mut scratch.values);
+            self.copy_bytes += std::mem::size_of_val(scratch.values.as_slice()) as u64;
+            Some(&scratch.values)
+        } else {
+            let floats = parts.first().and_then(|b| b.as_ref()?.as_floats());
+            Some(floats.ok_or(MlocError::Corrupt("missing value block"))?)
+        };
+        let required = |wanted: bool, why: &'static str| match vals {
+            _ if !wanted => Ok(None),
+            Some(v) => Ok(Some(v)),
+            None => Err(MlocError::Corrupt(why)),
+        };
+        let v = UnitView {
+            unit: u,
+            ranges,
+            bitmap,
+            filter_vals: required(u.value_filter, "value filter without values")?,
+            out_vals: required(query.wants_values(), "value block required but absent")?,
+        };
+
+        if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
+            let summary = bin.summaries.as_ref().map(|s| s[u.chunk_rank]);
+            return self.probe(&v, dir_bytes, summary, bin.full[gi], out);
+        }
+        // A refinable unit — PLoD data-bearing, values wanted, no
+        // value filter, no position filter — is emitted directly so
+        // its per-point mapping can be captured.
+        let refinable = req.capture_refine
+            && store.config().plod
+            && u.needs_data
+            && !u.value_filter
+            && self.filter.is_none();
+        if let (true, Some(vals)) = (refinable, v.out_vals) {
+            let footer = bin.dat_footer.as_ref();
+            let ru = RefineUnit {
+                bin: u.bin,
+                chunk_rank: u.chunk_rank,
+                count: entry.count,
+                part_locs: entry.units.clone(),
+                footer: Arc::clone(footer.ok_or(MlocError::Corrupt("data unit without footer"))?),
+                val_idx: Vec::new(),
+                positions: Vec::new(),
+            };
+            self.capture(&v, vals, ru, out);
+        } else if req.force_general_reconstruct {
+            self.general(&v, out);
+        } else if let Some(filter) = self.filter {
+            self.filtered(&v, filter, out);
+        } else {
+            self.defer(&v, chunk_points);
+        }
+        Ok(())
+    }
+
+    /// Membership probe path: a point-set query answers only a handful
+    /// of probes per chunk, so instead of streaming the whole bitmap
+    /// it rank/selects straight into it through the sampled directory
+    /// (a bounded word walk for v1 files with no directory). The
+    /// general path stays available as the differential oracle.
+    fn probe(
+        &mut self,
+        v: &UnitView<'_>,
+        dir_bytes: &[u8],
+        summary: Option<ChunkSummary>,
+        full: bool,
+        out: &mut RankOutput,
+    ) -> Result<()> {
+        let (grid, filter) = (self.job.store.grid(), self.filter.unwrap_or(&[]));
+        let (dir, _) = RankSelectDir::from_bytes(dir_bytes)
+            .map_err(|_| MlocError::Corrupt("bad rank/select directory"))?;
+        // Points that can fall in this chunk lie between the chunk
+        // corners' global linear positions.
+        for (d, r) in v.ranges.iter().enumerate() {
+            self.coords[d] = r.0;
+        }
+        let g_lo = grid.linearize(&self.coords);
+        for (d, r) in v.ranges.iter().enumerate() {
+            self.coords[d] = r.1 - 1;
+        }
+        let g_hi = grid.linearize(&self.coords);
+        let lo_i = filter.partition_point(|&p| p < g_lo);
+        let hi_i = filter.partition_point(|&p| p <= g_hi);
+        let shape = grid.shape();
+        'probe: for &p in &filter[lo_i..hi_i] {
+            // Global position → coordinates → chunk-local offset. The
+            // corner window is a superset of the chunk's box, so
+            // out-of-box points still occur.
+            let mut rem = p;
+            for d in (0..shape.len()).rev() {
+                self.coords[d] = (rem % shape[d] as u64) as usize;
+                rem /= shape[d] as u64;
+            }
+            let mut local = 0u64;
+            for (d, r) in v.ranges.iter().enumerate() {
+                let c = self.coords[d];
+                if c < r.0 || c >= r.1 {
+                    continue 'probe;
+                }
+                local = local * (r.1 - r.0) as u64 + (c - r.0) as u64;
+            }
+            // Level-1 cull: the summary bounds the set span.
+            if summary.is_some_and(|s| local < u64::from(s.min_pos) || local > u64::from(s.max_pos))
+            {
+                continue;
+            }
+            let (vi, present) = if full {
+                (local, true)
+            } else {
+                self.rank_calls += 1;
+                v.bitmap.rank_bit_with(&dir, local)
+            };
+            if !present
+                || v.filter_vals
+                    .is_some_and(|f| !within(self.vc, f[vi as usize]))
+            {
+                continue;
+            }
+            out.positions.push(p);
+            if let Some(vals) = v.out_vals {
+                out.values.push(vals[vi as usize]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Progressive capture path: emit the unit directly — the deferred
+    /// scatter cannot attribute a point to a unit, and refinement
+    /// needs the per-unit (value rank, position) mapping — recording
+    /// that mapping into `ru` as it goes. The final `QueryResult`
+    /// sorts by position, so bypassing the scatter never changes
+    /// observable output.
+    fn capture(
+        &mut self,
+        v: &UnitView<'_>,
+        vals: &[f64],
+        mut ru: RefineUnit,
+        out: &mut RankOutput,
+    ) {
+        let mut clamp = self.clamp(v.unit.spatial_filter);
+        let emitter = &mut self.emitter;
+        emitter.set_chunk(v.ranges);
+        v.bitmap.for_each_one_run(|gap, ones_before, len| {
+            emitter.advance(gap);
+            emitter.walk_run(len, ones_before, |c, g0, vi, take| {
+                let Some((g0, vi, take)) = clamp.clamp(v.ranges, c, g0, vi, take) else {
+                    return;
+                };
+                out.positions.extend(g0..g0 + take);
+                out.values.extend_from_slice(&vals[vi..vi + take as usize]);
+                ru.val_idx.extend(vi as u32..(vi + take as usize) as u32);
+                ru.positions.extend(g0..g0 + take);
+            });
+        });
+        out.refine_units.push(ru);
+    }
+
+    /// Defer a position-filterless unit to the per-chunk scatter:
+    /// survivors are marked in a chunk-local coverage mask (values
+    /// stored chunk-locally) with pure local arithmetic — no row-major
+    /// cursor per set bit — and one bulk emission per chunk maps them
+    /// to global positions after the last bin. Value filters reject
+    /// points here (one compare per set bit); spatial clamping happens
+    /// once per row at emission.
+    fn defer(&mut self, v: &UnitView<'_>, chunk_points: u64) {
+        let (vc, keep_values) = (self.vc, self.job.req.query.wants_values());
+        let e = self.scatter.entry(v.unit.chunk_rank).or_insert_with(|| {
+            let (mut block, mut mask) = SCATTER_POOL
+                .with(|p| p.borrow_mut().pop())
+                .unwrap_or_default();
+            debug_assert!(block.iter().all(|&x| x == 0.0));
+            debug_assert!(mask.iter().all(|&w| w == 0));
+            if keep_values {
+                block.resize(chunk_points as usize, 0.0);
+            }
+            mask.resize((chunk_points as usize).div_ceil(64), 0);
+            ChunkScatter {
+                block,
+                mask,
+                spatial: v.unit.spatial_filter,
+            }
+        });
+        let mut local = 0u64;
+        if let Some(vf) = v.filter_vals {
+            // Two loops, not one with a branch on the output kind: this
+            // is the per-set-bit hot loop of every value-constrained
+            // query.
+            if keep_values {
+                v.bitmap.for_each_one_run(|gap, ones_before, len| {
+                    local += gap;
+                    for k in 0..len {
+                        let val = vf[(ones_before + k) as usize];
+                        if within(vc, val) {
+                            let li = local + k;
+                            e.block[li as usize] = val;
+                            e.mask[(li / 64) as usize] |= 1u64 << (li % 64);
+                        }
+                    }
+                    local += len;
+                });
+            } else {
+                v.bitmap.for_each_one_run(|gap, ones_before, len| {
+                    local += gap;
+                    for k in 0..len {
+                        if within(vc, vf[(ones_before + k) as usize]) {
+                            let li = local + k;
+                            e.mask[(li / 64) as usize] |= 1u64 << (li % 64);
+                        }
+                    }
+                    local += len;
+                });
+            }
+        } else if let Some(vals) = v.out_vals {
+            v.bitmap.for_each_one_run(|gap, ones_before, len| {
+                local += gap;
+                if len == 1 {
+                    e.block[local as usize] = vals[ones_before as usize];
+                } else {
+                    e.block[local as usize..(local + len) as usize]
+                        .copy_from_slice(&vals[ones_before as usize..(ones_before + len) as usize]);
+                }
+                set_bits(&mut e.mask, local, len);
+                local += len;
+            });
+        } else {
+            v.bitmap.for_each_one_run(|gap, _, len| {
+                local += gap;
+                set_bits(&mut e.mask, local, len);
+                local += len;
+            });
+        }
+    }
+
+    /// General path: per-point value/spatial checks. Kept close to the
+    /// pre-optimization loop so the bulk paths can be differentially
+    /// tested against it.
+    fn general(&mut self, v: &UnitView<'_>, out: &mut RankOutput) {
+        let mut gallop = self.filter.map(Gallop::new);
+        let (grid, query) = (self.job.store.grid(), self.job.req.query);
+        let region = query.sc.as_ref().filter(|_| v.unit.spatial_filter);
+        for (pos_idx, local) in v.bitmap.iter_ones().enumerate() {
+            if v.filter_vals.is_some_and(|f| !within(self.vc, f[pos_idx])) {
+                continue;
+            }
+            local_to_coords_into(v.ranges, local, &mut self.coords);
+            if region.is_some_and(|r| !r.contains(&self.coords)) {
+                continue;
+            }
+            let global = grid.linearize(&self.coords);
+            if gallop.as_mut().is_some_and(|g| !g.contains(global)) {
+                continue;
+            }
+            out.positions.push(global);
+            if let Some(vals) = v.out_vals {
+                out.values.push(vals[pos_idx]);
+            }
+        }
+    }
+
+    /// Position-filtered (multi-variable) path: walk each run of set
+    /// bits as contiguous row segments with incremental row-major
+    /// arithmetic, gallop the sorted filter over each segment, and
+    /// apply the value/spatial constraints to the survivors.
+    fn filtered(&mut self, v: &UnitView<'_>, filter: &[u64], out: &mut RankOutput) {
+        let vc = self.vc;
+        let mut gallop = Gallop::new(filter);
+        let mut clamp = self.clamp(v.unit.spatial_filter);
+        let emitter = &mut self.emitter;
+        emitter.set_chunk(v.ranges);
+        v.bitmap.for_each_one_run(|gap, ones_before, len| {
+            emitter.advance(gap);
+            emitter.walk_run(len, ones_before, |c, g0, vi, take| {
+                let Some((g0, vi, take)) = clamp.clamp(v.ranges, c, g0, vi, take) else {
+                    return;
+                };
+                for &p in gallop.range(g0, g0 + take) {
+                    let k = (p - g0) as usize;
+                    if v.filter_vals.is_some_and(|f| !within(vc, f[vi + k])) {
+                        continue;
+                    }
+                    out.positions.push(p);
+                    if let Some(vals) = v.out_vals {
+                        out.values.push(vals[vi + k]);
+                    }
+                }
+            });
+        });
+    }
+
+    /// Whether any unit was deferred to the per-chunk scatter.
+    pub fn has_deferred(&self) -> bool {
+        !self.scatter.is_empty()
+    }
+
+    /// Bulk emission of the deferred chunks: walk each coverage mask
+    /// word-by-word and emit covered runs as whole row segments.
+    /// Chunk-rank order is deterministic; the final `QueryResult`
+    /// sorts by position anyway, so deferral never changes observable
+    /// output.
+    pub fn emit_deferred(&mut self, out: &mut RankOutput) {
+        let (store, keep_values) = (self.job.store, self.job.req.query.wants_values());
+        for (chunk_rank, mut e) in std::mem::take(&mut self.scatter) {
+            let cell = store.order().cell_at(chunk_rank);
+            store
+                .grid()
+                .chunk_ranges_into(cell, &mut self.scratch.ranges);
+            let ranges: &[(usize, usize)] = &self.scratch.ranges;
+            let mut clamp = self.clamp(e.spatial);
+            let emitter = &mut self.emitter;
+            emitter.set_chunk(ranges);
+            let mut cursor = 0u64;
+            for wi in 0..e.mask.len() {
+                let word = e.mask[wi];
+                if word == 0 {
+                    continue;
+                }
+                e.mask[wi] = 0;
+                let base = wi as u64 * 64;
+                let mut off = 0u64;
+                let mut m = word;
+                while m != 0 {
+                    let z = u64::from(m.trailing_zeros());
+                    let shifted = m >> z;
+                    let o = u64::from((!shifted).trailing_zeros());
+                    let start = base + off + z;
+                    emitter.advance(start - cursor);
+                    let block = &e.block;
+                    emitter.walk_run(o, start, |c, g0, vi, take| {
+                        let Some((g0, vi, take)) = clamp.clamp(ranges, c, g0, vi, take) else {
+                            return;
+                        };
+                        out.positions.extend(g0..g0 + take);
+                        if keep_values {
+                            out.values.extend_from_slice(&block[vi..vi + take as usize]);
+                        }
+                    });
+                    // Restore the pool's all-zero invariant for exactly
+                    // the range this run covered (cache-hot: emission
+                    // just read it).
+                    if keep_values {
+                        e.block[start as usize..(start + o) as usize].fill(0.0);
+                    }
+                    cursor = start + o;
+                    off += z + o;
+                    m = if off >= 64 { 0 } else { shifted >> o };
+                }
+            }
+            SCATTER_POOL.with(|p| {
+                let mut p = p.borrow_mut();
+                if p.len() < SCATTER_POOL_CAP {
+                    p.push((e.block, e.mask));
+                }
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn local_to_coords_matches_grid() {
+        use crate::array::ChunkGrid;
+        let grid = ChunkGrid::new(vec![10, 7], vec![4, 3]);
+        let mut scratch = vec![0usize; 2];
+        for chunk in 0..grid.num_chunks() {
+            let ranges = grid.chunk_region(chunk).ranges().to_vec();
+            for local in 0..grid.chunk_points(chunk) {
+                local_to_coords_into(&ranges, local as u64, &mut scratch);
+                assert_eq!(scratch, grid.local_to_coords(chunk, local));
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_emitter_matches_per_point_mapping() {
+        use crate::array::ChunkGrid;
+        for (shape, chunk_shape) in [
+            (vec![10usize, 7], vec![4usize, 3]),
+            (vec![16], vec![5]),
+            (vec![6, 5, 4], vec![4, 2, 3]),
+        ] {
+            let grid = ChunkGrid::new(shape.clone(), chunk_shape);
+            let mut emitter = ChunkEmitter::new(grid.shape());
+            let mut coords = vec![0usize; grid.dims()];
+            for chunk in 0..grid.num_chunks() {
+                let region = grid.chunk_region(chunk);
+                emitter.set_chunk(region.ranges());
+                let points = grid.chunk_points(chunk) as u64;
+                // Every (start, len) run inside the chunk.
+                for start in 0..points {
+                    for len in 1..=(points - start).min(9) {
+                        let mut got = Vec::new();
+                        emitter.set_chunk(region.ranges());
+                        emitter.advance(start);
+                        emitter.walk_run(len, 0, |_, g0, _, take| {
+                            got.extend(g0..g0 + take);
+                        });
+                        let want: Vec<u64> = (start..start + len)
+                            .map(|l| {
+                                local_to_coords_into(region.ranges(), l, &mut coords);
+                                grid.linearize(&coords)
+                            })
+                            .collect();
+                        assert_eq!(
+                            got, want,
+                            "shape {shape:?} chunk {chunk} run ({start},{len})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_emitter_copies_values_and_filters() {
+        use crate::array::ChunkGrid;
+        let grid = ChunkGrid::new(vec![8, 8], vec![4, 4]);
+        let mut emitter = ChunkEmitter::new(grid.shape());
+        let region = grid.chunk_region(3); // rows 4..8, cols 4..8
+        emitter.set_chunk(region.ranges());
+        let vals: Vec<f64> = (0..16).map(|i| i as f64 * 10.0).collect();
+        // Run covering the whole chunk, filtered to three positions.
+        let all: Vec<u64> = {
+            let mut p = Vec::new();
+            emitter.walk_run(16, 0, |_, g0, _, take| p.extend(g0..g0 + take));
+            p
+        };
+        let filter = vec![all[1], all[7], all[14]];
+        let mut gallop = Gallop::new(&filter);
+        let mut positions = Vec::new();
+        let mut values = Vec::new();
+        emitter.set_chunk(region.ranges());
+        emitter.walk_run(16, 0, |_, g0, vi, take| {
+            for &e in gallop.range(g0, g0 + take) {
+                positions.push(e);
+                values.push(vals[vi + (e - g0) as usize]);
+            }
+        });
+        assert_eq!(positions, filter);
+        assert_eq!(values, vec![10.0, 70.0, 140.0]);
+    }
+
+    #[test]
+    fn gallop_matches_linear_intersection() {
+        let sorted: Vec<u64> = (0..1000u64).filter(|x| x % 7 == 0).collect();
+        let mut g = Gallop::new(&sorted);
+        for x in 0..1000u64 {
+            // Monotone probes only.
+            if x % 3 != 0 {
+                continue;
+            }
+            assert_eq!(g.contains(x), x % 7 == 0, "x={x}");
+        }
+        let mut g = Gallop::new(&sorted);
+        assert_eq!(g.range(10, 30), &[14, 21, 28]);
+        assert_eq!(g.range(30, 36), &[35]);
+        assert_eq!(g.range(990, 2000), &[994]);
+        assert!(g.range(2000, 3000).is_empty());
+    }
+}

@@ -3,37 +3,19 @@
 use crate::array::ChunkGrid;
 use crate::binning::BinSpec;
 use crate::cache::BlockCache;
-use crate::config::{LevelOrder, MlocConfig};
+use crate::config::MlocConfig;
 use crate::exec::ParallelExecutor;
 use crate::fusion::ExtentFuser;
 use crate::metrics::QueryMetrics;
 use crate::query::{Query, QueryResult};
 use crate::wire::{Reader, Writer};
 use crate::{MlocError, Result};
-use mloc_compress::CodecKind;
-use mloc_hilbert::{CurveKind, GridOrder};
+use mloc_hilbert::GridOrder;
 use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
 const VERSION: u8 = 2;
-
-fn curve_tag(c: CurveKind) -> u8 {
-    match c {
-        CurveKind::Hilbert => 0,
-        CurveKind::ZOrder => 1,
-        CurveKind::RowMajor => 2,
-    }
-}
-
-fn curve_from_tag(tag: u8) -> Result<CurveKind> {
-    match tag {
-        0 => Ok(CurveKind::Hilbert),
-        1 => Ok(CurveKind::ZOrder),
-        2 => Ok(CurveKind::RowMajor),
-        _ => Err(MlocError::Corrupt("unknown curve kind")),
-    }
-}
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,17 +37,7 @@ impl VariableMeta {
         w.u32(MAGIC);
         w.u8(VERSION);
         w.string(&self.var);
-        w.usize_vec(&self.config.shape);
-        w.usize_vec(&self.config.chunk_shape);
-        w.u32(self.config.num_bins as u32);
-        w.u8(self.config.level_order.to_tag());
-        let (codec_tag, codec_param) = self.config.codec.to_tag();
-        w.u8(codec_tag);
-        w.f64(codec_param);
-        w.u8(u8::from(self.config.plod));
-        w.u8(curve_tag(self.config.curve));
-        w.u32(self.config.subset_levels);
-        w.u64(self.config.stripe_size);
+        self.config.encode_into(&mut w);
         w.f64_vec(&self.bin_bounds);
         w.u64(self.total_points);
         w.finish()
@@ -81,33 +53,10 @@ impl VariableMeta {
             return Err(MlocError::Corrupt("unsupported meta version"));
         }
         let var = r.string()?;
-        let shape = r.usize_vec()?;
-        let chunk_shape = r.usize_vec()?;
-        let num_bins = r.u32()? as usize;
-        let level_order = LevelOrder::from_tag(r.u8()?)?;
-        let codec_tag = r.u8()?;
-        let codec_param = r.f64()?;
-        let codec = CodecKind::from_tag(codec_tag, codec_param)?;
-        let plod = r.u8()? != 0;
-        let curve = curve_from_tag(r.u8()?)?;
-        let subset_levels = r.u32()?;
-        let stripe_size = r.u64()?;
+        let config = MlocConfig::decode_from(&mut r)?;
         let bin_bounds = r.f64_vec()?;
         let total_points = r.u64()?;
-        let config = MlocConfig {
-            shape,
-            chunk_shape,
-            num_bins,
-            level_order,
-            codec,
-            plod,
-            curve,
-            subset_levels,
-            stripe_size,
-            build_threads: 0,
-        };
-        config.validate()?;
-        if bin_bounds.len() != num_bins + 1 {
+        if bin_bounds.len() != config.num_bins + 1 {
             return Err(MlocError::Corrupt("bin bound count mismatch"));
         }
         Ok(VariableMeta {
@@ -268,15 +217,6 @@ impl<'a> MlocStore<'a> {
     /// Run a query on a single rank and return result plus metrics.
     pub fn query_with_metrics(&self, query: &Query) -> Result<(QueryResult, QueryMetrics)> {
         ParallelExecutor::serial().execute(self, query)
-    }
-
-    /// Run a query on a single rank with profiling on, returning the
-    /// span/counter [`mloc_obs::Profile`] alongside result and metrics.
-    pub fn query_profiled(
-        &self,
-        query: &Query,
-    ) -> Result<(QueryResult, QueryMetrics, mloc_obs::Profile)> {
-        ParallelExecutor::serial().execute_profiled(self, query)
     }
 }
 

@@ -11,6 +11,16 @@ use mloc::obs::Label;
 use mloc::prelude::*;
 use mloc_pfs::{CostModel, MemBackend};
 
+/// Plan and run `q` on a profiled executor.
+fn profiled(
+    exec: &ParallelExecutor,
+    store: &MlocStore<'_>,
+    q: &Query,
+) -> (QueryResult, mloc::QueryMetrics, mloc::obs::Profile) {
+    let out = exec.run(store, ExecRequest::new(q)).unwrap();
+    (out.result, out.metrics, out.profile)
+}
+
 fn fixture(be: &MemBackend) -> MlocStore<'_> {
     let values: Vec<f64> = (0..4096).map(|i| ((i * 53) % 4096) as f64 * 0.5).collect();
     let config = MlocConfig::builder(vec![64, 64])
@@ -27,10 +37,10 @@ fn replay_and_threaded_profiles_are_identical() {
     let store = fixture(&be);
     let q = Query::region(100.0, 1500.0);
 
-    let replay = ParallelExecutor::new(4, CostModel::default());
-    let threaded = ParallelExecutor::new(4, CostModel::default()).threaded(true);
-    let (res_r, m_r, p_r) = replay.execute_profiled(&store, &q).unwrap();
-    let (res_t, m_t, p_t) = threaded.execute_profiled(&store, &q).unwrap();
+    let replay = ParallelExecutor::new(4, CostModel::default()).profiled(true);
+    let threaded = replay.clone().threaded(true);
+    let (res_r, m_r, p_r) = profiled(&replay, &store, &q);
+    let (res_t, m_t, p_t) = profiled(&threaded, &store, &q);
 
     assert_eq!(res_r, res_t);
     // Same span tree, same per-span counts, same counter values, same
@@ -49,8 +59,8 @@ fn profile_spans_reconcile_with_metrics_exactly() {
     let be = MemBackend::new();
     let store = fixture(&be);
     let q = Query::region(0.0, 2047.0);
-    let exec = ParallelExecutor::new(3, CostModel::default());
-    let (_, m, p) = exec.execute_profiled(&store, &q).unwrap();
+    let exec = ParallelExecutor::new(3, CostModel::default()).profiled(true);
+    let (_, m, p) = profiled(&exec, &store, &q);
 
     // The stage spans carry the very same floats as the metrics: the
     // engine records each measured interval into both, and the I/O
@@ -114,8 +124,9 @@ fn cache_counters_match_metrics_in_serial_mode() {
     let q = Query::region(200.0, 900.0);
 
     // Cold pass fills the cache, warm pass hits it.
-    let (_, _, _) = store.query_profiled(&q).unwrap();
-    let (_, m, p) = store.query_profiled(&q).unwrap();
+    let exec = ParallelExecutor::serial().profiled(true);
+    profiled(&exec, &store, &q);
+    let (_, m, p) = profiled(&exec, &store, &q);
 
     assert!(m.cache_hits > 0, "warm pass should hit the cache");
     assert_eq!(p.counter("cache.hits", Label::None), m.cache_hits);
@@ -131,7 +142,7 @@ fn per_codec_decompress_units_are_counted() {
     let be = MemBackend::new();
     let store = fixture(&be);
     let q = Query::region(0.0, 2047.0);
-    let (_, _, p) = store.query_profiled(&q).unwrap();
+    let (_, _, p) = profiled(&ParallelExecutor::serial().profiled(true), &store, &q);
     assert!(p.counter("decompress.units", Label::Name("deflate")) > 0);
     // Per-bin unit counts sum to the planned unit total.
     assert_eq!(
@@ -150,11 +161,15 @@ fn profiled_and_unprofiled_executions_agree() {
     let exec = ParallelExecutor::serial();
     let plan = mloc::query::plan::make_plan(&store, &q).unwrap();
     let (res_a, m_a) = exec.execute_plan(&store, &q, &plan, None).unwrap();
-    let (res_b, m_b, p) = exec.execute_plan_profiled(&store, &q, &plan, None).unwrap();
+    let out = exec
+        .profiled(true)
+        .run(&store, ExecRequest::planned(&q, &plan, None))
+        .unwrap();
+    let (res_b, m_b, p) = (out.result, out.metrics, out.profile);
     assert_eq!(res_a, res_b);
     assert_eq!(m_a.bytes_read, m_b.bytes_read);
     assert_eq!(m_a.seeks, m_b.seeks);
     assert!(!p.is_empty());
-    // execute_plan_profiled skips planning, so no plan span exists.
+    // A pre-built plan skips planning, so no plan span exists.
     assert!(p.span(&["plan"]).is_none());
 }

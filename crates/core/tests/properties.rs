@@ -5,7 +5,7 @@
 use mloc::prelude::*;
 use mloc::query::plan::make_plan;
 use mloc_compress::CodecKind;
-use mloc_pfs::MemBackend;
+use mloc_pfs::{CostModel, MemBackend};
 use proptest::prelude::*;
 
 /// A small random dataset + geometry.
@@ -273,7 +273,8 @@ proptest! {
         // The run-aware bulk reconstruct path and the per-point general
         // path must produce bit-identical results for every query shape:
         // value constraints, regions, reduced PLoD levels, and sorted
-        // position filters.
+        // position filters — on one replayed rank and on four rank
+        // threads (the request carries the path choice to every rank).
         let be = MemBackend::new();
         let store = build_case(&be, &case);
         let mut sorted = case.values.clone();
@@ -305,24 +306,23 @@ proptest! {
             let filter: Option<Vec<u64>> = with_filter.then(|| {
                 (0..case.values.len() as u64).step_by(3).collect()
             });
-            let exec = mloc::exec::ParallelExecutor::serial();
-            mloc::query::engine::force_general_reconstruct(false);
-            let fast = exec.execute_plan(&store, &q, &plan, filter.as_deref());
-            mloc::query::engine::force_general_reconstruct(true);
-            let general = exec.execute_plan(&store, &q, &plan, filter.as_deref());
-            mloc::query::engine::force_general_reconstruct(false);
-            let (fast, _) = fast.unwrap();
-            let (general, _) = general.unwrap();
-            prop_assert_eq!(fast.positions(), general.positions());
-            match (fast.values(), general.values()) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(b) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits());
+            let threaded = ParallelExecutor::new(4, CostModel::default()).threaded(true);
+            for exec in [ParallelExecutor::serial(), threaded] {
+                let mut req = ExecRequest::planned(&q, &plan, filter.as_deref());
+                let fast = exec.run(&store, req).unwrap().result;
+                req.force_general_reconstruct = true;
+                let general = exec.run(&store, req).unwrap().result;
+                prop_assert_eq!(fast.positions(), general.positions());
+                match (fast.values(), general.values()) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(a.len(), b.len());
+                        for (x, y) in a.iter().zip(b) {
+                            prop_assert_eq!(x.to_bits(), y.to_bits());
+                        }
                     }
+                    (a, b) => prop_assert!(false, "value presence differs: {:?} vs {:?}", a.map(<[f64]>::len), b.map(<[f64]>::len)),
                 }
-                (a, b) => prop_assert!(false, "value presence differs: {:?} vs {:?}", a.map(<[f64]>::len), b.map(<[f64]>::len)),
             }
         }
     }
@@ -399,10 +399,9 @@ proptest! {
             prop_assert_eq!(v.to_bits(), case.values[p as usize].to_bits());
         }
 
-        mloc::query::engine::force_general_reconstruct(true);
-        let general = store.query_serial(&qv);
-        mloc::query::engine::force_general_reconstruct(false);
-        let general = general.unwrap();
+        let mut req = ExecRequest::new(&qv);
+        req.force_general_reconstruct = true;
+        let general = ParallelExecutor::serial().run(&store, req).unwrap().result;
         prop_assert_eq!(general.positions(), resv.positions());
         prop_assert_eq!(
             general.values().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -151,11 +151,11 @@ fn membership_matches_scan_and_general_path_on_both_formats() {
         for (&p, &v) in fast.positions().iter().zip(fast.values().unwrap()) {
             assert_eq!(v.to_bits(), values[p as usize].to_bits(), "{tag}: value");
         }
-        mloc::query::engine::force_general_reconstruct(true);
-        let general = store.query_serial(&q);
-        mloc::query::engine::force_general_reconstruct(false);
+        let mut req = ExecRequest::new(&q);
+        req.force_general_reconstruct = true;
+        let general = ParallelExecutor::serial().run(&store, req).unwrap();
         bitwise_eq(
-            &general.unwrap(),
+            &general.result,
             &fast,
             &format!("{tag}: general vs probe path"),
         );

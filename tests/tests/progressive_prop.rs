@@ -12,7 +12,9 @@
 
 use mloc::prelude::*;
 use mloc::{MlocStore, QueryResult};
-use mloc_pfs::{BitFlip, CostModel, FaultBackend, FaultPlan, MemBackend, StorageBackend};
+use mloc_pfs::{
+    BitFlip, CostModel, FaultBackend, FaultPlan, MemBackend, RetryPolicy, StorageBackend,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -263,4 +265,63 @@ fn faulted_extent_fails_ladder_when_degradation_disallowed() {
         Ok(mut pq) => pq.run_to_completion().unwrap_err(),
     };
     assert!(err.is_corruption(), "wrong error class: {err}");
+}
+
+/// A refinement pull whose reads run out of retry budget caps its
+/// units *and* reports the abandoned reads: the ladder's cumulative
+/// `retries_exhausted` counts exactly the units capped for that reason
+/// (one abandoned per-want read each), like a one-shot execution's.
+#[test]
+fn ladder_counts_reads_abandoned_for_lack_of_retry_budget() {
+    // One bin, so a pull is one coalesced read plus its per-want
+    // fallback, and the whole ladder is refinable.
+    let build = |be: &dyn StorageBackend| {
+        let config = MlocConfig::builder(vec![16, 16])
+            .chunk_shape(vec![8, 8])
+            .num_bins(1)
+            .build();
+        build_variable(be, DS, VAR, &field(91, 16 * 16), &config).unwrap();
+    };
+    let clean = MemBackend::new();
+    build(&clean);
+    // Every read fails twice before it succeeds.
+    let fb = FaultBackend::new(MemBackend::new(), FaultPlan::transient(5, 1.0, 2));
+    build(&fb);
+
+    // Warm a shared cache with everything step 0 needs from the clean
+    // twin, so only refinement pulls meet the faults.
+    let cache = Arc::new(BlockCache::with_budget_mb(16));
+    let q = Query::values_in(Region::full(&[16, 16]));
+    let base = q.clone().with_plod(PlodLevel::new(1).unwrap());
+    let warm = MlocStore::open(&clean, DS, VAR)
+        .unwrap()
+        .with_cache(Arc::clone(&cache));
+    warm.query_serial(&base).unwrap();
+
+    let store = (0..4)
+        .find_map(|_| MlocStore::open(&fb, DS, VAR).ok())
+        .expect("the open outlasts its transient faults")
+        .with_cache(cache);
+    // Two attempts: the merged read fails after its one retry (1 ms of
+    // backoff). The budget has no room for a second backoff, so every
+    // per-want fallback read is abandoned on its first failure.
+    let policy = RetryPolicy::with_attempts(2).with_budget_s(1.5e-3);
+    let mut pq = ParallelExecutor::serial()
+        .with_retry(policy)
+        .progressive(&store, &q)
+        .unwrap();
+    assert_eq!(pq.metrics().bytes_read, 0, "step 0 was meant to be warm");
+    pq.run_to_completion().unwrap();
+
+    let m = pq.metrics();
+    let starved = m
+        .degradation
+        .events
+        .iter()
+        .filter(|e| e.reason.contains("retry budget exhausted"))
+        .count() as u64;
+    assert_eq!(starved, 4, "all four units lose part 1 to the budget");
+    assert_eq!(m.retries_exhausted, starved);
+    assert_eq!(m.degraded_units, starved);
+    assert_eq!(pq.steps().last().unwrap().capped_units, starved);
 }
