@@ -54,5 +54,76 @@ fn bench_byte_columns(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_float_codecs, bench_byte_columns);
+fn bench_crc32(c: &mut Criterion) {
+    // The per-extent integrity check at the extent sizes a cold query
+    // verifies: a bitmap, a PLoD part, a coalesced run. One iteration
+    // checksums a whole 1 MiB buffer extent by extent, so the timer's
+    // resolution does not drown a 64-byte call.
+    let buf: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let mut g = c.benchmark_group("crc32");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    for extent in [64usize, 512, 2048, 64 << 10] {
+        g.bench_with_input(BenchmarkId::from_parameter(extent), &buf, |b, buf| {
+            b.iter(|| {
+                buf.chunks(extent)
+                    .fold(0u32, |acc, e| acc ^ mloc::integrity::crc32(black_box(e)))
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_deflate_decode_small_units(c: &mut Criterion) {
+    // Decode cost at storage-unit size (DESIGN §9): a unit is ~164
+    // points, so a PLoD part is 164 or 328 stored bytes and per-block
+    // fixed costs — not bytes — set the time. Part 0 (sign, exponent,
+    // top mantissa bits) Huffman-codes once a unit is large enough to
+    // amortize the code-length table; part 6 (low mantissa bits) is
+    // noise and always takes stored blocks. Values are sorted first:
+    // a unit holds one value bin's points, not a slice of the field.
+    // One iteration decodes up to 256 distinct units.
+    let mut values = sample_values();
+    values.sort_by(f64::total_cmp);
+    let parts = mloc::plod::split(&values);
+    let codec = CodecKind::Deflate.byte_codec();
+    let mut g = c.benchmark_group("deflate_decode_small_units");
+    g.sample_size(20);
+    for p in [0usize, 6] {
+        let (part, width) = (&parts[p], mloc::plod::PART_BYTES[p]);
+        for points in [164usize, 328, 2048] {
+            let units: Vec<Vec<u8>> = part
+                .chunks(points * width)
+                .take(256)
+                .map(|u| codec.compress(u))
+                .collect();
+            // Byte 16 of an MDF1 stream is its first block's kind.
+            let huffman = units.iter().filter(|u| u[16] == 1).count();
+            let id = BenchmarkId::new(
+                format!("part{p}/{points}pts"),
+                format!("{huffman}of{}huffman", units.len()),
+            );
+            g.throughput(Throughput::Bytes((units.len() * points * width) as u64));
+            g.bench_with_input(id, &units, |b, units| {
+                b.iter(|| {
+                    units
+                        .iter()
+                        .map(|u| codec.decompress(black_box(u)).unwrap().len())
+                        .sum::<usize>()
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_float_codecs,
+    bench_byte_columns,
+    bench_crc32,
+    bench_deflate_decode_small_units
+);
 criterion_main!(benches);

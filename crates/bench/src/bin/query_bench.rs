@@ -150,6 +150,8 @@ fn main() {
     let stage = |path: &[&str]| merged.span(path).map_or(0.0, |s| s.seconds);
     let decompress_s = stage(&["rank", "decompress"]);
     let reconstruct_s = stage(&["rank", "reconstruct"]);
+    let verify_s =
+        stage(&["rank", "index-read", "verify"]) + stage(&["rank", "data-read", "verify"]);
     let copy_bytes = merged
         .counters
         .iter()
@@ -159,7 +161,7 @@ fn main() {
         / REPS as u64;
     note(&format!(
         "stages x{REPS}: decompress {decompress_s:.4}s, reconstruct {reconstruct_s:.4}s, \
-         copy {copy_bytes} bytes/session"
+         verify {verify_s:.4}s, copy {copy_bytes} bytes/session"
     ));
 
     let json = format!(
@@ -169,6 +171,7 @@ fn main() {
          \"overhead_pct\": {overhead_pct:.2},\n  \
          \"decompress_seconds\": {decompress_s:.6},\n  \
          \"reconstruct_seconds\": {reconstruct_s:.6},\n  \
+         \"verify_seconds\": {verify_s:.6},\n  \
          \"copy_bytes_per_session\": {copy_bytes},\n  \"profile\": {}\n}}\n",
         queries.len(),
         args.ranks,

@@ -77,8 +77,26 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top the buffer up to 57..=64 bits, or to the end of the data.
+    /// Bits at and above `bit_count` stay zero, which is what lets
+    /// [`Self::peek_padded`] hand out a zero-padded tail.
     #[inline]
     fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            // One unaligned little-endian word load; keep the whole
+            // bytes that fit above the `bit_count` bits already held.
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            let bytes = (64 - self.bit_count) / 8;
+            let kept = if bytes == 8 {
+                word
+            } else {
+                word & ((1u64 << (bytes * 8)) - 1)
+            };
+            self.bit_buf |= kept << self.bit_count;
+            self.pos += bytes as usize;
+            self.bit_count += bytes * 8;
+            return;
+        }
         while self.bit_count <= 56 && self.pos < self.data.len() {
             self.bit_buf |= u64::from(self.data[self.pos]) << self.bit_count;
             self.pos += 1;
@@ -96,43 +114,49 @@ impl<'a> BitReader<'a> {
                 return Err(CodecError::Truncated);
             }
         }
-        let mask = if count == 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        let v = (self.bit_buf as u32) & mask;
+        let v = (self.bit_buf & ((1u64 << count) - 1)) as u32;
         self.bit_buf >>= count;
         self.bit_count -= count;
         Ok(v)
     }
 
     /// Read a single bit.
-    #[inline]
+    #[cfg(test)]
     pub fn read_bit(&mut self) -> Result<u32, CodecError> {
         self.read_bits(1)
     }
 
-    /// Peek at the next `count` bits without consuming them, or `None`
-    /// when fewer than `count` bits remain in the stream.
+    /// The next `count` bits (`<= 32`) without consuming them, zero-
+    /// padded past the end of the stream, and how many buffered bits
+    /// are real. A table decoder indexes with the first and checks the
+    /// matched code's length against the second, so the last symbols
+    /// of a stream decode by lookup like every other.
     #[inline]
-    pub fn peek_bits(&mut self, count: u32) -> Option<u32> {
+    pub fn peek_padded(&mut self, count: u32) -> (u32, u32) {
         debug_assert!(count <= 32);
         if self.bit_count < count {
             self.refill();
-            if self.bit_count < count {
-                return None;
-            }
         }
-        let mask = if count == 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        Some((self.bit_buf as u32) & mask)
+        (
+            (self.bit_buf & ((1u64 << count) - 1)) as u32,
+            self.bit_count,
+        )
     }
 
-    /// Consume `count` bits previously seen via [`Self::peek_bits`].
+    /// Peek at the next `count` bits without consuming them, or `None`
+    /// when fewer than `count` bits remain in the stream.
+    #[cfg(test)]
+    pub fn peek_bits(&mut self, count: u32) -> Option<u32> {
+        let (bits, avail) = self.peek_padded(count);
+        (avail >= count).then_some(bits)
+    }
+
+    /// Bits not yet consumed, buffered or not.
+    pub fn bits_left(&self) -> usize {
+        self.bit_count as usize + 8 * (self.data.len() - self.pos)
+    }
+
+    /// Consume `count` bits previously seen via [`Self::peek_padded`].
     #[inline]
     pub fn consume_bits(&mut self, count: u32) {
         debug_assert!(self.bit_count >= count);

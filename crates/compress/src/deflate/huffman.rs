@@ -116,84 +116,135 @@ fn reverse_bits(code: u32, len: u32) -> u32 {
     code.reverse_bits() >> (32 - len)
 }
 
-/// A canonical Huffman decoder backed by a single-level lookup table.
+/// Entries of the largest decode table: one per `MAX_CODE_LEN`-bit
+/// pattern.
+pub const MAX_TABLE_LEN: usize = 1 << MAX_CODE_LEN;
+
+/// Largest alphabet a [`Decoder`] is built for (the literal/length
+/// alphabet has 286 symbols).
+pub const MAX_SYMBOLS: usize = 288;
+
+/// A canonical Huffman decoder: one lookup table indexed by the next
+/// `bits` stream bits (LSB-first), where `bits` is the longest code
+/// the block actually uses. Each entry packs `(symbol << 4) |
+/// code_len`; `code_len == 0` marks a pattern no code is assigned to.
+///
+/// A storage unit decodes to a few hundred bytes, so building the
+/// tables is most of a block's cost (DESIGN §9). The table therefore
+/// lives in caller-provided storage, is filled without allocating,
+/// and covers `2^bits` entries instead of a fixed `2^12`.
 #[derive(Debug)]
-pub struct Decoder {
-    /// Indexed by the next `MAX_CODE_LEN` bits (LSB-first); each entry
-    /// packs `(symbol << 4) | code_len`. `code_len == 0` marks invalid.
-    table: Vec<u32>,
+pub struct Decoder<'t> {
+    table: &'t [u16],
+    bits: u32,
 }
 
-impl Decoder {
-    /// Build the decoder from code lengths.
+impl<'t> Decoder<'t> {
+    /// Build the decoder for code lengths `lens` (one per symbol, at
+    /// most [`MAX_SYMBOLS`]) into `storage`.
     ///
-    /// Returns an error when the lengths are not a valid prefix code
-    /// (over-subscribed Kraft sum).
-    pub fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
-        let mut kraft = 0u64;
-        for &l in lens {
-            if l > 0 {
-                if l as u32 > MAX_CODE_LEN {
-                    return Err(CodecError::Corrupt("code length exceeds maximum"));
+    /// Returns an error when a length exceeds [`MAX_CODE_LEN`] or the
+    /// lengths are not a prefix code (over-subscribed Kraft sum).
+    pub fn from_lengths(
+        lens: &[u8],
+        storage: &'t mut [u16; MAX_TABLE_LEN],
+    ) -> Result<Self, CodecError> {
+        assert!(lens.len() <= MAX_SYMBOLS, "alphabet too large");
+        // One pass over the alphabet: collect the coded symbols and
+        // their length histogram. Small blocks use a handful of the
+        // 286 literal/length symbols, so unused ones are skipped here
+        // and everything after works on the coded few.
+        let mut coded = [0u16; MAX_SYMBOLS];
+        let mut n_coded = 0usize;
+        let mut count = [0u16; MAX_CODE_LEN as usize + 1];
+        for (group, group_lens) in lens.chunks(16).enumerate() {
+            if group_lens.iter().fold(0, |any, &l| any | l) == 0 {
+                continue;
+            }
+            for (i, &l) in group_lens.iter().enumerate() {
+                if l == 0 {
+                    continue;
                 }
-                kraft += 1u64 << (MAX_CODE_LEN - l as u32);
+                match count.get_mut(l as usize) {
+                    Some(c) => *c += 1,
+                    None => return Err(CodecError::Corrupt("code length exceeds maximum")),
+                }
+                coded[n_coded] = (group * 16 + i) as u16;
+                n_coded += 1;
             }
         }
-        if kraft > 1u64 << MAX_CODE_LEN {
+        let mut bits = 0u32;
+        let mut kraft = 0u32;
+        for len in 1..=MAX_CODE_LEN {
+            let n = u32::from(count[len as usize]);
+            if n > 0 {
+                bits = len;
+                kraft += n << (MAX_CODE_LEN - len);
+            }
+        }
+        if kraft > 1 << MAX_CODE_LEN {
             return Err(CodecError::Corrupt("over-subscribed Huffman code"));
         }
 
-        let enc = Encoder::from_lengths(lens);
-        let mut table = vec![0u32; 1 << MAX_CODE_LEN];
-        for (sym, &(code, len)) in enc.codes.iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
-            // `code` is already bit-reversed: replicate across all
-            // suffixes of the remaining MAX_CODE_LEN - len bits.
-            let step = 1u32 << len;
-            let mut idx = code;
-            while (idx as usize) < table.len() {
-                table[idx as usize] = ((sym as u32) << 4) | len as u32;
-                idx += step;
-            }
+        // Counting sort: coded symbols by code length, ascending symbol
+        // within a length — the order canonical codes are assigned in.
+        let mut sorted = [0u16; MAX_SYMBOLS];
+        let mut next = [0u16; MAX_CODE_LEN as usize + 2];
+        for len in 1..=MAX_CODE_LEN as usize {
+            next[len + 1] = next[len] + count[len];
         }
-        Ok(Decoder { table })
+        for &sym in &coded[..n_coded] {
+            let slot = &mut next[lens[sym as usize] as usize];
+            sorted[*slot as usize] = sym;
+            *slot += 1;
+        }
+
+        // Grow the table one code length at a time. Doubling it first
+        // replicates every shorter code across the new top index bit
+        // (a code of length l owns all indices whose low l bits are
+        // its bit-reversed value); the codes of the new length then
+        // own one slot each.
+        let table = &mut storage[..1 << bits];
+        table[0] = 0;
+        let mut code = 0u32;
+        let mut first = 0usize;
+        for len in 1..=bits {
+            let half = 1usize << (len - 1);
+            table.copy_within(..half, half);
+            code <<= 1;
+            let n = usize::from(count[len as usize]);
+            for &sym in &sorted[first..first + n] {
+                let idx = code.reverse_bits() >> (32 - len);
+                table[idx as usize] = (sym << 4) | len as u16;
+                code += 1;
+            }
+            first += n;
+        }
+        Ok(Decoder { table, bits })
     }
 
     /// Decode one symbol.
+    ///
+    /// The lookup is zero-padded past the end of the stream, so the
+    /// final symbols of a block resolve here too; a code that would
+    /// need padding bits to complete is a truncated stream. With fewer
+    /// than [`MAX_CODE_LEN`] bits left an unassigned pattern also
+    /// reports `Truncated`: the tail is too short to tell a cut stream
+    /// from a damaged one.
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
-        // Peek is emulated by reading bit-by-bit against the table:
-        // read MAX_CODE_LEN bits when available, else fall back to the
-        // slow path near the end of the stream.
-        match r.peek_bits(MAX_CODE_LEN) {
-            Some(bits) => {
-                let entry = self.table[bits as usize];
-                let len = entry & 0xF;
-                if len == 0 {
-                    return Err(CodecError::Corrupt("invalid Huffman code"));
-                }
-                r.consume_bits(len);
-                Ok((entry >> 4) as usize)
-            }
-            None => self.read_slow(r),
+        let (idx, avail) = r.peek_padded(self.bits);
+        let entry = self.table[idx as usize];
+        let len = u32::from(entry & 0xF);
+        if len == 0 || len > avail {
+            return Err(if r.bits_left() < MAX_CODE_LEN as usize {
+                CodecError::Truncated
+            } else {
+                CodecError::Corrupt("invalid Huffman code")
+            });
         }
-    }
-
-    fn read_slow(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
-        let mut bits = 0u32;
-        for i in 0..MAX_CODE_LEN {
-            bits |= r.read_bit()? << i;
-            let entry = self.table[bits as usize];
-            let len = entry & 0xF;
-            if len == i + 1 {
-                return Ok((entry >> 4) as usize);
-            }
-            // A longer code shares this prefix; keep reading. All
-            // entries for shorter valid codes would have matched.
-        }
-        Err(CodecError::Corrupt("invalid Huffman code"))
+        r.consume_bits(len);
+        Ok(usize::from(entry >> 4))
     }
 }
 
@@ -250,41 +301,251 @@ mod tests {
         assert!(kraft <= 1.0 + 1e-12);
     }
 
+    /// The decoder [`Decoder`] replaced, kept as its differential
+    /// oracle: a fixed 2¹²-entry table filled per symbol from an
+    /// [`Encoder`], with a bit-at-a-time walk over the last bits of a
+    /// stream.
+    struct OracleDecoder {
+        table: Vec<u32>,
+    }
+
+    impl OracleDecoder {
+        fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
+            let mut kraft = 0u64;
+            for &l in lens {
+                if l > 0 {
+                    if l as u32 > MAX_CODE_LEN {
+                        return Err(CodecError::Corrupt("code length exceeds maximum"));
+                    }
+                    kraft += 1u64 << (MAX_CODE_LEN - l as u32);
+                }
+            }
+            if kraft > 1u64 << MAX_CODE_LEN {
+                return Err(CodecError::Corrupt("over-subscribed Huffman code"));
+            }
+            let enc = Encoder::from_lengths(lens);
+            let mut table = vec![0u32; 1 << MAX_CODE_LEN];
+            for (sym, &(code, len)) in enc.codes.iter().enumerate() {
+                if len == 0 {
+                    continue;
+                }
+                let step = 1u32 << len;
+                let mut idx = code;
+                while (idx as usize) < table.len() {
+                    table[idx as usize] = ((sym as u32) << 4) | len as u32;
+                    idx += step;
+                }
+            }
+            Ok(OracleDecoder { table })
+        }
+
+        fn read(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
+            match r.peek_bits(MAX_CODE_LEN) {
+                Some(bits) => {
+                    let entry = self.table[bits as usize];
+                    let len = entry & 0xF;
+                    if len == 0 {
+                        return Err(CodecError::Corrupt("invalid Huffman code"));
+                    }
+                    r.consume_bits(len);
+                    Ok((entry >> 4) as usize)
+                }
+                None => self.read_slow(r),
+            }
+        }
+
+        fn read_slow(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
+            let mut bits = 0u32;
+            for i in 0..MAX_CODE_LEN {
+                bits |= r.read_bit()? << i;
+                let entry = self.table[bits as usize];
+                if entry & 0xF == i + 1 {
+                    return Ok((entry >> 4) as usize);
+                }
+            }
+            Err(CodecError::Corrupt("invalid Huffman code"))
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let freqs = vec![50u64, 30, 10, 5, 3, 1, 1, 0, 7, 19];
         let lens = code_lengths(&freqs, MAX_CODE_LEN);
         let enc = Encoder::from_lengths(&lens);
-        let dec = Decoder::from_lengths(&lens).unwrap();
+        let mut storage = [0u16; MAX_TABLE_LEN];
+        let dec = Decoder::from_lengths(&lens, &mut storage).unwrap();
         let symbols = [0usize, 1, 2, 3, 4, 5, 6 /*skip 7*/, 8, 9, 0, 0, 9, 5];
         let mut w = BitWriter::new();
         for &s in &symbols {
-            if s == 7 {
-                continue;
-            }
             enc.write(&mut w, s);
         }
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        for &s in symbols.iter().filter(|&&s| s != 7) {
+        for &s in &symbols {
             assert_eq!(dec.read(&mut r).unwrap(), s);
         }
     }
 
     #[test]
-    fn oversubscribed_lengths_rejected() {
-        let lens = vec![1u8, 1, 1];
-        assert!(Decoder::from_lengths(&lens).is_err());
+    fn table_is_sized_to_the_longest_used_code() {
+        let mut storage = [0u16; MAX_TABLE_LEN];
+        // Lengths {1, 2, 3, 3}: a complete code, longest 3 bits.
+        let dec = Decoder::from_lengths(&[2, 0, 1, 3, 0, 3], &mut storage).unwrap();
+        assert_eq!((dec.bits, dec.table.len()), (3, 8));
+        assert!(dec.table.iter().all(|&e| e & 0xF != 0), "complete code");
+        // No symbol at all: one entry, unassigned.
+        let dec = Decoder::from_lengths(&[0; 30], &mut storage).unwrap();
+        assert_eq!((dec.bits, dec.table), (0, &[0u16][..]));
+    }
+
+    #[test]
+    fn bad_lengths_rejected() {
+        let mut storage = [0u16; MAX_TABLE_LEN];
+        assert!(Decoder::from_lengths(&[1, 1, 1], &mut storage).is_err());
+        assert!(Decoder::from_lengths(&[1, 13], &mut storage).is_err());
     }
 
     #[test]
     fn decoder_rejects_unused_code() {
         // Only symbol 0 has a code (single bit 0); reading a stream of
         // ones must fail rather than loop.
-        let lens = vec![1u8, 0];
-        let dec = Decoder::from_lengths(&lens).unwrap();
+        let mut storage = [0u16; MAX_TABLE_LEN];
+        let dec = Decoder::from_lengths(&[1, 0], &mut storage).unwrap();
         let data = vec![0xFFu8; 4];
         let mut r = BitReader::new(&data);
-        assert!(dec.read(&mut r).is_err());
+        assert_eq!(
+            dec.read(&mut r),
+            Err(CodecError::Corrupt("invalid Huffman code"))
+        );
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Decode `stream` with both decoders until one fails (or
+        /// `max_reads` symbols) and require identical outcomes, errors
+        /// included.
+        fn assert_same_decode(lens: &[u8], stream: &[u8], max_reads: usize) {
+            let mut storage = [0u16; MAX_TABLE_LEN];
+            let new = Decoder::from_lengths(lens, &mut storage);
+            let old = OracleDecoder::from_lengths(lens);
+            let (new, old) = match (new, old) {
+                (Ok(n), Ok(o)) => (n, o),
+                (n, o) => {
+                    assert_eq!(n.err(), o.err(), "lens {lens:?}");
+                    return;
+                }
+            };
+            let (mut rn, mut ro) = (BitReader::new(stream), BitReader::new(stream));
+            for i in 0..max_reads {
+                let (got, want) = (new.read(&mut rn), old.read(&mut ro));
+                assert_eq!(got, want, "symbol {i}, lens {lens:?}, stream {stream:?}");
+                if got.is_err() {
+                    break;
+                }
+            }
+        }
+
+        /// A valid length table over `freqs.len()` symbols: package-
+        /// merge lengths limited to `max_len` bits, then — to make the
+        /// code incomplete — the symbols `drop` selects lose theirs.
+        fn valid_lengths(freqs: &[u64], max_len: u32, drop: &[bool]) -> Vec<u8> {
+            let active = freqs.iter().filter(|&&f| f > 0).count();
+            let floor = active.next_power_of_two().trailing_zeros().max(1);
+            let mut lens = code_lengths(freqs, max_len.max(floor));
+            for (l, &d) in lens.iter_mut().zip(drop) {
+                if d {
+                    *l = 0;
+                }
+            }
+            lens
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            // Frequencies spread over 2^0..2^31 (and zero) give deep,
+            // skewed trees that hit the 12-bit limit; `drop` leaves
+            // holes in the code space; `n` goes down to one symbol and
+            // an all-zero `freqs` is the empty alphabet. The stream is
+            // the encoded symbols followed by arbitrary bytes, so both
+            // decoders run through valid codes, unassigned codes (when
+            // the code is incomplete) and the zero-padded tail.
+            #[test]
+            fn new_decoder_matches_oracle(
+                raw in proptest::collection::vec((any::<u32>(), 0u32..40), 1..=MAX_SYMBOLS),
+                max_len in 1u32..=MAX_CODE_LEN,
+                drop_one_in in 1u64..40,
+                picks in proptest::collection::vec(any::<u16>(), 0..300),
+                junk in proptest::collection::vec(any::<u8>(), 0..12),
+                drop_seed in any::<u64>(),
+            ) {
+                let freqs: Vec<u64> = raw
+                    .iter()
+                    .map(|&(f, s)| if s >= 32 { 0 } else { u64::from(f >> s) })
+                    .collect();
+                let mut x = drop_seed | 1;
+                let drop: Vec<bool> = freqs
+                    .iter()
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        drop_one_in < 20 && x % drop_one_in == 0
+                    })
+                    .collect();
+                let lens = valid_lengths(&freqs, max_len, &drop);
+                let coded: Vec<usize> = (0..lens.len()).filter(|&s| lens[s] > 0).collect();
+                let enc = Encoder::from_lengths(&lens);
+                let mut w = BitWriter::new();
+                if !coded.is_empty() {
+                    for &p in &picks {
+                        enc.write(&mut w, coded[p as usize % coded.len()]);
+                    }
+                }
+                let mut stream = w.finish();
+                stream.extend_from_slice(&junk);
+                assert_same_decode(&lens, &stream, picks.len() + 200);
+            }
+
+            // Arbitrary nibbles: mostly over-subscribed tables, which
+            // both decoders must reject alike, plus whatever happens
+            // to be a prefix code.
+            #[test]
+            fn arbitrary_lengths_agree(
+                lens in proptest::collection::vec(0u8..16, 0..40),
+                stream in proptest::collection::vec(any::<u8>(), 0..40),
+            ) {
+                assert_same_decode(&lens, &stream, 400);
+            }
+        }
+
+        #[test]
+        fn twelve_bit_codes_are_exercised() {
+            // Fibonacci frequencies over 30 symbols want a 29-deep
+            // tree; the limit caps it at exactly MAX_CODE_LEN.
+            let mut freqs = vec![0u64; 30];
+            let (mut a, mut b) = (1u64, 1u64);
+            for f in freqs.iter_mut() {
+                *f = a;
+                (a, b) = (b, a + b);
+            }
+            let lens = code_lengths(&freqs, MAX_CODE_LEN);
+            assert_eq!(u32::from(*lens.iter().max().unwrap()), MAX_CODE_LEN);
+            let enc = Encoder::from_lengths(&lens);
+            let mut w = BitWriter::new();
+            for s in (0..30).chain((0..30).rev()) {
+                enc.write(&mut w, s);
+            }
+            let stream = w.finish();
+            assert_same_decode(&lens, &stream, 100);
+            let mut storage = [0u16; MAX_TABLE_LEN];
+            let dec = Decoder::from_lengths(&lens, &mut storage).unwrap();
+            let mut r = BitReader::new(&stream);
+            for s in (0..30).chain((0..30).rev()) {
+                assert_eq!(dec.read(&mut r), Ok(s));
+            }
+        }
     }
 }

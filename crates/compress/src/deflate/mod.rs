@@ -11,7 +11,7 @@ pub mod lz77;
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{Codec, CodecError};
-use huffman::{code_lengths, Decoder, Encoder, MAX_CODE_LEN};
+use huffman::{code_lengths, Decoder, Encoder, MAX_CODE_LEN, MAX_TABLE_LEN};
 use lz77::Token;
 
 const MAGIC: u32 = 0x3146_444D; // "MDF1"
@@ -43,6 +43,8 @@ const EOB: usize = 256;
 const NUM_LITLEN: usize = 286;
 /// Distance alphabet size.
 const NUM_DIST: usize = 30;
+// The two code-length tables are stored as one run of nibble pairs.
+const _: () = assert!((NUM_LITLEN + NUM_DIST).is_multiple_of(2));
 
 /// `(extra_bits, base)` per length code 257..=285 (RFC 1951).
 const LENGTH_CODES: [(u32, u16); 29] = [
@@ -224,87 +226,151 @@ impl Deflate {
         out.extend_from_slice(&payload);
     }
 
-    fn decompress_block(data: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        let need = |p: usize, n: usize| {
-            if p + n > data.len() {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(*pos, 5)?;
-        let kind = data[*pos];
-        let orig_len = u32::from_le_bytes(data[*pos + 1..*pos + 5].try_into().unwrap()) as usize;
-        *pos += 5;
+    /// Decode a whole MDF1 stream into the empty `out`, which never
+    /// grows past the length the stream header declares.
+    fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        let mut pos = 0usize;
+        let header = take(input, &mut pos, 16)?;
+        if le_u32(header) != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let total = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+        let total = usize::try_from(total).map_err(|_| CodecError::Corrupt("length overflow"))?;
+        let checksum = le_u32(&header[12..]);
+        // `total` is untrusted: pre-reserve only a bounded amount.
+        out.reserve_exact(total.min(16 << 20));
+        while out.len() < total {
+            Self::decompress_block(input, &mut pos, total - out.len(), out)?;
+        }
+        if adler32(out) != checksum {
+            return Err(CodecError::Corrupt("checksum mismatch"));
+        }
+        Ok(())
+    }
+
+    /// Decode the block at `*pos`, appending at most `room` bytes (what
+    /// the stream header says is still missing) to `out`.
+    fn decompress_block(
+        data: &[u8],
+        pos: &mut usize,
+        room: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let header = take(data, pos, 5)?;
+        let kind = header[0];
+        let orig_len = le_u32(&header[1..]) as usize;
+        // Every encoder cuts its input into `BLOCK_SIZE` blocks; holding
+        // the decoder to that, and to what the stream still owes, caps
+        // what one block header can make `out` grow by.
+        if orig_len > room.min(BLOCK_SIZE) {
+            return Err(CodecError::Corrupt("block length out of range"));
+        }
         match kind {
             0 => {
-                need(*pos, orig_len)?;
-                out.extend_from_slice(&data[*pos..*pos + orig_len]);
-                *pos += orig_len;
+                out.extend_from_slice(take(data, pos, orig_len)?);
                 Ok(())
             }
             1 => {
-                let table_bytes = (NUM_LITLEN + NUM_DIST).div_ceil(2);
-                need(*pos, table_bytes)?;
-                let mut lens = Vec::with_capacity(NUM_LITLEN + NUM_DIST);
-                for &b in &data[*pos..*pos + table_bytes] {
-                    lens.push(b & 0xF);
-                    lens.push(b >> 4);
+                // Code-length tables: packed nibbles, litlen then dist.
+                let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+                let packed = take(data, pos, lens.len().div_ceil(2))?;
+                for (pair, &b) in lens.chunks_exact_mut(2).zip(packed) {
+                    pair[0] = b & 0xF;
+                    pair[1] = b >> 4;
                 }
-                lens.truncate(NUM_LITLEN + NUM_DIST);
-                *pos += table_bytes;
-                let lit_dec = Decoder::from_lengths(&lens[..NUM_LITLEN])?;
-                let dist_dec = Decoder::from_lengths(&lens[NUM_LITLEN..])?;
-
-                need(*pos, 4)?;
-                let payload_len =
-                    u32::from_le_bytes(data[*pos..*pos + 4].try_into().unwrap()) as usize;
-                *pos += 4;
-                need(*pos, payload_len)?;
-                let payload = &data[*pos..*pos + payload_len];
-                *pos += payload_len;
+                let (lit_lens, dist_lens) = lens.split_at(NUM_LITLEN);
+                let payload_len = le_u32(take(data, pos, 4)?) as usize;
+                let payload = take(data, pos, payload_len)?;
 
                 let block_start = out.len();
-                let mut r = BitReader::new(payload);
-                loop {
-                    let sym = lit_dec.read(&mut r)?;
-                    match sym {
-                        0..=255 => out.push(sym as u8),
-                        256 => break,
-                        257..=285 => {
-                            let (extra, base) = LENGTH_CODES[sym - 257];
-                            let len = base as usize + r.read_bits(extra)? as usize;
-                            let dsym = dist_dec.read(&mut r)?;
-                            if dsym >= NUM_DIST {
-                                return Err(CodecError::Corrupt("bad distance symbol"));
-                            }
-                            let (dextra, dbase) = DIST_CODES[dsym];
-                            let dist = dbase as usize + r.read_bits(dextra)? as usize;
-                            if dist > out.len() - block_start {
-                                return Err(CodecError::Corrupt(
-                                    "distance reaches before block start",
-                                ));
-                            }
-                            let start = out.len() - dist;
-                            for i in 0..len {
-                                let b = out[start + i];
-                                out.push(b);
-                            }
-                        }
-                        _ => return Err(CodecError::Corrupt("bad literal/length symbol")),
-                    }
+                out.resize(block_start + orig_len, 0);
+                let dst = &mut out[block_start..];
+
+                let mut lit_table = [0u16; MAX_TABLE_LEN];
+                let lit_dec = Decoder::from_lengths(lit_lens, &mut lit_table)?;
+                // A block of literals only carries an all-zero distance
+                // alphabet: build nothing for it.
+                if dist_lens.iter().all(|&l| l == 0) {
+                    return inflate(&lit_dec, None, payload, dst);
                 }
-                if out.len() - block_start != orig_len {
-                    return Err(CodecError::LengthMismatch {
-                        expected: orig_len,
-                        actual: out.len() - block_start,
-                    });
-                }
-                Ok(())
+                let mut dist_table = [0u16; MAX_TABLE_LEN];
+                let dist_dec = Decoder::from_lengths(dist_lens, &mut dist_table)?;
+                inflate(&lit_dec, Some(&dist_dec), payload, dst)
             }
             _ => Err(CodecError::Corrupt("unknown block type")),
         }
     }
+}
+
+/// The next `n` bytes of `data` at `*pos`, advancing `*pos` past them.
+fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
+    let end = pos.checked_add(n).ok_or(CodecError::Truncated)?;
+    let bytes = data.get(*pos..end).ok_or(CodecError::Truncated)?;
+    *pos = end;
+    Ok(bytes)
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+}
+
+/// Decode one Huffman block's symbols from `payload` into `dst`, the
+/// block's whole output. The slice is the bound: the first literal or
+/// match that would pass its end fails the block, so a few bytes of
+/// crafted matches cannot expand without limit.
+fn inflate(
+    lit_dec: &Decoder<'_>,
+    dist_dec: Option<&Decoder<'_>>,
+    payload: &[u8],
+    dst: &mut [u8],
+) -> Result<(), CodecError> {
+    const OVERRUN: CodecError = CodecError::Corrupt("block output exceeds its declared length");
+    let mut r = BitReader::new(payload);
+    let mut pos = 0usize;
+    loop {
+        let sym = lit_dec.read(&mut r)?;
+        match sym {
+            0..=255 => {
+                *dst.get_mut(pos).ok_or(OVERRUN)? = sym as u8;
+                pos += 1;
+            }
+            EOB => break,
+            257..=285 => {
+                let (extra, base) = LENGTH_CODES[sym - 257];
+                let len = base as usize + r.read_bits(extra)? as usize;
+                let dsym = match dist_dec {
+                    Some(d) => d.read(&mut r)?,
+                    None => return Err(CodecError::Corrupt("invalid Huffman code")),
+                };
+                let (dextra, dbase) = DIST_CODES[dsym];
+                let dist = dbase as usize + r.read_bits(dextra)? as usize;
+                if dist > pos {
+                    return Err(CodecError::Corrupt("distance reaches before block start"));
+                }
+                if len > dst.len() - pos {
+                    return Err(OVERRUN);
+                }
+                // A match longer than its distance repeats its own
+                // output with period `dist`, so everything from `start`
+                // on is a valid source: each pass copies all of it and
+                // doubles the span (one pass when `dist >= len`).
+                let (start, end) = (pos - dist, pos + len);
+                while pos < end {
+                    let n = (end - pos).min(pos - start);
+                    dst.copy_within(start..start + n, pos);
+                    pos += n;
+                }
+            }
+            _ => return Err(CodecError::Corrupt("bad literal/length symbol")),
+        }
+    }
+    if pos != dst.len() {
+        return Err(CodecError::LengthMismatch {
+            expected: dst.len(),
+            actual: pos,
+        });
+    }
+    Ok(())
 }
 
 impl Codec for Deflate {
@@ -324,29 +390,8 @@ impl Codec for Deflate {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if input.len() < 16 {
-            return Err(CodecError::Truncated);
-        }
-        if u32::from_le_bytes(input[0..4].try_into().unwrap()) != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let total = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
-        let checksum = u32::from_le_bytes(input[12..16].try_into().unwrap());
-        // `total` is untrusted: pre-reserve only a bounded amount.
-        let mut out = Vec::with_capacity(total.min(16 << 20));
-        let mut pos = 16usize;
-        while out.len() < total {
-            Self::decompress_block(input, &mut pos, &mut out)?;
-        }
-        if out.len() != total {
-            return Err(CodecError::LengthMismatch {
-                expected: total,
-                actual: out.len(),
-            });
-        }
-        if adler32(&out) != checksum {
-            return Err(CodecError::Corrupt("checksum mismatch"));
-        }
+        let mut out = Vec::new();
+        Self::decompress_into(input, &mut out)?;
         Ok(out)
     }
 }
@@ -401,6 +446,138 @@ mod tests {
         roundtrip(b"a");
         roundtrip(b"hello, world");
         roundtrip(&[0u8; 3]);
+    }
+
+    fn xorshift_bytes(n: usize, byte: impl Fn(u32) -> u8) -> Vec<u8> {
+        let mut x = 0x9E37_79B9u32;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                byte(x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn roundtrips_at_unit_and_block_boundaries() {
+        // 164 points is the benchmark's mean storage unit, 163..=328
+        // bytes its PLoD parts, 573 the mean Huffman block; 128 KiB is
+        // the block size.
+        for n in [
+            0,
+            1,
+            163,
+            164,
+            328,
+            573,
+            BLOCK_SIZE - 1,
+            BLOCK_SIZE,
+            BLOCK_SIZE + 1,
+        ] {
+            // Like a PLoD part: few distinct values, no long repeats —
+            // Huffman-coded, mostly literals.
+            let part = xorshift_bytes(n, |x| 0x40 + (x % 7) as u8 * (x >> 29) as u8);
+            let c = Deflate.compress(&part);
+            assert_eq!(Deflate.decompress(&c).unwrap(), part, "part, {n} bytes");
+            // Incompressible bytes take the stored-block path.
+            let noise = xorshift_bytes(n, |x| (x >> 8) as u8);
+            let c = Deflate.compress(&noise);
+            assert_eq!(Deflate.decompress(&c).unwrap(), noise, "noise, {n} bytes");
+            if n >= 573 {
+                let kind = |data: &[u8]| Deflate.compress(data)[16];
+                assert_eq!((kind(&part), kind(&noise)), (1, 0), "{n} bytes");
+            }
+        }
+    }
+
+    /// A hand-built MDF1 stream of one Huffman block: the header
+    /// declares `total` bytes (all zero, for the checksum), the block
+    /// `block_len`, coded with `lens`.
+    fn one_block_stream(total: u64, block_len: u32, lens: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut s = Vec::new();
+        s.extend_from_slice(&MAGIC.to_le_bytes());
+        s.extend_from_slice(&total.to_le_bytes());
+        s.extend_from_slice(&adler32(&vec![0; total as usize]).to_le_bytes());
+        s.push(1);
+        s.extend_from_slice(&block_len.to_le_bytes());
+        s.extend(lens.chunks(2).map(|p| p[0] | (p[1] << 4)));
+        s.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        s.extend_from_slice(payload);
+        s
+    }
+
+    /// A stream whose payload is one literal followed by `matches`
+    /// length-258/distance-1 matches (two bits each) and the
+    /// end-of-block code.
+    fn match_bomb(total: u64, block_len: u32, matches: usize) -> Vec<u8> {
+        let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+        lens[0] = 2; // literal 0
+        lens[EOB] = 2;
+        lens[285] = 1; // length 258, no extra bits
+        lens[NUM_LITLEN] = 1; // distance 1, no extra bits
+        let lit_enc = Encoder::from_lengths(&lens[..NUM_LITLEN]);
+        let dist_enc = Encoder::from_lengths(&lens[NUM_LITLEN..]);
+        let mut w = BitWriter::new();
+        lit_enc.write(&mut w, 0);
+        for _ in 0..matches {
+            lit_enc.write(&mut w, 285);
+            dist_enc.write(&mut w, 0);
+        }
+        lit_enc.write(&mut w, EOB);
+        one_block_stream(total, block_len, &lens, &w.finish())
+    }
+
+    #[test]
+    fn output_is_bounded_by_the_declared_length() {
+        // The builder makes decodable streams: one literal and one
+        // match, declared as the 259 bytes they are.
+        let ok = match_bomb(259, 259, 1);
+        assert_eq!(Deflate.decompress(&ok), Ok(vec![0; 259]));
+
+        // 16 bytes declared, ~1 MiB encoded in ~1 KiB of matches: the
+        // first match already passes the block's end.
+        let bomb = match_bomb(16, 16, 4064);
+        assert!(bomb.len() < 1300);
+        let mut out = Vec::new();
+        assert_eq!(
+            Deflate::decompress_into(&bomb, &mut out),
+            Err(CodecError::Corrupt(
+                "block output exceeds its declared length"
+            ))
+        );
+        assert!(out.capacity() <= 16, "grew to {}", out.capacity());
+
+        // The same payload in a block that owns up to its size is
+        // refused before a symbol is decoded: it cannot fit the stream.
+        // Nor may a block exceed the block size, whatever the stream
+        // declares.
+        for (total, block_len) in [(16, 1 << 20), (1 << 20, 1 << 20)] {
+            let bomb = match_bomb(total, block_len, 4064);
+            let mut out = Vec::new();
+            assert_eq!(
+                Deflate::decompress_into(&bomb, &mut out),
+                Err(CodecError::Corrupt("block length out of range"))
+            );
+            assert!(out.is_empty() && out.capacity() as u64 <= total);
+        }
+
+        // A literal past the end is caught like a match: three
+        // literals in a block (and a stream) of two.
+        let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+        (lens[0], lens[EOB]) = (1, 1);
+        let enc = Encoder::from_lengths(&lens[..NUM_LITLEN]);
+        let mut w = BitWriter::new();
+        for sym in [0, 0, 0, EOB] {
+            enc.write(&mut w, sym);
+        }
+        assert_eq!(
+            Deflate.decompress(&one_block_stream(2, 2, &lens, &w.finish())),
+            Err(CodecError::Corrupt(
+                "block output exceeds its declared length"
+            ))
+        );
     }
 
     #[test]

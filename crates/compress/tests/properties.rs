@@ -70,4 +70,52 @@ proptest! {
             prop_assert_eq!(&codec.decompress(&c).unwrap(), &bytes, "codec {}", kind.name());
         }
     }
+
+    // Damaged MDF1 streams — flipped bytes anywhere (header, code-
+    // length nibbles, Huffman payload, stored bytes), then a cut — are
+    // refused or decode to exactly the length their header declares;
+    // they never panic and never outgrow that length.
+    #[test]
+    fn deflate_survives_mutation_and_truncation(
+        seed in any::<u8>(),
+        n in 0usize..3000,
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        keep in any::<usize>(),
+        cut in any::<bool>(),
+    ) {
+        // Small alphabet, short period: Huffman blocks with matches.
+        let data: Vec<u8> = (0..n).map(|i| ((i * i / (1 + seed as usize % 23)) % 11) as u8).collect();
+        let mut c = Deflate.compress(&data);
+        for &(pos, mask) in &flips {
+            let pos = pos % c.len();
+            c[pos] ^= mask;
+        }
+        if cut {
+            c.truncate(keep % (c.len() + 1));
+        }
+        if let Ok(out) = Deflate.decompress(&c) {
+            let declared = u64::from_le_bytes(c[4..12].try_into().unwrap());
+            prop_assert_eq!(out.len() as u64, declared);
+        }
+    }
+
+    // Arbitrary bytes behind a valid stream header and a plausible
+    // block header (so the code-length tables and the payload are
+    // what gets fuzzed, not just the block-kind byte).
+    #[test]
+    fn deflate_survives_junk(
+        total in 0u64..5000,
+        kind in 0u8..3,
+        block_len in 0u32..6000,
+        junk in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut c = Deflate.compress(b"");
+        c[4..12].copy_from_slice(&total.to_le_bytes());
+        c.push(kind);
+        c.extend_from_slice(&block_len.to_le_bytes());
+        c.extend_from_slice(&junk);
+        if let Ok(out) = Deflate.decompress(&c) {
+            prop_assert_eq!(out.len() as u64, total);
+        }
+    }
 }

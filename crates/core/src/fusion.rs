@@ -510,6 +510,7 @@ fn verify_run_want(
     off: u64,
     len: u32,
     view: ByteView,
+    verify_s: Option<&mut f64>,
 ) -> Result<ByteView> {
     let Some(f) = footer else { return Ok(view) };
     if let Some(fu) = fuser {
@@ -518,12 +519,17 @@ fn verify_run_want(
             return Ok(view);
         }
     }
-    f.verify(file, off, view.as_slice())?;
+    f.verify_timed(file, off, view.as_slice(), verify_s)?;
     if let Some(fu) = fuser {
         fu.note_verified(file, off, len);
     }
     Ok(view)
 }
+
+/// A resolved run: its backing buffer (None if the read failed), the
+/// file offset the buffer starts at, and whether another session's
+/// in-flight read supplied it.
+type ResolvedRun = (Option<Arc<Vec<u8>>>, u64, bool);
 
 /// Coalesce `(offset, len)` wants into merged extents ([`plan_runs`]),
 /// read each extent once — or fuse it with a concurrent session's read
@@ -545,18 +551,15 @@ fn verify_run_want(
 /// read: a fused want whose extent already verified clean this window
 /// skips the re-check, while a *failed* check is never shared — every
 /// session that touches a damaged extent fails on it. Callers decide
-/// per want whether a failure is fatal or degradable.
-/// A resolved run: its backing buffer (None if the read failed), the
-/// file offset the buffer starts at, and whether another session's
-/// in-flight read supplied it.
-type ResolvedRun = (Option<Arc<Vec<u8>>>, u64, bool);
-
+/// per want whether a failure is fatal or degradable. `verify_s`, when
+/// supplied, accumulates the seconds those checks took.
 pub fn coalesced_read_results(
     io: &mut RankIo<'_>,
     file: &str,
     wants: &[(u64, u32)],
     footer: Option<&ExtentFooter>,
     fuser: Option<&ExtentFuser>,
+    mut verify_s: Option<&mut f64>,
 ) -> Vec<WantRead> {
     let mut out: Vec<WantRead> = wants
         .iter()
@@ -668,7 +671,15 @@ pub fn coalesced_read_results(
                     let view =
                         ByteView::slice(Arc::clone(&buf), (off - base) as usize, len as usize);
                     out[i] = WantRead {
-                        res: verify_run_want(footer, fuser, file, off, len, view),
+                        res: verify_run_want(
+                            footer,
+                            fuser,
+                            file,
+                            off,
+                            len,
+                            view,
+                            verify_s.as_deref_mut(),
+                        ),
                         fused,
                     };
                 }
@@ -694,7 +705,8 @@ pub fn coalesced_read_results(
                     Ok(b) => match footer {
                         Some(f) => {
                             let view = ByteView::from(b);
-                            f.verify(file, off, view.as_slice()).map(|()| view)
+                            f.verify_timed(file, off, view.as_slice(), verify_s.as_deref_mut())
+                                .map(|()| view)
                         }
                         None => Ok(ByteView::from(b)),
                     },
@@ -716,7 +728,7 @@ pub fn coalesced_read(
     wants: &[(u64, u32)],
     fuser: Option<&ExtentFuser>,
 ) -> Result<Vec<ByteView>> {
-    coalesced_read_results(io, file, wants, None, fuser)
+    coalesced_read_results(io, file, wants, None, fuser, None)
         .into_iter()
         .map(|w| w.res)
         .collect()

@@ -256,7 +256,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         debug_assert!(p >= 1 && p < self.target_parts);
         let store = self.store;
         let mut obs = Collector::new(self.exec.profiled);
-        let mut fetcher = Fetcher::new(store, self.exec.retry_policy());
+        let mut fetcher = Fetcher::new(store, self.exec.retry_policy(), obs.is_enabled());
         let mut decoder = Decoder::new(store.config().codec);
         let read_repairs_before = store.backend().read_repair_count();
         // (`accumulate` adopts the folded-in report's rank count.)
@@ -342,6 +342,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
 
         // Account the step exactly like a one-rank execution.
         obs.count("hotpath.copy_bytes", decoder.copy_bytes);
+        fetcher.record_verify(&mut obs);
         let io = fetcher.finish(&mut obs);
         let sim = simulate_reads(std::slice::from_ref(&io.trace), self.exec.cost_model());
         step.add_rank_io(&io);

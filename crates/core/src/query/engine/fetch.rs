@@ -88,18 +88,35 @@ pub(crate) struct Fetcher<'s, 'a> {
     cache: Option<&'s BlockCache>,
     fuser: Option<&'s ExtentFuser>,
     scope: &'s Arc<str>,
+    /// Seconds spent checking extents against their footers since the
+    /// last [`Self::record_verify`]; `None` (no clock is ever read)
+    /// unless the rank is profiled.
+    verify_s: Option<f64>,
     /// Counters so far ([`Self::finish`] adds retries and the trace).
     pub report: FetchReport,
 }
 
 impl<'s, 'a> Fetcher<'s, 'a> {
-    pub fn new(store: &'s MlocStore<'a>, retry: RetryPolicy) -> Self {
+    /// `profiled` is whether the rank's [`Collector`] records: only
+    /// then is integrity-check time measured.
+    pub fn new(store: &'s MlocStore<'a>, retry: RetryPolicy, profiled: bool) -> Self {
         Fetcher {
             io: RankIo::with_retry(store.backend(), retry),
             cache: store.cache().map(Arc::as_ref),
             fuser: store.fuser().map(Arc::as_ref),
             scope: store.cache_scope(),
+            verify_s: profiled.then_some(0.0),
             report: FetchReport::default(),
+        }
+    }
+
+    /// Record the integrity-check seconds accumulated since the last
+    /// call as a `verify` span under `obs`'s innermost open span. The
+    /// span is recorded even at zero seconds, so a profile's shape
+    /// does not depend on what the cache or the fuser absorbed.
+    pub fn record_verify(&mut self, obs: &mut Collector) {
+        if let Some(s) = &mut self.verify_s {
+            obs.record("verify", std::mem::take(s));
         }
     }
 
@@ -168,7 +185,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             return Ok(b);
         }
         let raw = ByteView::new(Arc::new(self.io.read(file, off, len)?));
-        footer.verify(file, off, &raw)?;
+        footer.verify_timed(file, off, &raw, self.verify_s.as_mut())?;
         self.count_read(key.part, len);
         self.publish(key, CachedBlock::Bytes(raw.clone()));
         Ok(raw)
@@ -235,7 +252,14 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             return Ok(());
         }
         let extents: Vec<(u64, u32)> = missed.iter().map(|&i| (wants[i].1, wants[i].2)).collect();
-        let reads = coalesced_read_results(&mut self.io, file, &extents, footer, self.fuser);
+        let reads = coalesced_read_results(
+            &mut self.io,
+            file,
+            &extents,
+            footer,
+            self.fuser,
+            self.verify_s.as_mut(),
+        );
         for (i, read) in missed.into_iter().zip(reads) {
             let (key, _, len) = &wants[i];
             let got = read.res.map(|view| {
@@ -291,14 +315,14 @@ mod tests {
     /// the engine uses for its kind, decoding a data part so a cache
     /// can keep it; returns the fetcher's report.
     fn fetch(store: &MlocStore<'_>, index: &BinIndex, r: usize, part: BlockPart) -> FetchReport {
-        let mut f = Fetcher::new(store, RetryPolicy::none());
+        let mut f = Fetcher::new(store, RetryPolicy::none(), false);
         let mut quiet = Collector::disabled();
         let idx_file = store.index_file(BIN);
         let key = f.key(BIN, r, part);
         // The file footers every other fetch verifies against come
         // from a fetcher of their own, so they stay out of the report.
         let footer_of = |file: &str, which: u8| {
-            let mut g = Fetcher::new(store, RetryPolicy::none());
+            let mut g = Fetcher::new(store, RetryPolicy::none(), false);
             let key = g.key(BIN, 0, BlockPart::Footer(which));
             g.footer(file, key).unwrap()
         };

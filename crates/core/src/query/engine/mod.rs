@@ -129,12 +129,15 @@ struct Rank<'j, 'a> {
 /// `obs` records this rank's span/counter profile; the decompress and
 /// reconstruct spans mirror the *identical* measured floats that land
 /// in [`RankOutput`], so profiles reconcile exactly with
-/// [`crate::QueryMetrics`]. Pass [`Collector::disabled`] to skip all
-/// recording at the cost of one branch per call site.
+/// [`crate::QueryMetrics`]; each `index-read` and `data-read` span
+/// carries a `verify` child with the seconds its extents' checksum
+/// checks took. Pass [`Collector::disabled`] to skip all recording —
+/// and every clock read that serves only the profile — at the cost of
+/// one branch per call site.
 pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
     let mut rank = Rank {
         job,
-        fetcher: Fetcher::new(job.store, job.retry),
+        fetcher: Fetcher::new(job.store, job.retry, obs.is_enabled()),
         decoder: Decoder::new(job.store.config().codec),
         recon: Reconstructor::new(job),
         out: RankOutput::default(),
@@ -217,6 +220,7 @@ impl Rank<'_, '_> {
             bitmaps[slots[k]] = got?.into_bytes();
             Ok(())
         })?;
+        self.fetcher.record_verify(obs);
         obs.end(); // index-read
         let bytes = self.fetcher.report.index_bytes - bytes_before;
         obs.count_labeled("bin.index.bytes", Label::Index(bin as u32), bytes);
@@ -308,6 +312,7 @@ impl Rank<'_, '_> {
             }
             Ok(())
         })?;
+        self.fetcher.record_verify(obs);
         obs.end(); // data-read
         let bytes = self.fetcher.report.data_bytes - bytes_before;
         obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), bytes);

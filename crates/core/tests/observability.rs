@@ -138,6 +138,39 @@ fn cache_counters_match_metrics_in_serial_mode() {
 }
 
 #[test]
+fn integrity_checks_have_their_own_span() {
+    let be = MemBackend::new();
+    let mut store = fixture(&be);
+    store.set_cache(Some(std::sync::Arc::new(BlockCache::with_budget_mb(64))));
+    let q = Query::region(0.0, 2047.0);
+    let exec = ParallelExecutor::serial().profiled(true);
+    let (_, _, cold) = profiled(&exec, &store, &q);
+    let (_, _, warm) = profiled(&exec, &store, &q);
+
+    // One `verify` per read span, nested inside it (so the parent's
+    // self time is the read itself), cold or warm: the profile's shape
+    // must not depend on what the cache absorbed.
+    for stage in ["index-read", "data-read"] {
+        for (pass, p) in [("cold", &cold), ("warm", &warm)] {
+            let read = p.span(&["rank", stage]).expect(stage);
+            let verify = p.span(&["rank", stage, "verify"]).expect("verify span");
+            assert_eq!(verify.count, read.count, "{pass} {stage}");
+            assert!(verify.seconds <= read.seconds, "{pass} {stage}");
+        }
+        // Every extent of the cold pass was checksummed; cache hits
+        // skip the check, so the warm pass spends nothing there.
+        assert!(cold.span(&["rank", stage, "verify"]).unwrap().seconds > 0.0);
+        assert_eq!(warm.span(&["rank", stage, "verify"]).unwrap().seconds, 0.0);
+    }
+    let spans = |p: &mloc::obs::Profile| -> Vec<String> {
+        let all = p.structure();
+        let rank = all.lines().filter(|l| l.starts_with("span rank"));
+        rank.map(String::from).collect()
+    };
+    assert_eq!(spans(&cold), spans(&warm));
+}
+
+#[test]
 fn per_codec_decompress_units_are_counted() {
     let be = MemBackend::new();
     let store = fixture(&be);
