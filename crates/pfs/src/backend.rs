@@ -30,8 +30,8 @@ impl ReadRequest {
 /// A flat namespace of byte files, shared by all ranks.
 ///
 /// MLOC only ever appends while building and reads while querying, so
-/// the interface is deliberately minimal. Implementations must be
-/// thread-safe: the MPI-like runtime drives one thread per rank.
+/// the interface is the nine verbs below plus one hook. Implementations
+/// must be thread-safe: the MPI-like runtime drives one thread per rank.
 pub trait StorageBackend: Send + Sync {
     /// Create (or truncate) a file.
     fn create(&self, name: &str) -> Result<(), PfsError>;
@@ -67,19 +67,6 @@ pub trait StorageBackend: Send + Sync {
         Ok(())
     }
 
-    /// How many independent shards this backend spreads files over.
-    /// Non-sharded backends report 1.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Which shard owns `name`. Always 0 for non-sharded backends;
-    /// a [`crate::ShardRouter`] reports its routing decision so
-    /// observability can attribute traffic per shard.
-    fn shard_of(&self, _name: &str) -> usize {
-        0
-    }
-
     /// Delete a file. Only the repair path removes anything: builds
     /// append, queries read. Backends that cannot delete report an
     /// [`PfsError::Io`] error (the default) so `mloc repair` surfaces
@@ -88,45 +75,6 @@ pub trait StorageBackend: Send + Sync {
         Err(PfsError::Io(std::io::Error::other(format!(
             "backend does not support removing {name}"
         ))))
-    }
-
-    /// How many replicas of each file this backend keeps. Non-replicated
-    /// backends report 1.
-    fn replica_count(&self) -> usize {
-        1
-    }
-
-    /// Which shard holds replica `replica` of `name`. Non-sharded
-    /// backends always answer 0; a replicated [`crate::ShardRouter`]
-    /// reports its placement so stats and repair can address one
-    /// physical copy.
-    fn replica_shard_of(&self, name: &str, _replica: usize) -> usize {
-        self.shard_of(name)
-    }
-
-    /// Read straight from one replica, bypassing any fall-through
-    /// masking, so repair can judge each physical copy on its own.
-    /// Non-replicated backends serve their only copy.
-    fn read_replica(
-        &self,
-        name: &str,
-        _replica: usize,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, PfsError> {
-        self.read(name, offset, len)
-    }
-
-    /// Size of one replica of a file (see [`Self::read_replica`]).
-    fn len_replica(&self, name: &str, _replica: usize) -> Result<u64, PfsError> {
-        self.len(name)
-    }
-
-    /// How many reads this backend has masked by falling through to a
-    /// replica after the preferred copy failed. 0 for backends without
-    /// replicas. Feeds the `io.read_repair` observability counter.
-    fn read_repair_count(&self) -> u64 {
-        0
     }
 
     /// Size of a file in bytes.
@@ -138,28 +86,54 @@ pub trait StorageBackend: Send + Sync {
     /// Names of all files, sorted (for inventory/size reports).
     fn list(&self) -> Vec<String>;
 
-    /// Total bytes stored across all files, plus the number of files
-    /// whose size could not be read. Listed-but-unreadable files are
-    /// counted as errors instead of being silently sized at 0, so a
-    /// faulty backend cannot under-report storage.
-    fn total_bytes_checked(&self) -> (u64, usize) {
-        let mut total = 0u64;
-        let mut errors = 0usize;
-        for f in self.list() {
-            match self.len(&f) {
-                Ok(n) => total += n,
-                Err(_) => errors += 1,
-            }
-        }
-        (total, errors)
+    /// The shard/replica view of this backend, if it has one. `None`
+    /// (the default) is the single-copy answer and it lives only here:
+    /// one shard, one replica, nothing ever masked, and the only
+    /// physical copy of a file is what `read`/`len` serve. A wrapper
+    /// must forward this to the backend it wraps, or stats, repair and
+    /// the read-repair counters silently see a single-copy store.
+    fn replica_access(&self) -> Option<&dyn ReplicaAccess> {
+        None
     }
+}
 
-    /// Total bytes stored across all files. Files whose size cannot
-    /// be read are excluded; use [`Self::total_bytes_checked`] to
-    /// detect that case.
-    fn total_bytes(&self) -> u64 {
-        self.total_bytes_checked().0
-    }
+/// Where a sharded, replicated store physically keeps each file, and
+/// direct access to one copy. Only [`crate::ShardRouter`] implements
+/// it; every other backend reaches it (or `None`) through
+/// [`StorageBackend::replica_access`].
+pub trait ReplicaAccess {
+    /// How many independent shards files are spread over.
+    fn shard_count(&self) -> usize;
+
+    /// Which shard holds the primary copy of `name`, so observability
+    /// can attribute traffic per shard.
+    fn shard_of(&self, name: &str) -> usize;
+
+    /// How many copies of each file are kept (1 = unreplicated).
+    fn replica_count(&self) -> usize;
+
+    /// Which shard holds replica `replica` of `name` (0 is the
+    /// primary), so stats and repair can address one physical copy.
+    fn replica_shard_of(&self, name: &str, replica: usize) -> usize;
+
+    /// Read straight from one replica, bypassing the fall-through
+    /// masking of `read`, so repair can judge each physical copy on
+    /// its own.
+    fn read_replica(
+        &self,
+        name: &str,
+        replica: usize,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, PfsError>;
+
+    /// Size of one replica of a file (see [`Self::read_replica`]).
+    fn len_replica(&self, name: &str, replica: usize) -> Result<u64, PfsError>;
+
+    /// How many reads have been masked by falling through to a replica
+    /// after the preferred copy failed. Feeds the `io.read_repair`
+    /// observability counter.
+    fn read_repair_count(&self) -> u64;
 }
 
 /// Boxed backends delegate every method — including the ones with
@@ -183,35 +157,8 @@ impl<T: StorageBackend + ?Sized> StorageBackend for Box<T> {
     fn sync(&self, name: &str) -> Result<(), PfsError> {
         (**self).sync(name)
     }
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
-    fn shard_of(&self, name: &str) -> usize {
-        (**self).shard_of(name)
-    }
     fn remove(&self, name: &str) -> Result<(), PfsError> {
         (**self).remove(name)
-    }
-    fn replica_count(&self) -> usize {
-        (**self).replica_count()
-    }
-    fn replica_shard_of(&self, name: &str, replica: usize) -> usize {
-        (**self).replica_shard_of(name, replica)
-    }
-    fn read_replica(
-        &self,
-        name: &str,
-        replica: usize,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, PfsError> {
-        (**self).read_replica(name, replica, offset, len)
-    }
-    fn len_replica(&self, name: &str, replica: usize) -> Result<u64, PfsError> {
-        (**self).len_replica(name, replica)
-    }
-    fn read_repair_count(&self) -> u64 {
-        (**self).read_repair_count()
     }
     fn len(&self, name: &str) -> Result<u64, PfsError> {
         (**self).len(name)
@@ -222,8 +169,8 @@ impl<T: StorageBackend + ?Sized> StorageBackend for Box<T> {
     fn list(&self) -> Vec<String> {
         (**self).list()
     }
-    fn total_bytes_checked(&self) -> (u64, usize) {
-        (**self).total_bytes_checked()
+    fn replica_access(&self) -> Option<&dyn ReplicaAccess> {
+        (**self).replica_access()
     }
 }
 
@@ -506,58 +453,6 @@ mod tests {
         let err = io.read("f", 4, 100).unwrap_err();
         assert!(matches!(err, PfsError::OutOfBounds { .. }));
         assert_eq!(io.retries(), 0);
-    }
-
-    #[test]
-    fn total_bytes_checked_counts_unreadable_files() {
-        use crate::fault::{FaultBackend, FaultPlan};
-        let be = MemBackend::new();
-        be.append("a", &[0u8; 10]).unwrap();
-        be.append("b", &[0u8; 20]).unwrap();
-        assert_eq!(be.total_bytes_checked(), (30, 0));
-        assert_eq!(be.total_bytes(), 30);
-
-        // A backend whose len() fails for a listed file must report
-        // the error count, not silently size the file at zero.
-        struct HalfBroken(MemBackend);
-        impl StorageBackend for HalfBroken {
-            fn create(&self, name: &str) -> Result<(), PfsError> {
-                self.0.create(name)
-            }
-            fn append(&self, name: &str, data: &[u8]) -> Result<u64, PfsError> {
-                self.0.append(name, data)
-            }
-            fn read(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, PfsError> {
-                self.0.read(name, offset, len)
-            }
-            fn len(&self, name: &str) -> Result<u64, PfsError> {
-                if name == "b" {
-                    Err(PfsError::NotFound(name.to_string()))
-                } else {
-                    self.0.len(name)
-                }
-            }
-            fn exists(&self, name: &str) -> bool {
-                self.0.exists(name)
-            }
-            fn list(&self) -> Vec<String> {
-                self.0.list()
-            }
-        }
-        let be = MemBackend::new();
-        be.append("a", &[0u8; 10]).unwrap();
-        be.append("b", &[0u8; 20]).unwrap();
-        let hb = HalfBroken(be);
-        assert_eq!(hb.total_bytes_checked(), (10, 1));
-
-        // And a lost file under FaultBackend is simply not listed.
-        let be = MemBackend::new();
-        be.append("a", &[0u8; 10]).unwrap();
-        be.append("gone", &[0u8; 99]).unwrap();
-        let mut plan = FaultPlan::none();
-        plan.lost_files.push("gone".into());
-        let fb = FaultBackend::new(be, plan);
-        assert_eq!(fb.total_bytes_checked(), (10, 0));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! killed at every commit point and the recovery path exercised
 //! against exactly what a real crash would leave on disk.
 
-use crate::backend::StorageBackend;
+use crate::backend::{ReplicaAccess, StorageBackend};
 use crate::PfsError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -111,37 +111,27 @@ impl FaultPlan {
     /// ```
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &str| format!("fault plan line {}: {what}: {line}", lineno + 1);
-            if let Some((key, value)) = line.split_once('=') {
-                let (key, value) = (key.trim(), value.trim());
-                match key {
-                    "seed" => plan.seed = value.parse().map_err(|_| err("bad seed"))?,
-                    "transient_rate" => {
-                        let rate: f64 = value.parse().map_err(|_| err("bad rate"))?;
-                        if !(0.0..=1.0).contains(&rate) {
-                            return Err(err("rate must be in [0, 1]"));
-                        }
-                        plan.transient_rate = rate;
-                    }
-                    "max_transient" => {
-                        plan.max_transient = value.parse().map_err(|_| err("bad count"))?
-                    }
-                    _ => return Err(err("unknown key")),
+        scan_plan("fault", text, |line, err| {
+            match line {
+                PlanLine::Setting("seed", v) => {
+                    plan.seed = v.parse().map_err(|_| err("bad seed"))?
                 }
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            match words.next() {
-                Some("lose") => {
+                PlanLine::Setting("transient_rate", v) => {
+                    let rate: f64 = v.parse().map_err(|_| err("bad rate"))?;
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err(err("rate must be in [0, 1]"));
+                    }
+                    plan.transient_rate = rate;
+                }
+                PlanLine::Setting("max_transient", v) => {
+                    plan.max_transient = v.parse().map_err(|_| err("bad count"))?
+                }
+                PlanLine::Setting(..) => return Err(err("unknown key")),
+                PlanLine::Directive("lose", words) => {
                     let pat = words.next().ok_or_else(|| err("missing file"))?;
                     plan.lost_files.push(pat.to_string());
                 }
-                Some("flip") => {
+                PlanLine::Directive("flip", words) => {
                     let file = words.next().ok_or_else(|| err("missing file"))?;
                     let offset = words
                         .next()
@@ -157,7 +147,7 @@ impl FaultPlan {
                         mask,
                     });
                 }
-                Some("torn") => {
+                PlanLine::Directive("torn", words) => {
                     let file = words.next().ok_or_else(|| err("missing file"))?;
                     let keep = words
                         .next()
@@ -168,15 +158,51 @@ impl FaultPlan {
                         keep,
                     });
                 }
-                _ => return Err(err("unknown directive")),
+                PlanLine::Directive(..) => return Err(err("unknown directive")),
             }
-            if words.next().is_some() {
-                return Err(err("trailing tokens"));
-            }
-        }
+            Ok(())
+        })?;
         plan.max_transient = plan.max_transient.max(1);
         Ok(plan)
     }
+}
+
+/// One meaningful line of a plan file.
+enum PlanLine<'w, 't> {
+    /// `key = value`, both sides trimmed.
+    Setting(&'t str, &'t str),
+    /// A directive word and its remaining operands.
+    Directive(&'t str, &'w mut std::str::SplitWhitespace<'t>),
+}
+
+/// The line scanner both plan grammars share: skips blank lines and
+/// `#` comments, tells `key = value` lines from directive lines,
+/// rejects operands the directive left unread, and hands `on_line` an
+/// error builder that prefixes `<kind> plan line N` and quotes the
+/// line.
+fn scan_plan(
+    kind: &str,
+    text: &str,
+    mut on_line: impl FnMut(PlanLine<'_, '_>, &dyn Fn(&str) -> String) -> Result<(), String>,
+) -> Result<(), String> {
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let err = |what: &str| format!("{kind} plan line {}: {what}: {line}", lineno + 1);
+        if let Some((key, value)) = line.split_once('=') {
+            on_line(PlanLine::Setting(key.trim(), value.trim()), &err)?;
+            continue;
+        }
+        let mut words = line.split_whitespace();
+        let word = words.next().expect("a non-blank line has a first word");
+        on_line(PlanLine::Directive(word, &mut words), &err)?;
+        if words.next().is_some() {
+            return Err(err("trailing tokens"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_mask(w: &str) -> Option<u8> {
@@ -364,45 +390,16 @@ impl<B: StorageBackend> StorageBackend for FaultBackend<B> {
         self.inner.sync(name)
     }
 
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn shard_of(&self, name: &str) -> usize {
-        self.inner.shard_of(name)
-    }
-
-    // Replica-direct access models reaching past the faulty device
-    // layer (repair judging each physical copy), so faults are not
-    // re-applied here; `remove` is write-side like append/sync.
+    // `remove` is write-side like append/sync.
     fn remove(&self, name: &str) -> Result<(), PfsError> {
         self.inner.remove(name)
     }
 
-    fn replica_count(&self) -> usize {
-        self.inner.replica_count()
-    }
-
-    fn replica_shard_of(&self, name: &str, replica: usize) -> usize {
-        self.inner.replica_shard_of(name, replica)
-    }
-
-    fn read_replica(
-        &self,
-        name: &str,
-        replica: usize,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, PfsError> {
-        self.inner.read_replica(name, replica, offset, len)
-    }
-
-    fn len_replica(&self, name: &str, replica: usize) -> Result<u64, PfsError> {
-        self.inner.len_replica(name, replica)
-    }
-
-    fn read_repair_count(&self) -> u64 {
-        self.inner.read_repair_count()
+    // Replica-direct access models reaching past the faulty device
+    // layer (repair judging each physical copy), so faults are not
+    // re-applied to it.
+    fn replica_access(&self) -> Option<&dyn ReplicaAccess> {
+        self.inner.replica_access()
     }
 
     fn exists(&self, name: &str) -> bool {
@@ -475,35 +472,23 @@ impl CrashPlan {
     /// ```
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut plan = CrashPlan::none();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &str| format!("crash plan line {}: {what}: {line}", lineno + 1);
-            if let Some((key, value)) = line.split_once('=') {
-                let (key, value) = (key.trim(), value.trim());
-                match key {
-                    "crash_at" => plan.crash_at = value.parse().map_err(|_| err("bad index"))?,
-                    "torn_keep" => {
-                        plan.torn_keep = Some(value.parse().map_err(|_| err("bad byte count"))?)
-                    }
-                    _ => return Err(err("unknown key")),
+        scan_plan("crash", text, |line, err| {
+            match line {
+                PlanLine::Setting("crash_at", v) => {
+                    plan.crash_at = v.parse().map_err(|_| err("bad index"))?
                 }
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            match words.next() {
-                Some("dropsync") => {
+                PlanLine::Setting("torn_keep", v) => {
+                    plan.torn_keep = Some(v.parse().map_err(|_| err("bad byte count"))?)
+                }
+                PlanLine::Setting(..) => return Err(err("unknown key")),
+                PlanLine::Directive("dropsync", words) => {
                     let pat = words.next().ok_or_else(|| err("missing file"))?;
                     plan.drop_syncs.push(pat.to_string());
                 }
-                _ => return Err(err("unknown directive")),
+                PlanLine::Directive(..) => return Err(err("unknown directive")),
             }
-            if words.next().is_some() {
-                return Err(err("trailing tokens"));
-            }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 }
@@ -773,38 +758,10 @@ impl<B: StorageBackend> StorageBackend for CrashBackend<B> {
         names
     }
 
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn shard_of(&self, name: &str) -> usize {
-        self.inner.shard_of(name)
-    }
-
-    fn replica_count(&self) -> usize {
-        self.inner.replica_count()
-    }
-
-    fn replica_shard_of(&self, name: &str, replica: usize) -> usize {
-        self.inner.replica_shard_of(name, replica)
-    }
-
-    fn read_replica(
-        &self,
-        name: &str,
-        replica: usize,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, PfsError> {
-        self.inner.read_replica(name, replica, offset, len)
-    }
-
-    fn len_replica(&self, name: &str, replica: usize) -> Result<u64, PfsError> {
-        self.inner.len_replica(name, replica)
-    }
-
-    fn read_repair_count(&self) -> u64 {
-        self.inner.read_repair_count()
+    // Replica-direct reads see the durable copies only, never the
+    // volatile overlay: they are how repair judges what survived.
+    fn replica_access(&self) -> Option<&dyn ReplicaAccess> {
+        self.inner.replica_access()
     }
 }
 

@@ -48,7 +48,7 @@ pub mod retry;
 pub mod shard;
 pub mod sim;
 
-pub use backend::{RankIo, ReadOp, ReadRequest, StorageBackend};
+pub use backend::{RankIo, ReadOp, ReadRequest, ReplicaAccess, StorageBackend};
 pub use cost::CostModel;
 pub use fault::{
     BitFlip, CrashBackend, CrashPlan, FaultBackend, FaultPlan, FaultStats, TornAppend,

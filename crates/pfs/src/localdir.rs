@@ -44,7 +44,11 @@ impl HandleCache {
     /// controls whether a missing file is created (append path) or
     /// reported as [`PfsError::NotFound`] (read path).
     fn get(&self, path: &Path, name: &str, create: bool) -> Result<Arc<fs::File>, PfsError> {
-        if let Some(f) = self.handles.lock().get(path) {
+        // The open happens under the map lock: it runs once per file,
+        // and threads racing a file's first read then open it once, so
+        // `opens` stays exact.
+        let mut handles = self.handles.lock();
+        if let Some(f) = handles.get(path) {
             return Ok(Arc::clone(f));
         }
         let file = fs::OpenOptions::new()
@@ -61,12 +65,8 @@ impl HandleCache {
             })?;
         self.opens.fetch_add(1, Ordering::Relaxed);
         let file = Arc::new(file);
-        // Another thread may have raced us; keep whichever landed
-        // first so every caller shares one handle per file.
-        let mut handles = self.handles.lock();
-        Ok(Arc::clone(
-            handles.entry(path.to_path_buf()).or_insert(file),
-        ))
+        handles.insert(path.to_path_buf(), Arc::clone(&file));
+        Ok(file)
     }
 
     fn invalidate(&self, path: &Path) {
@@ -274,8 +274,8 @@ impl DirBackend {
 
     /// A backend that reopens the file on every operation — the
     /// pre-handle-cache behavior. Kept as the regression baseline for
-    /// `io_bench` and the open-count test; never the right choice for
-    /// real use.
+    /// the open-count tests and the differential suites; never the
+    /// right choice for real use.
     pub fn uncached(root: impl AsRef<Path>) -> Result<Self, PfsError> {
         Ok(DirBackend {
             inner: DirBackend::open_inner(root)?,
@@ -367,11 +367,6 @@ pub struct PoolDirBackend {
     depth: usize,
     queue: Mutex<Option<mpsc::Sender<Job>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Latency threshold after which a straggling batch is hedged:
-    /// its unfinished chunks are re-submitted to the pool and the
-    /// first completion per slot wins. `None` disables hedging.
-    hedge: Option<std::time::Duration>,
-    hedged_batches: AtomicU64,
 }
 
 impl std::fmt::Debug for PoolDirBackend {
@@ -387,16 +382,7 @@ impl PoolDirBackend {
     /// Open a pool of `depth` workers (clamped to at least 1) over
     /// `root`.
     pub fn new(root: impl AsRef<Path>, depth: usize) -> Result<Self, PfsError> {
-        Ok(PoolDirBackend::over(DirBackend::open_inner(root)?, depth))
-    }
-
-    /// Share the handle cache (and directory) of an existing
-    /// [`DirBackend`], so both views see one open handle per file.
-    pub fn sharing(dir: &DirBackend, depth: usize) -> Self {
-        PoolDirBackend::over(Arc::clone(&dir.inner), depth)
-    }
-
-    fn over(inner: Arc<DirInner>, depth: usize) -> Self {
+        let inner = DirBackend::open_inner(root)?;
         let depth = depth.max(1);
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -422,45 +408,17 @@ impl PoolDirBackend {
                 })
             })
             .collect();
-        PoolDirBackend {
+        Ok(PoolDirBackend {
             inner,
             depth,
             queue: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
-            hedge: None,
-            hedged_batches: AtomicU64::new(0),
-        }
-    }
-
-    /// Enable hedged reads: a batch chunk still unfinished after
-    /// `threshold_s` seconds is re-submitted to the pool, and the
-    /// first result per slot wins. Both submissions read the same
-    /// bytes through the same handle cache, so results stay
-    /// byte-identical whichever side finishes first — the hedge only
-    /// cuts tail latency when a worker stalls.
-    pub fn with_hedge(mut self, threshold_s: f64) -> Self {
-        self.hedge = Some(std::time::Duration::from_secs_f64(threshold_s.max(0.0)));
-        self
-    }
-
-    /// How many batches have had chunks re-submitted by the hedge.
-    /// Timing-dependent: advisory for stats, never pinned by tests.
-    pub fn hedged_batches(&self) -> u64 {
-        self.hedged_batches.load(Ordering::Relaxed)
+        })
     }
 
     /// The pool's queue depth (worker count).
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// A blocking [`DirBackend`] view over the same directory and
-    /// handle cache.
-    pub fn dir_view(&self) -> DirBackend {
-        DirBackend {
-            inner: Arc::clone(&self.inner),
-            cached: true,
-        }
     }
 
     /// How many times a file has actually been `open`ed so far.
@@ -504,61 +462,27 @@ impl StorageBackend for PoolDirBackend {
         // trips for the whole batch, each worker draining its chunk
         // through the shared handle cache.
         let chunk = requests.len().div_ceil(self.depth);
-        let chunks: Vec<(usize, &[ReadRequest])> = requests
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, reqs)| (i * chunk, reqs))
-            .collect();
         let (done_tx, done_rx) = mpsc::channel();
-        let submit = |batch: &[(usize, &[ReadRequest])]| {
+        {
             let queue = self.queue.lock();
             let tx = queue.as_ref().expect("pool alive while backend exists");
-            for &(start, reqs) in batch {
+            for (i, reqs) in requests.chunks(chunk).enumerate() {
                 tx.send(Job {
-                    start,
+                    start: i * chunk,
                     reqs: reqs.to_vec(),
                     done: done_tx.clone(),
                 })
                 .expect("workers alive while backend exists");
             }
-        };
-        submit(&chunks);
+        }
+        // Only the jobs hold senders now, so the loop ends when the
+        // last one reports (or is dropped by a dying worker).
+        drop(done_tx);
         let mut out: Vec<Option<Result<Vec<u8>, PfsError>>> =
             (0..requests.len()).map(|_| None).collect();
-        let mut finished: std::collections::HashSet<usize> = Default::default();
-        let mut remaining = requests.len();
-        let mut hedged = false;
-        while remaining > 0 {
-            let (start, results) = match self.hedge {
-                // Hedge once: if no chunk completes within the
-                // threshold, re-submit every unfinished chunk and let
-                // the first completion per chunk win.
-                Some(t) if !hedged => match done_rx.recv_timeout(t) {
-                    Ok(msg) => msg,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        hedged = true;
-                        self.hedged_batches.fetch_add(1, Ordering::Relaxed);
-                        let stragglers: Vec<_> = chunks
-                            .iter()
-                            .filter(|(s, _)| !finished.contains(s))
-                            .copied()
-                            .collect();
-                        submit(&stragglers);
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
-                _ => match done_rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                },
-            };
-            if !finished.insert(start) {
-                continue; // the hedge twin already reported this chunk
-            }
+        for (start, results) in done_rx {
             for (i, res) in results.into_iter().enumerate() {
                 out[start + i] = Some(res);
-                remaining -= 1;
             }
         }
         out.into_iter()
@@ -658,6 +582,31 @@ mod tests {
     }
 
     #[test]
+    fn racing_first_reads_open_each_file_once() {
+        let root = tmpdir("race");
+        let writer = DirBackend::new(&root).unwrap();
+        for i in 0..64u8 {
+            writer.append(&format!("f{i}"), &[i; 32]).unwrap();
+        }
+        // A fresh backend has nothing cached, and the barrier before
+        // each file makes all 8 threads race its first open.
+        let be = DirBackend::new(&root).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for i in 0..64u8 {
+                        barrier.wait();
+                        assert_eq!(be.read(&format!("f{i}"), 0, 32).unwrap(), vec![i; 32]);
+                    }
+                });
+            }
+        });
+        assert_eq!(be.open_count(), 64, "one counted open per file");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn create_truncates_under_cache() {
         let root = tmpdir("trunc");
         let be = DirBackend::new(&root).unwrap();
@@ -719,48 +668,6 @@ mod tests {
         // starts from scratch.
         be.append("ds/meta", &[9]).unwrap();
         assert_eq!(be.len("ds/meta").unwrap(), 1);
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn hedged_pool_batch_is_byte_identical() {
-        let root = tmpdir("hedge");
-        let plain = PoolDirBackend::new(&root, 3).unwrap();
-        for f in 0..4 {
-            plain
-                .append(&format!("f{f}.dat"), &vec![f as u8; 2048])
-                .unwrap();
-        }
-        let reqs: Vec<ReadRequest> = (0..64)
-            .map(|i| ReadRequest::new(format!("f{}.dat", i % 4), (i / 4) * 32, 32))
-            .collect();
-        let want = plain.read_batch(&reqs);
-        // Zero threshold: the hedge fires on essentially every batch,
-        // so duplicate submissions race — results must not change.
-        let hedged = PoolDirBackend::new(&root, 3).unwrap().with_hedge(0.0);
-        for _ in 0..5 {
-            let got = hedged.read_batch(&reqs);
-            for (a, b) in want.iter().zip(&got) {
-                assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-            }
-        }
-        assert!(hedged.hedged_batches() >= 1, "zero threshold never hedged");
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn pool_shares_handle_cache_with_dir_view() {
-        let root = tmpdir("share");
-        let pool = PoolDirBackend::new(&root, 2).unwrap();
-        let dir = pool.dir_view();
-        dir.append("f", &[5u8; 1024]).unwrap();
-        let opens = pool.open_count();
-        let reqs: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new("f", i * 8, 8)).collect();
-        for r in pool.read_batch(&reqs) {
-            r.unwrap();
-        }
-        dir.read("f", 0, 8).unwrap();
-        assert_eq!(pool.open_count(), opens, "pool and dir view share handles");
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -124,11 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn list_and_totals() {
+    fn list_is_sorted() {
         let be = MemBackend::new();
-        be.append("x", &[0; 7]).unwrap();
         be.append("y", &[0; 5]).unwrap();
+        be.append("x", &[0; 7]).unwrap();
         assert_eq!(be.list(), vec!["x".to_string(), "y".to_string()]);
-        assert_eq!(be.total_bytes(), 12);
     }
 }

@@ -19,23 +19,12 @@
 //! copy onto the failed replicas. Without replication a lost shard
 //! behaves exactly like losing the files it owns: reads and `len`
 //! return [`PfsError::NotFound`], and `list` simply omits them.
-//!
-//! [`ShardRouter::with_hedge`] adds a latency hedge to read batches:
-//! if no per-shard slice completes within the threshold, unfinished
-//! slices are re-submitted to their next replica and the first
-//! success wins. Tie-breaking is deterministic in *content* — both
-//! sides hold byte-identical replicas, and a hedge result only
-//! replaces waiting on the primary when it is fully successful — so
-//! differential suites stay byte-identical; only timing-dependent
-//! counters (hedged batches) vary.
 
-use crate::backend::{ReadRequest, StorageBackend};
+use crate::backend::{ReadRequest, ReplicaAccess, StorageBackend};
 use crate::PfsError;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::time::Duration;
 
 /// One shard's slice of a batch: the submission slots it owns, the
 /// requests, and the shard servicing it.
@@ -53,10 +42,8 @@ type SliceResults = Vec<Result<Vec<u8>, PfsError>>;
 pub struct ShardRouter {
     shards: Vec<Box<dyn StorageBackend>>,
     replicas: usize,
-    hedge: Option<Duration>,
     read_repairs: AtomicU64,
     writebacks: AtomicU64,
-    hedged_batches: AtomicU64,
     /// Files already written back this session, so one degraded file
     /// costs one repair, not one per masked read.
     repaired: Mutex<HashSet<String>>,
@@ -89,40 +76,10 @@ impl ShardRouter {
         Ok(ShardRouter {
             shards,
             replicas,
-            hedge: None,
             read_repairs: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
-            hedged_batches: AtomicU64::new(0),
             repaired: Mutex::new(HashSet::new()),
         })
-    }
-
-    /// Enable hedged read batches: a per-shard slice still unfinished
-    /// after `threshold_s` seconds is re-submitted to the next
-    /// replica. No-op while `replicas == 1` (there is nowhere to
-    /// hedge to).
-    pub fn with_hedge(mut self, threshold_s: f64) -> Self {
-        self.hedge = Some(Duration::from_secs_f64(threshold_s.max(0.0)));
-        self
-    }
-
-    /// Which shard holds the primary copy of `name`. Deterministic
-    /// and stable across runs and platforms (FNV-1a), so a dataset
-    /// written sharded is always read back from the same layout.
-    pub fn shard_for(&self, name: &str) -> usize {
-        (stable_name_hash(name) % self.shards.len() as u64) as usize
-    }
-
-    /// Which shard holds replica `k` of `name` (k = 0 is the
-    /// primary). Chained declustering: successive replicas on
-    /// successive shards, distinct while `replicas <= shards`.
-    pub fn replica_shard_for(&self, name: &str, k: usize) -> usize {
-        (self.shard_for(name) + (k % self.replicas)) % self.shards.len()
-    }
-
-    /// The configured replication factor.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Borrow one shard backend (for per-shard inspection in tests
@@ -134,12 +91,6 @@ impl ShardRouter {
     /// Files restored onto a failed replica by read-repair so far.
     pub fn writeback_count(&self) -> u64 {
         self.writebacks.load(Ordering::Relaxed)
-    }
-
-    /// Read batches that triggered the latency hedge. Timing
-    /// dependent: advisory for stats, never pinned by tests.
-    pub fn hedged_batch_count(&self) -> u64 {
-        self.hedged_batches.load(Ordering::Relaxed)
     }
 
     /// Write back the healthy copy of `name` (read from shard
@@ -167,71 +118,25 @@ impl ShardRouter {
     }
 
     /// Fan a set of per-shard slices out on scoped threads, one per
-    /// slice, optionally hedging stragglers onto the next replica.
-    /// Returns per-slice results, aligned with `slices`.
-    fn fan_out(&self, slices: &[Slice], hedge: bool) -> Vec<SliceResults> {
-        let n = self.shards.len();
+    /// slice. Returns per-slice results, aligned with `slices`.
+    fn fan_out(&self, slices: &[Slice]) -> Vec<SliceResults> {
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, bool, SliceResults)>();
-            for (i, slice) in slices.iter().enumerate() {
-                let tx = tx.clone();
-                let shard = &self.shards[slice.shard];
-                let reqs = &slice.reqs;
-                scope.spawn(move || {
-                    let _ = tx.send((i, false, shard.read_batch(reqs)));
-                });
-            }
-            let mut done: Vec<Option<SliceResults>> = (0..slices.len()).map(|_| None).collect();
-            let mut undone = slices.len();
-            let mut hedged = false;
-            while undone > 0 {
-                let msg = match self.hedge {
-                    Some(t) if hedge && !hedged => match rx.recv_timeout(t) {
-                        Ok(m) => m,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            hedged = true;
-                            self.hedged_batches.fetch_add(1, Ordering::Relaxed);
-                            for (i, slice) in slices.iter().enumerate() {
-                                if done[i].is_some() {
-                                    continue;
-                                }
-                                let tx = tx.clone();
-                                let shard = &self.shards[(slice.shard + 1) % n];
-                                let reqs = &slice.reqs;
-                                scope.spawn(move || {
-                                    let _ = tx.send((i, true, shard.read_batch(reqs)));
-                                });
-                            }
-                            continue;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    },
-                    _ => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                };
-                let (i, is_hedge, results) = msg;
-                if done[i].is_some() {
-                    continue;
-                }
-                // A hedge result only settles the slice when it is
-                // fully successful; otherwise keep waiting for the
-                // primary so error identity (and the replica
-                // fall-through it feeds) stays deterministic.
-                if !is_hedge || results.iter().all(|r| r.is_ok()) {
-                    done[i] = Some(results);
-                    undone -= 1;
-                }
-            }
-            done.into_iter()
-                .map(|res| res.expect("every slice resolved"))
+            let handles: Vec<_> = slices
+                .iter()
+                .map(|slice| {
+                    let shard = &self.shards[slice.shard];
+                    scope.spawn(move || shard.read_batch(&slice.reqs))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard read_batch panicked"))
                 .collect()
         })
     }
 
     fn owner(&self, name: &str) -> &dyn StorageBackend {
-        self.shards[self.shard_for(name)].as_ref()
+        self.shards[self.shard_of(name)].as_ref()
     }
 }
 
@@ -250,7 +155,7 @@ pub fn stable_name_hash(name: &str) -> u64 {
 impl StorageBackend for ShardRouter {
     fn create(&self, name: &str) -> Result<(), PfsError> {
         for k in 0..self.replicas {
-            self.shards[self.replica_shard_for(name, k)].create(name)?;
+            self.shards[self.replica_shard_of(name, k)].create(name)?;
         }
         Ok(())
     }
@@ -258,7 +163,7 @@ impl StorageBackend for ShardRouter {
     fn append(&self, name: &str, data: &[u8]) -> Result<u64, PfsError> {
         let offset = self.owner(name).append(name, data)?;
         for k in 1..self.replicas {
-            self.shards[self.replica_shard_for(name, k)].append(name, data)?;
+            self.shards[self.replica_shard_of(name, k)].append(name, data)?;
         }
         Ok(offset)
     }
@@ -267,7 +172,7 @@ impl StorageBackend for ShardRouter {
         let mut first_err = None;
         let mut failed = Vec::new();
         for k in 0..self.replicas {
-            let s = self.replica_shard_for(name, k);
+            let s = self.replica_shard_of(name, k);
             match self.shards[s].read(name, offset, len) {
                 Ok(buf) => {
                     if k > 0 {
@@ -291,8 +196,8 @@ impl StorageBackend for ShardRouter {
         let mut out: Vec<Option<Result<Vec<u8>, PfsError>>> =
             (0..requests.len()).map(|_| None).collect();
         // Replica rounds: round k routes the still-failing slots to
-        // their k-th replica. Round 0 is the whole batch on primaries
-        // (optionally hedged); later rounds mask errors.
+        // their k-th replica. Round 0 is the whole batch on primaries;
+        // later rounds mask errors.
         let mut pending: Vec<usize> = (0..requests.len()).collect();
         let mut repair_jobs: Vec<(String, usize, Vec<usize>)> = Vec::new();
         for k in 0..self.replicas {
@@ -303,7 +208,7 @@ impl StorageBackend for ShardRouter {
             let mut per_shard: Vec<(Vec<usize>, Vec<ReadRequest>)> =
                 (0..self.shards.len()).map(|_| Default::default()).collect();
             for &slot in &pending {
-                let s = self.replica_shard_for(&requests[slot].file, k);
+                let s = self.replica_shard_of(&requests[slot].file, k);
                 per_shard[s].0.push(slot);
                 per_shard[s].1.push(requests[slot].clone());
             }
@@ -313,9 +218,8 @@ impl StorageBackend for ShardRouter {
                 .filter(|(_, (slots, _))| !slots.is_empty())
                 .map(|(shard, (slots, reqs))| Slice { slots, reqs, shard })
                 .collect();
-            let hedge = k == 0 && self.replicas > 1;
             let mut still = Vec::new();
-            let fanned = self.fan_out(&slices, hedge);
+            let fanned = self.fan_out(&slices);
             for (slice, results) in slices.iter().zip(fanned) {
                 debug_assert_eq!(slice.slots.len(), results.len());
                 for (&slot, res) in slice.slots.iter().zip(results) {
@@ -327,9 +231,9 @@ impl StorageBackend for ShardRouter {
                                 // this read is masked.
                                 self.read_repairs.fetch_add(1, Ordering::Relaxed);
                                 let name = &requests[slot].file;
-                                let healthy = self.replica_shard_for(name, k);
+                                let healthy = self.replica_shard_of(name, k);
                                 let failed: Vec<usize> =
-                                    (0..k).map(|j| self.replica_shard_for(name, j)).collect();
+                                    (0..k).map(|j| self.replica_shard_of(name, j)).collect();
                                 repair_jobs.push((name.clone(), healthy, failed));
                             }
                             out[slot] = Some(Ok(buf));
@@ -361,7 +265,7 @@ impl StorageBackend for ShardRouter {
     fn len(&self, name: &str) -> Result<u64, PfsError> {
         let mut first_err = None;
         for k in 0..self.replicas {
-            match self.shards[self.replica_shard_for(name, k)].len(name) {
+            match self.shards[self.replica_shard_of(name, k)].len(name) {
                 Ok(n) => return Ok(n),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
@@ -371,7 +275,7 @@ impl StorageBackend for ShardRouter {
 
     fn sync(&self, name: &str) -> Result<(), PfsError> {
         for k in 0..self.replicas {
-            self.shards[self.replica_shard_for(name, k)].sync(name)?;
+            self.shards[self.replica_shard_of(name, k)].sync(name)?;
         }
         Ok(())
     }
@@ -380,7 +284,7 @@ impl StorageBackend for ShardRouter {
         let mut removed = false;
         let mut hard_err = None;
         for k in 0..self.replicas {
-            match self.shards[self.replica_shard_for(name, k)].remove(name) {
+            match self.shards[self.replica_shard_of(name, k)].remove(name) {
                 Ok(()) => removed = true,
                 Err(PfsError::NotFound(_)) => {}
                 Err(e) => hard_err = hard_err.or(Some(e)),
@@ -394,7 +298,7 @@ impl StorageBackend for ShardRouter {
     }
 
     fn exists(&self, name: &str) -> bool {
-        (0..self.replicas).any(|k| self.shards[self.replica_shard_for(name, k)].exists(name))
+        (0..self.replicas).any(|k| self.shards[self.replica_shard_of(name, k)].exists(name))
     }
 
     fn list(&self) -> Vec<String> {
@@ -404,20 +308,31 @@ impl StorageBackend for ShardRouter {
         names
     }
 
+    fn replica_access(&self) -> Option<&dyn ReplicaAccess> {
+        Some(self)
+    }
+}
+
+impl ReplicaAccess for ShardRouter {
     fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
+    /// Deterministic and stable across runs and platforms (FNV-1a), so
+    /// a dataset written sharded is always read back from the same
+    /// layout.
     fn shard_of(&self, name: &str) -> usize {
-        self.shard_for(name)
+        (stable_name_hash(name) % self.shards.len() as u64) as usize
     }
 
     fn replica_count(&self) -> usize {
         self.replicas
     }
 
+    /// Chained declustering: successive replicas on successive shards,
+    /// distinct while `replicas <= shards`.
     fn replica_shard_of(&self, name: &str, replica: usize) -> usize {
-        self.replica_shard_for(name, replica)
+        (self.shard_of(name) + (replica % self.replicas)) % self.shards.len()
     }
 
     fn read_replica(
@@ -427,11 +342,11 @@ impl StorageBackend for ShardRouter {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, PfsError> {
-        self.shards[self.replica_shard_for(name, replica)].read(name, offset, len)
+        self.shards[self.replica_shard_of(name, replica)].read(name, offset, len)
     }
 
     fn len_replica(&self, name: &str, replica: usize) -> Result<u64, PfsError> {
-        self.shards[self.replica_shard_for(name, replica)].len(name)
+        self.shards[self.replica_shard_of(name, replica)].len(name)
     }
 
     fn read_repair_count(&self) -> u64 {
@@ -480,8 +395,7 @@ mod tests {
         for i in 0..64 {
             let name = format!("ds/var/bin{i:04}.dat");
             r.append(&name, &[i as u8; 16]).unwrap();
-            let owner = r.shard_for(&name);
-            assert_eq!(r.shard_of(&name), owner);
+            let owner = r.shard_of(&name);
             // Exactly the owner holds the bytes.
             for s in 0..4 {
                 assert_eq!(r.shard(s).exists(&name), s == owner);
@@ -528,7 +442,7 @@ mod tests {
         let mut lost = 0;
         for i in 0..32 {
             let name = format!("g{i}");
-            let on_dead = r.shard_for(&name) == 1;
+            let on_dead = r.shard_of(&name) == 1;
             // Writes to the dead shard still land (loss is a read-side
             // fault here), but every read-side op sees NotFound.
             r.append(&name, &[1, 2, 3, 4]).unwrap();
@@ -550,7 +464,7 @@ mod tests {
             .map(|i| ReadRequest::new(format!("g{i}"), 0, 4))
             .collect();
         for (req, res) in reqs.iter().zip(r.read_batch(&reqs)) {
-            if r.shard_for(&req.file) == 1 {
+            if r.shard_of(&req.file) == 1 {
                 assert!(matches!(res, Err(PfsError::NotFound(_))));
             } else {
                 assert_eq!(res.unwrap(), vec![1, 2, 3, 4]);
@@ -581,7 +495,7 @@ mod tests {
             let name = format!("f{i}");
             r.append(&name, &[i as u8; 8]).unwrap();
             r.sync(&name).unwrap();
-            let homes: Vec<usize> = (0..2).map(|k| r.replica_shard_for(&name, k)).collect();
+            let homes: Vec<usize> = (0..2).map(|k| r.replica_shard_of(&name, k)).collect();
             assert_ne!(homes[0], homes[1], "replicas must sit on distinct shards");
             for s in 0..3 {
                 let holds = r.shard(s).exists(&name);
@@ -611,7 +525,7 @@ mod tests {
             assert_eq!(r.read(&name, 0, 16).unwrap(), vec![i as u8; 16]);
             assert_eq!(r.len(&name).unwrap(), 16);
             assert!(r.exists(&name));
-            if r.shard_for(&name) == 0 {
+            if r.shard_of(&name) == 0 {
                 masked += 1;
             }
         }
@@ -644,7 +558,7 @@ mod tests {
         let reqs: Vec<ReadRequest> = (0..48)
             .map(|i| ReadRequest::new(format!("f{i}"), 8, 16))
             .collect();
-        let masked = reqs.iter().filter(|q| r.shard_for(&q.file) == 1).count() as u64;
+        let masked = reqs.iter().filter(|q| r.shard_of(&q.file) == 1).count() as u64;
         assert!(masked > 0);
         let results = r.read_batch(&reqs);
         for (req, res) in reqs.iter().zip(&results) {
@@ -669,35 +583,6 @@ mod tests {
         let res = r.read_batch(&[ReadRequest::new("f", 0, 3)]);
         assert!(matches!(&res[0], Err(PfsError::NotFound(_))));
         assert_eq!(r.read_repair_count(), 0);
-    }
-
-    #[test]
-    fn hedged_replicated_batch_is_byte_identical() {
-        let plain = replicated(2, 2);
-        for i in 0..32 {
-            plain.append(&format!("f{i}"), &[i as u8; 64]).unwrap();
-        }
-        let reqs: Vec<ReadRequest> = (0..96)
-            .map(|i| ReadRequest::new(format!("f{}", i % 32), (i / 32) * 16, 16))
-            .collect();
-        let want = plain.read_batch(&reqs);
-
-        // Same contents, zero hedge threshold: the hedge fires
-        // aggressively and races the primary; bytes must not change.
-        let hedged = replicated(2, 2).with_hedge(0.0);
-        for i in 0..32 {
-            hedged.append(&format!("f{i}"), &[i as u8; 64]).unwrap();
-        }
-        for _ in 0..5 {
-            let got = hedged.read_batch(&reqs);
-            for (a, b) in want.iter().zip(&got) {
-                assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-            }
-        }
-        assert!(
-            hedged.hedged_batch_count() >= 1,
-            "zero threshold never hedged"
-        );
     }
 
     #[test]

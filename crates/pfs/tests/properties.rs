@@ -1,13 +1,15 @@
 //! Property-based tests for the PFS simulator: causality, monotonicity
 //! and conservation invariants that must hold for any trace — plus the
 //! batched-read and shard-routing contracts that must hold for any
-//! request list on any backend.
+//! request list on any backend, the replica hook through every wrapper
+//! stack, and the exact wording of both plan grammars' errors.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mloc_pfs::{
-    simulate_reads, CostModel, DirBackend, FaultBackend, FaultPlan, MemBackend, PfsError,
-    PoolDirBackend, ReadOp, ReadRequest, ShardRouter, StorageBackend,
+    simulate_reads, BitFlip, CostModel, CrashBackend, CrashPlan, DirBackend, FaultBackend,
+    FaultPlan, MemBackend, PfsError, PoolDirBackend, ReadOp, ReadRequest, ReplicaAccess,
+    ShardRouter, StorageBackend,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -420,5 +422,284 @@ proptest! {
         }
         prop_assert_eq!(router.read_repair_count(), names.len() as u64);
         prop_assert_eq!(router.writeback_count(), names.len() as u64);
+    }
+}
+
+/// A fresh pool opens each file once, however its workers race the
+/// first reads and however often the batch is drained. (The
+/// open-per-read half of the old `io_bench` check — one open per
+/// request — is `handle_cache_opens_each_file_once` in `localdir.rs`.)
+#[test]
+fn pool_opens_each_file_once_across_racing_workers_and_drains() {
+    let root = TempRoot::new();
+    let files: Vec<String> = (0..12).map(|i| format!("bins/b{i:02}.dat")).collect();
+    let writer = DirBackend::new(&root.0).unwrap();
+    for f in &files {
+        writer.append(f, &[7u8; 1024]).unwrap();
+    }
+    // Eight extents per file, interleaved so consecutive requests hit
+    // different files.
+    let reqs: Vec<ReadRequest> = (0..8u64)
+        .flat_map(|e| files.iter().map(move |f| ReadRequest::new(f, e * 128, 128)))
+        .collect();
+    let pool = PoolDirBackend::new(&root.0, 4).unwrap();
+    for pass in 0..2 {
+        assert!(pool.read_batch(&reqs).iter().all(|r| r.is_ok()));
+        assert_eq!(pool.open_count(), 12, "pass {pass}: one open per file");
+    }
+}
+
+/// A batch drained over a wiped shard under R = 2: every request whose
+/// primary copy died is one read-repair, write-back runs once per
+/// degraded *file*, and the refilled shard lets a second drain mask
+/// nothing.
+#[test]
+fn degraded_batch_drain_repairs_once_per_file_then_masks_nothing() {
+    let router = ShardRouter::replicated(
+        (0..2).map(|_| Box::new(MemBackend::new()) as _).collect(),
+        2,
+    )
+    .unwrap();
+    let files: Vec<String> = (0..24).map(|i| format!("f{i}")).collect();
+    for (i, f) in files.iter().enumerate() {
+        router.append(f, &vec![i as u8; 256]).unwrap();
+    }
+    // Wipe shard 0.
+    for f in router.shard(0).list() {
+        router.shard(0).remove(&f).unwrap();
+    }
+    let reqs: Vec<ReadRequest> = (0..4u64)
+        .flat_map(|e| {
+            files
+                .iter()
+                .map(move |f| ReadRequest::new(f.clone(), e * 64, 64))
+        })
+        .collect();
+    let degraded_files = files.iter().filter(|f| router.shard_of(f) == 0).count() as u64;
+    assert!(degraded_files > 0 && degraded_files < files.len() as u64);
+    let degraded_requests = 4 * degraded_files;
+
+    let check = |results: Vec<Result<Vec<u8>, PfsError>>| {
+        for (req, res) in reqs.iter().zip(results) {
+            let i: u8 = req.file[1..].parse().unwrap();
+            assert_eq!(res.unwrap(), vec![i; 64], "{}", req.file);
+        }
+    };
+    check(router.read_batch(&reqs));
+    assert_eq!(router.read_repair_count(), degraded_requests);
+    assert_eq!(router.writeback_count(), degraded_files);
+    check(router.read_batch(&reqs));
+    assert_eq!(
+        router.read_repair_count(),
+        degraded_requests,
+        "second drain masked reads"
+    );
+    assert_eq!(router.writeback_count(), degraded_files);
+}
+
+// ---------------------------------------------------------------------
+// The replica hook through wrapper stacks
+// ---------------------------------------------------------------------
+
+/// What `replica_access()` must report for one storage world.
+#[derive(Clone, Copy)]
+enum Expect {
+    SingleCopy,
+    Router { shards: usize, replicas: usize },
+}
+
+/// An R = 2 router over two shards that are told apart by what they
+/// serve: shard 0 denies every read of a file named `lost*`, shard 1
+/// flips the first byte of everything it reads. A copy is therefore
+/// recognisable by its bytes, and a read of a `lost*` file whose
+/// primary is shard 0 is a masked read.
+fn skewed_r2_router() -> ShardRouter {
+    let mut deny = FaultPlan::none();
+    deny.lost_files.push("lost".into());
+    let mut flip = FaultPlan::none();
+    flip.flips.push(BitFlip {
+        file: String::new(), // matches every name
+        offset: 0,
+        mask: 0xFF,
+    });
+    ShardRouter::replicated(
+        vec![
+            Box::new(FaultBackend::new(MemBackend::new(), deny)),
+            Box::new(FaultBackend::new(MemBackend::new(), flip)),
+        ],
+        2,
+    )
+    .unwrap()
+}
+
+fn check_stack(ctx: &str, be: &dyn StorageBackend, expect: Expect) {
+    let (shards, replicas) = match expect {
+        Expect::SingleCopy => {
+            assert!(be.replica_access().is_none(), "{ctx}: not a router");
+            return;
+        }
+        Expect::Router { shards, replicas } => (shards, replicas),
+    };
+    let ra = be
+        .replica_access()
+        .unwrap_or_else(|| panic!("{ctx}: the stack hid the router"));
+    assert_eq!(ra.shard_count(), shards, "{ctx}");
+    assert_eq!(ra.replica_count(), replicas, "{ctx}");
+    if replicas == 1 {
+        return;
+    }
+    // Each physical copy is addressed on its own (skewed_r2_router).
+    for i in 0..8u8 {
+        let name = format!("f{i}");
+        let payload = vec![i + 1; 16];
+        be.append(&name, &payload).unwrap();
+        be.sync(&name).unwrap();
+        assert_ne!(ra.replica_shard_of(&name, 0), ra.replica_shard_of(&name, 1));
+        assert_eq!(ra.replica_shard_of(&name, 0), ra.shard_of(&name), "{ctx}");
+        for k in 0..2 {
+            let mut want = payload.clone();
+            if ra.replica_shard_of(&name, k) == 1 {
+                want[0] ^= 0xFF;
+            }
+            assert_eq!(
+                ra.len_replica(&name, k).unwrap(),
+                16,
+                "{ctx}: {name} copy {k}"
+            );
+            assert_eq!(
+                ra.read_replica(&name, k, 0, 16).unwrap(),
+                want,
+                "{ctx}: {name} copy {k}"
+            );
+        }
+    }
+    // A masked read moves the counter the stack reports.
+    let lost = (0..)
+        .map(|i| format!("lost{i}"))
+        .find(|n| ra.shard_of(n) == 0)
+        .unwrap();
+    be.append(&lost, &[7; 4]).unwrap();
+    be.sync(&lost).unwrap();
+    assert!(ra.len_replica(&lost, 0).is_err(), "{ctx}: shard 0 denies");
+    let before = ra.read_repair_count();
+    assert_eq!(
+        be.read(&lost, 0, 4).unwrap(),
+        vec![7 ^ 0xFF, 7, 7, 7],
+        "{ctx}"
+    );
+    assert_eq!(
+        ra.read_repair_count(),
+        before + 1,
+        "{ctx}: masked read uncounted"
+    );
+}
+
+/// One world, bare and under each wrapper stack `mloc --fault-plan` /
+/// `--crash-plan` can build over it.
+fn check_world<B: StorageBackend + 'static>(tag: &str, make: impl Fn() -> B, expect: Expect) {
+    let boxed = || Box::new(make()) as Box<dyn StorageBackend>;
+    check_stack(&format!("{tag} bare"), &make(), expect);
+    check_stack(&format!("{tag} Box<dyn>"), &boxed(), expect);
+    check_stack(
+        &format!("{tag} Fault<_>"),
+        &FaultBackend::new(make(), FaultPlan::none()),
+        expect,
+    );
+    check_stack(
+        &format!("{tag} Crash<Fault<Box<dyn>>>"),
+        &CrashBackend::new(
+            FaultBackend::new(boxed(), FaultPlan::none()),
+            CrashPlan::none(),
+        ),
+        expect,
+    );
+}
+
+#[test]
+fn replica_access_is_the_same_through_every_wrapper_stack() {
+    let root = TempRoot::new();
+    let fresh_dir = || {
+        root.0
+            .join(PROP_DIR_ID.fetch_add(1, Ordering::Relaxed).to_string())
+    };
+    let mem_shards = || (0..2).map(|_| Box::new(MemBackend::new()) as _).collect();
+    check_world("mem", MemBackend::new, Expect::SingleCopy);
+    check_world(
+        "dir",
+        || DirBackend::new(fresh_dir()).unwrap(),
+        Expect::SingleCopy,
+    );
+    check_world(
+        "pool",
+        || PoolDirBackend::new(fresh_dir(), 2).unwrap(),
+        Expect::SingleCopy,
+    );
+    check_world(
+        "router",
+        || ShardRouter::new(mem_shards()).unwrap(),
+        Expect::Router {
+            shards: 2,
+            replicas: 1,
+        },
+    );
+    check_world(
+        "router-r2",
+        skewed_r2_router,
+        Expect::Router {
+            shards: 2,
+            replicas: 2,
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// Plan grammars: error wording
+// ---------------------------------------------------------------------
+
+/// Every malformed-line case of both plan grammars, as `line | reason`.
+/// Case i is parsed on line i + 1 of its plan (after i blank lines), and
+/// the message must be, as it has always been,
+/// `<kind> plan line N: <reason>: <the line, trimmed>`.
+#[test]
+fn plan_parse_errors_keep_their_wording() {
+    const FAULT: &str = "\
+seed = x | bad seed
+  transient_rate = fast | bad rate
+transient_rate = 1.5 | rate must be in [0, 1]
+max_transient = -1 | bad count
+crash_at = 3 | unknown key
+lose a=b | unknown key
+lose | missing file
+flip | missing file
+flip f | missing/bad offset
+flip f x 1 | missing/bad offset
+flip f 8 | missing/bad mask
+flip f 8 0x100 | missing/bad mask
+torn | missing file
+torn f | missing/bad keep
+torn f -2 | missing/bad keep
+dropsync f | unknown directive
+\tlose a b   | trailing tokens
+flip f 8 0x80 extra | trailing tokens";
+    const CRASH: &str = "\
+crash_at = x | bad index
+torn_keep = -1 | bad byte count
+seed = 3 | unknown key
+dropsync | missing file
+lose f | unknown directive
+bogus | unknown directive
+ dropsync a b | trailing tokens";
+    type Parse = fn(&str) -> Option<String>;
+    let grammars: [(&str, &str, Parse); 2] = [
+        ("fault", FAULT, |t| FaultPlan::parse(t).err()),
+        ("crash", CRASH, |t| CrashPlan::parse(t).err()),
+    ];
+    for (kind, cases, parse) in grammars {
+        for (i, case) in cases.lines().enumerate() {
+            let (line, why) = case.split_once(" | ").unwrap();
+            let plan = format!("{}# a comment\n{line}", "\n".repeat(i));
+            let want = format!("{kind} plan line {}: {why}: {}", i + 2, line.trim());
+            assert_eq!(parse(&plan), Some(want), "{kind}: {line:?}");
+        }
     }
 }

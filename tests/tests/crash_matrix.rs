@@ -55,9 +55,18 @@ fn build(be: &dyn StorageBackend) -> mloc::Result<()> {
 fn snapshot(be: &dyn StorageBackend) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
     for f in be.list() {
-        for r in 0..be.replica_count() {
-            let len = be.len_replica(&f, r).unwrap();
-            out.push((format!("{r}:{f}"), be.read_replica(&f, r, 0, len).unwrap()));
+        match be.replica_access() {
+            Some(copies) => {
+                for r in 0..copies.replica_count() {
+                    let len = copies.len_replica(&f, r).unwrap();
+                    let bytes = copies.read_replica(&f, r, 0, len).unwrap();
+                    out.push((format!("{r}:{f}"), bytes));
+                }
+            }
+            None => {
+                let bytes = be.read(&f, 0, be.len(&f).unwrap()).unwrap();
+                out.push((format!("0:{f}"), bytes));
+            }
         }
     }
     out

@@ -15,7 +15,9 @@ use mloc::prelude::*;
 use mloc::{ExtentFuser, MlocStore};
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
-use mloc_pfs::{CostModel, DirBackend, MemBackend, PoolDirBackend, ShardRouter, StorageBackend};
+use mloc_pfs::{
+    CostModel, DirBackend, MemBackend, PoolDirBackend, ReplicaAccess, ShardRouter, StorageBackend,
+};
 
 const SHAPE: [usize; 2] = [96, 96];
 const DS: &str = "iosd";
@@ -80,8 +82,8 @@ fn worlds(root: &TempRoot) -> Vec<(String, Box<dyn StorageBackend>)> {
             Box::new(ShardRouter::new(shards).unwrap()),
         ));
     }
-    // Replicated layouts (R = 2) and a hedged variant: replication and
-    // hedging change which copy serves the bytes, never the bytes.
+    // Replicated layouts (R = 2): replication changes which copy
+    // serves the bytes, never the bytes.
     for n in [2usize, 4] {
         let shards = (0..n)
             .map(|s| {
@@ -94,16 +96,6 @@ fn worlds(root: &TempRoot) -> Vec<(String, Box<dyn StorageBackend>)> {
             Box::new(ShardRouter::replicated(shards, 2).unwrap()),
         ));
     }
-    let hedged = (0..2)
-        .map(|s| {
-            Box::new(PoolDirBackend::new(root.0.join(format!("hedge-s{s}")), 2).unwrap())
-                as Box<dyn StorageBackend>
-        })
-        .collect();
-    out.push((
-        "shard-2-r2-hedged".into(),
-        Box::new(ShardRouter::replicated(hedged, 2).unwrap().with_hedge(0.0)),
-    ));
     out
 }
 
