@@ -193,7 +193,7 @@ impl<'a> FastBit<'a> {
         let mut out = Vec::with_capacity(positions.len());
         let mut idx = 0usize;
         for (start, len) in extents {
-            let buf = io.read(&self.data_file, start * 8, len * 8)?;
+            let buf = io.read(self.data_file.as_str(), start * 8, len * 8)?;
             let end = start + len;
             while idx < positions.len() && positions[idx] < end {
                 let off = ((positions[idx] - start) * 8) as usize;
@@ -289,7 +289,7 @@ impl QueryEngine for FastBit<'_> {
         let mut cpu_s = 0.0;
         let mut run_idx = 0usize;
         for (start, len) in extents {
-            let buf = io.read(&self.data_file, start * 8, len * 8)?;
+            let buf = io.read(self.data_file.as_str(), start * 8, len * 8)?;
             let t = Instant::now();
             let end = start + len;
             while run_idx < runs.len() && runs[run_idx].0 < end {

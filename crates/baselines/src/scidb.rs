@@ -154,7 +154,7 @@ impl<'a> SciDb<'a> {
         let mut cpu_s = 0.0;
         for &chunk in chunks {
             let (off, len) = self.chunk_locs[chunk];
-            let buf = io.read(&self.file, off, len)?;
+            let buf = io.read(self.file.as_str(), off, len)?;
             let t = Instant::now();
             self.scan_chunk(
                 chunk,

@@ -95,7 +95,7 @@ impl QueryEngine for SeqScan<'_> {
         let mut off = 0u64;
         while off < total {
             let len = slab.min(total - off);
-            let buf = io.read(&self.file, off, len)?;
+            let buf = io.read(self.file.as_str(), off, len)?;
             let t = Instant::now();
             let base = off / 8;
             for (i, v) in decode_values(&buf).into_iter().enumerate() {
@@ -128,7 +128,7 @@ impl QueryEngine for SeqScan<'_> {
         let extents = crate::runs::coalesce_runs(&runs, crate::runs::READAHEAD_GAP_BYTES);
         let mut run_idx = 0usize;
         for (start, len) in extents {
-            let buf = io.read(&self.file, start * 8, len * 8)?;
+            let buf = io.read(self.file.as_str(), start * 8, len * 8)?;
             let t = Instant::now();
             let end = start + len;
             while run_idx < runs.len() && runs[run_idx].0 < end {

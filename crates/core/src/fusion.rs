@@ -555,7 +555,7 @@ type ResolvedRun = (Option<Arc<Vec<u8>>>, u64, bool);
 /// supplied, accumulates the seconds those checks took.
 pub fn coalesced_read_results(
     io: &mut RankIo<'_>,
-    file: &str,
+    file: &Arc<str>,
     wants: &[(u64, u32)],
     footer: Option<&ExtentFooter>,
     fuser: Option<&ExtentFuser>,
@@ -579,7 +579,7 @@ pub fn coalesced_read_results(
         None => {
             let reqs: Vec<ReadRequest> = runs
                 .iter()
-                .map(|r| ReadRequest::new(file, r.start, r.end - r.start))
+                .map(|r| ReadRequest::new(Arc::clone(file), r.start, r.end - r.start))
                 .collect();
             runs.iter()
                 .zip(io.read_batch(&reqs))
@@ -599,7 +599,7 @@ pub fn coalesced_read_results(
                 match fu.acquire(file, run.start, run.end) {
                     Acquire::Ready(r) => {
                         if r.buf.is_some() {
-                            io.record_cached(file, run.start, run.end - run.start);
+                            io.record_cached(Arc::clone(file), run.start, run.end - run.start);
                         }
                         slots.push(Slot::Ready(r.buf, r.base, r.fused));
                     }
@@ -625,7 +625,8 @@ pub fn coalesced_read_results(
                 let reqs: Vec<ReadRequest> = led
                     .iter()
                     .map(|&(k, _)| {
-                        ReadRequest::new(file, runs[k].start, runs[k].end - runs[k].start)
+                        let run = &runs[k];
+                        ReadRequest::new(Arc::clone(file), run.start, run.end - run.start)
                     })
                     .collect();
                 let results = io.read_batch(&reqs);
@@ -652,7 +653,7 @@ pub fn coalesced_read_results(
                         let run = &runs[k];
                         let buf = fu.finish_wait(&flight, run.start, run.end);
                         if buf.is_some() {
-                            io.record_cached(file, run.start, run.end - run.start);
+                            io.record_cached(Arc::clone(file), run.start, run.end - run.start);
                         }
                         (buf, base, true)
                     }
@@ -696,7 +697,7 @@ pub fn coalesced_read_results(
     if !fallback.is_empty() {
         let reqs: Vec<ReadRequest> = fallback
             .iter()
-            .map(|&i| ReadRequest::new(file, wants[i].0, u64::from(wants[i].1)))
+            .map(|&i| ReadRequest::new(Arc::clone(file), wants[i].0, u64::from(wants[i].1)))
             .collect();
         for (&i, res) in fallback.iter().zip(io.read_batch(&reqs)) {
             let (off, _len) = wants[i];
@@ -728,7 +729,7 @@ pub fn coalesced_read(
     wants: &[(u64, u32)],
     fuser: Option<&ExtentFuser>,
 ) -> Result<Vec<ByteView>> {
-    coalesced_read_results(io, file, wants, None, fuser, None)
+    coalesced_read_results(io, &Arc::from(file), wants, None, fuser, None)
         .into_iter()
         .map(|w| w.res)
         .collect()

@@ -33,12 +33,25 @@
 //!   linear word walk.
 //!
 //! v1 files (no summary, no directories) remain fully readable.
+//!
+//! # Reading: views first
+//!
+//! Every directory field sits at an offset fixed by the chunk and part
+//! counts, so the query engine never materializes the directory: it
+//! reads the header through a [`HeaderView`] and the summary through a
+//! [`SummaryView`] — `parse` checks the prologue and the declared size
+//! once, each accessor then decodes one field of one chunk in place. A
+//! query touching 3 of a bin's 64 chunks pays for 3. The eager
+//! [`BinIndex`] / `Vec<ChunkSummary>` forms (`verify`, `fsck`, tools,
+//! tests) are collected *from* the views, so the layout is written
+//! down once.
 
 use crate::integrity::ExtentFooter;
 use crate::wire::{Reader, Writer};
 use crate::{MlocError, Result};
 use mloc_bitmap::{RankSelectDir, WahBitmap};
 use mloc_pfs::StorageBackend;
+use std::ops::Deref;
 
 const MAGIC: u32 = 0x5844_494D; // "MIDX"
 /// Current index format version (v2 = summary section + rank/select
@@ -115,19 +128,36 @@ pub struct BinIndex {
 /// geometry — queries use this to issue an exact-size first read.
 /// Identical for v1 and v2 (only the version byte differs).
 pub fn header_size(num_chunks: usize, num_parts: usize) -> u64 {
-    // magic(4) version(1) bin(4) num_chunks(4) num_parts(1)
-    14 + num_chunks as u64 * entry_size(num_parts)
+    HEADER_PROLOGUE + num_chunks as u64 * entry_size(num_parts)
 }
 
+/// magic(4) version(1) bin(4) num_chunks(4) num_parts(1)
+const HEADER_PROLOGUE: u64 = 14;
+/// Fixed part of a directory entry: count(4) bitmap_off(8) bitmap_len(4)
+const ENTRY_FIXED: u64 = 16;
+/// One unit locator: offset(8) clen(4)
+const UNIT_LOC: u64 = 12;
+
 fn entry_size(num_parts: usize) -> u64 {
-    // count(4) bitmap_off(8) bitmap_len(4) + parts * (offset(8) clen(4))
-    16 + num_parts as u64 * 12
+    ENTRY_FIXED + num_parts as u64 * UNIT_LOC
+}
+
+/// magic(4) num_chunks(4)
+const SUMMARY_PROLOGUE: u64 = 8;
+/// One summary record: min_pos(4) max_pos(4) flags(1)
+const SUMMARY_RECORD: u64 = 9;
+
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte field"))
+}
+
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8-byte field"))
 }
 
 /// Exact size in bytes of the v2 chunk-summary section.
 pub fn summary_size(num_chunks: usize) -> u64 {
-    // magic(4) num_chunks(4) + per chunk: min_pos(4) max_pos(4) flags(1)
-    8 + num_chunks as u64 * 9
+    SUMMARY_PROLOGUE + num_chunks as u64 * SUMMARY_RECORD
 }
 
 /// Serialize the summary section.
@@ -144,34 +174,214 @@ pub fn encode_summary(summaries: &[ChunkSummary]) -> Vec<u8> {
     w.finish()
 }
 
-/// Parse a summary section; `num_chunks` comes from the header and
-/// must match the recorded count.
-pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary>> {
-    let mut r = Reader::new(data);
-    if r.u32()? != SUMMARY_MAGIC {
-        return Err(MlocError::Corrupt("bad summary magic"));
-    }
-    if r.u32()? as usize != num_chunks {
-        return Err(MlocError::Corrupt("summary chunk count mismatch"));
-    }
-    if summary_size(num_chunks) > data.len() as u64 {
-        return Err(MlocError::Corrupt("summary truncated"));
-    }
-    let mut out = Vec::with_capacity(num_chunks);
-    for _ in 0..num_chunks {
-        let min_pos = r.u32()?;
-        let max_pos = r.u32()?;
-        let flags = r.u8()?;
-        if flags > 1 {
+/// Zero-copy view of a v2 chunk-summary section over any byte holder
+/// (`&[u8]`, or the engine's cached [`crate::cache::ByteView`]).
+#[derive(Debug, Clone)]
+pub struct SummaryView<B> {
+    data: B,
+    num_chunks: usize,
+}
+
+impl<B: Deref<Target = [u8]>> SummaryView<B> {
+    /// Check a summary section: magic, that the recorded chunk count
+    /// is `num_chunks` (from the header), the declared size, and every
+    /// record's flag byte — so [`Self::get`] cannot fail afterwards.
+    pub fn parse(data: B, num_chunks: usize) -> Result<Self> {
+        let mut r = Reader::new(&data);
+        if r.u32()? != SUMMARY_MAGIC {
+            return Err(MlocError::Corrupt("bad summary magic"));
+        }
+        if r.u32()? as usize != num_chunks {
+            return Err(MlocError::Corrupt("summary chunk count mismatch"));
+        }
+        if summary_size(num_chunks) > data.len() as u64 {
+            return Err(MlocError::Corrupt("summary truncated"));
+        }
+        let records = &data[SUMMARY_PROLOGUE as usize..summary_size(num_chunks) as usize];
+        if records
+            .chunks_exact(SUMMARY_RECORD as usize)
+            .any(|rec| rec[8] > 1)
+        {
             return Err(MlocError::Corrupt("bad summary flags"));
         }
-        out.push(ChunkSummary {
-            min_pos,
-            max_pos,
-            all_of_chunk: flags == 1,
-        });
+        Ok(SummaryView { data, num_chunks })
     }
-    Ok(out)
+
+    /// The summary of chunk `rank`.
+    ///
+    /// # Panics
+    /// Panics when `rank` is not below the section's chunk count.
+    pub fn get(&self, rank: usize) -> ChunkSummary {
+        assert!(rank < self.num_chunks, "chunk rank out of range");
+        let at = (SUMMARY_PROLOGUE + rank as u64 * SUMMARY_RECORD) as usize;
+        let rec = &self.data[at..at + SUMMARY_RECORD as usize];
+        ChunkSummary {
+            min_pos: le_u32(rec, 0),
+            max_pos: le_u32(rec, 4),
+            all_of_chunk: rec[8] == 1,
+        }
+    }
+
+    /// Every chunk's summary, in rank order.
+    pub fn iter(&self) -> impl Iterator<Item = ChunkSummary> + '_ {
+        (0..self.num_chunks).map(|rank| self.get(rank))
+    }
+}
+
+/// Parse a summary section into its eager form (a collected
+/// [`SummaryView`]); `num_chunks` comes from the header and must match
+/// the recorded count.
+pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary>> {
+    Ok(SummaryView::parse(data, num_chunks)?.iter().collect())
+}
+
+/// Zero-copy view of a bin index header + directory over any byte
+/// holder (`&[u8]`, or the engine's cached [`crate::cache::ByteView`]).
+///
+/// [`Self::parse`] is O(1): it checks the prologue and that the
+/// directory it declares fits the buffer. The per-chunk accessors then
+/// read fixed-offset fields on demand and allocate nothing.
+///
+/// # Panics
+/// Accessors taking a `rank` (or `part`) panic when it is not below
+/// the header's chunk (or part) count, like slice indexing.
+#[derive(Debug, Clone)]
+pub struct HeaderView<B> {
+    data: B,
+    version: u8,
+    bin: u32,
+    num_chunks: usize,
+    num_parts: usize,
+}
+
+impl<B: Deref<Target = [u8]>> HeaderView<B> {
+    /// Check a header: magic, version, part count, and that the
+    /// declared directory fits in `data` (which may extend past it).
+    pub fn parse(data: B) -> Result<Self> {
+        let mut r = Reader::new(&data);
+        if r.u32()? != MAGIC {
+            return Err(MlocError::Corrupt("bad index magic"));
+        }
+        let version = r.u8()?;
+        if version != 1 && version != VERSION {
+            return Err(MlocError::Corrupt("unsupported index version"));
+        }
+        let bin = r.u32()?;
+        let num_chunks = r.u32()? as usize;
+        let num_parts = r.u8()? as usize;
+        if num_parts == 0 || num_parts > 16 {
+            return Err(MlocError::Corrupt("bad part count"));
+        }
+        // The directory must fit in the supplied buffer: this is what
+        // makes every in-range accessor below panic-free, and what
+        // bounds the eager collect's allocation.
+        if header_size(num_chunks, num_parts) > data.len() as u64 {
+            return Err(MlocError::Corrupt("header truncated"));
+        }
+        Ok(HeaderView {
+            data,
+            version,
+            bin,
+            num_chunks,
+            num_parts,
+        })
+    }
+
+    /// Require the geometry the store was opened with: a header that
+    /// parses but describes another chunk grid or part count would
+    /// otherwise send the engine's rank and part indices out of range.
+    pub fn with_geometry(self, num_chunks: usize, num_parts: usize) -> Result<Self> {
+        if (self.num_chunks, self.num_parts) != (num_chunks, num_parts) {
+            return Err(MlocError::Corrupt("index geometry mismatch"));
+        }
+        Ok(self)
+    }
+
+    /// Size of the header + directory region in bytes.
+    fn header_bytes(&self) -> u64 {
+        header_size(self.num_chunks, self.num_parts)
+    }
+
+    /// Size of the chunk-summary section that follows the header (0
+    /// for v1 files; bitmaps follow the summary).
+    pub fn summary_bytes(&self) -> u64 {
+        if self.version >= 2 {
+            summary_size(self.num_chunks)
+        } else {
+            0
+        }
+    }
+
+    /// Absolute file offset of the chunk-summary section (v2 only).
+    pub fn summary_file_offset(&self) -> u64 {
+        self.header_bytes()
+    }
+
+    /// The directory entry of chunk `rank`, as stored.
+    fn entry(&self, rank: usize) -> &[u8] {
+        assert!(rank < self.num_chunks, "chunk rank out of range");
+        let size = entry_size(self.num_parts) as usize;
+        let at = HEADER_PROLOGUE as usize + rank * size;
+        &self.data[at..at + size]
+    }
+
+    /// Number of the bin's points inside chunk `rank`.
+    pub fn count(&self, rank: usize) -> u32 {
+        le_u32(self.entry(rank), 0)
+    }
+
+    /// Byte offset of the chunk's bitmap within the bitmap section.
+    fn bitmap_off(&self, rank: usize) -> u64 {
+        le_u64(self.entry(rank), 4)
+    }
+
+    /// Encoded bitmap length (0 when the chunk has no points here).
+    pub fn bitmap_len(&self, rank: usize) -> u32 {
+        le_u32(self.entry(rank), 12)
+    }
+
+    /// Absolute file offset of the chunk's bitmap (bitmaps follow the
+    /// header + directory and, in v2, the summary section). A stored
+    /// offset too large to add saturates: `u64::MAX` lies past every
+    /// file, so the read fails instead of aliasing another extent.
+    pub fn bitmap_file_offset(&self, rank: usize) -> u64 {
+        (self.header_bytes() + self.summary_bytes()).saturating_add(self.bitmap_off(rank))
+    }
+
+    /// Data-file location of part `part` of the chunk's unit.
+    pub fn unit(&self, rank: usize, part: usize) -> UnitLoc {
+        assert!(part < self.num_parts, "part out of range");
+        let at = (ENTRY_FIXED + part as u64 * UNIT_LOC) as usize;
+        let e = self.entry(rank);
+        UnitLoc {
+            offset: le_u64(e, at),
+            clen: le_u32(e, at + 8),
+        }
+    }
+
+    /// Every part location of the chunk's unit, in part order.
+    pub fn units(&self, rank: usize) -> impl Iterator<Item = UnitLoc> + '_ {
+        (0..self.num_parts).map(move |part| self.unit(rank, part))
+    }
+
+    /// The eager form: every entry collected.
+    pub fn to_index(&self) -> BinIndex {
+        BinIndex {
+            version: self.version,
+            bin: self.bin,
+            chunks: (0..self.num_chunks)
+                .map(|rank| ChunkEntry {
+                    count: self.count(rank),
+                    bitmap_off: self.bitmap_off(rank),
+                    bitmap_len: self.bitmap_len(rank),
+                    units: self.units(rank).collect(),
+                })
+                .collect(),
+            num_parts: self.num_parts,
+            header_bytes: self.header_bytes(),
+            summary_bytes: self.summary_bytes(),
+        }
+    }
 }
 
 impl BinIndex {
@@ -202,58 +412,10 @@ impl BinIndex {
     }
 
     /// Parse a header + directory previously encoded with
-    /// [`Self::encode_header`].
+    /// [`Self::encode_header`] into its eager form (a collected
+    /// [`HeaderView`]).
     pub fn decode_header(data: &[u8]) -> Result<BinIndex> {
-        let mut r = Reader::new(data);
-        if r.u32()? != MAGIC {
-            return Err(MlocError::Corrupt("bad index magic"));
-        }
-        let version = r.u8()?;
-        if version != 1 && version != VERSION {
-            return Err(MlocError::Corrupt("unsupported index version"));
-        }
-        let bin = r.u32()?;
-        let num_chunks = r.u32()? as usize;
-        let num_parts = r.u8()? as usize;
-        if num_parts == 0 || num_parts > 16 {
-            return Err(MlocError::Corrupt("bad part count"));
-        }
-        // The directory must fit in the supplied buffer; reject a
-        // corrupted chunk count before allocating for it.
-        if header_size(num_chunks, num_parts) > data.len() as u64 {
-            return Err(MlocError::Corrupt("header truncated"));
-        }
-        let mut chunks = Vec::with_capacity(num_chunks);
-        for _ in 0..num_chunks {
-            let count = r.u32()?;
-            let bitmap_off = r.u64()?;
-            let bitmap_len = r.u32()?;
-            let mut units = Vec::with_capacity(num_parts);
-            for _ in 0..num_parts {
-                units.push(UnitLoc {
-                    offset: r.u64()?,
-                    clen: r.u32()?,
-                });
-            }
-            chunks.push(ChunkEntry {
-                count,
-                bitmap_off,
-                bitmap_len,
-                units,
-            });
-        }
-        Ok(BinIndex {
-            version,
-            bin,
-            chunks,
-            num_parts,
-            header_bytes: header_size(num_chunks, num_parts),
-            summary_bytes: if version >= 2 {
-                summary_size(num_chunks)
-            } else {
-                0
-            },
-        })
+        Ok(HeaderView::parse(data)?.to_index())
     }
 
     /// Absolute file offset of the chunk-summary section (v2 only).
@@ -598,6 +760,311 @@ mod tests {
         let mut bad2 = bytes;
         bad2[4] = 99; // version
         assert!(BinIndex::decode_header(&bad2).is_err());
+    }
+
+    /// The eager decoders as they were before the views existed, kept
+    /// verbatim as the differential oracle: same checks, same order,
+    /// same messages.
+    mod oracle {
+        use super::super::*;
+
+        pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary>> {
+            let mut r = Reader::new(data);
+            if r.u32()? != SUMMARY_MAGIC {
+                return Err(MlocError::Corrupt("bad summary magic"));
+            }
+            if r.u32()? as usize != num_chunks {
+                return Err(MlocError::Corrupt("summary chunk count mismatch"));
+            }
+            if summary_size(num_chunks) > data.len() as u64 {
+                return Err(MlocError::Corrupt("summary truncated"));
+            }
+            let mut out = Vec::with_capacity(num_chunks);
+            for _ in 0..num_chunks {
+                let min_pos = r.u32()?;
+                let max_pos = r.u32()?;
+                let flags = r.u8()?;
+                if flags > 1 {
+                    return Err(MlocError::Corrupt("bad summary flags"));
+                }
+                out.push(ChunkSummary {
+                    min_pos,
+                    max_pos,
+                    all_of_chunk: flags == 1,
+                });
+            }
+            Ok(out)
+        }
+
+        pub fn decode_header(data: &[u8]) -> Result<BinIndex> {
+            let mut r = Reader::new(data);
+            if r.u32()? != MAGIC {
+                return Err(MlocError::Corrupt("bad index magic"));
+            }
+            let version = r.u8()?;
+            if version != 1 && version != VERSION {
+                return Err(MlocError::Corrupt("unsupported index version"));
+            }
+            let bin = r.u32()?;
+            let num_chunks = r.u32()? as usize;
+            let num_parts = r.u8()? as usize;
+            if num_parts == 0 || num_parts > 16 {
+                return Err(MlocError::Corrupt("bad part count"));
+            }
+            if header_size(num_chunks, num_parts) > data.len() as u64 {
+                return Err(MlocError::Corrupt("header truncated"));
+            }
+            let mut chunks = Vec::with_capacity(num_chunks);
+            for _ in 0..num_chunks {
+                let count = r.u32()?;
+                let bitmap_off = r.u64()?;
+                let bitmap_len = r.u32()?;
+                let mut units = Vec::with_capacity(num_parts);
+                for _ in 0..num_parts {
+                    units.push(UnitLoc {
+                        offset: r.u64()?,
+                        clen: r.u32()?,
+                    });
+                }
+                chunks.push(ChunkEntry {
+                    count,
+                    bitmap_off,
+                    bitmap_len,
+                    units,
+                });
+            }
+            Ok(BinIndex {
+                version,
+                bin,
+                chunks,
+                num_parts,
+                header_bytes: header_size(num_chunks, num_parts),
+                summary_bytes: if version >= 2 {
+                    summary_size(num_chunks)
+                } else {
+                    0
+                },
+            })
+        }
+    }
+
+    fn message<T>(r: &Result<T>) -> Option<String> {
+        r.as_ref().err().map(|e| e.to_string())
+    }
+
+    /// The header view against the oracle on the same bytes: the same
+    /// verdict and message; when both accept, every accessor of every
+    /// in-range rank (none may panic) and the eager collect agree.
+    fn check_header(bytes: &[u8]) {
+        let want = oracle::decode_header(bytes);
+        let got = HeaderView::parse(bytes);
+        assert_eq!(message(&got), message(&want));
+        assert_eq!(message(&BinIndex::decode_header(bytes)), message(&want));
+        let (Ok(view), Ok(want)) = (got, want) else {
+            return;
+        };
+        assert_eq!(view.to_index(), want);
+        assert_eq!(view.header_bytes(), want.header_bytes);
+        assert_eq!(view.summary_bytes(), want.summary_bytes);
+        assert_eq!(view.summary_file_offset(), want.summary_file_offset());
+        for (rank, e) in want.chunks.iter().enumerate() {
+            assert_eq!(view.count(rank), e.count);
+            assert_eq!(view.bitmap_off(rank), e.bitmap_off);
+            assert_eq!(view.bitmap_len(rank), e.bitmap_len);
+            // Stored offsets are untrusted: where the eager form's
+            // plain sum would overflow, the view saturates.
+            assert_eq!(
+                view.bitmap_file_offset(rank),
+                (want.header_bytes + want.summary_bytes).saturating_add(e.bitmap_off)
+            );
+            assert_eq!(view.units(rank).collect::<Vec<_>>(), e.units);
+            for (part, u) in e.units.iter().enumerate() {
+                assert_eq!(view.unit(rank, part), *u);
+            }
+        }
+    }
+
+    /// Likewise for the summary view.
+    fn check_summary(bytes: &[u8], num_chunks: usize) {
+        let want = oracle::decode_summary(bytes, num_chunks);
+        let got = SummaryView::parse(bytes, num_chunks);
+        assert_eq!(message(&got), message(&want));
+        assert_eq!(message(&decode_summary(bytes, num_chunks)), message(&want));
+        let (Ok(view), Ok(want)) = (got, want) else {
+            return;
+        };
+        assert_eq!(view.iter().collect::<Vec<_>>(), want);
+        for (rank, s) in want.iter().enumerate() {
+            assert_eq!(view.get(rank), *s);
+        }
+    }
+
+    /// Built v2 payloads covering the shapes the engine meets: 1 and 7
+    /// parts; empty, partial and all-of-chunk chunks; an all-empty bin.
+    fn built_payloads() -> Vec<(Vec<u8>, usize, usize)> {
+        let mut out = Vec::new();
+        for num_parts in [1usize, 7] {
+            let locs = |seed: u64| -> Vec<UnitLoc> {
+                (0..num_parts as u64)
+                    .map(|p| UnitLoc {
+                        offset: seed * 1000 + p * 37,
+                        clen: (seed * 7 + p) as u32,
+                    })
+                    .collect()
+            };
+            let mut b = BinIndexBuilder::new(9, 6, num_parts);
+            b.set_chunk(
+                0,
+                &WahBitmap::from_sorted_positions(300, &[0, 1, 2, 64, 299]),
+                &locs(1),
+            );
+            b.set_chunk(2, &WahBitmap::ones(300), &locs(2));
+            let sparse: Vec<u64> = (0..40_000).step_by(11).collect();
+            b.set_chunk(
+                3,
+                &WahBitmap::from_sorted_positions(40_000, &sparse),
+                &locs(3),
+            );
+            b.set_chunk(5, &WahBitmap::ones(17), &locs(4));
+            out.push((b.finish(), 6, num_parts));
+            out.push((BinIndexBuilder::new(0, 4, num_parts).finish(), 4, num_parts));
+        }
+        out
+    }
+
+    /// splitmix64: deterministic arbitrary bytes without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn views_equal_the_eager_decode_on_built_indexes() {
+        for (v2, num_chunks, num_parts) in built_payloads() {
+            let (v1, _) = downgrade_payload_to_v1(&v2).unwrap();
+            for payload in [&v2, &v1] {
+                // The engine's exact-size header read, and the whole
+                // file (a header buffer may extend past the directory).
+                check_header(&payload[..header_size(num_chunks, num_parts) as usize]);
+                check_header(payload);
+            }
+            let hdr = HeaderView::parse(&v2[..])
+                .unwrap()
+                .with_geometry(num_chunks, num_parts)
+                .unwrap();
+            let start = hdr.summary_file_offset() as usize;
+            check_summary(&v2[start..start + hdr.summary_bytes() as usize], num_chunks);
+            check_summary(&v2[start..], num_chunks);
+            // A v1 file has no summary section.
+            assert_eq!(HeaderView::parse(&v1[..]).unwrap().summary_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn views_reject_exactly_what_the_eager_decode_rejected() {
+        let mut rng = 0x5eed_u64;
+        for (v2, num_chunks, num_parts) in built_payloads() {
+            let hdr_len = header_size(num_chunks, num_parts) as usize;
+            let header = &v2[..hdr_len];
+            let summary = &v2[hdr_len..hdr_len + summary_size(num_chunks) as usize];
+            // Every truncation.
+            for cut in 0..=header.len() {
+                check_header(&header[..cut]);
+            }
+            for cut in 0..=summary.len() {
+                check_summary(&summary[..cut], num_chunks);
+            }
+            // Every single-bit flip (the prologue fields — magic,
+            // version, counts — and every directory and record byte).
+            for (block, is_header) in [(header, true), (summary, false)] {
+                for bit in 0..block.len() * 8 {
+                    let mut bad = block.to_vec();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    if is_header {
+                        check_header(&bad);
+                    } else {
+                        check_summary(&bad, num_chunks);
+                        // A count the header does not vouch for.
+                        check_summary(&bad, num_chunks + 1);
+                    }
+                }
+            }
+            // Valid prologues over arbitrary directories, and random
+            // multi-byte damage anywhere.
+            for _ in 0..200 {
+                let mut bad = header.to_vec();
+                for _ in 0..1 + next(&mut rng) % 8 {
+                    let at = next(&mut rng) as usize % bad.len();
+                    bad[at] = next(&mut rng) as u8;
+                }
+                check_header(&bad);
+                let mut bad = summary.to_vec();
+                for _ in 0..1 + next(&mut rng) % 8 {
+                    let at = next(&mut rng) as usize % bad.len();
+                    bad[at] = next(&mut rng) as u8;
+                }
+                check_summary(&bad, num_chunks);
+            }
+        }
+        // Arbitrary bytes, with and without a plausible prologue.
+        for round in 0..2000 {
+            let len = next(&mut rng) as usize % 400;
+            let mut bytes: Vec<u8> = (0..len).map(|_| next(&mut rng) as u8).collect();
+            if round % 2 == 0 && len >= 14 {
+                bytes[..4].copy_from_slice(&MAGIC.to_le_bytes());
+                bytes[4] = 1 + (next(&mut rng) % 2) as u8;
+                bytes[9..13].copy_from_slice(&((next(&mut rng) % 12) as u32).to_le_bytes());
+                bytes[13] = (next(&mut rng) % 18) as u8;
+            }
+            check_header(&bytes);
+            if round % 2 == 0 && len >= 8 {
+                bytes[..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
+                bytes[4..8].copy_from_slice(&((next(&mut rng) % 40) as u32).to_le_bytes());
+            }
+            for num_chunks in [0, 1, 7, 39] {
+                check_summary(&bytes, num_chunks);
+            }
+        }
+        // Field values at their extremes: no accessor may overflow.
+        let mut extreme = BinIndexBuilder::new(0, 3, 7).finish();
+        let hdr_len = header_size(3, 7) as usize;
+        extreme[14..hdr_len].fill(0xff);
+        check_header(&extreme);
+        check_header(&extreme[..hdr_len]);
+        // A chunk count near u32::MAX must fail the size check, not
+        // drive an allocation or wrap an offset.
+        let mut huge = BinIndexBuilder::new(0, 2, 7).finish();
+        huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        check_header(&huge);
+        assert_eq!(
+            message(&HeaderView::parse(&huge[..])),
+            Some(MlocError::Corrupt("header truncated").to_string())
+        );
+    }
+
+    #[test]
+    fn header_geometry_must_be_the_stores() {
+        let bytes = BinIndexBuilder::new(3, 16, 7).finish();
+        let parse = || HeaderView::parse(&bytes[..]).unwrap();
+        assert!(parse().with_geometry(16, 7).is_ok());
+        for (num_chunks, num_parts) in [(16, 1), (15, 7), (64, 7), (0, 0)] {
+            assert_eq!(
+                message(&parse().with_geometry(num_chunks, num_parts)),
+                Some(MlocError::Corrupt("index geometry mismatch").to_string())
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk rank out of range")]
+    fn header_rank_past_the_directory_panics_like_a_slice() {
+        // The buffer extends past the directory (a whole file), so the
+        // bytes exist — the rank is still refused.
+        let bytes = BinIndexBuilder::new(0, 2, 1).finish();
+        HeaderView::parse(&bytes[..]).unwrap().count(2);
     }
 
     #[test]

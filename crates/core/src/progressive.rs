@@ -288,8 +288,9 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 })
                 .collect();
             let footer = self.units[group[0]].unit.footer.as_ref();
+            let file = fetcher.data_file(bin);
             let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (want idx, bytes)
-            fetcher.wants(&store.data_file(bin), &wants, Some(footer), |w, got| {
+            fetcher.wants(&file, &wants, Some(footer), |w, got| {
                 match got {
                     Ok(Fetched::Cached(block)) => parts.push((group[w], block)),
                     Ok(Fetched::Raw(raw)) => stored.push((w, raw)),

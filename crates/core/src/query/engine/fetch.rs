@@ -5,8 +5,8 @@
 //! [`Fetcher::footer`] for the one block whose cold form is two
 //! reads), and a coalesced want-list ([`Fetcher::wants`]).
 
-use crate::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
-use crate::fusion::{coalesced_read_results, ExtentFuser};
+use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::fusion::coalesced_read_results;
 use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
 use crate::store::MlocStore;
 use crate::Result;
@@ -81,13 +81,12 @@ fn is_index(part: BlockPart) -> bool {
     }
 }
 
-/// Per-rank fetch state: the I/O handle, the store's cache and fuser,
-/// and all byte / hit / miss / fused / rejected / retry accounting.
+/// Per-rank fetch state: the I/O handle, the store (for its cache,
+/// fuser, cache scope and file names), and all byte / hit / miss /
+/// fused / rejected / retry accounting.
 pub(crate) struct Fetcher<'s, 'a> {
+    store: &'s MlocStore<'a>,
     io: RankIo<'a>,
-    cache: Option<&'s BlockCache>,
-    fuser: Option<&'s ExtentFuser>,
-    scope: &'s Arc<str>,
     /// Seconds spent checking extents against their footers since the
     /// last [`Self::record_verify`]; `None` (no clock is ever read)
     /// unless the rank is profiled.
@@ -101,10 +100,8 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// then is integrity-check time measured.
     pub fn new(store: &'s MlocStore<'a>, retry: RetryPolicy, profiled: bool) -> Self {
         Fetcher {
+            store,
             io: RankIo::with_retry(store.backend(), retry),
-            cache: store.cache().map(Arc::as_ref),
-            fuser: store.fuser().map(Arc::as_ref),
-            scope: store.cache_scope(),
             verify_s: profiled.then_some(0.0),
             report: FetchReport::default(),
         }
@@ -120,10 +117,22 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
+    /// Name of a bin's index file. A rank visits each bin once, so
+    /// this is the one allocation of the name on the rank: every
+    /// request, retry and trace record of the file clones the pointer.
+    pub fn index_file(&self, bin: usize) -> Arc<str> {
+        Arc::from(self.store.index_file(bin))
+    }
+
+    /// Name of a bin's data file (see [`Self::index_file`]).
+    pub fn data_file(&self, bin: usize) -> Arc<str> {
+        Arc::from(self.store.data_file(bin))
+    }
+
     /// Cache key of one block of this store's variable.
     pub fn key(&self, bin: usize, chunk_rank: usize, part: BlockPart) -> BlockKey {
         BlockKey {
-            scope: Arc::clone(self.scope),
+            scope: Arc::clone(self.store.cache_scope()),
             bin: bin as u32,
             chunk_rank: chunk_rank as u32,
             part,
@@ -133,7 +142,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// Probe the cache. A block of the wrong kind for its key is a
     /// miss, never a wrong answer.
     fn probe(&mut self, key: &BlockKey) -> Option<CachedBlock> {
-        let cache = self.cache?;
+        let cache = self.store.cache()?;
         let block = cache.get(key).filter(|b| match key.part {
             BlockPart::Footer(_) => b.as_footer().is_some(),
             BlockPart::Floats => b.as_floats().is_some(),
@@ -147,8 +156,8 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 
     /// Account a cache hit on `[off, off + len)`: the extent stays
     /// visible in the trace (flagged cached) at zero simulated cost.
-    fn hit(&mut self, file: &str, off: u64, len: u64) {
-        self.io.record_cached(file, off, len);
+    fn hit(&mut self, file: &Arc<str>, off: u64, len: u64) {
+        self.io.record_cached(Arc::clone(file), off, len);
         self.report.cache_hits += 1;
         self.report.bytes_saved += len;
     }
@@ -163,7 +172,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 
     /// Offer a block to the cache (a no-op without one).
     pub fn publish(&mut self, key: BlockKey, block: CachedBlock) {
-        if let Some(c) = self.cache {
+        if let Some(c) = self.store.cache() {
             if !c.insert(key, block) {
                 self.report.cache_rejected += 1;
             }
@@ -175,7 +184,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// verified against `footer`. Single extents bypass the fuser.
     pub fn extent(
         &mut self,
-        file: &str,
+        file: &Arc<str>,
         key: BlockKey,
         (off, len): (u64, u64),
         footer: &ExtentFooter,
@@ -184,7 +193,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             self.hit(file, off, len);
             return Ok(b);
         }
-        let raw = ByteView::new(Arc::new(self.io.read(file, off, len)?));
+        let raw = ByteView::new(Arc::new(self.io.read(Arc::clone(file), off, len)?));
         footer.verify_timed(file, off, &raw, self.verify_s.as_mut())?;
         self.count_read(key.part, len);
         self.publish(key, CachedBlock::Bytes(raw.clone()));
@@ -200,7 +209,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// byte accounting mirrors every other cached block. A footer that
     /// cannot be loaded or fails its own CRC is always a hard error:
     /// without it nothing in the file can be trusted.
-    pub fn footer(&mut self, file: &str, key: BlockKey) -> Result<Arc<ExtentFooter>> {
+    pub fn footer(&mut self, file: &Arc<str>, key: BlockKey) -> Result<Arc<ExtentFooter>> {
         if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
             self.hit(file, f.payload_len(), f.encoded_len());
             return Ok(f);
@@ -214,9 +223,11 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 "file shorter than footer trailer",
             ));
         }
-        let trailer = self.io.read(file, flen - TRAILER_LEN, TRAILER_LEN)?;
+        let trailer = self
+            .io
+            .read(Arc::clone(file), flen - TRAILER_LEN, TRAILER_LEN)?;
         let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
-        let mut region = self.io.read(file, payload_len, table_len)?;
+        let mut region = self.io.read(Arc::clone(file), payload_len, table_len)?;
         region.extend_from_slice(&trailer);
         let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
         self.count_read(key.part, footer.encoded_len());
@@ -233,7 +244,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// are fatal by returning them.
     pub fn wants(
         &mut self,
-        file: &str,
+        file: &Arc<str>,
         wants: &[Want],
         footer: Option<&ExtentFooter>,
         mut sink: impl FnMut(usize, Result<Fetched>) -> Result<()>,
@@ -257,7 +268,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             file,
             &extents,
             footer,
-            self.fuser,
+            self.store.fuser().map(Arc::as_ref),
             self.verify_s.as_mut(),
         );
         for (i, read) in missed.into_iter().zip(reads) {
@@ -305,7 +316,9 @@ mod tests {
     use super::super::Decoder;
     use super::*;
     use crate::build::build_variable;
+    use crate::cache::BlockCache;
     use crate::config::MlocConfig;
+    use crate::fusion::ExtentFuser;
     use crate::index::{decode_summary, header_size, BinIndex};
     use mloc_pfs::{MemBackend, StorageBackend};
 
@@ -317,11 +330,11 @@ mod tests {
     fn fetch(store: &MlocStore<'_>, index: &BinIndex, r: usize, part: BlockPart) -> FetchReport {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
         let mut quiet = Collector::disabled();
-        let idx_file = store.index_file(BIN);
+        let idx_file = f.index_file(BIN);
         let key = f.key(BIN, r, part);
         // The file footers every other fetch verifies against come
         // from a fetcher of their own, so they stay out of the report.
-        let footer_of = |file: &str, which: u8| {
+        let footer_of = |file: &Arc<str>, which: u8| {
             let mut g = Fetcher::new(store, RetryPolicy::none(), false);
             let key = g.key(BIN, 0, BlockPart::Footer(which));
             g.footer(file, key).unwrap()
@@ -345,7 +358,7 @@ mod tests {
                     .unwrap();
             }
             BlockPart::PlodPart(p) => {
-                let file = store.data_file(BIN);
+                let file = f.data_file(BIN);
                 let loc = index.chunks[r].units[usize::from(p)];
                 let footer = footer_of(&file, 1);
                 let want = (key.clone(), loc.offset, loc.clen);
@@ -378,7 +391,7 @@ mod tests {
         assert!(r.trace.iter().all(|op| op.file == r.trace[0].file));
         let charged = r.trace.iter().any(|op| !op.cached);
         assert_eq!(charged, r.trace.iter().all(|op| !op.cached));
-        (footprint, r.trace[0].file.clone(), off, len, charged)
+        (footprint, r.trace[0].file.to_string(), off, len, charged)
     }
 
     #[test]
@@ -466,5 +479,105 @@ mod tests {
             assert_eq!(follow.fused_reads, u64::from(coalesced));
             assert_eq!(follow.fused_bytes, if coalesced { len } else { 0 });
         }
+    }
+
+    /// The whole observable footprint of a rank's fetches, one line per
+    /// trace record and one for the counters.
+    fn render(label: &str, r: &FetchReport, out: &mut String) {
+        use std::fmt::Write;
+        writeln!(out, "## {label}").unwrap();
+        for op in &r.trace {
+            let how = if op.cached { "cached" } else { "read" };
+            writeln!(out, "{} {} {} {how}", op.file, op.offset, op.len).unwrap();
+        }
+        writeln!(
+            out,
+            "index_bytes={} data_bytes={} cache_hits={} cache_misses={} bytes_saved={} \
+             cache_rejected={} fused_reads={} fused_bytes={} retries={} retry_wait_s={} \
+             retries_exhausted={} batch_depths={:?}",
+            r.index_bytes,
+            r.data_bytes,
+            r.cache_hits,
+            r.cache_misses,
+            r.bytes_saved,
+            r.cache_rejected,
+            r.fused_reads,
+            r.fused_bytes,
+            r.retries,
+            r.retry_wait_s,
+            r.retries_exhausted,
+            r.batch_depths,
+        )
+        .unwrap();
+    }
+
+    /// One fixed query's full `(file, offset, len, cached)` sequence
+    /// and every counter — cold, cache fill, warm, fusion leader and
+    /// follower — and one progressive ladder's captured part
+    /// locations, against `fetch_golden.txt`, recorded before the
+    /// engine read index blocks through views and shared file names.
+    #[test]
+    fn one_query_fetches_exactly_what_it_did_before_views() {
+        use super::super::{process_units, RankJob, RankOutput};
+        use crate::array::Region;
+        use crate::config::PlodLevel;
+        use crate::exec::ExecRequest;
+        use crate::query::plan::make_plan;
+        use crate::query::Query;
+        use std::fmt::Write;
+
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        let open = || MlocStore::open(&be, "ds", "v").unwrap();
+        let run = |store: &MlocStore<'_>, query: &Query, capture: bool| -> RankOutput {
+            let plan = make_plan(store, query).unwrap();
+            let mut req = ExecRequest::planned(query, &plan, None);
+            req.capture_refine = capture;
+            let job = RankJob {
+                store,
+                req,
+                units: &plan.units,
+                retry: RetryPolicy::none(),
+                allow_degraded: false,
+            };
+            process_units(&job, &mut Collector::disabled()).unwrap()
+        };
+        // Two chunks of the 4 x 4 grid, both straddling the region.
+        let query = Query::values_in(Region::new(vec![(10, 20), (20, 30)]));
+        let mut got = String::new();
+
+        render("cold", &run(&open(), &query, false).io, &mut got);
+        let cached = open().with_cache(Arc::new(BlockCache::with_budget_mb(8)));
+        render("cache fill", &run(&cached, &query, false).io, &mut got);
+        render("warm", &run(&cached, &query, false).io, &mut got);
+        let fuser = Arc::new(ExtentFuser::with_window_mb(8));
+        let fusing = open().with_fusion(Arc::clone(&fuser));
+        fuser.begin_window();
+        render("fusion leader", &run(&fusing, &query, false).io, &mut got);
+        render("fusion follower", &run(&fusing, &query, false).io, &mut got);
+
+        // Step 0 of a progressive ladder over the same region.
+        let base = query.clone().with_plod(PlodLevel::new(1).unwrap());
+        let step0 = run(&open(), &base, true);
+        render("ladder step 0", &step0.io, &mut got);
+        writeln!(got, "## ladder part locations").unwrap();
+        for u in &step0.refine_units {
+            write!(
+                got,
+                "bin {} chunk {} count {}:",
+                u.bin, u.chunk_rank, u.count
+            )
+            .unwrap();
+            for loc in &u.part_locs {
+                write!(got, " {}+{}", loc.offset, loc.clen).unwrap();
+            }
+            writeln!(got).unwrap();
+        }
+        assert_eq!(got, include_str!("fetch_golden.txt"));
     }
 }

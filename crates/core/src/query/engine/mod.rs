@@ -19,7 +19,7 @@ pub(crate) use fetch::{Fetched, Fetcher, Want};
 use crate::cache::{BlockPart, ByteView, CachedBlock};
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
-use crate::index::{decode_summary, header_size, BinIndex, ChunkSummary, UnitLoc};
+use crate::index::{header_size, HeaderView, SummaryView, UnitLoc};
 use crate::integrity::ExtentFooter;
 use crate::query::plan::WorkUnit;
 use crate::store::MlocStore;
@@ -91,9 +91,12 @@ pub struct RankJob<'j, 'a> {
 /// One bin's blocks as the fetch and decode stages fill them in;
 /// the per-unit vectors are indexed like the rank's units of the bin.
 pub(crate) struct BinBlocks {
-    pub index: BinIndex,
-    /// The v2 chunk summaries (`None` for v1 files).
-    pub summaries: Option<Vec<ChunkSummary>>,
+    /// The index header + directory, read in place from the fetched
+    /// (or cached) block: a rank pays for the chunks it touches, not
+    /// for the chunks the bin stores.
+    pub index: HeaderView<ByteView>,
+    /// The v2 chunk summaries, likewise a view (`None` for v1 files).
+    pub summaries: Option<SummaryView<ByteView>>,
     /// Per unit: its stored bitmap (a WAH stream, then — v2 — the
     /// chunk's rank/select directory), when one had to be read.
     pub bitmaps: Vec<Option<ByteView>>,
@@ -102,12 +105,24 @@ pub(crate) struct BinBlocks {
     pub full: Vec<bool>,
     /// The data file's checksum footer (iff any unit touched data).
     pub dat_footer: Option<Arc<ExtentFooter>>,
-    /// Per unit, per part: the decoded data block — PLoD byte groups,
-    /// or the one whole-value block; empty for units that read none.
-    pub parts: Vec<Vec<Option<CachedBlock>>>,
+    /// Unit-major `units × n_parts` slots: the decoded data blocks —
+    /// PLoD byte groups, or the one whole-value block — of the units
+    /// that read data; empty when no unit of the bin does.
+    parts: Vec<Option<CachedBlock>>,
+    /// Parts of a data-bearing unit the query uses (the slot stride).
+    n_parts: usize,
     /// Per unit: the leading parts usable for assembly — the query's
     /// count, or fewer when a lost extent degraded the unit.
     pub eff_parts: Vec<usize>,
+}
+
+impl BinBlocks {
+    /// Unit `gi`'s part slots (empty when the bin read no data).
+    pub fn unit_parts(&self, gi: usize) -> &[Option<CachedBlock>] {
+        self.parts
+            .get(gi * self.n_parts..(gi + 1) * self.n_parts)
+            .unwrap_or(&[])
+    }
 }
 
 /// The three stages' per-rank state.
@@ -167,26 +182,29 @@ impl Rank<'_, '_> {
         // read from the file below (header, bitmaps) is verified
         // against it, and none of them is degradable — a damaged index
         // fails the query loudly.
-        let file = store.index_file(bin);
+        let file = self.fetcher.index_file(bin);
         let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
         let footer = self.fetcher.footer(&file, footer_key)?;
 
-        // Index header + directory: one sequential read, cached whole.
-        let hdr_len = header_size(store.grid().num_chunks(), store.config().num_parts());
+        // Index header + directory: one sequential read, cached whole
+        // and addressed in place. Its geometry must be the store's:
+        // every rank and part index below comes from the plan.
+        let (num_chunks, num_parts) = (store.grid().num_chunks(), store.config().num_parts());
+        let hdr_len = header_size(num_chunks, num_parts);
         let hdr_key = self.fetcher.key(bin, 0, BlockPart::IndexHeader);
         let hdr = self.fetcher.extent(&file, hdr_key, (0, hdr_len), &footer)?;
-        let index = BinIndex::decode_header(&hdr)?;
+        let index = HeaderView::parse(hdr)?.with_geometry(num_chunks, num_parts)?;
 
         // v2 chunk summaries: one extent right after the header, read
         // whenever the file carries one. The read is version-driven —
         // never cache- or plan-state-driven — so cold and warm runs of
         // the same query access identical extents, and the header →
         // summary → first-bitmap reads stay physically contiguous.
-        let summaries = if index.summary_bytes > 0 {
-            let span = (index.summary_file_offset(), index.summary_bytes);
+        let summaries = if index.summary_bytes() > 0 {
+            let span = (index.summary_file_offset(), index.summary_bytes());
             let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
             let raw = self.fetcher.extent(&file, sum_key, span, &footer)?;
-            Some(decode_summary(&raw, index.chunks.len())?)
+            Some(SummaryView::parse(raw, num_chunks)?)
         } else {
             None
         };
@@ -197,7 +215,7 @@ impl Rank<'_, '_> {
         let mut wants: Vec<Want> = Vec::new();
         let mut slots: Vec<usize> = Vec::new(); // unit idx in group
         for (gi, u) in group.iter().enumerate() {
-            let len = index.chunks[u.chunk_rank].bitmap_len;
+            let len = index.bitmap_len(u.chunk_rank);
             if len == 0 {
                 continue;
             }
@@ -205,7 +223,7 @@ impl Rank<'_, '_> {
             // all ones, so it is synthesized at reconstruction instead
             // of read; partial chunks still fetch their bitmap.
             if let Some(sums) = &summaries {
-                if sums[u.chunk_rank].all_of_chunk {
+                if sums.get(u.chunk_rank).all_of_chunk {
                     full[gi] = true;
                     self.summary_skips += 1;
                     continue;
@@ -230,7 +248,8 @@ impl Rank<'_, '_> {
             bitmaps,
             full,
             dat_footer: None,
-            parts: vec![Vec::new(); group.len()],
+            parts: Vec::new(),
+            n_parts: self.recon.n_parts,
             eff_parts: vec![self.recon.n_parts; group.len()],
         })
     }
@@ -249,29 +268,30 @@ impl Rank<'_, '_> {
         let config = store.config();
         let bin = group[0].bin;
         obs.begin("data-read");
-        let file = store.data_file(bin);
+        let file = self.fetcher.data_file(bin);
         let bytes_before = self.fetcher.report.data_bytes;
         // The data file's footer is needed iff any unit actually
         // touches data. The condition depends only on the plan and the
         // index — never on cache state — so cold and warm runs of the
         // same query access it identically.
-        let chunks = &blocks.index.chunks;
-        let reads_data = |u: &WorkUnit| u.needs_data && chunks[u.chunk_rank].count > 0;
+        let index = &blocks.index;
+        let reads_data = |u: &WorkUnit| u.needs_data && index.count(u.chunk_rank) > 0;
         if group.iter().any(reads_data) {
             let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
             blocks.dat_footer = Some(self.fetcher.footer(&file, key)?);
+            blocks.parts = vec![None; group.len() * n_parts];
         }
         let mut wants: Vec<Want> = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (unit idx, part)
         for (gi, u) in group.iter().enumerate().filter(|(_, u)| reads_data(u)) {
-            blocks.parts[gi] = vec![None; n_parts];
-            for (p, loc) in chunks[u.chunk_rank].units[..n_parts].iter().enumerate() {
+            for p in 0..n_parts {
                 let part = if config.plod {
                     BlockPart::PlodPart(p as u8)
                 } else {
                     BlockPart::Floats
                 };
                 let key = self.fetcher.key(bin, u.chunk_rank, part);
+                let loc = index.unit(u.chunk_rank, p);
                 wants.push((key, loc.offset, loc.clen));
                 slots.push((gi, p));
             }
@@ -292,7 +312,7 @@ impl Rank<'_, '_> {
         self.fetcher.wants(&file, &wants, footer, |k, got| {
             let (gi, p) = slots[k];
             match got {
-                Ok(Fetched::Cached(block)) => parts[gi][p] = Some(block),
+                Ok(Fetched::Cached(block)) => parts[gi * n_parts + p] = Some(block),
                 Ok(Fetched::Raw(view)) => stored.push((k, view)),
                 Err(e) => {
                     if !(degrade && p > 0 && !group[gi].value_filter) {
@@ -304,7 +324,7 @@ impl Rank<'_, '_> {
                             bin,
                             chunk_rank: group[gi].chunk_rank,
                             lost_part: p,
-                            points: u64::from(chunks[group[gi].chunk_rank].count),
+                            points: u64::from(index.count(group[gi].chunk_rank)),
                             reason: e.to_string(),
                         });
                     }
@@ -324,10 +344,10 @@ impl Rank<'_, '_> {
         let t = Instant::now();
         for (k, view) in stored {
             let (gi, p) = slots[k];
-            let count = chunks[group[gi].chunk_rank].count as usize;
+            let count = blocks.index.count(group[gi].chunk_rank) as usize;
             let key = wants[k].0.clone();
             let block = self.decoder.decode(&mut self.fetcher, key, &view, count)?;
-            blocks.parts[gi][p] = Some(block);
+            blocks.parts[gi * n_parts + p] = Some(block);
         }
         // The profile span gets the same float as the metric, so the
         // two reports reconcile exactly, not just "within noise".
@@ -351,7 +371,7 @@ impl Rank<'_, '_> {
         // doubling reallocations (filters only shrink the bound).
         let expected: usize = group
             .iter()
-            .map(|u| blocks.index.chunks[u.chunk_rank].count as usize)
+            .map(|u| blocks.index.count(u.chunk_rank) as usize)
             .sum();
         self.out.positions.reserve(expected);
         if self.job.req.query.wants_values() {
@@ -383,5 +403,56 @@ impl Rank<'_, '_> {
         obs.count("hotpath.copy_bytes", copy_bytes);
         self.out.io = self.fetcher.finish(obs);
         self.out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::build::build_variable;
+    use crate::config::MlocConfig;
+    use crate::index::header_size;
+    use crate::integrity::ExtentFooter;
+    use crate::query::Query;
+    use crate::store::MlocStore;
+    use crate::MlocError;
+    use mloc_pfs::{MemBackend, StorageBackend};
+
+    /// A header that parses and passes its checksum but describes
+    /// another geometry — here 40 chunks × 2 parts, the same 1614
+    /// bytes as the store's 16 × 7 — is refused where it is read,
+    /// instead of sending plan-derived ranks and parts out of range.
+    #[test]
+    fn a_header_of_another_geometry_is_corrupt_not_a_panic() {
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let query = Query::values_where(0.0, 2000.0);
+        store.query_serial(&query).unwrap();
+
+        let file = store.index_file(1);
+        let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        let mut payload = ExtentFooter::split_verified(&raw, &file).unwrap().to_vec();
+        let footer = ExtentFooter::decode(&raw[payload.len()..], raw.len() as u64, &file).unwrap();
+        let extents: Vec<u32> = (0..footer.num_extents())
+            .map(|i| footer.extent(i).1)
+            .collect();
+        assert_eq!(header_size(16, 7), header_size(40, 2));
+        payload[9..13].copy_from_slice(&40u32.to_le_bytes());
+        payload[13] = 2;
+        be.create(&file).unwrap();
+        be.append(&file, &payload).unwrap();
+        be.append(&file, &ExtentFooter::compute(&payload, &extents).encode())
+            .unwrap();
+
+        let err = store.query_serial(&query).unwrap_err();
+        assert!(
+            matches!(err, MlocError::Corrupt("index geometry mismatch")),
+            "got {err}"
+        );
     }
 }

@@ -437,8 +437,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         bin: &BinBlocks,
         out: &mut RankOutput,
     ) -> Result<()> {
-        let entry = &bin.index.chunks[u.chunk_rank];
-        if entry.count == 0 {
+        let count = bin.index.count(u.chunk_rank);
+        if count == 0 {
             return Ok(());
         }
         let (store, req) = (self.job.store, &self.job.req);
@@ -467,7 +467,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         };
         // A corrupted bitmap must not index past the decoded values
         // or outside the chunk.
-        if bitmap.len() != chunk_points || bitmap.count_ones() != u64::from(entry.count) {
+        if bitmap.len() != chunk_points || bitmap.count_ones() != u64::from(count) {
             return Err(MlocError::Corrupt("index bitmap inconsistent"));
         }
 
@@ -477,7 +477,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         // inside the timed reconstruct loop). The invariants "output
         // wants values / value filter ⇒ the unit carries them" are
         // checked once per unit, not per point.
-        let parts = &bin.parts[gi];
+        let parts = bin.unit_parts(gi);
         let vals: Option<&[f64]> = if !u.needs_data {
             None
         } else if store.config().plod {
@@ -517,7 +517,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         };
 
         if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
-            let summary = bin.summaries.as_ref().map(|s| s[u.chunk_rank]);
+            let summary = bin.summaries.as_ref().map(|s| s.get(u.chunk_rank));
             return self.probe(&v, dir_bytes, summary, bin.full[gi], out);
         }
         // A refinable unit — PLoD data-bearing, values wanted, no
@@ -533,8 +533,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             let ru = RefineUnit {
                 bin: u.bin,
                 chunk_rank: u.chunk_rank,
-                count: entry.count,
-                part_locs: entry.units.clone(),
+                count,
+                part_locs: bin.index.units(u.chunk_rank).collect(),
                 footer: Arc::clone(footer.ok_or(MlocError::Corrupt("data unit without footer"))?),
                 val_idx: Vec::new(),
                 positions: Vec::new(),

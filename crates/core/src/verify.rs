@@ -125,14 +125,14 @@ impl FileBytes {
         let mut reqs = Vec::new();
         for f in files {
             match backend.len(f) {
-                Ok(n) => reqs.push(ReadRequest::new(f.clone(), 0, n)),
+                Ok(n) => reqs.push(ReadRequest::new(f.as_str(), 0, n)),
                 Err(e) => {
                     bytes.insert(f.clone(), Err(e));
                 }
             }
         }
         for (req, res) in reqs.iter().zip(backend.read_batch(&reqs)) {
-            bytes.insert(req.file.clone(), res);
+            bytes.insert(req.file.to_string(), res);
         }
         FileBytes { bytes }
     }

@@ -2,14 +2,17 @@
 
 use crate::retry::{op_token, RetryPolicy};
 use crate::PfsError;
+use std::sync::Arc;
 
 /// One entry of a submission batch: read `len` bytes of `file` at
 /// `offset`. Requests in a batch are independent — they may overlap,
 /// repeat, or target different files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRequest {
-    /// File name.
-    pub file: String,
+    /// File name, shared: a caller that builds the name once hands
+    /// every request, retry re-submission and trace record of that
+    /// file a pointer clone instead of a fresh string.
+    pub file: Arc<str>,
     /// Byte offset of the read.
     pub offset: u64,
     /// Length of the read in bytes.
@@ -18,7 +21,7 @@ pub struct ReadRequest {
 
 impl ReadRequest {
     /// Build a request.
-    pub fn new(file: impl Into<String>, offset: u64, len: u64) -> Self {
+    pub fn new(file: impl Into<Arc<str>>, offset: u64, len: u64) -> Self {
         ReadRequest {
             file: file.into(),
             offset,
@@ -177,8 +180,9 @@ impl<T: StorageBackend + ?Sized> StorageBackend for Box<T> {
 /// One logical read operation, as recorded in a rank's I/O trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOp {
-    /// File name.
-    pub file: String,
+    /// File name (shared with the request it records, see
+    /// [`ReadRequest::file`]).
+    pub file: Arc<str>,
     /// Byte offset of the read.
     pub offset: u64,
     /// Length of the read in bytes.
@@ -192,7 +196,7 @@ pub struct ReadOp {
 
 impl ReadOp {
     /// An uncached read op.
-    pub fn new(file: impl Into<String>, offset: u64, len: u64) -> Self {
+    pub fn new(file: impl Into<Arc<str>>, offset: u64, len: u64) -> Self {
         ReadOp {
             file: file.into(),
             offset,
@@ -239,14 +243,20 @@ impl<'a> RankIo<'a> {
     /// are accounted separately via [`Self::retries`] and the
     /// simulated [`Self::retry_wait_s`], never folded into the trace
     /// the cost simulator prices).
-    pub fn read(&mut self, file: &str, offset: u64, len: u64) -> Result<Vec<u8>, PfsError> {
-        self.trace.push(ReadOp::new(file, offset, len));
-        let token = op_token(file, offset, len);
+    pub fn read(
+        &mut self,
+        file: impl Into<Arc<str>>,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, PfsError> {
+        let file: Arc<str> = file.into();
+        self.trace.push(ReadOp::new(Arc::clone(&file), offset, len));
         let mut attempt = 1u32;
         loop {
-            match self.backend.read(file, offset, len) {
+            match self.backend.read(&file, offset, len) {
                 Ok(buf) => return Ok(buf),
                 Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
+                    let token = op_token(&file, offset, len);
                     let wait = self.retry.backoff_s_for(attempt + 1, token);
                     if self.retry.budget_exceeded(self.retry_wait_s, wait) {
                         self.retries_exhausted += 1;
@@ -275,7 +285,7 @@ impl<'a> RankIo<'a> {
     pub fn read_batch(&mut self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
         for r in requests {
             self.trace
-                .push(ReadOp::new(r.file.clone(), r.offset, r.len));
+                .push(ReadOp::new(Arc::clone(&r.file), r.offset, r.len));
         }
         self.batch_depths.push(requests.len() as u64);
         let mut out: Vec<Option<Result<Vec<u8>, PfsError>>> =
@@ -311,7 +321,7 @@ impl<'a> RankIo<'a> {
                 if self.retry.budget_exceeded(self.retry_wait_s, wait) {
                     self.retries_exhausted += 1;
                     out[slot] = Some(Err(PfsError::RetriesExhausted {
-                        file: r.file.clone(),
+                        file: r.file.to_string(),
                         offset: r.offset,
                         attempts: attempt,
                         waited_s: self.retry_wait_s,
@@ -337,9 +347,9 @@ impl<'a> RankIo<'a> {
     /// backend. It shows up in the trace (flagged [`ReadOp::cached`])
     /// so access patterns stay analyzable, but costs nothing in the
     /// simulator and is excluded from [`Self::bytes_read`].
-    pub fn record_cached(&mut self, file: &str, offset: u64, len: u64) {
+    pub fn record_cached(&mut self, file: impl Into<Arc<str>>, offset: u64, len: u64) {
         self.trace.push(ReadOp {
-            file: file.to_string(),
+            file: file.into(),
             offset,
             len,
             cached: true,
@@ -493,7 +503,7 @@ mod tests {
         let mut seq = RankIo::with_retry(&fb, RetryPolicy::with_attempts(4));
         let seq_res: Vec<_> = reqs
             .iter()
-            .map(|r| seq.read(&r.file, r.offset, r.len).unwrap())
+            .map(|r| seq.read(Arc::clone(&r.file), r.offset, r.len).unwrap())
             .collect();
         let (seq_retries, seq_wait) = (seq.retries(), seq.retry_wait_s());
         assert!(seq_retries > 0, "plan injected nothing");
@@ -537,7 +547,7 @@ mod tests {
         let mut seq = RankIo::with_retry(&fb, policy);
         let seq_res: Vec<_> = reqs
             .iter()
-            .map(|r| seq.read(&r.file, r.offset, r.len).unwrap())
+            .map(|r| seq.read(Arc::clone(&r.file), r.offset, r.len).unwrap())
             .collect();
         assert!(seq.retries() > 0, "plan injected nothing");
 

@@ -59,7 +59,13 @@ impl CostModel {
     /// OST serving byte `offset` of file `file` (round-robin striping
     /// with a per-file starting OST derived from the name).
     pub fn ost_of(&self, file: &str, offset: u64) -> usize {
-        let start = Self::file_hash(file) as usize % self.num_osts;
+        self.ost_of_hashed(Self::file_hash(file), offset)
+    }
+
+    /// [`Self::ost_of`] for a caller that already holds the file's
+    /// [`Self::file_hash`] (the simulator hashes each op's name once).
+    pub fn ost_of_hashed(&self, file_hash: u64, offset: u64) -> usize {
+        let start = file_hash as usize % self.num_osts;
         let stripe = (offset / self.stripe_size) as usize;
         (start + stripe) % self.num_osts
     }

@@ -25,6 +25,7 @@ use crate::PfsError;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One shard's slice of a batch: the submission slots it owns, the
 /// requests, and the shard servicing it.
@@ -199,7 +200,7 @@ impl StorageBackend for ShardRouter {
         // their k-th replica. Round 0 is the whole batch on primaries;
         // later rounds mask errors.
         let mut pending: Vec<usize> = (0..requests.len()).collect();
-        let mut repair_jobs: Vec<(String, usize, Vec<usize>)> = Vec::new();
+        let mut repair_jobs: Vec<(Arc<str>, usize, Vec<usize>)> = Vec::new();
         for k in 0..self.replicas {
             if pending.is_empty() {
                 break;
@@ -234,7 +235,7 @@ impl StorageBackend for ShardRouter {
                                 let healthy = self.replica_shard_of(name, k);
                                 let failed: Vec<usize> =
                                     (0..k).map(|j| self.replica_shard_of(name, j)).collect();
-                                repair_jobs.push((name.clone(), healthy, failed));
+                                repair_jobs.push((Arc::clone(name), healthy, failed));
                             }
                             out[slot] = Some(Ok(buf));
                         }

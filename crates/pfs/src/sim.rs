@@ -116,6 +116,10 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
     // time, so concurrent ranks interleave correctly on the OSTs.
     struct Cursor {
         op_idx: usize,
+        /// Name hash of the op in progress: computed once at op start,
+        /// it keys the open set and the OST heads and picks the
+        /// starting OST of every stripe segment.
+        file_hash: u64,
         seg_off: u64,
         op_start: f64,
         op_completion: f64,
@@ -124,6 +128,7 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
     let mut cursors: Vec<Cursor> = (0..nranks)
         .map(|_| Cursor {
             op_idx: 0,
+            file_hash: 0,
             seg_off: 0,
             op_start: 0.0,
             op_completion: 0.0,
@@ -152,8 +157,8 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
                     continue;
                 }
                 let mut start = clocks[r];
-                let fh = CostModel::file_hash(&op.file);
-                if opened.insert((r, fh)) {
+                cur.file_hash = CostModel::file_hash(&op.file);
+                if opened.insert((r, cur.file_hash)) {
                     start += model.open_s;
                     *total_opens += 1;
                     per_rank[r].opens += 1;
@@ -203,7 +208,7 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
         let Some((r, issue)) = pick else { break };
         let cur = &mut cursors[r];
         let op = &traces[r][cur.op_idx];
-        let fh = CostModel::file_hash(&op.file);
+        let fh = cur.file_hash;
 
         // Serve one stripe segment.
         let off = cur.seg_off;
@@ -211,7 +216,7 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
         let stripe_end = (off / model.stripe_size + 1) * model.stripe_size;
         let seg_end = stripe_end.min(end);
         let seg_len = seg_end - off;
-        let ost = model.ost_of(&op.file, off);
+        let ost = model.ost_of_hashed(fh, off);
         let st = &mut osts[ost];
 
         // Physical position on the OST: it stores every `num_osts`-th
@@ -439,6 +444,94 @@ mod tests {
             assert!((b.transfer_s - b.bytes as f64 / m.ost_bw).abs() < 1e-9);
         }
         assert_eq!(rep.per_rank[2], RankIoBreakdown::default());
+    }
+
+    /// A recorded multi-rank, multi-file trace with stripe-crossing
+    /// reads, sequential continuations, re-opened files, cached and
+    /// zero-length ops. The expected report was captured before the
+    /// simulator started carrying each op's file hash with its cursor,
+    /// and must never move: `sim_io_s` is a gated benchmark metric.
+    #[test]
+    fn recorded_trace_report_is_pinned() {
+        let m = model();
+        let mib = 1u64 << 20;
+        let cached = |file: &str, offset: u64, len: u64| ReadOp {
+            cached: true,
+            ..op(file, offset, len)
+        };
+        let traces = vec![
+            vec![
+                op("ds/v/bin0.idx", 0, 1358),
+                op("ds/v/bin0.idx", 1358, 584),
+                op("ds/v/bin0.dat", mib / 2, 3 * mib),
+                cached("ds/v/bin0.dat", 0, 4096),
+                op("ds/v/bin0.dat", 7 * mib / 2, 300),
+                op("ds/v/bin1.dat", 40 * mib + 17, 2 * mib),
+            ],
+            vec![
+                op("ds/v/bin1.idx", 0, 1358),
+                op("ds/v/bin1.dat", 0, 0),
+                op("ds/v/bin1.dat", 40 * mib, 5 * mib / 2),
+                op("ds/v/bin0.idx", 9000, 120),
+                op("ds/v/bin0.idx", 9120, 120),
+            ],
+            vec![cached("ds/v/bin2.idx", 0, 1358)],
+            vec![
+                op("ds/v/bin0.dat", 0, 20 * mib),
+                op("ds/v/bin2.dat", 123_456, 789),
+            ],
+        ];
+        let rank = |seconds, bytes, seeks, opens, seek_s, open_s, transfer_s| RankIoBreakdown {
+            seconds,
+            bytes,
+            seeks,
+            opens,
+            seek_s,
+            open_s,
+            transfer_s,
+        };
+        let golden = SimReport {
+            per_rank_seconds: vec![
+                0.06323891333333334,
+                0.04024820666666666,
+                0.0,
+                0.12595968999999999,
+            ],
+            total_bytes: 28_840_469,
+            total_seeks: 31,
+            total_opens: 8,
+            per_rank: vec![
+                rank(
+                    0.06323891333333334,
+                    5_245_122,
+                    8,
+                    3,
+                    0.064,
+                    0.0045000000000000005,
+                    0.01748374,
+                ),
+                rank(
+                    0.04024820666666666,
+                    2_623_038,
+                    5,
+                    3,
+                    0.04,
+                    0.0045000000000000005,
+                    0.008743459999999998,
+                ),
+                RankIoBreakdown::default(),
+                rank(
+                    0.12595968999999999,
+                    20_972_309,
+                    18,
+                    2,
+                    0.14400000000000007,
+                    0.003,
+                    0.06990769666666671,
+                ),
+            ],
+        };
+        assert_eq!(simulate_reads(&traces, &m), golden);
     }
 
     #[test]

@@ -440,7 +440,11 @@ fn pool_opens_each_file_once_across_racing_workers_and_drains() {
     // Eight extents per file, interleaved so consecutive requests hit
     // different files.
     let reqs: Vec<ReadRequest> = (0..8u64)
-        .flat_map(|e| files.iter().map(move |f| ReadRequest::new(f, e * 128, 128)))
+        .flat_map(|e| {
+            files
+                .iter()
+                .map(move |f| ReadRequest::new(f.as_str(), e * 128, 128))
+        })
         .collect();
     let pool = PoolDirBackend::new(&root.0, 4).unwrap();
     for pass in 0..2 {

@@ -1,0 +1,154 @@
+//! Allocation budget of the warm fetch path.
+//!
+//! A warm op is all constants: every block it wants is a cache hit, so
+//! what it costs is what the engine spends *per want* around the probe.
+//! This binary counts heap allocations (a counting `#[global_allocator]`,
+//! per thread, so the harness's own threads don't leak in) and gates
+//! that constant exactly — a count, not a time, so CI can hold it.
+//!
+//! It lives in its own integration-test binary because the allocator
+//! is process-wide.
+
+use mloc::query::engine::{process_units, RankJob};
+use mloc::query::plan::make_plan;
+use mloc::{
+    build_variable, BlockCache, ExecRequest, MlocConfig, MlocStore, ParallelExecutor, Query, Region,
+};
+use mloc_obs::Collector;
+use mloc_pfs::{CostModel, MemBackend, ReadOp, RetryPolicy};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator outlives thread-local teardown.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// plain thread-local `Cell` with no destructor and no allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) this thread made while `f` ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The benchmark's geometry in small: an 8 × 8 chunk grid, PLoD byte
+/// columns, and bins narrow enough that a 1 % region meets most of
+/// them in only a few of their 64 chunks.
+fn build(be: &MemBackend) {
+    let n = 256usize;
+    let values = mloc_datagen::gts_like_2d(n, n, 11).into_values();
+    let config = MlocConfig::builder(vec![n, n])
+        .chunk_shape(vec![32, 32])
+        .num_bins(50)
+        .build();
+    build_variable(be, "ds", "v", &values, &config).unwrap();
+}
+
+/// 26 × 26 of 256 × 256 — 1 % of the domain, straddling four chunks.
+fn sc_one_percent() -> Query {
+    Query::values_in(Region::new(vec![(50, 76), (115, 141)]))
+}
+
+#[test]
+fn warm_execute_plan_allocates_under_one_and_a_half_times_per_want() {
+    let be = MemBackend::new();
+    build(&be);
+    let store = MlocStore::open(&be, "ds", "v")
+        .unwrap()
+        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+    let exec = ParallelExecutor::new(1, CostModel::default());
+    let query = sc_one_percent();
+    let plan = make_plan(&store, &query).unwrap();
+    let (cold, _) = exec.execute_plan(&store, &query, &plan, None).unwrap();
+
+    let ((warm, metrics), allocs) =
+        allocations(|| exec.execute_plan(&store, &query, &plan, None).unwrap());
+    assert_eq!(warm, cold);
+    assert_eq!(metrics.cache_misses, 0, "the op must be fully warm");
+    assert_eq!(metrics.bytes_read, 0);
+    let wants = metrics.cache_hits;
+    assert!(wants > 500, "fixture too small to mean anything: {wants}");
+
+    // Measured on this fixture (1,183 wants over 50 bins): 5,442
+    // allocations = 4.60 per want before the engine read index blocks
+    // through views and shared file names (65 per decoded header, one
+    // `String` per cached want), 926 = 0.78 per want since. What is
+    // left is per bin (want lists, slots, two file names) and per
+    // reconstructed unit, not per want.
+    println!("{allocs} allocations for {wants} wants");
+    assert!(
+        allocs * 2 <= wants * 3,
+        "{allocs} allocations for {wants} wants: the warm path allocates per want again"
+    );
+}
+
+#[test]
+fn a_ranks_trace_shares_one_name_allocation_per_file() {
+    let be = MemBackend::new();
+    build(&be);
+    let store = MlocStore::open(&be, "ds", "v")
+        .unwrap()
+        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+    let query = sc_one_percent();
+    let plan = make_plan(&store, &query).unwrap();
+    let trace_of = || -> Vec<ReadOp> {
+        let job = RankJob {
+            store: &store,
+            req: ExecRequest::planned(&query, &plan, None),
+            units: &plan.units,
+            retry: RetryPolicy::none(),
+            allow_degraded: false,
+        };
+        let out = process_units(&job, &mut Collector::disabled()).unwrap();
+        out.io.trace
+    };
+    // Cold: single reads and coalesced batches. Warm: cached records.
+    for (label, cached) in [("cold", false), ("warm", true)] {
+        let trace = trace_of();
+        assert!(trace.iter().all(|op| op.cached == cached), "{label}");
+        let mut first: HashMap<&str, &ReadOp> = HashMap::new();
+        for op in &trace {
+            let seen = first.entry(&op.file).or_insert(op);
+            assert!(
+                Arc::ptr_eq(&seen.file, &op.file),
+                "{label}: {} is named by two allocations",
+                op.file
+            );
+        }
+        assert!(
+            first.len() > 50,
+            "{label}: index and data files of most bins"
+        );
+        assert!(
+            trace.len() > 2 * first.len(),
+            "{label}: several ops per file"
+        );
+    }
+}
