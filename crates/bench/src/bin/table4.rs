@@ -1,78 +1,29 @@
 //! Table IV — region-query response time at the "512 GB" scale:
 //! MLOC variants vs sequential scan only (the other systems were
 //! already uncompetitive at 8 GB). Selectivity 1 % and 10 %, no SC.
-//!
-//! Paper (seconds): MLOC 15.8–43.7, Seq. Scan 1,423–2,317.
 
-use mloc_bench::compare::{build_systems, region_comparison, Lineup};
-use mloc_bench::report::{note, title, Table};
-use mloc_bench::scenario::DatasetSpec;
+use mloc_bench::compare::{print_comparison_table, Kind, Lineup, TableSpec};
 use mloc_bench::HarnessArgs;
-use mloc_pfs::MemBackend;
 
-fn main() {
-    let mut args = HarnessArgs::parse();
-    args.large = true; // this experiment is defined at the large scale
-    let selectivities = [0.01, 0.10];
-
-    let paper: &[(&str, [f64; 4])] = &[
+const SPEC: TableSpec = TableSpec {
+    title: "Table IV: region query response time (s) at the large scale, 1% / 10%",
+    columns: ["1% GTS", "10% GTS", "1% S3D", "10% S3D"],
+    kind: Kind::Region,
+    selectivities: [0.01, 0.10],
+    lineup: Lineup::MlocAndScan,
+    large_only: true,
+    paper_rows: &[
         ("MLOC-COL", [16.51, 41.18, 18.94, 39.25]),
         ("MLOC-ISO", [15.81, 42.06, 19.43, 41.55]),
         ("MLOC-ISA", [16.42, 42.19, 20.23, 43.71]),
         ("Seq. Scan", [1596.52, 2317.39, 1423.45, 2179.81]),
-    ];
+    ],
+    notes: &[
+        "expected shape: MLOC beats Seq. Scan by a widening factor at scale;",
+        "the factor grows with dataset size (ours is 128 MiB vs paper 512 GB)",
+    ],
+};
 
-    title("Table IV: region query response time (s) at the large scale, 1% / 10%");
-    let mut table = Table::new(&["system", "1% GTS", "10% GTS", "1% S3D", "10% S3D"]);
-    let mut measured: Vec<(String, Vec<f64>)> = Vec::new();
-
-    for (col_base, spec) in [
-        (0usize, DatasetSpec::gts(true)),
-        (2usize, DatasetSpec::s3d(true)),
-    ] {
-        eprintln!("[table4] building systems for {} ...", spec.name);
-        let field = spec.generate();
-        let be = MemBackend::new();
-        let systems = build_systems(&be, &spec, &field, Lineup::MlocAndScan);
-        eprintln!("[table4] running queries for {} ...", spec.name);
-        let rows = region_comparison(
-            &systems,
-            &field,
-            &selectivities,
-            args.queries,
-            args.ranks,
-            args.seed,
-        );
-        for (name, cells) in rows {
-            let entry = match measured.iter_mut().find(|(n, _)| *n == name) {
-                Some(e) => e,
-                None => {
-                    measured.push((name.clone(), vec![f64::NAN; 4]));
-                    measured.last_mut().unwrap()
-                }
-            };
-            for (i, c) in cells.iter().enumerate() {
-                entry.1[col_base + i] = c.response_s;
-            }
-        }
-    }
-
-    for (name, vals) in &measured {
-        table.row_seconds(name, vals);
-    }
-    table.print();
-
-    println!();
-    println!("paper Table IV (512 GB, for shape comparison):");
-    let mut p = Table::new(&["system", "1% GTS", "10% GTS", "1% S3D", "10% S3D"]);
-    for (name, vals) in paper {
-        p.row_seconds(name, vals);
-    }
-    p.print();
-    note(&format!(
-        "{} queries per cell, {} ranks",
-        args.queries, args.ranks
-    ));
-    note("expected shape: MLOC beats Seq. Scan by a widening factor at scale;");
-    note("the factor grows with dataset size (ours is 128 MiB vs paper 512 GB)");
+fn main() {
+    print_comparison_table(&SPEC, &HarnessArgs::parse());
 }

@@ -1,79 +1,28 @@
 //! Table V — value-query response time at the "512 GB" scale:
 //! MLOC variants vs sequential scan. Region selectivity 0.1 % / 1 %.
-//!
-//! Paper (seconds): MLOC-ISA fastest at 0.1 % (7.8–8.4) but slowest
-//! among MLOC at 1 % (41.0–44.0) because B-spline reconstruction cost
-//! overtakes its I/O savings; Seq. Scan 37–249.
 
-use mloc_bench::compare::{build_systems, value_comparison, Lineup};
-use mloc_bench::report::{note, title, Table};
-use mloc_bench::scenario::DatasetSpec;
+use mloc_bench::compare::{print_comparison_table, Kind, Lineup, TableSpec};
 use mloc_bench::HarnessArgs;
-use mloc_pfs::MemBackend;
 
-fn main() {
-    let mut args = HarnessArgs::parse();
-    args.large = true;
-    let selectivities = [0.001, 0.01];
-
-    let paper: &[(&str, [f64; 4])] = &[
+const SPEC: TableSpec = TableSpec {
+    title: "Table V: value query response time (s) at the large scale, 0.1% / 1%",
+    columns: ["0.1% GTS", "1% GTS", "0.1% S3D", "1% S3D"],
+    kind: Kind::Value,
+    selectivities: [0.001, 0.01],
+    lineup: Lineup::MlocAndScan,
+    large_only: true,
+    paper_rows: &[
         ("MLOC-COL", [13.25, 33.03, 15.24, 39.34]),
         ("MLOC-ISO", [8.81, 23.77, 9.96, 37.66]),
         ("MLOC-ISA", [7.82, 40.99, 8.39, 44.04]),
         ("Seq. Scan", [37.22, 248.87, 40.74, 230.26]),
-    ];
+    ],
+    notes: &[
+        "expected shape: ISA wins at 0.1% (least I/O) but loses its lead at",
+        "larger selectivity as B-spline reconstruction cost grows",
+    ],
+};
 
-    title("Table V: value query response time (s) at the large scale, 0.1% / 1%");
-    let mut table = Table::new(&["system", "0.1% GTS", "1% GTS", "0.1% S3D", "1% S3D"]);
-    let mut measured: Vec<(String, Vec<f64>)> = Vec::new();
-
-    for (col_base, spec) in [
-        (0usize, DatasetSpec::gts(true)),
-        (2usize, DatasetSpec::s3d(true)),
-    ] {
-        eprintln!("[table5] building systems for {} ...", spec.name);
-        let field = spec.generate();
-        let be = MemBackend::new();
-        let systems = build_systems(&be, &spec, &field, Lineup::MlocAndScan);
-        eprintln!("[table5] running queries for {} ...", spec.name);
-        let rows = value_comparison(
-            &systems,
-            &field,
-            &selectivities,
-            args.queries,
-            args.ranks,
-            args.seed,
-        );
-        for (name, cells) in rows {
-            let entry = match measured.iter_mut().find(|(n, _)| *n == name) {
-                Some(e) => e,
-                None => {
-                    measured.push((name.clone(), vec![f64::NAN; 4]));
-                    measured.last_mut().unwrap()
-                }
-            };
-            for (i, c) in cells.iter().enumerate() {
-                entry.1[col_base + i] = c.response_s;
-            }
-        }
-    }
-
-    for (name, vals) in &measured {
-        table.row_seconds(name, vals);
-    }
-    table.print();
-
-    println!();
-    println!("paper Table V (512 GB, for shape comparison):");
-    let mut p = Table::new(&["system", "0.1% GTS", "1% GTS", "0.1% S3D", "1% S3D"]);
-    for (name, vals) in paper {
-        p.row_seconds(name, vals);
-    }
-    p.print();
-    note(&format!(
-        "{} queries per cell, {} ranks",
-        args.queries, args.ranks
-    ));
-    note("expected shape: ISA wins at 0.1% (least I/O) but loses its lead at");
-    note("larger selectivity as B-spline reconstruction cost grows");
+fn main() {
+    print_comparison_table(&SPEC, &HarnessArgs::parse());
 }

@@ -16,6 +16,11 @@
 //!   metrics, identical query sequences across systems.
 //! * [`report`] — fixed-width table printing with paper reference
 //!   values.
+//! * [`compare`] — the system line-up, the one comparison function, and
+//!   the driver Tables II–V are declared over.
+//!
+//! Nothing here measures the repository itself: that is `benchmark/`
+//! (`bash benchmark/run.sh`), and deterministic gates are tests.
 
 pub mod compare;
 pub mod report;

@@ -1,7 +1,8 @@
 //! Integration tests for the query-path observability layer: replay
 //! and threaded execution must produce structurally identical profiles,
 //! and profile spans/counters must reconcile exactly with the
-//! [`QueryMetrics`] the same execution returns.
+//! [`QueryMetrics`] the same execution returns. One fixed session also
+//! pins the `hotpath.copy_bytes` counter.
 //!
 //! These tests run WITHOUT a block cache unless stated otherwise: a
 //! shared cache makes hit/miss counts depend on which rank touches a
@@ -168,6 +169,55 @@ fn integrity_checks_have_their_own_span() {
         rank.map(String::from).collect()
     };
     assert_eq!(spans(&cold), spans(&warm));
+}
+
+/// DESIGN §9's zero-copy discipline as a number: `hotpath.copy_bytes`
+/// over one pass of a fixed 22-query session (128² GTS-like field, 32²
+/// chunks, 16 bins, seed 42; ten value scans, ten region scans and a
+/// spatial value query at full and at 2-byte precision) on a one-rank
+/// executor with no cache.
+///
+/// Two places are allowed to materialize bytes, and the counter is
+/// their sum: the decoder, once per unit part it decompresses (the
+/// decoded block is new bytes by construction), and PLoD assembly,
+/// 8 bytes per point of every data-bearing unit into the rank's reused
+/// scratch. Fetches, cache inserts, fuser fan-out, index views, bitmap
+/// walks and whole-value (non-PLoD) reconstruction copy nothing. A
+/// larger figure therefore means a new copy on the hot path — decide
+/// it and re-pin it here; it is never noise.
+#[test]
+fn hot_path_copy_bytes_of_a_fixed_session_are_pinned() {
+    let shape = vec![128, 128];
+    let field = mloc_datagen::gts_like_2d(shape[0], shape[1], 42);
+    let config = MlocConfig::builder(shape.clone())
+        .chunk_shape(vec![32, 32])
+        .num_bins(16)
+        .build();
+    let be = MemBackend::new();
+    build_variable(&be, "obs", "v", field.values(), &config).unwrap();
+    let store = MlocStore::open(&be, "obs", "v").unwrap();
+
+    let mut gen = mloc_datagen::QueryGen::new(field.values().to_vec(), shape.clone(), 42);
+    let mut session = Vec::new();
+    for _ in 0..10 {
+        let (lo, hi) = gen.value_constraint(0.15);
+        session.push(Query::values_where(lo, hi));
+        session.push(Query::region(lo, hi));
+    }
+    let region = Region::new(shape.iter().map(|&e| (e / 8, e * 7 / 8)).collect());
+    session.push(Query::values_in(region.clone()));
+    session.push(Query::values_in(region).with_plod(PlodLevel::new(2).unwrap()));
+
+    let exec = ParallelExecutor::new(1, CostModel::default()).profiled(true);
+    let copied: u64 = session
+        .iter()
+        .map(|q| {
+            profiled(&exec, &store, q)
+                .2
+                .counter_total("hotpath.copy_bytes")
+        })
+        .sum();
+    assert_eq!(copied, 1_310_752);
 }
 
 #[test]

@@ -4,10 +4,14 @@
 //! execution mode — serial, threaded, cached cold/warm, and fused.
 //! Membership queries are part of the workload, and are additionally
 //! checked against the general reconstruction path and the naive scan.
+//! A second, banded field pins how often the v2 summary level and the
+//! rank/select directories actually fire inside a query, and what the
+//! directories cost in the built files.
 
 use mloc::exec::ParallelExecutor;
-use mloc::index::downgrade_variable_to_v1;
+use mloc::index::{downgrade_variable_to_v1, BinIndex};
 use mloc::prelude::*;
+use mloc_bitmap::WahRef;
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
 use mloc_pfs::{CostModel, MemBackend, StorageBackend};
@@ -26,6 +30,52 @@ fn build(be: &MemBackend) -> Vec<f64> {
         .build();
     build_variable(be, DS, VAR, field.values(), &config).unwrap();
     field.into_values()
+}
+
+const BANDED_SIDE: usize = 256;
+const BANDED_BINS: usize = 16;
+
+/// A field on which both v2 index levels matter. 4x4 chunk grid: ten
+/// chunks are one flat band (value 10), four are noise in [0, 1), and
+/// two are noise in [20, 21). The flat band makes the equal-frequency
+/// edges collapse onto its value, so a single *interior* bin holds all
+/// ten band chunks with all-ones bitmaps — the chunk-summary level can
+/// answer for most of the grid without reading a bitmap. The noisy
+/// chunks spread across the low/high bins with literal-heavy bitmaps
+/// long enough to earn rank/select samples.
+fn build_banded(be: &MemBackend) -> Vec<f64> {
+    let chunk = BANDED_SIDE / 4;
+    let mut rng: u64 = 42 | 1;
+    let mut noise = |base: f64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        base + (rng >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut values: Vec<f64> = Vec::with_capacity(BANDED_SIDE * BANDED_SIDE);
+    for row in 0..BANDED_SIDE {
+        for col in 0..BANDED_SIDE {
+            values.push(match (row / chunk) * 4 + col / chunk {
+                1 | 5 | 9 | 13 => noise(0.0),
+                7 | 15 => noise(20.0),
+                _ => 10.0,
+            });
+        }
+    }
+    let config = MlocConfig::builder(vec![BANDED_SIDE, BANDED_SIDE])
+        .chunk_shape(vec![chunk, chunk])
+        .num_bins(BANDED_BINS)
+        .codec(CodecKind::Deflate)
+        .build();
+    build_variable(be, DS, VAR, &values, &config).unwrap();
+    values
+}
+
+/// The band region sits on exact bin edges, so every bin it touches is
+/// aligned and every chunk it touches is full.
+fn band_region(store: &MlocStore<'_>) -> Query {
+    let bounds = store.bins().bounds();
+    Query::region(bounds[BANDED_BINS - 2], bounds[BANDED_BINS - 1])
 }
 
 /// Scans plus membership probes, with overlap so cached modes see both
@@ -64,12 +114,19 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
 /// in-place v1 downgrade. The build is deterministic, so any observable
 /// difference between the two is the index format's doing.
 fn v2_and_v1() -> (MemBackend, MemBackend, Vec<f64>) {
+    v2_and_v1_of(build, 10)
+}
+
+fn v2_and_v1_of(
+    build: fn(&MemBackend) -> Vec<f64>,
+    bins: usize,
+) -> (MemBackend, MemBackend, Vec<f64>) {
     let v2 = MemBackend::new();
     let values = build(&v2);
     let v1 = MemBackend::new();
     build(&v1);
     let rewritten = downgrade_variable_to_v1(&v1, DS, VAR).unwrap();
-    assert_eq!(rewritten, 10);
+    assert_eq!(rewritten, bins);
     // Sanity: the two formats really differ on disk (version byte).
     let name = format!("{DS}/{VAR}/bin0000.idx");
     assert_eq!(v1.read(&name, 0, 5).unwrap()[4], 1);
@@ -166,12 +223,85 @@ fn membership_matches_scan_and_general_path_on_both_formats() {
 fn plain_membership_is_answered_from_the_index_alone() {
     let (v2, v1, values) = v2_and_v1();
     let points: Vec<u64> = (0..values.len() as u64).step_by(13).collect();
-    let q = Query::membership(points.clone());
+    let membership = Query::membership(points.clone());
     for (tag, be) in [("v2", &v2), ("v1", &v1)] {
         let store = MlocStore::open(be, DS, VAR).unwrap();
-        let (res, m) = store.query_with_metrics(&q).unwrap();
+        let (res, m) = store.query_with_metrics(&membership).unwrap();
         assert_eq!(res.positions(), &points[..], "{tag}: membership positions");
         assert_eq!(m.data_bytes, 0, "{tag}: membership touched data");
         assert!(m.index_bytes > 0, "{tag}: no index reads recorded");
     }
+
+    // So is a region query whose bounds are bin edges.
+    let (v2, v1, values) = v2_and_v1_of(build_banded, BANDED_BINS);
+    for (tag, be) in [("v2", &v2), ("v1", &v1)] {
+        let store = MlocStore::open(be, DS, VAR).unwrap();
+        let q = band_region(&store);
+        let (res, m) = store.query_with_metrics(&q).unwrap();
+        let (lo, hi) = q.vc.unwrap();
+        let want = values.iter().filter(|&&v| v >= lo && v < hi).count();
+        assert_eq!(res.positions().len(), want, "{tag}: band positions");
+        assert_eq!(m.data_bytes, 0, "{tag}: aligned region touched data");
+        assert!(m.index_bytes > 0, "{tag}: no index reads recorded");
+    }
+}
+
+/// The only gates on the summary level and the rank directories
+/// actually firing inside a query. The counts are exact functions of
+/// the banded field, the planner and the index format: a change means
+/// one of those changed (re-derive and say why), never noise.
+#[test]
+fn summaries_skip_and_directories_probe_inside_queries() {
+    let (v2, v1, values) = v2_and_v1_of(build_banded, BANDED_BINS);
+    let store2 = MlocStore::open(&v2, DS, VAR).unwrap();
+    let store1 = MlocStore::open(&v1, DS, VAR).unwrap();
+    let n = values.len() as u64;
+    // The band region, a partial noisy region, a data-touching scan,
+    // and the two membership flavors.
+    let pass = [
+        band_region(&store2),
+        Query::region(0.1, 0.35),
+        Query::values_where(0.2, 0.6),
+        Query::membership((0..n).step_by(13).collect()),
+        Query::membership_where(0.25, 0.75, (0..n).step_by(7).collect()).with_values(),
+    ];
+    let exec = ParallelExecutor::new(1, CostModel::default()).profiled(true);
+    let profile_of = |store: &MlocStore<'_>| {
+        let runs = pass.iter().map(|q| exec.run(store, ExecRequest::new(q)));
+        mloc::obs::Profile::merge(runs.map(|out| out.unwrap().profile))
+    };
+    let (p2, p1) = (profile_of(&store2), profile_of(&store1));
+    assert_eq!(p2.counter_total("index.summary_skips"), 20);
+    assert_eq!(p2.counter_total("index.summary_hits"), 51);
+    assert_eq!(p2.counter_total("index.rank_calls"), 10_965);
+    assert_eq!(
+        p1.counter_total("index.summary_skips"),
+        0,
+        "v1 stores no summaries"
+    );
+
+    // What the directories cost in the built v2 files, against the WAH
+    // bytes they accelerate (the bitmap-level bound is wah.rs's
+    // `dir_overhead_is_bounded`).
+    let (mut wah, mut dir) = (0usize, 0usize);
+    let mut scratch: Vec<u32> = Vec::new();
+    for bin in 0..BANDED_BINS {
+        let name = mloc::fileorg::index_file(DS, VAR, bin);
+        let raw = v2.read(&name, 0, v2.len(&name).unwrap()).unwrap();
+        let idx = BinIndex::decode_header(&raw).unwrap();
+        for (rank, entry) in idx.chunks.iter().enumerate() {
+            let start = idx.bitmap_file_offset(rank) as usize;
+            let extent = &raw[start..start + entry.bitmap_len as usize];
+            if !extent.is_empty() {
+                let (_, used) = WahRef::decode_into(extent, &mut scratch).unwrap();
+                wah += used;
+                dir += extent.len() - used;
+            }
+        }
+    }
+    assert_eq!((dir, wah), (480, 11_232));
+    assert!(
+        dir * 20 <= wah,
+        "rank/select directories exceed 5% of bitmap bytes"
+    );
 }

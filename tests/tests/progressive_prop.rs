@@ -3,12 +3,16 @@
 //!
 //! * the per-step error bound is monotonically non-increasing;
 //! * a cold ladder's per-step `bytes_read` sum to exactly the one-shot
-//!   query's `bytes_read` (same extents, different order);
+//!   query's `bytes_read` (same extents, different order), and step 0
+//!   alone reads what a one-shot level-1 query reads;
 //! * the final step is byte-identical to the one-shot answer in every
 //!   execution mode (serial, threaded, cached, fused);
 //! * a damaged non-base part extent caps the ladder through the
 //!   degradation path, matching the one-shot degraded query's report
-//!   and result bit for bit.
+//!   and result bit for bit;
+//! * on one fixed store, the bytes of every step, the bytes to a 1e-6
+//!   bound, warm refinement behind a level-4 cache and the
+//!   `progressive.*` counters are pinned exactly.
 
 use mloc::prelude::*;
 use mloc::{MlocStore, QueryResult};
@@ -118,6 +122,15 @@ proptest! {
         let want = bits(&oneshot);
 
         let mut pq = store.query_progressive(&q).unwrap();
+        // Step 0 is the base-level answer: with no value constraint
+        // (so no value-filtered bin, which step 0 must fetch at the
+        // target precision) it reads what a one-shot level-1 query
+        // reads, not a byte of the higher byte groups.
+        if q.vc.is_none() {
+            let base = q.clone().with_plod(PlodLevel::new(1).unwrap());
+            let (_, bm) = store.query_with_metrics(&base).unwrap();
+            prop_assert_eq!(pq.steps()[0].bytes_read, bm.bytes_read, "step-0 footprint");
+        }
         let total = drain(&mut pq);
         prop_assert!(pq.is_done());
         prop_assert_eq!(total, om.bytes_read, "cold ladder byte-sum parity");
@@ -170,6 +183,77 @@ proptest! {
         fused.set_fusion(Some(Arc::new(ExtentFuser::with_window_mb(16))));
         prop_assert_eq!(run(&fused, &ParallelExecutor::serial()), want);
     }
+}
+
+/// What the ladder costs on one fixed store (256² GTS-like field, 32²
+/// chunks, 16 bins, deflate, seed 42; `values_in` over the quarter
+/// domain, so every touched bin is refinable). The byte counts are
+/// exact functions of the built files and the ladder planner: a change
+/// in either re-derives them deliberately, never as noise.
+#[test]
+fn ladder_bytes_on_a_fixed_store_are_pinned() {
+    const SIDE: usize = 256;
+    let be = MemBackend::new();
+    let field = mloc_datagen::gts_like_2d(SIDE, SIDE, 42);
+    let config = MlocConfig::builder(vec![SIDE, SIDE])
+        .chunk_shape(vec![SIDE / 8, SIDE / 8])
+        .num_bins(16)
+        .codec(mloc_compress::CodecKind::Deflate)
+        .build();
+    build_variable(&be, DS, VAR, field.values(), &config).unwrap();
+    let store = MlocStore::open(&be, DS, VAR).unwrap();
+    let q = Query::values_in(Region::new(vec![(0, SIDE / 2), (0, SIDE / 2)]));
+
+    // Cold: the base answer, then one byte group per pull.
+    let mut pq = store.query_progressive(&q).unwrap();
+    pq.run_to_completion().unwrap();
+    let bytes_per_step: Vec<u64> = pq.steps().iter().map(|s| s.bytes_read).collect();
+    assert_eq!(
+        bytes_per_step,
+        [198_200, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
+    );
+    // Early exit: a 1e-6 worst-case relative bound takes three steps.
+    let steps_to_eps = 1 + pq
+        .steps()
+        .iter()
+        .position(|s| s.error_bound <= 1e-6)
+        .unwrap();
+    assert_eq!(steps_to_eps, 3);
+    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 237_772);
+
+    // Warm: behind a cache holding levels 1–4, the refinements up to
+    // level 4 read nothing and the rest read only the new byte groups.
+    const WARM_LEVEL: u8 = 4;
+    let mut warm_store = MlocStore::open(&be, DS, VAR).unwrap();
+    warm_store.set_cache(Some(Arc::new(BlockCache::with_budget_mb(256))));
+    warm_store
+        .query_serial(&q.clone().with_plod(PlodLevel::new(WARM_LEVEL).unwrap()))
+        .unwrap();
+    let mut warm = warm_store.query_progressive(&q).unwrap();
+    warm.run_to_completion().unwrap();
+    let (mut below, mut above) = (0u64, 0u64);
+    for s in warm.steps().iter().skip(1) {
+        if s.level.level() <= WARM_LEVEL {
+            below += s.bytes_read;
+        } else {
+            above += s.bytes_read;
+        }
+    }
+    assert_eq!((below, above), (0, 59_358));
+
+    // The profile's `progressive.*` counters are the step log.
+    let exec = ParallelExecutor::serial().profiled(true);
+    let mut profiled = exec.progressive(&store, &q).unwrap();
+    profiled.run_to_completion().unwrap();
+    let profile = profiled.profile();
+    assert_eq!(
+        profile.counter_total("progressive.steps"),
+        profiled.steps().len() as u64
+    );
+    assert_eq!(
+        profile.counter_total("progressive.bytes_per_step"),
+        bytes_per_step.iter().sum::<u64>()
+    );
 }
 
 /// Locate the on-disk extent of one non-base PLoD part unit.
