@@ -8,7 +8,7 @@
 //! reconstruction are measured.
 
 use crate::metrics::QueryMetrics;
-use crate::query::engine::{process_units, RankJob, RankOutput, RefineUnit};
+use crate::query::engine::{process_units, PeerTable, RankJob, RankOutput, RefineUnit};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
@@ -100,6 +100,11 @@ pub struct ExecOutput {
     /// collectors are merged in rank order, so replay and threaded
     /// modes yield structurally identical profiles.
     pub profile: Profile,
+    /// Every rank's logical reads in issue order, as priced: what it
+    /// read, what a cache served, and what it took from a peer rank.
+    /// A function of the plan and the stored bytes alone — the same in
+    /// replay and threaded mode.
+    pub traces: Vec<Vec<ReadOp>>,
     /// Captured refinement units in deterministic rank-merge order.
     pub(crate) refine_units: Vec<RefineUnit>,
 }
@@ -223,6 +228,23 @@ impl ParallelExecutor {
         };
         let unit_bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
         let assignment = column_order(&unit_bins, self.nranks);
+        // The units as dealt, rank after rank. More than one rank
+        // shares each bin's fixed blocks through a hand-off table: the
+        // lowest rank dealt a bin fetches them, the others wait for it
+        // — in turn on the replay executor, on a condvar on the
+        // threaded one. A lone rank builds no table and takes no lock.
+        let dealt: Vec<WorkUnit> = assignment
+            .per_rank
+            .iter()
+            .flatten()
+            .map(|&i| plan.units[i])
+            .collect();
+        let dealt_to = |rank: usize| {
+            let start: usize = assignment.per_rank[..rank].iter().map(Vec::len).sum();
+            start..start + assignment.per_rank[rank].len()
+        };
+        let peers = (self.nranks > 1)
+            .then(|| PeerTable::new(&dealt, assignment.per_rank.iter().map(Vec::len)));
         let cache_before = store.cache().filter(|_| self.profiled).map(|c| c.stats());
         // Replica-masked reads are counted by the backend itself (the
         // router can't attribute them to ranks); take a delta so each
@@ -230,16 +252,13 @@ impl ParallelExecutor {
         let read_repairs_before = masked_reads(store.backend());
 
         let run_rank = |rank: usize| -> Result<(RankOutput, Profile)> {
-            let units: Vec<WorkUnit> = assignment.per_rank[rank]
-                .iter()
-                .map(|&i| plan.units[i])
-                .collect();
             let job = RankJob {
                 store,
                 req,
-                units: &units,
+                units: &dealt[dealt_to(rank)],
                 retry: self.retry,
                 allow_degraded: self.allow_degraded,
+                peers: peers.as_ref().map(|table| (table, rank)),
             };
             let mut obs = Collector::new(self.profiled);
             obs.begin("rank");
@@ -335,6 +354,7 @@ impl ParallelExecutor {
             result: QueryResult::from_parts(positions, values),
             metrics,
             profile,
+            traces,
             refine_units,
         })
     }
@@ -370,12 +390,16 @@ impl ParallelExecutor {
         profile.add_counter("plan.aligned_bins", Label::None, plan.aligned_bins as u64);
         profile.add_counter("plan.chunks", Label::None, plan.chunks_touched as u64);
         // Fault and sharing counters appear only when they fired.
+        // (`fusion.bytes_saved` and `io.footer_topups` are counted by
+        // the ranks themselves, see `Fetcher::finish`.) `fusion.*`
+        // covers both kinds of shared read: wants fused with another
+        // session's, and a bin's fixed blocks taken from the peer rank
+        // that fetched them for this query.
         for (name, value) in [
             ("pfs.retries", metrics.retries),
             ("io.retries_exhausted", metrics.retries_exhausted),
             ("io.read_repair", metrics.read_repairs),
             ("fusion.reads", metrics.fused_reads),
-            ("fusion.bytes_saved", metrics.fused_bytes_saved),
             ("degraded.units", metrics.degraded_units),
         ] {
             if value > 0 {
@@ -386,7 +410,7 @@ impl ParallelExecutor {
         // shard that owns its file (sharded backends only).
         let layout = store.backend().replica_access();
         if let Some(layout) = layout.filter(|l| l.shard_count() > 1) {
-            for op in traces.iter().flatten().filter(|op| !op.cached) {
+            for op in traces.iter().flatten().filter(|op| !op.cached && !op.peer) {
                 let shard = layout.shard_of(&op.file) as u32;
                 profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
                 profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
@@ -530,6 +554,91 @@ mod tests {
         // Simulated I/O is trace-driven and identical in both modes.
         assert_eq!(ma.io_s, mb.io_s);
         assert_eq!(ma.bytes_read, mb.bytes_read);
+
+        // At 8 ranks most bins are shared: who fetches a bin's fixed
+        // blocks and who takes them from a peer follows from the deal,
+        // not from which thread got there first.
+        let replay = ParallelExecutor::new(8, CostModel::default());
+        let threaded = replay.clone().threaded(true);
+        let a = replay.run(&store, ExecRequest::new(&q)).unwrap();
+        for _ in 0..4 {
+            let b = threaded.run(&store, ExecRequest::new(&q)).unwrap();
+            assert_eq!(a.result, b.result);
+            assert_eq!(a.traces, b.traces);
+            assert_eq!(a.metrics.per_rank_io, b.metrics.per_rank_io);
+        }
+        assert!(a.traces.iter().flatten().any(|op| op.peer));
+        assert!(a.traces[0].iter().all(|op| !op.peer), "rank 0 only owns");
+        let serial = ParallelExecutor::serial()
+            .run(&store, ExecRequest::new(&q))
+            .unwrap();
+        assert!(serial.traces[0].iter().all(|op| !op.peer));
+        assert_eq!(serial.metrics.fused_reads, 0);
+    }
+
+    /// The logical footprint of a query is the same however many
+    /// ranks share its bins' fixed blocks: a block taken from a peer
+    /// moves from `bytes_read` to `fused_bytes_saved`, nowhere else.
+    #[test]
+    fn shared_fixed_blocks_keep_the_per_rank_byte_sum() {
+        let be = MemBackend::new();
+        let (_, store) = fixture(&be);
+        for q in [
+            Query::values_where(10.0, 600.0),
+            Query::region(100.0, 900.0),
+            Query::values_in(Region::new(vec![(5, 30), (10, 50)])),
+        ] {
+            for nranks in [2, 4, 8] {
+                let exec = ParallelExecutor::new(nranks, CostModel::default());
+                let out = exec.run(&store, ExecRequest::new(&q)).unwrap();
+                let m = &out.metrics;
+                // What the ranks read when each fetches everything
+                // itself, as every rank did before blocks were shared.
+                let plan = make_plan(&store, &q).unwrap();
+                let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
+                let lone_sum: u64 = column_order(&bins, nranks)
+                    .per_rank
+                    .iter()
+                    .map(|dealt| {
+                        let units: Vec<WorkUnit> = dealt.iter().map(|&i| plan.units[i]).collect();
+                        let job = RankJob {
+                            store: &store,
+                            req: ExecRequest::planned(&q, &plan, None),
+                            units: &units,
+                            retry: RetryPolicy::none(),
+                            allow_degraded: true,
+                            peers: None,
+                        };
+                        let io = process_units(&job, &mut Collector::disabled()).unwrap().io;
+                        io.index_bytes + io.data_bytes
+                    })
+                    .sum();
+                assert_eq!(m.bytes_read + m.fused_bytes_saved, lone_sum);
+                let peer: Vec<&ReadOp> = out.traces.iter().flatten().filter(|op| op.peer).collect();
+                assert_eq!(m.fused_reads, peer.len() as u64);
+                assert_eq!(
+                    m.fused_bytes_saved,
+                    peer.iter().map(|op| op.len).sum::<u64>()
+                );
+                // Every peer record names an extent exactly one lower
+                // rank really read.
+                for (rank, trace) in out.traces.iter().enumerate() {
+                    for op in trace.iter().filter(|op| op.peer) {
+                        let owners: Vec<usize> = (0..nranks)
+                            .filter(|&r| {
+                                out.traces[r].iter().any(|o| {
+                                    !o.peer
+                                        && (&o.file, o.offset, o.len)
+                                            == (&op.file, op.offset, op.len)
+                                })
+                            })
+                            .collect();
+                        assert_eq!(owners.len(), 1, "{op:?}");
+                        assert!(owners[0] < rank, "{op:?} waits on a higher rank");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

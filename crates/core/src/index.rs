@@ -364,6 +364,32 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         (0..self.num_parts).map(move |part| self.unit(rank, part))
     }
 
+    /// File offset at which the index file's last bitmap ends — where
+    /// its checksum footer starts, since the extents tile the payload.
+    /// One pass over the directory; offsets saturate like
+    /// [`Self::bitmap_file_offset`].
+    pub fn bitmaps_end(&self) -> u64 {
+        (0..self.num_chunks)
+            .map(|rank| {
+                self.bitmap_file_offset(rank)
+                    .saturating_add(u64::from(self.bitmap_len(rank)))
+            })
+            .max()
+            .unwrap_or(0)
+            .max(self.header_bytes() + self.summary_bytes())
+    }
+
+    /// Data-file offset at which the bin's last compressed unit ends —
+    /// where the data file's checksum footer starts. One pass over the
+    /// directory.
+    pub fn units_end(&self) -> u64 {
+        (0..self.num_chunks)
+            .flat_map(|rank| self.units(rank))
+            .map(|loc| loc.offset.saturating_add(u64::from(loc.clen)))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The eager form: every entry collected.
     pub fn to_index(&self) -> BinIndex {
         BinIndex {

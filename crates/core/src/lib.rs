@@ -109,8 +109,10 @@ pub mod prelude {
     pub use crate::verify::{verify_dataset, verify_variable, VerifyReport};
 }
 
-/// Errors from building or querying MLOC datasets.
-#[derive(Debug)]
+/// Errors from building or querying MLOC datasets. `Clone`, because a
+/// rank that failed to fetch a bin's shared blocks hands its error to
+/// every rank waiting on them.
+#[derive(Debug, Clone)]
 pub enum MlocError {
     /// Storage failure.
     Pfs(mloc_pfs::PfsError),

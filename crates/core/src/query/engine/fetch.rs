@@ -1,9 +1,13 @@
 //! Stage 1 — fetch: every stored byte a rank touches enters through
 //! a [`Fetcher`], so a cache hit, a fused want and a physical read of
-//! the same extent are traced, verified and counted in one place. Two
-//! operations: one keyed extent ([`Fetcher::extent`], and
-//! [`Fetcher::footer`] for the one block whose cold form is two
-//! reads), and a coalesced want-list ([`Fetcher::wants`]).
+//! the same extent are traced, verified and counted in one place.
+//! Three operations: a file's checksum footer ([`Fetcher::footer`],
+//! one read of exactly the file's tail), one keyed extent
+//! ([`Fetcher::hold`] then [`Fetcher::admit`]: the index header and
+//! summary are read *before* the footer that vouches for them, and
+//! reach the cache and the caller only through `admit`), and a
+//! coalesced want-list ([`Fetcher::wants`]). A block a peer rank
+//! fetched for the whole query enters through [`Fetcher::peer`].
 
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
 use crate::fusion::coalesced_read_results;
@@ -30,11 +34,16 @@ pub struct FetchReport {
     /// Cache inserts the budget turned away.
     pub cache_rejected: u64,
     /// Wants served by another session's physical read through the
-    /// extent fuser (0 without fusion).
+    /// extent fuser, and fixed blocks taken from the peer rank that
+    /// fetched them for the query (0 without fusion on one rank).
     pub fused_reads: u64,
     /// Bytes of those fused wants — kept off the PFS and excluded from
     /// `index_bytes`/`data_bytes`, like cache-served bytes.
     pub fused_bytes: u64,
+    /// Hinted footer fetches whose hint was wrong: the tail read
+    /// started past the footer and a second read fetched the missing
+    /// front (0 on well-formed files).
+    pub footer_topups: u64,
     /// Transient-read retries performed.
     pub retries: u64,
     /// Simulated backoff seconds accumulated by those retries.
@@ -67,6 +76,26 @@ impl Fetched {
             Fetched::Cached(CachedBlock::Bytes(b)) | Fetched::Raw(b) => Some(b),
             Fetched::Cached(_) => None,
         }
+    }
+}
+
+/// An index extent in hand but not yet admitted: read ahead of the
+/// footer that will vouch for it (or served, already verified, by the
+/// cache). Nothing may be decided from its bytes except where to look
+/// for that footer.
+pub(crate) struct Held {
+    key: BlockKey,
+    off: u64,
+    raw: ByteView,
+    /// A cache hit: verified when it was admitted the first time.
+    verified: bool,
+}
+
+impl Held {
+    /// The bytes, for the one use allowed before [`Fetcher::admit`]:
+    /// computing a footer hint.
+    pub fn unverified(&self) -> &ByteView {
+        &self.raw
     }
 }
 
@@ -179,37 +208,74 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
-    /// Fetch one keyed extent `[off, off + len)` of an index file
-    /// (header, summary): a cache probe, else one sequential read
-    /// verified against `footer`. Single extents bypass the fuser.
-    pub fn extent(
+    /// Get one keyed extent `[off, off + len)` of an index file
+    /// (header, summary) without checking it: a cache probe, else one
+    /// sequential read. Single extents bypass the fuser.
+    pub fn hold(&mut self, file: &Arc<str>, key: BlockKey, (off, len): (u64, u64)) -> Result<Held> {
+        let (raw, verified) = match self.probe(&key) {
+            Some(CachedBlock::Bytes(b)) => {
+                self.hit(file, off, len);
+                (b, true)
+            }
+            _ => {
+                let raw = self.io.read(Arc::clone(file), off, len)?;
+                (ByteView::new(Arc::new(raw)), false)
+            }
+        };
+        Ok(Held {
+            key,
+            off,
+            raw,
+            verified,
+        })
+    }
+
+    /// Verify a held extent against its file's `footer`; only then is
+    /// it counted, offered to the cache and handed out.
+    pub fn admit(
         &mut self,
         file: &Arc<str>,
-        key: BlockKey,
-        (off, len): (u64, u64),
+        held: Held,
         footer: &ExtentFooter,
     ) -> Result<ByteView> {
-        if let Some(CachedBlock::Bytes(b)) = self.probe(&key) {
-            self.hit(file, off, len);
-            return Ok(b);
+        if !held.verified {
+            footer.verify_timed(file, held.off, &held.raw, self.verify_s.as_mut())?;
+            self.count_read(held.key.part, held.raw.len() as u64);
+            self.publish(held.key, CachedBlock::Bytes(held.raw.clone()));
         }
-        let raw = ByteView::new(Arc::new(self.io.read(Arc::clone(file), off, len)?));
-        footer.verify_timed(file, off, &raw, self.verify_s.as_mut())?;
-        self.count_read(key.part, len);
-        self.publish(key, CachedBlock::Bytes(raw.clone()));
-        Ok(raw)
+        Ok(held.raw)
+    }
+
+    /// Account a fixed block `[off, off + len)` taken from the peer
+    /// rank that fetched and verified it for the whole query: like a
+    /// fused want it is kept off the PFS, and its trace record makes
+    /// the simulator wait for the peer's own access.
+    pub fn peer(&mut self, file: &Arc<str>, off: u64, len: u64) {
+        self.io.record_peer(Arc::clone(file), off, len);
+        self.report.fused_reads += 1;
+        self.report.fused_bytes += len;
     }
 
     /// Fetch a file's per-extent checksum footer.
     ///
-    /// Cold: one untraced `len()` plus two traced reads — the fixed
-    /// trailer at the end of the file, then the table it locates —
-    /// whose lengths sum to [`ExtentFooter::encoded_len`]. Warm: one
-    /// cached trace record of that same total, so fault-free cold/warm
-    /// byte accounting mirrors every other cached block. A footer that
-    /// cannot be loaded or fails its own CRC is always a hard error:
-    /// without it nothing in the file can be trusted.
-    pub fn footer(&mut self, file: &Arc<str>, key: BlockKey) -> Result<Arc<ExtentFooter>> {
+    /// Cold: one untraced `len()` and one traced read from `hint()` —
+    /// the offset at which the caller expects the footer to start — to
+    /// the end of the file. The trailer at the end of that read states
+    /// the true geometry: a read that started early is sliced, one that
+    /// started late is topped up by a second read of the missing front,
+    /// and with no hint the first read is the trailer alone, so the
+    /// top-up is the table. A hint computed from the file's own
+    /// directory is exact: one record of [`ExtentFooter::encoded_len`]
+    /// bytes at `payload_len`, which is what the warm (cached) record
+    /// says too. A footer that cannot be loaded or fails its own CRC is
+    /// always a hard error: without it nothing in the file can be
+    /// trusted.
+    pub fn footer(
+        &mut self,
+        file: &Arc<str>,
+        key: BlockKey,
+        hint: impl FnOnce() -> Option<u64>,
+    ) -> Result<Arc<ExtentFooter>> {
         if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
             self.hit(file, f.payload_len(), f.encoded_len());
             return Ok(f);
@@ -223,13 +289,24 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 "file shorter than footer trailer",
             ));
         }
-        let trailer = self
-            .io
-            .read(Arc::clone(file), flen - TRAILER_LEN, TRAILER_LEN)?;
-        let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
-        let mut region = self.io.read(Arc::clone(file), payload_len, table_len)?;
-        region.extend_from_slice(&trailer);
-        let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
+        // Wherever the hint points, the read holds the trailer.
+        let hint = hint();
+        let start = hint.map_or(flen - TRAILER_LEN, |h| h.min(flen - TRAILER_LEN));
+        let mut tail = self.io.read(Arc::clone(file), start, flen - start)?;
+        let trailer_at = (tail.len() as u64).saturating_sub(TRAILER_LEN) as usize;
+        let (payload_len, _) = ExtentFooter::decode_trailer(&tail[trailer_at..], flen, file)?;
+        if payload_len < start {
+            let mut region = self
+                .io
+                .read(Arc::clone(file), payload_len, start - payload_len)?;
+            region.append(&mut tail);
+            tail = region;
+            self.report.footer_topups += u64::from(hint.is_some());
+        }
+        // `tail` now starts at the footer or before it.
+        let skip = payload_len - start.min(payload_len);
+        let region = tail.get(skip as usize..).unwrap_or(&[]);
+        let footer = Arc::new(ExtentFooter::decode(region, flen, file)?);
         self.count_read(key.part, footer.encoded_len());
         self.publish(key, CachedBlock::Footer(Arc::clone(&footer)));
         Ok(footer)
@@ -302,6 +379,9 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             obs.count("fusion.fused_reads", r.fused_reads);
             obs.count("fusion.bytes_saved", r.fused_bytes);
         }
+        if r.footer_topups > 0 {
+            obs.count("io.footer_topups", r.footer_topups);
+        }
         r.retries = self.io.retries();
         r.retry_wait_s = self.io.retry_wait_s();
         r.retries_exhausted = self.io.retries_exhausted();
@@ -319,7 +399,7 @@ mod tests {
     use crate::cache::BlockCache;
     use crate::config::MlocConfig;
     use crate::fusion::ExtentFuser;
-    use crate::index::{decode_summary, header_size, BinIndex};
+    use crate::index::{decode_summary, header_size, BinIndex, HeaderView};
     use mloc_pfs::{MemBackend, StorageBackend};
 
     const BIN: usize = 1;
@@ -337,19 +417,27 @@ mod tests {
         let footer_of = |file: &Arc<str>, which: u8| {
             let mut g = Fetcher::new(store, RetryPolicy::none(), false);
             let key = g.key(BIN, 0, BlockPart::Footer(which));
-            g.footer(file, key).unwrap()
+            g.footer(file, key, || None).unwrap()
         };
         match part {
-            BlockPart::Footer(_) => drop(f.footer(&idx_file, key).unwrap()),
+            BlockPart::Footer(_) => {
+                let view = HeaderView::parse(index.encode_header()).unwrap();
+                drop(
+                    f.footer(&idx_file, key, || Some(view.bitmaps_end()))
+                        .unwrap(),
+                )
+            }
             BlockPart::IndexHeader => {
                 let len = header_size(index.chunks.len(), index.num_parts);
                 let footer = footer_of(&idx_file, 0);
-                f.extent(&idx_file, key, (0, len), &footer).unwrap();
+                let held = f.hold(&idx_file, key, (0, len)).unwrap();
+                f.admit(&idx_file, held, &footer).unwrap();
             }
             BlockPart::Summary => {
                 let span = (index.summary_file_offset(), index.summary_bytes);
                 let footer = footer_of(&idx_file, 0);
-                f.extent(&idx_file, key, span, &footer).unwrap();
+                let held = f.hold(&idx_file, key, span).unwrap();
+                f.admit(&idx_file, held, &footer).unwrap();
             }
             BlockPart::Bitmap => {
                 let want = (key, index.bitmap_file_offset(r), index.chunks[r].bitmap_len);
@@ -481,13 +569,128 @@ mod tests {
         }
     }
 
+    /// The footer fetch as it was before hints — the trailer, then the
+    /// table it locates, then a copy of both into one region — kept as
+    /// the oracle every hinted fetch must agree with.
+    fn footer_trailer_then_table(be: &MemBackend, file: &str) -> Result<ExtentFooter> {
+        let flen = be.len(file)?;
+        if flen < TRAILER_LEN {
+            return Err(corrupt_extent(
+                file,
+                0,
+                flen,
+                "file shorter than footer trailer",
+            ));
+        }
+        let trailer = be.read(file, flen - TRAILER_LEN, TRAILER_LEN)?;
+        let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
+        let mut region = be.read(file, payload_len, table_len)?;
+        region.extend_from_slice(&trailer);
+        ExtentFooter::decode(&region, flen, file)
+    }
+
+    /// One built variable plus damaged copies of one of its index
+    /// files: a flipped table byte, a flipped `payload_len`, a flipped
+    /// magic, a cut inside the table, and a stub shorter than a
+    /// trailer. `(file, what was done to it)`.
+    fn footer_fixtures(be: &MemBackend) -> Vec<(String, &'static str)> {
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(be, "ds", "v", &values, &config).unwrap();
+        let store = MlocStore::open(be, "ds", "v").unwrap();
+        let mut files = vec![
+            (store.index_file(BIN), "intact index"),
+            (store.data_file(BIN), "intact data"),
+        ];
+        let raw = be
+            .read(&files[0].0, 0, be.len(&files[0].0).unwrap())
+            .unwrap();
+        let n = raw.len();
+        let mut damaged = |name: &str, what: &'static str, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut copy = raw.clone();
+            edit(&mut copy);
+            be.append(name, &copy).unwrap();
+            files.push((name.to_string(), what));
+        };
+        damaged("table-flip", "flipped table byte", &|b| b[n - 40] ^= 0x04);
+        damaged("payload-len-flip", "flipped payload_len", &|b| {
+            b[n - 19] ^= 0x01
+        });
+        damaged("magic-flip", "flipped trailer magic", &|b| b[n - 1] ^= 0x80);
+        damaged("cut", "cut inside the table", &|b| b.truncate(n - 60));
+        damaged("stub", "shorter than a trailer", &|b| b.truncate(10));
+        files
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Whatever the hint, the footer (or the error) is the one the
+        /// trailer-then-table sequence yields, in at most two reads.
+        #[test]
+        fn any_hint_yields_the_unhinted_footer_in_at_most_two_reads(
+            which in 0usize..7,
+            slack in 0u64..=64,
+            frac in 0.0f64..1.0,
+            exact in proptest::bool::ANY,
+        ) {
+            let be = MemBackend::new();
+            let (file, what) = footer_fixtures(&be).swap_remove(which);
+            let store = MlocStore::open(&be, "ds", "v").unwrap();
+            let flen = be.len(&file).unwrap();
+            let want = footer_trailer_then_table(&be, &file);
+            // An exact hint where there is a footer to be exact about,
+            // else anywhere in `0..=flen + 64`.
+            let hint = match &want {
+                Ok(footer) if exact => footer.payload_len(),
+                _ => ((flen + slack) as f64 * frac) as u64,
+            };
+            let file: Arc<str> = Arc::from(file);
+            let run = |hint: Option<u64>| {
+                let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
+                let key = f.key(BIN, 0, BlockPart::Footer(0));
+                let got = f.footer(&file, key, || hint);
+                (got, f.finish(&mut Collector::disabled()))
+            };
+            let (got, report) = run(Some(hint));
+            let (unhinted, _) = run(None);
+            let show = |r: &Result<ExtentFooter>| format!("{r:?}");
+            let got = got.map(|f| (*f).clone());
+            proptest::prop_assert_eq!(show(&got), show(&want), "{} hint {}", what, hint);
+            proptest::prop_assert_eq!(show(&unhinted.map(|f| (*f).clone())), show(&want));
+            proptest::prop_assert!(report.trace.len() <= 2);
+            if let Ok(footer) = &got {
+                let traced: u64 = report.trace.iter().map(|op| op.len).sum();
+                proptest::prop_assert_eq!(report.index_bytes, footer.encoded_len());
+                proptest::prop_assert_eq!(
+                    traced == footer.encoded_len(),
+                    hint == footer.payload_len(),
+                    "traced {} bytes for a {}-byte footer at {}, hint {}",
+                    traced, footer.encoded_len(), footer.payload_len(), hint
+                );
+                // A hint at or before the footer is one read (sliced
+                // when early); one past it is topped up, and counted.
+                let late = hint > footer.payload_len();
+                proptest::prop_assert_eq!(report.trace.len(), 1 + usize::from(late));
+                proptest::prop_assert_eq!(report.footer_topups, u64::from(late));
+            }
+        }
+    }
+
     /// The whole observable footprint of a rank's fetches, one line per
     /// trace record and one for the counters.
     fn render(label: &str, r: &FetchReport, out: &mut String) {
         use std::fmt::Write;
         writeln!(out, "## {label}").unwrap();
         for op in &r.trace {
-            let how = if op.cached { "cached" } else { "read" };
+            let how = match (op.cached, op.peer) {
+                (true, _) => "cached",
+                (_, true) => "peer",
+                _ => "read",
+            };
             writeln!(out, "{} {} {} {how}", op.file, op.offset, op.len).unwrap();
         }
         writeln!(
@@ -544,6 +747,7 @@ mod tests {
                 units: &plan.units,
                 retry: RetryPolicy::none(),
                 allow_degraded: false,
+                peers: None,
             };
             process_units(&job, &mut Collector::disabled()).unwrap()
         };

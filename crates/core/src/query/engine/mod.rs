@@ -10,11 +10,13 @@
 
 mod decode;
 mod fetch;
+mod peers;
 mod reconstruct;
 
 pub(crate) use decode::Decoder;
 pub use fetch::FetchReport;
 pub(crate) use fetch::{Fetched, Fetcher, Want};
+pub use peers::PeerTable;
 
 use crate::cache::{BlockPart, ByteView, CachedBlock};
 use crate::degrade::{DegradationEvent, DegradationReport};
@@ -26,6 +28,7 @@ use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
+use peers::IndexFixed;
 use reconstruct::Reconstructor;
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,6 +89,11 @@ pub struct RankJob<'j, 'a> {
     pub retry: RetryPolicy,
     /// See [`crate::ParallelExecutor::allow_degraded`].
     pub allow_degraded: bool,
+    /// The request's hand-off table and this rank's number in it, when
+    /// the request runs on more than one rank: each bin's fixed blocks
+    /// are then fetched by one rank and taken from the table by the
+    /// others. `None` for a lone rank, which fetches everything itself.
+    pub peers: Option<(&'j PeerTable<'j>, usize)>,
 }
 
 /// One bin's blocks as the fetch and decode stages fill them in;
@@ -150,6 +158,30 @@ struct Rank<'j, 'a> {
 /// and every clock read that serves only the profile — at the cost of
 /// one branch per call site.
 pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
+    let Some((table, rank)) = job.peers else {
+        return run_units(job, obs);
+    };
+    // Whatever way this rank ends — done, failed, unwinding — the
+    // ranks waiting on blocks it owns are released.
+    struct Exit<'t>(&'t PeerTable<'t>, usize);
+    impl Drop for Exit<'_> {
+        fn drop(&mut self) {
+            self.0.rank_exited(self.1, None);
+        }
+    }
+    let _exit = Exit(table, rank);
+    let out = run_units(job, obs);
+    table.rank_exited(rank, out.as_ref().err());
+    out
+}
+
+/// Whether a unit makes its rank read the bin's data file: the plan
+/// asks for data and the chunk has points in the bin.
+fn reads_data(index: &HeaderView<ByteView>, u: &WorkUnit) -> bool {
+    u.needs_data && index.count(u.chunk_rank) > 0
+}
+
+fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
     let mut rank = Rank {
         job,
         fetcher: Fetcher::new(job.store, job.retry, obs.is_enabled()),
@@ -159,6 +191,9 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
         summary_skips: 0,
         summary_hits: 0,
     };
+    if let Some(bin) = job.peers.and_then(|(table, me)| table.awaited_bin(me)) {
+        rank.fetch_ahead(bin, obs)?;
+    }
     for group in job.units.chunk_by(|a, b| a.bin == b.bin) {
         let bin = Label::Index(group[0].bin as u32);
         obs.count_labeled("bin.units", bin, group.len() as u64);
@@ -170,44 +205,168 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
 }
 
 impl Rank<'_, '_> {
-    /// Fetch one bin's index blocks in file order: footer, header,
-    /// summary, then the bitmaps of this rank's chunks.
-    fn read_index(&mut self, group: &[WorkUnit], obs: &mut Collector) -> Result<BinBlocks> {
+    /// Fetch one bin's index file's fixed blocks as the one rank that
+    /// reads them does: header and summary first — they say where the
+    /// footer starts, so the footer is one exact read — then the
+    /// footer, and only then are header and summary verified against it
+    /// and admitted. An unverified header that does not even parse
+    /// gives no hint; the footer then decides whether the file is
+    /// damaged (the usual case) or merely not ours.
+    fn fetch_index_fixed(&mut self, bin: usize, file: &Arc<str>) -> Result<IndexFixed> {
         let store = self.job.store;
-        let bin = group[0].bin;
-        let bytes_before = self.fetcher.report.index_bytes;
-        obs.begin("index-read");
-
-        // The index file's checksum footer comes first: every extent
-        // read from the file below (header, bitmaps) is verified
-        // against it, and none of them is degradable — a damaged index
-        // fails the query loudly.
-        let file = self.fetcher.index_file(bin);
-        let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
-        let footer = self.fetcher.footer(&file, footer_key)?;
-
-        // Index header + directory: one sequential read, cached whole
-        // and addressed in place. Its geometry must be the store's:
-        // every rank and part index below comes from the plan.
+        // The geometry must be the store's: every rank and part index
+        // the engine uses comes from the plan.
         let (num_chunks, num_parts) = (store.grid().num_chunks(), store.config().num_parts());
         let hdr_len = header_size(num_chunks, num_parts);
         let hdr_key = self.fetcher.key(bin, 0, BlockPart::IndexHeader);
-        let hdr = self.fetcher.extent(&file, hdr_key, (0, hdr_len), &footer)?;
-        let index = HeaderView::parse(hdr)?.with_geometry(num_chunks, num_parts)?;
+        let hdr = self.fetcher.hold(file, hdr_key, (0, hdr_len))?;
+        let parsed = HeaderView::parse(hdr.unverified().clone())
+            .and_then(|view| view.with_geometry(num_chunks, num_parts));
 
         // v2 chunk summaries: one extent right after the header, read
         // whenever the file carries one. The read is version-driven —
         // never cache- or plan-state-driven — so cold and warm runs of
         // the same query access identical extents, and the header →
-        // summary → first-bitmap reads stay physically contiguous.
-        let summaries = if index.summary_bytes() > 0 {
-            let span = (index.summary_file_offset(), index.summary_bytes());
-            let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
-            let raw = self.fetcher.extent(&file, sum_key, span, &footer)?;
-            Some(SummaryView::parse(raw, num_chunks)?)
-        } else {
-            None
+        // summary reads stay physically contiguous.
+        let sum = match &parsed {
+            Ok(index) if index.summary_bytes() > 0 => {
+                let span = (index.summary_file_offset(), index.summary_bytes());
+                let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
+                Some(self.fetcher.hold(file, sum_key, span)?)
+            }
+            _ => None,
         };
+
+        // The footer is what every extent of the file is verified
+        // against, and nothing read from an index file is degradable —
+        // a damaged index fails the query loudly.
+        let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
+        let hint = || parsed.as_ref().ok().map(HeaderView::bitmaps_end);
+        let footer = self.fetcher.footer(file, footer_key, hint)?;
+        self.fetcher.admit(file, hdr, &footer)?;
+        let index = parsed?;
+        let summaries = match sum {
+            Some(held) => {
+                let raw = self.fetcher.admit(file, held, &footer)?;
+                Some(SummaryView::parse(raw, num_chunks)?)
+            }
+            None => None,
+        };
+        Ok(IndexFixed {
+            footer,
+            index,
+            summaries,
+        })
+    }
+
+    /// One bin's index fixed blocks: fetched here, or — when a lower
+    /// rank of the request was dealt the bin too — taken from it.
+    fn index_fixed(&mut self, bin: usize, file: &Arc<str>) -> Result<IndexFixed> {
+        let Some((table, rank)) = self.job.peers else {
+            return self.fetch_index_fixed(bin, file);
+        };
+        if table.index_owner(bin) == rank {
+            // Already here when this is the bin fetched ahead.
+            if let Some(fixed) = table.published_index(bin) {
+                return Ok(fixed);
+            }
+            let fixed = self.fetch_index_fixed(bin, file)?;
+            table.publish_index(bin, fixed.clone());
+            return Ok(fixed);
+        }
+        let fixed = table.take_index(bin)?;
+        // Traced in the order their owner read them.
+        let index = &fixed.index;
+        let hdr_len = index.summary_file_offset();
+        self.fetcher.peer(file, 0, hdr_len);
+        if fixed.summaries.is_some() {
+            self.fetcher.peer(file, hdr_len, index.summary_bytes());
+        }
+        let footer = &fixed.footer;
+        self.fetcher
+            .peer(file, footer.payload_len(), footer.encoded_len());
+        Ok(fixed)
+    }
+
+    /// The footer of one bin's data file, for a rank with a unit that
+    /// reads the bin's data: one exact tail read by the lowest such
+    /// rank of the request; the others take it from that rank.
+    fn data_footer(
+        &mut self,
+        bin: usize,
+        file: &Arc<str>,
+        index: &HeaderView<ByteView>,
+    ) -> Result<Arc<ExtentFooter>> {
+        let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
+        let hint = || Some(index.units_end());
+        let Some((table, rank)) = self.job.peers else {
+            return self.fetcher.footer(file, key, hint);
+        };
+        let owner = table
+            .data_owner(bin, |u| reads_data(index, u))
+            .expect("asked by a rank that reads the bin's data");
+        if owner == rank {
+            if let Some(footer) = table.published_data(bin) {
+                return Ok(footer);
+            }
+            let footer = self.fetcher.footer(file, key, hint)?;
+            table.publish_data(bin, Arc::clone(&footer));
+            return Ok(footer);
+        }
+        let footer = table.take_data(bin, owner)?;
+        self.fetcher
+            .peer(file, footer.payload_len(), footer.encoded_len());
+        Ok(footer)
+    }
+
+    /// Fetch ahead the fixed blocks of `bin` that higher ranks wait on.
+    ///
+    /// A rank is dealt a contiguous run of units, so the one bin it
+    /// owns and shares is its last — and the first of the rank after
+    /// it. Fetched in bin order, that bin's fixed blocks would appear
+    /// only after all of this rank's other bins, and the next rank's
+    /// own last bin only after that: the ranks would run one after the
+    /// other. Fetched first, nobody waits for more than a lower rank's
+    /// first few reads.
+    fn fetch_ahead(&mut self, bin: usize, obs: &mut Collector) -> Result<()> {
+        let (table, rank) = self.job.peers.expect("only ranks with peers fetch ahead");
+        obs.begin("index-read");
+        let bytes_before = self.fetcher.report.index_bytes;
+        let file = self.fetcher.index_file(bin);
+        let fixed = self.index_fixed(bin, &file)?;
+        let bytes = self.fetcher.report.index_bytes - bytes_before;
+        self.end_read(obs, "bin.index.bytes", bin, bytes);
+        if table.data_owner(bin, |u| reads_data(&fixed.index, u)) == Some(rank) {
+            obs.begin("data-read");
+            let bytes_before = self.fetcher.report.data_bytes;
+            let file = self.fetcher.data_file(bin);
+            self.data_footer(bin, &file, &fixed.index)?;
+            let bytes = self.fetcher.report.data_bytes - bytes_before;
+            self.end_read(obs, "bin.data.bytes", bin, bytes);
+        }
+        Ok(())
+    }
+
+    /// Close an `index-read` / `data-read` span: its `verify` child,
+    /// and the bytes it read under the bin's label.
+    fn end_read(&mut self, obs: &mut Collector, counter: &'static str, bin: usize, bytes: u64) {
+        self.fetcher.record_verify(obs);
+        obs.end();
+        obs.count_labeled(counter, Label::Index(bin as u32), bytes);
+    }
+
+    /// Fetch one bin's index blocks: header, summary, footer, then the
+    /// bitmaps of this rank's chunks.
+    fn read_index(&mut self, group: &[WorkUnit], obs: &mut Collector) -> Result<BinBlocks> {
+        let bin = group[0].bin;
+        let bytes_before = self.fetcher.report.index_bytes;
+        obs.begin("index-read");
+        let file = self.fetcher.index_file(bin);
+        let IndexFixed {
+            footer,
+            index,
+            summaries,
+        } = self.index_fixed(bin, &file)?;
 
         // Positional bitmaps for this rank's chunks, as one want-list.
         let mut bitmaps: Vec<Option<ByteView>> = vec![None; group.len()];
@@ -238,10 +397,8 @@ impl Rank<'_, '_> {
             bitmaps[slots[k]] = got?.into_bytes();
             Ok(())
         })?;
-        self.fetcher.record_verify(obs);
-        obs.end(); // index-read
         let bytes = self.fetcher.report.index_bytes - bytes_before;
-        obs.count_labeled("bin.index.bytes", Label::Index(bin as u32), bytes);
+        self.end_read(obs, "bin.index.bytes", bin, bytes);
         Ok(BinBlocks {
             index,
             summaries,
@@ -275,10 +432,9 @@ impl Rank<'_, '_> {
         // index — never on cache state — so cold and warm runs of the
         // same query access it identically.
         let index = &blocks.index;
-        let reads_data = |u: &WorkUnit| u.needs_data && index.count(u.chunk_rank) > 0;
+        let reads_data = |u: &WorkUnit| reads_data(index, u);
         if group.iter().any(reads_data) {
-            let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
-            blocks.dat_footer = Some(self.fetcher.footer(&file, key)?);
+            blocks.dat_footer = Some(self.data_footer(bin, &file, index)?);
             blocks.parts = vec![None; group.len() * n_parts];
         }
         let mut wants: Vec<Want> = Vec::new();
@@ -332,10 +488,8 @@ impl Rank<'_, '_> {
             }
             Ok(())
         })?;
-        self.fetcher.record_verify(obs);
-        obs.end(); // data-read
         let bytes = self.fetcher.report.data_bytes - bytes_before;
-        obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), bytes);
+        self.end_read(obs, "bin.data.bytes", bin, bytes);
         let codec = Label::Name(config.codec.name());
         obs.count_labeled("decompress.units", codec, stored.len() as u64);
 

@@ -148,30 +148,35 @@ mod tests {
         // Same data, two layouts: plain Hilbert vs subset-based
         // hierarchical placement. Coarse-level access on the
         // hierarchical layout reads file *prefixes* and must pay
-        // fewer seeks.
-        let values: Vec<f64> = (0..4096).map(|i| ((i * 131) % 4099) as f64).collect();
+        // fewer seeks. The units are big enough (512 points each) that
+        // the plain layout's four sampled chunks lie further apart in a
+        // data file than reads coalesce over: the saving shown is the
+        // data files', where the prefix is. (An index file's bitmap
+        // prefix used to continue the summary read; since the footer
+        // is fetched between the two it costs its seek in any layout.)
+        let values: Vec<f64> = (0..256 * 256).map(|i| ((i * 131) % 4099) as f64).collect();
         let exec = ParallelExecutor::serial();
         let mut io = Vec::new();
         for subset_levels in [0u32, 3] {
             let be = MemBackend::new();
-            let config = MlocConfig::builder(vec![64, 64])
-                .chunk_shape(vec![8, 8])
-                .num_bins(8)
+            let config = MlocConfig::builder(vec![256, 256])
+                .chunk_shape(vec![32, 32])
+                .num_bins(2)
                 .subset_levels(subset_levels)
                 .build();
             build_variable(&be, "h", "v", &values, &config).unwrap();
             let store = MlocStore::open(&be, "h", "v").unwrap();
-            let (res, m) = subset_value_query(&store, 3, 1, &exec).unwrap();
+            let (res, m) = subset_value_query(&store, 3, 0, &exec).unwrap();
             // Both layouts return the same uniform sample.
             for (&p, &v) in res.positions().iter().zip(res.values().unwrap()) {
                 assert_eq!(v, values[p as usize]);
             }
-            assert_eq!(res.len(), 16 * 64);
+            assert_eq!(res.len(), 4 * 1024);
             io.push((m.seeks, m.io_s));
         }
         let (plain, hier) = (io[0], io[1]);
         assert!(
-            hier.0 < plain.0,
+            hier.0 < plain.0 && hier.1 < plain.1,
             "hierarchical layout should seek less: {hier:?} vs {plain:?}"
         );
     }

@@ -53,6 +53,32 @@ fn replay_and_threaded_profiles_are_identical() {
     assert_eq!(m_r.index_bytes, m_t.index_bytes);
     assert_eq!(m_r.data_bytes, m_t.data_bytes);
     assert_eq!(m_r.seeks, m_t.seeks);
+
+    // With every bin shared between ranks the two modes still agree,
+    // down to each rank's full read trace: which rank fetches a bin's
+    // fixed blocks and which take them from it is decided by the deal.
+    let replay = ParallelExecutor::new(8, CostModel::default()).profiled(true);
+    let threaded = replay.clone().threaded(true);
+    let r = replay.run(&store, ExecRequest::new(&q)).unwrap();
+    let t = threaded.run(&store, ExecRequest::new(&q)).unwrap();
+    assert_eq!(r.result, t.result);
+    assert_eq!(r.traces, t.traces);
+    assert_eq!(r.profile.structure(), t.profile.structure());
+    assert_eq!(r.profile.counters, t.profile.counters);
+    assert_eq!(r.metrics.per_rank_io, t.metrics.per_rank_io);
+    // Shared fixed blocks show under the fusion counters, and match
+    // the peer records of the traces one for one.
+    let peers: Vec<_> = r.traces.iter().flatten().filter(|op| op.peer).collect();
+    assert!(!peers.is_empty());
+    assert_eq!(
+        r.profile.counter("fusion.reads", Label::None),
+        peers.len() as u64
+    );
+    assert_eq!(
+        r.profile.counter("fusion.bytes_saved", Label::None),
+        peers.iter().map(|op| op.len).sum::<u64>()
+    );
+    assert_eq!(r.profile.counter("io.footer_topups", Label::None), 0);
 }
 
 #[test]

@@ -192,6 +192,12 @@ pub struct ReadOp {
     /// the extent), but the simulator charges it nothing: no seek, no
     /// transfer, no open.
     pub cached: bool,
+    /// Whether a peer rank's access to the same `(file, offset, len)`
+    /// served the bytes (a bin's fixed blocks, fetched once per query
+    /// by the lowest rank touching the bin). The simulator charges the
+    /// device nothing, but the rank's clock waits until that access
+    /// completes on the rank that made it.
+    pub peer: bool,
 }
 
 impl ReadOp {
@@ -202,6 +208,7 @@ impl ReadOp {
             offset,
             len,
             cached: false,
+            peer: false,
         }
     }
 }
@@ -349,10 +356,19 @@ impl<'a> RankIo<'a> {
     /// simulator and is excluded from [`Self::bytes_read`].
     pub fn record_cached(&mut self, file: impl Into<Arc<str>>, offset: u64, len: u64) {
         self.trace.push(ReadOp {
-            file: file.into(),
-            offset,
-            len,
             cached: true,
+            ..ReadOp::new(file, offset, len)
+        });
+    }
+
+    /// Record an extent taken from the peer rank that fetched it for
+    /// the whole query (flagged [`ReadOp::peer`]): no device time in
+    /// the simulator, only the wait for the peer's own access, and
+    /// excluded from [`Self::bytes_read`].
+    pub fn record_peer(&mut self, file: impl Into<Arc<str>>, offset: u64, len: u64) {
+        self.trace.push(ReadOp {
+            peer: true,
+            ..ReadOp::new(file, offset, len)
         });
     }
 
@@ -367,12 +383,12 @@ impl<'a> RankIo<'a> {
         self.backend
     }
 
-    /// Bytes actually read from the backend so far (cache-served
-    /// extents excluded).
+    /// Bytes actually read from the backend so far (cache- and
+    /// peer-served extents excluded).
     pub fn bytes_read(&self) -> u64 {
         self.trace
             .iter()
-            .filter(|op| !op.cached)
+            .filter(|op| !op.cached && !op.peer)
             .map(|op| op.len)
             .sum()
     }
@@ -601,11 +617,13 @@ mod tests {
         let mut io = RankIo::new(&be);
         io.read("f", 0, 16).unwrap();
         io.record_cached("f", 16, 32);
+        io.record_peer("f", 48, 8);
         assert_eq!(io.bytes_read(), 16);
         let trace = io.into_trace();
-        assert_eq!(trace.len(), 2);
-        assert!(!trace[0].cached);
-        assert!(trace[1].cached);
+        assert_eq!(trace.len(), 3);
+        assert!(!trace[0].cached && !trace[0].peer);
+        assert!(trace[1].cached && !trace[1].peer);
         assert_eq!(trace[1].len, 32);
+        assert!(trace[2].peer && !trace[2].cached);
     }
 }

@@ -157,6 +157,49 @@ impl std::fmt::Display for PfsError {
 
 impl std::error::Error for PfsError {}
 
+/// An error is handed to every party that waited on the failed
+/// operation, so it can be copied; an OS error copies as its kind and
+/// message (`std::io::Error` itself is not `Clone`).
+impl Clone for PfsError {
+    fn clone(&self) -> Self {
+        match self {
+            PfsError::NotFound(name) => PfsError::NotFound(name.clone()),
+            &PfsError::OutOfBounds {
+                ref file,
+                offset,
+                len,
+                size,
+            } => PfsError::OutOfBounds {
+                file: file.clone(),
+                offset,
+                len,
+                size,
+            },
+            &PfsError::Transient {
+                ref file,
+                offset,
+                attempt,
+            } => PfsError::Transient {
+                file: file.clone(),
+                offset,
+                attempt,
+            },
+            &PfsError::RetriesExhausted {
+                ref file,
+                offset,
+                attempts,
+                waited_s,
+            } => PfsError::RetriesExhausted {
+                file: file.clone(),
+                offset,
+                attempts,
+                waited_s,
+            },
+            PfsError::Io(e) => PfsError::Io(std::io::Error::new(e.kind(), e.to_string())),
+        }
+    }
+}
+
 impl From<std::io::Error> for PfsError {
     fn from(e: std::io::Error) -> Self {
         PfsError::Io(e)

@@ -116,6 +116,40 @@ mod tests {
         assert!(rr_touch > 12.0, "rr {rr_touch}");
     }
 
+    /// The paper's rule (§III-D, quoted above) is what `column_order`
+    /// already does: pinned on the two plan shapes the benchmark and
+    /// Table II produce. Equal counts force a 2-bin query across 8
+    /// ranks — four ranks per bin file — which no dealer can avoid;
+    /// that is why the ranks of a bin share its fixed blocks instead.
+    #[test]
+    fn column_order_deals_whole_bins_wherever_counts_allow() {
+        let bins_of = |a: &Assignment, g: &[usize], rank: usize| {
+            let mut bins: Vec<usize> = a.per_rank[rank].iter().map(|&u| g[u]).collect();
+            bins.dedup();
+            bins
+        };
+        // Table II, 1 % region query: 2 candidate bins x 64 chunks.
+        let g = groups(2, 64);
+        let a = column_order(&g, 8);
+        assert_eq!(distinct_groups_per_rank(&a, &g), 1.0);
+        for rank in 0..8 {
+            assert_eq!(bins_of(&a, &g, rank), [rank / 4], "rank {rank}");
+        }
+        // An SC value query: 6 chunks in each of 100 bins. 75 units a
+        // rank is 12.5 bins: no rank touches more than ceil(100/8) + 1
+        // files, and each rank's bins are one contiguous run.
+        let g = groups(100, 6);
+        let a = column_order(&g, 8);
+        assert_eq!(a.imbalance(), 0);
+        assert_eq!(distinct_groups_per_rank(&a, &g), 13.0);
+        for rank in 0..8 {
+            let bins = bins_of(&a, &g, rank);
+            assert_eq!(bins.len(), 13, "rank {rank}");
+            assert!(bins.len() <= 100usize.div_ceil(8) + 1);
+            assert!(bins.windows(2).all(|w| w[1] == w[0] + 1), "rank {rank}");
+        }
+    }
+
     #[test]
     fn all_units_assigned_exactly_once() {
         let g = groups(7, 13);

@@ -140,3 +140,134 @@ fn missing_bin_file_fails_cleanly() {
     let store = MlocStore::open(&be, "fz", "v").unwrap();
     assert!(full_query(&store).is_err());
 }
+
+/// Replace `file` with `data`.
+fn rewrite(be: &MemBackend, file: &str, data: &[u8]) {
+    be.create(file).unwrap();
+    be.append(file, data).unwrap();
+}
+
+/// Serial, replay and threaded at 4 and 8 ranks, and a cached pair of
+/// passes: every way the engine fetches a bin's footer.
+fn outcomes(be: &MemBackend, q: &Query) -> Vec<(String, mloc::Result<ExecOutput>)> {
+    use mloc_pfs::CostModel;
+    let store = MlocStore::open(be, "fz", "v").unwrap();
+    let mut out = vec![(
+        "serial".to_string(),
+        ParallelExecutor::serial()
+            .profiled(true)
+            .run(&store, ExecRequest::new(q)),
+    )];
+    for n in [4, 8] {
+        for threaded in [false, true] {
+            let exec = ParallelExecutor::new(n, CostModel::default())
+                .threaded(threaded)
+                .profiled(true);
+            out.push((
+                format!("{n} ranks threaded={threaded}"),
+                exec.run(&store, ExecRequest::new(q)),
+            ));
+        }
+    }
+    let cached = MlocStore::open(be, "fz", "v")
+        .unwrap()
+        .with_cache(std::sync::Arc::new(BlockCache::with_budget_mb(64)));
+    for pass in 0..2 {
+        let exec = ParallelExecutor::new(4, CostModel::default()).profiled(true);
+        out.push((
+            format!("cached pass {pass}"),
+            exec.run(&cached, ExecRequest::new(q)),
+        ));
+    }
+    out
+}
+
+/// A file cut inside its checksum table has table bytes where its
+/// trailer should be. The footer read starts where the directory says
+/// the payload ends, finds no trailer at the end of what it read, and
+/// reports exactly what the trailer-then-table sequence did.
+#[test]
+fn a_file_cut_inside_its_table_names_the_missing_trailer() {
+    for name in ["fz/v/bin0001.idx", "fz/v/bin0001.dat"] {
+        let be = MemBackend::new();
+        build(&be);
+        let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
+        let payload = mloc::ExtentFooter::split_verified(&raw, name)
+            .unwrap()
+            .len();
+        let table = raw.len() - 24 - payload;
+        assert!(table >= 16, "{name}: a table to cut into");
+        let cut = payload + table / 2;
+        rewrite(&be, name, &raw[..cut]);
+        for (mode, got) in outcomes(&be, &Query::values_where(f64::MIN, f64::MAX)) {
+            match got {
+                Err(mloc::MlocError::CorruptExtent {
+                    file,
+                    offset,
+                    len,
+                    what,
+                }) => assert_eq!(
+                    (file.as_str(), offset, len, what.as_str()),
+                    (
+                        name,
+                        cut as u64 - 24,
+                        24,
+                        "missing checksum footer (incomplete build?)"
+                    ),
+                    "{name} ({mode})"
+                ),
+                Err(other) => panic!("{name} ({mode}): wrong error: {other}"),
+                Ok(_) => panic!("{name} ({mode}): a cut file answered a query"),
+            }
+        }
+    }
+}
+
+/// A well-formed file whose directory overstates where its payload
+/// ends (here: the last bitmap's length, for a chunk the query never
+/// touches, with the checksums recomputed) gives a hint past the true
+/// footer start. The tail read then misses the front of the table; one
+/// top-up read fetches it, the answer is the clean one, and the profile
+/// says it happened — once per query, by the one rank that fetches the
+/// bin's footer.
+#[test]
+fn a_table_longer_than_the_hint_is_topped_up_and_counted() {
+    let be = MemBackend::new();
+    build(&be);
+    // One chunk's worth of space, in every bin.
+    let q = Query::values_in(Region::new(vec![(0, 16), (0, 16)]));
+    let clean = MlocStore::open(&be, "fz", "v")
+        .unwrap()
+        .query_serial(&q)
+        .unwrap();
+
+    let name = "fz/v/bin0001.idx";
+    let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
+    let mut payload = mloc::ExtentFooter::split_verified(&raw, name)
+        .unwrap()
+        .to_vec();
+    let footer = mloc::ExtentFooter::decode(&raw[payload.len()..], raw.len() as u64, name).unwrap();
+    let extents: Vec<u32> = (0..footer.num_extents())
+        .map(|i| footer.extent(i).1)
+        .collect();
+    let index = mloc::index::BinIndex::decode_header(&payload).unwrap();
+    let last = (0..index.chunks.len())
+        .max_by_key(|&r| index.chunks[r].bitmap_off + u64::from(index.chunks[r].bitmap_len))
+        .unwrap();
+    let at = 14 + last * (16 + 12 * index.num_parts) + 12;
+    let longer = index.chunks[last].bitmap_len + 8;
+    payload[at..at + 4].copy_from_slice(&longer.to_le_bytes());
+    let mut crafted = payload.clone();
+    crafted.extend(mloc::ExtentFooter::compute(&payload, &extents).encode());
+    rewrite(&be, name, &crafted);
+
+    for (mode, got) in outcomes(&be, &q) {
+        let out = got.unwrap_or_else(|e| panic!("{mode}: {e}"));
+        assert_eq!(out.result, clean, "{mode}");
+        let topups = out
+            .profile
+            .counter("io.footer_topups", mloc::obs::Label::None);
+        let warm = mode == "cached pass 1";
+        assert_eq!(topups, u64::from(!warm), "{mode}");
+    }
+}

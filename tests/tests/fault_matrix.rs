@@ -589,3 +589,311 @@ fn base_part_corruption_carries_context_in_all_modes_in(fresh: Fresh) {
 fn base_part_corruption_carries_context_in_all_modes() {
     for_both_worlds(base_part_corruption_carries_context_in_all_modes_in);
 }
+
+// ---------------------------------------------------------------------
+// The hinted footer read and the shared fixed blocks.
+//
+// A bin file's footer is fetched as one read from where the file's own
+// directory says the payload ends, and at more than one rank a bin's
+// footer, header and summary are fetched by one rank for all. Damage to
+// any of them must end exactly where it ended when every rank read a
+// trailer and then a table: the same `CorruptExtent`, in every mode.
+// ---------------------------------------------------------------------
+
+const SHARED_BIN: usize = 1;
+
+/// Where the interesting bytes of one bin's two files are.
+struct Anatomy {
+    idx: String,
+    dat: String,
+    idx_len: u64,
+    dat_len: u64,
+    hdr_len: u64,
+    /// File offset of the `bitmap_len` field of the chunk whose bitmap
+    /// ends the index payload (what the index footer hint is made of).
+    last_bitmap_len_at: u64,
+    /// File offset of the `clen` field of the unit that ends the data
+    /// payload (what the data footer hint is made of).
+    last_clen_at: u64,
+    idx_payload: u64,
+    dat_payload: u64,
+}
+
+fn anatomy(be: &dyn StorageBackend) -> Anatomy {
+    let store = MlocStore::open(be, DS, VAR).unwrap();
+    let (idx, dat) = (store.index_file(SHARED_BIN), store.data_file(SHARED_BIN));
+    let (idx_len, dat_len) = (be.len(&idx).unwrap(), be.len(&dat).unwrap());
+    let raw = be.read(&idx, 0, idx_len).unwrap();
+    let index = mloc::index::BinIndex::decode_header(&raw).unwrap();
+    let entry = 16 + 12 * index.num_parts as u64;
+    let last_bitmap = (0..index.chunks.len())
+        .max_by_key(|&r| index.chunks[r].bitmap_off + u64::from(index.chunks[r].bitmap_len))
+        .unwrap();
+    let (last_unit, last_part) = (0..index.chunks.len())
+        .flat_map(|r| (0..index.num_parts).map(move |p| (r, p)))
+        .max_by_key(|&(r, p)| {
+            let loc = index.chunks[r].units[p];
+            loc.offset + u64::from(loc.clen)
+        })
+        .unwrap();
+    let payload = |file: &str, len: u64| {
+        let raw = be.read(file, 0, len).unwrap();
+        mloc::ExtentFooter::split_verified(&raw, file)
+            .unwrap()
+            .len() as u64
+    };
+    Anatomy {
+        hdr_len: index.header_bytes,
+        last_bitmap_len_at: 14 + last_bitmap as u64 * entry + 12,
+        last_clen_at: 14 + last_unit as u64 * entry + 16 + last_part as u64 * 12 + 8,
+        idx_payload: payload(&idx, idx_len),
+        dat_payload: payload(&dat, dat_len),
+        idx,
+        dat,
+        idx_len,
+        dat_len,
+    }
+}
+
+/// Run `q` on `be` in every execution mode and hand each outcome to
+/// `check` with the mode's name: serial, replay and threaded at 4 and
+/// 8 ranks, behind a cache (twice: whatever the first pass admitted is
+/// what the second one is served), and behind an extent fuser (twice
+/// in one window).
+fn in_every_mode(
+    be: &dyn StorageBackend,
+    q: &Query,
+    check: &dyn Fn(&str, mloc::Result<ExecOutput>, &MlocStore<'_>),
+) {
+    let open = || MlocStore::open(be, DS, VAR).unwrap();
+    let parallel = |n: usize, threaded: bool| {
+        ParallelExecutor::new(n, CostModel::default()).threaded(threaded)
+    };
+    let store = open();
+    check(
+        "serial",
+        ParallelExecutor::serial().run(&store, ExecRequest::new(q)),
+        &store,
+    );
+    for n in [4, 8] {
+        for threaded in [false, true] {
+            let mode = format!("{n} ranks threaded={threaded}");
+            check(
+                &mode,
+                parallel(n, threaded).run(&store, ExecRequest::new(q)),
+                &store,
+            );
+        }
+    }
+    for n in [1, 4, 8] {
+        let cached = open().with_cache(std::sync::Arc::new(BlockCache::with_budget_mb(64)));
+        for pass in 0..2 {
+            let mode = format!("cached {n} ranks pass {pass}");
+            check(
+                &mode,
+                parallel(n, n > 1).run(&cached, ExecRequest::new(q)),
+                &cached,
+            );
+        }
+    }
+    let fuser = std::sync::Arc::new(ExtentFuser::with_window_mb(8));
+    let fusing = open().with_fusion(std::sync::Arc::clone(&fuser));
+    fuser.begin_window();
+    for pass in 0..2 {
+        let mode = format!("fused pass {pass}");
+        check(
+            &mode,
+            ParallelExecutor::serial().run(&fusing, ExecRequest::new(q)),
+            &fusing,
+        );
+    }
+}
+
+fn assert_corrupt_extent(
+    tag: &str,
+    got: mloc::Result<ExecOutput>,
+    (file, offset, len, what): (&str, u64, u64, &str),
+) {
+    match got {
+        Ok(_) => panic!("{tag}: damage not detected"),
+        Err(MlocError::CorruptExtent {
+            file: f,
+            offset: o,
+            len: l,
+            what: w,
+        }) => assert_eq!(
+            (f.as_str(), o, l, w.as_str()),
+            (file, offset, len, what),
+            "{tag}"
+        ),
+        Err(other) => panic!("{tag}: wrong error: {other}"),
+    }
+}
+
+/// The cache holds nothing of `bin`'s index header, summary or either
+/// footer: a block that failed (or was never reached by) verification
+/// was not admitted.
+fn assert_nothing_admitted(tag: &str, store: &MlocStore<'_>, parts: &[mloc::cache::BlockPart]) {
+    let Some(cache) = store.cache() else { return };
+    for &part in parts {
+        let key = mloc::cache::BlockKey {
+            scope: std::sync::Arc::clone(store.cache_scope()),
+            bin: SHARED_BIN as u32,
+            chunk_rank: 0,
+            part,
+        };
+        assert!(cache.get(&key).is_none(), "{tag}: {part:?} was admitted");
+    }
+}
+
+fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
+    use mloc::cache::BlockPart::{Footer, IndexHeader, Summary};
+    let clean = fresh();
+    build_into(&clean);
+    let a = anatomy(&clean);
+    let q = full_values_query();
+
+    // The bin really is shared at 4 and at 8 ranks, and a clean run
+    // never needs a top-up read.
+    for n in [4, 8] {
+        let exec = ParallelExecutor::new(n, CostModel::default()).profiled(true);
+        let store = MlocStore::open(&clean, DS, VAR).unwrap();
+        let out = exec.run(&store, ExecRequest::new(&q)).unwrap();
+        for file in [&a.idx, &a.dat] {
+            let peers = out.traces.iter().flatten();
+            assert!(
+                peers
+                    .filter(|op| op.peer && &*op.file == file.as_str())
+                    .count()
+                    > 0,
+                "{file} is not shared at {n} ranks"
+            );
+        }
+        assert_eq!(
+            out.profile
+                .counter("io.footer_topups", mloc::obs::Label::None),
+            0
+        );
+    }
+
+    let header_crc = (a.idx.as_str(), 0, a.hdr_len, "checksum mismatch");
+    let idx_table = a.idx_len - 24 - a.idx_payload;
+    let dat_table = a.dat_len - 24 - a.dat_payload;
+    type Row<'r> = (
+        &'r str,
+        &'r str,
+        u64,
+        u8,
+        (&'r str, u64, u64, &'r str),
+        &'r [mloc::cache::BlockPart],
+    );
+    let rows: [Row; 9] = [
+        // A wrong hint — one byte off, then far past the file — and
+        // the header that produced it fails its checksum.
+        (
+            "last bitmap_len, low bit",
+            &a.idx,
+            a.last_bitmap_len_at,
+            0x01,
+            header_crc,
+            &[IndexHeader, Summary],
+        ),
+        (
+            "last bitmap_len, high bit",
+            &a.idx,
+            a.last_bitmap_len_at + 3,
+            0x40,
+            header_crc,
+            &[IndexHeader, Summary],
+        ),
+        (
+            "last unit clen, low bit",
+            &a.idx,
+            a.last_clen_at,
+            0x01,
+            header_crc,
+            &[IndexHeader, Summary, Footer(1)],
+        ),
+        (
+            "last unit clen, high bit",
+            &a.idx,
+            a.last_clen_at + 3,
+            0x40,
+            header_crc,
+            &[IndexHeader, Summary, Footer(1)],
+        ),
+        // A header that no longer parses gives no hint at all.
+        (
+            "header magic",
+            &a.idx,
+            0,
+            0x02,
+            header_crc,
+            &[IndexHeader, Summary],
+        ),
+        // The trailer's own geometry.
+        (
+            "index trailer payload_len",
+            &a.idx,
+            a.idx_len - 20,
+            0x01,
+            (
+                &a.idx,
+                a.idx_len - 24,
+                24,
+                "footer geometry inconsistent with file size",
+            ),
+            &[IndexHeader, Summary, Footer(0)],
+        ),
+        (
+            "data trailer payload_len",
+            &a.dat,
+            a.dat_len - 20,
+            0x01,
+            (
+                &a.dat,
+                a.dat_len - 24,
+                24,
+                "footer geometry inconsistent with file size",
+            ),
+            &[Footer(1)],
+        ),
+        // The shared checksum tables.
+        (
+            "index table",
+            &a.idx,
+            a.idx_payload + 5,
+            0x08,
+            (&a.idx, a.idx_payload, idx_table, "checksum table corrupt"),
+            &[IndexHeader, Summary, Footer(0)],
+        ),
+        (
+            "data table",
+            &a.dat,
+            a.dat_payload + 5,
+            0x08,
+            (&a.dat, a.dat_payload, dat_table, "checksum table corrupt"),
+            &[Footer(1)],
+        ),
+    ];
+    for (what, file, offset, mask, want, never_admitted) in rows {
+        let mut plan = FaultPlan::none();
+        plan.flips.push(mloc_pfs::BitFlip {
+            file: file.to_string(),
+            offset,
+            mask,
+        });
+        let fb = FaultBackend::new(fresh(), plan);
+        build_into(&fb);
+        in_every_mode(&fb, &q, &|mode, got, store| {
+            let tag = format!("{what} ({mode})");
+            assert_corrupt_extent(&tag, got, want);
+            assert_nothing_admitted(&tag, store, never_admitted);
+        });
+    }
+}
+
+#[test]
+fn damaged_hints_and_footers_fail_as_they_always_did() {
+    for_both_worlds(damaged_hints_and_footers_fail_as_they_always_did_in);
+}
