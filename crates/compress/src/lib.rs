@@ -184,7 +184,7 @@ impl CodecKind {
         match self {
             CodecKind::Raw => Box::new(RawCodec),
             CodecKind::Deflate => Box::new(Deflate),
-            CodecKind::Isobar => Box::new(Isobar::default()),
+            CodecKind::Isobar => Box::new(Isobar),
             CodecKind::Isabela { error_bound } => Box::new(FloatAsByte(Isabela::new(error_bound))),
             CodecKind::Fpc => Box::new(FloatAsByte(Fpc)),
         }
@@ -195,7 +195,7 @@ impl CodecKind {
         match self {
             CodecKind::Raw => Box::new(ByteAsFloat(RawCodec)),
             CodecKind::Deflate => Box::new(ByteAsFloat(Deflate)),
-            CodecKind::Isobar => Box::new(Isobar::default()),
+            CodecKind::Isobar => Box::new(Isobar),
             CodecKind::Isabela { error_bound } => Box::new(Isabela::new(error_bound)),
             CodecKind::Fpc => Box::new(Fpc),
         }

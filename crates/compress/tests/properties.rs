@@ -33,7 +33,7 @@ proptest! {
 
     #[test]
     fn isobar_roundtrips_floats(data in proptest::collection::vec(any::<f64>(), 0..2000)) {
-        let codec = Isobar::default();
+        let codec = Isobar;
         let c = codec.compress_f64(&data);
         let d = codec.decompress_f64(&c).unwrap();
         prop_assert_eq!(d.len(), data.len());

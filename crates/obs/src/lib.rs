@@ -27,4 +27,4 @@ mod profile;
 
 pub use collector::{Collector, Registry};
 pub use histogram::{Histogram, NUM_BUCKETS};
-pub use profile::{Counter, HistogramEntry, Label, Profile, Span};
+pub use profile::{json_string, Counter, HistogramEntry, Label, Profile, Span};

@@ -449,7 +449,10 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included. Every control
+/// character (C0, U+007F, C1) leaves as a `\uXXXX` escape, so the
+/// output is JSON where Rust's `{:?}` (`\u{7f}`) is not.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -459,7 +462,7 @@ fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }

@@ -51,8 +51,10 @@ pub trait StorageBackend: Send + Sync {
     /// sequential loop over [`Self::read`], so simple and wrapping
     /// backends (memory, simulator, fault injection) behave exactly as
     /// if the caller had issued the reads one by one — same bytes, same
-    /// per-request error identity. Concurrent backends override this to
-    /// service the whole batch at once.
+    /// per-request error identity. No backend services a batch
+    /// concurrently: [`crate::ShardRouter`] overrides this to route
+    /// slices and mask errors per replica round, still on the caller's
+    /// thread, and wrappers forward it so the batch shape survives.
     fn read_batch(&self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
         requests
             .iter()
@@ -244,6 +246,35 @@ impl<'a> RankIo<'a> {
         }
     }
 
+    /// Charge one still-failing request its next retry after `attempt`
+    /// attempts: the jittered backoff joins [`Self::retry_wait_s`], or,
+    /// when that wait would bust the per-query budget, the request
+    /// stops here with a typed error. The one copy of this accounting,
+    /// so `read` and `read_batch` cannot drift apart.
+    fn charge_retry(
+        &mut self,
+        file: &str,
+        offset: u64,
+        len: u64,
+        attempt: u32,
+    ) -> Result<(), PfsError> {
+        let wait = self
+            .retry
+            .backoff_s_for(attempt + 1, op_token(file, offset, len));
+        if self.retry.budget_exceeded(self.retry_wait_s, wait) {
+            self.retries_exhausted += 1;
+            return Err(PfsError::RetriesExhausted {
+                file: file.to_string(),
+                offset,
+                attempts: attempt,
+                waited_s: self.retry_wait_s,
+            });
+        }
+        self.retries += 1;
+        self.retry_wait_s += wait;
+        Ok(())
+    }
+
     /// Read and record one extent. Transient backend errors are
     /// retried per the handle's [`RetryPolicy`]; the logical read is
     /// traced once regardless of how many attempts it took (retries
@@ -263,20 +294,8 @@ impl<'a> RankIo<'a> {
             match self.backend.read(&file, offset, len) {
                 Ok(buf) => return Ok(buf),
                 Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
-                    let token = op_token(&file, offset, len);
-                    let wait = self.retry.backoff_s_for(attempt + 1, token);
-                    if self.retry.budget_exceeded(self.retry_wait_s, wait) {
-                        self.retries_exhausted += 1;
-                        return Err(PfsError::RetriesExhausted {
-                            file: file.to_string(),
-                            offset,
-                            attempts: attempt,
-                            waited_s: self.retry_wait_s,
-                        });
-                    }
+                    self.charge_retry(&file, offset, len, attempt)?;
                     attempt += 1;
-                    self.retries += 1;
-                    self.retry_wait_s += wait;
                 }
                 Err(e) => return Err(e),
             }
@@ -322,21 +341,9 @@ impl<'a> RankIo<'a> {
             let mut kept = Vec::new();
             for &slot in &still {
                 let r = &requests[slot];
-                let wait = self
-                    .retry
-                    .backoff_s_for(attempt + 1, op_token(&r.file, r.offset, r.len));
-                if self.retry.budget_exceeded(self.retry_wait_s, wait) {
-                    self.retries_exhausted += 1;
-                    out[slot] = Some(Err(PfsError::RetriesExhausted {
-                        file: r.file.to_string(),
-                        offset: r.offset,
-                        attempts: attempt,
-                        waited_s: self.retry_wait_s,
-                    }));
-                } else {
-                    self.retries += 1;
-                    self.retry_wait_s += wait;
-                    kept.push(slot);
+                match self.charge_retry(&r.file, r.offset, r.len, attempt) {
+                    Ok(()) => kept.push(slot),
+                    Err(e) => out[slot] = Some(Err(e)),
                 }
             }
             if kept.is_empty() {

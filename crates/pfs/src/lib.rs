@@ -53,7 +53,7 @@ pub use cost::CostModel;
 pub use fault::{
     BitFlip, CrashBackend, CrashPlan, FaultBackend, FaultPlan, FaultStats, TornAppend,
 };
-pub use localdir::{DirBackend, PoolDirBackend};
+pub use localdir::DirBackend;
 pub use mem::MemBackend;
 pub use retry::{op_token, RetryPolicy};
 pub use shard::{stable_name_hash, ShardRouter};

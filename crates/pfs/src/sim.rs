@@ -324,11 +324,6 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
     }
 }
 
-/// Simulate a single rank's trace.
-pub fn simulate_single(trace: &[ReadOp], model: &CostModel) -> f64 {
-    simulate_reads(std::slice::from_ref(&trace.to_vec()), model).elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mloc_pfs::{
     simulate_reads, BitFlip, CostModel, CrashBackend, CrashPlan, DirBackend, FaultBackend,
-    FaultPlan, MemBackend, PfsError, PoolDirBackend, ReadOp, ReadRequest, ReplicaAccess,
-    ShardRouter, StorageBackend,
+    FaultPlan, MemBackend, PfsError, ReadOp, ReadRequest, ReplicaAccess, ShardRouter,
+    StorageBackend,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -170,7 +170,6 @@ fn make_worlds(
     root: &TempRoot,
     files: &[(String, Vec<u8>)],
 ) -> Vec<(&'static str, Box<dyn StorageBackend>)> {
-    let dir = root.0.join("d");
     let worlds: Vec<(&'static str, Box<dyn StorageBackend>)> = vec![
         ("mem", Box::new(MemBackend::new())),
         ("dir", Box::new(DirBackend::new(root.0.join("c")).unwrap())),
@@ -178,7 +177,6 @@ fn make_worlds(
             "dir-uncached",
             Box::new(DirBackend::uncached(root.0.join("u")).unwrap()),
         ),
-        ("pool", Box::new(PoolDirBackend::new(&dir, 3).unwrap())),
         (
             "shard-mem",
             Box::new(
@@ -425,34 +423,6 @@ proptest! {
     }
 }
 
-/// A fresh pool opens each file once, however its workers race the
-/// first reads and however often the batch is drained. (The
-/// open-per-read half of the old `io_bench` check — one open per
-/// request — is `handle_cache_opens_each_file_once` in `localdir.rs`.)
-#[test]
-fn pool_opens_each_file_once_across_racing_workers_and_drains() {
-    let root = TempRoot::new();
-    let files: Vec<String> = (0..12).map(|i| format!("bins/b{i:02}.dat")).collect();
-    let writer = DirBackend::new(&root.0).unwrap();
-    for f in &files {
-        writer.append(f, &[7u8; 1024]).unwrap();
-    }
-    // Eight extents per file, interleaved so consecutive requests hit
-    // different files.
-    let reqs: Vec<ReadRequest> = (0..8u64)
-        .flat_map(|e| {
-            files
-                .iter()
-                .map(move |f| ReadRequest::new(f.as_str(), e * 128, 128))
-        })
-        .collect();
-    let pool = PoolDirBackend::new(&root.0, 4).unwrap();
-    for pass in 0..2 {
-        assert!(pool.read_batch(&reqs).iter().all(|r| r.is_ok()));
-        assert_eq!(pool.open_count(), 12, "pass {pass}: one open per file");
-    }
-}
-
 /// A batch drained over a wiped shard under R = 2: every request whose
 /// primary copy died is one read-repair, write-back runs once per
 /// degraded *file*, and the refilled shard lets a second drain mask
@@ -631,11 +601,6 @@ fn replica_access_is_the_same_through_every_wrapper_stack() {
     check_world(
         "dir",
         || DirBackend::new(fresh_dir()).unwrap(),
-        Expect::SingleCopy,
-    );
-    check_world(
-        "pool",
-        || PoolDirBackend::new(fresh_dir(), 2).unwrap(),
         Expect::SingleCopy,
     );
     check_world(

@@ -140,14 +140,6 @@ impl TenantBudget {
             max_io_s: None,
         }
     }
-
-    /// Limit accumulated simulated I/O seconds.
-    pub fn io_seconds(max: f64) -> Self {
-        TenantBudget {
-            max_bytes: None,
-            max_io_s: Some(max),
-        }
-    }
 }
 
 /// Accumulated per-tenant counters, reconcilable with the sum of the
@@ -171,7 +163,7 @@ pub struct TenantUsage {
     /// Sum of logical bytes — the quantity byte budgets meter.
     pub logical_bytes: u64,
     /// Sum of simulated I/O seconds over completed sessions.
-    pub io_s: u64_as_f64::F64,
+    pub io_s: f64,
     /// Sum of cache hits over completed sessions.
     pub cache_hits: u64,
     /// Sum of cache misses over completed sessions.
@@ -180,13 +172,6 @@ pub struct TenantUsage {
     pub fused_reads: u64,
     /// Sum of transient-read retries over completed sessions.
     pub retries: u64,
-}
-
-/// `f64` totals inside an otherwise-integer usage struct, kept in a
-/// tiny module so `TenantUsage` can stay `Copy + PartialEq`.
-mod u64_as_f64 {
-    /// A plain `f64` newtype (exists only for documentation symmetry).
-    pub type F64 = f64;
 }
 
 /// One session: a tenant's query against a built variable.

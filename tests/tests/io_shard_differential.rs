@@ -1,8 +1,8 @@
 //! Differential suite for the batched storage substrate: the same
 //! queries must answer byte-identically no matter how the bytes are
-//! serviced (sequential open-per-read, cached handles, submission
-//! pool) or laid out (flat directory, 1/2/4 shards), in every
-//! execution mode (serial, threaded, cached, fused, progressive).
+//! serviced (sequential open-per-read, cached handles) or laid out
+//! (flat directory, 1/2/4 shards), in every execution mode (serial,
+//! threaded, cached, fused, progressive).
 //!
 //! The reference is the in-memory backend under the serial executor;
 //! every world/mode pair is compared bit-for-bit against it.
@@ -15,9 +15,7 @@ use mloc::prelude::*;
 use mloc::{ExtentFuser, MlocStore};
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
-use mloc_pfs::{
-    CostModel, DirBackend, MemBackend, PoolDirBackend, ReplicaAccess, ShardRouter, StorageBackend,
-};
+use mloc_pfs::{CostModel, DirBackend, MemBackend, ReplicaAccess, ShardRouter, StorageBackend};
 
 const SHAPE: [usize; 2] = [96, 96];
 const DS: &str = "iosd";
@@ -56,24 +54,18 @@ fn build_into(be: &dyn StorageBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// Every storage world under test: the seed's sequential behavior,
-/// the batched pool, and sharded layouts of 1, 2 and 4 shards (each
-/// shard its own submission pool).
+/// Every storage world under test: the seed's sequential behavior
+/// and sharded layouts of 1, 2 and 4 shards (each shard its own
+/// handle-cached directory).
 fn worlds(root: &TempRoot) -> Vec<(String, Box<dyn StorageBackend>)> {
-    let mut out: Vec<(String, Box<dyn StorageBackend>)> = vec![
-        (
-            "dir-sequential".into(),
-            Box::new(DirBackend::uncached(root.0.join("seq")).unwrap()),
-        ),
-        (
-            "pool-batched".into(),
-            Box::new(PoolDirBackend::new(root.0.join("pool"), 3).unwrap()),
-        ),
-    ];
+    let mut out: Vec<(String, Box<dyn StorageBackend>)> = vec![(
+        "dir-sequential".into(),
+        Box::new(DirBackend::uncached(root.0.join("seq")).unwrap()),
+    )];
     for n in [1usize, 2, 4] {
         let shards = (0..n)
             .map(|s| {
-                Box::new(PoolDirBackend::new(root.0.join(format!("n{n}s{s}")), 2).unwrap())
+                Box::new(DirBackend::new(root.0.join(format!("n{n}s{s}"))).unwrap())
                     as Box<dyn StorageBackend>
             })
             .collect();
@@ -87,7 +79,7 @@ fn worlds(root: &TempRoot) -> Vec<(String, Box<dyn StorageBackend>)> {
     for n in [2usize, 4] {
         let shards = (0..n)
             .map(|s| {
-                Box::new(PoolDirBackend::new(root.0.join(format!("n{n}r2s{s}")), 2).unwrap())
+                Box::new(DirBackend::new(root.0.join(format!("n{n}r2s{s}"))).unwrap())
                     as Box<dyn StorageBackend>
             })
             .collect();
@@ -177,10 +169,9 @@ fn every_backend_and_exec_mode_is_byte_identical() {
     }
 }
 
-/// The batched pool and every sharded layout service the *same
-/// logical reads* as the sequential world: identical trace shapes mean
-/// the batching substrate changes how bytes move, never which bytes a
-/// query needs.
+/// Every sharded layout services the *same logical reads* as the
+/// sequential world: identical trace shapes mean the routing substrate
+/// changes where bytes live, never which bytes a query needs.
 #[test]
 fn sharded_layouts_preserve_io_accounting() {
     let root = TempRoot::new();
@@ -225,7 +216,7 @@ fn replicated_world_survives_single_shard_loss_byte_identically() {
     let mk = |root: &TempRoot| {
         let shards = (0..2)
             .map(|s| {
-                Box::new(PoolDirBackend::new(root.0.join(format!("k{s}")), 2).unwrap())
+                Box::new(DirBackend::new(root.0.join(format!("k{s}"))).unwrap())
                     as Box<dyn StorageBackend>
             })
             .collect();
