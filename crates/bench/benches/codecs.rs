@@ -119,11 +119,89 @@ fn bench_deflate_decode_small_units(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_deflate_encode_small_units(c: &mut Criterion) {
+    // Encode cost at storage-unit size (DESIGN §7), the write-side twin
+    // of the group above. Three byte distributions: 4 symbols (matches
+    // everywhere, Huffman-coded from ~230 bytes), 64 skewed symbols
+    // (stored until a block amortizes its 158-byte tables) and all 256
+    // (always stored). At 164 bytes every input is stored unseen, so
+    // that row is the stream framing and the checksum; from 328 bytes
+    // on it is tokenization plus two package-merges whatever the
+    // outcome. One iteration encodes 256 distinct units.
+    use mloc_compress::deflate::{huffman, lz77};
+    let mut x = 0x9E37_79B9u32;
+    let mut words = |n: usize| -> Vec<u32> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x
+            })
+            .collect()
+    };
+    let sym4 = |x: &u32| (x >> 24) as u8 & 3;
+    let sym64 = |x: &u32| 0x20 + ((x >> 8) & 63).min((x >> 16) & 63) as u8;
+    let sym256 = |x: &u32| (x >> 24) as u8;
+    let codec = CodecKind::Deflate.byte_codec();
+    let mut g = c.benchmark_group("deflate_encode_small_units");
+    g.sample_size(20);
+    for len in [164usize, 328, 573] {
+        let words = words(256 * len);
+        for (name, data) in [
+            ("sym4", words.iter().map(sym4).collect::<Vec<u8>>()),
+            ("sym64", words.iter().map(sym64).collect()),
+            ("sym256", words.iter().map(sym256).collect()),
+        ] {
+            let huffman = data
+                .chunks(len)
+                .filter(|u| codec.compress(u)[16] == 1)
+                .count();
+            let id = BenchmarkId::new(format!("{name}/{len}B"), format!("{huffman}of256huffman"));
+            g.throughput(Throughput::Bytes(data.len() as u64));
+            g.bench_with_input(id, &data, |b, data| {
+                b.iter(|| {
+                    data.chunks(len)
+                        .map(|u| codec.compress(black_box(u)).len())
+                        .sum::<usize>()
+                })
+            });
+        }
+    }
+
+    // The two pieces under it, on one unit's worth of input: the code
+    // construction over a full literal/length and a full distance
+    // alphabet, and the tokenizer on 164 bytes through the thread's
+    // reused tables.
+    let mut litlen = [1u32; 286];
+    for b in words(573).iter().map(sym256) {
+        litlen[b as usize] += 1;
+    }
+    let dist: [u32; 30] = std::array::from_fn(|i| 1 + (i as u32 * 7) % 11);
+    for (name, freqs) in [("litlen286", &litlen[..]), ("dist30", &dist[..])] {
+        let mut lens = vec![0u8; freqs.len()];
+        g.throughput(Throughput::Elements(freqs.len() as u64));
+        g.bench_function(BenchmarkId::new("code_lengths", name), |b| {
+            b.iter(|| {
+                huffman::code_lengths(black_box(freqs), huffman::MAX_CODE_LEN, &mut lens);
+                lens[0]
+            })
+        });
+    }
+    let unit: Vec<u8> = words(164).iter().map(sym64).collect();
+    g.throughput(Throughput::Bytes(unit.len() as u64));
+    g.bench_function(BenchmarkId::new("tokenize", "x164"), |b| {
+        b.iter(|| lz77::tokenize(black_box(&unit)).len())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_float_codecs,
     bench_byte_columns,
     bench_crc32,
-    bench_deflate_decode_small_units
+    bench_deflate_decode_small_units,
+    bench_deflate_encode_small_units
 );
 criterion_main!(benches);

@@ -16,6 +16,15 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends to `out`, which [`Self::finish`] gives
+    /// back: the bit stream lands after the bytes already there.
+    pub fn appending_to(out: Vec<u8>) -> Self {
+        BitWriter {
+            out,
+            ..Self::default()
+        }
+    }
+
     /// Write the low `count` bits of `bits` (LSB first). `count <= 32`.
     #[inline]
     pub fn write_bits(&mut self, bits: u32, count: u32) {

@@ -9,55 +9,91 @@ use crate::CodecError;
 pub const MAX_CODE_LEN: u32 = 12;
 
 /// Compute length-limited code lengths for the given symbol
-/// frequencies using the package-merge algorithm.
+/// frequencies using the package-merge algorithm, into `lens`: one
+/// length per symbol, zero-frequency symbols get length 0.
 ///
-/// Returns one length per symbol; zero-frequency symbols get length 0.
-pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
-    let n = freqs.len();
-    let mut lens = vec![0u8; n];
-    let active: Vec<u16> = (0..n as u16).filter(|&s| freqs[s as usize] > 0).collect();
-    match active.len() {
-        0 => return lens,
+/// A storage unit is a few hundred bytes, so this runs twice per ~300
+/// input bytes (DESIGN §7) and works on fixed stack arrays. Level
+/// `k`'s list is the stable merge of the weight-sorted leaves with the
+/// packages paired off level `k − 1`, a leaf going first on equal
+/// weight; only the previous level's weights and one is-leaf bit per
+/// slot are kept. The lengths fall out of one backward pass: of the
+/// `take` cheapest slots of a level, each leaf costs its symbol one
+/// more bit and each package stands for two slots of the level below.
+///
+/// # Panics
+/// Panics if `freqs` and `lens` differ in length, the alphabet exceeds
+/// [`MAX_SYMBOLS`], `max_len` exceeds [`MAX_CODE_LEN`], or `max_len`
+/// bits cannot code the used symbols.
+pub fn code_lengths(freqs: &[u32], max_len: u32, lens: &mut [u8]) {
+    assert_eq!(freqs.len(), lens.len(), "one length per symbol");
+    assert!(freqs.len() <= MAX_SYMBOLS, "alphabet too large");
+    assert!(max_len <= MAX_CODE_LEN, "max_len {max_len} too large");
+    lens.fill(0);
+
+    // The used symbols by ascending weight, equal weights by ascending
+    // symbol: a total order, so an unstable sort gives the one answer.
+    let mut leaves = [(0u32, 0u16); MAX_SYMBOLS];
+    let mut n = 0usize;
+    for (sym, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            leaves[n] = (f, sym as u16);
+            n += 1;
+        }
+    }
+    let leaves = &mut leaves[..n];
+    match n {
+        0 => return,
         1 => {
-            lens[active[0] as usize] = 1;
-            return lens;
+            lens[leaves[0].1 as usize] = 1;
+            return;
         }
         _ => {}
     }
     assert!(
-        (1usize << max_len) >= active.len(),
-        "max_len {max_len} too small for {} symbols",
-        active.len()
+        (1usize << max_len) >= n,
+        "max_len {max_len} too small for {n} symbols"
     );
+    leaves.sort_unstable();
 
-    // Package-merge: `prev` holds the package list of the previous
-    // level; each package carries the multiset of symbols inside it.
-    let mut singletons: Vec<(u64, Vec<u16>)> = active
-        .iter()
-        .map(|&s| (freqs[s as usize], vec![s]))
-        .collect();
-    singletons.sort_by_key(|(w, _)| *w);
-
-    let mut prev: Vec<(u64, Vec<u16>)> = Vec::new();
-    for _ in 0..max_len {
-        let mut cur = singletons.clone();
-        for pair in prev.chunks_exact(2) {
-            let w = pair[0].0 + pair[1].0;
-            let mut syms = pair[0].1.clone();
-            syms.extend_from_slice(&pair[1].1);
-            cur.push((w, syms));
+    // A level holds the n leaves plus half the level before: under 2n
+    // slots. A package of level k sums at most 2^(k-1) leaves.
+    const MAX_SLOTS: usize = 2 * MAX_SYMBOLS;
+    let mut is_leaf = [[0u64; MAX_SLOTS / 64]; MAX_CODE_LEN as usize];
+    let is_leaf = &mut is_leaf[..max_len as usize];
+    let (mut prev, mut cur) = (&mut [0u64; MAX_SLOTS], &mut [0u64; MAX_SLOTS]);
+    let mut slots = 0usize;
+    for flags in is_leaf.iter_mut() {
+        let pairs = slots / 2;
+        let (mut leaf, mut pair) = (0usize, 0usize);
+        slots = 0;
+        while leaf < n || pair < pairs {
+            let package = || prev[2 * pair] + prev[2 * pair + 1];
+            if leaf < n && (pair == pairs || u64::from(leaves[leaf].0) <= package()) {
+                cur[slots] = u64::from(leaves[leaf].0);
+                flags[slots / 64] |= 1 << (slots % 64);
+                leaf += 1;
+            } else {
+                cur[slots] = package();
+                pair += 1;
+            }
+            slots += 1;
         }
-        cur.sort_by_key(|(w, _)| *w);
-        prev = cur;
+        std::mem::swap(&mut prev, &mut cur);
     }
 
-    let take = 2 * (active.len() - 1);
-    for (_, syms) in prev.into_iter().take(take) {
-        for s in syms {
-            lens[s as usize] += 1;
+    let mut take = slots.min(2 * (n - 1));
+    for flags in is_leaf.iter().rev() {
+        let (words, bits) = (take / 64, take % 64);
+        let mut taken_leaves: u32 = flags[..words].iter().map(|w| w.count_ones()).sum();
+        if bits > 0 {
+            taken_leaves += (flags[words] & ((1 << bits) - 1)).count_ones();
         }
+        for &(_, sym) in &leaves[..taken_leaves as usize] {
+            lens[sym as usize] += 1;
+        }
+        take = 2 * (take - taken_leaves as usize);
     }
-    lens
 }
 
 /// A canonical Huffman encoder table: per-symbol `(code, length)` with
@@ -248,14 +284,74 @@ impl<'t> Decoder<'t> {
     }
 }
 
+/// The package-merge [`code_lengths`] replaced, verbatim, as its
+/// differential oracle: every package carries the multiset of symbols
+/// inside it and every level clones and re-sorts the list.
+#[cfg(test)]
+pub(super) mod oracle {
+    pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
+        let n = freqs.len();
+        let mut lens = vec![0u8; n];
+        let active: Vec<u16> = (0..n as u16).filter(|&s| freqs[s as usize] > 0).collect();
+        match active.len() {
+            0 => return lens,
+            1 => {
+                lens[active[0] as usize] = 1;
+                return lens;
+            }
+            _ => {}
+        }
+        assert!(
+            (1usize << max_len) >= active.len(),
+            "max_len {max_len} too small for {} symbols",
+            active.len()
+        );
+
+        // Package-merge: `prev` holds the package list of the previous
+        // level; each package carries the multiset of symbols inside it.
+        let mut singletons: Vec<(u64, Vec<u16>)> = active
+            .iter()
+            .map(|&s| (freqs[s as usize], vec![s]))
+            .collect();
+        singletons.sort_by_key(|(w, _)| *w);
+
+        let mut prev: Vec<(u64, Vec<u16>)> = Vec::new();
+        for _ in 0..max_len {
+            let mut cur = singletons.clone();
+            for pair in prev.chunks_exact(2) {
+                let w = pair[0].0 + pair[1].0;
+                let mut syms = pair[0].1.clone();
+                syms.extend_from_slice(&pair[1].1);
+                cur.push((w, syms));
+            }
+            cur.sort_by_key(|(w, _)| *w);
+            prev = cur;
+        }
+
+        let take = 2 * (active.len() - 1);
+        for (_, syms) in prev.into_iter().take(take) {
+            for s in syms {
+                lens[s as usize] += 1;
+            }
+        }
+        lens
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn lengths(freqs: &[u32], max_len: u32) -> Vec<u8> {
+        let mut lens = vec![0xEE; freqs.len()];
+        code_lengths(freqs, max_len, &mut lens);
+        lens
+    }
+
     #[test]
     fn lengths_satisfy_kraft() {
-        let freqs = vec![5u64, 9, 12, 13, 16, 45, 0, 1];
-        let lens = code_lengths(&freqs, MAX_CODE_LEN);
+        let freqs = vec![5u32, 9, 12, 13, 16, 45, 0, 1];
+        let lens = lengths(&freqs, MAX_CODE_LEN);
         let kraft: f64 = lens
             .iter()
             .filter(|&&l| l > 0)
@@ -267,16 +363,16 @@ mod tests {
 
     #[test]
     fn lengths_are_optimal_for_uniform() {
-        let freqs = vec![1u64; 8];
-        let lens = code_lengths(&freqs, MAX_CODE_LEN);
+        let freqs = vec![1u32; 8];
+        let lens = lengths(&freqs, MAX_CODE_LEN);
         assert!(lens.iter().all(|&l| l == 3));
     }
 
     #[test]
     fn single_symbol_gets_length_one() {
-        let mut freqs = vec![0u64; 10];
+        let mut freqs = vec![0u32; 10];
         freqs[4] = 100;
-        let lens = code_lengths(&freqs, MAX_CODE_LEN);
+        let lens = lengths(&freqs, MAX_CODE_LEN);
         assert_eq!(lens[4], 1);
         assert_eq!(lens.iter().filter(|&&l| l > 0).count(), 1);
     }
@@ -284,15 +380,15 @@ mod tests {
     #[test]
     fn length_limit_is_respected() {
         // Fibonacci-like frequencies force deep Huffman trees.
-        let mut freqs = vec![0u64; 30];
-        let (mut a, mut b) = (1u64, 1u64);
+        let mut freqs = vec![0u32; 30];
+        let (mut a, mut b) = (1u32, 1u32);
         for f in freqs.iter_mut() {
             *f = a;
             let c = a + b;
             a = b;
             b = c;
         }
-        let lens = code_lengths(&freqs, 8);
+        let lens = lengths(&freqs, 8);
         assert!(lens.iter().all(|&l| l as u32 <= 8));
         let kraft: f64 = lens
             .iter()
@@ -369,8 +465,8 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let freqs = vec![50u64, 30, 10, 5, 3, 1, 1, 0, 7, 19];
-        let lens = code_lengths(&freqs, MAX_CODE_LEN);
+        let freqs = vec![50u32, 30, 10, 5, 3, 1, 1, 0, 7, 19];
+        let lens = lengths(&freqs, MAX_CODE_LEN);
         let enc = Encoder::from_lengths(&lens);
         let mut storage = [0u16; MAX_TABLE_LEN];
         let dec = Decoder::from_lengths(&lens, &mut storage).unwrap();
@@ -450,16 +546,33 @@ mod tests {
         /// A valid length table over `freqs.len()` symbols: package-
         /// merge lengths limited to `max_len` bits, then — to make the
         /// code incomplete — the symbols `drop` selects lose theirs.
-        fn valid_lengths(freqs: &[u64], max_len: u32, drop: &[bool]) -> Vec<u8> {
-            let active = freqs.iter().filter(|&&f| f > 0).count();
-            let floor = active.next_power_of_two().trailing_zeros().max(1);
-            let mut lens = code_lengths(freqs, max_len.max(floor));
+        fn valid_lengths(freqs: &[u32], max_len: u32, drop: &[bool]) -> Vec<u8> {
+            let mut lens = lengths(freqs, max_len.max(feasibility_floor(freqs)));
             for (l, &d) in lens.iter_mut().zip(drop) {
                 if d {
                     *l = 0;
                 }
             }
             lens
+        }
+
+        /// Fewest bits that can code the used symbols of `freqs`.
+        fn feasibility_floor(freqs: &[u32]) -> u32 {
+            let active = freqs.iter().filter(|&&f| f > 0).count();
+            active.next_power_of_two().trailing_zeros().max(1)
+        }
+
+        /// [`code_lengths`] against the routine it replaced, for every
+        /// limit from the feasibility floor to 12 bits.
+        fn assert_same_lengths(freqs: &[u32]) {
+            let wide: Vec<u64> = freqs.iter().map(|&f| u64::from(f)).collect();
+            for max_len in feasibility_floor(freqs)..=MAX_CODE_LEN {
+                assert_eq!(
+                    lengths(freqs, max_len),
+                    oracle::code_lengths(&wide, max_len),
+                    "max_len {max_len}, freqs {freqs:?}"
+                );
+            }
         }
 
         proptest! {
@@ -481,9 +594,9 @@ mod tests {
                 junk in proptest::collection::vec(any::<u8>(), 0..12),
                 drop_seed in any::<u64>(),
             ) {
-                let freqs: Vec<u64> = raw
+                let freqs: Vec<u32> = raw
                     .iter()
-                    .map(|&(f, s)| if s >= 32 { 0 } else { u64::from(f >> s) })
+                    .map(|&(f, s)| if s >= 32 { 0 } else { f >> s })
                     .collect();
                 let mut x = drop_seed | 1;
                 let drop: Vec<bool> = freqs
@@ -509,6 +622,35 @@ mod tests {
                 assert_same_decode(&lens, &stream, picks.len() + 200);
             }
 
+            // The same frequency spread, lengths only: ties (the small
+            // shifted values collide often) must break as the oracle's
+            // stable sort broke them.
+            #[test]
+            fn code_lengths_match_oracle(
+                raw in proptest::collection::vec((any::<u32>(), 0u32..40), 1..=MAX_SYMBOLS),
+            ) {
+                let freqs: Vec<u32> = raw
+                    .iter()
+                    .map(|&(f, s)| if s >= 32 { 0 } else { f >> s })
+                    .collect();
+                assert_same_lengths(&freqs);
+            }
+
+            // Long runs of equal weights: what a unit's byte histogram
+            // looks like, and where leaf-before-package matters most.
+            #[test]
+            fn code_lengths_match_oracle_on_runs_of_equal_weights(
+                runs in proptest::collection::vec((0u32..6, 1usize..40), 1..12),
+                scale in 0u32..20,
+            ) {
+                let mut freqs: Vec<u32> = runs
+                    .iter()
+                    .flat_map(|&(w, n)| std::iter::repeat_n(w << scale, n))
+                    .collect();
+                freqs.truncate(MAX_SYMBOLS);
+                assert_same_lengths(&freqs);
+            }
+
             // Arbitrary nibbles: mostly over-subscribed tables, which
             // both decoders must reject alike, plus whatever happens
             // to be a prefix code.
@@ -522,16 +664,46 @@ mod tests {
         }
 
         #[test]
+        fn code_lengths_match_oracle_on_fixed_ladders() {
+            // Fibonacci ladders of every length that fits a u32, up
+            // and down the alphabet, want a tree as deep as the ladder.
+            let mut fib = vec![1u32, 1];
+            while let Some(next) = fib[fib.len() - 1].checked_add(fib[fib.len() - 2]) {
+                fib.push(next);
+            }
+            for n in 1..=fib.len() {
+                assert_same_lengths(&fib[..n]);
+                let down: Vec<u32> = fib[..n].iter().rev().copied().collect();
+                assert_same_lengths(&down);
+            }
+            // Powers of two, all-equal alphabets of every size, and
+            // the two alphabets the encoder uses, full and uniform.
+            let pow2: Vec<u32> = (0..32).map(|i| 1 << i).collect();
+            assert_same_lengths(&pow2);
+            for n in 1..=MAX_SYMBOLS {
+                assert_same_lengths(&vec![7; n]);
+            }
+            // One heavy symbol over a flat floor; zeros interleaved.
+            let mut skew = vec![1u32; 286];
+            skew[256] = u32::MAX;
+            assert_same_lengths(&skew);
+            let holes: Vec<u32> = (0..288)
+                .map(|i| if i % 3 == 0 { 0 } else { i / 5 })
+                .collect();
+            assert_same_lengths(&holes);
+        }
+
+        #[test]
         fn twelve_bit_codes_are_exercised() {
             // Fibonacci frequencies over 30 symbols want a 29-deep
             // tree; the limit caps it at exactly MAX_CODE_LEN.
-            let mut freqs = vec![0u64; 30];
-            let (mut a, mut b) = (1u64, 1u64);
+            let mut freqs = vec![0u32; 30];
+            let (mut a, mut b) = (1u32, 1u32);
             for f in freqs.iter_mut() {
                 *f = a;
                 (a, b) = (b, a + b);
             }
-            let lens = code_lengths(&freqs, MAX_CODE_LEN);
+            let lens = lengths(&freqs, MAX_CODE_LEN);
             assert_eq!(u32::from(*lens.iter().max().unwrap()), MAX_CODE_LEN);
             let enc = Encoder::from_lengths(&lens);
             let mut w = BitWriter::new();

@@ -276,6 +276,73 @@ mod tests {
         assert!(codec.compress(&flat).len() < flat.len() / 10);
     }
 
+    /// Both ISOBAR containers over the DEFLATE encoder as it stood
+    /// before it was sized for storage units (`deflate::oracle`).
+    fn oracle_bytes(input: &[u8]) -> Vec<u8> {
+        let mut out = BYTE_MAGIC.to_le_bytes().to_vec();
+        let payload = crate::deflate::oracle::compress(input);
+        if byte_entropy(input) <= ENTROPY_THRESHOLD && payload.len() < input.len() {
+            out.push(1);
+            out.extend_from_slice(&payload);
+        } else {
+            out.push(0);
+            out.extend_from_slice(input);
+        }
+        out
+    }
+
+    fn oracle_f64(input: &[f64]) -> Vec<u8> {
+        let mut out = MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&(input.len() as u64).to_le_bytes());
+        for j in 0..8 {
+            let col: Vec<u8> = input.iter().map(|v| v.to_le_bytes()[j]).collect();
+            let payload = crate::deflate::oracle::compress(&col);
+            let deflated = byte_entropy(&col) <= ENTROPY_THRESHOLD && payload.len() < col.len();
+            let body = if deflated { &payload } else { &col };
+            out.push(u8::from(deflated));
+            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            out.extend_from_slice(body);
+        }
+        out
+    }
+
+    #[test]
+    fn unit_sized_streams_match_the_oracle_encoder() {
+        // A value bin's points: close values, so the top byte columns
+        // deflate and the low ones are noise.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let values: Vec<f64> = (0..700)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                1500.0 + (i / 40) as f64 + (x >> 40) as f64 * 1e-9
+            })
+            .collect();
+        let (mut deflated, mut raw) = (0, 0);
+        for n in (0..=700)
+            .step_by(7)
+            .chain([163, 164, 165, 166, 167, 328, 573])
+        {
+            let unit = &values[..n];
+            let got = Isobar.compress_f64(unit);
+            assert_eq!(got, oracle_f64(unit), "{n} values");
+            for j in 0..8 {
+                let col: Vec<u8> = unit.iter().map(|v| v.to_be_bytes()[j]).collect();
+                let got = Codec::compress(&Isobar, &col);
+                assert_eq!(got, oracle_bytes(&col), "{n} values, byte {j}");
+                match got[4] {
+                    1 => deflated += 1,
+                    _ => raw += 1,
+                }
+            }
+        }
+        assert!(
+            deflated > 100 && raw > 100,
+            "{deflated} deflated, {raw} raw"
+        );
+    }
+
     #[test]
     fn byte_stream_rejects_corruption() {
         let codec: &dyn Codec = &Isobar;

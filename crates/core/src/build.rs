@@ -132,33 +132,54 @@ fn encode_chunk(
     obs: &Registry,
 ) -> Vec<EncodedUnit> {
     let chunk_points = values.len();
-    let mut bin_locals: Vec<Vec<u64>> = vec![Vec::new(); num_bins];
-    let mut bin_values: Vec<Vec<f64>> = vec![Vec::new(); num_bins];
-    for (local, &v) in values.iter().enumerate() {
-        let bin = spec.bin_of(v);
-        bin_locals[bin].push(local as u64);
-        bin_values[bin].push(v);
+    // Counting sort by bin: one pass to size every bin, one to fill a
+    // single permutation of the chunk, so nothing grows per bin.
+    let bins: Vec<u32> = values.iter().map(|&v| spec.bin_of(v) as u32).collect();
+    let mut starts = vec![0usize; num_bins + 1];
+    for &bin in &bins {
+        starts[bin as usize + 1] += 1;
+    }
+    for bin in 0..num_bins {
+        starts[bin + 1] += starts[bin];
+    }
+    let mut cursor = starts[..num_bins].to_vec();
+    let mut locals = vec![0u64; chunk_points];
+    let mut sorted = vec![0f64; chunk_points];
+    for (local, (&v, &bin)) in values.iter().zip(&bins).enumerate() {
+        let at = &mut cursor[bin as usize];
+        locals[*at] = local as u64;
+        sorted[*at] = v;
+        *at += 1;
     }
 
-    let mut units = Vec::new();
+    // Byte columns of the whole permuted chunk at once: a part is
+    // contiguous per value, so a bin's share of it is a sub-slice.
+    let columns = use_plod.then(|| plod::split(&sorted));
+
+    let occupied = starts.windows(2).filter(|w| w[0] < w[1]).count();
+    let mut units = Vec::with_capacity(occupied);
     for bin in 0..num_bins {
-        if bin_locals[bin].is_empty() {
+        let span = starts[bin]..starts[bin + 1];
+        if span.is_empty() {
             continue;
         }
-        let bitmap = WahBitmap::from_sorted_positions(chunk_points as u64, &bin_locals[bin]);
-        let parts: Vec<Vec<u8>> = if use_plod {
-            plod::split(&bin_values[bin])
+        let bin_locals = &locals[span.clone()];
+        let bitmap = WahBitmap::from_sorted_positions(chunk_points as u64, bin_locals);
+        let parts: Vec<Vec<u8>> = match &columns {
+            Some(columns) => columns
                 .iter()
-                .map(|part| byte_codec.compress(part))
-                .collect()
-        } else {
-            vec![float_codec.compress_f64(&bin_values[bin])]
+                .zip(plod::PART_BYTES)
+                .map(|(column, width)| {
+                    byte_codec.compress(&column[span.start * width..span.end * width])
+                })
+                .collect(),
+            None => vec![float_codec.compress_f64(&sorted[span])],
         };
         // One ratio observation per storage unit, recorded from
         // whichever worker encoded it. Bucket counts, min and max are
         // order-independent, so they match under any thread count; the
         // float `sum` may differ in its last bits with arrival order.
-        let raw = (bin_locals[bin].len() * 8) as f64;
+        let raw = (bin_locals.len() * 8) as f64;
         let compressed: usize = parts.iter().map(Vec::len).sum();
         obs.observe(
             "compress.ratio",
@@ -167,7 +188,7 @@ fn encode_chunk(
         );
         units.push(EncodedUnit {
             bin,
-            count: bin_locals[bin].len() as u64,
+            count: bin_locals.len() as u64,
             bitmap,
             parts,
         });

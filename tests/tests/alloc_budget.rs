@@ -153,3 +153,55 @@ fn a_ranks_trace_shares_one_name_allocation_per_file() {
         );
     }
 }
+
+/// The encode kernel at storage-unit size allocates what it returns
+/// and nothing else: the LZ77 tables are built by a thread's first
+/// `tokenize` and reused, package-merge works on the stack, and a
+/// block no longer than the code-length tables is stored unseen.
+#[test]
+fn encode_kernel_allocates_only_what_it_returns() {
+    use mloc_compress::deflate::{huffman, lz77};
+    use mloc_compress::{Codec, Deflate};
+    let mut x = 0x9E37_79B9u32;
+    let mut bytes = |n: usize, mask: u8| -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8 & mask
+            })
+            .collect()
+    };
+    let (noise164, noise328, part573) = (bytes(164, 0xFF), bytes(328, 0xFF), bytes(573, 3));
+
+    // The thread's first call builds its two tables.
+    let (_, first) = allocations(|| lz77::tokenize(&noise164));
+    assert!(first >= 3, "tables + tokens, got {first}");
+    for input in [&noise164, &noise328, &part573] {
+        let (tokens, n) = allocations(|| lz77::tokenize(input));
+        assert_eq!(n, 1, "tokenize, {} bytes", input.len());
+        assert!(!tokens.is_empty());
+    }
+
+    let mut freqs = [0u32; 286];
+    for &b in &noise328 {
+        freqs[b as usize] += 1;
+    }
+    let mut lens = [0u8; 286];
+    let ((), n) = allocations(|| huffman::code_lengths(&freqs, huffman::MAX_CODE_LEN, &mut lens));
+    assert_eq!(n, 0, "code_lengths");
+    assert!(lens.iter().any(|&l| l > 0));
+
+    // Stored unseen: the stream. Stored after the estimate: the tokens
+    // and the stream, which outgrows its half-size guess once.
+    let (stream, n) = allocations(|| Deflate.compress(&noise164));
+    assert_eq!((stream[16], n), (0, 1), "164 bytes");
+    let (stream, n) = allocations(|| Deflate.compress(&noise328));
+    assert_eq!((stream[16], n), (0, 3), "328 bytes");
+    // Huffman-coded, the rare branch: tokens, stream (grown once) and
+    // the two encoder tables with their two counting vectors each.
+    let (stream, n) = allocations(|| Deflate.compress(&part573));
+    assert_eq!(stream[16], 1, "573 bytes");
+    assert!(n <= 9, "573 bytes: {n} allocations");
+}

@@ -245,3 +245,47 @@ fn dataset_stream_waves_match_chunkwise() {
     }
     assert_eq!(ds.variables().unwrap(), vec!["a", "b"]);
 }
+
+/// Every stored byte of one small store per codec × PLoD setting,
+/// pinned as file count, length and `crc32` per file. The golden was
+/// written by the commit before the encode kernel was rebuilt (stored
+/// blocks decided by size, array package-merge, reused LZ77 tables),
+/// so any encoder change that moves a byte on disk fails here. ISABELA
+/// cannot drive PLoD byte columns, which leaves five stores.
+#[test]
+fn built_files_are_pinned() {
+    let values = gts_like_2d(256, 256, 42).into_values();
+    let cases: [(&str, CodecKind, bool); 5] = [
+        ("deflate+plod", CodecKind::Deflate, true),
+        ("deflate", CodecKind::Deflate, false),
+        ("isobar+plod", CodecKind::Isobar, true),
+        ("isobar", CodecKind::Isobar, false),
+        ("isabela", CodecKind::Isabela { error_bound: 1e-3 }, false),
+    ];
+    let mut got = String::new();
+    for (name, codec, plod) in cases {
+        let config = MlocConfig::builder(vec![256, 256])
+            .chunk_shape(vec![32, 32])
+            .num_bins(16)
+            .codec(codec)
+            .plod(plod)
+            .build_threads(2)
+            .build();
+        let files = build_all(&values, &config);
+        got.push_str(&format!("{name} {} files\n", files.len()));
+        for (file, bytes) in &files {
+            let crc = mloc::integrity::crc32(bytes);
+            got.push_str(&format!("{name} {file} {} {crc:08x}\n", bytes.len()));
+        }
+    }
+    let want = include_str!("../golden/built_files.txt");
+    if got != want {
+        // Written out so a deliberate format change can diff the two.
+        let path = std::env::temp_dir().join("mloc_built_files.got.txt");
+        std::fs::write(&path, &got).unwrap();
+        panic!(
+            "built files moved; actual manifest written to {}",
+            path.display()
+        );
+    }
+}
