@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use mloc::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
-use mloc::index::{header_size, BinIndex, BinIndexBuilder, HeaderView, UnitLoc};
+use mloc::index::{header_size, BinIndexBuilder, HeaderView, UnitLoc};
 use mloc_bitmap::WahBitmap;
 use mloc_pfs::{MemBackend, RankIo};
 use std::hint::black_box;
@@ -22,8 +22,8 @@ const TOUCHED: [usize; 3] = [9, 10, 41];
 /// Bins one op's plan visits; each timed sample covers this many.
 const BINS: usize = 64;
 
-/// Everything the engine reads of a bin's touched entries: through the
-/// view it uses, and through the eager collect it used to make.
+/// Everything the engine reads of a bin's touched entries, through the
+/// view it uses.
 fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
     let mut b = BinIndexBuilder::new(0, CHUNKS, PARTS);
     for rank in 0..CHUNKS {
@@ -40,7 +40,7 @@ fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
             &locs,
         );
     }
-    let file = b.finish();
+    let (file, _) = b.finish();
     let hdr = &file[..header_size(CHUNKS, PARTS) as usize];
 
     g.bench_function("index_entry_lookup/view/x64", |bench| {
@@ -53,23 +53,6 @@ fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
                     sum += index.bitmap_file_offset(rank);
                     for part in 0..PARTS {
                         let loc = index.unit(rank, part);
-                        sum += loc.offset + u64::from(loc.clen);
-                    }
-                }
-            }
-            sum
-        })
-    });
-    g.bench_function("index_entry_lookup/eager_collect/x64", |bench| {
-        bench.iter(|| {
-            let mut sum = 0u64;
-            for _ in 0..BINS {
-                let index = BinIndex::decode_header(black_box(hdr)).unwrap();
-                for rank in TOUCHED {
-                    let e = &index.chunks[rank];
-                    sum += u64::from(e.count) + u64::from(e.bitmap_len);
-                    sum += index.bitmap_file_offset(rank);
-                    for loc in &e.units {
                         sum += loc.offset + u64::from(loc.clen);
                     }
                 }

@@ -294,7 +294,8 @@ fn stats(args: &Args) -> Result<(), String> {
         let store = ds.store(var).map_err(|e| e.to_string())?;
         let num_bins = store.config().num_bins;
         let bounds = store.bins().bounds().to_vec();
-        let num_chunks = store.grid().num_chunks();
+        let header_len =
+            mloc::index::header_size(store.grid().num_chunks(), store.config().num_parts());
         let mut rows = Vec::new();
         let mut data_total = 0u64;
         let mut index_total = 0u64;
@@ -303,14 +304,13 @@ fn stats(args: &Args) -> Result<(), String> {
             let idx_file = store.index_file(bin);
             let data = be.len(&store.data_file(bin)).map_err(|e| e.to_string())?;
             let index = be.len(&idx_file).map_err(|e| e.to_string())?;
-            // The v2 chunk-summary section is fixed-size given the
-            // chunk count; v1 files (version byte 1) carry none.
-            let version = be.read(&idx_file, 4, 1).map_err(|e| e.to_string())?[0];
-            let summary = if version >= 2 {
-                mloc::index::summary_size(num_chunks)
-            } else {
-                0
-            };
+            // v1 files carry no chunk-summary section.
+            let header = be
+                .read(&idx_file, 0, header_len)
+                .map_err(|e| e.to_string())?;
+            let summary = mloc::index::HeaderView::parse(header)
+                .map_err(|e| e.to_string())?
+                .summary_bytes();
             data_total += data;
             index_total += index;
             summary_total += summary;

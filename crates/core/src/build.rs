@@ -448,7 +448,7 @@ impl<'a> StreamingBuilder<'a> {
             for (i, u) in units.iter().enumerate() {
                 index.set_chunk(u.rank, &u.bitmap, &locs[i]);
             }
-            let (index_data, index_extents) = index.finish_with_extents();
+            let (index_data, index_extents) = index.finish();
             (data, data_extents, index_data, index_extents)
         });
         let layout_seconds = t_layout.elapsed().as_secs_f64();

@@ -469,10 +469,13 @@ mod tests {
                     03000000100000000000000010000000000000000400000000000000\
                     0c0000000103fca9f1d24d62503f0001030000000000010000000000";
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
-        let catalog = crate::dataset::encode_config(&config);
-        assert_eq!(hex(&catalog), format!("54000000{body}"));
-        let (decoded, used) = crate::dataset::decode_config(&catalog).unwrap();
-        assert_eq!((decoded, used), (config.clone(), catalog.len()));
+        let catalog = crate::dataset::catalog_header(&config);
+        assert_eq!(hex(&catalog), format!("4d434154310a54000000{body}"));
+        let parsed = crate::dataset::parse_catalog(&catalog).unwrap();
+        assert_eq!(
+            (parsed.config, parsed.header_len, parsed.vars.len()),
+            (config.clone(), catalog.len(), 0)
+        );
 
         let meta = crate::store::VariableMeta {
             var: "temp".into(),

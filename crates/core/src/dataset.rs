@@ -22,32 +22,65 @@ use crate::wire::{Reader, Writer};
 use crate::{fileorg, MlocError, Result};
 use mloc_pfs::StorageBackend;
 
-pub(crate) const CATALOG_MAGIC: &[u8] = b"MCAT1\n";
+const CATALOG_MAGIC: &[u8] = b"MCAT1\n";
 
-/// The catalog's config record: a `u32` length, then the
-/// [`MlocConfig`] wire body.
-pub(crate) fn encode_config(config: &MlocConfig) -> Vec<u8> {
+/// The catalog header for `config`: the magic, then the config record
+/// (a `u32` length, then the [`MlocConfig`] wire body). Registration
+/// lines (`var\n`) follow it.
+pub(crate) fn catalog_header(config: &MlocConfig) -> Vec<u8> {
     let mut w = Writer::new();
     config.encode_into(&mut w);
     let body = w.finish();
-    let mut out = Vec::with_capacity(4 + body.len());
+    let mut out = CATALOG_MAGIC.to_vec();
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out
 }
 
-/// Parse a catalog config record; returns the config and the bytes
-/// the record occupied.
-pub(crate) fn decode_config(data: &[u8]) -> Result<(MlocConfig, usize)> {
-    if data.len() < 4 {
-        return Err(MlocError::Corrupt("catalog truncated"));
-    }
-    let body_len = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-    if data.len() < 4 + body_len {
-        return Err(MlocError::Corrupt("catalog truncated"));
-    }
-    let config = MlocConfig::decode_from(&mut Reader::new(&data[4..4 + body_len]))?;
-    Ok((config, 4 + body_len))
+/// A parsed catalog image.
+#[derive(Debug)]
+pub(crate) struct Catalog {
+    /// Bytes of the header; the registration lines follow it.
+    pub header_len: usize,
+    /// The shared per-variable configuration.
+    pub config: MlocConfig,
+    /// Committed registrations, in catalog order.
+    pub vars: Vec<String>,
+    /// False when an unterminated line follows the last committed one.
+    pub clean_tail: bool,
+}
+
+/// Parse a raw catalog image — the only catalog reader. A registration
+/// line is committed only once its newline lands: a torn catalog append
+/// leaves an unterminated tail, which must not read back as a variable;
+/// it is excluded from `vars` and reported as `clean_tail = false` so
+/// repair truncates it.
+pub(crate) fn parse_catalog(raw: &[u8]) -> Result<Catalog> {
+    let record = raw
+        .strip_prefix(CATALOG_MAGIC)
+        .ok_or(MlocError::Corrupt("bad catalog magic"))?;
+    let (len, rest) = record
+        .split_first_chunk::<4>()
+        .ok_or(MlocError::Corrupt("catalog truncated"))?;
+    let body_len = u32::from_le_bytes(*len) as usize;
+    let body = rest
+        .get(..body_len)
+        .ok_or(MlocError::Corrupt("catalog truncated"))?;
+    let config = MlocConfig::decode_from(&mut Reader::new(body))?;
+    let header_len = CATALOG_MAGIC.len() + 4 + body_len;
+    let lines = std::str::from_utf8(&raw[header_len..])
+        .map_err(|_| MlocError::Corrupt("catalog not utf-8"))?;
+    let end = lines.rfind('\n').map_or(0, |i| i + 1);
+    Ok(Catalog {
+        header_len,
+        config,
+        vars: lines[..end]
+            .lines()
+            .filter(|l| !l.is_empty())
+            .map(str::to_string)
+            .collect(),
+        clean_tail: end == lines.len(),
+    })
 }
 
 /// A dataset: one domain geometry, many variables (optionally over
@@ -68,13 +101,17 @@ impl<'a> Dataset<'a> {
         config: MlocConfig,
     ) -> Result<Dataset<'a>> {
         config.validate()?;
-        let catalog = Self::catalog_file(name);
+        let catalog = fileorg::catalog_file(name);
         if backend.exists(&catalog) {
             return Err(MlocError::Invalid(format!("dataset {name} already exists")));
         }
+        // Magic and config record land as two appends: the durability
+        // grammar the crash matrix pins has a torn write between them.
+        let header = catalog_header(&config);
+        let (magic, record) = header.split_at(CATALOG_MAGIC.len());
         backend.create(&catalog)?;
-        backend.append(&catalog, CATALOG_MAGIC)?;
-        backend.append(&catalog, &encode_config(&config))?;
+        backend.append(&catalog, magic)?;
+        backend.append(&catalog, record)?;
         backend.sync(&catalog)?;
         Ok(Dataset {
             backend,
@@ -86,45 +123,15 @@ impl<'a> Dataset<'a> {
     /// Open an existing dataset: the configuration is stored in the
     /// catalog, so empty datasets open fine.
     pub fn open(backend: &'a dyn StorageBackend, name: &str) -> Result<Dataset<'a>> {
-        let (config, _) = Self::read_header(backend, name)?;
         Ok(Dataset {
             backend,
             name: name.to_string(),
-            config,
+            config: Self::read_catalog(backend, name)?.config,
         })
     }
 
-    fn read_header(backend: &dyn StorageBackend, name: &str) -> Result<(MlocConfig, usize)> {
-        let file = Self::catalog_file(name);
-        let len = backend.len(&file)?;
-        let raw = backend.read(&file, 0, len)?;
-        if !raw.starts_with(CATALOG_MAGIC) {
-            return Err(MlocError::Corrupt("bad catalog magic"));
-        }
-        let (config, used) = decode_config(&raw[CATALOG_MAGIC.len()..])?;
-        Ok((config, CATALOG_MAGIC.len() + used))
-    }
-
-    pub(crate) fn catalog_file(name: &str) -> String {
-        format!("{name}/catalog")
-    }
-
-    fn read_catalog(backend: &dyn StorageBackend, name: &str) -> Result<Vec<String>> {
-        let (_, header_len) = Self::read_header(backend, name)?;
-        let file = Self::catalog_file(name);
-        let len = backend.len(&file)?;
-        let raw = backend.read(&file, 0, len)?;
-        let body = std::str::from_utf8(&raw[header_len..])
-            .map_err(|_| MlocError::Corrupt("catalog not utf-8"))?;
-        // A registration is committed only once its newline lands; a
-        // torn catalog append leaves an unterminated tail that must
-        // not read back as a variable (repair truncates it).
-        let committed = &body[..body.rfind('\n').map_or(0, |i| i + 1)];
-        Ok(committed
-            .lines()
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect())
+    fn read_catalog(backend: &dyn StorageBackend, name: &str) -> Result<Catalog> {
+        parse_catalog(&fileorg::read_file(backend, &fileorg::catalog_file(name))?)
     }
 
     /// Dataset name.
@@ -146,7 +153,7 @@ impl<'a> Dataset<'a> {
 
     /// Variables currently in the catalog (sorted by insertion).
     pub fn variables(&self) -> Result<Vec<String>> {
-        Self::read_catalog(self.backend, &self.name)
+        Ok(Self::read_catalog(self.backend, &self.name)?.vars)
     }
 
     /// Whether a variable exists.
@@ -165,7 +172,7 @@ impl<'a> Dataset<'a> {
         // the full durability chain is bins → meta → catalog. A crash
         // between the meta sync and this one leaves a complete but
         // unlisted variable, which `repair` reattaches.
-        let catalog = Self::catalog_file(&self.name);
+        let catalog = fileorg::catalog_file(&self.name);
         self.backend
             .append(&catalog, format!("{var}\n").as_bytes())?;
         self.backend.sync(&catalog)?;
@@ -190,7 +197,7 @@ impl<'a> Dataset<'a> {
         Ok(DatasetStream {
             builder,
             backend: self.backend,
-            catalog: Self::catalog_file(&self.name),
+            catalog: fileorg::catalog_file(&self.name),
             var: var.to_string(),
         })
     }

@@ -6,6 +6,13 @@
 //! files are read-only, and chunk sizes are advised so the smallest
 //! accessed unit stays within one PFS stripe.
 
+use mloc_pfs::{PfsError, StorageBackend};
+
+/// Name of a dataset's catalog.
+pub fn catalog_file(dataset: &str) -> String {
+    format!("{dataset}/catalog")
+}
+
 /// Name of the per-variable metadata file.
 pub fn meta_file(dataset: &str, var: &str) -> String {
     format!("{dataset}/{var}/meta")
@@ -19,6 +26,51 @@ pub fn data_file(dataset: &str, var: &str, bin: usize) -> String {
 /// Name of the index file of one bin.
 pub fn index_file(dataset: &str, var: &str, bin: usize) -> String {
     format!("{dataset}/{var}/bin{bin:04}.idx")
+}
+
+/// What a file under a variable's directory is to the layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum VarFile {
+    /// The variable's meta file.
+    Meta,
+    /// The data file of a bin.
+    Data(usize),
+    /// The index file of a bin.
+    Index(usize),
+    /// A name the layout never writes.
+    Stray,
+}
+
+/// The inverse of [`meta_file`], [`data_file`] and [`index_file`]: the
+/// variable a file of `dataset` belongs to, and what it is. `None` for
+/// names outside every variable directory (the catalog, other
+/// datasets). A bin is recognised only under the exact name the layout
+/// writes — `bin1.dat` is a stray, not bin 1.
+pub(crate) fn var_file<'a>(dataset: &str, name: &'a str) -> Option<(&'a str, VarFile)> {
+    let (var, base) = name
+        .strip_prefix(dataset)?
+        .strip_prefix('/')?
+        .split_once('/')?;
+    let bin = |ext: &str| {
+        let digits = base.strip_prefix("bin")?.strip_suffix(ext)?;
+        let bin: usize = digits.parse().ok()?;
+        (format!("{bin:04}") == digits).then_some(bin)
+    };
+    let role = if base == "meta" {
+        VarFile::Meta
+    } else if let Some(bin) = bin(".dat") {
+        VarFile::Data(bin)
+    } else if let Some(bin) = bin(".idx") {
+        VarFile::Index(bin)
+    } else {
+        VarFile::Stray
+    };
+    Some((var, role))
+}
+
+/// Read a whole stored file.
+pub(crate) fn read_file(backend: &dyn StorageBackend, name: &str) -> Result<Vec<u8>, PfsError> {
+    backend.read(name, 0, backend.len(name)?)
 }
 
 /// Advise a chunk shape for a domain so that, with ~100 bins and the
@@ -39,12 +91,6 @@ pub fn advise_chunk_shape(shape: &[usize], stripe_size: u64) -> Vec<usize> {
     shape.iter().map(|&e| pow2.min(e).max(1)).collect()
 }
 
-/// Number of subfiles a dataset will create (bins × {data, index} plus
-/// the metadata file) — used by capacity planning in reports.
-pub fn num_files(num_bins: usize) -> usize {
-    num_bins * 2 + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +100,38 @@ mod tests {
         assert_eq!(meta_file("ds", "temp"), "ds/temp/meta");
         assert_eq!(data_file("ds", "temp", 3), "ds/temp/bin0003.dat");
         assert_eq!(index_file("ds", "temp", 42), "ds/temp/bin0042.idx");
+        assert_eq!(catalog_file("ds"), "ds/catalog");
+    }
+
+    #[test]
+    fn var_file_inverts_the_names() {
+        for (name, want) in [
+            (meta_file("ds", "t@3"), ("t@3", VarFile::Meta)),
+            (data_file("ds", "t", 7), ("t", VarFile::Data(7))),
+            (index_file("ds", "t", 12_345), ("t", VarFile::Index(12_345))),
+        ] {
+            assert_eq!(var_file("ds", &name), Some(want), "{name}");
+        }
+        for stray in [
+            "ds/t/bin1.dat",
+            "ds/t/bin+001.idx",
+            "ds/t/bin0001.tmp",
+            "ds/t/x/meta",
+        ] {
+            assert_eq!(
+                var_file("ds", stray),
+                Some(("t", VarFile::Stray)),
+                "{stray}"
+            );
+        }
+        for outside in [
+            catalog_file("ds").as_str(),
+            "dsx/t/meta",
+            "other/t/meta",
+            "ds",
+        ] {
+            assert_eq!(var_file("ds", outside), None, "{outside}");
+        }
     }
 
     #[test]
@@ -72,10 +150,5 @@ mod tests {
     fn advice_clamps_to_domain() {
         assert_eq!(advise_chunk_shape(&[100, 20], 1 << 20), vec![100, 20]);
         assert_eq!(advise_chunk_shape(&[1], 1 << 20), vec![1]);
-    }
-
-    #[test]
-    fn file_count() {
-        assert_eq!(num_files(100), 201);
     }
 }

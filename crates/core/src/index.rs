@@ -32,25 +32,23 @@
 //!   membership probes O(log samples + S) rank/select instead of a
 //!   linear word walk.
 //!
-//! v1 files (no summary, no directories) remain fully readable.
+//! v1 files (no summary, no directories) remain fully readable; nothing
+//! writes them any more — `tests/golden/v1_dataset` is a v1 dataset
+//! written once, and every v1 read test runs on it.
 //!
-//! # Reading: views first
+//! # One writer, one reader
 //!
-//! Every directory field sits at an offset fixed by the chunk and part
-//! counts, so the query engine never materializes the directory: it
-//! reads the header through a [`HeaderView`] and the summary through a
-//! [`SummaryView`] — `parse` checks the prologue and the declared size
-//! once, each accessor then decodes one field of one chunk in place. A
-//! query touching 3 of a bin's 64 chunks pays for 3. The eager
-//! [`BinIndex`] / `Vec<ChunkSummary>` forms (`verify`, `fsck`, tools,
-//! tests) are collected *from* the views, so the layout is written
-//! down once.
+//! [`BinIndexBuilder`] is the only writer of the format and
+//! [`HeaderView`] / [`SummaryView`] are the only readers. Every
+//! directory field sits at an offset fixed by the chunk and part
+//! counts, so nothing materializes the directory: `parse` checks the
+//! prologue and the declared size once, each accessor then decodes one
+//! field of one chunk in place. A query touching 3 of a bin's 64
+//! chunks pays for 3.
 
-use crate::integrity::ExtentFooter;
 use crate::wire::{Reader, Writer};
 use crate::{MlocError, Result};
 use mloc_bitmap::{RankSelectDir, WahBitmap};
-use mloc_pfs::StorageBackend;
 use std::ops::Deref;
 
 const MAGIC: u32 = 0x5844_494D; // "MIDX"
@@ -68,22 +66,9 @@ pub struct UnitLoc {
     pub clen: u32,
 }
 
-/// Directory entry of one chunk within one bin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkEntry {
-    /// Number of the bin's points inside this chunk.
-    pub count: u32,
-    /// Byte offset of the positional bitmap in the bitmap section.
-    pub bitmap_off: u64,
-    /// Encoded bitmap length (0 when the chunk has no points here).
-    pub bitmap_len: u32,
-    /// Per-part unit locations.
-    pub units: Vec<UnitLoc>,
-}
-
 /// Coarse per-chunk classification record of the v2 summary section.
 ///
-/// Together with [`ChunkEntry::count`] this classifies a chunk without
+/// Together with [`HeaderView::count`] this classifies a chunk without
 /// touching its bitmap: `count == 0` → empty, `all_of_chunk` → every
 /// position belongs to this bin (the bitmap is all ones), otherwise
 /// partial with set positions confined to `[min_pos, max_pos]`.
@@ -106,24 +91,6 @@ impl ChunkSummary {
     };
 }
 
-/// The parsed header + directory of a bin index file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinIndex {
-    /// Format version of the file this header came from (1 or 2).
-    pub version: u8,
-    /// Bin id.
-    pub bin: u32,
-    /// Directory entries indexed by *curve rank*.
-    pub chunks: Vec<ChunkEntry>,
-    /// Number of PLoD parts per unit.
-    pub num_parts: usize,
-    /// Size of the header + directory region in bytes.
-    pub header_bytes: u64,
-    /// Size of the chunk-summary section that follows the header
-    /// (0 for v1 files; bitmaps follow the summary).
-    pub summary_bytes: u64,
-}
-
 /// Size in bytes of the serialized header + directory for a given
 /// geometry — queries use this to issue an exact-size first read.
 /// Identical for v1 and v2 (only the version byte differs).
@@ -142,6 +109,14 @@ fn entry_size(num_parts: usize) -> u64 {
     ENTRY_FIXED + num_parts as u64 * UNIT_LOC
 }
 
+/// Where chunk `rank`'s directory entry sits in the header — for the
+/// builder that writes it and the view that reads it.
+fn entry_range(rank: usize, num_parts: usize) -> std::ops::Range<usize> {
+    let size = entry_size(num_parts) as usize;
+    let at = HEADER_PROLOGUE as usize + rank * size;
+    at..at + size
+}
+
 /// magic(4) num_chunks(4)
 const SUMMARY_PROLOGUE: u64 = 8;
 /// One summary record: min_pos(4) max_pos(4) flags(1)
@@ -156,22 +131,8 @@ fn le_u64(b: &[u8], at: usize) -> u64 {
 }
 
 /// Exact size in bytes of the v2 chunk-summary section.
-pub fn summary_size(num_chunks: usize) -> u64 {
+fn summary_size(num_chunks: usize) -> u64 {
     SUMMARY_PROLOGUE + num_chunks as u64 * SUMMARY_RECORD
-}
-
-/// Serialize the summary section.
-pub fn encode_summary(summaries: &[ChunkSummary]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(SUMMARY_MAGIC);
-    w.u32(summaries.len() as u32);
-    for s in summaries {
-        w.u32(s.min_pos);
-        w.u32(s.max_pos);
-        w.u8(u8::from(s.all_of_chunk));
-    }
-    debug_assert_eq!(w.len() as u64, summary_size(summaries.len()));
-    w.finish()
 }
 
 /// Zero-copy view of a v2 chunk-summary section over any byte holder
@@ -221,18 +182,6 @@ impl<B: Deref<Target = [u8]>> SummaryView<B> {
             all_of_chunk: rec[8] == 1,
         }
     }
-
-    /// Every chunk's summary, in rank order.
-    pub fn iter(&self) -> impl Iterator<Item = ChunkSummary> + '_ {
-        (0..self.num_chunks).map(|rank| self.get(rank))
-    }
-}
-
-/// Parse a summary section into its eager form (a collected
-/// [`SummaryView`]); `num_chunks` comes from the header and must match
-/// the recorded count.
-pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary>> {
-    Ok(SummaryView::parse(data, num_chunks)?.iter().collect())
 }
 
 /// Zero-copy view of a bin index header + directory over any byte
@@ -249,7 +198,6 @@ pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary
 pub struct HeaderView<B> {
     data: B,
     version: u8,
-    bin: u32,
     num_chunks: usize,
     num_parts: usize,
 }
@@ -266,25 +214,28 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         if version != 1 && version != VERSION {
             return Err(MlocError::Corrupt("unsupported index version"));
         }
-        let bin = r.u32()?;
+        let _bin = r.u32()?; // the file name already says which bin
         let num_chunks = r.u32()? as usize;
         let num_parts = r.u8()? as usize;
         if num_parts == 0 || num_parts > 16 {
             return Err(MlocError::Corrupt("bad part count"));
         }
         // The directory must fit in the supplied buffer: this is what
-        // makes every in-range accessor below panic-free, and what
-        // bounds the eager collect's allocation.
+        // makes every in-range accessor below panic-free.
         if header_size(num_chunks, num_parts) > data.len() as u64 {
             return Err(MlocError::Corrupt("header truncated"));
         }
         Ok(HeaderView {
             data,
             version,
-            bin,
             num_chunks,
             num_parts,
         })
+    }
+
+    /// Number of chunks in the directory.
+    pub fn num_chunks(&self) -> usize {
+        self.num_chunks
     }
 
     /// Require the geometry the store was opened with: a header that
@@ -320,9 +271,7 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
     /// The directory entry of chunk `rank`, as stored.
     fn entry(&self, rank: usize) -> &[u8] {
         assert!(rank < self.num_chunks, "chunk rank out of range");
-        let size = entry_size(self.num_parts) as usize;
-        let at = HEADER_PROLOGUE as usize + rank * size;
-        &self.data[at..at + size]
+        &self.data[entry_range(rank, self.num_parts)]
     }
 
     /// Number of the bin's points inside chunk `rank`.
@@ -389,84 +338,17 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
             .max()
             .unwrap_or(0)
     }
-
-    /// The eager form: every entry collected.
-    pub fn to_index(&self) -> BinIndex {
-        BinIndex {
-            version: self.version,
-            bin: self.bin,
-            chunks: (0..self.num_chunks)
-                .map(|rank| ChunkEntry {
-                    count: self.count(rank),
-                    bitmap_off: self.bitmap_off(rank),
-                    bitmap_len: self.bitmap_len(rank),
-                    units: self.units(rank).collect(),
-                })
-                .collect(),
-            num_parts: self.num_parts,
-            header_bytes: self.header_bytes(),
-            summary_bytes: self.summary_bytes(),
-        }
-    }
 }
 
-impl BinIndex {
-    /// Serialize header + directory (bitmap bytes are appended by the
-    /// builder).
-    pub fn encode_header(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(MAGIC);
-        w.u8(self.version);
-        w.u32(self.bin);
-        w.u32(self.chunks.len() as u32);
-        w.u8(self.num_parts as u8);
-        for e in &self.chunks {
-            w.u32(e.count);
-            w.u64(e.bitmap_off);
-            w.u32(e.bitmap_len);
-            debug_assert_eq!(e.units.len(), self.num_parts);
-            for u in &e.units {
-                w.u64(u.offset);
-                w.u32(u.clen);
-            }
-        }
-        debug_assert_eq!(
-            w.len() as u64,
-            header_size(self.chunks.len(), self.num_parts)
-        );
-        w.finish()
-    }
-
-    /// Parse a header + directory previously encoded with
-    /// [`Self::encode_header`] into its eager form (a collected
-    /// [`HeaderView`]).
-    pub fn decode_header(data: &[u8]) -> Result<BinIndex> {
-        Ok(HeaderView::parse(data)?.to_index())
-    }
-
-    /// Absolute file offset of the chunk-summary section (v2 only).
-    pub fn summary_file_offset(&self) -> u64 {
-        self.header_bytes
-    }
-
-    /// Absolute file offset of a chunk's bitmap (bitmaps follow the
-    /// header + directory and, in v2, the summary section).
-    pub fn bitmap_file_offset(&self, rank: usize) -> u64 {
-        self.header_bytes + self.summary_bytes + self.chunks[rank].bitmap_off
-    }
-
-    /// Total points recorded in this bin.
-    pub fn total_points(&self) -> u64 {
-        self.chunks.iter().map(|e| u64::from(e.count)).sum()
-    }
-}
-
-/// Incremental builder for one bin's index file contents (format v2).
+/// Incremental builder for one bin's index file contents (format v2) —
+/// the only writer of the format. The header + directory is serialized
+/// in place as chunks arrive: every entry sits at the fixed offset
+/// [`HeaderView`] reads it from, and starts zeroed (no points, no
+/// bitmap, empty units).
 #[derive(Debug)]
 pub struct BinIndexBuilder {
-    bin: u32,
     num_parts: usize,
-    chunks: Vec<ChunkEntry>,
+    header: Vec<u8>,
     summaries: Vec<ChunkSummary>,
     bitmaps: Vec<u8>,
     /// Encoded bitmap lengths in file (append) order — the logical
@@ -477,16 +359,17 @@ pub struct BinIndexBuilder {
 impl BinIndexBuilder {
     /// Start building for a bin over `num_chunks` chunks.
     pub fn new(bin: u32, num_chunks: usize, num_parts: usize) -> Self {
-        let empty = ChunkEntry {
-            count: 0,
-            bitmap_off: 0,
-            bitmap_len: 0,
-            units: vec![UnitLoc::default(); num_parts],
-        };
+        let mut w = Writer::new();
+        w.u32(MAGIC);
+        w.u8(VERSION);
+        w.u32(bin);
+        w.u32(num_chunks as u32);
+        w.u8(num_parts as u8);
+        let mut header = w.finish();
+        header.resize(header_size(num_chunks, num_parts) as usize, 0);
         BinIndexBuilder {
-            bin,
             num_parts,
-            chunks: vec![empty; num_chunks],
+            header,
             summaries: vec![ChunkSummary::EMPTY; num_chunks],
             bitmaps: Vec::new(),
             bitmap_lens: Vec::new(),
@@ -494,26 +377,31 @@ impl BinIndexBuilder {
     }
 
     /// Record a chunk's positional bitmap and unit locations. The locs
-    /// are copied into the entry's preallocated slots, so callers keep
-    /// ownership and no per-chunk allocation happens here. The chunk's
-    /// summary (min/max set position, all-of-chunk flag) and its
-    /// rank/select directory are derived here in the same pass.
+    /// are copied into the entry's bytes, so callers keep ownership.
+    /// The chunk's summary (min/max set position, all-of-chunk flag)
+    /// and its rank/select directory are derived here in the same pass.
     ///
     /// # Panics
     /// Panics when called twice for the same rank or with a unit count
     /// mismatch.
     pub fn set_chunk(&mut self, rank: usize, bitmap: &WahBitmap, units: &[UnitLoc]) {
         assert_eq!(units.len(), self.num_parts, "unit count mismatch");
-        let e = &mut self.chunks[rank];
-        assert_eq!(e.count, 0, "chunk rank {rank} set twice");
+        let entry = &mut self.header[entry_range(rank, self.num_parts)];
+        assert_eq!(le_u32(entry, 0), 0, "chunk rank {rank} set twice");
         let encoded = bitmap.to_bytes();
         let dir_bytes = RankSelectDir::build(bitmap.as_ref()).to_bytes();
         let count = bitmap.count_ones();
-        e.count = count as u32;
-        e.bitmap_off = self.bitmaps.len() as u64;
-        e.bitmap_len = (encoded.len() + dir_bytes.len()) as u32;
-        e.units.copy_from_slice(units);
-        self.bitmap_lens.push(e.bitmap_len);
+        let bitmap_len = (encoded.len() + dir_bytes.len()) as u32;
+        let mut put = |at: usize, field: &[u8]| entry[at..at + field.len()].copy_from_slice(field);
+        put(0, &(count as u32).to_le_bytes());
+        put(4, &(self.bitmaps.len() as u64).to_le_bytes());
+        put(12, &bitmap_len.to_le_bytes());
+        for (part, u) in units.iter().enumerate() {
+            let at = (ENTRY_FIXED + part as u64 * UNIT_LOC) as usize;
+            put(at, &u.offset.to_le_bytes());
+            put(at + 8, &u.clen.to_le_bytes());
+        }
+        self.bitmap_lens.push(bitmap_len);
         self.bitmaps.extend_from_slice(&encoded);
         self.bitmaps.extend_from_slice(&dir_bytes);
         if count > 0 {
@@ -535,26 +423,21 @@ impl BinIndexBuilder {
         }
     }
 
-    /// Finish: returns the full index file contents.
-    pub fn finish(self) -> Vec<u8> {
-        self.finish_with_extents().0
-    }
-
-    /// Finish, also returning the file's logical extent lengths in
-    /// file order (header + summary + each encoded bitmap) for the
-    /// checksum footer.
-    pub fn finish_with_extents(self) -> (Vec<u8>, Vec<u32>) {
-        let num_chunks = self.chunks.len();
-        let index = BinIndex {
-            version: VERSION,
-            bin: self.bin,
-            num_parts: self.num_parts,
-            header_bytes: header_size(num_chunks, self.num_parts),
-            summary_bytes: summary_size(num_chunks),
-            chunks: self.chunks,
-        };
-        let mut out = index.encode_header();
-        let summary = encode_summary(&self.summaries);
+    /// Finish: the full index file contents, and its logical extent
+    /// lengths in file order (header + directory, summary, each encoded
+    /// bitmap) for the checksum footer.
+    pub fn finish(self) -> (Vec<u8>, Vec<u32>) {
+        let mut w = Writer::new();
+        w.u32(SUMMARY_MAGIC);
+        w.u32(self.summaries.len() as u32);
+        for s in &self.summaries {
+            w.u32(s.min_pos);
+            w.u32(s.max_pos);
+            w.u8(u8::from(s.all_of_chunk));
+        }
+        debug_assert_eq!(w.len() as u64, summary_size(self.summaries.len()));
+        let summary = w.finish();
+        let mut out = self.header;
         let mut extents = Vec::with_capacity(2 + self.bitmap_lens.len());
         extents.push(out.len() as u32);
         extents.push(summary.len() as u32);
@@ -563,84 +446,6 @@ impl BinIndexBuilder {
         out.extend_from_slice(&self.bitmaps);
         (out, extents)
     }
-}
-
-/// Rewrite a v2 index file payload (no footer) as v1: drop the summary
-/// section and the per-bitmap rank/select directories, keep the WAH
-/// bytes verbatim, and recompute offsets. Returns the v1 payload and
-/// its extent lengths. Used by differential tests and benches to prove
-/// v1-read vs v2-read byte-identity on the same logical data.
-pub fn downgrade_payload_to_v1(payload: &[u8]) -> Result<(Vec<u8>, Vec<u32>)> {
-    let idx = BinIndex::decode_header(payload)?;
-    if idx.version != 2 {
-        return Err(MlocError::Corrupt("not a v2 index"));
-    }
-    // Preserve file order: walk entries by their stored offsets.
-    let mut order: Vec<usize> = (0..idx.chunks.len())
-        .filter(|&r| idx.chunks[r].bitmap_len > 0)
-        .collect();
-    order.sort_by_key(|&r| idx.chunks[r].bitmap_off);
-    let mut chunks = idx.chunks.clone();
-    let mut bitmaps = Vec::new();
-    let mut bitmap_lens = Vec::with_capacity(order.len());
-    for &r in &order {
-        let start = idx.bitmap_file_offset(r) as usize;
-        let end = start + idx.chunks[r].bitmap_len as usize;
-        if end > payload.len() {
-            return Err(MlocError::Corrupt("bitmap extent out of bounds"));
-        }
-        // The WAH stream is self-delimiting; the remainder of the
-        // extent is the rank/select directory we drop.
-        let (_, consumed) = WahBitmap::from_bytes(&payload[start..end])
-            .map_err(|_| MlocError::Corrupt("bad bitmap in v2 index"))?;
-        chunks[r].bitmap_off = bitmaps.len() as u64;
-        chunks[r].bitmap_len = consumed as u32;
-        bitmaps.extend_from_slice(&payload[start..start + consumed]);
-        bitmap_lens.push(consumed as u32);
-    }
-    let v1 = BinIndex {
-        version: 1,
-        bin: idx.bin,
-        num_parts: idx.num_parts,
-        header_bytes: idx.header_bytes,
-        summary_bytes: 0,
-        chunks,
-    };
-    let mut out = v1.encode_header();
-    let mut extents = Vec::with_capacity(1 + bitmap_lens.len());
-    extents.push(out.len() as u32);
-    extents.extend_from_slice(&bitmap_lens);
-    out.extend_from_slice(&bitmaps);
-    Ok((out, extents))
-}
-
-/// Downgrade every index file of a variable to format v1 in place
-/// (payload rewritten, footer recomputed). Data files and meta are
-/// untouched. Returns the number of files rewritten.
-pub fn downgrade_variable_to_v1(
-    backend: &dyn StorageBackend,
-    dataset: &str,
-    var: &str,
-) -> Result<usize> {
-    let prefix = format!("{dataset}/{var}/");
-    let mut rewritten = 0;
-    let mut names: Vec<String> = backend
-        .list()
-        .into_iter()
-        .filter(|n| n.starts_with(&prefix) && n.ends_with(".idx"))
-        .collect();
-    names.sort();
-    for name in names {
-        let raw = backend.read(&name, 0, backend.len(&name)?)?;
-        let payload = ExtentFooter::split_verified(&raw, &name)?;
-        let (v1, extents) = downgrade_payload_to_v1(payload)?;
-        let footer = ExtentFooter::compute(&v1, &extents).encode();
-        backend.create(&name)?;
-        backend.append(&name, &v1)?;
-        backend.append(&name, &footer)?;
-        rewritten += 1;
-    }
-    Ok(rewritten)
 }
 
 #[cfg(test)]
@@ -671,19 +476,18 @@ mod tests {
             ],
         );
         b.set_chunk(3, &bm2, &[UnitLoc::default(); 3]);
-        let bytes = b.finish();
+        let (bytes, _) = b.finish();
 
         let hdr_len = header_size(4, 3) as usize;
-        let idx = BinIndex::decode_header(&bytes[..hdr_len]).unwrap();
-        assert_eq!(idx.bin, 5);
-        assert_eq!(idx.chunks.len(), 4);
-        assert_eq!(idx.num_parts, 3);
-        assert_eq!(idx.chunks[1].count, 3);
-        assert_eq!(idx.chunks[3].count, 1);
-        assert_eq!(idx.chunks[0].count, 0);
-        assert_eq!(idx.total_points(), 4);
+        let idx = HeaderView::parse(&bytes[..hdr_len]).unwrap();
+        assert_eq!(le_u32(&bytes, 5), 5, "bin id");
+        assert_eq!(idx.num_chunks(), 4);
+        assert_eq!(idx.units(0).count(), 3);
+        assert_eq!(idx.count(1), 3);
+        assert_eq!(idx.count(3), 1);
+        assert_eq!(idx.count(0), 0);
         assert_eq!(
-            idx.chunks[1].units[1],
+            idx.unit(1, 1),
             UnitLoc {
                 offset: 10,
                 clen: 20
@@ -691,23 +495,27 @@ mod tests {
         );
 
         // Bitmaps decode from their recorded offsets.
-        let e = &idx.chunks[1];
         let start = idx.bitmap_file_offset(1) as usize;
-        let (bm, _) = WahBitmap::from_bytes(&bytes[start..start + e.bitmap_len as usize]).unwrap();
+        let (bm, _) =
+            WahBitmap::from_bytes(&bytes[start..start + idx.bitmap_len(1) as usize]).unwrap();
         assert_eq!(bm.to_positions(), vec![1, 5, 99]);
     }
 
     #[test]
     fn header_size_is_exact() {
-        let b = BinIndexBuilder::new(0, 7, 7);
-        let bytes = b.finish();
+        let (bytes, extents) = BinIndexBuilder::new(0, 7, 7).finish();
         // An all-empty bin is exactly header + summary: no bitmaps.
         assert_eq!(bytes.len() as u64, header_size(7, 7) + summary_size(7));
-        let idx = BinIndex::decode_header(&bytes[..header_size(7, 7) as usize]).unwrap();
+        assert_eq!(
+            extents,
+            vec![header_size(7, 7) as u32, summary_size(7) as u32]
+        );
+        let idx = HeaderView::parse(&bytes[..header_size(7, 7) as usize]).unwrap();
         assert_eq!(idx.version, VERSION);
-        assert_eq!(idx.summary_bytes, summary_size(7));
-        let summaries = decode_summary(&bytes[idx.header_bytes as usize..], 7).unwrap();
-        assert_eq!(summaries, vec![ChunkSummary::EMPTY; 7]);
+        assert_eq!(idx.summary_bytes(), summary_size(7));
+        let summaries =
+            SummaryView::parse(&bytes[idx.summary_file_offset() as usize..], 7).unwrap();
+        assert!((0..7).all(|rank| summaries.get(rank) == ChunkSummary::EMPTY));
     }
 
     #[test]
@@ -721,13 +529,13 @@ mod tests {
         );
         // Full chunk: all 20 bits.
         b.set_chunk(1, &WahBitmap::ones(20), &[UnitLoc::default()]);
-        let bytes = b.finish();
-        let hdr = BinIndex::decode_header(&bytes[..header_size(3, 1) as usize]).unwrap();
+        let (bytes, _) = b.finish();
+        let hdr = HeaderView::parse(&bytes[..header_size(3, 1) as usize]).unwrap();
         let start = hdr.summary_file_offset() as usize;
         let summaries =
-            decode_summary(&bytes[start..start + hdr.summary_bytes as usize], 3).unwrap();
+            SummaryView::parse(&bytes[start..start + hdr.summary_bytes() as usize], 3).unwrap();
         assert_eq!(
-            summaries[0],
+            summaries.get(0),
             ChunkSummary {
                 min_pos: 2,
                 max_pos: 7,
@@ -735,64 +543,50 @@ mod tests {
             }
         );
         assert_eq!(
-            summaries[1],
+            summaries.get(1),
             ChunkSummary {
                 min_pos: 0,
                 max_pos: 19,
                 all_of_chunk: true
             }
         );
-        assert_eq!(summaries[2], ChunkSummary::EMPTY);
-    }
-
-    #[test]
-    fn downgrade_strips_summary_and_directories() {
-        let mut b = BinIndexBuilder::new(2, 3, 1);
-        // Large sparse bitmap so a non-empty rank/select directory is
-        // appended in v2 (many literal words).
-        let pos: Vec<u64> = (0..40_000).step_by(7).collect();
-        let big = WahBitmap::from_sorted_positions(40_000, &pos);
-        b.set_chunk(0, &big, &[UnitLoc::default()]);
-        b.set_chunk(2, &WahBitmap::ones(50), &[UnitLoc::default()]);
-        let (v2, v2_extents) = b.finish_with_extents();
-        let (v1, v1_extents) = downgrade_payload_to_v1(&v2).unwrap();
-        assert!(v1.len() < v2.len());
-        assert_eq!(v1_extents.len() + 1, v2_extents.len()); // summary gone
-        let idx = BinIndex::decode_header(&v1[..header_size(3, 1) as usize]).unwrap();
-        assert_eq!(idx.version, 1);
-        assert_eq!(idx.summary_bytes, 0);
-        // Bitmaps decode identically from both files.
-        let v2_idx = BinIndex::decode_header(&v2[..header_size(3, 1) as usize]).unwrap();
-        for rank in [0usize, 2] {
-            let s1 = idx.bitmap_file_offset(rank) as usize;
-            let s2 = v2_idx.bitmap_file_offset(rank) as usize;
-            let (b1, used1) = WahBitmap::from_bytes(&v1[s1..]).unwrap();
-            let (b2, _) = WahBitmap::from_bytes(&v2[s2..]).unwrap();
-            assert_eq!(b1, b2);
-            // v1 extents hold exactly the WAH bytes, no directory.
-            assert_eq!(used1 as u32, idx.chunks[rank].bitmap_len);
-        }
-        // Downgrading a v1 payload is rejected.
-        assert!(downgrade_payload_to_v1(&v1).is_err());
+        assert_eq!(summaries.get(2), ChunkSummary::EMPTY);
     }
 
     #[test]
     fn rejects_corrupt_headers() {
-        let bytes = BinIndexBuilder::new(0, 2, 1).finish();
-        assert!(BinIndex::decode_header(&bytes[..5]).is_err());
+        let (bytes, _) = BinIndexBuilder::new(0, 2, 1).finish();
+        assert!(HeaderView::parse(&bytes[..5]).is_err());
         let mut bad = bytes.clone();
         bad[0] ^= 1;
-        assert!(BinIndex::decode_header(&bad).is_err());
+        assert!(HeaderView::parse(&bad[..]).is_err());
         let mut bad2 = bytes;
         bad2[4] = 99; // version
-        assert!(BinIndex::decode_header(&bad2).is_err());
+        assert!(HeaderView::parse(&bad2[..]).is_err());
     }
 
-    /// The eager decoders as they were before the views existed, kept
-    /// verbatim as the differential oracle: same checks, same order,
-    /// same messages.
+    /// The eager decoders and the eager form they filled, as they were
+    /// before the views existed, kept verbatim as the differential
+    /// oracle: same checks, same order, same messages.
     mod oracle {
         use super::super::*;
+
+        /// Directory entry of one chunk within one bin.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct ChunkEntry {
+            pub count: u32,
+            pub bitmap_off: u64,
+            pub bitmap_len: u32,
+            pub units: Vec<UnitLoc>,
+        }
+
+        /// The parsed header + directory of a bin index file.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct BinIndex {
+            pub chunks: Vec<ChunkEntry>,
+            pub header_bytes: u64,
+            pub summary_bytes: u64,
+        }
 
         pub fn decode_summary(data: &[u8], num_chunks: usize) -> Result<Vec<ChunkSummary>> {
             let mut r = Reader::new(data);
@@ -831,7 +625,7 @@ mod tests {
             if version != 1 && version != VERSION {
                 return Err(MlocError::Corrupt("unsupported index version"));
             }
-            let bin = r.u32()?;
+            let _bin = r.u32()?;
             let num_chunks = r.u32()? as usize;
             let num_parts = r.u8()? as usize;
             if num_parts == 0 || num_parts > 16 {
@@ -860,10 +654,7 @@ mod tests {
                 });
             }
             Ok(BinIndex {
-                version,
-                bin,
                 chunks,
-                num_parts,
                 header_bytes: header_size(num_chunks, num_parts),
                 summary_bytes: if version >= 2 {
                     summary_size(num_chunks)
@@ -880,19 +671,18 @@ mod tests {
 
     /// The header view against the oracle on the same bytes: the same
     /// verdict and message; when both accept, every accessor of every
-    /// in-range rank (none may panic) and the eager collect agree.
+    /// in-range rank (none may panic) agrees with the eager form.
     fn check_header(bytes: &[u8]) {
         let want = oracle::decode_header(bytes);
         let got = HeaderView::parse(bytes);
         assert_eq!(message(&got), message(&want));
-        assert_eq!(message(&BinIndex::decode_header(bytes)), message(&want));
         let (Ok(view), Ok(want)) = (got, want) else {
             return;
         };
-        assert_eq!(view.to_index(), want);
+        assert_eq!(view.num_chunks(), want.chunks.len());
         assert_eq!(view.header_bytes(), want.header_bytes);
         assert_eq!(view.summary_bytes(), want.summary_bytes);
-        assert_eq!(view.summary_file_offset(), want.summary_file_offset());
+        assert_eq!(view.summary_file_offset(), want.header_bytes);
         for (rank, e) in want.chunks.iter().enumerate() {
             assert_eq!(view.count(rank), e.count);
             assert_eq!(view.bitmap_off(rank), e.bitmap_off);
@@ -915,11 +705,9 @@ mod tests {
         let want = oracle::decode_summary(bytes, num_chunks);
         let got = SummaryView::parse(bytes, num_chunks);
         assert_eq!(message(&got), message(&want));
-        assert_eq!(message(&decode_summary(bytes, num_chunks)), message(&want));
         let (Ok(view), Ok(want)) = (got, want) else {
             return;
         };
-        assert_eq!(view.iter().collect::<Vec<_>>(), want);
         for (rank, s) in want.iter().enumerate() {
             assert_eq!(view.get(rank), *s);
         }
@@ -952,10 +740,37 @@ mod tests {
                 &locs(3),
             );
             b.set_chunk(5, &WahBitmap::ones(17), &locs(4));
-            out.push((b.finish(), 6, num_parts));
-            out.push((BinIndexBuilder::new(0, 4, num_parts).finish(), 4, num_parts));
+            out.push((b.finish().0, 6, num_parts));
+            out.push((
+                BinIndexBuilder::new(0, 4, num_parts).finish().0,
+                4,
+                num_parts,
+            ));
         }
         out
+    }
+
+    /// The v1 inputs: every index payload (footer stripped) of the
+    /// checked-in v1 dataset — 16 chunks, 7 parts. Nothing writes v1
+    /// any more.
+    fn fixture_v1_payloads() -> Vec<(Vec<u8>, usize, usize)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v1_dataset");
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "idx"))
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), 8, "the fixture has 8 bins");
+        names
+            .iter()
+            .map(|path| {
+                let raw = std::fs::read(path).unwrap();
+                let name = path.display().to_string();
+                let payload = crate::ExtentFooter::split_verified(&raw, &name).unwrap();
+                (payload.to_vec(), 16, 7)
+            })
+            .collect()
     }
 
     /// splitmix64: deterministic arbitrary bytes without a dependency.
@@ -970,13 +785,10 @@ mod tests {
     #[test]
     fn views_equal_the_eager_decode_on_built_indexes() {
         for (v2, num_chunks, num_parts) in built_payloads() {
-            let (v1, _) = downgrade_payload_to_v1(&v2).unwrap();
-            for payload in [&v2, &v1] {
-                // The engine's exact-size header read, and the whole
-                // file (a header buffer may extend past the directory).
-                check_header(&payload[..header_size(num_chunks, num_parts) as usize]);
-                check_header(payload);
-            }
+            // The engine's exact-size header read, and the whole file
+            // (a header buffer may extend past the directory).
+            check_header(&v2[..header_size(num_chunks, num_parts) as usize]);
+            check_header(&v2);
             let hdr = HeaderView::parse(&v2[..])
                 .unwrap()
                 .with_geometry(num_chunks, num_parts)
@@ -984,6 +796,10 @@ mod tests {
             let start = hdr.summary_file_offset() as usize;
             check_summary(&v2[start..start + hdr.summary_bytes() as usize], num_chunks);
             check_summary(&v2[start..], num_chunks);
+        }
+        for (v1, num_chunks, num_parts) in fixture_v1_payloads() {
+            check_header(&v1[..header_size(num_chunks, num_parts) as usize]);
+            check_header(&v1);
             // A v1 file has no summary section.
             assert_eq!(HeaderView::parse(&v1[..]).unwrap().summary_bytes(), 0);
         }
@@ -992,10 +808,21 @@ mod tests {
     #[test]
     fn views_reject_exactly_what_the_eager_decode_rejected() {
         let mut rng = 0x5eed_u64;
-        for (v2, num_chunks, num_parts) in built_payloads() {
+        let damaged = |block: &[u8], rng: &mut u64| {
+            let mut bad = block.to_vec();
+            for _ in 0..1 + next(rng) % 8 {
+                let at = next(rng) as usize % bad.len();
+                bad[at] = next(rng) as u8;
+            }
+            bad
+        };
+        let payloads = built_payloads().into_iter().chain(fixture_v1_payloads());
+        for (payload, num_chunks, num_parts) in payloads {
             let hdr_len = header_size(num_chunks, num_parts) as usize;
-            let header = &v2[..hdr_len];
-            let summary = &v2[hdr_len..hdr_len + summary_size(num_chunks) as usize];
+            let header = &payload[..hdr_len];
+            let summary_len = HeaderView::parse(header).unwrap().summary_bytes() as usize;
+            // Empty for the v1 payloads.
+            let summary = &payload[hdr_len..hdr_len + summary_len];
             // Every truncation.
             for cut in 0..=header.len() {
                 check_header(&header[..cut]);
@@ -1021,18 +848,10 @@ mod tests {
             // Valid prologues over arbitrary directories, and random
             // multi-byte damage anywhere.
             for _ in 0..200 {
-                let mut bad = header.to_vec();
-                for _ in 0..1 + next(&mut rng) % 8 {
-                    let at = next(&mut rng) as usize % bad.len();
-                    bad[at] = next(&mut rng) as u8;
+                check_header(&damaged(header, &mut rng));
+                if !summary.is_empty() {
+                    check_summary(&damaged(summary, &mut rng), num_chunks);
                 }
-                check_header(&bad);
-                let mut bad = summary.to_vec();
-                for _ in 0..1 + next(&mut rng) % 8 {
-                    let at = next(&mut rng) as usize % bad.len();
-                    bad[at] = next(&mut rng) as u8;
-                }
-                check_summary(&bad, num_chunks);
             }
         }
         // Arbitrary bytes, with and without a plausible prologue.
@@ -1055,14 +874,14 @@ mod tests {
             }
         }
         // Field values at their extremes: no accessor may overflow.
-        let mut extreme = BinIndexBuilder::new(0, 3, 7).finish();
+        let (mut extreme, _) = BinIndexBuilder::new(0, 3, 7).finish();
         let hdr_len = header_size(3, 7) as usize;
         extreme[14..hdr_len].fill(0xff);
         check_header(&extreme);
         check_header(&extreme[..hdr_len]);
         // A chunk count near u32::MAX must fail the size check, not
         // drive an allocation or wrap an offset.
-        let mut huge = BinIndexBuilder::new(0, 2, 7).finish();
+        let (mut huge, _) = BinIndexBuilder::new(0, 2, 7).finish();
         huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         check_header(&huge);
         assert_eq!(
@@ -1073,7 +892,7 @@ mod tests {
 
     #[test]
     fn header_geometry_must_be_the_stores() {
-        let bytes = BinIndexBuilder::new(3, 16, 7).finish();
+        let (bytes, _) = BinIndexBuilder::new(3, 16, 7).finish();
         let parse = || HeaderView::parse(&bytes[..]).unwrap();
         assert!(parse().with_geometry(16, 7).is_ok());
         for (num_chunks, num_parts) in [(16, 1), (15, 7), (64, 7), (0, 0)] {
@@ -1089,7 +908,7 @@ mod tests {
     fn header_rank_past_the_directory_panics_like_a_slice() {
         // The buffer extends past the directory (a whole file), so the
         // bytes exist — the rank is still refused.
-        let bytes = BinIndexBuilder::new(0, 2, 1).finish();
+        let (bytes, _) = BinIndexBuilder::new(0, 2, 1).finish();
         HeaderView::parse(&bytes[..]).unwrap().count(2);
     }
 

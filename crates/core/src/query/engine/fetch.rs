@@ -399,7 +399,7 @@ mod tests {
     use crate::cache::BlockCache;
     use crate::config::MlocConfig;
     use crate::fusion::ExtentFuser;
-    use crate::index::{decode_summary, header_size, BinIndex, HeaderView};
+    use crate::index::{header_size, HeaderView, SummaryView};
     use mloc_pfs::{MemBackend, StorageBackend};
 
     const BIN: usize = 1;
@@ -407,7 +407,12 @@ mod tests {
     /// Fetch the block `part` of chunk rank `r` through the operation
     /// the engine uses for its kind, decoding a data part so a cache
     /// can keep it; returns the fetcher's report.
-    fn fetch(store: &MlocStore<'_>, index: &BinIndex, r: usize, part: BlockPart) -> FetchReport {
+    fn fetch(
+        store: &MlocStore<'_>,
+        index: &HeaderView<&[u8]>,
+        r: usize,
+        part: BlockPart,
+    ) -> FetchReport {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
         let mut quiet = Collector::disabled();
         let idx_file = f.index_file(BIN);
@@ -420,34 +425,31 @@ mod tests {
             g.footer(file, key, || None).unwrap()
         };
         match part {
-            BlockPart::Footer(_) => {
-                let view = HeaderView::parse(index.encode_header()).unwrap();
-                drop(
-                    f.footer(&idx_file, key, || Some(view.bitmaps_end()))
-                        .unwrap(),
-                )
-            }
+            BlockPart::Footer(_) => drop(
+                f.footer(&idx_file, key, || Some(index.bitmaps_end()))
+                    .unwrap(),
+            ),
             BlockPart::IndexHeader => {
-                let len = header_size(index.chunks.len(), index.num_parts);
+                let len = header_size(index.num_chunks(), store.config().num_parts());
                 let footer = footer_of(&idx_file, 0);
                 let held = f.hold(&idx_file, key, (0, len)).unwrap();
                 f.admit(&idx_file, held, &footer).unwrap();
             }
             BlockPart::Summary => {
-                let span = (index.summary_file_offset(), index.summary_bytes);
+                let span = (index.summary_file_offset(), index.summary_bytes());
                 let footer = footer_of(&idx_file, 0);
                 let held = f.hold(&idx_file, key, span).unwrap();
                 f.admit(&idx_file, held, &footer).unwrap();
             }
             BlockPart::Bitmap => {
-                let want = (key, index.bitmap_file_offset(r), index.chunks[r].bitmap_len);
+                let want = (key, index.bitmap_file_offset(r), index.bitmap_len(r));
                 let footer = footer_of(&idx_file, 0);
                 f.wants(&idx_file, &[want], Some(&footer), |_, got| got.map(drop))
                     .unwrap();
             }
             BlockPart::PlodPart(p) => {
                 let file = f.data_file(BIN);
-                let loc = index.chunks[r].units[usize::from(p)];
+                let loc = index.unit(r, usize::from(p));
                 let footer = footer_of(&file, 1);
                 let want = (key.clone(), loc.offset, loc.clen);
                 let mut stored = None;
@@ -459,7 +461,7 @@ mod tests {
                 })
                 .unwrap();
                 if let Some(raw) = stored {
-                    let count = index.chunks[r].count as usize;
+                    let count = index.count(r) as usize;
                     Decoder::new(store.config().codec)
                         .decode(&mut f, key, &raw, count)
                         .unwrap();
@@ -497,34 +499,30 @@ mod tests {
         // Locate the extents from the index itself.
         let idx_file = plain.index_file(BIN);
         let raw = be.read(&idx_file, 0, be.len(&idx_file).unwrap()).unwrap();
-        let index = BinIndex::decode_header(&raw).unwrap();
+        let index = HeaderView::parse(&raw[..]).unwrap();
         let s0 = index.summary_file_offset() as usize;
-        let summaries = decode_summary(
-            &raw[s0..s0 + index.summary_bytes as usize],
-            index.chunks.len(),
-        )
-        .unwrap();
+        let summaries = SummaryView::parse(&raw[s0..], index.num_chunks()).unwrap();
         // A partial chunk: it has a bitmap to read and a data unit.
-        let r = (0..index.chunks.len())
-            .find(|&r| index.chunks[r].count > 0 && !summaries[r].all_of_chunk)
+        let r = (0..index.num_chunks())
+            .find(|&r| index.count(r) > 0 && !summaries.get(r).all_of_chunk)
             .expect("a partially covered chunk");
         let payload_len = ExtentFooter::split_verified(&raw, &idx_file).unwrap().len() as u64;
-        let part0 = index.chunks[r].units[0];
-        let hdr_len = header_size(index.chunks.len(), index.num_parts);
+        let part0 = index.unit(r, 0);
+        let hdr_len = header_size(index.num_chunks(), plain.config().num_parts());
         let table: [(BlockPart, String, u64, u64, bool); 5] = [
             (BlockPart::IndexHeader, idx_file.clone(), 0, hdr_len, false),
             (
                 BlockPart::Summary,
                 idx_file.clone(),
                 index.summary_file_offset(),
-                index.summary_bytes,
+                index.summary_bytes(),
                 false,
             ),
             (
                 BlockPart::Bitmap,
                 idx_file.clone(),
                 index.bitmap_file_offset(r),
-                u64::from(index.chunks[r].bitmap_len),
+                u64::from(index.bitmap_len(r)),
                 true,
             ),
             (

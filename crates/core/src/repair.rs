@@ -26,11 +26,11 @@
 //! stores (no `replica_access()`, or one replica: the only copy is
 //! re-checked and nothing else can be tried).
 
-use crate::dataset::{self, Dataset};
-use crate::fileorg;
+use crate::dataset::{catalog_header, parse_catalog};
+use crate::fileorg::{self, read_file, VarFile};
 use crate::integrity::ExtentFooter;
 use crate::store::VariableMeta;
-use crate::{MlocError, Result};
+use crate::Result;
 use mloc_pfs::StorageBackend;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -192,43 +192,20 @@ impl fmt::Display for RepairReport {
     }
 }
 
-/// Parse a raw catalog image: header (magic + config) and variable
-/// lines. A registration line is committed only when it is
-/// newline-terminated — a torn catalog append leaves an unterminated
-/// tail, which is excluded from the variable list and reported via
-/// `clean_tail = false` so repair truncates it.
-fn parse_catalog(raw: &[u8]) -> Result<(usize, Vec<String>, bool)> {
-    if !raw.starts_with(dataset::CATALOG_MAGIC) {
-        return Err(MlocError::Corrupt("bad catalog magic"));
-    }
-    let (_, used) = dataset::decode_config(&raw[dataset::CATALOG_MAGIC.len()..])?;
-    let header_len = dataset::CATALOG_MAGIC.len() + used;
-    let body =
-        std::str::from_utf8(&raw[header_len..]).map_err(|_| MlocError::Corrupt("catalog body"))?;
-    let end = body.rfind('\n').map_or(0, |i| i + 1);
-    let clean_tail = end == body.len();
-    let vars = body[..end]
-        .lines()
-        .filter(|l| !l.is_empty())
-        .map(str::to_string)
-        .collect();
-    Ok((header_len, vars, clean_tail))
-}
-
-/// Read a whole file, or None when unreadable.
-fn read_all(backend: &dyn StorageBackend, file: &str) -> Option<Vec<u8>> {
-    let len = backend.len(file).ok()?;
-    backend.read(file, 0, len).ok()
-}
-
 /// Whether the file exists and its footer (and every extent) verifies.
 fn verifies(backend: &dyn StorageBackend, file: &str) -> std::result::Result<(), String> {
-    match read_all(backend, file) {
-        None => Err("unreadable".to_string()),
-        Some(raw) => ExtentFooter::split_verified(&raw, file)
+    match read_file(backend, file) {
+        Err(_) => Err("unreadable".to_string()),
+        Ok(raw) => ExtentFooter::split_verified(&raw, file)
             .map(|_| ())
             .map_err(|e| e.to_string()),
     }
+}
+
+/// A variable's meta, when its file reads, verifies and decodes.
+fn read_meta(backend: &dyn StorageBackend, ds: &str, var: &str) -> Option<VariableMeta> {
+    let name = fileorg::meta_file(ds, var);
+    VariableMeta::from_file(&read_file(backend, &name).ok()?, &name).ok()
 }
 
 /// Every physical copy of `file`, read *directly* in placement order
@@ -246,7 +223,7 @@ fn physical_copies<'a>(
             let len = r.len_replica(file, k).ok()?;
             r.read_replica(file, k, 0, len).ok()
         }
-        None => read_all(backend, file),
+        None => read_file(backend, file).ok(),
     })
 }
 
@@ -302,32 +279,17 @@ struct VarFiles {
 
 /// Scrape `{ds}/{var}/…` files into per-variable inventories.
 fn inventory(backend: &dyn StorageBackend, ds: &str) -> BTreeMap<String, VarFiles> {
-    let prefix = format!("{ds}/");
     let mut vars: BTreeMap<String, VarFiles> = BTreeMap::new();
     for f in backend.list() {
-        let Some(rest) = f.strip_prefix(&prefix) else {
+        let Some((var, role)) = fileorg::var_file(ds, &f) else {
             continue;
         };
-        let Some((var, base)) = rest.split_once('/') else {
-            continue; // the catalog file itself
-        };
         let entry = vars.entry(var.to_string()).or_default();
-        if base == "meta" {
-            entry.has_meta = true;
-        } else if let Some(n) = base
-            .strip_prefix("bin")
-            .and_then(|b| b.strip_suffix(".dat"))
-            .and_then(|n| n.parse().ok())
-        {
-            entry.bins.entry(n).or_default().0 = true;
-        } else if let Some(n) = base
-            .strip_prefix("bin")
-            .and_then(|b| b.strip_suffix(".idx"))
-            .and_then(|n| n.parse().ok())
-        {
-            entry.bins.entry(n).or_default().1 = true;
-        } else {
-            entry.strays.push(f.clone());
+        match role {
+            VarFile::Meta => entry.has_meta = true,
+            VarFile::Data(bin) => entry.bins.entry(bin).or_default().0 = true,
+            VarFile::Index(bin) => entry.bins.entry(bin).or_default().1 = true,
+            VarFile::Stray => entry.strays.push(f.clone()),
         }
     }
     vars
@@ -341,22 +303,17 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
     };
 
     // Catalog: header + body readable?
-    let catalog_file = Dataset::catalog_file(ds);
-    let catalog_raw = read_all(backend, &catalog_file);
+    let catalog_file = fileorg::catalog_file(ds);
     let mut catalog_vars: BTreeSet<String> = BTreeSet::new();
     let mut num_bins: Option<usize> = None;
-    if let Some(raw) = &catalog_raw {
+    if let Ok(raw) = read_file(backend, &catalog_file) {
         report.files_checked += 1;
-        match parse_catalog(raw) {
-            Ok((_, vars, clean_tail)) => {
+        match parse_catalog(&raw) {
+            Ok(catalog) => {
                 report.catalog_ok = true;
-                catalog_vars = vars.into_iter().collect();
-                if let Ok((config, _)) =
-                    dataset::decode_config(&raw[dataset::CATALOG_MAGIC.len()..])
-                {
-                    num_bins = Some(config.num_bins);
-                }
-                if !clean_tail {
+                catalog_vars = catalog.vars.into_iter().collect();
+                num_bins = Some(catalog.config.num_bins);
+                if !catalog.clean_tail {
                     report.findings.push(FileFinding {
                         file: catalog_file.clone(),
                         class: FileClass::Torn,
@@ -398,13 +355,7 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         // The variable's bin count: from its own meta when it
         // verifies, else the shared catalog config.
         let expect_bins = if committed {
-            read_all(backend, &meta_name)
-                .and_then(|raw| {
-                    ExtentFooter::split_verified(&raw, &meta_name)
-                        .ok()
-                        .map(|p| p.to_vec())
-                })
-                .and_then(|p| VariableMeta::decode(&p).ok())
+            read_meta(backend, ds, &var)
                 .map(|m| m.config.num_bins)
                 .or(num_bins)
         } else {
@@ -542,11 +493,11 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         fsck: fsck(backend, ds)?,
         ..Default::default()
     };
-    let catalog_file = Dataset::catalog_file(ds);
+    let catalog_file = fileorg::catalog_file(ds);
 
     // 1. The catalog itself: if the primary copy does not parse, any
     //    replica copy that does can rewrite it.
-    let mut catalog_raw = read_all(backend, &catalog_file);
+    let mut catalog_raw = read_file(backend, &catalog_file).ok();
     if catalog_raw
         .as_deref()
         .is_none_or(|r| parse_catalog(r).is_err())
@@ -561,18 +512,13 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
     // 2. Metas: every damaged meta gets a replica-restore attempt
     //    before we decide a variable's fate.
     let vars = inventory(backend, ds);
-    let meta_is_good = |raw: &[u8], name: &str| {
-        ExtentFooter::split_verified(raw, name)
-            .ok()
-            .and_then(|p| VariableMeta::decode(p).ok())
-            .is_some()
-    };
+    let meta_is_good = |raw: &[u8], name: &str| VariableMeta::from_file(raw, name).is_ok();
     let mut committed: BTreeSet<String> = BTreeSet::new();
     let mut rollback: Vec<String> = Vec::new();
     let catalog_vars: Vec<String> = catalog_raw
         .as_deref()
         .and_then(|r| parse_catalog(r).ok())
-        .map(|(_, v, _)| v)
+        .map(|c| c.vars)
         .unwrap_or_default();
     let listed: BTreeSet<String> = catalog_vars.iter().cloned().collect();
     let mut all_vars: BTreeSet<String> = vars.keys().cloned().collect();
@@ -587,7 +533,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
             if is_replicated(backend)
                 && !all_replicas_pass(backend, &meta_name, |r| meta_is_good(r, &meta_name))
             {
-                if let Some(raw) = read_all(backend, &meta_name) {
+                if let Ok(raw) = read_file(backend, &meta_name) {
                     rewrite(backend, &meta_name, &raw)?;
                     report.restored.push(meta_name);
                 }
@@ -618,16 +564,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
     // 4. Bin files of committed variables: restore torn/missing ones
     //    from the first verifying replica.
     for var in &committed {
-        let meta_name = fileorg::meta_file(ds, var);
-        let Some(n) = read_all(backend, &meta_name)
-            .and_then(|raw| {
-                ExtentFooter::split_verified(&raw, &meta_name)
-                    .ok()
-                    .map(|p| p.to_vec())
-            })
-            .and_then(|p| VariableMeta::decode(&p).ok())
-            .map(|m| m.config.num_bins)
-        else {
+        let Some(n) = read_meta(backend, ds, var).map(|m| m.config.num_bins) else {
             continue;
         };
         for bin in 0..n {
@@ -641,7 +578,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
                             ExtentFooter::split_verified(r, &file).is_ok()
                         })
                     {
-                        if let Some(raw) = read_all(backend, &file) {
+                        if let Ok(raw) = read_file(backend, &file) {
                             rewrite(backend, &file, &raw)?;
                             report.restored.push(file);
                         }
@@ -677,55 +614,40 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         }
         lines
     };
-    match catalog_raw.as_deref().map(parse_catalog) {
-        Some(Ok((header_len, current, clean_tail))) => {
-            // A torn trailing registration line must be truncated even
-            // when the committed variable set already matches — a
-            // later append would otherwise splice onto the debris.
-            if current != desired || !clean_tail {
-                let mut out = catalog_raw.as_deref().expect("parsed above")[..header_len].to_vec();
-                for v in &desired {
-                    out.extend_from_slice(format!("{v}\n").as_bytes());
-                }
-                rewrite(backend, &catalog_file, &out)?;
-                report.catalog_rewritten = true;
-            }
-        }
-        _ => {
-            // No readable catalog on any replica. Reconstruct the
-            // header from a committed variable's meta (it embeds the
-            // shared build config); with no variables either, there
-            // is nothing to reconstruct from.
-            let config = committed.iter().find_map(|var| {
-                let meta_name = fileorg::meta_file(ds, var);
-                let raw = read_all(backend, &meta_name)?;
-                let payload = ExtentFooter::split_verified(&raw, &meta_name).ok()?;
-                VariableMeta::decode(payload).ok().map(|m| m.config)
-            });
-            if let Some(config) = config {
-                let mut out = dataset::CATALOG_MAGIC.to_vec();
-                out.extend_from_slice(&dataset::encode_config(&config));
-                for v in &desired {
-                    out.extend_from_slice(format!("{v}\n").as_bytes());
-                }
-                rewrite(backend, &catalog_file, &out)?;
-                report.catalog_rewritten = true;
-            } else {
+    let header = match catalog_raw.as_deref().map(|raw| (raw, parse_catalog(raw))) {
+        // A torn trailing registration line must be truncated even when
+        // the committed variable set already matches — a later append
+        // would otherwise splice onto the debris.
+        Some((_, Ok(catalog))) if catalog.vars == desired && catalog.clean_tail => None,
+        Some((raw, Ok(catalog))) => Some(raw[..catalog.header_len].to_vec()),
+        // No readable catalog on any replica. Reconstruct the header
+        // from a committed variable's meta (it embeds the shared build
+        // config); with no variables either, there is nothing to
+        // reconstruct from.
+        _ => match committed.iter().find_map(|var| read_meta(backend, ds, var)) {
+            Some(meta) => Some(catalog_header(&meta.config)),
+            None => {
                 report.unrepairable.push(catalog_file.clone());
+                None
             }
+        },
+    };
+    if let Some(mut out) = header {
+        for v in &desired {
+            out.extend_from_slice(format!("{v}\n").as_bytes());
         }
+        rewrite(backend, &catalog_file, &out)?;
+        report.catalog_rewritten = true;
     }
     // The catalog's replica copies: reconciliation rewrites fan out,
     // but an untouched catalog can still hide a lost copy behind the
     // read fall-through.
     if !report.catalog_rewritten
         && is_replicated(backend)
-        && read_all(backend, &catalog_file)
-            .as_deref()
-            .is_some_and(|r| parse_catalog(r).is_ok())
+        && read_file(backend, &catalog_file).is_ok_and(|r| parse_catalog(&r).is_ok())
         && !all_replicas_pass(backend, &catalog_file, |r| parse_catalog(r).is_ok())
     {
-        if let Some(raw) = read_all(backend, &catalog_file) {
+        if let Ok(raw) = read_file(backend, &catalog_file) {
             rewrite(backend, &catalog_file, &raw)?;
             report.restored.push(catalog_file);
         }
@@ -738,6 +660,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
 mod tests {
     use super::*;
     use crate::config::MlocConfig;
+    use crate::dataset::Dataset;
     use mloc_pfs::{MemBackend, ReplicaAccess, ShardRouter};
 
     fn config() -> MlocConfig {
@@ -831,10 +754,10 @@ mod tests {
         let cat = "sim/catalog";
         let len = be.len(cat).unwrap();
         let raw = be.read(cat, 0, len).unwrap();
-        let (header_len, vars, clean_tail) = parse_catalog(&raw).unwrap();
-        assert_eq!(vars, vec!["temp", "humid"]);
-        assert!(clean_tail);
-        let mut short = raw[..header_len].to_vec();
+        let catalog = parse_catalog(&raw).unwrap();
+        assert_eq!(catalog.vars, vec!["temp", "humid"]);
+        assert!(catalog.clean_tail);
+        let mut short = raw[..catalog.header_len].to_vec();
         short.extend_from_slice(b"temp\n");
         be.create(cat).unwrap();
         be.append(cat, &short).unwrap();
@@ -935,8 +858,7 @@ mod tests {
         let got = be.read(cat, 0, be.len(cat).unwrap()).unwrap();
         // Same header; lines are the committed vars (sorted, since
         // original order is unrecoverable).
-        let (_, vars, _) = parse_catalog(&got).unwrap();
-        assert_eq!(vars, vec!["humid", "temp"]);
+        assert_eq!(parse_catalog(&got).unwrap().vars, vec!["humid", "temp"]);
         assert_eq!(got[..want.len() - 11], want[..want.len() - 11]);
         assert!(Dataset::open(&be, "sim").is_ok());
     }

@@ -9,7 +9,7 @@ use crate::fusion::ExtentFuser;
 use crate::metrics::QueryMetrics;
 use crate::query::{Query, QueryResult};
 use crate::wire::{Reader, Writer};
-use crate::{MlocError, Result};
+use crate::{fileorg, MlocError, Result};
 use mloc_hilbert::GridOrder;
 use mloc_pfs::StorageBackend;
 use std::sync::Arc;
@@ -66,6 +66,14 @@ impl VariableMeta {
             total_points,
         })
     }
+
+    /// Decode a whole meta file as stored: its checksum footer, then
+    /// the payload. The footer's valid trailer doubles as the build's
+    /// commit marker (it is written last), so a torn or bit-flipped
+    /// meta fails here instead of parsing garbage.
+    pub(crate) fn from_file(raw: &[u8], file: &str) -> Result<VariableMeta> {
+        VariableMeta::decode(crate::integrity::ExtentFooter::split_verified(raw, file)?)
+    }
 }
 
 /// A built MLOC variable, opened for querying.
@@ -88,15 +96,8 @@ impl<'a> MlocStore<'a> {
         dataset: &str,
         var: &str,
     ) -> Result<MlocStore<'a>> {
-        let meta_name = crate::fileorg::meta_file(dataset, var);
-        let len = backend.len(&meta_name)?;
-        let raw = backend.read(&meta_name, 0, len)?;
-        // The meta file ends with a checksum footer whose valid
-        // trailer doubles as the build's commit marker (it is written
-        // last): a torn or bit-flipped meta fails here instead of
-        // parsing garbage.
-        let payload = crate::integrity::ExtentFooter::split_verified(&raw, &meta_name)?;
-        let meta = VariableMeta::decode(payload)?;
+        let meta_name = fileorg::meta_file(dataset, var);
+        let meta = VariableMeta::from_file(&fileorg::read_file(backend, &meta_name)?, &meta_name)?;
         let grid = ChunkGrid::new(meta.config.shape.clone(), meta.config.chunk_shape.clone());
         let order = meta.config.chunk_order(&grid);
         let spec = BinSpec::from_bounds(meta.bin_bounds.clone())?;
@@ -200,12 +201,12 @@ impl<'a> MlocStore<'a> {
 
     /// Data file name of a bin.
     pub fn data_file(&self, bin: usize) -> String {
-        crate::fileorg::data_file(&self.dataset, self.var(), bin)
+        fileorg::data_file(&self.dataset, self.var(), bin)
     }
 
     /// Index file name of a bin.
     pub fn index_file(&self, bin: usize) -> String {
-        crate::fileorg::index_file(&self.dataset, self.var(), bin)
+        fileorg::index_file(&self.dataset, self.var(), bin)
     }
 
     /// Run a query on a single rank with the default cost model and

@@ -8,12 +8,12 @@
 //! keeps going and maps *all* the damage, so an operator can decide
 //! whether a degraded dataset is worth keeping.
 
-use crate::fileorg;
-use crate::index::BinIndex;
+use crate::fileorg::{self, VarFile};
+use crate::index::HeaderView;
 use crate::integrity::{ExtentFooter, TRAILER_LEN};
 use crate::{MlocError, Result};
-use mloc_pfs::{PfsError, ReadRequest, StorageBackend};
-use std::collections::{BTreeSet, HashMap};
+use mloc_pfs::StorageBackend;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One damaged (or unreadable) extent found by verification.
@@ -111,49 +111,16 @@ fn damage_from_error(file: &str, e: &MlocError) -> ExtentDamage {
     }
 }
 
-/// Batched whole-file fetch: size every file, then pull all readable
-/// ones down in **one** submitted batch, so a concurrent backend (pool
-/// or shard router) verifies a variable's files in parallel instead of
-/// draining them one blocking read at a time.
-struct FileBytes {
-    bytes: HashMap<String, std::result::Result<Vec<u8>, PfsError>>,
-}
-
-impl FileBytes {
-    fn fetch(backend: &dyn StorageBackend, files: &[String]) -> FileBytes {
-        let mut bytes = HashMap::new();
-        let mut reqs = Vec::new();
-        for f in files {
-            match backend.len(f) {
-                Ok(n) => reqs.push(ReadRequest::new(f.as_str(), 0, n)),
-                Err(e) => {
-                    bytes.insert(f.clone(), Err(e));
-                }
-            }
-        }
-        for (req, res) in reqs.iter().zip(backend.read_batch(&reqs)) {
-            bytes.insert(req.file.to_string(), res);
-        }
-        FileBytes { bytes }
-    }
-
-    fn take(&mut self, file: &str) -> std::result::Result<Vec<u8>, PfsError> {
-        self.bytes
-            .remove(file)
-            .unwrap_or_else(|| Err(PfsError::NotFound(file.to_string())))
-    }
-}
-
-/// Check every footer extent of one pre-fetched file, recording damage
+/// Read one file and check every footer extent of it, recording damage
 /// instead of stopping. Returns the raw bytes and parsed footer when
 /// the footer itself is intact (payload extents may still be bad).
 fn check_file(
-    raw: std::result::Result<Vec<u8>, PfsError>,
+    backend: &dyn StorageBackend,
     file: &str,
     report: &mut VerifyReport,
 ) -> Option<(Vec<u8>, ExtentFooter)> {
     report.files_checked += 1;
-    let raw = match raw {
+    let raw = match fileorg::read_file(backend, file) {
         Ok(raw) => raw,
         Err(e) => {
             report.damage.push(ExtentDamage {
@@ -224,78 +191,52 @@ pub fn verify_variable(
 
     // Enumerate bins from the directory listing rather than the meta
     // file, so a destroyed meta does not hide bin damage.
-    let prefix = format!("{dataset}/{var}/bin");
-    let mut bins: BTreeSet<usize> = BTreeSet::new();
-    for f in backend.list() {
-        if let Some(rest) = f.strip_prefix(&prefix) {
-            if let Some(n) = rest
-                .strip_suffix(".idx")
-                .or_else(|| rest.strip_suffix(".dat"))
-            {
-                if let Ok(bin) = n.parse() {
-                    bins.insert(bin);
-                }
-            }
-        }
-    }
+    let bins: BTreeSet<usize> = backend
+        .list()
+        .iter()
+        .filter_map(|f| match fileorg::var_file(dataset, f) {
+            Some((v, VarFile::Data(bin) | VarFile::Index(bin))) if v == var => Some(bin),
+            _ => None,
+        })
+        .collect();
 
-    // Fetch every file of the variable in one submitted batch …
     let meta_name = fileorg::meta_file(dataset, var);
-    let mut files = vec![meta_name.clone()];
-    for &bin in &bins {
-        files.push(fileorg::index_file(dataset, var, bin));
-        files.push(fileorg::data_file(dataset, var, bin));
-    }
-    let mut fetched = FileBytes::fetch(backend, &files);
-
-    // … then verify extents from the buffers.
-    check_file(fetched.take(&meta_name), &meta_name, &mut report);
+    check_file(backend, &meta_name, &mut report);
     relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
 
     for bin in bins {
         let idx_file = fileorg::index_file(dataset, var, bin);
         let dat_file = fileorg::data_file(dataset, var, bin);
 
-        let mut index: Option<BinIndex> = None;
-        if let Some((raw, footer)) = check_file(fetched.take(&idx_file), &idx_file, &mut report) {
-            // Best-effort header parse for location labels; extent 0 is
-            // the header. Verification above already checked its CRC.
-            if footer.num_extents() > 0 {
-                let (_, hdr_len, _) = footer.extent(0);
-                index = BinIndex::decode_header(&raw[..hdr_len as usize]).ok();
+        // Location labels come only from a header whose own extent
+        // (extent 0) verified: a damaged header may say anything.
+        let header = check_file(backend, &idx_file, &mut report).and_then(|(mut raw, footer)| {
+            let (off, len, _) = (footer.num_extents() > 0).then(|| footer.extent(0))?;
+            raw.truncate(len as usize);
+            footer.verify(&idx_file, off, &raw).ok()?;
+            HeaderView::parse(raw).ok()
+        });
+        relabel(&mut report, &idx_file, |off| {
+            if off == 0 {
+                return Some("index header".to_string());
             }
-        }
-        if let Some(idx) = &index {
-            relabel(&mut report, &idx_file, |off| {
-                if off == 0 {
-                    return Some("index header".to_string());
-                }
-                if idx.summary_bytes > 0 && off == idx.summary_file_offset() {
-                    return Some("chunk summary".to_string());
-                }
-                (0..idx.chunks.len())
-                    .find(|&r| idx.chunks[r].bitmap_len > 0 && idx.bitmap_file_offset(r) == off)
-                    .map(|r| format!("bitmap of chunk rank {r}"))
-            });
-        } else {
-            relabel(&mut report, &idx_file, |off| {
-                (off == 0).then(|| "index header".to_string())
-            });
-        }
+            let idx = header.as_ref()?;
+            if idx.summary_bytes() > 0 && off == idx.summary_file_offset() {
+                return Some("chunk summary".to_string());
+            }
+            (0..idx.num_chunks())
+                .find(|&r| idx.bitmap_len(r) > 0 && idx.bitmap_file_offset(r) == off)
+                .map(|r| format!("bitmap of chunk rank {r}"))
+        });
 
-        check_file(fetched.take(&dat_file), &dat_file, &mut report);
-        if let Some(idx) = &index {
-            relabel(&mut report, &dat_file, |off| {
-                for (r, e) in idx.chunks.iter().enumerate() {
-                    for (p, u) in e.units.iter().enumerate() {
-                        if u.clen > 0 && u.offset == off {
-                            return Some(format!("chunk rank {r} byte-group part {p}"));
-                        }
-                    }
-                }
-                None
-            });
-        }
+        check_file(backend, &dat_file, &mut report);
+        relabel(&mut report, &dat_file, |off| {
+            let idx = header.as_ref()?;
+            (0..idx.num_chunks()).find_map(|r| {
+                let p = idx.units(r).position(|u| u.clen > 0 && u.offset == off)?;
+                Some(format!("chunk rank {r} byte-group part {p}"))
+            })
+        });
     }
 
     Ok(report)
@@ -332,7 +273,7 @@ mod tests {
     }
 
     /// Copy every file, flipping one byte of `victim` at `offset`.
-    fn corrupt_copy(be: &MemBackend, victim: &str, offset: u64) -> MemBackend {
+    fn corrupt_copy(be: &dyn StorageBackend, victim: &str, offset: u64) -> MemBackend {
         let out = MemBackend::new();
         for f in be.list() {
             let len = be.len(&f).unwrap();
@@ -397,39 +338,88 @@ mod tests {
         let victim = "ds/v/bin0000.idx";
         let len = be.len(victim).unwrap();
         let raw = be.read(victim, 0, len).unwrap();
-        let idx = BinIndex::decode_header(&raw).unwrap();
-        assert!(idx.summary_bytes > 0, "fixture should build v2 indexes");
+        let idx = HeaderView::parse(&raw[..]).unwrap();
+        assert!(idx.summary_bytes() > 0, "fixture should build v2 indexes");
         let bad = corrupt_copy(&be, victim, idx.summary_file_offset() + 5);
         let report = verify_variable(&bad, "ds", "v").unwrap();
         assert_eq!(report.damage.len(), 1, "{report}");
         let d = &report.damage[0];
         assert!(d.what.starts_with("chunk summary"), "{}", d.what);
         assert_eq!(d.offset, idx.summary_file_offset());
-        assert_eq!(d.len, idx.summary_bytes);
+        assert_eq!(d.len, idx.summary_bytes());
     }
 
+    /// A header stating an offset past every file (`u64::MAX`) for one
+    /// chunk, plus a flipped byte in a later chunk's bitmap, footer not
+    /// recomputed: both extents are reported, the bitmap without a
+    /// label (the header that would give it one failed its own
+    /// checksum), and nothing panics — labelling once added the stored
+    /// offset to the header size unchecked.
+    #[test]
+    fn damaged_header_offsets_never_panic_and_all_damage_is_reported() {
+        let be = build();
+        let victim = "ds/v/bin0001.idx";
+        let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
+        let idx = HeaderView::parse(&raw[..]).unwrap();
+        let with_bitmap: Vec<usize> = (0..idx.num_chunks())
+            .filter(|&r| idx.bitmap_len(r) > 0)
+            .collect();
+        let (first, later) = (with_bitmap[0], *with_bitmap.last().unwrap());
+        assert!(first < later, "two chunks with bitmaps");
+        let flip_at = idx.bitmap_file_offset(later) + 1;
+        let parts = crate::store::MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .config()
+            .num_parts();
+        // `bitmap_off` of `first`: prologue, `first` entries, count.
+        let field = 14 + first * (16 + 12 * parts) + 4;
+        let out = corrupt_copy(&be, victim, flip_at);
+        let mut bad = out.read(victim, 0, raw.len() as u64).unwrap();
+        bad[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        out.create(victim).unwrap();
+        out.append(victim, &bad).unwrap();
+
+        let report = verify_variable(&out, "ds", "v").unwrap();
+        assert_eq!(report.damage.len(), 2, "{report}");
+        assert_eq!(report.damage[0].offset, 0);
+        assert!(
+            report.damage[0].what.starts_with("index header"),
+            "{report}"
+        );
+        let d = &report.damage[1];
+        assert_eq!(d.file, victim);
+        assert_eq!(d.offset, idx.bitmap_file_offset(later));
+        assert!(d.what.starts_with("checksum"), "{}", d.what);
+    }
+
+    /// The checked-in v1 dataset (written by the v1 writer that no
+    /// longer exists) verifies and fscks clean, read-only off its
+    /// directory, and v1 bitmap damage still gets a chunk label.
     #[test]
     fn downgraded_v1_files_verify_clean() {
-        let be = build();
-        let n = crate::index::downgrade_variable_to_v1(&be, "ds", "v").unwrap();
-        assert_eq!(n, 4);
-        let report = verify_variable(&be, "ds", "v").unwrap();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v1_dataset");
+        let be = mloc_pfs::DirBackend::uncached(dir).unwrap();
+        let report = verify_dataset(&be, "fmt").unwrap();
         assert!(report.is_clean(), "{report}");
-        // v1 bitmap damage still gets a chunk label.
-        let raw = be
-            .read("ds/v/bin0000.idx", 0, be.len("ds/v/bin0000.idx").unwrap())
+        assert_eq!(report.files_checked, 17);
+        let fsck = crate::repair::fsck(&be, "fmt").unwrap();
+        assert!(fsck.is_clean(), "{fsck}");
+        assert_eq!(fsck.committed, vec!["v"]);
+
+        let victim = "fmt/v/bin0000.idx";
+        let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
+        let idx = HeaderView::parse(&raw[..]).unwrap();
+        assert_eq!(idx.summary_bytes(), 0, "a v1 file");
+        let rank = (0..idx.num_chunks())
+            .find(|&r| idx.bitmap_len(r) > 0)
             .unwrap();
-        let idx = BinIndex::decode_header(&raw).unwrap();
-        assert_eq!(idx.version, 1);
-        assert_eq!(idx.summary_bytes, 0);
-        let rank = (0..idx.chunks.len())
-            .find(|&r| idx.chunks[r].bitmap_len > 0)
-            .unwrap();
-        let bad = corrupt_copy(&be, "ds/v/bin0000.idx", idx.bitmap_file_offset(rank) + 1);
-        let r = verify_variable(&bad, "ds", "v").unwrap();
+        let bad = corrupt_copy(&be, victim, idx.bitmap_file_offset(rank) + 1);
+        let r = verify_variable(&bad, "fmt", "v").unwrap();
         assert_eq!(r.damage.len(), 1, "{r}");
         assert!(
-            r.damage[0].what.starts_with("bitmap of chunk rank"),
+            r.damage[0]
+                .what
+                .starts_with(&format!("bitmap of chunk rank {rank}")),
             "{}",
             r.damage[0].what
         );

@@ -330,32 +330,33 @@ proptest! {
     #[test]
     fn summary_classification_matches_bitmap_truth(case in case_strategy()) {
         use mloc::bitmap::WahBitmap;
-        use mloc::index::{decode_summary, BinIndex, ChunkSummary};
+        use mloc::index::{ChunkSummary, HeaderView, SummaryView};
         use mloc_pfs::StorageBackend;
         let be = MemBackend::new();
         let _store = build_case(&be, &case);
         for bin in 0..case.num_bins {
             let name = mloc::fileorg::index_file("p", "v", bin);
             let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
-            let idx = BinIndex::decode_header(&raw).unwrap();
-            prop_assert_eq!(idx.version, 2);
+            let idx = HeaderView::parse(&raw[..]).unwrap();
+            prop_assert!(idx.summary_bytes() > 0, "a v2 index");
             let s0 = idx.summary_file_offset() as usize;
-            let summaries = decode_summary(
-                &raw[s0..s0 + idx.summary_bytes as usize],
-                idx.chunks.len(),
+            let summaries = SummaryView::parse(
+                &raw[s0..s0 + idx.summary_bytes() as usize],
+                idx.num_chunks(),
             ).unwrap();
-            for (r, e) in idx.chunks.iter().enumerate() {
-                if e.count == 0 {
-                    prop_assert_eq!(summaries[r], ChunkSummary::EMPTY);
+            for r in 0..idx.num_chunks() {
+                let summary = summaries.get(r);
+                if idx.count(r) == 0 {
+                    prop_assert_eq!(summary, ChunkSummary::EMPTY);
                     continue;
                 }
                 let off = idx.bitmap_file_offset(r) as usize;
                 let (bm, _) =
-                    WahBitmap::from_bytes(&raw[off..off + e.bitmap_len as usize]).unwrap();
+                    WahBitmap::from_bytes(&raw[off..off + idx.bitmap_len(r) as usize]).unwrap();
                 let pos = bm.to_positions();
-                prop_assert_eq!(u64::from(summaries[r].min_pos), pos[0]);
-                prop_assert_eq!(u64::from(summaries[r].max_pos), *pos.last().unwrap());
-                prop_assert_eq!(summaries[r].all_of_chunk, pos.len() as u64 == bm.len());
+                prop_assert_eq!(u64::from(summary.min_pos), pos[0]);
+                prop_assert_eq!(u64::from(summary.max_pos), *pos.last().unwrap());
+                prop_assert_eq!(summary.all_of_chunk, pos.len() as u64 == bm.len());
             }
         }
     }

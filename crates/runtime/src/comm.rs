@@ -66,67 +66,6 @@ impl Comm {
         self.barrier();
         result
     }
-
-    /// Gather one value from every rank at *every* rank.
-    pub fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        *self.shared.slots[self.rank].lock().unwrap() = Some(Box::new(value));
-        self.barrier();
-        let result: Vec<T> = self
-            .shared
-            .slots
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap()
-                    .as_ref()
-                    .expect("rank missing from all_gather")
-                    .downcast_ref::<T>()
-                    .expect("all_gather type mismatch")
-                    .clone()
-            })
-            .collect();
-        self.barrier();
-        // Clear own slot after everyone has read.
-        self.shared.slots[self.rank].lock().unwrap().take();
-        self.barrier();
-        result
-    }
-
-    /// Broadcast the root's value to all ranks. Non-root ranks pass
-    /// `None`; every rank returns the root's value.
-    pub fn broadcast<T: Clone + Send + 'static>(&self, value: Option<T>) -> T {
-        if self.is_root() {
-            let v = value.expect("root must supply a value to broadcast");
-            *self.shared.slots[0].lock().unwrap() = Some(Box::new(v));
-        }
-        self.barrier();
-        let result = self.shared.slots[0]
-            .lock()
-            .unwrap()
-            .as_ref()
-            .expect("broadcast slot empty")
-            .downcast_ref::<T>()
-            .expect("broadcast type mismatch")
-            .clone();
-        self.barrier();
-        if self.is_root() {
-            self.shared.slots[0].lock().unwrap().take();
-        }
-        self.barrier();
-        result
-    }
-
-    /// Reduce values from all ranks with `f` (must be associative and
-    /// commutative); every rank receives the result.
-    pub fn all_reduce<T, F>(&self, value: T, f: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let mut all = self.all_gather(value).into_iter();
-        let first = all.next().expect("all_reduce with zero ranks");
-        all.fold(first, f)
-    }
 }
 
 /// Run `f` on `nranks` ranks (one thread each) and return the per-rank
@@ -187,54 +126,24 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_everywhere() {
-        let results = spmd(5, |c| c.all_gather(format!("r{}", c.rank())));
-        for r in results {
-            assert_eq!(r, vec!["r0", "r1", "r2", "r3", "r4"]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let results = spmd(7, |c| {
-            let v = if c.is_root() {
-                Some(vec![1u8, 2, 3])
-            } else {
-                None
-            };
-            c.broadcast(v)
-        });
-        for r in results {
-            assert_eq!(r, vec![1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn all_reduce_sums() {
-        let results = spmd(9, |c| c.all_reduce(c.rank() as u64 + 1, |a, b| a + b));
-        for r in results {
-            assert_eq!(r, 45);
-        }
-    }
-
-    #[test]
     fn repeated_collectives_do_not_deadlock() {
         let results = spmd(4, |c| {
             let mut acc = 0usize;
             for round in 0..50 {
-                acc += c.all_reduce(c.rank() + round, |a, b| a + b);
+                acc += c.gather(c.rank() + round).map_or(0, |all| all.iter().sum());
                 c.barrier();
             }
             acc
         });
-        assert!(results.iter().all(|&r| r == results[0]));
+        // Rank 0 summed 50 rounds of 0+1+2+3 + 4 × round.
+        assert_eq!(results, vec![50 * 6 + 4 * (0..50).sum::<usize>(), 0, 0, 0]);
     }
 
     #[test]
     fn single_rank_works() {
         let results = spmd(1, |c| {
             assert_eq!(c.size(), 1);
-            c.all_gather(42).into_iter().sum::<i32>()
+            c.gather(42).unwrap().into_iter().sum::<i32>()
         });
         assert_eq!(results, vec![42]);
     }
@@ -242,15 +151,18 @@ mod tests {
     #[test]
     fn mixed_collectives_in_sequence() {
         let results = spmd(3, |c| {
-            let sum = c.all_reduce(1usize, |a, b| a + b);
-            let all = c.all_gather(c.rank());
-
-            c.broadcast(if c.is_root() {
-                Some(sum + all.len())
-            } else {
-                None
-            })
+            let names = c.gather(format!("r{}", c.rank()));
+            c.barrier();
+            let ids = c.gather(c.rank() as u64);
+            (names, ids)
         });
-        assert_eq!(results, vec![6, 6, 6]);
+        assert_eq!(
+            results[0],
+            (
+                Some(vec!["r0".to_string(), "r1".to_string(), "r2".to_string()]),
+                Some(vec![0, 1, 2])
+            )
+        );
+        assert!(results[1..].iter().all(|r| *r == (None, None)));
     }
 }

@@ -4,8 +4,8 @@
 //! each process fetches and processes a subset of blocks, then the root
 //! gathers results. Thin MPI bindings are unavailable here, so this
 //! crate substitutes a rank-per-thread runtime with the same collective
-//! surface: [`spmd`] launches `n` ranks, each receiving a [`Comm`] with
-//! `barrier`, `broadcast`, `gather`, `all_gather`, and `all_reduce`.
+//! surface the executor needs: [`spmd`] launches `n` ranks, each
+//! receiving a [`Comm`] with `barrier` and a root `gather`.
 //!
 //! [`assign`] implements the paper's *column-order* block assignment:
 //! equal block counts per rank, with blocks of the same bin packed onto
@@ -21,9 +21,10 @@
 //! ```
 //! use mloc_runtime::{column_order, spmd};
 //!
-//! // Four ranks sum their ids with an MPI-style all-reduce.
-//! let sums = spmd(4, |comm| comm.all_reduce(comm.rank(), |a, b| a + b));
-//! assert_eq!(sums, vec![6, 6, 6, 6]);
+//! // Four ranks gather their ids at the root, MPI-style.
+//! let out = spmd(4, |comm| comm.gather(comm.rank()));
+//! assert_eq!(out[0], Some(vec![0, 1, 2, 3]));
+//! assert!(out[1..].iter().all(Option::is_none));
 //!
 //! // Column-order assignment keeps each rank inside few bins.
 //! let bins = vec![0, 0, 1, 1, 2, 2];

@@ -250,12 +250,16 @@ fn a_table_longer_than_the_hint_is_topped_up_and_counted() {
     let extents: Vec<u32> = (0..footer.num_extents())
         .map(|i| footer.extent(i).1)
         .collect();
-    let index = mloc::index::BinIndex::decode_header(&payload).unwrap();
-    let last = (0..index.chunks.len())
-        .max_by_key(|&r| index.chunks[r].bitmap_off + u64::from(index.chunks[r].bitmap_len))
+    let index = mloc::index::HeaderView::parse(&payload[..]).unwrap();
+    let last = (0..index.num_chunks())
+        .max_by_key(|&r| index.bitmap_file_offset(r) + u64::from(index.bitmap_len(r)))
         .unwrap();
-    let at = 14 + last * (16 + 12 * index.num_parts) + 12;
-    let longer = index.chunks[last].bitmap_len + 8;
+    let num_parts = MlocStore::open(&be, "fz", "v")
+        .unwrap()
+        .config()
+        .num_parts();
+    let at = 14 + last * (16 + 12 * num_parts) + 12;
+    let longer = index.bitmap_len(last) + 8;
     payload[at..at + 4].copy_from_slice(&longer.to_le_bytes());
     let mut crafted = payload.clone();
     crafted.extend(mloc::ExtentFooter::compute(&payload, &extents).encode());

@@ -307,9 +307,9 @@ fn flipped_summary_extent_is_detected_and_pinpointed_in(fresh: Fresh) {
     build_into(&clean);
     let file = "fm/v/bin0002.idx".to_string();
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
-    let idx = mloc::index::BinIndex::decode_header(&raw).unwrap();
-    assert!(idx.summary_bytes > 0, "build should produce v2 indexes");
-    let offset = idx.summary_file_offset() + idx.summary_bytes / 2;
+    let idx = mloc::index::HeaderView::parse(&raw[..]).unwrap();
+    assert!(idx.summary_bytes() > 0, "build should produce v2 indexes");
+    let offset = idx.summary_file_offset() + idx.summary_bytes() / 2;
 
     let mut plan = FaultPlan::none();
     plan.flips.push(mloc_pfs::BitFlip {
@@ -624,15 +624,16 @@ fn anatomy(be: &dyn StorageBackend) -> Anatomy {
     let (idx, dat) = (store.index_file(SHARED_BIN), store.data_file(SHARED_BIN));
     let (idx_len, dat_len) = (be.len(&idx).unwrap(), be.len(&dat).unwrap());
     let raw = be.read(&idx, 0, idx_len).unwrap();
-    let index = mloc::index::BinIndex::decode_header(&raw).unwrap();
-    let entry = 16 + 12 * index.num_parts as u64;
-    let last_bitmap = (0..index.chunks.len())
-        .max_by_key(|&r| index.chunks[r].bitmap_off + u64::from(index.chunks[r].bitmap_len))
+    let index = mloc::index::HeaderView::parse(&raw[..]).unwrap();
+    let num_parts = store.config().num_parts();
+    let entry = 16 + 12 * num_parts as u64;
+    let last_bitmap = (0..index.num_chunks())
+        .max_by_key(|&r| index.bitmap_file_offset(r) + u64::from(index.bitmap_len(r)))
         .unwrap();
-    let (last_unit, last_part) = (0..index.chunks.len())
-        .flat_map(|r| (0..index.num_parts).map(move |p| (r, p)))
+    let (last_unit, last_part) = (0..index.num_chunks())
+        .flat_map(|r| (0..num_parts).map(move |p| (r, p)))
         .max_by_key(|&(r, p)| {
-            let loc = index.chunks[r].units[p];
+            let loc = index.unit(r, p);
             loc.offset + u64::from(loc.clen)
         })
         .unwrap();
@@ -643,7 +644,7 @@ fn anatomy(be: &dyn StorageBackend) -> Anatomy {
             .len() as u64
     };
     Anatomy {
-        hdr_len: index.header_bytes,
+        hdr_len: mloc::index::header_size(index.num_chunks(), num_parts),
         last_bitmap_len_at: 14 + last_bitmap as u64 * entry + 12,
         last_clen_at: 14 + last_unit as u64 * entry + 16 + last_part as u64 * 12 + 8,
         idx_payload: payload(&idx, idx_len),

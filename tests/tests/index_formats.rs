@@ -1,35 +1,127 @@
-//! Differential tests for the two index formats: a v1 dataset
-//! (produced by downgrading a v2 build in place) must answer every
-//! query byte-identically to the v2 dataset it came from, in every
-//! execution mode — serial, threaded, cached cold/warm, and fused.
+//! Differential tests for the two index formats. Nothing writes v1
+//! any more: `tests/golden/v1_dataset` is a v1 dataset written once, by
+//! the v1 writer this tree no longer has, and it must answer every
+//! query byte-identically to a fresh v2 build of the same field, in
+//! every execution mode — serial, threaded, cached cold/warm, and fused
+//! — both read-only off its directory and from an in-memory copy.
 //! Membership queries are part of the workload, and are additionally
 //! checked against the general reconstruction path and the naive scan.
 //! A second, banded field pins how often the v2 summary level and the
 //! rank/select directories actually fire inside a query, and what the
 //! directories cost in the built files.
 
+use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
-use mloc::index::{downgrade_variable_to_v1, BinIndex};
+use mloc::index::HeaderView;
 use mloc::prelude::*;
 use mloc_bitmap::WahRef;
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
-use mloc_pfs::{CostModel, MemBackend, StorageBackend};
+use mloc_pfs::{CostModel, DirBackend, MemBackend, StorageBackend};
 use std::sync::Arc;
 
-const SHAPE: [usize; 2] = [96, 96];
+const SHAPE: [usize; 2] = [64, 64];
 const DS: &str = "fmt";
 const VAR: &str = "v";
+const V1_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/v1_dataset");
 
-fn build(be: &MemBackend) -> Vec<f64> {
+/// The fixture's field and configuration: `gts_like_2d(64, 64, 41)`,
+/// 16² chunks, 8 bins, deflate with PLoD byte columns.
+fn build_v2(be: &MemBackend) -> Vec<f64> {
     let field = gts_like_2d(SHAPE[0], SHAPE[1], 41);
     let config = MlocConfig::builder(SHAPE.to_vec())
-        .chunk_shape(vec![24, 24])
-        .num_bins(10)
+        .chunk_shape(vec![16, 16])
+        .num_bins(8)
         .codec(CodecKind::Deflate)
+        .plod(true)
         .build();
-    build_variable(be, DS, VAR, field.values(), &config).unwrap();
+    let ds = Dataset::create(be, DS, config).unwrap();
+    ds.add_variable(VAR, field.values()).unwrap();
     field.into_values()
+}
+
+/// A fresh v2 build of the fixture's field.
+fn v2() -> (MemBackend, Vec<f64>) {
+    let be = MemBackend::new();
+    let values = build_v2(&be);
+    (be, values)
+}
+
+/// The v1 fixture, read-only off its directory: an uncached
+/// `DirBackend` opens every file for reading only, per call.
+fn v1_dir() -> DirBackend {
+    DirBackend::uncached(V1_DIR).unwrap()
+}
+
+/// The v1 fixture, copied into memory.
+fn v1_mem() -> MemBackend {
+    let dir = v1_dir();
+    let mem = MemBackend::new();
+    for f in dir.list() {
+        mem.create(&f).unwrap();
+        mem.append(&f, &dir.read(&f, 0, dir.len(&f).unwrap()).unwrap())
+            .unwrap();
+    }
+    mem
+}
+
+/// The v2 build first, then both v1 sources.
+fn formats<'a>(
+    v2: &'a MemBackend,
+    dir: &'a DirBackend,
+    mem: &'a MemBackend,
+) -> [(&'static str, &'a dyn StorageBackend); 3] {
+    [("v2", v2), ("v1 dir", dir), ("v1 mem", mem)]
+}
+
+fn whole(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
+    be.read(f, 0, be.len(f).unwrap()).unwrap()
+}
+
+/// The fixture's bytes are pinned like `built_files.txt`: file count,
+/// then length and `crc32` per file (78,374 bytes in 18 files). And it is
+/// exactly what the deleted v1 writer made of a v2 build: every file but
+/// the bin indexes is byte-identical to a fresh build, and the indexes
+/// differ by format alone. It was written once, at the commit before
+/// that writer was deleted (`eb3f7cf`), by
+///
+/// ```text
+/// let be = DirBackend::new(out).unwrap();
+/// let ds = Dataset::create(&be, "fmt", config).unwrap(); // as in build_v2
+/// ds.add_variable("v", gts_like_2d(64, 64, 41).values()).unwrap();
+/// assert_eq!(downgrade_variable_to_v1(&be, "fmt", "v").unwrap(), 8);
+/// ```
+///
+/// run as a one-off integration test (`MLOC_V1_OUT=<out> cargo test -p
+/// mloc-integration --test write_v1_fixture`). A format change adds a
+/// new fixture; it never rewrites this one.
+#[test]
+fn v1_fixture_is_pinned_and_differs_from_v2_only_in_its_indexes() {
+    let mut names: Vec<String> = std::fs::read_dir(V1_DIR)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut got = format!("v1_dataset {} files\n", names.len());
+    for name in &names {
+        let bytes = std::fs::read(std::path::Path::new(V1_DIR).join(name)).unwrap();
+        let crc = mloc::integrity::crc32(&bytes);
+        got.push_str(&format!("v1_dataset {name} {} {crc:08x}\n", bytes.len()));
+    }
+    assert_eq!(got, include_str!("../golden/v1_dataset.txt"));
+
+    let (v2, _) = v2();
+    let v1 = v1_dir();
+    assert_eq!(v1.list(), v2.list());
+    for f in v2.list() {
+        let (old, new) = (whole(&v1, &f), whole(&v2, &f));
+        if f.ends_with(".idx") {
+            let summary = |raw: &[u8]| HeaderView::parse(raw).unwrap().summary_bytes();
+            assert_eq!((summary(&old), summary(&new) > 0), (0, true), "{f}");
+        } else {
+            assert_eq!(old, new, "{f}");
+        }
+    }
 }
 
 const BANDED_SIDE: usize = 256;
@@ -110,82 +202,61 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
-/// Two backends with the same logical data: a v2 build and its
-/// in-place v1 downgrade. The build is deterministic, so any observable
-/// difference between the two is the index format's doing.
-fn v2_and_v1() -> (MemBackend, MemBackend, Vec<f64>) {
-    v2_and_v1_of(build, 10)
-}
-
-fn v2_and_v1_of(
-    build: fn(&MemBackend) -> Vec<f64>,
-    bins: usize,
-) -> (MemBackend, MemBackend, Vec<f64>) {
-    let v2 = MemBackend::new();
-    let values = build(&v2);
-    let v1 = MemBackend::new();
-    build(&v1);
-    let rewritten = downgrade_variable_to_v1(&v1, DS, VAR).unwrap();
-    assert_eq!(rewritten, bins);
-    // Sanity: the two formats really differ on disk (version byte).
-    let name = format!("{DS}/{VAR}/bin0000.idx");
-    assert_eq!(v1.read(&name, 0, 5).unwrap()[4], 1);
-    assert_eq!(v2.read(&name, 0, 5).unwrap()[4], 2);
-    (v2, v1, values)
-}
-
 #[test]
 fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
-    let (v2, v1, values) = v2_and_v1();
+    let (v2, values) = v2();
     let queries = workload(&values);
-
     let plain2 = MlocStore::open(&v2, DS, VAR).unwrap();
-    let plain1 = MlocStore::open(&v1, DS, VAR).unwrap();
-    let cached2 = MlocStore::open(&v2, DS, VAR)
-        .unwrap()
-        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
-    let cached1 = MlocStore::open(&v1, DS, VAR)
-        .unwrap()
-        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
-    let fuser2 = Arc::new(ExtentFuser::with_window_mb(4));
-    let fuser1 = Arc::new(ExtentFuser::with_window_mb(4));
-    let fused2 = MlocStore::open(&v2, DS, VAR)
-        .unwrap()
-        .with_fusion(Arc::clone(&fuser2));
-    let fused1 = MlocStore::open(&v1, DS, VAR)
-        .unwrap()
-        .with_fusion(Arc::clone(&fuser1));
     let threaded = ParallelExecutor::new(4, CostModel::default()).threaded(true);
 
-    for (i, q) in queries.iter().enumerate() {
-        let reference = plain2.query_serial(q).unwrap();
-        let r1 = plain1.query_serial(q).unwrap();
-        bitwise_eq(&r1, &reference, &format!("query {i}: serial v1 vs v2"));
+    for v1 in [&v1_dir() as &dyn StorageBackend, &v1_mem()] {
+        let plain1 = MlocStore::open(v1, DS, VAR).unwrap();
+        let cached2 = MlocStore::open(&v2, DS, VAR)
+            .unwrap()
+            .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+        let cached1 = MlocStore::open(v1, DS, VAR)
+            .unwrap()
+            .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+        let fuser2 = Arc::new(ExtentFuser::with_window_mb(4));
+        let fuser1 = Arc::new(ExtentFuser::with_window_mb(4));
+        let fused2 = MlocStore::open(&v2, DS, VAR)
+            .unwrap()
+            .with_fusion(Arc::clone(&fuser2));
+        let fused1 = MlocStore::open(v1, DS, VAR)
+            .unwrap()
+            .with_fusion(Arc::clone(&fuser1));
 
-        let (t2, _) = threaded.execute(&plain2, q).unwrap();
-        let (t1, _) = threaded.execute(&plain1, q).unwrap();
-        bitwise_eq(&t2, &reference, &format!("query {i}: threaded v2"));
-        bitwise_eq(&t1, &reference, &format!("query {i}: threaded v1"));
+        for (i, q) in queries.iter().enumerate() {
+            let reference = plain2.query_serial(q).unwrap();
+            let r1 = plain1.query_serial(q).unwrap();
+            bitwise_eq(&r1, &reference, &format!("query {i}: serial v1 vs v2"));
 
-        for (tag, store) in [("v2", &cached2), ("v1", &cached1)] {
-            let (cold, _) = store.query_with_metrics(q).unwrap();
-            bitwise_eq(&cold, &reference, &format!("query {i}: cached cold {tag}"));
-            let (warm, m) = store.query_with_metrics(q).unwrap();
-            bitwise_eq(&warm, &reference, &format!("query {i}: cached warm {tag}"));
-            assert!(m.cache_hits > 0, "query {i}: warm {tag} pass had no hits");
-        }
+            let (t2, _) = threaded.execute(&plain2, q).unwrap();
+            let (t1, _) = threaded.execute(&plain1, q).unwrap();
+            bitwise_eq(&t2, &reference, &format!("query {i}: threaded v2"));
+            bitwise_eq(&t1, &reference, &format!("query {i}: threaded v1"));
 
-        for (tag, store, fuser) in [("v2", &fused2, &fuser2), ("v1", &fused1, &fuser1)] {
-            fuser.begin_window();
-            let r = store.query_serial(q).unwrap();
-            bitwise_eq(&r, &reference, &format!("query {i}: fused {tag}"));
+            for (tag, store) in [("v2", &cached2), ("v1", &cached1)] {
+                let (cold, _) = store.query_with_metrics(q).unwrap();
+                bitwise_eq(&cold, &reference, &format!("query {i}: cached cold {tag}"));
+                let (warm, m) = store.query_with_metrics(q).unwrap();
+                bitwise_eq(&warm, &reference, &format!("query {i}: cached warm {tag}"));
+                assert!(m.cache_hits > 0, "query {i}: warm {tag} pass had no hits");
+            }
+
+            for (tag, store, fuser) in [("v2", &fused2, &fuser2), ("v1", &fused1, &fuser1)] {
+                fuser.begin_window();
+                let r = store.query_serial(q).unwrap();
+                bitwise_eq(&r, &reference, &format!("query {i}: fused {tag}"));
+            }
         }
     }
 }
 
 #[test]
 fn membership_matches_scan_and_general_path_on_both_formats() {
-    let (v2, v1, values) = v2_and_v1();
+    let (v2, values) = v2();
+    let (dir, mem) = (v1_dir(), v1_mem());
     let n = values.len() as u64;
     let points: Vec<u64> = (0..n).step_by(11).collect();
     let mut gen = QueryGen::new(values.clone(), SHAPE.to_vec(), 23);
@@ -201,7 +272,7 @@ fn membership_matches_scan_and_general_path_on_both_formats() {
         .collect();
     let q = Query::membership_where(lo, hi, points.clone()).with_values();
 
-    for (tag, be) in [("v2", &v2), ("v1", &v1)] {
+    for (tag, be) in formats(&v2, &dir, &mem) {
         let store = MlocStore::open(be, DS, VAR).unwrap();
         let fast = store.query_serial(&q).unwrap();
         assert_eq!(fast.positions(), &want[..], "{tag}: naive mismatch");
@@ -221,29 +292,40 @@ fn membership_matches_scan_and_general_path_on_both_formats() {
 
 #[test]
 fn plain_membership_is_answered_from_the_index_alone() {
-    let (v2, v1, values) = v2_and_v1();
+    let (v2, values) = v2();
+    let (dir, mem) = (v1_dir(), v1_mem());
     let points: Vec<u64> = (0..values.len() as u64).step_by(13).collect();
     let membership = Query::membership(points.clone());
-    for (tag, be) in [("v2", &v2), ("v1", &v1)] {
+    for (tag, be) in formats(&v2, &dir, &mem) {
         let store = MlocStore::open(be, DS, VAR).unwrap();
         let (res, m) = store.query_with_metrics(&membership).unwrap();
         assert_eq!(res.positions(), &points[..], "{tag}: membership positions");
         assert_eq!(m.data_bytes, 0, "{tag}: membership touched data");
         assert!(m.index_bytes > 0, "{tag}: no index reads recorded");
-    }
 
-    // So is a region query whose bounds are bin edges.
-    let (v2, v1, values) = v2_and_v1_of(build_banded, BANDED_BINS);
-    for (tag, be) in [("v2", &v2), ("v1", &v1)] {
-        let store = MlocStore::open(be, DS, VAR).unwrap();
-        let q = band_region(&store);
+        // So is a region query whose bounds are bin edges.
+        let bounds = store.bins().bounds();
+        let q = Query::region(bounds[2], bounds[5]);
         let (res, m) = store.query_with_metrics(&q).unwrap();
-        let (lo, hi) = q.vc.unwrap();
-        let want = values.iter().filter(|&&v| v >= lo && v < hi).count();
-        assert_eq!(res.positions().len(), want, "{tag}: band positions");
+        let want = values
+            .iter()
+            .filter(|&&v| v >= bounds[2] && v < bounds[5])
+            .count();
+        assert_eq!(res.positions().len(), want, "{tag}: aligned positions");
         assert_eq!(m.data_bytes, 0, "{tag}: aligned region touched data");
         assert!(m.index_bytes > 0, "{tag}: no index reads recorded");
     }
+
+    // On the banded field every chunk the band region touches is full.
+    let banded = MemBackend::new();
+    let values = build_banded(&banded);
+    let store = MlocStore::open(&banded, DS, VAR).unwrap();
+    let q = band_region(&store);
+    let (res, m) = store.query_with_metrics(&q).unwrap();
+    let (lo, hi) = q.vc.unwrap();
+    let want = values.iter().filter(|&&v| v >= lo && v < hi).count();
+    assert_eq!(res.positions().len(), want, "band positions");
+    assert_eq!(m.data_bytes, 0, "aligned band region touched data");
 }
 
 /// The only gates on the summary level and the rank directories
@@ -252,33 +334,55 @@ fn plain_membership_is_answered_from_the_index_alone() {
 /// one of those changed (re-derive and say why), never noise.
 #[test]
 fn summaries_skip_and_directories_probe_inside_queries() {
-    let (v2, v1, values) = v2_and_v1_of(build_banded, BANDED_BINS);
-    let store2 = MlocStore::open(&v2, DS, VAR).unwrap();
-    let store1 = MlocStore::open(&v1, DS, VAR).unwrap();
+    let banded = MemBackend::new();
+    let values = build_banded(&banded);
+    let store = MlocStore::open(&banded, DS, VAR).unwrap();
     let n = values.len() as u64;
+    let exec = ParallelExecutor::new(1, CostModel::default()).profiled(true);
+    let profile_of = |store: &MlocStore<'_>, pass: &[Query]| {
+        let runs = pass.iter().map(|q| exec.run(store, ExecRequest::new(q)));
+        mloc::obs::Profile::merge(runs.map(|out| out.unwrap().profile))
+    };
     // The band region, a partial noisy region, a data-touching scan,
     // and the two membership flavors.
     let pass = [
-        band_region(&store2),
+        band_region(&store),
         Query::region(0.1, 0.35),
         Query::values_where(0.2, 0.6),
         Query::membership((0..n).step_by(13).collect()),
         Query::membership_where(0.25, 0.75, (0..n).step_by(7).collect()).with_values(),
     ];
-    let exec = ParallelExecutor::new(1, CostModel::default()).profiled(true);
-    let profile_of = |store: &MlocStore<'_>| {
-        let runs = pass.iter().map(|q| exec.run(store, ExecRequest::new(q)));
-        mloc::obs::Profile::merge(runs.map(|out| out.unwrap().profile))
-    };
-    let (p2, p1) = (profile_of(&store2), profile_of(&store1));
-    assert_eq!(p2.counter_total("index.summary_skips"), 20);
-    assert_eq!(p2.counter_total("index.summary_hits"), 51);
-    assert_eq!(p2.counter_total("index.rank_calls"), 10_965);
-    assert_eq!(
-        p1.counter_total("index.summary_skips"),
-        0,
-        "v1 stores no summaries"
-    );
+    let p = profile_of(&store, &pass);
+    assert_eq!(p.counter_total("index.summary_skips"), 20);
+    assert_eq!(p.counter_total("index.summary_hits"), 51);
+    assert_eq!(p.counter_total("index.rank_calls"), 10_965);
+
+    // The same kinds of pass over the fixture's field: its v2 build
+    // consults summaries (no chunk of this field is full, so none is
+    // skipped), the v1 fixture has none to consult.
+    let (v2, values) = v2();
+    let (dir, mem) = (v1_dir(), v1_mem());
+    let n = values.len() as u64;
+    for (tag, be) in formats(&v2, &dir, &mem) {
+        let store = MlocStore::open(be, DS, VAR).unwrap();
+        let bounds = store.bins().bounds();
+        let pass = [
+            Query::region(bounds[2], bounds[5]),
+            Query::values_where(bounds[1], bounds[3]),
+            Query::membership((0..n).step_by(13).collect()),
+            Query::membership_where(bounds[3], bounds[6], (0..n).step_by(7).collect()),
+        ];
+        let p = profile_of(&store, &pass);
+        let summaries = (
+            p.counter_total("index.summary_hits"),
+            p.counter_total("index.summary_skips"),
+        );
+        if tag == "v2" {
+            assert!(summaries.0 > 0, "{tag}: no summary consulted");
+        } else {
+            assert_eq!(summaries, (0, 0), "{tag}: v1 stores no summaries");
+        }
+    }
 
     // What the directories cost in the built v2 files, against the WAH
     // bytes they accelerate (the bitmap-level bound is wah.rs's
@@ -286,12 +390,11 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     let (mut wah, mut dir) = (0usize, 0usize);
     let mut scratch: Vec<u32> = Vec::new();
     for bin in 0..BANDED_BINS {
-        let name = mloc::fileorg::index_file(DS, VAR, bin);
-        let raw = v2.read(&name, 0, v2.len(&name).unwrap()).unwrap();
-        let idx = BinIndex::decode_header(&raw).unwrap();
-        for (rank, entry) in idx.chunks.iter().enumerate() {
+        let raw = whole(&banded, &mloc::fileorg::index_file(DS, VAR, bin));
+        let idx = HeaderView::parse(&raw[..]).unwrap();
+        for rank in 0..idx.num_chunks() {
             let start = idx.bitmap_file_offset(rank) as usize;
-            let extent = &raw[start..start + entry.bitmap_len as usize];
+            let extent = &raw[start..start + idx.bitmap_len(rank) as usize];
             if !extent.is_empty() {
                 let (_, used) = WahRef::decode_into(extent, &mut scratch).unwrap();
                 wah += used;

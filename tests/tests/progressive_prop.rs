@@ -260,13 +260,11 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
 fn part_extent(be: &impl StorageBackend, bin: usize, part: usize) -> (String, u64, u32) {
     let idx_file = format!("{DS}/{VAR}/bin{bin:04}.idx");
     let raw = be.read(&idx_file, 0, be.len(&idx_file).unwrap()).unwrap();
-    let idx = mloc::index::BinIndex::decode_header(&raw).unwrap();
-    let chunk = idx
-        .chunks
-        .iter()
-        .find(|c| c.count > 0)
+    let idx = mloc::index::HeaderView::parse(&raw[..]).unwrap();
+    let rank = (0..idx.num_chunks())
+        .find(|&r| idx.count(r) > 0)
         .expect("bin has a populated chunk");
-    let loc = chunk.units[part];
+    let loc = idx.unit(rank, part);
     assert!(loc.clen > 0, "part unit is empty");
     (format!("{DS}/{VAR}/bin{bin:04}.dat"), loc.offset, loc.clen)
 }
