@@ -357,6 +357,103 @@ mod tests {
             .collect()
     }
 
+    /// The catalogs and metas a store can meet, as stored: a fresh
+    /// (v3) build's, then each fixture's. Built once per test binary.
+    fn catalogs_and_metas() -> &'static [(Vec<u8>, Vec<u8>)] {
+        static STORED: std::sync::OnceLock<Vec<(Vec<u8>, Vec<u8>)>> = std::sync::OnceLock::new();
+        STORED.get_or_init(|| {
+            let read = |be: &MemBackend, f: &str| be.read(f, 0, be.len(f).unwrap()).unwrap();
+            let stored = |be: &MemBackend, ds: &str, var: &str| {
+                let catalog = read(be, &fileorg::catalog_file(ds));
+                (catalog, read(be, &fileorg::meta_file(ds, var)))
+            };
+            let fresh = MemBackend::new();
+            let ds = Dataset::create(&fresh, "sim", config()).unwrap();
+            ds.add_variable("temp", &values(1)).unwrap();
+            let mut out = vec![stored(&fresh, "sim", "temp")];
+            for version in [1, 2] {
+                out.push(stored(&crate::fixtures::mem(version), "fmt", "v"));
+            }
+            out
+        })
+    }
+
+    /// Every truncation and every single-bit flip of each stored catalog
+    /// and meta decodes to `Ok` or `Err`, never a panic — among them
+    /// every flip of a length prefix's high bits, which the readers
+    /// bound by the bytes left before allocating. A meta is
+    /// checksummed, so each damaged copy is refused; its payload is
+    /// also parsed alone, so the damage reaches the parser behind the
+    /// checksum too.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_catalog_or_meta_never_panics() {
+        use crate::integrity::ExtentFooter;
+        use crate::store::VariableMeta;
+        let flipped = |raw: &[u8], bit: usize| {
+            let mut bad = raw.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            bad
+        };
+        for (catalog, meta) in catalogs_and_metas() {
+            let parsed = parse_catalog(catalog).unwrap();
+            assert!(parsed.clean_tail && !parsed.vars.is_empty());
+            for cut in 0..catalog.len() {
+                if let Ok(c) = parse_catalog(&catalog[..cut]) {
+                    assert!(c.header_len <= cut);
+                }
+            }
+            for bit in 0..catalog.len() * 8 {
+                if let Ok(c) = parse_catalog(&flipped(catalog, bit)) {
+                    assert!(c.header_len <= catalog.len());
+                }
+            }
+
+            let payload = ExtentFooter::split_verified(meta, "meta").unwrap();
+            VariableMeta::decode(payload).unwrap();
+            for cut in 0..meta.len() {
+                assert!(VariableMeta::from_file(&meta[..cut], "meta").is_err());
+            }
+            for cut in 0..payload.len() {
+                assert!(VariableMeta::decode(&payload[..cut]).is_err());
+            }
+            for bit in 0..meta.len() * 8 {
+                let bad = flipped(meta, bit);
+                let refused = VariableMeta::from_file(&bad, "meta").is_err();
+                assert!(refused, "flip of bit {bit}");
+                if bit / 8 < payload.len() {
+                    let _ = VariableMeta::decode(&bad[..payload.len()]);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, alone and written over a stored catalog and
+        /// meta payload: every decoder returns `Ok` or `Err`.
+        #[test]
+        fn arbitrary_catalogs_and_metas_never_panic(
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+            which in 0usize..3,
+            at in proptest::prelude::any::<usize>(),
+            over in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..16),
+        ) {
+            use crate::store::VariableMeta;
+            let _ = parse_catalog(&junk);
+            let _ = VariableMeta::from_file(&junk, "meta");
+            let _ = VariableMeta::decode(&junk);
+            let (catalog, meta) = &catalogs_and_metas()[which];
+            let payload = crate::integrity::ExtentFooter::split_verified(meta, "meta").unwrap();
+            for image in [&catalog[..], payload] {
+                let mut raw = image.to_vec();
+                let at = at % raw.len();
+                let end = (at + over.len()).min(raw.len());
+                raw[at..end].copy_from_slice(&over[..end - at]);
+                let _ = parse_catalog(&raw);
+                let _ = VariableMeta::decode(&raw);
+            }
+        }
+    }
+
     #[test]
     fn create_add_open_roundtrip() {
         let be = MemBackend::new();

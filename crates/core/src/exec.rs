@@ -390,11 +390,11 @@ impl ParallelExecutor {
         profile.add_counter("plan.aligned_bins", Label::None, plan.aligned_bins as u64);
         profile.add_counter("plan.chunks", Label::None, plan.chunks_touched as u64);
         // Fault and sharing counters appear only when they fired.
-        // (`fusion.bytes_saved` and `io.footer_topups` are counted by
-        // the ranks themselves, see `Fetcher::finish`.) `fusion.*`
-        // covers both kinds of shared read: wants fused with another
-        // session's, and a bin's fixed blocks taken from the peer rank
-        // that fetched them for this query.
+        // (`fusion.bytes_saved` is counted by the ranks themselves, see
+        // `Fetcher::finish`.) `fusion.*` covers both kinds of shared
+        // read: wants fused with another session's, and a bin's fixed
+        // blocks taken from the peer rank that fetched them for this
+        // query.
         for (name, value) in [
             ("pfs.retries", metrics.retries),
             ("io.retries_exhausted", metrics.retries_exhausted),

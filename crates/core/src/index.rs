@@ -333,32 +333,6 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
     pub fn units(&self, rank: usize) -> impl Iterator<Item = UnitLoc> + '_ {
         (0..self.num_parts).map(move |part| self.unit(rank, part))
     }
-
-    /// File offset at which a v1/v2 index file's last bitmap ends —
-    /// where its checksum footer starts, since the extents tile the
-    /// payload. One pass over the directory; offsets saturate like
-    /// [`Self::bitmap_file_offset`]. Meaningless for v3, whose tables
-    /// are at the front.
-    pub fn bitmaps_end(&self) -> u64 {
-        (0..self.num_chunks)
-            .map(|rank| {
-                self.bitmap_file_offset(rank)
-                    .saturating_add(u64::from(self.bitmap_len(rank)))
-            })
-            .max()
-            .unwrap_or(0)
-            .max(self.header_bytes() + self.summary_bytes())
-    }
-
-    /// Offset at which a v1/v2 data file's last compressed unit ends —
-    /// where its checksum footer starts. One pass over the directory.
-    pub fn units_end(&self) -> u64 {
-        (0..self.num_chunks)
-            .flat_map(|rank| self.units(rank))
-            .map(|loc| loc.offset.saturating_add(u64::from(loc.clen)))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

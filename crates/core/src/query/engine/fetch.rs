@@ -3,8 +3,8 @@
 //! the same extent are traced, verified and counted in one place.
 //! Four operations: a v3 bin file's checksum tables
 //! ([`Fetcher::tables`], one read of the ones the cache misses, right
-//! after the summary), a v1/v2 file's tail footer ([`Fetcher::footer`],
-//! one read of exactly the file's tail), one keyed extent
+//! after the summary), a v1/v2 file's tail footer ([`Fetcher::footer`]:
+//! its trailer, then the table the trailer locates), one keyed extent
 //! ([`Fetcher::hold`] then [`Fetcher::admit`]: the index header and
 //! summary are read *before* the table that vouches for them, and
 //! reach the cache and the caller only through `admit`), and a
@@ -43,10 +43,6 @@ pub struct FetchReport {
     /// Bytes of those fused wants — kept off the PFS and excluded from
     /// `index_bytes`/`data_bytes`, like cache-served bytes.
     pub fused_bytes: u64,
-    /// Hinted v1/v2 footer fetches whose hint was wrong: the tail read
-    /// started past the footer and a second read fetched the missing
-    /// front (0 on well-formed files).
-    pub footer_topups: u64,
     /// Transient-read retries performed.
     pub retries: u64,
     /// Simulated backoff seconds accumulated by those retries.
@@ -251,13 +247,13 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     }
 
     /// Every access traced since the trace held `since` records, as
-    /// `(offset, len)`: what a rank that fetched a bin's fixed blocks
-    /// for its peers read (or found cached) to get them.
-    pub fn accesses_since(&self, since: usize) -> Arc<[(u64, u64)]> {
+    /// `(file, offset, len)`: what a rank that fetched a bin's fixed
+    /// blocks for its peers read (or found cached) to get them.
+    pub fn accesses_since(&self, since: usize) -> Arc<[(Arc<str>, u64, u64)]> {
         let trace = self.io.trace();
         trace[since.min(trace.len())..]
             .iter()
-            .map(|op| (op.offset, op.len))
+            .map(|op| (Arc::clone(&op.file), op.offset, op.len))
             .collect()
     }
 
@@ -345,24 +341,12 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 
     /// Fetch a v1/v2 file's per-extent checksum footer.
     ///
-    /// Cold: one untraced `len()` and one traced read from `hint()` —
-    /// the offset at which the caller expects the footer to start — to
-    /// the end of the file. The trailer at the end of that read states
-    /// the true geometry: a read that started early is sliced, one that
-    /// started late is topped up by a second read of the missing front,
-    /// and with no hint the first read is the trailer alone, so the
-    /// top-up is the table. A hint computed from the file's own
-    /// directory is exact: one record of [`ExtentFooter::encoded_len`]
-    /// bytes at `payload_len`, which is what the warm (cached) record
-    /// says too. A footer that cannot be loaded or fails its own CRC is
-    /// always a hard error: without it nothing in the file can be
-    /// trusted.
-    pub fn footer(
-        &mut self,
-        file: &Arc<str>,
-        key: BlockKey,
-        hint: impl FnOnce() -> Option<u64>,
-    ) -> Result<Arc<ExtentFooter>> {
+    /// Cold: one untraced `len()`, one read of the trailer at the end of
+    /// the file, and one of the table the trailer locates. Warm: one
+    /// cached record of the whole footer, table and trailer. A footer
+    /// that cannot be loaded or fails its own CRC is always a hard
+    /// error: without it nothing in the file can be trusted.
+    pub fn footer(&mut self, file: &Arc<str>, key: BlockKey) -> Result<Arc<ExtentFooter>> {
         if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
             self.hit(file, f.span().0, f.span().1);
             return Ok(f);
@@ -376,24 +360,16 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 "file shorter than footer trailer",
             ));
         }
-        // Wherever the hint points, the read holds the trailer.
-        let hint = hint();
-        let start = hint.map_or(flen - TRAILER_LEN, |h| h.min(flen - TRAILER_LEN));
-        let mut tail = self.io.read(Arc::clone(file), start, flen - start)?;
-        let trailer_at = (tail.len() as u64).saturating_sub(TRAILER_LEN) as usize;
-        let (payload_len, _) = ExtentFooter::decode_trailer(&tail[trailer_at..], flen, file)?;
-        if payload_len < start {
-            let mut region = self
-                .io
-                .read(Arc::clone(file), payload_len, start - payload_len)?;
-            region.append(&mut tail);
-            tail = region;
-            self.report.footer_topups += u64::from(hint.is_some());
-        }
-        // `tail` now starts at the footer or before it.
-        let skip = payload_len - start.min(payload_len);
-        let region = tail.get(skip as usize..).unwrap_or(&[]);
-        let footer = Arc::new(ExtentFooter::decode(region, flen, file)?);
+        let at = flen - TRAILER_LEN;
+        let trailer = self.io.read(Arc::clone(file), at, TRAILER_LEN)?;
+        // The trailer's geometry is checked against `flen`, so the
+        // table lies between `payload_len` and the trailer.
+        let (payload_len, _) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
+        let mut region = self
+            .io
+            .read(Arc::clone(file), payload_len, at - payload_len)?;
+        region.extend_from_slice(&trailer);
+        let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
         self.count_read(key.part, footer.span().1);
         self.publish(key, CachedBlock::Footer(Arc::clone(&footer)));
         Ok(footer)
@@ -465,9 +441,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         if r.fused_reads > 0 {
             obs.count("fusion.fused_reads", r.fused_reads);
             obs.count("fusion.bytes_saved", r.fused_bytes);
-        }
-        if r.footer_topups > 0 {
-            obs.count("io.footer_topups", r.footer_topups);
         }
         r.retries = self.io.retries();
         r.retry_wait_s = self.io.retry_wait_s();
@@ -788,109 +761,75 @@ mod tests {
         }
     }
 
-    /// The footer fetch as it was before hints — the trailer, then the
-    /// table it locates, then a copy of both into one region — kept as
-    /// the oracle every hinted fetch must agree with.
-    fn footer_trailer_then_table(be: &MemBackend, file: &str) -> Result<ExtentFooter> {
-        let flen = be.len(file)?;
-        if flen < TRAILER_LEN {
-            return Err(corrupt_extent(
-                file,
-                0,
-                flen,
-                "file shorter than footer trailer",
-            ));
-        }
-        let trailer = be.read(file, flen - TRAILER_LEN, TRAILER_LEN)?;
-        let (payload_len, table_len) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
-        let mut region = be.read(file, payload_len, table_len)?;
-        region.extend_from_slice(&trailer);
-        ExtentFooter::decode(&region, flen, file)
-    }
-
-    /// The v2 fixture plus damaged copies of one of its index files: a
-    /// flipped table byte, a flipped `payload_len`, a flipped magic, a
-    /// cut inside the table, and a stub shorter than a trailer. `(file,
-    /// what was done to it)`.
-    fn footer_fixtures(be: &MemBackend) -> Vec<(String, &'static str)> {
-        let store = MlocStore::open(be, "fmt", "v").unwrap();
-        let mut files = vec![
-            (store.index_file(BIN), "intact index"),
-            (store.data_file(BIN), "intact data"),
-        ];
-        let raw = be
-            .read(&files[0].0, 0, be.len(&files[0].0).unwrap())
-            .unwrap();
-        let n = raw.len();
-        let mut damaged = |name: &str, what: &'static str, edit: &dyn Fn(&mut Vec<u8>)| {
-            let mut copy = raw.clone();
-            edit(&mut copy);
-            be.append(name, &copy).unwrap();
-            files.push((name.to_string(), what));
+    /// A cold v1/v2 footer fetch is the trailer, then the table it
+    /// locates, and nothing else; a warm one is one cached record of
+    /// both. Either way the footer's bytes count once, as the bytes of
+    /// its file's kind.
+    #[test]
+    fn a_cold_v2_footer_is_the_trailer_then_the_table() {
+        let be = crate::fixtures::mem(2);
+        let cache = Arc::new(BlockCache::with_budget_mb(8));
+        let store = MlocStore::open(&be, "fmt", "v").unwrap().with_cache(cache);
+        let ops = |r: &FetchReport| -> Vec<(u64, u64, bool)> {
+            r.trace
+                .iter()
+                .map(|op| (op.offset, op.len, op.cached))
+                .collect()
         };
-        damaged("table-flip", "flipped table byte", &|b| b[n - 40] ^= 0x04);
-        damaged("payload-len-flip", "flipped payload_len", &|b| {
-            b[n - 19] ^= 0x01
-        });
-        damaged("magic-flip", "flipped trailer magic", &|b| b[n - 1] ^= 0x80);
-        damaged("cut", "cut inside the table", &|b| b.truncate(n - 60));
-        damaged("stub", "shorter than a trailer", &|b| b.truncate(10));
-        files
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
-
-        /// Whatever the hint, the footer (or the error) is the one the
-        /// trailer-then-table sequence yields, in at most two reads.
-        #[test]
-        fn any_hint_yields_the_unhinted_footer_in_at_most_two_reads(
-            which in 0usize..7,
-            slack in 0u64..=64,
-            frac in 0.0f64..1.0,
-            exact in proptest::bool::ANY,
-        ) {
-            let be = crate::fixtures::mem(2);
-            let (file, what) = footer_fixtures(&be).swap_remove(which);
-            let store = MlocStore::open(&be, "fmt", "v").unwrap();
-            let flen = be.len(&file).unwrap();
-            let want = footer_trailer_then_table(&be, &file);
-            // An exact hint where there is a footer to be exact about,
-            // else anywhere in `0..=flen + 64`.
-            let hint = match &want {
-                Ok(footer) if exact => footer.span().0,
-                _ => ((flen + slack) as f64 * frac) as u64,
-            };
-            let file: Arc<str> = Arc::from(file);
-            let run = |hint: Option<u64>| {
+        for (which, name) in [(0, store.index_file(BIN)), (1, store.data_file(BIN))] {
+            let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
+            let payload = ExtentFooter::split_verified(&raw, &name).unwrap().len() as u64;
+            let (flen, trailer_at) = (raw.len() as u64, raw.len() as u64 - TRAILER_LEN);
+            let file: Arc<str> = Arc::from(name);
+            let run = || {
                 let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-                let key = f.key(BIN, 0, BlockPart::Footer(0));
-                let got = f.footer(&file, key, || hint);
-                (got, f.finish(&mut Collector::disabled()))
+                let key = f.key(BIN, 0, BlockPart::Footer(which));
+                let footer = f.footer(&file, key).unwrap();
+                (footer.span(), f.finish(&mut Collector::disabled()))
             };
-            let (got, report) = run(Some(hint));
-            let (unhinted, _) = run(None);
-            let show = |r: &Result<ExtentFooter>| format!("{r:?}");
-            let got = got.map(|f| (*f).clone());
-            proptest::prop_assert_eq!(show(&got), show(&want), "{} hint {}", what, hint);
-            proptest::prop_assert_eq!(show(&unhinted.map(|f| (*f).clone())), show(&want));
-            proptest::prop_assert!(report.trace.len() <= 2);
-            if let Ok(footer) = &got {
-                let (at, len) = footer.span();
-                let traced: u64 = report.trace.iter().map(|op| op.len).sum();
-                proptest::prop_assert_eq!(report.index_bytes, len);
-                proptest::prop_assert_eq!(
-                    traced == len,
-                    hint == at,
-                    "traced {} bytes for a {}-byte footer at {}, hint {}",
-                    traced, len, at, hint
-                );
-                // A hint at or before the footer is one read (sliced
-                // when early); one past it is topped up, and counted.
-                let late = hint > at;
-                proptest::prop_assert_eq!(report.trace.len(), 1 + usize::from(late));
-                proptest::prop_assert_eq!(report.footer_topups, u64::from(late));
-            }
+            let (span, cold) = run();
+            assert_eq!(span, (payload, flen - payload), "{file}");
+            assert_eq!(
+                ops(&cold),
+                [
+                    (trailer_at, TRAILER_LEN, false),
+                    (payload, trailer_at - payload, false)
+                ],
+                "{file}"
+            );
+            let counted = if which == 0 { (span.1, 0) } else { (0, span.1) };
+            assert_eq!((cold.index_bytes, cold.data_bytes), counted, "{file}");
+            let (_, warm) = run();
+            assert_eq!(ops(&warm), [(payload, span.1, true)], "{file}");
+        }
+
+        // Damaged copies of the index file fail with the error the
+        // whole-file check gives, in no more reads than an intact one
+        // (through a store without the cache the intact footer is in).
+        let store = MlocStore::open(&be, "fmt", "v").unwrap();
+        let name = store.index_file(BIN);
+        let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
+        let n = raw.len();
+        let flip = |at: usize, mask: u8| {
+            let mut copy = raw.clone();
+            copy[at] ^= mask;
+            copy
+        };
+        let damaged = [
+            ("table-flip", flip(n - 40, 0x04)),
+            ("payload-len-flip", flip(n - 19, 0x01)),
+            ("magic-flip", flip(n - 1, 0x80)),
+            ("cut", raw[..n - 60].to_vec()),
+            ("stub", raw[..10].to_vec()),
+        ];
+        for (name, copy) in damaged {
+            be.append(name, &copy).unwrap();
+            let want = ExtentFooter::split_verified(&copy, name).unwrap_err();
+            let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
+            let key = f.key(BIN, 0, BlockPart::Footer(0));
+            let got = f.footer(&Arc::from(name), key).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "{name}");
+            assert!(f.finish(&mut Collector::disabled()).trace.len() <= 2);
         }
     }
 

@@ -8,6 +8,8 @@
 //! discipline"): coalesced reads hand out [`ByteView`]s into shared
 //! extent buffers instead of per-want copies.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod decode;
 mod fetch;
 mod peers;
@@ -27,7 +29,7 @@ use crate::index::{header_size, HeaderView, SummaryView, UnitLoc};
 use crate::integrity::ExtentFooter;
 use crate::query::plan::WorkUnit;
 use crate::store::MlocStore;
-use crate::{MlocError, Result};
+use crate::Result;
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
 use peers::IndexFixed;
@@ -102,9 +104,9 @@ pub struct RankJob<'j, 'a> {
 /// One bin's blocks as the fetch and decode stages fill them in;
 /// the per-unit vectors are indexed like the rank's units of the bin.
 pub(crate) struct BinBlocks {
-    /// The name of the file holding the bin's index — for a v3 bin, all
-    /// of it.
-    pub file: Arc<str>,
+    /// The name of the file holding the bin's data (for a v3 bin, the
+    /// one file holding all of it).
+    pub data_file: Arc<str>,
     /// The index header + directory, read in place from the fetched
     /// (or cached) block: a rank pays for the chunks it touches, not
     /// for the chunks the bin stores.
@@ -117,8 +119,8 @@ pub(crate) struct BinBlocks {
     /// Per unit: the summary said "all of chunk", so the bitmap was
     /// never read and is synthesized as all ones.
     pub full: Vec<bool>,
-    /// The checksum table of the bin's data (iff any unit touched
-    /// data; a v3 bin's comes with its fixed blocks).
+    /// The checksum table of the bin's data, fetched with its fixed
+    /// blocks iff a unit of the bin (on any rank) reads data.
     pub dat_footer: Option<Arc<ExtentFooter>>,
     /// Unit-major `units × n_parts` slots: the decoded data blocks —
     /// PLoD byte groups, or the one whole-value block — of the units
@@ -214,11 +216,11 @@ fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOu
 impl Rank<'_, '_> {
     /// Fetch one bin's fixed blocks as the one rank that reads them
     /// does, the way the store's layout keeps them. `data` says, from
-    /// the header as read, whether a unit of the bin reads data.
+    /// the header as read, whether a unit of the bin reads data: then
+    /// the bin's data checksum table comes too.
     fn fetch_fixed(
         &mut self,
         bin: usize,
-        file: &Arc<str>,
         data: impl Fn(&HeaderView<ByteView>) -> bool,
     ) -> Result<IndexFixed> {
         let store = self.job.store;
@@ -226,9 +228,10 @@ impl Rank<'_, '_> {
         // the engine uses comes from the plan.
         let (num_chunks, num_parts) = (store.grid().num_chunks(), store.config().num_parts());
         let since = self.fetcher.traced();
+        let file = self.fetcher.index_file(bin);
         let hdr_len = header_size(num_chunks, num_parts);
         let hdr_key = self.fetcher.key(bin, 0, BlockPart::IndexHeader);
-        let hdr = self.fetcher.hold(file, hdr_key, (0, hdr_len))?;
+        let hdr = self.fetcher.hold(&file, hdr_key, (0, hdr_len))?;
         let parsed = HeaderView::parse(hdr.unverified().clone())
             .and_then(|view| view.with_geometry(num_chunks, num_parts));
         let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
@@ -237,15 +240,17 @@ impl Rank<'_, '_> {
             // are — the checksum tables, each read continuing the last.
             BinFiles::One => {
                 let span = (hdr_len, summary_extent_len(num_chunks));
-                let sum = self.fetcher.hold(file, sum_key, span)?;
+                let sum = self.fetcher.hold(&file, sum_key, span)?;
                 let tables =
-                    Tables::parse(sum.unverified(), hdr_len, (num_chunks, num_parts), file)?;
+                    Tables::parse(sum.unverified(), hdr_len, (num_chunks, num_parts), &file)?;
                 let data = parsed.as_ref().is_ok_and(data);
-                let (footer, data) = self.fetcher.tables(file, bin, &tables, data)?;
-                self.fetcher.admit(file, hdr, &footer)?;
+                let (footer, data) = self.fetcher.tables(&file, bin, &tables, data)?;
+                self.fetcher.admit(&file, hdr, &footer)?;
                 let index = parsed?;
-                let raw = self.fetcher.admit(file, sum, &footer)?;
+                let raw = self.fetcher.admit(&file, sum, &footer)?;
                 IndexFixed {
+                    file: Arc::clone(&file),
+                    data_file: Arc::clone(&file),
                     footer,
                     index,
                     summaries: Some(SummaryView::parse(raw, num_chunks)?),
@@ -256,35 +261,43 @@ impl Rank<'_, '_> {
             // v1/v2: the summary where the version has one (a
             // version-driven read — never cache- or plan-state-driven —
             // so cold and warm runs access identical extents), then the
-            // tail footer, in one exact read from where the header says
-            // the payload ends. An unverified header that does not even
-            // parse gives no hint; the footer then decides whether the
-            // file is damaged (the usual case) or merely not ours.
+            // index file's tail footer, which the header is admitted
+            // against: a header that does not even parse fails there,
+            // as damaged (the usual case) or merely not ours. Then, on
+            // the verified header, the data file's tail footer.
             BinFiles::Two => {
                 let sum = match &parsed {
                     Ok(index) if index.summary_bytes() > 0 => {
                         let span = (index.summary_file_offset(), index.summary_bytes());
-                        Some(self.fetcher.hold(file, sum_key, span)?)
+                        Some(self.fetcher.hold(&file, sum_key, span)?)
                     }
                     _ => None,
                 };
                 let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
-                let hint = || parsed.as_ref().ok().map(HeaderView::bitmaps_end);
-                let footer = self.fetcher.footer(file, footer_key, hint)?;
-                self.fetcher.admit(file, hdr, &footer)?;
+                let footer = self.fetcher.footer(&file, footer_key)?;
+                self.fetcher.admit(&file, hdr, &footer)?;
                 let index = parsed?;
                 let summaries = match sum {
                     Some(held) => {
-                        let raw = self.fetcher.admit(file, held, &footer)?;
+                        let raw = self.fetcher.admit(&file, held, &footer)?;
                         Some(SummaryView::parse(raw, num_chunks)?)
                     }
                     None => None,
                 };
+                let data_file = self.fetcher.data_file(bin);
+                let data = if data(&index) {
+                    let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
+                    Some(self.fetcher.footer(&data_file, key)?)
+                } else {
+                    None
+                };
                 IndexFixed {
+                    file: Arc::clone(&file),
+                    data_file,
                     footer,
                     index,
                     summaries,
-                    data: None,
+                    data,
                     accesses: Arc::from([]),
                 }
             }
@@ -300,75 +313,27 @@ impl Rank<'_, '_> {
     /// the request was dealt the bin too — taken from it. `group` is
     /// this rank's units of the bin (empty when fetching ahead, which
     /// only ranks with peers do).
-    fn index_fixed(
-        &mut self,
-        bin: usize,
-        file: &Arc<str>,
-        group: &[WorkUnit],
-    ) -> Result<IndexFixed> {
+    fn index_fixed(&mut self, bin: usize, group: &[WorkUnit]) -> Result<IndexFixed> {
         let Some((table, rank)) = self.job.peers else {
-            return self.fetch_fixed(bin, file, |index| {
-                group.iter().any(|u| reads_data(index, u))
-            });
+            return self.fetch_fixed(bin, |index| group.iter().any(|u| reads_data(index, u)));
         };
         if table.index_owner(bin) == rank {
             // Already here when this is the bin fetched ahead.
             if let Some(fixed) = table.published_index(bin) {
                 return Ok(fixed);
             }
-            let any_reads_data = |index: &HeaderView<ByteView>| {
-                table.data_owner(bin, |u| reads_data(index, u)).is_some()
-            };
-            let fixed = self.fetch_fixed(bin, file, any_reads_data)?;
+            let any_reads_data =
+                |index: &HeaderView<ByteView>| table.any_reads_data(bin, |u| reads_data(index, u));
+            let fixed = self.fetch_fixed(bin, any_reads_data)?;
             table.publish_index(bin, fixed.clone());
             return Ok(fixed);
         }
         let fixed = table.take_index(bin)?;
         // Traced as their owner accessed them.
-        for &(off, len) in fixed.accesses.iter() {
-            self.fetcher.peer(file, off, len);
+        for (file, off, len) in fixed.accesses.iter() {
+            self.fetcher.peer(file, *off, *len);
         }
         Ok(fixed)
-    }
-
-    /// The footer of one bin's v1/v2 data file, for a rank with a unit
-    /// that reads the bin's data: one exact tail read by the lowest such
-    /// rank of the request; the others take it from that rank.
-    fn data_footer(
-        &mut self,
-        bin: usize,
-        file: &Arc<str>,
-        index: &HeaderView<ByteView>,
-    ) -> Result<Arc<ExtentFooter>> {
-        let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
-        let hint = || Some(index.units_end());
-        let Some((table, rank)) = self.job.peers else {
-            return self.fetcher.footer(file, key, hint);
-        };
-        let owner = table
-            .data_owner(bin, |u| reads_data(index, u))
-            .expect("asked by a rank that reads the bin's data");
-        if owner == rank {
-            if let Some(footer) = table.published_data(bin) {
-                return Ok(footer);
-            }
-            let footer = self.fetcher.footer(file, key, hint)?;
-            table.publish_data(bin, Arc::clone(&footer));
-            return Ok(footer);
-        }
-        let footer = table.take_data(bin, owner)?;
-        let (at, len) = footer.span();
-        self.fetcher.peer(file, at, len);
-        Ok(footer)
-    }
-
-    /// Name of the file holding `bin`'s data: a v3 bin's one file
-    /// (`index_file`, its name already allocated), or its data file.
-    fn data_file(&self, bin: usize, index_file: &Arc<str>) -> Arc<str> {
-        match self.job.store.bin_files() {
-            BinFiles::One => Arc::clone(index_file),
-            BinFiles::Two => self.fetcher.data_file(bin),
-        }
     }
 
     /// Fetch ahead the fixed blocks of `bin` that higher ranks wait on.
@@ -381,26 +346,13 @@ impl Rank<'_, '_> {
     /// other. Fetched first, nobody waits for more than a lower rank's
     /// first few reads.
     fn fetch_ahead(&mut self, bin: usize, obs: &mut Collector) -> Result<()> {
-        let (table, rank) = self.job.peers.expect("only ranks with peers fetch ahead");
         obs.begin("index-read");
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
-        let file = self.fetcher.index_file(bin);
-        let fixed = self.index_fixed(bin, &file, &[])?;
+        self.index_fixed(bin, &[])?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
         self.end_read(obs, "bin.index.bytes", bin, bytes);
         self.count_data_table(obs, bin, data_before);
-        let reads_data = |u: &WorkUnit| reads_data(&fixed.index, u);
-        if self.job.store.bin_files() == BinFiles::Two
-            && table.data_owner(bin, reads_data) == Some(rank)
-        {
-            obs.begin("data-read");
-            let bytes_before = self.fetcher.report.data_bytes;
-            let file = self.fetcher.data_file(bin);
-            self.data_footer(bin, &file, &fixed.index)?;
-            let bytes = self.fetcher.report.data_bytes - bytes_before;
-            self.end_read(obs, "bin.data.bytes", bin, bytes);
-        }
         Ok(())
     }
 
@@ -413,7 +365,8 @@ impl Rank<'_, '_> {
     }
 
     /// Count the data bytes read since `before` under the bin's label:
-    /// a v3 data table comes with the fixed blocks, in `index-read`.
+    /// a bin's data checksum table comes with its fixed blocks, in
+    /// `index-read`.
     fn count_data_table(&self, obs: &mut Collector, bin: usize, before: u64) {
         let bytes = self.fetcher.report.data_bytes - before;
         if bytes > 0 {
@@ -428,14 +381,15 @@ impl Rank<'_, '_> {
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
         obs.begin("index-read");
-        let file = self.fetcher.index_file(bin);
         let IndexFixed {
+            file,
+            data_file,
             footer,
             index,
             summaries,
             data,
             ..
-        } = self.index_fixed(bin, &file, group)?;
+        } = self.index_fixed(bin, group)?;
 
         // Positional bitmaps for this rank's chunks, as one want-list.
         let mut bitmaps: Vec<Option<ByteView>> = vec![None; group.len()];
@@ -470,7 +424,7 @@ impl Rank<'_, '_> {
         self.end_read(obs, "bin.index.bytes", bin, bytes);
         self.count_data_table(obs, bin, data_before);
         Ok(BinBlocks {
-            file,
+            data_file,
             index,
             summaries,
             bitmaps,
@@ -496,22 +450,15 @@ impl Rank<'_, '_> {
         let config = store.config();
         let bin = group[0].bin;
         obs.begin("data-read");
-        let file = self.data_file(bin, &blocks.file);
+        let file = Arc::clone(&blocks.data_file);
         let bytes_before = self.fetcher.report.data_bytes;
-        // The data's checksum table is needed iff any unit actually
-        // touches data. The condition depends only on the plan and the
-        // index — never on cache state — so cold and warm runs of the
-        // same query access it identically. A v3 bin's came with its
-        // fixed blocks, fetched on that same condition.
+        // The data's checksum table came with the bin's fixed blocks,
+        // fetched on this same condition — which depends only on the
+        // plan and the index, never on cache state, so cold and warm
+        // runs of the same query access it identically.
         let index = &blocks.index;
         let reads_data = |u: &WorkUnit| reads_data(index, u);
         if group.iter().any(reads_data) {
-            if blocks.dat_footer.is_none() {
-                if store.bin_files() == BinFiles::One {
-                    return Err(MlocError::Corrupt("bin data table not fetched"));
-                }
-                blocks.dat_footer = Some(self.data_footer(bin, &file, index)?);
-            }
             blocks.parts = vec![None; group.len() * n_parts];
         }
         let mut wants: Vec<Want> = Vec::new();

@@ -6,10 +6,10 @@
 //! each other for nothing. In a request of more than one rank the
 //! *lowest* rank dealt a unit of the bin fetches and verifies them
 //! exactly as a lone rank would and publishes them here; every other
-//! rank of the bin takes them from here. A v3 bin's fixed blocks include
-//! its data table whenever any rank's unit of the bin reads data. A
-//! v1/v2 data file's tail footer is handed off on its own: the lowest
-//! rank dealt a unit that reads data fetches it.
+//! rank of the bin takes them from here. Whatever the format, they
+//! include the bin's data checksum table — a v3 bin file's data table,
+//! a v1/v2 data file's tail footer — whenever any rank's unit of the
+//! bin reads data, so one hand-off carries every table a rank needs.
 //!
 //! Who owns what is a function of the assignment and the verified
 //! header alone, and a rank only ever waits on a lower rank: replay
@@ -29,26 +29,33 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// A bin's verified fixed blocks.
 #[derive(Clone)]
 pub(crate) struct IndexFixed {
+    /// Name of the file holding the bin's index — for a v3 bin, all of
+    /// it. Every rank of the bin traces the file under this one name.
+    pub file: Arc<str>,
+    /// Name of the file holding the bin's data: a v3 bin's `file` (the
+    /// same pointer), a v1/v2 bin's data file.
+    pub data_file: Arc<str>,
     /// The checksum table of the index extents: a v3 bin file's index
     /// table, a v1/v2 index file's tail footer.
     pub footer: Arc<ExtentFooter>,
     pub index: HeaderView<ByteView>,
     pub summaries: Option<SummaryView<ByteView>>,
-    /// A v3 bin file's data table, when a unit of the bin reads data.
+    /// The checksum table of the bin's data — a v3 bin file's data
+    /// table, a v1/v2 data file's tail footer — when a unit of the bin
+    /// reads data.
     pub data: Option<Arc<ExtentFooter>>,
-    /// `(offset, len)` of every access their fetcher traced for them,
-    /// in order — what a peer's trace records it waited for. Not
+    /// `(file, offset, len)` of every access their fetcher traced for
+    /// them, in order — what a peer's trace records it waited for. Not
     /// derivable from the blocks' spans: a v3 owner reads both tables
-    /// in one access, but one it finds cached and one it reads are two.
-    pub accesses: Arc<[(u64, u64)]>,
+    /// in one access, but one it finds cached and one it reads are two;
+    /// a v1/v2 footer is two accesses, its trailer and its table.
+    pub accesses: Arc<[(Arc<str>, u64, u64)]>,
 }
 
 /// What the ranks of one request have published so far.
 struct Published {
-    /// Per bin slot: its index fixed blocks.
+    /// Per bin slot: its fixed blocks.
     index: Vec<Option<IndexFixed>>,
-    /// Per bin slot: its v1/v2 data file's footer.
-    data: Vec<Option<Arc<ExtentFooter>>>,
     /// Per rank: `Some` once it has finished, with its error if it
     /// failed — what its waiters are released with.
     exited: Vec<Option<Option<MlocError>>>,
@@ -88,7 +95,6 @@ impl<'p> PeerTable<'p> {
         debug_assert!(bins.windows(2).all(|w| w[0].0 < w[1].0));
         let published = Published {
             index: vec![None; bins.len()],
-            data: vec![None; bins.len()],
             exited: vec![None; rank_start.len() - 1],
         };
         PeerTable {
@@ -100,6 +106,9 @@ impl<'p> PeerTable<'p> {
         }
     }
 
+    // The table is built from the very deal the ranks run, so a bin a
+    // rank asks about is always one of its slots.
+    #[allow(clippy::expect_used)]
     fn slot(&self, bin: usize) -> usize {
         self.bins
             .binary_search_by_key(&bin, |(b, _)| *b)
@@ -110,25 +119,23 @@ impl<'p> PeerTable<'p> {
         self.rank_start.partition_point(|&s| s <= dealt_idx) - 1
     }
 
-    /// The rank that fetches `bin`'s index fixed blocks: the lowest
-    /// one dealt a unit of the bin.
+    /// The rank that fetches `bin`'s fixed blocks: the lowest one
+    /// dealt a unit of the bin.
     pub(crate) fn index_owner(&self, bin: usize) -> usize {
         self.rank_of(self.bins[self.slot(bin)].1.start)
     }
 
-    /// The rank that fetches `bin`'s v1/v2 data footer: the lowest one
-    /// dealt a unit of the bin that `reads_data` (judged on the bin's
-    /// shared header, so every rank names the same owner). `None` when
-    /// no unit of the bin reads data — and then a v3 bin's fixed blocks
-    /// leave out its data table.
-    pub(crate) fn data_owner(
+    /// Whether any rank's unit of `bin` `reads_data` (judged on the
+    /// bin's header): if none does, the bin's fixed blocks leave out
+    /// its data checksum table.
+    pub(crate) fn any_reads_data(
         &self,
         bin: usize,
         reads_data: impl Fn(&WorkUnit) -> bool,
-    ) -> Option<usize> {
-        let range = self.bins[self.slot(bin)].1.clone();
-        let first = range.clone().find(|&i| reads_data(&self.dealt[i]))?;
-        Some(self.rank_of(first))
+    ) -> bool {
+        self.dealt[self.bins[self.slot(bin)].1.clone()]
+            .iter()
+            .any(reads_data)
     }
 
     /// The bin whose fixed blocks `rank` should fetch before it does
@@ -150,11 +157,6 @@ impl<'p> PeerTable<'p> {
         self.lock().index[self.slot(bin)].clone()
     }
 
-    /// See [`Self::published_index`].
-    pub(crate) fn published_data(&self, bin: usize) -> Option<Arc<ExtentFooter>> {
-        self.lock().data[self.slot(bin)].clone()
-    }
-
     fn lock(&self) -> MutexGuard<'_, Published> {
         self.published
             .lock()
@@ -166,30 +168,15 @@ impl<'p> PeerTable<'p> {
         self.changed.notify_all();
     }
 
-    pub(crate) fn publish_data(&self, bin: usize, footer: Arc<ExtentFooter>) {
-        self.lock().data[self.slot(bin)] = Some(footer);
-        self.changed.notify_all();
-    }
-
-    /// `bin`'s index fixed blocks, once their owner has published them.
+    /// `bin`'s fixed blocks: block until their owner has published
+    /// them, or has finished without doing so — then with the error it
+    /// failed with.
     pub(crate) fn take_index(&self, bin: usize) -> Result<IndexFixed> {
-        let slot = self.slot(bin);
-        self.wait(self.index_owner(bin), |p| p.index[slot].clone())
-    }
-
-    /// `bin`'s data footer, once `owner` has published it.
-    pub(crate) fn take_data(&self, bin: usize, owner: usize) -> Result<Arc<ExtentFooter>> {
-        let slot = self.slot(bin);
-        self.wait(owner, |p| p.data[slot].clone())
-    }
-
-    /// Block until `owner` has published what `get` looks for, or has
-    /// finished without doing so — then with the error it failed with.
-    fn wait<T>(&self, owner: usize, get: impl Fn(&Published) -> Option<T>) -> Result<T> {
+        let (slot, owner) = (self.slot(bin), self.index_owner(bin));
         let mut p = self.lock();
         loop {
-            if let Some(found) = get(&p) {
-                return Ok(found);
+            if let Some(found) = &p.index[slot] {
+                return Ok(found.clone());
             }
             if let Some(outcome) = &p.exited[owner] {
                 return Err(outcome.clone().unwrap_or(MlocError::Corrupt(
@@ -242,9 +229,10 @@ mod tests {
         // Rank 1 ends in a bin rank 2 continues, after a unit of
         // another bin; rank 0's shared bin is the only one it has.
         assert_eq!([0, 1, 2].map(|r| t.awaited_bin(r)), [None, Some(5), None]);
-        assert_eq!(t.data_owner(3, |u| u.needs_data), Some(1));
-        assert_eq!(t.data_owner(5, |u| u.needs_data), Some(2));
-        assert_eq!(t.data_owner(5, |_| false), None);
+        assert!(t.any_reads_data(3, |u| u.needs_data));
+        assert!(t.any_reads_data(5, |u| u.needs_data));
+        assert!(!t.any_reads_data(5, |_| false));
+        assert!(!t.any_reads_data(9, |u| !u.needs_data));
         // An idle rank (more ranks than units) owns nothing.
         let t = PeerTable::new(&dealt[..1], [1, 0, 0].into_iter());
         assert_eq!(t.index_owner(3), 0);
@@ -261,11 +249,11 @@ mod tests {
         let dealt = [unit(0, 0, true), unit(0, 1, true)];
         let t = PeerTable::new(&dealt, [1, 1].into_iter());
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| t.take_data(0, 0));
+            let waiter = s.spawn(|| t.take_index(0));
             t.rank_exited(0, Some(&MlocError::Corrupt("torn")));
             // A later report (the unwind guard's) does not replace it.
             t.rank_exited(0, None);
-            let err = waiter.join().unwrap().unwrap_err();
+            let err = waiter.join().unwrap().err().unwrap();
             assert!(matches!(err, MlocError::Corrupt("torn")), "{err}");
         });
         assert!(t.take_index(0).is_err());

@@ -136,7 +136,8 @@ impl ChunkEmitter {
             rows *= self.extents[d];
         }
         self.in_row = 0;
-        self.row_w = *self.extents.last().expect("chunk has dimensions");
+        // A chunk of no dimensions would be one point: a row of one.
+        self.row_w = self.extents.last().copied().unwrap_or(1);
         self.rows_left = (rows / self.row_w.max(1)).saturating_sub(1);
     }
 

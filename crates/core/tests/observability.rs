@@ -78,7 +78,6 @@ fn replay_and_threaded_profiles_are_identical() {
         r.profile.counter("fusion.bytes_saved", Label::None),
         peers.iter().map(|op| op.len).sum::<u64>()
     );
-    assert_eq!(r.profile.counter("io.footer_topups", Label::None), 0);
 }
 
 #[test]

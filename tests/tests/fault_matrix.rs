@@ -621,9 +621,9 @@ fn base_part_corruption_carries_context_in_all_modes() {
 // A bin's fixed blocks, fetched once per query and shared between ranks.
 //
 // A v3 bin file's header, summary and two checksum tables come in one
-// seek from its front; a v1/v2 bin's index footer is one read from
-// where its directory says the payload ends, and its data footer
-// another. At more than one rank they are fetched by one rank for all.
+// seek from its front; a v1/v2 bin's index and data footers are each
+// read from their file's tail, trailer then table. At more than one
+// rank they are fetched by one rank for all.
 // Damage to any of them must end in the same `CorruptExtent` in every
 // mode, with nothing the damage touched admitted to the cache.
 // ---------------------------------------------------------------------
@@ -777,11 +777,6 @@ fn assert_shared(be: &dyn StorageBackend, (ds, _, ranks): Site<'_>, files: &[&st
             let taken = peers.filter(|op| op.peer && &*op.file == *file).count();
             assert!(taken > 0, "{file} is not shared at {n} ranks");
         }
-        assert_eq!(
-            out.profile
-                .counter("io.footer_topups", mloc::obs::Label::None),
-            0
-        );
     }
 }
 
@@ -877,10 +872,10 @@ struct Anatomy {
     dat_len: u64,
     hdr_len: u64,
     /// File offset of the `bitmap_len` field of the chunk whose bitmap
-    /// ends the index payload (what the index footer hint is made of).
+    /// ends the index payload.
     last_bitmap_len_at: u64,
     /// File offset of the `clen` field of the unit that ends the data
-    /// payload (what the data footer hint is made of).
+    /// payload.
     last_clen_at: u64,
     idx_payload: u64,
     dat_payload: u64,
@@ -926,7 +921,7 @@ fn anatomy(be: &dyn StorageBackend, ds: &str, bin: usize) -> Anatomy {
 /// The v1/v2 tail-footer path, on the checked-in v2 dataset. Its 128
 /// units fall to 4 or 8 ranks a whole number of bins each; at 3 and 6
 /// ranks bin 2 is shared.
-fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
+fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
     use mloc::cache::BlockPart::{Footer, IndexHeader, Summary};
     let site = ("fmt", 2, [3, 6]);
     let load = |be: &dyn StorageBackend| mloc_integration::load_fixture(2, be);
@@ -939,10 +934,10 @@ fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
     let idx_table = a.idx_len - 24 - a.idx_payload;
     let dat_table = a.dat_len - 24 - a.dat_payload;
     let rows: [Row; 9] = [
-        // A wrong hint — one byte off, then far past the file — and
-        // the header that produced it fails its checksum.
+        // The directory entries that end each payload: the header
+        // fails its checksum.
         (
-            "last bitmap_len, low bit",
+            "header's last bitmap_len, low bit",
             &a.idx,
             a.last_bitmap_len_at,
             0x01,
@@ -950,7 +945,7 @@ fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             &[IndexHeader, Summary],
         ),
         (
-            "last bitmap_len, high bit",
+            "header's last bitmap_len, high bit",
             &a.idx,
             a.last_bitmap_len_at + 3,
             0x40,
@@ -973,7 +968,7 @@ fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             header_crc,
             &[IndexHeader, Summary, Footer(1)],
         ),
-        // A header that no longer parses gives no hint at all.
+        // A header that no longer parses.
         (
             "header magic",
             &a.idx,
@@ -1031,6 +1026,6 @@ fn damaged_hints_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
 }
 
 #[test]
-fn damaged_hints_and_footers_fail_as_they_always_did() {
-    for_both_worlds(damaged_hints_and_footers_fail_as_they_always_did_in);
+fn damaged_headers_and_footers_fail_as_they_always_did() {
+    for_both_worlds(damaged_headers_and_footers_fail_as_they_always_did_in);
 }

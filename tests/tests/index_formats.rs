@@ -20,7 +20,7 @@ use mloc_bitmap::WahRef;
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
 use mloc_integration::{fixture, fixture_dir, load_fixture};
-use mloc_pfs::{CostModel, DirBackend, MemBackend, StorageBackend};
+use mloc_pfs::{CostModel, DirBackend, MemBackend, ReadOp, StorageBackend};
 use std::sync::Arc;
 
 const SHAPE: [usize; 2] = [64, 64];
@@ -270,9 +270,62 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
+/// Every tail footer of a v1/v2 source: `(file, where its table
+/// starts, file length)`.
+fn tail_footers(be: &dyn StorageBackend) -> Vec<(String, u64, u64)> {
+    be.list()
+        .into_iter()
+        .filter(|f| f.ends_with(".idx") || f.ends_with(".dat"))
+        .map(|f| {
+            let raw = whole(be, &f);
+            let at = mloc::ExtentFooter::split_verified(&raw, &f).unwrap().len() as u64;
+            (f, at, raw.len() as u64)
+        })
+        .collect()
+}
+
+/// One query's traces read each tail footer once: one rank reads its
+/// trailer, then its table, and every other rank that touches the file
+/// has peer records for the footer instead. Returns how many such
+/// other ranks there were, over all footers.
+fn assert_footers_read_once(
+    traces: &[Vec<ReadOp>],
+    footers: &[(String, u64, u64)],
+    ctx: &str,
+) -> usize {
+    let mut taken = 0;
+    for (file, at, len) in footers {
+        let in_footer = |op: &ReadOp| &*op.file == file && op.offset >= *at;
+        let reads = |trace: &[ReadOp]| -> Vec<(u64, u64)> {
+            let read = trace.iter().filter(|op| in_footer(op) && !op.peer);
+            read.map(|op| (op.offset, op.len)).collect()
+        };
+        let touched: Vec<usize> = (0..traces.len())
+            .filter(|&r| traces[r].iter().any(|op| &*op.file == file))
+            .collect();
+        let readers: Vec<usize> = (0..traces.len())
+            .filter(|&r| !reads(&traces[r]).is_empty())
+            .collect();
+        if touched.is_empty() {
+            continue;
+        }
+        assert_eq!(readers.len(), 1, "{ctx}: {file} read by ranks {readers:?}");
+        let want = [(len - 24, 24), (*at, len - 24 - at)];
+        assert_eq!(reads(&traces[readers[0]]), want, "{ctx}: {file}");
+        for r in touched.into_iter().filter(|&r| r != readers[0]) {
+            let peered = traces[r].iter().any(|op| in_footer(op) && op.peer);
+            assert!(peered, "{ctx}: rank {r} uses {file} without its footer");
+            taken += 1;
+        }
+    }
+    taken
+}
+
 /// Both fixtures against a fresh build, in every execution mode: serial,
 /// replay and threaded at 4 and 8 ranks, cached cold and warm, and
-/// fused; each fixture read-only off its directory and from memory.
+/// fused; each fixture read-only off its directory and from memory. At
+/// 4 and 8 ranks replay and threaded runs also trace the same reads,
+/// and a fixture's tail footers are read once per query.
 #[test]
 fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     let (sources, values) = Sources::new();
@@ -287,6 +340,12 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     };
 
     for (tag, be) in sources.all() {
+        let footers = if tag == "v3" {
+            Vec::new()
+        } else {
+            tail_footers(be)
+        };
+        let mut taken = 0;
         let plain = MlocStore::open(be, DS, VAR).unwrap();
         let cached = MlocStore::open(be, DS, VAR)
             .unwrap()
@@ -301,11 +360,16 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
             bitwise_eq(&r, reference, &format!("query {i}: serial {tag}"));
 
             for n in [4, 8] {
-                for threaded in [false, true] {
-                    let (r, _) = parallel(n, threaded).execute(&plain, q).unwrap();
+                let [replay, threaded] = [false, true].map(|threaded| {
+                    let out = parallel(n, threaded).run(&plain, ExecRequest::new(q));
+                    let out = out.unwrap();
                     let ctx = format!("query {i}: {n} ranks threaded={threaded} {tag}");
-                    bitwise_eq(&r, reference, &ctx);
-                }
+                    bitwise_eq(&out.result, reference, &ctx);
+                    out
+                });
+                let ctx = format!("query {i}: {n} ranks {tag}");
+                assert_eq!(replay.traces, threaded.traces, "{ctx}: replay vs threaded");
+                taken += assert_footers_read_once(&replay.traces, &footers, &ctx);
             }
 
             let (cold, _) = cached.query_with_metrics(q).unwrap();
@@ -317,6 +381,9 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
             fuser.begin_window();
             let r = fused.query_serial(q).unwrap();
             bitwise_eq(&r, reference, &format!("query {i}: fused {tag}"));
+        }
+        if tag != "v3" {
+            assert!(taken > 0, "{tag}: no rank took a tail footer from a peer");
         }
     }
 }
