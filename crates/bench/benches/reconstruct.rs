@@ -1,15 +1,17 @@
 //! Reconstruct-stage kernels: the run-aware bulk fast path against
 //! the per-point general path, over the query shapes that dominate
 //! exploration sessions (wide value constraints, aligned region
-//! retrieval, reduced PLoD levels).
+//! retrieval, reduced PLoD levels), and the assembly of an answer
+//! from the ranks' sorted runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mloc::config::PlodLevel;
 use mloc::prelude::*;
 use mloc::query::plan::make_plan;
 use mloc_datagen::gts_like_2d;
-use mloc_pfs::MemBackend;
+use mloc_pfs::{CostModel, MemBackend};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn fixture(be: &MemBackend) -> MlocStore<'_> {
     let values = gts_like_2d(128, 128, 17).into_values();
@@ -71,5 +73,47 @@ fn bench_position_filter(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_reconstruct_paths, bench_position_filter);
+/// Answer assembly at the repo benchmark's geometry (1024² field, 128²
+/// chunks, 100 bins): warm SC value queries over 1 % and 10 % of the
+/// field, on 1 and 8 ranks. Every block is a cache hit, so what is
+/// timed is the rest — reconstruct, the row-major emission of the
+/// deferred chunks, and the gather's merge of the ranks' sorted runs
+/// (one run, moved, on one rank).
+fn bench_assemble(c: &mut Criterion) {
+    let be = MemBackend::new();
+    let n = 1024;
+    let values = gts_like_2d(n, n, 42).into_values();
+    let config = MlocConfig::builder(vec![n, n])
+        .chunk_shape(vec![128, 128])
+        .num_bins(100)
+        .build();
+    build_variable(&be, "bench", "field", &values, &config).unwrap();
+    let store = MlocStore::open(&be, "bench", "field")
+        .unwrap()
+        .with_cache(Arc::new(BlockCache::with_budget_mb(256)));
+
+    let mut g = c.benchmark_group("assemble");
+    for (name, side) in [("sc_1", 102usize), ("sc_10", 324)] {
+        let q = Query::values_in(Region::new(vec![(200, 200 + side), (300, 300 + side)]));
+        let plan = make_plan(&store, &q).unwrap();
+        for nranks in [1, 8] {
+            let exec = ParallelExecutor::new(nranks, CostModel::default());
+            // Fill the cache: the timed runs are warm.
+            exec.execute_plan(&store, &q, &plan, None).unwrap();
+            g.bench_with_input(
+                BenchmarkId::new(name, format!("{nranks}_ranks")),
+                &q,
+                |b, q| b.iter(|| black_box(exec.execute_plan(&store, q, &plan, None).unwrap())),
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_reconstruct_paths,
+    bench_position_filter,
+    bench_assemble
+);
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Command implementations for the `mloc` CLI.
 
 use crate::args::{parse_dims, parse_region, parse_vc, usage, Args};
+use crate::output::Output;
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
 use mloc::obs::json_string;
@@ -13,20 +14,20 @@ use mloc_pfs::{
 use mloc_serve::{QueryServer, ServeConfig, SessionSpec, TenantBudget};
 
 /// Dispatch a parsed invocation.
-pub fn dispatch(args: &Args) -> Result<(), String> {
+pub fn dispatch(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     match args.command.as_str() {
-        "create" => create(args),
-        "import" => import(args),
-        "info" => info(args),
-        "variables" => variables(args),
-        "stats" => stats(args),
-        "query" => query(args),
-        "serve" => serve(args),
-        "verify" => verify(args),
-        "fsck" => fsck(args),
-        "repair" => repair(args),
+        "create" => create(args, out),
+        "import" => import(args, out),
+        "info" => info(args, out),
+        "variables" => variables(args, out),
+        "stats" => stats(args, out),
+        "query" => query(args, out),
+        "serve" => serve(args, out),
+        "verify" => verify(args, out),
+        "fsck" => fsck(args, out),
+        "repair" => repair(args, out),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!(out, "{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n\n{}", usage())),
@@ -107,15 +108,20 @@ fn parse_profile(args: &Args) -> Result<ProfileMode, String> {
     }
 }
 
-fn print_profile(mode: ProfileMode, profile: &mloc::obs::Profile) {
+fn print_profile(
+    out: &mut Output<'_>,
+    mode: ProfileMode,
+    profile: &mloc::obs::Profile,
+) -> Result<(), String> {
     match mode {
         ProfileMode::Off => {}
-        ProfileMode::Table => print!("{}", profile.render()),
-        ProfileMode::Json => println!("{}", profile.to_json()),
+        ProfileMode::Table => out.write(format_args!("{}", profile.render()))?,
+        ProfileMode::Json => outln!(out, "{}", profile.to_json()),
     }
+    Ok(())
 }
 
-fn create(args: &Args) -> Result<(), String> {
+fn create(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let shape = parse_dims(args.required("shape")?)?;
@@ -142,7 +148,8 @@ fn create(args: &Args) -> Result<(), String> {
     }
     let config = builder.build();
     Dataset::create(&be, name, config.clone()).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
+        out,
         "created dataset {name}: shape {:?}, chunks {:?}, {} bins, codec {}, order {}",
         config.shape,
         config.chunk_shape,
@@ -189,7 +196,7 @@ fn load_values(args: &Args, shape: &[usize]) -> Result<Vec<f64>, String> {
     }
 }
 
-fn import(args: &Args) -> Result<(), String> {
+fn import(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     // An optional crash plan wraps the backend in the deterministic
     // crash injector: writes buffer in a volatile overlay (the "page
     // cache") until fsynced, and at write op N the process "dies" —
@@ -199,7 +206,7 @@ fn import(args: &Args) -> Result<(), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let plan = CrashPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let be = CrashBackend::new(backend(args)?, plan);
-        let result = import_into(&be, args);
+        let result = import_into(&be, args, out);
         if be.crashed() {
             return Err(format!(
                 "simulated crash after {} write op(s); durable state only — run \
@@ -210,10 +217,10 @@ fn import(args: &Args) -> Result<(), String> {
         return result;
     }
     let be = backend(args)?;
-    import_into(&be, args)
+    import_into(&be, args, out)
 }
 
-fn import_into(be: &dyn StorageBackend, args: &Args) -> Result<(), String> {
+fn import_into(be: &dyn StorageBackend, args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let mut ds = Dataset::open(be, args.required("name")?).map_err(|e| e.to_string())?;
     if let Some(threads) = args.optional_parsed::<usize>("build-threads")? {
         ds.set_build_threads(threads);
@@ -221,7 +228,8 @@ fn import_into(be: &dyn StorageBackend, args: &Args) -> Result<(), String> {
     let var = args.required("var")?;
     let values = load_values(args, &ds.config().shape)?;
     let report = ds.add_variable(var, &values).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
+        out,
         "imported {var}: {} raw -> {} data + {} index bytes ({:.0}% of raw) in {:.2}s",
         report.raw_bytes,
         report.data_bytes,
@@ -229,31 +237,32 @@ fn import_into(be: &dyn StorageBackend, args: &Args) -> Result<(), String> {
         report.total_ratio() * 100.0,
         report.build_seconds
     );
-    println!(
+    outln!(
+        out,
         "  stages ({} threads): encode {:.2}s, layout {:.2}s, write {:.2}s",
         ds.config().effective_build_threads(),
         report.encode_seconds,
         report.layout_seconds,
         report.write_seconds
     );
-    print_profile(parse_profile(args)?, &report.profile);
-    Ok(())
+    print_profile(out, parse_profile(args)?, &report.profile)
 }
 
-fn info(args: &Args) -> Result<(), String> {
+fn info(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let ds = Dataset::open(&be, args.required("name")?).map_err(|e| e.to_string())?;
     let c = ds.config();
-    println!("dataset : {}", ds.name());
-    println!("shape   : {:?}", c.shape);
-    println!("chunks  : {:?} ({} per variable)", c.chunk_shape, {
+    outln!(out, "dataset : {}", ds.name());
+    outln!(out, "shape   : {:?}", c.shape);
+    outln!(out, "chunks  : {:?} ({} per variable)", c.chunk_shape, {
         let g = mloc::ChunkGrid::new(c.shape.clone(), c.chunk_shape.clone());
         g.num_chunks()
     });
-    println!("bins    : {}", c.num_bins);
-    println!("codec   : {}", c.codec.name());
-    println!("order   : {}", c.level_order.name());
-    println!(
+    outln!(out, "bins    : {}", c.num_bins);
+    outln!(out, "codec   : {}", c.codec.name());
+    outln!(out, "order   : {}", c.level_order.name());
+    outln!(
+        out,
         "plod    : {}",
         if c.plod {
             "byte columns"
@@ -261,20 +270,20 @@ fn info(args: &Args) -> Result<(), String> {
             "whole values"
         }
     );
-    println!("stored  : {} bytes", ds.stored_bytes());
+    outln!(out, "stored  : {} bytes", ds.stored_bytes());
     let vars = ds.variables().map_err(|e| e.to_string())?;
-    println!("variables ({}):", vars.len());
+    outln!(out, "variables ({}):", vars.len());
     for v in vars {
-        println!("  {v}");
+        outln!(out, "  {v}");
     }
     Ok(())
 }
 
-fn variables(args: &Args) -> Result<(), String> {
+fn variables(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let ds = Dataset::open(&be, args.required("name")?).map_err(|e| e.to_string())?;
     for v in ds.variables().map_err(|e| e.to_string())? {
-        println!("{v}");
+        outln!(out, "{v}");
     }
     Ok(())
 }
@@ -282,7 +291,7 @@ fn variables(args: &Args) -> Result<(), String> {
 /// Per-variable, per-bin storage breakdown: a bin's index and data
 /// bytes, from its file sizes (v1/v2: one file each) or from its
 /// preamble (v3: both sections in one file).
-fn stats(args: &Args) -> Result<(), String> {
+fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let ds = Dataset::open(&be, name).map_err(|e| e.to_string())?;
@@ -359,7 +368,8 @@ fn stats(args: &Args) -> Result<(), String> {
                 bins.join(",")
             ));
         } else {
-            println!(
+            outln!(
+                out,
                 "{var}: {} points, {} data + {} index bytes ({:.1}% of raw, {} summary)",
                 store.total_points(),
                 data_total,
@@ -367,12 +377,18 @@ fn stats(args: &Args) -> Result<(), String> {
                 (data_total + index_total) as f64 / raw as f64 * 100.0,
                 summary_total
             );
-            println!(
+            outln!(
+                out,
                 "  {:>4}  {:>22}  {:>12}  {:>12}  {:>9}",
-                "bin", "values", "data", "index", "summary"
+                "bin",
+                "values",
+                "data",
+                "index",
+                "summary"
             );
             for (bin, data, index, summary) in rows {
-                println!(
+                outln!(
+                    out,
                     "  {bin:>4}  [{:>9.3}, {:>9.3})  {data:>12}  {index:>12}  {summary:>9}",
                     bounds[bin],
                     bounds[bin + 1]
@@ -439,7 +455,7 @@ fn stats(args: &Args) -> Result<(), String> {
             };
             json_shards = format!(",\"shards\":[{}]{repair_note}", rows.join(","));
         } else {
-            println!("shards ({nshards}):");
+            outln!(out, "shards ({nshards}):");
             for s in 0..nshards {
                 let health = if replicas > 1 {
                     let state = if present[s] == expected[s] {
@@ -451,13 +467,16 @@ fn stats(args: &Args) -> Result<(), String> {
                 } else {
                     String::new()
                 };
-                println!(
+                outln!(
+                    out,
                     "  shard {s}: {} file(s), {} bytes{health}",
-                    files[s], bytes[s]
+                    files[s],
+                    bytes[s]
                 );
             }
             if replicas > 1 {
-                println!(
+                outln!(
+                    out,
                     "replication: {replicas} copies per file, {} read-repair(s) this session",
                     layout.read_repair_count()
                 );
@@ -465,13 +484,17 @@ fn stats(args: &Args) -> Result<(), String> {
         }
     }
     if json {
-        println!("{{\"variables\":[{}]{json_shards}}}", json_vars.join(","));
+        outln!(
+            out,
+            "{{\"variables\":[{}]{json_shards}}}",
+            json_vars.join(",")
+        );
     }
     Ok(())
 }
 
 /// Recompute every stored checksum and map the damage.
-fn verify(args: &Args) -> Result<(), String> {
+fn verify(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let report = match args.optional("var") {
@@ -493,7 +516,8 @@ fn verify(args: &Args) -> Result<(), String> {
                 )
             })
             .collect();
-        println!(
+        outln!(
+            out,
             "{{\"clean\":{},\"files_checked\":{},\"extents_checked\":{},\"damage\":[{}]}}",
             report.is_clean(),
             report.files_checked,
@@ -501,7 +525,7 @@ fn verify(args: &Args) -> Result<(), String> {
             damage.join(",")
         );
     } else {
-        println!("{}", report.to_string().trim_end());
+        outln!(out, "{}", report.to_string().trim_end());
     }
     if report.is_clean() {
         Ok(())
@@ -517,7 +541,7 @@ fn json_list(v: &[String]) -> String {
 }
 
 /// Classify every file of a dataset after a crash (read-only).
-fn fsck(args: &Args) -> Result<(), String> {
+fn fsck(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let report = mloc::repair::fsck(&be, name).map_err(|e| e.to_string())?;
@@ -534,7 +558,8 @@ fn fsck(args: &Args) -> Result<(), String> {
                 )
             })
             .collect();
-        println!(
+        outln!(
+            out,
             "{{\"clean\":{},\"catalog_ok\":{},\"files_checked\":{},\"committed\":[{}],\
              \"unlisted\":[{}],\"uncommitted\":[{}],\"findings\":[{}]}}",
             report.is_clean(),
@@ -546,7 +571,7 @@ fn fsck(args: &Args) -> Result<(), String> {
             findings.join(",")
         );
     } else {
-        println!("{}", report.to_string().trim_end());
+        outln!(out, "{}", report.to_string().trim_end());
     }
     if report.is_clean() {
         Ok(())
@@ -560,12 +585,13 @@ fn fsck(args: &Args) -> Result<(), String> {
 
 /// Repair a dataset in place: replica restore, rollback, catalog
 /// reconciliation. Fails only when damage is unrepairable.
-fn repair(args: &Args) -> Result<(), String> {
+fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let report = mloc::repair::repair(&be, name).map_err(|e| e.to_string())?;
     if args.optional("json").is_some_and(|v| v == "true") {
-        println!(
+        outln!(
+            out,
             "{{\"healthy\":{},\"restored\":[{}],\"rolled_back\":[{}],\"removed_files\":{},\
              \"reattached\":[{}],\"catalog_rewritten\":{},\"unrepairable\":[{}]}}",
             report.is_healthy(),
@@ -577,7 +603,7 @@ fn repair(args: &Args) -> Result<(), String> {
             json_list(&report.unrepairable)
         );
     } else {
-        println!("{}", report.to_string().trim_end());
+        outln!(out, "{}", report.to_string().trim_end());
     }
     if report.is_healthy() {
         Ok(())
@@ -607,7 +633,7 @@ fn retry_transient<T>(
     }
 }
 
-fn query(args: &Args) -> Result<(), String> {
+fn query(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     // An optional fault plan wraps the directory backend in the
     // deterministic fault injector — the same machinery the test suite
     // uses, exposed for demos and for exercising --retry by hand.
@@ -682,7 +708,8 @@ fn query(args: &Args) -> Result<(), String> {
             }
             .map_err(|e| e.to_string())?;
             for s in pq.steps() {
-                println!(
+                outln!(
+                    out,
                     "  step {}: level {} (bound {:.3e}) | {} bytes read, {} cache-saved | \
                      sim io {:.3}s{}{}",
                     s.step,
@@ -736,7 +763,8 @@ fn query(args: &Args) -> Result<(), String> {
         if m.degradation.is_degraded() {
             fault_note.push_str(&format!(" | {}", m.degradation));
         }
-        println!(
+        outln!(
+            out,
             "{pass_note}{} matches | bins {} (aligned {}), chunks {} | sim io {:.3}s, \
              decompress {:.3}s, reconstruct {:.3}s | {} bytes read{cache_note}{fault_note}",
             res.len(),
@@ -756,12 +784,13 @@ fn query(args: &Args) -> Result<(), String> {
     for (i, &p) in res.positions().iter().take(limit).enumerate() {
         let coords = grid.delinearize(p);
         match res.values() {
-            Some(vals) => println!("  {coords:?} = {}", vals[i]),
-            None => println!("  {coords:?}"),
+            Some(vals) => outln!(out, "  {coords:?} = {}", vals[i]),
+            None => outln!(out, "  {coords:?}"),
         }
     }
     if res.len() > limit {
-        println!(
+        outln!(
+            out,
             "  ... ({} more; raise --limit to see them)",
             res.len() - limit
         );
@@ -769,7 +798,7 @@ fn query(args: &Args) -> Result<(), String> {
     // The profile of the final pass (the warm one under --cache-mb),
     // printed last so `--profile json` output is the tail of stdout.
     if let Some(profile) = &last_profile {
-        print_profile(profile_mode, profile);
+        print_profile(out, profile_mode, profile)?;
     }
     Ok(())
 }
@@ -873,7 +902,7 @@ fn parse_workload(text: &str, dataset: &str) -> Result<Workload, String> {
 /// Run a multi-session workload against one dataset: FIFO admission
 /// windows, per-tenant budgets, shared block cache, and cross-session
 /// extent fusion.
-fn serve(args: &Args) -> Result<(), String> {
+fn serve(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
     let path = args.required("workload")?;
@@ -918,7 +947,8 @@ fn serve(args: &Args) -> Result<(), String> {
                     ),
                     None => String::new(),
                 };
-                println!(
+                outln!(
+                    out,
                     "session {:>3} [{}] w{}: {} matches | {} bytes read, {} cache-saved, \
                      {} fusion-saved | sim io {:.3}s{ladder_note}",
                     r.index,
@@ -932,24 +962,31 @@ fn serve(args: &Args) -> Result<(), String> {
                 );
             }
             Err(e) if e.is_budget() => {
-                println!(
+                outln!(
+                    out,
                     "session {:>3} [{}] w{}: rejected — {e}",
-                    r.index, r.tenant, r.window
+                    r.index,
+                    r.tenant,
+                    r.window
                 );
             }
             Err(e) => {
                 failed += 1;
-                println!(
+                outln!(
+                    out,
                     "session {:>3} [{}] w{}: FAILED — {e}",
-                    r.index, r.tenant, r.window
+                    r.index,
+                    r.tenant,
+                    r.window
                 );
             }
         }
     }
 
-    println!("tenants:");
+    outln!(out, "tenants:");
     for (tenant, u) in server.usage() {
-        println!(
+        outln!(
+            out,
             "  {tenant}: {} ok / {} rejected / {} failed | {} logical bytes \
              ({} read, {} cache-saved, {} fusion-saved) | sim io {:.3}s",
             u.completed,
@@ -963,15 +1000,22 @@ fn serve(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(c) = server.cache_stats() {
-        println!(
+        outln!(
+            out,
             "cache  : {} hits / {} misses, {} resident bytes",
-            c.hits, c.misses, c.resident_bytes
+            c.hits,
+            c.misses,
+            c.resident_bytes
         );
     }
     if let Some(f) = server.fusion_stats() {
-        println!(
+        outln!(
+            out,
             "fusion : {} physical reads ({} bytes), {} fused reads ({} bytes saved)",
-            f.physical_reads, f.physical_bytes, f.fused_reads, f.fused_bytes
+            f.physical_reads,
+            f.physical_bytes,
+            f.fused_reads,
+            f.fused_bytes
         );
     }
     if failed > 0 {
@@ -985,7 +1029,13 @@ mod tests {
     use super::*;
 
     fn run(v: &[&str]) -> Result<(), String> {
-        dispatch(&Args::parse(v.iter().map(|s| s.to_string())).unwrap())
+        runv(v.iter().map(|s| s.to_string()).collect())
+    }
+
+    /// Dispatch, its output discarded.
+    fn runv(v: Vec<String>) -> Result<(), String> {
+        let args = Args::parse(v.into_iter()).unwrap();
+        dispatch(&args, &mut Output::new(&mut std::io::sink()))
     }
 
     fn tmpdir(tag: &str) -> String {
@@ -1401,7 +1451,6 @@ mod tests {
                 .map(|s| s.to_string())
                 .collect()
         };
-        let runv = |v: Vec<String>| dispatch(&Args::parse(v.into_iter()).unwrap());
         runv(with(
             &["create"],
             &["--shape", "32,32", "--chunk", "8,8", "--bins", "4"],
@@ -1500,7 +1549,6 @@ mod tests {
                 .map(|s| s.to_string())
                 .collect()
         };
-        let runv = |v: Vec<String>| dispatch(&Args::parse(v.into_iter()).unwrap());
         runv(with(
             &["create"],
             &["--shape", "32,32", "--chunk", "8,8", "--bins", "4"],

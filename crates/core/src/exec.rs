@@ -10,7 +10,7 @@
 use crate::metrics::QueryMetrics;
 use crate::query::engine::{process_units, PeerTable, RankJob, RankOutput, RefineUnit};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
-use crate::query::{Query, QueryResult};
+use crate::query::{Query, QueryResult, Runs};
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::{Collector, Label, Profile};
@@ -295,8 +295,7 @@ impl ParallelExecutor {
         };
         let mut gather = Collector::new(self.profiled);
         gather.begin("gather");
-        let mut positions = Vec::new();
-        let mut values = Vec::new();
+        let mut answers = Vec::with_capacity(self.nranks);
         let mut refine_units = Vec::new();
         let mut batch_depths = Vec::new();
         for (rank, out) in outputs.into_iter().enumerate() {
@@ -310,11 +309,16 @@ impl ParallelExecutor {
             metrics.add_rank_io(&out.io);
             metrics.degraded_units += out.degradation.events.len() as u64;
             metrics.degradation.merge(&out.degradation);
-            positions.extend(out.positions);
-            values.extend(out.values);
+            answers.push(Runs {
+                positions: out.positions,
+                values: out.values,
+                starts: out.runs,
+            });
             refine_units.extend(out.refine_units);
             batch_depths.extend(out.io.batch_depths);
         }
+        // Every rank's answer arrives as sorted runs: one merge, no sort.
+        let result = QueryResult::merge(answers, req.query.wants_values());
         metrics.read_repairs = masked_reads(store.backend()).saturating_sub(read_repairs_before);
         gather.end();
 
@@ -349,9 +353,8 @@ impl ParallelExecutor {
             }
         }
 
-        let values = req.query.wants_values().then_some(values);
         Ok(ExecOutput {
-            result: QueryResult::from_parts(positions, values),
+            result,
             metrics,
             profile,
             traces,
@@ -721,5 +724,198 @@ mod tests {
             res.values().unwrap(),
             &[values[3], values[77], values[4000]]
         );
+    }
+
+    /// A random grid whose chunks are clipped at the domain edge in
+    /// every dimension: per dimension a chunk edge, a count of whole
+    /// chunks and a remainder in `1..edge`.
+    fn clipped_grid() -> impl proptest::Strategy<Value = (Vec<usize>, Vec<usize>)> {
+        use proptest::prelude::*;
+        (2usize..=3).prop_flat_map(|dims| {
+            // 3-D grids stay small: every case runs 18 ways per query.
+            let (edge, whole) = if dims == 2 { (8usize, 3usize) } else { (4, 2) };
+            proptest::collection::vec((2..=edge, 1..=whole, any::<usize>()), dims).prop_map(
+                |spec| {
+                    let chunk: Vec<usize> = spec.iter().map(|&(c, _, _)| c).collect();
+                    let shape = spec.iter().map(|&(c, k, r)| k * c + 1 + r % (c - 1));
+                    (shape.collect(), chunk)
+                },
+            )
+        })
+    }
+
+    /// What the per-point reference path emits for `units` on one
+    /// rank, in its order: bin by bin, unit by unit.
+    fn reference_parts(
+        store: &MlocStore<'_>,
+        query: &Query,
+        units: &[WorkUnit],
+        position_filter: Option<&[u64]>,
+    ) -> (Vec<u64>, Vec<f64>) {
+        let req = ExecRequest {
+            query,
+            plan: None,
+            position_filter,
+            capture_refine: false,
+            force_general_reconstruct: true,
+        };
+        let job = RankJob {
+            store,
+            req,
+            units,
+            retry: RetryPolicy::none(),
+            allow_degraded: true,
+            peers: None,
+        };
+        let out = process_units(&job, &mut Collector::disabled()).unwrap();
+        (out.positions, out.values)
+    }
+
+    /// Positions and the bits of every value equal.
+    fn same_answer(a: &QueryResult, b: &QueryResult) -> bool {
+        let bits = |r: &QueryResult| -> Option<Vec<u64>> {
+            r.values().map(|v| v.iter().map(|x| x.to_bits()).collect())
+        };
+        a.positions() == b.positions() && bits(a) == bits(b)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// Every answer leaves the engine in strictly rising position
+        /// order and equals the reference path's output sorted by
+        /// `QueryResult::from_parts`, the sort the gather's merge
+        /// replaced: SC, VC, values and positions, PLoD, membership,
+        /// position-filtered and progressive queries, on 1, 3 and 8
+        /// ranks of both executors, cached cold, cached warm and fused.
+        #[test]
+        fn answers_arrive_in_position_order(
+            (shape, chunk) in clipped_grid(),
+            num_bins in 2usize..=8,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::cache::BlockCache;
+            use crate::config::PlodLevel;
+            use crate::fusion::ExtentFuser;
+            use crate::query::QueryOutput;
+            use std::sync::Arc;
+
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let n: usize = shape.iter().product();
+            let values: Vec<f64> = (0..n).map(|_| (next() % 10_000) as f64 * 0.37 - 1850.0).collect();
+            let be = MemBackend::new();
+            let config = MlocConfig::builder(shape.clone())
+                .chunk_shape(chunk)
+                .num_bins(num_bins)
+                .build();
+            build_variable(&be, "ds", "v", &values, &config).unwrap();
+            let mut store = MlocStore::open(&be, "ds", "v").unwrap();
+
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let (a, b) = (next() as usize % n, next() as usize % n);
+            let (lo, hi) = (sorted[a.min(b)], sorted[a.max(b)]);
+            let region = Region::new(
+                shape.iter().map(|&e| {
+                    let s = next() as usize % e;
+                    (s, s + 1 + next() as usize % (e - s))
+                }).collect(),
+            );
+            let level = PlodLevel::new(1 + (next() % 7) as u8).unwrap();
+            let every = 2 + next() % 5;
+            let points: Vec<u64> = (0..n as u64).filter(|_| next() % 3 == 0).collect();
+            let filter: Vec<u64> = (next() % every..n as u64).step_by(every as usize).collect();
+            let sc_positions = Query::new(None, Some(region.clone()), PlodLevel::FULL, QueryOutput::Positions);
+            let queries: Vec<(Query, Option<&[u64]>)> = vec![
+                (Query::values_in(region.clone()), None),
+                (sc_positions, None),
+                (Query::values_in(region.clone()).with_plod(level), None),
+                (Query::region(lo, hi), None),
+                (Query::values_where(lo, hi), None),
+                (Query::values_where(lo, hi).with_region(region.clone()).with_plod(level), None),
+                (Query::membership(points.clone()), None),
+                (Query::membership_where(lo, hi, points).with_values(), None),
+                (Query::values_in(region.clone()), Some(&filter[..])),
+                (Query::region(lo, hi), Some(&filter[..])),
+            ];
+            let progressive = [Query::values_in(region), Query::values_where(lo, hi)];
+
+            // Each query's reference answer, then each progressive
+            // query's step 0: the base level for the bins it refines,
+            // the target for the value-filtered ones.
+            let mut expected = Vec::new();
+            for (q, filter) in &queries {
+                let plan = make_plan(&store, q).unwrap();
+                let (p, v) = reference_parts(&store, q, &plan.units, *filter);
+                expected.push(QueryResult::from_parts(p, q.wants_values().then_some(v)));
+                if filter.is_none() && q.points.is_none() {
+                    // Deferred chunks leave a lone rank as one run.
+                    let job = RankJob {
+                        store: &store,
+                        req: ExecRequest::planned(q, &plan, None),
+                        units: &plan.units,
+                        retry: RetryPolicy::none(),
+                        allow_degraded: true,
+                        peers: None,
+                    };
+                    let out = process_units(&job, &mut Collector::disabled()).unwrap();
+                    proptest::prop_assert!(out.runs.len() <= 1, "{:?}: runs {:?}", q, out.runs);
+                }
+            }
+            for q in &progressive {
+                let plan = make_plan(&store, q).unwrap();
+                let (refined, target): (Vec<WorkUnit>, Vec<WorkUnit>) =
+                    plan.units.iter().partition(|u| !u.value_filter);
+                let base = q.clone().with_plod(PlodLevel::new(1).unwrap());
+                let (mut p, mut v) = reference_parts(&store, &base, &refined, None);
+                let (tp, tv) = reference_parts(&store, q, &target, None);
+                p.extend(tp);
+                v.extend(tv);
+                expected.push(QueryResult::from_parts(p, Some(v)));
+            }
+
+            for nranks in [1, 3, 8] {
+                for threaded in [false, true] {
+                    let exec = ParallelExecutor::new(nranks, CostModel::default()).threaded(threaded);
+                    let fuser = Arc::new(ExtentFuser::with_window_mb(8));
+                    for mode in ["cached cold", "cached warm", "fused"] {
+                        match mode {
+                            "cached cold" => store.set_cache(Some(Arc::new(BlockCache::with_budget_mb(8)))),
+                            "fused" => {
+                                store.set_cache(None);
+                                store.set_fusion(Some(Arc::clone(&fuser)));
+                                fuser.begin_window();
+                            }
+                            _ => {}
+                        }
+                        let runs = queries.iter().map(|(q, filter)| {
+                            let plan = make_plan(&store, q).unwrap();
+                            exec.run(&store, ExecRequest::planned(q, &plan, *filter)).unwrap().result
+                        });
+                        let ladders = progressive.iter().map(|q| {
+                            exec.progressive(&store, q).unwrap().into_outcome().0
+                        });
+                        for (k, got) in runs.chain(ladders).enumerate() {
+                            let pos = got.positions();
+                            proptest::prop_assert!(
+                                pos.windows(2).all(|w| w[0] < w[1]),
+                                "query {k}, {nranks} ranks, threaded {threaded}, {mode}: not rising"
+                            );
+                            proptest::prop_assert!(
+                                same_answer(&got, &expected[k]),
+                                "query {k}, {nranks} ranks, threaded {threaded}, {mode}"
+                            );
+                        }
+                    }
+                    store.set_fusion(None);
+                }
+            }
+        }
     }
 }

@@ -172,17 +172,14 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
 
         let mut runs = runs.into_iter();
         let first = runs.next().expect("step 0 runs at least one sub-plan");
-        let (mut positions, values) = first.result.into_parts();
-        let mut values = values.unwrap_or_default();
+        let mut answers = vec![first.result.into_runs()];
         let (mut metrics, mut profile) = (first.metrics, first.profile);
         // Deterministic order regardless of rank assignment, and
         // maximal read coalescing per refinement pull.
         let mut captured = first.refine_units;
         captured.sort_by_key(|u| (u.bin, u.chunk_rank));
         for run in runs {
-            let (p, v) = run.result.into_parts();
-            positions.extend(p);
-            values.extend(v.unwrap_or_default());
+            answers.push(run.result.into_runs());
             metrics.accumulate(&run.metrics);
             profile.merge_from(run.profile);
         }
@@ -191,7 +188,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         metrics.bins_touched = plan.bins_touched;
         metrics.aligned_bins = plan.aligned_bins;
         metrics.chunks_touched = plan.chunks_touched;
-        let result = QueryResult::from_parts(positions, query.wants_values().then_some(values));
+        // Each sub-plan's result is sorted: the two merge, never sort.
+        let result = QueryResult::merge(answers, query.wants_values());
         if !captured.is_empty() && result.len() > u32::MAX as usize {
             return Err(MlocError::Invalid(
                 "progressive result too large to index".into(),

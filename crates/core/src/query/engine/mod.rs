@@ -40,10 +40,14 @@ use std::time::Instant;
 /// One rank's partial result plus its CPU component times.
 #[derive(Debug, Default)]
 pub struct RankOutput {
-    /// Matching global positions.
+    /// Matching global positions, as the sorted runs `runs` names.
     pub positions: Vec<u64>,
     /// Values aligned with positions (empty for position-only output).
     pub values: Vec<f64>,
+    /// Where each strictly rising run of `positions` starts: one per
+    /// unit emitted directly, one for the deferred chunks. A run that
+    /// continues the one before it in order extends it instead.
+    pub runs: Vec<usize>,
     /// Seconds spent in codec decompression.
     pub decompress_s: f64,
     /// Seconds spent assembling/filtering results.
@@ -56,6 +60,21 @@ pub struct RankOutput {
     /// Refinement state captured for a progressive query (empty unless
     /// the request asked for capture).
     pub refine_units: Vec<RefineUnit>,
+}
+
+impl RankOutput {
+    /// Record the positions appended since `start` — strictly rising —
+    /// as a run.
+    pub(crate) fn close_run(&mut self, start: usize) {
+        let run = &self.positions[start..];
+        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "a run must rise");
+        let Some(&first) = run.first() else {
+            return;
+        };
+        if start == 0 || self.positions[start - 1] > first {
+            self.runs.push(start);
+        }
+    }
 }
 
 /// What a progressive query remembers about one refinable work unit

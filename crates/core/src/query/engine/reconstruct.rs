@@ -270,10 +270,10 @@ impl RowClamp<'_> {
 /// bit*. Units that nothing can reject instead scatter their values
 /// into a chunk-shaped block with pure local arithmetic (one add and
 /// one store per run) and mark coverage in `mask`; after all groups,
-/// one pass per chunk walks the mask word-by-word and emits whole row
-/// segments in bulk. The mask — rather than assuming full coverage —
-/// keeps this correct when a chunk's bins are split across ranks by
-/// the column-order assignment.
+/// one pass over the global rows the chunks cover emits whole row
+/// segments in bulk, in position order. The mask — rather than
+/// assuming full coverage — keeps this correct when a chunk's bins are
+/// split across ranks by the column-order assignment.
 struct ChunkScatter {
     /// Chunk-local values, ordered by local offset (empty when the
     /// query is position-only).
@@ -364,8 +364,9 @@ pub(crate) struct Reconstructor<'j, 'a> {
     scratch: Scratch,
     coords: Vec<usize>,
     emitter: ChunkEmitter,
-    /// Chunk-rank-keyed scatter targets for filterless units, emitted
-    /// in bulk after the last bin (BTreeMap ⇒ deterministic order).
+    /// Scatter targets for filterless units, keyed by row-major chunk
+    /// id (the order emission walks them in), emitted in bulk after
+    /// the last bin.
     scatter: BTreeMap<usize, ChunkScatter>,
     /// Sampled-directory rank probes the membership path issued.
     pub rank_calls: u64,
@@ -414,7 +415,9 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     }
 
     /// Reconstruct unit `gi` of a bin's group into `out`, or defer it
-    /// to the per-chunk scatter ([`Self::emit_deferred`]).
+    /// to the per-chunk scatter ([`Self::emit_deferred`]). A unit
+    /// emitted here is one run of `out`: its bitmap walk rises in
+    /// global position.
     pub fn unit(
         &mut self,
         gi: usize,
@@ -425,7 +428,9 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         // The scratch is lent to the unit's view for the call, so the
         // paths can borrow `self` whole.
         let mut scratch = std::mem::take(&mut self.scratch);
+        let start = out.positions.len();
         let done = self.unit_with(&mut scratch, gi, u, bin, out);
+        out.close_run(start);
         self.scratch = scratch;
         done
     }
@@ -625,9 +630,9 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// Progressive capture path: emit the unit directly — the deferred
     /// scatter cannot attribute a point to a unit, and refinement
     /// needs the per-unit (value rank, position) mapping — recording
-    /// that mapping into `ru` as it goes. The final `QueryResult`
-    /// sorts by position, so bypassing the scatter never changes
-    /// observable output.
+    /// that mapping into `ru` as it goes. The unit is one sorted run,
+    /// merged into place at the gather, so bypassing the scatter never
+    /// changes observable output.
     fn capture(
         &mut self,
         v: &UnitView<'_>,
@@ -656,13 +661,14 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// Defer a position-filterless unit to the per-chunk scatter:
     /// survivors are marked in a chunk-local coverage mask (values
     /// stored chunk-locally) with pure local arithmetic — no row-major
-    /// cursor per set bit — and one bulk emission per chunk maps them
-    /// to global positions after the last bin. Value filters reject
-    /// points here (one compare per set bit); spatial clamping happens
-    /// once per row at emission.
+    /// cursor per set bit — and one bulk emission maps every chunk's
+    /// survivors to global positions, in order, after the last bin.
+    /// Value filters reject points here (one compare per set bit);
+    /// spatial clamping happens once per row at emission.
     fn defer(&mut self, v: &UnitView<'_>, chunk_points: u64) {
         let (vc, keep_values) = (self.vc, self.job.req.query.wants_values());
-        let e = self.scatter.entry(v.unit.chunk_rank).or_insert_with(|| {
+        let chunk = self.job.store.order().cell_at(v.unit.chunk_rank);
+        let e = self.scatter.entry(chunk).or_insert_with(|| {
             let (mut block, mut mask) = SCATTER_POOL
                 .with(|p| p.borrow_mut().pop())
                 .unwrap_or_default();
@@ -790,66 +796,194 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         !self.scatter.is_empty()
     }
 
-    /// Bulk emission of the deferred chunks: walk each coverage mask
-    /// word-by-word and emit covered runs as whole row segments.
-    /// Chunk-rank order is deterministic; the final `QueryResult`
-    /// sorts by position anyway, so deferral never changes observable
-    /// output.
+    /// Bulk emission of the deferred chunks as one sorted run: walk
+    /// the global rows they cover in row-major order and, in each, let
+    /// the chunks covering it emit their covered segments of it from
+    /// left to right (see [`RowWalk`]). The output is reserved once,
+    /// for every covered offset.
     pub fn emit_deferred(&mut self, out: &mut RankOutput) {
-        let (store, keep_values) = (self.job.store, self.job.req.query.wants_values());
-        for (chunk_rank, mut e) in std::mem::take(&mut self.scatter) {
-            let cell = store.order().cell_at(chunk_rank);
-            store
-                .grid()
-                .chunk_ranges_into(cell, &mut self.scratch.ranges);
-            let ranges: &[(usize, usize)] = &self.scratch.ranges;
-            let mut clamp = self.clamp(e.spatial);
-            let emitter = &mut self.emitter;
-            emitter.set_chunk(ranges);
-            let mut cursor = 0u64;
-            for wi in 0..e.mask.len() {
-                let word = e.mask[wi];
-                if word == 0 {
-                    continue;
-                }
-                e.mask[wi] = 0;
-                let base = wi as u64 * 64;
-                let mut off = 0u64;
-                let mut m = word;
-                while m != 0 {
-                    let z = u64::from(m.trailing_zeros());
-                    let shifted = m >> z;
-                    let o = u64::from((!shifted).trailing_zeros());
-                    let start = base + off + z;
-                    emitter.advance(start - cursor);
-                    let block = &e.block;
-                    emitter.walk_run(o, start, |c, g0, vi, take| {
-                        let Some((g0, vi, take)) = clamp.clamp(ranges, c, g0, vi, take) else {
-                            return;
-                        };
-                        out.positions.extend(g0..g0 + take);
-                        if keep_values {
-                            out.values.extend_from_slice(&block[vi..vi + take as usize]);
-                        }
-                    });
-                    // Restore the pool's all-zero invariant for exactly
-                    // the range this run covered (cache-hot: emission
-                    // just read it).
-                    if keep_values {
-                        e.block[start as usize..(start + o) as usize].fill(0.0);
-                    }
-                    cursor = start + o;
-                    off += z + o;
-                    m = if off >= 64 { 0 } else { shifted >> o };
+        let (grid, query) = (self.job.store.grid(), self.job.req.query);
+        let dims = grid.dims();
+        let mut ranges = Vec::with_capacity(self.scatter.len() * dims);
+        let mut pending = Vec::with_capacity(self.scatter.len());
+        let mut covered = 0usize;
+        for (chunk, scatter) in std::mem::take(&mut self.scatter) {
+            grid.chunk_ranges_into(chunk, &mut self.scratch.ranges);
+            covered += scatter
+                .mask
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
+            pending.push(Pending {
+                scatter,
+                at: ranges.len(),
+                row: 0,
+                points: self
+                    .scratch
+                    .ranges
+                    .iter()
+                    .map(|&(s, e)| (e - s) as u64)
+                    .product(),
+            });
+            ranges.extend_from_slice(&self.scratch.ranges);
+        }
+        out.positions.reserve(covered);
+        if query.wants_values() {
+            out.values.reserve(covered);
+        }
+        let walk = RowWalk {
+            ranges: &ranges,
+            strides: &self.emitter.strides,
+            sc: query.sc.as_ref().map(|r| r.ranges()),
+            keep_values: query.wants_values(),
+        };
+        let start = out.positions.len();
+        walk.rows(&mut pending, 0, 0, true, out);
+        out.close_run(start);
+        SCATTER_POOL.with(|p| {
+            let mut p = p.borrow_mut();
+            for chunk in pending {
+                if p.len() < SCATTER_POOL_CAP {
+                    p.push((chunk.scatter.block, chunk.scatter.mask));
                 }
             }
-            SCATTER_POOL.with(|p| {
-                let mut p = p.borrow_mut();
-                if p.len() < SCATTER_POOL_CAP {
-                    p.push((e.block, e.mask));
-                }
-            });
+        });
+    }
+}
+
+/// A deferred chunk while [`RowWalk`] emits it.
+struct Pending {
+    scatter: ChunkScatter,
+    /// Where the chunk's clamped ranges start in [`RowWalk::ranges`].
+    at: usize,
+    /// The chunk's next row (chunk-local, counting every coordinate
+    /// but the last); rows are emitted in order, one per visit.
+    row: u64,
+    /// Offsets the chunk spans.
+    points: u64,
+}
+
+/// Emits deferred chunks in global row-major order.
+///
+/// A global row — every coordinate but the last fixed — is covered by
+/// the chunks whose outer chunk coordinates contain it, side by side
+/// along the last dimension. Sorted by row-major chunk id, the chunks
+/// sharing a chunk coordinate in one dimension are neighbours, so the
+/// walk fixes one dimension at a time over such bands; at the last
+/// dimension it visits the band's chunks left to right, each emitting
+/// its segment of the row. Each chunk's own rows come up in its
+/// chunk-local row order, which is why a row counter per chunk finds
+/// the row's bits in its mask. This is the same for 2-D and 3-D: in
+/// 2-D each band is one row of chunks; in 3-D the bands of one outer
+/// chunk coordinate interleave row by row.
+struct RowWalk<'w> {
+    /// Clamped ranges of every pending chunk, one per dimension each.
+    ranges: &'w [(usize, usize)],
+    /// Global row-major stride per dimension.
+    strides: &'w [u64],
+    /// The query's spatial region, if it has one.
+    sc: Option<&'w [(usize, usize)]>,
+    keep_values: bool,
+}
+
+/// The first offset in `from..to` whose mask bit is `set`, or `to`.
+#[inline]
+fn seek_bit(mask: &[u64], from: u64, to: u64, set: bool) -> u64 {
+    let flip = if set { 0 } else { !0u64 };
+    let mut p = from;
+    while p < to {
+        let word = (mask[(p / 64) as usize] ^ flip) >> (p % 64);
+        if word != 0 {
+            return (p + u64::from(word.trailing_zeros())).min(to);
         }
+        p = (p / 64 + 1) * 64;
+    }
+    to
+}
+
+impl RowWalk<'_> {
+    fn ranges(&self, chunk: &Pending) -> &[(usize, usize)] {
+        &self.ranges[chunk.at..chunk.at + self.strides.len()]
+    }
+
+    /// Emit, in row-major order, the global rows of `chunks` — every
+    /// one of which shares its chunk coordinates before `dim` — whose
+    /// coordinates before `dim` are fixed: those rows start at global
+    /// position `base`, and `inside` says whether the fixed
+    /// coordinates lie in the query's region.
+    fn rows(
+        &self,
+        chunks: &mut [Pending],
+        dim: usize,
+        base: u64,
+        inside: bool,
+        out: &mut RankOutput,
+    ) {
+        let last = self.strides.len() - 1;
+        if dim == last {
+            for chunk in chunks {
+                self.segment(chunk, base, inside, out);
+            }
+            return;
+        }
+        for band in chunks.chunk_by_mut(|a, b| self.ranges(a)[dim] == self.ranges(b)[dim]) {
+            let (s, e) = self.ranges(&band[0])[dim];
+            for x in s..e {
+                let inside = inside && self.sc.is_none_or(|sc| x >= sc[dim].0 && x < sc[dim].1);
+                let base = base + x as u64 * self.strides[dim];
+                self.rows(band, dim + 1, base, inside, out);
+            }
+        }
+    }
+
+    /// Emit `chunk`'s next row, whose global row starts at `base`, and
+    /// restore the pool's all-zero invariant over it: its covered
+    /// values (cache-hot: emission just read them) and the mask words
+    /// holding nothing of a later row.
+    fn segment(&self, chunk: &mut Pending, base: u64, inside: bool, out: &mut RankOutput) {
+        let (c0, c1) = self.ranges(chunk)[self.strides.len() - 1];
+        let w = (c1 - c0) as u64;
+        // The row's chunk-local offsets, and the part of them to emit:
+        // all, unless the chunk straddles the region.
+        let (a, b) = (chunk.row * w, (chunk.row + 1) * w);
+        chunk.row += 1;
+        let (lo, hi) = match self.sc.filter(|_| chunk.scatter.spatial) {
+            None => (a, b),
+            Some(_) if !inside => (a, a),
+            Some(sc) => {
+                let (s, e) = sc[sc.len() - 1];
+                let lo = a + (s.max(c0) - c0) as u64;
+                (lo, a + (e.min(c1).saturating_sub(c0)) as u64)
+            }
+        };
+        let ChunkScatter { block, mask, .. } = &mut chunk.scatter;
+        let mut p = a;
+        loop {
+            let s = seek_bit(mask, p, b, true);
+            if s == b {
+                break;
+            }
+            let e = seek_bit(mask, s, b, false);
+            let (es, ee) = (s.max(lo), e.min(hi));
+            if es < ee {
+                let g = base + c0 as u64 + (es - a);
+                out.positions.extend(g..g + (ee - es));
+                if self.keep_values {
+                    out.values
+                        .extend_from_slice(&block[es as usize..ee as usize]);
+                }
+            }
+            if self.keep_values {
+                block[s as usize..e as usize].fill(0.0);
+            }
+            p = e;
+        }
+        let spent = if b == chunk.points {
+            mask.len()
+        } else {
+            (b / 64) as usize
+        };
+        mask[(a / 64) as usize..spent].fill(0);
     }
 }
 

@@ -163,15 +163,134 @@ impl Query {
 
 /// Result of a query: matching positions (global row-major indices),
 /// and their values when requested. Entries are sorted by position.
+///
+/// The engine never sorts an answer: every rank hands the gather its
+/// positions as a few strictly rising runs, and one merge interleaves
+/// them. A result is only ever built from positions already in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     positions: Vec<u64>,
     values: Option<Vec<f64>>,
 }
 
+/// One contributor's share of an answer — a rank's output, or a
+/// finished sub-result: positions with their values (empty for a
+/// positions-only query), appended as strictly rising runs. Run `k`
+/// spans `starts[k]..starts[k + 1]` (the last one, to the end); the
+/// first starts at 0 whenever there are positions at all.
+pub(crate) struct Runs {
+    pub positions: Vec<u64>,
+    pub values: Vec<f64>,
+    pub starts: Vec<usize>,
+}
+
+impl Runs {
+    /// Every non-empty run as `(start, end)`.
+    fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ends = self.starts.iter().skip(1).copied();
+        let ends = ends.chain(std::iter::once(self.positions.len()));
+        self.starts.iter().copied().zip(ends).filter(|(s, e)| s < e)
+    }
+}
+
+/// Restore the min-heap order of `heap` (keyed by a run's next
+/// position) below slot `i`.
+fn sift_down(heap: &mut [(u64, usize)], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        let Some(&(first, _)) = heap.get(left) else {
+            return;
+        };
+        let child = match heap.get(left + 1) {
+            Some(&(second, _)) if second < first => left + 1,
+            _ => left,
+        };
+        if heap[child].0 >= heap[i].0 {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
+    }
+}
+
 impl QueryResult {
+    /// Wrap parts that are already in position order.
+    pub(crate) fn from_sorted(positions: Vec<u64>, values: Option<Vec<f64>>) -> Self {
+        debug_assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "answer positions must rise strictly"
+        );
+        debug_assert!(values.as_ref().is_none_or(|v| v.len() == positions.len()));
+        QueryResult { positions, values }
+    }
+
+    /// Merge every run of every part into one answer, values kept
+    /// aligned (`with_values` says whether the answer carries them).
+    ///
+    /// A lone run is its part's vectors, moved and trimmed to length,
+    /// not copied. Otherwise a min-heap keyed by each run's next
+    /// position picks the run to copy from, and copies from it every
+    /// position below the next-smallest head in one slice: a run that
+    /// leads by a whole row segment costs one heap step for the
+    /// segment. The merged vectors are allocated at their exact length.
+    pub(crate) fn merge(mut parts: Vec<Runs>, with_values: bool) -> Self {
+        // (part, start, end) of every non-empty run.
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (k, part) in parts.iter().enumerate() {
+            debug_assert!(!with_values || part.values.len() == part.positions.len());
+            runs.extend(part.spans().map(|(s, e)| (k, s, e)));
+        }
+        if let [(k, 0, e)] = runs[..] {
+            if e == parts[k].positions.len() {
+                let Runs {
+                    mut positions,
+                    mut values,
+                    ..
+                } = parts.swap_remove(k);
+                positions.shrink_to_fit();
+                values.shrink_to_fit();
+                return QueryResult::from_sorted(positions, with_values.then_some(values));
+            }
+        }
+        let total: usize = runs.iter().map(|&(_, s, e)| e - s).sum();
+        let mut positions = Vec::with_capacity(total);
+        let mut values = Vec::with_capacity(if with_values { total } else { 0 });
+        let mut heap: Vec<(u64, usize)> = (runs.iter().enumerate())
+            .map(|(r, &(k, s, _))| (parts[k].positions[s], r))
+            .collect();
+        for i in (0..heap.len() / 2).rev() {
+            sift_down(&mut heap, i);
+        }
+        while let Some(&(_, r)) = heap.first() {
+            // The smallest head among the other runs: everything of this
+            // run below it comes next.
+            let bound = heap[1..heap.len().min(3)]
+                .iter()
+                .map(|&(head, _)| head)
+                .min()
+                .unwrap_or(u64::MAX);
+            let (k, s, e) = runs[r];
+            let run = &parts[k].positions[s..e];
+            let take = run.iter().position(|&p| p > bound).unwrap_or(run.len());
+            positions.extend_from_slice(&run[..take]);
+            if with_values {
+                values.extend_from_slice(&parts[k].values[s..s + take]);
+            }
+            if take == run.len() {
+                heap.swap_remove(0);
+            } else {
+                runs[r].1 += take;
+                heap[0].0 = run[take];
+            }
+            sift_down(&mut heap, 0);
+        }
+        QueryResult::from_sorted(positions, with_values.then_some(values))
+    }
+
     /// Assemble from unsorted parts (sorts by position, keeping values
-    /// aligned).
+    /// aligned): how answers were assembled before they left the
+    /// engine in order, kept as the oracle the merge is tested against.
+    #[cfg(test)]
     pub fn from_parts(mut positions: Vec<u64>, values: Option<Vec<f64>>) -> Self {
         match values {
             Some(vals) => {
@@ -212,10 +331,18 @@ impl QueryResult {
         self.values.as_deref_mut()
     }
 
-    /// Decompose into `(positions, values)` without copying (used when
-    /// merging sub-results).
-    pub(crate) fn into_parts(self) -> (Vec<u64>, Option<Vec<f64>>) {
-        (self.positions, self.values)
+    /// This result as one run, without copying (used when merging
+    /// sub-results).
+    pub(crate) fn into_runs(self) -> Runs {
+        Runs {
+            starts: if self.positions.is_empty() {
+                Vec::new()
+            } else {
+                vec![0]
+            },
+            positions: self.positions,
+            values: self.values.unwrap_or_default(),
+        }
     }
 
     /// Number of matches.

@@ -1,10 +1,12 @@
 //! Allocation budget of the warm fetch path.
 //!
 //! A warm op is all constants: every block it wants is a cache hit, so
-//! what it costs is what the engine spends *per want* around the probe.
-//! This binary counts heap allocations (a counting `#[global_allocator]`,
-//! per thread, so the harness's own threads don't leak in) and gates
-//! that constant exactly — a count, not a time, so CI can hold it.
+//! what it costs is what the engine spends *per want* around the probe,
+//! and the bytes it allocates to assemble its answer. This binary
+//! counts heap allocations and the bytes they request (a counting
+//! `#[global_allocator]`, per thread, so the harness's own threads
+//! don't leak in) and gates both — counts, not times, so CI can hold
+//! them.
 //!
 //! It lives in its own integration-test binary because the allocator
 //! is process-wide.
@@ -25,25 +27,30 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation of `bytes` new bytes.
+fn bump(bytes: usize) {
     // `try_with`: the allocator outlives thread-local teardown.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// plain thread-local `Cell` with no destructor and no allocation.
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// plain thread-local `Cell`s with no destructor and no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
+    /// A reallocation counts as one allocation of what it grows by (a
+    /// shrink requests no bytes).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,6 +63,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes this thread's allocations requested while `f` ran.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// The benchmark's geometry in small: an 8 × 8 chunk grid, PLoD byte
@@ -107,6 +121,51 @@ fn warm_execute_plan_allocates_under_one_and_a_half_times_per_want() {
     assert!(
         allocs * 2 <= wants * 3,
         "{allocs} allocations for {wants} wants: the warm path allocates per want again"
+    );
+}
+
+/// 81 × 81 of 256 × 256 — 10 % of the domain, over twelve chunks, ten
+/// of them straddling its edge.
+fn sc_ten_percent() -> Query {
+    Query::values_in(Region::new(vec![(40, 121), (90, 171)]))
+}
+
+/// Bytes a warm SC 10 % op may allocate per byte of its answer (a
+/// position and a value per point, 104,976 bytes). Measured on this
+/// fixture: 1,058,440 bytes = 10.08 per byte while the gather sorted —
+/// the rank's vectors, a copy of them into the gather's, the
+/// (position, value) pairs and the two vectors they unzipped into —
+/// and 830,608 = 7.91 since answers arrive sorted: the rank's vectors,
+/// reserved once for every offset the deferred chunks cover, trimmed
+/// and moved into the result. The rest is the op's trace, want lists
+/// and per-bin blocks, the same in both. One more copy of the answer
+/// would add 1.0.
+const PER_ANSWER_BYTE: f64 = 8.0;
+
+#[test]
+fn warm_execute_plan_allocates_its_answer_about_once() {
+    let be = MemBackend::new();
+    build(&be);
+    let store = MlocStore::open(&be, "ds", "v")
+        .unwrap()
+        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+    let exec = ParallelExecutor::new(1, CostModel::default());
+    let query = sc_ten_percent();
+    let plan = make_plan(&store, &query).unwrap();
+    let (cold, _) = exec.execute_plan(&store, &query, &plan, None).unwrap();
+
+    let ((warm, metrics), bytes) =
+        allocated_bytes(|| exec.execute_plan(&store, &query, &plan, None).unwrap());
+    assert_eq!(warm, cold);
+    assert_eq!(metrics.cache_misses, 0, "the op must be fully warm");
+    // A position and a value per point.
+    let answer = warm.len() as u64 * 16;
+    assert_eq!(warm.len(), 81 * 81);
+    let per_answer_byte = bytes as f64 / answer as f64;
+    println!("{bytes} bytes allocated for a {answer}-byte answer: {per_answer_byte:.2} per byte");
+    assert!(
+        per_answer_byte <= PER_ANSWER_BYTE,
+        "{bytes} bytes for a {answer}-byte answer: {per_answer_byte:.2} per byte"
     );
 }
 
