@@ -765,12 +765,21 @@ impl WahRef<'_> {
     /// indexes the chunk's packed value block, the bit says whether the
     /// position is present at all.
     ///
-    /// # Panics
-    /// Panics if `pos` is not strictly inside the bitmap.
-    pub fn rank_bit_with(&self, dir: &RankSelectDir, pos: u64) -> (u64, bool) {
-        assert!(pos < self.num_bits, "bit {pos} out of range");
+    /// `None` when the stream cannot answer: `pos` is not strictly
+    /// inside the declared length or lies past the bits the words
+    /// cover, or the directory's checkpoint points past the words or
+    /// claims more set bits than bits. Only a damaged stream or
+    /// directory does that; a rank that is merely too large for the
+    /// values it indexes is for the caller to check.
+    pub fn rank_bit_with(&self, dir: &RankSelectDir, pos: u64) -> Option<(u64, bool)> {
+        if pos >= self.num_bits {
+            return None;
+        }
         let (start, mut bits, mut ones) = dir.seek_bits(pos);
-        for &w in &self.words[start.min(self.words.len())..] {
+        if start > self.words.len() || ones > bits {
+            return None;
+        }
+        for &w in &self.words[start..] {
             if w & FILL_FLAG != 0 {
                 let nbits = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
                 let set = w & FILL_BIT != 0;
@@ -778,7 +787,7 @@ impl WahRef<'_> {
                     if set {
                         ones += pos - bits;
                     }
-                    return (ones, set);
+                    return Some((ones, set));
                 }
                 bits += nbits;
                 if set {
@@ -788,16 +797,16 @@ impl WahRef<'_> {
                 if pos < bits + GROUP_BITS {
                     let lit = w & LITERAL_MASK;
                     let mask = (1u32 << (pos - bits)) - 1;
-                    return (
+                    return Some((
                         ones + u64::from((lit & mask).count_ones()),
                         (lit >> (pos - bits)) & 1 == 1,
-                    );
+                    ));
                 }
                 bits += GROUP_BITS;
                 ones += u64::from((w & LITERAL_MASK).count_ones());
             }
         }
-        unreachable!("pos checked against num_bits");
+        None
     }
 
     /// Position of the `k`-th set bit (0-indexed) via the sampled
@@ -1201,8 +1210,46 @@ mod tests {
         // Queries still work through the empty directory.
         assert_eq!(b.as_ref().rank_with(&dir, 501), 2);
         assert_eq!(b.as_ref().select_with(&dir, 2), Some(999));
-        assert_eq!(b.as_ref().rank_bit_with(&dir, 500), (1, true));
-        assert_eq!(b.as_ref().rank_bit_with(&dir, 501), (2, false));
+        assert_eq!(b.as_ref().rank_bit_with(&dir, 500), Some((1, true)));
+        assert_eq!(b.as_ref().rank_bit_with(&dir, 501), Some((2, false)));
+        assert_eq!(b.as_ref().rank_bit_with(&dir, 1_000), None);
+    }
+
+    /// Words that cover fewer bits than the declared length — one
+    /// literal word under 1,000 declared bits, its one set bit counted
+    /// the same either way — answer no probe past them.
+    #[test]
+    fn rank_bit_past_the_words_is_none() {
+        let mut bytes = WahBitmap::from_sorted_positions(31, &[3]).to_bytes();
+        bytes[4..12].copy_from_slice(&1_000u64.to_le_bytes());
+        let mut scratch = Vec::new();
+        let (r, _) = WahRef::decode_into(&bytes, &mut scratch).unwrap();
+        assert_eq!((r.len(), r.count_ones()), (1_000, 1));
+        let dir = RankSelectDir::empty();
+        assert_eq!(r.rank_bit_with(&dir, 3), Some((0, true)));
+        assert_eq!(r.rank_bit_with(&dir, 30), Some((1, false)));
+        assert_eq!(r.rank_bit_with(&dir, 500), None);
+    }
+
+    /// A checkpoint claiming 4,000,000 set bits within its first 31
+    /// bits would make a one-bit bitmap answer rank 4,000,000.
+    #[test]
+    fn rank_bit_through_an_impossible_checkpoint_is_none() {
+        let b = WahBitmap::from_sorted_positions(62, &[40]);
+        assert_eq!(b.words().len(), 2);
+        // One checkpoint every `every` words: (bits, ones) before it.
+        let dir = |every: u32, ones: u32| {
+            let bytes: Vec<u8> = [1, every, 31, ones]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            RankSelectDir::from_bytes(&bytes).unwrap().0
+        };
+        assert_eq!(b.as_ref().rank_bit_with(&dir(1, 4_000_000), 40), None);
+        // The same checkpoint at an honest count answers; one past the
+        // words answers nothing either.
+        assert_eq!(b.as_ref().rank_bit_with(&dir(1, 0), 40), Some((0, true)));
+        assert_eq!(b.as_ref().rank_bit_with(&dir(9, 0), 40), None);
     }
 
     /// A bitmap long enough to carry samples: alternating literal noise
@@ -1237,7 +1284,7 @@ mod tests {
         let r = b.as_ref();
         for pos in (0..b.len()).step_by(13) {
             assert_eq!(r.rank_with(&dir, pos), b.rank(pos), "rank at {pos}");
-            let (rank, bit) = r.rank_bit_with(&dir, pos);
+            let (rank, bit) = r.rank_bit_with(&dir, pos).unwrap();
             assert_eq!(rank, b.rank(pos));
             assert_eq!(bit, b.get(pos), "bit at {pos}");
         }

@@ -185,7 +185,7 @@ proptest! {
             let want = bits[..pos].iter().filter(|&&b| b).count() as u64;
             prop_assert_eq!(r.rank_with(&dir, pos as u64), want);
             if pos < bits.len() {
-                prop_assert_eq!(r.rank_bit_with(&dir, pos as u64), (want, bits[pos]));
+                prop_assert_eq!(r.rank_bit_with(&dir, pos as u64), Some((want, bits[pos])));
             }
         }
     }
@@ -209,7 +209,7 @@ proptest! {
         while pos <= bm.len() {
             prop_assert_eq!(r.rank_with(&dir, pos), bm.rank(pos));
             if pos < bm.len() {
-                prop_assert_eq!(r.rank_bit_with(&dir, pos), (bm.rank(pos), bm.get(pos)));
+                prop_assert_eq!(r.rank_bit_with(&dir, pos), Some((bm.rank(pos), bm.get(pos))));
             }
             pos += step;
         }

@@ -7,14 +7,16 @@
 //! PFS simulator from the per-rank read traces; decompression and
 //! reconstruction are measured.
 
-use crate::metrics::QueryMetrics;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::metrics::{Meter, QueryMetrics};
 use crate::query::engine::{process_units, PeerTable, RankJob, RankOutput, RefineUnit};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult, Runs};
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::{Collector, Label, Profile};
-use mloc_pfs::{simulate_reads, CostModel, ReadOp, RetryPolicy, SimReport, StorageBackend};
+use mloc_pfs::{CostModel, ReadOp, RetryPolicy};
 use mloc_runtime::{column_order, spmd};
 use std::time::Instant;
 
@@ -33,10 +35,10 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     nranks: usize,
-    cost_model: CostModel,
+    pub(crate) cost_model: CostModel,
     threaded: bool,
-    retry: RetryPolicy,
-    allow_degraded: bool,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) allow_degraded: bool,
     pub(crate) profiled: bool,
 }
 
@@ -92,13 +94,10 @@ impl<'r> ExecRequest<'r> {
 pub struct ExecOutput {
     pub result: QueryResult,
     pub metrics: QueryMetrics,
-    /// The merged per-rank profile; empty unless the executor is
-    /// [`ParallelExecutor::profiled`]. Its stage spans carry the
-    /// *same* floats as `metrics` (`io`/`rank/decompress`/
-    /// `rank/reconstruct` `max_rank_seconds` equal `io_s`/
-    /// `decompress_s`/`reconstruct_s` exactly), and per-rank
-    /// collectors are merged in rank order, so replay and threaded
-    /// modes yield structurally identical profiles.
+    /// The ranks' merged profiles and the run's price restated;
+    /// empty unless the executor is [`ParallelExecutor::profiled`].
+    /// Rank order is the merge order, so replay and threaded modes
+    /// yield structurally identical profiles.
     pub profile: Profile,
     /// Every rank's logical reads in issue order, as priced: what it
     /// read, what a cache served, and what it took from a peer rank.
@@ -165,25 +164,9 @@ impl ParallelExecutor {
         self
     }
 
-    /// Number of ranks.
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
     /// The PFS cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
-    }
-
-    /// The retry policy applied to every rank's reads.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Whether degraded completion is allowed (see
-    /// [`ParallelExecutor::allow_degraded`]).
-    pub fn degradation_allowed(&self) -> bool {
-        self.allow_degraded
     }
 
     /// Plan and execute a query.
@@ -246,10 +229,7 @@ impl ParallelExecutor {
         let peers = (self.nranks > 1)
             .then(|| PeerTable::new(&dealt, assignment.per_rank.iter().map(Vec::len)));
         let cache_before = store.cache().filter(|_| self.profiled).map(|c| c.stats());
-        // Replica-masked reads are counted by the backend itself (the
-        // router can't attribute them to ranks); take a delta so each
-        // query reports only its own masks.
-        let read_repairs_before = masked_reads(store.backend());
+        let meter = Meter::start(store.backend());
 
         let run_rank = |rank: usize| -> Result<(RankOutput, Profile)> {
             let job = RankJob {
@@ -275,81 +255,40 @@ impl ParallelExecutor {
         // Rank order is the merge order in both executor modes — this
         // is what makes replay and threaded profiles identical.
         let mut outputs = Vec::with_capacity(self.nranks);
-        let mut traces: Vec<Vec<ReadOp>> = Vec::with_capacity(self.nranks);
         for r in rank_results {
-            let (mut out, rank_profile) = r?;
-            traces.push(std::mem::take(&mut out.io.trace));
+            let (out, rank_profile) = r?;
             outputs.push(out);
             profile.merge_from(rank_profile);
         }
-        let sim = simulate_reads(&traces, &self.cost_model);
-
-        let mut metrics = QueryMetrics {
-            nranks: self.nranks,
-            bins_touched: plan.bins_touched,
-            aligned_bins: plan.aligned_bins,
-            chunks_touched: plan.chunks_touched,
-            seeks: sim.total_seeks,
-            per_rank_io: sim.per_rank_seconds.clone(),
-            ..Default::default()
-        };
+        // Every rank's answer arrives as sorted runs: one merge, no sort.
         let mut gather = Collector::new(self.profiled);
         gather.begin("gather");
-        let mut answers = Vec::with_capacity(self.nranks);
         let mut refine_units = Vec::new();
-        let mut batch_depths = Vec::new();
-        for (rank, out) in outputs.into_iter().enumerate() {
-            let cpu = out.decompress_s + out.reconstruct_s;
-            let io = sim.per_rank_seconds[rank];
-            metrics.per_rank_cpu.push(cpu);
-            metrics.io_s = metrics.io_s.max(io);
-            metrics.decompress_s = metrics.decompress_s.max(out.decompress_s);
-            metrics.reconstruct_s = metrics.reconstruct_s.max(out.reconstruct_s);
-            metrics.response_s = metrics.response_s.max(io + cpu);
-            metrics.add_rank_io(&out.io);
-            metrics.degraded_units += out.degradation.events.len() as u64;
-            metrics.degradation.merge(&out.degradation);
-            answers.push(Runs {
-                positions: out.positions,
-                values: out.values,
-                starts: out.runs,
-            });
-            refine_units.extend(out.refine_units);
-            batch_depths.extend(out.io.batch_depths);
-        }
-        // Every rank's answer arrives as sorted runs: one merge, no sort.
-        let result = QueryResult::merge(answers, req.query.wants_values());
-        metrics.read_repairs = masked_reads(store.backend()).saturating_sub(read_repairs_before);
-        gather.end();
-
-        if self.profiled {
-            profile.merge_from(gather.finish());
-            self.annotate(&mut profile, store, plan, &metrics, &sim, &traces);
-            // Submission-queue shape: how many batches went down and
-            // how deep each one was.
-            if !batch_depths.is_empty() {
-                profile.add_counter("io.batches", Label::None, batch_depths.len() as u64);
-                let h = profile.histogram_mut("io.batch_depth", Label::None);
-                for &d in &batch_depths {
-                    h.observe(d as f64);
-                }
+        let answers = outputs.iter_mut().map(|out| {
+            refine_units.append(&mut out.refine_units);
+            Runs {
+                positions: std::mem::take(&mut out.positions),
+                values: std::mem::take(&mut out.values),
+                starts: std::mem::take(&mut out.runs),
             }
-            // Shared-cache churn over the whole query (insert/evict are
-            // cache-wide, unlike the per-rank hit/miss counters).
-            if let (Some(before), Some(cache)) = (cache_before, store.cache()) {
-                let after = cache.stats();
-                profile.add_counter(
-                    "cache.insertions",
-                    Label::None,
-                    after.insertions - before.insertions,
-                );
-                profile.add_counter(
-                    "cache.evictions",
-                    Label::None,
-                    after.evictions - before.evictions,
-                );
-                profile.add_counter("cache.resident_bytes", Label::None, after.resident_bytes);
-                profile.add_counter("cache.resident_blocks", Label::None, after.resident_blocks);
+        });
+        let result = QueryResult::merge(answers.collect(), req.query.wants_values());
+        gather.end();
+        profile.merge_from(gather.finish());
+
+        let profiled = self.profiled.then_some(&mut profile);
+        let (metrics, traces) = meter.price(&mut outputs, &self.cost_model, plan, profiled);
+        // Shared-cache churn over the whole query (insert/evict are
+        // cache-wide, unlike the per-rank hit/miss counters).
+        if let (Some(before), Some(cache)) = (cache_before, store.cache()) {
+            let after = cache.stats();
+            for (name, value) in [
+                ("cache.insertions", after.insertions - before.insertions),
+                ("cache.evictions", after.evictions - before.evictions),
+                ("cache.resident_bytes", after.resident_bytes),
+                ("cache.resident_blocks", after.resident_blocks),
+            ] {
+                profile.add_counter(name, Label::None, value);
             }
         }
 
@@ -361,73 +300,6 @@ impl ParallelExecutor {
             refine_units,
         })
     }
-
-    /// Attribute the simulated I/O, the plan shape and the fault
-    /// counters of one run to its profile.
-    fn annotate(
-        &self,
-        profile: &mut Profile,
-        store: &MlocStore<'_>,
-        plan: &Plan,
-        metrics: &QueryMetrics,
-        sim: &SimReport,
-        traces: &[Vec<ReadOp>],
-    ) {
-        // Simulated I/O is attributed per rank after the fact: the
-        // span's max-over-ranks equals `metrics.io_s` exactly.
-        profile.record_over_ranks(&["io"], &sim.per_rank_seconds);
-        let per = |f: fn(&mloc_pfs::RankIoBreakdown) -> f64| -> Vec<f64> {
-            sim.per_rank.iter().map(f).collect()
-        };
-        profile.record_over_ranks(&["io", "seek"], &per(|b| b.seek_s));
-        profile.record_over_ranks(&["io", "open"], &per(|b| b.open_s));
-        profile.record_over_ranks(&["io", "transfer"], &per(|b| b.transfer_s));
-        profile.add_counter("io.bytes", Label::None, sim.total_bytes);
-        profile.add_counter("io.seeks", Label::None, sim.total_seeks);
-        profile.add_counter("io.opens", Label::None, sim.total_opens);
-        for (rank, b) in sim.per_rank.iter().enumerate() {
-            profile.add_counter("rank.io.bytes", Label::Index(rank as u32), b.bytes);
-        }
-        profile.add_counter("plan.units", Label::None, plan.units.len() as u64);
-        profile.add_counter("plan.bins", Label::None, plan.bins_touched as u64);
-        profile.add_counter("plan.aligned_bins", Label::None, plan.aligned_bins as u64);
-        profile.add_counter("plan.chunks", Label::None, plan.chunks_touched as u64);
-        // Fault and sharing counters appear only when they fired.
-        // (`fusion.bytes_saved` is counted by the ranks themselves, see
-        // `Fetcher::finish`.) `fusion.*` covers both kinds of shared
-        // read: wants fused with another session's, and a bin's fixed
-        // blocks taken from the peer rank that fetched them for this
-        // query.
-        for (name, value) in [
-            ("pfs.retries", metrics.retries),
-            ("io.retries_exhausted", metrics.retries_exhausted),
-            ("io.read_repair", metrics.read_repairs),
-            ("fusion.reads", metrics.fused_reads),
-            ("degraded.units", metrics.degraded_units),
-        ] {
-            if value > 0 {
-                profile.add_counter(name, Label::None, value);
-            }
-        }
-        // Per-shard PFS breakdown: attribute every traced op to the
-        // shard that owns its file (sharded backends only).
-        let layout = store.backend().replica_access();
-        if let Some(layout) = layout.filter(|l| l.shard_count() > 1) {
-            for op in traces.iter().flatten().filter(|op| !op.cached && !op.peer) {
-                let shard = layout.shard_of(&op.file) as u32;
-                profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
-                profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
-            }
-        }
-    }
-}
-
-/// Reads the backend has masked from a replica so far; a single-copy
-/// store never masks. Queries report the delta over their own run.
-pub(crate) fn masked_reads(backend: &dyn StorageBackend) -> u64 {
-    backend
-        .replica_access()
-        .map_or(0, |r| r.read_repair_count())
 }
 
 #[cfg(test)]

@@ -1,9 +1,16 @@
 //! Query performance metrics, decomposed as in the paper's Fig. 6:
 //! I/O (simulated PFS time), decompression, and reconstruction
-//! (filtering + assembling results).
+//! (filtering + assembling results). [`Meter::price`] is the one place
+//! a query's cost is computed — for an executor run and for a
+//! progressive refinement pull alike.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::degrade::DegradationReport;
-use crate::query::engine::FetchReport;
+use crate::query::engine::RankOutput;
+use crate::query::plan::Plan;
+use mloc_obs::{Label, Profile};
+use mloc_pfs::{simulate_reads, CostModel, ReadOp, ReplicaAccess, StorageBackend};
 
 /// Per-query metrics. Component times are critical-path values (the
 /// slowest rank); per-rank detail is kept for scalability plots.
@@ -78,25 +85,9 @@ impl QueryMetrics {
         self.io_s + self.decompress_s + self.reconstruct_s
     }
 
-    /// Fold one rank's fetch counters in: byte and event counts sum
-    /// over ranks, simulated backoff is a critical-path maximum (like
-    /// `io_s`), and `bytes_read` stays the index + data total.
-    pub(crate) fn add_rank_io(&mut self, io: &FetchReport) {
-        self.index_bytes += io.index_bytes;
-        self.data_bytes += io.data_bytes;
-        self.bytes_read = self.index_bytes + self.data_bytes;
-        self.cache_hits += io.cache_hits;
-        self.cache_misses += io.cache_misses;
-        self.bytes_saved += io.bytes_saved;
-        self.fused_reads += io.fused_reads;
-        self.fused_bytes_saved += io.fused_bytes;
-        self.retries += io.retries;
-        self.retry_wait_s = self.retry_wait_s.max(io.retry_wait_s);
-        self.retries_exhausted += io.retries_exhausted;
-    }
-
     /// Merge another query's metrics into an accumulating average
-    /// (used by the experiment harness to average over 100 queries).
+    /// (used by the experiment harness to average over 100 queries, and
+    /// by a ladder to sum its steps); `nranks` becomes the widest seen.
     pub fn accumulate(&mut self, other: &QueryMetrics) {
         self.io_s += other.io_s;
         self.decompress_s += other.decompress_s;
@@ -109,7 +100,7 @@ impl QueryMetrics {
         self.bins_touched += other.bins_touched;
         self.aligned_bins += other.aligned_bins;
         self.chunks_touched += other.chunks_touched;
-        self.nranks = other.nranks;
+        self.nranks = self.nranks.max(other.nranks);
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.bytes_saved += other.bytes_saved;
@@ -170,6 +161,143 @@ fn accumulate_per_rank(acc: &mut Vec<f64>, other: &[f64]) {
     }
     for (a, &o) in acc.iter_mut().zip(other.iter()) {
         *a += o;
+    }
+}
+
+/// Prices one query. Started before its ranks run: the backend counts
+/// replica-masked reads itself (the router can't attribute them to
+/// ranks), so a query reports the delta over its run.
+pub(crate) struct Meter<'b> {
+    replicas: Option<&'b dyn ReplicaAccess>,
+    masked_before: u64,
+}
+
+impl<'b> Meter<'b> {
+    pub fn start(backend: &'b dyn StorageBackend) -> Self {
+        let replicas = backend.replica_access();
+        let masked_before = replicas.map_or(0, |r| r.read_repair_count());
+        Meter {
+            replicas,
+            masked_before,
+        }
+    }
+
+    /// Price the ranks' reports — an executor run's under its `plan`, or
+    /// a progressive pull's as one rank under the empty plan (a pull
+    /// plans nothing). The read traces are taken out of the reports,
+    /// simulated on `model`, and handed back in rank order. Given a
+    /// profile, restate the price in it: the one place a profile
+    /// restates [`QueryMetrics`] (the ranks' own collectors hold only
+    /// what the metrics do not carry).
+    pub fn price(
+        self,
+        ranks: &mut [RankOutput],
+        model: &CostModel,
+        plan: &Plan,
+        profile: Option<&mut Profile>,
+    ) -> (QueryMetrics, Vec<Vec<ReadOp>>) {
+        let traces: Vec<Vec<ReadOp>> = ranks
+            .iter_mut()
+            .map(|out| std::mem::take(&mut out.io.trace))
+            .collect();
+        let sim = simulate_reads(&traces, model);
+        let mut m = QueryMetrics {
+            nranks: ranks.len(),
+            seeks: sim.total_seeks,
+            bins_touched: plan.bins_touched,
+            aligned_bins: plan.aligned_bins,
+            chunks_touched: plan.chunks_touched,
+            per_rank_io: sim.per_rank_seconds.clone(),
+            read_repairs: (self.replicas)
+                .map_or(0, |r| r.read_repair_count())
+                .saturating_sub(self.masked_before),
+            ..Default::default()
+        };
+        for (out, &io) in ranks.iter().zip(&sim.per_rank_seconds) {
+            let cpu = out.decompress_s + out.reconstruct_s;
+            m.per_rank_cpu.push(cpu);
+            m.io_s = m.io_s.max(io);
+            m.decompress_s = m.decompress_s.max(out.decompress_s);
+            m.reconstruct_s = m.reconstruct_s.max(out.reconstruct_s);
+            m.response_s = m.response_s.max(io + cpu);
+            let f = &out.io;
+            m.index_bytes += f.index_bytes;
+            m.data_bytes += f.data_bytes;
+            m.cache_hits += f.cache_hits;
+            m.cache_misses += f.cache_misses;
+            m.bytes_saved += f.bytes_saved;
+            m.fused_reads += f.fused_reads;
+            m.fused_bytes_saved += f.fused_bytes;
+            m.retries += f.retries;
+            m.retry_wait_s = m.retry_wait_s.max(f.retry_wait_s);
+            m.retries_exhausted += f.retries_exhausted;
+            m.degraded_units += out.degradation.events.len() as u64;
+            m.degradation.merge(&out.degradation);
+        }
+        m.bytes_read = m.index_bytes + m.data_bytes;
+        let Some(profile) = profile else {
+            return (m, traces);
+        };
+        // Simulated I/O is attributed per rank after the fact: the
+        // span's max-over-ranks is `io_s`.
+        profile.record_over_ranks(&["io"], &m.per_rank_io);
+        for (rank, b) in sim.per_rank.iter().enumerate() {
+            profile.record_over_ranks(&["io", "seek"], &[b.seek_s]);
+            profile.record_over_ranks(&["io", "open"], &[b.open_s]);
+            profile.record_over_ranks(&["io", "transfer"], &[b.transfer_s]);
+            profile.add_counter("rank.io.bytes", Label::Index(rank as u32), b.bytes);
+        }
+        let rejected = ranks.iter().map(|out| out.io.cache_rejected).sum();
+        for (name, value) in [
+            ("io.bytes", sim.total_bytes),
+            ("io.seeks", m.seeks),
+            ("io.opens", sim.total_opens),
+            ("cache.hits", m.cache_hits),
+            ("cache.misses", m.cache_misses),
+            ("cache.bytes_saved", m.bytes_saved),
+            ("cache.rejected_inserts", rejected),
+            ("plan.units", plan.units.len() as u64),
+            ("plan.bins", m.bins_touched as u64),
+            ("plan.aligned_bins", m.aligned_bins as u64),
+            ("plan.chunks", m.chunks_touched as u64),
+        ] {
+            profile.add_counter(name, Label::None, value);
+        }
+        // Submission-queue shape: how many batches went down and how
+        // deep each one was.
+        let depths = || ranks.iter().flat_map(|out| &out.io.batch_depths);
+        if depths().next().is_some() {
+            profile.add_counter("io.batches", Label::None, depths().count() as u64);
+            let h = profile.histogram_mut("io.batch_depth", Label::None);
+            depths().for_each(|&d| h.observe(d as f64));
+        }
+        // `fusion.*` covers both kinds of shared read: wants fused with
+        // another session's, and a bin's fixed blocks taken from the
+        // peer rank that fetched them for this query.
+        if m.fused_reads > 0 {
+            profile.add_counter("fusion.reads", Label::None, m.fused_reads);
+            profile.add_counter("fusion.bytes_saved", Label::None, m.fused_bytes_saved);
+        }
+        for (name, value) in [
+            ("pfs.retries", m.retries),
+            ("io.retries_exhausted", m.retries_exhausted),
+            ("io.read_repair", m.read_repairs),
+            ("degraded.units", m.degraded_units),
+        ] {
+            if value > 0 {
+                profile.add_counter(name, Label::None, value);
+            }
+        }
+        // Per-shard PFS breakdown: attribute every traced op to the
+        // shard that owns its file (sharded backends only).
+        if let Some(layout) = self.replicas.filter(|l| l.shard_count() > 1) {
+            for op in traces.iter().flatten().filter(|op| !op.cached && !op.peer) {
+                let shard = layout.shard_of(&op.file) as u32;
+                profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
+                profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);
+            }
+        }
+        (m, traces)
     }
 }
 

@@ -32,19 +32,20 @@
 //! [`DegradationReport`] path instead of failing the query, and the
 //! per-step error bound accounts for every capped unit.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::cache::{BlockPart, ByteView, CachedBlock};
 use crate::config::PlodLevel;
 use crate::degrade::DegradationEvent;
-use crate::exec::{masked_reads, ExecOutput, ExecRequest, ParallelExecutor};
-use crate::metrics::QueryMetrics;
+use crate::exec::{ExecRequest, ParallelExecutor};
+use crate::metrics::{Meter, QueryMetrics};
 use crate::plod;
-use crate::query::engine::{Decoder, Fetched, Fetcher, RefineUnit, Want};
+use crate::query::engine::{Decoder, Fetched, Fetcher, RankOutput, RefineUnit, Want};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label, Profile};
-use mloc_pfs::simulate_reads;
 use std::time::Instant;
 
 /// One step of a progressive query: what arrived, what it cost, and
@@ -115,7 +116,8 @@ pub struct ProgressiveQuery<'s, 'a> {
     steps: Vec<ProgressiveStep>,
     /// Cumulative metrics over all steps so far: byte counters are
     /// summed; component times are summed too (steps are sequential
-    /// pulls, not parallel ranks).
+    /// pulls, not parallel ranks), and each pull — priced as a one-rank
+    /// run — adds to rank 0 of the per-rank vectors.
     metrics: QueryMetrics,
     /// Merged profile over all steps (empty unless the executor is
     /// profiled).
@@ -157,28 +159,27 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             aligned_bins: plan.aligned_bins,
             chunks_touched: plan.chunks_touched,
         };
-        let mut runs: Vec<ExecOutput> = Vec::new();
-        if ladder {
+        let target_plan = sub_plan(target_units);
+        let target = ExecRequest::planned(query, &target_plan, None);
+        let (first, second) = if ladder {
             let base_query = query.clone().with_plod(PlodLevel::new(1)?);
             let base_plan = sub_plan(base_units);
             let mut req = ExecRequest::planned(&base_query, &base_plan, None);
             req.capture_refine = true;
-            runs.push(exec.run(store, req)?);
-        }
-        if !ladder || !target_units.is_empty() {
-            let target_plan = sub_plan(target_units);
-            runs.push(exec.run(store, ExecRequest::planned(query, &target_plan, None))?);
-        }
+            let base = exec.run(store, req)?;
+            let rest = (!target_plan.units.is_empty()).then(|| exec.run(store, target));
+            (base, rest.transpose()?)
+        } else {
+            (exec.run(store, target)?, None)
+        };
 
-        let mut runs = runs.into_iter();
-        let first = runs.next().expect("step 0 runs at least one sub-plan");
         let mut answers = vec![first.result.into_runs()];
         let (mut metrics, mut profile) = (first.metrics, first.profile);
         // Deterministic order regardless of rank assignment, and
         // maximal read coalescing per refinement pull.
         let mut captured = first.refine_units;
         captured.sort_by_key(|u| (u.bin, u.chunk_rank));
-        for run in runs {
+        if let Some(run) = second {
             answers.push(run.result.into_runs());
             metrics.accumulate(&run.metrics);
             profile.merge_from(run.profile);
@@ -230,7 +231,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             done: next_part >= target_parts,
         };
         let cost = pq.metrics.clone();
-        pq.record_step(&cost, t.elapsed().as_secs_f64(), "step0");
+        pq.record_step(&cost, t.elapsed().as_secs_f64(), "step0")?;
         Ok(pq)
     }
 
@@ -241,7 +242,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
     /// A pull is the one-shot retrieval restricted to part `p`: the
     /// same fetch (block cache, extent fuser, retries, checksum
     /// verification) and decode stages the engine runs, so a warm
-    /// refinement step costs only the bytes nobody has fetched yet. A
+    /// refinement step costs only the bytes nobody has fetched yet, and
+    /// it is priced and profiled as a one-rank run's output. A
     /// damaged extent caps the affected unit's ladder (when the
     /// executor allows degradation) and is recorded in the cumulative
     /// [`QueryMetrics::degradation`] report.
@@ -253,15 +255,12 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let p = self.next_part;
         debug_assert!(p >= 1 && p < self.target_parts);
         let store = self.store;
+        let meter = Meter::start(store.backend());
         let mut obs = Collector::new(self.exec.profiled);
-        let mut fetcher = Fetcher::new(store, self.exec.retry_policy(), obs.is_enabled());
+        let mut fetcher = Fetcher::new(store, self.exec.retry, obs.is_enabled());
         let mut decoder = Decoder::new(store.config().codec);
-        let read_repairs_before = masked_reads(store.backend());
-        // (`accumulate` adopts the folded-in report's rank count.)
-        let mut step = QueryMetrics {
-            nranks: self.metrics.nranks,
-            ..Default::default()
-        };
+        // What the pull cost; it emits no positions of its own.
+        let mut out = RankOutput::default();
         // (unit index, decoded part bytes) pending application, and the
         // units whose part could not be fetched.
         let mut parts: Vec<(usize, CachedBlock)> = Vec::new();
@@ -274,8 +273,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             .filter(|&k| self.units[k].cap > p && self.units[k].unit.count > 0)
             .collect();
         let bin_of = |k: usize| self.units[k].unit.bin;
-        let groups: Vec<&[usize]> = live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)).collect();
-        for group in groups {
+        for group in live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)) {
             let bin = self.units[group[0]].unit.bin;
             let wants: Vec<Want> = group
                 .iter()
@@ -302,18 +300,18 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 let block = decoder.decode(&mut fetcher, wants[w].0.clone(), &raw, count)?;
                 parts.push((group[w], block));
             }
-            step.decompress_s += td.elapsed().as_secs_f64();
+            out.decompress_s += td.elapsed().as_secs_f64();
         }
         // Same degradability rule as the one-shot engine: a non-base
         // part of a filterless unit may be dropped; parts after it
         // become unreachable, capping the ladder here.
         for (k, e) in lost {
-            if !self.exec.degradation_allowed() {
+            if !self.exec.allow_degraded {
                 return Err(e);
             }
             let st = &mut self.units[k];
             st.cap = p;
-            step.degradation.events.push(DegradationEvent {
+            out.degradation.events.push(DegradationEvent {
                 bin: st.unit.bin,
                 chunk_rank: st.unit.chunk_rank,
                 lost_part: p,
@@ -337,21 +335,20 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 plod::refine_into(values, &st.result_idx, &st.unit.val_idx, part, p)?;
             }
         }
-        step.reconstruct_s = tr.elapsed().as_secs_f64();
+        out.reconstruct_s = tr.elapsed().as_secs_f64();
 
-        // Account the step exactly like a one-rank execution.
         obs.count("hotpath.copy_bytes", decoder.copy_bytes);
         fetcher.record_verify(&mut obs);
-        let io = fetcher.finish(&mut obs);
-        let sim = simulate_reads(std::slice::from_ref(&io.trace), self.exec.cost_model());
-        step.add_rank_io(&io);
-        step.io_s = sim.per_rank_seconds.first().copied().unwrap_or(0.0);
-        step.seeks = sim.total_seeks;
-        step.response_s = step.io_s + step.decompress_s + step.reconstruct_s;
-        step.read_repairs = masked_reads(store.backend()).saturating_sub(read_repairs_before);
-        step.degraded_units = step.degradation.events.len() as u64;
-        self.metrics.accumulate(&step);
+        out.io = fetcher.finish();
         self.profile.merge_from(obs.finish());
+        let profile = self.exec.profiled.then_some(&mut self.profile);
+        let (cost, _) = meter.price(
+            std::slice::from_mut(&mut out),
+            &self.exec.cost_model,
+            &Plan::default(),
+            profile,
+        );
+        self.metrics.accumulate(&cost);
 
         self.next_part = p + 1;
         // Done when the target is reached, or when damage has capped
@@ -359,11 +356,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         // fetch — the bound is frozen).
         self.done = self.next_part >= self.target_parts
             || self.units.iter().all(|s| s.cap <= self.next_part);
-        Ok(Some(self.record_step(
-            &step,
-            t.elapsed().as_secs_f64(),
-            "refine",
-        )))
+        self.record_step(&cost, t.elapsed().as_secs_f64(), "refine")
+            .map(Some)
     }
 
     /// Pull refinements until the error bound is ≤ `target_error` or
@@ -426,11 +420,11 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
     /// the target sits there unless a lost extent degraded it.
     /// Monotonically non-increasing in `applied` because caps only
     /// freeze levels, never lower them.
-    fn bound_after(&self, applied: usize) -> f64 {
+    fn bound_after(&self, applied: usize) -> Result<f64> {
         if !self.query.wants_values() {
             // Positions are exact at any PLoD level: bitmaps decide
             // membership, and misaligned bins filter at the target.
-            return 0.0;
+            return Ok(0.0);
         }
         let mut worst = self.target_parts;
         for s in &self.units {
@@ -439,9 +433,9 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let level = if worst == self.target_parts {
             self.query.plod
         } else {
-            PlodLevel::new(worst.max(1) as u8).expect("parts within level range")
+            PlodLevel::new(worst.max(1) as u8)?
         };
-        plod::relative_error_bound(level).max(self.metrics.degradation.error_bound())
+        Ok(plod::relative_error_bound(level).max(self.metrics.degradation.error_bound()))
     }
 
     /// Log the step that just ran, whose reads cost `cost`.
@@ -450,16 +444,16 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         cost: &QueryMetrics,
         wall_s: f64,
         span: &'static str,
-    ) -> ProgressiveStep {
+    ) -> Result<ProgressiveStep> {
         let applied = self.next_part.min(self.target_parts);
         let step = ProgressiveStep {
             step: self.steps.len(),
             level: if self.units.is_empty() {
                 self.query.plod
             } else {
-                PlodLevel::new(applied as u8).expect("applied parts within level range")
+                PlodLevel::new(applied as u8)?
             },
-            error_bound: self.bound_after(applied),
+            error_bound: self.bound_after(applied)?,
             bytes_read: cost.bytes_read,
             bytes_saved: cost.bytes_saved,
             fused_bytes_saved: cost.fused_bytes_saved,
@@ -479,7 +473,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             );
         }
         self.steps.push(step.clone());
-        step
+        Ok(step)
     }
 }
 

@@ -430,18 +430,9 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(())
     }
 
-    /// Close the rank's I/O: emit the cache and fusion counters into
-    /// `obs` and hand back the full report with the read trace.
-    pub fn finish(self, obs: &mut Collector) -> FetchReport {
+    /// Close the rank's I/O: the full report with the read trace.
+    pub fn finish(self) -> FetchReport {
         let mut r = self.report;
-        obs.count("cache.hits", r.cache_hits);
-        obs.count("cache.misses", r.cache_misses);
-        obs.count("cache.bytes_saved", r.bytes_saved);
-        obs.count("cache.rejected_inserts", r.cache_rejected);
-        if r.fused_reads > 0 {
-            obs.count("fusion.fused_reads", r.fused_reads);
-            obs.count("fusion.bytes_saved", r.fused_bytes);
-        }
         r.retries = self.io.retries();
         r.retry_wait_s = self.io.retry_wait_s();
         r.retries_exhausted = self.io.retries_exhausted();
@@ -504,7 +495,6 @@ mod tests {
         part: BlockPart,
     ) -> FetchReport {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
-        let mut quiet = Collector::disabled();
         let file = f.index_file(BIN);
         let key = f.key(BIN, r, part);
         let (tables, index_table, data_table) = tables_of(store);
@@ -545,7 +535,7 @@ mod tests {
             }
             BlockPart::Floats => unreachable!("the fixture is a PLoD layout"),
         }
-        f.finish(&mut quiet)
+        f.finish()
     }
 
     /// The logical footprint of a report, and the file span its trace
@@ -646,7 +636,7 @@ mod tests {
             let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
             let file = f.index_file(BIN);
             f.tables(&file, BIN, &tables, data).unwrap();
-            let r = f.finish(&mut Collector::disabled());
+            let r = f.finish();
             let ops: Vec<(u64, u64, bool)> = r
                 .trace
                 .iter()
@@ -676,7 +666,7 @@ mod tests {
         let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
         let file = f.index_file(BIN);
         f.tables(&file, BIN, &tables, true).unwrap();
-        let r = f.finish(&mut Collector::disabled());
+        let r = f.finish();
         assert_eq!(r.trace.len(), 1);
         assert_eq!(
             (r.trace[0].offset, r.trace[0].len),
@@ -785,7 +775,7 @@ mod tests {
                 let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
                 let key = f.key(BIN, 0, BlockPart::Footer(which));
                 let footer = f.footer(&file, key).unwrap();
-                (footer.span(), f.finish(&mut Collector::disabled()))
+                (footer.span(), f.finish())
             };
             let (span, cold) = run();
             assert_eq!(span, (payload, flen - payload), "{file}");
@@ -829,7 +819,7 @@ mod tests {
             let key = f.key(BIN, 0, BlockPart::Footer(0));
             let got = f.footer(&Arc::from(name), key).unwrap_err();
             assert_eq!(got.to_string(), want.to_string(), "{name}");
-            assert!(f.finish(&mut Collector::disabled()).trace.len() <= 2);
+            assert!(f.finish().trace.len() <= 2);
         }
     }
 

@@ -177,10 +177,10 @@ struct Rank<'j, 'a> {
 
 /// Process one rank's work units.
 ///
-/// `obs` records this rank's span/counter profile; the decompress and
-/// reconstruct spans mirror the *identical* measured floats that land
-/// in [`RankOutput`], so profiles reconcile exactly with
-/// [`crate::QueryMetrics`]; each `index-read` and `data-read` span
+/// `obs` records what this rank measures and the metrics do not carry:
+/// each decompress and reconstruct interval (the one measurement,
+/// recorded into its span and into [`RankOutput`]), per-bin and
+/// index counters, and copy bytes; each `index-read` and `data-read` span
 /// carries a `verify` child with the seconds its extents' checksum
 /// checks took. Pass [`Collector::disabled`] to skip all recording —
 /// and every clock read that serves only the profile — at the cost of
@@ -598,7 +598,7 @@ impl Rank<'_, '_> {
         obs.count("index.rank_calls", self.recon.rank_calls);
         let copy_bytes = self.decoder.copy_bytes + self.recon.copy_bytes;
         obs.count("hotpath.copy_bytes", copy_bytes);
-        self.out.io = self.fetcher.finish(obs);
+        self.out.io = self.fetcher.finish();
         self.out
     }
 }
@@ -644,5 +644,81 @@ mod tests {
             matches!(err, MlocError::Corrupt("index geometry mismatch")),
             "got {err}"
         );
+    }
+
+    /// A chunk's bitmap edited in place under a resealed checksum table
+    /// still counts its own ones right — so it passes the unit's
+    /// consistency check — but cannot answer a membership probe: a
+    /// zero fill shrunk so the words stop short of the declared length,
+    /// or a directory checkpoint claiming more ones than the unit has
+    /// values. The probe reports a corrupt index instead of panicking.
+    #[test]
+    fn a_bitmap_that_disagrees_with_itself_is_corrupt_not_a_panic() {
+        use crate::index::HeaderView;
+
+        // One 64 × 64 chunk, 4 bins: `values` picks what the bitmaps
+        // look like; `edit` damages one bin's chunk bitmap extent (a
+        // 16-byte stream header, the words, the directory) and says
+        // whether it found something to damage.
+        let check = |values: Vec<f64>, edit: &dyn Fn(&mut [u8]) -> bool| {
+            let be = MemBackend::new();
+            let config = MlocConfig::builder(vec![64, 64])
+                .chunk_shape(vec![64, 64])
+                .num_bins(4)
+                .build();
+            build_variable(&be, "ds", "v", &values, &config).unwrap();
+            let store = MlocStore::open(&be, "ds", "v").unwrap();
+            let query = Query::membership((0..4096).collect()).with_values();
+            store.query_serial(&query).unwrap();
+            let edited = (0..4).any(|bin| {
+                let file = store.index_file(bin);
+                let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+                let index = HeaderView::parse(&raw[..]).unwrap();
+                let at = index.bitmap_file_offset(0) as usize;
+                let end = at + index.bitmap_len(0) as usize;
+                if !edit(&mut raw[at..end]) {
+                    return false;
+                }
+                crate::binfile::reseal_index(&mut raw, (1, 7), &file);
+                be.create(&file).unwrap();
+                be.append(&file, &raw).unwrap();
+                true
+            });
+            assert!(edited, "no bitmap to edit");
+            let err = store.query_serial(&query).unwrap_err();
+            assert!(
+                matches!(err, MlocError::Corrupt("index bitmap rank out of range")),
+                "got {err}"
+            );
+        };
+        let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+
+        // Bins are bands of rows: the last band's bitmap opens with a
+        // zero fill of ~99 groups. Cut it to one group.
+        let rows = (0..4096).map(|i| (i / 64) as f64).collect();
+        check(rows, &|bitmap| {
+            let w = word(bitmap, 16);
+            let long_zero_fill = w & 0xC000_0000 == 0x8000_0000 && w & 0x3FFF_FFFF > 64;
+            if long_zero_fill {
+                bitmap[16..20].copy_from_slice(&0x8000_0001u32.to_le_bytes());
+            }
+            long_zero_fill
+        });
+
+        // Scattered values: every group a literal, 133 words, and a
+        // directory checkpoint every 64 words. Claim the first
+        // checkpoint's bits are all ones.
+        let scattered = (0..4096u64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) % 4096) as f64)
+            .collect();
+        check(scattered, &|bitmap| {
+            let dir = 16 + 4 * word(bitmap, 12) as usize;
+            if bitmap.len() < dir + 16 {
+                return false;
+            }
+            let bits = word(bitmap, dir + 8);
+            bitmap[dir + 12..dir + 16].copy_from_slice(&bits.to_le_bytes());
+            true
+        });
     }
 }

@@ -524,7 +524,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
 
         if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
             let summary = bin.summaries.as_ref().map(|s| s.get(u.chunk_rank));
-            return self.probe(&v, dir_bytes, summary, bin.full[gi], out);
+            return self.probe(&v, dir_bytes, summary, bin.full[gi], u64::from(count), out);
         }
         // A refinable unit — PLoD data-bearing, values wanted, no
         // value filter, no position filter — is emitted directly so
@@ -560,13 +560,16 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// of probes per chunk, so instead of streaming the whole bitmap
     /// it rank/selects straight into it through the sampled directory
     /// (a bounded word walk for v1 files with no directory). The
-    /// general path stays available as the differential oracle.
+    /// general path stays available as the differential oracle. A
+    /// probe the bitmap cannot answer, or whose rank lies past the
+    /// unit's `count` values, is a damaged index.
     fn probe(
         &mut self,
         v: &UnitView<'_>,
         dir_bytes: &[u8],
         summary: Option<ChunkSummary>,
         full: bool,
+        count: u64,
         out: &mut RankOutput,
     ) -> Result<()> {
         let (grid, filter) = (self.job.store.grid(), self.filter.unwrap_or(&[]));
@@ -611,7 +614,10 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                 (local, true)
             } else {
                 self.rank_calls += 1;
-                v.bitmap.rank_bit_with(&dir, local)
+                v.bitmap
+                    .rank_bit_with(&dir, local)
+                    .filter(|&(rank, bit)| !bit || rank < count)
+                    .ok_or(MlocError::Corrupt("index bitmap rank out of range"))?
             };
             if !present
                 || v.filter_vals

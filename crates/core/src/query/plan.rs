@@ -38,7 +38,7 @@ pub struct WorkUnit {
 }
 
 /// A complete query plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
     /// Work units, ordered by (bin, chunk rank).
     pub units: Vec<WorkUnit>,

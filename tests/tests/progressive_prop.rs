@@ -223,6 +223,22 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
         .unwrap();
     assert_eq!(steps_to_eps, 3);
     assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 237_260);
+    // What each step costs on the simulated PFS, and the cumulative
+    // figures: a pull is priced like a one-rank run, so the ladder's
+    // per-rank vector carries every step it took.
+    let io_bits: Vec<u64> = pq.steps().iter().map(|s| s.io_s.to_bits()).collect();
+    let pull = 0x3fc3_76e5_ac33_6bda;
+    assert_eq!(
+        io_bits,
+        [0x3fd1_f650_ffa1_e13c, pull, pull, pull, pull, pull, pull]
+    );
+    let m = pq.metrics();
+    assert_eq!(
+        (m.nranks, m.seeks, m.index_bytes, m.data_bytes),
+        (1, 128, 133_544, 182_860)
+    );
+    assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
+    assert_eq!(m.per_rank_io.iter().sum::<f64>(), m.io_s);
 
     // Warm: behind a cache holding levels 1–4, the refinements up to
     // level 4 read nothing and the rest read only the new byte groups.
