@@ -4,37 +4,47 @@
 //! queries that decompress the same (bin, chunk, byte-group) blocks
 //! over and over. [`BlockCache`] sits between the query engine and the
 //! [`mloc_pfs::StorageBackend`]: it holds *decompressed* blocks —
-//! index headers, positional bitmaps, PLoD byte-group parts, and
-//! whole-value float blocks — keyed by `(dataset/var, bin, chunk,
-//! part)`, so a repeated or overlapping query skips both the PFS read
-//! and the codec work.
+//! index headers, positional bitmaps, PLoD data units, and whole-value
+//! float blocks — keyed by `(dataset/var, bin, chunk, part)`, so a
+//! repeated or overlapping query skips both the PFS read and the codec
+//! work.
 //!
 //! Accounting rules (see `DESIGN.md`):
 //!
-//! * A hit is recorded in the rank's [`mloc_pfs::RankIo`] trace with
-//!   the `cached` flag set — the logical access pattern stays visible —
-//!   but the PFS simulator charges it nothing.
-//! * Hits/misses and the compressed bytes saved surface per query in
-//!   `QueryMetrics` and globally in [`BlockCache::stats`].
+//! * Every extent the cache serves is recorded in the rank's
+//!   [`mloc_pfs::RankIo`] trace with the `cached` flag set — the
+//!   logical access pattern stays visible — but the PFS simulator
+//!   charges it nothing.
+//! * A hit is one probe that found its block, whatever number of
+//!   extents the block serves. Hits/misses and the compressed bytes
+//!   saved surface per query in `QueryMetrics` and globally in
+//!   [`BlockCache::stats`].
 //!
 //! The cache is byte-budgeted and sharded: the budget is split evenly
 //! over [`NUM_SHARDS`] independently locked LRU shards
 //! (`parking_lot::Mutex`), so concurrent ranks of the threaded
 //! executor contend only when their keys collide on a shard. A block
 //! larger than one shard's budget is never cached; a zero budget
-//! caches nothing and degrades to exactly the uncached read path.
+//! caches nothing and degrades to exactly the uncached read path. A
+//! key is hashed once, by a multiplicative word hash: the hash picks
+//! the shard and is the key of the shard's map.
 //!
-//! PLoD byte-group parts are cached at *part* granularity: a query at
-//! precision level 2 warms parts 0–1, and a later full-precision query
-//! still reuses them, fetching only the missing tail parts.
+//! A PLoD data unit is cached as one *prefix* block
+//! ([`BlockPart::PlodUnit`]): its decoded byte-group parts `0..k` back
+//! to back, so a warm unit is one probe, not one per part. A query at
+//! precision level 2 caches parts 0–1; a later full-precision query
+//! reuses them, reads only the missing tail parts, and replaces the
+//! block with the longer prefix.
 //!
 //! Cached blocks are tied to a built (immutable) variable; rebuilding
 //! a variable under the same dataset/var names with different content
 //! requires a fresh cache.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,11 +64,33 @@ pub enum BlockPart {
     /// A whole-value decompressed float block (non-PLoD layouts).
     Floats,
     /// One decompressed PLoD byte-group part (0 = most significant).
+    /// The query engine caches a unit's parts as one
+    /// [`BlockPart::PlodUnit`] instead; the key stays for callers that
+    /// key blocks of their own.
     PlodPart(u8),
+    /// A PLoD data unit's decoded parts `0..k`, back to back: part `p`
+    /// of a unit of `count` points at `count × plod::PART_OFFSETS[p]`,
+    /// so the block's length says `k` (see [`crate::plod::prefix_parts`]).
+    PlodUnit,
     /// A bin's parsed checksum table (0 = of its index extents, 1 = of
     /// its data extents: a v3 bin file's two front tables, a v1/v2 index
     /// or data file's tail footer; chunk rank is 0).
     Footer(u8),
+}
+
+impl BlockPart {
+    /// The part as one word of the key hash.
+    fn code(self) -> u64 {
+        match self {
+            BlockPart::IndexHeader => 0,
+            BlockPart::Summary => 1,
+            BlockPart::Bitmap => 2,
+            BlockPart::Floats => 3,
+            BlockPart::PlodUnit => 4,
+            BlockPart::PlodPart(p) => 5 | u64::from(p) << 8,
+            BlockPart::Footer(which) => 6 | u64::from(which) << 8,
+        }
+    }
 }
 
 /// Cache key: one decompressed block of one built variable.
@@ -72,6 +104,63 @@ pub struct BlockKey {
     pub chunk_rank: u32,
     /// Which block of the pair.
     pub part: BlockPart,
+}
+
+/// The odd multiplier of the key hash (2^64 / φ).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl BlockKey {
+    /// The key's one hash: the scope eight bytes at a time, then the
+    /// coordinates as two words, each folded in by a rotate, xor and
+    /// multiply. Not collision-proof and need not be: two keys of one
+    /// hash share a map slot, so each only costs the other a miss.
+    fn word_hash(&self) -> u64 {
+        let mix = |h: u64, w: u64| (h.rotate_left(26) ^ w).wrapping_mul(GOLDEN);
+        let scope = self.scope.as_bytes();
+        let mut h = mix(0, scope.len() as u64);
+        let mut words = scope.chunks_exact(8);
+        let mut word = [0u8; 8];
+        for w in &mut words {
+            word.copy_from_slice(w);
+            h = mix(h, u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        word = [0; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(word));
+        h = mix(h, u64::from(self.bin) << 32 | u64::from(self.chunk_rank));
+        h = mix(h, self.part.code());
+        // The multiply leaves the low bits weakest: fold the high half
+        // in, since the shard map indexes its table by them.
+        h ^ h >> 32
+    }
+}
+
+/// The shard index of a key hash: bits clear of both the low bits the
+/// shard map indexes its table by and the top bits it tags slots with.
+fn shard_index(hash: u64) -> usize {
+    (hash >> 40) as usize % NUM_SHARDS
+}
+
+/// The shard maps' hasher. Their keys already are key hashes
+/// ([`BlockKey::word_hash`]), so it passes a `u64` through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 /// A zero-copy view of a byte range inside a shared buffer.
@@ -118,6 +207,19 @@ impl ByteView {
         &self.buf[self.start..self.start + self.len]
     }
 
+    /// View of `self[start..start + len]`, sharing the backing buffer.
+    ///
+    /// # Panics
+    /// Panics when the range exceeds the view.
+    pub fn sub(&self, start: usize, len: usize) -> Self {
+        assert!(start + len <= self.len, "byte view out of range");
+        ByteView {
+            buf: Arc::clone(&self.buf),
+            start: self.start + start,
+            len,
+        }
+    }
+
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -145,8 +247,8 @@ impl From<Vec<u8>> for ByteView {
 /// A cached decompressed block.
 #[derive(Debug, Clone)]
 pub enum CachedBlock {
-    /// Raw bytes: index headers, bitmaps, PLoD parts. Stored as a
-    /// view so cache inserts of extent subslices copy nothing.
+    /// Raw bytes: index headers, bitmaps, PLoD unit prefixes. Stored as
+    /// a view so cache inserts of extent subslices copy nothing.
     Bytes(ByteView),
     /// Decoded doubles: whole-value blocks.
     Floats(Arc<Vec<f64>>),
@@ -209,10 +311,13 @@ pub struct CacheStats {
     pub resident_blocks: u64,
 }
 
+/// The link of a list end; no slot has this index.
 const NIL: usize = usize::MAX;
 
 struct Node {
     key: BlockKey,
+    /// `key`'s hash: the node's key in the shard map.
+    hash: u64,
     value: CachedBlock,
     cost: u64,
     prev: usize,
@@ -220,9 +325,11 @@ struct Node {
 }
 
 /// One LRU shard: an intrusive doubly linked list over a slab, plus a
-/// key → slot map. Head is most recent, tail least.
+/// key hash → slot map. Head is most recent, tail least. Two keys of
+/// one hash share a slot: a probe checks the key, and an insert
+/// replaces whichever of the two the slot holds.
 struct Shard {
-    map: HashMap<BlockKey, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Option<Node>>,
     free: Vec<usize>,
     head: usize,
@@ -233,7 +340,7 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -242,56 +349,56 @@ impl Shard {
         }
     }
 
+    /// The node in slot `idx`; `None` for a free slot or [`NIL`], which
+    /// is how the list code finds its ends.
+    fn node(&mut self, idx: usize) -> Option<&mut Node> {
+        self.slots.get_mut(idx)?.as_mut()
+    }
+
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.slots[idx].as_ref().expect("unlink of free slot");
-            (n.prev, n.next)
+        let Some(n) = self.node(idx) else {
+            return;
         };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().expect("bad prev link").next = next,
+        let (prev, next) = (n.prev, n.next);
+        match self.node(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
         }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().expect("bad next link").prev = prev,
+        match self.node(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
         }
     }
 
     fn push_front(&mut self, idx: usize) {
-        {
-            let n = self.slots[idx].as_mut().expect("push of free slot");
-            n.prev = NIL;
-            n.next = self.head;
-        }
-        match self.head {
-            NIL => self.tail = idx,
-            h => self.slots[h].as_mut().expect("bad head link").prev = idx,
+        let head = self.head;
+        let Some(n) = self.node(idx) else {
+            return;
+        };
+        (n.prev, n.next) = (NIL, head);
+        match self.node(head) {
+            Some(h) => h.prev = idx,
+            None => self.tail = idx,
         }
         self.head = idx;
     }
 
-    fn get(&mut self, key: &BlockKey) -> Option<CachedBlock> {
-        let idx = *self.map.get(key)?;
+    fn get(&mut self, hash: u64, key: &BlockKey) -> Option<CachedBlock> {
+        let idx = *self.map.get(&hash)?;
+        let value = self.node(idx).filter(|n| n.key == *key)?.value.clone();
         self.unlink(idx);
         self.push_front(idx);
-        Some(
-            self.slots[idx]
-                .as_ref()
-                .expect("mapped slot is free")
-                .value
-                .clone(),
-        )
+        Some(value)
     }
 
     /// Evict the LRU entry; returns false when empty.
     fn evict_tail(&mut self) -> bool {
         let idx = self.tail;
-        if idx == NIL {
-            return false;
-        }
         self.unlink(idx);
-        let node = self.slots[idx].take().expect("tail slot is free");
-        self.map.remove(&node.key);
+        let Some(node) = self.slots.get_mut(idx).and_then(Option::take) else {
+            return false;
+        };
+        self.map.remove(&node.hash);
         self.used_bytes -= node.cost;
         self.free.push(idx);
         true
@@ -300,42 +407,46 @@ impl Shard {
     /// Insert (or refresh) an entry under a byte budget. Returns the
     /// number of evictions performed, or `None` when the block itself
     /// exceeds the budget and was rejected.
-    fn insert(&mut self, key: BlockKey, value: CachedBlock, budget: u64) -> Option<u64> {
+    fn insert(&mut self, hash: u64, key: BlockKey, value: CachedBlock, budget: u64) -> Option<u64> {
         let cost = value.cost();
         if cost > budget {
             return None;
         }
-        if let Some(&idx) = self.map.get(&key) {
-            // Refresh in place.
-            let old = {
-                let n = self.slots[idx].as_mut().expect("mapped slot is free");
+        let idx = match self.map.get(&hash) {
+            // Refresh in place (a key of the same hash takes the slot).
+            Some(&idx) => {
+                let n = self.node(idx)?;
                 let old = n.cost;
-                n.value = value;
-                n.cost = cost;
-                old
-            };
-            self.used_bytes = self.used_bytes - old + cost;
-            self.unlink(idx);
-            self.push_front(idx);
-        } else {
-            let idx = match self.free.pop() {
-                Some(i) => i,
-                None => {
-                    self.slots.push(None);
-                    self.slots.len() - 1
-                }
-            };
-            self.slots[idx] = Some(Node {
-                key: key.clone(),
-                value,
-                cost,
-                prev: NIL,
-                next: NIL,
-            });
-            self.map.insert(key, idx);
-            self.used_bytes += cost;
-            self.push_front(idx);
-        }
+                (n.key, n.value, n.cost) = (key, value, cost);
+                self.used_bytes = self.used_bytes - old + cost;
+                self.unlink(idx);
+                idx
+            }
+            None => {
+                let node = Node {
+                    key,
+                    hash,
+                    value,
+                    cost,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let idx = match self.free.pop() {
+                    Some(i) => {
+                        self.slots[i] = Some(node);
+                        i
+                    }
+                    None => {
+                        self.slots.push(Some(node));
+                        self.slots.len() - 1
+                    }
+                };
+                self.map.insert(hash, idx);
+                self.used_bytes += cost;
+                idx
+            }
+        };
+        self.push_front(idx);
         let mut evicted = 0;
         while self.used_bytes > budget && self.evict_tail() {
             evicted += 1;
@@ -391,15 +502,20 @@ impl BlockCache {
         self.budget
     }
 
-    fn shard_of(&self, key: &BlockKey) -> &Mutex<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[shard_index(hash)]
+    }
+
+    /// The shard a key lives in, for tests that fill one shard.
+    #[cfg(test)]
+    fn shard_of(key: &BlockKey) -> usize {
+        shard_index(key.word_hash())
     }
 
     /// Look up a block, marking it most recently used.
     pub fn get(&self, key: &BlockKey) -> Option<CachedBlock> {
-        let found = self.shard_of(key).lock().get(key);
+        let hash = key.word_hash();
+        let found = self.shard(hash).lock().get(hash, key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -411,10 +527,11 @@ impl BlockCache {
     /// whether the block was accepted (blocks larger than one shard's
     /// budget are rejected).
     pub fn insert(&self, key: BlockKey, value: CachedBlock) -> bool {
+        let hash = key.word_hash();
         match self
-            .shard_of(&key)
+            .shard(hash)
             .lock()
-            .insert(key, value, self.shard_budget)
+            .insert(hash, key, value, self.shard_budget)
         {
             Some(evicted) => {
                 self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -535,32 +652,25 @@ mod tests {
         }
     }
 
+    /// `n` distinct `part` keys that land on one shard.
+    fn same_shard(scope: &Arc<str>, part: BlockPart, n: usize) -> Vec<BlockKey> {
+        let probe: Vec<BlockKey> = (0..500u32).map(|b| key(scope, b, 7, part)).collect();
+        let target = BlockCache::shard_of(&probe[0]);
+        let keys: Vec<BlockKey> = probe
+            .into_iter()
+            .filter(|k| BlockCache::shard_of(k) == target)
+            .take(n)
+            .collect();
+        assert_eq!(keys.len(), n, "500 keys over 16 shards");
+        keys
+    }
+
     #[test]
     fn recently_used_survives_eviction() {
         let scope: Arc<str> = Arc::from("ds/v");
         let cache = BlockCache::with_budget_bytes((NUM_SHARDS * 256) as u64);
-        // Find three keys landing on the same shard.
-        let mut same_shard = Vec::new();
-        let probe: Vec<BlockKey> = (0..500u32)
-            .map(|b| key(&scope, b, 7, BlockPart::Floats))
-            .collect();
-        let target = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            probe[0].hash(&mut h);
-            (h.finish() as usize) % NUM_SHARDS
-        };
-        for k in probe {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut h);
-            if (h.finish() as usize) % NUM_SHARDS == target {
-                same_shard.push(k);
-            }
-            if same_shard.len() == 3 {
-                break;
-            }
-        }
-        let [a, b, c] = &same_shard[..] else {
-            panic!("need 3 keys")
+        let [a, b, c] = &same_shard(&scope, BlockPart::Floats, 3)[..] else {
+            unreachable!()
         };
         // 100-byte blocks, 256-byte shard: two fit, three do not.
         cache.insert(a.clone(), block(100));
@@ -571,6 +681,82 @@ mod tests {
         assert!(cache.get(a).is_some(), "a evicted despite recent use");
         assert!(cache.get(b).is_none(), "b should have been evicted");
         assert!(cache.get(c).is_some(), "c was just inserted");
+    }
+
+    /// A unit's prefix block — seven parts of a 10-point unit, 80
+    /// bytes — is one entry: it costs one probe, and it is evicted
+    /// whole, once.
+    #[test]
+    fn a_unit_block_evicts_as_one_entry() {
+        let scope: Arc<str> = Arc::from("ds/v");
+        let cache = BlockCache::with_budget_bytes((NUM_SHARDS * 200) as u64);
+        let keys = same_shard(&scope, BlockPart::PlodUnit, 4);
+        let unit = &keys[0];
+        cache.insert(unit.clone(), block(80));
+        for k in &keys[1..3] {
+            cache.insert(k.clone(), block(60));
+        }
+        assert_eq!(cache.stats().resident_bytes, 200);
+        assert!(cache.get(unit).is_some());
+        assert_eq!(cache.stats().hits, 1);
+        // Touch the fillers so the unit block is the LRU entry.
+        for k in &keys[1..3] {
+            assert!(cache.get(k).is_some());
+        }
+        cache.insert(keys[3].clone(), block(60));
+        let s = cache.stats();
+        assert_eq!(
+            (s.evictions, s.resident_blocks, s.resident_bytes),
+            (1, 3, 180)
+        );
+        assert!(cache.get(unit).is_none(), "the whole unit block went");
+    }
+
+    /// A block over one shard's budget is turned away and leaves the
+    /// shard as it was; one at the budget is taken.
+    #[test]
+    fn a_block_over_the_shard_budget_is_rejected() {
+        let scope: Arc<str> = Arc::from("ds/v");
+        let cache = BlockCache::with_budget_bytes((NUM_SHARDS * 100) as u64);
+        let k = key(&scope, 0, 0, BlockPart::PlodUnit);
+        assert!(!cache.insert(k.clone(), block(101)));
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.resident_blocks), (0, 0));
+        assert!(cache.insert(k.clone(), block(100)));
+        assert!(cache.get(&k).is_some());
+    }
+
+    /// Keys that differ in one field only hash apart, and the hash
+    /// spreads them over every shard.
+    #[test]
+    fn the_key_hash_separates_fields_and_spreads_over_shards() {
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from("ds/v"), Arc::from("ds/w"));
+        let base = key(&a, 1, 2, BlockPart::PlodUnit);
+        for other in [
+            key(&b, 1, 2, BlockPart::PlodUnit),
+            key(&a, 2, 2, BlockPart::PlodUnit),
+            key(&a, 1, 3, BlockPart::PlodUnit),
+            key(&a, 2, 1, BlockPart::PlodUnit),
+            key(&a, 1, 2, BlockPart::PlodPart(0)),
+            key(&a, 1, 2, BlockPart::Floats),
+        ] {
+            assert_ne!(base.word_hash(), other.word_hash(), "{other:?}");
+        }
+        // An equal key under another allocation of the scope is the
+        // same key.
+        let copy = key(&Arc::from("ds/v"), 1, 2, BlockPart::PlodUnit);
+        assert_eq!(base.word_hash(), copy.word_hash());
+        let mut per_shard = [0u32; NUM_SHARDS];
+        for bin in 0..16u32 {
+            for chunk in 0..64u32 {
+                per_shard[BlockCache::shard_of(&key(&a, bin, chunk, BlockPart::PlodUnit))] += 1;
+            }
+        }
+        // 1,024 keys, 64 a shard on average.
+        assert!(
+            per_shard.iter().all(|&n| (32..=96).contains(&n)),
+            "{per_shard:?}"
+        );
     }
 
     #[test]

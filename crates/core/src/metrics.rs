@@ -40,9 +40,12 @@ pub struct QueryMetrics {
     pub chunks_touched: usize,
     /// Ranks used.
     pub nranks: usize,
-    /// Block-cache hits across all ranks (0 without a cache).
+    /// Block-cache probes that found their block, across all ranks (0
+    /// without a cache) — as `BlockCache::stats` counts them; one hit
+    /// may serve every part of a PLoD unit.
     pub cache_hits: u64,
-    /// Block-cache misses across all ranks (0 without a cache).
+    /// Block-cache probes that did not, across all ranks (0 without a
+    /// cache).
     pub cache_misses: u64,
     /// Compressed bytes the cache kept off the PFS. These extents stay
     /// visible in the trace (flagged cached) but are excluded from

@@ -17,8 +17,28 @@ use crate::{MlocError, Result};
 /// Byte width of each PLoD part (most significant first).
 pub const PART_BYTES: [usize; NUM_PARTS] = [2, 1, 1, 1, 1, 1, 1];
 
-/// Byte offset of each part within the big-endian representation.
-const PART_OFFSETS: [usize; NUM_PARTS] = [0, 2, 3, 4, 5, 6, 7];
+/// Byte offset of each part within the big-endian representation —
+/// and, times a unit's point count, within the unit's parts laid back
+/// to back (see [`part_range`]).
+pub const PART_OFFSETS: [usize; NUM_PARTS] = [0, 2, 3, 4, 5, 6, 7];
+
+/// Where part `p` of a unit of `count` values lies when the unit's
+/// parts are laid back to back, most significant first: the cache's
+/// prefix block of a unit.
+pub fn part_range(count: usize, p: usize) -> std::ops::Range<usize> {
+    count * PART_OFFSETS[p]..count * (PART_OFFSETS[p] + PART_BYTES[p])
+}
+
+/// How many leading parts `k` a back-to-back block of `len` bytes holds
+/// for a unit of `count` values: `len == count × (k + 1)`, `1 ≤ k ≤ 7`.
+/// `None` for any other length.
+pub fn prefix_parts(count: usize, len: usize) -> Option<usize> {
+    if count == 0 || !len.is_multiple_of(count) {
+        return None;
+    }
+    let k = (len / count).checked_sub(1)?;
+    (1..=NUM_PARTS).contains(&k).then_some(k)
+}
 
 /// Split values into the seven PLoD byte-group buffers.
 ///
@@ -234,6 +254,26 @@ pub fn zero_fill_error_bound(level: PlodLevel) -> f64 {
 mod tests {
     use super::*;
     use crate::config::PlodLevel;
+
+    /// Every prefix of a unit's parts laid back to back says how many
+    /// parts it holds, and each part sits where `part_range` says.
+    #[test]
+    fn a_back_to_back_prefix_locates_its_parts() {
+        let values = sample_values();
+        let n = values.len();
+        let parts = split(&values);
+        for k in 1..=NUM_PARTS {
+            let block: Vec<u8> = parts[..k].concat();
+            assert_eq!(prefix_parts(n, block.len()), Some(k));
+            for (p, part) in parts[..k].iter().enumerate() {
+                assert_eq!(&block[part_range(n, p)], &part[..], "k {k} part {p}");
+            }
+        }
+        for len in [0, n, n * 9, n * 2 + 1] {
+            assert_eq!(prefix_parts(n, len), None, "{len} bytes");
+        }
+        assert_eq!(prefix_parts(0, 0), None);
+    }
 
     fn sample_values() -> Vec<f64> {
         vec![

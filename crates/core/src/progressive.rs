@@ -34,13 +34,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::cache::{BlockPart, ByteView, CachedBlock};
+use crate::cache::CachedBlock;
 use crate::config::PlodLevel;
 use crate::degrade::DegradationEvent;
 use crate::exec::{ExecRequest, ParallelExecutor};
 use crate::metrics::{Meter, QueryMetrics};
 use crate::plod;
-use crate::query::engine::{Decoder, Fetched, Fetcher, RankOutput, RefineUnit, Want};
+use crate::query::engine::{Decoder, Fetcher, RankOutput, RefineUnit, UnitBlock};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
@@ -267,38 +267,55 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let mut lost: Vec<(usize, MlocError)> = Vec::new();
 
         // Walk the still-climbing units bin by bin (they are sorted), so
-        // each bin's wants coalesce into as few physical reads as the
-        // one-shot engine would issue.
+        // each bin's extents coalesce into as few physical reads as the
+        // one-shot engine would issue. A unit is one cache probe: a
+        // cached prefix past part `p` serves it; one ending just before
+        // `p` is read past and published again, one part longer.
         let live: Vec<usize> = (0..self.units.len())
             .filter(|&k| self.units[k].cap > p && self.units[k].unit.count > 0)
             .collect();
         let bin_of = |k: usize| self.units[k].unit.bin;
         for group in live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)) {
             let bin = self.units[group[0]].unit.bin;
-            let wants: Vec<Want> = group
-                .iter()
-                .map(|&k| {
-                    let (unit, part) = (&self.units[k].unit, BlockPart::PlodPart(p as u8));
-                    let key = fetcher.key(bin, unit.chunk_rank, part);
-                    (key, unit.part_locs[p].offset, unit.part_locs[p].clen)
-                })
-                .collect();
-            let footer = self.units[group[0]].unit.footer.as_ref();
             let file = fetcher.data_file(bin);
-            let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (want idx, bytes)
-            fetcher.wants(&file, &wants, Some(footer), |w, got| {
-                match got {
-                    Ok(Fetched::Cached(block)) => parts.push((group[w], block)),
-                    Ok(Fetched::Raw(raw)) => stored.push((w, raw)),
-                    Err(e) => lost.push((group[w], e)),
+            let mut extents: Vec<(u64, u32)> = Vec::new();
+            // (unit index, the cached prefix the part extends)
+            let mut pending: Vec<(usize, Option<UnitBlock>)> = Vec::new();
+            for &k in group {
+                let unit = &self.units[k].unit;
+                let loc = *unit
+                    .part_locs
+                    .get(p)
+                    .ok_or(MlocError::Corrupt("refined part index out of range"))?;
+                match fetcher.unit_block(bin, unit.chunk_rank, unit.count as usize) {
+                    Some(block) if block.parts() > p => {
+                        fetcher.served(&file, loc.offset, u64::from(loc.clen));
+                        parts.push((k, block.part(p)));
+                    }
+                    block => {
+                        extents.push((loc.offset, loc.clen));
+                        pending.push((k, block.filter(|b| b.parts() == p)));
+                    }
                 }
-                Ok(())
-            })?;
+            }
+            let footer = self.units[group[0]].unit.footer.as_ref();
+            let reads = fetcher.read(&file, &extents, Some(footer), false);
             let td = Instant::now();
-            for (w, raw) in stored {
-                let count = self.units[group[w]].unit.count as usize;
-                let block = decoder.decode(&mut fetcher, wants[w].0.clone(), &raw, count)?;
-                parts.push((group[w], block));
+            for ((k, prefix), got) in pending.into_iter().zip(reads) {
+                let raw = match got {
+                    Ok(raw) => raw,
+                    Err(e) => {
+                        lost.push((k, e));
+                        continue;
+                    }
+                };
+                let unit = &self.units[k].unit;
+                let part = decoder.part(&raw, p, unit.count as usize)?;
+                if let Some(prefix) = prefix {
+                    let longer = decoder.prefix(&[prefix.bytes(), &part]);
+                    fetcher.publish_unit(bin, unit.chunk_rank, longer);
+                }
+                parts.push((k, CachedBlock::Bytes(part)));
             }
             out.decompress_s += td.elapsed().as_secs_f64();
         }

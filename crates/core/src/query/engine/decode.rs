@@ -1,11 +1,11 @@
 //! Stage 2 — decode: a PLoD byte-group part decompresses to bytes, a
 //! whole-value unit to doubles. The decoded length is checked against
-//! the unit's point count before the block is offered to the cache,
-//! so a damaged stream can neither poison the cache nor index out of
-//! range at reconstruction.
+//! the unit's point count before the block is used or offered to the
+//! cache, so a damaged stream can neither poison the cache nor index
+//! out of range at reconstruction.
 
 use super::fetch::Fetcher;
-use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::cache::{ByteView, CachedBlock};
 use crate::plod;
 use crate::{MlocError, Result};
 use mloc_compress::{Codec, CodecKind, FloatCodec};
@@ -16,7 +16,8 @@ pub(crate) struct Decoder {
     byte_codec: Box<dyn Codec>,
     float_codec: Box<dyn FloatCodec>,
     /// Allocation proxy: bytes materialized into fresh buffers by
-    /// decompression (fetches and cache inserts copy nothing).
+    /// decompression, and by laying a unit's parts back to back for
+    /// the cache (fetches and cache hits copy nothing).
     pub copy_bytes: u64,
 }
 
@@ -29,35 +30,41 @@ impl Decoder {
         }
     }
 
-    /// Decompress the stored bytes of the data block `key` names — of
-    /// a unit holding `count` points — check the decoded length, and
-    /// publish the block to the cache.
-    pub fn decode(
+    /// Decompress PLoD part `p` of a unit holding `count` points and
+    /// check its decoded length.
+    pub fn part(&mut self, raw: &[u8], p: usize, count: usize) -> Result<ByteView> {
+        let bytes = self.byte_codec.decompress(raw)?;
+        if bytes.len() != count * plod::PART_BYTES[p] {
+            return Err(MlocError::Corrupt("unit length mismatch"));
+        }
+        self.copy_bytes += bytes.len() as u64;
+        Ok(ByteView::from(bytes))
+    }
+
+    /// Decompress the whole-value unit `chunk_rank` of `bin`, holding
+    /// `count` points, check its length, and publish it to the cache.
+    pub fn floats(
         &mut self,
         fetcher: &mut Fetcher<'_, '_>,
-        key: BlockKey,
+        (bin, chunk_rank): (usize, usize),
         raw: &[u8],
         count: usize,
     ) -> Result<CachedBlock> {
-        let (block, decoded_len, want_len) = match key.part {
-            BlockPart::PlodPart(p) => {
-                let bytes = self.byte_codec.decompress(raw)?;
-                let len = bytes.len();
-                let block = CachedBlock::Bytes(ByteView::from(bytes));
-                (block, len, count * plod::PART_BYTES[usize::from(p)])
-            }
-            BlockPart::Floats => {
-                let vals = self.float_codec.decompress_f64(raw)?;
-                let len = vals.len();
-                (CachedBlock::Floats(Arc::new(vals)), len, count)
-            }
-            _ => return Err(MlocError::Corrupt("not a data block")),
-        };
-        if decoded_len != want_len {
+        let vals = self.float_codec.decompress_f64(raw)?;
+        if vals.len() != count {
             return Err(MlocError::Corrupt("unit length mismatch"));
         }
+        let block = CachedBlock::Floats(Arc::new(vals));
         self.copy_bytes += block.cost();
-        fetcher.publish(key, block.clone());
+        fetcher.publish_unit(bin, chunk_rank, block.clone());
         Ok(block)
+    }
+
+    /// Lay a unit's decoded parts `0..k` back to back: the prefix block
+    /// the cache keeps of the unit (see [`plod::part_range`]).
+    pub fn prefix(&mut self, parts: &[&[u8]]) -> CachedBlock {
+        let block = parts.concat();
+        self.copy_bytes += block.len() as u64;
+        CachedBlock::Bytes(ByteView::from(block))
     }
 }

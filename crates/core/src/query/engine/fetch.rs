@@ -8,13 +8,17 @@
 //! ([`Fetcher::hold`] then [`Fetcher::admit`]: the index header and
 //! summary are read *before* the table that vouches for them, and
 //! reach the cache and the caller only through `admit`), and a
-//! coalesced want-list ([`Fetcher::wants`]). A block a peer rank
-//! fetched for the whole query enters through [`Fetcher::peer`].
+//! coalesced want-list: keyed index blocks ([`Fetcher::wants`]), or the
+//! data extents the cache did not serve ([`Fetcher::read`]). A data
+//! unit is one cache probe ([`Fetcher::unit_block`]) whatever number of
+//! its extents the block found serves. A block a peer rank fetched for
+//! the whole query enters through [`Fetcher::peer`].
 
 use crate::binfile::Tables;
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
 use crate::fusion::coalesced_read_results;
 use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
+use crate::plod;
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_obs::Collector;
@@ -28,11 +32,13 @@ pub struct FetchReport {
     pub index_bytes: u64,
     /// Bytes read from data files.
     pub data_bytes: u64,
-    /// Block-cache hits (0 without a cache).
+    /// Block-cache probes that found their block (0 without a cache).
+    /// A data unit's block may serve several extents for one hit.
     pub cache_hits: u64,
-    /// Block-cache misses (0 without a cache).
+    /// Block-cache probes that did not (0 without a cache).
     pub cache_misses: u64,
-    /// Compressed bytes served from the cache instead of the PFS.
+    /// Compressed bytes served from the cache instead of the PFS: the
+    /// stored length of every extent a cached block stood in for.
     pub bytes_saved: u64,
     /// Cache inserts the budget turned away.
     pub cache_rejected: u64,
@@ -59,22 +65,35 @@ pub struct FetchReport {
 /// block it holds, its byte offset in the file, and its stored length.
 pub(crate) type Want = (BlockKey, u64, u32);
 
-/// How a want was served.
-pub(crate) enum Fetched {
-    /// By the block cache, in its cached (decoded) form.
-    Cached(CachedBlock),
-    /// As verified stored bytes, off the PFS or a fused read.
-    Raw(ByteView),
+/// The decoded data block the cache holds of one unit, and how many of
+/// the unit's leading parts it serves: a PLoD unit's prefix of parts
+/// `0..k`, or a whole-value unit's float block (one part).
+pub(crate) struct UnitBlock {
+    block: CachedBlock,
+    parts: usize,
+    count: usize,
 }
 
-impl Fetched {
-    /// The block's bytes, for index blocks (whose stored and cached
-    /// forms coincide).
-    pub fn into_bytes(self) -> Option<ByteView> {
-        match self {
-            Fetched::Cached(CachedBlock::Bytes(b)) | Fetched::Raw(b) => Some(b),
-            Fetched::Cached(_) => None,
+impl UnitBlock {
+    /// The leading parts the block holds.
+    pub fn parts(&self) -> usize {
+        self.parts
+    }
+
+    /// Part `p < self.parts()`, a view into the block.
+    pub fn part(&self, p: usize) -> CachedBlock {
+        match &self.block {
+            CachedBlock::Bytes(b) => {
+                let at = plod::part_range(self.count, p);
+                CachedBlock::Bytes(b.sub(at.start, at.len()))
+            }
+            whole => whole.clone(),
         }
+    }
+
+    /// A PLoD prefix's bytes: its parts back to back.
+    pub fn bytes(&self) -> &[u8] {
+        self.block.as_bytes().map_or(&[], |b| b.as_slice())
     }
 }
 
@@ -105,7 +124,7 @@ fn is_index(part: BlockPart) -> bool {
     match part {
         BlockPart::IndexHeader | BlockPart::Summary | BlockPart::Bitmap => true,
         BlockPart::Footer(which) => which == 0,
-        BlockPart::Floats | BlockPart::PlodPart(_) => false,
+        BlockPart::Floats | BlockPart::PlodPart(_) | BlockPart::PlodUnit => false,
     }
 }
 
@@ -168,27 +187,72 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
-    /// Probe the cache. A block of the wrong kind for its key is a
-    /// miss, never a wrong answer.
+    /// Probe the cache, counting the probe as the cache does: a hit
+    /// iff it found a block. A block of the wrong kind for its key is
+    /// then of no use — read, never a wrong answer.
     fn probe(&mut self, key: &BlockKey) -> Option<CachedBlock> {
-        let cache = self.store.cache()?;
-        let block = cache.get(key).filter(|b| match key.part {
+        let found = self.store.cache()?.get(key);
+        match found {
+            Some(_) => self.report.cache_hits += 1,
+            None => self.report.cache_misses += 1,
+        }
+        found.filter(|b| match key.part {
             BlockPart::Footer(_) => b.as_footer().is_some(),
             BlockPart::Floats => b.as_floats().is_some(),
             _ => b.as_bytes().is_some(),
-        });
-        if block.is_none() {
-            self.report.cache_misses += 1;
-        }
-        block
+        })
     }
 
-    /// Account a cache hit on `[off, off + len)`: the extent stays
-    /// visible in the trace (flagged cached) at zero simulated cost.
-    fn hit(&mut self, file: &Arc<str>, off: u64, len: u64) {
+    /// Account the extent `[off, off + len)` a cached block served: it
+    /// stays visible in the trace (flagged cached) at zero simulated
+    /// cost.
+    pub fn served(&mut self, file: &Arc<str>, off: u64, len: u64) {
         self.io.record_cached(Arc::clone(file), off, len);
-        self.report.cache_hits += 1;
         self.report.bytes_saved += len;
+    }
+
+    /// Whether the store has a block cache.
+    pub fn caches(&self) -> bool {
+        self.store.cache().is_some()
+    }
+
+    /// The key of unit `chunk_rank` of `bin`'s decoded data block.
+    fn unit_key(&self, bin: usize, chunk_rank: usize) -> BlockKey {
+        let part = if self.store.config().plod {
+            BlockPart::PlodUnit
+        } else {
+            BlockPart::Floats
+        };
+        self.key(bin, chunk_rank, part)
+    }
+
+    /// Probe the cache, once, for the decoded data block of unit
+    /// `chunk_rank` of `bin`, a unit of `count` points. Without a cache
+    /// no key is built and nothing is probed. A block whose length does
+    /// not fit the unit is a hit that serves nothing.
+    pub fn unit_block(&mut self, bin: usize, chunk_rank: usize, count: usize) -> Option<UnitBlock> {
+        if !self.caches() {
+            return None;
+        }
+        let block = self.probe(&self.unit_key(bin, chunk_rank))?;
+        let parts = match &block {
+            CachedBlock::Bytes(b) => plod::prefix_parts(count, b.len())?,
+            CachedBlock::Floats(f) if f.len() == count => 1,
+            _ => return None,
+        };
+        Some(UnitBlock {
+            block,
+            parts,
+            count,
+        })
+    }
+
+    /// Offer unit `chunk_rank` of `bin`'s decoded data block to the
+    /// cache (a no-op, building no key, without one).
+    pub fn publish_unit(&mut self, bin: usize, chunk_rank: usize, block: CachedBlock) {
+        if self.caches() {
+            self.publish(self.unit_key(bin, chunk_rank), block);
+        }
     }
 
     fn count_read(&mut self, part: BlockPart, len: u64) {
@@ -214,7 +278,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     pub fn hold(&mut self, file: &Arc<str>, key: BlockKey, (off, len): (u64, u64)) -> Result<Held> {
         let (raw, verified) = match self.probe(&key) {
             Some(CachedBlock::Bytes(b)) => {
-                self.hit(file, off, len);
+                self.served(file, off, len);
                 (b, true)
             }
             _ => {
@@ -297,7 +361,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         let read_index = index_hit.is_none();
         let read_data = data && data_hit.is_none();
         if let Some(f) = &index_hit {
-            self.hit(file, f.span().0, f.span().1);
+            self.served(file, f.span().0, f.span().1);
         }
         let start = if read_index {
             index_span.0
@@ -322,7 +386,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         };
         let data_table = match data_hit {
             Some(f) => {
-                self.hit(file, f.span().0, f.span().1);
+                self.served(file, f.span().0, f.span().1);
                 Some(f)
             }
             None if data => Some(Arc::new(tables.decode_data(at(data_span), &index, file)?)),
@@ -348,7 +412,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     /// error: without it nothing in the file can be trusted.
     pub fn footer(&mut self, file: &Arc<str>, key: BlockKey) -> Result<Arc<ExtentFooter>> {
         if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
-            self.hit(file, f.span().0, f.span().1);
+            self.served(file, f.span().0, f.span().1);
             return Ok(f);
         }
         let flen = self.io.backend().len(file)?;
@@ -375,59 +439,89 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(footer)
     }
 
-    /// Fetch a want-list from one file, handing `sink` each want's
-    /// index and outcome: cache hits first, in want order (traced at
-    /// zero cost), then the misses, in want order — coalesced into as
-    /// few physical reads as possible, or fused with a concurrent
-    /// session's, each a verified view into the merged extent with no
-    /// per-want copy. Failures are per want; the sink decides which
-    /// are fatal by returning them.
+    /// Fetch a want-list of keyed index blocks from one file, handing
+    /// `sink` each want's index and outcome: cache hits first, in want
+    /// order (traced at zero cost), then the misses, in want order, as
+    /// [`Self::read`] gets them; each miss read is offered to the cache.
+    /// Failures are per want; the sink decides which are fatal by
+    /// returning them.
     pub fn wants(
         &mut self,
         file: &Arc<str>,
         wants: &[Want],
         footer: Option<&ExtentFooter>,
-        mut sink: impl FnMut(usize, Result<Fetched>) -> Result<()>,
+        mut sink: impl FnMut(usize, Result<ByteView>) -> Result<()>,
     ) -> Result<()> {
         let mut missed: Vec<usize> = Vec::new();
         for (i, (key, off, len)) in wants.iter().enumerate() {
             match self.probe(key) {
-                Some(block) => {
-                    self.hit(file, *off, u64::from(*len));
-                    sink(i, Ok(Fetched::Cached(block)))?;
+                Some(CachedBlock::Bytes(block)) => {
+                    self.served(file, *off, u64::from(*len));
+                    sink(i, Ok(block))?;
                 }
-                None => missed.push(i),
+                _ => missed.push(i),
             }
         }
         if missed.is_empty() {
             return Ok(());
         }
         let extents: Vec<(u64, u32)> = missed.iter().map(|&i| (wants[i].1, wants[i].2)).collect();
+        let reads = self.read(file, &extents, footer, true);
+        for (i, got) in missed.into_iter().zip(reads) {
+            if let Ok(view) = &got {
+                self.publish(wants[i].0.clone(), CachedBlock::Bytes(view.clone()));
+            }
+            sink(i, got)?;
+        }
+        Ok(())
+    }
+
+    /// Read `extents` — `(offset, stored length)` — of one file,
+    /// coalesced into as few physical reads as possible or fused with a
+    /// concurrent session's: each outcome, in extent order, a verified
+    /// view into the merged extent with no per-extent copy. Counted as
+    /// index bytes when `index`, else as data bytes. Nothing is probed
+    /// or offered to the cache.
+    pub fn read(
+        &mut self,
+        file: &Arc<str>,
+        extents: &[(u64, u32)],
+        footer: Option<&ExtentFooter>,
+        index: bool,
+    ) -> Vec<Result<ByteView>> {
+        if extents.is_empty() {
+            return Vec::new();
+        }
         let reads = coalesced_read_results(
             &mut self.io,
             file,
-            &extents,
+            extents,
             footer,
             self.store.fuser().map(Arc::as_ref),
             self.verify_s.as_mut(),
         );
-        for (i, read) in missed.into_iter().zip(reads) {
-            let (key, _, len) = &wants[i];
-            let got = read.res.map(|view| {
-                if read.fused {
-                    self.report.fused_reads += 1;
-                    self.report.fused_bytes += u64::from(*len);
-                } else {
-                    self.count_read(key.part, u64::from(*len));
+        let report = &mut self.report;
+        let counted = if index {
+            &mut report.index_bytes
+        } else {
+            &mut report.data_bytes
+        };
+        reads
+            .into_iter()
+            .zip(extents)
+            .map(|(read, &(_, len))| {
+                let len = u64::from(len);
+                if read.res.is_ok() {
+                    if read.fused {
+                        report.fused_reads += 1;
+                        report.fused_bytes += len;
+                    } else {
+                        *counted += len;
+                    }
                 }
-                if is_index(key.part) {
-                    self.publish(key.clone(), CachedBlock::Bytes(view.clone()));
-                }
-                Fetched::Raw(view)
-            });
-            sink(i, got)?;
-        }
-        Ok(())
+                read.res
+            })
+            .collect()
     }
 
     /// Close the rank's I/O: the full report with the read trace.
@@ -485,9 +579,9 @@ mod tests {
     }
 
     /// Fetch the block `part` of chunk rank `r` through the operation
-    /// the engine uses for its kind, decoding a data part so a cache
-    /// can keep it; returns the fetcher's report. `Footer(0)` is the
-    /// index table.
+    /// the engine uses for its kind; returns the fetcher's report.
+    /// `Footer(0)` is the index table; `PlodUnit` is the unit's part 0,
+    /// served by its unit block or read, decoded and published as one.
     fn fetch(
         store: &MlocStore<'_>,
         index: &HeaderView<&[u8]>,
@@ -515,25 +609,26 @@ mod tests {
                 f.wants(&file, &[want], Some(&index_table), |_, got| got.map(drop))
                     .unwrap();
             }
-            BlockPart::PlodPart(p) => {
-                let loc = index.unit(r, usize::from(p));
-                let want = (key.clone(), loc.offset, loc.clen);
-                let mut stored = None;
-                f.wants(&file, &[want], Some(&data_table), |_, got| {
-                    if let Fetched::Raw(raw) = got? {
-                        stored = Some(raw);
+            BlockPart::PlodUnit => {
+                let (loc, count) = (index.unit(r, 0), index.count(r) as usize);
+                match f.unit_block(BIN, r, count) {
+                    Some(block) if block.parts() > 0 => {
+                        f.served(&file, loc.offset, u64::from(loc.clen))
                     }
-                    Ok(())
-                })
-                .unwrap();
-                if let Some(raw) = stored {
-                    let count = index.count(r) as usize;
-                    Decoder::new(store.config().codec)
-                        .decode(&mut f, key, &raw, count)
-                        .unwrap();
+                    _ => {
+                        let extent = (loc.offset, loc.clen);
+                        let raw = f.read(&file, &[extent], Some(&data_table), false);
+                        let raw = raw.into_iter().next().unwrap().unwrap();
+                        let mut decoder = Decoder::new(store.config().codec);
+                        let part = decoder.part(&raw, 0, count).unwrap();
+                        let block = decoder.prefix(&[&part]);
+                        f.publish_unit(BIN, r, block);
+                    }
                 }
             }
-            BlockPart::Floats => unreachable!("the fixture is a PLoD layout"),
+            BlockPart::Floats | BlockPart::PlodPart(_) => {
+                unreachable!("not a block the engine keys")
+            }
         }
         f.finish()
     }
@@ -586,7 +681,7 @@ mod tests {
                 true,
             ),
             (
-                BlockPart::PlodPart(0),
+                BlockPart::PlodUnit,
                 part0.offset,
                 u64::from(part0.clen),
                 true,
@@ -618,6 +713,188 @@ mod tests {
             assert_eq!(follow.fused_reads, u64::from(coalesced));
             assert_eq!(follow.fused_bytes, if coalesced { len } else { 0 });
         }
+    }
+
+    /// The part count `k` of every unit prefix `cache` holds of the
+    /// fixture's store, by `(bin, chunk rank)`.
+    fn prefixes(
+        be: &MemBackend,
+        store: &MlocStore<'_>,
+        cache: &BlockCache,
+    ) -> std::collections::BTreeMap<(usize, usize), usize> {
+        let mut held = std::collections::BTreeMap::new();
+        for bin in 0..store.config().num_bins {
+            let file = store.index_file(bin);
+            let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+            let index = HeaderView::parse(&raw[..]).unwrap();
+            for r in 0..index.num_chunks() {
+                let key = Fetcher::new(store, RetryPolicy::none(), false).unit_key(bin, r);
+                if let Some(CachedBlock::Bytes(b)) = cache.get(&key) {
+                    let count = index.count(r) as usize;
+                    held.insert((bin, r), crate::plod::prefix_parts(count, b.len()).unwrap());
+                }
+            }
+        }
+        held
+    }
+
+    /// A unit's cached prefix only grows: a level-2 query caches parts
+    /// 0..2, a full query after it reads parts 2..7 and no more and
+    /// replaces the block with all seven, and a level-3 query then
+    /// reads nothing and publishes nothing. Each unit stays one probe.
+    #[test]
+    fn a_units_cached_prefix_only_grows() {
+        use crate::array::Region;
+        use crate::config::PlodLevel;
+        use crate::query::Query;
+        let be = MemBackend::new();
+        build(&be);
+        let plain = MlocStore::open(&be, "ds", "v").unwrap();
+        let cache = Arc::new(BlockCache::with_budget_mb(8));
+        let store = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let region = Region::new(vec![(10, 40), (20, 30)]);
+        let at = |level| Query::values_in(region.clone()).with_plod(PlodLevel::new(level).unwrap());
+        let run = |s: &MlocStore<'_>, level| s.query_with_metrics(&at(level)).unwrap().1;
+        let all_at = |k: usize| {
+            let held = prefixes(&be, &store, &cache);
+            assert!(
+                !held.is_empty() && held.values().all(|&n| n == k),
+                "{held:?}"
+            );
+            held.len() as u64
+        };
+
+        let level2 = run(&store, 2);
+        assert_eq!(level2.data_bytes, run(&plain, 2).data_bytes);
+        let units = all_at(2);
+        let full = run(&store, 7);
+        assert_eq!(
+            full.data_bytes,
+            run(&plain, 7).data_bytes - level2.data_bytes,
+            "only parts 2..7 are read"
+        );
+        assert_eq!(all_at(7), units);
+
+        let inserted = cache.stats().insertions;
+        let level3 = run(&store, 3);
+        assert_eq!((level3.bytes_read, level3.cache_misses), (0, 0));
+        assert_eq!(cache.stats().insertions, inserted, "nothing shorter");
+        assert_eq!(all_at(7), units);
+        // One probe per data unit, next to the bins' fixed blocks and
+        // bitmaps: the level-3 query hits exactly as often as the
+        // level-2 query missed.
+        assert_eq!(level3.cache_hits, level2.cache_misses);
+    }
+
+    /// A ladder grows the prefix one part a pull: step 0 caches part 0,
+    /// each pull reads its part past the cached block and publishes the
+    /// block one part longer. A second ladder is served by the blocks.
+    #[test]
+    fn a_refinement_pull_extends_the_prefix_it_ends() {
+        use crate::array::Region;
+        use crate::query::Query;
+        let be = MemBackend::new();
+        build(&be);
+        let cache = Arc::new(BlockCache::with_budget_mb(8));
+        let store = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let q = Query::values_in(Region::new(vec![(5, 50), (20, 30)]));
+        let all_at = |k: usize| {
+            let held = prefixes(&be, &store, &cache);
+            assert!(
+                !held.is_empty() && held.values().all(|&n| n == k),
+                "{held:?}"
+            );
+        };
+        let mut ladder = store.query_progressive(&q).unwrap();
+        all_at(1);
+        for k in 2..=7 {
+            let step = ladder.next_refinement().unwrap().unwrap();
+            assert!(step.bytes_read > 0 && step.bytes_saved == 0, "{step:?}");
+            all_at(k);
+        }
+        let inserted = cache.stats().insertions;
+        let mut again = store.query_progressive(&q).unwrap();
+        again.run_to_completion().unwrap();
+        assert!(again.steps().iter().all(|s| s.bytes_read == 0));
+        assert_eq!(again.result(), ladder.result());
+        assert_eq!(cache.stats().insertions, inserted);
+    }
+
+    /// With every block over a shard's budget, each miss's one publish
+    /// — a fixed block, a bitmap, a unit's prefix — is turned away and
+    /// counted, and a second run reads exactly what the first did.
+    #[test]
+    fn blocks_over_the_shard_budget_are_counted_rejected() {
+        use super::super::{process_units, RankJob};
+        use crate::array::Region;
+        use crate::exec::ExecRequest;
+        use crate::query::plan::make_plan;
+        use crate::query::Query;
+        let be = MemBackend::new();
+        build(&be);
+        let cache = Arc::new(BlockCache::with_budget_bytes(
+            crate::cache::NUM_SHARDS as u64,
+        ));
+        let store = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let query = Query::values_in(Region::new(vec![(10, 40), (20, 30)]));
+        let plan = make_plan(&store, &query).unwrap();
+        let run = || {
+            let job = RankJob {
+                store: &store,
+                req: ExecRequest::planned(&query, &plan, None),
+                units: &plan.units,
+                retry: RetryPolicy::none(),
+                allow_degraded: false,
+                peers: None,
+            };
+            process_units(&job, &mut Collector::disabled()).unwrap().io
+        };
+        let (first, second) = (run(), run());
+        assert!(first.cache_rejected > 0);
+        assert_eq!(first.cache_rejected, first.cache_misses);
+        assert_eq!(first.cache_hits, 0);
+        assert_eq!(
+            (second.cache_rejected, second.data_bytes, second.trace.len()),
+            (first.cache_rejected, first.data_bytes, first.trace.len())
+        );
+        assert_eq!(cache.stats().insertions, 0);
+    }
+
+    /// A unit whose part 3 is damaged degrades to level 3 and publishes
+    /// parts 0..3 only; the other units publish all seven.
+    #[test]
+    fn a_degraded_unit_publishes_the_parts_before_its_loss() {
+        use crate::query::Query;
+        let be = MemBackend::new();
+        build(&be);
+        let file = MlocStore::open(&be, "ds", "v").unwrap().index_file(BIN);
+        let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        let index = HeaderView::parse(&raw[..]).unwrap();
+        let r = (0..index.num_chunks())
+            .find(|&r| index.count(r) > 0)
+            .unwrap();
+        let at = index.unit(r, 3).offset as usize;
+        raw[at] ^= 0x40;
+        be.create(&file).unwrap();
+        be.append(&file, &raw).unwrap();
+
+        let cache = Arc::new(BlockCache::with_budget_mb(8));
+        let store = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let q = Query::values_where(f64::MIN, f64::MAX);
+        let exec = crate::ParallelExecutor::serial().allow_degraded(true);
+        let out = exec.run(&store, crate::ExecRequest::new(&q)).unwrap();
+        assert_eq!(out.metrics.degraded_units, 1);
+        let held = prefixes(&be, &store, &cache);
+        assert_eq!(held.get(&(BIN, r)), Some(&3));
+        assert!(held.iter().all(|(&unit, &k)| k == 7 || unit == (BIN, r)));
     }
 
     /// Both tables come in one read when neither is cached, each alone

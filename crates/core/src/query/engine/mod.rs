@@ -17,11 +17,12 @@ mod reconstruct;
 
 pub(crate) use decode::Decoder;
 pub use fetch::FetchReport;
-pub(crate) use fetch::{Fetched, Fetcher, Want};
+pub(crate) use fetch::{Fetcher, UnitBlock, Want};
 pub use peers::PeerTable;
 
 use crate::binfile::{summary_extent_len, Tables};
 use crate::cache::{BlockPart, ByteView, CachedBlock};
+use crate::config::NUM_PARTS;
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
 use crate::fileorg::BinFiles;
@@ -29,7 +30,7 @@ use crate::index::{header_size, HeaderView, SummaryView, UnitLoc};
 use crate::integrity::ExtentFooter;
 use crate::query::plan::WorkUnit;
 use crate::store::MlocStore;
-use crate::Result;
+use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
 use peers::IndexFixed;
@@ -436,7 +437,7 @@ impl Rank<'_, '_> {
             slots.push(gi);
         }
         self.fetcher.wants(&file, &wants, Some(&footer), |k, got| {
-            bitmaps[slots[k]] = got?.into_bytes();
+            bitmaps[slots[k]] = Some(got?);
             Ok(())
         })?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
@@ -456,9 +457,11 @@ impl Rank<'_, '_> {
     }
 
     /// Fetch and decode one bin's data units (only for units that
-    /// need data). Cached at part granularity: a PLoD level-k query
-    /// reuses parts 0..k of any earlier query over the same chunk,
-    /// whatever its level.
+    /// need data). A unit is one cache probe: the block found serves
+    /// the unit's leading parts — a PLoD level-k query reuses parts
+    /// 0..k of any earlier query over the same chunk, whatever its
+    /// level — and the rest are read, decoded, and published as the
+    /// longer prefix.
     fn read_data(
         &mut self,
         group: &[WorkUnit],
@@ -480,71 +483,105 @@ impl Rank<'_, '_> {
         if group.iter().any(reads_data) {
             blocks.parts = vec![None; group.len() * n_parts];
         }
-        let mut wants: Vec<Want> = Vec::new();
+        // Per unit, the parts its cached prefix held (cached PLoD runs
+        // only: a float block is published where it is decoded).
+        let mut held = if config.plod && self.fetcher.caches() {
+            vec![0; group.len()]
+        } else {
+            Vec::new()
+        };
+        let mut extents: Vec<(u64, u32)> = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (unit idx, part)
         for (gi, u) in group.iter().enumerate().filter(|(_, u)| reads_data(u)) {
+            let count = index.count(u.chunk_rank) as usize;
+            let block = self.fetcher.unit_block(bin, u.chunk_rank, count);
+            let served = block.as_ref().map_or(0, UnitBlock::parts);
             for p in 0..n_parts {
-                let part = if config.plod {
-                    BlockPart::PlodPart(p as u8)
-                } else {
-                    BlockPart::Floats
-                };
-                let key = self.fetcher.key(bin, u.chunk_rank, part);
                 let loc = index.unit(u.chunk_rank, p);
-                wants.push((key, loc.offset, loc.clen));
-                slots.push((gi, p));
-            }
-        }
-
-        // Sort the per-want outcomes: cache hits are already decoded;
-        // stored bytes queue for decompression; a failed want is fatal
-        // unless it is degradable — a non-base PLoD part of a unit
-        // with no value filter (degrading a filtered unit could
-        // silently change which points match). A unit's wants arrive in
-        // part order, so its first loss is its lowest: everything from
-        // that part on is dropped at reconstruction.
-        let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (want idx, bytes)
-        let degrade = self.job.allow_degraded && config.plod;
-        let (parts, eff_parts) = (&mut blocks.parts, &mut blocks.eff_parts);
-        let events = &mut self.out.degradation.events;
-        let footer = blocks.dat_footer.as_deref();
-        self.fetcher.wants(&file, &wants, footer, |k, got| {
-            let (gi, p) = slots[k];
-            match got {
-                Ok(Fetched::Cached(block)) => parts[gi * n_parts + p] = Some(block),
-                Ok(Fetched::Raw(view)) => stored.push((k, view)),
-                Err(e) => {
-                    if !(degrade && p > 0 && !group[gi].value_filter) {
-                        return Err(e);
+                match &block {
+                    Some(block) if p < served => {
+                        self.fetcher.served(&file, loc.offset, u64::from(loc.clen));
+                        blocks.parts[gi * n_parts + p] = Some(block.part(p));
                     }
-                    if p < eff_parts[gi] {
-                        eff_parts[gi] = p;
-                        events.push(DegradationEvent {
-                            bin,
-                            chunk_rank: group[gi].chunk_rank,
-                            lost_part: p,
-                            points: u64::from(index.count(group[gi].chunk_rank)),
-                            reason: e.to_string(),
-                        });
+                    _ => {
+                        extents.push((loc.offset, loc.clen));
+                        slots.push((gi, p));
                     }
                 }
             }
-            Ok(())
-        })?;
+            if let Some(h) = held.get_mut(gi) {
+                *h = served;
+            }
+        }
+
+        // Sort the per-extent outcomes: stored bytes queue for
+        // decompression; a failed read is fatal unless it is degradable
+        // — a non-base PLoD part of a unit with no value filter
+        // (degrading a filtered unit could silently change which points
+        // match). A unit's extents arrive in part order, so its first
+        // loss is its lowest: everything from that part on is dropped
+        // at reconstruction.
+        let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (extent idx, bytes)
+        let degrade = self.job.allow_degraded && config.plod;
+        let footer = blocks.dat_footer.as_deref();
+        let reads = self.fetcher.read(&file, &extents, footer, false);
+        for (k, got) in reads.into_iter().enumerate() {
+            let (gi, p) = slots[k];
+            let e = match got {
+                Ok(view) => {
+                    stored.push((k, view));
+                    continue;
+                }
+                Err(e) => e,
+            };
+            if !(degrade && p > 0 && !group[gi].value_filter) {
+                return Err(e);
+            }
+            if p < blocks.eff_parts[gi] {
+                blocks.eff_parts[gi] = p;
+                self.out.degradation.events.push(DegradationEvent {
+                    bin,
+                    chunk_rank: group[gi].chunk_rank,
+                    lost_part: p,
+                    points: u64::from(blocks.index.count(group[gi].chunk_rank)),
+                    reason: e.to_string(),
+                });
+            }
+        }
         let bytes = self.fetcher.report.data_bytes - bytes_before;
         self.end_read(obs, "bin.data.bytes", bin, bytes);
         let codec = Label::Name(config.codec.name());
         obs.count_labeled("decompress.units", codec, stored.len() as u64);
 
-        // Decompress the fetched units (timed); cache hits above skip
+        // Decompress the fetched parts (timed); cache hits above skip
         // this entirely, which is where warm-session time goes to ~0.
         let t = Instant::now();
         for (k, view) in stored {
             let (gi, p) = slots[k];
-            let count = blocks.index.count(group[gi].chunk_rank) as usize;
-            let key = wants[k].0.clone();
-            let block = self.decoder.decode(&mut self.fetcher, key, &view, count)?;
+            let chunk_rank = group[gi].chunk_rank;
+            let count = blocks.index.count(chunk_rank) as usize;
+            let block = if config.plod {
+                CachedBlock::Bytes(self.decoder.part(&view, p, count)?)
+            } else {
+                let unit = (bin, chunk_rank);
+                self.decoder.floats(&mut self.fetcher, unit, &view, count)?
+            };
             blocks.parts[gi * n_parts + p] = Some(block);
+        }
+        // Publish each PLoD unit's parts before its first loss, once,
+        // when they go past what its cached block held.
+        for (gi, &had) in held.iter().enumerate() {
+            let eff = blocks.eff_parts[gi];
+            if eff <= had || !reads_data(&group[gi]) {
+                continue;
+            }
+            let mut parts: [&[u8]; NUM_PARTS] = [&[]; NUM_PARTS];
+            for (part, slot) in parts.iter_mut().zip(blocks.unit_parts(gi)).take(eff) {
+                let bytes = slot.as_ref().and_then(CachedBlock::as_bytes);
+                *part = bytes.ok_or(MlocError::Corrupt("missing PLoD part"))?;
+            }
+            let block = self.decoder.prefix(&parts[..eff]);
+            self.fetcher.publish_unit(bin, group[gi].chunk_rank, block);
         }
         // The profile span gets the same float as the metric, so the
         // two reports reconcile exactly, not just "within noise".

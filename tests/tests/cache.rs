@@ -102,6 +102,136 @@ fn warm_pass_is_all_hits_and_reads_nothing() {
     assert_eq!(warm.bytes_saved, cold.bytes_read);
 }
 
+/// FNV-1a over `bytes`, folded into `h`: a stable digest for pins.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// One answer as a digest of its positions and value bits.
+fn answer_digest(r: &QueryResult) -> String {
+    let mut h = fnv(0xCBF2_9CE4_8422_2325, &(r.len() as u64).to_le_bytes());
+    for p in r.positions() {
+        h = fnv(h, &p.to_le_bytes());
+    }
+    for v in r.values().unwrap_or(&[]) {
+        h = fnv(h, &v.to_bits().to_le_bytes());
+    }
+    format!("n={} digest={h:016x}", r.len())
+}
+
+/// Run the mixed-level session once on `store`, appending to `out`
+/// everything that must not depend on how the cache keys its blocks:
+/// each answer's bits, `bytes_read`, `bytes_saved`, the `io_s` bits and
+/// the full trace of every one-shot query; each ladder step's figures
+/// (a ladder's reads are priced into its steps' `io_s`). Returns the
+/// session's bytes read and cache misses.
+fn mixed_session(store: &MlocStore<'_>, values: &[f64], out: &mut String) -> (u64, u64) {
+    use std::fmt::Write;
+    let exec = ParallelExecutor::serial();
+    let region = Region::new(vec![(20, 75), (40, 100)]);
+    let mut gen = QueryGen::new(values.to_vec(), SHAPE.to_vec(), 5);
+    let (lo, hi) = gen.value_constraint(0.1);
+    let (mut bytes_read, mut misses) = (0, 0);
+    let one_shots = [
+        (
+            "sc plod 2",
+            Query::values_in(region.clone()).with_plod(PlodLevel::new(2).unwrap()),
+        ),
+        ("sc full", Query::values_in(region.clone())),
+    ];
+    for (label, q) in &one_shots {
+        let run = exec.run(store, ExecRequest::new(q)).unwrap();
+        let m = &run.metrics;
+        writeln!(out, "## {label} {}", answer_digest(&run.result)).unwrap();
+        writeln!(
+            out,
+            "bytes_read={} bytes_saved={} io_s={:016x}",
+            m.bytes_read,
+            m.bytes_saved,
+            m.io_s.to_bits()
+        )
+        .unwrap();
+        for op in run.traces.iter().flatten() {
+            writeln!(out, "{} {} {} {}", op.file, op.offset, op.len, op.cached).unwrap();
+        }
+        bytes_read += m.bytes_read;
+        misses += m.cache_misses;
+    }
+    let mut ladder = exec.progressive(store, &Query::values_in(region)).unwrap();
+    ladder.run_to_target_error(1e-6).unwrap();
+    writeln!(out, "## ladder {}", answer_digest(ladder.result())).unwrap();
+    for s in ladder.steps() {
+        writeln!(
+            out,
+            "step {} level {} bound={:016x} bytes_read={} bytes_saved={} io_s={:016x}",
+            s.step,
+            s.level.num_parts(),
+            s.error_bound.to_bits(),
+            s.bytes_read,
+            s.bytes_saved,
+            s.io_s.to_bits()
+        )
+        .unwrap();
+    }
+    bytes_read += ladder.metrics().bytes_read;
+    misses += ladder.metrics().cache_misses;
+
+    let q = Query::values_where(lo, hi);
+    let run = exec.run(store, ExecRequest::new(&q)).unwrap();
+    let m = &run.metrics;
+    writeln!(out, "## vc values {}", answer_digest(&run.result)).unwrap();
+    writeln!(
+        out,
+        "bytes_read={} bytes_saved={} io_s={:016x}",
+        m.bytes_read,
+        m.bytes_saved,
+        m.io_s.to_bits()
+    )
+    .unwrap();
+    for op in run.traces.iter().flatten() {
+        writeln!(out, "{} {} {} {}", op.file, op.offset, op.len, op.cached).unwrap();
+    }
+    (bytes_read + m.bytes_read, misses + m.cache_misses)
+}
+
+/// A session that mixes precision levels over one region — a level-2
+/// query, the same region at full precision, a progressive ladder to
+/// 1e-6, a value query — then replays itself warm. Every answer, byte
+/// count, `io_s` and trace is pinned: how the cache keys and groups the
+/// blocks it holds must not show in any of them. The warm replay reads
+/// nothing and misses nothing.
+#[test]
+fn a_mixed_level_session_is_pinned_cold_and_warm() {
+    let be = MemBackend::new();
+    let values = build(&be);
+    let store = MlocStore::open(&be, "cb", "v")
+        .unwrap()
+        .with_cache(Arc::new(BlockCache::with_budget_mb(64)));
+    let mut got = String::new();
+    let (cold_read, _) = mixed_session(&store, &values, &mut got);
+    got.push_str("# warm replay\n");
+    let (warm_read, warm_misses) = mixed_session(&store, &values, &mut got);
+    assert_eq!((warm_read, warm_misses), (0, 0), "the replay must be warm");
+    assert_eq!(cold_read, SESSION_COLD_BYTES);
+    let digest = fnv(0xCBF2_9CE4_8422_2325, got.as_bytes());
+    if digest != SESSION_DIGEST {
+        let path = std::env::temp_dir().join("mixed_session.txt");
+        std::fs::write(&path, &got).unwrap();
+        panic!(
+            "session digest {digest:016x} != {SESSION_DIGEST:016x}; rendering in {}",
+            path.display()
+        );
+    }
+}
+
+/// Bytes the cold pass of the mixed session reads.
+const SESSION_COLD_BYTES: u64 = 145_631;
+/// Digest of the whole rendering of both passes.
+const SESSION_DIGEST: u64 = 0xE2D5_A64D_057B_E1BC;
+
 #[test]
 fn zero_budget_cache_degrades_to_uncached_metrics() {
     let be = MemBackend::new();
