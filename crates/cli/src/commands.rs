@@ -314,7 +314,7 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         for bin in 0..num_bins {
             let idx_file = store.index_file(bin);
             let header = be
-                .read(&idx_file, 0, header_len)
+                .read(idx_file, 0, header_len)
                 .map_err(|e| e.to_string())?;
             let header = mloc::index::HeaderView::parse(header).map_err(|e| e.to_string())?;
             // v1 files carry no chunk-summary section.
@@ -323,7 +323,7 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
                 // One file: the two sections, by the preamble.
                 mloc::fileorg::BinFiles::One => {
                     let summary_extent = be
-                        .read(&idx_file, header_len, summary)
+                        .read(idx_file, header_len, summary)
                         .map_err(|e| e.to_string())?;
                     // The column counts chunk summaries alone, as in v2.
                     summary -= mloc::index::TABLE_SIZES;
@@ -332,14 +332,14 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
                         &summary_extent,
                         header_len,
                         geometry,
-                        &idx_file,
+                        idx_file,
                     )
                     .map_err(|e| e.to_string())?;
                     mloc::binfile::section_bytes(&header, &tables)
                 }
                 mloc::fileorg::BinFiles::Two => (
-                    be.len(&idx_file).map_err(|e| e.to_string())?,
-                    be.len(&store.data_file(bin)).map_err(|e| e.to_string())?,
+                    be.len(idx_file).map_err(|e| e.to_string())?,
+                    be.len(store.data_file(bin)).map_err(|e| e.to_string())?,
                 ),
             };
             data_total += data;

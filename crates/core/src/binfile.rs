@@ -86,11 +86,13 @@ impl Tables {
         file: &str,
     ) -> Result<Tables> {
         let corrupt = |what| corrupt_extent(file, header_len, summary.len() as u64, what);
-        if summary.len() as u64 != summary_extent_len(num_chunks) {
+        let whole = summary.len() as u64 == summary_extent_len(num_chunks);
+        let sizes = summary.split_last_chunk::<{ TABLE_SIZES as usize }>();
+        let Some((_, &[i0, i1, i2, i3, d0, d1, d2, d3])) = sizes.filter(|_| whole) else {
             return Err(corrupt("summary extent truncated"));
-        }
-        let sizes = &summary[summary.len() - TABLE_SIZES as usize..];
-        let (n_index, n_data) = (le_u32(sizes, 0), le_u32(sizes, 4));
+        };
+        let n_index = u32::from_le_bytes([i0, i1, i2, i3]);
+        let n_data = u32::from_le_bytes([d0, d1, d2, d3]);
         let index_ok = (2..=2 + num_chunks as u64).contains(&u64::from(n_index));
         if !index_ok || u64::from(n_data) > num_chunks as u64 * num_parts as u64 {
             return Err(corrupt("checksum table sizes out of range"));

@@ -4,10 +4,10 @@
 //! queries that decompress the same (bin, chunk, byte-group) blocks
 //! over and over. [`BlockCache`] sits between the query engine and the
 //! [`mloc_pfs::StorageBackend`]: it holds *decompressed* blocks —
-//! index headers, positional bitmaps, PLoD data units, and whole-value
-//! float blocks — keyed by `(dataset/var, bin, chunk, part)`, so a
-//! repeated or overlapping query skips both the PFS read and the codec
-//! work.
+//! each bin's verified fixed blocks, positional bitmaps, PLoD data
+//! units, and whole-value float blocks — keyed by `(dataset/var, bin,
+//! chunk, part)`, so a repeated or overlapping query skips both the PFS
+//! read and the codec work.
 //!
 //! Accounting rules (see `DESIGN.md`):
 //!
@@ -36,12 +36,20 @@
 //! reuses them, reads only the missing tail parts, and replaces the
 //! block with the longer prefix.
 //!
+//! A bin's fixed blocks — header and directory, summary, index and data
+//! checksum tables — are cached likewise as one entry
+//! ([`BlockPart::Fixed`]), verified and parsed ([`FixedBlocks`]), so a
+//! warm bin is one probe too.
+//!
 //! Cached blocks are tied to a built (immutable) variable; rebuilding
 //! a variable under the same dataset/var names with different content
 //! requires a fresh cache.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::binfile::Tables;
+use crate::index::{HeaderView, SummaryView};
+use crate::integrity::ExtentFooter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -54,11 +62,9 @@ pub const NUM_SHARDS: usize = 16;
 /// Which block of a `(bin, chunk)` pair a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockPart {
-    /// The bin index header + chunk directory (chunk rank is 0).
-    IndexHeader,
-    /// The summary extent of one bin: the v2 chunk-summary section, and
-    /// in v3 the table sizes after it (chunk rank is 0).
-    Summary,
+    /// A bin's verified fixed blocks, as one [`FixedBlocks`] entry
+    /// (chunk rank is 0).
+    Fixed,
     /// The positional WAH bitmap of one chunk in one bin.
     Bitmap,
     /// A whole-value decompressed float block (non-PLoD layouts).
@@ -72,23 +78,17 @@ pub enum BlockPart {
     /// of a unit of `count` points at `count × plod::PART_OFFSETS[p]`,
     /// so the block's length says `k` (see [`crate::plod::prefix_parts`]).
     PlodUnit,
-    /// A bin's parsed checksum table (0 = of its index extents, 1 = of
-    /// its data extents: a v3 bin file's two front tables, a v1/v2 index
-    /// or data file's tail footer; chunk rank is 0).
-    Footer(u8),
 }
 
 impl BlockPart {
     /// The part as one word of the key hash.
     fn code(self) -> u64 {
         match self {
-            BlockPart::IndexHeader => 0,
-            BlockPart::Summary => 1,
+            BlockPart::Fixed => 0,
             BlockPart::Bitmap => 2,
             BlockPart::Floats => 3,
             BlockPart::PlodUnit => 4,
             BlockPart::PlodPart(p) => 5 | u64::from(p) << 8,
-            BlockPart::Footer(which) => 6 | u64::from(which) << 8,
         }
     }
 }
@@ -100,7 +100,7 @@ pub struct BlockKey {
     pub scope: Arc<str>,
     /// Value bin.
     pub bin: u32,
-    /// Chunk curve rank ([`BlockPart::IndexHeader`] uses 0).
+    /// Chunk curve rank ([`BlockPart::Fixed`] uses 0).
     pub chunk_rank: u32,
     /// Which block of the pair.
     pub part: BlockPart,
@@ -244,28 +244,71 @@ impl From<Vec<u8>> for ByteView {
     }
 }
 
+/// A bin's fixed blocks, verified against their checksum tables and
+/// parsed: what a bin costs before a single bitmap is read, cached as
+/// one entry. A query that reads no data leaves the data table out; a
+/// later one that does reads it alone and caches the longer entry.
+#[derive(Debug, Clone)]
+pub struct FixedBlocks {
+    /// The header + chunk directory.
+    pub index: HeaderView<ByteView>,
+    /// The chunk summaries (`None` for a v1 bin, which has none).
+    pub summaries: Option<SummaryView<ByteView>>,
+    /// The checksum table of the index extents: a v3 bin file's index
+    /// table, a v1/v2 index file's tail footer.
+    pub footer: Arc<ExtentFooter>,
+    /// The checksum table of the data extents — a v3 bin file's data
+    /// table, a v1/v2 data file's tail footer — once a query needed it.
+    pub data: Option<Arc<ExtentFooter>>,
+    /// Where a v3 bin file's tables are (`None` for v1/v2): what
+    /// locates the data table when an entry without it is extended.
+    pub tables: Option<Tables>,
+}
+
+impl FixedBlocks {
+    /// `(offset, len)` of each block in the bin's index file, in the
+    /// order a cold fetch reads them: the header, the summary (if the
+    /// format has one), the index table. The data table is
+    /// [`Self::data`]'s span, in the data file.
+    pub fn index_spans(&self) -> impl Iterator<Item = (u64, u64)> {
+        let summary = self
+            .summaries
+            .as_ref()
+            .map(|_| (self.index.summary_file_offset(), self.index.summary_bytes()));
+        std::iter::once((0, self.index.header_bytes()))
+            .chain(summary)
+            .chain(std::iter::once(self.footer.span()))
+    }
+
+    /// Stored bytes of every block the entry holds.
+    fn cost(&self) -> u64 {
+        let data = self.data.as_ref().map_or(0, |d| d.span().1);
+        self.index_spans().map(|(_, len)| len).sum::<u64>() + data
+    }
+}
+
 /// A cached decompressed block.
 #[derive(Debug, Clone)]
 pub enum CachedBlock {
-    /// Raw bytes: index headers, bitmaps, PLoD unit prefixes. Stored as
-    /// a view so cache inserts of extent subslices copy nothing.
+    /// Raw bytes: bitmaps, PLoD unit prefixes. Stored as a view so
+    /// cache inserts of extent subslices copy nothing.
     Bytes(ByteView),
     /// Decoded doubles: whole-value blocks.
     Floats(Arc<Vec<f64>>),
-    /// A parsed per-extent checksum table of one bin.
-    Footer(Arc<crate::integrity::ExtentFooter>),
+    /// One bin's verified, parsed fixed blocks.
+    Fixed(Arc<FixedBlocks>),
 }
 
 impl CachedBlock {
     /// Budget charge of this block in bytes (the view length for byte
     /// blocks — shared extent backing is charged per view, so a few
-    /// coalescing-gap bytes may ride along free; checksum tables are
+    /// coalescing-gap bytes may ride along free; fixed blocks are
     /// charged their stored size).
     pub fn cost(&self) -> u64 {
         match self {
             CachedBlock::Bytes(b) => b.len() as u64,
             CachedBlock::Floats(f) => (f.len() * std::mem::size_of::<f64>()) as u64,
-            CachedBlock::Footer(f) => f.span().1,
+            CachedBlock::Fixed(f) => f.cost(),
         }
     }
 
@@ -281,14 +324,6 @@ impl CachedBlock {
     pub fn as_floats(&self) -> Option<&Arc<Vec<f64>>> {
         match self {
             CachedBlock::Floats(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The footer payload, if this is a footer block.
-    pub fn as_footer(&self) -> Option<&Arc<crate::integrity::ExtentFooter>> {
-        match self {
-            CachedBlock::Footer(f) => Some(f),
             _ => None,
         }
     }
@@ -625,7 +660,7 @@ mod tests {
         cache.insert(key(&scope, 0, 0, BlockPart::PlodPart(0)), block(10));
         cache.insert(key(&scope, 0, 0, BlockPart::PlodPart(1)), block(20));
         cache.insert(key(&scope, 0, 0, BlockPart::Bitmap), block(30));
-        cache.insert(key(&scope, 0, 0, BlockPart::IndexHeader), block(40));
+        cache.insert(key(&scope, 0, 0, BlockPart::Fixed), block(40));
         assert_eq!(cache.stats().resident_blocks, 4);
         // Same coordinates under a different scope are separate too.
         let other: Arc<str> = Arc::from("ds/w");

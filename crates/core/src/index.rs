@@ -262,7 +262,7 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
     }
 
     /// Size of the header + directory region in bytes.
-    fn header_bytes(&self) -> u64 {
+    pub fn header_bytes(&self) -> u64 {
         header_size(self.num_chunks, self.num_parts)
     }
 

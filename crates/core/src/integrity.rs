@@ -41,6 +41,8 @@
 //! layout, not the table's: extents follow each other from the start
 //! of each *run*, `(first entry, file offset)`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::{MlocError, Result};
 
 /// Trailer magic: "MFTR" little-endian.
@@ -95,9 +97,9 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let (words, tail) = data.as_chunks::<8>();
+    for &w in words {
+        let w = u64::from_le_bytes(w);
         let lo = (w as u32) ^ c;
         let hi = (w >> 32) as u32;
         c = t[7][(lo & 0xFF) as usize]
@@ -109,7 +111,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    for &b in words.remainder() {
+    for &b in tail {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -137,6 +139,11 @@ pub fn table_len(n: u32) -> u64 {
     u64::from(n) * 8 + 4
 }
 
+/// The little-endian `u32` at `at` in `bytes`; `None` past their end.
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+}
+
 /// Split stored `{len, crc}` entries into extents placed run by run:
 /// `runs` lists `(first entry, file offset)`, ascending by entry and
 /// starting at entry 0, and within a run each extent starts where the
@@ -146,7 +153,8 @@ fn parse_entries(
     runs: &[(usize, u64)],
     what: impl Fn(&str) -> MlocError,
 ) -> Result<(Vec<u64>, Vec<u32>, Vec<u32>)> {
-    let n = entries.len() / 8;
+    let (entries, _) = entries.as_chunks::<8>();
+    let n = entries.len();
     let (mut offsets, mut lens, mut crcs) = (
         Vec::with_capacity(n),
         Vec::with_capacity(n),
@@ -154,17 +162,17 @@ fn parse_entries(
     );
     let mut off = 0u64;
     let mut next_run = runs.iter().peekable();
-    for (i, entry) in entries.chunks_exact(8).enumerate() {
+    for (i, &[l0, l1, l2, l3, c0, c1, c2, c3]) in entries.iter().enumerate() {
         if let Some(&(_, start)) = next_run.next_if(|(first, _)| *first == i) {
             off = start;
         }
-        let len = u32::from_le_bytes(entry[..4].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
         if len == 0 {
             return Err(what("zero-length extent entry"));
         }
         offsets.push(off);
         lens.push(len);
-        crcs.push(u32::from_le_bytes(entry[4..].try_into().expect("4 bytes")));
+        crcs.push(u32::from_le_bytes([c0, c1, c2, c3]));
         off = off
             .checked_add(u64::from(len))
             .ok_or_else(|| what("extent offsets overflow"))?;
@@ -301,17 +309,20 @@ impl ExtentFooter {
                 what,
             )
         };
-        if trailer.len() as u64 != TRAILER_LEN {
+        let Ok(trailer) = <&[u8; TRAILER_LEN as usize]>::try_from(trailer) else {
             return Err(corrupt("trailer truncated"));
-        }
-        let u32_at = |i: usize| u32::from_le_bytes(trailer[i..i + 4].try_into().expect("4 bytes"));
+        };
+        // Every field lies inside the fixed-size trailer.
+        let u32_at = |i: usize| u32_at(trailer, i).unwrap_or_default();
         if u32_at(20) != FOOTER_MAGIC {
             return Err(corrupt("missing checksum footer (incomplete build?)"));
         }
         if u32_at(16) != FOOTER_VERSION {
             return Err(corrupt("unsupported footer version"));
         }
-        let payload_len = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
+        let payload_len = trailer[4..]
+            .first_chunk()
+            .map_or(0, |b| u64::from_le_bytes(*b));
         let n_entries = u64::from(u32_at(12));
         let table_len = n_entries * 8;
         if payload_len
@@ -347,8 +358,7 @@ impl ExtentFooter {
             ));
         }
         let corrupt = |what: &str| corrupt_extent(file, payload_len, table_len, what);
-        let stored_crc = u32::from_le_bytes(trailer[0..4].try_into().expect("4 bytes"));
-        if crc32(table) != stored_crc {
+        if Some(crc32(table)) != u32_at(trailer, 0) {
             return Err(corrupt("checksum table corrupt"));
         }
         let (offsets, lens, crcs) = parse_entries(table, &[(0, 0)], corrupt)?;
@@ -375,11 +385,13 @@ impl ExtentFooter {
         file: &str,
     ) -> Result<ExtentFooter> {
         let corrupt = |what: &str| corrupt_extent(file, at, bytes.len() as u64, what);
-        if bytes.len() < 4 || bytes.len() % 8 != 4 {
+        let split = bytes
+            .split_last_chunk()
+            .filter(|(entries, _)| entries.len() % 8 == 0);
+        let Some((entries, stored_crc)) = split else {
             return Err(corrupt("checksum table truncated"));
-        }
-        let (entries, stored_crc) = bytes.split_at(bytes.len() - 4);
-        if crc32(entries) != u32::from_le_bytes(stored_crc.try_into().expect("4 bytes")) {
+        };
+        if crc32(entries) != u32::from_le_bytes(*stored_crc) {
             return Err(corrupt("checksum table corrupt"));
         }
         let (offsets, lens, crcs) = parse_entries(entries, runs, corrupt)?;
@@ -564,7 +576,10 @@ mod tests {
             .num_bins(2)
             .build();
         build_variable(&be, "ds", "v", &values, &config).unwrap();
-        let file = MlocStore::open(&be, "ds", "v").unwrap().data_file(1);
+        let file = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .data_file(1)
+            .to_string();
         let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let hdr_len = header_size(4, 7);
         let header = HeaderView::parse(&raw[..]).unwrap();

@@ -1,22 +1,24 @@
 //! Stage 1 — fetch: every stored byte a rank touches enters through
 //! a [`Fetcher`], so a cache hit, a fused want and a physical read of
 //! the same extent are traced, verified and counted in one place.
-//! Four operations: a v3 bin file's checksum tables
-//! ([`Fetcher::tables`], one read of the ones the cache misses, right
-//! after the summary), a v1/v2 file's tail footer ([`Fetcher::footer`]:
-//! its trailer, then the table the trailer locates), one keyed extent
-//! ([`Fetcher::hold`] then [`Fetcher::admit`]: the index header and
-//! summary are read *before* the table that vouches for them, and
-//! reach the cache and the caller only through `admit`), and a
-//! coalesced want-list: keyed index blocks ([`Fetcher::wants`]), or the
-//! data extents the cache did not serve ([`Fetcher::read`]). A data
-//! unit is one cache probe ([`Fetcher::unit_block`]) whatever number of
-//! its extents the block found serves. A block a peer rank fetched for
-//! the whole query enters through [`Fetcher::peer`].
+//! Three operations, each one cache probe per block the cache keeps: a
+//! bin's fixed blocks ([`Fetcher::fixed`]: header and directory,
+//! summary, index table and — when the bin's units read data — data
+//! table, verified, parsed and cached as one entry; a warm bin replays
+//! their spans as cached records), a coalesced want-list of bitmaps
+//! ([`Fetcher::wants`], one probe per bitmap), and a data unit
+//! ([`Fetcher::unit_block`], one probe whatever number of its extents
+//! the block found serves; the extents it did not serve are read by
+//! [`Fetcher::read`]). A cold bin's header and summary are read *before*
+//! the table that vouches for them and are decided on, and admitted,
+//! only once it has. A block a peer rank fetched for the whole query
+//! enters through [`Fetcher::peer`].
 
-use crate::binfile::Tables;
-use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock};
+use crate::binfile::{summary_extent_len, Tables};
+use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
+use crate::fileorg::BinFiles;
 use crate::fusion::coalesced_read_results;
+use crate::index::{header_size, HeaderView, SummaryView};
 use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
 use crate::plod;
 use crate::store::MlocStore;
@@ -97,37 +99,6 @@ impl UnitBlock {
     }
 }
 
-/// An index extent in hand but not yet admitted: read ahead of the
-/// table that will vouch for it (or served, already verified, by the
-/// cache). Nothing may be decided from its bytes except where that
-/// table is and which of a bin's tables to read.
-pub(crate) struct Held {
-    key: BlockKey,
-    off: u64,
-    raw: ByteView,
-    /// A cache hit: verified when it was admitted the first time.
-    verified: bool,
-}
-
-impl Held {
-    /// The bytes, for the one use allowed before [`Fetcher::admit`]:
-    /// locating the table that vouches for them.
-    pub fn unverified(&self) -> &ByteView {
-        &self.raw
-    }
-}
-
-/// Index-file blocks are stored uncompressed, so the bytes read *are*
-/// the cached form and count as index bytes; data-file blocks count
-/// as data bytes and are cached only once decoded.
-fn is_index(part: BlockPart) -> bool {
-    match part {
-        BlockPart::IndexHeader | BlockPart::Summary | BlockPart::Bitmap => true,
-        BlockPart::Footer(which) => which == 0,
-        BlockPart::Floats | BlockPart::PlodPart(_) | BlockPart::PlodUnit => false,
-    }
-}
-
 /// Per-rank fetch state: the I/O handle, the store (for its cache,
 /// fuser, cache scope and file names), and all byte / hit / miss /
 /// fused / rejected / retry accounting.
@@ -164,17 +135,16 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
-    /// Name of a bin's index file. A rank visits each bin once, so
-    /// this is the one allocation of the name on the rank: every
-    /// request, retry and trace record of the file clones the pointer.
+    /// Name of a bin's index file: the store's one allocation of it,
+    /// shared by every request, retry and trace record of the file.
     pub fn index_file(&self, bin: usize) -> Arc<str> {
-        Arc::from(self.store.index_file(bin))
+        Arc::clone(self.store.index_file(bin))
     }
 
-    /// Name of a bin's data file (see [`Self::index_file`]); a
-    /// one-file bin's caller reuses the index file's name instead.
+    /// Name of a bin's data file (see [`Self::index_file`]): a one-file
+    /// bin's index file name.
     pub fn data_file(&self, bin: usize) -> Arc<str> {
-        Arc::from(self.store.data_file(bin))
+        Arc::clone(self.store.data_file(bin))
     }
 
     /// Cache key of one block of this store's variable.
@@ -197,7 +167,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             None => self.report.cache_misses += 1,
         }
         found.filter(|b| match key.part {
-            BlockPart::Footer(_) => b.as_footer().is_some(),
+            BlockPart::Fixed => matches!(b, CachedBlock::Fixed(_)),
             BlockPart::Floats => b.as_floats().is_some(),
             _ => b.as_bytes().is_some(),
         })
@@ -255,14 +225,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
-    fn count_read(&mut self, part: BlockPart, len: u64) {
-        if is_index(part) {
-            self.report.index_bytes += len;
-        } else {
-            self.report.data_bytes += len;
-        }
-    }
-
     /// Offer a block to the cache (a no-op without one).
     pub fn publish(&mut self, key: BlockKey, block: CachedBlock) {
         if let Some(c) = self.store.cache() {
@@ -270,44 +232,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 self.report.cache_rejected += 1;
             }
         }
-    }
-
-    /// Get one keyed extent `[off, off + len)` of an index file
-    /// (header, summary) without checking it: a cache probe, else one
-    /// sequential read. Single extents bypass the fuser.
-    pub fn hold(&mut self, file: &Arc<str>, key: BlockKey, (off, len): (u64, u64)) -> Result<Held> {
-        let (raw, verified) = match self.probe(&key) {
-            Some(CachedBlock::Bytes(b)) => {
-                self.served(file, off, len);
-                (b, true)
-            }
-            _ => {
-                let raw = self.io.read(Arc::clone(file), off, len)?;
-                (ByteView::new(Arc::new(raw)), false)
-            }
-        };
-        Ok(Held {
-            key,
-            off,
-            raw,
-            verified,
-        })
-    }
-
-    /// Verify a held extent against its file's `footer`; only then is
-    /// it counted, offered to the cache and handed out.
-    pub fn admit(
-        &mut self,
-        file: &Arc<str>,
-        held: Held,
-        footer: &ExtentFooter,
-    ) -> Result<ByteView> {
-        if !held.verified {
-            footer.verify_timed(file, held.off, &held.raw, self.verify_s.as_mut())?;
-            self.count_read(held.key.part, held.raw.len() as u64);
-            self.publish(held.key, CachedBlock::Bytes(held.raw.clone()));
-        }
-        Ok(held.raw)
     }
 
     /// Every access traced since the trace held `since` records, as
@@ -336,85 +260,186 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         self.report.fused_bytes += len;
     }
 
-    /// Fetch a v3 bin file's checksum tables, located by `tables`: the
-    /// index table, and the data table too when `data`. Each is a cache
-    /// probe; the ones missed are contiguous and come in one read. Both
-    /// are decoded before either is offered to the cache, and a table
-    /// that fails its own CRC is a hard error: without it nothing in
-    /// the bin can be trusted.
-    pub fn tables(
+    /// `bin`'s fixed blocks, verified and parsed, with its data table
+    /// iff `data` says — from the header — that a unit of the bin reads
+    /// data. One cache probe: a hit replays the blocks' spans as cached
+    /// records, in the order a cold fetch reads them; an entry without
+    /// the data table a query now needs reads that table alone. What
+    /// was read is cached, as one entry, only once every block in it
+    /// has passed its checks. Any damage is a hard error: without these
+    /// blocks nothing in the bin can be trusted.
+    pub fn fixed(
+        &mut self,
+        bin: usize,
+        data: impl Fn(&HeaderView<ByteView>) -> bool,
+    ) -> Result<Arc<FixedBlocks>> {
+        let key = self.key(bin, 0, BlockPart::Fixed);
+        let fixed = match self.probe(&key) {
+            Some(CachedBlock::Fixed(hit)) => {
+                let data = data(&hit.index);
+                let file = self.index_file(bin);
+                for (off, len) in hit.index_spans() {
+                    self.served(&file, off, len);
+                }
+                if !data {
+                    return Ok(hit);
+                }
+                if let Some(table) = &hit.data {
+                    let (off, len) = table.span();
+                    self.served(&self.data_file(bin), off, len);
+                    return Ok(hit);
+                }
+                // Built by a query that read no data: the table alone.
+                let table = match &hit.tables {
+                    Some(tables) => self.tables(&file, tables, Some(&hit.footer), true)?.1,
+                    None => Some(self.tail_footer(&self.data_file(bin), false)?),
+                };
+                FixedBlocks {
+                    data: table,
+                    ..FixedBlocks::clone(&hit)
+                }
+            }
+            _ => self.fetch_fixed(bin, data)?,
+        };
+        let fixed = Arc::new(fixed);
+        self.publish(key, CachedBlock::Fixed(Arc::clone(&fixed)));
+        Ok(fixed)
+    }
+
+    /// Read, verify and parse `bin`'s fixed blocks the way the store's
+    /// layout keeps them.
+    fn fetch_fixed(
+        &mut self,
+        bin: usize,
+        data: impl Fn(&HeaderView<ByteView>) -> bool,
+    ) -> Result<FixedBlocks> {
+        // The geometry must be the store's: every rank and part index
+        // the engine uses comes from the plan.
+        let store = self.store;
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        let file = self.index_file(bin);
+        let hdr_len = header_size(geometry.0, geometry.1);
+        // Header and summary are read ahead of the table that vouches
+        // for them: nothing may be decided from their bytes before
+        // `admit` except where that table is and which tables to read.
+        let hdr = ByteView::from(self.io.read(Arc::clone(&file), 0, hdr_len)?);
+        let parsed = HeaderView::parse(hdr.clone())
+            .and_then(|view| view.with_geometry(geometry.0, geometry.1));
+        match store.bin_files() {
+            // v3: the summary, then — its last bytes say how long they
+            // are — the checksum tables, each read continuing the last.
+            BinFiles::One => {
+                let len = summary_extent_len(geometry.0);
+                let sum = ByteView::from(self.io.read(Arc::clone(&file), hdr_len, len)?);
+                let tables = Tables::parse(&sum, hdr_len, geometry, &file)?;
+                let data = parsed.as_ref().is_ok_and(data);
+                let (footer, data) = self.tables(&file, &tables, None, data)?;
+                self.admit(&file, &footer, 0, &hdr)?;
+                let index = parsed?;
+                self.admit(&file, &footer, hdr_len, &sum)?;
+                Ok(FixedBlocks {
+                    index,
+                    summaries: Some(SummaryView::parse(sum, geometry.0)?),
+                    footer,
+                    data,
+                    tables: Some(tables),
+                })
+            }
+            // v1/v2: the summary where the version has one (a
+            // version-driven read — never cache- or plan-state-driven —
+            // so cold and warm runs access identical extents), then the
+            // index file's tail footer, which the header is admitted
+            // against: a header that does not even parse fails there,
+            // as damaged (the usual case) or merely not ours. Then, on
+            // the verified header, the data file's tail footer.
+            BinFiles::Two => {
+                let sum = match &parsed {
+                    Ok(index) if index.summary_bytes() > 0 => {
+                        let len = index.summary_bytes();
+                        Some(ByteView::from(self.io.read(
+                            Arc::clone(&file),
+                            hdr_len,
+                            len,
+                        )?))
+                    }
+                    _ => None,
+                };
+                let footer = self.tail_footer(&file, true)?;
+                self.admit(&file, &footer, 0, &hdr)?;
+                let index = parsed?;
+                let summaries = match sum {
+                    Some(raw) => {
+                        self.admit(&file, &footer, hdr_len, &raw)?;
+                        Some(SummaryView::parse(raw, geometry.0)?)
+                    }
+                    None => None,
+                };
+                let data = if data(&index) {
+                    Some(self.tail_footer(&self.data_file(bin), false)?)
+                } else {
+                    None
+                };
+                Ok(FixedBlocks {
+                    index,
+                    summaries,
+                    footer,
+                    data,
+                    tables: None,
+                })
+            }
+        }
+    }
+
+    /// Verify index bytes read ahead at `off` against their file's
+    /// `footer`; only then are they counted.
+    fn admit(&mut self, file: &str, footer: &ExtentFooter, off: u64, raw: &[u8]) -> Result<()> {
+        footer.verify_timed(file, off, raw, self.verify_s.as_mut())?;
+        self.report.index_bytes += raw.len() as u64;
+        Ok(())
+    }
+
+    /// Read a v3 bin file's checksum tables, located by `tables`: the
+    /// index table unless it is `known`, and the data table too when
+    /// `data`, in one read. A table that fails its own CRC is a hard
+    /// error.
+    fn tables(
         &mut self,
         file: &Arc<str>,
-        bin: usize,
         tables: &Tables,
+        known: Option<&Arc<ExtentFooter>>,
         data: bool,
     ) -> Result<(Arc<ExtentFooter>, Option<Arc<ExtentFooter>>)> {
-        let index_key = self.key(bin, 0, BlockPart::Footer(0));
-        let data_key = self.key(bin, 0, BlockPart::Footer(1));
-        let mut probe = |key: &BlockKey| match self.probe(key) {
-            Some(CachedBlock::Footer(f)) => Some(f),
-            _ => None,
-        };
-        let index_hit = probe(&index_key);
-        let data_hit = if data { probe(&data_key) } else { None };
+        // The data table follows the index table.
         let (index_span, data_span) = (tables.index_span(), tables.data_span());
-        let read_index = index_hit.is_none();
-        let read_data = data && data_hit.is_none();
-        if let Some(f) = &index_hit {
-            self.served(file, f.span().0, f.span().1);
-        }
-        let start = if read_index {
-            index_span.0
-        } else {
-            data_span.0
-        };
-        let end = if read_data {
-            data_span.0 + data_span.1
-        } else {
-            index_span.0 + index_span.1
-        };
-        let raw = if read_index || read_data {
-            self.io.read(Arc::clone(file), start, end - start)?
-        } else {
-            Vec::new()
-        };
+        let start = known.map_or(index_span.0, |_| data_span.0);
+        let end = data_span.0 + if data { data_span.1 } else { 0 };
+        let raw = self.io.read(Arc::clone(file), start, end - start)?;
         let at =
             |(off, len): (u64, u64)| &raw[(off - start) as usize..(off - start + len) as usize];
-        let index = match index_hit {
-            Some(f) => f,
-            None => Arc::new(tables.decode_index(at(index_span), file)?),
-        };
-        let data_table = match data_hit {
-            Some(f) => {
-                self.served(file, f.span().0, f.span().1);
-                Some(f)
+        let index = match known {
+            Some(f) => Arc::clone(f),
+            None => {
+                let table = tables.decode_index(at(index_span), file)?;
+                self.report.index_bytes += index_span.1;
+                Arc::new(table)
             }
-            None if data => Some(Arc::new(tables.decode_data(at(data_span), &index, file)?)),
-            None => None,
         };
-        if read_index {
-            self.count_read(BlockPart::Footer(0), index_span.1);
-            self.publish(index_key, CachedBlock::Footer(Arc::clone(&index)));
-        }
-        if let (true, Some(table)) = (read_data, &data_table) {
-            self.count_read(BlockPart::Footer(1), data_span.1);
-            self.publish(data_key, CachedBlock::Footer(Arc::clone(table)));
-        }
+        let data_table = if data {
+            let table = tables.decode_data(at(data_span), &index, file)?;
+            self.report.data_bytes += data_span.1;
+            Some(Arc::new(table))
+        } else {
+            None
+        };
         Ok((index, data_table))
     }
 
-    /// Fetch a v1/v2 file's per-extent checksum footer.
-    ///
-    /// Cold: one untraced `len()`, one read of the trailer at the end of
-    /// the file, and one of the table the trailer locates. Warm: one
-    /// cached record of the whole footer, table and trailer. A footer
-    /// that cannot be loaded or fails its own CRC is always a hard
-    /// error: without it nothing in the file can be trusted.
-    pub fn footer(&mut self, file: &Arc<str>, key: BlockKey) -> Result<Arc<ExtentFooter>> {
-        if let Some(CachedBlock::Footer(f)) = self.probe(&key) {
-            self.served(file, f.span().0, f.span().1);
-            return Ok(f);
-        }
+    /// Read a v1/v2 file's per-extent checksum footer, counted as index
+    /// bytes when `index`, else as data bytes: one untraced `len()`, one
+    /// read of the trailer at the end of the file, and one of the table
+    /// the trailer locates. A footer that cannot be loaded or fails its
+    /// own CRC is a hard error.
+    fn tail_footer(&mut self, file: &Arc<str>, index: bool) -> Result<Arc<ExtentFooter>> {
         let flen = self.io.backend().len(file)?;
         if flen < TRAILER_LEN {
             return Err(corrupt_extent(
@@ -433,10 +458,14 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             .io
             .read(Arc::clone(file), payload_len, at - payload_len)?;
         region.extend_from_slice(&trailer);
-        let footer = Arc::new(ExtentFooter::decode(&region, flen, file)?);
-        self.count_read(key.part, footer.span().1);
-        self.publish(key, CachedBlock::Footer(Arc::clone(&footer)));
-        Ok(footer)
+        let footer = ExtentFooter::decode(&region, flen, file)?;
+        let counted = if index {
+            &mut self.report.index_bytes
+        } else {
+            &mut self.report.data_bytes
+        };
+        *counted += footer.span().1;
+        Ok(Arc::new(footer))
     }
 
     /// Fetch a want-list of keyed index blocks from one file, handing
@@ -540,15 +569,16 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 mod tests {
     use super::super::Decoder;
     use super::*;
-    use crate::binfile::{summary_extent_len, Tables};
     use crate::build::build_variable;
     use crate::cache::BlockCache;
     use crate::config::MlocConfig;
     use crate::fusion::ExtentFuser;
-    use crate::index::{header_size, HeaderView, SummaryView};
-    use mloc_pfs::{MemBackend, StorageBackend};
+    use mloc_pfs::{MemBackend, ReadOp, StorageBackend};
 
     const BIN: usize = 1;
+
+    /// CRC-32 of [`fill_then_values`]'s text.
+    const PARITY_DIGEST: u32 = 0xA62B_B655;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -567,20 +597,15 @@ mod tests {
     fn tables_of(store: &MlocStore<'_>) -> (Tables, Arc<ExtentFooter>, Arc<ExtentFooter>) {
         let store = MlocStore::open(store.backend(), store.dataset(), store.var()).unwrap();
         let mut g = Fetcher::new(&store, RetryPolicy::none(), false);
-        let file = g.index_file(BIN);
-        let hdr_len = header_size(store.grid().num_chunks(), store.config().num_parts());
-        let span = (hdr_len, summary_extent_len(store.grid().num_chunks()));
-        let key = g.key(BIN, 0, BlockPart::Summary);
-        let summary = g.hold(&file, key, span).unwrap();
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let tables = Tables::parse(summary.unverified(), hdr_len, geometry, &file).unwrap();
-        let (index, data) = g.tables(&file, BIN, &tables, true).unwrap();
-        (tables, index, data.unwrap())
+        let fixed = g.fixed(BIN, |_| true).unwrap();
+        let data = fixed.data.clone().unwrap();
+        (fixed.tables.unwrap(), Arc::clone(&fixed.footer), data)
     }
 
     /// Fetch the block `part` of chunk rank `r` through the operation
     /// the engine uses for its kind; returns the fetcher's report.
-    /// `Footer(0)` is the index table; `PlodUnit` is the unit's part 0,
+    /// `Fixed` is the bin's fixed blocks as a positions-only query
+    /// needs them (no data table); `PlodUnit` is the unit's part 0,
     /// served by its unit block or read, decoded and published as one.
     fn fetch(
         store: &MlocStore<'_>,
@@ -591,19 +616,9 @@ mod tests {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
         let file = f.index_file(BIN);
         let key = f.key(BIN, r, part);
-        let (tables, index_table, data_table) = tables_of(store);
+        let (_, index_table, data_table) = tables_of(store);
         match part {
-            BlockPart::Footer(_) => drop(f.tables(&file, BIN, &tables, false).unwrap()),
-            BlockPart::IndexHeader => {
-                let len = header_size(index.num_chunks(), store.config().num_parts());
-                let held = f.hold(&file, key, (0, len)).unwrap();
-                f.admit(&file, held, &index_table).unwrap();
-            }
-            BlockPart::Summary => {
-                let span = (index.summary_file_offset(), index.summary_bytes());
-                let held = f.hold(&file, key, span).unwrap();
-                f.admit(&file, held, &index_table).unwrap();
-            }
+            BlockPart::Fixed => drop(f.fixed(BIN, |_| false).unwrap()),
             BlockPart::Bitmap => {
                 let want = (key, index.bitmap_file_offset(r), index.bitmap_len(r));
                 f.wants(&file, &[want], Some(&index_table), |_, got| got.map(drop))
@@ -654,7 +669,7 @@ mod tests {
 
         // Locate the extents from the index itself.
         let file = plain.index_file(BIN);
-        let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         let index = HeaderView::parse(&raw[..]).unwrap();
         let s0 = index.summary_file_offset() as usize;
         let summaries = SummaryView::parse(&raw[s0..], index.num_chunks()).unwrap();
@@ -664,16 +679,10 @@ mod tests {
             .expect("a partially covered chunk");
         let (tables, _, _) = tables_of(&plain);
         let part0 = index.unit(r, 0);
-        let hdr_len = header_size(index.num_chunks(), plain.config().num_parts());
+        // Header, summary and index table: one span from the front.
         let (table_at, table_len) = tables.index_span();
-        let table: [(BlockPart, u64, u64, bool); 5] = [
-            (BlockPart::IndexHeader, 0, hdr_len, false),
-            (
-                BlockPart::Summary,
-                index.summary_file_offset(),
-                index.summary_bytes(),
-                false,
-            ),
+        let table: [(BlockPart, u64, u64, bool); 3] = [
+            (BlockPart::Fixed, 0, table_at + table_len, false),
             (
                 BlockPart::Bitmap,
                 index.bitmap_file_offset(r),
@@ -686,11 +695,10 @@ mod tests {
                 u64::from(part0.clen),
                 true,
             ),
-            (BlockPart::Footer(0), table_at, table_len, false),
         ];
 
         for (part, off, len, coalesced) in table {
-            let want = |charged: bool| (len, file.clone(), off, len, charged);
+            let want = |charged: bool| (len, file.to_string(), off, len, charged);
             let cold = fetch(&plain, &index, r, part);
             assert_eq!(shape(&cold), want(true), "{part:?} cold");
             assert_eq!(cold.cache_misses + cold.cache_hits + cold.fused_reads, 0);
@@ -725,7 +733,7 @@ mod tests {
         let mut held = std::collections::BTreeMap::new();
         for bin in 0..store.config().num_bins {
             let file = store.index_file(bin);
-            let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+            let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
             let index = HeaderView::parse(&raw[..]).unwrap();
             for r in 0..index.num_chunks() {
                 let key = Fetcher::new(store, RetryPolicy::none(), false).unit_key(bin, r);
@@ -873,7 +881,7 @@ mod tests {
         use crate::query::Query;
         let be = MemBackend::new();
         build(&be);
-        let file = MlocStore::open(&be, "ds", "v").unwrap().index_file(BIN);
+        let file = Arc::clone(MlocStore::open(&be, "ds", "v").unwrap().index_file(BIN));
         let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let index = HeaderView::parse(&raw[..]).unwrap();
         let r = (0..index.num_chunks())
@@ -897,8 +905,10 @@ mod tests {
         assert!(held.iter().all(|(&unit, &k)| k == 7 || unit == (BIN, r)));
     }
 
-    /// Both tables come in one read when neither is cached, each alone
-    /// when the other is, and are verified before either is admitted.
+    /// Both tables come in one read when neither is cached; a cached
+    /// entry without the data table gets the data table alone, and is
+    /// replaced by the longer entry. A damaged table fails the fetch
+    /// and admits nothing.
     #[test]
     fn tables_are_one_read_and_admitted_together() {
         let be = MemBackend::new();
@@ -909,65 +919,72 @@ mod tests {
             .with_cache(Arc::clone(&cache));
         let (tables, _, _) = tables_of(&MlocStore::open(&be, "ds", "v").unwrap());
         let (index_span, data_span) = (tables.index_span(), tables.data_span());
-        let run = |data: bool| {
-            let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-            let file = f.index_file(BIN);
-            f.tables(&file, BIN, &tables, data).unwrap();
+        let hdr_len = header_size(16, store.config().num_parts());
+        let sum_len = summary_extent_len(16);
+        let run = |store: &MlocStore<'_>, data: bool| {
+            let mut f = Fetcher::new(store, RetryPolicy::none(), false);
+            f.fixed(BIN, |_| data).unwrap();
             let r = f.finish();
             let ops: Vec<(u64, u64, bool)> = r
                 .trace
                 .iter()
                 .map(|op| (op.offset, op.len, op.cached))
                 .collect();
-            (ops, r.index_bytes, r.data_bytes)
-        };
-        // Index table alone (a positions-only query), then both: the
-        // data table is read alone, the index table is a hit.
-        assert_eq!(
-            run(false),
-            (vec![(index_span.0, index_span.1, false)], index_span.1, 0)
-        );
-        assert_eq!(
-            run(true),
             (
-                vec![
-                    (index_span.0, index_span.1, true),
-                    (data_span.0, data_span.1, false)
-                ],
-                0,
-                data_span.1
+                ops,
+                r.index_bytes,
+                r.data_bytes,
+                r.cache_hits,
+                r.cache_misses,
             )
-        );
-        // Cold, both: one read.
-        let store = MlocStore::open(&be, "ds", "v").unwrap();
-        let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-        let file = f.index_file(BIN);
-        f.tables(&file, BIN, &tables, true).unwrap();
-        let r = f.finish();
-        assert_eq!(r.trace.len(), 1);
-        assert_eq!(
-            (r.trace[0].offset, r.trace[0].len),
-            (index_span.0, index_span.1 + data_span.1)
-        );
-        assert_eq!((r.index_bytes, r.data_bytes), (index_span.1, data_span.1));
+        };
+        let front = |cached: bool| vec![(0, hdr_len, cached), (hdr_len, sum_len, cached)];
+        // The index table alone (a positions-only query), then both:
+        // the entry is a hit, and the data table is read alone.
+        let mut want = front(false);
+        want.push((index_span.0, index_span.1, false));
+        let index_bytes = hdr_len + sum_len + index_span.1;
+        assert_eq!(run(&store, false), (want, index_bytes, 0, 0, 1));
+        let mut want = front(true);
+        want.extend([
+            (index_span.0, index_span.1, true),
+            (data_span.0, data_span.1, false),
+        ]);
+        assert_eq!(run(&store, true), (want, 0, data_span.1, 1, 0));
+        // The longer entry serves both; a positions-only query replays
+        // the data table's span no more.
+        let mut want = front(true);
+        want.extend([
+            (index_span.0, index_span.1, true),
+            (data_span.0, data_span.1, true),
+        ]);
+        assert_eq!(run(&store, true), (want.clone(), 0, 0, 1, 0));
+        want.pop();
+        assert_eq!(run(&store, false), (want, 0, 0, 1, 0));
+        let cost = index_bytes + data_span.1;
+        assert_eq!(cache.stats().resident_bytes, cost);
 
-        // A damaged data table fails the fetch and admits neither.
-        let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        // Cold, both: one read of the two tables.
+        let plain = MlocStore::open(&be, "ds", "v").unwrap();
+        let mut want = front(false);
+        want.push((index_span.0, index_span.1 + data_span.1, false));
+        assert_eq!(run(&plain, true), (want, index_bytes, data_span.1, 0, 0));
+
+        // A damaged data table fails the fetch and admits nothing.
+        let file = store.index_file(BIN);
+        let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         raw[data_span.0 as usize] ^= 0x01;
-        be.create(&file).unwrap();
-        be.append(&file, &raw).unwrap();
+        be.create(file).unwrap();
+        be.append(file, &raw).unwrap();
         let cache = Arc::new(BlockCache::with_budget_mb(8));
         let store = MlocStore::open(&be, "ds", "v")
             .unwrap()
             .with_cache(Arc::clone(&cache));
         let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-        let err = f.tables(&file, BIN, &tables, true).unwrap_err();
+        let err = f.fixed(BIN, |_| true).unwrap_err();
         assert!(err.to_string().contains("checksum table corrupt"), "{err}");
-        for which in [0, 1] {
-            assert!(cache
-                .get(&f.key(BIN, 0, BlockPart::Footer(which)))
-                .is_none());
-        }
+        assert!(cache.get(&f.key(BIN, 0, BlockPart::Fixed)).is_none());
+        assert_eq!(cache.stats().insertions, 0);
     }
 
     /// A cold values query on one rank: each bin file is opened once,
@@ -977,7 +994,7 @@ mod tests {
     fn a_cold_values_query_opens_each_bin_file_once_and_seeks_once_for_its_fixed_blocks() {
         use crate::binfile::END_LEN;
         use crate::query::Query;
-        use mloc_pfs::{simulate_reads, CostModel, ReadOp};
+        use mloc_pfs::{simulate_reads, CostModel};
         let be = MemBackend::new();
         build(&be);
         let store = MlocStore::open(&be, "ds", "v").unwrap();
@@ -1029,53 +1046,67 @@ mod tests {
     }
 
     /// A cold v1/v2 footer fetch is the trailer, then the table it
-    /// locates, and nothing else; a warm one is one cached record of
-    /// both. Either way the footer's bytes count once, as the bytes of
-    /// its file's kind.
+    /// locates, and nothing else; a warm query replays it as one cached
+    /// record of both. Either way the footer's bytes count once, as the
+    /// bytes of its file's kind.
     #[test]
     fn a_cold_v2_footer_is_the_trailer_then_the_table() {
+        use crate::query::Query;
         let be = crate::fixtures::mem(2);
         let cache = Arc::new(BlockCache::with_budget_mb(8));
         let store = MlocStore::open(&be, "fmt", "v").unwrap().with_cache(cache);
-        let ops = |r: &FetchReport| -> Vec<(u64, u64, bool)> {
-            r.trace
+        let ops = |trace: &[ReadOp], file: &str| -> Vec<(u64, u64, bool)> {
+            trace
                 .iter()
+                .filter(|op| &*op.file == file)
                 .map(|op| (op.offset, op.len, op.cached))
                 .collect()
         };
-        for (which, name) in [(0, store.index_file(BIN)), (1, store.data_file(BIN))] {
-            let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
-            let payload = ExtentFooter::split_verified(&raw, &name).unwrap().len() as u64;
+        // A values query over every bin, cold (filling the cache), then
+        // warm.
+        let q = Query::values_where(f64::MIN, f64::MAX);
+        let exec = crate::ParallelExecutor::serial();
+        let runs: Vec<Vec<ReadOp>> = (0..2)
+            .map(|_| {
+                let out = exec.run(&store, crate::ExecRequest::new(&q)).unwrap();
+                out.traces.into_iter().next().unwrap()
+            })
+            .collect();
+        let hdr_len = header_size(store.grid().num_chunks(), store.config().num_parts());
+        let sum_len = crate::index::summary_size(store.grid().num_chunks());
+        for (index, file) in [(true, store.index_file(BIN)), (false, store.data_file(BIN))] {
+            let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
+            let payload = ExtentFooter::split_verified(&raw, file).unwrap().len() as u64;
             let (flen, trailer_at) = (raw.len() as u64, raw.len() as u64 - TRAILER_LEN);
-            let file: Arc<str> = Arc::from(name);
-            let run = || {
-                let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-                let key = f.key(BIN, 0, BlockPart::Footer(which));
-                let footer = f.footer(&file, key).unwrap();
-                (footer.span(), f.finish())
-            };
-            let (span, cold) = run();
+            let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
+            let footer = f.tail_footer(file, index).unwrap();
+            let span = footer.span();
             assert_eq!(span, (payload, flen - payload), "{file}");
-            assert_eq!(
-                ops(&cold),
-                [
-                    (trailer_at, TRAILER_LEN, false),
-                    (payload, trailer_at - payload, false)
-                ],
-                "{file}"
-            );
-            let counted = if which == 0 { (span.1, 0) } else { (0, span.1) };
+            let cold = f.finish();
+            let trailer_then_table = [
+                (trailer_at, TRAILER_LEN, false),
+                (payload, trailer_at - payload, false),
+            ];
+            assert_eq!(ops(&cold.trace, file), trailer_then_table, "{file}");
+            let counted = if index { (span.1, 0) } else { (0, span.1) };
             assert_eq!((cold.index_bytes, cold.data_bytes), counted, "{file}");
-            let (_, warm) = run();
-            assert_eq!(ops(&warm), [(payload, span.1, true)], "{file}");
+            // The engine's cold fetch of the bin's fixed blocks ends in
+            // the footer's two reads; its warm replay in one record.
+            let (cold, warm) = (ops(&runs[0], file), ops(&runs[1], file));
+            let fixed = if index { 4 } else { 2 };
+            assert!(cold[..fixed].ends_with(&trailer_then_table), "{file}");
+            let mut replay = vec![(payload, span.1, true)];
+            if index {
+                replay.splice(0..0, [(0, hdr_len, true), (hdr_len, sum_len, true)]);
+            }
+            assert_eq!(warm[..fixed - 1], replay[..], "{file}");
+            assert!(warm.iter().all(|op| op.2), "{file}");
         }
 
         // Damaged copies of the index file fail with the error the
-        // whole-file check gives, in no more reads than an intact one
-        // (through a store without the cache the intact footer is in).
-        let store = MlocStore::open(&be, "fmt", "v").unwrap();
+        // whole-file check gives, in no more reads than an intact one.
         let name = store.index_file(BIN);
-        let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
+        let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
         let n = raw.len();
         let flip = |at: usize, mask: u8| {
             let mut copy = raw.clone();
@@ -1093,11 +1124,97 @@ mod tests {
             be.append(name, &copy).unwrap();
             let want = ExtentFooter::split_verified(&copy, name).unwrap_err();
             let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-            let key = f.key(BIN, 0, BlockPart::Footer(0));
-            let got = f.footer(&Arc::from(name), key).unwrap_err();
+            let got = f.tail_footer(&Arc::from(name), true).unwrap_err();
             assert_eq!(got.to_string(), want.to_string(), "{name}");
             assert!(f.finish().trace.len() <= 2);
         }
+    }
+
+    /// Every trace record (file, offset, length, cached, peer) and the
+    /// byte and `io_s` figures of a positions-only query, then a values
+    /// query, then the values query again over the same region behind
+    /// one cache, at one rank and at three (where bins are shared), as
+    /// one text; and the one-rank traces.
+    fn fill_then_values(be: &MemBackend) -> (String, Vec<Vec<ReadOp>>) {
+        use crate::array::Region;
+        use crate::config::PlodLevel;
+        use crate::query::{Query, QueryOutput};
+        use std::fmt::Write;
+        let region = Region::new(vec![(5, 60), (10, 50)]);
+        let positions = QueryOutput::Positions;
+        let queries = [
+            Query::new(None, Some(region.clone()), PlodLevel::FULL, positions),
+            Query::values_in(region.clone()),
+            Query::values_in(region),
+        ];
+        let (mut log, mut serial) = (String::new(), Vec::new());
+        for ranks in [1, 3] {
+            let cache = Arc::new(BlockCache::with_budget_mb(8));
+            let store = MlocStore::open(be, "ds", "v").unwrap().with_cache(cache);
+            let exec = crate::ParallelExecutor::new(ranks, mloc_pfs::CostModel::default());
+            for (i, q) in queries.iter().enumerate() {
+                let out = exec.run(&store, crate::ExecRequest::new(q)).unwrap();
+                let m = &out.metrics;
+                let (read, saved, io) = (m.bytes_read, m.bytes_saved, m.io_s.to_bits());
+                writeln!(log, "## {ranks} ranks, query {i}: {read} {saved} {io:x}").unwrap();
+                for (r, trace) in out.traces.iter().enumerate() {
+                    for op in trace {
+                        let (file, off, len) = (&op.file, op.offset, op.len);
+                        writeln!(log, "{r} {file} {off} {len} {} {}", op.cached, op.peer).unwrap();
+                    }
+                }
+                if ranks == 1 {
+                    serial.extend(out.traces);
+                }
+            }
+        }
+        (log, serial)
+    }
+
+    /// A positions-only query caches each bin's fixed blocks without
+    /// the data table. A values query over the same region then gets
+    /// the data table, alone, as each bin's one uncached fixed-block
+    /// read, and the values query again reads nothing. The whole
+    /// record is pinned by a digest captured before a bin's fixed
+    /// blocks were one cache entry.
+    #[test]
+    fn a_positions_query_leaves_each_data_table_to_the_first_values_query() {
+        let be = MemBackend::new();
+        build(&be);
+        let (log, serial) = fill_then_values(&be);
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        let hdr_len = header_size(geometry.0, geometry.1);
+        let data_table = |file: &str| {
+            let raw = be.read(file, 0, hdr_len + summary_extent_len(geometry.0));
+            let raw = raw.unwrap();
+            let summary = &raw[hdr_len as usize..];
+            Tables::parse(summary, hdr_len, geometry, file)
+                .unwrap()
+                .data_span()
+        };
+        let front = |op: &&ReadOp| op.offset < data_table(&op.file).0 + data_table(&op.file).1;
+        let [_, values, again] = &serial[..] else {
+            panic!("three serial traces")
+        };
+        let read: Vec<(&str, u64, u64)> = values
+            .iter()
+            .filter(|op| !op.cached)
+            .filter(front)
+            .map(|op| (&*op.file, op.offset, op.len))
+            .collect();
+        let files: std::collections::BTreeSet<&str> = values.iter().map(|op| &*op.file).collect();
+        let want: Vec<(&str, u64, u64)> = files
+            .into_iter()
+            .map(|file| (file, data_table(file).0, data_table(file).1))
+            .collect();
+        assert_eq!(read, want);
+        assert!(again.iter().all(|op| op.cached));
+        assert_eq!(
+            crate::integrity::crc32(log.as_bytes()),
+            PARITY_DIGEST,
+            "{log}"
+        );
     }
 
     /// The whole observable footprint of a rank's fetches, one line per

@@ -20,13 +20,11 @@ pub use fetch::FetchReport;
 pub(crate) use fetch::{Fetcher, UnitBlock, Want};
 pub use peers::PeerTable;
 
-use crate::binfile::{summary_extent_len, Tables};
-use crate::cache::{BlockPart, ByteView, CachedBlock};
+use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
-use crate::fileorg::BinFiles;
-use crate::index::{header_size, HeaderView, SummaryView, UnitLoc};
+use crate::index::{HeaderView, UnitLoc};
 use crate::integrity::ExtentFooter;
 use crate::query::plan::WorkUnit;
 use crate::store::MlocStore;
@@ -127,21 +125,18 @@ pub(crate) struct BinBlocks {
     /// The name of the file holding the bin's data (for a v3 bin, the
     /// one file holding all of it).
     pub data_file: Arc<str>,
-    /// The index header + directory, read in place from the fetched
-    /// (or cached) block: a rank pays for the chunks it touches, not
-    /// for the chunks the bin stores.
-    pub index: HeaderView<ByteView>,
-    /// The v2 chunk summaries, likewise a view (`None` for v1 files).
-    pub summaries: Option<SummaryView<ByteView>>,
+    /// The bin's fixed blocks: the header + directory and the v2 chunk
+    /// summaries, read in place from the fetched (or cached) bytes — a
+    /// rank pays for the chunks it touches, not for the chunks the bin
+    /// stores — and the data checksum table, fetched iff a unit of the
+    /// bin (on any rank) reads data.
+    pub fixed: Arc<FixedBlocks>,
     /// Per unit: its stored bitmap (a WAH stream, then — v2 — the
     /// chunk's rank/select directory), when one had to be read.
     pub bitmaps: Vec<Option<ByteView>>,
     /// Per unit: the summary said "all of chunk", so the bitmap was
     /// never read and is synthesized as all ones.
     pub full: Vec<bool>,
-    /// The checksum table of the bin's data, fetched with its fixed
-    /// blocks iff a unit of the bin (on any rank) reads data.
-    pub dat_footer: Option<Arc<ExtentFooter>>,
     /// Unit-major `units × n_parts` slots: the decoded data blocks —
     /// PLoD byte groups, or the one whole-value block — of the units
     /// that read data; empty when no unit of the bin does.
@@ -234,126 +229,43 @@ fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOu
 }
 
 impl Rank<'_, '_> {
-    /// Fetch one bin's fixed blocks as the one rank that reads them
-    /// does, the way the store's layout keeps them. `data` says, from
-    /// the header as read, whether a unit of the bin reads data: then
-    /// the bin's data checksum table comes too.
-    fn fetch_fixed(
-        &mut self,
-        bin: usize,
-        data: impl Fn(&HeaderView<ByteView>) -> bool,
-    ) -> Result<IndexFixed> {
-        let store = self.job.store;
-        // The geometry must be the store's: every rank and part index
-        // the engine uses comes from the plan.
-        let (num_chunks, num_parts) = (store.grid().num_chunks(), store.config().num_parts());
-        let since = self.fetcher.traced();
-        let file = self.fetcher.index_file(bin);
-        let hdr_len = header_size(num_chunks, num_parts);
-        let hdr_key = self.fetcher.key(bin, 0, BlockPart::IndexHeader);
-        let hdr = self.fetcher.hold(&file, hdr_key, (0, hdr_len))?;
-        let parsed = HeaderView::parse(hdr.unverified().clone())
-            .and_then(|view| view.with_geometry(num_chunks, num_parts));
-        let sum_key = self.fetcher.key(bin, 0, BlockPart::Summary);
-        let mut fixed = match store.bin_files() {
-            // v3: the summary, then — its last bytes say how long they
-            // are — the checksum tables, each read continuing the last.
-            BinFiles::One => {
-                let span = (hdr_len, summary_extent_len(num_chunks));
-                let sum = self.fetcher.hold(&file, sum_key, span)?;
-                let tables =
-                    Tables::parse(sum.unverified(), hdr_len, (num_chunks, num_parts), &file)?;
-                let data = parsed.as_ref().is_ok_and(data);
-                let (footer, data) = self.fetcher.tables(&file, bin, &tables, data)?;
-                self.fetcher.admit(&file, hdr, &footer)?;
-                let index = parsed?;
-                let raw = self.fetcher.admit(&file, sum, &footer)?;
-                IndexFixed {
-                    file: Arc::clone(&file),
-                    data_file: Arc::clone(&file),
-                    footer,
-                    index,
-                    summaries: Some(SummaryView::parse(raw, num_chunks)?),
-                    data,
-                    accesses: Arc::from([]),
-                }
-            }
-            // v1/v2: the summary where the version has one (a
-            // version-driven read — never cache- or plan-state-driven —
-            // so cold and warm runs access identical extents), then the
-            // index file's tail footer, which the header is admitted
-            // against: a header that does not even parse fails there,
-            // as damaged (the usual case) or merely not ours. Then, on
-            // the verified header, the data file's tail footer.
-            BinFiles::Two => {
-                let sum = match &parsed {
-                    Ok(index) if index.summary_bytes() > 0 => {
-                        let span = (index.summary_file_offset(), index.summary_bytes());
-                        Some(self.fetcher.hold(&file, sum_key, span)?)
-                    }
-                    _ => None,
-                };
-                let footer_key = self.fetcher.key(bin, 0, BlockPart::Footer(0));
-                let footer = self.fetcher.footer(&file, footer_key)?;
-                self.fetcher.admit(&file, hdr, &footer)?;
-                let index = parsed?;
-                let summaries = match sum {
-                    Some(held) => {
-                        let raw = self.fetcher.admit(&file, held, &footer)?;
-                        Some(SummaryView::parse(raw, num_chunks)?)
-                    }
-                    None => None,
-                };
-                let data_file = self.fetcher.data_file(bin);
-                let data = if data(&index) {
-                    let key = self.fetcher.key(bin, 0, BlockPart::Footer(1));
-                    Some(self.fetcher.footer(&data_file, key)?)
-                } else {
-                    None
-                };
-                IndexFixed {
-                    file: Arc::clone(&file),
-                    data_file,
-                    footer,
-                    index,
-                    summaries,
-                    data,
-                    accesses: Arc::from([]),
-                }
-            }
-        };
-        // Nothing read from a fixed block is degradable: a damaged one
-        // failed the query loudly above. What was read is what the
-        // bin's other ranks record as waited for.
-        fixed.accesses = self.fetcher.accesses_since(since);
-        Ok(fixed)
-    }
-
     /// One bin's fixed blocks: fetched here, or — when a lower rank of
     /// the request was dealt the bin too — taken from it. `group` is
     /// this rank's units of the bin (empty when fetching ahead, which
-    /// only ranks with peers do).
-    fn index_fixed(&mut self, bin: usize, group: &[WorkUnit]) -> Result<IndexFixed> {
+    /// only ranks with peers do). The data table comes too when a unit
+    /// of the bin reads data (judged on the header as read).
+    fn index_fixed(&mut self, bin: usize, group: &[WorkUnit]) -> Result<Arc<FixedBlocks>> {
         let Some((table, rank)) = self.job.peers else {
-            return self.fetch_fixed(bin, |index| group.iter().any(|u| reads_data(index, u)));
+            return self
+                .fetcher
+                .fixed(bin, |index| group.iter().any(|u| reads_data(index, u)));
         };
         if table.index_owner(bin) == rank {
             // Already here when this is the bin fetched ahead.
             if let Some(fixed) = table.published_index(bin) {
-                return Ok(fixed);
+                return Ok(fixed.blocks);
             }
+            let since = self.fetcher.traced();
             let any_reads_data =
                 |index: &HeaderView<ByteView>| table.any_reads_data(bin, |u| reads_data(index, u));
-            let fixed = self.fetch_fixed(bin, any_reads_data)?;
-            table.publish_index(bin, fixed.clone());
-            return Ok(fixed);
+            let blocks = self.fetcher.fixed(bin, any_reads_data)?;
+            // Nothing read from a fixed block is degradable: a damaged
+            // one failed the query loudly above. What was read is what
+            // the bin's other ranks record as waited for.
+            let accesses = self.fetcher.accesses_since(since);
+            let fixed = IndexFixed {
+                blocks: Arc::clone(&blocks),
+                accesses,
+            };
+            table.publish_index(bin, fixed);
+            return Ok(blocks);
         }
         let fixed = table.take_index(bin)?;
         // Traced as their owner accessed them.
         for (file, off, len) in fixed.accesses.iter() {
             self.fetcher.peer(file, *off, *len);
         }
-        Ok(fixed)
+        Ok(fixed.blocks)
     }
 
     /// Fetch ahead the fixed blocks of `bin` that higher ranks wait on.
@@ -401,15 +313,8 @@ impl Rank<'_, '_> {
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
         obs.begin("index-read");
-        let IndexFixed {
-            file,
-            data_file,
-            footer,
-            index,
-            summaries,
-            data,
-            ..
-        } = self.index_fixed(bin, group)?;
+        let fixed = self.index_fixed(bin, group)?;
+        let (index, file) = (&fixed.index, self.fetcher.index_file(bin));
 
         // Positional bitmaps for this rank's chunks, as one want-list.
         let mut bitmaps: Vec<Option<ByteView>> = vec![None; group.len()];
@@ -424,7 +329,7 @@ impl Rank<'_, '_> {
             // Summary classification (v2): a full chunk's bitmap is
             // all ones, so it is synthesized at reconstruction instead
             // of read; partial chunks still fetch their bitmap.
-            if let Some(sums) = &summaries {
+            if let Some(sums) = &fixed.summaries {
                 if sums.get(u.chunk_rank).all_of_chunk {
                     full[gi] = true;
                     self.summary_skips += 1;
@@ -436,20 +341,19 @@ impl Rank<'_, '_> {
             wants.push((key, index.bitmap_file_offset(u.chunk_rank), len));
             slots.push(gi);
         }
-        self.fetcher.wants(&file, &wants, Some(&footer), |k, got| {
-            bitmaps[slots[k]] = Some(got?);
-            Ok(())
-        })?;
+        self.fetcher
+            .wants(&file, &wants, Some(&fixed.footer), |k, got| {
+                bitmaps[slots[k]] = Some(got?);
+                Ok(())
+            })?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
         self.end_read(obs, "bin.index.bytes", bin, bytes);
         self.count_data_table(obs, bin, data_before);
         Ok(BinBlocks {
-            data_file,
-            index,
-            summaries,
+            data_file: self.fetcher.data_file(bin),
+            fixed,
             bitmaps,
             full,
-            dat_footer: data,
             parts: Vec::new(),
             n_parts: self.recon.n_parts,
             eff_parts: vec![self.recon.n_parts; group.len()],
@@ -478,7 +382,7 @@ impl Rank<'_, '_> {
         // fetched on this same condition — which depends only on the
         // plan and the index, never on cache state, so cold and warm
         // runs of the same query access it identically.
-        let index = &blocks.index;
+        let index = &blocks.fixed.index;
         let reads_data = |u: &WorkUnit| reads_data(index, u);
         if group.iter().any(reads_data) {
             blocks.parts = vec![None; group.len() * n_parts];
@@ -523,7 +427,7 @@ impl Rank<'_, '_> {
         // at reconstruction.
         let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (extent idx, bytes)
         let degrade = self.job.allow_degraded && config.plod;
-        let footer = blocks.dat_footer.as_deref();
+        let footer = blocks.fixed.data.as_deref();
         let reads = self.fetcher.read(&file, &extents, footer, false);
         for (k, got) in reads.into_iter().enumerate() {
             let (gi, p) = slots[k];
@@ -543,7 +447,7 @@ impl Rank<'_, '_> {
                     bin,
                     chunk_rank: group[gi].chunk_rank,
                     lost_part: p,
-                    points: u64::from(blocks.index.count(group[gi].chunk_rank)),
+                    points: u64::from(index.count(group[gi].chunk_rank)),
                     reason: e.to_string(),
                 });
             }
@@ -559,7 +463,7 @@ impl Rank<'_, '_> {
         for (k, view) in stored {
             let (gi, p) = slots[k];
             let chunk_rank = group[gi].chunk_rank;
-            let count = blocks.index.count(chunk_rank) as usize;
+            let count = index.count(chunk_rank) as usize;
             let block = if config.plod {
                 CachedBlock::Bytes(self.decoder.part(&view, p, count)?)
             } else {
@@ -605,7 +509,7 @@ impl Rank<'_, '_> {
         // doubling reallocations (filters only shrink the bound).
         let expected: usize = group
             .iter()
-            .map(|u| blocks.index.count(u.chunk_rank) as usize)
+            .map(|u| blocks.fixed.index.count(u.chunk_rank) as usize)
             .sum();
         self.out.positions.reserve(expected);
         if self.job.req.query.wants_values() {
@@ -668,19 +572,100 @@ mod tests {
         store.query_serial(&query).unwrap();
 
         let file = store.index_file(1);
-        let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         assert_eq!(header_size(16, 7), header_size(40, 2));
         raw[9..13].copy_from_slice(&40u32.to_le_bytes());
         raw[13] = 2;
-        crate::binfile::reseal_index(&mut raw, (16, 7), &file);
-        be.create(&file).unwrap();
-        be.append(&file, &raw).unwrap();
+        crate::binfile::reseal_index(&mut raw, (16, 7), file);
+        be.create(file).unwrap();
+        be.append(file, &raw).unwrap();
 
         let err = store.query_serial(&query).unwrap_err();
         assert!(
             matches!(err, MlocError::Corrupt("index geometry mismatch")),
             "got {err}"
         );
+    }
+
+    /// A chunk the region straddles, with one set bit added to its
+    /// bitmap past the last row of the region's box under a resealed
+    /// index table: the walks that visit only the box still count the
+    /// bitmap's every one, so the deferred walk and the progressive
+    /// capture walk both refuse the unit — cold, and warm from the
+    /// blocks the failed run cached.
+    #[test]
+    fn an_extra_bit_outside_the_box_is_corrupt_cold_and_warm() {
+        use crate::array::Region;
+        use crate::cache::BlockCache;
+        use crate::index::HeaderView;
+        use std::sync::Arc;
+
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        // Rows 10..20 × columns 20..30: chunk (1, 1) holds the box's
+        // local rows 0..4 and columns 4..14.
+        let region = Region::new(vec![(10, 20), (20, 30)]);
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let rank = store.order().rank_of_coords(&[1, 1]);
+        let outside = |p: u64| p / 16 >= 4;
+
+        // The first bin whose bitmap of the chunk has a literal word
+        // with a clear bit past the box: set the highest such bit.
+        let edited = (0..4).any(|bin| {
+            let file = store.index_file(bin);
+            let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
+            let index = HeaderView::parse(&raw[..]).unwrap();
+            let at = index.bitmap_file_offset(rank) as usize;
+            let num_bits = u64::from_le_bytes(raw[at + 4..at + 12].try_into().unwrap());
+            let nwords = u32::from_le_bytes(raw[at + 12..at + 16].try_into().unwrap()) as usize;
+            let (mut pos, mut flip) = (0u64, None);
+            for k in 0..nwords {
+                let w_at = at + 16 + 4 * k;
+                let w = u32::from_le_bytes(raw[w_at..w_at + 4].try_into().unwrap());
+                if w & 0x8000_0000 != 0 {
+                    pos += u64::from(w & 0x3FFF_FFFF) * 31;
+                    continue;
+                }
+                for b in 0..31u64 {
+                    if pos + b < num_bits && w & 1 << b == 0 && outside(pos + b) {
+                        flip = Some((w_at, b));
+                    }
+                }
+                pos += 31;
+            }
+            let Some((w_at, b)) = flip else {
+                return false;
+            };
+            raw[w_at + (b / 8) as usize] |= 1 << (b % 8);
+            crate::binfile::reseal_index(&mut raw, (16, 7), file);
+            be.create(file).unwrap();
+            be.append(file, &raw).unwrap();
+            true
+        });
+        assert!(edited, "no literal word past the box");
+
+        let q = Query::values_in(region);
+        let inconsistent = |tag: &str, err: MlocError| {
+            assert!(
+                matches!(err, MlocError::Corrupt("index bitmap inconsistent")),
+                "{tag}: got {err}"
+            );
+        };
+        let cache = Arc::new(BlockCache::with_budget_mb(8));
+        let cached = MlocStore::open(&be, "ds", "v")
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        for (mode, store) in [("cold", &store), ("cache fill", &cached), ("warm", &cached)] {
+            inconsistent(mode, store.query_serial(&q).unwrap_err());
+            let ladder = store.query_progressive(&q).map(drop);
+            inconsistent(&format!("{mode} ladder"), ladder.unwrap_err());
+        }
+        assert!(cache.stats().hits > 0, "the warm runs were served");
     }
 
     /// A chunk's bitmap edited in place under a resealed checksum table
@@ -709,16 +694,16 @@ mod tests {
             store.query_serial(&query).unwrap();
             let edited = (0..4).any(|bin| {
                 let file = store.index_file(bin);
-                let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+                let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
                 let index = HeaderView::parse(&raw[..]).unwrap();
                 let at = index.bitmap_file_offset(0) as usize;
                 let end = at + index.bitmap_len(0) as usize;
                 if !edit(&mut raw[at..end]) {
                     return false;
                 }
-                crate::binfile::reseal_index(&mut raw, (1, 7), &file);
-                be.create(&file).unwrap();
-                be.append(&file, &raw).unwrap();
+                crate::binfile::reseal_index(&mut raw, (1, 7), file);
+                be.create(file).unwrap();
+                be.append(file, &raw).unwrap();
                 true
             });
             assert!(edited, "no bitmap to edit");

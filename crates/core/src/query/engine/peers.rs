@@ -18,37 +18,21 @@
 //! waiters with its error, so a damaged shared block fails the whole
 //! query instead of stranding it.
 
-use crate::cache::ByteView;
-use crate::index::{HeaderView, SummaryView};
-use crate::integrity::ExtentFooter;
+use crate::cache::FixedBlocks;
 use crate::query::plan::WorkUnit;
 use crate::{MlocError, Result};
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A bin's verified fixed blocks.
+/// A bin's verified fixed blocks, and how their fetcher got them.
 #[derive(Clone)]
 pub(crate) struct IndexFixed {
-    /// Name of the file holding the bin's index — for a v3 bin, all of
-    /// it. Every rank of the bin traces the file under this one name.
-    pub file: Arc<str>,
-    /// Name of the file holding the bin's data: a v3 bin's `file` (the
-    /// same pointer), a v1/v2 bin's data file.
-    pub data_file: Arc<str>,
-    /// The checksum table of the index extents: a v3 bin file's index
-    /// table, a v1/v2 index file's tail footer.
-    pub footer: Arc<ExtentFooter>,
-    pub index: HeaderView<ByteView>,
-    pub summaries: Option<SummaryView<ByteView>>,
-    /// The checksum table of the bin's data — a v3 bin file's data
-    /// table, a v1/v2 data file's tail footer — when a unit of the bin
-    /// reads data.
-    pub data: Option<Arc<ExtentFooter>>,
+    pub blocks: Arc<FixedBlocks>,
     /// `(file, offset, len)` of every access their fetcher traced for
     /// them, in order — what a peer's trace records it waited for. Not
-    /// derivable from the blocks' spans: a v3 owner reads both tables
-    /// in one access, but one it finds cached and one it reads are two;
-    /// a v1/v2 footer is two accesses, its trailer and its table.
+    /// derivable from the blocks' spans: a cold v3 owner reads both
+    /// tables in one access, a v1/v2 footer is two accesses, its
+    /// trailer and its table; a warm owner's are the spans.
     pub accesses: Arc<[(Arc<str>, u64, u64)]>,
 }
 

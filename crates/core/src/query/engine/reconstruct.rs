@@ -618,7 +618,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         bin: &BinBlocks,
         out: &mut RankOutput,
     ) -> Result<()> {
-        let count = bin.index.count(u.chunk_rank);
+        let count = bin.fixed.index.count(u.chunk_rank);
         if count == 0 {
             return Ok(());
         }
@@ -645,7 +645,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             // region: when the chunk's summary puts them all before or
             // after the region's box, it has nothing to decode.
             self.window.set_chunk(ranges, self.region(u));
-            let summary = bin.summaries.as_ref().map(|s| s.get(u.chunk_rank));
+            let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
             if summary.is_some_and(|s| !self.window.meets(s)) {
                 return Ok(());
             }
@@ -724,12 +724,12 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         }
 
         if capture {
-            let footer = bin.dat_footer.as_ref();
+            let footer = bin.fixed.data.as_ref();
             let ru = RefineUnit {
                 bin: u.bin,
                 chunk_rank: u.chunk_rank,
                 count,
-                part_locs: bin.index.units(u.chunk_rank).collect(),
+                part_locs: bin.fixed.index.units(u.chunk_rank).collect(),
                 footer: Arc::clone(footer.ok_or(MlocError::Corrupt("data unit without footer"))?),
                 val_idx: Vec::new(),
                 positions: Vec::new(),
@@ -764,7 +764,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         };
 
         if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
-            let summary = bin.summaries.as_ref().map(|s| s.get(u.chunk_rank));
+            let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
             return self.probe(&v, dir_bytes, summary, bin.full[gi], u64::from(count), out);
         }
         if req.force_general_reconstruct {

@@ -1,5 +1,7 @@
 //! Opening a built variable: metadata and the query-time view.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::array::ChunkGrid;
 use crate::binning::BinSpec;
 use crate::cache::BlockCache;
@@ -97,6 +99,10 @@ pub struct MlocStore<'a> {
     cache: Option<Arc<BlockCache>>,
     cache_scope: Arc<str>,
     fuser: Option<Arc<ExtentFuser>>,
+    /// Per bin: the names of its index file and of its data file (one
+    /// name, shared, for a one-file bin). Named once, at open: every
+    /// request, retry and trace record of a file clones the pointer.
+    files: Vec<(Arc<str>, Arc<str>)>,
 }
 
 impl<'a> MlocStore<'a> {
@@ -112,6 +118,19 @@ impl<'a> MlocStore<'a> {
         let order = meta.config.chunk_order(&grid);
         let spec = BinSpec::from_bounds(meta.bin_bounds.clone())?;
         let cache_scope = Arc::from(format!("{dataset}/{}", meta.var).as_str());
+        let var = meta.var.as_str();
+        let files = (0..meta.config.num_bins)
+            .map(|bin| match meta.bin_files {
+                BinFiles::One => {
+                    let file: Arc<str> = Arc::from(fileorg::bin_file(dataset, var, bin));
+                    (Arc::clone(&file), file)
+                }
+                BinFiles::Two => (
+                    Arc::from(fileorg::index_file(dataset, var, bin)),
+                    Arc::from(fileorg::data_file(dataset, var, bin)),
+                ),
+            })
+            .collect();
         Ok(MlocStore {
             backend,
             dataset: dataset.to_string(),
@@ -122,6 +141,7 @@ impl<'a> MlocStore<'a> {
             cache: None,
             cache_scope,
             fuser: None,
+            files,
         })
     }
 
@@ -216,20 +236,20 @@ impl<'a> MlocStore<'a> {
 
     /// Name of the file holding a bin's data: its data file, or its
     /// one bin file.
-    pub fn data_file(&self, bin: usize) -> String {
-        match self.bin_files() {
-            BinFiles::One => fileorg::bin_file(&self.dataset, self.var(), bin),
-            BinFiles::Two => fileorg::data_file(&self.dataset, self.var(), bin),
-        }
+    ///
+    /// # Panics
+    /// Panics when `bin` is not below the variable's bin count.
+    pub fn data_file(&self, bin: usize) -> &Arc<str> {
+        &self.files[bin].1
     }
 
     /// Name of the file holding a bin's index: its index file, or its
     /// one bin file.
-    pub fn index_file(&self, bin: usize) -> String {
-        match self.bin_files() {
-            BinFiles::One => fileorg::bin_file(&self.dataset, self.var(), bin),
-            BinFiles::Two => fileorg::index_file(&self.dataset, self.var(), bin),
-        }
+    ///
+    /// # Panics
+    /// Panics when `bin` is not below the variable's bin count.
+    pub fn index_file(&self, bin: usize) -> &Arc<str> {
+        &self.files[bin].0
     }
 
     /// Run a query on a single rank with the default cost model and

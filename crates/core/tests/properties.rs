@@ -564,11 +564,11 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
         })
         .expect("a straddling unit");
     let file = store.index_file(bin);
-    let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+    let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
     let at = HeaderView::parse(&raw[..]).unwrap().unit(rank, 3).offset as usize;
     raw[at] ^= 0x40;
-    be.create(&file).unwrap();
-    be.append(&file, &raw).unwrap();
+    be.create(file).unwrap();
+    be.append(file, &raw).unwrap();
     let damaged = MlocStore::open(&be, "p", "v").unwrap();
 
     let q = Query::values_in(region.clone());

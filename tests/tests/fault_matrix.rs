@@ -625,7 +625,7 @@ fn base_part_corruption_carries_context_in_all_modes() {
 // read from their file's tail, trailer then table. At more than one
 // rank they are fetched by one rank for all.
 // Damage to any of them must end in the same `CorruptExtent` in every
-// mode, with nothing the damage touched admitted to the cache.
+// mode, with the bin's fixed-block entry never admitted to the cache.
 // ---------------------------------------------------------------------
 
 const SHARED_BIN: usize = 1;
@@ -710,43 +710,32 @@ fn assert_corrupt_extent(
     }
 }
 
-/// The cache holds none of `parts` of `bin`: a block that failed (or
-/// was never reached by) verification was not admitted.
-fn assert_nothing_admitted(
-    tag: &str,
-    store: &MlocStore<'_>,
-    bin: usize,
-    parts: &[mloc::cache::BlockPart],
-) {
+/// The cache holds no fixed-block entry of `bin`: the entry holds the
+/// bin's header, summary and tables together, so damage to any of them
+/// — or to a block it must wait for — keeps all of them out.
+fn assert_nothing_admitted(tag: &str, store: &MlocStore<'_>, bin: usize) {
     let Some(cache) = store.cache() else { return };
-    for &part in parts {
-        let key = mloc::cache::BlockKey {
-            scope: std::sync::Arc::clone(store.cache_scope()),
-            bin: bin as u32,
-            chunk_rank: 0,
-            part,
-        };
-        assert!(cache.get(&key).is_none(), "{tag}: {part:?} was admitted");
-    }
+    let key = mloc::cache::BlockKey {
+        scope: std::sync::Arc::clone(store.cache_scope()),
+        bin: bin as u32,
+        chunk_rank: 0,
+        part: mloc::cache::BlockPart::Fixed,
+    };
+    assert!(
+        cache.get(&key).is_none(),
+        "{tag}: the fixed blocks were admitted"
+    );
 }
 
 /// One damage row: what was flipped, in which file, at which offset and
-/// with which mask; the error every mode must end in; and the cached
-/// blocks of the bin it must leave unadmitted.
-type Row<'r> = (
-    &'r str,
-    &'r str,
-    u64,
-    u8,
-    (&'r str, u64, u64, &'r str),
-    &'r [mloc::cache::BlockPart],
-);
+/// with which mask; and the error every mode must end in.
+type Row<'r> = (&'r str, &'r str, u64, u8, (&'r str, u64, u64, &'r str));
 
 /// Flip each row's byte in a fresh copy of what `load` writes, and hold
 /// every mode to the row's outcome.
 fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, rows: &[Row<'_>]) {
     let q = full_values_query();
-    for &(what, file, offset, mask, want, never_admitted) in rows {
+    for &(what, file, offset, mask, want) in rows {
         let mut plan = FaultPlan::none();
         plan.flips.push(mloc_pfs::BitFlip {
             file: file.to_string(),
@@ -758,7 +747,7 @@ fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, ro
         in_every_mode(&fb, site, &q, &|mode, got, store| {
             let tag = format!("{what} ({mode})");
             assert_corrupt_extent(&tag, got, want);
-            assert_nothing_admitted(&tag, store, site.1, never_admitted);
+            assert_nothing_admitted(&tag, store, site.1);
         });
     }
 }
@@ -782,7 +771,6 @@ fn assert_shared(be: &dyn StorageBackend, (ds, _, ranks): Site<'_>, files: &[&st
 
 fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
     use mloc::binfile::{summary_extent_len, Tables};
-    use mloc::cache::BlockPart::{Footer, IndexHeader, Summary};
     let clean = fresh();
     build_into(&clean);
     let site = (DS, SHARED_BIN, [4, 8]);
@@ -804,29 +792,14 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
         // A header read ahead of its table says which tables to read;
         // it fails its checksum once they are in. The tables
         // themselves verified on their own.
-        (
-            "header directory byte",
-            &file,
-            20,
-            0x01,
-            header_crc,
-            &[IndexHeader, Summary],
-        ),
-        (
-            "header magic",
-            &file,
-            0,
-            0x02,
-            header_crc,
-            &[IndexHeader, Summary],
-        ),
+        ("header directory byte", &file, 20, 0x01, header_crc),
+        ("header magic", &file, 0, 0x02, header_crc),
         (
             "summary record",
             &file,
             hdr_len + 12,
             0x10,
             (&file, hdr_len, sum_len, "checksum mismatch"),
-            &[Summary],
         ),
         // The table sizes are read ahead of the tables: a size past what
         // the geometry allows is refused before it becomes a read, one
@@ -837,7 +810,6 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
             n_data_at + 3,
             0x80,
             (&file, hdr_len, sum_len, "checksum table sizes out of range"),
-            &[IndexHeader, Summary, Footer(0), Footer(1)],
         ),
         (
             "index table",
@@ -845,7 +817,6 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
             index_at + 5,
             0x08,
             (&file, index_at, index_len, "checksum table corrupt"),
-            &[IndexHeader, Summary, Footer(0), Footer(1)],
         ),
         (
             "data table",
@@ -853,7 +824,6 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
             data_at + 5,
             0x08,
             (&file, data_at, data_len, "checksum table corrupt"),
-            &[IndexHeader, Summary, Footer(0), Footer(1)],
         ),
     ];
     run_rows(fresh, &|be| drop(build_into(be)), site, &rows);
@@ -884,8 +854,8 @@ struct Anatomy {
 fn anatomy(be: &dyn StorageBackend, ds: &str, bin: usize) -> Anatomy {
     let store = MlocStore::open(be, ds, VAR).unwrap();
     let (idx, dat) = (store.index_file(bin), store.data_file(bin));
-    let (idx_len, dat_len) = (be.len(&idx).unwrap(), be.len(&dat).unwrap());
-    let raw = be.read(&idx, 0, idx_len).unwrap();
+    let (idx_len, dat_len) = (be.len(idx).unwrap(), be.len(dat).unwrap());
+    let raw = be.read(idx, 0, idx_len).unwrap();
     let index = mloc::index::HeaderView::parse(&raw[..]).unwrap();
     let num_parts = store.config().num_parts();
     let entry = 16 + 12 * num_parts as u64;
@@ -909,10 +879,10 @@ fn anatomy(be: &dyn StorageBackend, ds: &str, bin: usize) -> Anatomy {
         hdr_len: mloc::index::header_size(index.num_chunks(), num_parts),
         last_bitmap_len_at: 14 + last_bitmap as u64 * entry + 12,
         last_clen_at: 14 + last_unit as u64 * entry + 16 + last_part as u64 * 12 + 8,
-        idx_payload: payload(&idx, idx_len),
-        dat_payload: payload(&dat, dat_len),
-        idx,
-        dat,
+        idx_payload: payload(idx, idx_len),
+        dat_payload: payload(dat, dat_len),
+        idx: idx.to_string(),
+        dat: dat.to_string(),
         idx_len,
         dat_len,
     }
@@ -922,7 +892,6 @@ fn anatomy(be: &dyn StorageBackend, ds: &str, bin: usize) -> Anatomy {
 /// units fall to 4 or 8 ranks a whole number of bins each; at 3 and 6
 /// ranks bin 2 is shared.
 fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
-    use mloc::cache::BlockPart::{Footer, IndexHeader, Summary};
     let site = ("fmt", 2, [3, 6]);
     let load = |be: &dyn StorageBackend| mloc_integration::load_fixture(2, be);
     let clean = fresh();
@@ -942,7 +911,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.last_bitmap_len_at,
             0x01,
             header_crc,
-            &[IndexHeader, Summary],
         ),
         (
             "header's last bitmap_len, high bit",
@@ -950,7 +918,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.last_bitmap_len_at + 3,
             0x40,
             header_crc,
-            &[IndexHeader, Summary],
         ),
         (
             "last unit clen, low bit",
@@ -958,7 +925,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.last_clen_at,
             0x01,
             header_crc,
-            &[IndexHeader, Summary, Footer(1)],
         ),
         (
             "last unit clen, high bit",
@@ -966,17 +932,9 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.last_clen_at + 3,
             0x40,
             header_crc,
-            &[IndexHeader, Summary, Footer(1)],
         ),
         // A header that no longer parses.
-        (
-            "header magic",
-            &a.idx,
-            0,
-            0x02,
-            header_crc,
-            &[IndexHeader, Summary],
-        ),
+        ("header magic", &a.idx, 0, 0x02, header_crc),
         // The trailer's own geometry.
         (
             "index trailer payload_len",
@@ -989,7 +947,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
                 24,
                 "footer geometry inconsistent with file size",
             ),
-            &[IndexHeader, Summary, Footer(0)],
         ),
         (
             "data trailer payload_len",
@@ -1002,7 +959,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
                 24,
                 "footer geometry inconsistent with file size",
             ),
-            &[Footer(1)],
         ),
         // The shared checksum tables.
         (
@@ -1011,7 +967,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.idx_payload + 5,
             0x08,
             (&a.idx, a.idx_payload, idx_table, "checksum table corrupt"),
-            &[IndexHeader, Summary, Footer(0)],
         ),
         (
             "data table",
@@ -1019,7 +974,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             a.dat_payload + 5,
             0x08,
             (&a.dat, a.dat_payload, dat_table, "checksum table corrupt"),
-            &[Footer(1)],
         ),
     ];
     run_rows(fresh, &load, site, &rows);
