@@ -46,15 +46,7 @@ fn io_of(rows: &Rows, system: &str, column: usize) -> f64 {
 const MLOC: [&str; 3] = ["MLOC-COL", "MLOC-ISO", "MLOC-ISA"];
 
 /// Table II on one dataset: every MLOC variant's simulated I/O is below
-/// the sequential scan's at 1 % and at 10 % — except MLOC-COL at 1 %,
-/// reported, not gated, since a bin became one file: 0.1308 s against
-/// the scan's 0.1214 s on both datasets (0.044 s before). The query
-/// touches two boundary bins, four ranks to a bin, and each rank reads
-/// its bitmaps and seven byte-group units. With a bin's units in the
-/// same file as its bitmaps, all four ranks' reads queue on the one OST
-/// that file lives on; the owner of the bin's fixed blocks opened the
-/// file before the three ranks it hands them to, so its reads interleave
-/// with theirs: 16 seeks per bin file (EXPERIMENTS.md, Table II).
+/// the sequential scan's at 1 % and at 10 %.
 fn table2_gate(systems: &Systems<'_>, field: &Field) {
     let dataset = systems.spec.name;
     println!("Table II, {dataset}: region queries, VC 1 % / 10 %");
@@ -63,10 +55,6 @@ fn table2_gate(systems: &Systems<'_>, field: &Field) {
         let scan = io_of(&region, "Seq. Scan", column);
         for system in MLOC {
             let io = io_of(&region, system, column);
-            if (system, column) == ("MLOC-COL", 0) {
-                println!("  1 % MLOC-COL {io:.4} s vs Seq. Scan {scan:.4} s (not gated)");
-                continue;
-            }
             assert!(
                 io < scan,
                 "Table II {dataset} {selectivity}: {system} {io:.4} s is not below Seq. Scan {scan:.4} s"
@@ -79,7 +67,8 @@ fn table2_gate(systems: &Systems<'_>, field: &Field) {
 /// at 128 ranks. Doubling the ranks must buy less than 2x (the paper's
 /// plateau: 16 OSTs are saturated), and the 128-rank figure may not
 /// exceed `parent_io_128`, the figure of the tree before bins' fixed
-/// blocks were shared between ranks.
+/// blocks were shared between ranks. That sharing is gone again: every
+/// rank reads its own bins' fixed blocks.
 fn fig7_gate(dataset: &str, store: &mloc::MlocStore<'_>, field: &Field, parent_io_128: f64) {
     let io_at = |ranks: usize| {
         let exec = ParallelExecutor::new(ranks, CostModel::default());
@@ -179,6 +168,7 @@ fn s3d_shapes() {
 /// ranks share a bin's fixed blocks (same datasets, queries and seed).
 /// Re-measured there once the simulator charged the open of an offset-0
 /// read by a rank served after another: both identical to the last
-/// digit (the slowest of 128 ranks opens its first file unqueued).
+/// digit (the slowest of 128 ranks opens its first file unqueued). That
+/// sharing is gone again; the figures stay the bound.
 const PARENT_FIG7_IO_128_GTS: f64 = 2.2012169422222208;
 const PARENT_FIG7_IO_128_S3D: f64 = 2.8531462544444466;

@@ -10,7 +10,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::metrics::{Meter, QueryMetrics};
-use crate::query::engine::{process_units, PeerTable, RankJob, RankOutput, RefineUnit};
+use crate::query::engine::{process_units, RankJob, RankOutput, RefineUnit};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult, Runs};
 use crate::store::MlocStore;
@@ -100,9 +100,9 @@ pub struct ExecOutput {
     /// yield structurally identical profiles.
     pub profile: Profile,
     /// Every rank's logical reads in issue order, as priced: what it
-    /// read, what a cache served, and what it took from a peer rank.
-    /// A function of the plan and the stored bytes alone — the same in
-    /// replay and threaded mode.
+    /// read and what a cache served. Without a cache, a function of the
+    /// plan and the stored bytes alone — the same in replay and
+    /// threaded mode.
     pub traces: Vec<Vec<ReadOp>>,
     /// Captured refinement units in deterministic rank-merge order.
     pub(crate) refine_units: Vec<RefineUnit>,
@@ -211,34 +211,22 @@ impl ParallelExecutor {
         };
         let unit_bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
         let assignment = column_order(&unit_bins, self.nranks);
-        // The units as dealt, rank after rank. More than one rank
-        // shares each bin's fixed blocks through a hand-off table: the
-        // lowest rank dealt a bin fetches them, the others wait for it
-        // — in turn on the replay executor, on a condvar on the
-        // threaded one. A lone rank builds no table and takes no lock.
-        let dealt: Vec<WorkUnit> = assignment
-            .per_rank
-            .iter()
-            .flatten()
-            .map(|&i| plan.units[i])
-            .collect();
-        let dealt_to = |rank: usize| {
-            let start: usize = assignment.per_rank[..rank].iter().map(Vec::len).sum();
-            start..start + assignment.per_rank[rank].len()
-        };
-        let peers = (self.nranks > 1)
-            .then(|| PeerTable::new(&dealt, assignment.per_rank.iter().map(Vec::len)));
         let cache_before = store.cache().filter(|_| self.profiled).map(|c| c.stats());
         let meter = Meter::start(store.backend());
 
+        // Every rank reads and verifies the fixed blocks of the bins it
+        // was dealt itself: ranks share no state but the store.
         let run_rank = |rank: usize| -> Result<(RankOutput, Profile)> {
+            let units: Vec<WorkUnit> = assignment.per_rank[rank]
+                .iter()
+                .map(|&i| plan.units[i])
+                .collect();
             let job = RankJob {
                 store,
                 req,
-                units: &dealt[dealt_to(rank)],
+                units: &units,
                 retry: self.retry,
                 allow_degraded: self.allow_degraded,
-                peers: peers.as_ref().map(|table| (table, rank)),
             };
             let mut obs = Collector::new(self.profiled);
             obs.begin("rank");
@@ -430,9 +418,9 @@ mod tests {
         assert_eq!(ma.io_s, mb.io_s);
         assert_eq!(ma.bytes_read, mb.bytes_read);
 
-        // At 8 ranks most bins are shared: who fetches a bin's fixed
-        // blocks and who takes them from a peer follows from the deal,
-        // not from which thread got there first.
+        // At 8 ranks most bins are dealt to several ranks, and each of
+        // them reads the bin's fixed blocks itself: the traces follow
+        // from the deal, not from which thread got there first.
         let replay = ParallelExecutor::new(8, CostModel::default());
         let threaded = replay.clone().threaded(true);
         let a = replay.run(&store, ExecRequest::new(&q)).unwrap();
@@ -442,20 +430,15 @@ mod tests {
             assert_eq!(a.traces, b.traces);
             assert_eq!(a.metrics.per_rank_io, b.metrics.per_rank_io);
         }
-        assert!(a.traces.iter().flatten().any(|op| op.peer));
-        assert!(a.traces[0].iter().all(|op| !op.peer), "rank 0 only owns");
-        let serial = ParallelExecutor::serial()
-            .run(&store, ExecRequest::new(&q))
-            .unwrap();
-        assert!(serial.traces[0].iter().all(|op| !op.peer));
-        assert_eq!(serial.metrics.fused_reads, 0);
+        assert_eq!(a.metrics.fused_reads, 0);
     }
 
-    /// The logical footprint of a query is the same however many
-    /// ranks share its bins' fixed blocks: a block taken from a peer
-    /// moves from `bytes_read` to `fused_bytes_saved`, nowhere else.
+    /// A rank of an n-rank request reads exactly what it would alone:
+    /// each trace equals, record for record, the trace of its dealt
+    /// units run by `process_units` on their own, and nothing counts as
+    /// fused.
     #[test]
-    fn shared_fixed_blocks_keep_the_per_rank_byte_sum() {
+    fn each_rank_of_a_request_reads_what_it_would_alone() {
         let be = MemBackend::new();
         let (_, store) = fixture(&be);
         for q in [
@@ -463,15 +446,13 @@ mod tests {
             Query::region(100.0, 900.0),
             Query::values_in(Region::new(vec![(5, 30), (10, 50)])),
         ] {
+            let plan = make_plan(&store, &q).unwrap();
+            let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
             for nranks in [2, 4, 8] {
                 let exec = ParallelExecutor::new(nranks, CostModel::default());
                 let out = exec.run(&store, ExecRequest::new(&q)).unwrap();
-                let m = &out.metrics;
-                // What the ranks read when each fetches everything
-                // itself, as every rank did before blocks were shared.
-                let plan = make_plan(&store, &q).unwrap();
-                let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
-                let lone_sum: u64 = column_order(&bins, nranks)
+                assert_eq!(out.metrics.fused_bytes_saved, 0);
+                let lone: Vec<Vec<ReadOp>> = column_order(&bins, nranks)
                     .per_rank
                     .iter()
                     .map(|dealt| {
@@ -482,71 +463,16 @@ mod tests {
                             units: &units,
                             retry: RetryPolicy::none(),
                             allow_degraded: true,
-                            peers: None,
                         };
-                        let io = process_units(&job, &mut Collector::disabled()).unwrap().io;
-                        io.index_bytes + io.data_bytes
-                    })
-                    .sum();
-                assert_eq!(m.bytes_read + m.fused_bytes_saved, lone_sum);
-                let peer: Vec<&ReadOp> = out.traces.iter().flatten().filter(|op| op.peer).collect();
-                assert_eq!(m.fused_reads, peer.len() as u64);
-                assert_eq!(
-                    m.fused_bytes_saved,
-                    peer.iter().map(|op| op.len).sum::<u64>()
-                );
-                assert_peers_wait_on_lower_ranks(&out.traces);
-            }
-        }
-    }
-
-    /// Every peer record names an extent exactly one lower rank really
-    /// accessed, read or found cached.
-    fn assert_peers_wait_on_lower_ranks(traces: &[Vec<ReadOp>]) {
-        for (rank, trace) in traces.iter().enumerate() {
-            for op in trace.iter().filter(|op| op.peer) {
-                let owners: Vec<usize> = (0..traces.len())
-                    .filter(|&r| {
-                        traces[r].iter().any(|o| {
-                            !o.peer && (&o.file, o.offset, o.len) == (&op.file, op.offset, op.len)
-                        })
+                        process_units(&job, &mut Collector::disabled())
+                            .unwrap()
+                            .io
+                            .trace
                     })
                     .collect();
-                assert_eq!(owners.len(), 1, "{op:?}");
-                assert!(owners[0] < rank, "{op:?} waits on a higher rank");
+                assert_eq!(out.traces, lone, "{q:?} on {nranks} ranks");
             }
         }
-    }
-
-    /// A positions-only query leaves bins' index tables cached and
-    /// their data tables not, so a values query's owner of such a bin
-    /// finds one table and reads the other: two accesses where a cold
-    /// owner makes one. Its peers wait on those two.
-    #[test]
-    fn a_peer_waits_on_the_tables_its_owner_found_half_cached() {
-        let be = MemBackend::new();
-        let (_, store) = fixture(&be);
-        let cache = std::sync::Arc::new(crate::cache::BlockCache::with_budget_mb(8));
-        let store = store.with_cache(cache);
-        let exec = ParallelExecutor::new(4, CostModel::default());
-        exec.run(&store, ExecRequest::new(&Query::region(100.0, 900.0)))
-            .unwrap();
-        let out = exec
-            .run(&store, ExecRequest::new(&Query::values_where(10.0, 600.0)))
-            .unwrap();
-        // Header, summary, index table cached; the data table read.
-        let half_cached = out.traces.iter().any(|trace| {
-            trace.windows(4).any(|w| {
-                let contiguous = w.windows(2).all(|p| p[0].offset + p[0].len == p[1].offset);
-                let how: Vec<(bool, bool)> = w.iter().map(|op| (op.cached, op.peer)).collect();
-                w[0].offset == 0
-                    && contiguous
-                    && how == [(true, false), (true, false), (true, false), (false, false)]
-            })
-        });
-        assert!(half_cached, "no owner found one table and read the other");
-        assert!(out.traces.iter().flatten().any(|op| op.peer));
-        assert_peers_wait_on_lower_ranks(&out.traces);
     }
 
     #[test]
@@ -637,7 +563,6 @@ mod tests {
             units,
             retry: RetryPolicy::none(),
             allow_degraded: true,
-            peers: None,
         };
         let out = process_units(&job, &mut Collector::disabled()).unwrap();
         (out.positions, out.values)
@@ -734,7 +659,6 @@ mod tests {
                         units: &plan.units,
                         retry: RetryPolicy::none(),
                         allow_degraded: true,
-                        peers: None,
                     };
                     let out = process_units(&job, &mut Collector::disabled()).unwrap();
                     proptest::prop_assert!(out.runs.len() <= 1, "{:?}: runs {:?}", q, out.runs);

@@ -274,9 +274,7 @@ impl<'b> Meter<'b> {
             let h = profile.histogram_mut("io.batch_depth", Label::None);
             depths().for_each(|&d| h.observe(d as f64));
         }
-        // `fusion.*` covers both kinds of shared read: wants fused with
-        // another session's, and a bin's fixed blocks taken from the
-        // peer rank that fetched them for this query.
+        // `fusion.*`: wants fused with another session's read.
         if m.fused_reads > 0 {
             profile.add_counter("fusion.reads", Label::None, m.fused_reads);
             profile.add_counter("fusion.bytes_saved", Label::None, m.fused_bytes_saved);
@@ -294,7 +292,7 @@ impl<'b> Meter<'b> {
         // Per-shard PFS breakdown: attribute every traced op to the
         // shard that owns its file (sharded backends only).
         if let Some(layout) = self.replicas.filter(|l| l.shard_count() > 1) {
-            for op in traces.iter().flatten().filter(|op| !op.cached && !op.peer) {
+            for op in traces.iter().flatten().filter(|op| !op.cached) {
                 let shard = layout.shard_of(&op.file) as u32;
                 profile.add_counter("pfs.shard.reads", Label::Index(shard), 1);
                 profile.add_counter("pfs.shard.bytes", Label::Index(shard), op.len);

@@ -11,8 +11,7 @@
 //! the block found serves; the extents it did not serve are read by
 //! [`Fetcher::read`]). A cold bin's header and summary are read *before*
 //! the table that vouches for them and are decided on, and admitted,
-//! only once it has. A block a peer rank fetched for the whole query
-//! enters through [`Fetcher::peer`].
+//! only once it has.
 
 use crate::binfile::{summary_extent_len, Tables};
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
@@ -45,8 +44,7 @@ pub struct FetchReport {
     /// Cache inserts the budget turned away.
     pub cache_rejected: u64,
     /// Wants served by another session's physical read through the
-    /// extent fuser, and fixed blocks taken from the peer rank that
-    /// fetched them for the query (0 without fusion on one rank).
+    /// extent fuser (0 without fusion).
     pub fused_reads: u64,
     /// Bytes of those fused wants — kept off the PFS and excluded from
     /// `index_bytes`/`data_bytes`, like cache-served bytes.
@@ -232,32 +230,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 self.report.cache_rejected += 1;
             }
         }
-    }
-
-    /// Every access traced since the trace held `since` records, as
-    /// `(file, offset, len)`: what a rank that fetched a bin's fixed
-    /// blocks for its peers read (or found cached) to get them.
-    pub fn accesses_since(&self, since: usize) -> Arc<[(Arc<str>, u64, u64)]> {
-        let trace = self.io.trace();
-        trace[since.min(trace.len())..]
-            .iter()
-            .map(|op| (Arc::clone(&op.file), op.offset, op.len))
-            .collect()
-    }
-
-    /// How many records the trace holds so far.
-    pub fn traced(&self) -> usize {
-        self.io.trace().len()
-    }
-
-    /// Account a fixed block `[off, off + len)` taken from the peer
-    /// rank that fetched and verified it for the whole query: like a
-    /// fused want it is kept off the PFS, and its trace record makes
-    /// the simulator wait for the peer's own access.
-    pub fn peer(&mut self, file: &Arc<str>, off: u64, len: u64) {
-        self.io.record_peer(Arc::clone(file), off, len);
-        self.report.fused_reads += 1;
-        self.report.fused_bytes += len;
     }
 
     /// `bin`'s fixed blocks, verified and parsed, with its data table
@@ -578,7 +550,7 @@ mod tests {
     const BIN: usize = 1;
 
     /// CRC-32 of [`fill_then_values`]'s text.
-    const PARITY_DIGEST: u32 = 0xA62B_B655;
+    const PARITY_DIGEST: u32 = 0x8AD1_76AB;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -859,7 +831,6 @@ mod tests {
                 units: &plan.units,
                 retry: RetryPolicy::none(),
                 allow_degraded: false,
-                peers: None,
             };
             process_units(&job, &mut Collector::disabled()).unwrap().io
         };
@@ -1130,11 +1101,11 @@ mod tests {
         }
     }
 
-    /// Every trace record (file, offset, length, cached, peer) and the
-    /// byte and `io_s` figures of a positions-only query, then a values
+    /// Every trace record (file, offset, length, cached) and the byte
+    /// and `io_s` figures of a positions-only query, then a values
     /// query, then the values query again over the same region behind
-    /// one cache, at one rank and at three (where bins are shared), as
-    /// one text; and the one-rank traces.
+    /// one cache, at one rank and at three (where ranks share bins and
+    /// the cache), as one text; and the one-rank traces.
     fn fill_then_values(be: &MemBackend) -> (String, Vec<Vec<ReadOp>>) {
         use crate::array::Region;
         use crate::config::PlodLevel;
@@ -1160,7 +1131,7 @@ mod tests {
                 for (r, trace) in out.traces.iter().enumerate() {
                     for op in trace {
                         let (file, off, len) = (&op.file, op.offset, op.len);
-                        writeln!(log, "{r} {file} {off} {len} {} {}", op.cached, op.peer).unwrap();
+                        writeln!(log, "{r} {file} {off} {len} {}", op.cached).unwrap();
                     }
                 }
                 if ranks == 1 {
@@ -1176,7 +1147,9 @@ mod tests {
     /// the data table, alone, as each bin's one uncached fixed-block
     /// read, and the values query again reads nothing. The whole
     /// record is pinned by a digest captured before a bin's fixed
-    /// blocks were one cache entry.
+    /// blocks were one cache entry, and re-captured when each rank of
+    /// the three-rank runs began to read its bins' fixed blocks itself
+    /// (the one-rank records did not move).
     #[test]
     fn a_positions_query_leaves_each_data_table_to_the_first_values_query() {
         let be = MemBackend::new();
@@ -1223,11 +1196,7 @@ mod tests {
         use std::fmt::Write;
         writeln!(out, "## {label}").unwrap();
         for op in &r.trace {
-            let how = match (op.cached, op.peer) {
-                (true, _) => "cached",
-                (_, true) => "peer",
-                _ => "read",
-            };
+            let how = if op.cached { "cached" } else { "read" };
             writeln!(out, "{} {} {} {how}", op.file, op.offset, op.len).unwrap();
         }
         writeln!(
@@ -1279,7 +1248,6 @@ mod tests {
                 units: &plan.units,
                 retry: RetryPolicy::none(),
                 allow_degraded: false,
-                peers: None,
             };
             process_units(&job, &mut Collector::disabled()).unwrap()
         };

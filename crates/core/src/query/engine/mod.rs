@@ -12,13 +12,11 @@
 
 mod decode;
 mod fetch;
-mod peers;
 mod reconstruct;
 
 pub(crate) use decode::Decoder;
 pub use fetch::FetchReport;
 pub(crate) use fetch::{Fetcher, UnitBlock, Want};
-pub use peers::PeerTable;
 
 use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
@@ -31,7 +29,6 @@ use crate::store::MlocStore;
 use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
-use peers::IndexFixed;
 use reconstruct::Reconstructor;
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,11 +109,6 @@ pub struct RankJob<'j, 'a> {
     pub retry: RetryPolicy,
     /// See [`crate::ParallelExecutor::allow_degraded`].
     pub allow_degraded: bool,
-    /// The request's hand-off table and this rank's number in it, when
-    /// the request runs on more than one rank: each bin's fixed blocks
-    /// are then fetched by one rank and taken from the table by the
-    /// others. `None` for a lone rank, which fetches everything itself.
-    pub peers: Option<(&'j PeerTable<'j>, usize)>,
 }
 
 /// One bin's blocks as the fetch and decode stages fill them in;
@@ -129,7 +121,7 @@ pub(crate) struct BinBlocks {
     /// summaries, read in place from the fetched (or cached) bytes — a
     /// rank pays for the chunks it touches, not for the chunks the bin
     /// stores — and the data checksum table, fetched iff a unit of the
-    /// bin (on any rank) reads data.
+    /// bin reads data.
     pub fixed: Arc<FixedBlocks>,
     /// Per unit: its stored bitmap (a WAH stream, then — v2 — the
     /// chunk's rank/select directory), when one had to be read.
@@ -182,30 +174,6 @@ struct Rank<'j, 'a> {
 /// and every clock read that serves only the profile — at the cost of
 /// one branch per call site.
 pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
-    let Some((table, rank)) = job.peers else {
-        return run_units(job, obs);
-    };
-    // Whatever way this rank ends — done, failed, unwinding — the
-    // ranks waiting on blocks it owns are released.
-    struct Exit<'t>(&'t PeerTable<'t>, usize);
-    impl Drop for Exit<'_> {
-        fn drop(&mut self) {
-            self.0.rank_exited(self.1, None);
-        }
-    }
-    let _exit = Exit(table, rank);
-    let out = run_units(job, obs);
-    table.rank_exited(rank, out.as_ref().err());
-    out
-}
-
-/// Whether a unit makes its rank read the bin's data file: the plan
-/// asks for data and the chunk has points in the bin.
-fn reads_data(index: &HeaderView<ByteView>, u: &WorkUnit) -> bool {
-    u.needs_data && index.count(u.chunk_rank) > 0
-}
-
-fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOutput> {
     let mut rank = Rank {
         job,
         fetcher: Fetcher::new(job.store, job.retry, obs.is_enabled()),
@@ -215,9 +183,6 @@ fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOu
         summary_skips: 0,
         summary_hits: 0,
     };
-    if let Some(bin) = job.peers.and_then(|(table, me)| table.awaited_bin(me)) {
-        rank.fetch_ahead(bin, obs)?;
-    }
     for group in job.units.chunk_by(|a, b| a.bin == b.bin) {
         let bin = Label::Index(group[0].bin as u32);
         obs.count_labeled("bin.units", bin, group.len() as u64);
@@ -228,82 +193,19 @@ fn run_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Result<RankOu
     Ok(rank.finish(obs))
 }
 
+/// Whether a unit makes its rank read the bin's data file: the plan
+/// asks for data and the chunk has points in the bin.
+fn reads_data(index: &HeaderView<ByteView>, u: &WorkUnit) -> bool {
+    u.needs_data && index.count(u.chunk_rank) > 0
+}
+
 impl Rank<'_, '_> {
-    /// One bin's fixed blocks: fetched here, or — when a lower rank of
-    /// the request was dealt the bin too — taken from it. `group` is
-    /// this rank's units of the bin (empty when fetching ahead, which
-    /// only ranks with peers do). The data table comes too when a unit
-    /// of the bin reads data (judged on the header as read).
-    fn index_fixed(&mut self, bin: usize, group: &[WorkUnit]) -> Result<Arc<FixedBlocks>> {
-        let Some((table, rank)) = self.job.peers else {
-            return self
-                .fetcher
-                .fixed(bin, |index| group.iter().any(|u| reads_data(index, u)));
-        };
-        if table.index_owner(bin) == rank {
-            // Already here when this is the bin fetched ahead.
-            if let Some(fixed) = table.published_index(bin) {
-                return Ok(fixed.blocks);
-            }
-            let since = self.fetcher.traced();
-            let any_reads_data =
-                |index: &HeaderView<ByteView>| table.any_reads_data(bin, |u| reads_data(index, u));
-            let blocks = self.fetcher.fixed(bin, any_reads_data)?;
-            // Nothing read from a fixed block is degradable: a damaged
-            // one failed the query loudly above. What was read is what
-            // the bin's other ranks record as waited for.
-            let accesses = self.fetcher.accesses_since(since);
-            let fixed = IndexFixed {
-                blocks: Arc::clone(&blocks),
-                accesses,
-            };
-            table.publish_index(bin, fixed);
-            return Ok(blocks);
-        }
-        let fixed = table.take_index(bin)?;
-        // Traced as their owner accessed them.
-        for (file, off, len) in fixed.accesses.iter() {
-            self.fetcher.peer(file, *off, *len);
-        }
-        Ok(fixed.blocks)
-    }
-
-    /// Fetch ahead the fixed blocks of `bin` that higher ranks wait on.
-    ///
-    /// A rank is dealt a contiguous run of units, so the one bin it
-    /// owns and shares is its last — and the first of the rank after
-    /// it. Fetched in bin order, that bin's fixed blocks would appear
-    /// only after all of this rank's other bins, and the next rank's
-    /// own last bin only after that: the ranks would run one after the
-    /// other. Fetched first, nobody waits for more than a lower rank's
-    /// first few reads.
-    fn fetch_ahead(&mut self, bin: usize, obs: &mut Collector) -> Result<()> {
-        obs.begin("index-read");
-        let bytes_before = self.fetcher.report.index_bytes;
-        let data_before = self.fetcher.report.data_bytes;
-        self.index_fixed(bin, &[])?;
-        let bytes = self.fetcher.report.index_bytes - bytes_before;
-        self.end_read(obs, "bin.index.bytes", bin, bytes);
-        self.count_data_table(obs, bin, data_before);
-        Ok(())
-    }
-
     /// Close an `index-read` / `data-read` span: its `verify` child,
     /// and the bytes it read under the bin's label.
     fn end_read(&mut self, obs: &mut Collector, counter: &'static str, bin: usize, bytes: u64) {
         self.fetcher.record_verify(obs);
         obs.end();
         obs.count_labeled(counter, Label::Index(bin as u32), bytes);
-    }
-
-    /// Count the data bytes read since `before` under the bin's label:
-    /// a bin's data checksum table comes with its fixed blocks, in
-    /// `index-read`.
-    fn count_data_table(&self, obs: &mut Collector, bin: usize, before: u64) {
-        let bytes = self.fetcher.report.data_bytes - before;
-        if bytes > 0 {
-            obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), bytes);
-        }
     }
 
     /// Fetch one bin's index blocks: its fixed blocks, then the
@@ -313,7 +215,9 @@ impl Rank<'_, '_> {
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
         obs.begin("index-read");
-        let fixed = self.index_fixed(bin, group)?;
+        let fixed = self
+            .fetcher
+            .fixed(bin, |index| group.iter().any(|u| reads_data(index, u)))?;
         let (index, file) = (&fixed.index, self.fetcher.index_file(bin));
 
         // Positional bitmaps for this rank's chunks, as one want-list.
@@ -348,7 +252,12 @@ impl Rank<'_, '_> {
             })?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
         self.end_read(obs, "bin.index.bytes", bin, bytes);
-        self.count_data_table(obs, bin, data_before);
+        // A bin's data checksum table comes with its fixed blocks, in
+        // `index-read`, and counts under the bin's data bytes.
+        let table = self.fetcher.report.data_bytes - data_before;
+        if table > 0 {
+            obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), table);
+        }
         Ok(BinBlocks {
             data_file: self.fetcher.data_file(bin),
             fixed,

@@ -194,12 +194,6 @@ pub struct ReadOp {
     /// the extent), but the simulator charges it nothing: no seek, no
     /// transfer, no open.
     pub cached: bool,
-    /// Whether a peer rank's access to the same `(file, offset, len)`
-    /// served the bytes (a bin's fixed blocks, fetched once per query
-    /// by the lowest rank touching the bin). The simulator charges the
-    /// device nothing, but the rank's clock waits until that access
-    /// completes on the rank that made it.
-    pub peer: bool,
 }
 
 impl ReadOp {
@@ -210,7 +204,6 @@ impl ReadOp {
             offset,
             len,
             cached: false,
-            peer: false,
         }
     }
 }
@@ -352,8 +345,10 @@ impl<'a> RankIo<'a> {
             attempt += 1;
             pending = kept;
         }
+        // A backend that answers fewer requests than it was sent leaves
+        // slots unresolved: each fails instead of taking a panic.
         out.into_iter()
-            .map(|o| o.expect("every batch slot resolved"))
+            .map(|o| o.unwrap_or_else(|| Err(PfsError::unanswered())))
             .collect()
     }
 
@@ -364,17 +359,6 @@ impl<'a> RankIo<'a> {
     pub fn record_cached(&mut self, file: impl Into<Arc<str>>, offset: u64, len: u64) {
         self.trace.push(ReadOp {
             cached: true,
-            ..ReadOp::new(file, offset, len)
-        });
-    }
-
-    /// Record an extent taken from the peer rank that fetched it for
-    /// the whole query (flagged [`ReadOp::peer`]): no device time in
-    /// the simulator, only the wait for the peer's own access, and
-    /// excluded from [`Self::bytes_read`].
-    pub fn record_peer(&mut self, file: impl Into<Arc<str>>, offset: u64, len: u64) {
-        self.trace.push(ReadOp {
-            peer: true,
             ..ReadOp::new(file, offset, len)
         });
     }
@@ -390,12 +374,12 @@ impl<'a> RankIo<'a> {
         self.backend
     }
 
-    /// Bytes actually read from the backend so far (cache- and
-    /// peer-served extents excluded).
+    /// Bytes actually read from the backend so far (cache-served
+    /// extents excluded).
     pub fn bytes_read(&self) -> u64 {
         self.trace
             .iter()
-            .filter(|op| !op.cached && !op.peer)
+            .filter(|op| !op.cached)
             .map(|op| op.len)
             .sum()
     }
@@ -624,13 +608,11 @@ mod tests {
         let mut io = RankIo::new(&be);
         io.read("f", 0, 16).unwrap();
         io.record_cached("f", 16, 32);
-        io.record_peer("f", 48, 8);
         assert_eq!(io.bytes_read(), 16);
         let trace = io.into_trace();
-        assert_eq!(trace.len(), 3);
-        assert!(!trace[0].cached && !trace[0].peer);
-        assert!(trace[1].cached && !trace[1].peer);
+        assert_eq!(trace.len(), 2);
+        assert!(!trace[0].cached);
+        assert!(trace[1].cached);
         assert_eq!(trace[1].len, 32);
-        assert!(trace[2].peer && !trace[2].cached);
     }
 }

@@ -196,7 +196,7 @@ fn scan_plan(
             continue;
         }
         let mut words = line.split_whitespace();
-        let word = words.next().expect("a non-blank line has a first word");
+        let word = words.next().ok_or_else(|| err("no directive"))?;
         on_line(PlanLine::Directive(word, &mut words), &err)?;
         if words.next().is_some() {
             return Err(err("trailing tokens"));
@@ -661,17 +661,13 @@ impl<B: StorageBackend> StorageBackend for CrashBackend<B> {
             st.crashed = true;
             return Err(Self::crash_error("append", name));
         }
-        if !st.overlay.contains_key(name) {
-            let base_len = self.inner.len(name).unwrap_or(0);
-            st.overlay.insert(
-                name.to_string(),
-                VolatileFile {
-                    base_len,
-                    ..VolatileFile::default()
-                },
-            );
-        }
-        let vf = st.overlay.get_mut(name).expect("just inserted");
+        let vf = st
+            .overlay
+            .entry(name.to_string())
+            .or_insert_with(|| VolatileFile {
+                base_len: self.inner.len(name).unwrap_or(0),
+                ..VolatileFile::default()
+            });
         let offset = vf.base_len + vf.tail.len() as u64;
         vf.tail.extend_from_slice(data);
         Ok(offset)

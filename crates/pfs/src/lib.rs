@@ -39,6 +39,8 @@
 //! assert_eq!(report.total_bytes, 2048);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod backend;
 pub mod cost;
 pub mod fault;
@@ -116,6 +118,14 @@ impl PfsError {
     /// Whether this error reports an exhausted retry budget.
     pub fn is_retries_exhausted(&self) -> bool {
         matches!(self, PfsError::RetriesExhausted { .. })
+    }
+
+    /// A batch request the backend returned no result for: a backend
+    /// bug, reported as a failed read rather than a panic.
+    pub(crate) fn unanswered() -> Self {
+        PfsError::Io(std::io::Error::other(
+            "backend returned no result for a batch request",
+        ))
     }
 }
 

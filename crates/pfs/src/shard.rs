@@ -181,7 +181,7 @@ impl StorageBackend for ShardRouter {
                 }
             }
         }
-        Err(first_err.expect("replicas >= 1"))
+        Err(first_err.unwrap_or_else(|| PfsError::NotFound(name.to_string())))
     }
 
     fn read_batch(&self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
@@ -249,8 +249,10 @@ impl StorageBackend for ShardRouter {
         for (name, healthy, failed) in repair_jobs {
             self.write_back(&name, healthy, &failed);
         }
+        // A shard that answers fewer requests than it was sent leaves
+        // slots unresolved: each fails instead of taking a panic.
         out.into_iter()
-            .map(|o| o.expect("every request routed to a shard"))
+            .map(|o| o.unwrap_or_else(|| Err(PfsError::unanswered())))
             .collect()
     }
 
@@ -262,7 +264,7 @@ impl StorageBackend for ShardRouter {
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        Err(first_err.expect("replicas >= 1"))
+        Err(first_err.unwrap_or_else(|| PfsError::NotFound(name.to_string())))
     }
 
     fn sync(&self, name: &str) -> Result<(), PfsError> {

@@ -8,18 +8,12 @@
 //! off. The rank's clock advances to the completion of the slowest
 //! segment, which yields both single-stream behaviour (seeks + bytes /
 //! aggregate bandwidth) and the contention plateau the paper observes
-//! when many processes share a fixed set of OSTs (Fig. 7).
-//!
-//! A *peer* record ([`ReadOp::peer`]) is an extent the rank took from
-//! the rank that fetched it for the whole query. It touches no device
-//! — no seek, no open, no transfer — but the rank cannot have the
-//! bytes before the rank that read them does: its clock advances to
-//! the completion of the first non-peer record of the same `(file,
-//! offset, len)` in any trace.
+//! when many processes share a fixed set of OSTs (Fig. 7). A cached
+//! record ([`ReadOp::cached`]) touches no device and costs nothing.
 
 use crate::backend::ReadOp;
 use crate::cost::CostModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Result of simulating one parallel I/O phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,27 +112,6 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
     let mut per_rank = vec![RankIoBreakdown::default(); nranks];
     let window = model.client_parallelism.max(1);
 
-    // Extents taken from a peer, keyed (file hash, offset, len): when
-    // the access that serves each one completes. Empty unless a trace
-    // holds a peer record; while empty, no op is hashed or looked up.
-    type Served = HashMap<(u64, u64, u64), Option<f64>>;
-    let key_of = |op: &ReadOp| (CostModel::file_hash(&op.file), op.offset, op.len);
-    let mut served = Served::new();
-    if nranks > 1 {
-        for op in traces.iter().flatten().filter(|op| op.peer) {
-            served.insert(key_of(op), None);
-        }
-    }
-    // An access finished at `at`: the first one of an awaited extent
-    // is the one its peers wait for.
-    let serve = |served: &mut Served, op: &ReadOp, at: f64| {
-        if !served.is_empty() && !op.peer {
-            if let Some(slot @ None) = served.get_mut(&key_of(op)) {
-                *slot = Some(at);
-            }
-        }
-    };
-
     // Per-rank cursor state. Segments are the event granularity: the
     // global loop always serves the segment with the earliest issue
     // time, so concurrent ranks interleave correctly on the OSTs.
@@ -156,9 +129,6 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
         op_start: f64,
         op_completion: f64,
         inflight: std::collections::VecDeque<f64>,
-        /// The peer record in progress found no access to wait for
-        /// and is priced as this rank's own read.
-        orphan: bool,
     }
     let mut cursors: Vec<Cursor> = (0..nranks)
         .map(|_| Cursor {
@@ -169,40 +139,27 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
             op_start: 0.0,
             op_completion: 0.0,
             inflight: std::collections::VecDeque::with_capacity(window),
-            orphan: false,
         })
         .collect();
 
     // Advance a cursor past zero-length ops and op boundaries; charge
     // open costs at op start. Returns the issue time of the rank's
-    // next segment, or None when the trace is exhausted or waits on a
-    // peer's access that has not completed yet.
+    // next segment, or None when the trace is exhausted.
     let prepare = |r: usize,
                    cur: &mut Cursor,
                    clocks: &mut [f64],
                    opened: &mut HashSet<(usize, u64)>,
-                   served: &mut Served,
                    total_opens: &mut u64,
                    per_rank: &mut [RankIoBreakdown]|
      -> Option<f64> {
         loop {
             let op = traces[r].get(cur.op_idx)?;
             if !cur.started {
-                // A peer-served extent costs the wait for the access
-                // that serves it and nothing else.
-                if op.peer && !cur.orphan {
-                    let at = served.get(&key_of(op)).copied().flatten()?;
-                    clocks[r] = clocks[r].max(at);
-                    cur.op_idx += 1;
-                    continue;
-                }
                 // Starting a new op: it begins when the previous op's
                 // segments have all completed. Cache-served extents
                 // never reach the disks — free, like zero-length ops.
                 if op.len == 0 || op.cached {
-                    serve(served, op, clocks[r]);
                     cur.op_idx += 1;
-                    cur.orphan = false;
                     continue;
                 }
                 let mut start = clocks[r];
@@ -222,16 +179,14 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
             if cur.seg_off >= op.offset + op.len {
                 // Op finished: its completion gates the next op.
                 clocks[r] = cur.op_completion;
-                serve(served, op, cur.op_completion);
                 cur.op_idx += 1;
                 cur.started = false;
-                cur.orphan = false;
                 continue;
             }
-            let issue = if cur.inflight.len() >= window {
-                cur.inflight.front().copied().unwrap().max(cur.op_start)
-            } else {
-                cur.op_start
+            // A full window issues when its oldest segment completes.
+            let issue = match cur.inflight.front() {
+                Some(&oldest) if cur.inflight.len() >= window => oldest.max(cur.op_start),
+                _ => cur.op_start,
             };
             return Some(issue);
         }
@@ -240,16 +195,12 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
     loop {
         // Pick the rank whose next segment issues earliest.
         let mut pick: Option<(usize, f64)> = None;
-        for r in 0..nranks {
-            let (head, tail) = cursors.split_at_mut(r);
-            let _ = head;
-            let cur = &mut tail[0];
+        for (r, cur) in cursors.iter_mut().enumerate() {
             if let Some(issue) = prepare(
                 r,
                 cur,
                 &mut clocks,
                 &mut opened,
-                &mut served,
                 &mut total_opens,
                 &mut per_rank,
             ) {
@@ -258,21 +209,9 @@ pub fn simulate_reads(traces: &[Vec<ReadOp>], model: &CostModel) -> SimReport {
                 }
             }
         }
+        // Nothing left to issue: every trace is exhausted.
         let Some((r, issue)) = pick else {
-            // Nothing can issue: every trace is exhausted, or the ranks
-            // left wait on an access no trace makes. That is a bug in
-            // whoever recorded the traces; the record is then priced as
-            // the rank's own read — never as a silent zero.
-            let Some(r) = (0..nranks).find(|&r| cursors[r].op_idx < traces[r].len()) else {
-                break;
-            };
-            debug_assert!(
-                false,
-                "rank {r}: peer record {:?} has no access to wait for",
-                traces[r][cursors[r].op_idx]
-            );
-            cursors[r].orphan = true;
-            continue;
+            break;
         };
         let cur = &mut cursors[r];
         let op = &traces[r][cur.op_idx];
@@ -618,112 +557,6 @@ mod tests {
             let b = rep.per_rank[r];
             assert_eq!(b.seconds, b.open_s + b.seek_s + b.transfer_s, "rank {r}");
         }
-    }
-
-    fn peer(file: &str, offset: u64, len: u64) -> ReadOp {
-        ReadOp {
-            peer: true,
-            ..op(file, offset, len)
-        }
-    }
-
-    #[test]
-    fn a_peer_record_waits_for_its_owner_and_touches_no_device() {
-        let m = model();
-        let owner = vec![op("bin0.idx", 0, 1358), op("bin0.idx", 9000, 584)];
-        let alone = simulate_reads(std::slice::from_ref(&owner), &m);
-        let rep = simulate_reads(
-            &[
-                owner.clone(),
-                vec![peer("bin0.idx", 0, 1358), peer("bin0.idx", 9000, 584)],
-            ],
-            &m,
-        );
-        // Rank 1 has both blocks when rank 0 has them, and not before.
-        assert_eq!(rep.per_rank[0], alone.per_rank[0]);
-        assert_eq!(rep.per_rank_seconds[1], rep.per_rank_seconds[0]);
-        assert_eq!(
-            rep.per_rank[1],
-            RankIoBreakdown {
-                seconds: rep.per_rank_seconds[0],
-                ..Default::default()
-            }
-        );
-        assert_eq!(
-            (rep.total_bytes, rep.total_seeks, rep.total_opens),
-            (alone.total_bytes, alone.total_seeks, alone.total_opens)
-        );
-
-        // A rank that is already later than the owner does not go back
-        // in time, and pays for its own reads as it always did.
-        let busy = vec![op("other", 0, 64 << 20), peer("bin0.idx", 0, 1358)];
-        let without = simulate_reads(&[owner.clone(), busy[..1].to_vec()], &m);
-        let rep = simulate_reads(&[owner.clone(), busy], &m);
-        assert!(without.per_rank_seconds[1] > without.per_rank_seconds[0]);
-        assert_eq!(rep, without);
-
-        // An owner that had the block cached serves it at the moment
-        // its own trace reaches it.
-        let warm = vec![
-            op("bin0.dat", 0, 4096),
-            ReadOp {
-                cached: true,
-                ..op("bin0.idx", 0, 1358)
-            },
-        ];
-        let rep = simulate_reads(&[warm, vec![peer("bin0.idx", 0, 1358)]], &m);
-        assert!(rep.per_rank_seconds[0] > 0.0);
-        assert_eq!(rep.per_rank_seconds[1], rep.per_rank_seconds[0]);
-        assert_eq!(rep.per_rank[1].bytes + rep.per_rank[1].seeks, 0);
-    }
-
-    #[test]
-    fn sharing_removes_exactly_the_peer_device_reads() {
-        let m = model();
-        let fixed = [op("bin0.idx", 0, 1358), op("bin0.idx", 1358, 584)];
-        let own = |rank: u64| op("bin0.idx", 4096 * (rank + 1), 300);
-        let unshared: Vec<Vec<ReadOp>> = (0..2)
-            .map(|r| fixed.iter().cloned().chain([own(r)]).collect())
-            .collect();
-        let shared = vec![
-            unshared[0].clone(),
-            fixed
-                .iter()
-                .map(|f| peer(&f.file, f.offset, f.len))
-                .chain([own(1)])
-                .collect(),
-        ];
-        let (a, b) = (simulate_reads(&unshared, &m), simulate_reads(&shared, &m));
-        assert_eq!(a.total_bytes - b.total_bytes, 1358 + 584);
-        assert_eq!(a.per_rank[1].bytes - b.per_rank[1].bytes, 1358 + 584);
-        assert_eq!(a.per_rank[0].bytes, b.per_rank[0].bytes);
-        assert!(b.total_seeks < a.total_seeks);
-        assert!(b.elapsed() < a.elapsed());
-        // The devices see what they would if rank 1 had never wanted
-        // the fixed blocks; rank 1's clock sees that it did — its own
-        // extent starts only when rank 0 has read them.
-        let absent = simulate_reads(&[unshared[0].clone(), vec![own(1)]], &m);
-        assert_eq!(
-            (b.total_bytes, b.total_opens),
-            (absent.total_bytes, absent.total_opens)
-        );
-        // One seek for the two contiguous fixed reads, one per own extent.
-        assert_eq!(b.total_seeks, 3);
-        assert_eq!(b.per_rank[1].bytes, absent.per_rank[1].bytes);
-        assert_eq!(b.per_rank[1].opens, absent.per_rank[1].opens);
-        assert!(b.per_rank_seconds[1] > absent.per_rank_seconds[1]);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "has no access to wait for"))]
-    fn a_peer_record_without_an_owner_is_never_a_silent_zero() {
-        let m = model();
-        let traces = [vec![op("a", 512, 4096)], vec![peer("b", 512, 4096)]];
-        // Debug builds stop here; release builds price the record as
-        // the rank's own read.
-        let rep = simulate_reads(&traces, &m);
-        let own = simulate_reads(&[vec![op("a", 512, 4096)], vec![op("b", 512, 4096)]], &m);
-        assert_eq!(rep, own);
     }
 
     #[test]

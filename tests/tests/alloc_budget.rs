@@ -199,7 +199,6 @@ fn a_ranks_trace_shares_one_name_allocation_per_file() {
             units: &plan.units,
             retry: RetryPolicy::none(),
             allow_degraded: false,
-            peers: None,
         };
         let out = process_units(&job, &mut Collector::disabled()).unwrap();
         out.io.trace

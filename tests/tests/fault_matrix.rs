@@ -20,7 +20,7 @@ use mloc::prelude::*;
 use mloc::{verify_variable, MlocError, MlocStore, QueryMetrics, QueryResult};
 use mloc_datagen::gts_like_2d;
 use mloc_pfs::{
-    CostModel, DirBackend, FaultBackend, FaultPlan, MemBackend, RetryPolicy, StorageBackend,
+    CostModel, DirBackend, FaultBackend, FaultPlan, MemBackend, ReadOp, RetryPolicy, StorageBackend,
 };
 use mloc_serve::{QueryServer, ServeConfig, ServeError, SessionSpec};
 
@@ -752,9 +752,14 @@ fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, ro
     }
 }
 
-/// The site's bin really is shared at its two rank counts: some rank's
-/// trace takes each of `files` from a peer.
-fn assert_shared(be: &dyn StorageBackend, (ds, _, ranks): Site<'_>, files: &[&str]) {
+/// The site's bin really is shared at its two rank counts — more than
+/// one rank touches each of `files` — and every rank that touches one
+/// reads the bin's header, at the front of `files[0]`, itself.
+fn assert_each_rank_reads_the_header(
+    be: &dyn StorageBackend,
+    (ds, _, ranks): Site<'_>,
+    files: &[&str],
+) {
     for n in ranks {
         let exec = ParallelExecutor::new(n, CostModel::default()).profiled(true);
         let store = MlocStore::open(be, ds, VAR).unwrap();
@@ -762,9 +767,17 @@ fn assert_shared(be: &dyn StorageBackend, (ds, _, ranks): Site<'_>, files: &[&st
             .run(&store, ExecRequest::new(&full_values_query()))
             .unwrap();
         for file in files {
-            let peers = out.traces.iter().flatten();
-            let taken = peers.filter(|op| op.peer && &*op.file == *file).count();
-            assert!(taken > 0, "{file} is not shared at {n} ranks");
+            let touching: Vec<(usize, &Vec<ReadOp>)> = (out.traces.iter().enumerate())
+                .filter(|(_, trace)| trace.iter().any(|op| &*op.file == *file))
+                .collect();
+            assert!(touching.len() > 1, "{file} is not shared at {n} ranks");
+            for (r, trace) in touching {
+                let header = |op: &ReadOp| &*op.file == files[0] && op.offset == 0 && !op.cached;
+                assert!(
+                    trace.iter().any(header),
+                    "rank {r} of {n} uses {file} without reading its header"
+                );
+            }
         }
     }
 }
@@ -775,7 +788,7 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
     build_into(&clean);
     let site = (DS, SHARED_BIN, [4, 8]);
     let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
-    assert_shared(&clean, site, &[&file]);
+    assert_each_rank_reads_the_header(&clean, site, &[&file]);
 
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
     let geometry = (16, 7);
@@ -897,7 +910,7 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
     let clean = fresh();
     load(&*clean);
     let a = anatomy(&*clean, site.0, site.1);
-    assert_shared(&*clean, site, &[&a.idx, &a.dat]);
+    assert_each_rank_reads_the_header(&*clean, site, &[&a.idx, &a.dat]);
 
     let header_crc = (a.idx.as_str(), 0, a.hdr_len, "checksum mismatch");
     let idx_table = a.idx_len - 24 - a.idx_payload;
