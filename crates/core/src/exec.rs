@@ -10,7 +10,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::metrics::{Meter, QueryMetrics};
-use crate::query::engine::{process_units, RankJob, RankOutput, RefineUnit};
+use crate::query::engine::{process_units, RankJob, RankOutput, Refinement};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult, Runs};
 use crate::store::MlocStore;
@@ -54,11 +54,14 @@ pub struct ExecRequest<'r> {
     /// engine intersects it with each unit's monotone position stream
     /// by galloping, never by hashing.
     pub position_filter: Option<&'r [u64]>,
-    /// Record a [`RefineUnit`] for every refinable unit — PLoD
-    /// data-bearing, values wanted, no value filter, no position
-    /// filter — for a progressive query (see
-    /// [`crate::progressive::ProgressiveQuery`]). Emitted positions
-    /// and values are identical with and without capture.
+    /// Record a [`crate::query::engine::RefineUnit`] for every
+    /// refinable unit — PLoD data-bearing, values wanted, no value
+    /// filter, no position filter — and where its points' values land,
+    /// for a progressive query (see
+    /// [`crate::progressive::ProgressiveQuery`]). Emitted positions and
+    /// values, and the reads, are identical with and without capture.
+    /// Only units that defer to the per-chunk scatter are captured: a
+    /// capturing request has no position filter.
     pub(crate) capture_refine: bool,
     /// Test hook: force the per-point reference reconstruct path even
     /// for units the bulk paths could serve, so differential tests can
@@ -104,8 +107,9 @@ pub struct ExecOutput {
     /// plan and the stored bytes alone — the same in replay and
     /// threaded mode.
     pub traces: Vec<Vec<ReadOp>>,
-    /// Captured refinement units in deterministic rank-merge order.
-    pub(crate) refine_units: Vec<RefineUnit>,
+    /// Captured refinement state, units in rank order, answer indices
+    /// into `result`.
+    pub(crate) refine: Refinement,
 }
 
 impl ParallelExecutor {
@@ -251,16 +255,21 @@ impl ParallelExecutor {
         // Every rank's answer arrives as sorted runs: one merge, no sort.
         let mut gather = Collector::new(self.profiled);
         gather.begin("gather");
-        let mut refine_units = Vec::new();
-        let answers = outputs.iter_mut().map(|out| {
-            refine_units.append(&mut out.refine_units);
-            Runs {
-                positions: std::mem::take(&mut out.positions),
-                values: std::mem::take(&mut out.values),
-                starts: std::mem::take(&mut out.runs),
-            }
+        let answers = outputs.iter_mut().map(|out| Runs {
+            positions: std::mem::take(&mut out.positions),
+            values: std::mem::take(&mut out.values),
+            starts: std::mem::take(&mut out.runs),
         });
-        let result = QueryResult::merge(answers.collect(), req.query.wants_values());
+        let (result, landing) = QueryResult::merge(
+            answers.collect(),
+            req.query.wants_values(),
+            req.capture_refine,
+        );
+        // Captured answer indices follow their rank's entries.
+        let mut refine = Refinement::default();
+        for (k, out) in outputs.iter_mut().enumerate() {
+            refine.absorb(std::mem::take(&mut out.refine), &landing, k);
+        }
         gather.end();
         profile.merge_from(gather.finish());
 
@@ -285,7 +294,7 @@ impl ParallelExecutor {
             metrics,
             profile,
             traces,
-            refine_units,
+            refine,
         })
     }
 }

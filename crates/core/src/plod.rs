@@ -265,7 +265,7 @@ pub fn assemble_zero_fill(parts: &[&[u8]], level: PlodLevel) -> Result<Vec<f64>>
 /// [`assemble`] at level `L`.
 pub fn refine_into(
     values: &mut [f64],
-    out_idx: &[u32],
+    out_idx: &[usize],
     val_idx: &[u32],
     part: &[u8],
     part_idx: usize,
@@ -284,7 +284,7 @@ pub fn refine_into(
             .get(vi as usize)
             .ok_or(MlocError::Corrupt("refinement byte index out of range"))?;
         let v = values
-            .get_mut(oi as usize)
+            .get_mut(oi)
             .ok_or(MlocError::Corrupt("refinement value index out of range"))?;
         let mut bits = v.to_bits();
         bits = (bits & !(0xFFu64 << shift)) | (u64::from(b) << shift);
@@ -565,10 +565,11 @@ mod tests {
         }
         let parts = split(&values);
         let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-        let idx: Vec<u32> = (0..values.len() as u32).collect();
+        let out_idx: Vec<usize> = (0..values.len()).collect();
+        let val_idx: Vec<u32> = (0..values.len() as u32).collect();
         let mut current = assemble(&refs[..1], PlodLevel::new(1).unwrap());
         for (p, part) in parts.iter().enumerate().skip(1) {
-            refine_into(&mut current, &idx, &idx, part, p).unwrap();
+            refine_into(&mut current, &out_idx, &val_idx, part, p).unwrap();
             let lvl = PlodLevel::new((p + 1) as u8).unwrap();
             let direct = assemble(&refs[..lvl.num_parts()], lvl);
             for (i, (a, b)) in current.iter().zip(&direct).enumerate() {
@@ -591,7 +592,7 @@ mod tests {
         let coarse = assemble(&refs[..1], PlodLevel::new(1).unwrap());
         // Result holds the unit's values reversed.
         let mut result: Vec<f64> = coarse.iter().rev().copied().collect();
-        let out_idx: Vec<u32> = (0..8).map(|i| 7 - i).collect();
+        let out_idx: Vec<usize> = (0..8).map(|i| 7 - i).collect();
         let val_idx: Vec<u32> = (0..8).collect();
         refine_into(&mut result, &out_idx, &val_idx, &parts[1], 1).unwrap();
         let direct = assemble(&refs[..2], PlodLevel::new(2).unwrap());

@@ -9,7 +9,19 @@
 //! pull then fetches exactly the next part's extents and merges them
 //! into the already-returned values in place via [`plod::refine_into`]
 //! — one byte per value, no reassembly, and no re-reading of index
-//! headers, bitmaps, positions, or footers (all captured at step 0).
+//! headers, bitmaps, positions, or checksum tables.
+//!
+//! Step 0 costs what a one-shot level-1 query costs: it *is* one, with
+//! capture on. Its refinable units defer to the per-chunk scatter like
+//! every other unit no position filter restricts; the deferred walk
+//! records each kept point's value index and marks the point's slot in
+//! its chunk with its place in the record, and emission writes each
+//! marked point's output index to that place. The gather's merge, and
+//! the merge of the base and target sub-plans below, report where each
+//! part's entries landed (`query::Landing`), so the indices follow
+//! their points with no search. A refinable unit keeps
+//! its bin's shared fixed blocks ([`RefineUnit::fixed`]), from which a
+//! pull reads its part locations and checksum table.
 //!
 //! Two invariants tie the ladder to the one-shot engine:
 //!
@@ -40,12 +52,13 @@ use crate::degrade::DegradationEvent;
 use crate::exec::{ExecRequest, ParallelExecutor};
 use crate::metrics::{Meter, QueryMetrics};
 use crate::plod;
-use crate::query::engine::{Decoder, Fetcher, RankOutput, RefineUnit, UnitBlock};
+use crate::query::engine::{Decoder, Fetcher, RankOutput, RefineUnit, Refinement, UnitBlock};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label, Profile};
+use mloc_pfs::ReadOp;
 use std::time::Instant;
 
 /// One step of a progressive query: what arrived, what it cost, and
@@ -84,13 +97,10 @@ impl ProgressiveStep {
     }
 }
 
-/// Per-unit refinement state: the captured step-0 mapping plus the
-/// unit's precision ceiling.
+/// Per-unit refinement state: the unit step 0 captured plus its
+/// precision ceiling.
 struct RefineState {
     unit: RefineUnit,
-    /// Index into the sorted result's value array for each captured
-    /// point (parallel to `unit.val_idx`).
-    result_idx: Vec<u32>,
     /// Parts this unit can still reach: a damaged extent at part `p`
     /// sets `cap = p`, freezing the unit at level `p` forever (parts
     /// after a loss are undecodable by construction).
@@ -113,7 +123,13 @@ pub struct ProgressiveQuery<'s, 'a> {
     next_part: usize,
     result: QueryResult,
     units: Vec<RefineState>,
+    /// Per captured point, unit by unit: its value index within its
+    /// unit, and its index in `result` (see [`Refinement`]).
+    val_idx: Vec<u32>,
+    result_idx: Vec<usize>,
     steps: Vec<ProgressiveStep>,
+    /// Step 0's logical reads, per rank.
+    step0_traces: Vec<Vec<ReadOp>>,
     /// Cumulative metrics over all steps so far: byte counters are
     /// summed; component times are summed too (steps are sequential
     /// pulls, not parallel ranks), and each pull — priced as a one-rank
@@ -175,11 +191,11 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
 
         let mut answers = vec![first.result.into_runs()];
         let (mut metrics, mut profile) = (first.metrics, first.profile);
-        // Deterministic order regardless of rank assignment, and
-        // maximal read coalescing per refinement pull.
-        let mut captured = first.refine_units;
-        captured.sort_by_key(|u| (u.bin, u.chunk_rank));
+        let (mut captured, mut step0_traces) = (first.refine, first.traces);
         if let Some(run) = second {
+            for (trace, more) in step0_traces.iter_mut().zip(run.traces) {
+                trace.extend(more);
+            }
             answers.push(run.result.into_runs());
             metrics.accumulate(&run.metrics);
             profile.merge_from(run.profile);
@@ -189,33 +205,25 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         metrics.bins_touched = plan.bins_touched;
         metrics.aligned_bins = plan.aligned_bins;
         metrics.chunks_touched = plan.chunks_touched;
-        // Each sub-plan's result is sorted: the two merge, never sort.
-        let result = QueryResult::merge(answers, query.wants_values());
-        if !captured.is_empty() && result.len() > u32::MAX as usize {
-            return Err(MlocError::Invalid(
-                "progressive result too large to index".into(),
-            ));
-        }
-
-        // Resolve each captured point to its slot in the sorted result.
-        let rpos = result.positions();
-        let mut units: Vec<RefineState> = Vec::with_capacity(captured.len());
-        for unit in captured {
-            let result_idx = unit
-                .positions
-                .iter()
-                .map(|p| {
-                    rpos.binary_search(p)
-                        .map(|i| i as u32)
-                        .map_err(|_| MlocError::Corrupt("captured position missing from result"))
-                })
-                .collect::<Result<Vec<u32>>>()?;
-            units.push(RefineState {
+        // Each sub-plan's result is sorted: the two merge, never sort,
+        // and the captured points follow the base part's entries.
+        let track = !captured.units.is_empty();
+        let (result, landing) = QueryResult::merge(answers, query.wants_values(), track);
+        landing.translate(0, &mut captured.result_idx);
+        let Refinement {
+            mut units,
+            val_idx,
+            result_idx,
+        } = captured;
+        // Deterministic order regardless of rank assignment, and
+        // maximal read coalescing per refinement pull.
+        units.sort_by_key(|u| (u.bin, u.chunk_rank));
+        let units: Vec<RefineState> = (units.into_iter())
+            .map(|unit| RefineState {
                 unit,
-                result_idx,
                 cap: target_parts,
-            });
-        }
+            })
+            .collect();
         let next_part = if units.is_empty() { target_parts } else { 1 };
         let mut pq = ProgressiveQuery {
             store,
@@ -225,7 +233,10 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             next_part,
             result,
             units,
+            val_idx,
+            result_idx,
             steps: Vec::new(),
+            step0_traces,
             metrics,
             profile,
             done: next_part >= target_parts,
@@ -276,6 +287,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             .collect();
         let bin_of = |k: usize| self.units[k].unit.bin;
         for group in live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)) {
+            let fixed = &self.units[group[0]].unit.fixed;
             let bin = self.units[group[0]].unit.bin;
             let file = fetcher.data_file(bin);
             let mut extents: Vec<(u64, u32)> = Vec::new();
@@ -283,10 +295,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             let mut pending: Vec<(usize, Option<UnitBlock>)> = Vec::new();
             for &k in group {
                 let unit = &self.units[k].unit;
-                let loc = *unit
-                    .part_locs
-                    .get(p)
-                    .ok_or(MlocError::Corrupt("refined part index out of range"))?;
+                let loc = fixed.index.unit(unit.chunk_rank, p);
                 match fetcher.unit_block(bin, unit.chunk_rank, unit.count as usize) {
                     Some(block) if block.parts() > p => {
                         fetcher.served(&file, loc.offset, u64::from(loc.clen));
@@ -298,7 +307,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                     }
                 }
             }
-            let footer = self.units[group[0]].unit.footer.as_ref();
+            let footer = fixed.data.as_deref();
+            let footer = footer.ok_or(MlocError::Corrupt("data unit without footer"))?;
             let reads = fetcher.read(&file, &extents, Some(footer), false);
             let td = Instant::now();
             for ((k, prefix), got) in pending.into_iter().zip(reads) {
@@ -345,11 +355,12 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
                 .values_mut()
                 .ok_or(MlocError::Corrupt("progressive ladder without values"))?;
             for (k, block) in &parts {
-                let st = &self.units[*k];
+                let points = self.units[*k].unit.points.clone();
                 let part = block
                     .as_bytes()
                     .ok_or(MlocError::Corrupt("missing PLoD part"))?;
-                plod::refine_into(values, &st.result_idx, &st.unit.val_idx, part, p)?;
+                let (out_idx, val_idx) = (&self.result_idx[points.clone()], &self.val_idx[points]);
+                plod::refine_into(values, out_idx, val_idx, part, p)?;
             }
         }
         out.reconstruct_s = tr.elapsed().as_secs_f64();
@@ -407,6 +418,14 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
     /// Every step taken so far, in order (step 0 first).
     pub fn steps(&self) -> &[ProgressiveStep] {
         &self.steps
+    }
+
+    /// Every rank's logical reads in step 0, in issue order, as
+    /// [`crate::ExecOutput::traces`] lists a run's: a rank's base-level
+    /// reads, then its target-level reads of the value-filtered bins.
+    /// With no value constraint, the traces of a one-shot level-1 query.
+    pub fn step0_traces(&self) -> &[Vec<ReadOp>] {
+        &self.step0_traces
     }
 
     /// Merged profile over all steps (empty unless the executor that

@@ -1270,14 +1270,14 @@ mod tests {
         let step0 = run(&open(), &base, true);
         render("ladder step 0", &step0.io, &mut got);
         writeln!(got, "## ladder part locations").unwrap();
-        for u in &step0.refine_units {
+        for u in &step0.refine.units {
             write!(
                 got,
                 "bin {} chunk {} count {}:",
                 u.bin, u.chunk_rank, u.count
             )
             .unwrap();
-            for loc in &u.part_locs {
+            for loc in u.fixed.index.units(u.chunk_rank) {
                 write!(got, " {}+{}", loc.offset, loc.clen).unwrap();
             }
             writeln!(got).unwrap();

@@ -22,14 +22,15 @@ use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
-use crate::index::{HeaderView, UnitLoc};
-use crate::integrity::ExtentFooter;
+use crate::index::HeaderView;
 use crate::query::plan::WorkUnit;
+use crate::query::Landing;
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
 use reconstruct::Reconstructor;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,7 +56,7 @@ pub struct RankOutput {
     pub degradation: DegradationReport,
     /// Refinement state captured for a progressive query (empty unless
     /// the request asked for capture).
-    pub refine_units: Vec<RefineUnit>,
+    pub refine: Refinement,
 }
 
 impl RankOutput {
@@ -73,10 +74,46 @@ impl RankOutput {
     }
 }
 
-/// What a progressive query remembers about one refinable work unit
-/// after its step-0 pass, so later refinement pulls read only the next
-/// byte-group extents — index headers, bitmaps, positions, and footers
-/// are planned once here and never re-read.
+/// What a progressive query remembers after its step-0 pass, so later
+/// refinement pulls read only the next byte-group extents: index
+/// headers, bitmaps, positions and checksum tables are never re-read.
+/// Step 0 runs as the one-shot engine does — every refinable unit
+/// defers to its chunk's scatter — and the deferred walk and emission
+/// record, per captured point, where its tail bytes are and where its
+/// value is, unit by unit.
+#[derive(Debug, Default)]
+pub struct Refinement {
+    /// Every refinable unit, in the order it was captured.
+    pub units: Vec<RefineUnit>,
+    /// Per captured point: its rank within its unit's values (the byte
+    /// index inside each tail part).
+    pub val_idx: Vec<u32>,
+    /// Per captured point: its index in the answer (in the rank's
+    /// output until the gather translates it).
+    pub result_idx: Vec<usize>,
+}
+
+impl Refinement {
+    /// Take in `part`, captured by part `k` of a merge that put its
+    /// entries where `landing` says.
+    pub(crate) fn absorb(&mut self, mut part: Refinement, landing: &Landing, k: usize) {
+        landing.translate(k, &mut part.result_idx);
+        if self.val_idx.is_empty() && self.units.is_empty() {
+            *self = part;
+            return;
+        }
+        let shift = self.val_idx.len();
+        self.units.extend(part.units.into_iter().map(|mut u| {
+            u.points = u.points.start + shift..u.points.end + shift;
+            u
+        }));
+        self.val_idx.append(&mut part.val_idx);
+        self.result_idx.append(&mut part.result_idx);
+    }
+}
+
+/// One refinable work unit: PLoD data-bearing, values wanted, no value
+/// filter, no position filter.
 #[derive(Debug, Clone)]
 pub struct RefineUnit {
     /// Value bin (names the data file).
@@ -86,16 +123,12 @@ pub struct RefineUnit {
     /// Points stored in the unit — the byte length of each one-byte
     /// tail part.
     pub count: u32,
-    /// Extent location of every PLoD part, from the bin index header.
-    pub part_locs: Vec<UnitLoc>,
-    /// The checksum table of the bin's data (a v3 data table, a v1/v2
-    /// data file's footer), shared with step 0's reads.
-    pub footer: Arc<ExtentFooter>,
-    /// Per emitted point: its rank within the unit's value array (the
-    /// byte index inside each tail part).
-    pub val_idx: Vec<u32>,
-    /// Per emitted point: its global position (ascending).
-    pub positions: Vec<u64>,
+    /// The bin's fixed blocks, shared with step 0: the header locates
+    /// every part's extent, the data table verifies it.
+    pub fixed: Arc<FixedBlocks>,
+    /// The unit's captured points, as a range of
+    /// [`Refinement::val_idx`] and [`Refinement::result_idx`].
+    pub points: Range<usize>,
 }
 
 /// One rank's share of a request, and the executor's rules for it.
@@ -413,16 +446,19 @@ impl Rank<'_, '_> {
         obs: &mut Collector,
     ) -> Result<()> {
         let t = Instant::now();
-        // Upper bound on results this group can add: every set bit of
-        // every unit. Reserving once keeps the emit loop free of
-        // doubling reallocations (filters only shrink the bound).
-        let expected: usize = group
-            .iter()
-            .map(|u| blocks.fixed.index.count(u.chunk_rank) as usize)
-            .sum();
-        self.out.positions.reserve(expected);
-        if self.job.req.query.wants_values() {
-            self.out.values.reserve(expected);
+        // Units that emit directly add at most every set bit of every
+        // unit: reserving once keeps the emit loop free of doubling
+        // reallocations (filters only shrink the bound). Deferred units
+        // reserve at emission, for exactly the offsets they cover.
+        if !self.recon.defers() {
+            let expected: usize = group
+                .iter()
+                .map(|u| blocks.fixed.index.count(u.chunk_rank) as usize)
+                .sum();
+            self.out.positions.reserve(expected);
+            if self.job.req.query.wants_values() {
+                self.out.values.reserve(expected);
+            }
         }
         for (gi, u) in group.iter().enumerate() {
             self.recon.unit(gi, u, blocks, &mut self.out)?;
@@ -499,9 +535,9 @@ mod tests {
     /// A chunk the region straddles, with one set bit added to its
     /// bitmap past the last row of the region's box under a resealed
     /// index table: the walks that visit only the box still count the
-    /// bitmap's every one, so the deferred walk and the progressive
-    /// capture walk both refuse the unit — cold, and warm from the
-    /// blocks the failed run cached.
+    /// bitmap's every one, so a one-shot query and a progressive
+    /// ladder's step 0 — the same deferred walk — both refuse the unit,
+    /// cold, and warm from the blocks the failed run cached.
     #[test]
     fn an_extra_bit_outside_the_box_is_corrupt_cold_and_warm() {
         use crate::array::Region;

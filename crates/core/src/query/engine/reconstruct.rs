@@ -8,7 +8,7 @@
 //! units. The per-point general path is kept as the differential
 //! oracle the bulk paths are tested against.
 
-use super::{BinBlocks, RankJob, RankOutput, RefineUnit};
+use super::{BinBlocks, RankJob, RankOutput, RefineUnit, Refinement};
 use crate::cache::CachedBlock;
 use crate::config::{PlodLevel, NUM_PARTS};
 use crate::index::ChunkSummary;
@@ -399,6 +399,12 @@ fn for_each_kept(
 /// mask — rather than assuming full coverage — keeps this correct when
 /// a chunk's bins are split across ranks by the column-order
 /// assignment. It never holds a point outside the region.
+///
+/// A capturing request (a progressive ladder's step 0) also marks each
+/// point a refinable unit keeps with its place in the rank's
+/// [`Refinement`], in `slots`, and emission writes each marked point's
+/// output index to that place.
+#[derive(Default)]
 struct ChunkScatter {
     /// Chunk-local values, ordered by local offset (empty when the
     /// query is position-only).
@@ -406,6 +412,10 @@ struct ChunkScatter {
     /// One bit per chunk-local offset: set iff some unit on this rank
     /// kept it.
     mask: Vec<u64>,
+    /// Per chunk-local offset: one past the point's index in
+    /// [`Refinement::val_idx`], or 0 for a point no refinable unit
+    /// kept (empty unless capturing; from [`SLOT_POOL`]).
+    slots: Vec<usize>,
 }
 
 /// Set `len` bits of `mask` starting at bit `start`.
@@ -428,18 +438,28 @@ fn set_bits(mask: &mut [u64], start: u64, len: u64) {
     }
 }
 thread_local! {
-    /// Recycled `(block, mask)` buffer pairs for [`ChunkScatter`].
-    /// Invariant: every pooled buffer is all-zero, so acquiring one
-    /// skips the full-block memset — emission re-zeroes exactly the
-    /// covered ranges (cache-hot, proportional to result size) before
-    /// returning buffers here.
-    static SCATTER_POOL: std::cell::RefCell<Vec<(Vec<f64>, Vec<u64>)>> =
+    /// Recycled [`ChunkScatter`] buffers. Invariant: every pooled block
+    /// and mask is all-zero, so acquiring one skips the full-block
+    /// memset — emission re-zeroes exactly the covered ranges
+    /// (cache-hot, proportional to result size) before returning
+    /// buffers here.
+    static SCATTER_POOL: std::cell::RefCell<Vec<ChunkScatter>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+    /// Recycled [`ChunkScatter::slots`] arrays, pooled apart so that
+    /// only a capturing request's chunks hold one. Invariant: every
+    /// pooled array is all-zero — a marked slot is a covered offset,
+    /// which emission reads and clears.
+    static SLOT_POOL: std::cell::RefCell<Vec<Vec<usize>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Most buffers a thread's pool retains (bounds long-session memory;
 /// one block is a chunk's worth of `f64`s).
 const SCATTER_POOL_CAP: usize = 64;
+
+/// Most slot arrays a thread's pool retains: a progressive ladder's
+/// region meets a few chunks.
+const SLOT_POOL_CAP: usize = 8;
 
 /// Where a unit's values come from.
 #[derive(Clone, Copy)]
@@ -533,6 +553,9 @@ pub(crate) struct Reconstructor<'j, 'a> {
     filter: Option<&'j [u64]>,
     /// The query is a point-set probe (no caller filter overrides it).
     membership: bool,
+    /// Record refinable units for a progressive ladder (see
+    /// [`Refinement`]).
+    capture: bool,
     /// The value constraint, unbounded when the query has none.
     vc: (f64, f64),
     /// Parts of a data-bearing unit the query's PLoD level uses.
@@ -570,6 +593,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             // streaming gallop route).
             filter: req.position_filter.or(req.query.points.as_deref()),
             membership: req.position_filter.is_none() && req.query.points.is_some(),
+            capture: req.capture_refine && job.store.config().plod && req.query.wants_values(),
             vc: req.query.vc.unwrap_or((f64::MIN, f64::MAX)),
             n_parts: parts_used(job.store.config(), req.query),
             scratch: Scratch::default(),
@@ -587,6 +611,13 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     fn region(&self, u: &WorkUnit) -> Option<&'j [(usize, usize)]> {
         let region = self.job.req.query.sc.as_ref();
         region.filter(|_| u.spatial_filter).map(|r| r.ranges())
+    }
+
+    /// Whether units defer to the per-chunk scatter (emitted by
+    /// [`Self::emit_deferred`]) rather than emit one by one: every unit
+    /// of a request no position filter restricts does.
+    pub fn defers(&self) -> bool {
+        !self.job.req.force_general_reconstruct && self.filter.is_none()
     }
 
     /// Reconstruct unit `gi` of a bin's group into `out`, or defer it
@@ -629,17 +660,22 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             .grid()
             .chunk_ranges_into(store.order().cell_at(u.chunk_rank), ranges);
         let chunk_points: u64 = ranges.iter().map(|&(s, e)| (e - s) as u64).product();
-        // A refinable unit — PLoD data-bearing, values wanted, no
-        // value filter, no position filter — is emitted directly so
-        // its per-point mapping can be captured. Every other unit no
-        // position filter restricts defers to its chunk's scatter.
-        let capture = req.capture_refine
-            && u.needs_data
-            && store.config().plod
-            && query.wants_values()
-            && !u.value_filter
-            && self.filter.is_none();
-        let deferred = !capture && !req.force_general_reconstruct && self.filter.is_none();
+        let deferred = self.defers();
+        // A refinable unit — PLoD data-bearing, values wanted, no value
+        // filter, no position filter — is recorded even when it keeps
+        // no point, so a refinement pull reads what a one-shot query at
+        // its level would.
+        let capture = self.capture && deferred && u.needs_data && !u.value_filter;
+        if capture {
+            let at = out.refine.val_idx.len();
+            out.refine.units.push(RefineUnit {
+                bin: u.bin,
+                chunk_rank: u.chunk_rank,
+                count,
+                fixed: Arc::clone(&bin.fixed),
+                points: at..at,
+            });
+        }
         if deferred {
             // A deferred unit keeps only its set bits inside the
             // region: when the chunk's summary puts them all before or
@@ -668,10 +704,9 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             bm
         };
         // A corrupted bitmap must not index past the decoded values
-        // or outside the chunk. The deferred and capture walks
-        // range-check every piece and count the set bits as they go;
-        // the other paths index the values per point, so they count
-        // first.
+        // or outside the chunk. The deferred walk range-checks every
+        // piece and counts the set bits as it goes; the other paths
+        // index the values per point, so they count first.
         let consistent = |ones: u64| {
             let ok = ones == u64::from(count);
             ok.then_some(())
@@ -680,7 +715,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         if bitmap.len() != chunk_points {
             return Err(MlocError::Corrupt("index bitmap inconsistent"));
         }
-        if !deferred && !capture {
+        if !deferred {
             consistent(bitmap.count_ones())?;
         }
 
@@ -720,29 +755,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
 
         if deferred {
             let bufs = (&mut scratch.values, &mut scratch.piece);
-            return consistent(self.defer(u, bitmap, src, chunk_points, bufs)?);
-        }
-
-        if capture {
-            let footer = bin.fixed.data.as_ref();
-            let ru = RefineUnit {
-                bin: u.bin,
-                chunk_rank: u.chunk_rank,
-                count,
-                part_locs: bin.fixed.index.units(u.chunk_rank).collect(),
-                footer: Arc::clone(footer.ok_or(MlocError::Corrupt("data unit without footer"))?),
-                val_idx: Vec::new(),
-                positions: Vec::new(),
-            };
-            let (filter_vals, out_vals) = (None, None);
-            let v = UnitView {
-                unit: u,
-                ranges,
-                bitmap,
-                filter_vals,
-                out_vals,
-            };
-            return consistent(self.capture(&v, src, ru, out)?);
+            let refine = capture.then_some(&mut out.refine);
+            return consistent(self.defer(u, bitmap, src, chunk_points, bufs, refine)?);
         }
 
         // The other per-unit paths read the unit's values whole.
@@ -869,39 +883,6 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         })
     }
 
-    /// Progressive capture path: emit the unit directly — the deferred
-    /// scatter cannot attribute a point to a unit, and refinement
-    /// needs the per-unit (value rank, position) mapping — recording
-    /// that mapping into `ru` as it goes. Each segment inside the
-    /// region is assembled straight onto the output. The unit is one
-    /// sorted run, merged into place at the gather, so bypassing the
-    /// scatter never changes observable output. Returns the bitmap's
-    /// number of set bits.
-    fn capture(
-        &mut self,
-        v: &UnitView<'_>,
-        src: Source<'_>,
-        mut ru: RefineUnit,
-        out: &mut RankOutput,
-    ) -> Result<u64> {
-        let (mut kept, mut bad) = (0u64, false);
-        let ones = self.for_each_segment(v, |g0, vi, take| {
-            kept += take;
-            out.positions.extend(g0..g0 + take);
-            let at = out.values.len();
-            out.values.resize(at + take as usize, 0.0);
-            bad |= !src.fill(vi, &mut out.values[at..]);
-            ru.val_idx.extend(vi as u32..(vi + take as usize) as u32);
-            ru.positions.extend(g0..g0 + take);
-        });
-        self.copy_bytes += 8 * kept;
-        if bad {
-            return Err(MlocError::Corrupt("value index past its unit"));
-        }
-        out.refine_units.push(ru);
-        Ok(ones)
-    }
-
     /// Defer a position-filterless unit to its chunk's scatter: each
     /// run of set bits is cut to the query's region ([`Window`]), and
     /// each kept piece — a contiguous range of value indices — lands in
@@ -913,8 +894,11 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// and read like a float block. A value filter tests the kept
     /// points only (one compare each) and stores the survivors. One
     /// bulk emission maps every chunk's survivors to global positions,
-    /// in order, after the last bin. The window is already aimed at the
-    /// unit's chunk. Returns the bitmap's number of set bits.
+    /// in order, after the last bin. A refinable unit of a capturing
+    /// request also appends its kept points' value indices to `refine`
+    /// and marks each point's slot with its place there. The window is
+    /// already aimed at the unit's chunk. Returns the bitmap's number
+    /// of set bits.
     fn defer(
         &mut self,
         u: &WorkUnit,
@@ -922,6 +906,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         src: Source<'_>,
         chunk_points: u64,
         (whole, piece): (&mut Vec<f64>, &mut Vec<f64>),
+        refine: Option<&mut Refinement>,
     ) -> Result<u64> {
         let (vc, keep_values) = (self.vc, self.job.req.query.wants_values());
         let plod = matches!(src, Source::Plod(_));
@@ -932,18 +917,22 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             }
             src => src,
         };
-        let chunk = self.job.store.order().cell_at(u.chunk_rank);
+        let (chunk, capture) = (self.job.store.order().cell_at(u.chunk_rank), self.capture);
         let e = self.scatter.entry(chunk).or_insert_with(|| {
-            let (mut block, mut mask) = SCATTER_POOL
-                .with(|p| p.borrow_mut().pop())
-                .unwrap_or_default();
-            debug_assert!(block.iter().all(|&x| x == 0.0));
-            debug_assert!(mask.iter().all(|&w| w == 0));
+            let mut e = SCATTER_POOL.with_borrow_mut(Vec::pop).unwrap_or_default();
+            debug_assert!(e.block.iter().all(|&x| x == 0.0));
+            debug_assert!(e.mask.iter().all(|&w| w == 0));
+            debug_assert!(e.slots.is_empty());
             if keep_values {
-                block.resize(chunk_points as usize, 0.0);
+                e.block.resize(chunk_points as usize, 0.0);
             }
-            mask.resize((chunk_points as usize).div_ceil(64), 0);
-            ChunkScatter { block, mask }
+            e.mask.resize((chunk_points as usize).div_ceil(64), 0);
+            if capture {
+                e.slots = SLOT_POOL.with_borrow_mut(Vec::pop).unwrap_or_default();
+                debug_assert!(e.slots.iter().all(|&s| s == 0));
+                e.slots.resize(chunk_points as usize, 0);
+            }
+            e
         });
         let window = &mut self.window;
         // Every kept piece lies inside the unit (its bitmap's count was
@@ -982,6 +971,24 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                     }
                 })
             }
+        } else if let Some(refine) = refine {
+            let first = refine.val_idx.len();
+            let ones = for_each_kept(bitmap, window, |at, vi, take| {
+                kept += take;
+                bad |= !src.fill(vi, &mut e.block[at as usize..(at + take) as usize]);
+                set_bits(&mut e.mask, at, take);
+                let (at, len) = (at as usize, take as usize);
+                let marks = refine.val_idx.len() + 1..;
+                for (slot, mark) in e.slots[at..at + len].iter_mut().zip(marks) {
+                    *slot = mark;
+                }
+                refine.val_idx.extend((vi..vi + len).map(|i| i as u32));
+            });
+            // The unit's own entry, pushed before its walk.
+            if let Some(unit) = refine.units.last_mut() {
+                unit.points = first..refine.val_idx.len();
+            }
+            ones
         } else if keep_values {
             for_each_kept(bitmap, window, |at, vi, take| {
                 kept += take;
@@ -1058,7 +1065,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// the global rows they cover in row-major order and, in each, let
     /// the chunks covering it emit their covered segments of it from
     /// left to right (see [`RowWalk`]). The output is reserved once,
-    /// for every covered offset.
+    /// for every covered offset. A capturing request's marked points get
+    /// their output indices on the way ([`Refinement::result_idx`]).
     pub fn emit_deferred(&mut self, out: &mut RankOutput) {
         let (grid, query) = (self.job.store.grid(), self.job.req.query);
         let dims = grid.dims();
@@ -1094,16 +1102,23 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             strides: &self.emitter.strides,
             keep_values: query.wants_values(),
         };
+        let refine = &mut out.refine;
+        refine.result_idx.resize(refine.val_idx.len(), 0);
         let start = out.positions.len();
         walk.rows(&mut pending, 0, 0, out);
         out.close_run(start);
-        SCATTER_POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            for chunk in pending {
-                if p.len() < SCATTER_POOL_CAP {
-                    p.push((chunk.scatter.block, chunk.scatter.mask));
+        SCATTER_POOL.with_borrow_mut(|pool| {
+            SLOT_POOL.with_borrow_mut(|slot_pool| {
+                for Pending { mut scatter, .. } in pending {
+                    let slots = std::mem::take(&mut scatter.slots);
+                    if !slots.is_empty() && slot_pool.len() < SLOT_POOL_CAP {
+                        slot_pool.push(slots);
+                    }
+                    if pool.len() < SCATTER_POOL_CAP {
+                        pool.push(scatter);
+                    }
                 }
-            }
+            })
         });
     }
 }
@@ -1182,16 +1197,16 @@ impl RowWalk<'_> {
     }
 
     /// Emit `chunk`'s next row, whose global row starts at `base`, and
-    /// restore the pool's all-zero invariant over it: its covered
-    /// values (cache-hot: emission just read them) and the mask words
-    /// holding nothing of a later row.
+    /// restore the pools' all-zero invariants over it: its covered
+    /// values and slots (cache-hot: emission just read them) and the
+    /// mask words holding nothing of a later row.
     fn segment(&self, chunk: &mut Pending, base: u64, out: &mut RankOutput) {
         let (c0, c1) = self.ranges(chunk)[self.strides.len() - 1];
         let w = (c1 - c0) as u64;
         // The row's chunk-local offsets.
         let (a, b) = (chunk.row * w, (chunk.row + 1) * w);
         chunk.row += 1;
-        let ChunkScatter { block, mask } = &mut chunk.scatter;
+        let ChunkScatter { block, mask, slots } = &mut chunk.scatter;
         let mut p = a;
         loop {
             let s = seek_bit(mask, p, b, true);
@@ -1200,6 +1215,17 @@ impl RowWalk<'_> {
             }
             let e = seek_bit(mask, s, b, false);
             let g = base + c0 as u64 + (s - a);
+            // A capturing request's chunk: each marked point's output
+            // index goes to its place in the refinement.
+            if !slots.is_empty() {
+                let at = out.positions.len();
+                for (slot, i) in slots[s as usize..e as usize].iter_mut().zip(at..) {
+                    if *slot > 0 {
+                        out.refine.result_idx[*slot - 1] = i;
+                        *slot = 0;
+                    }
+                }
+            }
             out.positions.extend(g..g + (e - s));
             if self.keep_values {
                 let covered = &mut block[s as usize..e as usize];

@@ -193,6 +193,25 @@ impl Runs {
     }
 }
 
+/// Where [`QueryResult::merge`] put each part's entries, when asked to
+/// track them: entry `i` of part `k` landed at `maps[k][i]`. With no
+/// maps every entry kept its index — a lone run, moved whole.
+#[derive(Debug, Default)]
+pub(crate) struct Landing {
+    maps: Vec<Vec<usize>>,
+}
+
+impl Landing {
+    /// Rewrite indices into part `k` as indices into the merged answer.
+    pub fn translate(&self, k: usize, idx: &mut [usize]) {
+        if let Some(map) = self.maps.get(k) {
+            for i in idx {
+                *i = map[*i];
+            }
+        }
+    }
+}
+
 /// Restore the min-heap order of `heap` (keyed by a run's next
 /// position) below slot `i`.
 fn sift_down(heap: &mut [(u64, usize)], mut i: usize) {
@@ -233,7 +252,9 @@ impl QueryResult {
     /// position below the next-smallest head in one slice: a run that
     /// leads by a whole row segment costs one heap step for the
     /// segment. The merged vectors are allocated at their exact length.
-    pub(crate) fn merge(mut parts: Vec<Runs>, with_values: bool) -> Self {
+    /// With `track`, the [`Landing`] says where each part's entries went
+    /// (otherwise it is empty).
+    pub(crate) fn merge(mut parts: Vec<Runs>, with_values: bool, track: bool) -> (Self, Landing) {
         // (part, start, end) of every non-empty run.
         let mut runs: Vec<(usize, usize, usize)> = Vec::new();
         for (k, part) in parts.iter().enumerate() {
@@ -249,8 +270,13 @@ impl QueryResult {
                 } = parts.swap_remove(k);
                 positions.shrink_to_fit();
                 values.shrink_to_fit();
-                return QueryResult::from_sorted(positions, with_values.then_some(values));
+                let result = QueryResult::from_sorted(positions, with_values.then_some(values));
+                return (result, Landing::default());
             }
+        }
+        let mut landing = Landing::default();
+        if track {
+            landing.maps = parts.iter().map(|p| vec![0; p.positions.len()]).collect();
         }
         let total: usize = runs.iter().map(|&(_, s, e)| e - s).sum();
         let mut positions = Vec::with_capacity(total);
@@ -272,6 +298,12 @@ impl QueryResult {
             let (k, s, e) = runs[r];
             let run = &parts[k].positions[s..e];
             let take = run.iter().position(|&p| p > bound).unwrap_or(run.len());
+            if let Some(map) = landing.maps.get_mut(k) {
+                let at = positions.len();
+                for (slot, i) in map[s..s + take].iter_mut().zip(at..) {
+                    *slot = i;
+                }
+            }
             positions.extend_from_slice(&run[..take]);
             if with_values {
                 values.extend_from_slice(&parts[k].values[s..s + take]);
@@ -284,7 +316,8 @@ impl QueryResult {
             }
             sift_down(&mut heap, 0);
         }
-        QueryResult::from_sorted(positions, with_values.then_some(values))
+        let result = QueryResult::from_sorted(positions, with_values.then_some(values));
+        (result, landing)
     }
 
     /// Assemble from unsorted parts (sorts by position, keeping values

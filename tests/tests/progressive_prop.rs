@@ -7,6 +7,11 @@
 //!   alone reads what a one-shot level-1 query reads;
 //! * the final step is byte-identical to the one-shot answer in every
 //!   execution mode (serial, threaded, cached, fused);
+//! * with no value constraint, every step is the one-shot answer at the
+//!   step's level, bit for bit, and step 0 reads what a one-shot
+//!   level-1 query reads, record for record — at 1, 4 and 8 ranks,
+//!   replayed and threaded, cold and behind a warm shared cache; with
+//!   one, every step has the one-shot answer's positions;
 //! * a damaged non-base part extent caps the ladder through the
 //!   degradation path, matching the one-shot degraded query's report
 //!   and result bit for bit;
@@ -182,6 +187,57 @@ proptest! {
         let mut fused = MlocStore::open(&be, DS, VAR).unwrap();
         fused.set_fusion(Some(Arc::new(ExtentFuser::with_window_mb(16))));
         prop_assert_eq!(run(&fused, &ParallelExecutor::serial()), want);
+    }
+
+    /// Step 0 is the one-shot engine at level 1, and each pull lands on
+    /// the one-shot answer at its level: with no value constraint, the
+    /// positions and value bits of every step, and step 0's every read
+    /// record per rank; with one (its value-filtered bins answered at
+    /// the target level from step 0 on), the positions of every step.
+    /// At 1, 4 and 8 ranks, replayed and threaded, cold and warm.
+    #[test]
+    fn every_step_is_the_one_shot_answer_at_its_level(
+        seed in 1u64..5_000,
+        q in query_strategy(),
+    ) {
+        let be = MemBackend::new();
+        build_into(&be, seed);
+        let store = MlocStore::open(&be, DS, VAR).unwrap();
+        let vc_free = q.vc.is_none();
+        let level = |l: u8| PlodLevel::new(l).unwrap();
+        // The one-shot answer at each level the ladder can stop at.
+        let oneshot: Vec<_> = (1..=7)
+            .map(|l| bits(&store.query_serial(&q.clone().with_plod(level(l))).unwrap()))
+            .collect();
+        let base = q.clone().with_plod(level(1));
+        for (ranks, threaded) in [(1, false), (4, false), (8, false), (4, true), (8, true)] {
+            let exec = ParallelExecutor::new(ranks, CostModel::default()).threaded(threaded);
+            let mut cached = MlocStore::open(&be, DS, VAR).unwrap();
+            cached.set_cache(Some(Arc::new(BlockCache::with_budget_mb(64))));
+            // Warm the cache with the level-1 answer's blocks.
+            exec.run(&cached, ExecRequest::new(&base)).unwrap();
+            for (mode, store) in [("cold", &store), ("warm", &cached)] {
+                let tag = format!("{mode}, {ranks} ranks, threaded {threaded}");
+                let mut pq = exec.progressive(store, &q).unwrap();
+                let base_run = exec.run(store, ExecRequest::new(&base)).unwrap();
+                if vc_free {
+                    prop_assert_eq!(pq.step0_traces(), &base_run.traces[..], "{}", tag);
+                }
+                loop {
+                    let step = pq.steps().last().unwrap();
+                    let want = &oneshot[step.level.level() as usize - 1];
+                    if vc_free {
+                        prop_assert_eq!(&bits(pq.result()), want, "{}, step {}", tag, step.step);
+                    } else {
+                        let target = &oneshot[q.plod.level() as usize - 1];
+                        prop_assert_eq!(pq.result().positions(), &target.0[..], "{}", tag);
+                    }
+                    if pq.next_refinement().unwrap().is_none() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 }
 
