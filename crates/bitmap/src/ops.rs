@@ -214,7 +214,9 @@ mod tests {
     fn ops_on_long_fills() {
         let n = 1_000_000u64;
         let a = WahBitmap::from_sorted_positions(n, &[0, 500_000]);
-        let b = WahBitmap::ones(n);
+        let mut ones = WahBuilder::new();
+        ones.append_run(true, n);
+        let b = ones.finish();
         assert_eq!(and(&a, &b).to_positions(), vec![0, 500_000]);
         assert_eq!(or(&a, &b).count_ones(), n);
         assert_eq!(andnot(&b, &a).count_ones(), n - 2);

@@ -2,14 +2,14 @@
 
 /// Number of data bits per WAH group (31 for 32-bit words).
 pub const GROUP_BITS: u64 = 31;
-const LITERAL_MASK: u32 = 0x7FFF_FFFF;
-const FILL_FLAG: u32 = 0x8000_0000;
-const FILL_BIT: u32 = 0x4000_0000;
-const FILL_COUNT_MASK: u32 = 0x3FFF_FFFF;
+pub(crate) const LITERAL_MASK: u32 = 0x7FFF_FFFF;
+pub(crate) const FILL_FLAG: u32 = 0x8000_0000;
+pub(crate) const FILL_BIT: u32 = 0x4000_0000;
+pub(crate) const FILL_COUNT_MASK: u32 = 0x3FFF_FFFF;
 /// Maximum group count representable by one fill word.
 const MAX_FILL_GROUPS: u32 = FILL_COUNT_MASK;
 
-const MAGIC: u32 = 0x4841_574D; // "MWAH"
+pub(crate) const MAGIC: u32 = 0x4841_574D; // "MWAH"
 
 /// A WAH-compressed bitmap of fixed logical length.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,13 +23,6 @@ impl WahBitmap {
     pub fn zeros(num_bits: u64) -> Self {
         let mut b = WahBuilder::new();
         b.append_run(false, num_bits);
-        b.finish()
-    }
-
-    /// An all-one bitmap of `num_bits` bits.
-    pub fn ones(num_bits: u64) -> Self {
-        let mut b = WahBuilder::new();
-        b.append_run(true, num_bits);
         b.finish()
     }
 
@@ -264,6 +257,12 @@ pub enum BitmapError {
     Truncated,
     /// Magic number mismatch.
     BadMagic(u32),
+    /// A set bit at or past the declared length, or words a whole group
+    /// past it.
+    PastEnd,
+    /// A rank/select directory that is not whole or disagrees with the
+    /// words it samples.
+    Directory,
 }
 
 impl std::fmt::Display for BitmapError {
@@ -271,6 +270,8 @@ impl std::fmt::Display for BitmapError {
         match self {
             BitmapError::Truncated => write!(f, "bitmap byte stream truncated"),
             BitmapError::BadMagic(m) => write!(f, "bad bitmap magic {m:#x}"),
+            BitmapError::PastEnd => write!(f, "bitmap runs past its length"),
+            BitmapError::Directory => write!(f, "rank/select directory disagrees with its bitmap"),
         }
     }
 }
@@ -391,9 +392,8 @@ impl Iterator for BitRunsIter<'_> {
     }
 }
 
-/// A borrowed WAH bitmap view: the zero-allocation counterpart of
-/// [`WahBitmap`] for hot paths that decode serialized bitmaps into a
-/// reused scratch buffer instead of allocating per bitmap.
+/// A borrowed WAH bitmap view: the same queries as [`WahBitmap`],
+/// without ownership.
 #[derive(Debug, Clone, Copy)]
 pub struct WahRef<'a> {
     words: &'a [u32],
@@ -401,42 +401,6 @@ pub struct WahRef<'a> {
 }
 
 impl<'a> WahRef<'a> {
-    /// Decode [`WahBitmap::to_bytes`] output into `scratch` (cleared
-    /// and refilled, capacity reused), returning the borrowed view and
-    /// the number of bytes consumed.
-    pub fn decode_into(
-        data: &[u8],
-        scratch: &'a mut Vec<u32>,
-    ) -> Result<(WahRef<'a>, usize), BitmapError> {
-        if data.len() < 16 {
-            return Err(BitmapError::Truncated);
-        }
-        let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        if magic != MAGIC {
-            return Err(BitmapError::BadMagic(magic));
-        }
-        let num_bits = u64::from_le_bytes(data[4..12].try_into().unwrap());
-        let nwords = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
-        let need = 16 + nwords.saturating_mul(4);
-        if data.len() < need {
-            return Err(BitmapError::Truncated);
-        }
-        scratch.clear();
-        scratch.reserve(nwords);
-        scratch.extend(
-            data[16..need]
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok((
-            WahRef {
-                words: scratch,
-                num_bits,
-            },
-            need,
-        ))
-    }
-
     /// Logical number of bits.
     pub fn len(&self) -> u64 {
         self.num_bits
@@ -445,28 +409,6 @@ impl<'a> WahRef<'a> {
     /// True when the view has zero logical bits.
     pub fn is_empty(&self) -> bool {
         self.num_bits == 0
-    }
-
-    /// Number of set bits. One pass over the encoded words: a popcount
-    /// per literal, a multiply per fill — no per-word cursor tracking.
-    ///
-    /// Canonical encodings (everything [`WahBitmap::to_bytes`] emits)
-    /// keep unused tail-literal bits clear, so counting whole words is
-    /// exact. A non-canonical (corrupt) input with junk tail bits
-    /// over-counts, which only makes consistency checks against an
-    /// expected count *more* likely to reject it.
-    pub fn count_ones(&self) -> u64 {
-        let mut total = 0u64;
-        for &w in self.words {
-            if w & FILL_FLAG != 0 {
-                if w & FILL_BIT != 0 {
-                    total += u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-                }
-            } else {
-                total += u64::from(w.count_ones());
-            }
-        }
-        total
     }
 
     /// Visit every run of set bits as `f(gap, ones_before, len)` in
@@ -530,78 +472,6 @@ impl<'a> WahRef<'a> {
         ones_before
     }
 
-    /// Visit the runs of set bits that end past position `want`, as
-    /// `f(start, ones_before, len)`, which returns the next position
-    /// it wants: `start` is the run's first position, `ones_before` and
-    /// `len` are as in [`for_each_one_run`](Self::for_each_one_run).
-    /// Runs ending at or before `want` are not visited — a literal
-    /// word wholly before it costs one popcount, a fill one add — and
-    /// none is once `want` is at or past the end. A visited run may
-    /// begin before `want`. Runs are not guaranteed maximal. Returns
-    /// the number of set bits, as [`for_each_one_run`](Self::for_each_one_run)
-    /// does.
-    #[inline]
-    pub fn for_each_one_run_from(
-        &self,
-        mut want: u64,
-        mut f: impl FnMut(u64, u64, u64) -> u64,
-    ) -> u64 {
-        let mut ones_before = 0u64;
-        let mut pos = 0u64;
-        for &w in self.words {
-            if pos >= self.num_bits {
-                break;
-            }
-            // A word wholly before `want` only counts its ones: selects,
-            // not branches, so a long skip mispredicts once.
-            let fill = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-            let (len, ones) = if w & FILL_FLAG != 0 {
-                (fill, if w & FILL_BIT != 0 { fill } else { 0 })
-            } else {
-                (GROUP_BITS, u64::from(w.count_ones()))
-            };
-            if pos + len <= want {
-                ones_before += ones;
-                pos += len;
-                continue;
-            }
-            if w & FILL_FLAG != 0 {
-                let len = len.min(self.num_bits - pos);
-                if w & FILL_BIT != 0 {
-                    want = f(pos, ones_before, len);
-                    ones_before += len;
-                }
-                pos += len;
-                continue;
-            }
-            let nbits = GROUP_BITS.min(self.num_bits - pos);
-            let mut m = w & LITERAL_MASK;
-            if nbits < GROUP_BITS {
-                m &= (1u32 << nbits) - 1;
-            }
-            let end = pos + nbits;
-            let mut at = pos;
-            while m != 0 {
-                if end <= want {
-                    ones_before += u64::from(m.count_ones());
-                    break;
-                }
-                let z = m.trailing_zeros();
-                m >>= z;
-                let o = (!m).trailing_zeros();
-                at += u64::from(z);
-                if at + u64::from(o) > want {
-                    want = f(at, ones_before, u64::from(o));
-                }
-                ones_before += u64::from(o);
-                at += u64::from(o);
-                m >>= o;
-            }
-            pos = end;
-        }
-        ones_before
-    }
-
     /// Iterate maximal `(start, len, bit)` runs — see
     /// [`WahBitmap::iter_runs`].
     pub fn iter_runs(&self) -> BitRunsIter<'a> {
@@ -637,6 +507,32 @@ impl<'a> WahRef<'a> {
 /// 64 words = 256 bitmap bytes per 8-byte sample, so a directory costs
 /// ~3.1% of the compressed bitmap it describes.
 pub const RANK_SAMPLE_WORDS: usize = 64;
+
+/// Little-endian `u32` at `at` of a slice known to hold it.
+pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
+    let b = &b[at..at + 4];
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// A serialized [`RankSelectDir`] read in place: its sample stride and
+/// the bytes of its samples, eight each — `(bits, ones)`, little-endian
+/// — with no allocation. The empty slice is the empty directory; bytes
+/// after the last sample are not looked at.
+pub(crate) fn dir_samples(data: &[u8]) -> Result<(u32, &[u8]), BitmapError> {
+    if data.is_empty() {
+        return Ok((0, data));
+    }
+    if data.len() < 8 {
+        return Err(BitmapError::Truncated);
+    }
+    let (n, sample_every) = (le_u32(data, 0) as usize, le_u32(data, 4));
+    if sample_every == 0 || n == 0 {
+        return Err(BitmapError::Truncated);
+    }
+    let need = n.saturating_mul(8).saturating_add(8);
+    let samples = data.get(8..need).ok_or(BitmapError::Truncated)?;
+    Ok((sample_every, samples))
+}
 
 /// Sampled rank/select directory over an encoded WAH word stream.
 ///
@@ -732,35 +628,17 @@ impl RankSelectDir {
     /// Deserialize [`Self::to_bytes`] output; the empty slice decodes
     /// to the empty directory. Returns the directory and bytes consumed.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), BitmapError> {
-        if data.is_empty() {
-            return Ok((Self::empty(), 0));
-        }
-        if data.len() < 8 {
-            return Err(BitmapError::Truncated);
-        }
-        let n = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-        let sample_every = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        if sample_every == 0 || n == 0 {
-            return Err(BitmapError::Truncated);
-        }
-        let need = 8 + n.saturating_mul(8);
-        if data.len() < need {
-            return Err(BitmapError::Truncated);
-        }
-        let mut samples = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 8 + i * 8;
-            let bits = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-            let ones = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            samples.push((bits, ones));
-        }
-        Ok((
-            RankSelectDir {
-                sample_every,
-                samples,
-            },
-            need,
-        ))
+        let (sample_every, raw) = dir_samples(data)?;
+        let samples = raw
+            .chunks_exact(8)
+            .map(|s| (le_u32(s, 0), le_u32(s, 4)))
+            .collect();
+        let used = if raw.is_empty() { 0 } else { 8 + raw.len() };
+        let dir = RankSelectDir {
+            sample_every,
+            samples,
+        };
+        Ok((dir, used))
     }
 
     /// Start state `(word_idx, bits, ones)` for a walk that must reach
@@ -832,55 +710,6 @@ impl WahRef<'_> {
             }
         }
         ones
-    }
-
-    /// Rank of `pos` together with the bit stored at `pos`, in one
-    /// directory-guided walk — the membership-probe primitive: the rank
-    /// indexes the chunk's packed value block, the bit says whether the
-    /// position is present at all.
-    ///
-    /// `None` when the stream cannot answer: `pos` is not strictly
-    /// inside the declared length or lies past the bits the words
-    /// cover, or the directory's checkpoint points past the words or
-    /// claims more set bits than bits. Only a damaged stream or
-    /// directory does that; a rank that is merely too large for the
-    /// values it indexes is for the caller to check.
-    pub fn rank_bit_with(&self, dir: &RankSelectDir, pos: u64) -> Option<(u64, bool)> {
-        if pos >= self.num_bits {
-            return None;
-        }
-        let (start, mut bits, mut ones) = dir.seek_bits(pos);
-        if start > self.words.len() || ones > bits {
-            return None;
-        }
-        for &w in &self.words[start..] {
-            if w & FILL_FLAG != 0 {
-                let nbits = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-                let set = w & FILL_BIT != 0;
-                if pos < bits + nbits {
-                    if set {
-                        ones += pos - bits;
-                    }
-                    return Some((ones, set));
-                }
-                bits += nbits;
-                if set {
-                    ones += nbits;
-                }
-            } else {
-                if pos < bits + GROUP_BITS {
-                    let lit = w & LITERAL_MASK;
-                    let mask = (1u32 << (pos - bits)) - 1;
-                    return Some((
-                        ones + u64::from((lit & mask).count_ones()),
-                        (lit >> (pos - bits)) & 1 == 1,
-                    ));
-                }
-                bits += GROUP_BITS;
-                ones += u64::from((w & LITERAL_MASK).count_ones());
-            }
-        }
-        None
     }
 
     /// Position of the `k`-th set bit (0-indexed) via the sampled
@@ -1112,6 +941,13 @@ impl WahBuilder {
 mod tests {
     use super::*;
 
+    /// A bitmap of `n` bits, all set.
+    fn all_ones(n: u64) -> WahBitmap {
+        let mut b = WahBuilder::new();
+        b.append_run(true, n);
+        b.finish()
+    }
+
     #[test]
     fn empty_bitmap() {
         let b = WahBuilder::new().finish();
@@ -1143,7 +979,7 @@ mod tests {
 
     #[test]
     fn long_one_run_compresses() {
-        let b = WahBitmap::ones(1_000_000);
+        let b = all_ones(1_000_000);
         assert!(b.size_in_bytes() < 64);
         assert_eq!(b.count_ones(), 1_000_000);
         assert!(b.get(0) && b.get(999_999));
@@ -1152,7 +988,7 @@ mod tests {
     #[test]
     fn padding_bits_are_not_ones() {
         // 33 bits = one full group + 2 bits: padding must not count.
-        let b = WahBitmap::ones(33);
+        let b = all_ones(33);
         assert_eq!(b.count_ones(), 33);
         assert_eq!(b.to_positions().len(), 33);
     }
@@ -1182,7 +1018,7 @@ mod tests {
             WahBitmap::from_bytes(&[1, 2, 3]),
             Err(BitmapError::Truncated)
         );
-        let mut bytes = WahBitmap::ones(10).to_bytes();
+        let mut bytes = all_ones(10).to_bytes();
         bytes[0] ^= 0xFF;
         assert!(matches!(
             WahBitmap::from_bytes(&bytes),
@@ -1224,7 +1060,7 @@ mod tests {
     fn iter_runs_partitions_and_alternates() {
         let cases = [
             WahBitmap::from_sorted_positions(200, &[0, 1, 2, 50, 51, 199]),
-            WahBitmap::ones(100),
+            all_ones(100),
             WahBitmap::zeros(100),
             WahBitmap::from_sorted_positions(1_000_000, &[0, 31, 62, 999_999]),
             WahBuilder::new().finish(),
@@ -1284,46 +1120,6 @@ mod tests {
         // Queries still work through the empty directory.
         assert_eq!(b.as_ref().rank_with(&dir, 501), 2);
         assert_eq!(b.as_ref().select_with(&dir, 2), Some(999));
-        assert_eq!(b.as_ref().rank_bit_with(&dir, 500), Some((1, true)));
-        assert_eq!(b.as_ref().rank_bit_with(&dir, 501), Some((2, false)));
-        assert_eq!(b.as_ref().rank_bit_with(&dir, 1_000), None);
-    }
-
-    /// Words that cover fewer bits than the declared length — one
-    /// literal word under 1,000 declared bits, its one set bit counted
-    /// the same either way — answer no probe past them.
-    #[test]
-    fn rank_bit_past_the_words_is_none() {
-        let mut bytes = WahBitmap::from_sorted_positions(31, &[3]).to_bytes();
-        bytes[4..12].copy_from_slice(&1_000u64.to_le_bytes());
-        let mut scratch = Vec::new();
-        let (r, _) = WahRef::decode_into(&bytes, &mut scratch).unwrap();
-        assert_eq!((r.len(), r.count_ones()), (1_000, 1));
-        let dir = RankSelectDir::empty();
-        assert_eq!(r.rank_bit_with(&dir, 3), Some((0, true)));
-        assert_eq!(r.rank_bit_with(&dir, 30), Some((1, false)));
-        assert_eq!(r.rank_bit_with(&dir, 500), None);
-    }
-
-    /// A checkpoint claiming 4,000,000 set bits within its first 31
-    /// bits would make a one-bit bitmap answer rank 4,000,000.
-    #[test]
-    fn rank_bit_through_an_impossible_checkpoint_is_none() {
-        let b = WahBitmap::from_sorted_positions(62, &[40]);
-        assert_eq!(b.words().len(), 2);
-        // One checkpoint every `every` words: (bits, ones) before it.
-        let dir = |every: u32, ones: u32| {
-            let bytes: Vec<u8> = [1, every, 31, ones]
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
-            RankSelectDir::from_bytes(&bytes).unwrap().0
-        };
-        assert_eq!(b.as_ref().rank_bit_with(&dir(1, 4_000_000), 40), None);
-        // The same checkpoint at an honest count answers; one past the
-        // words answers nothing either.
-        assert_eq!(b.as_ref().rank_bit_with(&dir(1, 0), 40), Some((0, true)));
-        assert_eq!(b.as_ref().rank_bit_with(&dir(9, 0), 40), None);
     }
 
     /// A bitmap long enough to carry samples: alternating literal noise
@@ -1358,9 +1154,6 @@ mod tests {
         let r = b.as_ref();
         for pos in (0..b.len()).step_by(13) {
             assert_eq!(r.rank_with(&dir, pos), b.rank(pos), "rank at {pos}");
-            let (rank, bit) = r.rank_bit_with(&dir, pos).unwrap();
-            assert_eq!(rank, b.rank(pos));
-            assert_eq!(bit, b.get(pos), "bit at {pos}");
         }
         assert_eq!(r.rank_with(&dir, b.len()), b.count_ones());
         let total = b.count_ones();

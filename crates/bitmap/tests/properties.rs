@@ -1,7 +1,13 @@
 //! Property-based tests: WAH bitmaps behave exactly like plain bit
-//! vectors under construction, query, serialization, and logical ops.
+//! vectors under construction, query, serialization, and logical ops;
+//! a run list decoded from a stored bitmap holds exactly its runs of
+//! ones, and a walk from wants visits exactly the wanted ones.
+//!
+//! The vendored proptest does not shrink, so the run-list properties
+//! are functions of one seed: a failure names its seed, and the seed
+//! becomes a row of the property's replay list.
 
-use mloc_bitmap::{and, andnot, or, or_many, RankSelectDir, WahBitmap};
+use mloc_bitmap::{and, andnot, or, or_many, RankSelectDir, RunListBuf, WahBitmap, WahBuilder};
 use proptest::prelude::*;
 
 fn positions(bits: &[bool]) -> Vec<u64> {
@@ -85,7 +91,7 @@ proptest! {
             last_bit = Some(bit);
         }
         prop_assert_eq!(cursor, bm.len());
-        prop_assert_eq!(from_runs.len() as u64, bm.as_ref().count_ones());
+        prop_assert_eq!(from_runs.len() as u64, bm.count_ones());
         prop_assert_eq!(from_runs, bm.iter_ones().collect::<Vec<u64>>());
     }
 
@@ -132,7 +138,7 @@ proptest! {
             rank += len;
         });
         prop_assert!(cursor <= bm.len());
-        prop_assert_eq!(rank, bm.as_ref().count_ones());
+        prop_assert_eq!(rank, bm.count_ones());
         prop_assert_eq!(from_runs, bm.iter_ones().collect::<Vec<u64>>());
     }
 
@@ -154,39 +160,6 @@ proptest! {
         });
         prop_assert!(cursor <= bm.len());
         prop_assert_eq!(from_runs, bm.iter_ones().collect::<Vec<u64>>());
-    }
-
-    /// A walk that wants only a box of rows — offsets `c0..c1` of rows
-    /// `r0..r1`, `w` wide — visits every wanted one, each visit with
-    /// its exact rank, in order, and nothing once the box is past.
-    #[test]
-    fn for_each_one_run_from_visits_every_wanted_one(
-        segments in proptest::collection::vec((any::<bool>(), 1u64..200), 1..40),
-        w in 1u64..70,
-        cols in (0u64..70, 1u64..70),
-        rows in (0u64..60, 1u64..60),
-    ) {
-        let mut b = mloc_bitmap::WahBuilder::new();
-        for &(bit, n) in &segments {
-            b.append_run(bit, n);
-        }
-        let bm = b.finish();
-        let (c0, c1) = (cols.0 % w, (cols.0 % w + cols.1).min(w));
-        let (r0, r1) = (rows.0, rows.0 + rows.1);
-        let wanted = |p: u64| (r0..r1).contains(&(p / w)) && (c0..c1).contains(&(p % w));
-        let next = |at: u64| (at..bm.len()).find(|&p| wanted(p)).unwrap_or(u64::MAX);
-        let ones: Vec<u64> = bm.iter_ones().collect();
-        let (mut got, mut last_end) = (Vec::new(), 0u64);
-        bm.as_ref().for_each_one_run_from(next(0), |start, ones_before, len| {
-            assert!(len > 0 && start >= last_end, "runs out of order");
-            assert!(start + len <= bm.len());
-            assert_eq!(ones_before, ones.partition_point(|&p| p < start) as u64);
-            got.extend((start..start + len).filter(|&p| wanted(p)));
-            last_end = start + len;
-            next(last_end)
-        });
-        let want: Vec<u64> = ones.iter().copied().filter(|&p| wanted(p)).collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -217,9 +190,6 @@ proptest! {
         for pos in 0..=bits.len() {
             let want = bits[..pos].iter().filter(|&&b| b).count() as u64;
             prop_assert_eq!(r.rank_with(&dir, pos as u64), want);
-            if pos < bits.len() {
-                prop_assert_eq!(r.rank_bit_with(&dir, pos as u64), Some((want, bits[pos])));
-            }
         }
     }
 
@@ -241,9 +211,6 @@ proptest! {
         let mut pos = 0;
         while pos <= bm.len() {
             prop_assert_eq!(r.rank_with(&dir, pos), bm.rank(pos));
-            if pos < bm.len() {
-                prop_assert_eq!(r.rank_bit_with(&dir, pos), Some((bm.rank(pos), bm.get(pos))));
-            }
             pos += step;
         }
         let kstep = (total / 97).max(1);
@@ -271,5 +238,194 @@ proptest! {
         // Each set bit costs at most ~3 words plus constant overhead.
         prop_assert!(bm.size_in_bytes() <= 24 + n_ones * 12);
         prop_assert_eq!(bm.to_positions(), pos);
+    }
+}
+
+/// xorshift64*: the run-list properties' one source of cases.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed ^ 0x9E37_79B9_7F4A_7C15 | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A bitmap of `len` bits from `rng`: alternating runs, mostly a few
+/// bits long (scattered set bits, mixed literals), some many groups
+/// long (fills of both kinds).
+fn bitmap_of(rng: &mut Rng, len: u64) -> WahBitmap {
+    let mut b = WahBuilder::new();
+    let mut bit = rng.below(2) == 1;
+    while b.len() < len {
+        let run = match rng.below(8) {
+            0 => 31 + rng.below(31 * 40),
+            1 | 2 => 1 + rng.below(31),
+            _ => 1 + rng.below(4),
+        };
+        b.append_run(bit, run.min(len - b.len()));
+        bit = !bit;
+    }
+    b.finish()
+}
+
+/// `b`'s stored extent (its stream, then its directory) decoded into a
+/// run list in `buf`.
+fn decode(buf: &mut RunListBuf, b: &WahBitmap) -> usize {
+    let mut extent = b.to_bytes();
+    extent.extend_from_slice(&RankSelectDir::build(b.as_ref()).to_bytes());
+    buf.push_wah(&extent).expect("a stored bitmap decodes")
+}
+
+/// The run list of a bitmap of `len` bits is `iter_runs`'s runs of
+/// ones, each with its rank, and carries the bitmap's count and length.
+fn runs_match_iter_runs(seed: u64, len: u64) {
+    let mut rng = Rng::new(seed);
+    let b = bitmap_of(&mut rng, len);
+    let mut buf = RunListBuf::new();
+    let at = decode(&mut buf, &b);
+    let list = buf.get(at).unwrap();
+    let mut ones = 0;
+    let want: Vec<(u64, u64, u64)> = b
+        .iter_runs()
+        .filter(|&(_, _, bit)| bit)
+        .map(|(start, len, _)| {
+            ones += len;
+            (start, ones - len, len)
+        })
+        .collect();
+    let got: Vec<(u64, u64, u64)> = list.iter().collect();
+    assert_eq!(got, want, "seed {seed:#x}");
+    assert_eq!(
+        (list.count(), list.len()),
+        (b.count_ones(), len),
+        "seed {seed:#x}"
+    );
+    let mut visited = Vec::new();
+    list.for_each_run(|start, ones_before, len| visited.push((start, ones_before, len)));
+    assert_eq!(visited, want, "seed {seed:#x}");
+}
+
+/// A chunk of `extents` offsets per dimension, row-major, and a box in
+/// it: every offset the box holds, in order.
+fn box_offsets(extents: &[u64], lo: &[u64], hi: &[u64]) -> Vec<u64> {
+    let points: u64 = extents.iter().product();
+    (0..points)
+        .filter(|&p| {
+            let mut rest = p;
+            (0..extents.len()).rev().all(|d| {
+                let c = rest % extents[d];
+                rest /= extents[d];
+                (lo[d]..hi[d]).contains(&c)
+            })
+        })
+        .collect()
+}
+
+/// A walk that wants only a box — the next wanted offset at or after
+/// the end of each visited run — visits every set bit the box holds,
+/// each run with its exact rank, in order, none wholly before its want,
+/// and nothing once the box is past.
+fn walk_visits_the_box(seed: u64, extents: &[u64]) {
+    let mut rng = Rng::new(seed);
+    let points: u64 = extents.iter().product();
+    let b = bitmap_of(&mut rng, points);
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+    for &e in extents {
+        let a = rng.below(e);
+        lo.push(a);
+        hi.push(a + 1 + rng.below(e - a));
+    }
+    let wanted = box_offsets(extents, &lo, &hi);
+    let next = |at: u64| {
+        let i = wanted.partition_point(|&p| p < at);
+        wanted.get(i).copied().unwrap_or(u64::MAX)
+    };
+    let mut buf = RunListBuf::new();
+    let at = decode(&mut buf, &b);
+    let list = buf.get(at).unwrap();
+    let ones: Vec<u64> = b.iter_ones().collect();
+    let (mut got, mut want_at, mut last_end) = (Vec::<u64>::new(), next(0), 0u64);
+    list.for_each_run_from(want_at, |start, ones_before, len| {
+        assert!(
+            len > 0 && start >= last_end,
+            "seed {seed:#x}: runs out of order"
+        );
+        assert!(
+            start + len > want_at,
+            "seed {seed:#x}: a run wholly before its want"
+        );
+        assert!(
+            start + len <= points,
+            "seed {seed:#x}: a run past the chunk"
+        );
+        let rank = ones.partition_point(|&p| p < start) as u64;
+        assert_eq!(ones_before, rank, "seed {seed:#x}");
+        let i = wanted.partition_point(|&p| p < start);
+        got.extend(wanted[i..].iter().take_while(|&&p| p < start + len));
+        last_end = start + len;
+        want_at = next(last_end);
+        want_at
+    });
+    let want: Vec<u64> = ones
+        .iter()
+        .copied()
+        .filter(|p| wanted.binary_search(p).is_ok())
+        .collect();
+    assert_eq!(
+        got, want,
+        "seed {seed:#x}, box {lo:?}..{hi:?} of {extents:?}"
+    );
+}
+
+/// Seeds of the run-list properties to replay, each once a failure or
+/// an edge worth keeping: add the seed a failing run prints.
+const REPLAY: &[u64] = &[0, 1, 2, 42, 0xDEAD_BEEF, u64::MAX];
+
+#[test]
+fn replayed_seeds_hold_every_run_list_property() {
+    for &seed in REPLAY {
+        for len in [1, 30, 31, 32, 16_384] {
+            runs_match_iter_runs(seed, len);
+        }
+        for extents in [&[500][..], &[128, 128], &[9, 7, 31]] {
+            walk_visits_the_box(seed, extents);
+        }
+    }
+}
+
+/// A 64³ chunk has 262,144 points: offsets, gaps and runs past 16 bits.
+#[test]
+fn a_64_cubed_chunk_walks_past_sixteen_bits() {
+    for &seed in REPLAY {
+        runs_match_iter_runs(seed, 64 * 64 * 64);
+        walk_visits_the_box(seed, &[64, 64, 64]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn runs_equal_the_bitmaps_runs_of_ones(seed in any::<u64>(), len in 1u64..20_000) {
+        runs_match_iter_runs(seed, len);
+    }
+
+    #[test]
+    fn for_each_run_from_visits_every_wanted_one(
+        seed in any::<u64>(),
+        extents in proptest::collection::vec(1u64..40, 1..4),
+    ) {
+        walk_visits_the_box(seed, &extents);
     }
 }

@@ -187,9 +187,17 @@ impl ChunkGrid {
         )
     }
 
-    /// Number of points in a chunk.
+    /// Number of points in a chunk (clamped at the domain edge), with
+    /// no allocation.
     pub fn chunk_points(&self, chunk: usize) -> usize {
-        self.chunk_region(chunk).num_points()
+        let mut id = chunk;
+        let mut points = 1;
+        for d in (0..self.dims()).rev() {
+            let start = id % self.grid[d] * self.chunk_shape[d];
+            id /= self.grid[d];
+            points *= (start + self.chunk_shape[d]).min(self.shape[d]) - start;
+        }
+        points
     }
 
     /// Write a chunk's clamped ranges into `out` without allocating —

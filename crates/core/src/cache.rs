@@ -4,10 +4,10 @@
 //! queries that decompress the same (bin, chunk, byte-group) blocks
 //! over and over. [`BlockCache`] sits between the query engine and the
 //! [`mloc_pfs::StorageBackend`]: it holds *decompressed* blocks —
-//! each bin's verified fixed blocks, positional bitmaps, PLoD data
-//! units, and whole-value float blocks — keyed by `(dataset/var, bin,
-//! chunk, part)`, so a repeated or overlapping query skips both the PFS
-//! read and the codec work.
+//! each bin's verified fixed blocks, positional bitmaps as verified run
+//! lists, PLoD data units, and whole-value float blocks — keyed by
+//! `(dataset/var, bin, chunk, part)`, so a repeated or overlapping query
+//! skips both the PFS read and the codec work.
 //!
 //! Accounting rules (see `DESIGN.md`):
 //!
@@ -45,11 +45,10 @@
 //! a variable under the same dataset/var names with different content
 //! requires a fresh cache.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::binfile::Tables;
 use crate::index::{HeaderView, SummaryView};
 use crate::integrity::ExtentFooter;
+use mloc_bitmap::RunList;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,7 +64,8 @@ pub enum BlockPart {
     /// A bin's verified fixed blocks, as one [`FixedBlocks`] entry
     /// (chunk rank is 0).
     Fixed,
-    /// The positional WAH bitmap of one chunk in one bin.
+    /// The positional bitmap of one chunk in one bin, as a verified
+    /// [`RunList`].
     Bitmap,
     /// A whole-value decompressed float block (non-PLoD layouts).
     Floats,
@@ -290,25 +290,29 @@ impl FixedBlocks {
 /// A cached decompressed block.
 #[derive(Debug, Clone)]
 pub enum CachedBlock {
-    /// Raw bytes: bitmaps, PLoD unit prefixes. Stored as a view so
-    /// cache inserts of extent subslices copy nothing.
+    /// Raw bytes: PLoD unit prefixes. Stored as a view so cache inserts
+    /// of extent subslices copy nothing.
     Bytes(ByteView),
     /// Decoded doubles: whole-value blocks.
     Floats(Arc<Vec<f64>>),
     /// One bin's verified, parsed fixed blocks.
     Fixed(Arc<FixedBlocks>),
+    /// One chunk's positional bitmap, decoded once and checked against
+    /// its header entry: a run list, holding no extent buffer.
+    Runs(Arc<RunList>),
 }
 
 impl CachedBlock {
     /// Budget charge of this block in bytes (the view length for byte
     /// blocks — shared extent backing is charged per view, so a few
     /// coalescing-gap bytes may ride along free; fixed blocks are
-    /// charged their stored size).
+    /// charged their stored size; a run list its own heap bytes).
     pub fn cost(&self) -> u64 {
         match self {
             CachedBlock::Bytes(b) => b.len() as u64,
             CachedBlock::Floats(f) => (f.len() * std::mem::size_of::<f64>()) as u64,
             CachedBlock::Fixed(f) => f.cost(),
+            CachedBlock::Runs(r) => r.heap_bytes(),
         }
     }
 

@@ -61,6 +61,9 @@ impl PlodLevel {
     /// Full precision (all 8 bytes).
     pub const FULL: PlodLevel = PlodLevel(7);
 
+    /// The coarsest level: the two-byte base group alone.
+    pub const COARSEST: PlodLevel = PlodLevel(1);
+
     /// Level in `1..=7`.
     pub fn new(level: u8) -> Result<Self> {
         if (1..=7).contains(&level) {
@@ -378,6 +381,10 @@ impl ConfigBuilder {
             stripe_size: self.stripe_size,
             build_threads: self.build_threads,
         };
+        // The documented contract: an invalid configuration is the
+        // caller's bug, caught where it is built. `validate` is the
+        // fallible check for a configuration read from elsewhere.
+        #[allow(clippy::expect_used)]
         config.validate().expect("invalid configuration");
         config
     }

@@ -81,7 +81,7 @@ impl DegradationReport {
         } else {
             1
         };
-        Some(PlodLevel::new(level).expect("clamped to a valid level"))
+        Some(PlodLevel::new(level).unwrap_or(PlodLevel::COARSEST))
     }
 
     /// Worst-case relative error bound over all returned values given

@@ -7,8 +7,6 @@
 //! PFS simulator from the per-rank read traces; decompression and
 //! reconstruction are measured.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::metrics::{Meter, QueryMetrics};
 use crate::query::engine::{process_units, RankJob, RankOutput, Refinement};
 use crate::query::plan::{make_plan, Plan, WorkUnit};

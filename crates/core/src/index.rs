@@ -131,11 +131,12 @@ const SUMMARY_PROLOGUE: u64 = 8;
 const SUMMARY_RECORD: u64 = 9;
 
 pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte field"))
+    let b = &b[at..at + 4];
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 pub(crate) fn le_u64(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("8-byte field"))
+    u64::from(le_u32(b, at)) | u64::from(le_u32(b, at + 4)) << 32
 }
 
 /// Exact size in bytes of the chunk-summary section.
@@ -429,7 +430,11 @@ mod tests {
             &[UnitLoc::default()],
         );
         // Full chunk: all 20 bits.
-        b.set_chunk(1, &WahBitmap::ones(20), &[UnitLoc::default()]);
+        b.set_chunk(
+            1,
+            &WahBitmap::from_bools(&[true; 20]),
+            &[UnitLoc::default()],
+        );
         let bytes = finish(b);
         let hdr = HeaderView::parse(&bytes[..header_size(3, 1) as usize]).unwrap();
         let start = hdr.summary_file_offset() as usize;
@@ -643,14 +648,14 @@ mod tests {
                 &WahBitmap::from_sorted_positions(300, &[0, 1, 2, 64, 299]),
                 &locs(1),
             );
-            b.set_chunk(2, &WahBitmap::ones(300), &locs(2));
+            b.set_chunk(2, &WahBitmap::from_bools(&[true; 300]), &locs(2));
             let sparse: Vec<u64> = (0..40_000).step_by(11).collect();
             b.set_chunk(
                 3,
                 &WahBitmap::from_sorted_positions(40_000, &sparse),
                 &locs(3),
             );
-            b.set_chunk(5, &WahBitmap::ones(17), &locs(4));
+            b.set_chunk(5, &WahBitmap::from_bools(&[true; 17]), &locs(4));
             out.push((b.finish(&[7; 64], &[64]).bytes, 6, num_parts));
             out.push((finish(BinFileBuilder::new(0, 4, num_parts)), 4, num_parts));
         }

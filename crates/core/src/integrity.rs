@@ -41,8 +41,6 @@
 //! layout, not the table's: extents follow each other from the start
 //! of each *run*, `(first entry, file offset)`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::{MlocError, Result};
 
 /// Trailer magic: "MFTR" little-endian.

@@ -52,6 +52,8 @@
 //! assert_eq!(result.positions().len(), 10);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod array;
 pub mod binfile;
 pub mod binning;

@@ -4,8 +4,6 @@
 //! a query's cost is computed — for an executor run and for a
 //! progressive refinement pull alike.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::degrade::DegradationReport;
 use crate::query::engine::RankOutput;
 use crate::query::plan::Plan;

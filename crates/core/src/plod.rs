@@ -11,8 +11,6 @@
 //! underestimate the magnitude, while the midpoint fill halves the
 //! expected error.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::config::{PlodLevel, NUM_PARTS};
 use crate::{MlocError, Result};
 

@@ -44,8 +44,6 @@
 //! [`DegradationReport`] path instead of failing the query, and the
 //! per-step error bound accounts for every capped unit.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::cache::CachedBlock;
 use crate::config::PlodLevel;
 use crate::degrade::DegradationEvent;

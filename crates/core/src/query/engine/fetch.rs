@@ -6,7 +6,9 @@
 //! summary, index table and — when the bin's units read data — data
 //! table, verified, parsed and cached as one entry; a warm bin replays
 //! their spans as cached records), a coalesced want-list of bitmaps
-//! ([`Fetcher::wants`], one probe per bitmap), and a data unit
+//! ([`Fetcher::wants`], one probe per bitmap; a read bitmap is decoded
+//! once into a run list and checked against its header entry before
+//! anything is cached), and a data unit
 //! ([`Fetcher::unit_block`], one probe whatever number of its extents
 //! the block found serves; the extents it did not serve are read by
 //! [`Fetcher::read`]). A cold bin's header and summary are read *before*
@@ -21,7 +23,8 @@ use crate::index::{header_size, HeaderView, SummaryView};
 use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
 use crate::plod;
 use crate::store::MlocStore;
-use crate::Result;
+use crate::{MlocError, Result};
+use mloc_bitmap::{RunList, RunListBuf};
 use mloc_obs::Collector;
 use mloc_pfs::{RankIo, ReadOp, RetryPolicy};
 use std::sync::Arc;
@@ -61,9 +64,24 @@ pub struct FetchReport {
     pub batch_depths: Vec<u64>,
 }
 
-/// One keyed extent of a coalesced want-list: the cache key of the
-/// block it holds, its byte offset in the file, and its stored length.
-pub(crate) type Want = (BlockKey, u64, u32);
+/// One bitmap of a coalesced want-list: the cache key of its run list
+/// (whose chunk rank names the chunk it must cover), its extent's byte
+/// offset in the file and stored length, and the set-bit count its
+/// header entry declares — the unit's point count.
+pub(crate) struct Want {
+    pub key: BlockKey,
+    pub offset: u64,
+    pub len: u32,
+    pub count: u32,
+}
+
+/// Where a unit's run list is: the cache entry that holds it, or its
+/// index in the bin's run-list buffer.
+#[derive(Clone)]
+pub(crate) enum UnitRuns {
+    Cached(Arc<RunList>),
+    Local(usize),
+}
 
 /// The decoded data block the cache holds of one unit, and how many of
 /// the unit's leading parts it serves: a PLoD unit's prefix of parts
@@ -166,6 +184,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
         found.filter(|b| match key.part {
             BlockPart::Fixed => matches!(b, CachedBlock::Fixed(_)),
+            BlockPart::Bitmap => matches!(b, CachedBlock::Runs(_)),
             BlockPart::Floats => b.as_floats().is_some(),
             _ => b.as_bytes().is_some(),
         })
@@ -440,25 +459,26 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(Arc::new(footer))
     }
 
-    /// Fetch a want-list of keyed index blocks from one file, handing
-    /// `sink` each want's index and outcome: cache hits first, in want
+    /// Fetch a want-list of bitmaps from one file, handing `sink` each
+    /// want's index and where its run list is: cache hits first, in want
     /// order (traced at zero cost), then the misses, in want order, as
-    /// [`Self::read`] gets them; each miss read is offered to the cache.
-    /// Failures are per want; the sink decides which are fatal by
-    /// returning them.
+    /// [`Self::read`] gets them, each decoded into `local` and admitted
+    /// ([`Self::admit_runs`]). Failures are per want; the sink decides
+    /// which are fatal by returning them.
     pub fn wants(
         &mut self,
         file: &Arc<str>,
         wants: &[Want],
         footer: Option<&ExtentFooter>,
-        mut sink: impl FnMut(usize, Result<ByteView>) -> Result<()>,
+        local: &mut RunListBuf,
+        mut sink: impl FnMut(usize, Result<UnitRuns>) -> Result<()>,
     ) -> Result<()> {
         let mut missed: Vec<usize> = Vec::new();
-        for (i, (key, off, len)) in wants.iter().enumerate() {
-            match self.probe(key) {
-                Some(CachedBlock::Bytes(block)) => {
-                    self.served(file, *off, u64::from(*len));
-                    sink(i, Ok(block))?;
+        for (i, want) in wants.iter().enumerate() {
+            match self.probe(&want.key) {
+                Some(CachedBlock::Runs(runs)) => {
+                    self.served(file, want.offset, u64::from(want.len));
+                    sink(i, Ok(UnitRuns::Cached(runs)))?;
                 }
                 _ => missed.push(i),
             }
@@ -466,15 +486,44 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         if missed.is_empty() {
             return Ok(());
         }
-        let extents: Vec<(u64, u32)> = missed.iter().map(|&i| (wants[i].1, wants[i].2)).collect();
+        let extents: Vec<(u64, u32)> = missed
+            .iter()
+            .map(|&i| (wants[i].offset, wants[i].len))
+            .collect();
         let reads = self.read(file, &extents, footer, true);
         for (i, got) in missed.into_iter().zip(reads) {
-            if let Ok(view) = &got {
-                self.publish(wants[i].0.clone(), CachedBlock::Bytes(view.clone()));
-            }
-            sink(i, got)?;
+            let runs = got.and_then(|view| self.admit_runs(&wants[i], &view, local));
+            sink(i, runs)?;
         }
         Ok(())
+    }
+
+    /// Decode a verified bitmap extent into `local` and check it against
+    /// its header entry: as many set bits as the unit has points, as
+    /// long as its chunk. Only then is it offered to the cache, as a run
+    /// list of its own. An extent that does not decode — words short of
+    /// their length, or a directory that disagrees with them — holds
+    /// positions it cannot rank.
+    fn admit_runs(
+        &mut self,
+        want: &Want,
+        extent: &[u8],
+        local: &mut RunListBuf,
+    ) -> Result<UnitRuns> {
+        let at = local
+            .push_wah(extent)
+            .map_err(|_| MlocError::Corrupt("index bitmap rank out of range"))?;
+        let cell = self.store.order().cell_at(want.key.chunk_rank as usize);
+        let points = self.store.grid().chunk_points(cell) as u64;
+        let runs = local
+            .get(at)
+            .filter(|r| (r.count(), r.len()) == (u64::from(want.count), points));
+        let runs = runs.ok_or(MlocError::Corrupt("index bitmap inconsistent"))?;
+        if self.caches() {
+            let list = CachedBlock::Runs(Arc::new(runs.to_list()));
+            self.publish(want.key.clone(), list);
+        }
+        Ok(UnitRuns::Local(at))
     }
 
     /// Read `extents` — `(offset, stored length)` — of one file,
@@ -592,9 +641,17 @@ mod tests {
         match part {
             BlockPart::Fixed => drop(f.fixed(BIN, |_| false).unwrap()),
             BlockPart::Bitmap => {
-                let want = (key, index.bitmap_file_offset(r), index.bitmap_len(r));
-                f.wants(&file, &[want], Some(&index_table), |_, got| got.map(drop))
-                    .unwrap();
+                let want = Want {
+                    key,
+                    offset: index.bitmap_file_offset(r),
+                    len: index.bitmap_len(r),
+                    count: index.count(r),
+                };
+                let mut local = RunListBuf::new();
+                f.wants(&file, &[want], Some(&index_table), &mut local, |_, got| {
+                    got.map(drop)
+                })
+                .unwrap();
             }
             BlockPart::PlodUnit => {
                 let (loc, count) = (index.unit(r, 0), index.count(r) as usize);
@@ -653,31 +710,44 @@ mod tests {
         let part0 = index.unit(r, 0);
         // Header, summary and index table: one span from the front.
         let (table_at, table_len) = tables.index_span();
-        let table: [(BlockPart, u64, u64, bool); 3] = [
-            (BlockPart::Fixed, 0, table_at + table_len, false),
+        // A bitmap is cached as its run list, charged the list's bytes.
+        let bitmap_at = index.bitmap_file_offset(r);
+        let bitmap_len = u64::from(index.bitmap_len(r));
+        let mut runs = mloc_bitmap::RunListBuf::new();
+        let extent = &raw[bitmap_at as usize..(bitmap_at + bitmap_len) as usize];
+        let at = runs.push_wah(extent).unwrap();
+        let run_bytes = runs.get(at).unwrap().to_list().heap_bytes();
+        assert!(run_bytes < bitmap_len, "{run_bytes} of {bitmap_len}");
+        // (part, offset, stored length, coalesced, cache charge)
+        let table: [(BlockPart, u64, u64, bool, u64); 3] = [
             (
-                BlockPart::Bitmap,
-                index.bitmap_file_offset(r),
-                u64::from(index.bitmap_len(r)),
-                true,
+                BlockPart::Fixed,
+                0,
+                table_at + table_len,
+                false,
+                table_at + table_len,
             ),
+            (BlockPart::Bitmap, bitmap_at, bitmap_len, true, run_bytes),
             (
                 BlockPart::PlodUnit,
                 part0.offset,
                 u64::from(part0.clen),
                 true,
+                crate::plod::part_range(index.count(r) as usize, 0).len() as u64,
             ),
         ];
 
-        for (part, off, len, coalesced) in table {
+        for (part, off, len, coalesced, charge) in table {
             let want = |charged: bool| (len, file.to_string(), off, len, charged);
             let cold = fetch(&plain, &index, r, part);
             assert_eq!(shape(&cold), want(true), "{part:?} cold");
             assert_eq!(cold.cache_misses + cold.cache_hits + cold.fused_reads, 0);
 
-            let cached = open().with_cache(Arc::new(BlockCache::with_budget_mb(8)));
+            let cache = Arc::new(BlockCache::with_budget_mb(8));
+            let cached = open().with_cache(Arc::clone(&cache));
             let fill = fetch(&cached, &index, r, part);
             assert_eq!(shape(&fill), want(true), "{part:?} cache fill");
+            assert_eq!(cache.stats().resident_bytes, charge, "{part:?} charge");
             let warm = fetch(&cached, &index, r, part);
             assert_eq!(shape(&warm), want(false), "{part:?} warm");
             assert_eq!((warm.cache_hits, warm.bytes_saved), (1, len));

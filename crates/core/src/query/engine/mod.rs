@@ -8,15 +8,13 @@
 //! discipline"): coalesced reads hand out [`ByteView`]s into shared
 //! extent buffers instead of per-want copies.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 mod decode;
 mod fetch;
 mod reconstruct;
 
 pub(crate) use decode::Decoder;
 pub use fetch::FetchReport;
-pub(crate) use fetch::{Fetcher, UnitBlock, Want};
+pub(crate) use fetch::{Fetcher, UnitBlock, UnitRuns, Want};
 
 use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
@@ -27,6 +25,7 @@ use crate::query::plan::WorkUnit;
 use crate::query::Landing;
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
+use mloc_bitmap::{RunList, RunListBuf, RunListRef};
 use mloc_obs::{Collector, Label};
 use mloc_pfs::RetryPolicy;
 use reconstruct::Reconstructor;
@@ -156,11 +155,16 @@ pub(crate) struct BinBlocks {
     /// stores — and the data checksum table, fetched iff a unit of the
     /// bin reads data.
     pub fixed: Arc<FixedBlocks>,
-    /// Per unit: its stored bitmap (a WAH stream, then — v2 — the
-    /// chunk's rank/select directory), when one had to be read.
-    pub bitmaps: Vec<Option<ByteView>>,
+    /// Per unit with points: where its run list is — its stored bitmap
+    /// (a WAH stream, then — v2 and v3 — the chunk's rank/select
+    /// directory), decoded once and checked against its header entry,
+    /// or a full chunk's one run.
+    runs: Vec<Option<UnitRuns>>,
+    /// The run lists of this bin no cache entry holds: every one when
+    /// the store has no cache (the buffer is reused from bin to bin).
+    local: RunListBuf,
     /// Per unit: the summary said "all of chunk", so the bitmap was
-    /// never read and is synthesized as all ones.
+    /// never read and its run list is the whole chunk.
     pub full: Vec<bool>,
     /// Unit-major `units × n_parts` slots: the decoded data blocks —
     /// PLoD byte groups, or the one whole-value block — of the units
@@ -174,6 +178,14 @@ pub(crate) struct BinBlocks {
 }
 
 impl BinBlocks {
+    /// Unit `gi`'s run list (`None` for a unit with no points).
+    pub fn runs(&self, gi: usize) -> Option<RunListRef<'_>> {
+        match self.runs.get(gi)?.as_ref()? {
+            UnitRuns::Cached(list) => Some(RunList::as_ref(list)),
+            UnitRuns::Local(at) => self.local.get(*at),
+        }
+    }
+
     /// Unit `gi`'s part slots (empty when the bin read no data).
     pub fn unit_parts(&self, gi: usize) -> &[Option<CachedBlock>] {
         self.parts
@@ -189,6 +201,8 @@ struct Rank<'j, 'a> {
     decoder: Decoder,
     recon: Reconstructor<'j, 'a>,
     out: RankOutput,
+    /// The run-list buffer each bin's blocks borrow in turn.
+    local: RunListBuf,
     // Two-level-index accounting: chunks whose bitmap read the v2
     // summary made unnecessary (full chunks), and chunks that still
     // needed their bitmap.
@@ -213,6 +227,7 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
         decoder: Decoder::new(job.store.config().codec),
         recon: Reconstructor::new(job),
         out: RankOutput::default(),
+        local: RunListBuf::new(),
         summary_skips: 0,
         summary_hits: 0,
     };
@@ -222,6 +237,7 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
         let mut blocks = rank.read_index(group, obs)?;
         rank.read_data(group, &mut blocks, obs)?;
         rank.reconstruct(group, &blocks, obs)?;
+        rank.local = blocks.local;
     }
     Ok(rank.finish(obs))
 }
@@ -254,7 +270,10 @@ impl Rank<'_, '_> {
         let (index, file) = (&fixed.index, self.fetcher.index_file(bin));
 
         // Positional bitmaps for this rank's chunks, as one want-list.
-        let mut bitmaps: Vec<Option<ByteView>> = vec![None; group.len()];
+        let (grid, order) = (self.job.store.grid(), self.job.store.order());
+        let mut local = std::mem::take(&mut self.local);
+        local.clear();
+        let mut runs: Vec<Option<UnitRuns>> = vec![None; group.len()];
         let mut full = vec![false; group.len()];
         let mut wants: Vec<Want> = Vec::new();
         let mut slots: Vec<usize> = Vec::new(); // unit idx in group
@@ -263,24 +282,35 @@ impl Rank<'_, '_> {
             if len == 0 {
                 continue;
             }
+            let count = index.count(u.chunk_rank);
             // Summary classification (v2): a full chunk's bitmap is
-            // all ones, so it is synthesized at reconstruction instead
-            // of read; partial chunks still fetch their bitmap.
+            // all ones — one run — so it is never read; partial chunks
+            // still fetch their bitmap.
             if let Some(sums) = &fixed.summaries {
                 if sums.get(u.chunk_rank).all_of_chunk {
+                    let points = grid.chunk_points(order.cell_at(u.chunk_rank)) as u64;
+                    if u64::from(count) != points {
+                        return Err(MlocError::Corrupt("index bitmap inconsistent"));
+                    }
                     full[gi] = true;
+                    runs[gi] = Some(UnitRuns::Local(local.push_full(points)));
                     self.summary_skips += 1;
                     continue;
                 }
                 self.summary_hits += 1;
             }
-            let key = self.fetcher.key(bin, u.chunk_rank, BlockPart::Bitmap);
-            wants.push((key, index.bitmap_file_offset(u.chunk_rank), len));
+            wants.push(Want {
+                key: self.fetcher.key(bin, u.chunk_rank, BlockPart::Bitmap),
+                offset: index.bitmap_file_offset(u.chunk_rank),
+                len,
+                count,
+            });
             slots.push(gi);
         }
+        let footer = Some(&*fixed.footer);
         self.fetcher
-            .wants(&file, &wants, Some(&fixed.footer), |k, got| {
-                bitmaps[slots[k]] = Some(got?);
+            .wants(&file, &wants, footer, &mut local, |k, got| {
+                runs[slots[k]] = Some(got?);
                 Ok(())
             })?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
@@ -294,7 +324,8 @@ impl Rank<'_, '_> {
         Ok(BinBlocks {
             data_file: self.fetcher.data_file(bin),
             fixed,
-            bitmaps,
+            runs,
+            local,
             full,
             parts: Vec::new(),
             n_parts: self.recon.n_parts,
@@ -532,12 +563,24 @@ mod tests {
         );
     }
 
+    /// The key of the run list `store`'s cache would hold of chunk
+    /// rank `rank`'s bitmap in `bin`.
+    fn bitmap_key(store: &MlocStore<'_>, bin: usize, rank: usize) -> crate::cache::BlockKey {
+        crate::cache::BlockKey {
+            scope: std::sync::Arc::clone(store.cache_scope()),
+            bin: bin as u32,
+            chunk_rank: rank as u32,
+            part: crate::cache::BlockPart::Bitmap,
+        }
+    }
+
     /// A chunk the region straddles, with one set bit added to its
     /// bitmap past the last row of the region's box under a resealed
-    /// index table: the walks that visit only the box still count the
-    /// bitmap's every one, so a one-shot query and a progressive
-    /// ladder's step 0 — the same deferred walk — both refuse the unit,
-    /// cold, and warm from the blocks the failed run cached.
+    /// index table: the bitmap's count no longer matches its header
+    /// entry, which admission checks before any walk, so a one-shot
+    /// query and a progressive ladder's step 0 both refuse the unit,
+    /// cold, and warm from the blocks the failed run cached — and its
+    /// run list is never cached.
     #[test]
     fn an_extra_bit_outside_the_box_is_corrupt_cold_and_warm() {
         use crate::array::Region;
@@ -561,7 +604,7 @@ mod tests {
 
         // The first bin whose bitmap of the chunk has a literal word
         // with a clear bit past the box: set the highest such bit.
-        let edited = (0..4).any(|bin| {
+        let edited = (0..4).find(|&bin| {
             let file = store.index_file(bin);
             let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
             let index = HeaderView::parse(&raw[..]).unwrap();
@@ -592,7 +635,7 @@ mod tests {
             be.append(file, &raw).unwrap();
             true
         });
-        assert!(edited, "no literal word past the box");
+        let bin = edited.expect("no literal word past the box");
 
         let q = Query::values_in(region);
         let inconsistent = |tag: &str, err: MlocError| {
@@ -609,19 +652,26 @@ mod tests {
             inconsistent(mode, store.query_serial(&q).unwrap_err());
             let ladder = store.query_progressive(&q).map(drop);
             inconsistent(&format!("{mode} ladder"), ladder.unwrap_err());
+            let damaged = bitmap_key(&cached, bin, rank);
+            assert!(
+                cache.get(&damaged).is_none(),
+                "{mode}: the bitmap was cached"
+            );
         }
         assert!(cache.stats().hits > 0, "the warm runs were served");
     }
 
     /// A chunk's bitmap edited in place under a resealed checksum table
-    /// still counts its own ones right — so it passes the unit's
-    /// consistency check — but cannot answer a membership probe: a
-    /// zero fill shrunk so the words stop short of the declared length,
-    /// or a directory checkpoint claiming more ones than the unit has
-    /// values. The probe reports a corrupt index instead of panicking.
+    /// still counts its own ones right, but holds positions it cannot
+    /// rank: a zero fill shrunk so the words stop short of the declared
+    /// length, or a directory checkpoint claiming more ones than the
+    /// unit has values. Admission refuses it as a corrupt index instead
+    /// of panicking, cold and behind a cache, and never caches it.
     #[test]
     fn a_bitmap_that_disagrees_with_itself_is_corrupt_not_a_panic() {
+        use crate::cache::BlockCache;
         use crate::index::HeaderView;
+        use std::sync::Arc;
 
         // One 64 × 64 chunk, 4 bins: `values` picks what the bitmaps
         // look like; `edit` damages one bin's chunk bitmap extent (a
@@ -637,7 +687,7 @@ mod tests {
             let store = MlocStore::open(&be, "ds", "v").unwrap();
             let query = Query::membership((0..4096).collect()).with_values();
             store.query_serial(&query).unwrap();
-            let edited = (0..4).any(|bin| {
+            let edited = (0..4).find(|&bin| {
                 let file = store.index_file(bin);
                 let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
                 let index = HeaderView::parse(&raw[..]).unwrap();
@@ -651,12 +701,23 @@ mod tests {
                 be.append(file, &raw).unwrap();
                 true
             });
-            assert!(edited, "no bitmap to edit");
-            let err = store.query_serial(&query).unwrap_err();
-            assert!(
-                matches!(err, MlocError::Corrupt("index bitmap rank out of range")),
-                "got {err}"
-            );
+            let bin = edited.expect("no bitmap to edit");
+            let cache = Arc::new(BlockCache::with_budget_mb(8));
+            let cached = MlocStore::open(&be, "ds", "v")
+                .unwrap()
+                .with_cache(Arc::clone(&cache));
+            for (mode, store) in [("cold", &store), ("cache fill", &cached), ("warm", &cached)] {
+                let err = store.query_serial(&query).unwrap_err();
+                assert!(
+                    matches!(err, MlocError::Corrupt("index bitmap rank out of range")),
+                    "{mode}: got {err}"
+                );
+                let damaged = bitmap_key(&cached, bin, 0);
+                assert!(
+                    cache.get(&damaged).is_none(),
+                    "{mode}: the bitmap was cached"
+                );
+            }
         };
         let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
 

@@ -1,10 +1,11 @@
-//! Stage 3 — reconstruct: decode bitmaps, assemble values, filter, and
-//! map chunk-local offsets to global positions.
+//! Stage 3 — reconstruct: walk each unit's run list, assemble values,
+//! filter, and map chunk-local offsets to global positions.
 //!
 //! The hot path is run-aware (see `DESIGN.md`, "hot-path memory
-//! discipline"): the loops consume WAH *runs* so a fill of ones
-//! becomes one bulk range operation, and per-chunk scratch buffers
-//! (PLoD floats, coordinates, bitmap words) are reused across work
+//! discipline"): the loops consume runs of set bits, each from the
+//! unit's run list (decoded and checked once, when its bitmap was
+//! admitted), so a run becomes one bulk range operation, and per-chunk
+//! scratch buffers (PLoD floats, coordinates) are reused across work
 //! units. The per-point general path is kept as the differential
 //! oracle the bulk paths are tested against.
 
@@ -15,7 +16,7 @@ use crate::index::ChunkSummary;
 use crate::plod;
 use crate::query::plan::{parts_used, WorkUnit};
 use crate::{MlocError, Result};
-use mloc_bitmap::{RankSelectDir, WahBitmap, WahRef};
+use mloc_bitmap::RunListRef;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -217,7 +218,7 @@ impl ChunkEmitter {
 /// come in order too: an odometer over the box's outer coordinates
 /// moves forward one box row at a time, with no division. Every piece
 /// is cut to the box's last-dimension window, and the next offset the
-/// box wants tells the bitmap walk which words it may skip. A chunk
+/// box wants tells the run walk which runs it may skip. A chunk
 /// wholly inside the region (`whole`) needs no cursor: its runs are
 /// kept as they come ([`for_each_kept`]).
 struct Window {
@@ -356,29 +357,19 @@ impl Window {
     }
 }
 
-/// Walk `bitmap`'s runs of set bits through `window` (aimed at the
-/// bitmap's chunk), calling `keep(at, vi, take)` for each kept piece:
-/// its chunk-local offset, the index of its first value (the rank of
-/// its first bit), and its point count. A chunk wholly inside keeps
-/// every run as it comes; otherwise bitmap words wholly outside the box
-/// are only counted, and nothing is visited past the box's last row.
-/// Returns the bitmap's number of set bits.
+/// Walk a unit's runs of set bits through `window` (aimed at the
+/// unit's chunk), calling `keep(at, vi, take)` for each kept piece: its
+/// chunk-local offset, the index of its first value (the rank of its
+/// first bit), and its point count. A chunk wholly inside keeps every
+/// run as it comes; otherwise a run wholly outside the box costs one
+/// pair decode, and the walk stops at the box's last row.
 #[inline]
-fn for_each_kept(
-    bitmap: WahRef<'_>,
-    window: &mut Window,
-    mut keep: impl FnMut(u64, usize, u64),
-) -> u64 {
+fn for_each_kept(runs: RunListRef<'_>, window: &mut Window, mut keep: impl FnMut(u64, usize, u64)) {
     if window.whole {
-        let mut local = 0u64;
-        return bitmap.for_each_one_run(|gap, ones_before, len| {
-            local += gap;
-            keep(local, ones_before as usize, len);
-            local += len;
-        });
+        return runs.for_each_run(|at, ones_before, len| keep(at, ones_before as usize, len));
     }
     let first = window.want(0);
-    bitmap.for_each_one_run_from(first, |run, ones_before, len| {
+    runs.for_each_run_from(first, |run, ones_before, len| {
         window.clip(run, len, |at, take| {
             keep(at, (ones_before + at - run) as usize, take)
         });
@@ -512,14 +503,14 @@ impl Source<'_> {
     }
 }
 
-/// What the per-unit emission paths see of one unit: bitmap decoded,
+/// What the per-unit emission paths see of one unit: its run list,
 /// and — on the position-filtered, membership and general paths —
 /// values assembled whole.
 struct UnitView<'u> {
     unit: &'u WorkUnit,
     /// The chunk's extent per dimension, clamped at the domain edge.
     ranges: &'u [(usize, usize)],
-    bitmap: WahRef<'u>,
+    runs: RunListRef<'u>,
     /// The unit's values in bitmap rank order, present iff they must
     /// be checked against the value constraint.
     filter_vals: Option<&'u [f64]>,
@@ -534,13 +525,12 @@ fn within((lo, hi): (f64, f64), v: f64) -> bool {
 }
 
 /// Buffers reused across every chunk of every bin: the PLoD assembly
-/// targets (a whole unit, and a piece a value filter tests), the bitmap
-/// word buffer, and the chunk's clamped ranges.
+/// targets (a whole unit, and a piece a value filter tests) and the
+/// chunk's clamped ranges.
 #[derive(Default)]
 struct Scratch {
     values: Vec<f64>,
     piece: Vec<f64>,
-    words: Vec<u32>,
     ranges: Vec<(usize, usize)>,
 }
 
@@ -568,7 +558,8 @@ pub(crate) struct Reconstructor<'j, 'a> {
     /// id (the order emission walks them in), emitted in bulk after
     /// the last bin.
     scatter: BTreeMap<usize, ChunkScatter>,
-    /// Sampled-directory rank probes the membership path issued.
+    /// Membership probes answered from a stored bitmap's runs (a full
+    /// chunk's point needs none).
     pub rank_calls: u64,
     /// Allocation proxy: bytes PLoD assembly materialized, 8 per kept
     /// point.
@@ -622,8 +613,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
 
     /// Reconstruct unit `gi` of a bin's group into `out`, or defer it
     /// to the per-chunk scatter ([`Self::emit_deferred`]). A unit
-    /// emitted here is one run of `out`: its bitmap walk rises in
-    /// global position.
+    /// emitted here is one run of `out`: its run walk rises in global
+    /// position.
     pub fn unit(
         &mut self,
         gi: usize,
@@ -679,45 +670,19 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         if deferred {
             // A deferred unit keeps only its set bits inside the
             // region: when the chunk's summary puts them all before or
-            // after the region's box, it has nothing to decode.
+            // after the region's box, it has nothing to walk.
             self.window.set_chunk(ranges, self.region(u));
             let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
             if summary.is_some_and(|s| !self.window.meets(s)) {
                 return Ok(());
             }
         }
-        // Bytes past the self-delimiting WAH stream are the chunk's
-        // rank/select directory (empty in v1 files).
-        let mut dir_bytes: &[u8] = &[];
-        let ones_holder;
-        let bitmap: WahRef<'_> = if bin.full[gi] {
-            // The summary said "all of chunk", so the bitmap was never
-            // read; synthesize the all-ones bitmap. The invariant
-            // check below still cross-checks the flag against the
-            // directory's count.
-            ones_holder = WahBitmap::ones(chunk_points);
-            ones_holder.as_ref()
-        } else {
-            let bm_bytes: &[u8] = bin.bitmaps[gi].as_ref().map_or(&[], |v| v.as_slice());
-            let (bm, used) = WahRef::decode_into(bm_bytes, &mut scratch.words)?;
-            dir_bytes = &bm_bytes[used..];
-            bm
-        };
-        // A corrupted bitmap must not index past the decoded values
-        // or outside the chunk. The deferred walk range-checks every
-        // piece and counts the set bits as it goes; the other paths
-        // index the values per point, so they count first.
-        let consistent = |ones: u64| {
-            let ok = ones == u64::from(count);
-            ok.then_some(())
-                .ok_or(MlocError::Corrupt("index bitmap inconsistent"))
-        };
-        if bitmap.len() != chunk_points {
-            return Err(MlocError::Corrupt("index bitmap inconsistent"));
-        }
-        if !deferred {
-            consistent(bitmap.count_ones())?;
-        }
+        // The unit's run list was checked against its header entry —
+        // its count of set bits, its chunk's length — when its bitmap
+        // was admitted, so no run passes the chunk or the unit's values.
+        let runs = bin
+            .runs(gi)
+            .ok_or(MlocError::Corrupt("index bitmap inconsistent"))?;
 
         // Where the unit's values come from. The invariants "output
         // wants values / value filter ⇒ the unit carries them" are
@@ -756,7 +721,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         if deferred {
             let bufs = (&mut scratch.values, &mut scratch.piece);
             let refine = capture.then_some(&mut out.refine);
-            return consistent(self.defer(u, bitmap, src, chunk_points, bufs, refine)?);
+            return self.defer(u, runs, src, chunk_points, bufs, refine);
         }
 
         // The other per-unit paths read the unit's values whole.
@@ -772,14 +737,15 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         let v = UnitView {
             unit: u,
             ranges,
-            bitmap,
+            runs,
             filter_vals: vals.filter(|_| u.value_filter),
             out_vals: vals.filter(|_| query.wants_values()),
         };
 
         if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
             let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
-            return self.probe(&v, dir_bytes, summary, bin.full[gi], u64::from(count), out);
+            self.probe(&v, summary, bin.full[gi], out);
+            return Ok(());
         }
         if req.force_general_reconstruct {
             self.general(&v, out);
@@ -790,24 +756,19 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     }
 
     /// Membership probe path: a point-set query answers only a handful
-    /// of probes per chunk, so instead of streaming the whole bitmap
-    /// it rank/selects straight into it through the sampled directory
-    /// (a bounded word walk for v1 files with no directory). The
-    /// general path stays available as the differential oracle. A
-    /// probe the bitmap cannot answer, or whose rank lies past the
-    /// unit's `count` values, is a damaged index.
+    /// of probes per chunk. Its points, sorted, rise in chunk-local
+    /// order too, so they merge against the unit's runs in one forward
+    /// pass: a probe inside a run is present, its value index the run's
+    /// rank plus its offset in the run. The general path stays
+    /// available as the differential oracle.
     fn probe(
         &mut self,
         v: &UnitView<'_>,
-        dir_bytes: &[u8],
         summary: Option<ChunkSummary>,
         full: bool,
-        count: u64,
         out: &mut RankOutput,
-    ) -> Result<()> {
+    ) {
         let (grid, filter) = (self.job.store.grid(), self.filter.unwrap_or(&[]));
-        let (dir, _) = RankSelectDir::from_bytes(dir_bytes)
-            .map_err(|_| MlocError::Corrupt("bad rank/select directory"))?;
         // Points that can fall in this chunk lie between the chunk
         // corners' global linear positions.
         for (d, r) in v.ranges.iter().enumerate() {
@@ -821,6 +782,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         let lo_i = filter.partition_point(|&p| p < g_lo);
         let hi_i = filter.partition_point(|&p| p <= g_hi);
         let shape = grid.shape();
+        let mut runs = v.runs.iter();
+        let mut run = runs.next();
         'probe: for &p in &filter[lo_i..hi_i] {
             // Global position → coordinates → chunk-local offset. The
             // corner window is a superset of the chunk's box, so
@@ -843,40 +806,37 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             {
                 continue;
             }
-            let (vi, present) = if full {
-                (local, true)
-            } else {
-                self.rank_calls += 1;
-                v.bitmap
-                    .rank_bit_with(&dir, local)
-                    .filter(|&(rank, bit)| !bit || rank < count)
-                    .ok_or(MlocError::Corrupt("index bitmap rank out of range"))?
+            self.rank_calls += u64::from(!full);
+            while let Some((start, _, len)) = run {
+                if start + len > local {
+                    break;
+                }
+                run = runs.next();
+            }
+            let Some((start, ones_before, _)) = run.filter(|r| r.0 <= local) else {
+                continue;
             };
-            if !present
-                || v.filter_vals
-                    .is_some_and(|f| !within(self.vc, f[vi as usize]))
-            {
+            let vi = (ones_before + local - start) as usize;
+            if v.filter_vals.is_some_and(|f| !within(self.vc, f[vi])) {
                 continue;
             }
             out.positions.push(p);
             if let Some(vals) = v.out_vals {
-                out.values.push(vals[vi as usize]);
+                out.values.push(vals[vi]);
             }
         }
-        Ok(())
     }
 
     /// Walk unit `v`'s set bits inside the query's region as global row
     /// segments, in rising position order, calling `f(g0, vi, take)`
     /// for each: its first global position, the index of its first
-    /// value, and its point count. Returns the bitmap's number of set
-    /// bits.
-    fn for_each_segment(&mut self, v: &UnitView<'_>, mut f: impl FnMut(u64, usize, u64)) -> u64 {
+    /// value, and its point count.
+    fn for_each_segment(&mut self, v: &UnitView<'_>, mut f: impl FnMut(u64, usize, u64)) {
         let region = self.region(v.unit);
         self.window.set_chunk(v.ranges, region);
         let (emitter, mut at) = (&mut self.emitter, 0);
         emitter.set_chunk(v.ranges);
-        for_each_kept(v.bitmap, &mut self.window, |li, vi, take| {
+        for_each_kept(v.runs, &mut self.window, |li, vi, take| {
             emitter.advance(li - at);
             at = li + take;
             emitter.walk_run(take, vi, &mut f);
@@ -897,17 +857,16 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
     /// in order, after the last bin. A refinable unit of a capturing
     /// request also appends its kept points' value indices to `refine`
     /// and marks each point's slot with its place there. The window is
-    /// already aimed at the unit's chunk. Returns the bitmap's number
-    /// of set bits.
+    /// already aimed at the unit's chunk.
     fn defer(
         &mut self,
         u: &WorkUnit,
-        bitmap: WahRef<'_>,
+        runs: RunListRef<'_>,
         src: Source<'_>,
         chunk_points: u64,
         (whole, piece): (&mut Vec<f64>, &mut Vec<f64>),
         refine: Option<&mut Refinement>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let (vc, keep_values) = (self.vc, self.job.req.query.wants_values());
         let plod = matches!(src, Source::Plod(_));
         let src = match src {
@@ -935,16 +894,16 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             e
         });
         let window = &mut self.window;
-        // Every kept piece lies inside the unit (its bitmap's count was
+        // Every kept piece lies inside the unit (its run list's count was
         // checked against the unit's), so a source refusing one is a
         // damaged store: flagged here, reported once after the walk.
         let (mut kept, mut bad) = (0u64, false);
-        let ones = if u.value_filter {
+        if u.value_filter {
             // Two loops, not one with a branch on the output kind: this
             // is the per-point hot loop of every value-constrained
             // query.
             if keep_values {
-                for_each_kept(bitmap, window, |at, vi, take| {
+                for_each_kept(runs, window, |at, vi, take| {
                     kept += take;
                     let Some(vals) = src.piece(vi, take as usize, piece) else {
                         bad = true;
@@ -958,7 +917,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                     }
                 })
             } else {
-                for_each_kept(bitmap, window, |at, vi, take| {
+                for_each_kept(runs, window, |at, vi, take| {
                     kept += take;
                     let Some(vals) = src.piece(vi, take as usize, piece) else {
                         bad = true;
@@ -973,7 +932,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             }
         } else if let Some(refine) = refine {
             let first = refine.val_idx.len();
-            let ones = for_each_kept(bitmap, window, |at, vi, take| {
+            for_each_kept(runs, window, |at, vi, take| {
                 kept += take;
                 bad |= !src.fill(vi, &mut e.block[at as usize..(at + take) as usize]);
                 set_bits(&mut e.mask, at, take);
@@ -988,25 +947,22 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             if let Some(unit) = refine.units.last_mut() {
                 unit.points = first..refine.val_idx.len();
             }
-            ones
         } else if keep_values {
-            for_each_kept(bitmap, window, |at, vi, take| {
+            for_each_kept(runs, window, |at, vi, take| {
                 kept += take;
                 bad |= !src.fill(vi, &mut e.block[at as usize..(at + take) as usize]);
                 set_bits(&mut e.mask, at, take);
             })
         } else {
-            for_each_kept(bitmap, window, |at, _, take| {
-                set_bits(&mut e.mask, at, take)
-            })
-        };
+            for_each_kept(runs, window, |at, _, take| set_bits(&mut e.mask, at, take))
+        }
         if plod {
             self.copy_bytes += 8 * kept;
         }
         if bad {
             return Err(MlocError::Corrupt("value index past its unit"));
         }
-        Ok(ones)
+        Ok(())
     }
 
     /// General path: per-point value/spatial checks. Kept close to the
@@ -1016,7 +972,10 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         let mut gallop = self.filter.map(Gallop::new);
         let (grid, query) = (self.job.store.grid(), self.job.req.query);
         let region = query.sc.as_ref().filter(|_| v.unit.spatial_filter);
-        for (pos_idx, local) in v.bitmap.iter_ones().enumerate() {
+        let ones = v.runs.iter().flat_map(|(at, ones_before, len)| {
+            (0..len).map(move |k| ((ones_before + k) as usize, at + k))
+        });
+        for (pos_idx, local) in ones {
             if v.filter_vals.is_some_and(|f| !within(self.vc, f[pos_idx])) {
                 continue;
             }

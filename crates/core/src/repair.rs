@@ -408,10 +408,10 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         );
         let geometry = config.map(binfile::geometry);
 
-        match (committed, listed) {
-            (true, true) => report.committed.push(var.clone()),
-            (true, false) => report.unlisted.push(var.clone()),
-            (false, true) => {
+        match (meta_state.as_ref().err(), listed) {
+            (None, true) => report.committed.push(var.clone()),
+            (None, false) => report.unlisted.push(var.clone()),
+            (Some(why), true) => {
                 // Listed but broken meta: committed data with damage.
                 report.committed.push(var.clone());
                 report.findings.push(FileFinding {
@@ -421,19 +421,16 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
                     } else {
                         FileClass::Missing
                     },
-                    what: meta_state.as_ref().unwrap_err().clone(),
+                    what: why.clone(),
                 });
             }
-            (false, false) => {
+            (Some(why), false) => {
                 report.uncommitted.push(var.clone());
                 if files.is_some_and(|f| f.has_meta) {
                     report.findings.push(FileFinding {
                         file: meta_name.clone(),
                         class: FileClass::Orphaned,
-                        what: format!(
-                            "uncommitted build: meta {}",
-                            meta_state.as_ref().unwrap_err()
-                        ),
+                        what: format!("uncommitted build: meta {why}"),
                     });
                 }
             }

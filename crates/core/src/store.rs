@@ -1,7 +1,5 @@
 //! Opening a built variable: metadata and the query-time view.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::array::ChunkGrid;
 use crate::binning::BinSpec;
 use crate::cache::BlockCache;

@@ -116,20 +116,27 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], MlocError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     pub fn u16(&mut self) -> Result<u16, MlocError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, MlocError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, MlocError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, MlocError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], MlocError> {

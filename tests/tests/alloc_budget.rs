@@ -123,10 +123,12 @@ fn warm_execute_plan_allocates_under_six_tenths_per_want() {
     // emitted in order, 640 = 0.54 since a data unit is one cache
     // probe (no keyed want list of its parts), and 385 = 0.33 since a
     // bin's fixed blocks are one parsed cache entry and its file names
-    // are the store's, and 369 = 0.31 since a request whose units all
-    // defer stopped reserving its output per bin group. What is left is
-    // per bin (the bitmap want list, the part slots) and per
-    // reconstructed unit, not per want. The gate, 0.36 per want, keeps
+    // are the store's, 369 = 0.31 since a request whose units all
+    // defer stopped reserving its output per bin group, and 365 = 0.31
+    // since a unit's bitmap is a cached run list (no bitmap word buffer,
+    // no all-ones bitmap built per full chunk). What is left is per bin
+    // (the bitmap want list, the part slots) and per reconstructed
+    // unit, not per want. The gate, 0.36 per want, keeps
     // the 11 % margin the 0.6 gate left over 640: one more allocation
     // per data unit (124 here) fails it.
     println!("{allocs} allocations for {wants} wants");
@@ -154,7 +156,8 @@ fn sc_ten_percent() -> Query {
 /// 502,968 = 4.79 since a bin's fixed blocks are one parsed cache entry
 /// and its file names the store's (504,144 = 4.80 since a deferred
 /// chunk's scatter entry also holds a progressive capture's slot
-/// array, empty here). The rest is the op's trace, the
+/// array, empty here; 499,120 = 4.75 since a unit's bitmap is a cached
+/// run list). The rest is the op's trace, the
 /// bitmap want lists and per-bin blocks. The gate keeps the 4 % margin
 /// the 6.0 gate left over 5.76; one more copy of the answer would add
 /// 1.0.
@@ -198,7 +201,8 @@ fn warm_execute_plan_allocates_its_answer_about_once() {
 /// a 104,976-byte answer (7.58 per byte) while every refinable unit
 /// was emitted as its own run, with its positions, part locations and
 /// checksum table kept per unit; 415 (0.95) and 489,218 (4.66) since
-/// step 0 defers like a one-shot op. The gates keep the margins of the
+/// step 0 defers like a one-shot op; 411 (0.94) and 484,194 (4.61)
+/// since a unit's bitmap is a cached run list. The gates keep the margins of the
 /// one-shot gates above: 11 % over allocations, 4 % over bytes.
 #[test]
 fn warm_ladder_step0_allocates_like_a_one_shot_op() {

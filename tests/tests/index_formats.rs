@@ -16,7 +16,7 @@ use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
 use mloc::index::{header_size, HeaderView};
 use mloc::prelude::*;
-use mloc_bitmap::WahRef;
+use mloc_bitmap::WahBitmap;
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
 use mloc_integration::{fixture, fixture_dir, load_fixture};
@@ -455,10 +455,11 @@ fn plain_membership_is_answered_from_the_index_alone() {
     assert_eq!(m.data_bytes, 0, "aligned band region touched data");
 }
 
-/// The only gates on the summary level and the rank directories
-/// actually firing inside a query. The counts are exact functions of
-/// the banded field, the planner and the index format: a change means
-/// one of those changed (re-derive and say why), never noise.
+/// The only gates on the summary level and the membership probes
+/// actually firing inside a query (`index.rank_calls`: probes answered
+/// from a stored bitmap's runs). The counts are exact functions of the
+/// banded field, the planner and the index format: a change means one
+/// of those changed (re-derive and say why), never noise.
 #[test]
 fn summaries_skip_and_directories_probe_inside_queries() {
     let banded = MemBackend::new();
@@ -511,10 +512,9 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     }
 
     // What the directories cost in the built files, against the WAH
-    // bytes they accelerate (the bitmap-level bound is wah.rs's
+    // bytes they sample (the bitmap-level bound is wah.rs's
     // `dir_overhead_is_bounded`).
     let (mut wah, mut dir) = (0usize, 0usize);
-    let mut scratch: Vec<u32> = Vec::new();
     for bin in 0..BANDED_BINS {
         let raw = whole(&banded, &mloc::fileorg::bin_file(DS, VAR, bin));
         let idx = HeaderView::parse(&raw[..]).unwrap();
@@ -522,7 +522,7 @@ fn summaries_skip_and_directories_probe_inside_queries() {
             let start = idx.bitmap_file_offset(rank) as usize;
             let extent = &raw[start..start + idx.bitmap_len(rank) as usize];
             if !extent.is_empty() {
-                let (_, used) = WahRef::decode_into(extent, &mut scratch).unwrap();
+                let (_, used) = WahBitmap::from_bytes(extent).unwrap();
                 wah += used;
                 dir += extent.len() - used;
             }
