@@ -1,8 +1,8 @@
-//! Reconstruct-stage kernels: the run-aware bulk fast path against
-//! the per-point general path, over the query shapes that dominate
-//! exploration sessions (wide value constraints, aligned region
-//! retrieval, reduced PLoD levels), and the assembly of an answer
-//! from the ranks' sorted runs.
+//! Reconstruct-stage kernels: the run-aware deferred scatter over the
+//! query shapes that dominate exploration sessions (wide value
+//! constraints, aligned region retrieval, reduced PLoD levels),
+//! position filters and membership probes merged against each unit's
+//! runs, and the assembly of an answer from the ranks' sorted runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mloc::config::PlodLevel;
@@ -40,20 +40,17 @@ fn bench_reconstruct_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("reconstruct");
     for (name, q) in &queries {
         let plan = make_plan(&store, q).unwrap();
-        for (path, general) in [("fast", false), ("general", true)] {
-            g.bench_with_input(BenchmarkId::new(path, name), q, |b, q| {
-                let mut req = ExecRequest::planned(q, &plan, None);
-                req.force_general_reconstruct = general;
-                b.iter(|| black_box(exec.run(&store, req).unwrap()))
-            });
-        }
+        g.bench_with_input(BenchmarkId::from_parameter(name), q, |b, q| {
+            let req = ExecRequest::planned(q, &plan, None);
+            b.iter(|| black_box(exec.run(&store, req).unwrap()))
+        });
     }
     g.finish();
 }
 
 fn bench_position_filter(c: &mut Criterion) {
-    // Sorted-slice galloping intersection (the multi-variable fetch
-    // path) at several filter densities.
+    // A sorted position filter (the multi-variable fetch path) merged
+    // against every unit's runs, at several filter densities.
     let be = MemBackend::new();
     let store = fixture(&be);
     let exec = ParallelExecutor::serial();
@@ -65,11 +62,40 @@ fn bench_position_filter(c: &mut Criterion) {
     for every in [2u64, 16, 256] {
         let filter: Vec<u64> = (0..n).step_by(every as usize).collect();
         g.bench_with_input(
-            BenchmarkId::new("gallop", format!("1/{every}")),
+            BenchmarkId::new("merge", format!("1/{every}")),
             &filter,
             |b, f| b.iter(|| black_box(exec.execute_plan(&store, &q, &plan, Some(f)).unwrap())),
         );
     }
+    g.finish();
+}
+
+/// A membership probe at the repo benchmark's geometry (1024² field,
+/// 128² chunks, 100 bins) as its `explore_cold` workload runs one:
+/// 4,096 points, one per 256 positions, VC 10 %, positions only, no
+/// cache — every byte is read and decoded on each run.
+fn bench_membership(c: &mut Criterion) {
+    let be = MemBackend::new();
+    let n = 1024;
+    let values = gts_like_2d(n, n, 42).into_values();
+    let config = MlocConfig::builder(vec![n, n])
+        .chunk_shape(vec![128, 128])
+        .num_bins(100)
+        .build();
+    build_variable(&be, "bench", "field", &values, &config).unwrap();
+    let store = MlocStore::open(&be, "bench", "field").unwrap();
+    let mut sorted = values;
+    sorted.sort_by(f64::total_cmp);
+    let (lo, hi) = (sorted[n * n * 45 / 100], sorted[n * n * 55 / 100]);
+    let points = (0..4096u64).map(|i| i * 256 + (i * 97) % 256).collect();
+    let q = Query::membership_where(lo, hi, points);
+    let plan = make_plan(&store, &q).unwrap();
+    let exec = ParallelExecutor::serial();
+
+    let mut g = c.benchmark_group("reconstruct_membership");
+    g.bench_with_input(BenchmarkId::from_parameter("vc_10"), &q, |b, q| {
+        b.iter(|| black_box(exec.execute_plan(&store, q, &plan, None).unwrap()))
+    });
     g.finish();
 }
 
@@ -143,6 +169,7 @@ criterion_group!(
     benches,
     bench_reconstruct_paths,
     bench_position_filter,
+    bench_membership,
     bench_assemble
 );
 criterion_main!(benches);

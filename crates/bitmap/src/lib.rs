@@ -30,6 +30,8 @@
 //! assert!(a.size_in_bytes() < 64);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ops;
 pub mod runs;
 pub mod wah;

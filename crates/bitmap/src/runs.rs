@@ -22,8 +22,6 @@
 //! directory or whose checkpoints disagree with the words. Whatever it
 //! accepts is a well-formed run list, so the walks check nothing again.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::wah::{
     dir_samples, le_u32, BitmapError, FILL_BIT, FILL_COUNT_MASK, FILL_FLAG, GROUP_BITS,
     LITERAL_MASK, MAGIC,

@@ -231,21 +231,15 @@ impl WahBitmap {
         if data.len() < 16 {
             return Err(BitmapError::Truncated);
         }
-        let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
+        let magic = u32::from_le_bytes(bytes_at(data, 0)?);
         if magic != MAGIC {
             return Err(BitmapError::BadMagic(magic));
         }
-        let num_bits = u64::from_le_bytes(data[4..12].try_into().unwrap());
-        let nwords = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
+        let num_bits = u64::from_le_bytes(bytes_at(data, 4)?);
+        let nwords = u32::from_le_bytes(bytes_at(data, 12)?) as usize;
         let need = 16 + nwords.saturating_mul(4);
-        if data.len() < need {
-            return Err(BitmapError::Truncated);
-        }
-        let mut words = Vec::with_capacity(nwords);
-        for i in 0..nwords {
-            let off = 16 + i * 4;
-            words.push(u32::from_le_bytes(data[off..off + 4].try_into().unwrap()));
-        }
+        let body = data.get(16..need).ok_or(BitmapError::Truncated)?;
+        let words = body.chunks_exact(4).map(|w| le_u32(w, 0)).collect();
         Ok((WahBitmap { words, num_bits }, need))
     }
 }
@@ -507,6 +501,13 @@ impl<'a> WahRef<'a> {
 /// 64 words = 256 bitmap bytes per 8-byte sample, so a directory costs
 /// ~3.1% of the compressed bitmap it describes.
 pub const RANK_SAMPLE_WORDS: usize = 64;
+
+/// The `N` bytes at `at`, or [`BitmapError::Truncated`] if `data`
+/// stops first.
+fn bytes_at<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N], BitmapError> {
+    let b = data.get(at..at + N).ok_or(BitmapError::Truncated)?;
+    b.try_into().map_err(|_| BitmapError::Truncated)
+}
 
 /// Little-endian `u32` at `at` of a slice known to hold it.
 pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
@@ -868,21 +869,19 @@ impl WahBuilder {
 
     fn emit_fill(&mut self, bit: bool, mut groups: u64) {
         // Merge with a preceding fill of the same kind when possible.
-        if let Some(&last) = self.words.last() {
-            if last & FILL_FLAG != 0 && (last & FILL_BIT != 0) == bit {
-                let existing = u64::from(last & FILL_COUNT_MASK);
+        if let Some(last) = self.words.last_mut() {
+            if *last & FILL_FLAG != 0 && (*last & FILL_BIT != 0) == bit {
+                let existing = u64::from(*last & FILL_COUNT_MASK);
                 let merged = existing + groups;
                 if merged <= u64::from(MAX_FILL_GROUPS) {
-                    let w = FILL_FLAG
+                    *last = FILL_FLAG
                         | if bit { FILL_BIT } else { 0 }
                         | (merged as u32 & FILL_COUNT_MASK);
-                    *self.words.last_mut().unwrap() = w;
                     return;
                 }
                 // Top up the existing fill, emit the rest below.
                 let room = u64::from(MAX_FILL_GROUPS) - existing;
-                let w = FILL_FLAG | if bit { FILL_BIT } else { 0 } | MAX_FILL_GROUPS;
-                *self.words.last_mut().unwrap() = w;
+                *last = FILL_FLAG | if bit { FILL_BIT } else { 0 } | MAX_FILL_GROUPS;
                 groups -= room;
             }
         }

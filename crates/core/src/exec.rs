@@ -10,9 +10,9 @@
 use crate::metrics::{Meter, QueryMetrics};
 use crate::query::engine::{process_units, RankJob, RankOutput, Refinement};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
-use crate::query::{Query, QueryResult, Runs};
+use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
-use crate::Result;
+use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label, Profile};
 use mloc_pfs::{CostModel, ReadOp, RetryPolicy};
 use mloc_runtime::{column_order, spmd};
@@ -48,9 +48,10 @@ pub struct ExecRequest<'r> {
     /// run (a profiled run then times planning as the `plan` span).
     pub plan: Option<&'r Plan>,
     /// Keep only these global positions (multi-variable retrieval,
-    /// §III-D.4). Must be sorted ascending and duplicate-free — the
-    /// engine intersects it with each unit's monotone position stream
-    /// by galloping, never by hashing.
+    /// §III-D.4). Must be strictly increasing and inside the domain
+    /// ([`ParallelExecutor::run`] refuses it otherwise): each rank
+    /// merges the points inside a chunk against every unit's runs, in
+    /// one forward pass.
     pub position_filter: Option<&'r [u64]>,
     /// Record a [`crate::query::engine::RefineUnit`] for every
     /// refinable unit — PLoD data-bearing, values wanted, no value
@@ -58,14 +59,8 @@ pub struct ExecRequest<'r> {
     /// for a progressive query (see
     /// [`crate::progressive::ProgressiveQuery`]). Emitted positions and
     /// values, and the reads, are identical with and without capture.
-    /// Only units that defer to the per-chunk scatter are captured: a
-    /// capturing request has no position filter.
+    /// A capturing request has no position filter.
     pub(crate) capture_refine: bool,
-    /// Test hook: force the per-point reference reconstruct path even
-    /// for units the bulk paths could serve, so differential tests can
-    /// prove them identical. Reaches every rank in both executor modes.
-    #[doc(hidden)]
-    pub force_general_reconstruct: bool,
 }
 
 impl<'r> ExecRequest<'r> {
@@ -76,7 +71,6 @@ impl<'r> ExecRequest<'r> {
             plan: None,
             position_filter: None,
             capture_refine: false,
-            force_general_reconstruct: false,
         }
     }
 
@@ -182,7 +176,7 @@ impl ParallelExecutor {
     }
 
     /// Execute a pre-built plan, optionally restricting output to a
-    /// sorted, duplicate-free set of global positions.
+    /// strictly increasing set of global positions inside the domain.
     pub fn execute_plan(
         &self,
         store: &MlocStore<'_>,
@@ -197,7 +191,25 @@ impl ParallelExecutor {
     /// Execute a request: assign the plan's units to ranks in column
     /// order, run every rank's fetch → decode → reconstruct pipeline,
     /// price the read traces on the simulated PFS, and gather.
+    ///
+    /// A position filter that is not strictly increasing, or holds a
+    /// position outside the domain, is [`MlocError::Invalid`].
     pub fn run(&self, store: &MlocStore<'_>, req: ExecRequest<'_>) -> Result<ExecOutput> {
+        if let Some(filter) = req.position_filter {
+            if filter.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(MlocError::Invalid(
+                    "position filter must be strictly increasing".into(),
+                ));
+            }
+            if filter
+                .last()
+                .is_some_and(|&p| p >= store.grid().num_points() as u64)
+            {
+                return Err(MlocError::Invalid(
+                    "position filter point outside the domain".into(),
+                ));
+            }
+        }
         let mut profile = Profile::default();
         let planned;
         let plan = match req.plan {
@@ -250,19 +262,20 @@ impl ParallelExecutor {
             outputs.push(out);
             profile.merge_from(rank_profile);
         }
-        // Every rank's answer arrives as sorted runs: one merge, no sort.
+        // Every rank's answer arrives as one rising run: one merge, no
+        // sort.
         let mut gather = Collector::new(self.profiled);
         gather.begin("gather");
-        let answers = outputs.iter_mut().map(|out| Runs {
-            positions: std::mem::take(&mut out.positions),
-            values: std::mem::take(&mut out.values),
-            starts: std::mem::take(&mut out.runs),
+        let with_values = req.query.wants_values();
+        let answers = outputs.iter_mut().map(|out| {
+            let values = std::mem::take(&mut out.values);
+            QueryResult::from_sorted(
+                std::mem::take(&mut out.positions),
+                with_values.then_some(values),
+            )
         });
-        let (result, landing) = QueryResult::merge(
-            answers.collect(),
-            req.query.wants_values(),
-            req.capture_refine,
-        );
+        let (result, landing) =
+            QueryResult::merge(answers.collect(), with_values, req.capture_refine);
         // Captured answer indices follow their rank's entries.
         let mut refine = Refinement::default();
         for (k, out) in outputs.iter_mut().enumerate() {
@@ -531,6 +544,27 @@ mod tests {
         );
     }
 
+    /// A position filter out of order, with a duplicate, or past the
+    /// domain is refused before any rank runs — in a release build too,
+    /// where no debug assertion would catch it — on 1 and 4 ranks.
+    #[test]
+    fn a_position_filter_out_of_order_or_range_is_invalid() {
+        let be = MemBackend::new();
+        let (_, store) = fixture(&be);
+        let q = Query::values_in(Region::full(&[64, 64]));
+        let plan = make_plan(&store, &q).unwrap();
+        for filter in [&[77u64, 3, 4000][..], &[3, 77, 77], &[3, 77, 4096]] {
+            for nranks in [1, 4] {
+                let exec = ParallelExecutor::new(nranks, CostModel::default());
+                let err = exec.execute_plan(&store, &q, &plan, Some(filter));
+                assert!(
+                    matches!(err, Err(crate::MlocError::Invalid(_))),
+                    "{filter:?} on {nranks} ranks: {err:?}"
+                );
+            }
+        }
+    }
+
     /// A random grid whose chunks are clipped at the domain edge in
     /// every dimension: per dimension a chunk edge, a count of whole
     /// chunks and a remainder in `1..edge`.
@@ -549,49 +583,15 @@ mod tests {
         })
     }
 
-    /// What the per-point reference path emits for `units` on one
-    /// rank, in its order: bin by bin, unit by unit.
-    fn reference_parts(
-        store: &MlocStore<'_>,
-        query: &Query,
-        units: &[WorkUnit],
-        position_filter: Option<&[u64]>,
-    ) -> (Vec<u64>, Vec<f64>) {
-        let req = ExecRequest {
-            query,
-            plan: None,
-            position_filter,
-            capture_refine: false,
-            force_general_reconstruct: true,
-        };
-        let job = RankJob {
-            store,
-            req,
-            units,
-            retry: RetryPolicy::none(),
-            allow_degraded: true,
-        };
-        let out = process_units(&job, &mut Collector::disabled()).unwrap();
-        (out.positions, out.values)
-    }
-
-    /// Positions and the bits of every value equal.
-    fn same_answer(a: &QueryResult, b: &QueryResult) -> bool {
-        let bits = |r: &QueryResult| -> Option<Vec<u64>> {
-            r.values().map(|v| v.iter().map(|x| x.to_bits()).collect())
-        };
-        a.positions() == b.positions() && bits(a) == bits(b)
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
 
-        /// Every answer leaves the engine in strictly rising position
-        /// order and equals the reference path's output sorted by
-        /// `QueryResult::from_parts`, the sort the gather's merge
-        /// replaced: SC, VC, values and positions, PLoD, membership,
-        /// position-filtered and progressive queries, on 1, 3 and 8
-        /// ranks of both executors, cached cold, cached warm and fused.
+        /// Every rank's positions rise strictly, for every query kind,
+        /// and every answer equals the oracle's — computed from the raw
+        /// field — bit for bit: SC, VC, values and positions, PLoD,
+        /// membership, position-filtered and progressive queries, on 1,
+        /// 3 and 8 ranks of both executors, cached cold, cached warm and
+        /// fused.
         #[test]
         fn answers_arrive_in_position_order(
             (shape, chunk) in clipped_grid(),
@@ -601,6 +601,7 @@ mod tests {
             use crate::cache::BlockCache;
             use crate::config::PlodLevel;
             use crate::fusion::ExtentFuser;
+            use crate::oracle;
             use crate::query::QueryOutput;
             use std::sync::Arc;
 
@@ -650,25 +651,30 @@ mod tests {
             ];
             let progressive = [Query::values_in(region), Query::values_where(lo, hi)];
 
-            // Each query's reference answer, then each progressive
-            // query's step 0: the base level for the bins it refines,
-            // the target for the value-filtered ones.
+            // Each query's answer, with every rank's positions rising;
+            // then each progressive query's step 0: the base level for
+            // the bins it refines, the target for the value-filtered ones.
             let mut expected = Vec::new();
             for (q, filter) in &queries {
                 let plan = make_plan(&store, q).unwrap();
-                let (p, v) = reference_parts(&store, q, &plan.units, *filter);
-                expected.push(QueryResult::from_parts(p, q.wants_values().then_some(v)));
-                if filter.is_none() && q.points.is_none() {
-                    // Deferred chunks leave a lone rank as one run.
-                    let job = RankJob {
-                        store: &store,
-                        req: ExecRequest::planned(q, &plan, None),
-                        units: &plan.units,
-                        retry: RetryPolicy::none(),
-                        allow_degraded: true,
-                    };
-                    let out = process_units(&job, &mut Collector::disabled()).unwrap();
-                    proptest::prop_assert!(out.runs.len() <= 1, "{:?}: runs {:?}", q, out.runs);
+                expected.push(oracle::expected(&store, &values, q, &plan.units, *filter));
+                let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
+                for nranks in [1, 3, 8] {
+                    for (rank, dealt) in column_order(&bins, nranks).per_rank.iter().enumerate() {
+                        let units: Vec<WorkUnit> = dealt.iter().map(|&i| plan.units[i]).collect();
+                        let job = RankJob {
+                            store: &store,
+                            req: ExecRequest::planned(q, &plan, *filter),
+                            units: &units,
+                            retry: RetryPolicy::none(),
+                            allow_degraded: true,
+                        };
+                        let out = process_units(&job, &mut Collector::disabled()).unwrap();
+                        proptest::prop_assert!(
+                            out.positions.windows(2).all(|w| w[0] < w[1]),
+                            "{:?}: rank {} of {} not rising", q, rank, nranks
+                        );
+                    }
                 }
             }
             for q in &progressive {
@@ -676,11 +682,13 @@ mod tests {
                 let (refined, target): (Vec<WorkUnit>, Vec<WorkUnit>) =
                     plan.units.iter().partition(|u| !u.value_filter);
                 let base = q.clone().with_plod(PlodLevel::new(1).unwrap());
-                let (mut p, mut v) = reference_parts(&store, &base, &refined, None);
-                let (tp, tv) = reference_parts(&store, q, &target, None);
+                let (mut p, v) = oracle::expected(&store, &values, &base, &refined, None);
+                let (tp, tv) = oracle::expected(&store, &values, q, &target, None);
                 p.extend(tp);
-                v.extend(tv);
-                expected.push(QueryResult::from_parts(p, Some(v)));
+                let mut v = v.unwrap();
+                v.extend(tv.unwrap());
+                let step0 = QueryResult::from_parts(p, Some(v));
+                expected.push((step0.positions().to_vec(), step0.values().map(<[f64]>::to_vec)));
             }
 
             for nranks in [1, 3, 8] {
@@ -711,7 +719,7 @@ mod tests {
                                 "query {k}, {nranks} ranks, threaded {threaded}, {mode}: not rising"
                             );
                             proptest::prop_assert!(
-                                same_answer(&got, &expected[k]),
+                                oracle::same(&got, &expected[k]),
                                 "query {k}, {nranks} ranks, threaded {threaded}, {mode}"
                             );
                         }

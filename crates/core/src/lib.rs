@@ -226,3 +226,14 @@ pub(crate) mod fixtures {
         mem
     }
 }
+
+/// Lets the shared test oracle name this crate as its integration-test
+/// users do.
+#[cfg(test)]
+extern crate self as mloc;
+
+/// What a query must answer, from the raw field alone: the oracle the
+/// unit and integration tests share.
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+pub(crate) mod oracle;

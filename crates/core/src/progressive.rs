@@ -150,7 +150,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let target_parts = query.plod.num_parts();
         // The ladder needs a PLoD layout, a value output to refine,
         // scan semantics (membership probes read a handful of points;
-        // a ladder saves nothing and the probe path has no capture),
+        // a ladder saves nothing, and a filtered request captures
+        // nothing),
         // and a target above the base level.
         let ladder = store.config().plod
             && query.wants_values()
@@ -187,14 +188,14 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             (exec.run(store, target)?, None)
         };
 
-        let mut answers = vec![first.result.into_runs()];
+        let mut answers = vec![first.result];
         let (mut metrics, mut profile) = (first.metrics, first.profile);
         let (mut captured, mut step0_traces) = (first.refine, first.traces);
         if let Some(run) = second {
             for (trace, more) in step0_traces.iter_mut().zip(run.traces) {
                 trace.extend(more);
             }
-            answers.push(run.result.into_runs());
+            answers.push(run.result);
             metrics.accumulate(&run.metrics);
             profile.merge_from(run.profile);
         }

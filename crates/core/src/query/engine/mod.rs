@@ -36,14 +36,12 @@ use std::time::Instant;
 /// One rank's partial result plus its CPU component times.
 #[derive(Debug, Default)]
 pub struct RankOutput {
-    /// Matching global positions, as the sorted runs `runs` names.
+    /// Matching global positions, strictly rising: every unit defers
+    /// to its chunk's scatter, and one emission walks the chunks' rows
+    /// in position order.
     pub positions: Vec<u64>,
     /// Values aligned with positions (empty for position-only output).
     pub values: Vec<f64>,
-    /// Where each strictly rising run of `positions` starts: one per
-    /// unit emitted directly, one for the deferred chunks. A run that
-    /// continues the one before it in order extends it instead.
-    pub runs: Vec<usize>,
     /// Seconds spent in codec decompression.
     pub decompress_s: f64,
     /// Seconds spent assembling/filtering results.
@@ -56,21 +54,6 @@ pub struct RankOutput {
     /// Refinement state captured for a progressive query (empty unless
     /// the request asked for capture).
     pub refine: Refinement,
-}
-
-impl RankOutput {
-    /// Record the positions appended since `start` — strictly rising —
-    /// as a run.
-    pub(crate) fn close_run(&mut self, start: usize) {
-        let run = &self.positions[start..];
-        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "a run must rise");
-        let Some(&first) = run.first() else {
-            return;
-        };
-        if start == 0 || self.positions[start - 1] > first {
-            self.runs.push(start);
-        }
-    }
 }
 
 /// What a progressive query remembers after its step-0 pass, so later
@@ -468,8 +451,9 @@ impl Rank<'_, '_> {
         Ok(())
     }
 
-    /// Reconstruct one bin's units: decode bitmaps, assemble values,
-    /// filter, map to global positions (timed).
+    /// Reconstruct one bin's units: walk their runs, and assemble and
+    /// filter their values into their chunks' scatters (timed); the
+    /// positions are emitted after the last bin.
     fn reconstruct(
         &mut self,
         group: &[WorkUnit],
@@ -477,22 +461,8 @@ impl Rank<'_, '_> {
         obs: &mut Collector,
     ) -> Result<()> {
         let t = Instant::now();
-        // Units that emit directly add at most every set bit of every
-        // unit: reserving once keeps the emit loop free of doubling
-        // reallocations (filters only shrink the bound). Deferred units
-        // reserve at emission, for exactly the offsets they cover.
-        if !self.recon.defers() {
-            let expected: usize = group
-                .iter()
-                .map(|u| blocks.fixed.index.count(u.chunk_rank) as usize)
-                .sum();
-            self.out.positions.reserve(expected);
-            if self.job.req.query.wants_values() {
-                self.out.values.reserve(expected);
-            }
-        }
         for (gi, u) in group.iter().enumerate() {
-            self.recon.unit(gi, u, blocks, &mut self.out)?;
+            self.recon.unit(gi, u, blocks, &mut self.out.refine)?;
         }
         let dt = t.elapsed().as_secs_f64();
         self.out.reconstruct_s += dt;

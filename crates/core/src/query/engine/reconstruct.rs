@@ -2,12 +2,14 @@
 //! filter, and map chunk-local offsets to global positions.
 //!
 //! The hot path is run-aware (see `DESIGN.md`, "hot-path memory
-//! discipline"): the loops consume runs of set bits, each from the
-//! unit's run list (decoded and checked once, when its bitmap was
-//! admitted), so a run becomes one bulk range operation, and per-chunk
-//! scratch buffers (PLoD floats, coordinates) are reused across work
-//! units. The per-point general path is kept as the differential
-//! oracle the bulk paths are tested against.
+//! discipline"): every unit defers to its chunk's scatter, the loops
+//! consume runs of set bits, each from the unit's run list (decoded and
+//! checked once, when its bitmap was admitted), so a run becomes one
+//! bulk range operation, and per-chunk scratch buffers (PLoD floats,
+//! coordinates) are reused across work units. A position filter or a
+//! membership point set becomes, once per chunk, a rising list of
+//! chunk-local offsets that each unit of the chunk merges against its
+//! runs.
 
 use super::{BinBlocks, RankJob, RankOutput, RefineUnit, Refinement};
 use crate::cache::CachedBlock;
@@ -19,196 +21,6 @@ use crate::{MlocError, Result};
 use mloc_bitmap::RunListRef;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Decompose a chunk-local offset into global coordinates without
-/// allocating (scratch holds the result).
-#[inline]
-fn local_to_coords_into(ranges: &[(usize, usize)], mut local: u64, scratch: &mut [usize]) {
-    for d in (0..ranges.len()).rev() {
-        let (s, e) = ranges[d];
-        let extent = (e - s) as u64;
-        scratch[d] = s + (local % extent) as usize;
-        local /= extent;
-    }
-}
-
-/// Sorted-slice membership with a monotone cursor: a galloping
-/// replacement for the old `HashSet<u64>` position filter. Queries
-/// must arrive in non-decreasing order (which reconstruction
-/// guarantees per work unit: chunk-local row-major order maps
-/// monotonically to global row-major positions).
-struct Gallop<'a> {
-    sorted: &'a [u64],
-    idx: usize,
-}
-
-impl<'a> Gallop<'a> {
-    fn new(sorted: &'a [u64]) -> Self {
-        Gallop { sorted, idx: 0 }
-    }
-
-    /// Advance the cursor to the first element `>= x`.
-    fn seek(&mut self, x: u64) {
-        let s = self.sorted;
-        if self.idx >= s.len() || s[self.idx] >= x {
-            return;
-        }
-        // Gallop: double the step until the window brackets x, then
-        // binary-search inside it. O(log distance) per call, O(n + m
-        // log n/m) over an intersection.
-        let mut lo = self.idx; // invariant: s[lo] < x
-        let mut step = 1usize;
-        while lo + step < s.len() && s[lo + step] < x {
-            lo += step;
-            step <<= 1;
-        }
-        let hi = (lo + step + 1).min(s.len());
-        self.idx = lo + 1 + s[lo + 1..hi].partition_point(|&v| v < x);
-    }
-
-    /// Whether `x` is in the set; advances the cursor.
-    fn contains(&mut self, x: u64) -> bool {
-        self.seek(x);
-        self.idx < self.sorted.len() && self.sorted[self.idx] == x
-    }
-
-    /// All elements in `[lo, hi)`; advances the cursor past them.
-    fn range(&mut self, lo: u64, hi: u64) -> &'a [u64] {
-        self.seek(lo);
-        let start = self.idx;
-        let end = start + self.sorted[start..].partition_point(|&v| v < hi);
-        self.idx = end;
-        &self.sorted[start..end]
-    }
-}
-
-/// Incremental chunk-local → global row-major position cursor.
-///
-/// Replaces per-point `local_to_coords` + `linearize` (a div/mod plus
-/// a multiply/add per dimension per point): the cursor starts at
-/// chunk-local offset 0 and only ever moves forward by run lengths, so
-/// a whole chunk is walked with additions and odometer carries —
-/// no division anywhere, not even per run.
-struct ChunkEmitter {
-    /// Global row-major stride per dimension (from the domain shape).
-    strides: Vec<u64>,
-    /// Current chunk's extent per dimension.
-    extents: Vec<u64>,
-    /// Odometer: chunk-local coordinates of the cursor's row.
-    c: Vec<u64>,
-    /// Global position of the cursor's row start.
-    row_base: u64,
-    /// Cursor offset within the current row.
-    in_row: u64,
-    /// Innermost (contiguous) extent: the chunk row width.
-    row_w: u64,
-    /// Chunk rows after the cursor's row.
-    rows_left: u64,
-}
-
-impl ChunkEmitter {
-    fn new(shape: &[usize]) -> Self {
-        let dims = shape.len();
-        let mut strides = vec![1u64; dims];
-        for d in (0..dims.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * shape[d + 1] as u64;
-        }
-        ChunkEmitter {
-            strides,
-            extents: vec![0; dims],
-            c: vec![0; dims],
-            row_base: 0,
-            in_row: 0,
-            row_w: 0,
-            rows_left: 0,
-        }
-    }
-
-    /// Point the cursor at chunk-local offset 0 of a chunk, given its
-    /// clamped region ranges.
-    fn set_chunk(&mut self, ranges: &[(usize, usize)]) {
-        debug_assert_eq!(ranges.len(), self.strides.len());
-        self.row_base = 0;
-        let mut rows = 1u64;
-        for (d, &(s, e)) in ranges.iter().enumerate() {
-            self.extents[d] = (e - s) as u64;
-            self.c[d] = 0;
-            self.row_base += s as u64 * self.strides[d];
-            rows *= self.extents[d];
-        }
-        self.in_row = 0;
-        // A chunk of no dimensions would be one point: a row of one.
-        self.row_w = self.extents.last().copied().unwrap_or(1);
-        self.rows_left = (rows / self.row_w.max(1)).saturating_sub(1);
-    }
-
-    /// Carry the odometer into the next chunk row. Must not be called
-    /// with `rows_left == 0`.
-    #[inline]
-    fn next_row(&mut self) {
-        self.in_row = 0;
-        self.rows_left -= 1;
-        let mut d = self.extents.len() - 2;
-        loop {
-            self.c[d] += 1;
-            self.row_base += self.strides[d];
-            if self.c[d] < self.extents[d] {
-                return;
-            }
-            self.row_base -= self.extents[d] * self.strides[d];
-            self.c[d] = 0;
-            d -= 1;
-        }
-    }
-
-    /// Move the cursor forward by `n` chunk-local offsets (a run of
-    /// unset bits). A cursor landing exactly on the chunk end stays
-    /// parked past the last row's width.
-    fn advance(&mut self, n: u64) {
-        self.in_row += n;
-        while self.in_row >= self.row_w && self.rows_left > 0 {
-            self.in_row -= self.row_w;
-            let carry_over = self.in_row;
-            self.next_row();
-            self.in_row = carry_over;
-        }
-    }
-
-    /// Walk the next `len` chunk-local offsets (a run of set bits) as
-    /// contiguous row segments, calling `f(g0, vi, take)` for each:
-    /// `g0` is the segment's first global position, `vi` its first
-    /// index into the chunk's reconstructed values (`vi0` + offset
-    /// within the run), and `take` its point count. Consecutive global
-    /// positions within a segment map to consecutive value indices, so
-    /// callers filter and copy sub-slices instead of points. Leaves the
-    /// cursor at the end of the run.
-    fn walk_run<F>(&mut self, len: u64, vi0: usize, mut f: F)
-    where
-        F: FnMut(u64, usize, u64),
-    {
-        let w = self.row_w;
-        let mut remaining = len;
-        let mut vi = vi0;
-        loop {
-            // The run covers `take` contiguous global positions of the
-            // cursor's chunk row.
-            let take = remaining.min(w - self.in_row);
-            f(self.row_base + self.in_row, vi, take);
-            remaining -= take;
-            vi += take as usize;
-            self.in_row += take;
-            if remaining == 0 {
-                // Eagerly carry a row boundary (unless the chunk is
-                // exhausted, where the cursor parks past the last row).
-                if self.in_row == w && self.rows_left > 0 {
-                    self.next_row();
-                }
-                return;
-            }
-            self.next_row();
-        }
-    }
-}
 
 /// The part of a chunk inside the query's region — its box, in
 /// chunk-local coordinates — as the pieces of a unit's runs of set
@@ -377,19 +189,20 @@ fn for_each_kept(runs: RunListRef<'_>, window: &mut Window, mut keep: impl FnMut
     })
 }
 
-/// Deferred per-chunk gather target for units with no per-point
-/// filter.
+/// Deferred per-chunk gather target: every unit places what it keeps
+/// here.
 ///
 /// Bin bitmaps over continuous data are scatter-heavy (isolated set
-/// bits), so emitting per unit pays the row-major cursor *per set
-/// bit*. Units that no position filter restricts instead place the
-/// values of their points inside the query's region into a
-/// chunk-shaped block with pure local arithmetic and mark them in
-/// `mask`; after all groups, one pass over the global rows the chunks
-/// cover emits whole row segments in bulk, in position order. The
-/// mask — rather than assuming full coverage — keeps this correct when
-/// a chunk's bins are split across ranks by the column-order
-/// assignment. It never holds a point outside the region.
+/// bits), so emitting per unit would pay the row-major cursor *per set
+/// bit*. Each unit instead places the values of its points inside the
+/// query's region into a chunk-shaped block with pure local arithmetic
+/// and marks them in `mask`; after all groups, one pass over the global
+/// rows the chunks cover emits whole row segments in bulk, in position
+/// order. The mask — rather than assuming full coverage — keeps this
+/// correct when a chunk's bins are split across ranks by the
+/// column-order assignment. It never holds a point outside the region,
+/// nor, under a position filter or a membership point set, one outside
+/// it.
 ///
 /// A capturing request (a progressive ladder's step 0) also marks each
 /// point a refinable unit keeps with its place in the rank's
@@ -407,6 +220,75 @@ struct ChunkScatter {
     /// [`Refinement::val_idx`], or 0 for a point no refinable unit
     /// kept (empty unless capturing; from [`SLOT_POOL`]).
     slots: Vec<usize>,
+    /// The chunk-local offsets of the request's position filter (or
+    /// membership point set) inside the chunk and the region's box,
+    /// rising; empty when the request has neither.
+    probes: Vec<u64>,
+}
+
+/// Append to `out` the chunk-local offsets of the points of `filter`
+/// (sorted global positions) that lie in the chunk spanning `ranges`
+/// and inside `region` (`None`: all of the chunk), in rising order.
+/// The box's global rows rise too, so one forward cursor finds each
+/// row's points with two binary searches; no point is decoded.
+fn probe_offsets(
+    filter: &[u64],
+    shape: &[usize],
+    ranges: &[(usize, usize)],
+    region: Option<&[(usize, usize)]>,
+    coords: &mut [usize],
+    out: &mut Vec<u64>,
+) {
+    let last = ranges.len() - 1;
+    let inside = |d: usize| {
+        let (s, e) = ranges[d];
+        region.map_or((s, e), |r| (r[d].0.clamp(s, e), r[d].1.clamp(s, e)))
+    };
+    let (c0, c1) = inside(last);
+    let rows: usize = (0..last).map(|d| inside(d).1 - inside(d).0).product();
+    let row_w = (ranges[last].1 - ranges[last].0) as u64;
+    let mut rest = filter;
+    for row in (0..rows).take_while(|_| c0 < c1 && !rest.is_empty()) {
+        // The row's outer coordinates, then its first point in the box,
+        // as a global position and as a chunk-local offset.
+        let mut r = row;
+        for d in (0..last).rev() {
+            let (lo, hi) = inside(d);
+            coords[d] = lo + r % (hi - lo);
+            r /= hi - lo;
+        }
+        let (mut g, mut l) = (0u64, 0u64);
+        for d in 0..last {
+            g = g * shape[d] as u64 + coords[d] as u64;
+            l = l * (ranges[d].1 - ranges[d].0) as u64 + (coords[d] - ranges[d].0) as u64;
+        }
+        let g = g * shape[last] as u64 + c0 as u64;
+        let l = l * row_w + (c0 - ranges[last].0) as u64;
+        rest = &rest[rest.partition_point(|&p| p < g)..];
+        let n = rest.partition_point(|&p| p < g + (c1 - c0) as u64);
+        out.extend(rest[..n].iter().map(|&p| l + (p - g)));
+        rest = &rest[n..];
+    }
+}
+
+/// Merge a unit's runs against its chunk's rising `probes` in one
+/// forward pass, calling `hit(at, vi)` for each probe that is a set
+/// bit: its chunk-local offset and the index of its value (the rank
+/// of its bit).
+fn for_each_hit(runs: RunListRef<'_>, probes: &[u64], mut hit: impl FnMut(u64, usize)) {
+    let Some(&first) = probes.first() else {
+        return;
+    };
+    let mut i = 0;
+    runs.for_each_run_from(first, |start, ones_before, len| {
+        while let Some(&p) = probes.get(i).filter(|&&p| p < start + len) {
+            if p >= start {
+                hit(p, (ones_before + p - start) as usize);
+            }
+            i += 1;
+        }
+        probes.get(i).copied().unwrap_or(u64::MAX)
+    })
 }
 
 /// Set `len` bits of `mask` starting at bit `start`.
@@ -503,21 +385,6 @@ impl Source<'_> {
     }
 }
 
-/// What the per-unit emission paths see of one unit: its run list,
-/// and — on the position-filtered, membership and general paths —
-/// values assembled whole.
-struct UnitView<'u> {
-    unit: &'u WorkUnit,
-    /// The chunk's extent per dimension, clamped at the domain edge.
-    ranges: &'u [(usize, usize)],
-    runs: RunListRef<'u>,
-    /// The unit's values in bitmap rank order, present iff they must
-    /// be checked against the value constraint.
-    filter_vals: Option<&'u [f64]>,
-    /// The same values, present iff the query outputs values.
-    out_vals: Option<&'u [f64]>,
-}
-
 /// Whether `v` satisfies the half-open value constraint `[lo, hi)`.
 #[inline]
 fn within((lo, hi): (f64, f64), v: f64) -> bool {
@@ -525,13 +392,14 @@ fn within((lo, hi): (f64, f64), v: f64) -> bool {
 }
 
 /// Buffers reused across every chunk of every bin: the PLoD assembly
-/// targets (a whole unit, and a piece a value filter tests) and the
-/// chunk's clamped ranges.
+/// targets (a whole unit, and a piece a value filter tests), the
+/// chunk's clamped ranges, and a row's coordinates.
 #[derive(Default)]
 struct Scratch {
     values: Vec<f64>,
     piece: Vec<f64>,
     ranges: Vec<(usize, usize)>,
+    coords: Vec<usize>,
 }
 
 /// One rank's reconstruct stage.
@@ -539,10 +407,8 @@ pub(crate) struct Reconstructor<'j, 'a> {
     job: &'j RankJob<'j, 'a>,
     /// Sorted, duplicate-free global positions the output is
     /// restricted to: the caller's filter, else a membership query's
-    /// point set.
+    /// point set (the executor and the planner check the order).
     filter: Option<&'j [u64]>,
-    /// The query is a point-set probe (no caller filter overrides it).
-    membership: bool,
     /// Record refinable units for a progressive ladder (see
     /// [`Refinement`]).
     capture: bool,
@@ -551,14 +417,14 @@ pub(crate) struct Reconstructor<'j, 'a> {
     /// Parts of a data-bearing unit the query's PLoD level uses.
     pub n_parts: usize,
     scratch: Scratch,
-    coords: Vec<usize>,
-    emitter: ChunkEmitter,
+    /// Global row-major stride per dimension (from the domain shape).
+    strides: Vec<u64>,
     window: Window,
-    /// Scatter targets for filterless units, keyed by row-major chunk
-    /// id (the order emission walks them in), emitted in bulk after
-    /// the last bin.
+    /// Every unit's scatter target, keyed by row-major chunk id (the
+    /// order emission walks them in), emitted in bulk after the last
+    /// bin.
     scatter: BTreeMap<usize, ChunkScatter>,
-    /// Membership probes answered from a stored bitmap's runs (a full
+    /// Filter points probed against a stored bitmap's runs (a full
     /// chunk's point needs none).
     pub rank_calls: u64,
     /// Allocation proxy: bytes PLoD assembly materialized, 8 per kept
@@ -569,27 +435,28 @@ pub(crate) struct Reconstructor<'j, 'a> {
 impl<'j, 'a> Reconstructor<'j, 'a> {
     pub fn new(job: &'j RankJob<'j, 'a>) -> Self {
         let (grid, req) = (job.store.grid(), &job.req);
-        debug_assert!(
-            req.position_filter
-                .is_none_or(|f| f.windows(2).all(|w| w[0] < w[1])),
-            "position filter must be sorted and duplicate-free"
-        );
+        let shape = grid.shape();
+        let mut strides = vec![1u64; shape.len()];
+        for d in (0..shape.len().saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * shape[d + 1] as u64;
+        }
+        // An explicit caller filter wins over a membership point set:
+        // multivar pre-intersects the point set itself.
+        let filter = req.position_filter.or(req.query.points.as_deref());
         Reconstructor {
             job,
-            // A membership query routes its sorted point set through
-            // the same position-filter machinery as multi-variable
-            // retrieval, so every execution mode inherits that path's
-            // correctness; an explicit caller filter wins (multivar
-            // pre-intersects the point set itself and keeps the
-            // streaming gallop route).
-            filter: req.position_filter.or(req.query.points.as_deref()),
-            membership: req.position_filter.is_none() && req.query.points.is_some(),
-            capture: req.capture_refine && job.store.config().plod && req.query.wants_values(),
+            filter,
+            capture: req.capture_refine
+                && filter.is_none()
+                && job.store.config().plod
+                && req.query.wants_values(),
             vc: req.query.vc.unwrap_or((f64::MIN, f64::MAX)),
             n_parts: parts_used(job.store.config(), req.query),
-            scratch: Scratch::default(),
-            coords: vec![0; grid.dims()],
-            emitter: ChunkEmitter::new(grid.shape()),
+            scratch: Scratch {
+                coords: vec![0; grid.dims()],
+                ..Scratch::default()
+            },
+            strides,
             window: Window::new(grid.dims()),
             scatter: BTreeMap::new(),
             rank_calls: 0,
@@ -604,30 +471,20 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         region.filter(|_| u.spatial_filter).map(|r| r.ranges())
     }
 
-    /// Whether units defer to the per-chunk scatter (emitted by
-    /// [`Self::emit_deferred`]) rather than emit one by one: every unit
-    /// of a request no position filter restricts does.
-    pub fn defers(&self) -> bool {
-        !self.job.req.force_general_reconstruct && self.filter.is_none()
-    }
-
-    /// Reconstruct unit `gi` of a bin's group into `out`, or defer it
-    /// to the per-chunk scatter ([`Self::emit_deferred`]). A unit
-    /// emitted here is one run of `out`: its run walk rises in global
-    /// position.
+    /// Defer unit `gi` of a bin's group to its chunk's scatter, emitted
+    /// by [`Self::emit_deferred`]; a refinable unit of a capturing
+    /// request is recorded in `refine`.
     pub fn unit(
         &mut self,
         gi: usize,
         u: &WorkUnit,
         bin: &BinBlocks,
-        out: &mut RankOutput,
+        refine: &mut Refinement,
     ) -> Result<()> {
-        // The scratch is lent to the unit's view for the call, so the
-        // paths can borrow `self` whole.
+        // The scratch is lent to the unit for the call, so the walk can
+        // borrow `self` whole.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let start = out.positions.len();
-        let done = self.unit_with(&mut scratch, gi, u, bin, out);
-        out.close_run(start);
+        let done = self.unit_with(&mut scratch, gi, u, bin, refine);
         self.scratch = scratch;
         done
     }
@@ -638,28 +495,24 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         gi: usize,
         u: &WorkUnit,
         bin: &BinBlocks,
-        out: &mut RankOutput,
+        refine: &mut Refinement,
     ) -> Result<()> {
         let count = bin.fixed.index.count(u.chunk_rank);
         if count == 0 {
             return Ok(());
         }
-        let (store, req) = (self.job.store, &self.job.req);
-        let query = req.query;
-        let ranges = &mut scratch.ranges;
+        let (store, query) = (self.job.store, self.job.req.query);
         store
             .grid()
-            .chunk_ranges_into(store.order().cell_at(u.chunk_rank), ranges);
-        let chunk_points: u64 = ranges.iter().map(|&(s, e)| (e - s) as u64).product();
-        let deferred = self.defers();
+            .chunk_ranges_into(store.order().cell_at(u.chunk_rank), &mut scratch.ranges);
         // A refinable unit — PLoD data-bearing, values wanted, no value
         // filter, no position filter — is recorded even when it keeps
         // no point, so a refinement pull reads what a one-shot query at
         // its level would.
-        let capture = self.capture && deferred && u.needs_data && !u.value_filter;
+        let capture = self.capture && u.needs_data && !u.value_filter;
         if capture {
-            let at = out.refine.val_idx.len();
-            out.refine.units.push(RefineUnit {
+            let at = refine.val_idx.len();
+            refine.units.push(RefineUnit {
                 bin: u.bin,
                 chunk_rank: u.chunk_rank,
                 count,
@@ -667,15 +520,13 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                 points: at..at,
             });
         }
-        if deferred {
-            // A deferred unit keeps only its set bits inside the
-            // region: when the chunk's summary puts them all before or
-            // after the region's box, it has nothing to walk.
-            self.window.set_chunk(ranges, self.region(u));
-            let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
-            if summary.is_some_and(|s| !self.window.meets(s)) {
-                return Ok(());
-            }
+        // A unit keeps only its set bits inside the region: when the
+        // chunk's summary puts them all before or after the region's
+        // box, it has nothing to walk.
+        self.window.set_chunk(&scratch.ranges, self.region(u));
+        let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
+        if summary.is_some_and(|s| !self.window.meets(s)) {
+            return Ok(());
         }
         // The unit's run list was checked against its header entry —
         // its count of set bits, its chunk's length — when its bitmap
@@ -717,188 +568,122 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             let floats = parts.first().and_then(|b| b.as_ref()?.as_floats());
             Source::Floats(floats.ok_or(MlocError::Corrupt("missing value block"))?)
         };
-
-        if deferred {
-            let bufs = (&mut scratch.values, &mut scratch.piece);
-            let refine = capture.then_some(&mut out.refine);
-            return self.defer(u, runs, src, chunk_points, bufs, refine);
-        }
-
-        // The other per-unit paths read the unit's values whole.
-        let vals: Option<&[f64]> = match src {
-            Source::Index => None,
-            Source::Plod(parts) => {
-                parts.assemble_into(&mut scratch.values);
-                self.copy_bytes += std::mem::size_of_val(scratch.values.as_slice()) as u64;
-                Some(&scratch.values[..])
-            }
-            Source::Floats(block) => Some(block),
-        };
-        let v = UnitView {
-            unit: u,
-            ranges,
-            runs,
-            filter_vals: vals.filter(|_| u.value_filter),
-            out_vals: vals.filter(|_| query.wants_values()),
-        };
-
-        if self.membership && !req.force_general_reconstruct && !u.spatial_filter {
-            let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
-            self.probe(&v, summary, bin.full[gi], out);
-            return Ok(());
-        }
-        if req.force_general_reconstruct {
-            self.general(&v, out);
-        } else if let Some(filter) = self.filter {
-            self.filtered(&v, filter, out);
-        }
-        Ok(())
+        let probed = (summary, bin.full[gi]);
+        self.defer(u, runs, src, scratch, probed, capture.then_some(refine))
     }
 
-    /// Membership probe path: a point-set query answers only a handful
-    /// of probes per chunk. Its points, sorted, rise in chunk-local
-    /// order too, so they merge against the unit's runs in one forward
-    /// pass: a probe inside a run is present, its value index the run's
-    /// rank plus its offset in the run. The general path stays
-    /// available as the differential oracle.
-    fn probe(
-        &mut self,
-        v: &UnitView<'_>,
-        summary: Option<ChunkSummary>,
-        full: bool,
-        out: &mut RankOutput,
-    ) {
-        let (grid, filter) = (self.job.store.grid(), self.filter.unwrap_or(&[]));
-        // Points that can fall in this chunk lie between the chunk
-        // corners' global linear positions.
-        for (d, r) in v.ranges.iter().enumerate() {
-            self.coords[d] = r.0;
-        }
-        let g_lo = grid.linearize(&self.coords);
-        for (d, r) in v.ranges.iter().enumerate() {
-            self.coords[d] = r.1 - 1;
-        }
-        let g_hi = grid.linearize(&self.coords);
-        let lo_i = filter.partition_point(|&p| p < g_lo);
-        let hi_i = filter.partition_point(|&p| p <= g_hi);
-        let shape = grid.shape();
-        let mut runs = v.runs.iter();
-        let mut run = runs.next();
-        'probe: for &p in &filter[lo_i..hi_i] {
-            // Global position → coordinates → chunk-local offset. The
-            // corner window is a superset of the chunk's box, so
-            // out-of-box points still occur.
-            let mut rem = p;
-            for d in (0..shape.len()).rev() {
-                self.coords[d] = (rem % shape[d] as u64) as usize;
-                rem /= shape[d] as u64;
-            }
-            let mut local = 0u64;
-            for (d, r) in v.ranges.iter().enumerate() {
-                let c = self.coords[d];
-                if c < r.0 || c >= r.1 {
-                    continue 'probe;
-                }
-                local = local * (r.1 - r.0) as u64 + (c - r.0) as u64;
-            }
-            // Level-1 cull: the summary bounds the set span.
-            if summary.is_some_and(|s| local < u64::from(s.min_pos) || local > u64::from(s.max_pos))
-            {
-                continue;
-            }
-            self.rank_calls += u64::from(!full);
-            while let Some((start, _, len)) = run {
-                if start + len > local {
-                    break;
-                }
-                run = runs.next();
-            }
-            let Some((start, ones_before, _)) = run.filter(|r| r.0 <= local) else {
-                continue;
-            };
-            let vi = (ones_before + local - start) as usize;
-            if v.filter_vals.is_some_and(|f| !within(self.vc, f[vi])) {
-                continue;
-            }
-            out.positions.push(p);
-            if let Some(vals) = v.out_vals {
-                out.values.push(vals[vi]);
-            }
-        }
-    }
-
-    /// Walk unit `v`'s set bits inside the query's region as global row
-    /// segments, in rising position order, calling `f(g0, vi, take)`
-    /// for each: its first global position, the index of its first
-    /// value, and its point count.
-    fn for_each_segment(&mut self, v: &UnitView<'_>, mut f: impl FnMut(u64, usize, u64)) {
-        let region = self.region(v.unit);
-        self.window.set_chunk(v.ranges, region);
-        let (emitter, mut at) = (&mut self.emitter, 0);
-        emitter.set_chunk(v.ranges);
-        for_each_kept(v.runs, &mut self.window, |li, vi, take| {
-            emitter.advance(li - at);
-            at = li + take;
-            emitter.walk_run(take, vi, &mut f);
-        })
-    }
-
-    /// Defer a position-filterless unit to its chunk's scatter: each
-    /// run of set bits is cut to the query's region ([`Window`]), and
-    /// each kept piece — a contiguous range of value indices — lands in
-    /// its place in the chunk-local block and is marked in the coverage
-    /// mask, with pure local arithmetic: no row-major cursor per set
-    /// bit. A unit of a chunk the region straddles assembles only its
-    /// kept pieces, straight into the block; a unit of a chunk wholly
-    /// inside keeps every set bit, so it is assembled whole in one pass
-    /// and read like a float block. A value filter tests the kept
-    /// points only (one compare each) and stores the survivors. One
-    /// bulk emission maps every chunk's survivors to global positions,
-    /// in order, after the last bin. A refinable unit of a capturing
+    /// Defer a unit to its chunk's scatter, with pure local arithmetic:
+    /// no row-major cursor per set bit. The window is already aimed at
+    /// the unit's chunk.
+    ///
+    /// With no position filter, each run of set bits is cut to the
+    /// query's region ([`Window`]), and each kept piece — a contiguous
+    /// range of value indices — lands in its place in the chunk-local
+    /// block and is marked in the coverage mask. A unit of a chunk the
+    /// region straddles assembles only its kept pieces, straight into
+    /// the block; a unit of a chunk wholly inside keeps every set bit,
+    /// so it is assembled whole in one pass and read like a float
+    /// block. A value filter tests the kept points only (one compare
+    /// each) and stores the survivors. A refinable unit of a capturing
     /// request also appends its kept points' value indices to `refine`
-    /// and marks each point's slot with its place there. The window is
-    /// already aimed at the unit's chunk.
+    /// and marks each point's slot with its place there.
+    ///
+    /// Under a position filter or a membership point set, the chunk's
+    /// probes inside the unit's summary span (`probed`: the chunk's
+    /// summary, and whether the chunk is full) merge against its runs;
+    /// each hit assembles its one value when the query tests or keeps
+    /// it.
+    ///
+    /// One bulk emission maps every chunk's survivors to global
+    /// positions, in order, after the last bin.
     fn defer(
         &mut self,
         u: &WorkUnit,
         runs: RunListRef<'_>,
         src: Source<'_>,
-        chunk_points: u64,
-        (whole, piece): (&mut Vec<f64>, &mut Vec<f64>),
+        scratch: &mut Scratch,
+        (summary, full): (Option<ChunkSummary>, bool),
         refine: Option<&mut Refinement>,
     ) -> Result<()> {
-        let (vc, keep_values) = (self.vc, self.job.req.query.wants_values());
+        let (vc, keep_values, filter) = (self.vc, self.job.req.query.wants_values(), self.filter);
+        let Scratch {
+            values: whole,
+            piece,
+            ranges,
+            coords,
+        } = scratch;
         let plod = matches!(src, Source::Plod(_));
         let src = match src {
-            Source::Plod(parts) if self.window.whole => {
+            Source::Plod(parts) if self.window.whole && filter.is_none() => {
                 parts.assemble_into(whole);
                 Source::Floats(whole)
             }
             src => src,
         };
-        let (chunk, capture) = (self.job.store.order().cell_at(u.chunk_rank), self.capture);
+        let (store, capture) = (self.job.store, self.capture);
+        let region = self.job.req.query.sc.as_ref().map(|r| r.ranges());
+        let chunk_points = ranges.iter().map(|&(s, e)| e - s).product::<usize>();
+        let chunk = store.order().cell_at(u.chunk_rank);
         let e = self.scatter.entry(chunk).or_insert_with(|| {
             let mut e = SCATTER_POOL.with_borrow_mut(Vec::pop).unwrap_or_default();
             debug_assert!(e.block.iter().all(|&x| x == 0.0));
             debug_assert!(e.mask.iter().all(|&w| w == 0));
-            debug_assert!(e.slots.is_empty());
+            debug_assert!(e.slots.is_empty() && e.probes.is_empty());
             if keep_values {
-                e.block.resize(chunk_points as usize, 0.0);
+                e.block.resize(chunk_points, 0.0);
             }
-            e.mask.resize((chunk_points as usize).div_ceil(64), 0);
+            e.mask.resize(chunk_points.div_ceil(64), 0);
             if capture {
                 e.slots = SLOT_POOL.with_borrow_mut(Vec::pop).unwrap_or_default();
                 debug_assert!(e.slots.iter().all(|&s| s == 0));
-                e.slots.resize(chunk_points as usize, 0);
+                e.slots.resize(chunk_points, 0);
+            }
+            if let Some(filter) = filter {
+                let shape = store.grid().shape();
+                probe_offsets(filter, shape, ranges, region, coords, &mut e.probes);
             }
             e
         });
+        let ChunkScatter {
+            block,
+            mask,
+            slots,
+            probes,
+        } = e;
         let window = &mut self.window;
         // Every kept piece lies inside the unit (its run list's count was
         // checked against the unit's), so a source refusing one is a
         // damaged store: flagged here, reported once after the walk.
         let (mut kept, mut bad) = (0u64, false);
-        if u.value_filter {
+        if filter.is_some() {
+            // The unit's set bits lie in its summary's span; each probe
+            // there is a probe of its stored bitmap, unless the chunk is
+            // full.
+            let mut probes = &probes[..];
+            if let Some(s) = summary {
+                probes = &probes[probes.partition_point(|&p| p < u64::from(s.min_pos))..];
+                probes = &probes[..probes.partition_point(|&p| p <= u64::from(s.max_pos))];
+            }
+            self.rank_calls += if full { 0 } else { probes.len() as u64 };
+            let tests_value = u.value_filter || keep_values;
+            for_each_hit(runs, probes, |at, vi| {
+                let mut val = [0.0];
+                if tests_value {
+                    if !src.fill(vi, &mut val) {
+                        bad = true;
+                        return;
+                    }
+                    kept += 1;
+                    if u.value_filter && !within(vc, val[0]) {
+                        return;
+                    }
+                    if keep_values {
+                        block[at as usize] = val[0];
+                    }
+                }
+                mask[(at / 64) as usize] |= 1u64 << (at % 64);
+            })
+        } else if u.value_filter {
             // Two loops, not one with a branch on the output kind: this
             // is the per-point hot loop of every value-constrained
             // query.
@@ -911,8 +696,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                     };
                     for (li, &val) in (at..).zip(vals) {
                         if within(vc, val) {
-                            e.block[li as usize] = val;
-                            e.mask[(li / 64) as usize] |= 1u64 << (li % 64);
+                            block[li as usize] = val;
+                            mask[(li / 64) as usize] |= 1u64 << (li % 64);
                         }
                     }
                 })
@@ -925,7 +710,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                     };
                     for (li, &val) in (at..).zip(vals) {
                         if within(vc, val) {
-                            e.mask[(li / 64) as usize] |= 1u64 << (li % 64);
+                            mask[(li / 64) as usize] |= 1u64 << (li % 64);
                         }
                     }
                 })
@@ -934,11 +719,11 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             let first = refine.val_idx.len();
             for_each_kept(runs, window, |at, vi, take| {
                 kept += take;
-                bad |= !src.fill(vi, &mut e.block[at as usize..(at + take) as usize]);
-                set_bits(&mut e.mask, at, take);
+                bad |= !src.fill(vi, &mut block[at as usize..(at + take) as usize]);
+                set_bits(mask, at, take);
                 let (at, len) = (at as usize, take as usize);
                 let marks = refine.val_idx.len() + 1..;
-                for (slot, mark) in e.slots[at..at + len].iter_mut().zip(marks) {
+                for (slot, mark) in slots[at..at + len].iter_mut().zip(marks) {
                     *slot = mark;
                 }
                 refine.val_idx.extend((vi..vi + len).map(|i| i as u32));
@@ -950,11 +735,11 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         } else if keep_values {
             for_each_kept(runs, window, |at, vi, take| {
                 kept += take;
-                bad |= !src.fill(vi, &mut e.block[at as usize..(at + take) as usize]);
-                set_bits(&mut e.mask, at, take);
+                bad |= !src.fill(vi, &mut block[at as usize..(at + take) as usize]);
+                set_bits(mask, at, take);
             })
         } else {
-            for_each_kept(runs, window, |at, _, take| set_bits(&mut e.mask, at, take))
+            for_each_kept(runs, window, |at, _, take| set_bits(mask, at, take))
         }
         if plod {
             self.copy_bytes += 8 * kept;
@@ -963,56 +748,6 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             return Err(MlocError::Corrupt("value index past its unit"));
         }
         Ok(())
-    }
-
-    /// General path: per-point value/spatial checks. Kept close to the
-    /// pre-optimization loop so the bulk paths can be differentially
-    /// tested against it.
-    fn general(&mut self, v: &UnitView<'_>, out: &mut RankOutput) {
-        let mut gallop = self.filter.map(Gallop::new);
-        let (grid, query) = (self.job.store.grid(), self.job.req.query);
-        let region = query.sc.as_ref().filter(|_| v.unit.spatial_filter);
-        let ones = v.runs.iter().flat_map(|(at, ones_before, len)| {
-            (0..len).map(move |k| ((ones_before + k) as usize, at + k))
-        });
-        for (pos_idx, local) in ones {
-            if v.filter_vals.is_some_and(|f| !within(self.vc, f[pos_idx])) {
-                continue;
-            }
-            local_to_coords_into(v.ranges, local, &mut self.coords);
-            if region.is_some_and(|r| !r.contains(&self.coords)) {
-                continue;
-            }
-            let global = grid.linearize(&self.coords);
-            if gallop.as_mut().is_some_and(|g| !g.contains(global)) {
-                continue;
-            }
-            out.positions.push(global);
-            if let Some(vals) = v.out_vals {
-                out.values.push(vals[pos_idx]);
-            }
-        }
-    }
-
-    /// Position-filtered (multi-variable) path: walk the unit's set
-    /// bits inside the region as global row segments, gallop the sorted
-    /// filter over each segment, and apply the value constraint to the
-    /// survivors.
-    fn filtered(&mut self, v: &UnitView<'_>, filter: &[u64], out: &mut RankOutput) {
-        let vc = self.vc;
-        let mut gallop = Gallop::new(filter);
-        self.for_each_segment(v, |g0, vi, take| {
-            for &p in gallop.range(g0, g0 + take) {
-                let k = (p - g0) as usize;
-                if v.filter_vals.is_some_and(|f| !within(vc, f[vi + k])) {
-                    continue;
-                }
-                out.positions.push(p);
-                if let Some(vals) = v.out_vals {
-                    out.values.push(vals[vi + k]);
-                }
-            }
-        });
     }
 
     /// Whether any unit was deferred to the per-chunk scatter.
@@ -1058,17 +793,16 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         }
         let walk = RowWalk {
             ranges: &ranges,
-            strides: &self.emitter.strides,
+            strides: &self.strides,
             keep_values: query.wants_values(),
         };
         let refine = &mut out.refine;
         refine.result_idx.resize(refine.val_idx.len(), 0);
-        let start = out.positions.len();
         walk.rows(&mut pending, 0, 0, out);
-        out.close_run(start);
         SCATTER_POOL.with_borrow_mut(|pool| {
             SLOT_POOL.with_borrow_mut(|slot_pool| {
                 for Pending { mut scatter, .. } in pending {
+                    scatter.probes.clear();
                     let slots = std::mem::take(&mut scatter.slots);
                     if !slots.is_empty() && slot_pool.len() < SLOT_POOL_CAP {
                         slot_pool.push(slots);
@@ -1165,7 +899,9 @@ impl RowWalk<'_> {
         // The row's chunk-local offsets.
         let (a, b) = (chunk.row * w, (chunk.row + 1) * w);
         chunk.row += 1;
-        let ChunkScatter { block, mask, slots } = &mut chunk.scatter;
+        let ChunkScatter {
+            block, mask, slots, ..
+        } = &mut chunk.scatter;
         let mut p = a;
         loop {
             let s = seek_bit(mask, p, b, true);
@@ -1207,6 +943,17 @@ mod tests {
     use super::*;
     use crate::array::{ChunkGrid, Region};
 
+    /// Decompose a chunk-local offset into global coordinates (scratch
+    /// holds the result).
+    fn local_to_coords_into(ranges: &[(usize, usize)], mut local: u64, scratch: &mut [usize]) {
+        for d in (0..ranges.len()).rev() {
+            let (s, e) = ranges[d];
+            let extent = (e - s) as u64;
+            scratch[d] = s + (local % extent) as usize;
+            local /= extent;
+        }
+    }
+
     #[test]
     fn local_to_coords_matches_grid() {
         let grid = ChunkGrid::new(vec![10, 7], vec![4, 3]);
@@ -1218,73 +965,6 @@ mod tests {
                 assert_eq!(scratch, grid.local_to_coords(chunk, local));
             }
         }
-    }
-
-    #[test]
-    fn chunk_emitter_matches_per_point_mapping() {
-        for (shape, chunk_shape) in [
-            (vec![10usize, 7], vec![4usize, 3]),
-            (vec![16], vec![5]),
-            (vec![6, 5, 4], vec![4, 2, 3]),
-        ] {
-            let grid = ChunkGrid::new(shape.clone(), chunk_shape);
-            let mut emitter = ChunkEmitter::new(grid.shape());
-            let mut coords = vec![0usize; grid.dims()];
-            for chunk in 0..grid.num_chunks() {
-                let region = grid.chunk_region(chunk);
-                emitter.set_chunk(region.ranges());
-                let points = grid.chunk_points(chunk) as u64;
-                // Every (start, len) run inside the chunk.
-                for start in 0..points {
-                    for len in 1..=(points - start).min(9) {
-                        let mut got = Vec::new();
-                        emitter.set_chunk(region.ranges());
-                        emitter.advance(start);
-                        emitter.walk_run(len, 0, |g0, _, take| {
-                            got.extend(g0..g0 + take);
-                        });
-                        let want: Vec<u64> = (start..start + len)
-                            .map(|l| {
-                                local_to_coords_into(region.ranges(), l, &mut coords);
-                                grid.linearize(&coords)
-                            })
-                            .collect();
-                        assert_eq!(
-                            got, want,
-                            "shape {shape:?} chunk {chunk} run ({start},{len})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_emitter_copies_values_and_filters() {
-        let grid = ChunkGrid::new(vec![8, 8], vec![4, 4]);
-        let mut emitter = ChunkEmitter::new(grid.shape());
-        let region = grid.chunk_region(3); // rows 4..8, cols 4..8
-        emitter.set_chunk(region.ranges());
-        let vals: Vec<f64> = (0..16).map(|i| i as f64 * 10.0).collect();
-        // Run covering the whole chunk, filtered to three positions.
-        let all: Vec<u64> = {
-            let mut p = Vec::new();
-            emitter.walk_run(16, 0, |g0, _, take| p.extend(g0..g0 + take));
-            p
-        };
-        let filter = vec![all[1], all[7], all[14]];
-        let mut gallop = Gallop::new(&filter);
-        let mut positions = Vec::new();
-        let mut values = Vec::new();
-        emitter.set_chunk(region.ranges());
-        emitter.walk_run(16, 0, |g0, vi, take| {
-            for &e in gallop.range(g0, g0 + take) {
-                positions.push(e);
-                values.push(vals[vi + (e - g0) as usize]);
-            }
-        });
-        assert_eq!(positions, filter);
-        assert_eq!(values, vec![10.0, 70.0, 140.0]);
     }
 
     /// A window keeps exactly the offsets of a chunk's runs that lie in
@@ -1351,21 +1031,66 @@ mod tests {
         }
     }
 
+    /// A chunk's probes are exactly the filter's points inside the chunk
+    /// and the box, as rising chunk-local offsets — in ragged 1-, 2- and
+    /// 3-D chunks, with and without a region, for filters from every
+    /// point to every seventh.
     #[test]
-    fn gallop_matches_linear_intersection() {
-        let sorted: Vec<u64> = (0..1000u64).filter(|x| x % 7 == 0).collect();
-        let mut g = Gallop::new(&sorted);
-        for x in 0..1000u64 {
-            // Monotone probes only.
-            if x % 3 != 0 {
-                continue;
+    fn probe_offsets_are_the_filter_inside_the_box() {
+        let cases = [
+            (vec![16], vec![5], vec![(3, 12)]),
+            (vec![10, 7], vec![4, 3], vec![(1, 9), (2, 6)]),
+            (vec![6, 5, 4], vec![4, 2, 3], vec![(1, 5), (1, 4), (1, 3)]),
+        ];
+        for (shape, chunk_shape, region) in cases {
+            let grid = ChunkGrid::new(shape, chunk_shape);
+            let mut coords = vec![0usize; grid.dims()];
+            let region = Region::new(region);
+            for every in [1, 2, 7] {
+                let filter: Vec<u64> = (1..grid.num_points() as u64).step_by(every).collect();
+                for chunk in 0..grid.num_chunks() {
+                    let ranges = grid.chunk_region(chunk).ranges().to_vec();
+                    for boxed in [None, Some(region.ranges())] {
+                        let mut got = Vec::new();
+                        probe_offsets(&filter, grid.shape(), &ranges, boxed, &mut coords, &mut got);
+                        let want: Vec<u64> = (0..grid.chunk_points(chunk) as u64)
+                            .filter(|&l| {
+                                local_to_coords_into(&ranges, l, &mut coords);
+                                let inside = boxed.is_none() || region.contains(&coords);
+                                inside && filter.binary_search(&grid.linearize(&coords)).is_ok()
+                            })
+                            .collect();
+                        assert_eq!(got, want, "chunk {chunk}, every {every}, {boxed:?}");
+                    }
+                }
             }
-            assert_eq!(g.contains(x), x % 7 == 0, "x={x}");
         }
-        let mut g = Gallop::new(&sorted);
-        assert_eq!(g.range(10, 30), &[14, 21, 28]);
-        assert_eq!(g.range(30, 36), &[35]);
-        assert_eq!(g.range(990, 2000), &[994]);
-        assert!(g.range(2000, 3000).is_empty());
+    }
+
+    /// A unit's hits are the probes that are set bits, each with the
+    /// rank of its bit.
+    #[test]
+    fn hits_are_the_probes_that_are_set_bits() {
+        let bits: Vec<u64> = (0..200u64)
+            .filter(|x| x % 5 < 2 || (90..130).contains(x))
+            .collect();
+        let bitmap = mloc_bitmap::WahBitmap::from_sorted_positions(200, &bits);
+        let mut extent = bitmap.to_bytes();
+        extent.extend(mloc_bitmap::RankSelectDir::build(bitmap.as_ref()).to_bytes());
+        let mut buf = mloc_bitmap::RunListBuf::new();
+        let i = buf.push_wah(&extent).unwrap();
+        let runs = buf.get(i).unwrap();
+        for probes in [
+            vec![],
+            vec![0, 1, 2, 199],
+            (0..200).step_by(3).collect::<Vec<u64>>(),
+        ] {
+            let mut got = Vec::new();
+            for_each_hit(runs, &probes, |at, vi| got.push((at, vi)));
+            let want: Vec<(u64, usize)> = (probes.iter())
+                .filter_map(|p| bits.binary_search(p).ok().map(|vi| (*p, vi)))
+                .collect();
+            assert_eq!(got, want, "{probes:?}");
+        }
     }
 }

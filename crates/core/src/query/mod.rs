@@ -165,7 +165,7 @@ impl Query {
 /// and their values when requested. Entries are sorted by position.
 ///
 /// The engine never sorts an answer: every rank hands the gather its
-/// positions as a few strictly rising runs, and one merge interleaves
+/// positions as one strictly rising run, and one merge interleaves
 /// them. A result is only ever built from positions already in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -173,29 +173,9 @@ pub struct QueryResult {
     values: Option<Vec<f64>>,
 }
 
-/// One contributor's share of an answer — a rank's output, or a
-/// finished sub-result: positions with their values (empty for a
-/// positions-only query), appended as strictly rising runs. Run `k`
-/// spans `starts[k]..starts[k + 1]` (the last one, to the end); the
-/// first starts at 0 whenever there are positions at all.
-pub(crate) struct Runs {
-    pub positions: Vec<u64>,
-    pub values: Vec<f64>,
-    pub starts: Vec<usize>,
-}
-
-impl Runs {
-    /// Every non-empty run as `(start, end)`.
-    fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let ends = self.starts.iter().skip(1).copied();
-        let ends = ends.chain(std::iter::once(self.positions.len()));
-        self.starts.iter().copied().zip(ends).filter(|(s, e)| s < e)
-    }
-}
-
 /// Where [`QueryResult::merge`] put each part's entries, when asked to
 /// track them: entry `i` of part `k` landed at `maps[k][i]`. With no
-/// maps every entry kept its index — a lone run, moved whole.
+/// maps every entry kept its index — a lone part, moved whole.
 #[derive(Debug, Default)]
 pub(crate) struct Landing {
     maps: Vec<Vec<usize>>,
@@ -212,7 +192,7 @@ impl Landing {
     }
 }
 
-/// Restore the min-heap order of `heap` (keyed by a run's next
+/// Restore the min-heap order of `heap` (keyed by a part's next
 /// position) below slot `i`.
 fn sift_down(heap: &mut [(u64, usize)], mut i: usize) {
     loop {
@@ -243,76 +223,78 @@ impl QueryResult {
         QueryResult { positions, values }
     }
 
-    /// Merge every run of every part into one answer, values kept
-    /// aligned (`with_values` says whether the answer carries them).
+    /// Merge parts — each a strictly rising run — into one answer,
+    /// values kept aligned (`with_values` says whether the answer
+    /// carries them).
     ///
-    /// A lone run is its part's vectors, moved and trimmed to length,
-    /// not copied. Otherwise a min-heap keyed by each run's next
-    /// position picks the run to copy from, and copies from it every
-    /// position below the next-smallest head in one slice: a run that
-    /// leads by a whole row segment costs one heap step for the
-    /// segment. The merged vectors are allocated at their exact length.
-    /// With `track`, the [`Landing`] says where each part's entries went
+    /// A lone non-empty part is moved and trimmed to length, not
+    /// copied. Otherwise a min-heap keyed by each part's next position
+    /// picks the part to copy from, and copies from it every position
+    /// below the next-smallest head in one slice: a part that leads by
+    /// a whole row segment costs one heap step for the segment. The
+    /// merged vectors are allocated at their exact length. With
+    /// `track`, the [`Landing`] says where each part's entries went
     /// (otherwise it is empty).
-    pub(crate) fn merge(mut parts: Vec<Runs>, with_values: bool, track: bool) -> (Self, Landing) {
-        // (part, start, end) of every non-empty run.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        for (k, part) in parts.iter().enumerate() {
-            debug_assert!(!with_values || part.values.len() == part.positions.len());
-            runs.extend(part.spans().map(|(s, e)| (k, s, e)));
-        }
-        if let [(k, 0, e)] = runs[..] {
-            if e == parts[k].positions.len() {
-                let Runs {
-                    mut positions,
-                    mut values,
-                    ..
-                } = parts.swap_remove(k);
-                positions.shrink_to_fit();
+    pub(crate) fn merge(
+        mut parts: Vec<QueryResult>,
+        with_values: bool,
+        track: bool,
+    ) -> (Self, Landing) {
+        debug_assert!(parts.iter().all(|p| p.values.is_some() == with_values));
+        let mut live = (0..parts.len()).filter(|&k| !parts[k].is_empty());
+        if let (Some(k), None) = (live.next(), live.next()) {
+            let QueryResult {
+                mut positions,
+                mut values,
+            } = parts.swap_remove(k);
+            positions.shrink_to_fit();
+            if let Some(values) = &mut values {
                 values.shrink_to_fit();
-                let result = QueryResult::from_sorted(positions, with_values.then_some(values));
-                return (result, Landing::default());
             }
+            let result = QueryResult::from_sorted(positions, values);
+            return (result, Landing::default());
         }
         let mut landing = Landing::default();
         if track {
-            landing.maps = parts.iter().map(|p| vec![0; p.positions.len()]).collect();
+            landing.maps = parts.iter().map(|p| vec![0; p.len()]).collect();
         }
-        let total: usize = runs.iter().map(|&(_, s, e)| e - s).sum();
+        let total: usize = parts.iter().map(QueryResult::len).sum();
         let mut positions = Vec::with_capacity(total);
         let mut values = Vec::with_capacity(if with_values { total } else { 0 });
-        let mut heap: Vec<(u64, usize)> = (runs.iter().enumerate())
-            .map(|(r, &(k, s, _))| (parts[k].positions[s], r))
+        // Per part: its next entry.
+        let mut next = vec![0; parts.len()];
+        let mut heap: Vec<(u64, usize)> = (parts.iter().enumerate())
+            .filter_map(|(k, p)| Some((*p.positions.first()?, k)))
             .collect();
         for i in (0..heap.len() / 2).rev() {
             sift_down(&mut heap, i);
         }
-        while let Some(&(_, r)) = heap.first() {
-            // The smallest head among the other runs: everything of this
-            // run below it comes next.
+        while let Some(&(_, k)) = heap.first() {
+            // The smallest head among the other parts: everything of
+            // this part below it comes next.
             let bound = heap[1..heap.len().min(3)]
                 .iter()
                 .map(|&(head, _)| head)
                 .min()
                 .unwrap_or(u64::MAX);
-            let (k, s, e) = runs[r];
-            let run = &parts[k].positions[s..e];
-            let take = run.iter().position(|&p| p > bound).unwrap_or(run.len());
+            let s = next[k];
+            let part = &parts[k].positions[s..];
+            let take = part.iter().position(|&p| p > bound).unwrap_or(part.len());
             if let Some(map) = landing.maps.get_mut(k) {
                 let at = positions.len();
                 for (slot, i) in map[s..s + take].iter_mut().zip(at..) {
                     *slot = i;
                 }
             }
-            positions.extend_from_slice(&run[..take]);
-            if with_values {
-                values.extend_from_slice(&parts[k].values[s..s + take]);
+            positions.extend_from_slice(&part[..take]);
+            if let Some(vals) = &parts[k].values {
+                values.extend_from_slice(&vals[s..s + take]);
             }
-            if take == run.len() {
+            if take == part.len() {
                 heap.swap_remove(0);
             } else {
-                runs[r].1 += take;
-                heap[0].0 = run[take];
+                next[k] += take;
+                heap[0].0 = part[take];
             }
             sift_down(&mut heap, 0);
         }
@@ -362,20 +344,6 @@ impl QueryResult {
     /// precision improves).
     pub(crate) fn values_mut(&mut self) -> Option<&mut [f64]> {
         self.values.as_deref_mut()
-    }
-
-    /// This result as one run, without copying (used when merging
-    /// sub-results).
-    pub(crate) fn into_runs(self) -> Runs {
-        Runs {
-            starts: if self.positions.is_empty() {
-                Vec::new()
-            } else {
-                vec![0]
-            },
-            positions: self.positions,
-            values: self.values.unwrap_or_default(),
-        }
     }
 
     /// Number of matches.

@@ -70,8 +70,8 @@ pub fn select_then_fetch(
     // Step 2: value retrieval on the fetch variable, restricted to the
     // selected positions. Only chunks containing selections are read.
     // Query results are already sorted ascending and duplicate-free —
-    // exactly the shape the engine's galloping filter needs, so no
-    // hash set is built.
+    // exactly the shape the engine's probe merge needs, so no hash set
+    // is built.
     let filter: &[u64] = selected.positions();
     let plan = fetch_plan(fetch, filter)?;
     let fetch_query = Query {

@@ -8,6 +8,9 @@ use mloc_compress::CodecKind;
 use mloc_pfs::{CostModel, MemBackend};
 use proptest::prelude::*;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// A small random dataset + geometry.
 #[derive(Debug, Clone)]
 struct Case {
@@ -78,11 +81,9 @@ fn value_bits(result: &QueryResult) -> Option<Vec<u64>> {
         .map(|v| v.iter().map(|x| x.to_bits()).collect())
 }
 
-/// Run `q` on the fast reconstruct paths and on the per-point general
-/// path, on one replayed rank and on four rank threads (the request
-/// carries the path choice to every rank); require the four answers to
-/// be bit-identical and return it.
-fn fast_matches_general(
+/// Run `q` on one replayed rank and on four rank threads; require the
+/// two answers to be bit-identical and return it.
+fn serial_matches_threaded(
     store: &MlocStore<'_>,
     q: &Query,
     filter: Option<&[u64]>,
@@ -93,16 +94,28 @@ fn fast_matches_general(
     let mut answers = Vec::new();
     for exec in [ParallelExecutor::serial(), threaded] {
         let exec = exec.allow_degraded(allow_degraded);
-        let mut req = ExecRequest::planned(q, &plan, filter);
-        answers.push(exec.run(store, req).unwrap().result);
-        req.force_general_reconstruct = true;
+        let req = ExecRequest::planned(q, &plan, filter);
         answers.push(exec.run(store, req).unwrap().result);
     }
-    for other in &answers[1..] {
-        assert_eq!(answers[0].positions(), other.positions(), "{q:?}");
-        assert_eq!(value_bits(&answers[0]), value_bits(other), "{q:?}");
-    }
+    assert_eq!(answers[0].positions(), answers[1].positions(), "{q:?}");
+    assert_eq!(value_bits(&answers[0]), value_bits(&answers[1]), "{q:?}");
     answers.swap_remove(0)
+}
+
+/// Run `q` as [`serial_matches_threaded`] does, require the answer to
+/// be the oracle's over `field` bit for bit, and return it.
+fn matches_oracle(
+    store: &MlocStore<'_>,
+    field: &[f64],
+    q: &Query,
+    filter: Option<&[u64]>,
+) -> QueryResult {
+    let got = serial_matches_threaded(store, q, filter, false);
+    let plan = make_plan(store, q).unwrap();
+    let want = oracle::expected(store, field, q, &plan.units, filter);
+    assert_eq!(got.positions(), &want.0[..], "{q:?}");
+    assert!(oracle::same(&got, &want), "{q:?}: values differ");
+    got
 }
 
 /// Distinct values over a wide range, in no spatial order.
@@ -312,8 +325,8 @@ proptest! {
         with_filter in proptest::bool::ANY,
         corners in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 3),
     ) {
-        // The run-aware bulk reconstruct paths and the per-point general
-        // path must produce bit-identical results for every query shape:
+        // The run-aware reconstruct must give the oracle's answer bit
+        // for bit, on one rank and on four, for every query shape:
         // value constraints, regions straddling chunks (a value filter
         // inside them included), reduced PLoD levels, and sorted
         // position filters.
@@ -349,7 +362,7 @@ proptest! {
             if let Some(r) = &region {
                 q.sc = Some(r.clone());
             }
-            fast_matches_general(&store, &q, filter.as_deref(), false);
+            matches_oracle(&store, &case.values, &q, filter.as_deref());
         }
     }
 
@@ -406,7 +419,7 @@ proptest! {
         prop_assert_eq!(res.positions(), &points[..]);
 
         // Value-constrained membership vs the naive filter, with and
-        // without value output, plus general-path parity.
+        // without value output, plus the oracle on one and four ranks.
         let mut sorted = case.values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let lo = sorted[sorted.len() / 4];
@@ -426,14 +439,8 @@ proptest! {
             prop_assert_eq!(v.to_bits(), case.values[p as usize].to_bits());
         }
 
-        let mut req = ExecRequest::new(&qv);
-        req.force_general_reconstruct = true;
-        let general = ParallelExecutor::serial().run(&store, req).unwrap().result;
-        prop_assert_eq!(general.positions(), resv.positions());
-        prop_assert_eq!(
-            general.values().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            resv.values().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let got = matches_oracle(&store, &case.values, &qv, None);
+        prop_assert_eq!(value_bits(&got), value_bits(&resv));
     }
 
     #[test]
@@ -455,8 +462,9 @@ proptest! {
 /// straddles. Fixed geometries meet every shape of that cut, on both
 /// value layouts (PLoD byte columns and whole floats): ragged edge
 /// chunks in 2-D and 3-D, regions one row and one column thick, a value
-/// filter inside straddling chunks, and every PLoD level. Full-precision
-/// answers are checked against a naive scan too.
+/// filter inside straddling chunks, and every PLoD level, each checked
+/// against the oracle. Full-precision answers are checked against a
+/// naive scan too.
 #[test]
 fn windowed_reconstruct_matches_general_path_on_fixed_geometries() {
     let geometries = [
@@ -505,18 +513,18 @@ fn windowed_reconstruct_matches_general_path_on_fixed_geometries() {
                     let plod = PlodLevel::new(level).unwrap();
                     let vc_sc = Query::values_where(lo, hi).with_region(region.clone());
                     for q in [Query::values_in(region.clone()), vc_sc] {
-                        fast_matches_general(&store, &q.with_plod(plod), None, false);
+                        matches_oracle(&store, &values, &q.with_plod(plod), None);
                     }
                 }
                 let all = 0..values.len() as u64;
                 let q = Query::values_in(region.clone());
-                let got = fast_matches_general(&store, &q, None, false);
+                let got = matches_oracle(&store, &values, &q, None);
                 let want: Vec<u64> = all.clone().filter(inside).collect();
                 assert_eq!(got.positions(), &want[..], "{q:?}");
                 let exact = want.iter().map(|&p| values[p as usize].to_bits());
                 assert_eq!(value_bits(&got), Some(exact.collect()), "{q:?}");
                 let q = Query::region(lo, hi).with_region(region.clone());
-                let got = fast_matches_general(&store, &q, None, false);
+                let got = matches_oracle(&store, &values, &q, None);
                 let want: Vec<u64> = all
                     .filter(|p| inside(p) && (lo..hi).contains(&values[*p as usize]))
                     .collect();
@@ -528,9 +536,9 @@ fn windowed_reconstruct_matches_general_path_on_fixed_geometries() {
 
 /// A straddling unit whose part 3 is damaged — one flipped byte in the
 /// part's extent, as the fetch stage's own degradation test does it —
-/// degrades to level 3 under `allow_degraded(true)`: the fast path
-/// answers with the general path's positions and, for that unit's
-/// points, their level-3 values, bit for bit.
+/// degrades to level 3 under `allow_degraded(true)`: one rank and
+/// four answer alike, with every position in the region and, for that
+/// unit's points, their level-3 values, bit for bit.
 #[test]
 fn a_degraded_straddling_unit_answers_at_its_level() {
     use mloc::index::HeaderView;
@@ -572,7 +580,7 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
     let damaged = MlocStore::open(&be, "p", "v").unwrap();
 
     let q = Query::values_in(region.clone());
-    let got = fast_matches_general(&damaged, &q, None, true);
+    let got = serial_matches_threaded(&damaged, &q, None, true);
     let exec = ParallelExecutor::serial().allow_degraded(true);
     let out = exec.run(&damaged, ExecRequest::new(&q)).unwrap();
     assert_eq!(out.metrics.degraded_units, 1);
@@ -584,9 +592,7 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
         let exact = values[p as usize];
         let want = if in_unit(bin, chunk, p) {
             lowered += 1;
-            let parts = mloc::plod::split(&[exact]);
-            let refs: Vec<&[u8]> = parts[..3].iter().map(Vec::as_slice).collect();
-            mloc::plod::assemble(&refs, level3)[0]
+            oracle::at_level(exact, level3)
         } else {
             exact
         };

@@ -124,9 +124,11 @@ fn warm_execute_plan_allocates_under_six_tenths_per_want() {
     // probe (no keyed want list of its parts), and 385 = 0.33 since a
     // bin's fixed blocks are one parsed cache entry and its file names
     // are the store's, 369 = 0.31 since a request whose units all
-    // defer stopped reserving its output per bin group, and 365 = 0.31
+    // defer stopped reserving its output per bin group, 365 = 0.31
     // since a unit's bitmap is a cached run list (no bitmap word buffer,
-    // no all-ones bitmap built per full chunk). What is left is per bin
+    // no all-ones bitmap built per full chunk), and 361 = 0.31 since
+    // every unit defers (no run list per rank, no emission cursor of
+    // its own). What is left is per bin
     // (the bitmap want list, the part slots) and per reconstructed
     // unit, not per want. The gate, 0.36 per want, keeps
     // the 11 % margin the 0.6 gate left over 640: one more allocation
@@ -157,7 +159,8 @@ fn sc_ten_percent() -> Query {
 /// and its file names the store's (504,144 = 4.80 since a deferred
 /// chunk's scatter entry also holds a progressive capture's slot
 /// array, empty here; 499,120 = 4.75 since a unit's bitmap is a cached
-/// run list). The rest is the op's trace, the
+/// run list; 499,968 = 4.76 since the entry also holds its chunk's
+/// probe list, empty here). The rest is the op's trace, the
 /// bitmap want lists and per-bin blocks. The gate keeps the 4 % margin
 /// the 6.0 gate left over 5.76; one more copy of the answer would add
 /// 1.0.
@@ -202,7 +205,8 @@ fn warm_execute_plan_allocates_its_answer_about_once() {
 /// was emitted as its own run, with its positions, part locations and
 /// checksum table kept per unit; 415 (0.95) and 489,218 (4.66) since
 /// step 0 defers like a one-shot op; 411 (0.94) and 484,194 (4.61)
-/// since a unit's bitmap is a cached run list. The gates keep the margins of the
+/// since a unit's bitmap is a cached run list; 405 (0.92) and 484,914
+/// (4.62) since every unit defers. The gates keep the margins of the
 /// one-shot gates above: 11 % over allocations, 4 % over bytes.
 #[test]
 fn warm_ladder_step0_allocates_like_a_one_shot_op() {

@@ -23,6 +23,9 @@ use mloc_integration::{fixture, fixture_dir, load_fixture};
 use mloc_pfs::{CostModel, DirBackend, MemBackend, ReadOp, StorageBackend};
 use std::sync::Arc;
 
+#[path = "../../crates/core/tests/support/oracle.rs"]
+mod oracle;
+
 const SHAPE: [usize; 2] = [64, 64];
 const DS: &str = "fmt";
 const VAR: &str = "v";
@@ -407,14 +410,9 @@ fn membership_matches_scan_and_general_path_on_both_formats() {
         for (&p, &v) in fast.positions().iter().zip(fast.values().unwrap()) {
             assert_eq!(v.to_bits(), values[p as usize].to_bits(), "{tag}: value");
         }
-        let mut req = ExecRequest::new(&q);
-        req.force_general_reconstruct = true;
-        let general = ParallelExecutor::serial().run(&store, req).unwrap();
-        bitwise_eq(
-            &general.result,
-            &fast,
-            &format!("{tag}: general vs probe path"),
-        );
+        let plan = mloc::query::plan::make_plan(&store, &q).unwrap();
+        let want = oracle::expected(&store, &values, &q, &plan.units, None);
+        assert!(oracle::same(&fast, &want), "{tag}: oracle vs probe path");
     }
 }
 
