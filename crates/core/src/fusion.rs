@@ -24,21 +24,20 @@
 //! * **Fail loudly, fail everyone.** A leader whose read fails
 //!   publishes the failure; every waiter (and the leader itself) falls
 //!   back to its own per-want reads, so all sessions observe the same
-//!   per-want outcome. A fused buffer is CRC-verified once per
-//!   physical read ([`ExtentFooter`]); the verification verdict is
-//!   shared only after a *success* — a failed check is re-raised for
-//!   every session that touches the extent.
+//!   per-want outcome. Every want is CRC-checked ([`ExtentFooter`]) in
+//!   the session that slices it, against that session's own checksum
+//!   table: a fused want is checked exactly like an unfused one, and no
+//!   verdict crosses sessions.
 //!
 //! Like the block cache, fusion relies on built variables being
 //! immutable: two reads of the same extent always see the same bytes,
-//! so sharing buffers and verification verdicts within a window can
-//! never mask a change.
+//! so sharing buffers within a window can never mask a change.
 
 use crate::cache::ByteView;
 use crate::integrity::ExtentFooter;
 use crate::{MlocError, Result};
 use mloc_pfs::{RankIo, ReadRequest};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -115,9 +114,6 @@ pub struct FusionStats {
     pub fused_bytes: u64,
     /// Leader reads that failed (each fans out as a per-want fallback).
     pub failed_reads: u64,
-    /// Per-want CRC checks skipped because the same extent already
-    /// verified clean this window.
-    pub verify_skips: u64,
 }
 
 /// Result of a leader's physical read, published to its waiters.
@@ -223,14 +219,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ExtentFuser {
     window_bytes: u64,
     state: Mutex<FuserState>,
-    /// Extents whose CRC verified clean this window, per file.
-    verified: Mutex<HashMap<String, HashSet<(u64, u32)>>>,
     physical_reads: AtomicU64,
     physical_bytes: AtomicU64,
     fused_reads: AtomicU64,
     fused_bytes: AtomicU64,
     failed_reads: AtomicU64,
-    verify_skips: AtomicU64,
 }
 
 impl std::fmt::Debug for ExtentFuser {
@@ -250,13 +243,11 @@ impl ExtentFuser {
         ExtentFuser {
             window_bytes,
             state: Mutex::new(FuserState::default()),
-            verified: Mutex::new(HashMap::new()),
             physical_reads: AtomicU64::new(0),
             physical_bytes: AtomicU64::new(0),
             fused_reads: AtomicU64::new(0),
             fused_bytes: AtomicU64::new(0),
             failed_reads: AtomicU64::new(0),
-            verify_skips: AtomicU64::new(0),
         }
     }
 
@@ -270,14 +261,12 @@ impl ExtentFuser {
         self.window_bytes
     }
 
-    /// Start a new admission window: drop every retained extent and
-    /// every shared verification verdict. Counters are cumulative and
-    /// survive the rotation.
+    /// Start a new admission window: drop every retained extent.
+    /// Counters are cumulative and survive the rotation.
     pub fn begin_window(&self) {
         let mut st = lock(&self.state);
         st.extents.clear();
         st.resident = 0;
-        lock(&self.verified).clear();
     }
 
     /// Lifetime counters.
@@ -288,30 +277,7 @@ impl ExtentFuser {
             fused_reads: self.fused_reads.load(Ordering::Relaxed),
             fused_bytes: self.fused_bytes.load(Ordering::Relaxed),
             failed_reads: self.failed_reads.load(Ordering::Relaxed),
-            verify_skips: self.verify_skips.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether `[off, off+len)` of `file` already CRC-verified clean
-    /// this window.
-    pub fn was_verified(&self, file: &str, off: u64, len: u32) -> bool {
-        lock(&self.verified)
-            .get(file)
-            .is_some_and(|s| s.contains(&(off, len)))
-    }
-
-    /// Record a successful CRC check so later sessions sharing the
-    /// same immutable bytes can skip it. Never called on failure: a
-    /// failed check must fail every session that reads the extent.
-    pub fn note_verified(&self, file: &str, off: u64, len: u32) {
-        lock(&self.verified)
-            .entry(file.to_string())
-            .or_default()
-            .insert((off, len));
-    }
-
-    fn count_skip(&self) {
-        self.verify_skips.fetch_add(1, Ordering::Relaxed);
     }
 
     /// First phase of a fused read: under one table lock, either
@@ -501,29 +467,21 @@ pub struct WantRead {
     pub fused: bool,
 }
 
-/// Check one run-buffer want against the file's checksum footer,
-/// sharing successful verdicts through the fuser.
-fn verify_run_want(
+/// Check one want's bytes at `off` against the caller's checksum
+/// footer, when it has one.
+fn verify_want(
     footer: Option<&ExtentFooter>,
-    fuser: Option<&ExtentFuser>,
     file: &str,
     off: u64,
-    len: u32,
     view: ByteView,
     verify_s: Option<&mut f64>,
 ) -> Result<ByteView> {
-    let Some(f) = footer else { return Ok(view) };
-    if let Some(fu) = fuser {
-        if fu.was_verified(file, off, len) {
-            fu.count_skip();
-            return Ok(view);
-        }
+    match footer {
+        Some(f) => f
+            .verify_timed(file, off, view.as_slice(), verify_s)
+            .map(|()| view),
+        None => Ok(view),
     }
-    f.verify_timed(file, off, view.as_slice(), verify_s)?;
-    if let Some(fu) = fuser {
-        fu.note_verified(file, off, len);
-    }
-    Ok(view)
 }
 
 /// A resolved run: its backing buffer (None if the read failed), the
@@ -547,12 +505,11 @@ type ResolvedRun = (Option<Arc<Vec<u8>>>, u64, bool);
 /// individually so one bad extent doesn't take down its coalesced
 /// neighbors, and when `footer` is supplied every want is CRC-checked
 /// so only the extents that are actually damaged come back as
-/// [`MlocError::CorruptExtent`]. Verification runs once per physical
-/// read: a fused want whose extent already verified clean this window
-/// skips the re-check, while a *failed* check is never shared — every
-/// session that touches a damaged extent fails on it. Callers decide
-/// per want whether a failure is fatal or degradable. `verify_s`, when
-/// supplied, accumulates the seconds those checks took.
+/// [`MlocError::CorruptExtent`]. Every want handed back has passed its
+/// check in this call, against `footer`: a fused want is checked
+/// exactly like one this session read itself. Callers decide per want
+/// whether a failure is fatal or degradable. `verify_s`, when supplied,
+/// accumulates the seconds those checks took.
 pub fn coalesced_read_results(
     io: &mut RankIo<'_>,
     file: &Arc<str>,
@@ -672,15 +629,7 @@ pub fn coalesced_read_results(
                     let view =
                         ByteView::slice(Arc::clone(&buf), (off - base) as usize, len as usize);
                     out[i] = WantRead {
-                        res: verify_run_want(
-                            footer,
-                            fuser,
-                            file,
-                            off,
-                            len,
-                            view,
-                            verify_s.as_deref_mut(),
-                        ),
+                        res: verify_want(footer, file, off, view, verify_s.as_deref_mut()),
                         fused,
                     };
                 }
@@ -700,17 +649,15 @@ pub fn coalesced_read_results(
             .map(|&i| ReadRequest::new(Arc::clone(file), wants[i].0, u64::from(wants[i].1)))
             .collect();
         for (&i, res) in fallback.iter().zip(io.read_batch(&reqs)) {
-            let (off, _len) = wants[i];
             out[i] = WantRead {
                 res: match res {
-                    Ok(b) => match footer {
-                        Some(f) => {
-                            let view = ByteView::from(b);
-                            f.verify_timed(file, off, view.as_slice(), verify_s.as_deref_mut())
-                                .map(|()| view)
-                        }
-                        None => Ok(ByteView::from(b)),
-                    },
+                    Ok(b) => verify_want(
+                        footer,
+                        file,
+                        wants[i].0,
+                        ByteView::from(b),
+                        verify_s.as_deref_mut(),
+                    ),
                     Err(e) => Err(MlocError::from(e)),
                 },
                 fused: false,
@@ -931,17 +878,33 @@ mod tests {
     }
 
     #[test]
-    fn verified_verdicts_are_shared_only_on_success() {
+    fn every_session_checks_a_fused_want_against_its_own_table() {
+        let be = MemBackend::new();
+        let data: Vec<u8> = (0..=255u8).cycle().take(600).collect();
+        be.append("f", &data).unwrap();
+        let file: Arc<str> = Arc::from("f");
+        let wants = vec![(0u64, 200u32), (200, 200), (400, 200)];
+        let good = ExtentFooter::compute(&data, &[200, 200, 200]);
+        // A table that records a wrong CRC for the middle extent only.
+        let mut flipped = data.clone();
+        flipped[300] ^= 1;
+        let bad = ExtentFooter::compute(&flipped, &[200, 200, 200]);
         let fu = ExtentFuser::with_window_mb(1);
-        assert!(!fu.was_verified("f", 0, 16));
-        fu.note_verified("f", 0, 16);
-        assert!(fu.was_verified("f", 0, 16));
-        assert!(!fu.was_verified("f", 0, 17));
-        assert!(!fu.was_verified("g", 0, 16));
-        fu.begin_window();
-        assert!(
-            !fu.was_verified("f", 0, 16),
-            "window rotation clears verdicts"
-        );
+
+        let mut io = RankIo::new(&be);
+        let first = coalesced_read_results(&mut io, &file, &wants, Some(&good), Some(&fu), None);
+        assert!(first.iter().all(|w| w.res.is_ok() && !w.fused));
+
+        // Same window, same extent: served from the first session's
+        // buffer, but checked against this session's table.
+        let mut io = RankIo::new(&be);
+        let second = coalesced_read_results(&mut io, &file, &wants, Some(&bad), Some(&fu), None);
+        assert!(second.iter().all(|w| w.fused));
+        assert!(second[0].res.is_ok() && second[2].res.is_ok());
+        assert!(matches!(
+            &second[1].res,
+            Err(MlocError::CorruptExtent { offset: 200, .. })
+        ));
+        assert_eq!(fu.stats().physical_reads, 1, "the second session fused");
     }
 }

@@ -50,13 +50,13 @@ const FOOTER_VERSION: u32 = 1;
 /// Size of the fixed trailer at the end of a footered file.
 pub const TRAILER_LEN: u64 = 24;
 
-/// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320,
-/// built at compile time (8 KiB of read-only data). `[0]` is the
+/// Slicing-by-16 tables for the reflected IEEE polynomial 0xEDB88320,
+/// built at compile time (16 KiB of read-only data). `[0]` is the
 /// classic byte-at-a-time table; `[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, so eight lookups advance the state
-/// over eight input bytes at once.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
+/// followed by `k` zero bytes, so sixteen lookups advance the state
+/// over sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -73,7 +73,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -87,27 +87,33 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 
 /// CRC32 (IEEE, reflected, poly 0xEDB88320) over `data`.
 ///
-/// Slicing-by-8: the body is consumed as little-endian 64-bit words,
-/// eight table lookups per word, with a bytewise tail. Extents are a
-/// few hundred bytes each and every cold byte is checked, so the
+/// Slicing-by-16: the body is consumed as 16-byte blocks, sixteen
+/// independent table lookups per block, with a bytewise tail. Extents
+/// are a few hundred bytes each and every cold byte is checked, so the
 /// per-byte cost of this loop is a first-order term of cold latency
 /// (DESIGN §12). The values are the standard CRC-32's, bit for bit.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
-    let (words, tail) = data.as_chunks::<8>();
-    for &w in words {
-        let w = u64::from_le_bytes(w);
-        let lo = (w as u32) ^ c;
-        let hi = (w >> 32) as u32;
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
     }
     for &b in tail {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -526,10 +532,10 @@ mod tests {
     #[test]
     fn crc32_matches_bytewise_at_every_length_and_alignment() {
         // One shared buffer, so a start offset is a real change of
-        // alignment against the 8-byte word loop, and every length
-        // 0..=70 puts the word/tail boundary at every position.
+        // alignment against the 16-byte block loop, and every length
+        // 0..=70 puts the block/tail boundary at every position.
         let buf: Vec<u8> = (0..96u32).map(|i| (i * 151 + 7) as u8).collect();
-        for start in 0..8 {
+        for start in 0..16 {
             for len in 0..=70 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");

@@ -301,55 +301,55 @@ impl<'a> RankIo<'a> {
     /// per the handle's [`RetryPolicy`] by re-submitting only the
     /// still-failing requests as a smaller batch, with the same retry
     /// and simulated-backoff accounting the sequential path performs.
+    /// The first attempt submits `requests` as they are; only a retry
+    /// copies the requests it re-submits.
     pub fn read_batch(&mut self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
         for r in requests {
             self.trace
                 .push(ReadOp::new(Arc::clone(&r.file), r.offset, r.len));
         }
         self.batch_depths.push(requests.len() as u64);
-        let mut out: Vec<Option<Result<Vec<u8>, PfsError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..requests.len()).collect();
+        let mut out = self.backend.read_batch(requests);
+        debug_assert_eq!(out.len(), requests.len());
+        // A backend that answers fewer requests than it was sent leaves
+        // slots unresolved: each fails instead of taking a panic.
+        out.resize_with(requests.len(), || Err(PfsError::unanswered()));
+        let mut pending: Vec<usize> = (0..out.len())
+            .filter(|&i| matches!(&out[i], Err(e) if e.is_transient()))
+            .collect();
         let mut attempt = 1u32;
-        while !pending.is_empty() {
-            let sub: Vec<ReadRequest> = pending.iter().map(|&i| requests[i].clone()).collect();
-            let results = self.backend.read_batch(&sub);
-            debug_assert_eq!(results.len(), sub.len());
-            let mut still = Vec::new();
-            for (&slot, res) in pending.iter().zip(results) {
-                match res {
-                    Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
-                        still.push(slot);
-                    }
-                    other => out[slot] = Some(other),
-                }
-            }
-            if still.is_empty() {
-                break;
-            }
+        while !pending.is_empty() && self.retry.should_retry(attempt) {
             // Charge backoff per still-failing slot, in submission
             // order, so the total matches what the sequential path
             // would accumulate op by op. Slots whose next wait would
             // bust the per-query budget stop here with a typed error.
-            let mut kept = Vec::new();
-            for &slot in &still {
+            let mut kept = Vec::with_capacity(pending.len());
+            for &slot in &pending {
                 let r = &requests[slot];
                 match self.charge_retry(&r.file, r.offset, r.len, attempt) {
                     Ok(()) => kept.push(slot),
-                    Err(e) => out[slot] = Some(Err(e)),
+                    Err(e) => out[slot] = Err(e),
                 }
             }
             if kept.is_empty() {
                 break;
             }
             attempt += 1;
-            pending = kept;
+            let sub: Vec<ReadRequest> = kept.iter().map(|&i| requests[i].clone()).collect();
+            let mut results = self.backend.read_batch(&sub).into_iter();
+            debug_assert_eq!(results.len(), sub.len());
+            pending.clear();
+            for slot in kept {
+                let res = results
+                    .next()
+                    .unwrap_or_else(|| Err(PfsError::unanswered()));
+                if matches!(&res, Err(e) if e.is_transient()) {
+                    pending.push(slot);
+                }
+                out[slot] = res;
+            }
         }
-        // A backend that answers fewer requests than it was sent leaves
-        // slots unresolved: each fails instead of taking a panic.
-        out.into_iter()
-            .map(|o| o.unwrap_or_else(|| Err(PfsError::unanswered())))
-            .collect()
+        out
     }
 
     /// Record an extent that a cache satisfied without touching the

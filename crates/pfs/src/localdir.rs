@@ -4,16 +4,25 @@
 //! the MLOC on-disk formats are genuinely persistent; experiment timing
 //! always comes from the simulator, not from the host disk.
 //!
-//! [`DirBackend`] is a plain blocking backend. It keeps a per-file
-//! handle cache so a read costs one positional `read_at`, not an
-//! `open`/`seek`/`read`/`close` cycle per call (the pre-cache behavior
-//! survives behind [`DirBackend::uncached`] for regression-testing and
-//! as a benchmark baseline). It spawns no thread: a batch is served in
-//! order on the caller's thread, by the trait's default `read_batch`.
+//! [`DirBackend`] is a plain blocking backend. It keeps a handle cache
+//! keyed by the logical file name, so a read costs one map lookup and
+//! one positional `read_at`: no path is built and no `open`, `seek` or
+//! `fstat` is issued per call. Each cached handle remembers the file
+//! length it last saw — set at open, advanced by this backend's own
+//! appends, dropped with the handle when `create` or `remove`
+//! invalidates that name. A read inside the known length is bounds
+//! checked against it before its buffer is allocated; a read that
+//! reaches past it re-reads the length once (another instance may have
+//! grown the file) before it fails [`PfsError::OutOfBounds`]; a short
+//! read means another instance truncated the file and fails the same
+//! way, with the new size. The pre-cache behavior survives behind
+//! [`DirBackend::uncached`] for regression-testing and as a benchmark
+//! baseline. It spawns no thread: a batch is served in order on the
+//! caller's thread, by the trait's default `read_batch`.
 
 use crate::backend::StorageBackend;
 use crate::PfsError;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -24,48 +33,78 @@ use std::sync::Arc;
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
 
-/// Cache of open file handles, keyed by escaped path. Handles are
-/// opened read+append once and shared; positional reads (`read_at`)
-/// need no seek and never move the append cursor. The open counter
+/// One cached file: the handle, opened read+append, and the length
+/// this backend last saw. Positional reads (`read_at`) need no seek
+/// and never move the append cursor.
+#[derive(Debug)]
+struct Handle {
+    file: fs::File,
+    known_len: AtomicU64,
+}
+
+impl Handle {
+    /// Re-read the file's true length (another instance may have
+    /// grown or truncated it) and remember it.
+    fn refresh_len(&self) -> Result<u64, PfsError> {
+        let len = self.file.metadata()?.len();
+        self.known_len.store(len, Ordering::Release);
+        Ok(len)
+    }
+}
+
+/// Cache of open file handles, keyed by logical name. The open counter
 /// exists so tests can assert the cache actually prevents reopening.
 #[derive(Debug, Default)]
 struct HandleCache {
-    handles: Mutex<HashMap<PathBuf, Arc<fs::File>>>,
+    handles: RwLock<HashMap<String, Arc<Handle>>>,
     opens: AtomicU64,
 }
 
 impl HandleCache {
-    /// Fetch (or open and cache) the handle for `path`. `create`
-    /// controls whether a missing file is created (append path) or
-    /// reported as [`PfsError::NotFound`] (read path).
-    fn get(&self, path: &Path, name: &str, create: bool) -> Result<Arc<fs::File>, PfsError> {
-        // The open happens under the map lock: it runs once per file,
-        // and threads racing a file's first read then open it once, so
-        // `opens` stays exact.
-        let mut handles = self.handles.lock();
-        if let Some(f) = handles.get(path) {
-            return Ok(Arc::clone(f));
+    /// Fetch (or open and cache) the handle for `name`, whose escaped
+    /// path is built only when it has to be opened. `create` controls
+    /// whether a missing file is created (append path) or reported as
+    /// [`PfsError::NotFound`] (read path).
+    fn get(&self, root: &Path, name: &str, create: bool) -> Result<Arc<Handle>, PfsError> {
+        if let Some(h) = self.handles.read().get(name) {
+            return Ok(Arc::clone(h));
+        }
+        // The open happens under the write lock, after a second look:
+        // it runs once per file, and threads racing a file's first read
+        // then open it once, so `opens` stays exact.
+        let mut handles = self.handles.write();
+        if let Some(h) = handles.get(name) {
+            return Ok(Arc::clone(h));
         }
         let file = fs::OpenOptions::new()
             .read(true)
             .append(true)
             .create(create)
-            .open(path)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::NotFound {
-                    PfsError::NotFound(name.to_string())
-                } else {
-                    PfsError::Io(e)
-                }
-            })?;
+            .open(path_of(root, name))
+            .map_err(|e| not_found_or_io(e, name))?;
         self.opens.fetch_add(1, Ordering::Relaxed);
-        let file = Arc::new(file);
-        handles.insert(path.to_path_buf(), Arc::clone(&file));
-        Ok(file)
+        let known_len = AtomicU64::new(file.metadata()?.len());
+        let handle = Arc::new(Handle { file, known_len });
+        handles.insert(name.to_string(), Arc::clone(&handle));
+        Ok(handle)
     }
 
-    fn invalidate(&self, path: &Path) {
-        self.handles.lock().remove(path);
+    fn invalidate(&self, name: &str) {
+        self.handles.write().remove(name);
+    }
+}
+
+/// Where logical file `name` lives under `root`. Logical names may
+/// contain '/'; they are escaped to keep a flat directory.
+fn path_of(root: &Path, name: &str) -> PathBuf {
+    root.join(name.replace('/', "__"))
+}
+
+fn not_found_or_io(e: std::io::Error, name: &str) -> PfsError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        PfsError::NotFound(name.to_string())
+    } else {
+        PfsError::Io(e)
     }
 }
 
@@ -87,9 +126,8 @@ fn read_exact_at(
     buf: &mut [u8],
     offset: u64,
     _lock: &Mutex<()>,
-) -> Result<(), PfsError> {
-    f.read_exact_at(buf, offset)?;
-    Ok(())
+) -> std::io::Result<()> {
+    f.read_exact_at(buf, offset)
 }
 
 // Non-unix fallback: a shared handle has one cursor, so positional
@@ -100,12 +138,11 @@ fn read_exact_at(
     buf: &mut [u8],
     offset: u64,
     lock: &Mutex<()>,
-) -> Result<(), PfsError> {
+) -> std::io::Result<()> {
     use std::io::{Read, Seek, SeekFrom};
     let _g = lock.lock();
     f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)?;
-    Ok(())
+    f.read_exact(buf)
 }
 
 /// Stores each logical file as `<root>/<escaped name>`, reading through
@@ -166,11 +203,6 @@ impl DirBackend {
         self.cache.opens.load(Ordering::Relaxed)
     }
 
-    fn path_of(&self, name: &str) -> PathBuf {
-        // Logical names may contain '/'; escape to keep a flat dir.
-        self.root.join(name.replace('/', "__"))
-    }
-
     /// Flush the directory entry table. Called with the write lock
     /// held, after any operation that adds or removes an entry.
     fn sync_dir(&self) -> Result<(), PfsError> {
@@ -179,27 +211,51 @@ impl DirBackend {
         }
         Ok(())
     }
+
+    /// A cached read: bounds-check against the handle's known length
+    /// (re-read once if the range reaches past it), and only then
+    /// allocate the buffer and issue the one `read_at`.
+    fn read_cached(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, PfsError> {
+        let h = self.cache.get(&self.root, name, false)?;
+        let known = h.known_len.load(Ordering::Acquire);
+        if offset.checked_add(len).is_none_or(|e| e > known) {
+            bounds_check(name, offset, len, h.refresh_len()?)?;
+        }
+        let mut buf = vec![0u8; len as usize];
+        match read_exact_at(&h.file, &mut buf, offset, &self.write_lock) {
+            Ok(()) => Ok(buf),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                // Another instance truncated the file under the known
+                // length: fail with its true size, never stale bytes.
+                bounds_check(name, offset, len, h.refresh_len()?)?;
+                Err(PfsError::Io(e))
+            }
+            Err(e) => Err(PfsError::Io(e)),
+        }
+    }
 }
 
 impl StorageBackend for DirBackend {
     fn create(&self, name: &str) -> Result<(), PfsError> {
         let _g = self.write_lock.lock();
-        let path = self.path_of(name);
-        // Truncation changes the inode's size out from under any
-        // cached handle's idea of "end", so drop it and reopen lazily.
-        self.cache.invalidate(&path);
-        fs::File::create(path)?;
+        // Truncation changes the file's length out from under a cached
+        // handle's known length, so drop it and reopen lazily.
+        self.cache.invalidate(name);
+        fs::File::create(path_of(&self.root, name))?;
         self.sync_dir()?;
         Ok(())
     }
 
     fn append(&self, name: &str, data: &[u8]) -> Result<u64, PfsError> {
         let _g = self.write_lock.lock();
-        let path = self.path_of(name);
         if self.cached {
-            let f = self.cache.get(&path, name, true)?;
-            let offset = f.metadata()?.len();
-            (&*f).write_all(data)?;
+            let h = self.cache.get(&self.root, name, true)?;
+            // The true end, not the known length: another instance may
+            // have appended since, and the write lands at the true end.
+            let offset = h.file.metadata()?.len();
+            (&h.file).write_all(data)?;
+            h.known_len
+                .store(offset + data.len() as u64, Ordering::Release);
             Ok(offset)
         } else {
             use std::io::{Seek, SeekFrom};
@@ -207,7 +263,7 @@ impl StorageBackend for DirBackend {
             let mut f = fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(path)?;
+                .open(path_of(&self.root, name))?;
             let offset = f.seek(SeekFrom::End(0))?;
             f.write_all(data)?;
             Ok(offset)
@@ -215,33 +271,26 @@ impl StorageBackend for DirBackend {
     }
 
     fn read(&self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, PfsError> {
-        let path = self.path_of(name);
         if self.cached {
-            let f = self.cache.get(&path, name, false)?;
-            let size = f.metadata()?.len();
-            bounds_check(name, offset, len, size)?;
-            let mut buf = vec![0u8; len as usize];
-            read_exact_at(&f, &mut buf, offset, &self.write_lock)?;
-            Ok(buf)
-        } else {
-            use std::io::{Read, Seek, SeekFrom};
-            self.cache.opens.fetch_add(1, Ordering::Relaxed);
-            let mut f = fs::File::open(&path).map_err(|_| PfsError::NotFound(name.to_string()))?;
-            let size = f.metadata()?.len();
-            bounds_check(name, offset, len, size)?;
-            f.seek(SeekFrom::Start(offset))?;
-            let mut buf = vec![0u8; len as usize];
-            f.read_exact(&mut buf)?;
-            Ok(buf)
+            return self.read_cached(name, offset, len);
         }
+        use std::io::{Read, Seek, SeekFrom};
+        self.cache.opens.fetch_add(1, Ordering::Relaxed);
+        let mut f = fs::File::open(path_of(&self.root, name))
+            .map_err(|_| PfsError::NotFound(name.to_string()))?;
+        let size = f.metadata()?.len();
+        bounds_check(name, offset, len, size)?;
+        f.seek(SeekFrom::Start(offset))?;
+        let mut buf = vec![0u8; len as usize];
+        f.read_exact(&mut buf)?;
+        Ok(buf)
     }
 
     fn len(&self, name: &str) -> Result<u64, PfsError> {
         if self.cached {
-            let path = self.path_of(name);
-            Ok(self.cache.get(&path, name, false)?.metadata()?.len())
+            self.cache.get(&self.root, name, false)?.refresh_len()
         } else {
-            fs::metadata(self.path_of(name))
+            fs::metadata(path_of(&self.root, name))
                 .map(|m| m.len())
                 .map_err(|_| PfsError::NotFound(name.to_string()))
         }
@@ -249,9 +298,7 @@ impl StorageBackend for DirBackend {
 
     fn sync(&self, name: &str) -> Result<(), PfsError> {
         let _g = self.write_lock.lock();
-        let path = self.path_of(name);
-        let f = self.cache.get(&path, name, false)?;
-        f.sync_all()?;
+        self.cache.get(&self.root, name, false)?.file.sync_all()?;
         // An append may have created the file without going through
         // create(); the entry must be durable before the caller takes
         // the sync as a commit point.
@@ -261,21 +308,14 @@ impl StorageBackend for DirBackend {
 
     fn remove(&self, name: &str) -> Result<(), PfsError> {
         let _g = self.write_lock.lock();
-        let path = self.path_of(name);
-        self.cache.invalidate(&path);
-        fs::remove_file(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                PfsError::NotFound(name.to_string())
-            } else {
-                PfsError::Io(e)
-            }
-        })?;
+        self.cache.invalidate(name);
+        fs::remove_file(path_of(&self.root, name)).map_err(|e| not_found_or_io(e, name))?;
         self.sync_dir()?;
         Ok(())
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.path_of(name).exists()
+        path_of(&self.root, name).exists()
     }
 
     fn list(&self) -> Vec<String> {
@@ -398,6 +438,65 @@ mod tests {
         assert_eq!(be.len("f").unwrap(), 0);
         assert_eq!(be.append("f", &[1, 2]).unwrap(), 0);
         assert_eq!(be.read("f", 0, 2).unwrap(), vec![1, 2]);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_reader_sees_bytes_another_instance_appended() {
+        let root = tmpdir("grow");
+        let writer = DirBackend::new(&root).unwrap();
+        let reader = DirBackend::new(&root).unwrap();
+        writer.append("ds/bin", &[1u8; 16]).unwrap();
+        assert_eq!(reader.read("ds/bin", 0, 16).unwrap(), vec![1u8; 16]);
+        // The reader's handle knows 16 bytes; the file now has 48.
+        writer.append("ds/bin", &[2u8; 32]).unwrap();
+        assert_eq!(reader.read("ds/bin", 16, 32).unwrap(), vec![2u8; 32]);
+        assert_eq!(reader.read("ds/bin", 8, 16).unwrap()[8..], [2u8; 8]);
+        assert!(matches!(
+            reader.read("ds/bin", 40, 16),
+            Err(PfsError::OutOfBounds { size: 48, .. })
+        ));
+        assert_eq!(reader.open_count(), 1, "growth needs no reopen");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_file_another_instance_truncated_reads_out_of_bounds() {
+        let root = tmpdir("shrink");
+        let writer = DirBackend::new(&root).unwrap();
+        let reader = DirBackend::new(&root).unwrap();
+        writer.append("f", &[1u8; 64]).unwrap();
+        assert_eq!(reader.read("f", 0, 64).unwrap(), vec![1u8; 64]);
+        // The reader still believes the file holds 64 bytes.
+        writer.create("f").unwrap();
+        writer.append("f", &[3u8; 8]).unwrap();
+        for (offset, len) in [(0, 64), (32, 16), (4, 8)] {
+            match reader.read("f", offset, len) {
+                Err(PfsError::OutOfBounds { size, .. }) => assert_eq!(size, 8),
+                other => panic!("read {offset}+{len}: expected OutOfBounds, got {other:?}"),
+            }
+        }
+        assert_eq!(reader.read("f", 0, 8).unwrap(), vec![3u8; 8]);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn an_oversized_read_fails_before_allocating() {
+        let root = tmpdir("huge");
+        let be = DirBackend::new(&root).unwrap();
+        be.append("f", &[0u8; 100]).unwrap();
+        // A 1 TiB buffer cannot be allocated here: reaching the
+        // allocation would abort the test, not return an error.
+        for be in [be, DirBackend::uncached(&root).unwrap()] {
+            assert!(matches!(
+                be.read("f", 0, 1 << 40),
+                Err(PfsError::OutOfBounds { size: 100, .. })
+            ));
+            assert!(matches!(
+                be.read("f", u64::MAX, 2),
+                Err(PfsError::OutOfBounds { size: 100, .. })
+            ));
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

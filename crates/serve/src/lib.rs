@@ -51,6 +51,8 @@
 //! assert!(reports.iter().all(|r| r.outcome.is_ok()));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use mloc::fusion::FusionStats;
 use mloc::{
     BlockCache, CacheStats, ExtentFuser, MlocError, MlocStore, ParallelExecutor, ProgressiveStep,
@@ -70,8 +72,9 @@ pub struct ServeConfig {
     /// Concurrent worker threads per admission window (tenant groups
     /// are the unit of parallelism; same-tenant sessions never race).
     pub workers: usize,
-    /// Sessions admitted per window. Fusion and window-scoped
-    /// verification verdicts reset at window boundaries.
+    /// Sessions admitted per window. The fuser's retained extents
+    /// reset at window boundaries; every session still CRC-checks each
+    /// extent it is handed, fused or not.
     pub window: usize,
     /// Shared block-cache budget in MiB (0 disables the cache).
     pub cache_mb: u64,
@@ -413,7 +416,7 @@ impl<'a> QueryServer<'a> {
         }
 
         let window = self.config.window.max(1);
-        let mut reports: Vec<Option<SessionReport>> = (0..sessions.len()).map(|_| None).collect();
+        let mut reports: Vec<SessionReport> = Vec::with_capacity(sessions.len());
         for (w, chunk) in sessions.chunks(window).enumerate() {
             if let Some(f) = &self.fuser {
                 f.begin_window();
@@ -434,15 +437,22 @@ impl<'a> QueryServer<'a> {
                         .map(|i| self.run_session(i, w, &tenant, &sessions[i], &stores, &exec))
                         .collect()
                 });
-            for r in produced.into_iter().flatten() {
-                let slot = r.index;
-                reports[slot] = Some(r);
-            }
+            // Every session of the window reports once; placing them
+            // by index restores submission order across tenant groups.
+            let mut produced: Vec<SessionReport> = produced.into_iter().flatten().collect();
+            produced.sort_unstable_by_key(|r| r.index);
+            reports.append(&mut produced);
         }
         reports
-            .into_iter()
-            .map(|r| r.expect("every session produces a report"))
-            .collect()
+    }
+
+    /// Apply `f` to `tenant`'s usage entry, creating it if absent,
+    /// and return the entry as updated.
+    fn charge(&self, tenant: &str, f: impl FnOnce(&mut TenantUsage)) -> TenantUsage {
+        let mut usage = lock(&self.usage);
+        let u = usage.entry(tenant.to_string()).or_default();
+        f(u);
+        *u
     }
 
     fn run_session(
@@ -456,16 +466,11 @@ impl<'a> QueryServer<'a> {
     ) -> SessionReport {
         let t0 = Instant::now();
         self.registry.count("serve.sessions", 1);
-        {
-            let mut usage = lock(&self.usage);
-            let u = usage.entry(tenant.to_string()).or_default();
-            u.sessions += 1;
-        }
+        let u = self.charge(tenant, |t| t.sessions += 1);
         // Admission check against usage accumulated by *completed*
         // sessions of this tenant (same-tenant sessions are serial, so
         // the decision is deterministic).
         if let Some(b) = self.budgets.get(tenant) {
-            let u = *lock(&self.usage).get(tenant).expect("usage entry exists");
             let over: Option<(&'static str, f64, f64)> = match (b.max_bytes, b.max_io_s) {
                 (Some(mb), _) if u.logical_bytes >= mb => {
                     Some(("bytes", u.logical_bytes as f64, mb as f64))
@@ -474,10 +479,7 @@ impl<'a> QueryServer<'a> {
                 _ => None,
             };
             if let Some((resource, used, limit)) = over {
-                lock(&self.usage)
-                    .get_mut(tenant)
-                    .expect("usage entry exists")
-                    .rejected += 1;
+                self.charge(tenant, |t| t.rejected += 1);
                 self.registry.count("serve.rejected", 1);
                 self.registry
                     .count_labeled("serve.rejected_by", Label::Name(resource), 1);
@@ -498,17 +500,15 @@ impl<'a> QueryServer<'a> {
             }
         }
 
-        let store = match stores
-            .get(&(spec.dataset.clone(), spec.var.clone()))
-            .expect("store pre-opened for every session")
-        {
-            Ok(st) => st,
-            Err(e) => {
-                lock(&self.usage)
-                    .get_mut(tenant)
-                    .expect("usage entry exists")
-                    .failed += 1;
+        let store = match stores.get(&(spec.dataset.clone(), spec.var.clone())) {
+            Some(Ok(st)) => st,
+            opened => {
+                self.charge(tenant, |t| t.failed += 1);
                 self.registry.count("serve.failed", 1);
+                let error = match opened {
+                    Some(Err(e)) => e.clone(),
+                    _ => "variable was not opened for this batch".to_string(),
+                };
                 return SessionReport {
                     index,
                     tenant: tenant.to_string(),
@@ -516,7 +516,7 @@ impl<'a> QueryServer<'a> {
                     outcome: Err(ServeError::Open {
                         dataset: spec.dataset.clone(),
                         var: spec.var.clone(),
-                        error: e.clone(),
+                        error,
                     }),
                     metrics: None,
                     steps: None,
@@ -544,9 +544,7 @@ impl<'a> QueryServer<'a> {
         match executed {
             Ok((res, m, steps)) => {
                 let logical = m.bytes_read + m.bytes_saved + m.fused_bytes_saved;
-                {
-                    let mut usage = lock(&self.usage);
-                    let u = usage.entry(tenant.to_string()).or_default();
+                self.charge(tenant, |u| {
                     u.completed += 1;
                     u.bytes_read += m.bytes_read;
                     u.bytes_saved += m.bytes_saved;
@@ -557,7 +555,7 @@ impl<'a> QueryServer<'a> {
                     u.cache_misses += m.cache_misses;
                     u.fused_reads += m.fused_reads;
                     u.retries += m.retries;
-                }
+                });
                 self.registry.count("serve.completed", 1);
                 self.registry.count("serve.bytes_read", m.bytes_read);
                 self.registry.count("serve.bytes_saved", m.bytes_saved);
@@ -584,10 +582,7 @@ impl<'a> QueryServer<'a> {
                 }
             }
             Err(e) => {
-                lock(&self.usage)
-                    .get_mut(tenant)
-                    .expect("usage entry exists")
-                    .failed += 1;
+                self.charge(tenant, |t| t.failed += 1);
                 self.registry.count("serve.failed", 1);
                 SessionReport {
                     index,
