@@ -37,6 +37,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("verify", "var json"),
     ("fsck", "json"),
     ("repair", "json"),
+    ("upgrade", "out"),
     ("variables", ""),
 ];
 
@@ -209,6 +210,13 @@ USAGE:
                   back uncommitted builds, reattach complete variables
                   the crash left out of the catalog; exits nonzero
                   only when damage is unrepairable)
+  mloc upgrade   --dir DIR --name DS --out NEWDIR
+                 (copy a dataset of the formats before v3 — two files
+                  per bin, which no other command reads — out to
+                  NEWDIR as v3, byte for byte what a build of the same
+                  field writes, with the same --shards/--replicas
+                  layout; DIR is only read: remove it once `mloc
+                  verify` passes on NEWDIR)
   mloc variables --dir DIR --name DS
 
 STORAGE (all commands):

@@ -26,6 +26,7 @@ pub fn dispatch(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         "verify" => verify(args, out),
         "fsck" => fsck(args, out),
         "repair" => repair(args, out),
+        "upgrade" => upgrade(args, out),
         "help" | "--help" | "-h" => {
             outln!(out, "{}", usage());
             Ok(())
@@ -42,7 +43,11 @@ pub fn dispatch(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
 /// behind a [`ShardRouter`]; a dataset must be read back with the same
 /// `--shards` it was created with.
 fn backend(args: &Args) -> Result<Box<dyn StorageBackend>, String> {
-    let dir = args.required("dir")?;
+    backend_in(args, args.required("dir")?)
+}
+
+/// The backend the storage flags select, rooted at `dir`.
+fn backend_in(args: &Args, dir: &str) -> Result<Box<dyn StorageBackend>, String> {
     let shards = args.optional_parsed::<usize>("shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -171,11 +176,8 @@ fn load_values(args: &Args, shape: &[usize]) -> Result<Vec<f64>, String> {
                 bytes.len()
             ));
         }
-        return Ok(bytes
-            .chunks_exact(8)
-            // chunks_exact(8) only yields 8-byte slices.
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect());
+        let (words, _) = bytes.as_chunks::<8>();
+        return Ok(words.iter().map(|&w| f64::from_le_bytes(w)).collect());
     }
     let seed = args.optional_parsed::<u64>("seed")?.unwrap_or(42);
     match args.optional("synthetic") {
@@ -289,8 +291,7 @@ fn variables(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
 }
 
 /// Per-variable, per-bin storage breakdown: a bin's index and data
-/// bytes, from its file sizes (v1/v2: one file each) or from its
-/// preamble (v3: both sections in one file).
+/// bytes, the two sections of its file, from its fixed blocks.
 fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
@@ -305,43 +306,25 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         let store = ds.store(var).map_err(|e| e.to_string())?;
         let num_bins = store.config().num_bins;
         let bounds = store.bins().bounds().to_vec();
-        let header_len =
-            mloc::index::header_size(store.grid().num_chunks(), store.config().num_parts());
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        let header_len = mloc::index::header_size(geometry.0, geometry.1);
         let mut rows = Vec::new();
         let mut data_total = 0u64;
         let mut index_total = 0u64;
         let mut summary_total = 0u64;
+        let summary_len = mloc::binfile::summary_extent_len(geometry.0);
         for bin in 0..num_bins {
-            let idx_file = store.index_file(bin);
-            let header = be
-                .read(idx_file, 0, header_len)
+            let file = store.bin_file(bin);
+            let fixed = be
+                .read(file, 0, header_len + summary_len)
                 .map_err(|e| e.to_string())?;
+            let (header, summary_extent) = fixed.split_at(header_len as usize);
             let header = mloc::index::HeaderView::parse(header).map_err(|e| e.to_string())?;
-            // v1 files carry no chunk-summary section.
-            let mut summary = header.summary_bytes();
-            let (index, data) = match store.bin_files() {
-                // One file: the two sections, by the preamble.
-                mloc::fileorg::BinFiles::One => {
-                    let summary_extent = be
-                        .read(idx_file, header_len, summary)
-                        .map_err(|e| e.to_string())?;
-                    // The column counts chunk summaries alone, as in v2.
-                    summary -= mloc::index::TABLE_SIZES;
-                    let geometry = (store.grid().num_chunks(), store.config().num_parts());
-                    let tables = mloc::binfile::Tables::parse(
-                        &summary_extent,
-                        header_len,
-                        geometry,
-                        idx_file,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    mloc::binfile::section_bytes(&header, &tables)
-                }
-                mloc::fileorg::BinFiles::Two => (
-                    be.len(idx_file).map_err(|e| e.to_string())?,
-                    be.len(store.data_file(bin)).map_err(|e| e.to_string())?,
-                ),
-            };
+            let tables = mloc::binfile::Tables::parse(summary_extent, header_len, geometry, file)
+                .map_err(|e| e.to_string())?;
+            let (index, data) = mloc::binfile::section_bytes(&header, &tables);
+            // The column counts the chunk summaries alone.
+            let summary = summary_len - mloc::index::TABLE_SIZES;
             data_total += data;
             index_total += index;
             summary_total += summary;
@@ -615,6 +598,21 @@ fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     }
 }
 
+/// Copy a dataset of the formats before v3 out to `--out` as v3.
+fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
+    let old = backend(args)?;
+    let new = backend_in(args, args.required("out")?)?;
+    let name = args.required("name")?;
+    let report = mloc::upgrade::upgrade(&old, &new, name).map_err(|e| e.to_string())?;
+    outln!(
+        out,
+        "upgraded {name}: {} variable(s), {} bin file(s) written as v3",
+        report.variables.len(),
+        report.bin_files
+    );
+    Ok(())
+}
+
 /// Retry a metadata-open step on *transient* storage errors, per the
 /// CLI retry policy. Rank reads retry inside the executor; the catalog
 /// and meta reads that happen before any rank exists are covered here.
@@ -694,9 +692,9 @@ fn query(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     // --repeat replays the query; with --cache-mb the later passes are
     // warm and show the cache's effect on io/decompress time.
     let repeat = args.optional_parsed::<usize>("repeat")?.unwrap_or(1).max(1);
-    let mut last = None;
     let mut last_profile = None;
-    for pass in 0..repeat {
+    let mut pass = 0;
+    let res = loop {
         let (res, m) = if progressive {
             // Progressive ladder: serve a base-precision answer, then
             // pull byte-group refinements (to the target error bound,
@@ -776,9 +774,11 @@ fn query(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
             m.reconstruct_s,
             m.bytes_read
         );
-        last = Some(res);
-    }
-    let res = last.expect("repeat >= 1");
+        pass += 1;
+        if pass == repeat {
+            break res;
+        }
+    };
     let limit = args.optional_parsed::<usize>("limit")?.unwrap_or(20);
     let grid = store.grid();
     for (i, &p) in res.positions().iter().take(limit).enumerate() {
@@ -936,9 +936,8 @@ fn serve(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
 
     let mut failed = 0usize;
     for r in &reports {
-        match &r.outcome {
-            Ok(res) => {
-                let m = r.metrics.as_ref().expect("metrics on success");
+        match (&r.outcome, &r.metrics) {
+            (Ok(res), Some(m)) => {
                 let ladder_note = match &r.steps {
                     Some(steps) => format!(
                         " | progressive: {} step(s), final bound {:.3e}",
@@ -961,7 +960,7 @@ fn serve(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
                     m.io_s
                 );
             }
-            Err(e) if e.is_budget() => {
+            (Err(e), _) if e.is_budget() => {
                 outln!(
                     out,
                     "session {:>3} [{}] w{}: rejected — {e}",
@@ -970,11 +969,15 @@ fn serve(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
                     r.window
                 );
             }
-            Err(e) => {
+            (outcome, _) => {
                 failed += 1;
+                let why = outcome
+                    .as_ref()
+                    .err()
+                    .map_or("answered without metrics".to_string(), ToString::to_string);
                 outln!(
                     out,
-                    "session {:>3} [{}] w{}: FAILED — {e}",
+                    "session {:>3} [{}] w{}: FAILED — {why}",
                     r.index,
                     r.tenant,
                     r.window

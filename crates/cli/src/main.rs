@@ -1,6 +1,8 @@
 //! `mloc` — command-line front end for MLOC datasets stored in a
 //! directory. See `args::usage()` for the command reference.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 #[macro_use]
 mod output;
 mod args;

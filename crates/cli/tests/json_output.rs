@@ -66,10 +66,12 @@ fn control_characters_in_names_leave_as_json_escapes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `stats`' `summary_bytes` is the chunk-summary section alone in every
-/// version: the checked-in v2 dataset and a fresh v3 build of the same
-/// geometry (16 chunks) report 8 + 9 × 16 bytes per bin, 8 × that in
-/// all.
+/// `stats`' `summary_bytes` is the chunk-summary section alone, in
+/// every store `stats` reads: the checked-in v2 dataset once `mloc
+/// upgrade` has copied it out, and a fresh build of the same geometry
+/// (16 chunks), report 8 + 9 × 16 bytes per bin, 8 × that in all.
+/// Un-upgraded, the v2 dataset is refused with the error naming `mloc
+/// upgrade`.
 #[test]
 fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
     let summaries = |json: &str| -> Vec<String> {
@@ -79,14 +81,29 @@ fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
             .collect()
     };
     let want: Vec<&str> = [&["1216"][..], &["152"; 8]].concat();
-    let v2 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v2_dataset");
-    let (ok, json) = mloc(&["stats", "--dir", v2, "--name", "fmt", "--json", "true"]);
-    assert!(ok, "{json}");
-    assert_eq!(summaries(&json), want, "v2: {json}");
-
     let dir = std::env::temp_dir().join(format!("mloc-cli-stats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap();
+
+    let v2 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v2_dataset");
+    let stats = |dir: &str| mloc(&["stats", "--dir", dir, "--name", "fmt", "--json", "true"]);
+    let refused = Command::new(env!("CARGO_BIN_EXE_mloc"))
+        .args(["stats", "--dir", v2, "--name", "fmt"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(refused.stderr).unwrap();
+    assert!(
+        !refused.status.success() && stderr.contains("`mloc upgrade"),
+        "{stderr}"
+    );
+    let upgraded = dir.join("v2");
+    let upgraded = upgraded.to_str().unwrap();
+    let (ok, text) = mloc(&["upgrade", "--dir", v2, "--name", "fmt", "--out", upgraded]);
+    assert!(ok, "{text}");
+    let (ok, json) = stats(upgraded);
+    assert!(ok, "{json}");
+    assert_eq!(summaries(&json), want, "upgraded v2: {json}");
+
     let base = ["--dir", dir_s, "--name", "ds"];
     let geometry = ["--shape", "64,64", "--chunk", "16,16", "--bins", "8"];
     assert!(mloc(&[&["create"][..], &base, &geometry].concat()).0);

@@ -32,7 +32,8 @@
 //!    assembly ([`crate::binfile`]), one worker per bin.
 //! 3. **write** — one `create`, `append` and `sync` per bin file, one
 //!    worker per bin (bins are separate files, so writes never
-//!    interleave).
+//!    interleave), then the meta, the commit record
+//!    ([`write_variable`], which `mloc upgrade` commits through too).
 //!
 //! Output is *byte-identical for any thread count*: encoding is a pure
 //! function of a chunk's values, encoded chunks are merged back in
@@ -44,7 +45,7 @@ use crate::array::ChunkGrid;
 use crate::binfile::{BinFile, BinFileBuilder};
 use crate::binning::BinSpec;
 use crate::config::MlocConfig;
-use crate::fileorg::{self, BinFiles};
+use crate::fileorg;
 use crate::index::UnitLoc;
 use crate::store::VariableMeta;
 use crate::{plod, MlocError, Result};
@@ -81,7 +82,8 @@ pub struct BuildReport {
     pub encode_seconds: f64,
     /// Wall-clock seconds of the per-bin layout + index stage.
     pub layout_seconds: f64,
-    /// Wall-clock seconds of the per-bin file-write stage.
+    /// Wall-clock seconds of the write stage: the bin files, then the
+    /// meta.
     pub write_seconds: f64,
     /// Points per bin (load-balance diagnostic).
     pub per_bin_points: Vec<u64>,
@@ -383,7 +385,7 @@ impl<'a> StreamingBuilder<'a> {
     }
 
     /// Finish: lay out every bin's units by the level order and write
-    /// the data, index, and metadata files. Layout and writes fan out
+    /// the bin files and the meta. Layout and writes fan out
     /// across the worker pool, one bin per task.
     ///
     /// Fails unless every chunk has been pushed.
@@ -454,56 +456,20 @@ impl<'a> StreamingBuilder<'a> {
         });
         let layout_seconds = t_layout.elapsed().as_secs_f64();
 
-        // Stage 2 — write: every bin owns its file, so the writes are
-        // independent and fan out too. One create, one append, one
-        // sync: the meta below is the build's commit record, and it is
-        // written only after every bin file is synced. A bin file torn
-        // by a crash lacks its end marker and fails its checksums; it
-        // can never pass for complete, and without a meta it is never
-        // opened.
+        // Stage 2 — write, then commit.
+        let data_bytes: u64 = assembled.iter().map(|f| f.data_bytes).sum();
+        let files: Vec<Vec<u8>> = assembled.into_iter().map(|f| f.bytes).collect();
+        let index_bytes = files.iter().map(|f| f.len() as u64).sum::<u64>() - data_bytes;
         let t_write = Instant::now();
-        let backend = self.backend;
-        let dataset = &self.dataset;
-        let var = &self.var;
-        let written: Vec<Result<(u64, u64)>> = parallel_map(threads, assembled, |bin, file| {
-            let name = fileorg::bin_file(dataset, var, bin);
-            backend.create(&name)?;
-            backend.append(&name, &file.bytes)?;
-            backend.sync(&name)?;
-            Ok((file.data_bytes, file.bytes.len() as u64 - file.data_bytes))
-        });
-        let mut data_bytes = 0u64;
-        let mut index_bytes = 0u64;
-        for w in written {
-            let (d, i) = w?;
-            data_bytes += d;
-            index_bytes += i;
-        }
-        let write_seconds = t_write.elapsed().as_secs_f64();
-
         let total_points = self.grid.num_points() as u64;
         let meta = VariableMeta {
-            bin_files: BinFiles::One,
             var: self.var.clone(),
             config: self.config.clone(),
             bin_bounds: self.spec.bounds().to_vec(),
             total_points,
         };
-        // Meta is written last, with a single-extent checksum footer.
-        // Its valid trailer is the build's commit marker: a build that
-        // died mid-write left either no meta or a torn one, and both
-        // fail verification at open time.
-        let mut meta_data = meta.encode();
-        let meta_footer =
-            crate::integrity::ExtentFooter::compute(&meta_data, &[meta_data.len() as u32]);
-        meta_data.extend_from_slice(&meta_footer.encode());
-        let meta_name = fileorg::meta_file(&self.dataset, &self.var);
-        self.backend.create(&meta_name)?;
-        self.backend.append(&meta_name, &meta_data)?;
-        // Meta is fsynced last — after every bin file above has been
-        // synced — so a crash can never leave a durable commit marker
-        // pointing at non-durable extents.
-        self.backend.sync(&meta_name)?;
+        let meta_bytes = write_variable(self.backend, &self.dataset, &meta, files, threads)?;
+        let write_seconds = t_write.elapsed().as_secs_f64();
 
         let build_seconds = self.start.elapsed().as_secs_f64();
         // The registry holds the encode workers' per-unit histogram
@@ -516,13 +482,13 @@ impl<'a> StreamingBuilder<'a> {
         profile.record_path(&["build", "write"], write_seconds);
         profile.add_counter("build.data.bytes", Label::None, data_bytes);
         profile.add_counter("build.index.bytes", Label::None, index_bytes);
-        profile.add_counter("build.meta.bytes", Label::None, meta_data.len() as u64);
+        profile.add_counter("build.meta.bytes", Label::None, meta_bytes);
         profile.add_counter("build.raw.bytes", Label::None, total_points * 8);
 
         Ok(BuildReport {
             data_bytes,
             index_bytes,
-            meta_bytes: meta_data.len() as u64,
+            meta_bytes,
             raw_bytes: total_points * 8,
             build_seconds,
             encode_seconds: self.encode_seconds,
@@ -532,6 +498,43 @@ impl<'a> StreamingBuilder<'a> {
             profile,
         })
     }
+}
+
+/// The write stage every variable is committed through — a build's,
+/// and `mloc upgrade`'s copy of an old one: `files`, the variable's
+/// bin files in bin order, each with one `create`, one `append` and one
+/// `sync` (bins are separate files, so the writes fan out over
+/// `threads` workers and never interleave); then, only after every bin
+/// file is synced, the meta with its single-extent checksum footer.
+/// The meta is the commit record: a write that died before it left no
+/// meta or a torn one, and both fail verification at open time; a bin
+/// file torn by a crash lacks its end marker and fails its checksums,
+/// so it can never pass for complete. Returns the meta's stored bytes.
+pub(crate) fn write_variable(
+    backend: &dyn StorageBackend,
+    dataset: &str,
+    meta: &VariableMeta,
+    files: Vec<Vec<u8>>,
+    threads: usize,
+) -> Result<u64> {
+    let var = &meta.var;
+    let written = parallel_map(threads, files, |bin, bytes| {
+        let name = fileorg::bin_file(dataset, var, bin);
+        backend.create(&name)?;
+        backend.append(&name, &bytes)?;
+        backend.sync(&name)
+    });
+    written
+        .into_iter()
+        .collect::<std::result::Result<(), _>>()?;
+    let mut meta_data = meta.encode();
+    let footer = crate::integrity::ExtentFooter::compute(&meta_data, &[meta_data.len() as u32]);
+    meta_data.extend_from_slice(&footer.encode());
+    let meta_name = fileorg::meta_file(dataset, var);
+    backend.create(&meta_name)?;
+    backend.append(&meta_name, &meta_data)?;
+    backend.sync(&meta_name)?;
+    Ok(meta_data.len() as u64)
 }
 
 /// Build the MLOC layout for `values` (row-major over `config.shape`)

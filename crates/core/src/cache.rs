@@ -252,38 +252,33 @@ impl From<Vec<u8>> for ByteView {
 pub struct FixedBlocks {
     /// The header + chunk directory.
     pub index: HeaderView<ByteView>,
-    /// The chunk summaries (`None` for a v1 bin, which has none).
-    pub summaries: Option<SummaryView<ByteView>>,
-    /// The checksum table of the index extents: a v3 bin file's index
-    /// table, a v1/v2 index file's tail footer.
+    /// The chunk summaries.
+    pub summaries: SummaryView<ByteView>,
+    /// The bin file's index checksum table.
     pub footer: Arc<ExtentFooter>,
-    /// The checksum table of the data extents — a v3 bin file's data
-    /// table, a v1/v2 data file's tail footer — once a query needed it.
+    /// The bin file's data checksum table, once a query needed it.
     pub data: Option<Arc<ExtentFooter>>,
-    /// Where a v3 bin file's tables are (`None` for v1/v2): what
-    /// locates the data table when an entry without it is extended.
-    pub tables: Option<Tables>,
+    /// Where the bin file's tables are: what locates the data table when
+    /// an entry without it is extended.
+    pub tables: Tables,
 }
 
 impl FixedBlocks {
-    /// `(offset, len)` of each block in the bin's index file, in the
-    /// order a cold fetch reads them: the header, the summary (if the
-    /// format has one), the index table. The data table is
-    /// [`Self::data`]'s span, in the data file.
-    pub fn index_spans(&self) -> impl Iterator<Item = (u64, u64)> {
-        let summary = self
-            .summaries
-            .as_ref()
-            .map(|_| (self.index.summary_file_offset(), self.index.summary_bytes()));
-        std::iter::once((0, self.index.header_bytes()))
-            .chain(summary)
-            .chain(std::iter::once(self.footer.span()))
+    /// `(offset, len)` of each block but the data table, in the order
+    /// a cold fetch reads them: the header, the summary extent, the
+    /// index table. The data table is [`Self::data`]'s span.
+    pub fn index_spans(&self) -> [(u64, u64); 3] {
+        [
+            (0, self.index.header_bytes()),
+            (self.index.summary_file_offset(), self.index.summary_bytes()),
+            self.footer.span(),
+        ]
     }
 
     /// Stored bytes of every block the entry holds.
     fn cost(&self) -> u64 {
         let data = self.data.as_ref().map_or(0, |d| d.span().1);
-        self.index_spans().map(|(_, len)| len).sum::<u64>() + data
+        self.index_spans().iter().map(|(_, len)| len).sum::<u64>() + data
     }
 }
 

@@ -485,7 +485,6 @@ mod tests {
         );
 
         let meta = crate::store::VariableMeta {
-            bin_files: crate::fileorg::BinFiles::One,
             var: "temp".into(),
             config,
             bin_bounds: (0..=12).map(|i| i as f64 * 0.5).collect(),
@@ -497,7 +496,7 @@ mod tests {
                       00000000000016400000000000001840";
         // The version byte (3: one file per bin) is the only byte the
         // meta of format v3 changed; a version-2 meta (two files per
-        // bin, the checked-in fixtures) still decodes.
+        // bin, the checked-in fixtures) decodes for `mloc upgrade` alone.
         let payload = |version: &str| {
             format!("4d4d4554{version}0400000074656d70{body}{bounds}0040000000000000")
         };
@@ -507,13 +506,12 @@ mod tests {
         let mut v2 = meta.encode();
         v2[4] = 2;
         assert_eq!(hex(&v2), payload("02"));
-        assert_eq!(
-            decode(&v2).unwrap(),
-            crate::store::VariableMeta {
-                bin_files: crate::fileorg::BinFiles::Two,
-                ..meta
-            }
-        );
+        assert!(matches!(
+            decode(&v2),
+            Err(crate::MlocError::NeedsUpgrade { .. })
+        ));
+        let any = crate::store::VariableMeta::decode_any;
+        assert_eq!(any(&v2).unwrap(), (2, meta));
     }
 
     #[test]

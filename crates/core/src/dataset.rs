@@ -83,6 +83,17 @@ pub(crate) fn parse_catalog(raw: &[u8]) -> Result<Catalog> {
     })
 }
 
+/// Register a committed variable: its catalog line is the registration
+/// record, synced so the full durability chain is bins → meta →
+/// catalog. A crash between the meta sync and this one leaves a
+/// complete but unlisted variable, which `repair` reattaches.
+pub(crate) fn register(backend: &dyn StorageBackend, dataset: &str, var: &str) -> Result<()> {
+    let catalog = fileorg::catalog_file(dataset);
+    backend.append(&catalog, format!("{var}\n").as_bytes())?;
+    backend.sync(&catalog)?;
+    Ok(())
+}
+
 /// A dataset: one domain geometry, many variables (optionally over
 /// time steps), one storage backend.
 pub struct Dataset<'a> {
@@ -168,14 +179,7 @@ impl<'a> Dataset<'a> {
             return Err(MlocError::Invalid(format!("variable {var} already exists")));
         }
         let report = build_variable(self.backend, &self.name, var, values, &self.config)?;
-        // The catalog line is the registration record; it is synced so
-        // the full durability chain is bins → meta → catalog. A crash
-        // between the meta sync and this one leaves a complete but
-        // unlisted variable, which `repair` reattaches.
-        let catalog = fileorg::catalog_file(&self.name);
-        self.backend
-            .append(&catalog, format!("{var}\n").as_bytes())?;
-        self.backend.sync(&catalog)?;
+        register(self.backend, &self.name, var)?;
         Ok(report)
     }
 
@@ -197,7 +201,7 @@ impl<'a> Dataset<'a> {
         Ok(DatasetStream {
             builder,
             backend: self.backend,
-            catalog: fileorg::catalog_file(&self.name),
+            dataset: self.name.clone(),
             var: var.to_string(),
         })
     }
@@ -302,7 +306,7 @@ impl<'a> Dataset<'a> {
 pub struct DatasetStream<'a> {
     builder: StreamingBuilder<'a>,
     backend: &'a dyn StorageBackend,
-    catalog: String,
+    dataset: String,
     var: String,
 }
 
@@ -331,9 +335,7 @@ impl DatasetStream<'_> {
     /// Finish the layout and register the variable.
     pub fn finish(self) -> Result<BuildReport> {
         let report = self.builder.finish()?;
-        self.backend
-            .append(&self.catalog, format!("{}\n", self.var).as_bytes())?;
-        self.backend.sync(&self.catalog)?;
+        register(self.backend, &self.dataset, &self.var)?;
         Ok(report)
     }
 }
@@ -409,7 +411,7 @@ mod tests {
             }
 
             let payload = ExtentFooter::split_verified(meta, "meta").unwrap();
-            VariableMeta::decode(payload).unwrap();
+            VariableMeta::decode_any(payload).unwrap();
             for cut in 0..meta.len() {
                 assert!(VariableMeta::from_file(&meta[..cut], "meta").is_err());
             }

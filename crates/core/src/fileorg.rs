@@ -23,9 +23,9 @@
 //! bin's traffic lands on one OST where its two files usually spread it
 //! over two, which the multi-rank figures of EXPERIMENTS.md show: Table
 //! II's 1 % MLOC-COL query at 8 ranks, four ranks to a bin, went from
-//! 0.044 to 0.131 s and no longer beats the sequential scan. A
-//! variable's meta says which organization its bins use ([`BinFiles`]);
-//! nothing probes for file names.
+//! 0.044 to 0.131 s and no longer beats the sequential scan. Stores of
+//! the two-file formats are not read here: `mloc upgrade`
+//! ([`crate::upgrade`]) copies them out as v3.
 
 use mloc_pfs::{PfsError, StorageBackend};
 
@@ -44,97 +44,37 @@ pub fn bin_file(dataset: &str, var: &str, bin: usize) -> String {
     format!("{dataset}/{var}/bin{bin:04}.bin")
 }
 
-/// Name of the data file of a bin (formats v1/v2).
-pub fn data_file(dataset: &str, var: &str, bin: usize) -> String {
-    format!("{dataset}/{var}/bin{bin:04}.dat")
-}
-
-/// Name of the index file of a bin (formats v1/v2).
-pub fn index_file(dataset: &str, var: &str, bin: usize) -> String {
-    format!("{dataset}/{var}/bin{bin:04}.idx")
-}
-
-/// How a variable stores its bins — what its meta's version says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinFiles {
-    /// Format v3 (meta version 3): one bin file per bin. The only
-    /// organization anything writes.
-    One,
-    /// Formats v1/v2 (meta version 2): an index file and a data file
-    /// per bin.
-    Two,
-}
-
-impl BinFiles {
-    /// The organization of the bin files present, for a variable whose
-    /// meta cannot say: index and data files alone mean two per bin;
-    /// anything else is what the build writes.
-    pub(crate) fn of_present(mut kinds: impl Iterator<Item = BinFiles>) -> BinFiles {
-        match kinds.next() {
-            Some(BinFiles::Two) if kinds.all(|kind| kind == BinFiles::Two) => BinFiles::Two,
-            _ => BinFiles::One,
-        }
-    }
-
-    /// The names of bin `bin`'s files, index file first.
-    pub fn names(self, dataset: &str, var: &str, bin: usize) -> Vec<String> {
-        match self {
-            BinFiles::One => vec![bin_file(dataset, var, bin)],
-            BinFiles::Two => vec![index_file(dataset, var, bin), data_file(dataset, var, bin)],
-        }
-    }
-}
-
 /// What a file under a variable's directory is to the layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VarFile {
     /// The variable's meta file.
     Meta,
-    /// The one file of a bin (v3).
+    /// The one file of a bin.
     Bin(usize),
-    /// The data file of a bin (v1/v2).
-    Data(usize),
-    /// The index file of a bin (v1/v2).
-    Index(usize),
     /// A name the layout never writes.
     Stray,
 }
 
-impl VarFile {
-    /// The bin a bin file belongs to, and the organization it is part
-    /// of.
-    pub(crate) fn bin(self) -> Option<(usize, BinFiles)> {
-        match self {
-            VarFile::Bin(bin) => Some((bin, BinFiles::One)),
-            VarFile::Data(bin) | VarFile::Index(bin) => Some((bin, BinFiles::Two)),
-            VarFile::Meta | VarFile::Stray => None,
-        }
-    }
+/// The bin a file's base name `binNNNN{ext}` numbers — only under the
+/// exact name the layout writes: `bin1.bin` numbers nothing.
+pub(crate) fn bin_number(base: &str, ext: &str) -> Option<usize> {
+    let digits = base.strip_prefix("bin")?.strip_suffix(ext)?;
+    let bin: usize = digits.parse().ok()?;
+    (format!("{bin:04}") == digits).then_some(bin)
 }
 
-/// The inverse of [`meta_file`], [`bin_file`], [`data_file`] and
-/// [`index_file`]: the variable a file of `dataset` belongs to, and
-/// what it is. `None` for names outside every variable directory (the
-/// catalog, other datasets). A bin is recognised only under the exact
-/// name the layout writes — `bin1.dat` is a stray, not bin 1.
+/// The inverse of [`meta_file`] and [`bin_file`]: the variable a file
+/// of `dataset` belongs to, and what it is. `None` for names outside
+/// every variable directory (the catalog, other datasets).
 pub(crate) fn var_file<'a>(dataset: &str, name: &'a str) -> Option<(&'a str, VarFile)> {
     let (var, base) = name
         .strip_prefix(dataset)?
         .strip_prefix('/')?
         .split_once('/')?;
-    let bin = |ext: &str| {
-        let digits = base.strip_prefix("bin")?.strip_suffix(ext)?;
-        let bin: usize = digits.parse().ok()?;
-        (format!("{bin:04}") == digits).then_some(bin)
-    };
     let role = if base == "meta" {
         VarFile::Meta
-    } else if let Some(bin) = bin(".bin") {
+    } else if let Some(bin) = bin_number(base, ".bin") {
         VarFile::Bin(bin)
-    } else if let Some(bin) = bin(".dat") {
-        VarFile::Data(bin)
-    } else if let Some(bin) = bin(".idx") {
-        VarFile::Index(bin)
     } else {
         VarFile::Stray
     };
@@ -172,14 +112,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(meta_file("ds", "temp"), "ds/temp/meta");
         assert_eq!(bin_file("ds", "temp", 7), "ds/temp/bin0007.bin");
-        assert_eq!(data_file("ds", "temp", 3), "ds/temp/bin0003.dat");
-        assert_eq!(index_file("ds", "temp", 42), "ds/temp/bin0042.idx");
         assert_eq!(catalog_file("ds"), "ds/catalog");
-        assert_eq!(BinFiles::One.names("ds", "t", 1), ["ds/t/bin0001.bin"]);
-        assert_eq!(
-            BinFiles::Two.names("ds", "t", 1),
-            ["ds/t/bin0001.idx", "ds/t/bin0001.dat"]
-        );
     }
 
     #[test]
@@ -187,15 +120,14 @@ mod tests {
         for (name, want) in [
             (meta_file("ds", "t@3"), ("t@3", VarFile::Meta)),
             (bin_file("ds", "t", 0), ("t", VarFile::Bin(0))),
-            (data_file("ds", "t", 7), ("t", VarFile::Data(7))),
-            (index_file("ds", "t", 12_345), ("t", VarFile::Index(12_345))),
+            (bin_file("ds", "t", 12_345), ("t", VarFile::Bin(12_345))),
         ] {
             assert_eq!(var_file("ds", &name), Some(want), "{name}");
         }
         for stray in [
-            "ds/t/bin1.dat",
+            "ds/t/bin0001.old",
             "ds/t/bin1.bin",
-            "ds/t/bin+001.idx",
+            "ds/t/bin+001.bin",
             "ds/t/bin0001.tmp",
             "ds/t/x/meta",
         ] {

@@ -16,31 +16,30 @@
 //!
 //! # Format versions
 //!
-//! Every version keeps the header + directory byte layout of v1 (only
-//! the version byte differs, so the engine's exact-size first read
-//! works for all of them).
+//! Every version keeps the header + directory byte layout of v1; only
+//! the version byte and where offsets count from differ.
 //!
 //! * **v1** — header, then the bitmaps, in an index file of its own
 //!   next to the bin's data file.
 //! * **v2** — adds two levels on top of the flat WAH bitmaps: a
-//!   **chunk-summary section**, its own checksummed extent between the
-//!   header and the bitmaps, holding per-chunk `(min_pos, max_pos,
-//!   all_of_chunk)` so a query classifies chunks as full / empty /
-//!   partial in O(1) and skips the bitmap read for full and empty
-//!   chunks; and a **rank/select directory**
-//!   ([`mloc_bitmap::RankSelectDir`]) appended to each encoded bitmap
-//!   (`bitmap_len` covers both; WAH is self-delimiting, the remainder is
-//!   the directory), giving membership probes O(log samples + S)
-//!   rank/select instead of a linear word walk.
+//!   **chunk-summary section** between the header and the bitmaps,
+//!   holding per-chunk `(min_pos, max_pos, all_of_chunk)` so a query
+//!   classifies chunks as full / empty / partial in O(1) and skips the
+//!   bitmap read for full and empty chunks; and a **rank/select
+//!   directory** ([`mloc_bitmap::RankSelectDir`]) appended to each
+//!   encoded bitmap (`bitmap_len` covers both; WAH is self-delimiting,
+//!   the remainder is the directory).
 //! * **v3** — the index section of a one-file bin ([`crate::binfile`]):
 //!   the v2 structures, with the summary extent followed by the sizes of
 //!   the file's two checksum tables, and bitmap and unit offsets stored
 //!   as absolute file offsets.
 //!
-//! Nothing writes v1 or v2 any more: `tests/golden/v1_dataset` and
-//! `tests/golden/v2_dataset` were each written once, and every read test
-//! of those versions runs on them.
-//!
+//! Only v3 is read here. Nothing writes v1 or v2 any more, and nothing
+//! but `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1/v2
+//! store out as v3, deriving v1's missing levels from its bitmaps.
+//! `tests/golden/v1_dataset` and `tests/golden/v2_dataset` are its
+//! inputs.
+
 //! # One writer, one reader
 //!
 //! [`crate::binfile::BinFileBuilder`] is the only writer of the format
@@ -56,8 +55,8 @@ use crate::{MlocError, Result};
 use std::ops::Deref;
 
 pub(crate) const MAGIC: u32 = 0x5844_494D; // "MIDX"
-/// Current index format version (v3 = the index section of a one-file
-/// bin). v1 and v2 files are still readable.
+/// The index format version (v3 = the index section of a one-file
+/// bin), the only one [`HeaderView`] reads.
 pub const VERSION: u8 = 3;
 pub(crate) const SUMMARY_MAGIC: u32 = 0x4D55_534D; // "MSUM"
 /// v3: the two checksum tables' entry counts (`u32` each) that end the
@@ -67,14 +66,14 @@ pub const TABLE_SIZES: u64 = 8;
 /// Location of one compressed unit in the bin's data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnitLoc {
-    /// Byte offset within the file holding the bin's data (the data
-    /// file in v1/v2, the bin file in v3).
+    /// Byte offset within the bin file (within the units handed to
+    /// [`crate::binfile::BinFileBuilder::finish`], while building).
     pub offset: u64,
     /// Compressed length in bytes (0 = empty unit).
     pub clen: u32,
 }
 
-/// Coarse per-chunk classification record of the v2 summary section.
+/// Coarse per-chunk classification record of the summary section.
 ///
 /// Together with [`HeaderView::count`] this classifies a chunk without
 /// touching its bitmap: `count == 0` → empty, `all_of_chunk` → every
@@ -101,7 +100,6 @@ impl ChunkSummary {
 
 /// Size in bytes of the serialized header + directory for a given
 /// geometry — queries use this to issue an exact-size first read.
-/// Identical for every version (only the version byte differs).
 pub fn header_size(num_chunks: usize, num_parts: usize) -> u64 {
     HEADER_PROLOGUE + num_chunks as u64 * entry_size(num_parts)
 }
@@ -144,7 +142,7 @@ pub(crate) fn summary_size(num_chunks: usize) -> u64 {
     SUMMARY_PROLOGUE + num_chunks as u64 * SUMMARY_RECORD
 }
 
-/// Zero-copy view of a v2 chunk-summary section over any byte holder
+/// Zero-copy view of a chunk-summary section over any byte holder
 /// (`&[u8]`, or the engine's cached [`crate::cache::ByteView`]).
 #[derive(Debug, Clone)]
 pub struct SummaryView<B> {
@@ -206,7 +204,6 @@ impl<B: Deref<Target = [u8]>> SummaryView<B> {
 #[derive(Debug, Clone)]
 pub struct HeaderView<B> {
     data: B,
-    version: u8,
     num_chunks: usize,
     num_parts: usize,
 }
@@ -219,8 +216,7 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         if r.u32()? != MAGIC {
             return Err(MlocError::Corrupt("bad index magic"));
         }
-        let version = r.u8()?;
-        if !(1..=VERSION).contains(&version) {
+        if r.u8()? != VERSION {
             return Err(MlocError::Corrupt("unsupported index version"));
         }
         let _bin = r.u32()?; // the file name already says which bin
@@ -236,7 +232,6 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         }
         Ok(HeaderView {
             data,
-            version,
             num_chunks,
             num_parts,
         })
@@ -267,18 +262,13 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         header_size(self.num_chunks, self.num_parts)
     }
 
-    /// Size of the summary extent that follows the header: 0 for v1
-    /// files, the chunk-summary section in v2, and in v3 that section
-    /// then the checksum table sizes.
+    /// Size of the summary extent that follows the header: the
+    /// chunk-summary section, then the checksum table sizes.
     pub fn summary_bytes(&self) -> u64 {
-        match self.version {
-            1 => 0,
-            2 => summary_size(self.num_chunks),
-            _ => summary_size(self.num_chunks) + TABLE_SIZES,
-        }
+        summary_size(self.num_chunks) + TABLE_SIZES
     }
 
-    /// Absolute file offset of the summary extent (v2 and v3).
+    /// Absolute file offset of the summary extent.
     pub fn summary_file_offset(&self) -> u64 {
         self.header_bytes()
     }
@@ -294,32 +284,17 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         le_u32(self.entry(rank), 0)
     }
 
-    /// The chunk's bitmap offset as stored: within the bitmap section
-    /// in v1/v2, within the file in v3.
-    fn bitmap_off(&self, rank: usize) -> u64 {
-        le_u64(self.entry(rank), 4)
-    }
-
     /// Encoded bitmap length (0 when the chunk has no points here).
     pub fn bitmap_len(&self, rank: usize) -> u32 {
         le_u32(self.entry(rank), 12)
     }
 
-    /// Absolute file offset of the chunk's bitmap: stored as such in
-    /// v3; in v1/v2 relative to the bitmap section, which follows the
-    /// header + directory and (v2) the summary. A stored offset too
-    /// large to add saturates: `u64::MAX` lies past every file, so the
-    /// read fails instead of aliasing another extent.
+    /// Absolute file offset of the chunk's bitmap.
     pub fn bitmap_file_offset(&self, rank: usize) -> u64 {
-        let section = match self.version {
-            1 | 2 => self.header_bytes() + self.summary_bytes(),
-            _ => 0,
-        };
-        section.saturating_add(self.bitmap_off(rank))
+        le_u64(self.entry(rank), 4)
     }
 
-    /// File location of part `part` of the chunk's unit (in the data
-    /// file in v1/v2, in the bin file in v3).
+    /// File location of part `part` of the chunk's unit.
     pub fn unit(&self, rank: usize, part: usize) -> UnitLoc {
         assert!(part < self.num_parts, "part out of range");
         let at = (ENTRY_FIXED + part as u64 * UNIT_LOC) as usize;
@@ -413,7 +388,7 @@ mod tests {
         let fixed = header_size(7, 7) + summary_extent_len(7) + table_len(2) + table_len(0);
         assert_eq!(bytes.len() as u64, fixed + END_LEN);
         let idx = HeaderView::parse(&bytes[..header_size(7, 7) as usize]).unwrap();
-        assert_eq!(idx.version, VERSION);
+        assert_eq!(bytes[4], VERSION);
         assert_eq!(idx.summary_bytes(), summary_extent_len(7));
         let summaries =
             SummaryView::parse(&bytes[idx.summary_file_offset() as usize..], 7).unwrap();
@@ -474,8 +449,8 @@ mod tests {
     /// The eager decoders and the eager form they filled, as they were
     /// before the views existed, kept verbatim as the differential
     /// oracle: same checks, same order, same messages — but for the v3
-    /// rules added since: versions up to 3, and a v3 summary extent
-    /// that ends in the table sizes.
+    /// rules added since: version 3 alone, and a summary extent that
+    /// ends in the table sizes.
     mod oracle {
         use super::super::*;
 
@@ -491,7 +466,6 @@ mod tests {
         /// The parsed header + directory of a bin index file.
         #[derive(Debug, Clone, PartialEq, Eq)]
         pub struct BinIndex {
-            pub version: u8,
             pub chunks: Vec<ChunkEntry>,
             pub header_bytes: u64,
             pub summary_bytes: u64,
@@ -530,8 +504,7 @@ mod tests {
             if r.u32()? != MAGIC {
                 return Err(MlocError::Corrupt("bad index magic"));
             }
-            let version = r.u8()?;
-            if version == 0 || version > 3 {
+            if r.u8()? != 3 {
                 return Err(MlocError::Corrupt("unsupported index version"));
             }
             let _bin = r.u32()?;
@@ -563,14 +536,9 @@ mod tests {
                 });
             }
             Ok(BinIndex {
-                version,
                 chunks,
                 header_bytes: header_size(num_chunks, num_parts),
-                summary_bytes: match version {
-                    1 => 0,
-                    2 => summary_size(num_chunks),
-                    _ => summary_size(num_chunks) + 8,
-                },
+                summary_bytes: summary_size(num_chunks) + 8,
             })
         }
     }
@@ -595,20 +563,8 @@ mod tests {
         assert_eq!(view.summary_file_offset(), want.header_bytes);
         for (rank, e) in want.chunks.iter().enumerate() {
             assert_eq!(view.count(rank), e.count);
-            assert_eq!(view.bitmap_off(rank), e.bitmap_off);
+            assert_eq!(view.bitmap_file_offset(rank), e.bitmap_off);
             assert_eq!(view.bitmap_len(rank), e.bitmap_len);
-            // Stored offsets are untrusted: where the eager form's
-            // plain sum would overflow, the view saturates. v3 stores
-            // them absolute.
-            let section = if want.version < 3 {
-                want.header_bytes + want.summary_bytes
-            } else {
-                0
-            };
-            assert_eq!(
-                view.bitmap_file_offset(rank),
-                section.saturating_add(e.bitmap_off)
-            );
             assert_eq!(view.units(rank).collect::<Vec<_>>(), e.units);
             for (part, u) in e.units.iter().enumerate() {
                 assert_eq!(view.unit(rank, part), *u);
@@ -662,28 +618,6 @@ mod tests {
         out
     }
 
-    /// The v1 or v2 inputs: every index payload (footer stripped) of
-    /// the checked-in dataset of that version — 16 chunks, 7 parts.
-    /// Nothing writes either version any more.
-    fn fixture_payloads(version: u8) -> Vec<(Vec<u8>, usize, usize)> {
-        let mut names: Vec<_> = std::fs::read_dir(crate::fixtures::dir(version))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "idx"))
-            .collect();
-        names.sort();
-        assert_eq!(names.len(), 8, "the fixture has 8 bins");
-        names
-            .iter()
-            .map(|path| {
-                let raw = std::fs::read(path).unwrap();
-                let name = path.display().to_string();
-                let payload = crate::ExtentFooter::split_verified(&raw, &name).unwrap();
-                (payload.to_vec(), 16, 7)
-            })
-            .collect()
-    }
-
     /// splitmix64: deterministic arbitrary bytes without a dependency.
     fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -695,8 +629,7 @@ mod tests {
 
     #[test]
     fn views_equal_the_eager_decode_on_built_indexes() {
-        for (file, num_chunks, num_parts) in built_payloads().into_iter().chain(fixture_payloads(2))
-        {
+        for (file, num_chunks, num_parts) in built_payloads() {
             // The engine's exact-size header read, and the whole file
             // (a header buffer may extend past the directory).
             check_header(&file[..header_size(num_chunks, num_parts) as usize]);
@@ -712,12 +645,6 @@ mod tests {
             );
             check_summary(&file[start..], num_chunks);
         }
-        for (v1, num_chunks, num_parts) in fixture_payloads(1) {
-            check_header(&v1[..header_size(num_chunks, num_parts) as usize]);
-            check_header(&v1);
-            // A v1 file has no summary section.
-            assert_eq!(HeaderView::parse(&v1[..]).unwrap().summary_bytes(), 0);
-        }
     }
 
     #[test]
@@ -731,15 +658,11 @@ mod tests {
             }
             bad
         };
-        let payloads = built_payloads()
-            .into_iter()
-            .chain(fixture_payloads(2))
-            .chain(fixture_payloads(1));
-        for (payload, num_chunks, num_parts) in payloads {
+        for (payload, num_chunks, num_parts) in built_payloads() {
             let hdr_len = header_size(num_chunks, num_parts) as usize;
             let header = &payload[..hdr_len];
             let summary_len = HeaderView::parse(header).unwrap().summary_bytes() as usize;
-            // Empty for the v1 payloads; the table sizes end the v3 ones.
+            // The table sizes end it.
             let summary = &payload[hdr_len..hdr_len + summary_len];
             // Every truncation.
             for cut in 0..=header.len() {
@@ -778,7 +701,7 @@ mod tests {
             let mut bytes: Vec<u8> = (0..len).map(|_| next(&mut rng) as u8).collect();
             if round % 2 == 0 && len >= 14 {
                 bytes[..4].copy_from_slice(&MAGIC.to_le_bytes());
-                bytes[4] = 1 + (next(&mut rng) % 3) as u8;
+                bytes[4] = VERSION;
                 bytes[9..13].copy_from_slice(&((next(&mut rng) % 12) as u32).to_le_bytes());
                 bytes[13] = (next(&mut rng) % 18) as u8;
             }

@@ -10,7 +10,8 @@
 //!
 //! A table is stored in one of two forms.
 //!
-//! **Tail footer** — the meta file, and the bin files of formats v1/v2:
+//! **Tail footer** — the meta file (and the v1/v2 bin files
+//! [`crate::upgrade`] reads):
 //!
 //! ```text
 //! payload                       (the pre-existing file contents)
@@ -582,7 +583,7 @@ mod tests {
         build_variable(&be, "ds", "v", &values, &config).unwrap();
         let file = MlocStore::open(&be, "ds", "v")
             .unwrap()
-            .data_file(1)
+            .bin_file(1)
             .to_string();
         let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let hdr_len = header_size(4, 7);

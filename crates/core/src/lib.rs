@@ -73,6 +73,7 @@ pub mod progressive;
 pub mod query;
 pub mod repair;
 pub mod store;
+pub mod upgrade;
 pub mod verify;
 mod wire;
 
@@ -141,6 +142,12 @@ pub enum MlocError {
     },
     /// Invalid user input (query or configuration).
     Invalid(String),
+    /// A file of the formats before v3, which only `mloc upgrade`
+    /// ([`upgrade`]) reads.
+    NeedsUpgrade {
+        /// The file that gave the store away.
+        file: String,
+    },
 }
 
 impl MlocError {
@@ -171,6 +178,11 @@ impl std::fmt::Display for MlocError {
                 "corrupt extent [{offset}, {offset}+{len}) in {file}: {what}"
             ),
             MlocError::Invalid(why) => write!(f, "invalid request: {why}"),
+            MlocError::NeedsUpgrade { file } => write!(
+                f,
+                "{file} is of format v1/v2, which only `mloc upgrade` reads: copy the \
+                 dataset out as v3 with `mloc upgrade --dir OLD --name NAME --out NEW`"
+            ),
         }
     }
 }
@@ -199,9 +211,9 @@ impl From<mloc_bitmap::wah::BitmapError> for MlocError {
 pub type Result<T> = std::result::Result<T, MlocError>;
 
 /// The checked-in datasets of the formats nothing writes any more
-/// (`tests/golden/v{1,2}_dataset`): dataset `fmt`, variable `v`, a
-/// `gts_like_2d(64, 64, 41)` field in 16² chunks, 8 bins, deflate with
-/// PLoD byte columns.
+/// (`tests/golden/v{1,2}_dataset`), the inputs of [`upgrade`]: dataset
+/// `fmt`, variable `v`, a `gts_like_2d(64, 64, 41)` field in 16² chunks,
+/// 8 bins, deflate with PLoD byte columns.
 #[cfg(test)]
 pub(crate) mod fixtures {
     use mloc_pfs::{DirBackend, MemBackend, StorageBackend};

@@ -24,9 +24,9 @@ pub struct QueryMetrics {
     pub response_s: f64,
     /// Total bytes read (index + data).
     pub bytes_read: u64,
-    /// Bytes read from index files.
+    /// Bytes read from bin files' index sections.
     pub index_bytes: u64,
-    /// Bytes read from data files.
+    /// Bytes read from bin files' data sections.
     pub data_bytes: u64,
     /// Seeks paid in the simulated PFS.
     pub seeks: u64,

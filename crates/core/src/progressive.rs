@@ -288,7 +288,7 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         for group in live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)) {
             let fixed = &self.units[group[0]].unit.fixed;
             let bin = self.units[group[0]].unit.bin;
-            let file = fetcher.data_file(bin);
+            let file = fetcher.bin_file(bin);
             let mut extents: Vec<(u64, u32)> = Vec::new();
             // (unit index, the cached prefix the part extends)
             let mut pending: Vec<(usize, Option<UnitBlock>)> = Vec::new();

@@ -17,10 +17,9 @@
 
 use crate::binfile::{summary_extent_len, Tables};
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
-use crate::fileorg::BinFiles;
 use crate::fusion::coalesced_read_results;
 use crate::index::{header_size, HeaderView, SummaryView};
-use crate::integrity::{corrupt_extent, ExtentFooter, TRAILER_LEN};
+use crate::integrity::ExtentFooter;
 use crate::plod;
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
@@ -32,9 +31,9 @@ use std::sync::Arc;
 /// What one rank's fetches cost, by where the bytes came from.
 #[derive(Debug, Clone, Default)]
 pub struct FetchReport {
-    /// Bytes read from index files.
+    /// Bytes read from bin files' index sections.
     pub index_bytes: u64,
-    /// Bytes read from data files.
+    /// Bytes read from bin files' data sections.
     pub data_bytes: u64,
     /// Block-cache probes that found their block (0 without a cache).
     /// A data unit's block may serve several extents for one hit.
@@ -151,16 +150,10 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         }
     }
 
-    /// Name of a bin's index file: the store's one allocation of it,
-    /// shared by every request, retry and trace record of the file.
-    pub fn index_file(&self, bin: usize) -> Arc<str> {
-        Arc::clone(self.store.index_file(bin))
-    }
-
-    /// Name of a bin's data file (see [`Self::index_file`]): a one-file
-    /// bin's index file name.
-    pub fn data_file(&self, bin: usize) -> Arc<str> {
-        Arc::clone(self.store.data_file(bin))
+    /// Name of a bin's file: the store's one allocation of it, shared
+    /// by every request, retry and trace record of the file.
+    pub fn bin_file(&self, bin: usize) -> Arc<str> {
+        Arc::clone(self.store.bin_file(bin))
     }
 
     /// Cache key of one block of this store's variable.
@@ -268,7 +261,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         let fixed = match self.probe(&key) {
             Some(CachedBlock::Fixed(hit)) => {
                 let data = data(&hit.index);
-                let file = self.index_file(bin);
+                let file = self.bin_file(bin);
                 for (off, len) in hit.index_spans() {
                     self.served(&file, off, len);
                 }
@@ -277,14 +270,11 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                 }
                 if let Some(table) = &hit.data {
                     let (off, len) = table.span();
-                    self.served(&self.data_file(bin), off, len);
+                    self.served(&file, off, len);
                     return Ok(hit);
                 }
                 // Built by a query that read no data: the table alone.
-                let table = match &hit.tables {
-                    Some(tables) => self.tables(&file, tables, Some(&hit.footer), true)?.1,
-                    None => Some(self.tail_footer(&self.data_file(bin), false)?),
-                };
+                let table = self.tables(&file, &hit.tables, Some(&hit.footer), true)?.1;
                 FixedBlocks {
                     data: table,
                     ..FixedBlocks::clone(&hit)
@@ -297,8 +287,9 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(fixed)
     }
 
-    /// Read, verify and parse `bin`'s fixed blocks the way the store's
-    /// layout keeps them.
+    /// Read, verify and parse `bin`'s fixed blocks: the header, the
+    /// summary, then — its last bytes say how long they are — the
+    /// checksum tables, each read continuing the last.
     fn fetch_fixed(
         &mut self,
         bin: usize,
@@ -308,7 +299,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         // the engine uses comes from the plan.
         let store = self.store;
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let file = self.index_file(bin);
+        let file = self.bin_file(bin);
         let hdr_len = header_size(geometry.0, geometry.1);
         // Header and summary are read ahead of the table that vouches
         // for them: nothing may be decided from their bytes before
@@ -316,69 +307,21 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         let hdr = ByteView::from(self.io.read(Arc::clone(&file), 0, hdr_len)?);
         let parsed = HeaderView::parse(hdr.clone())
             .and_then(|view| view.with_geometry(geometry.0, geometry.1));
-        match store.bin_files() {
-            // v3: the summary, then — its last bytes say how long they
-            // are — the checksum tables, each read continuing the last.
-            BinFiles::One => {
-                let len = summary_extent_len(geometry.0);
-                let sum = ByteView::from(self.io.read(Arc::clone(&file), hdr_len, len)?);
-                let tables = Tables::parse(&sum, hdr_len, geometry, &file)?;
-                let data = parsed.as_ref().is_ok_and(data);
-                let (footer, data) = self.tables(&file, &tables, None, data)?;
-                self.admit(&file, &footer, 0, &hdr)?;
-                let index = parsed?;
-                self.admit(&file, &footer, hdr_len, &sum)?;
-                Ok(FixedBlocks {
-                    index,
-                    summaries: Some(SummaryView::parse(sum, geometry.0)?),
-                    footer,
-                    data,
-                    tables: Some(tables),
-                })
-            }
-            // v1/v2: the summary where the version has one (a
-            // version-driven read — never cache- or plan-state-driven —
-            // so cold and warm runs access identical extents), then the
-            // index file's tail footer, which the header is admitted
-            // against: a header that does not even parse fails there,
-            // as damaged (the usual case) or merely not ours. Then, on
-            // the verified header, the data file's tail footer.
-            BinFiles::Two => {
-                let sum = match &parsed {
-                    Ok(index) if index.summary_bytes() > 0 => {
-                        let len = index.summary_bytes();
-                        Some(ByteView::from(self.io.read(
-                            Arc::clone(&file),
-                            hdr_len,
-                            len,
-                        )?))
-                    }
-                    _ => None,
-                };
-                let footer = self.tail_footer(&file, true)?;
-                self.admit(&file, &footer, 0, &hdr)?;
-                let index = parsed?;
-                let summaries = match sum {
-                    Some(raw) => {
-                        self.admit(&file, &footer, hdr_len, &raw)?;
-                        Some(SummaryView::parse(raw, geometry.0)?)
-                    }
-                    None => None,
-                };
-                let data = if data(&index) {
-                    Some(self.tail_footer(&self.data_file(bin), false)?)
-                } else {
-                    None
-                };
-                Ok(FixedBlocks {
-                    index,
-                    summaries,
-                    footer,
-                    data,
-                    tables: None,
-                })
-            }
-        }
+        let len = summary_extent_len(geometry.0);
+        let sum = ByteView::from(self.io.read(Arc::clone(&file), hdr_len, len)?);
+        let tables = Tables::parse(&sum, hdr_len, geometry, &file)?;
+        let data = parsed.as_ref().is_ok_and(data);
+        let (footer, data) = self.tables(&file, &tables, None, data)?;
+        self.admit(&file, &footer, 0, &hdr)?;
+        let index = parsed?;
+        self.admit(&file, &footer, hdr_len, &sum)?;
+        Ok(FixedBlocks {
+            index,
+            summaries: SummaryView::parse(sum, geometry.0)?,
+            footer,
+            data,
+            tables,
+        })
     }
 
     /// Verify index bytes read ahead at `off` against their file's
@@ -389,7 +332,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(())
     }
 
-    /// Read a v3 bin file's checksum tables, located by `tables`: the
+    /// Read a bin file's checksum tables, located by `tables`: the
     /// index table unless it is `known`, and the data table too when
     /// `data`, in one read. A table that fails its own CRC is a hard
     /// error.
@@ -423,40 +366,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             None
         };
         Ok((index, data_table))
-    }
-
-    /// Read a v1/v2 file's per-extent checksum footer, counted as index
-    /// bytes when `index`, else as data bytes: one untraced `len()`, one
-    /// read of the trailer at the end of the file, and one of the table
-    /// the trailer locates. A footer that cannot be loaded or fails its
-    /// own CRC is a hard error.
-    fn tail_footer(&mut self, file: &Arc<str>, index: bool) -> Result<Arc<ExtentFooter>> {
-        let flen = self.io.backend().len(file)?;
-        if flen < TRAILER_LEN {
-            return Err(corrupt_extent(
-                file,
-                0,
-                flen,
-                "file shorter than footer trailer",
-            ));
-        }
-        let at = flen - TRAILER_LEN;
-        let trailer = self.io.read(Arc::clone(file), at, TRAILER_LEN)?;
-        // The trailer's geometry is checked against `flen`, so the
-        // table lies between `payload_len` and the trailer.
-        let (payload_len, _) = ExtentFooter::decode_trailer(&trailer, flen, file)?;
-        let mut region = self
-            .io
-            .read(Arc::clone(file), payload_len, at - payload_len)?;
-        region.extend_from_slice(&trailer);
-        let footer = ExtentFooter::decode(&region, flen, file)?;
-        let counted = if index {
-            &mut self.report.index_bytes
-        } else {
-            &mut self.report.data_bytes
-        };
-        *counted += footer.span().1;
-        Ok(Arc::new(footer))
     }
 
     /// Fetch a want-list of bitmaps from one file, handing `sink` each
@@ -620,7 +529,7 @@ mod tests {
         let mut g = Fetcher::new(&store, RetryPolicy::none(), false);
         let fixed = g.fixed(BIN, |_| true).unwrap();
         let data = fixed.data.clone().unwrap();
-        (fixed.tables.unwrap(), Arc::clone(&fixed.footer), data)
+        (fixed.tables, Arc::clone(&fixed.footer), data)
     }
 
     /// Fetch the block `part` of chunk rank `r` through the operation
@@ -635,7 +544,7 @@ mod tests {
         part: BlockPart,
     ) -> FetchReport {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
-        let file = f.index_file(BIN);
+        let file = f.bin_file(BIN);
         let key = f.key(BIN, r, part);
         let (_, index_table, data_table) = tables_of(store);
         match part {
@@ -697,7 +606,7 @@ mod tests {
         let plain = open();
 
         // Locate the extents from the index itself.
-        let file = plain.index_file(BIN);
+        let file = plain.bin_file(BIN);
         let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         let index = HeaderView::parse(&raw[..]).unwrap();
         let s0 = index.summary_file_offset() as usize;
@@ -774,7 +683,7 @@ mod tests {
     ) -> std::collections::BTreeMap<(usize, usize), usize> {
         let mut held = std::collections::BTreeMap::new();
         for bin in 0..store.config().num_bins {
-            let file = store.index_file(bin);
+            let file = store.bin_file(bin);
             let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
             let index = HeaderView::parse(&raw[..]).unwrap();
             for r in 0..index.num_chunks() {
@@ -922,7 +831,7 @@ mod tests {
         use crate::query::Query;
         let be = MemBackend::new();
         build(&be);
-        let file = Arc::clone(MlocStore::open(&be, "ds", "v").unwrap().index_file(BIN));
+        let file = Arc::clone(MlocStore::open(&be, "ds", "v").unwrap().bin_file(BIN));
         let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let index = HeaderView::parse(&raw[..]).unwrap();
         let r = (0..index.num_chunks())
@@ -1012,7 +921,7 @@ mod tests {
         assert_eq!(run(&plain, true), (want, index_bytes, data_span.1, 0, 0));
 
         // A damaged data table fails the fetch and admits nothing.
-        let file = store.index_file(BIN);
+        let file = store.bin_file(BIN);
         let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         raw[data_span.0 as usize] ^= 0x01;
         be.create(file).unwrap();
@@ -1083,91 +992,6 @@ mod tests {
             );
             let sim = simulate_reads(&[ops[..3].to_vec()], &model);
             assert_eq!((sim.total_opens, sim.total_seeks), (1, 1), "{file}");
-        }
-    }
-
-    /// A cold v1/v2 footer fetch is the trailer, then the table it
-    /// locates, and nothing else; a warm query replays it as one cached
-    /// record of both. Either way the footer's bytes count once, as the
-    /// bytes of its file's kind.
-    #[test]
-    fn a_cold_v2_footer_is_the_trailer_then_the_table() {
-        use crate::query::Query;
-        let be = crate::fixtures::mem(2);
-        let cache = Arc::new(BlockCache::with_budget_mb(8));
-        let store = MlocStore::open(&be, "fmt", "v").unwrap().with_cache(cache);
-        let ops = |trace: &[ReadOp], file: &str| -> Vec<(u64, u64, bool)> {
-            trace
-                .iter()
-                .filter(|op| &*op.file == file)
-                .map(|op| (op.offset, op.len, op.cached))
-                .collect()
-        };
-        // A values query over every bin, cold (filling the cache), then
-        // warm.
-        let q = Query::values_where(f64::MIN, f64::MAX);
-        let exec = crate::ParallelExecutor::serial();
-        let runs: Vec<Vec<ReadOp>> = (0..2)
-            .map(|_| {
-                let out = exec.run(&store, crate::ExecRequest::new(&q)).unwrap();
-                out.traces.into_iter().next().unwrap()
-            })
-            .collect();
-        let hdr_len = header_size(store.grid().num_chunks(), store.config().num_parts());
-        let sum_len = crate::index::summary_size(store.grid().num_chunks());
-        for (index, file) in [(true, store.index_file(BIN)), (false, store.data_file(BIN))] {
-            let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-            let payload = ExtentFooter::split_verified(&raw, file).unwrap().len() as u64;
-            let (flen, trailer_at) = (raw.len() as u64, raw.len() as u64 - TRAILER_LEN);
-            let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-            let footer = f.tail_footer(file, index).unwrap();
-            let span = footer.span();
-            assert_eq!(span, (payload, flen - payload), "{file}");
-            let cold = f.finish();
-            let trailer_then_table = [
-                (trailer_at, TRAILER_LEN, false),
-                (payload, trailer_at - payload, false),
-            ];
-            assert_eq!(ops(&cold.trace, file), trailer_then_table, "{file}");
-            let counted = if index { (span.1, 0) } else { (0, span.1) };
-            assert_eq!((cold.index_bytes, cold.data_bytes), counted, "{file}");
-            // The engine's cold fetch of the bin's fixed blocks ends in
-            // the footer's two reads; its warm replay in one record.
-            let (cold, warm) = (ops(&runs[0], file), ops(&runs[1], file));
-            let fixed = if index { 4 } else { 2 };
-            assert!(cold[..fixed].ends_with(&trailer_then_table), "{file}");
-            let mut replay = vec![(payload, span.1, true)];
-            if index {
-                replay.splice(0..0, [(0, hdr_len, true), (hdr_len, sum_len, true)]);
-            }
-            assert_eq!(warm[..fixed - 1], replay[..], "{file}");
-            assert!(warm.iter().all(|op| op.2), "{file}");
-        }
-
-        // Damaged copies of the index file fail with the error the
-        // whole-file check gives, in no more reads than an intact one.
-        let name = store.index_file(BIN);
-        let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
-        let n = raw.len();
-        let flip = |at: usize, mask: u8| {
-            let mut copy = raw.clone();
-            copy[at] ^= mask;
-            copy
-        };
-        let damaged = [
-            ("table-flip", flip(n - 40, 0x04)),
-            ("payload-len-flip", flip(n - 19, 0x01)),
-            ("magic-flip", flip(n - 1, 0x80)),
-            ("cut", raw[..n - 60].to_vec()),
-            ("stub", raw[..10].to_vec()),
-        ];
-        for (name, copy) in damaged {
-            be.append(name, &copy).unwrap();
-            let want = ExtentFooter::split_verified(&copy, name).unwrap_err();
-            let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-            let got = f.tail_footer(&Arc::from(name), true).unwrap_err();
-            assert_eq!(got.to_string(), want.to_string(), "{name}");
-            assert!(f.finish().trace.len() <= 2);
         }
     }
 

@@ -98,7 +98,7 @@ impl Refinement {
 /// filter, no position filter.
 #[derive(Debug, Clone)]
 pub struct RefineUnit {
-    /// Value bin (names the data file).
+    /// Value bin (names the bin file).
     pub bin: usize,
     /// Chunk rank within the bin.
     pub chunk_rank: usize,
@@ -129,18 +129,17 @@ pub struct RankJob<'j, 'a> {
 /// One bin's blocks as the fetch and decode stages fill them in;
 /// the per-unit vectors are indexed like the rank's units of the bin.
 pub(crate) struct BinBlocks {
-    /// The name of the file holding the bin's data (for a v3 bin, the
-    /// one file holding all of it).
-    pub data_file: Arc<str>,
-    /// The bin's fixed blocks: the header + directory and the v2 chunk
+    /// The name of the bin's file.
+    pub file: Arc<str>,
+    /// The bin's fixed blocks: the header + directory and the chunk
     /// summaries, read in place from the fetched (or cached) bytes — a
     /// rank pays for the chunks it touches, not for the chunks the bin
     /// stores — and the data checksum table, fetched iff a unit of the
     /// bin reads data.
     pub fixed: Arc<FixedBlocks>,
     /// Per unit with points: where its run list is — its stored bitmap
-    /// (a WAH stream, then — v2 and v3 — the chunk's rank/select
-    /// directory), decoded once and checked against its header entry,
+    /// (a WAH stream, then the chunk's rank/select directory), decoded
+    /// once and checked against its header entry,
     /// or a full chunk's one run.
     runs: Vec<Option<UnitRuns>>,
     /// The run lists of this bin no cache entry holds: every one when
@@ -186,7 +185,7 @@ struct Rank<'j, 'a> {
     out: RankOutput,
     /// The run-list buffer each bin's blocks borrow in turn.
     local: RunListBuf,
-    // Two-level-index accounting: chunks whose bitmap read the v2
+    // Two-level-index accounting: chunks whose bitmap read the
     // summary made unnecessary (full chunks), and chunks that still
     // needed their bitmap.
     summary_skips: u64,
@@ -225,7 +224,7 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
     Ok(rank.finish(obs))
 }
 
-/// Whether a unit makes its rank read the bin's data file: the plan
+/// Whether a unit makes its rank read the bin's data section: the plan
 /// asks for data and the chunk has points in the bin.
 fn reads_data(index: &HeaderView<ByteView>, u: &WorkUnit) -> bool {
     u.needs_data && index.count(u.chunk_rank) > 0
@@ -250,7 +249,7 @@ impl Rank<'_, '_> {
         let fixed = self
             .fetcher
             .fixed(bin, |index| group.iter().any(|u| reads_data(index, u)))?;
-        let (index, file) = (&fixed.index, self.fetcher.index_file(bin));
+        let (index, file) = (&fixed.index, self.fetcher.bin_file(bin));
 
         // Positional bitmaps for this rank's chunks, as one want-list.
         let (grid, order) = (self.job.store.grid(), self.job.store.order());
@@ -266,22 +265,20 @@ impl Rank<'_, '_> {
                 continue;
             }
             let count = index.count(u.chunk_rank);
-            // Summary classification (v2): a full chunk's bitmap is
-            // all ones — one run — so it is never read; partial chunks
-            // still fetch their bitmap.
-            if let Some(sums) = &fixed.summaries {
-                if sums.get(u.chunk_rank).all_of_chunk {
-                    let points = grid.chunk_points(order.cell_at(u.chunk_rank)) as u64;
-                    if u64::from(count) != points {
-                        return Err(MlocError::Corrupt("index bitmap inconsistent"));
-                    }
-                    full[gi] = true;
-                    runs[gi] = Some(UnitRuns::Local(local.push_full(points)));
-                    self.summary_skips += 1;
-                    continue;
+            // Summary classification: a full chunk's bitmap is all ones
+            // — one run — so it is never read; partial chunks still
+            // fetch their bitmap.
+            if fixed.summaries.get(u.chunk_rank).all_of_chunk {
+                let points = grid.chunk_points(order.cell_at(u.chunk_rank)) as u64;
+                if u64::from(count) != points {
+                    return Err(MlocError::Corrupt("index bitmap inconsistent"));
                 }
-                self.summary_hits += 1;
+                full[gi] = true;
+                runs[gi] = Some(UnitRuns::Local(local.push_full(points)));
+                self.summary_skips += 1;
+                continue;
             }
+            self.summary_hits += 1;
             wants.push(Want {
                 key: self.fetcher.key(bin, u.chunk_rank, BlockPart::Bitmap),
                 offset: index.bitmap_file_offset(u.chunk_rank),
@@ -305,7 +302,7 @@ impl Rank<'_, '_> {
             obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), table);
         }
         Ok(BinBlocks {
-            data_file: self.fetcher.data_file(bin),
+            file,
             fixed,
             runs,
             local,
@@ -332,7 +329,7 @@ impl Rank<'_, '_> {
         let config = store.config();
         let bin = group[0].bin;
         obs.begin("data-read");
-        let file = Arc::clone(&blocks.data_file);
+        let file = Arc::clone(&blocks.file);
         let bytes_before = self.fetcher.report.data_bytes;
         // The data's checksum table came with the bin's fixed blocks,
         // fetched on this same condition — which depends only on the
@@ -517,7 +514,7 @@ mod tests {
         let query = Query::values_where(0.0, 2000.0);
         store.query_serial(&query).unwrap();
 
-        let file = store.index_file(1);
+        let file = store.bin_file(1);
         let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
         assert_eq!(header_size(16, 7), header_size(40, 2));
         raw[9..13].copy_from_slice(&40u32.to_le_bytes());
@@ -575,7 +572,7 @@ mod tests {
         // The first bin whose bitmap of the chunk has a literal word
         // with a clear bit past the box: set the highest such bit.
         let edited = (0..4).find(|&bin| {
-            let file = store.index_file(bin);
+            let file = store.bin_file(bin);
             let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
             let index = HeaderView::parse(&raw[..]).unwrap();
             let at = index.bitmap_file_offset(rank) as usize;
@@ -658,7 +655,7 @@ mod tests {
             let query = Query::membership((0..4096).collect()).with_values();
             store.query_serial(&query).unwrap();
             let edited = (0..4).find(|&bin| {
-                let file = store.index_file(bin);
+                let file = store.bin_file(bin);
                 let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
                 let index = HeaderView::parse(&raw[..]).unwrap();
                 let at = index.bitmap_file_offset(0) as usize;

@@ -524,8 +524,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         // chunk's summary puts them all before or after the region's
         // box, it has nothing to walk.
         self.window.set_chunk(&scratch.ranges, self.region(u));
-        let summary = bin.fixed.summaries.as_ref().map(|s| s.get(u.chunk_rank));
-        if summary.is_some_and(|s| !self.window.meets(s)) {
+        let summary = bin.fixed.summaries.get(u.chunk_rank);
+        if !self.window.meets(summary) {
             return Ok(());
         }
         // The unit's run list was checked against its header entry —
@@ -602,7 +602,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         runs: RunListRef<'_>,
         src: Source<'_>,
         scratch: &mut Scratch,
-        (summary, full): (Option<ChunkSummary>, bool),
+        (summary, full): (ChunkSummary, bool),
         refine: Option<&mut Refinement>,
     ) -> Result<()> {
         let (vc, keep_values, filter) = (self.vc, self.job.req.query.wants_values(), self.filter);
@@ -659,11 +659,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
             // The unit's set bits lie in its summary's span; each probe
             // there is a probe of its stored bitmap, unless the chunk is
             // full.
-            let mut probes = &probes[..];
-            if let Some(s) = summary {
-                probes = &probes[probes.partition_point(|&p| p < u64::from(s.min_pos))..];
-                probes = &probes[..probes.partition_point(|&p| p <= u64::from(s.max_pos))];
-            }
+            let probes = &probes[probes.partition_point(|&p| p < u64::from(summary.min_pos))..];
+            let probes = &probes[..probes.partition_point(|&p| p <= u64::from(summary.max_pos))];
             self.rank_calls += if full { 0 } else { probes.len() as u64 };
             let tests_value = u.value_filter || keep_values;
             for_each_hit(runs, probes, |at, vi| {

@@ -6,9 +6,9 @@
 //! that registers the variable. The meta is the build's commit record:
 //! a verifying meta means every bin file it names was synced first. A
 //! file is whole when every checksum in it holds and its commit marker
-//! is where a complete write leaves it — a v3 bin file's end marker,
-//! the tail footer of the meta and of v1/v2 bin files. That ordering
-//! makes every crash state classifiable from the store alone:
+//! is where a complete write leaves it — a bin file's end marker, the
+//! meta's tail footer. That ordering makes every crash state
+//! classifiable from the store alone:
 //!
 //! * **committed** — the catalog lists the variable and its meta
 //!   verifies; bin files are expected to verify too.
@@ -27,12 +27,13 @@
 //! back, and reconciles the catalog. Both work through any
 //! [`StorageBackend`]; replica restore is a no-op on unreplicated
 //! stores (no `replica_access()`, or one replica: the only copy is
-//! re-checked and nothing else can be tried).
+//! re-checked and nothing else can be tried). A store of the formats
+//! before v3 is refused whole, untouched: `mloc upgrade` copies it out.
 
 use crate::binfile::{self, Geometry};
 use crate::config::MlocConfig;
 use crate::dataset::{catalog_header, parse_catalog};
-use crate::fileorg::{self, read_file, BinFiles, VarFile};
+use crate::fileorg::{self, read_file, VarFile};
 use crate::integrity::ExtentFooter;
 use crate::store::VariableMeta;
 use crate::Result;
@@ -200,23 +201,15 @@ impl fmt::Display for RepairReport {
 /// How a whole stored file is checked.
 #[derive(Debug, Clone, Copy)]
 enum Whole {
-    /// A v3 bin file: its front tables — located with the variable's
+    /// A bin file: its front tables — located with the variable's
     /// geometry, when its meta or the catalog gives one — every extent,
     /// and its end marker.
     BinFile(Option<Geometry>),
-    /// The meta, or a v1/v2 bin file: its tail footer and every extent.
+    /// The meta: its tail footer and every extent.
     TailFooter,
 }
 
 impl Whole {
-    /// How the bin files of `bin_files` are checked.
-    fn of(bin_files: BinFiles, geometry: Option<Geometry>) -> Whole {
-        match bin_files {
-            BinFiles::One => Whole::BinFile(geometry),
-            BinFiles::Two => Whole::TailFooter,
-        }
-    }
-
     /// Whether `raw`, all of `file`, is whole.
     fn check(self, raw: &[u8], file: &str) -> Result<()> {
         match self {
@@ -306,20 +299,11 @@ fn rewrite(backend: &dyn StorageBackend, file: &str, bytes: &[u8]) -> Result<()>
 #[derive(Default)]
 struct VarFiles {
     has_meta: bool,
-    /// bin number -> its files present, each with the organization its
-    /// name belongs to.
-    bins: BTreeMap<usize, Vec<(String, BinFiles)>>,
+    /// bin number -> its file.
+    bins: BTreeMap<usize, String>,
     /// Files under the variable's directory that match no known
     /// layout name.
     strays: Vec<String>,
-}
-
-impl VarFiles {
-    /// The organization of these bin files, for a variable whose meta
-    /// cannot say.
-    fn bin_files(&self) -> BinFiles {
-        BinFiles::of_present(self.bins.values().flatten().map(|(_, kind)| *kind))
-    }
 }
 
 /// Scrape `{ds}/{var}/…` files into per-variable inventories.
@@ -330,10 +314,12 @@ fn inventory(backend: &dyn StorageBackend, ds: &str) -> BTreeMap<String, VarFile
             continue;
         };
         let entry = vars.entry(var.to_string()).or_default();
-        match (role, role.bin()) {
-            (VarFile::Meta, _) => entry.has_meta = true,
-            (_, Some((bin, kind))) => entry.bins.entry(bin).or_default().push((f.clone(), kind)),
-            _ => entry.strays.push(f.clone()),
+        match role {
+            VarFile::Meta => entry.has_meta = true,
+            VarFile::Bin(bin) => {
+                entry.bins.insert(bin, f.clone());
+            }
+            VarFile::Stray => entry.strays.push(f.clone()),
         }
     }
     vars
@@ -341,6 +327,7 @@ fn inventory(backend: &dyn StorageBackend, ds: &str) -> BTreeMap<String, VarFile
 
 /// Classify every file of dataset `ds` without modifying anything.
 pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
+    crate::upgrade::refuse_old(backend, ds)?;
     let mut report = FsckReport {
         dataset: ds.to_string(),
         ..Default::default()
@@ -396,17 +383,12 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         };
         let listed = catalog_vars.contains(&var);
         let committed = meta_state.is_ok();
-        // The variable's bin count, bin geometry and bin organization:
-        // from its own meta when it verifies, else the shared catalog
-        // config and the file names present.
+        // The variable's bin count and bin geometry: from its own meta
+        // when it verifies, else the shared catalog config.
         let meta = committed.then(|| read_meta(backend, ds, &var)).flatten();
         let config = meta.as_ref().map(|m| &m.config).or(catalog_config.as_ref());
         let expect_bins = config.map(|c| c.num_bins);
-        let layout = meta.as_ref().map_or_else(
-            || files.map_or(BinFiles::One, VarFiles::bin_files),
-            |m| m.bin_files,
-        );
-        let geometry = config.map(binfile::geometry);
+        let whole = Whole::BinFile(config.map(binfile::geometry));
 
         match (meta_state.as_ref().err(), listed) {
             (None, true) => report.committed.push(var.clone()),
@@ -438,8 +420,7 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         let debris = !committed && !listed;
 
         // Bin files: verify the ones present; for committed variables
-        // also demand the full expected set, in the layout its meta
-        // names.
+        // also demand the full expected set.
         let mut bins: BTreeSet<usize> = files
             .map(|f| f.bins.keys().copied().collect())
             .unwrap_or_default();
@@ -447,48 +428,31 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
             bins.extend(0..expect_bins.unwrap_or(0));
         }
         for bin in bins {
-            let present = files
-                .and_then(|f| f.bins.get(&bin))
-                .map_or(&[][..], Vec::as_slice);
-            if !debris {
-                for file in layout.names(ds, &var, bin) {
-                    if !present.iter().any(|(name, _)| *name == file) {
-                        report.findings.push(FileFinding {
-                            file,
-                            class: FileClass::Missing,
-                            what: "expected by committed variable".to_string(),
-                        });
-                    }
-                }
-            }
-            for (file, kind) in present {
-                let file = file.clone();
-                if !debris && *kind != layout {
-                    report.findings.push(FileFinding {
-                        file,
-                        class: FileClass::Orphaned,
-                        what: "not part of the layout".to_string(),
-                    });
-                    continue;
-                }
-                report.files_checked += 1;
-                match verifies(backend, &file, Whole::of(*kind, geometry)) {
-                    Ok(()) if debris => report.findings.push(FileFinding {
-                        file,
-                        class: FileClass::Orphaned,
-                        what: "uncommitted build debris".to_string(),
-                    }),
-                    Ok(()) => {}
-                    Err(e) => report.findings.push(FileFinding {
-                        file,
-                        class: if debris {
-                            FileClass::Orphaned
-                        } else {
-                            FileClass::Torn
-                        },
-                        what: e,
-                    }),
-                }
+            let Some(file) = files.and_then(|f| f.bins.get(&bin)).cloned() else {
+                report.findings.push(FileFinding {
+                    file: fileorg::bin_file(ds, &var, bin),
+                    class: FileClass::Missing,
+                    what: "expected by committed variable".to_string(),
+                });
+                continue;
+            };
+            report.files_checked += 1;
+            match verifies(backend, &file, whole) {
+                Ok(()) if debris => report.findings.push(FileFinding {
+                    file,
+                    class: FileClass::Orphaned,
+                    what: "uncommitted build debris".to_string(),
+                }),
+                Ok(()) => {}
+                Err(e) => report.findings.push(FileFinding {
+                    file,
+                    class: if debris {
+                        FileClass::Orphaned
+                    } else {
+                        FileClass::Torn
+                    },
+                    what: e,
+                }),
             }
         }
         for stray in files.map(|f| f.strays.as_slice()).unwrap_or_default() {
@@ -515,7 +479,7 @@ fn remove_var(
     if files.has_meta {
         names.push(fileorg::meta_file(ds, var));
     }
-    names.extend(files.bins.values().flatten().map(|(name, _)| name.clone()));
+    names.extend(files.bins.values().cloned());
     names.extend(files.strays.iter().cloned());
     for name in names {
         match backend.remove(&name) {
@@ -611,25 +575,24 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         let Some(meta) = read_meta(backend, ds, var) else {
             continue;
         };
-        let how = Whole::of(meta.bin_files, Some(binfile::geometry(&meta.config)));
+        let how = Whole::BinFile(Some(binfile::geometry(&meta.config)));
         for bin in 0..meta.config.num_bins {
-            for file in meta.bin_files.names(ds, var, bin) {
-                let whole = |raw: &[u8]| how.check(raw, &file).is_ok();
-                if verifies(backend, &file, how).is_ok() {
-                    if is_replicated(backend) && !all_replicas_pass(backend, &file, whole) {
-                        if let Ok(raw) = read_file(backend, &file) {
-                            rewrite(backend, &file, &raw)?;
-                            report.restored.push(file);
-                        }
+            let file = fileorg::bin_file(ds, var, bin);
+            let whole = |raw: &[u8]| how.check(raw, &file).is_ok();
+            if verifies(backend, &file, how).is_ok() {
+                if is_replicated(backend) && !all_replicas_pass(backend, &file, whole) {
+                    if let Ok(raw) = read_file(backend, &file) {
+                        rewrite(backend, &file, &raw)?;
+                        report.restored.push(file);
                     }
-                    continue;
                 }
-                if let Some(raw) = replica_passing(backend, &file, whole) {
-                    rewrite(backend, &file, &raw)?;
-                    report.restored.push(file);
-                } else {
-                    report.unrepairable.push(file);
-                }
+                continue;
+            }
+            if let Some(raw) = replica_passing(backend, &file, whole) {
+                rewrite(backend, &file, &raw)?;
+                report.restored.push(file);
+            } else {
+                report.unrepairable.push(file);
             }
         }
     }

@@ -5,7 +5,7 @@ use crate::binning::BinSpec;
 use crate::cache::BlockCache;
 use crate::config::MlocConfig;
 use crate::exec::ParallelExecutor;
-use crate::fileorg::{self, BinFiles};
+use crate::fileorg;
 use crate::fusion::ExtentFuser;
 use crate::metrics::QueryMetrics;
 use crate::query::{Query, QueryResult};
@@ -16,14 +16,14 @@ use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
+/// The meta's version: 3 since a bin is one file. A version-2 meta
+/// (formats v1/v2, two files per bin) is read by [`crate::upgrade`]
+/// alone.
+pub(crate) const VERSION: u8 = 3;
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariableMeta {
-    /// How the variable's bins are stored — the meta's version: 3 for
-    /// one file per bin (what the build writes), 2 for an index file
-    /// and a data file per bin (the formats before it).
-    pub bin_files: BinFiles,
     /// Variable name.
     pub var: String,
     /// Build configuration.
@@ -39,10 +39,7 @@ impl VariableMeta {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u32(MAGIC);
-        w.u8(match self.bin_files {
-            BinFiles::One => 3,
-            BinFiles::Two => 2,
-        });
+        w.u8(VERSION);
         w.string(&self.var);
         self.config.encode_into(&mut w);
         w.f64_vec(&self.bin_bounds);
@@ -50,17 +47,31 @@ impl VariableMeta {
         w.finish()
     }
 
-    /// Parse bytes produced by [`Self::encode`].
+    /// Parse bytes produced by [`Self::encode`]. A version-2 meta
+    /// fails with the error that names `mloc upgrade`.
     pub fn decode(data: &[u8]) -> Result<VariableMeta> {
+        Self::decode_current(data, "meta")
+    }
+
+    /// [`Self::decode`], naming `file` in the upgrade error.
+    fn decode_current(data: &[u8], file: &str) -> Result<VariableMeta> {
+        match Self::decode_any(data)? {
+            (VERSION, meta) => Ok(meta),
+            _ => Err(crate::upgrade::needed(file)),
+        }
+    }
+
+    /// Parse a meta of either version, and say which: version 2 differs
+    /// from 3 in its version byte alone.
+    pub(crate) fn decode_any(data: &[u8]) -> Result<(u8, VariableMeta)> {
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {
             return Err(MlocError::Corrupt("bad meta magic"));
         }
-        let bin_files = match r.u8()? {
-            3 => BinFiles::One,
-            2 => BinFiles::Two,
-            _ => return Err(MlocError::Corrupt("unsupported meta version")),
-        };
+        let version = r.u8()?;
+        if !(2..=VERSION).contains(&version) {
+            return Err(MlocError::Corrupt("unsupported meta version"));
+        }
         let var = r.string()?;
         let config = MlocConfig::decode_from(&mut r)?;
         let bin_bounds = r.f64_vec()?;
@@ -68,13 +79,13 @@ impl VariableMeta {
         if bin_bounds.len() != config.num_bins + 1 {
             return Err(MlocError::Corrupt("bin bound count mismatch"));
         }
-        Ok(VariableMeta {
-            bin_files,
+        let meta = VariableMeta {
             var,
             config,
             bin_bounds,
             total_points,
-        })
+        };
+        Ok((version, meta))
     }
 
     /// Decode a whole meta file as stored: its checksum footer, then
@@ -82,7 +93,8 @@ impl VariableMeta {
     /// commit marker (it is written last), so a torn or bit-flipped
     /// meta fails here instead of parsing garbage.
     pub(crate) fn from_file(raw: &[u8], file: &str) -> Result<VariableMeta> {
-        VariableMeta::decode(crate::integrity::ExtentFooter::split_verified(raw, file)?)
+        let payload = crate::integrity::ExtentFooter::split_verified(raw, file)?;
+        VariableMeta::decode_current(payload, file)
     }
 }
 
@@ -97,10 +109,9 @@ pub struct MlocStore<'a> {
     cache: Option<Arc<BlockCache>>,
     cache_scope: Arc<str>,
     fuser: Option<Arc<ExtentFuser>>,
-    /// Per bin: the names of its index file and of its data file (one
-    /// name, shared, for a one-file bin). Named once, at open: every
+    /// Per bin: the name of its file. Named once, at open: every
     /// request, retry and trace record of a file clones the pointer.
-    files: Vec<(Arc<str>, Arc<str>)>,
+    files: Vec<Arc<str>>,
 }
 
 impl<'a> MlocStore<'a> {
@@ -118,16 +129,7 @@ impl<'a> MlocStore<'a> {
         let cache_scope = Arc::from(format!("{dataset}/{}", meta.var).as_str());
         let var = meta.var.as_str();
         let files = (0..meta.config.num_bins)
-            .map(|bin| match meta.bin_files {
-                BinFiles::One => {
-                    let file: Arc<str> = Arc::from(fileorg::bin_file(dataset, var, bin));
-                    (Arc::clone(&file), file)
-                }
-                BinFiles::Two => (
-                    Arc::from(fileorg::index_file(dataset, var, bin)),
-                    Arc::from(fileorg::data_file(dataset, var, bin)),
-                ),
-            })
+            .map(|bin| Arc::from(fileorg::bin_file(dataset, var, bin)))
             .collect();
         Ok(MlocStore {
             backend,
@@ -227,27 +229,12 @@ impl<'a> MlocStore<'a> {
         &self.spec
     }
 
-    /// How the variable's bins are stored.
-    pub fn bin_files(&self) -> BinFiles {
-        self.meta.bin_files
-    }
-
-    /// Name of the file holding a bin's data: its data file, or its
-    /// one bin file.
+    /// Name of a bin's file.
     ///
     /// # Panics
     /// Panics when `bin` is not below the variable's bin count.
-    pub fn data_file(&self, bin: usize) -> &Arc<str> {
-        &self.files[bin].1
-    }
-
-    /// Name of the file holding a bin's index: its index file, or its
-    /// one bin file.
-    ///
-    /// # Panics
-    /// Panics when `bin` is not below the variable's bin count.
-    pub fn index_file(&self, bin: usize) -> &Arc<str> {
-        &self.files[bin].0
+    pub fn bin_file(&self, bin: usize) -> &Arc<str> {
+        &self.files[bin]
     }
 
     /// Run a query on a single rank with the default cost model and
@@ -273,7 +260,6 @@ mod tests {
             .num_bins(10)
             .build();
         let meta = VariableMeta {
-            bin_files: BinFiles::One,
             var: "temperature".into(),
             config,
             bin_bounds: (0..=10).map(|i| i as f64 * 3.5).collect(),
@@ -290,7 +276,6 @@ mod tests {
             .num_bins(2)
             .build();
         let meta = VariableMeta {
-            bin_files: BinFiles::One,
             var: "v".into(),
             config,
             bin_bounds: vec![0.0, 1.0, 2.0],

@@ -1,8 +1,8 @@
 //! Offline integrity verification (`mloc verify`).
 //!
 //! Recomputes every checksum recorded in the checksum tables of a
-//! variable's files — meta, every bin file (or a v1/v2 bin's index and
-//! data files) — and reports each damaged extent with a human-readable
+//! variable's files — meta and every bin file — and reports each
+//! damaged extent with a human-readable
 //! label (which chunk's bitmap, which byte-group part, which table).
 //! Unlike the query path,
 //! which stops at the first unreadable extent it needs, verification
@@ -10,9 +10,8 @@
 //! whether a degraded dataset is worth keeping.
 
 use crate::binfile::{self, Geometry, END_LEN};
-use crate::fileorg::{self, BinFiles};
+use crate::fileorg::{self, VarFile};
 use crate::index::HeaderView;
-use crate::integrity::{ExtentFooter, TRAILER_LEN};
 use crate::store::VariableMeta;
 use crate::{MlocError, Result};
 use mloc_pfs::StorageBackend;
@@ -114,17 +113,16 @@ fn damage_from_error(file: &str, e: &MlocError) -> ExtentDamage {
     }
 }
 
-/// Read one file and check every footer extent of it, recording damage
-/// instead of stopping. Returns the raw bytes and parsed footer when
-/// the footer itself is intact (payload extents may still be bad).
-fn check_file(
+/// Read a whole file, counting it checked; an unreadable one is
+/// damage.
+fn read_checked(
     backend: &dyn StorageBackend,
     file: &str,
     report: &mut VerifyReport,
-) -> Option<(Vec<u8>, ExtentFooter)> {
+) -> Option<Vec<u8>> {
     report.files_checked += 1;
-    let raw = match fileorg::read_file(backend, file) {
-        Ok(raw) => raw,
+    match fileorg::read_file(backend, file) {
+        Ok(raw) => Some(raw),
         Err(e) => {
             report.damage.push(ExtentDamage {
                 file: file.to_string(),
@@ -132,43 +130,9 @@ fn check_file(
                 len: 0,
                 what: format!("file unreadable: {e}"),
             });
-            return None;
-        }
-    };
-    let file_len = raw.len() as u64;
-    if file_len < TRAILER_LEN {
-        report.damage.push(ExtentDamage {
-            file: file.to_string(),
-            offset: 0,
-            len: file_len,
-            what: "file shorter than footer trailer (torn write?)".to_string(),
-        });
-        return None;
-    }
-    let trailer = &raw[raw.len() - TRAILER_LEN as usize..];
-    let (payload_len, _) = match ExtentFooter::decode_trailer(trailer, file_len, file) {
-        Ok(v) => v,
-        Err(e) => {
-            report.damage.push(damage_from_error(file, &e));
-            return None;
-        }
-    };
-    let footer = match ExtentFooter::decode(&raw[payload_len as usize..], file_len, file) {
-        Ok(f) => f,
-        Err(e) => {
-            report.damage.push(damage_from_error(file, &e));
-            return None;
-        }
-    };
-    for i in 0..footer.num_extents() {
-        let (off, len, _) = footer.extent(i);
-        report.extents_checked += 1;
-        let slice = &raw[off as usize..(off + u64::from(len)) as usize];
-        if let Err(e) = footer.verify(file, off, slice) {
-            report.damage.push(damage_from_error(file, &e));
+            None
         }
     }
-    Some((raw, footer))
 }
 
 /// Rewrite the `what` of damage entries in `file` with a location
@@ -184,53 +148,50 @@ fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<
 /// Verify every stored extent of one variable. Damaged extents are
 /// collected, not fatal: the report lists all of them. Errors are
 /// returned only for conditions that prevent verification from running
-/// at all (none currently — unreadable files become damage entries).
+/// at all: a dataset of the formats before v3, which `mloc upgrade`
+/// reads and nothing else does. Unreadable files become damage entries.
 pub fn verify_variable(
     backend: &dyn StorageBackend,
     dataset: &str,
     var: &str,
 ) -> Result<VerifyReport> {
+    crate::upgrade::refuse_old(backend, dataset)?;
+    Ok(verify_current(backend, dataset, var))
+}
+
+/// [`verify_variable`] of a dataset already known to hold no v1/v2 file.
+fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
     let mut report = VerifyReport::default();
 
     // Enumerate bins from the directory listing rather than the meta
     // file, so a destroyed meta does not hide bin damage.
-    let present: Vec<(usize, BinFiles)> = backend
+    let bins: BTreeSet<usize> = backend
         .list()
         .iter()
         .filter_map(|f| match fileorg::var_file(dataset, f) {
-            Some((v, role)) if v == var => role.bin(),
+            Some((v, VarFile::Bin(bin))) if v == var => Some(bin),
             _ => None,
         })
         .collect();
-    let bins: BTreeSet<usize> = present.iter().map(|&(bin, _)| bin).collect();
 
+    // The meta is one checksummed extent behind its tail footer.
     let meta_name = fileorg::meta_file(dataset, var);
-    let meta = check_file(backend, &meta_name, &mut report)
-        .and_then(|(raw, _)| VariableMeta::from_file(&raw, &meta_name).ok());
+    let meta = read_checked(backend, &meta_name, &mut report).and_then(|raw| {
+        report.extents_checked += 1;
+        VariableMeta::from_file(&raw, &meta_name)
+            .map_err(|e| report.damage.push(damage_from_error(&meta_name, &e)))
+            .ok()
+    });
     relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
-    // The layout is the meta's; without one, the file names say.
-    let layout = meta.as_ref().map_or_else(
-        || BinFiles::of_present(present.iter().map(|&(_, kind)| kind)),
-        |m| m.bin_files,
-    );
     let geometry = meta.as_ref().map(|m| binfile::geometry(&m.config));
-
     for bin in bins {
-        match layout {
-            BinFiles::One => verify_bin_file(
-                backend,
-                &fileorg::bin_file(dataset, var, bin),
-                geometry,
-                &mut report,
-            ),
-            BinFiles::Two => verify_index_and_data_files(backend, dataset, var, bin, &mut report),
-        }
+        let file = fileorg::bin_file(dataset, var, bin);
+        verify_bin_file(backend, &file, geometry, &mut report);
     }
-
-    Ok(report)
+    report
 }
 
-/// Check one whole v3 bin file and label its damage: the fixed blocks
+/// Check one whole bin file and label its damage: the fixed blocks
 /// by where the tables say they are, bitmaps and units only from a
 /// header whose own extent verified — a damaged header may say
 /// anything.
@@ -240,18 +201,8 @@ fn verify_bin_file(
     geometry: Option<Geometry>,
     report: &mut VerifyReport,
 ) {
-    report.files_checked += 1;
-    let raw = match fileorg::read_file(backend, file) {
-        Ok(raw) => raw,
-        Err(e) => {
-            report.damage.push(ExtentDamage {
-                file: file.to_string(),
-                offset: 0,
-                len: 0,
-                what: format!("file unreadable: {e}"),
-            });
-            return;
-        }
+    let Some(raw) = read_checked(backend, file, report) else {
+        return;
     };
     let checked = binfile::check(&raw, file, geometry);
     report.extents_checked += checked.extents;
@@ -285,54 +236,30 @@ fn verify_bin_file(
 }
 
 /// The label of the index extent at file offset `off`, from a verified
-/// header: the summary or a chunk's bitmap. (In v1/v2 the index and
-/// the units live in two files, and offsets are per file, so a caller
-/// asks each label only about the file that holds such extents.)
-fn label_index<B: std::ops::Deref<Target = [u8]>>(idx: &HeaderView<B>, off: u64) -> Option<String> {
-    if idx.summary_bytes() > 0 && off == idx.summary_file_offset() {
+/// header: the summary or a chunk's bitmap.
+fn label_index<B: std::ops::Deref<Target = [u8]>>(
+    header: &HeaderView<B>,
+    off: u64,
+) -> Option<String> {
+    if off == header.summary_file_offset() {
         return Some("chunk summary".to_string());
     }
-    (0..idx.num_chunks())
-        .find(|&r| idx.bitmap_len(r) > 0 && idx.bitmap_file_offset(r) == off)
+    (0..header.num_chunks())
+        .find(|&r| header.bitmap_len(r) > 0 && header.bitmap_file_offset(r) == off)
         .map(|r| format!("bitmap of chunk rank {r}"))
 }
 
 /// The label of the unit part stored at `off`, from a verified header.
-fn label_unit<B: std::ops::Deref<Target = [u8]>>(idx: &HeaderView<B>, off: u64) -> Option<String> {
-    (0..idx.num_chunks()).find_map(|r| {
-        let p = idx.units(r).position(|u| u.clen > 0 && u.offset == off)?;
+fn label_unit<B: std::ops::Deref<Target = [u8]>>(
+    header: &HeaderView<B>,
+    off: u64,
+) -> Option<String> {
+    (0..header.num_chunks()).find_map(|r| {
+        let p = header
+            .units(r)
+            .position(|u| u.clen > 0 && u.offset == off)?;
         Some(format!("chunk rank {r} byte-group part {p}"))
     })
-}
-
-/// Check one v1/v2 bin's index file and data file.
-fn verify_index_and_data_files(
-    backend: &dyn StorageBackend,
-    dataset: &str,
-    var: &str,
-    bin: usize,
-    report: &mut VerifyReport,
-) {
-    let idx_file = fileorg::index_file(dataset, var, bin);
-    let dat_file = fileorg::data_file(dataset, var, bin);
-
-    // Location labels come only from a header whose own extent
-    // (extent 0) verified: a damaged header may say anything.
-    let header = check_file(backend, &idx_file, report).and_then(|(mut raw, footer)| {
-        let (off, len, _) = (footer.num_extents() > 0).then(|| footer.extent(0))?;
-        raw.truncate(len as usize);
-        footer.verify(&idx_file, off, &raw).ok()?;
-        HeaderView::parse(raw).ok()
-    });
-    relabel(report, &idx_file, |off| {
-        if off == 0 {
-            return Some("index header".to_string());
-        }
-        label_index(header.as_ref()?, off)
-    });
-
-    check_file(backend, &dat_file, report);
-    relabel(report, &dat_file, |off| label_unit(header.as_ref()?, off));
 }
 
 /// Verify every variable listed in a dataset's catalog. Fails only
@@ -340,9 +267,10 @@ fn verify_index_and_data_files(
 /// reported, not fatal.
 pub fn verify_dataset(backend: &dyn StorageBackend, name: &str) -> Result<VerifyReport> {
     let ds = crate::dataset::Dataset::open(backend, name)?;
+    crate::upgrade::refuse_old(backend, name)?;
     let mut report = VerifyReport::default();
     for var in ds.variables()? {
-        report.merge(verify_variable(backend, name, &var)?);
+        report.merge(verify_current(backend, name, &var));
     }
     Ok(report)
 }
@@ -395,9 +323,9 @@ mod tests {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let idx = HeaderView::parse(&raw[..]).unwrap();
-        let unit = (0..idx.num_chunks())
-            .flat_map(|r| idx.units(r))
+        let header = HeaderView::parse(&raw[..]).unwrap();
+        let unit = (0..header.num_chunks())
+            .flat_map(|r| header.units(r))
             .find(|u| u.clen > 3)
             .unwrap();
         let at = unit.offset + 3;
@@ -417,8 +345,8 @@ mod tests {
     #[test]
     fn flipped_index_header_and_meta_are_labeled() {
         let be = build();
-        let idx = corrupt_copy(&be, "ds/v/bin0000.bin", 6);
-        let r = verify_variable(&idx, "ds", "v").unwrap();
+        let header = corrupt_copy(&be, "ds/v/bin0000.bin", 6);
+        let r = verify_variable(&header, "ds", "v").unwrap();
         assert_eq!(r.damage.len(), 1, "{r}");
         assert!(
             r.damage[0].what.starts_with("index header"),
@@ -438,15 +366,15 @@ mod tests {
         let victim = "ds/v/bin0000.bin";
         let len = be.len(victim).unwrap();
         let raw = be.read(victim, 0, len).unwrap();
-        let idx = HeaderView::parse(&raw[..]).unwrap();
-        assert!(idx.summary_bytes() > 0, "a built file has summaries");
-        let bad = corrupt_copy(&be, victim, idx.summary_file_offset() + 5);
+        let header = HeaderView::parse(&raw[..]).unwrap();
+        assert!(header.summary_bytes() > 0, "a built file has summaries");
+        let bad = corrupt_copy(&be, victim, header.summary_file_offset() + 5);
         let report = verify_variable(&bad, "ds", "v").unwrap();
         assert_eq!(report.damage.len(), 1, "{report}");
         let d = &report.damage[0];
         assert!(d.what.starts_with("chunk summary"), "{}", d.what);
-        assert_eq!(d.offset, idx.summary_file_offset());
-        assert_eq!(d.len, idx.summary_bytes());
+        assert_eq!(d.offset, header.summary_file_offset());
+        assert_eq!(d.len, header.summary_bytes());
     }
 
     /// A header stating an offset past every file (`u64::MAX`) for one
@@ -460,13 +388,13 @@ mod tests {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let idx = HeaderView::parse(&raw[..]).unwrap();
-        let with_bitmap: Vec<usize> = (0..idx.num_chunks())
-            .filter(|&r| idx.bitmap_len(r) > 0)
+        let header = HeaderView::parse(&raw[..]).unwrap();
+        let with_bitmap: Vec<usize> = (0..header.num_chunks())
+            .filter(|&r| header.bitmap_len(r) > 0)
             .collect();
         let (first, later) = (with_bitmap[0], *with_bitmap.last().unwrap());
         assert!(first < later, "two chunks with bitmaps");
-        let flip_at = idx.bitmap_file_offset(later) + 1;
+        let flip_at = header.bitmap_file_offset(later) + 1;
         let parts = crate::store::MlocStore::open(&be, "ds", "v")
             .unwrap()
             .config()
@@ -488,42 +416,8 @@ mod tests {
         );
         let d = &report.damage[1];
         assert_eq!(d.file, victim);
-        assert_eq!(d.offset, idx.bitmap_file_offset(later));
+        assert_eq!(d.offset, header.bitmap_file_offset(later));
         assert!(d.what.starts_with("checksum"), "{}", d.what);
-    }
-
-    /// The checked-in v1 and v2 datasets (written by writers that no
-    /// longer exist) verify and fsck clean, read-only off their
-    /// directories, and damage to a bitmap still gets a chunk label.
-    #[test]
-    fn downgraded_v1_files_verify_clean() {
-        for version in [1, 2] {
-            let be = mloc_pfs::DirBackend::uncached(crate::fixtures::dir(version)).unwrap();
-            let report = verify_dataset(&be, "fmt").unwrap();
-            assert!(report.is_clean(), "v{version}: {report}");
-            assert_eq!(report.files_checked, 17);
-            let fsck = crate::repair::fsck(&be, "fmt").unwrap();
-            assert!(fsck.is_clean(), "v{version}: {fsck}");
-            assert_eq!(fsck.committed, vec!["v"]);
-
-            let victim = "fmt/v/bin0000.idx";
-            let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-            let idx = HeaderView::parse(&raw[..]).unwrap();
-            assert_eq!(raw[4], version, "the header's version byte");
-            let rank = (0..idx.num_chunks())
-                .find(|&r| idx.bitmap_len(r) > 0)
-                .unwrap();
-            let bad = corrupt_copy(&be, victim, idx.bitmap_file_offset(rank) + 1);
-            let r = verify_variable(&bad, "fmt", "v").unwrap();
-            assert_eq!(r.damage.len(), 1, "{r}");
-            assert!(
-                r.damage[0]
-                    .what
-                    .starts_with(&format!("bitmap of chunk rank {rank}")),
-                "{}",
-                r.damage[0].what
-            );
-        }
     }
 
     #[test]

@@ -571,7 +571,7 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
             points.iter().any(|&p| inside(p)) && points.iter().any(|&p| !inside(p))
         })
         .expect("a straddling unit");
-    let file = store.index_file(bin);
+    let file = store.bin_file(bin);
     let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
     let at = HeaderView::parse(&raw[..]).unwrap().unit(rank, 3).offset as usize;
     raw[at] ^= 0x40;

@@ -1,6 +1,7 @@
 //! Integration-test package for the MLOC workspace. The tests live in
 //! `tests/tests/`; this library holds what several of them share: the
-//! checked-in datasets of the formats nothing writes any more.
+//! checked-in datasets of the formats nothing writes any more, which
+//! only `mloc upgrade` reads.
 
 use mloc_pfs::{DirBackend, StorageBackend};
 

@@ -15,7 +15,9 @@
 //! grammar (catalog header → per bin file create→append→sync → meta
 //! → catalog registration), so a new write in the build path that
 //! extends the chain shows up here as a failed census, forcing the
-//! matrix to grow with it.
+//! matrix to grow with it. `mloc upgrade` of the checked-in v2 dataset
+//! commits through the same write stage, and its chain is swept too:
+//! its census is the build's, and so are its crash states.
 
 use mloc::prelude::*;
 use mloc::repair::{fsck, repair};
@@ -50,6 +52,55 @@ fn build(be: &dyn StorageBackend) -> mloc::Result<()> {
     Ok(())
 }
 
+/// The variable's build alone, over a dataset that has its catalog.
+fn add_variable(be: &dyn StorageBackend) -> mloc::Result<()> {
+    let mut ds = Dataset::open(be, DS)?;
+    ds.set_build_threads(1);
+    ds.add_variable(VAR, &values())?;
+    Ok(())
+}
+
+/// The upgrade of the checked-in v2 dataset into `be`.
+fn upgrade_v2(be: &dyn StorageBackend) -> mloc::Result<()> {
+    mloc::upgrade::upgrade(&mloc_integration::fixture(2), be, "fmt").map(drop)
+}
+
+/// Remove every file, then upgrade again: what an operator does with
+/// the destination of an interrupted upgrade.
+fn upgrade_afresh(be: &dyn StorageBackend) -> mloc::Result<()> {
+    for f in be.list() {
+        be.remove(&f)?;
+    }
+    upgrade_v2(be)
+}
+
+/// A write chain the matrix crashes: the dataset and the variable it
+/// commits, its bin count, how to run it, and how to finish it on a
+/// repaired store whose variable the repair rolled back.
+struct Chain {
+    ds: &'static str,
+    var: &'static str,
+    num_bins: usize,
+    run: fn(&dyn StorageBackend) -> mloc::Result<()>,
+    rerun: fn(&dyn StorageBackend) -> mloc::Result<()>,
+}
+
+const BUILD: Chain = Chain {
+    ds: DS,
+    var: VAR,
+    num_bins: NUM_BINS,
+    run: build,
+    rerun: add_variable,
+};
+
+const UPGRADE: Chain = Chain {
+    ds: "fmt",
+    var: "v",
+    num_bins: 8,
+    run: upgrade_v2,
+    rerun: upgrade_afresh,
+};
+
 /// Every physical copy of every file: replicated worlds compare per
 /// shard, unreplicated worlds degrade to the plain file list.
 fn snapshot(be: &dyn StorageBackend) -> Vec<(String, Vec<u8>)> {
@@ -73,8 +124,8 @@ fn snapshot(be: &dyn StorageBackend) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Tier-1 query fingerprints (positions + value bits) over the store.
-fn fingerprints(be: &dyn StorageBackend) -> Vec<(Vec<u64>, Vec<u64>)> {
-    let store = MlocStore::open(be, DS, VAR).unwrap();
+fn fingerprints(be: &dyn StorageBackend, chain: &Chain) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let store = MlocStore::open(be, chain.ds, chain.var).unwrap();
     [
         Query::region(f64::MIN, f64::MAX),
         Query::values_where(f64::MIN, f64::MAX),
@@ -96,18 +147,20 @@ fn fingerprints(be: &dyn StorageBackend) -> Vec<(Vec<u64>, Vec<u64>)> {
 /// Assert the census matches the documented durability grammar, and
 /// return the 1-based indices of all append ops (the torn-write
 /// sweep targets).
-fn assert_census(log: &[(&'static str, String)]) -> Vec<u64> {
+fn assert_census(log: &[(&'static str, String)], chain: &Chain) -> Vec<u64> {
+    let (ds, var) = (chain.ds, chain.var);
+    let catalog = format!("{ds}/catalog");
     // Catalog header: create, magic append, config append, sync.
     let expected_header = ["create", "append", "append", "sync"];
     for (i, kind) in expected_header.iter().enumerate() {
-        assert_eq!(log[i], (*kind, CATALOG.to_string()), "header op {i}");
+        assert_eq!(log[i], (*kind, catalog.clone()), "header op {i}");
     }
     // Per bin: its one file written whole and synced. No bin file is a
     // commit marker: the meta below is, and a torn bin file fails its
     // end marker and checksums.
     let mut i = expected_header.len();
-    for bin in 0..NUM_BINS {
-        let file = format!("{DS}/{VAR}/bin{bin:04}.bin");
+    for bin in 0..chain.num_bins {
+        let file = format!("{ds}/{var}/bin{bin:04}.bin");
         for kind in ["create", "append", "sync"] {
             assert_eq!(log[i], (kind, file.clone()), "bin {bin} op {i}");
             i += 1;
@@ -115,13 +168,13 @@ fn assert_census(log: &[(&'static str, String)]) -> Vec<u64> {
     }
     // Meta (the variable's commit marker), then the catalog
     // registration line, each synced.
-    let meta = format!("{DS}/{VAR}/meta");
+    let meta = format!("{ds}/{var}/meta");
     for (kind, file) in [
         ("create", meta.clone()),
         ("append", meta.clone()),
         ("sync", meta),
-        ("append", CATALOG.to_string()),
-        ("sync", CATALOG.to_string()),
+        ("append", catalog.clone()),
+        ("sync", catalog),
     ] {
         assert_eq!(log[i], (kind, file), "tail op {i}");
         i += 1;
@@ -135,34 +188,34 @@ fn assert_census(log: &[(&'static str, String)]) -> Vec<u64> {
 }
 
 /// The per-crash-point contract: repair either fully heals (then a
-/// rerun of any rolled-back build converges to the clean bytes), or
+/// rerun of any rolled-back chain converges to the clean bytes), or
 /// reports the loss — which in a single-copy world can only be the
 /// catalog header, before any data was durable.
 fn heal_and_compare(
     durable: &dyn StorageBackend,
     tag: &str,
+    chain: &Chain,
     want_files: &[(String, Vec<u8>)],
     want_results: &[(Vec<u64>, Vec<u64>)],
 ) {
-    let report = repair(durable, DS).unwrap();
+    let ds = chain.ds;
+    let report = repair(durable, ds).unwrap();
     if report.is_healthy() {
-        let post = fsck(durable, DS).unwrap();
+        let post = fsck(durable, ds).unwrap();
         assert!(post.is_clean(), "{tag}: post-repair fsck dirty: {post}");
-        let ds = Dataset::open(durable, DS).unwrap_or_else(|e| panic!("{tag}: open: {e}"));
-        if !ds.has_variable(VAR) {
+        let opened = Dataset::open(durable, ds).unwrap_or_else(|e| panic!("{tag}: open: {e}"));
+        if !opened.has_variable(chain.var) {
             // The crash predated the variable's commit point and
-            // repair rolled the debris back: the build reruns cleanly.
-            let mut ds = Dataset::open(durable, DS).unwrap();
-            ds.set_build_threads(1);
-            ds.add_variable(VAR, &values())
-                .unwrap_or_else(|e| panic!("{tag}: rebuild: {e}"));
+            // repair rolled the debris back: the chain reruns cleanly.
+            (chain.rerun)(durable).unwrap_or_else(|e| panic!("{tag}: rerun: {e}"));
         }
     } else {
         // Reported loss: only legal before anything was committed —
         // the catalog header itself is unreconstructable without a
         // committed meta. Never a committed variable.
+        let catalog = format!("{ds}/catalog");
         assert!(
-            report.unrepairable.iter().all(|f| f == CATALOG),
+            report.unrepairable.iter().all(|f| *f == catalog),
             "{tag}: unexpected unrepairable set: {report}"
         );
         assert!(
@@ -172,17 +225,17 @@ fn heal_and_compare(
         for f in durable.list() {
             durable.remove(&f).unwrap();
         }
-        build(durable).unwrap_or_else(|e| panic!("{tag}: recreate: {e}"));
+        (chain.run)(durable).unwrap_or_else(|e| panic!("{tag}: recreate: {e}"));
     }
     assert_eq!(
         snapshot(durable),
         want_files,
-        "{tag}: recovered store bytes diverged from the clean build"
+        "{tag}: recovered store bytes diverged from the clean run"
     );
     assert_eq!(
-        fingerprints(durable),
+        fingerprints(durable, chain),
         want_results,
-        "{tag}: query results diverged from the clean build"
+        "{tag}: query results diverged from the clean run"
     );
 }
 
@@ -224,38 +277,42 @@ impl Drop for DirWorld {
 }
 
 /// Census the chain, then crash at every op index `1..=N`.
-fn sweep_every_crash_point(fresh: Fresh) {
+fn sweep_every_crash_point(fresh: Fresh, chain: &Chain) {
     let clean = fresh();
-    build(&*clean).unwrap();
+    (chain.run)(&*clean).unwrap();
     let want_files = snapshot(&*clean);
-    let want_results = fingerprints(&*clean);
+    let want_results = fingerprints(&*clean, chain);
 
     let cb = CrashBackend::new(fresh(), CrashPlan::none());
-    build(&cb).unwrap();
+    (chain.run)(&cb).unwrap();
     assert!(!cb.crashed());
     let log = cb.op_log();
-    assert_census(&log);
+    assert_census(&log, chain);
     let total = cb.write_ops();
 
     for k in 1..=total {
         let cb = CrashBackend::new(fresh(), CrashPlan::at(k));
         let (kind, file) = &log[k as usize - 1];
         let tag = format!("crash at op {k}/{total} ({kind} {file})");
-        assert!(build(&cb).is_err(), "{tag}: build survived its crash");
+        assert!((chain.run)(&cb).is_err(), "{tag}: chain survived its crash");
         assert!(cb.crashed(), "{tag}: crash never fired");
-        heal_and_compare(&*cb.into_inner(), &tag, &want_files, &want_results);
+        heal_and_compare(&*cb.into_inner(), &tag, chain, &want_files, &want_results);
     }
 }
 
 #[test]
 fn every_crash_point_repairs_to_byte_identical_state() {
-    sweep_every_crash_point(&|| Box::new(MemBackend::new()));
+    for chain in [&BUILD, &UPGRADE] {
+        sweep_every_crash_point(&|| Box::new(MemBackend::new()), chain);
+    }
 }
 
 #[test]
 fn crash_matrix_holds_on_the_real_directory_backend() {
     let world = DirWorld::new();
-    sweep_every_crash_point(&|| world.fresh());
+    for chain in [&BUILD, &UPGRADE] {
+        sweep_every_crash_point(&|| world.fresh(), chain);
+    }
 }
 
 #[test]
@@ -263,7 +320,7 @@ fn crash_matrix_holds_through_a_replicated_shard_router() {
     // The crash overlay sits above the router, so both copies take the
     // same damage — what this adds is repair running its rollback,
     // reattach and catalog paths through replica-aware fan-out.
-    sweep_every_crash_point(&|| {
+    let fresh = || -> Box<dyn StorageBackend> {
         Box::new(
             ShardRouter::replicated(
                 (0..3).map(|_| Box::new(MemBackend::new()) as _).collect(),
@@ -271,31 +328,34 @@ fn crash_matrix_holds_through_a_replicated_shard_router() {
             )
             .unwrap(),
         )
-    });
+    };
+    sweep_every_crash_point(&fresh, &BUILD);
 }
 
 /// Every append in the chain, torn at byte 0 (append fully lost but
 /// earlier volatile bytes flush), 1, and 9 (mid-payload / mid-footer).
 #[test]
 fn every_torn_append_repairs_to_byte_identical_state() {
-    let clean = MemBackend::new();
-    build(&clean).unwrap();
-    let want_files = snapshot(&clean);
-    let want_results = fingerprints(&clean);
+    for chain in [&BUILD, &UPGRADE] {
+        let clean = MemBackend::new();
+        (chain.run)(&clean).unwrap();
+        let want_files = snapshot(&clean);
+        let want_results = fingerprints(&clean, chain);
 
-    let cb = CrashBackend::new(MemBackend::new(), CrashPlan::none());
-    build(&cb).unwrap();
-    let log = cb.op_log();
-    let appends = assert_census(&log);
-    assert!(!appends.is_empty());
+        let cb = CrashBackend::new(MemBackend::new(), CrashPlan::none());
+        (chain.run)(&cb).unwrap();
+        let log = cb.op_log();
+        let appends = assert_census(&log, chain);
+        assert!(!appends.is_empty());
 
-    for &k in &appends {
-        for keep in [0u64, 1, 9] {
-            let cb = CrashBackend::new(MemBackend::new(), CrashPlan::torn_at(k, keep));
-            let (_, file) = &log[k as usize - 1];
-            let tag = format!("torn append op {k} ({file}) keep {keep}");
-            assert!(build(&cb).is_err(), "{tag}: build survived its crash");
-            heal_and_compare(&cb.into_inner(), &tag, &want_files, &want_results);
+        for &k in &appends {
+            for keep in [0u64, 1, 9] {
+                let cb = CrashBackend::new(MemBackend::new(), CrashPlan::torn_at(k, keep));
+                let (_, file) = &log[k as usize - 1];
+                let tag = format!("torn append op {k} ({file}) keep {keep}");
+                assert!((chain.run)(&cb).is_err(), "{tag}: chain survived its crash");
+                heal_and_compare(&cb.into_inner(), &tag, chain, &want_files, &want_results);
+            }
         }
     }
 }
@@ -326,7 +386,7 @@ fn dropped_catalog_sync_is_reconstructed_from_meta() {
     // The reconstructed store answers byte-identically to a clean one.
     let clean = MemBackend::new();
     build(&clean).unwrap();
-    assert_eq!(fingerprints(&durable), fingerprints(&clean));
+    assert_eq!(fingerprints(&durable, &BUILD), fingerprints(&clean, &BUILD));
 }
 
 /// A device that drops one bin file's fsyncs: after power loss the

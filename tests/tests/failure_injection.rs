@@ -1,8 +1,8 @@
 //! Failure injection: randomly corrupt on-disk bytes and verify that
 //! queries either fail cleanly or still return correct results —
 //! never panic, never silently return wrong answers for lossless
-//! layouts with checksummed payloads. The v1/v2 tail-footer reads run
-//! on the checked-in v2 dataset.
+//! layouts with checksummed payloads. A damaged copy of the checked-in
+//! v2 dataset fails `mloc upgrade` the same way.
 
 use mloc::prelude::*;
 use mloc_datagen::gts_like_2d;
@@ -155,46 +155,18 @@ fn v2_fixture() -> MemBackend {
     be
 }
 
-/// Serial, replay and threaded at 4 and 8 ranks, and a cached pair of
-/// passes over the v2 fixture: every way the engine fetches a bin's
-/// tail footer.
-fn outcomes(be: &MemBackend, q: &Query) -> Vec<(String, mloc::Result<ExecOutput>)> {
-    use mloc_pfs::CostModel;
-    let store = MlocStore::open(be, "fmt", "v").unwrap();
-    let mut out = vec![(
-        "serial".to_string(),
-        ParallelExecutor::serial()
-            .profiled(true)
-            .run(&store, ExecRequest::new(q)),
-    )];
-    for n in [4, 8] {
-        for threaded in [false, true] {
-            let exec = ParallelExecutor::new(n, CostModel::default())
-                .threaded(threaded)
-                .profiled(true);
-            out.push((
-                format!("{n} ranks threaded={threaded}"),
-                exec.run(&store, ExecRequest::new(q)),
-            ));
-        }
-    }
-    let cached = MlocStore::open(be, "fmt", "v")
-        .unwrap()
-        .with_cache(std::sync::Arc::new(BlockCache::with_budget_mb(64)));
-    for pass in 0..2 {
-        let exec = ParallelExecutor::new(4, CostModel::default()).profiled(true);
-        out.push((
-            format!("cached pass {pass}"),
-            exec.run(&cached, ExecRequest::new(q)),
-        ));
-    }
-    out
+/// Upgrade `be` into a fresh store: the outcome, and whether the new
+/// store holds a committed variable.
+fn upgraded(be: &MemBackend) -> (mloc::Result<()>, bool) {
+    let new = MemBackend::new();
+    let got = mloc::upgrade::upgrade(be, &new, "fmt").map(drop);
+    let fsck = mloc::repair::fsck(&new, "fmt").unwrap();
+    (got, !fsck.committed.is_empty())
 }
 
 /// A file cut inside its checksum table has table bytes where its
-/// trailer should be. The footer read starts where the directory says
-/// the payload ends, finds no trailer at the end of what it read, and
-/// reports exactly what the trailer-then-table sequence did.
+/// trailer should be: the upgrade finds no trailer at the end of the
+/// file, says so, and commits nothing.
 #[test]
 fn a_file_cut_inside_its_table_names_the_missing_trailer() {
     for name in ["fmt/v/bin0001.idx", "fmt/v/bin0001.dat"] {
@@ -207,43 +179,39 @@ fn a_file_cut_inside_its_table_names_the_missing_trailer() {
         assert!(table >= 16, "{name}: a table to cut into");
         let cut = payload + table / 2;
         rewrite(&be, name, &raw[..cut]);
-        for (mode, got) in outcomes(&be, &Query::values_where(f64::MIN, f64::MAX)) {
-            match got {
+        match upgraded(&be) {
+            (
                 Err(mloc::MlocError::CorruptExtent {
                     file,
                     offset,
                     len,
                     what,
-                }) => assert_eq!(
-                    (file.as_str(), offset, len, what.as_str()),
-                    (
-                        name,
-                        cut as u64 - 24,
-                        24,
-                        "missing checksum footer (incomplete build?)"
-                    ),
-                    "{name} ({mode})"
+                }),
+                false,
+            ) => assert_eq!(
+                (file.as_str(), offset, len, what.as_str()),
+                (
+                    name,
+                    cut as u64 - 24,
+                    24,
+                    "missing checksum footer (incomplete build?)"
                 ),
-                Err(other) => panic!("{name} ({mode}): wrong error: {other}"),
-                Ok(_) => panic!("{name} ({mode}): a cut file answered a query"),
-            }
+                "{name}"
+            ),
+            other => panic!("{name}: {other:?}"),
         }
     }
 }
 
 /// A well-formed file whose directory overstates where its payload
-/// ends (here: the last bitmap's length, for a chunk the query never
-/// touches, with the checksums recomputed) still has its footer found
-/// by its trailer: the answer is the clean one in every mode.
+/// ends (here: the last bitmap's length, with the checksums
+/// recomputed) still has its footer found by its trailer, and then
+/// fails the upgrade on the bitmap that runs past the payload: nothing
+/// is committed.
 #[test]
-fn a_directory_overstating_its_payload_still_finds_its_footer() {
+fn a_directory_overstating_its_payload_fails_the_upgrade() {
     let be = v2_fixture();
-    // One chunk's worth of space, in every bin.
-    let q = Query::values_in(Region::new(vec![(0, 16), (0, 16)]));
-    let clean = MlocStore::open(&be, "fmt", "v")
-        .unwrap()
-        .query_serial(&q)
-        .unwrap();
+    assert!(matches!(upgraded(&be), (Ok(()), true)));
 
     let name = "fmt/v/bin0001.idx";
     let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
@@ -254,23 +222,28 @@ fn a_directory_overstating_its_payload_still_finds_its_footer() {
     let extents: Vec<u32> = (0..footer.num_extents())
         .map(|i| footer.extent(i).1)
         .collect();
-    let index = mloc::index::HeaderView::parse(&payload[..]).unwrap();
-    let last = (0..index.num_chunks())
-        .max_by_key(|&r| index.bitmap_file_offset(r) + u64::from(index.bitmap_len(r)))
+    // 16 chunks of 7 parts: 100-byte directory entries after a 14-byte
+    // prologue, each a count, the bitmap's offset, then its length.
+    let entry = |rank: usize| 14 + rank * 100;
+    let le = |at: usize, len: usize| {
+        let mut b = [0u8; 8];
+        b[..len].copy_from_slice(&payload[at..at + len]);
+        u64::from_le_bytes(b)
+    };
+    let last = (0..16)
+        .max_by_key(|&r| le(entry(r) + 4, 8) + le(entry(r) + 12, 4))
         .unwrap();
-    let num_parts = MlocStore::open(&be, "fmt", "v")
-        .unwrap()
-        .config()
-        .num_parts();
-    let at = 14 + last * (16 + 12 * num_parts) + 12;
-    let longer = index.bitmap_len(last) + 8;
+    let at = entry(last) + 12;
+    let longer = le(at, 4) as u32 + 8;
     payload[at..at + 4].copy_from_slice(&longer.to_le_bytes());
     let mut crafted = payload.clone();
     crafted.extend(mloc::ExtentFooter::compute(&payload, &extents).encode());
     rewrite(&be, name, &crafted);
 
-    for (mode, got) in outcomes(&be, &q) {
-        let out = got.unwrap_or_else(|e| panic!("{mode}: {e}"));
-        assert_eq!(out.result, clean, "{mode}");
+    match upgraded(&be) {
+        (Err(mloc::MlocError::Corrupt(what)), false) => {
+            assert_eq!(what, "bitmap past its index file's payload")
+        }
+        other => panic!("{other:?}"),
     }
 }

@@ -620,10 +620,8 @@ fn base_part_corruption_carries_context_in_all_modes() {
 // ---------------------------------------------------------------------
 // A bin's fixed blocks, fetched once per query and shared between ranks.
 //
-// A v3 bin file's header, summary and two checksum tables come in one
-// seek from its front; a v1/v2 bin's index and data footers are each
-// read from their file's tail, trailer then table. At more than one
-// rank they are fetched by one rank for all.
+// A bin file's header, summary and two checksum tables come in one
+// seek from its front, and every rank that uses the bin reads them.
 // Damage to any of them must end in the same `CorruptExtent` in every
 // mode, with the bin's fixed-block entry never admitted to the cache.
 // ---------------------------------------------------------------------
@@ -731,9 +729,9 @@ fn assert_nothing_admitted(tag: &str, store: &MlocStore<'_>, bin: usize) {
 /// with which mask; and the error every mode must end in.
 type Row<'r> = (&'r str, &'r str, u64, u8, (&'r str, u64, u64, &'r str));
 
-/// Flip each row's byte in a fresh copy of what `load` writes, and hold
-/// every mode to the row's outcome.
-fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, rows: &[Row<'_>]) {
+/// Flip each row's byte in a fresh build, and hold every mode to the
+/// row's outcome.
+fn run_rows(fresh: Fresh, site: Site<'_>, rows: &[Row<'_>]) {
     let q = full_values_query();
     for &(what, file, offset, mask, want) in rows {
         let mut plan = FaultPlan::none();
@@ -743,7 +741,7 @@ fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, ro
             mask,
         });
         let fb = FaultBackend::new(fresh(), plan);
-        load(&fb);
+        build_into(&fb);
         in_every_mode(&fb, site, &q, &|mode, got, store| {
             let tag = format!("{what} ({mode})");
             assert_corrupt_extent(&tag, got, want);
@@ -753,12 +751,12 @@ fn run_rows(fresh: Fresh, load: &dyn Fn(&dyn StorageBackend), site: Site<'_>, ro
 }
 
 /// The site's bin really is shared at its two rank counts — more than
-/// one rank touches each of `files` — and every rank that touches one
-/// reads the bin's header, at the front of `files[0]`, itself.
+/// one rank touches its `file` — and every rank that touches it reads
+/// the bin's header, at its front, itself.
 fn assert_each_rank_reads_the_header(
     be: &dyn StorageBackend,
     (ds, _, ranks): Site<'_>,
-    files: &[&str],
+    file: &str,
 ) {
     for n in ranks {
         let exec = ParallelExecutor::new(n, CostModel::default()).profiled(true);
@@ -766,18 +764,16 @@ fn assert_each_rank_reads_the_header(
         let out = exec
             .run(&store, ExecRequest::new(&full_values_query()))
             .unwrap();
-        for file in files {
-            let touching: Vec<(usize, &Vec<ReadOp>)> = (out.traces.iter().enumerate())
-                .filter(|(_, trace)| trace.iter().any(|op| &*op.file == *file))
-                .collect();
-            assert!(touching.len() > 1, "{file} is not shared at {n} ranks");
-            for (r, trace) in touching {
-                let header = |op: &ReadOp| &*op.file == files[0] && op.offset == 0 && !op.cached;
-                assert!(
-                    trace.iter().any(header),
-                    "rank {r} of {n} uses {file} without reading its header"
-                );
-            }
+        let touching: Vec<(usize, &Vec<ReadOp>)> = (out.traces.iter().enumerate())
+            .filter(|(_, trace)| trace.iter().any(|op| &*op.file == file))
+            .collect();
+        assert!(touching.len() > 1, "{file} is not shared at {n} ranks");
+        for (r, trace) in touching {
+            let header = |op: &ReadOp| &*op.file == file && op.offset == 0 && !op.cached;
+            assert!(
+                trace.iter().any(header),
+                "rank {r} of {n} uses {file} without reading its header"
+            );
         }
     }
 }
@@ -788,7 +784,7 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
     build_into(&clean);
     let site = (DS, SHARED_BIN, [4, 8]);
     let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
-    assert_each_rank_reads_the_header(&clean, site, &[&file]);
+    assert_each_rank_reads_the_header(&clean, site, &file);
 
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
     let geometry = (16, 7);
@@ -839,7 +835,7 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
             (&file, data_at, data_len, "checksum table corrupt"),
         ),
     ];
-    run_rows(fresh, &|be| drop(build_into(be)), site, &rows);
+    run_rows(fresh, site, &rows);
 }
 
 #[test]
@@ -847,7 +843,9 @@ fn damaged_fixed_blocks_fail_as_they_are_read() {
     for_both_worlds(damaged_fixed_blocks_fail_as_they_are_read_in);
 }
 
-/// Where the interesting bytes of one v2 bin's two files are.
+/// Where the interesting bytes of one bin's two files of the
+/// checked-in v2 dataset are: 16 chunks of 7 parts, so 100-byte
+/// directory entries after a 14-byte prologue.
 struct Anatomy {
     idx: String,
     dat: String,
@@ -860,62 +858,66 @@ struct Anatomy {
     /// File offset of the `clen` field of the unit that ends the data
     /// payload.
     last_clen_at: u64,
+    /// `(offset, clen)` of that unit, in the data file.
+    last_unit: (u64, u64),
     idx_payload: u64,
     dat_payload: u64,
 }
 
-fn anatomy(be: &dyn StorageBackend, ds: &str, bin: usize) -> Anatomy {
-    let store = MlocStore::open(be, ds, VAR).unwrap();
-    let (idx, dat) = (store.index_file(bin), store.data_file(bin));
-    let (idx_len, dat_len) = (be.len(idx).unwrap(), be.len(dat).unwrap());
-    let raw = be.read(idx, 0, idx_len).unwrap();
-    let index = mloc::index::HeaderView::parse(&raw[..]).unwrap();
-    let num_parts = store.config().num_parts();
-    let entry = 16 + 12 * num_parts as u64;
-    let last_bitmap = (0..index.num_chunks())
-        .max_by_key(|&r| index.bitmap_file_offset(r) + u64::from(index.bitmap_len(r)))
+fn anatomy(be: &dyn StorageBackend, bin: usize) -> Anatomy {
+    let (idx, dat) = (
+        format!("fmt/v/bin{bin:04}.idx"),
+        format!("fmt/v/bin{bin:04}.dat"),
+    );
+    let whole = |f: &str| be.read(f, 0, be.len(f).unwrap()).unwrap();
+    let raw = whole(&idx);
+    let field = |at: u64, len: usize| {
+        let mut le = [0u8; 8];
+        le[..len].copy_from_slice(&raw[at as usize..at as usize + len]);
+        u64::from_le_bytes(le)
+    };
+    let entry = |rank: u64| 14 + rank * 100;
+    let last_bitmap = (0..16)
+        .max_by_key(|&r| field(entry(r) + 4, 8) + field(entry(r) + 12, 4))
         .unwrap();
-    let (last_unit, last_part) = (0..index.num_chunks())
-        .flat_map(|r| (0..num_parts).map(move |p| (r, p)))
-        .max_by_key(|&(r, p)| {
-            let loc = index.unit(r, p);
-            loc.offset + u64::from(loc.clen)
-        })
+    let unit_at = |(r, p): (u64, u64)| entry(r) + 16 + p * 12;
+    let unit = |rp| (field(unit_at(rp), 8), field(unit_at(rp) + 8, 4));
+    let last = (0..16)
+        .flat_map(|r| (0..7).map(move |p| (r, p)))
+        .max_by_key(|&rp| unit(rp).0 + unit(rp).1)
         .unwrap();
-    let payload = |file: &str, len: u64| {
-        let raw = be.read(file, 0, len).unwrap();
+    let payload = |file: &str| {
+        let raw = whole(file);
         mloc::ExtentFooter::split_verified(&raw, file)
             .unwrap()
             .len() as u64
     };
     Anatomy {
-        hdr_len: mloc::index::header_size(index.num_chunks(), num_parts),
-        last_bitmap_len_at: 14 + last_bitmap as u64 * entry + 12,
-        last_clen_at: 14 + last_unit as u64 * entry + 16 + last_part as u64 * 12 + 8,
-        idx_payload: payload(idx, idx_len),
-        dat_payload: payload(dat, dat_len),
-        idx: idx.to_string(),
-        dat: dat.to_string(),
-        idx_len,
-        dat_len,
+        hdr_len: entry(16),
+        last_bitmap_len_at: entry(last_bitmap) + 12,
+        last_clen_at: unit_at(last) + 8,
+        last_unit: unit(last),
+        idx_payload: payload(&idx),
+        dat_payload: payload(&dat),
+        idx_len: be.len(&idx).unwrap(),
+        dat_len: be.len(&dat).unwrap(),
+        idx,
+        dat,
     }
 }
 
-/// The v1/v2 tail-footer path, on the checked-in v2 dataset. Its 128
-/// units fall to 4 or 8 ranks a whole number of bins each; at 3 and 6
-/// ranks bin 2 is shared.
+/// Damage to the checked-in v2 dataset — its headers, a unit, its tail
+/// footers — fails `mloc upgrade` with the damaged extent named, and
+/// commits nothing: the new store holds no variable.
 fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
-    let site = ("fmt", 2, [3, 6]);
-    let load = |be: &dyn StorageBackend| mloc_integration::load_fixture(2, be);
     let clean = fresh();
-    load(&*clean);
-    let a = anatomy(&*clean, site.0, site.1);
-    assert_each_rank_reads_the_header(&*clean, site, &[&a.idx, &a.dat]);
-
+    mloc_integration::load_fixture(2, &*clean);
+    let a = anatomy(&*clean, 2);
     let header_crc = (a.idx.as_str(), 0, a.hdr_len, "checksum mismatch");
     let idx_table = a.idx_len - 24 - a.idx_payload;
     let dat_table = a.dat_len - 24 - a.dat_payload;
-    let rows: [Row; 9] = [
+    let (unit_at, unit_len) = a.last_unit;
+    let rows: [Row; 10] = [
         // The directory entries that end each payload: the header
         // fails its checksum.
         (
@@ -948,6 +950,14 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
         ),
         // A header that no longer parses.
         ("header magic", &a.idx, 0, 0x02, header_crc),
+        // A unit's bytes.
+        (
+            "last unit",
+            &a.dat,
+            unit_at + unit_len / 2,
+            0x10,
+            (&a.dat, unit_at, unit_len, "checksum mismatch"),
+        ),
         // The trailer's own geometry.
         (
             "index trailer payload_len",
@@ -973,7 +983,7 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
                 "footer geometry inconsistent with file size",
             ),
         ),
-        // The shared checksum tables.
+        // The checksum tables.
         (
             "index table",
             &a.idx,
@@ -989,7 +999,32 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             (&a.dat, a.dat_payload, dat_table, "checksum table corrupt"),
         ),
     ];
-    run_rows(fresh, &load, site, &rows);
+    for &(what, file, offset, mask, want) in &rows {
+        let mut plan = FaultPlan::none();
+        plan.flips.push(mloc_pfs::BitFlip {
+            file: file.to_string(),
+            offset,
+            mask,
+        });
+        let old = FaultBackend::new(fresh(), plan);
+        mloc_integration::load_fixture(2, &old);
+        let new = fresh();
+        let got = mloc::upgrade::upgrade(&old, &*new, "fmt").map(|_| ());
+        match got {
+            Err(MlocError::CorruptExtent {
+                file,
+                offset,
+                len,
+                what: w,
+            }) => assert_eq!((file.as_str(), offset, len, w.as_str()), want, "{what}"),
+            other => panic!("{what}: {other:?}"),
+        }
+        let fsck = mloc::repair::fsck(&*new, "fmt").unwrap();
+        assert!(
+            fsck.committed.is_empty() && fsck.is_clean(),
+            "{what}: {fsck}"
+        );
+    }
 }
 
 #[test]

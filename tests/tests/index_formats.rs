@@ -1,26 +1,28 @@
-//! Differential tests for the three index formats. Nothing writes v1
-//! or v2 any more: `tests/golden/v1_dataset` and `tests/golden/
-//! v2_dataset` are datasets written once each, by writers this tree no
-//! longer has, and both must answer every query byte-identically to a
-//! fresh (v3) build of the same field, in every execution mode —
-//! serial, threaded at 4 and 8 ranks, cached cold/warm, and fused —
-//! both read-only off their directories and from in-memory copies.
-//! Membership queries are part of the workload, and are additionally
-//! checked against the general reconstruction path and the naive scan.
-//! A second, banded field pins how often the summary level and the
-//! rank/select directories actually fire inside a query, and what the
-//! directories cost in the built files.
+//! The formats before v3, as `mloc upgrade` inputs. Nothing writes v1
+//! or v2 any more, and nothing but the upgrade reads them:
+//! `tests/golden/v1_dataset` and `tests/golden/v2_dataset` are datasets
+//! written once each, by writers this tree no longer has. Each upgrades,
+//! read-only off its directory and from an in-memory copy, to a store
+//! byte-identical, file for file, to a fresh (v3) build of the same
+//! field, and answers every query identically to it in every execution
+//! mode — serial, threaded at 4 and 8 ranks, cached cold/warm, and
+//! fused. Membership queries are part of the workload, and are
+//! additionally checked against the naive scan. A second, banded field
+//! pins how often the summary level and the rank/select directories
+//! actually fire inside a query, and what the directories cost in the
+//! built files.
 
 use mloc::binfile::{summary_extent_len, Tables};
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
 use mloc::index::{header_size, HeaderView};
 use mloc::prelude::*;
+use mloc::upgrade::upgrade;
 use mloc_bitmap::WahBitmap;
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
 use mloc_integration::{fixture, fixture_dir, load_fixture};
-use mloc_pfs::{CostModel, DirBackend, MemBackend, ReadOp, StorageBackend};
+use mloc_pfs::{CostModel, MemBackend, StorageBackend};
 use std::sync::Arc;
 
 #[path = "../../crates/core/tests/support/oracle.rs"]
@@ -59,12 +61,17 @@ fn fixture_mem(version: u8) -> MemBackend {
     mem
 }
 
-/// Every source of every format: the fresh build first, then each
-/// fixture read-only off its directory and from memory.
+/// The fixture of `version`, upgraded from its read-only directory.
+fn upgraded(version: u8) -> MemBackend {
+    let new = MemBackend::new();
+    upgrade(&fixture(version), &new, DS).unwrap();
+    new
+}
+
+/// Every store: the fresh build first, then each fixture upgraded.
 struct Sources {
     fresh: MemBackend,
-    dirs: [DirBackend; 2],
-    mems: [MemBackend; 2],
+    upgraded: [MemBackend; 2],
 }
 
 impl Sources {
@@ -72,19 +79,16 @@ impl Sources {
         let (fresh, values) = fresh();
         let sources = Sources {
             fresh,
-            dirs: [fixture(2), fixture(1)],
-            mems: [fixture_mem(2), fixture_mem(1)],
+            upgraded: [upgraded(2), upgraded(1)],
         };
         (sources, values)
     }
 
-    fn all(&self) -> [(&'static str, &dyn StorageBackend); 5] {
+    fn all(&self) -> [(&'static str, &dyn StorageBackend); 3] {
         [
             ("v3", &self.fresh),
-            ("v2 dir", &self.dirs[0]),
-            ("v2 mem", &self.mems[0]),
-            ("v1 dir", &self.dirs[1]),
-            ("v1 mem", &self.mems[1]),
+            ("upgraded v2", &self.upgraded[0]),
+            ("upgraded v1", &self.upgraded[1]),
         ]
     }
 }
@@ -138,8 +142,9 @@ fn v1_fixture_is_pinned_and_differs_from_v2_only_in_its_indexes() {
     for f in v2.list() {
         let (old, new) = (whole(&v1, &f), whole(&v2, &f));
         if f.ends_with(".idx") {
-            let summary = |raw: &[u8]| HeaderView::parse(raw).unwrap().summary_bytes();
-            assert_eq!((summary(&old), summary(&new) > 0), (0, true), "{f}");
+            // The header's version byte; v1 has no summaries.
+            assert_eq!((old[4], new[4]), (1, 2), "{f}");
+            assert!(old.len() < new.len(), "{f}");
         } else {
             assert_eq!(old, new, "{f}");
         }
@@ -190,7 +195,7 @@ fn v2_fixture_is_pinned() {
             .decode_data(slice(tables.data_span()), &index, "bin")
             .unwrap();
         let units = &raw[data.extent(0).0 as usize..data.extents_end() as usize];
-        let dat = payload(&v2, &mloc::fileorg::data_file(DS, VAR, bin));
+        let dat = payload(&v2, &format!("{DS}/{VAR}/bin{bin:04}.dat"));
         assert_eq!(units, &dat[..], "bin {bin}");
     }
 }
@@ -273,59 +278,37 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
-/// Every tail footer of a v1/v2 source: `(file, where its table
-/// starts, file length)`.
-fn tail_footers(be: &dyn StorageBackend) -> Vec<(String, u64, u64)> {
-    be.list()
-        .into_iter()
-        .filter(|f| f.ends_with(".idx") || f.ends_with(".dat"))
-        .map(|f| {
-            let raw = whole(be, &f);
-            let at = mloc::ExtentFooter::split_verified(&raw, &f).unwrap().len() as u64;
-            (f, at, raw.len() as u64)
-        })
-        .collect()
-}
-
-/// Every rank that touches a v1/v2 file reads that file's tail footer
-/// itself, exactly once: its trailer, then its table. Returns how many
-/// of those reads were of a file another rank read too, over all
-/// footers.
-fn assert_footers_read_once(
-    traces: &[Vec<ReadOp>],
-    footers: &[(String, u64, u64)],
-    ctx: &str,
-) -> usize {
-    let mut shared = 0;
-    for (file, at, len) in footers {
-        let want = [(len - 24, 24), (*at, len - 24 - at)];
-        let touched = traces
-            .iter()
-            .enumerate()
-            .filter(|(_, trace)| trace.iter().any(|op| &*op.file == file));
-        let mut readers = 0;
-        for (r, trace) in touched {
-            let reads: Vec<(u64, u64)> = trace
-                .iter()
-                .filter(|op| &*op.file == file && op.offset >= *at)
-                .map(|op| (op.offset, op.len))
-                .collect();
-            assert_eq!(reads, want, "{ctx}: rank {r}, {file}");
-            readers += 1;
-        }
-        shared += readers.max(1) - 1;
-    }
-    shared
-}
-
-/// Both fixtures against a fresh build, in every execution mode: serial,
-/// replay and threaded at 4 and 8 ranks, cached cold and warm, and
-/// fused; each fixture read-only off its directory and from memory. At
-/// 4 and 8 ranks replay and threaded runs also trace the same reads,
-/// and each rank reads the tail footers of the files it touches once.
+/// Both fixtures upgrade — read-only off their directories, and from
+/// in-memory copies — to a fresh build's files byte for byte (catalog,
+/// meta, 8 bin files), and the upgraded stores answer the workload
+/// identically to it in every execution mode: serial, replay and
+/// threaded at 4 and 8 ranks (which also trace the same reads), cached
+/// cold and warm, and fused.
 #[test]
 fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     let (sources, values) = Sources::new();
+    let files = |be: &dyn StorageBackend| -> Vec<(String, Vec<u8>)> {
+        let mut names = be.list();
+        names.sort();
+        names
+            .into_iter()
+            .map(|f| {
+                let bytes = whole(be, &f);
+                (f, bytes)
+            })
+            .collect()
+    };
+    let want = files(&sources.fresh);
+    assert_eq!(want.len(), 10);
+    for version in [2, 1] {
+        let from_mem = MemBackend::new();
+        upgrade(&fixture_mem(version), &from_mem, DS).unwrap();
+        assert!(files(&from_mem) == want, "v{version} from memory");
+    }
+    for (tag, be) in &sources.all()[1..] {
+        assert!(files(*be) == want, "{tag}");
+    }
+
     let queries = workload(&values);
     let reference_store = MlocStore::open(&sources.fresh, DS, VAR).unwrap();
     let references: Vec<QueryResult> = queries
@@ -337,12 +320,6 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     };
 
     for (tag, be) in sources.all() {
-        let footers = if tag == "v3" {
-            Vec::new()
-        } else {
-            tail_footers(be)
-        };
-        let mut shared = 0;
         let plain = MlocStore::open(be, DS, VAR).unwrap();
         let cached = MlocStore::open(be, DS, VAR)
             .unwrap()
@@ -366,7 +343,6 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
                 });
                 let ctx = format!("query {i}: {n} ranks {tag}");
                 assert_eq!(replay.traces, threaded.traces, "{ctx}: replay vs threaded");
-                shared += assert_footers_read_once(&replay.traces, &footers, &ctx);
             }
 
             let (cold, _) = cached.query_with_metrics(q).unwrap();
@@ -378,9 +354,6 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
             fuser.begin_window();
             let r = fused.query_serial(q).unwrap();
             bitwise_eq(&r, reference, &format!("query {i}: fused {tag}"));
-        }
-        if tag != "v3" {
-            assert!(shared > 0, "{tag}: no two ranks read one tail footer");
         }
     }
 }
@@ -483,9 +456,10 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     assert_eq!(p.counter_total("index.summary_hits"), 51);
     assert_eq!(p.counter_total("index.rank_calls"), 10_965);
 
-    // The same kinds of pass over the fixtures' field: the fresh build
-    // and the v2 fixture consult summaries (no chunk of this field is
-    // full, so none is skipped), the v1 fixture has none to consult.
+    // The same kinds of pass over the fixtures' field: every store
+    // consults summaries (no chunk of this field is full, so none is
+    // skipped) — the upgraded v1 fixture too, whose summaries the
+    // upgrade derived.
     let (sources, values) = Sources::new();
     let n = values.len() as u64;
     for (tag, be) in sources.all() {
@@ -502,11 +476,7 @@ fn summaries_skip_and_directories_probe_inside_queries() {
             p.counter_total("index.summary_hits"),
             p.counter_total("index.summary_skips"),
         );
-        if tag.starts_with("v1") {
-            assert_eq!(summaries, (0, 0), "{tag}: v1 stores no summaries");
-        } else {
-            assert!(summaries.0 > 0, "{tag}: no summary consulted");
-        }
+        assert!(summaries.0 > 0, "{tag}: no summary consulted");
     }
 
     // What the directories cost in the built files, against the WAH
