@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use mloc::binfile::BinFileBuilder;
 use mloc::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
 use mloc::index::{header_size, HeaderView, UnitLoc};
-use mloc_bitmap::WahBitmap;
+use mloc_bitmap::RunList;
 use mloc_pfs::{MemBackend, RankIo};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -35,11 +35,8 @@ fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
                 clen: 300,
             })
             .collect();
-        b.set_chunk(
-            rank,
-            &WahBitmap::from_sorted_positions(16_384, &positions),
-            &locs,
-        );
+        let runs = RunList::from_sorted_positions(16_384, &positions);
+        b.set_chunk(rank, runs.as_ref(), &locs);
     }
     let units = vec![0u8; CHUNKS * PARTS * 300];
     let file = b.finish(&units, &[300; CHUNKS * PARTS]).bytes;

@@ -1,18 +1,15 @@
-//! Word-Aligned Hybrid (WAH) compressed bitmaps.
+//! Compressed bitmaps: run lists and Word-Aligned Hybrid (WAH) streams.
 //!
 //! This is the bitmap substrate used twice in the MLOC reproduction:
 //!
 //! * MLOC itself represents the per-bin, per-chunk positional indices as
 //!   compressed bitmaps ("light-weight and high-performance bitmap
-//!   indexing", paper §III-D.4), and synchronizes region-query results
-//!   between ranks as bitmaps.
+//!   indexing", paper §III-D.4): each is stored as a run list
+//!   ([`runs`]), its runs of set bits as LEB128 `(gap, len − 1)` pairs,
+//!   validated once as read, then walked run by run.
 //! * The FastBit comparator (`mloc-baselines`) builds its binned bitmap
-//!   index from these bitmaps.
-//!
-//! A query reads a stored positional bitmap once, into a run list
-//! ([`runs`]): its runs of set bits as LEB128 `(gap, len − 1)` pairs,
-//! verified against the stream and its rank/select directory, then
-//! walked run by run.
+//!   index from WAH bitmaps, and `mloc upgrade` decodes the WAH streams
+//!   and rank/select directories a format-v1–v3 store kept.
 //!
 //! The encoding is classic WAH over 32-bit words: a *literal* word
 //! (MSB 0) carries 31 data bits; a *fill* word (MSB 1) carries a fill
@@ -37,5 +34,5 @@ pub mod runs;
 pub mod wah;
 
 pub use ops::{and, andnot, or, or_many};
-pub use runs::{RunIter, RunList, RunListBuf, RunListRef};
+pub use runs::{RunIter, RunList, RunListBuf, RunListRef, RunsError};
 pub use wah::{RankSelectDir, WahBitmap, WahBuilder, WahRef, RANK_SAMPLE_WORDS};

@@ -1,26 +1,45 @@
-//! Run lists: a chunk bitmap's runs of set bits, decoded once from its
-//! stored WAH extent and then walked run by run.
+//! Run lists: a chunk bitmap's runs of set bits, stored as they are
+//! walked.
 //!
-//! A stored positional bitmap is a WAH stream followed by its sampled
-//! rank/select directory ([`RankSelectDir`](crate::RankSelectDir)). A
-//! query needs neither the words nor the directory: it needs where each
-//! run of set bits starts, how long it is, and the rank of its first
-//! bit. A run list keeps
-//! exactly that, as LEB128 `(gap, len − 1)` pairs — `gap` the clear
-//! bits since the previous run ended — plus the set-bit count and the
-//! bitmap's length. This is the compressed position set of
-//! "Hierarchical Bitmap Indexing for Range and Membership Queries on
-//! Multidimensional Arrays": one structure answers a range walk (visit
-//! the runs a box wants) and a membership probe (merge sorted probes
-//! against the runs).
+//! A query needs neither a bitmap's words nor a rank/select directory:
+//! it needs where each run of set bits starts, how long it is, and the
+//! rank of its first bit. A run list keeps exactly that, as LEB128
+//! `(gap, len − 1)` pairs — `gap` the clear bits since the previous run
+//! ended — plus the set-bit count and the bitmap's length. This is the
+//! compressed position set of "Hierarchical Bitmap Indexing for Range
+//! and Membership Queries on Multidimensional Arrays": one structure
+//! answers a range walk (visit the runs a box wants) and a membership
+//! probe (merge sorted probes against the runs).
 //!
-//! The decoder reads the extent's words in place, with no word copy,
-//! and refuses an extent that does not hold together: bytes that stop
-//! before the stream they declare, words that cover fewer bits than the
-//! declared length or a whole group more, a set bit at or past the
-//! declared length, and a trailing directory that is not a whole
-//! directory or whose checkpoints disagree with the words. Whatever it
-//! accepts is a well-formed run list, so the walks check nothing again.
+//! A format-v4 bin file stores each chunk's positional bitmap as its
+//! pairs and nothing else: the count is in the chunk's directory entry
+//! and the length is the chunk's point count. A build encodes the
+//! pairs straight from a bin's sorted chunk-local positions
+//! ([`RunList::from_sorted_positions`]); a reader takes a stored extent
+//! as it is ([`RunListBuf::push_stored`]) after one validating walk,
+//! which refuses ([`RunsError`]):
+//!
+//! * a LEB128 value cut off by the end of the extent, or a gap with no
+//!   length after it;
+//! * a LEB128 value in more bytes than it needs (a zero last byte), or
+//!   past 64 bits — so every list has one encoding;
+//! * a zero gap between two runs — runs are maximal;
+//! * a run ending past the length;
+//! * run lengths that do not sum to the count;
+//! * bytes after the pair that completes the count.
+//!
+//! Whatever it accepts is a well-formed run list, so the walks check
+//! nothing again.
+//!
+//! Formats v1–v3 stored a WAH stream followed by its sampled rank/select
+//! directory ([`RankSelectDir`](crate::RankSelectDir)) instead.
+//! [`RunListBuf::push_wah`] decodes one into the same pairs — in place,
+//! with no word copy — refusing an extent that does not hold together:
+//! bytes that stop before the stream they declare, words that cover
+//! fewer bits than the declared length or a whole group more, a set bit
+//! at or past the declared length, and a trailing directory that is not
+//! a whole directory or whose checkpoints disagree with the words.
+//! Only `mloc upgrade` reads such extents.
 
 use crate::wah::{
     dir_samples, le_u32, BitmapError, FILL_BIT, FILL_COUNT_MASK, FILL_FLAG, GROUP_BITS,
@@ -55,6 +74,104 @@ fn get_leb(bytes: &[u8], at: &mut usize) -> Option<u64> {
         }
         shift += 7;
     }
+}
+
+/// Read one canonical LEB128 value at `*at`, moving past it: the
+/// stored-list validator's reader. The walks read the same values with
+/// [`get_leb`].
+#[inline]
+fn get_leb_strict(bytes: &[u8], at: &mut usize) -> Result<u64, RunsError> {
+    let b = *bytes.get(*at).ok_or(RunsError::Truncated)?;
+    if b < 0x80 {
+        *at += 1;
+        return Ok(u64::from(b));
+    }
+    let (mut v, mut shift) = (0u64, 0u32);
+    loop {
+        let b = *bytes.get(*at).ok_or(RunsError::Truncated)?;
+        *at += 1;
+        let low = u64::from(b & 0x7F);
+        // The tenth byte holds bit 63 alone.
+        if shift == 63 && low > 1 {
+            return Err(RunsError::Overlong);
+        }
+        v |= low << shift;
+        if b < 0x80 {
+            return match (b, shift) {
+                (0, 1..) => Err(RunsError::Overlong),
+                _ => Ok(v),
+            };
+        }
+        shift += 7;
+        if shift > 63 {
+            return Err(RunsError::Overlong);
+        }
+    }
+}
+
+/// Why a stored run list was refused: see [`RunListBuf::push_stored`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunsError {
+    /// A LEB128 value cut off by the end of the extent, or a gap with
+    /// no length after it.
+    Truncated,
+    /// A LEB128 value in more bytes than it needs, or past 64 bits.
+    Overlong,
+    /// Two runs with no clear bit between them.
+    ZeroGap,
+    /// A run ending past the bitmap's length.
+    PastEnd,
+    /// Run lengths that do not sum to the declared count.
+    Count,
+    /// Bytes after the pair that completes the count.
+    Trailing,
+}
+
+impl std::fmt::Display for RunsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RunsError::Truncated => "run list truncated",
+            RunsError::Overlong => "run list value overlong",
+            RunsError::ZeroGap => "run list has a zero gap between runs",
+            RunsError::PastEnd => "run list runs past its length",
+            RunsError::Count => "run list disagrees with its count",
+            RunsError::Trailing => "run list has trailing bytes",
+        })
+    }
+}
+
+impl std::error::Error for RunsError {}
+
+/// Check that `pairs` is the one encoding of a run list of `count` set
+/// bits in `len`: see the module docs for what is refused.
+fn validate(pairs: &[u8], count: u64, len: u64) -> Result<(), RunsError> {
+    let (mut at, mut end, mut ones) = (0usize, 0u64, 0u64);
+    while ones < count {
+        if at == pairs.len() {
+            return Err(RunsError::Count);
+        }
+        let gap = get_leb_strict(pairs, &mut at)?;
+        let more = get_leb_strict(pairs, &mut at)?;
+        if gap == 0 && ones > 0 {
+            return Err(RunsError::ZeroGap);
+        }
+        let run_end = end
+            .checked_add(gap)
+            .and_then(|start| start.checked_add(more))
+            .and_then(|last| last.checked_add(1))
+            .filter(|&run_end| run_end <= len)
+            .ok_or(RunsError::PastEnd)?;
+        // Runs are disjoint inside the length, so this cannot overflow.
+        ones += more + 1;
+        if ones > count {
+            return Err(RunsError::Count);
+        }
+        end = run_end;
+    }
+    if at != pairs.len() {
+        return Err(RunsError::Trailing);
+    }
+    Ok(())
 }
 
 /// Collects runs of set bits into pairs, merging a run that begins
@@ -211,8 +328,9 @@ fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapErro
 
 /// A borrowed run list: the runs of set bits of a bitmap of
 /// [`len`](Self::len) bits, [`count`](Self::count) of them set. Only
-/// the decoder builds one, so its pairs are well formed, its runs lie
-/// inside the length and their lengths sum to the count.
+/// the encoder, the validator and the WAH decoder build one, so its
+/// pairs are well formed, its runs lie inside the length and their
+/// lengths sum to the count.
 #[derive(Debug, Clone, Copy)]
 pub struct RunListRef<'a> {
     bytes: &'a [u8],
@@ -221,6 +339,18 @@ pub struct RunListRef<'a> {
 }
 
 impl<'a> RunListRef<'a> {
+    /// A stored run list — a format-v4 bitmap extent — of `count` set
+    /// bits in `len`, in place, after one validating walk: see the
+    /// module docs for what is refused.
+    pub fn stored(pairs: &'a [u8], count: u64, len: u64) -> Result<Self, RunsError> {
+        validate(pairs, count, len)?;
+        Ok(RunListRef {
+            bytes: pairs,
+            count,
+            len,
+        })
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> u64 {
         self.count
@@ -235,6 +365,11 @@ impl<'a> RunListRef<'a> {
     /// True when the bitmap has zero bits.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The encoded pairs: a format-v4 bitmap extent, byte for byte.
+    pub fn pairs(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// The runs of set bits in position order, each as `(start,
@@ -323,6 +458,33 @@ pub struct RunList {
 }
 
 impl RunList {
+    /// The run list of a bitmap of `len` bits whose set bits are
+    /// `positions`.
+    ///
+    /// # Panics
+    /// Panics unless `positions` is strictly increasing and below `len`.
+    pub fn from_sorted_positions(len: u64, positions: &[u64]) -> RunList {
+        let mut bytes = Vec::new();
+        let mut enc = Encoder {
+            out: &mut bytes,
+            start: 0,
+            end: 0,
+            encoded: 0,
+            count: 0,
+        };
+        let mut next = 0u64;
+        for &p in positions {
+            assert!(p >= next, "positions must be strictly increasing");
+            assert!(p < len, "position {p} out of range {len}");
+            enc.ones(p, 1);
+            next = p + 1;
+        }
+        enc.flush();
+        let count = enc.count;
+        bytes.shrink_to_fit();
+        RunList { bytes, count, len }
+    }
+
     /// The borrowed view every walk goes through.
     pub fn as_ref(&self) -> RunListRef<'_> {
         RunListRef {
@@ -368,9 +530,20 @@ impl RunListBuf {
         self.lists.clear();
     }
 
-    /// Decode a stored bitmap extent — a WAH stream, then its rank/select
-    /// directory (none in a v1 extent) — and append its run list,
-    /// returning the list's index. Refused, the extent leaves the
+    /// Take a stored run list — a format-v4 bitmap extent — of `count`
+    /// set bits in `len` as it is, after one validating walk
+    /// ([`RunListRef::stored`]), and append it, returning the list's
+    /// index. Refused, the extent leaves the buffer as it was.
+    pub fn push_stored(&mut self, pairs: &[u8], count: u64, len: u64) -> Result<usize, RunsError> {
+        let list = RunListRef::stored(pairs, count, len)?;
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(list.bytes);
+        Ok(self.push(start, count, len))
+    }
+
+    /// Decode a format-v1–v3 bitmap extent — a WAH stream, then its
+    /// rank/select directory (none in a v1 extent) — and append its run
+    /// list, returning the list's index. Refused, the extent leaves the
     /// buffer as it was.
     pub fn push_wah(&mut self, extent: &[u8]) -> Result<usize, BitmapError> {
         let start = self.bytes.len();
@@ -532,6 +705,86 @@ mod tests {
         let mut trailing = extent(1, 0);
         trailing.push(0);
         assert_eq!(decode(&trailing), Err(BitmapError::Directory));
+    }
+
+    /// A stored list as positions encode it: the pairs a WAH extent of
+    /// the same bitmap decodes to, byte for byte, taken back as they are.
+    #[test]
+    fn positions_encode_the_pairs_a_wah_extent_decodes_to() {
+        let cases: [(u64, &[u64]); 5] = [
+            (1, &[0]),
+            (100, &[1, 2, 10, 50, 51, 99]),
+            (300, &[]),
+            (40_000, &[0, 1, 2, 3, 31, 32, 33, 20_000, 39_999]),
+            (262_144, &[200_000]),
+        ];
+        for (len, positions) in cases {
+            let encoded = RunList::from_sorted_positions(len, positions);
+            let mut buf = RunListBuf::new();
+            let wah = WahBitmap::from_sorted_positions(len, positions);
+            let decoded = buf.push_wah(&stored(&wah)).unwrap();
+            let decoded = buf.get(decoded).unwrap();
+            assert_eq!(encoded.as_ref().pairs(), decoded.pairs(), "{positions:?}");
+            let count = positions.len() as u64;
+            assert_eq!(
+                (encoded.as_ref().count(), encoded.as_ref().len()),
+                (count, len)
+            );
+            let mut taken = RunListBuf::new();
+            let stored = taken.push_stored(decoded.pairs(), count, len).unwrap();
+            assert_eq!(runs(taken.get(stored).unwrap()), runs(decoded));
+        }
+    }
+
+    /// One extent of each class the validator refuses, each leaving the
+    /// buffer as it was; `(count, len)` is what the entry declares.
+    #[test]
+    fn each_refused_class_of_stored_list_is_named() {
+        let cases: [(&[u8], u64, u64, RunsError); 13] = [
+            (&[0x80], 1, 10, RunsError::Truncated),
+            (&[0x03], 1, 10, RunsError::Truncated),
+            (&[0x03, 0x81], 2, 200, RunsError::Truncated),
+            (&[0x80, 0x00, 0x00], 1, 10, RunsError::Overlong),
+            (&[0x00, 0x81, 0x00], 2, 10, RunsError::Overlong),
+            (&[0xFF; 11], 1, 10, RunsError::Overlong),
+            (
+                &[
+                    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0x00,
+                ],
+                1,
+                10,
+                RunsError::Overlong,
+            ),
+            (&[0x00, 0x00, 0x00, 0x00], 2, 10, RunsError::ZeroGap),
+            (&[0x05, 0x05], 6, 10, RunsError::PastEnd),
+            (
+                &[
+                    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00,
+                ],
+                1,
+                10,
+                RunsError::PastEnd,
+            ),
+            (&[0x00, 0x00], 2, 10, RunsError::Count),
+            (&[0x00, 0x02], 2, 10, RunsError::Count),
+            (&[0x00, 0x00, 0x01], 1, 10, RunsError::Trailing),
+        ];
+        let mut buf = RunListBuf::new();
+        buf.push_full(5);
+        for (pairs, count, len, want) in cases {
+            assert_eq!(
+                buf.push_stored(pairs, count, len),
+                Err(want),
+                "{pairs:02x?}"
+            );
+            assert_eq!((buf.bytes.len(), buf.lists.len()), (2, 1));
+        }
+        // Nothing to walk but bytes: trailing too.
+        assert_eq!(buf.push_stored(&[0], 0, 10), Err(RunsError::Trailing));
+        // An empty list of an empty entry, and a full one, are whole.
+        assert_eq!(buf.push_stored(&[], 0, 10), Ok(1));
+        assert_eq!(buf.push_stored(&[0x00, 0x09], 10, 10), Ok(2));
+        assert_eq!(runs(buf.get(2).unwrap()), vec![(0, 0, 10)]);
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! count and length — what a reader checks it against — holds the
 //! valid one's runs.
 //!
+//! A format-v4 extent — a stored run list — is disk bytes too: every
+//! truncation, bit flip and one-byte extension of one is taken or
+//! refused without a panic, and a list that is taken holds exactly the
+//! count its entry declares.
+//!
 //! The vendored proptest does not shrink: the damage properties are
 //! functions of one seed, and a failing seed becomes a replay row.
 
-use mloc_bitmap::{RankSelectDir, RunListBuf, WahBitmap, WahBuilder, RANK_SAMPLE_WORDS};
+use mloc_bitmap::{RankSelectDir, RunList, RunListBuf, WahBitmap, WahBuilder, RANK_SAMPLE_WORDS};
 use proptest::prelude::*;
 
 /// Decode a directory from `bytes`: whatever it decodes to, it holds
@@ -183,5 +188,80 @@ proptest! {
     #[test]
     fn damaged_stored_bitmaps_decode_or_fail(seed in any::<u64>()) {
         overwrite(seed);
+    }
+}
+
+/// Take `pairs` as a stored run list of `count` set bits in `len`, as
+/// a reader does, and walk it: refused, or runs that rise, each with
+/// its rank, inside the length, exactly `count` ones in all.
+fn take_stored(pairs: &[u8], count: u64, len: u64) -> Option<Vec<(u64, u64, u64)>> {
+    let mut buf = RunListBuf::new();
+    let at = buf.push_stored(pairs, count, len).ok()?;
+    let list = buf.get(at)?;
+    let (mut ones, mut end) = (0u64, 0u64);
+    let runs: Vec<(u64, u64, u64)> = list.iter().collect();
+    for (i, &(start, ones_before, run)) in runs.iter().enumerate() {
+        assert!(run > 0 && start >= end, "runs out of order");
+        assert!(i == 0 || start > end, "runs not maximal");
+        assert_eq!(ones_before, ones, "a run's rank");
+        ones += run;
+        end = start + run;
+    }
+    assert!(end <= len, "a run past the length");
+    assert_eq!(ones, count, "more or fewer ones than declared");
+    assert_eq!(list.to_list().heap_bytes(), pairs.len() as u64);
+    Some(runs)
+}
+
+/// Stored lists of three shapes — scattered ones, a dense run past two
+/// LEB128 bytes, a full chunk — with every byte flipped bit by bit, cut
+/// at every length and extended by every byte value: nothing panics,
+/// and whatever is accepted holds exactly its declared count. A list
+/// whose pairs changed but whose declarations did not is never taken
+/// for the valid one's runs unless it is them.
+#[test]
+fn every_mutation_of_a_stored_run_list_is_taken_or_refused() {
+    let lists = [
+        (300u64, vec![0u64, 5, 6, 7, 64, 299]),
+        (40_000, (100..20_000).chain([39_999]).collect()),
+        (4_096, (0..4_096).collect()),
+    ];
+    for (len, positions) in lists {
+        let encoded = RunList::from_sorted_positions(len, &positions);
+        let (pairs, count) = (encoded.as_ref().pairs(), positions.len() as u64);
+        let valid = take_stored(pairs, count, len).expect("the encoded list is taken");
+        for (probe_count, probe_len) in [(count, len), (count + 1, len), (count, len - 1)] {
+            for cut in 0..pairs.len() {
+                assert!(take_stored(&pairs[..cut], probe_count, probe_len).is_none());
+            }
+            for bit in 0..pairs.len() * 8 {
+                let mut flipped = pairs.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let got = take_stored(&flipped, probe_count, probe_len);
+                if (probe_count, probe_len) == (count, len) {
+                    assert_ne!(got.as_ref(), Some(&valid), "flip of bit {bit}");
+                }
+            }
+            for extra in 0..=255u8 {
+                let mut longer = pairs.to_vec();
+                longer.push(extra);
+                assert!(take_stored(&longer, probe_count, probe_len).is_none());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes under arbitrary declarations: taken or refused,
+    /// never a panic, never more ones than declared.
+    #[test]
+    fn arbitrary_stored_run_lists_are_taken_or_refused(
+        pairs in proptest::collection::vec(any::<u8>(), 0..64),
+        count in 0u64..200,
+        len in 0u64..400,
+    ) {
+        take_stored(&pairs, count, len);
     }
 }

@@ -1,14 +1,20 @@
 //! Property-based tests: WAH bitmaps behave exactly like plain bit
 //! vectors under construction, query, serialization, and logical ops;
 //! a run list decoded from a stored bitmap holds exactly its runs of
-//! ones, and a walk from wants visits exactly the wanted ones.
+//! ones, and a walk from wants visits exactly the wanted ones; a run
+//! list encoded from positions and taken back as stored walks like the
+//! position set it came from.
 //!
 //! The vendored proptest does not shrink, so the run-list properties
 //! are functions of one seed: a failure names its seed, and the seed
-//! becomes a row of the property's replay list.
+//! becomes a row of the property's replay list (`stored_runs.replay`
+//! for the stored lists).
 
-use mloc_bitmap::{and, andnot, or, or_many, RankSelectDir, RunListBuf, WahBitmap, WahBuilder};
+use mloc_bitmap::{
+    and, andnot, or, or_many, RankSelectDir, RunList, RunListBuf, WahBitmap, WahBuilder,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn positions(bits: &[bool]) -> Vec<u64> {
     bits.iter()
@@ -427,5 +433,115 @@ proptest! {
         extents in proptest::collection::vec(1u64..40, 1..4),
     ) {
         walk_visits_the_box(seed, &extents);
+    }
+}
+
+/// A sorted position set of `len` bits from `rng`: runs of set bits
+/// between clear stretches, both mostly short, some long.
+fn positions_of(rng: &mut Rng, len: u64) -> BTreeSet<u64> {
+    let mut set = BTreeSet::new();
+    let mut at = rng.below(4);
+    while at < len {
+        let run = match rng.below(8) {
+            0 => 1 + rng.below(500),
+            _ => 1 + rng.below(4),
+        };
+        set.extend(at..(at + run).min(len));
+        let clear = if rng.below(4) == 0 { 2_000 } else { 6 };
+        at += run + 1 + rng.below(clear);
+    }
+    set
+}
+
+/// Positions encoded, stored and taken back as a reader takes them:
+/// the runs are the oracle set's, a walk from wants over a random span
+/// visits exactly the span's members with their ranks, and a merge of
+/// sorted probes against the runs finds exactly the probes in the set.
+fn stored_runs_match_the_set(seed: u64, len: u64) {
+    let mut rng = Rng::new(seed);
+    let set = positions_of(&mut rng, len);
+    let sorted: Vec<u64> = set.iter().copied().collect();
+    let encoded = RunList::from_sorted_positions(len, &sorted);
+    let mut buf = RunListBuf::new();
+    let at = buf
+        .push_stored(encoded.as_ref().pairs(), sorted.len() as u64, len)
+        .unwrap_or_else(|e| panic!("seed {seed:#x}: an encoded list refused: {e}"));
+    let list = buf.get(at).unwrap();
+    let rank = |p: u64| sorted.partition_point(|&q| q < p) as u64;
+
+    let mut expanded = Vec::new();
+    for (start, ones_before, run) in list.iter() {
+        assert_eq!(ones_before, rank(start), "seed {seed:#x}");
+        expanded.extend(start..start + run);
+    }
+    assert_eq!(expanded, sorted, "seed {seed:#x}");
+
+    // A range walk: the members of [lo, hi), run by run.
+    let lo = rng.below(len);
+    let hi = lo + 1 + rng.below(len - lo);
+    let mut got = Vec::new();
+    list.for_each_run_from(lo, |start, ones_before, run| {
+        assert_eq!(ones_before, rank(start), "seed {seed:#x}");
+        got.extend((start..start + run).filter(|p| (lo..hi).contains(p)));
+        if start + run < hi {
+            start + run
+        } else {
+            u64::MAX
+        }
+    });
+    let want: Vec<u64> = set.range(lo..hi).copied().collect();
+    assert_eq!(got, want, "seed {seed:#x}: range {lo}..{hi}");
+
+    // A membership merge: sorted probes, each found or not.
+    let mut probes: Vec<u64> = (0..1 + rng.below(200)).map(|_| rng.below(len)).collect();
+    probes.sort_unstable();
+    probes.dedup();
+    let mut hits = Vec::new();
+    let mut k = 0;
+    let first = probes.first().copied().unwrap_or(u64::MAX);
+    list.for_each_run_from(first, |start, ones_before, run| {
+        while k < probes.len() && probes[k] < start + run {
+            if probes[k] >= start {
+                hits.push((probes[k], ones_before + probes[k] - start));
+            }
+            k += 1;
+        }
+        probes.get(k).copied().unwrap_or(u64::MAX)
+    });
+    let want: Vec<(u64, u64)> = probes
+        .iter()
+        .filter(|p| set.contains(p))
+        .map(|&p| (p, rank(p)))
+        .collect();
+    assert_eq!(hits, want, "seed {seed:#x}: membership");
+}
+
+/// Seeds of [`stored_runs_match_the_set`] to replay, one a line: add
+/// the seed a failing run prints.
+const STORED_REPLAY: &str = include_str!("stored_runs.replay");
+
+#[test]
+fn replayed_seeds_hold_the_stored_run_list_properties() {
+    let seeds = STORED_REPLAY
+        .lines()
+        .map(|l| l.trim())
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    for seed in seeds {
+        let seed = match seed.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).unwrap(),
+            None => seed.parse().unwrap(),
+        };
+        for len in [1, 2, 31, 4_096, 16_384, 262_144] {
+            stored_runs_match_the_set(seed, len);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn stored_runs_walk_like_their_position_set(seed in any::<u64>(), len in 1u64..40_000) {
+        stored_runs_match_the_set(seed, len);
     }
 }

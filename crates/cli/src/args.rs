@@ -211,12 +211,12 @@ USAGE:
                   the crash left out of the catalog; exits nonzero
                   only when damage is unrepairable)
   mloc upgrade   --dir DIR --name DS --out NEWDIR
-                 (copy a dataset of the formats before v3 — two files
-                  per bin, which no other command reads — out to
-                  NEWDIR as v3, byte for byte what a build of the same
-                  field writes, with the same --shards/--replicas
-                  layout; DIR is only read: remove it once `mloc
-                  verify` passes on NEWDIR)
+                 (copy a dataset of the formats before v4 — two files
+                  per bin, or WAH bitmaps, which no other command
+                  reads — out to NEWDIR as v4, byte for byte what a
+                  build of the same field writes, with the same
+                  --shards/--replicas layout; DIR is only read: remove
+                  it once `mloc verify` passes on NEWDIR)
   mloc variables --dir DIR --name DS
 
 STORAGE (all commands):

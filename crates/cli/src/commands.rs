@@ -598,7 +598,7 @@ fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     }
 }
 
-/// Copy a dataset of the formats before v3 out to `--out` as v3.
+/// Copy a dataset of the formats before v4 out to `--out` as v4.
 fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let old = backend(args)?;
     let new = backend_in(args, args.required("out")?)?;
@@ -606,7 +606,7 @@ fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let report = mloc::upgrade::upgrade(&old, &new, name).map_err(|e| e.to_string())?;
     outln!(
         out,
-        "upgraded {name}: {} variable(s), {} bin file(s) written as v3",
+        "upgraded {name}: {} variable(s), {} bin file(s) written as v4",
         report.variables.len(),
         report.bin_files
     );

@@ -1,16 +1,26 @@
-//! Bin file format v3: one file per bin, with every fixed block at its
+//! Bin file format v4: one file per bin, with every fixed block at its
 //! front.
 //!
 //! ```text
-//! [0, H)       header + directory, version 3            index extent 0
+//! [0, H)       header + directory, version 4            index extent 0
 //! [H, T)       chunk summary, then n_index: u32,        index extent 1
 //!              n_data: u32 (the two tables' sizes)
 //! [T, T+Li)    index-extent table: n_index × {len, crc}, then its CRC
 //! [T+Li, B)    data-extent table:  n_data × {len, crc}, then its CRC
-//! [B, U)       positional bitmaps, in curve-rank order  index extents 2..
+//! [B, U)       positional bitmaps as run lists,         index extents 2..
+//!              in curve-rank order
 //! [U, E)       compressed units, in the level order     data extents
 //! [E, E+12)    end marker: the file's length (u64), then "MEND"
 //! ```
+//!
+//! A chunk's bitmap extent is its run list's LEB128 `(gap, len − 1)`
+//! pairs and nothing else ([`mloc_bitmap::runs`]): the set-bit count is
+//! the directory entry's, and the length is the chunk's point count,
+//! from the geometry. A reader takes the pairs as they are after one
+//! validating walk ([`mloc_bitmap::RunListBuf::push_stored`]). v3 stored
+//! a WAH stream and its rank/select directory there instead, and is
+//! otherwise this layout; `mloc upgrade` ([`crate::upgrade`]) rewrites
+//! it.
 //!
 //! `H` and `T` follow from the bin's geometry (chunk and part counts)
 //! alone, the table lengths `Li = 8 n_index + 4` and `Ld = 8 n_data + 4`
@@ -40,7 +50,7 @@ use crate::index::{
 use crate::integrity::{corrupt_extent, table_len, ExtentFooter};
 use crate::wire::Writer;
 use crate::{MlocError, Result};
-use mloc_bitmap::{RankSelectDir, WahBitmap};
+use mloc_bitmap::{RunListRef, RunsError};
 use std::ops::Deref;
 
 /// Bytes of the end marker: the file's length, then its magic.
@@ -48,13 +58,37 @@ pub const END_LEN: u64 = 12;
 const END_MAGIC: u32 = 0x444E_454D; // "MEND"
 
 /// A bin's chunk count and unit parts per chunk: what locates every
-/// fixed block of a v3 bin file.
+/// fixed block of a bin file.
 pub type Geometry = (usize, usize);
 
-/// The geometry a build configuration gives every bin.
-pub fn geometry(config: &MlocConfig) -> Geometry {
-    let grid = ChunkGrid::new(config.shape.clone(), config.chunk_shape.clone());
-    (grid.num_chunks(), config.num_parts())
+/// What a whole-file check holds a variable's bin files to: the
+/// geometry that locates their fixed blocks, and each chunk's point
+/// count, the length every stored run list of the chunk must fit.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    pub geometry: Geometry,
+    /// Points of the chunk at each curve rank.
+    points: Vec<u64>,
+}
+
+impl Layout {
+    /// The layout a build configuration gives every bin.
+    pub fn of(config: &MlocConfig) -> Layout {
+        let grid = ChunkGrid::new(config.shape.clone(), config.chunk_shape.clone());
+        let order = config.chunk_order(&grid);
+        let points = (0..grid.num_chunks())
+            .map(|rank| grid.chunk_points(order.cell_at(rank)) as u64)
+            .collect();
+        Layout {
+            geometry: (grid.num_chunks(), config.num_parts()),
+            points,
+        }
+    }
+
+    /// Points of the chunk at curve rank `rank`.
+    pub fn points(&self, rank: usize) -> u64 {
+        self.points.get(rank).copied().unwrap_or(0)
+    }
 }
 
 /// Length of a v3 summary extent: the chunk summaries, then the two
@@ -116,7 +150,7 @@ impl Tables {
     }
 
     /// Where the bitmaps begin: right after both tables.
-    fn bitmaps_at(&self) -> u64 {
+    pub(crate) fn bitmaps_at(&self) -> u64 {
         let (at, len) = self.data_span();
         at + len
     }
@@ -215,27 +249,29 @@ impl BinFileBuilder {
         }
     }
 
-    /// Record a chunk's positional bitmap and unit locations, the
-    /// units' offsets relative to the bin's unit section (the bytes
-    /// later handed to [`Self::finish`]). The locs are copied into the
-    /// entry's bytes, so callers keep ownership. The chunk's summary
-    /// (min/max set position, all-of-chunk flag) and its rank/select
-    /// directory are derived here in the same pass.
+    /// Record a chunk's positional bitmap — its run list, whose pairs
+    /// are the stored extent — and unit locations, the units' offsets
+    /// relative to the bin's unit section (the bytes later handed to
+    /// [`Self::finish`]). The locs are copied into the entry's bytes,
+    /// so callers keep ownership. The chunk's summary (min/max set
+    /// position, all-of-chunk flag) is taken from the same runs.
     ///
     /// # Panics
-    /// Panics when called twice for the same rank or with a unit count
-    /// mismatch.
-    pub fn set_chunk(&mut self, rank: usize, bitmap: &WahBitmap, units: &[UnitLoc]) {
+    /// Panics when called twice for the same rank, for a list with no
+    /// set bit, or with a unit count mismatch.
+    pub fn set_chunk(&mut self, rank: usize, runs: RunListRef<'_>, units: &[UnitLoc]) {
         assert_eq!(units.len(), self.num_parts, "unit count mismatch");
         let entry = &mut self.header[entry_range(rank, self.num_parts)];
         // A set entry always has a bitmap: its stored form is never empty.
         assert_eq!(le_u32(entry, 12), 0, "chunk rank {rank} set twice");
-        let encoded = bitmap.to_bytes();
-        let dir_bytes = RankSelectDir::build(bitmap.as_ref()).to_bytes();
-        let count = bitmap.count_ones();
-        let bitmap_len = (encoded.len() + dir_bytes.len()) as u32;
+        let (first, last) = (runs.iter().next(), runs.iter().last());
+        let (Some((min_pos, _, _)), Some((start, _, len))) = (first, last) else {
+            panic!("chunk rank {rank} set with no points");
+        };
+        let pairs = runs.pairs();
+        let bitmap_len = pairs.len() as u32;
         let mut put = |at: usize, field: &[u8]| entry[at..at + field.len()].copy_from_slice(field);
-        put(0, &(count as u32).to_le_bytes());
+        put(0, &(runs.count() as u32).to_le_bytes());
         put(4, &(self.bitmaps.len() as u64).to_le_bytes());
         put(12, &bitmap_len.to_le_bytes());
         for (part, u) in units.iter().enumerate() {
@@ -245,25 +281,12 @@ impl BinFileBuilder {
         }
         self.set.push(rank);
         self.bitmap_lens.push(bitmap_len);
-        self.bitmaps.extend_from_slice(&encoded);
-        self.bitmaps.extend_from_slice(&dir_bytes);
-        if count > 0 {
-            let mut min_pos = u32::MAX;
-            let mut max_pos = 0u32;
-            for (start, len, bit) in bitmap.iter_runs() {
-                if bit {
-                    if min_pos == u32::MAX {
-                        min_pos = start as u32;
-                    }
-                    max_pos = (start + len - 1) as u32;
-                }
-            }
-            self.summaries[rank] = ChunkSummary {
-                min_pos,
-                max_pos,
-                all_of_chunk: count == bitmap.len(),
-            };
-        }
+        self.bitmaps.extend_from_slice(pairs);
+        self.summaries[rank] = ChunkSummary {
+            min_pos: min_pos as u32,
+            max_pos: (start + len - 1) as u32,
+            all_of_chunk: runs.count() == runs.len(),
+        };
     }
 
     /// Finish the file around `units`, the bin's compressed units laid
@@ -333,29 +356,47 @@ impl BinFileBuilder {
     }
 }
 
-/// A whole v3 bin file, every checksum recomputed — how `verify`,
-/// `fsck` and `repair` read one.
+/// A whole bin file, every checksum recomputed — how `verify`, `fsck`
+/// and `repair` read one.
 pub(crate) struct Checked {
     /// Where the tables are, when the summary extent said.
     pub tables: Option<Tables>,
     /// The index table, when it decoded: what the header is checked
     /// against, and so what may label the damage.
     pub index: Option<ExtentFooter>,
+    /// The data table, when it decoded: where the units are.
+    pub data: Option<ExtentFooter>,
     /// Extents whose checksum was recomputed.
     pub extents: u64,
     /// Every failure found: unreadable fixed blocks, bad tables, bad
-    /// extents, a missing end marker.
+    /// extents, a missing end marker, and — held to a [`Layout`] — run
+    /// lists that disagree with their directory entries.
     pub damage: Vec<MlocError>,
 }
 
-/// Check all of `raw`, the whole bin file `file`. Its fixed blocks are
-/// located with `geometry` — the variable's, when its meta says — or
-/// else with the counts the header states; the header itself is then
-/// checked like every other extent.
-pub(crate) fn check(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Checked {
+/// Check all of `raw`, the whole bin file `file`. Held to `layout` —
+/// the variable's, when its meta (or else its dataset's catalog) says —
+/// its fixed blocks are located with the layout's geometry, and every
+/// bitmap a checksum-clean header lists is taken as a run list of its
+/// entry's count within its chunk's points, as a query takes it.
+/// Without one, the fixed blocks are located with the counts the header
+/// states, and the header is then checked like every other extent.
+pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>) -> Checked {
+    let mut out = check_extents(raw, file, layout.map(|l| l.geometry));
+    if let Some(layout) = layout {
+        check_runs(raw, file, layout, &mut out);
+    }
+    out
+}
+
+/// The checksums, tables and end marker of `raw` alone: what [`check`]
+/// checks first, and all `mloc upgrade` checks of a format-v3 file,
+/// whose bitmaps are WAH streams.
+pub(crate) fn check_extents(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Checked {
     let mut out = Checked {
         tables: None,
         index: None,
+        data: None,
         extents: 0,
         damage: Vec::new(),
     };
@@ -390,7 +431,10 @@ pub(crate) fn check(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Check
         Ok((index, data)) => {
             verify(&index, &mut out);
             match data {
-                Ok(data) => verify(&data, &mut out),
+                Ok(data) => {
+                    verify(&data, &mut out);
+                    out.data = Some(data);
+                }
                 Err(e) => out.damage.push(e),
             }
             out.index = Some(index);
@@ -406,9 +450,66 @@ pub(crate) fn check(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Check
     out
 }
 
+/// Take every bitmap of `raw` as a run list of its entry's count within
+/// its chunk, when the header's own extent verified (a damaged header
+/// may say anything) and the bitmap's did too (its damage is found).
+fn check_runs(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
+    let Some(index) = out.index.as_ref().filter(|i| i.num_extents() > 0) else {
+        return;
+    };
+    let damaged = |at: u64| {
+        let at_extent =
+            |e: &MlocError| matches!(e, MlocError::CorruptExtent { offset, .. } if *offset == at);
+        out.damage.iter().any(at_extent)
+    };
+    let (off, len, _) = index.extent(0);
+    let header = span(raw, (off, u64::from(len)))
+        .filter(|_| !damaged(off))
+        .and_then(|bytes| HeaderView::parse(bytes).ok())
+        .and_then(|h| h.with_geometry(layout.geometry.0, layout.geometry.1).ok());
+    let Some(header) = header else {
+        return;
+    };
+    let mut refused = Vec::new();
+    for rank in 0..header.num_chunks() {
+        let (at, len) = (header.bitmap_file_offset(rank), header.bitmap_len(rank));
+        if len == 0 || damaged(at) {
+            continue;
+        }
+        let (count, points) = (header.count(rank), layout.points(rank));
+        refused.extend(match span(raw, (at, u64::from(len))) {
+            None => Some(corrupt_extent(
+                file,
+                at,
+                len.into(),
+                "run list past end of file",
+            )),
+            Some(pairs) => RunListRef::stored(pairs, count.into(), points)
+                .err()
+                .map(|e| refused_runs(file, (at, len), e, count, points)),
+        });
+    }
+    out.damage.extend(refused);
+}
+
+/// The error of a stored run list — the extent `(at, len)` of `file` —
+/// that the validator refused as `e`: one of `count` set bits in
+/// `points`, its entry said. A query that reads it and `verify` give
+/// the same one.
+pub(crate) fn refused_runs(
+    file: &str,
+    (at, len): (u64, u32),
+    e: RunsError,
+    count: u32,
+    points: u64,
+) -> MlocError {
+    let what = format!("{e} (entry: {count} of {points} points)");
+    corrupt_extent(file, at, u64::from(len), &what)
+}
+
 /// Check a whole bin file; the first damage found, if any.
-pub(crate) fn verified(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Result<()> {
-    check(raw, file, geometry)
+pub(crate) fn verified(raw: &[u8], file: &str, layout: Option<&Layout>) -> Result<()> {
+    check(raw, file, layout)
         .damage
         .into_iter()
         .next()
@@ -460,7 +561,16 @@ pub(crate) fn reseal_index(raw: &mut [u8], geometry: Geometry, file: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mloc_bitmap::RunList;
     use proptest::prelude::*;
+
+    /// `chunks` chunks of 16 points, `parts` parts each.
+    fn layout((chunks, parts): Geometry) -> Layout {
+        Layout {
+            geometry: (chunks, parts),
+            points: vec![16; chunks],
+        }
+    }
 
     /// A small bin file: 4 chunks × 3 parts, three chunks with points
     /// and units.
@@ -481,11 +591,8 @@ mod tests {
                     loc
                 })
                 .collect();
-            b.set_chunk(
-                rank,
-                &WahBitmap::from_sorted_positions(16, positions),
-                &locs,
-            );
+            let runs = RunList::from_sorted_positions(16, positions);
+            b.set_chunk(rank, runs.as_ref(), &locs);
         }
         (b.finish(&units, &lens).bytes, (4, 3))
     }
@@ -562,7 +669,7 @@ mod tests {
     #[test]
     fn a_built_file_checks_clean_and_its_sections_add_up() {
         let (raw, geometry) = built();
-        for stated in [Some(geometry), None] {
+        for stated in [Some(&layout(geometry)), None] {
             let checked = check(&raw, "f", stated);
             assert!(checked.damage.is_empty(), "{:?}", checked.damage);
             // Header, summary, three bitmaps; nine units.
@@ -583,9 +690,10 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_is_found_and_never_panics() {
         let (raw, geometry) = built();
+        let layout = layout(geometry);
         for cut in 0..raw.len() {
             agree(&raw[..cut], geometry);
-            for stated in [Some(geometry), None] {
+            for stated in [Some(&layout), None] {
                 let checked = check(&raw[..cut], "f", stated);
                 assert!(!checked.damage.is_empty(), "cut at {cut} passed");
             }
@@ -594,10 +702,41 @@ mod tests {
             let mut bad = raw.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             agree(&bad, geometry);
-            let checked = check(&bad, "f", Some(geometry));
+            let checked = check(&bad, "f", Some(&layout));
             assert!(!checked.damage.is_empty(), "flip of bit {bit} passed");
             let _ = check(&bad, "f", None);
         }
+    }
+
+    /// A run list edited under a resealed checksum table passes every
+    /// checksum: held to the layout, the check names it, at its extent;
+    /// held to nothing, it cannot.
+    #[test]
+    fn a_resealed_run_list_that_disagrees_with_its_entry_is_found() {
+        let (raw, geometry) = built();
+        let header = HeaderView::parse(&raw[..]).unwrap();
+        // Chunk 0's runs are 1, 5, 9: lengthen the last run by one.
+        let (at, len) = (header.bitmap_file_offset(0), header.bitmap_len(0));
+        assert_eq!(len, 6, "three one-byte pairs");
+        let mut bad = raw.clone();
+        bad[at as usize + 5] = 1;
+        reseal_index(&mut bad, geometry, "f");
+        assert!(check(&bad, "f", None).damage.is_empty());
+        let damage = check(&bad, "f", Some(&layout(geometry))).damage;
+        let [MlocError::CorruptExtent {
+            offset,
+            len: n,
+            what,
+            ..
+        }] = &damage[..]
+        else {
+            panic!("{damage:?}");
+        };
+        assert_eq!((*offset, *n), (at, u64::from(len)));
+        assert_eq!(
+            what,
+            "run list disagrees with its count (entry: 3 of 16 points)"
+        );
     }
 
     proptest! {
@@ -614,14 +753,14 @@ mod tests {
             parts in 1usize..4,
         ) {
             agree(&junk, (chunks, parts));
-            let _ = check(&junk, "f", Some((chunks, parts)));
+            let _ = check(&junk, "f", Some(&layout((chunks, parts))));
             let _ = check(&junk, "f", None);
             let (mut raw, geometry) = built();
             let at = at % raw.len();
             let end = (at + over.len()).min(raw.len());
             raw[at..end].copy_from_slice(&over[..end - at]);
             agree(&raw, geometry);
-            let checked = check(&raw, "f", Some(geometry));
+            let checked = check(&raw, "f", Some(&layout(geometry)));
             prop_assert!(checked.extents <= raw.len() as u64);
         }
     }

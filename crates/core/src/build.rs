@@ -23,7 +23,7 @@
 //! ([`mloc_runtime::parallel_map`], sized by
 //! [`MlocConfig::build_threads`]) in three pipeline stages:
 //!
-//! 1. **encode** — per-chunk bin partition → WAH bitmap → PLoD split →
+//! 1. **encode** — per-chunk bin partition → run list → PLoD split →
 //!    per-part codec compression. Chunks are independent, so
 //!    [`build_variable`] encodes all of them concurrently and
 //!    [`StreamingBuilder::push_chunks`] does the same for each batch a
@@ -49,7 +49,7 @@ use crate::fileorg;
 use crate::index::UnitLoc;
 use crate::store::VariableMeta;
 use crate::{plod, MlocError, Result};
-use mloc_bitmap::WahBitmap;
+use mloc_bitmap::RunList;
 use mloc_compress::{Codec, FloatCodec};
 use mloc_hilbert::GridOrder;
 use mloc_obs::{Label, Profile, Registry};
@@ -77,8 +77,8 @@ pub struct BuildReport {
     pub raw_bytes: u64,
     /// Wall-clock build time in seconds (first push to finish).
     pub build_seconds: f64,
-    /// Wall-clock seconds spent encoding chunks (bin partition, WAH
-    /// bitmaps, PLoD split, codec compression), summed over pushes.
+    /// Wall-clock seconds spent encoding chunks (bin partition, run
+    /// lists, PLoD split, codec compression), summed over pushes.
     pub encode_seconds: f64,
     /// Wall-clock seconds of the per-bin layout + index stage.
     pub layout_seconds: f64,
@@ -108,7 +108,7 @@ impl BuildReport {
 /// One chunk's contribution to one bin, before layout.
 struct PendingUnit {
     rank: usize,
-    bitmap: WahBitmap,
+    runs: RunList,
     /// Compressed bytes per part.
     parts: Vec<Vec<u8>>,
 }
@@ -118,13 +118,13 @@ struct PendingUnit {
 struct EncodedUnit {
     bin: usize,
     count: u64,
-    bitmap: WahBitmap,
+    runs: RunList,
     parts: Vec<Vec<u8>>,
 }
 
-/// Encode one chunk: partition its points by bin, build each bin's
-/// positional bitmap, and compress each unit (PLoD byte columns or the
-/// whole-value stream). Pure but for `obs`, which only accumulates
+/// Encode one chunk: partition its points by bin, encode each bin's
+/// positional bitmap as a run list, and compress each unit (PLoD byte
+/// columns or the whole-value stream). Pure but for `obs`, which only accumulates
 /// commutative statistics — identical input produces identical bytes,
 /// which is what makes the parallel fan-out deterministic.
 #[allow(clippy::too_many_arguments)] // internal helper; callers are the three build fan-outs
@@ -171,7 +171,7 @@ fn encode_chunk(
             continue;
         }
         let bin_locals = &locals[span.clone()];
-        let bitmap = WahBitmap::from_sorted_positions(chunk_points as u64, bin_locals);
+        let runs = RunList::from_sorted_positions(chunk_points as u64, bin_locals);
         let parts: Vec<Vec<u8>> = match &columns {
             Some(columns) => columns
                 .iter()
@@ -196,7 +196,7 @@ fn encode_chunk(
         units.push(EncodedUnit {
             bin,
             count: bin_locals.len() as u64,
-            bitmap,
+            runs,
             parts,
         });
     }
@@ -305,7 +305,7 @@ impl<'a> StreamingBuilder<'a> {
             self.per_bin_points[u.bin] += u.count;
             self.pending[u.bin].push(PendingUnit {
                 rank,
-                bitmap: u.bitmap,
+                runs: u.runs,
                 parts: u.parts,
             });
         }
@@ -450,7 +450,7 @@ impl<'a> StreamingBuilder<'a> {
 
             let mut file = BinFileBuilder::new(bin as u32, num_chunks, num_parts);
             for (i, u) in units.iter().enumerate() {
-                file.set_chunk(u.rank, &u.bitmap, &locs[i]);
+                file.set_chunk(u.rank, u.runs.as_ref(), &locs[i]);
             }
             file.finish(&data, &data_extents)
         });

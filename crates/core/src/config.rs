@@ -494,24 +494,27 @@ mod tests {
                       000000000000f83f000000000000004000000000000004400000000000000840\
                       0000000000000c40000000000000104000000000000012400000000000001440\
                       00000000000016400000000000001840";
-        // The version byte (3: one file per bin) is the only byte the
-        // meta of format v3 changed; a version-2 meta (two files per
-        // bin, the checked-in fixtures) decodes for `mloc upgrade` alone.
+        // The version byte (4: bitmaps stored as run lists) is the only
+        // byte the meta of format v4 changed; a version-2 meta (two files
+        // per bin) or version-3 one (WAH bitmaps) — the checked-in
+        // fixtures — decodes for `mloc upgrade` alone.
         let payload = |version: &str| {
             format!("4d4d4554{version}0400000074656d70{body}{bounds}0040000000000000")
         };
-        assert_eq!(hex(&meta.encode()), payload("03"));
+        assert_eq!(hex(&meta.encode()), payload("04"));
         let decode = crate::store::VariableMeta::decode;
         assert_eq!(decode(&meta.encode()).unwrap(), meta);
-        let mut v2 = meta.encode();
-        v2[4] = 2;
-        assert_eq!(hex(&v2), payload("02"));
-        assert!(matches!(
-            decode(&v2),
-            Err(crate::MlocError::NeedsUpgrade { .. })
-        ));
         let any = crate::store::VariableMeta::decode_any;
-        assert_eq!(any(&v2).unwrap(), (2, meta));
+        for version in [2u8, 3] {
+            let mut old = meta.encode();
+            old[4] = version;
+            assert_eq!(hex(&old), payload(&format!("{version:02x}")));
+            assert!(matches!(
+                decode(&old),
+                Err(crate::MlocError::NeedsUpgrade { .. })
+            ));
+            assert_eq!(any(&old).unwrap(), (version, meta.clone()));
+        }
     }
 
     #[test]

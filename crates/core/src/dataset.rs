@@ -172,12 +172,11 @@ impl<'a> Dataset<'a> {
         self.backend.exists(&fileorg::meta_file(&self.name, var))
     }
 
-    /// Build and register a variable from row-major values.
+    /// Build and register a variable from row-major values. A dataset
+    /// of a format before v4 is refused ([`MlocError::NeedsUpgrade`])
+    /// before anything is written: upgrade it first.
     pub fn add_variable(&self, var: &str, values: &[f64]) -> Result<BuildReport> {
-        Self::validate_var_name(var)?;
-        if self.has_variable(var) {
-            return Err(MlocError::Invalid(format!("variable {var} already exists")));
-        }
+        self.check_new_variable(var)?;
         let report = build_variable(self.backend, &self.name, var, values, &self.config)?;
         register(self.backend, &self.name, var)?;
         Ok(report)
@@ -191,12 +190,10 @@ impl<'a> Dataset<'a> {
 
     /// Start an *in-situ* build of a variable: chunks are pushed as a
     /// simulation emits them and the variable is registered in the
-    /// catalog when the stream finishes.
+    /// catalog when the stream finishes. A dataset of a format before v4
+    /// is refused, as by [`Self::add_variable`].
     pub fn stream_variable(&self, var: &str, sample: &[f64]) -> Result<DatasetStream<'a>> {
-        Self::validate_var_name(var)?;
-        if self.has_variable(var) {
-            return Err(MlocError::Invalid(format!("variable {var} already exists")));
-        }
+        self.check_new_variable(var)?;
         let builder = StreamingBuilder::new(self.backend, &self.name, var, &self.config, sample)?;
         Ok(DatasetStream {
             builder,
@@ -287,6 +284,18 @@ impl<'a> Dataset<'a> {
         self.stored_bytes_checked().0
     }
 
+    /// What every build checks before it writes: a valid name, not
+    /// taken, in a dataset of the current format — a build into an old
+    /// one would leave a store no reader reads and that the upgrade
+    /// would have to tell apart from the old variables.
+    fn check_new_variable(&self, var: &str) -> Result<()> {
+        Self::validate_var_name(var)?;
+        if self.has_variable(var) {
+            return Err(MlocError::Invalid(format!("variable {var} already exists")));
+        }
+        crate::upgrade::refuse_old(self.backend, &self.name)
+    }
+
     fn validate_var_name(var: &str) -> Result<()> {
         if var.is_empty()
             || !var
@@ -360,7 +369,7 @@ mod tests {
     }
 
     /// The catalogs and metas a store can meet, as stored: a fresh
-    /// (v3) build's, then each fixture's. Built once per test binary.
+    /// (v4) build's, then each fixture's. Built once per test binary.
     fn catalogs_and_metas() -> &'static [(Vec<u8>, Vec<u8>)] {
         static STORED: std::sync::OnceLock<Vec<(Vec<u8>, Vec<u8>)>> = std::sync::OnceLock::new();
         STORED.get_or_init(|| {
@@ -373,7 +382,7 @@ mod tests {
             let ds = Dataset::create(&fresh, "sim", config()).unwrap();
             ds.add_variable("temp", &values(1)).unwrap();
             let mut out = vec![stored(&fresh, "sim", "temp")];
-            for version in [1, 2] {
+            for version in [1, 2, 3] {
                 out.push(stored(&crate::fixtures::mem(version), "fmt", "v"));
             }
             out

@@ -7,9 +7,9 @@
 //!
 //! **One file per bin, not two.** The paper's subfiling keeps a bin's
 //! compressed data and its index in separate files, and so did formats
-//! v1 and v2 here. Format v3 ([`crate::binfile`]) keeps both in one
-//! file with every fixed block at its front, because the traffic decides
-//! it. Of every 16 operations of the benchmark's cold mix, 8 are
+//! v1 and v2 here. Since format v3 ([`crate::binfile`], now v4) one
+//! file keeps both, with every fixed block at its front, because the
+//! traffic decides it. Of every 16 operations of the benchmark's cold mix, 8 are
 //! spatially constrained value or PLoD reads: each touches all 100 bins
 //! and, with two files, both files of every bin — 2 opens and 5 seeks
 //! per bin before anything is decoded (index header, index tail footer,
@@ -25,7 +25,7 @@
 //! II's 1 % MLOC-COL query at 8 ranks, four ranks to a bin, went from
 //! 0.044 to 0.131 s and no longer beats the sequential scan. Stores of
 //! the two-file formats are not read here: `mloc upgrade`
-//! ([`crate::upgrade`]) copies them out as v3.
+//! ([`crate::upgrade`]) copies them out as v4.
 
 use mloc_pfs::{PfsError, StorageBackend};
 
@@ -39,7 +39,7 @@ pub fn meta_file(dataset: &str, var: &str) -> String {
     format!("{dataset}/{var}/meta")
 }
 
-/// Name of the one file of a bin (format v3).
+/// Name of the one file of a bin (formats v3, v4).
 pub fn bin_file(dataset: &str, var: &str, bin: usize) -> String {
     format!("{dataset}/{var}/bin{bin:04}.bin")
 }

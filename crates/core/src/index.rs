@@ -4,9 +4,9 @@
 //! A bin's index holds, per chunk (in curve-rank order):
 //!
 //! * the number of the bin's points inside that chunk,
-//! * the chunk-local *positions* of those points as a WAH bitmap — the
+//! * the chunk-local *positions* of those points as a run list — the
 //!   "light-weight index" that lets region queries answer aligned bins
-//!   without touching data, and
+//!   without touching data ([`mloc_bitmap::runs`]), and
 //! * the location of each compressed unit (one per PLoD byte group, or
 //!   a single unit when PLoD is off).
 //!
@@ -17,27 +17,28 @@
 //! # Format versions
 //!
 //! Every version keeps the header + directory byte layout of v1; only
-//! the version byte and where offsets count from differ.
+//! the version byte, where offsets count from and what a bitmap extent
+//! holds differ.
 //!
-//! * **v1** — header, then the bitmaps, in an index file of its own
+//! * **v1** — header, then WAH bitmaps, in an index file of its own
 //!   next to the bin's data file.
-//! * **v2** — adds two levels on top of the flat WAH bitmaps: a
-//!   **chunk-summary section** between the header and the bitmaps,
-//!   holding per-chunk `(min_pos, max_pos, all_of_chunk)` so a query
-//!   classifies chunks as full / empty / partial in O(1) and skips the
-//!   bitmap read for full and empty chunks; and a **rank/select
-//!   directory** ([`mloc_bitmap::RankSelectDir`]) appended to each
-//!   encoded bitmap (`bitmap_len` covers both; WAH is self-delimiting,
-//!   the remainder is the directory).
+//! * **v2** — adds a **chunk-summary section** between the header and
+//!   the bitmaps, holding per-chunk `(min_pos, max_pos, all_of_chunk)`
+//!   so a query classifies chunks as full / empty / partial in O(1) and
+//!   skips the bitmap read for full and empty chunks; and a rank/select
+//!   directory appended to each WAH bitmap (`bitmap_len` covers both).
 //! * **v3** — the index section of a one-file bin ([`crate::binfile`]):
 //!   the v2 structures, with the summary extent followed by the sizes of
 //!   the file's two checksum tables, and bitmap and unit offsets stored
 //!   as absolute file offsets.
+//! * **v4** — v3 with each bitmap extent holding the chunk's run list
+//!   pairs alone: no WAH words, no rank/select directory. The set-bit
+//!   count is the entry's, the length the chunk's point count.
 //!
-//! Only v3 is read here. Nothing writes v1 or v2 any more, and nothing
-//! but `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1/v2
-//! store out as v3, deriving v1's missing levels from its bitmaps.
-//! `tests/golden/v1_dataset` and `tests/golden/v2_dataset` are its
+//! Only v4 is read here. Nothing writes v1–v3 any more, and nothing but
+//! `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1–v3
+//! store out as v4, deriving v1's missing summaries from its bitmaps.
+//! `tests/golden/v1_dataset`, `v2_dataset` and `v3_dataset` are its
 //! inputs.
 
 //! # One writer, one reader
@@ -55,12 +56,12 @@ use crate::{MlocError, Result};
 use std::ops::Deref;
 
 pub(crate) const MAGIC: u32 = 0x5844_494D; // "MIDX"
-/// The index format version (v3 = the index section of a one-file
-/// bin), the only one [`HeaderView`] reads.
-pub const VERSION: u8 = 3;
+/// The index format version (v4 = the index section of a one-file bin,
+/// its bitmaps stored as run lists), the only one [`HeaderView`] reads.
+pub const VERSION: u8 = 4;
 pub(crate) const SUMMARY_MAGIC: u32 = 0x4D55_534D; // "MSUM"
-/// v3: the two checksum tables' entry counts (`u32` each) that end the
-/// summary extent.
+/// The two checksum tables' entry counts (`u32` each) that end the
+/// summary extent, since v3.
 pub const TABLE_SIZES: u64 = 8;
 
 /// Location of one compressed unit in the bin's data.
@@ -77,7 +78,7 @@ pub struct UnitLoc {
 ///
 /// Together with [`HeaderView::count`] this classifies a chunk without
 /// touching its bitmap: `count == 0` → empty, `all_of_chunk` → every
-/// position belongs to this bin (the bitmap is all ones), otherwise
+/// position belongs to this bin (the bitmap is one run), otherwise
 /// partial with set positions confined to `[min_pos, max_pos]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSummary {
@@ -284,7 +285,8 @@ impl<B: Deref<Target = [u8]>> HeaderView<B> {
         le_u32(self.entry(rank), 0)
     }
 
-    /// Encoded bitmap length (0 when the chunk has no points here).
+    /// Stored run-list length in bytes (0 when the chunk has no points
+    /// here).
     pub fn bitmap_len(&self, rank: usize) -> u32 {
         le_u32(self.entry(rank), 12)
     }
@@ -316,7 +318,17 @@ mod tests {
     use super::*;
     use crate::binfile::{summary_extent_len, BinFileBuilder, END_LEN};
     use crate::integrity::table_len;
-    use mloc_bitmap::WahBitmap;
+    use mloc_bitmap::{RunList, RunListBuf};
+
+    /// The run list of `positions` in `len` points.
+    fn runs(len: u64, positions: &[u64]) -> RunList {
+        RunList::from_sorted_positions(len, positions)
+    }
+
+    /// A full chunk of `len` points.
+    fn full(len: u64) -> RunList {
+        runs(len, &(0..len).collect::<Vec<_>>())
+    }
 
     /// A built bin file with no unit bytes (every unit location set is
     /// empty).
@@ -327,11 +339,11 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let mut b = BinFileBuilder::new(5, 4, 3);
-        let bm1 = WahBitmap::from_sorted_positions(100, &[1, 5, 99]);
-        let bm2 = WahBitmap::from_sorted_positions(50, &[0]);
+        let bm1 = runs(100, &[1, 5, 99]);
+        let bm2 = runs(50, &[0]);
         b.set_chunk(
             1,
-            &bm1,
+            bm1.as_ref(),
             &[
                 UnitLoc {
                     offset: 0,
@@ -347,7 +359,7 @@ mod tests {
                 },
             ],
         );
-        b.set_chunk(3, &bm2, &[UnitLoc::default(); 3]);
+        b.set_chunk(3, bm2.as_ref(), &[UnitLoc::default(); 3]);
         let units: Vec<u8> = (0..35).collect();
         let bytes = b.finish(&units, &[10, 20, 5]).bytes;
 
@@ -372,11 +384,14 @@ mod tests {
         let part = idx.unit(1, 2);
         assert_eq!(bytes[part.offset as usize], 30);
 
-        // Bitmaps decode from their recorded offsets.
+        // Run lists are stored as they are, at their recorded offsets.
         let start = idx.bitmap_file_offset(1) as usize;
-        let (bm, _) =
-            WahBitmap::from_bytes(&bytes[start..start + idx.bitmap_len(1) as usize]).unwrap();
-        assert_eq!(bm.to_positions(), vec![1, 5, 99]);
+        let stored = &bytes[start..start + idx.bitmap_len(1) as usize];
+        assert_eq!(stored, bm1.as_ref().pairs());
+        let mut buf = RunListBuf::new();
+        let at = buf.push_stored(stored, 3, 100).unwrap();
+        let got: Vec<_> = buf.get(at).unwrap().iter().collect();
+        assert_eq!(got, [(1, 0, 1), (5, 1, 1), (99, 2, 1)]);
     }
 
     #[test]
@@ -399,17 +414,9 @@ mod tests {
     fn summary_tracks_chunk_shape() {
         let mut b = BinFileBuilder::new(0, 3, 1);
         // Partial chunk: bits 2..=7 of 20.
-        b.set_chunk(
-            0,
-            &WahBitmap::from_sorted_positions(20, &[2, 3, 7]),
-            &[UnitLoc::default()],
-        );
+        b.set_chunk(0, runs(20, &[2, 3, 7]).as_ref(), &[UnitLoc::default()]);
         // Full chunk: all 20 bits.
-        b.set_chunk(
-            1,
-            &WahBitmap::from_bools(&[true; 20]),
-            &[UnitLoc::default()],
-        );
+        b.set_chunk(1, full(20).as_ref(), &[UnitLoc::default()]);
         let bytes = finish(b);
         let hdr = HeaderView::parse(&bytes[..header_size(3, 1) as usize]).unwrap();
         let start = hdr.summary_file_offset() as usize;
@@ -448,9 +455,9 @@ mod tests {
 
     /// The eager decoders and the eager form they filled, as they were
     /// before the views existed, kept verbatim as the differential
-    /// oracle: same checks, same order, same messages — but for the v3
-    /// rules added since: version 3 alone, and a summary extent that
-    /// ends in the table sizes.
+    /// oracle: same checks, same order, same messages — but for the
+    /// rules added since: one version alone (now 4), and a summary
+    /// extent that ends in the table sizes.
     mod oracle {
         use super::super::*;
 
@@ -504,7 +511,7 @@ mod tests {
             if r.u32()? != MAGIC {
                 return Err(MlocError::Corrupt("bad index magic"));
             }
-            if r.u8()? != 3 {
+            if r.u8()? != 4 {
                 return Err(MlocError::Corrupt("unsupported index version"));
             }
             let _bin = r.u32()?;
@@ -599,19 +606,11 @@ mod tests {
                     .collect()
             };
             let mut b = BinFileBuilder::new(9, 6, num_parts);
-            b.set_chunk(
-                0,
-                &WahBitmap::from_sorted_positions(300, &[0, 1, 2, 64, 299]),
-                &locs(1),
-            );
-            b.set_chunk(2, &WahBitmap::from_bools(&[true; 300]), &locs(2));
+            b.set_chunk(0, runs(300, &[0, 1, 2, 64, 299]).as_ref(), &locs(1));
+            b.set_chunk(2, full(300).as_ref(), &locs(2));
             let sparse: Vec<u64> = (0..40_000).step_by(11).collect();
-            b.set_chunk(
-                3,
-                &WahBitmap::from_sorted_positions(40_000, &sparse),
-                &locs(3),
-            );
-            b.set_chunk(5, &WahBitmap::from_bools(&[true; 17]), &locs(4));
+            b.set_chunk(3, runs(40_000, &sparse).as_ref(), &locs(3));
+            b.set_chunk(5, full(17).as_ref(), &locs(4));
             out.push((b.finish(&[7; 64], &[64]).bytes, 6, num_parts));
             out.push((finish(BinFileBuilder::new(0, 4, num_parts)), 4, num_parts));
         }
@@ -757,8 +756,8 @@ mod tests {
     #[should_panic]
     fn setting_chunk_twice_panics() {
         let mut b = BinFileBuilder::new(0, 2, 1);
-        let bm = WahBitmap::from_sorted_positions(10, &[0]);
-        b.set_chunk(0, &bm, &[UnitLoc::default()]);
-        b.set_chunk(0, &bm, &[UnitLoc::default()]);
+        let bm = runs(10, &[0]);
+        b.set_chunk(0, bm.as_ref(), &[UnitLoc::default()]);
+        b.set_chunk(0, bm.as_ref(), &[UnitLoc::default()]);
     }
 }

@@ -30,7 +30,7 @@
 //! the file's validity marker: a torn write that truncates the file
 //! destroys the trailer, so an incomplete file can never verify.
 //!
-//! **Front table** — the two tables of a format v3 bin file
+//! **Front table** — the two tables of a bin file (formats v3, v4)
 //! ([`crate::binfile`]), stored ahead of the extents they cover:
 //!
 //! ```text

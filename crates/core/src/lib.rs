@@ -142,7 +142,7 @@ pub enum MlocError {
     },
     /// Invalid user input (query or configuration).
     Invalid(String),
-    /// A file of the formats before v3, which only `mloc upgrade`
+    /// A file of the formats before v4, which only `mloc upgrade`
     /// ([`upgrade`]) reads.
     NeedsUpgrade {
         /// The file that gave the store away.
@@ -180,8 +180,8 @@ impl std::fmt::Display for MlocError {
             MlocError::Invalid(why) => write!(f, "invalid request: {why}"),
             MlocError::NeedsUpgrade { file } => write!(
                 f,
-                "{file} is of format v1/v2, which only `mloc upgrade` reads: copy the \
-                 dataset out as v3 with `mloc upgrade --dir OLD --name NAME --out NEW`"
+                "{file} is of a format before v4, which only `mloc upgrade` reads: copy \
+                 the dataset out as v4 with `mloc upgrade --dir OLD --name NAME --out NEW`"
             ),
         }
     }

@@ -15,14 +15,14 @@
 //! the table that vouches for them and are decided on, and admitted,
 //! only once it has.
 
-use crate::binfile::{summary_extent_len, Tables};
+use crate::binfile::{refused_runs, summary_extent_len, Tables};
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::fusion::coalesced_read_results;
 use crate::index::{header_size, HeaderView, SummaryView};
 use crate::integrity::ExtentFooter;
 use crate::plod;
 use crate::store::MlocStore;
-use crate::{MlocError, Result};
+use crate::Result;
 use mloc_bitmap::{RunList, RunListBuf};
 use mloc_obs::Collector;
 use mloc_pfs::{RankIo, ReadOp, RetryPolicy};
@@ -401,34 +401,32 @@ impl<'s, 'a> Fetcher<'s, 'a> {
             .collect();
         let reads = self.read(file, &extents, footer, true);
         for (i, got) in missed.into_iter().zip(reads) {
-            let runs = got.and_then(|view| self.admit_runs(&wants[i], &view, local));
+            let runs = got.and_then(|view| self.admit_runs(file, &wants[i], &view, local));
             sink(i, runs)?;
         }
         Ok(())
     }
 
-    /// Decode a verified bitmap extent into `local` and check it against
-    /// its header entry: as many set bits as the unit has points, as
-    /// long as its chunk. Only then is it offered to the cache, as a run
-    /// list of its own. An extent that does not decode — words short of
-    /// their length, or a directory that disagrees with them — holds
-    /// positions it cannot rank.
+    /// Take a verified bitmap extent into `local` as its chunk's run
+    /// list, after one validating walk against its header entry: as
+    /// many set bits as the unit has points, inside its chunk, one
+    /// encoding of them ([`RunListBuf::push_stored`]). Only then is it
+    /// offered to the cache, as a run list of its own. An extent the
+    /// walk refuses holds positions no walk can trust: it fails as a
+    /// corrupt extent, as `verify` names it.
     fn admit_runs(
         &mut self,
+        file: &str,
         want: &Want,
         extent: &[u8],
         local: &mut RunListBuf,
     ) -> Result<UnitRuns> {
-        let at = local
-            .push_wah(extent)
-            .map_err(|_| MlocError::Corrupt("index bitmap rank out of range"))?;
         let cell = self.store.order().cell_at(want.key.chunk_rank as usize);
         let points = self.store.grid().chunk_points(cell) as u64;
-        let runs = local
-            .get(at)
-            .filter(|r| (r.count(), r.len()) == (u64::from(want.count), points));
-        let runs = runs.ok_or(MlocError::Corrupt("index bitmap inconsistent"))?;
-        if self.caches() {
+        let at = local
+            .push_stored(extent, u64::from(want.count), points)
+            .map_err(|e| refused_runs(file, (want.offset, want.len), e, want.count, points))?;
+        if let Some(runs) = local.get(at).filter(|_| self.caches()) {
             let list = CachedBlock::Runs(Arc::new(runs.to_list()));
             self.publish(want.key.clone(), list);
         }
@@ -507,8 +505,9 @@ mod tests {
 
     const BIN: usize = 1;
 
-    /// CRC-32 of [`fill_then_values`]'s text.
-    const PARITY_DIGEST: u32 = 0x8AD1_76AB;
+    /// CRC-32 of [`fill_then_values`]'s text (format v4: bitmap
+    /// offsets and lengths are run lists').
+    const PARITY_DIGEST: u32 = 0x8646_3419;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -619,14 +618,10 @@ mod tests {
         let part0 = index.unit(r, 0);
         // Header, summary and index table: one span from the front.
         let (table_at, table_len) = tables.index_span();
-        // A bitmap is cached as its run list, charged the list's bytes.
+        // A bitmap is cached as the run list it is stored as, charged
+        // its stored bytes.
         let bitmap_at = index.bitmap_file_offset(r);
         let bitmap_len = u64::from(index.bitmap_len(r));
-        let mut runs = mloc_bitmap::RunListBuf::new();
-        let extent = &raw[bitmap_at as usize..(bitmap_at + bitmap_len) as usize];
-        let at = runs.push_wah(extent).unwrap();
-        let run_bytes = runs.get(at).unwrap().to_list().heap_bytes();
-        assert!(run_bytes < bitmap_len, "{run_bytes} of {bitmap_len}");
         // (part, offset, stored length, coalesced, cache charge)
         let table: [(BlockPart, u64, u64, bool, u64); 3] = [
             (
@@ -636,7 +631,7 @@ mod tests {
                 false,
                 table_at + table_len,
             ),
-            (BlockPart::Bitmap, bitmap_at, bitmap_len, true, run_bytes),
+            (BlockPart::Bitmap, bitmap_at, bitmap_len, true, bitmap_len),
             (
                 BlockPart::PlodUnit,
                 part0.offset,

@@ -542,9 +542,9 @@ mod tests {
     }
 
     /// A chunk the region straddles, with one set bit added to its
-    /// bitmap past the last row of the region's box under a resealed
-    /// index table: the bitmap's count no longer matches its header
-    /// entry, which admission checks before any walk, so a one-shot
+    /// run list past the last row of the region's box under a resealed
+    /// index table: the list's runs no longer sum to its header entry's
+    /// count, which admission checks before any walk, so a one-shot
     /// query and a progressive ladder's step 0 both refuse the unit,
     /// cold, and warm from the blocks the failed run cached — and its
     /// run list is never cached.
@@ -569,45 +569,39 @@ mod tests {
         let rank = store.order().rank_of_coords(&[1, 1]);
         let outside = |p: u64| p / 16 >= 4;
 
-        // The first bin whose bitmap of the chunk has a literal word
-        // with a clear bit past the box: set the highest such bit.
+        // The first bin whose run list of the chunk ends on a clear
+        // position past the box, in a one-byte last length: lengthen
+        // the last run by that one position.
         let edited = (0..4).find(|&bin| {
             let file = store.bin_file(bin);
             let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
             let index = HeaderView::parse(&raw[..]).unwrap();
             let at = index.bitmap_file_offset(rank) as usize;
-            let num_bits = u64::from_le_bytes(raw[at + 4..at + 12].try_into().unwrap());
-            let nwords = u32::from_le_bytes(raw[at + 12..at + 16].try_into().unwrap()) as usize;
-            let (mut pos, mut flip) = (0u64, None);
-            for k in 0..nwords {
-                let w_at = at + 16 + 4 * k;
-                let w = u32::from_le_bytes(raw[w_at..w_at + 4].try_into().unwrap());
-                if w & 0x8000_0000 != 0 {
-                    pos += u64::from(w & 0x3FFF_FFFF) * 31;
-                    continue;
-                }
-                for b in 0..31u64 {
-                    if pos + b < num_bits && w & 1 << b == 0 && outside(pos + b) {
-                        flip = Some((w_at, b));
-                    }
-                }
-                pos += 31;
-            }
-            let Some((w_at, b)) = flip else {
+            let end = at + index.bitmap_len(rank) as usize;
+            let count = u64::from(index.count(rank));
+            let mut runs = mloc_bitmap::RunListBuf::new();
+            let Ok(i) = runs.push_stored(&raw[at..end], count, 256) else {
                 return false;
             };
-            raw[w_at + (b / 8) as usize] |= 1 << (b % 8);
+            let Some((start, _, len)) = runs.get(i).unwrap().iter().last() else {
+                return false;
+            };
+            if start + len >= 256 || !outside(start + len) || raw[end - 1] >= 0x7F {
+                return false;
+            }
+            raw[end - 1] += 1;
             crate::binfile::reseal_index(&mut raw, (16, 7), file);
             be.create(file).unwrap();
             be.append(file, &raw).unwrap();
             true
         });
-        let bin = edited.expect("no literal word past the box");
+        let bin = edited.expect("no run ending past the box");
 
         let q = Query::values_in(region);
         let inconsistent = |tag: &str, err: MlocError| {
             assert!(
-                matches!(err, MlocError::Corrupt("index bitmap inconsistent")),
+                matches!(&err, MlocError::CorruptExtent { what, .. }
+                    if what.starts_with("run list disagrees with its count")),
                 "{tag}: got {err}"
             );
         };
@@ -628,22 +622,21 @@ mod tests {
         assert!(cache.stats().hits > 0, "the warm runs were served");
     }
 
-    /// A chunk's bitmap edited in place under a resealed checksum table
-    /// still counts its own ones right, but holds positions it cannot
-    /// rank: a zero fill shrunk so the words stop short of the declared
-    /// length, or a directory checkpoint claiming more ones than the
-    /// unit has values. Admission refuses it as a corrupt index instead
-    /// of panicking, cold and behind a cache, and never caches it.
+    /// A chunk's run list edited in place under a resealed checksum
+    /// table, no longer one encoding of a position set inside the
+    /// chunk: a gap grown so a run passes the chunk's end, a value
+    /// spelled in a byte too many, or two runs merged by a zero gap. Admission refuses it as a corrupt index
+    /// instead of panicking, cold and behind a cache, and never caches
+    /// it.
     #[test]
     fn a_bitmap_that_disagrees_with_itself_is_corrupt_not_a_panic() {
         use crate::cache::BlockCache;
         use crate::index::HeaderView;
         use std::sync::Arc;
 
-        // One 64 × 64 chunk, 4 bins: `values` picks what the bitmaps
-        // look like; `edit` damages one bin's chunk bitmap extent (a
-        // 16-byte stream header, the words, the directory) and says
-        // whether it found something to damage.
+        // One 64 × 64 chunk, 4 bins: `values` picks what the run lists
+        // look like; `edit` damages one bin's chunk run list in place
+        // and says whether it found something to damage.
         let check = |values: Vec<f64>, edit: &dyn Fn(&mut [u8]) -> bool| {
             let be = MemBackend::new();
             let config = MlocConfig::builder(vec![64, 64])
@@ -676,7 +669,7 @@ mod tests {
             for (mode, store) in [("cold", &store), ("cache fill", &cached), ("warm", &cached)] {
                 let err = store.query_serial(&query).unwrap_err();
                 assert!(
-                    matches!(err, MlocError::Corrupt("index bitmap rank out of range")),
+                    matches!(&err, MlocError::CorruptExtent { what, .. } if what.starts_with("run list")),
                     "{mode}: got {err}"
                 );
                 let damaged = bitmap_key(&cached, bin, 0);
@@ -686,34 +679,38 @@ mod tests {
                 );
             }
         };
-        let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
-
-        // Bins are bands of rows: the last band's bitmap opens with a
-        // zero fill of ~99 groups. Cut it to one group.
-        let rows = (0..4096).map(|i| (i / 64) as f64).collect();
-        check(rows, &|bitmap| {
-            let w = word(bitmap, 16);
-            let long_zero_fill = w & 0xC000_0000 == 0x8000_0000 && w & 0x3FFF_FFFF > 64;
-            if long_zero_fill {
-                bitmap[16..20].copy_from_slice(&0x8000_0001u32.to_le_bytes());
+        // Bins are bands of rows, each one run of 1,024 positions. A
+        // band after the first opens with a two-byte gap: grow its high
+        // byte so the run passes the chunk.
+        let rows: Vec<f64> = (0..4096).map(|i| (i / 64) as f64).collect();
+        check(rows.clone(), &|pairs| {
+            let two_byte_gap = pairs.len() == 4 && pairs[0] & 0x80 != 0;
+            if two_byte_gap {
+                pairs[1] = 0x7E;
             }
-            long_zero_fill
+            two_byte_gap
         });
-
-        // Scattered values: every group a literal, 133 words, and a
-        // directory checkpoint every 64 words. Claim the first
-        // checkpoint's bits are all ones.
+        // The first band opens with a one-byte zero gap, then its
+        // length: spell the gap in two bytes, the second zero — an
+        // overlong value.
+        check(rows, &|pairs| {
+            let first_band = pairs.len() == 3 && pairs[0] == 0;
+            if first_band {
+                pairs[..2].copy_from_slice(&[0x80, 0x00]);
+            }
+            first_band
+        });
+        // Scattered values: one-byte pairs throughout. Zero the second
+        // run's gap: it merges into the first.
         let scattered = (0..4096u64)
             .map(|i| (i.wrapping_mul(2_654_435_761) % 4096) as f64)
             .collect();
-        check(scattered, &|bitmap| {
-            let dir = 16 + 4 * word(bitmap, 12) as usize;
-            if bitmap.len() < dir + 16 {
-                return false;
+        check(scattered, &|pairs| {
+            let one_byte = pairs.len() >= 4 && pairs[..4].iter().all(|&b| b < 0x80);
+            if one_byte {
+                pairs[2] = 0;
             }
-            let bits = word(bitmap, dir + 8);
-            bitmap[dir + 12..dir + 16].copy_from_slice(&bits.to_le_bytes());
-            true
+            one_byte
         });
     }
 }

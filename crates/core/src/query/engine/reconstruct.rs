@@ -1071,12 +1071,8 @@ mod tests {
         let bits: Vec<u64> = (0..200u64)
             .filter(|x| x % 5 < 2 || (90..130).contains(x))
             .collect();
-        let bitmap = mloc_bitmap::WahBitmap::from_sorted_positions(200, &bits);
-        let mut extent = bitmap.to_bytes();
-        extent.extend(mloc_bitmap::RankSelectDir::build(bitmap.as_ref()).to_bytes());
-        let mut buf = mloc_bitmap::RunListBuf::new();
-        let i = buf.push_wah(&extent).unwrap();
-        let runs = buf.get(i).unwrap();
+        let list = mloc_bitmap::RunList::from_sorted_positions(200, &bits);
+        let runs = list.as_ref();
         for probes in [
             vec![],
             vec![0, 1, 2, 199],

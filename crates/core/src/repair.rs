@@ -28,9 +28,9 @@
 //! [`StorageBackend`]; replica restore is a no-op on unreplicated
 //! stores (no `replica_access()`, or one replica: the only copy is
 //! re-checked and nothing else can be tried). A store of the formats
-//! before v3 is refused whole, untouched: `mloc upgrade` copies it out.
+//! before v4 is refused whole, untouched: `mloc upgrade` copies it out.
 
-use crate::binfile::{self, Geometry};
+use crate::binfile::{self, Layout};
 use crate::config::MlocConfig;
 use crate::dataset::{catalog_header, parse_catalog};
 use crate::fileorg::{self, read_file, VarFile};
@@ -200,20 +200,20 @@ impl fmt::Display for RepairReport {
 
 /// How a whole stored file is checked.
 #[derive(Debug, Clone, Copy)]
-enum Whole {
+enum Whole<'a> {
     /// A bin file: its front tables — located with the variable's
-    /// geometry, when its meta or the catalog gives one — every extent,
-    /// and its end marker.
-    BinFile(Option<Geometry>),
+    /// layout, when its meta or the catalog gives one — every extent,
+    /// its end marker, and, held to that layout, its run lists.
+    BinFile(Option<&'a Layout>),
     /// The meta: its tail footer and every extent.
     TailFooter,
 }
 
-impl Whole {
+impl Whole<'_> {
     /// Whether `raw`, all of `file`, is whole.
     fn check(self, raw: &[u8], file: &str) -> Result<()> {
         match self {
-            Whole::BinFile(geometry) => binfile::verified(raw, file, geometry),
+            Whole::BinFile(layout) => binfile::verified(raw, file, layout),
             Whole::TailFooter => ExtentFooter::split_verified(raw, file).map(drop),
         }
     }
@@ -388,7 +388,8 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         let meta = committed.then(|| read_meta(backend, ds, &var)).flatten();
         let config = meta.as_ref().map(|m| &m.config).or(catalog_config.as_ref());
         let expect_bins = config.map(|c| c.num_bins);
-        let whole = Whole::BinFile(config.map(binfile::geometry));
+        let layout = config.map(Layout::of);
+        let whole = Whole::BinFile(layout.as_ref());
 
         match (meta_state.as_ref().err(), listed) {
             (None, true) => report.committed.push(var.clone()),
@@ -575,7 +576,8 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         let Some(meta) = read_meta(backend, ds, var) else {
             continue;
         };
-        let how = Whole::BinFile(Some(binfile::geometry(&meta.config)));
+        let layout = Layout::of(&meta.config);
+        let how = Whole::BinFile(Some(&layout));
         for bin in 0..meta.config.num_bins {
             let file = fileorg::bin_file(ds, var, bin);
             let whole = |raw: &[u8]| how.check(raw, &file).is_ok();

@@ -16,10 +16,11 @@ use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
-/// The meta's version: 3 since a bin is one file. A version-2 meta
-/// (formats v1/v2, two files per bin) is read by [`crate::upgrade`]
-/// alone.
-pub(crate) const VERSION: u8 = 3;
+/// The meta's version, the bin files' format: 4 since a bitmap is
+/// stored as its run list. A version-2 meta (formats v1/v2, two files
+/// per bin) or version-3 one (WAH bitmaps) is read by
+/// [`crate::upgrade`] alone.
+pub(crate) const VERSION: u8 = 4;
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +48,8 @@ impl VariableMeta {
         w.finish()
     }
 
-    /// Parse bytes produced by [`Self::encode`]. A version-2 meta
-    /// fails with the error that names `mloc upgrade`.
+    /// Parse bytes produced by [`Self::encode`]. A version-2 or -3
+    /// meta fails with the error that names `mloc upgrade`.
     pub fn decode(data: &[u8]) -> Result<VariableMeta> {
         Self::decode_current(data, "meta")
     }
@@ -61,8 +62,8 @@ impl VariableMeta {
         }
     }
 
-    /// Parse a meta of either version, and say which: version 2 differs
-    /// from 3 in its version byte alone.
+    /// Parse a meta of any version, and say which: versions 2 and 3
+    /// differ from 4 in their version byte alone.
     pub(crate) fn decode_any(data: &[u8]) -> Result<(u8, VariableMeta)> {
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {

@@ -9,7 +9,7 @@
 //! keeps going and maps *all* the damage, so an operator can decide
 //! whether a degraded dataset is worth keeping.
 
-use crate::binfile::{self, Geometry, END_LEN};
+use crate::binfile::{self, Layout, END_LEN};
 use crate::fileorg::{self, VarFile};
 use crate::index::HeaderView;
 use crate::store::VariableMeta;
@@ -148,7 +148,7 @@ fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<
 /// Verify every stored extent of one variable. Damaged extents are
 /// collected, not fatal: the report lists all of them. Errors are
 /// returned only for conditions that prevent verification from running
-/// at all: a dataset of the formats before v3, which `mloc upgrade`
+/// at all: a dataset of the formats before v4, which `mloc upgrade`
 /// reads and nothing else does. Unreadable files become damage entries.
 pub fn verify_variable(
     backend: &dyn StorageBackend,
@@ -159,7 +159,8 @@ pub fn verify_variable(
     Ok(verify_current(backend, dataset, var))
 }
 
-/// [`verify_variable`] of a dataset already known to hold no v1/v2 file.
+/// [`verify_variable`] of a dataset already known to hold no file of a
+/// format before v4.
 fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
     let mut report = VerifyReport::default();
 
@@ -183,10 +184,10 @@ fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> Ver
             .ok()
     });
     relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
-    let geometry = meta.as_ref().map(|m| binfile::geometry(&m.config));
+    let layout = meta.as_ref().map(|m| Layout::of(&m.config));
     for bin in bins {
         let file = fileorg::bin_file(dataset, var, bin);
-        verify_bin_file(backend, &file, geometry, &mut report);
+        verify_bin_file(backend, &file, layout.as_ref(), &mut report);
     }
     report
 }
@@ -194,17 +195,20 @@ fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> Ver
 /// Check one whole bin file and label its damage: the fixed blocks
 /// by where the tables say they are, bitmaps and units only from a
 /// header whose own extent verified — a damaged header may say
-/// anything.
+/// anything. Held to the variable's layout, each bitmap is also taken
+/// as a query takes it: a run list of its entry's count inside its
+/// chunk, so one that passes its checksum but not its entry is named
+/// here, not first by a query.
 fn verify_bin_file(
     backend: &dyn StorageBackend,
     file: &str,
-    geometry: Option<Geometry>,
+    layout: Option<&Layout>,
     report: &mut VerifyReport,
 ) {
     let Some(raw) = read_checked(backend, file, report) else {
         return;
     };
-    let checked = binfile::check(&raw, file, geometry);
+    let checked = binfile::check(&raw, file, layout);
     report.extents_checked += checked.extents;
     report
         .damage

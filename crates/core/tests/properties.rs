@@ -368,11 +368,11 @@ proptest! {
 
     #[test]
     fn summary_classification_matches_bitmap_truth(case in case_strategy()) {
-        use mloc::bitmap::WahBitmap;
+        use mloc::bitmap::RunListRef;
         use mloc::index::{ChunkSummary, HeaderView, SummaryView};
         use mloc_pfs::StorageBackend;
         let be = MemBackend::new();
-        let _store = build_case(&be, &case);
+        let store = build_case(&be, &case);
         for bin in 0..case.num_bins {
             let name = mloc::fileorg::bin_file("p", "v", bin);
             let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
@@ -390,12 +390,13 @@ proptest! {
                     continue;
                 }
                 let off = idx.bitmap_file_offset(r) as usize;
-                let (bm, _) =
-                    WahBitmap::from_bytes(&raw[off..off + idx.bitmap_len(r) as usize]).unwrap();
-                let pos = bm.to_positions();
+                let points = store.grid().chunk_points(store.order().cell_at(r)) as u64;
+                let pairs = &raw[off..off + idx.bitmap_len(r) as usize];
+                let runs = RunListRef::stored(pairs, u64::from(idx.count(r)), points).unwrap();
+                let pos: Vec<u64> = runs.iter().flat_map(|(at, _, len)| at..at + len).collect();
                 prop_assert_eq!(u64::from(summary.min_pos), pos[0]);
                 prop_assert_eq!(u64::from(summary.max_pos), *pos.last().unwrap());
-                prop_assert_eq!(summary.all_of_chunk, pos.len() as u64 == bm.len());
+                prop_assert_eq!(summary.all_of_chunk, pos.len() as u64 == points);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The SPMD launcher and per-rank communicator.
 
 use std::any::Any;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
 type Slot = Mutex<Option<Box<dyn Any + Send>>>;
 
@@ -41,8 +41,15 @@ impl Comm {
 
     /// Gather one value from every rank at the root. Returns
     /// `Some(values)` (indexed by rank) at the root, `None` elsewhere.
+    ///
+    /// # Panics
+    /// Panics at the root when the ranks gather values of different
+    /// types — collectives must match across ranks, as in MPI.
+    // Every rank fills its slot before the first barrier, so the root
+    // finds each one full; only a caller's type mismatch is left.
+    #[allow(clippy::expect_used)]
     pub fn gather<T: Send + 'static>(&self, value: T) -> Option<Vec<T>> {
-        *self.shared.slots[self.rank].lock().unwrap() = Some(Box::new(value));
+        *lock(&self.shared.slots[self.rank]) = Some(Box::new(value));
         self.barrier();
         let result = if self.is_root() {
             Some(
@@ -50,8 +57,7 @@ impl Comm {
                     .slots
                     .iter()
                     .map(|s| {
-                        *s.lock()
-                            .unwrap()
+                        *lock(s)
                             .take()
                             .expect("rank missing from gather")
                             .downcast::<T>()
@@ -68,11 +74,20 @@ impl Comm {
     }
 }
 
+/// A slot's lock. A rank that panicked while holding it poisons it,
+/// but a slot is only ever assigned or taken whole, so what it holds
+/// is still consistent; the panic itself reaches the caller through
+/// [`spmd`]'s join.
+fn lock(slot: &Slot) -> std::sync::MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Run `f` on `nranks` ranks (one thread each) and return the per-rank
 /// results, indexed by rank.
 ///
 /// # Panics
-/// Panics if `nranks == 0` or any rank panics.
+/// Panics if `nranks == 0`; a rank's panic is re-raised, with its own
+/// payload, once every rank has stopped.
 pub fn spmd<T, F>(nranks: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -97,7 +112,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     })
 }
@@ -137,6 +155,19 @@ mod tests {
         });
         // Rank 0 summed 50 rounds of 0+1+2+3 + 4 × round.
         assert_eq!(results, vec![50 * 6 + 4 * (0..50).sum::<usize>(), 0, 0, 0]);
+    }
+
+    /// A rank's panic reaches the caller with its own payload, after
+    /// the other ranks have stopped.
+    #[test]
+    #[should_panic(expected = "rank 2 failed")]
+    fn a_rank_panic_propagates() {
+        spmd(4, |c| {
+            if c.rank() == 2 {
+                panic!("rank 2 failed");
+            }
+            c.rank()
+        });
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! assert!(a.per_rank.iter().all(|units| units.len() == 2));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod assign;
 pub mod comm;
 pub mod pool;

@@ -13,7 +13,7 @@
 //! layout across cores; anything shaped like "independent items, order
 //! matters in the output" fits.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Map `f` over `items` on up to `threads` worker threads, returning
 /// the results in input order. `f` receives `(index, item)` so workers
@@ -24,7 +24,8 @@ use std::sync::Mutex;
 /// parallel path with a pool of one.
 ///
 /// # Panics
-/// Propagates a panic from any worker after all workers have stopped.
+/// Re-raises a worker's panic, with its own payload, after all workers
+/// have stopped.
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -53,7 +54,9 @@ where
                     let mut done = Vec::new();
                     loop {
                         // Take the lock only to draw the next item.
-                        let next = queue.lock().unwrap().next();
+                        // A worker that panicked poisons nothing it
+                        // held half-updated: `next` is one call.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                         match next {
                             Some((i, item)) => done.push((i, f(i, item))),
                             None => return done,
@@ -64,20 +67,18 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
-    // Scatter back into input order.
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in tagged {
-        debug_assert!(slots[i].is_none(), "item {i} produced twice");
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("parallel_map item lost"))
-        .collect()
+    // Back into input order: every index was drawn exactly once.
+    let mut tagged = tagged;
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(tagged.iter().enumerate().all(|(k, &(i, _))| k == i));
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -139,8 +140,9 @@ mod tests {
         assert_eq!(out.len(), 65);
     }
 
+    /// The worker's own payload reaches the caller.
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         parallel_map(4, (0..32).collect::<Vec<_>>(), |_, x| {
             if x == 17 {

@@ -242,7 +242,7 @@ fn a_directory_overstating_its_payload_fails_the_upgrade() {
 
     match upgraded(&be) {
         (Err(mloc::MlocError::Corrupt(what)), false) => {
-            assert_eq!(what, "bitmap past its index file's payload")
+            assert_eq!(what, "bitmap past its file's payload")
         }
         other => panic!("{other:?}"),
     }

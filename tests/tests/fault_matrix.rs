@@ -1031,3 +1031,112 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
 fn damaged_headers_and_footers_fail_as_they_always_did() {
     for_both_worlds(damaged_headers_and_footers_fail_as_they_always_did_in);
 }
+
+/// A chunk's run list tampered with and its index checksum table
+/// recomputed around it — damage no checksum sees: one run lengthened
+/// by a position, so the list no longer sums to its entry's count.
+/// Every query mode fails naming the extent, its run list is never
+/// cached, and `verify` and `fsck` name it before any query does.
+fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
+    use mloc::binfile::{summary_extent_len, Tables};
+    use mloc::bitmap::RunListRef;
+    let clean = fresh();
+    build_into(&clean);
+    let site = (DS, SHARED_BIN, [4, 8]);
+    let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
+    let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
+    let store = MlocStore::open(&*clean, DS, VAR).unwrap();
+    let header = mloc::index::HeaderView::parse(&raw[..]).unwrap();
+    let points = |r: usize| store.grid().chunk_points(store.order().cell_at(r)) as u64;
+
+    // The first chunk whose last run ends before the chunk does, its
+    // length in one byte with room to grow.
+    let (rank, at, len) = (0..header.num_chunks())
+        .find_map(|r| {
+            let (at, len) = (header.bitmap_file_offset(r), header.bitmap_len(r));
+            let pairs = &raw[at as usize..(at + u64::from(len)) as usize];
+            let list = RunListRef::stored(pairs, header.count(r).into(), points(r)).ok()?;
+            let (start, _, n) = list.iter().last()?;
+            let grows = start + n < points(r) && *pairs.last()? < 0x7F;
+            grows.then_some((r, at, len))
+        })
+        .expect("a run list to lengthen");
+    let mut tampered = raw.clone();
+    let last = (at + u64::from(len) - 1) as usize;
+    tampered[last] += 1;
+
+    // Reseal: the extent's entry in the index table, then the table's
+    // own checksum. The extent is index extent 2 + its order among the
+    // bitmaps, which are laid out in curve-rank order.
+    let geometry = (16, 7);
+    let hdr_len = mloc::index::header_size(geometry.0, geometry.1);
+    let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
+    let tables = Tables::parse(summary, hdr_len, geometry, &file).unwrap();
+    let (table_at, table_len) = tables.index_span();
+    let k = 2 + (0..rank).filter(|&r| header.bitmap_len(r) > 0).count();
+    let entry = table_at as usize + 8 * k;
+    assert_eq!(
+        tampered[entry..entry + 4],
+        len.to_le_bytes(),
+        "the extent's entry"
+    );
+    let crc = mloc::integrity::crc32(&tampered[at as usize..=last]);
+    tampered[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+    let entries_end = (table_at + table_len - 4) as usize;
+    let table_crc = mloc::integrity::crc32(&tampered[table_at as usize..entries_end]);
+    tampered[entries_end..entries_end + 4].copy_from_slice(&table_crc.to_le_bytes());
+
+    let mut plan = FaultPlan::none();
+    for (offset, (a, b)) in raw.iter().zip(&tampered).enumerate() {
+        if a != b {
+            plan.flips.push(mloc_pfs::BitFlip {
+                file: file.clone(),
+                offset: offset as u64,
+                mask: a ^ b,
+            });
+        }
+    }
+    let fb = FaultBackend::new(fresh(), plan);
+    build_into(&fb);
+
+    let count = header.count(rank);
+    let what = format!(
+        "run list disagrees with its count (entry: {count} of {} points)",
+        points(rank)
+    );
+    let report = verify_variable(&fb, DS, VAR).unwrap();
+    let labelled = format!("bitmap of chunk rank {rank}: {what}");
+    let found: Vec<_> = report
+        .damage
+        .iter()
+        .map(|d| (&*d.file, d.offset, d.len, &*d.what))
+        .collect();
+    assert_eq!(
+        found,
+        [(&*file, at, u64::from(len), &*labelled)],
+        "{report}"
+    );
+    let fsck = mloc::repair::fsck(&fb, DS).unwrap();
+    assert!(!fsck.is_clean(), "fsck passed a resealed run list: {fsck}");
+    assert!(fsck.findings.iter().any(|f| f.file == file), "{fsck}");
+
+    let q = full_values_query();
+    in_every_mode(&fb, site, &q, &|mode, got, store| {
+        let tag = format!("resealed run list ({mode})");
+        assert_corrupt_extent(&tag, got, (&file, at, u64::from(len), &what));
+        if let Some(cache) = store.cache() {
+            let key = mloc::cache::BlockKey {
+                scope: std::sync::Arc::clone(store.cache_scope()),
+                bin: SHARED_BIN as u32,
+                chunk_rank: rank as u32,
+                part: mloc::cache::BlockPart::Bitmap,
+            };
+            assert!(cache.get(&key).is_none(), "{tag}: the run list was cached");
+        }
+    });
+}
+
+#[test]
+fn a_resealed_run_list_is_named_by_verify_and_every_query() {
+    for_both_worlds(a_resealed_run_list_is_named_by_verify_and_every_query_in);
+}

@@ -1,16 +1,16 @@
-//! The formats before v3, as `mloc upgrade` inputs. Nothing writes v1
-//! or v2 any more, and nothing but the upgrade reads them:
-//! `tests/golden/v1_dataset` and `tests/golden/v2_dataset` are datasets
+//! The formats before v4, as `mloc upgrade` inputs. Nothing writes v1,
+//! v2 or v3 any more, and nothing but the upgrade reads them:
+//! `tests/golden/v1_dataset`, `v2_dataset` and `v3_dataset` are datasets
 //! written once each, by writers this tree no longer has. Each upgrades,
 //! read-only off its directory and from an in-memory copy, to a store
-//! byte-identical, file for file, to a fresh (v3) build of the same
+//! byte-identical, file for file, to a fresh (v4) build of the same
 //! field, and answers every query identically to it in every execution
 //! mode — serial, threaded at 4 and 8 ranks, cached cold/warm, and
 //! fused. Membership queries are part of the workload, and are
 //! additionally checked against the naive scan. A second, banded field
-//! pins how often the summary level and the rank/select directories
-//! actually fire inside a query, and what the directories cost in the
-//! built files.
+//! pins how often the summary level and the membership probes actually
+//! fire inside a query, and what the stored run lists cost in the built
+//! files against the WAH streams and rank/select directories of v3.
 
 use mloc::binfile::{summary_extent_len, Tables};
 use mloc::dataset::Dataset;
@@ -18,7 +18,7 @@ use mloc::exec::ParallelExecutor;
 use mloc::index::{header_size, HeaderView};
 use mloc::prelude::*;
 use mloc::upgrade::upgrade;
-use mloc_bitmap::WahBitmap;
+use mloc_bitmap::{RankSelectDir, RunListRef, WahBitmap};
 use mloc_compress::CodecKind;
 use mloc_datagen::{gts_like_2d, QueryGen};
 use mloc_integration::{fixture, fixture_dir, load_fixture};
@@ -47,7 +47,7 @@ fn build_fresh(be: &MemBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// A fresh (v3) build of the fixtures' field.
+/// A fresh (v4) build of the fixtures' field.
 fn fresh() -> (MemBackend, Vec<f64>) {
     let be = MemBackend::new();
     let values = build_fresh(&be);
@@ -68,10 +68,13 @@ fn upgraded(version: u8) -> MemBackend {
     new
 }
 
+/// The fixtures, newest first.
+const FIXTURES: [u8; 3] = [3, 2, 1];
+
 /// Every store: the fresh build first, then each fixture upgraded.
 struct Sources {
     fresh: MemBackend,
-    upgraded: [MemBackend; 2],
+    upgraded: [MemBackend; 3],
 }
 
 impl Sources {
@@ -79,16 +82,17 @@ impl Sources {
         let (fresh, values) = fresh();
         let sources = Sources {
             fresh,
-            upgraded: [upgraded(2), upgraded(1)],
+            upgraded: FIXTURES.map(upgraded),
         };
         (sources, values)
     }
 
-    fn all(&self) -> [(&'static str, &dyn StorageBackend); 3] {
+    fn all(&self) -> [(&'static str, &dyn StorageBackend); 4] {
         [
-            ("v3", &self.fresh),
-            ("upgraded v2", &self.upgraded[0]),
-            ("upgraded v1", &self.upgraded[1]),
+            ("v4", &self.fresh),
+            ("upgraded v3", &self.upgraded[0]),
+            ("upgraded v2", &self.upgraded[1]),
+            ("upgraded v1", &self.upgraded[2]),
         ]
     }
 }
@@ -168,35 +172,75 @@ fn v1_fixture_is_pinned_and_differs_from_v2_only_in_its_indexes() {
 #[test]
 fn v2_fixture_is_pinned() {
     assert_eq!(manifest(2), include_str!("../golden/v2_dataset.txt"));
-    let (fresh, _) = fresh();
     let v2 = fixture(2);
-    assert_eq!(whole(&v2, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
-    let payload = |be: &dyn StorageBackend, f: &str| {
-        let raw = whole(be, f);
-        mloc::ExtentFooter::split_verified(&raw, f)
-            .unwrap()
-            .to_vec()
-    };
-    let mut meta = payload(&fresh, "fmt/v/meta");
-    assert_eq!(meta[4], 3);
-    meta[4] = 2;
-    assert_eq!(payload(&v2, "fmt/v/meta"), meta);
+    agrees_with_a_fresh_build(&v2, 2, |bin| {
+        payload(&v2, &format!("{DS}/{VAR}/bin{bin:04}.dat"))
+    });
+}
+
+/// The v3 fixture is pinned too (79,494 bytes in 10 files). It was
+/// written once, at the commit before format v4 (`8b9f6ed`), by that
+/// commit's release CLI upgrading the v2 fixture — which that commit
+/// checked to be byte for byte a fresh v3 build of the same field:
+///
+/// ```text
+/// mloc upgrade --dir tests/golden/v2_dataset --name fmt --out <out>
+/// ```
+///
+/// It differs from a fresh build in its bitmaps alone: each bin file's
+/// unit section is the fresh one's byte for byte, the meta differs in
+/// its version byte (3: WAH bitmaps), and the catalog not at all.
+#[test]
+fn v3_fixture_is_pinned() {
+    assert_eq!(manifest(3), include_str!("../golden/v3_dataset.txt"));
+    let v3 = fixture(3);
+    agrees_with_a_fresh_build(&v3, 3, |bin| {
+        units(&whole(&v3, &mloc::fileorg::bin_file(DS, VAR, bin))).to_vec()
+    });
+}
+
+/// A tail-footered file's payload.
+fn payload(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
+    let raw = whole(be, f);
+    mloc::ExtentFooter::split_verified(&raw, f)
+        .unwrap()
+        .to_vec()
+}
+
+/// The unit section of `raw`, a whole one-file bin of the fixtures'
+/// geometry (16 chunks, 7 parts): v3's and v4's share the layout.
+fn units(raw: &[u8]) -> &[u8] {
     let geometry = (16, 7);
     let hdr_len = header_size(geometry.0, geometry.1);
+    let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
+    let tables = Tables::parse(summary, hdr_len, geometry, "bin").unwrap();
+    let slice = |(at, len): (u64, u64)| &raw[at as usize..(at + len) as usize];
+    let index = tables
+        .decode_index(slice(tables.index_span()), "bin")
+        .unwrap();
+    let data = tables
+        .decode_data(slice(tables.data_span()), &index, "bin")
+        .unwrap();
+    &raw[data.extent(0).0 as usize..data.extents_end() as usize]
+}
+
+/// `old`, a fixture of meta version `version`, has a fresh build's
+/// catalog, its meta but for the version byte, and — `old_units(bin)`
+/// — each bin's unit section.
+fn agrees_with_a_fresh_build(
+    old: &dyn StorageBackend,
+    version: u8,
+    old_units: impl Fn(usize) -> Vec<u8>,
+) {
+    let (fresh, _) = fresh();
+    assert_eq!(whole(old, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
+    let mut meta = payload(&fresh, "fmt/v/meta");
+    assert_eq!(meta[4], 4);
+    meta[4] = version;
+    assert_eq!(payload(old, "fmt/v/meta"), meta);
     for bin in 0..8 {
         let raw = whole(&fresh, &mloc::fileorg::bin_file(DS, VAR, bin));
-        let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
-        let tables = Tables::parse(summary, hdr_len, geometry, "bin").unwrap();
-        let slice = |(at, len): (u64, u64)| &raw[at as usize..(at + len) as usize];
-        let index = tables
-            .decode_index(slice(tables.index_span()), "bin")
-            .unwrap();
-        let data = tables
-            .decode_data(slice(tables.data_span()), &index, "bin")
-            .unwrap();
-        let units = &raw[data.extent(0).0 as usize..data.extents_end() as usize];
-        let dat = payload(&v2, &format!("{DS}/{VAR}/bin{bin:04}.dat"));
-        assert_eq!(units, &dat[..], "bin {bin}");
+        assert_eq!(units(&raw), &old_units(bin)[..], "bin {bin}");
     }
 }
 
@@ -278,8 +322,8 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
-/// Both fixtures upgrade — read-only off their directories, and from
-/// in-memory copies — to a fresh build's files byte for byte (catalog,
+/// Every fixture upgrades — read-only off its directory, and from an
+/// in-memory copy — to a fresh build's files byte for byte (catalog,
 /// meta, 8 bin files), and the upgraded stores answer the workload
 /// identically to it in every execution mode: serial, replay and
 /// threaded at 4 and 8 ranks (which also trace the same reads), cached
@@ -300,7 +344,7 @@ fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     };
     let want = files(&sources.fresh);
     assert_eq!(want.len(), 10);
-    for version in [2, 1] {
+    for version in FIXTURES {
         let from_mem = MemBackend::new();
         upgrade(&fixture_mem(version), &from_mem, DS).unwrap();
         assert!(files(&from_mem) == want, "v{version} from memory");
@@ -428,7 +472,7 @@ fn plain_membership_is_answered_from_the_index_alone() {
 
 /// The only gates on the summary level and the membership probes
 /// actually firing inside a query (`index.rank_calls`: probes answered
-/// from a stored bitmap's runs). The counts are exact functions of the
+/// from a stored run list). The counts are exact functions of the
 /// banded field, the planner and the index format: a change means one
 /// of those changed (re-derive and say why), never noise.
 #[test]
@@ -479,26 +523,30 @@ fn summaries_skip_and_directories_probe_inside_queries() {
         assert!(summaries.0 > 0, "{tag}: no summary consulted");
     }
 
-    // What the directories cost in the built files, against the WAH
-    // bytes they sample (the bitmap-level bound is wah.rs's
-    // `dir_overhead_is_bounded`).
-    let (mut wah, mut dir) = (0usize, 0usize);
+    // What the run lists cost in the built files, against the WAH
+    // streams and rank/select directories format v3 stored for the same
+    // positions. This field is the run lists' worst case: its noise
+    // chunks scatter each bin's points one by one, two bytes a point,
+    // where a WAH literal spends four bytes on 31 positions. The
+    // benchmark's smooth fields are the opposite case (ROADMAP item 11).
+    let (mut runs, mut wah, mut dir) = (0usize, 0usize, 0usize);
     for bin in 0..BANDED_BINS {
         let raw = whole(&banded, &mloc::fileorg::bin_file(DS, VAR, bin));
         let idx = HeaderView::parse(&raw[..]).unwrap();
         for rank in 0..idx.num_chunks() {
             let start = idx.bitmap_file_offset(rank) as usize;
-            let extent = &raw[start..start + idx.bitmap_len(rank) as usize];
-            if !extent.is_empty() {
-                let (_, used) = WahBitmap::from_bytes(extent).unwrap();
-                wah += used;
-                dir += extent.len() - used;
+            let pairs = &raw[start..start + idx.bitmap_len(rank) as usize];
+            if pairs.is_empty() {
+                continue;
             }
+            let points = store.grid().chunk_points(store.order().cell_at(rank)) as u64;
+            let list = RunListRef::stored(pairs, u64::from(idx.count(rank)), points).unwrap();
+            let positions: Vec<u64> = list.iter().flat_map(|(at, _, n)| at..at + n).collect();
+            let bitmap = WahBitmap::from_sorted_positions(points, &positions);
+            runs += pairs.len();
+            wah += bitmap.to_bytes().len();
+            dir += RankSelectDir::build(bitmap.as_ref()).to_bytes().len();
         }
     }
-    assert_eq!((dir, wah), (480, 11_232));
-    assert!(
-        dir * 20 <= wah,
-        "rank/select directories exceed 5% of bitmap bytes"
-    );
+    assert_eq!((runs, wah, dir), (33_057, 11_232, 480));
 }
