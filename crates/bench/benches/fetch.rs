@@ -1,15 +1,15 @@
 //! Fetch-stage constants: what the engine pays per bin to locate its
-//! chunks in the index directory, and per want to be served by the
-//! block cache.
+//! chunks' bitmaps and unit parts in the checksum tables, and per want
+//! to be served by the block cache.
 //!
 //! Both are sized like the repo benchmark's store — 64 chunks × 7 PLoD
 //! parts per bin, of which an aligned query touches about 3 — where
 //! these constants, not bytes or decompression, are the warm op.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
-use mloc::binfile::BinFileBuilder;
+use mloc::binfile::{parse_fixed, BinFileBuilder};
 use mloc::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
-use mloc::index::{header_size, HeaderView, UnitLoc};
+use mloc::LevelOrder;
 use mloc_bitmap::RunList;
 use mloc_pfs::{MemBackend, RankIo};
 use std::hint::black_box;
@@ -23,35 +23,30 @@ const TOUCHED: [usize; 3] = [9, 10, 41];
 /// Bins one op's plan visits; each timed sample covers this many.
 const BINS: usize = 64;
 
-/// Everything the engine reads of a bin's touched entries, through the
-/// view it uses.
+/// Everything the engine looks up of a bin's touched chunks — count,
+/// bitmap extent, every part's extent — through the rows derived when
+/// the bin's fixed blocks were admitted.
 fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
-    let mut b = BinFileBuilder::new(0, CHUNKS, PARTS);
+    let part = vec![0u8; 300];
+    let mut b = BinFileBuilder::new(0, CHUNKS, PARTS, LevelOrder::Vms);
     for rank in 0..CHUNKS {
         let positions: Vec<u64> = (rank as u64 % 5..16_384).step_by(97).collect();
-        let locs: Vec<UnitLoc> = (0..PARTS as u64)
-            .map(|p| UnitLoc {
-                offset: (rank as u64 * 7 + p) * 300,
-                clen: 300,
-            })
-            .collect();
         let runs = RunList::from_sorted_positions(16_384, &positions);
-        b.set_chunk(rank, runs.as_ref(), &locs);
+        b.set_chunk(rank, runs.as_ref(), &[part.as_slice(); PARTS]);
     }
-    let units = vec![0u8; CHUNKS * PARTS * 300];
-    let file = b.finish(&units, &[300; CHUNKS * PARTS]).bytes;
-    let hdr = &file[..header_size(CHUNKS, PARTS) as usize];
+    let file = b.finish().unwrap().bytes;
+    let located = parse_fixed(&file, (CHUNKS, PARTS), LevelOrder::Vms, "bench").unwrap();
 
-    g.bench_function("index_entry_lookup/view/x64", |bench| {
+    g.bench_function("index_entry_lookup/rows/x64", |bench| {
         bench.iter(|| {
             let mut sum = 0u64;
             for _ in 0..BINS {
-                let index = HeaderView::parse(black_box(hdr)).unwrap();
+                let index = black_box(&located);
                 for rank in TOUCHED {
-                    sum += u64::from(index.count(rank)) + u64::from(index.bitmap_len(rank));
-                    sum += index.bitmap_file_offset(rank);
+                    let (offset, len) = index.bitmap(rank).unwrap();
+                    sum += u64::from(index.count(rank)) + offset + u64::from(len);
                     for part in 0..PARTS {
-                        let loc = index.unit(rank, part);
+                        let loc = index.unit(rank, part).unwrap();
                         sum += loc.offset + u64::from(loc.clen);
                     }
                 }

@@ -104,6 +104,6 @@ fn main() {
 
     table.print();
     note("paper t/r = paper Table I total divided by 8 GB raw");
-    note("MLOC index here includes the per-chunk directory, whose share");
+    note("MLOC index here includes the per-chunk summaries, whose share");
     note("shrinks at the paper's chunk counts (see EXPERIMENTS.md)");
 }

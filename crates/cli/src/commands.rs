@@ -307,7 +307,8 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         let num_bins = store.config().num_bins;
         let bounds = store.bins().bounds().to_vec();
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let header_len = mloc::index::header_size(geometry.0, geometry.1);
+        let order = store.config().level_order;
+        let header_len = mloc::index::HEADER_LEN;
         let mut rows = Vec::new();
         let mut data_total = 0u64;
         let mut index_total = 0u64;
@@ -315,14 +316,20 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         let summary_len = mloc::binfile::summary_extent_len(geometry.0);
         for bin in 0..num_bins {
             let file = store.bin_file(bin);
+            // The summary extent says how long the tables are; the
+            // tables say how long everything else is.
+            let summary = be
+                .read(file, header_len, summary_len)
+                .map_err(|e| e.to_string())?;
+            let tables = mloc::binfile::Tables::parse(&summary, header_len, geometry, file)
+                .map_err(|e| e.to_string())?;
+            let (data_at, data_len) = tables.data_span();
             let fixed = be
-                .read(file, 0, header_len + summary_len)
+                .read(file, 0, data_at + data_len)
                 .map_err(|e| e.to_string())?;
-            let (header, summary_extent) = fixed.split_at(header_len as usize);
-            let header = mloc::index::HeaderView::parse(header).map_err(|e| e.to_string())?;
-            let tables = mloc::binfile::Tables::parse(summary_extent, header_len, geometry, file)
+            let fixed = mloc::binfile::parse_fixed(&fixed, geometry, order, file)
                 .map_err(|e| e.to_string())?;
-            let (index, data) = mloc::binfile::section_bytes(&header, &tables);
+            let (index, data) = fixed.section_bytes().unwrap_or_default();
             // The column counts the chunk summaries alone.
             let summary = summary_len - mloc::index::TABLE_SIZES;
             data_total += data;
@@ -598,7 +605,7 @@ fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     }
 }
 
-/// Copy a dataset of the formats before v4 out to `--out` as v4.
+/// Copy a dataset of the formats before v5 out to `--out` as v5.
 fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let old = backend(args)?;
     let new = backend_in(args, args.required("out")?)?;
@@ -606,7 +613,7 @@ fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let report = mloc::upgrade::upgrade(&old, &new, name).map_err(|e| e.to_string())?;
     outln!(
         out,
-        "upgraded {name}: {} variable(s), {} bin file(s) written as v4",
+        "upgraded {name}: {} variable(s), {} bin file(s) written as v5",
         report.variables.len(),
         report.bin_files
     );

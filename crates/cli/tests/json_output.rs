@@ -69,7 +69,8 @@ fn control_characters_in_names_leave_as_json_escapes() {
 /// `stats`' `summary_bytes` is the chunk-summary section alone, in
 /// every store `stats` reads: the checked-in v2 dataset once `mloc
 /// upgrade` has copied it out, and a fresh build of the same geometry
-/// (16 chunks), report 8 + 9 × 16 bytes per bin, 8 × that in all.
+/// (16 chunks), report 8 + 13 × 16 bytes per bin (each record holds the
+/// chunk's count since format v5), 8 × that in all.
 /// Un-upgraded, the v2 dataset is refused with the error naming `mloc
 /// upgrade`.
 #[test]
@@ -80,7 +81,7 @@ fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
             .map(|s| s.chars().take_while(char::is_ascii_digit).collect())
             .collect()
     };
-    let want: Vec<&str> = [&["1216"][..], &["152"; 8]].concat();
+    let want: Vec<&str> = [&["1728"][..], &["216"; 8]].concat();
     let dir = std::env::temp_dir().join(format!("mloc-cli-stats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap();

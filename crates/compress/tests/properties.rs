@@ -118,4 +118,36 @@ proptest! {
             prop_assert_eq!(out.len() as u64, total);
         }
     }
+
+    /// Every codec kind, through its byte codec and its float codec,
+    /// compresses non-empty input to non-empty output. A bin file
+    /// locates each unit part by its row in the file's data table, and
+    /// only a part of at least one byte has a row (the bin-file builder
+    /// refuses an empty one), so a build must never meet one.
+    #[test]
+    fn every_codec_emits_bytes_for_nonempty_input(
+        bytes in proptest::collection::vec(any::<u8>(), 1..600),
+        floats in proptest::collection::vec(any::<f64>(), 1..300),
+        finite in proptest::collection::vec(-1e6f64..1e6, 1..300),
+    ) {
+        for kind in [
+            CodecKind::Raw,
+            CodecKind::Deflate,
+            CodecKind::Isobar,
+            CodecKind::Isabela { error_bound: 1e-3 },
+            CodecKind::Fpc,
+        ] {
+            // The lossy codec bounds a relative error, so it is handed
+            // finite values; the float-backed byte codecs whole doubles.
+            let values = if kind.is_lossy() { &finite } else { &floats };
+            let float = kind.float_codec().compress_f64(values);
+            prop_assert!(!float.is_empty(), "{} float codec", kind.name());
+            let input = match kind {
+                CodecKind::Isabela { .. } | CodecKind::Fpc => mloc_compress::f64s_to_bytes(values),
+                _ => bytes.clone(),
+            };
+            let byte = kind.byte_codec().compress(&input);
+            prop_assert!(!byte.is_empty(), "{} byte codec", kind.name());
+        }
+    }
 }

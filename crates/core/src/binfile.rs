@@ -1,37 +1,56 @@
-//! Bin file format v4: one file per bin, with every fixed block at its
-//! front.
+//! Bin file format v5: one file per bin, with every fixed block at its
+//! front, storing only what cannot be derived.
 //!
 //! ```text
-//! [0, H)       header + directory, version 4            index extent 0
-//! [H, T)       chunk summary, then n_index: u32,        index extent 1
-//!              n_data: u32 (the two tables' sizes)
+//! [0, 14)      header: magic, version 5, bin, chunk and   index extent 0
+//!              part counts
+//! [14, T)      chunk summaries {count, min, max, flags},  index extent 1
+//!              then n_index: u32, n_data: u32 (the two
+//!              tables' sizes)
 //! [T, T+Li)    index-extent table: n_index × {len, crc}, then its CRC
 //! [T+Li, B)    data-extent table:  n_data × {len, crc}, then its CRC
-//! [B, U)       positional bitmaps as run lists,         index extents 2..
-//!              in curve-rank order
-//! [U, E)       compressed units, in the level order     data extents
+//! [B, U)       positional bitmaps as run lists, one per   index extents 2..
+//!              set chunk, in curve-rank order
+//! [U, E)       compressed unit parts, in the level order  data extents
 //! [E, E+12)    end marker: the file's length (u64), then "MEND"
 //! ```
 //!
+//! A *set* chunk is one whose summary count is not zero. Nothing else
+//! says where a bitmap or a unit part is; [`Rows`] derives it:
+//!
+//! * chunk `rank`'s bitmap is index extent `2 + k`, where `k` is the
+//!   number of set chunks before `rank`;
+//! * the unit parts are the data table's rows, in the level order:
+//!   part-major for V-M-S (row `p · n_set + k` is part `p` of the
+//!   `k`-th set chunk), chunk-major for V-S-M (row `k · parts + p`).
+//!
+//! Every extent's offset is a prefix sum of its table's lengths
+//! ([`ExtentFooter`]), so a lookup is one row of a table already read.
+//! This holds only if every set chunk has exactly one bitmap and one
+//! non-empty extent per part: the builder refuses an empty part
+//! ([`MlocError::EmptyUnit`]), and a reader refuses, as a corrupt
+//! extent, an index table whose bitmap rows are not the set chunks or
+//! a data table whose rows are not set chunks × parts.
+//!
 //! A chunk's bitmap extent is its run list's LEB128 `(gap, len − 1)`
 //! pairs and nothing else ([`mloc_bitmap::runs`]): the set-bit count is
-//! the directory entry's, and the length is the chunk's point count,
-//! from the geometry. A reader takes the pairs as they are after one
-//! validating walk ([`mloc_bitmap::RunListBuf::push_stored`]). v3 stored
-//! a WAH stream and its rank/select directory there instead, and is
-//! otherwise this layout; `mloc upgrade` ([`crate::upgrade`]) rewrites
-//! it.
+//! the summary's, and the length is the chunk's point count, from the
+//! geometry. A reader takes the pairs as they are after one validating
+//! walk ([`mloc_bitmap::RunListBuf::push_stored`]).
 //!
-//! `H` and `T` follow from the bin's geometry (chunk and part counts)
-//! alone, the table lengths `Li = 8 n_index + 4` and `Ld = 8 n_data + 4`
-//! from the two sizes that end the summary extent. A query therefore
-//! gets every fixed block with one seek: the header (the exact-size
-//! first read every index version shares), then the summary and then
-//! the tables it needs, each continuing where the last read ended. A
-//! positions-only query reads the index table alone. The directory's
-//! bitmap and unit offsets are absolute file offsets. This is the
-//! superblock idiom: fixed metadata at a computed offset, read in one
-//! seek, never a probe of the file's tail.
+//! `T` follows from the chunk count alone, the table lengths
+//! `Li = 8 n_index + 4` and `Ld = 8 n_data + 4` from the two sizes that
+//! end the summary extent. A query therefore gets every fixed block
+//! with one seek: the header, then the summary and then the tables it
+//! needs, each continuing where the last read ended. A positions-only
+//! query reads the index table alone. This is the superblock idiom:
+//! fixed metadata at a computed offset, read in one seek, never a probe
+//! of the file's tail — and nothing stored that the geometry gives.
+//!
+//! v3 and v4 had this layout with a dense chunk directory in the header
+//! (each chunk's count, bitmap offset and length, and every unit part's
+//! offset and length) and 9-byte summary records; v3 stored WAH bitmaps.
+//! `mloc upgrade` ([`crate::upgrade`]) rewrites both.
 //!
 //! A bin file is written with one `create`, one `append` and one
 //! `sync`. The variable's meta is the build's commit record, written
@@ -42,16 +61,18 @@
 //! marker; `verify`, `fsck` and `repair`, which read whole files, do.
 
 use crate::array::ChunkGrid;
-use crate::config::MlocConfig;
+use crate::cache::{ByteView, FixedBlocks};
+use crate::config::{LevelOrder, MlocConfig};
 use crate::index::{
-    entry_range, header_size, le_u32, le_u64, summary_size, ChunkSummary, HeaderView, UnitLoc,
-    ENTRY_FIXED, MAGIC, SUMMARY_MAGIC, TABLE_SIZES, UNIT_LOC, VERSION,
+    check_header, encode_summaries, le_u32, le_u64, parse_header, summary_size, ChunkSummary,
+    SummaryView, UnitLoc, HEADER_LEN, MAGIC, TABLE_SIZES, VERSION,
 };
 use crate::integrity::{corrupt_extent, table_len, ExtentFooter};
 use crate::wire::Writer;
 use crate::{MlocError, Result};
 use mloc_bitmap::{RunListRef, RunsError};
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// Bytes of the end marker: the file's length, then its magic.
 pub const END_LEN: u64 = 12;
@@ -62,11 +83,13 @@ const END_MAGIC: u32 = 0x444E_454D; // "MEND"
 pub type Geometry = (usize, usize);
 
 /// What a whole-file check holds a variable's bin files to: the
-/// geometry that locates their fixed blocks, and each chunk's point
-/// count, the length every stored run list of the chunk must fit.
+/// geometry that locates their fixed blocks, the level order that
+/// places their unit parts, and each chunk's point count, the length
+/// every stored run list of the chunk must fit.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
     pub geometry: Geometry,
+    pub level_order: LevelOrder,
     /// Points of the chunk at each curve rank.
     points: Vec<u64>,
 }
@@ -81,6 +104,7 @@ impl Layout {
             .collect();
         Layout {
             geometry: (grid.num_chunks(), config.num_parts()),
+            level_order: config.level_order,
             points,
         }
     }
@@ -91,14 +115,23 @@ impl Layout {
     }
 }
 
-/// Length of a v3 summary extent: the chunk summaries, then the two
+/// Length of the summary extent: the chunk summaries, then the two
 /// table sizes.
 pub fn summary_extent_len(num_chunks: usize) -> u64 {
     summary_size(num_chunks) + TABLE_SIZES
 }
 
-/// Where a v3 bin file's two checksum tables are, read off the end of
-/// its summary extent.
+/// The lengths of a bin file's header and summary extent — the two
+/// fixed blocks in front of its tables — for a geometry.
+pub(crate) type FrontLens = fn(Geometry) -> (u64, u64);
+
+/// [`FrontLens`] of format v5.
+pub(crate) fn front_lens((num_chunks, _): Geometry) -> (u64, u64) {
+    (HEADER_LEN, summary_extent_len(num_chunks))
+}
+
+/// Where a bin file's two checksum tables are, read off the end of its
+/// summary extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tables {
     /// File offset of the index table: where the summary extent ends.
@@ -116,11 +149,24 @@ impl Tables {
     pub fn parse(
         summary: &[u8],
         header_len: u64,
+        geometry: Geometry,
+        file: &str,
+    ) -> Result<Tables> {
+        let want = summary_extent_len(geometry.0);
+        Self::parse_sized(summary, header_len, want, geometry, file)
+    }
+
+    /// [`Self::parse`] for a summary extent of `want` bytes — v5's, or
+    /// the older formats' the upgrade reads.
+    pub(crate) fn parse_sized(
+        summary: &[u8],
+        header_len: u64,
+        want: u64,
         (num_chunks, num_parts): Geometry,
         file: &str,
     ) -> Result<Tables> {
         let corrupt = |what| corrupt_extent(file, header_len, summary.len() as u64, what);
-        let whole = summary.len() as u64 == summary_extent_len(num_chunks);
+        let whole = summary.len() as u64 == want;
         let sizes = summary.split_last_chunk::<{ TABLE_SIZES as usize }>();
         let Some((_, &[i0, i1, i2, i3, d0, d1, d2, d3])) = sizes.filter(|_| whole) else {
             return Err(corrupt("summary extent truncated"));
@@ -179,43 +225,172 @@ impl Tables {
     }
 }
 
-/// How a v3 bin file's bytes split between its index section (header,
-/// summary, index table, bitmaps, end marker) and its data section
-/// (data table, units): `(index, data)`, from its header and table
-/// sizes alone.
-pub fn section_bytes<B: Deref<Target = [u8]>>(
-    index: &HeaderView<B>,
-    tables: &Tables,
-) -> (u64, u64) {
-    let ranks = 0..index.num_chunks();
-    let bitmaps: u64 = ranks.clone().map(|r| u64::from(index.bitmap_len(r))).sum();
-    let units: u64 = ranks
-        .flat_map(|r| index.units(r))
-        .map(|u| u64::from(u.clen))
-        .sum();
-    (
-        tables.at + table_len(tables.n_index) + bitmaps + END_LEN,
-        table_len(tables.n_data) + units,
-    )
+/// A chunk rank with no points in the bin: no bitmap, no unit.
+const UNSET: u32 = u32::MAX;
+
+/// Which table row holds each bitmap and unit part of a bin file,
+/// derived from its summary's counts once its tables' sizes have been
+/// held to them (see the module docs). Lookups are O(1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    /// Per chunk rank: the number of set chunks before it, or [`UNSET`].
+    slot: Vec<u32>,
+    /// The set chunks' ranks, rising.
+    set: Vec<u32>,
+    num_parts: usize,
+    part_major: bool,
+}
+
+impl Rows {
+    /// Derive the rows of a bin file from its verified `summaries`, and
+    /// refuse tables whose sizes disagree with them: an index table
+    /// whose bitmap rows are not the set chunks, or a data table whose
+    /// rows are not set chunks × `num_parts`, names its table as a
+    /// corrupt extent of `file`.
+    pub fn derive<B: Deref<Target = [u8]>>(
+        summaries: &SummaryView<B>,
+        tables: &Tables,
+        num_parts: usize,
+        order: LevelOrder,
+        file: &str,
+    ) -> Result<Rows> {
+        let mut slot = Vec::with_capacity(summaries.num_chunks());
+        let mut set = Vec::new();
+        for rank in 0..summaries.num_chunks() {
+            if summaries.count(rank) == 0 {
+                slot.push(UNSET);
+            } else {
+                slot.push(set.len() as u32);
+                set.push(rank as u32);
+            }
+        }
+        let n_set = set.len() as u64;
+        let refuse =
+            |(at, len): (u64, u64), what: String| Err(corrupt_extent(file, at, len, &what));
+        if u64::from(tables.n_index) != 2 + n_set {
+            let rows = tables.n_index - 2;
+            let what = format!("index table has {rows} bitmap rows for {n_set} set chunks");
+            return refuse(tables.index_span(), what);
+        }
+        if u64::from(tables.n_data) != n_set * num_parts as u64 {
+            let rows = tables.n_data;
+            let what =
+                format!("data table has {rows} rows for {n_set} set chunks of {num_parts} parts");
+            return refuse(tables.data_span(), what);
+        }
+        Ok(Rows {
+            slot,
+            set,
+            num_parts,
+            part_major: order == LevelOrder::Vms,
+        })
+    }
+
+    /// The set chunk index of `rank`, when it has points.
+    fn slot(&self, rank: usize) -> Option<usize> {
+        let k = *self.slot.get(rank)?;
+        (k != UNSET).then_some(k as usize)
+    }
+
+    /// The index-table row of chunk `rank`'s bitmap; `None` when the
+    /// chunk has no points.
+    pub fn bitmap_row(&self, rank: usize) -> Option<usize> {
+        Some(2 + self.slot(rank)?)
+    }
+
+    /// The data-table row of part `part` of chunk `rank`'s unit; `None`
+    /// when the chunk has no points or there is no such part.
+    pub fn unit_row(&self, rank: usize, part: usize) -> Option<usize> {
+        let k = self.slot(rank).filter(|_| part < self.num_parts)?;
+        Some(if self.part_major {
+            part * self.set.len() + k
+        } else {
+            k * self.num_parts + part
+        })
+    }
+
+    /// The chunk rank whose bitmap is index-table row `row`.
+    pub fn chunk_of_bitmap(&self, row: usize) -> Option<usize> {
+        let k = row.checked_sub(2)?;
+        self.set.get(k).map(|&rank| rank as usize)
+    }
+
+    /// The chunk rank and part stored at data-table row `row`.
+    pub fn unit_of_row(&self, row: usize) -> Option<(usize, usize)> {
+        let n_set = self.set.len();
+        let (k, part) = match n_set {
+            0 => return None,
+            _ if self.part_major => (row % n_set, row / n_set),
+            _ => (row / self.num_parts, row % self.num_parts),
+        };
+        let rank = *self.set.get(k).filter(|_| part < self.num_parts)?;
+        Some((rank as usize, part))
+    }
+
+    /// Chunk `rank`'s bitmap extent `(offset, length)` in `index`, its
+    /// file's index table; `None` when the chunk has no points.
+    pub fn bitmap(&self, index: &ExtentFooter, rank: usize) -> Option<(u64, u32)> {
+        let (offset, len, _) = index.extent(self.bitmap_row(rank)?);
+        Some((offset, len))
+    }
+
+    /// Where part `part` of chunk `rank`'s unit is, by `data`, its
+    /// file's data table; `None` when the chunk has no points.
+    pub fn unit(&self, data: &ExtentFooter, rank: usize, part: usize) -> Option<UnitLoc> {
+        let (offset, clen, _) = data.extent(self.unit_row(rank, part)?);
+        Some(UnitLoc { offset, clen })
+    }
+}
+
+/// A bin file's fixed blocks parsed in place, without verifying a
+/// checksum: how tools that inspect a file — `mloc stats`, tests that
+/// edit one — find its bitmaps and units, through the lookups a query
+/// uses. `raw` must hold the file from its start at least to the end of
+/// its data table, which the result holds. Queries and checks never
+/// take this route: they verify every block before trusting it.
+pub fn parse_fixed(
+    raw: &[u8],
+    geometry: Geometry,
+    order: LevelOrder,
+    file: &str,
+) -> Result<FixedBlocks> {
+    check_header(raw, geometry)?;
+    let short = || corrupt_extent(file, 0, raw.len() as u64, "file shorter than its tables");
+    let summary = span(raw, (HEADER_LEN, summary_extent_len(geometry.0))).ok_or_else(short)?;
+    let tables = Tables::parse(summary, HEADER_LEN, geometry, file)?;
+    let index = tables.decode_index(span(raw, tables.index_span()).ok_or_else(short)?, file)?;
+    let data = span(raw, tables.data_span()).ok_or_else(short)?;
+    let data = tables.decode_data(data, &index, file)?;
+    let summaries = SummaryView::parse(ByteView::from(summary.to_vec()), geometry.0)?;
+    let rows = Rows::derive(&summaries, &tables, geometry.1, order, file)?;
+    Ok(FixedBlocks {
+        summaries,
+        footer: Arc::new(index),
+        data: Some(Arc::new(data)),
+        tables,
+        rows,
+    })
 }
 
 /// Incremental builder of one bin file — the only writer of the
-/// format. The header + directory is serialized in place as chunks
-/// arrive: every entry sits at the fixed offset [`HeaderView`] reads it
-/// from, and starts zeroed (no points, no bitmap, empty units). Its
-/// offsets become absolute in [`Self::finish`], once the sizes of
-/// everything in front of the bitmaps and the units are known.
+/// format. Chunks arrive in curve-rank order, each with its run list
+/// and its unit's parts; [`Self::finish`] lays the parts out in the
+/// level order and writes the file around them.
 #[derive(Debug)]
-pub struct BinFileBuilder {
+pub struct BinFileBuilder<'u> {
+    bin: u32,
     num_parts: usize,
-    header: Vec<u8>,
+    level_order: LevelOrder,
     summaries: Vec<ChunkSummary>,
     bitmaps: Vec<u8>,
-    /// Encoded bitmap lengths in file (append) order — the bitmap
+    /// Encoded bitmap lengths in file (rank) order — the bitmap
     /// extents of the index table.
     bitmap_lens: Vec<u32>,
-    /// Chunk ranks set so far, whose offsets are still relative.
+    /// The set chunks' ranks, rising.
     set: Vec<usize>,
+    /// Set-chunk-major: part `p` of the `k`-th set chunk at
+    /// `k · num_parts + p`.
+    parts: Vec<&'u [u8]>,
 }
 
 /// A finished bin file.
@@ -228,131 +403,134 @@ pub struct BinFile {
     pub data_bytes: u64,
 }
 
-impl BinFileBuilder {
-    /// Start building bin `bin` over `num_chunks` chunks.
-    pub fn new(bin: u32, num_chunks: usize, num_parts: usize) -> Self {
-        let mut w = Writer::new();
-        w.u32(MAGIC);
-        w.u8(VERSION);
-        w.u32(bin);
-        w.u32(num_chunks as u32);
-        w.u8(num_parts as u8);
-        let mut header = w.finish();
-        header.resize(header_size(num_chunks, num_parts) as usize, 0);
+impl<'u> BinFileBuilder<'u> {
+    /// Start building bin `bin` over `num_chunks` chunks, each unit of
+    /// `num_parts` parts laid out in `level_order`.
+    pub fn new(bin: u32, num_chunks: usize, num_parts: usize, level_order: LevelOrder) -> Self {
         BinFileBuilder {
+            bin,
             num_parts,
-            header,
+            level_order,
             summaries: vec![ChunkSummary::EMPTY; num_chunks],
             bitmaps: Vec::new(),
             bitmap_lens: Vec::new(),
             set: Vec::new(),
+            parts: Vec::new(),
         }
     }
 
     /// Record a chunk's positional bitmap — its run list, whose pairs
-    /// are the stored extent — and unit locations, the units' offsets
-    /// relative to the bin's unit section (the bytes later handed to
-    /// [`Self::finish`]). The locs are copied into the entry's bytes,
-    /// so callers keep ownership. The chunk's summary (min/max set
-    /// position, all-of-chunk flag) is taken from the same runs.
+    /// are the stored extent — and its unit's compressed parts, in part
+    /// order. The chunk's summary (count, min/max set position,
+    /// all-of-chunk flag) is taken from the runs.
     ///
     /// # Panics
-    /// Panics when called twice for the same rank, for a list with no
-    /// set bit, or with a unit count mismatch.
-    pub fn set_chunk(&mut self, rank: usize, runs: RunListRef<'_>, units: &[UnitLoc]) {
-        assert_eq!(units.len(), self.num_parts, "unit count mismatch");
-        let entry = &mut self.header[entry_range(rank, self.num_parts)];
-        // A set entry always has a bitmap: its stored form is never empty.
-        assert_eq!(le_u32(entry, 12), 0, "chunk rank {rank} set twice");
+    /// Panics when called out of rank order (or twice for a rank), for
+    /// a list with no set bit, or with a part count mismatch.
+    pub fn set_chunk(&mut self, rank: usize, runs: RunListRef<'_>, parts: &[&'u [u8]]) {
+        assert_eq!(parts.len(), self.num_parts, "unit part count mismatch");
+        let rising = self.set.last().is_none_or(|&last| last < rank);
+        assert!(rising, "chunk rank {rank} set out of rank order");
         let (first, last) = (runs.iter().next(), runs.iter().last());
         let (Some((min_pos, _, _)), Some((start, _, len))) = (first, last) else {
             panic!("chunk rank {rank} set with no points");
         };
         let pairs = runs.pairs();
-        let bitmap_len = pairs.len() as u32;
-        let mut put = |at: usize, field: &[u8]| entry[at..at + field.len()].copy_from_slice(field);
-        put(0, &(runs.count() as u32).to_le_bytes());
-        put(4, &(self.bitmaps.len() as u64).to_le_bytes());
-        put(12, &bitmap_len.to_le_bytes());
-        for (part, u) in units.iter().enumerate() {
-            let at = (ENTRY_FIXED + part as u64 * UNIT_LOC) as usize;
-            put(at, &u.offset.to_le_bytes());
-            put(at + 8, &u.clen.to_le_bytes());
-        }
         self.set.push(rank);
-        self.bitmap_lens.push(bitmap_len);
+        self.bitmap_lens.push(pairs.len() as u32);
         self.bitmaps.extend_from_slice(pairs);
+        self.parts.extend_from_slice(parts);
         self.summaries[rank] = ChunkSummary {
+            count: runs.count() as u32,
             min_pos: min_pos as u32,
             max_pos: (start + len - 1) as u32,
             all_of_chunk: runs.count() == runs.len(),
         };
     }
 
-    /// Finish the file around `units`, the bin's compressed units laid
-    /// out as the recorded locations say, whose extents have the
-    /// lengths `unit_lens` in file order.
-    pub fn finish(mut self, units: &[u8], unit_lens: &[u32]) -> BinFile {
-        let num_chunks = self.summaries.len();
-        let n_index = 2 + self.bitmap_lens.len() as u32;
-        let n_data = unit_lens.iter().filter(|&&len| len > 0).count() as u32;
-        let mut w = Writer::new();
-        w.u32(SUMMARY_MAGIC);
-        w.u32(num_chunks as u32);
-        for s in &self.summaries {
-            w.u32(s.min_pos);
-            w.u32(s.max_pos);
-            w.u8(u8::from(s.all_of_chunk));
+    /// The parts in the level order, with their set chunk indices.
+    fn level_ordered(&self) -> Vec<(usize, usize)> {
+        let (n_set, n_parts) = (self.set.len(), self.num_parts);
+        match self.level_order {
+            // Part-major: all chunks' part 0, then part 1, …
+            LevelOrder::Vms => (0..n_parts)
+                .flat_map(|p| (0..n_set).map(move |k| (k, p)))
+                .collect(),
+            // Chunk-major: each chunk's parts together.
+            LevelOrder::Vsm => (0..n_set)
+                .flat_map(|k| (0..n_parts).map(move |p| (k, p)))
+                .collect(),
         }
+    }
+
+    /// Finish the file: the units' parts laid out in the level order
+    /// behind the bitmaps, both tables computed over the image. A set
+    /// chunk's part that compressed to nothing would have no data-table
+    /// row to derive its location from: it fails as
+    /// [`MlocError::EmptyUnit`], and nothing is built.
+    pub fn finish(self) -> Result<BinFile> {
+        let num_chunks = self.summaries.len();
+        if let Some(at) = self.parts.iter().position(|p| p.is_empty()) {
+            return Err(MlocError::EmptyUnit {
+                bin: self.bin,
+                chunk_rank: self.set[at / self.num_parts],
+                part: at % self.num_parts,
+            });
+        }
+        let n_index = 2 + self.set.len() as u32;
+        let n_data = self.parts.len() as u32;
+        let mut w = Writer::new();
+        w.u32(MAGIC);
+        w.u8(VERSION);
+        w.u32(self.bin);
+        w.u32(num_chunks as u32);
+        w.u8(self.num_parts as u8);
+        encode_summaries(&self.summaries, &mut w);
         w.u32(n_index);
         w.u32(n_data);
-        let summary = w.finish();
-        debug_assert_eq!(summary.len() as u64, summary_extent_len(num_chunks));
+        let front = w.finish();
+        let summary_len = summary_extent_len(num_chunks);
+        debug_assert_eq!(front.len() as u64, HEADER_LEN + summary_len);
 
-        let header_len = self.header.len() as u64;
         let tables = Tables {
-            at: header_len + summary.len() as u64,
+            at: front.len() as u64,
             n_index,
             n_data,
         };
         let bitmaps_at = tables.bitmaps_at();
-        let units_at = bitmaps_at + self.bitmaps.len() as u64;
-        for &rank in &self.set {
-            let entry = &mut self.header[entry_range(rank, self.num_parts)];
-            let fields = (0..self.num_parts).map(|p| (ENTRY_FIXED + p as u64 * UNIT_LOC) as usize);
-            for (at, base) in
-                std::iter::once((4, bitmaps_at)).chain(fields.map(|at| (at, units_at)))
-            {
-                let absolute = le_u64(entry, at) + base;
-                entry[at..at + 8].copy_from_slice(&absolute.to_le_bytes());
-            }
-        }
-
-        let file_len = units_at + units.len() as u64 + END_LEN;
+        let order = self.level_ordered();
+        let units_len: usize = self.parts.iter().map(|p| p.len()).sum();
+        let file_len = bitmaps_at + (self.bitmaps.len() + units_len) as u64 + END_LEN;
         let mut image = Vec::with_capacity(file_len as usize);
-        image.extend_from_slice(&self.header);
-        image.extend_from_slice(&summary);
+        image.extend_from_slice(&front);
         image.resize(bitmaps_at as usize, 0); // the tables, below
         image.extend_from_slice(&self.bitmaps);
-        image.extend_from_slice(units);
+        let units_at = image.len() as u64;
+        let mut unit_lens = Vec::with_capacity(order.len());
+        for &(k, p) in &order {
+            let part = self.parts[k * self.num_parts + p];
+            image.extend_from_slice(part);
+            unit_lens.push(part.len() as u32);
+        }
         image.extend_from_slice(&file_len.to_le_bytes());
         image.extend_from_slice(&END_MAGIC.to_le_bytes());
+        debug_assert_eq!(image.len() as u64, file_len);
 
-        let mut index_lens = vec![header_len as u32, summary.len() as u32];
+        let mut index_lens = vec![HEADER_LEN as u32, summary_len as u32];
         index_lens.extend_from_slice(&self.bitmap_lens);
         let (index_at, data_at) = (tables.index_span().0, tables.data_span().0);
         let index =
             ExtentFooter::compute_table(&image, index_at, &tables.index_runs(), &index_lens);
-        let data = ExtentFooter::compute_table(&image, data_at, &[(0, units_at)], unit_lens);
+        let data = ExtentFooter::compute_table(&image, data_at, &[(0, units_at)], &unit_lens);
         for (table, span) in [(index, tables.index_span()), (data, tables.data_span())] {
             debug_assert_eq!(table.span(), span);
             let (at, len) = span;
             image[at as usize..(at + len) as usize].copy_from_slice(&table.encode_table());
         }
-        BinFile {
+        Ok(BinFile {
             bytes: image,
-            data_bytes: tables.data_span().1 + units.len() as u64,
-        }
+            data_bytes: tables.data_span().1 + units_len as u64,
+        })
     }
 }
 
@@ -361,54 +539,63 @@ impl BinFileBuilder {
 pub(crate) struct Checked {
     /// Where the tables are, when the summary extent said.
     pub tables: Option<Tables>,
-    /// The index table, when it decoded: what the header is checked
-    /// against, and so what may label the damage.
+    /// The index table, when it decoded.
     pub index: Option<ExtentFooter>,
     /// The data table, when it decoded: where the units are.
     pub data: Option<ExtentFooter>,
+    /// The table rows of every bitmap and unit part, when the header
+    /// and summary verified, held to a [`Layout`], and the tables'
+    /// sizes agree with the summary: what may label the damage.
+    pub rows: Option<Rows>,
     /// Extents whose checksum was recomputed.
     pub extents: u64,
     /// Every failure found: unreadable fixed blocks, bad tables, bad
-    /// extents, a missing end marker, and — held to a [`Layout`] — run
-    /// lists that disagree with their directory entries.
+    /// extents, a missing end marker, tables whose sizes disagree with
+    /// the summary, and — held to a [`Layout`] — a header of another
+    /// geometry and run lists that disagree with their counts.
     pub damage: Vec<MlocError>,
 }
 
 /// Check all of `raw`, the whole bin file `file`. Held to `layout` —
 /// the variable's, when its meta (or else its dataset's catalog) says —
-/// its fixed blocks are located with the layout's geometry, and every
-/// bitmap a checksum-clean header lists is taken as a run list of its
-/// entry's count within its chunk's points, as a query takes it.
+/// its fixed blocks are located with the layout's geometry, the header
+/// must state it, and every bitmap is taken as a run list of its
+/// chunk's count within its chunk's points, as a query takes it.
 /// Without one, the fixed blocks are located with the counts the header
 /// states, and the header is then checked like every other extent.
+/// Either way the tables' sizes are held to the summary's set chunks.
 pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>) -> Checked {
-    let mut out = check_extents(raw, file, layout.map(|l| l.geometry));
-    if let Some(layout) = layout {
-        check_runs(raw, file, layout, &mut out);
-    }
+    let mut out = check_extents(raw, file, layout.map(|l| l.geometry), front_lens);
+    check_rows(raw, file, layout, &mut out);
     out
 }
 
-/// The checksums, tables and end marker of `raw` alone: what [`check`]
-/// checks first, and all `mloc upgrade` checks of a format-v3 file,
-/// whose bitmaps are WAH streams.
-pub(crate) fn check_extents(raw: &[u8], file: &str, geometry: Option<Geometry>) -> Checked {
+/// The checksums, tables and end marker of `raw` alone, its header and
+/// summary extent as long as `front` says: what [`check`] checks first,
+/// and all `mloc upgrade` checks of a format-v3 or -v4 file.
+pub(crate) fn check_extents(
+    raw: &[u8],
+    file: &str,
+    geometry: Option<Geometry>,
+    front: FrontLens,
+) -> Checked {
     let mut out = Checked {
         tables: None,
         index: None,
         data: None,
+        rows: None,
         extents: 0,
         damage: Vec::new(),
     };
     let whole = |what: &str| corrupt_extent(file, 0, raw.len() as u64, what);
-    let stated = || HeaderView::parse(raw).map(|h| (h.num_chunks(), h.num_parts()));
-    let tables = geometry.map_or_else(stated, Ok).and_then(|geometry| {
-        let header_len = header_size(geometry.0, geometry.1);
-        let summary_len = summary_extent_len(geometry.0);
-        let summary = span(raw, (header_len, summary_len))
-            .ok_or_else(|| whole("file shorter than its fixed blocks (torn write?)"))?;
-        Tables::parse(summary, header_len, geometry, file)
-    });
+    let tables = geometry
+        .map_or_else(|| parse_header(raw), Ok)
+        .and_then(|geometry| {
+            let (header_len, summary_len) = front(geometry);
+            let summary = span(raw, (header_len, summary_len))
+                .ok_or_else(|| whole("file shorter than its fixed blocks (torn write?)"))?;
+            Tables::parse_sized(summary, header_len, summary_len, geometry, file)
+        });
     let table = |(at, len)| {
         span(raw, (at, len))
             .ok_or_else(|| corrupt_extent(file, at, len, "checksum table past end of file"))
@@ -450,11 +637,13 @@ pub(crate) fn check_extents(raw: &[u8], file: &str, geometry: Option<Geometry>) 
     out
 }
 
-/// Take every bitmap of `raw` as a run list of its entry's count within
-/// its chunk, when the header's own extent verified (a damaged header
-/// may say anything) and the bitmap's did too (its damage is found).
-fn check_runs(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
-    let Some(index) = out.index.as_ref().filter(|i| i.num_extents() > 0) else {
+/// Once the header and summary extents verified (damaged ones may say
+/// anything): hold the header to the layout's geometry, the tables'
+/// sizes to the summary's set chunks, and — held to a layout — take
+/// every bitmap whose extent verified as a run list of its chunk's
+/// count within its chunk.
+fn check_rows(raw: &[u8], file: &str, layout: Option<&Layout>, out: &mut Checked) {
+    let (Some(index), Some(tables)) = (out.index.as_ref(), out.tables) else {
         return;
     };
     let damaged = |at: u64| {
@@ -462,21 +651,48 @@ fn check_runs(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
             |e: &MlocError| matches!(e, MlocError::CorruptExtent { offset, .. } if *offset == at);
         out.damage.iter().any(at_extent)
     };
-    let (off, len, _) = index.extent(0);
-    let header = span(raw, (off, u64::from(len)))
-        .filter(|_| !damaged(off))
-        .and_then(|bytes| HeaderView::parse(bytes).ok())
-        .and_then(|h| h.with_geometry(layout.geometry.0, layout.geometry.1).ok());
-    let Some(header) = header else {
+    if index.num_extents() < 2 || damaged(0) || damaged(HEADER_LEN) {
+        return;
+    }
+    let geometry = match layout {
+        Some(layout) => {
+            if let Err(e) = check_header(raw, layout.geometry) {
+                let what = format!("header: {e}");
+                out.damage.push(corrupt_extent(file, 0, HEADER_LEN, &what));
+                return;
+            }
+            layout.geometry
+        }
+        None => match parse_header(raw) {
+            Ok(geometry) => geometry,
+            Err(_) => return,
+        },
+    };
+    let (off, len, _) = index.extent(1);
+    let summary = span(raw, (off, u64::from(len)))
+        .and_then(|bytes| SummaryView::parse(bytes, geometry.0).ok());
+    let Some(summary) = summary else {
+        let what = "summary unreadable";
+        out.damage.push(corrupt_extent(file, off, len.into(), what));
+        return;
+    };
+    let order = layout.map_or(LevelOrder::Vms, |l| l.level_order);
+    let rows = match Rows::derive(&summary, &tables, geometry.1, order, file) {
+        Ok(rows) => rows,
+        Err(e) => return out.damage.push(e),
+    };
+    let Some(layout) = layout else {
         return;
     };
     let mut refused = Vec::new();
-    for rank in 0..header.num_chunks() {
-        let (at, len) = (header.bitmap_file_offset(rank), header.bitmap_len(rank));
-        if len == 0 || damaged(at) {
+    for rank in 0..geometry.0 {
+        let Some((at, len)) = rows.bitmap(index, rank) else {
+            continue;
+        };
+        if damaged(at) {
             continue;
         }
-        let (count, points) = (header.count(rank), layout.points(rank));
+        let (count, points) = (summary.count(rank), layout.points(rank));
         refused.extend(match span(raw, (at, u64::from(len))) {
             None => Some(corrupt_extent(
                 file,
@@ -490,11 +706,12 @@ fn check_runs(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
         });
     }
     out.damage.extend(refused);
+    out.rows = Some(rows);
 }
 
 /// The error of a stored run list — the extent `(at, len)` of `file` —
 /// that the validator refused as `e`: one of `count` set bits in
-/// `points`, its entry said. A query that reads it and `verify` give
+/// `points`, its summary said. A query that reads it and `verify` give
 /// the same one.
 pub(crate) fn refused_runs(
     file: &str,
@@ -503,7 +720,7 @@ pub(crate) fn refused_runs(
     count: u32,
     points: u64,
 ) -> MlocError {
-    let what = format!("{e} (entry: {count} of {points} points)");
+    let what = format!("{e} (summary: {count} of {points} points)");
     corrupt_extent(file, at, u64::from(len), &what)
 }
 
@@ -540,14 +757,14 @@ fn end_marker(raw: &[u8], file: &str) -> Result<()> {
     ))
 }
 
-/// Recompute the index table of `raw`, a whole bin file, over its
-/// extents as they are now: a test edits a header or a bitmap and keeps
-/// every checksum holding.
+/// Recompute the index table of `raw`, a whole bin file of `front`'s
+/// format, over its extents as they are now: a test edits a header, a
+/// summary or a bitmap and keeps every checksum holding.
 #[cfg(test)]
-pub(crate) fn reseal_index(raw: &mut [u8], geometry: Geometry, file: &str) {
-    let header_len = header_size(geometry.0, geometry.1);
-    let summary = &raw[header_len as usize..(header_len + summary_extent_len(geometry.0)) as usize];
-    let tables = Tables::parse(summary, header_len, geometry, file).unwrap();
+pub(crate) fn reseal_index(raw: &mut [u8], geometry: Geometry, front: FrontLens, file: &str) {
+    let (header_len, summary_len) = front(geometry);
+    let summary = &raw[header_len as usize..(header_len + summary_len) as usize];
+    let tables = Tables::parse_sized(summary, header_len, summary_len, geometry, file).unwrap();
     let (at, len) = tables.index_span();
     let span = at as usize..(at + len) as usize;
     let index = tables.decode_index(&raw[span.clone()], file).unwrap();
@@ -565,42 +782,53 @@ mod tests {
     use proptest::prelude::*;
 
     /// `chunks` chunks of 16 points, `parts` parts each.
-    fn layout((chunks, parts): Geometry) -> Layout {
+    fn layout((chunks, parts): Geometry, level_order: LevelOrder) -> Layout {
         Layout {
             geometry: (chunks, parts),
+            level_order,
             points: vec![16; chunks],
         }
     }
 
-    /// A small bin file: 4 chunks × 3 parts, three chunks with points
-    /// and units.
-    fn built() -> (Vec<u8>, Geometry) {
-        let mut b = BinFileBuilder::new(2, 4, 3);
-        let mut units = Vec::new();
-        let mut lens = Vec::new();
-        for (rank, positions) in [(0usize, &[1u64, 5, 9][..]), (1, &[0]), (3, &[2, 3])] {
-            let locs: Vec<UnitLoc> = (0..3u8)
-                .map(|part| {
-                    let bytes = vec![rank as u8 * 16 + part; 5 + usize::from(part)];
-                    let loc = UnitLoc {
-                        offset: units.len() as u64,
-                        clen: bytes.len() as u32,
-                    };
-                    units.extend_from_slice(&bytes);
-                    lens.push(loc.clen);
-                    loc
-                })
-                .collect();
-            let runs = RunList::from_sorted_positions(16, positions);
-            b.set_chunk(rank, runs.as_ref(), &locs);
-        }
-        (b.finish(&units, &lens).bytes, (4, 3))
+    /// Part `part` of chunk `rank`'s unit in [`built`]: `5 + part`
+    /// bytes of `16 · rank + part`.
+    fn part_bytes(rank: usize, part: usize) -> Vec<u8> {
+        vec![rank as u8 * 16 + part as u8; 5 + part]
     }
 
-    fn summary_extent(raw: &[u8], (chunks, parts): Geometry) -> (&[u8], u64) {
-        let at = header_size(chunks, parts);
+    /// A small bin file: 4 chunks × 3 parts, three chunks with points
+    /// and units, laid out in `order`.
+    fn built_in(order: LevelOrder) -> (Vec<u8>, Geometry) {
+        let parts: Vec<Vec<Vec<u8>>> = (0..4)
+            .map(|rank| (0..3).map(|part| part_bytes(rank, part)).collect())
+            .collect();
+        let mut b = BinFileBuilder::new(2, 4, 3, order);
+        for (rank, positions) in [(0usize, &[1u64, 5, 9][..]), (1, &[0]), (3, &[2, 3])] {
+            let runs = RunList::from_sorted_positions(16, positions);
+            let unit: Vec<&[u8]> = parts[rank].iter().map(Vec::as_slice).collect();
+            b.set_chunk(rank, runs.as_ref(), &unit);
+        }
+        (b.finish().unwrap().bytes, (4, 3))
+    }
+
+    fn built() -> (Vec<u8>, Geometry) {
+        built_in(LevelOrder::Vms)
+    }
+
+    fn summary_extent(raw: &[u8], (chunks, _): Geometry) -> (&[u8], u64) {
+        let at = HEADER_LEN;
         let end = (at + summary_extent_len(chunks)).min(raw.len() as u64);
         (&raw[(at as usize).min(raw.len())..end as usize], at)
+    }
+
+    /// The checked file's tables, summary and rows, all of them clean.
+    fn rows_of(raw: &[u8], order: LevelOrder) -> (Tables, ExtentFooter, ExtentFooter, Rows) {
+        let geometry = (4, 3);
+        let checked = check(raw, "f", Some(&layout(geometry, order)));
+        assert!(checked.damage.is_empty(), "{:?}", checked.damage);
+        let rows = checked.rows.unwrap();
+        let (index, data) = (checked.index.unwrap(), checked.data.unwrap());
+        (checked.tables.unwrap(), index, data, rows)
     }
 
     /// Eager decoders of the preamble and the end marker, written apart
@@ -616,7 +844,7 @@ mod tests {
         ) -> Result<(u64, u32, u32)> {
             let bad =
                 |what: &str| Err(corrupt_extent(file, header_len, summary.len() as u64, what));
-            let want = 8 + 9 * chunks + 8;
+            let want = 8 + 13 * chunks + 8;
             if summary.len() != want {
                 return bad("summary extent truncated");
             }
@@ -669,18 +897,57 @@ mod tests {
     #[test]
     fn a_built_file_checks_clean_and_its_sections_add_up() {
         let (raw, geometry) = built();
-        for stated in [Some(&layout(geometry)), None] {
+        for stated in [Some(&layout(geometry, LevelOrder::Vms)), None] {
             let checked = check(&raw, "f", stated);
             assert!(checked.damage.is_empty(), "{:?}", checked.damage);
             // Header, summary, three bitmaps; nine units.
             assert_eq!(checked.extents, 5 + 9);
         }
-        let (summary, at) = summary_extent(&raw, geometry);
-        let tables = Tables::parse(summary, at, geometry, "f").unwrap();
-        let header = HeaderView::parse(&raw[..]).unwrap();
-        let (index, data) = section_bytes(&header, &tables);
+        let tables = rows_of(&raw, LevelOrder::Vms).0;
+        let fixed = parse_fixed(&raw, geometry, LevelOrder::Vms, "f").unwrap();
+        let (index, data) = fixed.section_bytes().unwrap();
         assert_eq!(index + data, raw.len() as u64);
         assert_eq!(data, tables.data_span().1 + (5 + 6 + 7) * 3);
+        // The header is the prologue alone.
+        assert_eq!(HEADER_LEN, 14);
+        assert_eq!(tables.index_span().0, HEADER_LEN + summary_extent_len(4));
+    }
+
+    /// Every bitmap and unit part is where its derived row says, in
+    /// either level order, and the inverse lookups name it back.
+    #[test]
+    fn derived_rows_locate_every_bitmap_and_part_in_either_level_order() {
+        for order in [LevelOrder::Vms, LevelOrder::Vsm] {
+            let (raw, _) = built_in(order);
+            let (_, index, data, rows) = rows_of(&raw, order);
+            for (rank, positions) in [(0usize, &[1u64, 5, 9][..]), (1, &[0]), (3, &[2, 3])] {
+                let (at, len) = rows.bitmap(&index, rank).unwrap();
+                let runs = RunList::from_sorted_positions(16, positions);
+                let stored = &raw[at as usize..(at + u64::from(len)) as usize];
+                assert_eq!(stored, runs.as_ref().pairs(), "{order:?} rank {rank}");
+                assert_eq!(
+                    rows.chunk_of_bitmap(rows.bitmap_row(rank).unwrap()),
+                    Some(rank)
+                );
+                for part in 0..3 {
+                    let loc = rows.unit(&data, rank, part).unwrap();
+                    let got = &raw[loc.offset as usize..loc.offset as usize + loc.clen as usize];
+                    assert_eq!(got, part_bytes(rank, part), "{order:?} {rank}/{part}");
+                    let row = rows.unit_row(rank, part).unwrap();
+                    assert_eq!(rows.unit_of_row(row), Some((rank, part)));
+                }
+            }
+            assert_eq!(rows.bitmap(&index, 2), None);
+            assert_eq!(rows.unit(&data, 2, 0), None);
+            assert_eq!(rows.unit(&data, 0, 3), None);
+            assert_eq!(rows.unit_of_row(9), None);
+        }
+        // Part-major and chunk-major differ only in where the parts are.
+        let (vms, vsm) = (built_in(LevelOrder::Vms).0, built_in(LevelOrder::Vsm).0);
+        assert_eq!(vms.len(), vsm.len());
+        let units_at = rows_of(&vms, LevelOrder::Vms).2.extent(0).0 as usize;
+        assert_eq!(vms[..HEADER_LEN as usize], vsm[..HEADER_LEN as usize]);
+        assert_ne!(vms[units_at..], vsm[units_at..]);
     }
 
     /// Every prefix of a built file and every single-bit flip of it:
@@ -690,7 +957,7 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_is_found_and_never_panics() {
         let (raw, geometry) = built();
-        let layout = layout(geometry);
+        let layout = layout(geometry, LevelOrder::Vms);
         for cut in 0..raw.len() {
             agree(&raw[..cut], geometry);
             for stated in [Some(&layout), None] {
@@ -714,15 +981,15 @@ mod tests {
     #[test]
     fn a_resealed_run_list_that_disagrees_with_its_entry_is_found() {
         let (raw, geometry) = built();
-        let header = HeaderView::parse(&raw[..]).unwrap();
+        let (_, index, _, rows) = rows_of(&raw, LevelOrder::Vms);
         // Chunk 0's runs are 1, 5, 9: lengthen the last run by one.
-        let (at, len) = (header.bitmap_file_offset(0), header.bitmap_len(0));
+        let (at, len) = rows.bitmap(&index, 0).unwrap();
         assert_eq!(len, 6, "three one-byte pairs");
         let mut bad = raw.clone();
         bad[at as usize + 5] = 1;
-        reseal_index(&mut bad, geometry, "f");
+        reseal_index(&mut bad, geometry, front_lens, "f");
         assert!(check(&bad, "f", None).damage.is_empty());
-        let damage = check(&bad, "f", Some(&layout(geometry))).damage;
+        let damage = check(&bad, "f", Some(&layout(geometry, LevelOrder::Vms))).damage;
         let [MlocError::CorruptExtent {
             offset,
             len: n,
@@ -735,8 +1002,88 @@ mod tests {
         assert_eq!((*offset, *n), (at, u64::from(len)));
         assert_eq!(
             what,
-            "run list disagrees with its count (entry: 3 of 16 points)"
+            "run list disagrees with its count (summary: 3 of 16 points)"
         );
+    }
+
+    /// A summary that sets one chunk more or fewer than the tables have
+    /// rows for, resealed so every checksum holds, is named at the table
+    /// whose size disagrees — held to a layout or not.
+    #[test]
+    fn tables_whose_rows_disagree_with_the_summary_are_named() {
+        let (raw, geometry) = built();
+        let (tables, ..) = rows_of(&raw, LevelOrder::Vms);
+        let count_at = |rank: usize| (HEADER_LEN + 8 + 13 * rank as u64) as usize;
+        // Chunk 2 gains a point; chunk 1 loses its only one.
+        for (rank, count) in [(2usize, 1u32), (1, 0)] {
+            let mut bad = raw.clone();
+            bad[count_at(rank)..count_at(rank) + 4].copy_from_slice(&count.to_le_bytes());
+            reseal_index(&mut bad, geometry, front_lens, "f");
+            for stated in [Some(&layout(geometry, LevelOrder::Vms)), None] {
+                let damage = check(&bad, "f", stated).damage;
+                let [MlocError::CorruptExtent { offset, what, .. }] = &damage[..] else {
+                    panic!("{damage:?}");
+                };
+                assert_eq!(*offset, tables.index_span().0, "{what}");
+                assert!(what.contains("bitmap rows for"), "{what}");
+            }
+        }
+    }
+
+    /// Table sizes one row off what the summary's set chunks need — a
+    /// data row or a bitmap row too many or too few — are refused when
+    /// the rows are derived, naming the table whose size is wrong.
+    #[test]
+    fn rows_refuse_table_sizes_other_than_the_summarys() {
+        let (raw, geometry) = built();
+        let (summary, at) = summary_extent(&raw, geometry);
+        let summaries = SummaryView::parse(summary, geometry.0).unwrap();
+        let end = summary.len();
+        for (field, delta) in [(end - 4, 1i64), (end - 4, -1), (end - 8, 1), (end - 8, -1)] {
+            let mut bad = summary.to_vec();
+            let stated = i64::from(le_u32(&bad, field)) + delta;
+            bad[field..field + 4].copy_from_slice(&(stated as u32).to_le_bytes());
+            let tables = Tables::parse(&bad, at, geometry, "f").unwrap();
+            let got = Rows::derive(&summaries, &tables, geometry.1, LevelOrder::Vms, "f");
+            let span = match field == end - 4 {
+                true => tables.data_span(),
+                false => tables.index_span(),
+            };
+            match got {
+                Err(MlocError::CorruptExtent {
+                    offset, len, what, ..
+                }) => {
+                    assert_eq!((offset, len), span, "{what}");
+                    assert!(what.contains("rows for 3 set chunks"), "{what}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// A set chunk's part that compressed to nothing fails the build
+    /// with a typed error, whichever chunk and part it is.
+    #[test]
+    fn an_empty_part_of_a_set_chunk_is_refused() {
+        let runs = RunList::from_sorted_positions(16, &[3]);
+        for (rank, part) in [(0usize, 0usize), (1, 2), (3, 1)] {
+            let mut b = BinFileBuilder::new(7, 4, 3, LevelOrder::Vsm);
+            for r in [0, 1, 3] {
+                let mut unit: [&[u8]; 3] = [b"a", b"b", b"c"];
+                if r == rank {
+                    unit[part] = b"";
+                }
+                b.set_chunk(r, runs.as_ref(), &unit);
+            }
+            match b.finish() {
+                Err(MlocError::EmptyUnit {
+                    bin: 7,
+                    chunk_rank,
+                    part: p,
+                }) => assert_eq!((chunk_rank, p), (rank, part)),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     proptest! {
@@ -753,14 +1100,14 @@ mod tests {
             parts in 1usize..4,
         ) {
             agree(&junk, (chunks, parts));
-            let _ = check(&junk, "f", Some(&layout((chunks, parts))));
+            let _ = check(&junk, "f", Some(&layout((chunks, parts), LevelOrder::Vms)));
             let _ = check(&junk, "f", None);
             let (mut raw, geometry) = built();
             let at = at % raw.len();
             let end = (at + over.len()).min(raw.len());
             raw[at..end].copy_from_slice(&over[..end - at]);
             agree(&raw, geometry);
-            let checked = check(&raw, "f", Some(&layout(geometry)));
+            let checked = check(&raw, "f", Some(&layout(geometry, LevelOrder::Vms)));
             prop_assert!(checked.extents <= raw.len() as u64);
         }
     }

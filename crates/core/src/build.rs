@@ -46,7 +46,6 @@ use crate::binfile::{BinFile, BinFileBuilder};
 use crate::binning::BinSpec;
 use crate::config::MlocConfig;
 use crate::fileorg;
-use crate::index::UnitLoc;
 use crate::store::VariableMeta;
 use crate::{plod, MlocError, Result};
 use mloc_bitmap::RunList;
@@ -407,53 +406,16 @@ impl<'a> StreamingBuilder<'a> {
         // is always curve-rank order, no matter how chunks arrived.
         let t_layout = Instant::now();
         let pending = std::mem::take(&mut self.pending);
-        let assembled: Vec<BinFile> = parallel_map(threads, pending, |bin, mut units| {
+        let assembled = parallel_map(threads, pending, |bin, mut units| {
             units.sort_unstable_by_key(|u| u.rank);
-
-            // The unit section, and each unit part's extent length (the
-            // logical units a query reads, for the data table).
-            let mut data = Vec::new();
-            let mut data_extents: Vec<u32> = Vec::new();
-            let mut locs: Vec<Vec<UnitLoc>> = units
-                .iter()
-                .map(|_| vec![UnitLoc::default(); num_parts])
-                .collect();
-            #[allow(clippy::needless_range_loop)] // locs is indexed by (unit, part)
-            match level_order {
-                crate::config::LevelOrder::Vms => {
-                    // Part-major: all chunks' part 0, then part 1, …
-                    for p in 0..num_parts {
-                        for (i, u) in units.iter().enumerate() {
-                            locs[i][p] = UnitLoc {
-                                offset: data.len() as u64,
-                                clen: u.parts[p].len() as u32,
-                            };
-                            data_extents.push(u.parts[p].len() as u32);
-                            data.extend_from_slice(&u.parts[p]);
-                        }
-                    }
-                }
-                crate::config::LevelOrder::Vsm => {
-                    // Chunk-major: each chunk's parts together.
-                    for (i, u) in units.iter().enumerate() {
-                        for p in 0..num_parts {
-                            locs[i][p] = UnitLoc {
-                                offset: data.len() as u64,
-                                clen: u.parts[p].len() as u32,
-                            };
-                            data_extents.push(u.parts[p].len() as u32);
-                            data.extend_from_slice(&u.parts[p]);
-                        }
-                    }
-                }
+            let mut file = BinFileBuilder::new(bin as u32, num_chunks, num_parts, level_order);
+            for u in &units {
+                let parts: Vec<&[u8]> = u.parts.iter().map(Vec::as_slice).collect();
+                file.set_chunk(u.rank, u.runs.as_ref(), &parts);
             }
-
-            let mut file = BinFileBuilder::new(bin as u32, num_chunks, num_parts);
-            for (i, u) in units.iter().enumerate() {
-                file.set_chunk(u.rank, u.runs.as_ref(), &locs[i]);
-            }
-            file.finish(&data, &data_extents)
+            file.finish()
         });
+        let assembled = assembled.into_iter().collect::<Result<Vec<BinFile>>>()?;
         let layout_seconds = t_layout.elapsed().as_secs_f64();
 
         // Stage 2 — write, then commit.

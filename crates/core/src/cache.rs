@@ -36,7 +36,7 @@
 //! reuses them, reads only the missing tail parts, and replaces the
 //! block with the longer prefix.
 //!
-//! A bin's fixed blocks — header and directory, summary, index and data
+//! A bin's fixed blocks — header, summary, index and data
 //! checksum tables — are cached likewise as one entry
 //! ([`BlockPart::Fixed`]), verified and parsed ([`FixedBlocks`]), so a
 //! warm bin is one probe too.
@@ -45,8 +45,8 @@
 //! a variable under the same dataset/var names with different content
 //! requires a fresh cache.
 
-use crate::binfile::Tables;
-use crate::index::{HeaderView, SummaryView};
+use crate::binfile::{Rows, Tables};
+use crate::index::{SummaryView, UnitLoc, HEADER_LEN};
 use crate::integrity::ExtentFooter;
 use mloc_bitmap::RunList;
 use parking_lot::Mutex;
@@ -248,11 +248,11 @@ impl From<Vec<u8>> for ByteView {
 /// parsed: what a bin costs before a single bitmap is read, cached as
 /// one entry. A query that reads no data leaves the data table out; a
 /// later one that does reads it alone and caches the longer entry.
+/// Every bitmap and unit location is derived from them once, at
+/// admission ([`Rows`]), and looked up in O(1).
 #[derive(Debug, Clone)]
 pub struct FixedBlocks {
-    /// The header + chunk directory.
-    pub index: HeaderView<ByteView>,
-    /// The chunk summaries.
+    /// The chunk summaries: each chunk's count and span.
     pub summaries: SummaryView<ByteView>,
     /// The bin file's index checksum table.
     pub footer: Arc<ExtentFooter>,
@@ -261,6 +261,8 @@ pub struct FixedBlocks {
     /// Where the bin file's tables are: what locates the data table when
     /// an entry without it is extended.
     pub tables: Tables,
+    /// Which table row holds each bitmap and unit part.
+    pub rows: Rows,
 }
 
 impl FixedBlocks {
@@ -269,10 +271,43 @@ impl FixedBlocks {
     /// index table. The data table is [`Self::data`]'s span.
     pub fn index_spans(&self) -> [(u64, u64); 3] {
         [
-            (0, self.index.header_bytes()),
-            (self.index.summary_file_offset(), self.index.summary_bytes()),
+            (0, HEADER_LEN),
+            (HEADER_LEN, self.tables.index_span().0 - HEADER_LEN),
             self.footer.span(),
         ]
+    }
+
+    /// Number of the bin's points inside chunk `rank`.
+    pub fn count(&self, rank: usize) -> u32 {
+        self.summaries.count(rank)
+    }
+
+    /// Chunk `rank`'s bitmap extent, `(offset, stored length)`; `None`
+    /// when the chunk has no points in the bin.
+    pub fn bitmap(&self, rank: usize) -> Option<(u64, u32)> {
+        self.rows.bitmap(&self.footer, rank)
+    }
+
+    /// Where part `part` of chunk `rank`'s unit is; `None` when the
+    /// chunk has no points in the bin or the entry holds no data table.
+    pub fn unit(&self, rank: usize, part: usize) -> Option<UnitLoc> {
+        self.rows.unit(self.data.as_deref()?, rank, part)
+    }
+
+    /// How the bin file's bytes split between its index section
+    /// (header, summary, index table, bitmaps, end marker) and its data
+    /// section (data table, units): `(index, data)`, from its tables
+    /// alone; `None` when the entry holds no data table.
+    pub fn section_bytes(&self) -> Option<(u64, u64)> {
+        let lens = |t: &ExtentFooter, from: usize| -> u64 {
+            (from..t.num_extents())
+                .map(|i| u64::from(t.extent(i).1))
+                .sum()
+        };
+        let data = self.data.as_deref()?;
+        let (data_at, data_len) = self.tables.data_span();
+        let index = data_at + lens(&self.footer, 2) + crate::binfile::END_LEN;
+        Some((index, data_len + lens(data, 0)))
     }
 
     /// Stored bytes of every block the entry holds.
@@ -293,7 +328,7 @@ pub enum CachedBlock {
     /// One bin's verified, parsed fixed blocks.
     Fixed(Arc<FixedBlocks>),
     /// One chunk's positional bitmap, decoded once and checked against
-    /// its header entry: a run list, holding no extent buffer.
+    /// its summary count: a run list, holding no extent buffer.
     Runs(Arc<RunList>),
 }
 

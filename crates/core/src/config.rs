@@ -494,18 +494,19 @@ mod tests {
                       000000000000f83f000000000000004000000000000004400000000000000840\
                       0000000000000c40000000000000104000000000000012400000000000001440\
                       00000000000016400000000000001840";
-        // The version byte (4: bitmaps stored as run lists) is the only
-        // byte the meta of format v4 changed; a version-2 meta (two files
-        // per bin) or version-3 one (WAH bitmaps) — the checked-in
-        // fixtures — decodes for `mloc upgrade` alone.
+        // The version byte (5: locations derived, not stored) is the only
+        // byte the meta of format v5 changed; a version-2 meta (two files
+        // per bin), version-3 one (WAH bitmaps) or version-4 one (chunk
+        // directories) — the checked-in fixtures — decodes for `mloc
+        // upgrade` alone.
         let payload = |version: &str| {
             format!("4d4d4554{version}0400000074656d70{body}{bounds}0040000000000000")
         };
-        assert_eq!(hex(&meta.encode()), payload("04"));
+        assert_eq!(hex(&meta.encode()), payload("05"));
         let decode = crate::store::VariableMeta::decode;
         assert_eq!(decode(&meta.encode()).unwrap(), meta);
         let any = crate::store::VariableMeta::decode_any;
-        for version in [2u8, 3] {
+        for version in [2u8, 3, 4] {
             let mut old = meta.encode();
             old[4] = version;
             assert_eq!(hex(&old), payload(&format!("{version:02x}")));

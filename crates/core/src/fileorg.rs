@@ -25,7 +25,7 @@
 //! II's 1 % MLOC-COL query at 8 ranks, four ranks to a bin, went from
 //! 0.044 to 0.131 s and no longer beats the sequential scan. Stores of
 //! the two-file formats are not read here: `mloc upgrade`
-//! ([`crate::upgrade`]) copies them out as v4.
+//! ([`crate::upgrade`]) copies them out as v5.
 
 use mloc_pfs::{PfsError, StorageBackend};
 

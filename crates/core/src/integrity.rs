@@ -294,6 +294,12 @@ impl ExtentFooter {
         (self.offsets[i], self.lens[i], self.crcs[i])
     }
 
+    /// The table position of the extent that starts at `offset`.
+    pub(crate) fn position(&self, offset: u64) -> Option<usize> {
+        let i = self.offsets.partition_point(|&o| o < offset);
+        (self.offsets.get(i) == Some(&offset)).then_some(i)
+    }
+
     /// Where the table's last extent ends (0 for an empty table).
     pub fn extents_end(&self) -> u64 {
         match (self.offsets.last(), self.lens.last()) {
@@ -552,7 +558,7 @@ mod tests {
         use crate::binfile::Tables;
         use crate::build::build_variable;
         use crate::config::MlocConfig;
-        use crate::index::{header_size, HeaderView};
+        use crate::index::HEADER_LEN;
         use crate::store::MlocStore;
         use mloc_pfs::{MemBackend, StorageBackend};
         let ramp: Vec<u8> = (0..=255u8).collect();
@@ -586,9 +592,9 @@ mod tests {
             .bin_file(1)
             .to_string();
         let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-        let hdr_len = header_size(4, 7);
-        let header = HeaderView::parse(&raw[..]).unwrap();
-        let span = hdr_len as usize..(hdr_len + header.summary_bytes()) as usize;
+        let hdr_len = HEADER_LEN;
+        let summary_len = crate::binfile::summary_extent_len(4);
+        let span = hdr_len as usize..(hdr_len + summary_len) as usize;
         let tables = Tables::parse(&raw[span], hdr_len, (4, 7), &file).unwrap();
         let slice = |(at, len): (u64, u64)| &raw[at as usize..(at + len) as usize];
         let index = tables

@@ -294,7 +294,9 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
             let mut pending: Vec<(usize, Option<UnitBlock>)> = Vec::new();
             for &k in group {
                 let unit = &self.units[k].unit;
-                let loc = fixed.index.unit(unit.chunk_rank, p);
+                let loc = fixed
+                    .unit(unit.chunk_rank, p)
+                    .ok_or(MlocError::Corrupt("data unit without footer"))?;
                 match fetcher.unit_block(bin, unit.chunk_rank, unit.count as usize) {
                     Some(block) if block.parts() > p => {
                         fetcher.served(&file, loc.offset, u64::from(loc.clen));

@@ -2,12 +2,12 @@
 //! a [`Fetcher`], so a cache hit, a fused want and a physical read of
 //! the same extent are traced, verified and counted in one place.
 //! Three operations, each one cache probe per block the cache keeps: a
-//! bin's fixed blocks ([`Fetcher::fixed`]: header and directory,
-//! summary, index table and — when the bin's units read data — data
-//! table, verified, parsed and cached as one entry; a warm bin replays
+//! bin's fixed blocks ([`Fetcher::fixed`]: header, summary, index table
+//! and — when the bin's units read data — data table, verified, parsed,
+//! their rows derived, and cached as one entry; a warm bin replays
 //! their spans as cached records), a coalesced want-list of bitmaps
 //! ([`Fetcher::wants`], one probe per bitmap; a read bitmap is decoded
-//! once into a run list and checked against its header entry before
+//! once into a run list and checked against its summary count before
 //! anything is cached), and a data unit
 //! ([`Fetcher::unit_block`], one probe whatever number of its extents
 //! the block found serves; the extents it did not serve are read by
@@ -15,17 +15,17 @@
 //! the table that vouches for them and are decided on, and admitted,
 //! only once it has.
 
-use crate::binfile::{refused_runs, summary_extent_len, Tables};
+use crate::binfile::{refused_runs, summary_extent_len, Rows, Tables};
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::fusion::coalesced_read_results;
-use crate::index::{header_size, HeaderView, SummaryView};
-use crate::integrity::ExtentFooter;
+use crate::index::{check_header, SummaryView, HEADER_LEN};
+use crate::integrity::{corrupt_extent, ExtentFooter};
 use crate::plod;
 use crate::store::MlocStore;
 use crate::Result;
 use mloc_bitmap::{RunList, RunListBuf};
 use mloc_obs::Collector;
-use mloc_pfs::{RankIo, ReadOp, RetryPolicy};
+use mloc_pfs::{PfsError, RankIo, ReadOp, RetryPolicy};
 use std::sync::Arc;
 
 /// What one rank's fetches cost, by where the bytes came from.
@@ -66,7 +66,7 @@ pub struct FetchReport {
 /// One bitmap of a coalesced want-list: the cache key of its run list
 /// (whose chunk rank names the chunk it must cover), its extent's byte
 /// offset in the file and stored length, and the set-bit count its
-/// header entry declares — the unit's point count.
+/// summary declares — the unit's point count.
 pub(crate) struct Want {
     pub key: BlockKey,
     pub offset: u64,
@@ -245,8 +245,8 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     }
 
     /// `bin`'s fixed blocks, verified and parsed, with its data table
-    /// iff `data` says — from the header — that a unit of the bin reads
-    /// data. One cache probe: a hit replays the blocks' spans as cached
+    /// iff `data` says — from the summary's counts — that a unit of the
+    /// bin reads data. One cache probe: a hit replays the blocks' spans as cached
     /// records, in the order a cold fetch reads them; an entry without
     /// the data table a query now needs reads that table alone. What
     /// was read is cached, as one entry, only once every block in it
@@ -255,12 +255,12 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     pub fn fixed(
         &mut self,
         bin: usize,
-        data: impl Fn(&HeaderView<ByteView>) -> bool,
+        data: impl Fn(&SummaryView<ByteView>) -> bool,
     ) -> Result<Arc<FixedBlocks>> {
         let key = self.key(bin, 0, BlockPart::Fixed);
         let fixed = match self.probe(&key) {
             Some(CachedBlock::Fixed(hit)) => {
-                let data = data(&hit.index);
+                let data = data(&hit.summaries);
                 let file = self.bin_file(bin);
                 for (off, len) in hit.index_spans() {
                     self.served(&file, off, len);
@@ -289,39 +289,56 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 
     /// Read, verify and parse `bin`'s fixed blocks: the header, the
     /// summary, then — its last bytes say how long they are — the
-    /// checksum tables, each read continuing the last.
+    /// checksum tables, each read continuing the last; then derive
+    /// every bitmap's and unit part's table row from the summary's
+    /// counts, refusing tables of other sizes.
     fn fetch_fixed(
         &mut self,
         bin: usize,
-        data: impl Fn(&HeaderView<ByteView>) -> bool,
+        data: impl Fn(&SummaryView<ByteView>) -> bool,
     ) -> Result<FixedBlocks> {
         // The geometry must be the store's: every rank and part index
         // the engine uses comes from the plan.
         let store = self.store;
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
         let file = self.bin_file(bin);
-        let hdr_len = header_size(geometry.0, geometry.1);
         // Header and summary are read ahead of the table that vouches
         // for them: nothing may be decided from their bytes before
         // `admit` except where that table is and which tables to read.
-        let hdr = ByteView::from(self.io.read(Arc::clone(&file), 0, hdr_len)?);
-        let parsed = HeaderView::parse(hdr.clone())
-            .and_then(|view| view.with_geometry(geometry.0, geometry.1));
+        let hdr = self.read_fixed(&file, 0, HEADER_LEN)?;
         let len = summary_extent_len(geometry.0);
-        let sum = ByteView::from(self.io.read(Arc::clone(&file), hdr_len, len)?);
-        let tables = Tables::parse(&sum, hdr_len, geometry, &file)?;
-        let data = parsed.as_ref().is_ok_and(data);
+        let sum = ByteView::from(self.read_fixed(&file, HEADER_LEN, len)?);
+        let tables = Tables::parse(&sum, HEADER_LEN, geometry, &file)?;
+        let summaries = SummaryView::parse(sum.clone(), geometry.0);
+        let data = summaries.as_ref().is_ok_and(data);
         let (footer, data) = self.tables(&file, &tables, None, data)?;
         self.admit(&file, &footer, 0, &hdr)?;
-        let index = parsed?;
-        self.admit(&file, &footer, hdr_len, &sum)?;
+        check_header(&hdr, geometry)?;
+        self.admit(&file, &footer, HEADER_LEN, &sum)?;
+        let summaries = summaries?;
+        let order = store.config().level_order;
+        let rows = Rows::derive(&summaries, &tables, geometry.1, order, &file)?;
         Ok(FixedBlocks {
-            index,
-            summaries: SummaryView::parse(sum, geometry.0)?,
+            summaries,
             footer,
             data,
             tables,
+            rows,
         })
+    }
+
+    /// Read `len` bytes of `file`'s fixed blocks from `off`. A file too
+    /// short to hold them is torn: its damage is named like any other
+    /// extent's, never served.
+    fn read_fixed(&mut self, file: &Arc<str>, off: u64, len: u64) -> Result<Vec<u8>> {
+        self.io
+            .read(Arc::clone(file), off, len)
+            .map_err(|e| match e {
+                PfsError::OutOfBounds { .. } => {
+                    corrupt_extent(file, off, len, "fixed block past end of file (torn write?)")
+                }
+                e => e.into(),
+            })
     }
 
     /// Verify index bytes read ahead at `off` against their file's
@@ -347,7 +364,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         let (index_span, data_span) = (tables.index_span(), tables.data_span());
         let start = known.map_or(index_span.0, |_| data_span.0);
         let end = data_span.0 + if data { data_span.1 } else { 0 };
-        let raw = self.io.read(Arc::clone(file), start, end - start)?;
+        let raw = self.read_fixed(file, start, end - start)?;
         let at =
             |(off, len): (u64, u64)| &raw[(off - start) as usize..(off - start + len) as usize];
         let index = match known {
@@ -408,7 +425,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     }
 
     /// Take a verified bitmap extent into `local` as its chunk's run
-    /// list, after one validating walk against its header entry: as
+    /// list, after one validating walk against its summary count: as
     /// many set bits as the unit has points, inside its chunk, one
     /// encoding of them ([`RunListBuf::push_stored`]). Only then is it
     /// offered to the cache, as a run list of its own. An extent the
@@ -497,6 +514,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
 mod tests {
     use super::super::Decoder;
     use super::*;
+    use crate::binfile::parse_fixed;
     use crate::build::build_variable;
     use crate::cache::BlockCache;
     use crate::config::MlocConfig;
@@ -505,9 +523,9 @@ mod tests {
 
     const BIN: usize = 1;
 
-    /// CRC-32 of [`fill_then_values`]'s text (format v4: bitmap
-    /// offsets and lengths are run lists').
-    const PARITY_DIGEST: u32 = 0x8646_3419;
+    /// CRC-32 of [`fill_then_values`]'s text (format v5: no chunk
+    /// directory in front of the summaries, a count in each record).
+    const PARITY_DIGEST: u32 = 0x7EDD_1BFD;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -520,15 +538,25 @@ mod tests {
         build_variable(be, "ds", "v", &values, &config).unwrap();
     }
 
-    /// Where bin `BIN`'s tables are, and both tables, fetched through
-    /// a store and a fetcher of their own so they stay out of `store`'s
+    /// Bin `BIN`'s fixed blocks with both tables, fetched through a
+    /// store and a fetcher of their own so they stay out of `store`'s
     /// cache and out of any report.
-    fn tables_of(store: &MlocStore<'_>) -> (Tables, Arc<ExtentFooter>, Arc<ExtentFooter>) {
+    fn fixed_of(store: &MlocStore<'_>) -> Arc<FixedBlocks> {
         let store = MlocStore::open(store.backend(), store.dataset(), store.var()).unwrap();
         let mut g = Fetcher::new(&store, RetryPolicy::none(), false);
-        let fixed = g.fixed(BIN, |_| true).unwrap();
-        let data = fixed.data.clone().unwrap();
-        (fixed.tables, Arc::clone(&fixed.footer), data)
+        g.fixed(BIN, |_| true).unwrap()
+    }
+
+    /// Where bin `BIN`'s tables are.
+    fn tables_of(store: &MlocStore<'_>) -> Tables {
+        fixed_of(store).tables
+    }
+
+    /// Bin `bin` of `store`, a whole file in `be`, parsed in place.
+    fn located_in(store: &MlocStore<'_>, raw: &[u8], bin: usize) -> FixedBlocks {
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        let order = store.config().level_order;
+        parse_fixed(raw, geometry, order, store.bin_file(bin)).unwrap()
     }
 
     /// Fetch the block `part` of chunk rank `r` through the operation
@@ -536,40 +564,36 @@ mod tests {
     /// `Fixed` is the bin's fixed blocks as a positions-only query
     /// needs them (no data table); `PlodUnit` is the unit's part 0,
     /// served by its unit block or read, decoded and published as one.
-    fn fetch(
-        store: &MlocStore<'_>,
-        index: &HeaderView<&[u8]>,
-        r: usize,
-        part: BlockPart,
-    ) -> FetchReport {
+    fn fetch(store: &MlocStore<'_>, fixed: &FixedBlocks, r: usize, part: BlockPart) -> FetchReport {
         let mut f = Fetcher::new(store, RetryPolicy::none(), false);
         let file = f.bin_file(BIN);
         let key = f.key(BIN, r, part);
-        let (_, index_table, data_table) = tables_of(store);
+        let data_table = fixed.data.as_deref().unwrap();
         match part {
             BlockPart::Fixed => drop(f.fixed(BIN, |_| false).unwrap()),
             BlockPart::Bitmap => {
+                let (offset, len) = fixed.bitmap(r).unwrap();
                 let want = Want {
                     key,
-                    offset: index.bitmap_file_offset(r),
-                    len: index.bitmap_len(r),
-                    count: index.count(r),
+                    offset,
+                    len,
+                    count: fixed.count(r),
                 };
                 let mut local = RunListBuf::new();
-                f.wants(&file, &[want], Some(&index_table), &mut local, |_, got| {
+                f.wants(&file, &[want], Some(&fixed.footer), &mut local, |_, got| {
                     got.map(drop)
                 })
                 .unwrap();
             }
             BlockPart::PlodUnit => {
-                let (loc, count) = (index.unit(r, 0), index.count(r) as usize);
+                let (loc, count) = (fixed.unit(r, 0).unwrap(), fixed.count(r) as usize);
                 match f.unit_block(BIN, r, count) {
                     Some(block) if block.parts() > 0 => {
                         f.served(&file, loc.offset, u64::from(loc.clen))
                     }
                     _ => {
                         let extent = (loc.offset, loc.clen);
-                        let raw = f.read(&file, &[extent], Some(&data_table), false);
+                        let raw = f.read(&file, &[extent], Some(data_table), false);
                         let raw = raw.into_iter().next().unwrap().unwrap();
                         let mut decoder = Decoder::new(store.config().codec);
                         let part = decoder.part(&raw, 0, count).unwrap();
@@ -604,24 +628,20 @@ mod tests {
         let open = || MlocStore::open(&be, "ds", "v").unwrap();
         let plain = open();
 
-        // Locate the extents from the index itself.
+        // Locate the extents from the fixed blocks themselves.
         let file = plain.bin_file(BIN);
-        let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-        let index = HeaderView::parse(&raw[..]).unwrap();
-        let s0 = index.summary_file_offset() as usize;
-        let summaries = SummaryView::parse(&raw[s0..], index.num_chunks()).unwrap();
+        let index = fixed_of(&plain);
         // A partial chunk: it has a bitmap to read and a data unit.
-        let r = (0..index.num_chunks())
-            .find(|&r| index.count(r) > 0 && !summaries.get(r).all_of_chunk)
+        let r = (0..index.summaries.num_chunks())
+            .find(|&r| index.count(r) > 0 && !index.summaries.get(r).all_of_chunk)
             .expect("a partially covered chunk");
-        let (tables, _, _) = tables_of(&plain);
-        let part0 = index.unit(r, 0);
+        let part0 = index.unit(r, 0).unwrap();
         // Header, summary and index table: one span from the front.
-        let (table_at, table_len) = tables.index_span();
+        let (table_at, table_len) = index.tables.index_span();
         // A bitmap is cached as the run list it is stored as, charged
         // its stored bytes.
-        let bitmap_at = index.bitmap_file_offset(r);
-        let bitmap_len = u64::from(index.bitmap_len(r));
+        let (bitmap_at, bitmap_len) = index.bitmap(r).unwrap();
+        let bitmap_len = u64::from(bitmap_len);
         // (part, offset, stored length, coalesced, cache charge)
         let table: [(BlockPart, u64, u64, bool, u64); 3] = [
             (
@@ -680,8 +700,8 @@ mod tests {
         for bin in 0..store.config().num_bins {
             let file = store.bin_file(bin);
             let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-            let index = HeaderView::parse(&raw[..]).unwrap();
-            for r in 0..index.num_chunks() {
+            let index = located_in(store, &raw, bin);
+            for r in 0..index.summaries.num_chunks() {
                 let key = Fetcher::new(store, RetryPolicy::none(), false).unit_key(bin, r);
                 if let Some(CachedBlock::Bytes(b)) = cache.get(&key) {
                     let count = index.count(r) as usize;
@@ -828,11 +848,12 @@ mod tests {
         build(&be);
         let file = Arc::clone(MlocStore::open(&be, "ds", "v").unwrap().bin_file(BIN));
         let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-        let index = HeaderView::parse(&raw[..]).unwrap();
-        let r = (0..index.num_chunks())
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let index = located_in(&store, &raw, BIN);
+        let r = (0..index.summaries.num_chunks())
             .find(|&r| index.count(r) > 0)
             .unwrap();
-        let at = index.unit(r, 3).offset as usize;
+        let at = index.unit(r, 3).unwrap().offset as usize;
         raw[at] ^= 0x40;
         be.create(&file).unwrap();
         be.append(&file, &raw).unwrap();
@@ -862,9 +883,9 @@ mod tests {
         let store = MlocStore::open(&be, "ds", "v")
             .unwrap()
             .with_cache(Arc::clone(&cache));
-        let (tables, _, _) = tables_of(&MlocStore::open(&be, "ds", "v").unwrap());
+        let tables = tables_of(&MlocStore::open(&be, "ds", "v").unwrap());
         let (index_span, data_span) = (tables.index_span(), tables.data_span());
-        let hdr_len = header_size(16, store.config().num_parts());
+        let hdr_len = HEADER_LEN;
         let sum_len = summary_extent_len(16);
         let run = |store: &MlocStore<'_>, data: bool| {
             let mut f = Fetcher::new(store, RetryPolicy::none(), false);
@@ -956,7 +977,7 @@ mod tests {
             4
         );
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let hdr_len = header_size(geometry.0, geometry.1);
+        let hdr_len = HEADER_LEN;
         for file in files {
             let ops: Vec<ReadOp> = trace
                 .iter()
@@ -1046,7 +1067,7 @@ mod tests {
         let (log, serial) = fill_then_values(&be);
         let store = MlocStore::open(&be, "ds", "v").unwrap();
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let hdr_len = header_size(geometry.0, geometry.1);
+        let hdr_len = HEADER_LEN;
         let data_table = |file: &str| {
             let raw = be.read(file, 0, hdr_len + summary_extent_len(geometry.0));
             let raw = raw.unwrap();
@@ -1077,6 +1098,79 @@ mod tests {
             PARITY_DIGEST,
             "{log}"
         );
+    }
+
+    /// Every bit flip, truncation and one-byte extension of a bin
+    /// file's fixed blocks — the header, the summary extent, both
+    /// tables — fails a positions query and a values query as a named
+    /// corrupt extent, or leaves its answer unchanged. Nothing panics,
+    /// and no read of the fixed blocks is sized past the bound their
+    /// geometry gives them ([`Tables::parse`] holds the table sizes to
+    /// it), so no buffer is either.
+    #[test]
+    fn every_mutation_of_the_fixed_blocks_is_named_or_harmless() {
+        use crate::integrity::table_len;
+        use crate::query::{Query, QueryResult};
+        use crate::MlocError;
+        // 32², 16² chunks: a 2 × 2 grid, 2 bins, PLoD byte columns.
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..1024).map(|i| ((i * 37) % 1024) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![32, 32])
+            .chunk_shape(vec![16, 16])
+            .num_bins(2)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let file = store.bin_file(1).to_string();
+        let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+        let (chunks, parts) = (4u32, 7u32);
+        let bound = HEADER_LEN
+            + summary_extent_len(chunks as usize)
+            + table_len(2 + chunks)
+            + table_len(chunks * parts);
+        let fixed_end = {
+            let (at, len) = located_in(&store, &raw, 1).tables.data_span();
+            (at + len) as usize
+        };
+        assert!(fixed_end as u64 <= bound);
+        let queries = [
+            Query::region(f64::MIN, f64::MAX),
+            Query::values_where(f64::MIN, f64::MAX),
+        ];
+        let want: Vec<QueryResult> = queries
+            .iter()
+            .map(|q| store.query_serial(q).unwrap())
+            .collect();
+        let attempt = |bytes: &[u8], ctx: &dyn Fn() -> String| {
+            be.create(&file).unwrap();
+            be.append(&file, bytes).unwrap();
+            let store = MlocStore::open(&be, "ds", "v").unwrap();
+            for (q, want) in queries.iter().zip(&want) {
+                let exec = crate::ParallelExecutor::serial();
+                match exec.run(&store, crate::ExecRequest::new(q)) {
+                    Ok(out) => {
+                        assert_eq!(&out.result, want, "{}", ctx());
+                        let fixed = out.traces[0].iter().filter(|op| op.offset < bound);
+                        assert!(fixed.clone().all(|op| op.len <= bound), "{}", ctx());
+                    }
+                    Err(MlocError::CorruptExtent { file: f, .. }) => assert_eq!(f, file),
+                    Err(e) => panic!("{}: {e}", ctx()),
+                }
+            }
+        };
+        for cut in 0..fixed_end {
+            attempt(&raw[..cut], &|| format!("cut at {cut}"));
+        }
+        for bit in 0..fixed_end * 8 {
+            let mut bad = raw.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            attempt(&bad, &|| format!("flip of bit {bit}"));
+        }
+        for at in 0..=fixed_end {
+            let mut longer = raw.clone();
+            longer.insert(at, 0x5A);
+            attempt(&longer, &|| format!("byte inserted at {at}"));
+        }
     }
 
     /// The whole observable footprint of a rank's fetches, one line per
@@ -1166,7 +1260,8 @@ mod tests {
                 u.bin, u.chunk_rank, u.count
             )
             .unwrap();
-            for loc in u.fixed.index.units(u.chunk_rank) {
+            let parts = (0..7).filter_map(|p| u.fixed.unit(u.chunk_rank, p));
+            for loc in parts {
                 write!(got, " {}+{}", loc.offset, loc.clen).unwrap();
             }
             writeln!(got).unwrap();

@@ -20,7 +20,7 @@ use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
-use crate::index::HeaderView;
+use crate::index::SummaryView;
 use crate::query::plan::WorkUnit;
 use crate::query::Landing;
 use crate::store::MlocStore;
@@ -105,7 +105,7 @@ pub struct RefineUnit {
     /// Points stored in the unit — the byte length of each one-byte
     /// tail part.
     pub count: u32,
-    /// The bin's fixed blocks, shared with step 0: the header locates
+    /// The bin's fixed blocks, shared with step 0: their rows locate
     /// every part's extent, the data table verifies it.
     pub fixed: Arc<FixedBlocks>,
     /// The unit's captured points, as a range of
@@ -131,16 +131,14 @@ pub struct RankJob<'j, 'a> {
 pub(crate) struct BinBlocks {
     /// The name of the bin's file.
     pub file: Arc<str>,
-    /// The bin's fixed blocks: the header + directory and the chunk
-    /// summaries, read in place from the fetched (or cached) bytes — a
-    /// rank pays for the chunks it touches, not for the chunks the bin
-    /// stores — and the data checksum table, fetched iff a unit of the
-    /// bin reads data.
+    /// The bin's fixed blocks: the chunk summaries, read in place from
+    /// the fetched (or cached) bytes, the index checksum table, the
+    /// data checksum table, fetched iff a unit of the bin reads data,
+    /// and the rows derived from them that locate every extent.
     pub fixed: Arc<FixedBlocks>,
-    /// Per unit with points: where its run list is — its stored bitmap
-    /// (a WAH stream, then the chunk's rank/select directory), decoded
-    /// once and checked against its header entry,
-    /// or a full chunk's one run.
+    /// Per unit with points: where its run list is — its stored run
+    /// list, checked once against its summary count, or a full chunk's
+    /// one run.
     runs: Vec<Option<UnitRuns>>,
     /// The run lists of this bin no cache entry holds: every one when
     /// the store has no cache (the buffer is reused from bin to bin).
@@ -226,8 +224,8 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
 
 /// Whether a unit makes its rank read the bin's data section: the plan
 /// asks for data and the chunk has points in the bin.
-fn reads_data(index: &HeaderView<ByteView>, u: &WorkUnit) -> bool {
-    u.needs_data && index.count(u.chunk_rank) > 0
+fn reads_data(summaries: &SummaryView<ByteView>, u: &WorkUnit) -> bool {
+    u.needs_data && summaries.count(u.chunk_rank) > 0
 }
 
 impl Rank<'_, '_> {
@@ -246,10 +244,10 @@ impl Rank<'_, '_> {
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
         obs.begin("index-read");
-        let fixed = self
-            .fetcher
-            .fixed(bin, |index| group.iter().any(|u| reads_data(index, u)))?;
-        let (index, file) = (&fixed.index, self.fetcher.bin_file(bin));
+        let fixed = self.fetcher.fixed(bin, |summaries| {
+            group.iter().any(|u| reads_data(summaries, u))
+        })?;
+        let file = self.fetcher.bin_file(bin);
 
         // Positional bitmaps for this rank's chunks, as one want-list.
         let (grid, order) = (self.job.store.grid(), self.job.store.order());
@@ -260,11 +258,10 @@ impl Rank<'_, '_> {
         let mut wants: Vec<Want> = Vec::new();
         let mut slots: Vec<usize> = Vec::new(); // unit idx in group
         for (gi, u) in group.iter().enumerate() {
-            let len = index.bitmap_len(u.chunk_rank);
-            if len == 0 {
+            let Some((offset, len)) = fixed.bitmap(u.chunk_rank) else {
                 continue;
-            }
-            let count = index.count(u.chunk_rank);
+            };
+            let count = fixed.count(u.chunk_rank);
             // Summary classification: a full chunk's bitmap is all ones
             // — one run — so it is never read; partial chunks still
             // fetch their bitmap.
@@ -281,7 +278,7 @@ impl Rank<'_, '_> {
             self.summary_hits += 1;
             wants.push(Want {
                 key: self.fetcher.key(bin, u.chunk_rank, BlockPart::Bitmap),
-                offset: index.bitmap_file_offset(u.chunk_rank),
+                offset,
                 len,
                 count,
             });
@@ -335,8 +332,8 @@ impl Rank<'_, '_> {
         // fetched on this same condition — which depends only on the
         // plan and the index, never on cache state, so cold and warm
         // runs of the same query access it identically.
-        let index = &blocks.fixed.index;
-        let reads_data = |u: &WorkUnit| reads_data(index, u);
+        let fixed = Arc::clone(&blocks.fixed);
+        let reads_data = |u: &WorkUnit| reads_data(&fixed.summaries, u);
         if group.iter().any(reads_data) {
             blocks.parts = vec![None; group.len() * n_parts];
         }
@@ -350,11 +347,13 @@ impl Rank<'_, '_> {
         let mut extents: Vec<(u64, u32)> = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (unit idx, part)
         for (gi, u) in group.iter().enumerate().filter(|(_, u)| reads_data(u)) {
-            let count = index.count(u.chunk_rank) as usize;
+            let count = fixed.count(u.chunk_rank) as usize;
             let block = self.fetcher.unit_block(bin, u.chunk_rank, count);
             let served = block.as_ref().map_or(0, UnitBlock::parts);
             for p in 0..n_parts {
-                let loc = index.unit(u.chunk_rank, p);
+                let loc = fixed
+                    .unit(u.chunk_rank, p)
+                    .ok_or(MlocError::Corrupt("unit part not in the data table"))?;
                 match &block {
                     Some(block) if p < served => {
                         self.fetcher.served(&file, loc.offset, u64::from(loc.clen));
@@ -400,7 +399,7 @@ impl Rank<'_, '_> {
                     bin,
                     chunk_rank: group[gi].chunk_rank,
                     lost_part: p,
-                    points: u64::from(index.count(group[gi].chunk_rank)),
+                    points: u64::from(fixed.count(group[gi].chunk_rank)),
                     reason: e.to_string(),
                 });
             }
@@ -416,7 +415,7 @@ impl Rank<'_, '_> {
         for (k, view) in stored {
             let (gi, p) = slots[k];
             let chunk_rank = group[gi].chunk_rank;
-            let count = index.count(chunk_rank) as usize;
+            let count = fixed.count(chunk_rank) as usize;
             let block = if config.plod {
                 CachedBlock::Bytes(self.decoder.part(&view, p, count)?)
             } else {
@@ -489,18 +488,19 @@ impl Rank<'_, '_> {
 
 #[cfg(test)]
 mod tests {
+    use crate::binfile::{front_lens, parse_fixed, reseal_index};
     use crate::build::build_variable;
+    use crate::config::LevelOrder;
     use crate::config::MlocConfig;
-    use crate::index::header_size;
     use crate::query::Query;
     use crate::store::MlocStore;
     use crate::MlocError;
     use mloc_pfs::{MemBackend, StorageBackend};
 
     /// A header that parses and passes its checksum but describes
-    /// another geometry — here 40 chunks × 2 parts, the same 1614
-    /// bytes as the store's 16 × 7 — is refused where it is read,
-    /// instead of sending plan-derived ranks and parts out of range.
+    /// another geometry — here 40 chunks × 2 parts, where the store's
+    /// is 16 × 7 — is refused where it is read, instead of sending
+    /// plan-derived ranks and parts out of range.
     #[test]
     fn a_header_of_another_geometry_is_corrupt_not_a_panic() {
         let be = MemBackend::new();
@@ -516,10 +516,9 @@ mod tests {
 
         let file = store.bin_file(1);
         let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-        assert_eq!(header_size(16, 7), header_size(40, 2));
         raw[9..13].copy_from_slice(&40u32.to_le_bytes());
         raw[13] = 2;
-        crate::binfile::reseal_index(&mut raw, (16, 7), file);
+        reseal_index(&mut raw, (16, 7), front_lens, file);
         be.create(file).unwrap();
         be.append(file, &raw).unwrap();
 
@@ -543,7 +542,7 @@ mod tests {
 
     /// A chunk the region straddles, with one set bit added to its
     /// run list past the last row of the region's box under a resealed
-    /// index table: the list's runs no longer sum to its header entry's
+    /// index table: the list's runs no longer sum to its summary's
     /// count, which admission checks before any walk, so a one-shot
     /// query and a progressive ladder's step 0 both refuse the unit,
     /// cold, and warm from the blocks the failed run cached — and its
@@ -552,7 +551,6 @@ mod tests {
     fn an_extra_bit_outside_the_box_is_corrupt_cold_and_warm() {
         use crate::array::Region;
         use crate::cache::BlockCache;
-        use crate::index::HeaderView;
         use std::sync::Arc;
 
         let be = MemBackend::new();
@@ -575,10 +573,12 @@ mod tests {
         let edited = (0..4).find(|&bin| {
             let file = store.bin_file(bin);
             let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-            let index = HeaderView::parse(&raw[..]).unwrap();
-            let at = index.bitmap_file_offset(rank) as usize;
-            let end = at + index.bitmap_len(rank) as usize;
-            let count = u64::from(index.count(rank));
+            let located = parse_fixed(&raw, (16, 7), LevelOrder::Vms, file).unwrap();
+            let Some((at, len)) = located.bitmap(rank) else {
+                return false;
+            };
+            let (at, end) = (at as usize, (at + u64::from(len)) as usize);
+            let count = u64::from(located.count(rank));
             let mut runs = mloc_bitmap::RunListBuf::new();
             let Ok(i) = runs.push_stored(&raw[at..end], count, 256) else {
                 return false;
@@ -590,7 +590,7 @@ mod tests {
                 return false;
             }
             raw[end - 1] += 1;
-            crate::binfile::reseal_index(&mut raw, (16, 7), file);
+            reseal_index(&mut raw, (16, 7), front_lens, file);
             be.create(file).unwrap();
             be.append(file, &raw).unwrap();
             true
@@ -631,7 +631,6 @@ mod tests {
     #[test]
     fn a_bitmap_that_disagrees_with_itself_is_corrupt_not_a_panic() {
         use crate::cache::BlockCache;
-        use crate::index::HeaderView;
         use std::sync::Arc;
 
         // One 64 × 64 chunk, 4 bins: `values` picks what the run lists
@@ -650,13 +649,15 @@ mod tests {
             let edited = (0..4).find(|&bin| {
                 let file = store.bin_file(bin);
                 let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-                let index = HeaderView::parse(&raw[..]).unwrap();
-                let at = index.bitmap_file_offset(0) as usize;
-                let end = at + index.bitmap_len(0) as usize;
+                let located = parse_fixed(&raw, (1, 7), LevelOrder::Vms, file).unwrap();
+                let Some((at, len)) = located.bitmap(0) else {
+                    return false;
+                };
+                let (at, end) = (at as usize, (at + u64::from(len)) as usize);
                 if !edit(&mut raw[at..end]) {
                     return false;
                 }
-                crate::binfile::reseal_index(&mut raw, (1, 7), file);
+                reseal_index(&mut raw, (1, 7), front_lens, file);
                 be.create(file).unwrap();
                 be.append(file, &raw).unwrap();
                 true

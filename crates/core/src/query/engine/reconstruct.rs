@@ -497,7 +497,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         bin: &BinBlocks,
         refine: &mut Refinement,
     ) -> Result<()> {
-        let count = bin.fixed.index.count(u.chunk_rank);
+        let count = bin.fixed.count(u.chunk_rank);
         if count == 0 {
             return Ok(());
         }
@@ -528,7 +528,7 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         if !self.window.meets(summary) {
             return Ok(());
         }
-        // The unit's run list was checked against its header entry —
+        // The unit's run list was checked against its summary count —
         // its count of set bits, its chunk's length — when its bitmap
         // was admitted, so no run passes the chunk or the unit's values.
         let runs = bin

@@ -17,7 +17,6 @@ pub mod plan;
 
 use crate::array::Region;
 use crate::config::PlodLevel;
-use mloc_bitmap::WahBitmap;
 
 /// The shape of a query's constraint set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,13 +354,6 @@ impl QueryResult {
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
     }
-
-    /// The positions as a global bitmap of `total_points` bits — the
-    /// representation MLOC uses to hand region-query output to a
-    /// follow-up multi-variable retrieval.
-    pub fn to_bitmap(&self, total_points: u64) -> WahBitmap {
-        WahBitmap::from_sorted_positions(total_points, &self.positions)
-    }
 }
 
 #[cfg(test)]
@@ -401,13 +393,5 @@ mod tests {
         assert_eq!(r.positions(), &[1, 3, 5]);
         assert_eq!(r.values().unwrap(), &[10.0, 30.0, 50.0]);
         assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn result_bitmap() {
-        let r = QueryResult::from_parts(vec![9, 2], None);
-        let bm = r.to_bitmap(16);
-        assert_eq!(bm.to_positions(), vec![2, 9]);
-        assert_eq!(bm.len(), 16);
     }
 }

@@ -16,11 +16,12 @@ use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
-/// The meta's version, the bin files' format: 4 since a bitmap is
-/// stored as its run list. A version-2 meta (formats v1/v2, two files
-/// per bin) or version-3 one (WAH bitmaps) is read by
-/// [`crate::upgrade`] alone.
-pub(crate) const VERSION: u8 = 4;
+/// The meta's version, the bin files' format: 5 since bitmap and unit
+/// locations are derived, not stored. A version-2 meta (formats v1/v2,
+/// two files per bin), version-3 one (WAH bitmaps) or version-4 one (a
+/// chunk directory in every header) is read by [`crate::upgrade`]
+/// alone.
+pub(crate) const VERSION: u8 = 5;
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +49,8 @@ impl VariableMeta {
         w.finish()
     }
 
-    /// Parse bytes produced by [`Self::encode`]. A version-2 or -3
-    /// meta fails with the error that names `mloc upgrade`.
+    /// Parse bytes produced by [`Self::encode`]. A meta of versions 2
+    /// to 4 fails with the error that names `mloc upgrade`.
     pub fn decode(data: &[u8]) -> Result<VariableMeta> {
         Self::decode_current(data, "meta")
     }
@@ -62,8 +63,8 @@ impl VariableMeta {
         }
     }
 
-    /// Parse a meta of any version, and say which: versions 2 and 3
-    /// differ from 4 in their version byte alone.
+    /// Parse a meta of any version, and say which: versions 2 to 4
+    /// differ from 5 in their version byte alone.
     pub(crate) fn decode_any(data: &[u8]) -> Result<(u8, VariableMeta)> {
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {

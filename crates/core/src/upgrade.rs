@@ -1,15 +1,18 @@
-//! `mloc upgrade`: copy a store of the formats before v4 out as v4.
+//! `mloc upgrade`: copy a store of the formats before v5 out as v5.
 //!
 //! Formats v1 and v2 kept each bin in two files, each ending in a tail
 //! checksum footer: an index file (`binNNNN.idx`: the header and
 //! directory, v2's chunk summaries, the bitmaps) and a data file
-//! (`binNNNN.dat`: the units). Their meta has version 2. Format v3 kept
-//! each bin in one file laid out as v4's ([`crate::binfile`]), but for
-//! its bitmaps: a WAH stream and its rank/select directory each, where
-//! v4 stores the chunk's run list. Its meta has version 3. Nothing else
-//! in this crate reads these formats: every other reader, and every
-//! build into such a dataset, refuses it with
-//! [`MlocError::NeedsUpgrade`], before reading or changing anything.
+//! (`binNNNN.dat`: the units). Their meta has version 2. Formats v3 and
+//! v4 kept each bin in one file laid out as v5's ([`crate::binfile`]),
+//! but with a dense chunk directory in the header — each chunk's count,
+//! bitmap offset and length, and every unit part's offset and length —
+//! and 9-byte summary records without the count; v3's bitmaps were a WAH
+//! stream and its rank/select directory each, v4's the chunk's run list,
+//! as v5's are. Their metas have versions 3 and 4. Nothing else in this
+//! crate reads these formats: every other reader, and every build into
+//! such a dataset, refuses it with [`MlocError::NeedsUpgrade`], before
+//! reading or changing anything.
 //!
 //! An upgrade reads the old store, never writing to it, and writes the
 //! dataset, under the same name, into another backend: the catalog
@@ -18,29 +21,31 @@
 //! 1. every old file is verified whole, so damage fails the upgrade
 //!    with the damaged extent named before anything of the variable is
 //!    written;
-//! 2. each bin file is rebuilt by [`BinFileBuilder`]: each chunk's WAH
-//!    extent is decoded into its run list
-//!    ([`mloc_bitmap::RunListBuf::push_wah`]) and held to its directory
-//!    entry, as a query holds a bitmap it reads, and the units are
-//!    copied verbatim — no codec re-encodes, so a lossy one loses
-//!    nothing more. The builder derives v1's missing summaries from the
-//!    runs;
+//! 2. each bin file is rebuilt by [`BinFileBuilder`] from its old
+//!    directory: each chunk's bitmap extent is taken into its run list
+//!    — a WAH stream decoded ([`mloc_bitmap::RunListBuf::push_wah`]),
+//!    v4's run list copied after one validating walk — and held to its
+//!    directory entry, as a query holds a bitmap it reads, and the unit
+//!    parts are copied verbatim — no codec re-encodes, so a lossy one
+//!    loses nothing more. The builder derives v1's missing summaries
+//!    from the runs and lays the parts out in the level order, where
+//!    every old build had them;
 //! 3. the files are committed through the build's own write stage
 //!    ([`write_variable`]: bin files synced, then the meta), then the
 //!    variable is registered in the catalog.
 //!
 //! So the new store is byte for byte what a build of the same field
 //! writes, and its crash states are a build's, which `fsck` and `repair`
-//! already classify. A variable already in v4 (one whose files were
+//! already classify. A variable already in v5 (one whose files were
 //! copied into an old dataset) is copied after the same whole-file
 //! check. The old store is left as it was: remove it once `verify`
 //! passes on the new one.
 
-use crate::binfile::{self, BinFileBuilder, Layout};
+use crate::binfile::{self, BinFileBuilder, Geometry, Layout};
 use crate::build::write_variable;
 use crate::dataset::{parse_catalog, register, Dataset};
 use crate::fileorg::{self, read_file, VarFile};
-use crate::index::{self, header_size, summary_size, HeaderView, UnitLoc};
+use crate::index::{self, le_u32, le_u64};
 use crate::integrity::ExtentFooter;
 use crate::store::{self, VariableMeta};
 use crate::{MlocError, Result};
@@ -58,21 +63,23 @@ pub struct UpgradeReport {
 }
 
 /// The error every reader but the upgrade gives a file of the formats
-/// before v4.
+/// before v5.
 pub(crate) fn needed(file: &str) -> MlocError {
     MlocError::NeedsUpgrade {
         file: file.to_string(),
     }
 }
 
-/// The bin-file header version of format v3, the one-file format
-/// before v4.
-const V3: u8 = 3;
+/// Whether a bin file's header version is one of the one-file formats
+/// before v5: 3 (WAH bitmaps) or 4 (run lists), both with a directory.
+fn one_file_version(version: u8) -> bool {
+    matches!(version, 3 | 4)
+}
 
-/// Refuse dataset `ds` when any file of it is of the formats before v4
+/// Refuse dataset `ds` when any file of it is of the formats before v5
 /// — a meta of an older version, a bin's index or data file, or, for a
 /// variable with no current meta to say so, a bin file whose header
-/// says v3 — so that no checker reads such a store as damage, or
+/// says v3 or v4 — so that no checker reads such a store as damage, or
 /// repairs it, and no build adds to it.
 pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
     let files = backend.list();
@@ -96,7 +103,8 @@ pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
             Some((var, VarFile::Bin(_))) if !current.contains(var) => {
                 backend.read(f, 0, 5).is_ok_and(|prologue| {
                     let magic = index::MAGIC.to_le_bytes();
-                    prologue.starts_with(&magic) && prologue.get(4) == Some(&V3)
+                    prologue.starts_with(&magic)
+                        && prologue.get(4).is_some_and(|&v| one_file_version(v))
                 })
             }
             Some((_, VarFile::Stray)) => {
@@ -114,7 +122,7 @@ pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
     Ok(())
 }
 
-/// Copy dataset `ds` of `old` out to `new` as format v4. `new` must not
+/// Copy dataset `ds` of `old` out to `new` as format v5. `new` must not
 /// hold the dataset yet. Fails on the first damaged file, naming it; the
 /// variables committed before it stay committed in `new`, and nothing
 /// of the failing one is.
@@ -137,7 +145,7 @@ pub fn upgrade(
                 let file = fileorg::bin_file(ds, &var, bin);
                 match version {
                     store::VERSION => current(old, &file, &layout),
-                    V3 => from_v3(old, &file, bin, &layout),
+                    v if one_file_version(v) => from_one_file(old, &file, v, bin, &layout),
                     _ => from_v2(old, &format!("{ds}/{var}/bin{bin:04}"), bin, &layout),
                 }
             })
@@ -151,63 +159,134 @@ pub fn upgrade(
     Ok(report)
 }
 
-/// A v4 bin file, verified whole.
+/// A v5 bin file, verified whole.
 fn current(old: &dyn StorageBackend, file: &str, layout: &Layout) -> Result<Vec<u8>> {
     let raw = read_file(old, file)?;
     binfile::verified(&raw, file, Some(layout))?;
     Ok(raw)
 }
 
-/// A v3 bin file `file`, verified whole and rebuilt as a v4 bin file.
-/// Its header is v4's but for the version; bitmap and unit offsets are
-/// absolute, and the units run from where its last bitmap ends.
-fn from_v3(old: &dyn StorageBackend, file: &str, bin: usize, layout: &Layout) -> Result<Vec<u8>> {
+/// magic(4) version(1) bin(4) num_chunks(4) num_parts(1): the prologue
+/// every format's header starts with.
+const PROLOGUE: u64 = 14;
+/// Fixed part of a directory entry: count(4) bitmap_off(8) bitmap_len(4)
+const ENTRY_FIXED: u64 = 16;
+/// One unit locator: offset(8) clen(4)
+const UNIT_LOC: u64 = 12;
+/// One v2–v4 summary record: min_pos(4) max_pos(4) flags(1)
+const OLD_RECORD: u64 = 9;
+
+/// Bytes of a v1–v4 header: the prologue, then one directory entry per
+/// chunk.
+fn directory_len((num_chunks, num_parts): Geometry) -> u64 {
+    PROLOGUE + num_chunks as u64 * (ENTRY_FIXED + num_parts as u64 * UNIT_LOC)
+}
+
+/// Bytes of a v2 summary section: magic, chunk count, the records.
+fn old_summary_len(num_chunks: usize) -> u64 {
+    8 + num_chunks as u64 * OLD_RECORD
+}
+
+/// [`binfile::FrontLens`] of formats v3 and v4: the header with its
+/// directory, then the summary section and the two table sizes.
+pub(crate) fn old_front_lens(geometry: Geometry) -> (u64, u64) {
+    let sizes = index::TABLE_SIZES;
+    (directory_len(geometry), old_summary_len(geometry.0) + sizes)
+}
+
+/// The chunk directory of a v1–v4 header, read in place.
+struct Directory<'a> {
+    header: &'a [u8],
+    num_parts: usize,
+}
+
+impl<'a> Directory<'a> {
+    /// The directory of `header`, whose prologue must state `geometry`.
+    fn parse(header: &'a [u8], geometry: Geometry) -> Result<Self> {
+        let header = header
+            .get(..directory_len(geometry) as usize)
+            .ok_or(MlocError::Corrupt("header truncated"))?;
+        if le_u32(header, 0) != index::MAGIC {
+            return Err(MlocError::Corrupt("bad index magic"));
+        }
+        let stated = (le_u32(header, 9) as usize, usize::from(header[13]));
+        if stated != geometry {
+            return Err(MlocError::Corrupt("index geometry mismatch"));
+        }
+        Ok(Directory {
+            header,
+            num_parts: geometry.1,
+        })
+    }
+
+    /// The entry of chunk `rank`.
+    fn entry(&self, rank: usize) -> &'a [u8] {
+        let size = (ENTRY_FIXED + self.num_parts as u64 * UNIT_LOC) as usize;
+        let at = PROLOGUE as usize + rank * size;
+        &self.header[at..at + size]
+    }
+
+    /// Chunk `rank`'s count of set bits.
+    fn count(&self, rank: usize) -> u32 {
+        le_u32(self.entry(rank), 0)
+    }
+
+    /// Chunk `rank`'s bitmap extent, `(offset, length)`; a length of 0
+    /// when the chunk has no points.
+    fn bitmap(&self, rank: usize) -> (u64, u32) {
+        let e = self.entry(rank);
+        (le_u64(e, 4), le_u32(e, 12))
+    }
+
+    /// Part `part` of chunk `rank`'s unit, `(offset, length)`.
+    fn unit(&self, rank: usize, part: usize) -> (u64, u32) {
+        let at = (ENTRY_FIXED + part as u64 * UNIT_LOC) as usize;
+        let e = self.entry(rank);
+        (le_u64(e, at), le_u32(e, at + 8))
+    }
+}
+
+/// A v3 or v4 bin file `file` — header version `version` — verified
+/// whole and rebuilt as a v5 bin file. Its directory's bitmap and unit
+/// offsets are absolute.
+fn from_one_file(
+    old: &dyn StorageBackend,
+    file: &str,
+    version: u8,
+    bin: usize,
+    layout: &Layout,
+) -> Result<Vec<u8>> {
     let raw = read_file(old, file)?;
-    let checked = binfile::check_extents(&raw, file, Some(layout.geometry));
+    let checked = binfile::check_extents(&raw, file, Some(layout.geometry), old_front_lens);
     if let Some(damage) = checked.damage.into_iter().next() {
         return Err(damage);
     }
-    let (Some(tables), Some(index), Some(data)) = (checked.tables, checked.index, checked.data)
-    else {
-        return Err(MlocError::Corrupt("bin file tables unreadable"));
-    };
-    if raw.get(4) != Some(&V3) {
+    if raw.get(4) != Some(&version) {
         return Err(MlocError::Corrupt("unsupported index version"));
     }
-    let units_at = index.extents_end().max(tables.bitmaps_at());
-    let units = usize::try_from(units_at)
-        .ok()
-        .and_then(|at| raw.get(at..usize::try_from(data.extents_end().max(units_at)).ok()?))
-        .ok_or(MlocError::Corrupt("units past the end of the file"))?;
-    let unit_lens: Vec<u32> = (0..data.num_extents()).map(|i| data.extent(i).1).collect();
     let bitmap = |at: u64, len: u32| span(&raw, at, len);
-    rebuild(&raw, bitmap, units_at, units, &unit_lens, bin, layout)
+    let stored = (version == 4).then_some(file);
+    rebuild(&raw, bitmap, &raw, stored, bin, layout)
 }
 
 /// Bin `bin` of a v1/v2 variable, whose files are `{stem}.idx` and
-/// `{stem}.dat`, rebuilt as a v4 bin file. The header and directory are
-/// v4's but for the version; bitmap offsets count from the bitmap
-/// section — after the header and, in v2, the summaries — and unit
-/// offsets from the data file's payload.
+/// `{stem}.dat`, rebuilt as a v5 bin file. Bitmap offsets count from
+/// the bitmap section — after the header and, in v2, the summaries —
+/// and unit offsets from the data file's payload.
 fn from_v2(old: &dyn StorageBackend, stem: &str, bin: usize, layout: &Layout) -> Result<Vec<u8>> {
     let (idx_name, dat_name) = (format!("{stem}.idx"), format!("{stem}.dat"));
     let idx_raw = read_file(old, &idx_name)?;
     let idx = ExtentFooter::split_verified(&idx_raw, &idx_name)?;
     let dat_raw = read_file(old, &dat_name)?;
     let units = ExtentFooter::split_verified(&dat_raw, &dat_name)?;
-    let table = ExtentFooter::decode(&dat_raw[units.len()..], dat_raw.len() as u64, &dat_name)?;
-    let unit_lens: Vec<u32> = (0..table.num_extents())
-        .map(|i| table.extent(i).1)
-        .collect();
-    let (num_chunks, num_parts) = layout.geometry;
-    let hdr_len = header_size(num_chunks, num_parts);
+    let hdr_len = directory_len(layout.geometry);
     let bitmaps_at = match idx.get(4) {
         Some(1) => hdr_len,
-        Some(2) => hdr_len + summary_size(num_chunks),
+        Some(2) => hdr_len + old_summary_len(layout.geometry.0),
         _ => return Err(MlocError::Corrupt("unsupported index version")),
     };
     let bitmap = |at: u64, len: u32| span(idx, bitmaps_at.saturating_add(at), len);
-    rebuild(idx, bitmap, 0, units, &unit_lens, bin, layout)
+    rebuild(idx, bitmap, units, None, bin, layout)
 }
 
 /// `bytes[at..at + len]`, when `bytes` holds all of it.
@@ -217,52 +296,48 @@ fn span(bytes: &[u8], at: u64, len: u32) -> Option<&[u8]> {
 }
 
 /// Rebuild bin `bin` from `header` — an old header and directory, as
-/// stored — whose chunk `r`'s WAH extent is
-/// `bitmap(bitmap_file_offset(r), bitmap_len(r))` and whose unit
-/// offsets count from `units_at`, around `units`, the bin's unit section
-/// (extents of the lengths `unit_lens`, in file order).
-fn rebuild<'b>(
+/// stored — whose chunk `r`'s bitmap extent is `bitmap(offset, len)` of
+/// its directory entry: a run list when `stored` names the file it is
+/// in, else a WAH stream. Each unit part is `units[offset..][..len]` of
+/// its entry.
+fn rebuild<'b, 'u>(
     header: &[u8],
     bitmap: impl Fn(u64, u32) -> Option<&'b [u8]>,
-    units_at: u64,
-    units: &[u8],
-    unit_lens: &[u32],
+    units: &'u [u8],
+    stored: Option<&str>,
     bin: usize,
     layout: &Layout,
 ) -> Result<Vec<u8>> {
     let (num_chunks, num_parts) = layout.geometry;
-    let mut header = header
-        .get(..header_size(num_chunks, num_parts) as usize)
-        .unwrap_or(header)
-        .to_vec();
-    if let Some(version) = header.get_mut(4) {
-        *version = index::VERSION;
-    }
-    let view = HeaderView::parse(&header[..])?.with_geometry(num_chunks, num_parts)?;
-
-    let mut file = BinFileBuilder::new(bin as u32, num_chunks, num_parts);
+    let dir = Directory::parse(header, layout.geometry)?;
+    let mut file = BinFileBuilder::new(bin as u32, num_chunks, num_parts, layout.level_order);
     let mut runs = RunListBuf::new();
-    let mut locs: Vec<UnitLoc> = Vec::with_capacity(num_parts);
-    for rank in (0..num_chunks).filter(|&rank| view.bitmap_len(rank) > 0) {
-        let extent = bitmap(view.bitmap_file_offset(rank), view.bitmap_len(rank))
-            .ok_or(MlocError::Corrupt("bitmap past its file's payload"))?;
-        runs.clear();
-        let at = runs.push_wah(extent)?;
+    let mut parts: Vec<&'u [u8]> = Vec::with_capacity(num_parts);
+    for rank in (0..num_chunks).filter(|&rank| dir.bitmap(rank).1 > 0) {
+        let (at, len) = dir.bitmap(rank);
+        let extent = bitmap(at, len).ok_or(MlocError::Corrupt("bitmap past its file's payload"))?;
         // Held to its entry, as a query holds a bitmap it reads.
-        let want = (u64::from(view.count(rank)), layout.points(rank));
+        let want = (u64::from(dir.count(rank)), layout.points(rank));
+        runs.clear();
+        let i = match stored {
+            Some(file) => runs
+                .push_stored(extent, want.0, want.1)
+                .map_err(|e| binfile::refused_runs(file, (at, len), e, dir.count(rank), want.1))?,
+            None => runs.push_wah(extent)?,
+        };
         let list = runs
-            .get(at)
+            .get(i)
             .filter(|list| (list.count(), list.len()) == want && list.count() > 0)
             .ok_or(MlocError::Corrupt("index bitmap inconsistent"))?;
-        locs.clear();
-        for u in view.units(rank) {
-            let offset = u.offset.checked_sub(units_at);
-            let offset = offset.ok_or(MlocError::Corrupt("unit before the unit section"))?;
-            locs.push(UnitLoc { offset, ..u });
+        parts.clear();
+        for part in 0..num_parts {
+            let (offset, len) = dir.unit(rank, part);
+            let unit = span(units, offset, len);
+            parts.push(unit.ok_or(MlocError::Corrupt("unit past its file's payload"))?);
         }
-        file.set_chunk(rank, list, &locs);
+        file.set_chunk(rank, list, &parts);
     }
-    Ok(file.finish(units, unit_lens).bytes)
+    Ok(file.finish()?.bytes)
 }
 
 #[cfg(test)]
@@ -298,10 +373,10 @@ mod tests {
     /// Opening, verifying, checking and repairing an old store each fail
     /// with the error naming `mloc upgrade` and change no file — also
     /// once its meta is gone and only the bins' files tell: by their
-    /// names (v1/v2), or by their headers' version (v3).
+    /// names (v1/v2), or by their headers' version (v3/v4).
     #[test]
     fn old_stores_are_refused_and_left_untouched() {
-        for version in [1, 2, 3] {
+        for version in [1, 2, 3, 4] {
             let be = fixtures::mem(version);
             let before = snapshot(&be);
             let ctx = format!("v{version}");
@@ -325,7 +400,7 @@ mod tests {
     #[test]
     fn builds_into_old_datasets_are_refused_and_write_nothing() {
         let values: Vec<f64> = (0..64 * 64).map(|i| f64::from(i % 97)).collect();
-        for version in [1, 2, 3] {
+        for version in [1, 2, 3, 4] {
             let be = fixtures::mem(version);
             let before = snapshot(&be);
             let ds = Dataset::open(&be, "fmt").unwrap();
@@ -341,9 +416,9 @@ mod tests {
     /// Every fixture upgrades to the same store, which verifies and
     /// checks clean; the old store is read, never written.
     #[test]
-    fn every_fixture_upgrades_to_one_v4_store() {
+    fn every_fixture_upgrades_to_one_v5_store() {
         let mut stores = Vec::new();
-        for version in [1, 2, 3] {
+        for version in [1, 2, 3, 4] {
             let old = fixtures::mem(version);
             let before = snapshot(&old);
             let new = MemBackend::new();
@@ -357,10 +432,11 @@ mod tests {
         assert_eq!(stores[0].len(), 10, "catalog, meta, 8 bin files");
         assert_eq!(stores[0], stores[1]);
         assert_eq!(stores[0], stores[2]);
+        assert_eq!(stores[0], stores[3]);
         // A dataset already in the destination is never overwritten.
         let new = MemBackend::new();
-        upgrade(&fixtures::mem(3), &new, "fmt").unwrap();
-        assert!(upgrade(&fixtures::mem(3), &new, "fmt").is_err());
+        upgrade(&fixtures::mem(4), &new, "fmt").unwrap();
+        assert!(upgrade(&fixtures::mem(4), &new, "fmt").is_err());
     }
 
     /// A damaged v3 bin file fails the upgrade and commits nothing of
@@ -394,14 +470,10 @@ mod tests {
         let reword = |raw: &mut Vec<u8>| {
             // The first chunk with a bitmap: flip the low bit of its
             // first literal word.
+            let dir = Directory::parse(raw, geometry).unwrap();
             let (at, len) = (0..16usize)
-                .map(|rank| {
-                    let entry = &raw[crate::index::entry_range(rank, 7)];
-                    (
-                        index::le_u64(entry, 4) as usize,
-                        index::le_u32(entry, 12) as usize,
-                    )
-                })
+                .map(|rank| dir.bitmap(rank))
+                .map(|(at, len)| (at as usize, len as usize))
                 .find(|&(_, len)| len > 0)
                 .unwrap();
             let nwords = index::le_u32(raw, at + 12) as usize;
@@ -411,20 +483,65 @@ mod tests {
                 .find(|&w| raw[w + 3] & 0x80 == 0)
                 .expect("a literal word");
             raw[word] ^= 0x01;
-            binfile::reseal_index(raw, geometry, file);
+            binfile::reseal_index(raw, geometry, old_front_lens, file);
         };
         let err = damaged(&reword);
         assert!(err.is_corruption(), "{err}");
     }
 
-    /// A v4 variable whose files sit in an old dataset — copied in at
+    /// A damaged v4 bin file fails the upgrade likewise: a flipped unit
+    /// byte by its checksum, and a run list edited under a resealed
+    /// index table — no checksum sees it — by the walk that holds it to
+    /// its entry, at its extent.
+    #[test]
+    fn a_damaged_v4_bin_file_fails_the_upgrade_and_commits_nothing() {
+        let file = "fmt/v/bin0005.bin";
+        let geometry = (16, 7);
+        let damaged = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let old = fixtures::mem(4);
+            let mut raw = read_file(&old, file).unwrap();
+            edit(&mut raw);
+            old.create(file).unwrap();
+            old.append(file, &raw).unwrap();
+            let new = MemBackend::new();
+            let got = upgrade(&old, &new, "fmt");
+            assert!(fsck(&new, "fmt").unwrap().committed.is_empty());
+            got.unwrap_err()
+        };
+        let first = |raw: &[u8]| {
+            let dir = Directory::parse(raw, geometry).unwrap();
+            let rank = (0..16).find(|&r| dir.bitmap(r).1 > 0).unwrap();
+            (dir.bitmap(rank), dir.unit(rank, 6))
+        };
+        let unit_at = first(&read_file(&fixtures::mem(4), file).unwrap()).1 .0;
+        match damaged(&|raw| raw[unit_at as usize] ^= 0x10) {
+            MlocError::CorruptExtent { offset, what, .. } => {
+                assert_eq!((offset, what.as_str()), (unit_at, "checksum mismatch"))
+            }
+            other => panic!("{other}"),
+        }
+        let ((bitmap_at, len), _) = first(&read_file(&fixtures::mem(4), file).unwrap());
+        let reword = |raw: &mut Vec<u8>| {
+            // The last run one point longer or shorter.
+            raw[(bitmap_at + u64::from(len)) as usize - 1] ^= 0x01;
+            binfile::reseal_index(raw, geometry, old_front_lens, file);
+        };
+        match damaged(&reword) {
+            MlocError::CorruptExtent { offset, len: n, .. } => {
+                assert_eq!((offset, n), (bitmap_at, u64::from(len)))
+            }
+            other => panic!("{other}"),
+        }
+    }
+
+    /// A v5 variable whose files sit in an old dataset — copied in at
     /// file level from a build with the dataset's configuration, and
     /// registered in its catalog — is copied as it is, next to the
     /// upgraded one: the upgrade dispatches on each variable's version.
     #[test]
-    fn a_v4_variable_of_an_old_dataset_is_copied_as_it_is() {
+    fn a_v5_variable_of_an_old_dataset_is_copied_as_it_is() {
         let values: Vec<f64> = (0..64 * 64).map(|i| f64::from(i % 97)).collect();
-        for version in [1, 2, 3] {
+        for version in [1, 2, 3, 4] {
             let old = fixtures::mem(version);
             let built = MemBackend::new();
             let config = Dataset::open(&old, "fmt").unwrap().config().clone();

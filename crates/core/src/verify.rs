@@ -11,7 +11,7 @@
 
 use crate::binfile::{self, Layout, END_LEN};
 use crate::fileorg::{self, VarFile};
-use crate::index::HeaderView;
+use crate::index::HEADER_LEN;
 use crate::store::VariableMeta;
 use crate::{MlocError, Result};
 use mloc_pfs::StorageBackend;
@@ -148,7 +148,7 @@ fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<
 /// Verify every stored extent of one variable. Damaged extents are
 /// collected, not fatal: the report lists all of them. Errors are
 /// returned only for conditions that prevent verification from running
-/// at all: a dataset of the formats before v4, which `mloc upgrade`
+/// at all: a dataset of the formats before v5, which `mloc upgrade`
 /// reads and nothing else does. Unreadable files become damage entries.
 pub fn verify_variable(
     backend: &dyn StorageBackend,
@@ -160,7 +160,7 @@ pub fn verify_variable(
 }
 
 /// [`verify_variable`] of a dataset already known to hold no file of a
-/// format before v4.
+/// format before v5.
 fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
     let mut report = VerifyReport::default();
 
@@ -193,12 +193,12 @@ fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> Ver
 }
 
 /// Check one whole bin file and label its damage: the fixed blocks
-/// by where the tables say they are, bitmaps and units only from a
-/// header whose own extent verified — a damaged header may say
-/// anything. Held to the variable's layout, each bitmap is also taken
-/// as a query takes it: a run list of its entry's count inside its
-/// chunk, so one that passes its checksum but not its entry is named
-/// here, not first by a query.
+/// by where the tables say they are, bitmaps and units by the rows
+/// derived from a header and summary whose own extents verified — a
+/// damaged summary may say anything. Held to the variable's layout,
+/// each bitmap is also taken as a query takes it: a run list of its
+/// chunk's count inside its chunk, so one that passes its checksum but
+/// not its count is named here, not first by a query.
 fn verify_bin_file(
     backend: &dyn StorageBackend,
     file: &str,
@@ -213,19 +213,25 @@ fn verify_bin_file(
     report
         .damage
         .extend(checked.damage.iter().map(|e| damage_from_error(file, e)));
-    let header = checked.index.as_ref().and_then(|index| {
-        let (off, len, _) = (index.num_extents() > 0).then(|| index.extent(0))?;
-        let bytes = raw.get(..len as usize)?;
-        index.verify(file, off, bytes).ok()?;
-        HeaderView::parse(bytes).ok()
-    });
     let end_marker = (raw.len() as u64).saturating_sub(END_LEN);
+    let located = |off: u64| {
+        let rows = checked.rows.as_ref()?;
+        let bitmap = checked.index.as_ref().and_then(|t| t.position(off));
+        if let Some(rank) = bitmap.and_then(|i| rows.chunk_of_bitmap(i)) {
+            return Some(format!("bitmap of chunk rank {rank}"));
+        }
+        let unit = checked.data.as_ref().and_then(|t| t.position(off));
+        let (rank, part) = unit.and_then(|j| rows.unit_of_row(j))?;
+        Some(format!("chunk rank {rank} byte-group part {part}"))
+    };
     relabel(report, file, |off| {
         if off == 0 {
             return Some("index header".to_string());
         }
-        let label = |idx| label_index(idx, off).or_else(|| label_unit(idx, off));
-        if let Some(label) = header.as_ref().and_then(label) {
+        if off == HEADER_LEN {
+            return Some("chunk summary".to_string());
+        }
+        if let Some(label) = located(off) {
             return Some(label);
         }
         let tables = checked.tables?;
@@ -237,33 +243,6 @@ fn verify_bin_file(
             (off == end_marker).then(|| "end marker".to_string())
         }
     });
-}
-
-/// The label of the index extent at file offset `off`, from a verified
-/// header: the summary or a chunk's bitmap.
-fn label_index<B: std::ops::Deref<Target = [u8]>>(
-    header: &HeaderView<B>,
-    off: u64,
-) -> Option<String> {
-    if off == header.summary_file_offset() {
-        return Some("chunk summary".to_string());
-    }
-    (0..header.num_chunks())
-        .find(|&r| header.bitmap_len(r) > 0 && header.bitmap_file_offset(r) == off)
-        .map(|r| format!("bitmap of chunk rank {r}"))
-}
-
-/// The label of the unit part stored at `off`, from a verified header.
-fn label_unit<B: std::ops::Deref<Target = [u8]>>(
-    header: &HeaderView<B>,
-    off: u64,
-) -> Option<String> {
-    (0..header.num_chunks()).find_map(|r| {
-        let p = header
-            .units(r)
-            .position(|u| u.clen > 0 && u.offset == off)?;
-        Some(format!("chunk rank {r} byte-group part {p}"))
-    })
 }
 
 /// Verify every variable listed in a dataset's catalog. Fails only
@@ -297,6 +276,13 @@ mod tests {
         be
     }
 
+    /// `raw`, a whole bin file of [`build`]'s variable, parsed in place.
+    fn located(be: &MemBackend, raw: &[u8]) -> crate::cache::FixedBlocks {
+        let store = crate::store::MlocStore::open(be, "ds", "v").unwrap();
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        binfile::parse_fixed(raw, geometry, store.config().level_order, "f").unwrap()
+    }
+
     /// Copy every file, flipping one byte of `victim` at `offset`.
     fn corrupt_copy(be: &dyn StorageBackend, victim: &str, offset: u64) -> MemBackend {
         let out = MemBackend::new();
@@ -327,9 +313,10 @@ mod tests {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let header = HeaderView::parse(&raw[..]).unwrap();
-        let unit = (0..header.num_chunks())
-            .flat_map(|r| header.units(r))
+        let at = located(&be, &raw);
+        let unit = (0..at.summaries.num_chunks())
+            .flat_map(|r| (0..7).map(move |p| (r, p)))
+            .filter_map(|(r, p)| at.unit(r, p))
             .find(|u| u.clen > 3)
             .unwrap();
         let at = unit.offset + 3;
@@ -370,44 +357,37 @@ mod tests {
         let victim = "ds/v/bin0000.bin";
         let len = be.len(victim).unwrap();
         let raw = be.read(victim, 0, len).unwrap();
-        let header = HeaderView::parse(&raw[..]).unwrap();
-        assert!(header.summary_bytes() > 0, "a built file has summaries");
-        let bad = corrupt_copy(&be, victim, header.summary_file_offset() + 5);
+        let summary = located(&be, &raw).footer.extent(1);
+        assert_eq!(summary.0, HEADER_LEN, "the summary follows the header");
+        let bad = corrupt_copy(&be, victim, summary.0 + 5);
         let report = verify_variable(&bad, "ds", "v").unwrap();
         assert_eq!(report.damage.len(), 1, "{report}");
         let d = &report.damage[0];
         assert!(d.what.starts_with("chunk summary"), "{}", d.what);
-        assert_eq!(d.offset, header.summary_file_offset());
-        assert_eq!(d.len, header.summary_bytes());
+        assert_eq!(d.offset, summary.0);
+        assert_eq!(d.len, u64::from(summary.1));
     }
 
-    /// A header stating an offset past every file (`u64::MAX`) for one
-    /// chunk, plus a flipped byte in a later chunk's bitmap, footer not
-    /// recomputed: both extents are reported, the bitmap without a
-    /// label (the header that would give it one failed its own
-    /// checksum), and nothing panics — labelling once added the stored
-    /// offset to the header size unchecked.
+    /// A header stating a chunk count near `u32::MAX`, plus a flipped
+    /// byte in a later chunk's bitmap, footer not recomputed: both
+    /// extents are reported, the bitmap without a label (the header
+    /// that would place it failed its own checksum), and nothing panics
+    /// or sizes anything by the stated count.
     #[test]
     fn damaged_header_offsets_never_panic_and_all_damage_is_reported() {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let header = HeaderView::parse(&raw[..]).unwrap();
-        let with_bitmap: Vec<usize> = (0..header.num_chunks())
-            .filter(|&r| header.bitmap_len(r) > 0)
+        let at = located(&be, &raw);
+        let with_bitmap: Vec<usize> = (0..at.summaries.num_chunks())
+            .filter(|&r| at.bitmap(r).is_some())
             .collect();
-        let (first, later) = (with_bitmap[0], *with_bitmap.last().unwrap());
-        assert!(first < later, "two chunks with bitmaps");
-        let flip_at = header.bitmap_file_offset(later) + 1;
-        let parts = crate::store::MlocStore::open(&be, "ds", "v")
-            .unwrap()
-            .config()
-            .num_parts();
-        // `bitmap_off` of `first`: prologue, `first` entries, count.
-        let field = 14 + first * (16 + 12 * parts) + 4;
-        let out = corrupt_copy(&be, victim, flip_at);
+        let later = *with_bitmap.last().unwrap();
+        assert!(with_bitmap.len() > 1, "two chunks with bitmaps");
+        let bitmap_at = at.bitmap(later).unwrap().0;
+        let out = corrupt_copy(&be, victim, bitmap_at + 1);
         let mut bad = out.read(victim, 0, raw.len() as u64).unwrap();
-        bad[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[9..13].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
         out.create(victim).unwrap();
         out.append(victim, &bad).unwrap();
 
@@ -420,7 +400,7 @@ mod tests {
         );
         let d = &report.damage[1];
         assert_eq!(d.file, victim);
-        assert_eq!(d.offset, header.bitmap_file_offset(later));
+        assert_eq!(d.offset, bitmap_at);
         assert!(d.what.starts_with("checksum"), "{}", d.what);
     }
 

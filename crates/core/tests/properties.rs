@@ -369,29 +369,25 @@ proptest! {
     #[test]
     fn summary_classification_matches_bitmap_truth(case in case_strategy()) {
         use mloc::bitmap::RunListRef;
-        use mloc::index::{ChunkSummary, HeaderView, SummaryView};
+        use mloc::binfile::parse_fixed;
+        use mloc::index::ChunkSummary;
         use mloc_pfs::StorageBackend;
         let be = MemBackend::new();
         let store = build_case(&be, &case);
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
         for bin in 0..case.num_bins {
             let name = mloc::fileorg::bin_file("p", "v", bin);
             let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
-            let idx = HeaderView::parse(&raw[..]).unwrap();
-            prop_assert!(idx.summary_bytes() > 0, "an index with summaries");
-            let s0 = idx.summary_file_offset() as usize;
-            let summaries = SummaryView::parse(
-                &raw[s0..s0 + idx.summary_bytes() as usize],
-                idx.num_chunks(),
-            ).unwrap();
-            for r in 0..idx.num_chunks() {
-                let summary = summaries.get(r);
-                if idx.count(r) == 0 {
+            let idx = parse_fixed(&raw, geometry, case.order, &name).unwrap();
+            for r in 0..geometry.0 {
+                let summary = idx.summaries.get(r);
+                let Some((off, len)) = idx.bitmap(r) else {
                     prop_assert_eq!(summary, ChunkSummary::EMPTY);
                     continue;
-                }
-                let off = idx.bitmap_file_offset(r) as usize;
+                };
+                let off = off as usize;
                 let points = store.grid().chunk_points(store.order().cell_at(r)) as u64;
-                let pairs = &raw[off..off + idx.bitmap_len(r) as usize];
+                let pairs = &raw[off..off + len as usize];
                 let runs = RunListRef::stored(pairs, u64::from(idx.count(r)), points).unwrap();
                 let pos: Vec<u64> = runs.iter().flat_map(|(at, _, len)| at..at + len).collect();
                 prop_assert_eq!(u64::from(summary.min_pos), pos[0]);
@@ -542,7 +538,7 @@ fn windowed_reconstruct_matches_general_path_on_fixed_geometries() {
 /// unit's points, their level-3 values, bit for bit.
 #[test]
 fn a_degraded_straddling_unit_answers_at_its_level() {
-    use mloc::index::HeaderView;
+    use mloc::binfile::parse_fixed;
     use mloc_pfs::StorageBackend;
     let case = Case {
         shape: vec![23, 17],
@@ -574,7 +570,9 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
         .expect("a straddling unit");
     let file = store.bin_file(bin);
     let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-    let at = HeaderView::parse(&raw[..]).unwrap().unit(rank, 3).offset as usize;
+    let geometry = (grid.num_chunks(), store.config().num_parts());
+    let located = parse_fixed(&raw, geometry, case.order, file).unwrap();
+    let at = located.unit(rank, 3).unwrap().offset as usize;
     raw[at] ^= 0x40;
     be.create(file).unwrap();
     be.append(file, &raw).unwrap();

@@ -258,8 +258,10 @@ fn dataset_stream_waves_match_chunkwise() {
 /// written by the commit before the encode kernel was rebuilt (stored
 /// blocks decided by size, array package-merge, reused LZ77 tables),
 /// so any encoder change that moves a byte on disk fails here; it was
-/// re-derived once since, when bins became one v3 file each (every
-/// compressed unit byte kept). ISABELA cannot drive PLoD byte columns,
+/// re-derived twice since, when bins became one v3 file each and when
+/// format v5 dropped the chunk directory (every compressed unit byte
+/// kept both times: v5's files are 6,144 bytes a bin shorter with
+/// PLoD, 1,536 without). ISABELA cannot drive PLoD byte columns,
 /// which leaves five stores.
 #[test]
 fn built_files_are_pinned() {

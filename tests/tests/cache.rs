@@ -228,9 +228,9 @@ fn a_mixed_level_session_is_pinned_cold_and_warm() {
 }
 
 /// Bytes the cold pass of the mixed session reads.
-const SESSION_COLD_BYTES: u64 = 141_041;
+const SESSION_COLD_BYTES: u64 = 122_609;
 /// Digest of the whole rendering of both passes.
-const SESSION_DIGEST: u64 = 0x9D36_C885_DCBA_EB77;
+const SESSION_DIGEST: u64 = 0xE60E_C254_03AD_9378;
 
 #[test]
 fn zero_budget_cache_degrades_to_uncached_metrics() {

@@ -16,6 +16,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use mloc::binfile::parse_fixed;
+use mloc::cache::FixedBlocks;
+use mloc::index::HEADER_LEN;
 use mloc::prelude::*;
 use mloc::{verify_variable, MlocError, MlocStore, QueryMetrics, QueryResult};
 use mloc_datagen::gts_like_2d;
@@ -84,6 +87,13 @@ fn build_into(be: &dyn StorageBackend) -> Vec<f64> {
     field.into_values()
 }
 
+/// `raw`, a whole bin file `file` of the store in `be`, parsed in place.
+fn located(be: &dyn StorageBackend, raw: &[u8], file: &str) -> FixedBlocks {
+    let store = MlocStore::open(be, DS, VAR).unwrap();
+    let geometry = (store.grid().num_chunks(), store.config().num_parts());
+    parse_fixed(raw, geometry, store.config().level_order, file).unwrap()
+}
+
 /// File offset of bin `bin`'s first compressed unit — the first extent
 /// of its data section, a base byte group — in the built store.
 fn first_unit(bin: usize) -> u64 {
@@ -91,13 +101,7 @@ fn first_unit(bin: usize) -> u64 {
     build_into(&be);
     let file = mloc::fileorg::bin_file(DS, VAR, bin);
     let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-    let index = mloc::index::HeaderView::parse(&raw[..]).unwrap();
-    (0..index.num_chunks())
-        .flat_map(|r| index.units(r))
-        .filter(|u| u.clen > 0)
-        .map(|u| u.offset)
-        .min()
-        .unwrap()
+    located(&be, &raw, &file).data.unwrap().extent(0).0
 }
 
 /// Open the store, retrying transient faults the way a patient caller
@@ -323,9 +327,9 @@ fn flipped_summary_extent_is_detected_and_pinpointed_in(fresh: Fresh) {
     build_into(&clean);
     let file = "fm/v/bin0002.bin".to_string();
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
-    let idx = mloc::index::HeaderView::parse(&raw[..]).unwrap();
-    assert!(idx.summary_bytes() > 0, "a built bin has summaries");
-    let offset = idx.summary_file_offset() + idx.summary_bytes() / 2;
+    let (summary_at, summary_len, _) = located(&*clean, &raw, &file).footer.extent(1);
+    assert_eq!(summary_at, HEADER_LEN, "the summary follows the header");
+    let offset = summary_at + u64::from(summary_len) / 2;
 
     let mut plan = FaultPlan::none();
     plan.flips.push(mloc_pfs::BitFlip {
@@ -361,7 +365,7 @@ fn flipped_summary_extent_is_detected_and_pinpointed_in(fresh: Fresh) {
     assert_eq!(report.damage.len(), 1, "{report}");
     let d = &report.damage[0];
     assert_eq!(d.file, file);
-    assert_eq!(d.offset, idx.summary_file_offset());
+    assert_eq!(d.offset, summary_at);
     assert!(d.what.starts_with("chunk summary"), "{}", d.what);
 }
 
@@ -788,7 +792,7 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
 
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
     let geometry = (16, 7);
-    let hdr_len = mloc::index::header_size(geometry.0, geometry.1);
+    let hdr_len = HEADER_LEN;
     let sum_len = summary_extent_len(geometry.0);
     let summary = &raw[hdr_len as usize..(hdr_len + sum_len) as usize];
     let tables = Tables::parse(summary, hdr_len, geometry, &file).unwrap();
@@ -798,10 +802,9 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
     let n_data_at = hdr_len + sum_len - 4;
     let header_crc = (file.as_str(), 0, hdr_len, "checksum mismatch");
     let rows: [Row; 6] = [
-        // A header read ahead of its table says which tables to read;
-        // it fails its checksum once they are in. The tables
-        // themselves verified on their own.
-        ("header directory byte", &file, 20, 0x01, header_crc),
+        // A header read ahead of its table fails its checksum once the
+        // tables are in. The tables themselves verified on their own.
+        ("header bin byte", &file, 6, 0x01, header_crc),
         ("header magic", &file, 0, 0x02, header_crc),
         (
             "summary record",
@@ -1034,7 +1037,7 @@ fn damaged_headers_and_footers_fail_as_they_always_did() {
 
 /// A chunk's run list tampered with and its index checksum table
 /// recomputed around it — damage no checksum sees: one run lengthened
-/// by a position, so the list no longer sums to its entry's count.
+/// by a position, so the list no longer sums to its summary's count.
 /// Every query mode fails naming the extent, its run list is never
 /// cached, and `verify` and `fsck` name it before any query does.
 fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
@@ -1046,14 +1049,14 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
     let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
     let store = MlocStore::open(&*clean, DS, VAR).unwrap();
-    let header = mloc::index::HeaderView::parse(&raw[..]).unwrap();
+    let header = located(&*clean, &raw, &file);
     let points = |r: usize| store.grid().chunk_points(store.order().cell_at(r)) as u64;
 
     // The first chunk whose last run ends before the chunk does, its
     // length in one byte with room to grow.
-    let (rank, at, len) = (0..header.num_chunks())
+    let (rank, at, len) = (0..store.grid().num_chunks())
         .find_map(|r| {
-            let (at, len) = (header.bitmap_file_offset(r), header.bitmap_len(r));
+            let (at, len) = header.bitmap(r)?;
             let pairs = &raw[at as usize..(at + u64::from(len)) as usize];
             let list = RunListRef::stored(pairs, header.count(r).into(), points(r)).ok()?;
             let (start, _, n) = list.iter().last()?;
@@ -1069,11 +1072,11 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
     // own checksum. The extent is index extent 2 + its order among the
     // bitmaps, which are laid out in curve-rank order.
     let geometry = (16, 7);
-    let hdr_len = mloc::index::header_size(geometry.0, geometry.1);
+    let hdr_len = HEADER_LEN;
     let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
     let tables = Tables::parse(summary, hdr_len, geometry, &file).unwrap();
     let (table_at, table_len) = tables.index_span();
-    let k = 2 + (0..rank).filter(|&r| header.bitmap_len(r) > 0).count();
+    let k = 2 + (0..rank).filter(|&r| header.count(r) > 0).count();
     let entry = table_at as usize + 8 * k;
     assert_eq!(
         tampered[entry..entry + 4],
@@ -1101,7 +1104,7 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
 
     let count = header.count(rank);
     let what = format!(
-        "run list disagrees with its count (entry: {count} of {} points)",
+        "run list disagrees with its count (summary: {count} of {} points)",
         points(rank)
     );
     let report = verify_variable(&fb, DS, VAR).unwrap();
@@ -1139,4 +1142,100 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
 #[test]
 fn a_resealed_run_list_is_named_by_verify_and_every_query() {
     for_both_worlds(a_resealed_run_list_is_named_by_verify_and_every_query_in);
+}
+
+/// A chunk summary edited so the index table no longer has one bitmap
+/// row per set chunk — a set chunk's count zeroed leaves the table a
+/// row too many, an empty chunk given a point a row too few — and the
+/// table resealed around the summary, so every checksum holds. The
+/// rows are held to the summary before anything is located from them:
+/// `verify`, `fsck` and every query mode name the index table, and no
+/// mode caches the bin's fixed blocks.
+fn a_resealed_table_with_a_row_too_many_or_too_few_is_named_in(fresh: Fresh) {
+    let clean = fresh();
+    build_into(&clean);
+    let site = (DS, SHARED_BIN, [4, 8]);
+    let chunks = 16;
+    // A set chunk's count zeroed in the shared bin; an empty chunk's
+    // set in the first bin that has one.
+    let counts = |bin: usize| {
+        let file = mloc::fileorg::bin_file(DS, VAR, bin);
+        let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
+        let counts: Vec<u32> = {
+            let at = located(&*clean, &raw, &file);
+            (0..chunks).map(|r| at.count(r)).collect()
+        };
+        (file, raw, counts)
+    };
+    let with_empty = (0..6).find(|&bin| counts(bin).2.contains(&0));
+    let with_empty = with_empty.expect("a bin with a chunk of no points");
+    let (_, _, shared) = counts(SHARED_BIN);
+    let (_, _, sparse) = counts(with_empty);
+    let set_rank = shared.iter().position(|&c| c > 0).unwrap();
+    let empty_rank = sparse.iter().position(|&c| c == 0).unwrap();
+    for (what, bin, rank, count) in [
+        ("a row too many", SHARED_BIN, set_rank, 0u32),
+        ("a row too few", with_empty, empty_rank, 1),
+    ] {
+        let (file, raw, counts) = counts(bin);
+        let set = counts.iter().filter(|&&c| c > 0).count();
+        let set_now = if count == 0 { set - 1 } else { set + 1 };
+        let at = located(&*clean, &raw, &file);
+        let (table_at, table_len) = at.tables.index_span();
+        let (summary_at, summary_len, _) = at.footer.extent(1);
+        let mut tampered = raw.clone();
+        let count_at = (summary_at + 8 + 13 * rank as u64) as usize;
+        tampered[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        // Reseal: the summary's entry (the index table's second), then
+        // the table's own checksum.
+        let summary = summary_at as usize..(summary_at + u64::from(summary_len)) as usize;
+        let crc = mloc::integrity::crc32(&tampered[summary]);
+        let entry = table_at as usize + 8;
+        tampered[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+        let entries_end = (table_at + table_len - 4) as usize;
+        let table_crc = mloc::integrity::crc32(&tampered[table_at as usize..entries_end]);
+        tampered[entries_end..entries_end + 4].copy_from_slice(&table_crc.to_le_bytes());
+
+        let mut plan = FaultPlan::none();
+        for (offset, (a, b)) in raw.iter().zip(&tampered).enumerate() {
+            if a != b {
+                plan.flips.push(mloc_pfs::BitFlip {
+                    file: file.clone(),
+                    offset: offset as u64,
+                    mask: a ^ b,
+                });
+            }
+        }
+        let fb = FaultBackend::new(fresh(), plan);
+        build_into(&fb);
+
+        let want = format!("index table has {set} bitmap rows for {set_now} set chunks");
+        let report = verify_variable(&fb, DS, VAR).unwrap();
+        let found: Vec<_> = report
+            .damage
+            .iter()
+            .map(|d| (&*d.file, d.offset, d.len, &*d.what))
+            .collect();
+        let labelled = format!("index checksum table: {want}");
+        assert_eq!(
+            found,
+            [(&*file, table_at, table_len, &*labelled)],
+            "{what}: {report}"
+        );
+        let fsck = mloc::repair::fsck(&fb, DS).unwrap();
+        assert!(!fsck.is_clean(), "{what}: fsck passed: {fsck}");
+        assert!(fsck.findings.iter().any(|f| f.file == file), "{fsck}");
+
+        let q = full_values_query();
+        in_every_mode(&fb, site, &q, &|mode, got, store| {
+            let tag = format!("{what} ({mode})");
+            assert_corrupt_extent(&tag, got, (&file, table_at, table_len, &want));
+            assert_nothing_admitted(&tag, store, bin);
+        });
+    }
+}
+
+#[test]
+fn a_resealed_table_with_a_row_too_many_or_too_few_is_named() {
+    for_both_worlds(a_resealed_table_with_a_row_too_many_or_too_few_is_named_in);
 }

@@ -1,9 +1,9 @@
-//! The formats before v4, as `mloc upgrade` inputs. Nothing writes v1,
-//! v2 or v3 any more, and nothing but the upgrade reads them:
-//! `tests/golden/v1_dataset`, `v2_dataset` and `v3_dataset` are datasets
-//! written once each, by writers this tree no longer has. Each upgrades,
-//! read-only off its directory and from an in-memory copy, to a store
-//! byte-identical, file for file, to a fresh (v4) build of the same
+//! The formats before v5, as `mloc upgrade` inputs. Nothing writes v1
+//! to v4 any more, and nothing but the upgrade reads them:
+//! `tests/golden/v1_dataset` to `v4_dataset` are datasets written once
+//! each, by writers this tree no longer has. Each upgrades, read-only
+//! off its directory and from an in-memory copy, to a store
+//! byte-identical, file for file, to a fresh (v5) build of the same
 //! field, and answers every query identically to it in every execution
 //! mode — serial, threaded at 4 and 8 ranks, cached cold/warm, and
 //! fused. Membership queries are part of the workload, and are
@@ -12,10 +12,9 @@
 //! fire inside a query, and what the stored run lists cost in the built
 //! files against the WAH streams and rank/select directories of v3.
 
-use mloc::binfile::{summary_extent_len, Tables};
+use mloc::binfile::parse_fixed;
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
-use mloc::index::{header_size, HeaderView};
 use mloc::prelude::*;
 use mloc::upgrade::upgrade;
 use mloc_bitmap::{RankSelectDir, RunListRef, WahBitmap};
@@ -47,7 +46,7 @@ fn build_fresh(be: &MemBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// A fresh (v4) build of the fixtures' field.
+/// A fresh (v5) build of the fixtures' field.
 fn fresh() -> (MemBackend, Vec<f64>) {
     let be = MemBackend::new();
     let values = build_fresh(&be);
@@ -69,12 +68,12 @@ fn upgraded(version: u8) -> MemBackend {
 }
 
 /// The fixtures, newest first.
-const FIXTURES: [u8; 3] = [3, 2, 1];
+const FIXTURES: [u8; 4] = [4, 3, 2, 1];
 
 /// Every store: the fresh build first, then each fixture upgraded.
 struct Sources {
     fresh: MemBackend,
-    upgraded: [MemBackend; 3],
+    upgraded: [MemBackend; 4],
 }
 
 impl Sources {
@@ -87,12 +86,13 @@ impl Sources {
         (sources, values)
     }
 
-    fn all(&self) -> [(&'static str, &dyn StorageBackend); 4] {
+    fn all(&self) -> [(&'static str, &dyn StorageBackend); 5] {
         [
-            ("v4", &self.fresh),
-            ("upgraded v3", &self.upgraded[0]),
-            ("upgraded v2", &self.upgraded[1]),
-            ("upgraded v1", &self.upgraded[2]),
+            ("v5", &self.fresh),
+            ("upgraded v4", &self.upgraded[0]),
+            ("upgraded v3", &self.upgraded[1]),
+            ("upgraded v2", &self.upgraded[2]),
+            ("upgraded v1", &self.upgraded[3]),
         ]
     }
 }
@@ -195,7 +195,37 @@ fn v3_fixture_is_pinned() {
     assert_eq!(manifest(3), include_str!("../golden/v3_dataset.txt"));
     let v3 = fixture(3);
     agrees_with_a_fresh_build(&v3, 3, |bin| {
-        units(&whole(&v3, &mloc::fileorg::bin_file(DS, VAR, bin))).to_vec()
+        units(
+            &whole(&v3, &mloc::fileorg::bin_file(DS, VAR, bin)),
+            OLD_FRONT,
+        )
+        .to_vec()
+    });
+}
+
+/// The v4 fixture is pinned too (77,749 bytes in 10 files). It was
+/// written once, at the commit before format v5 (`70401a5`), by that
+/// commit's release CLI upgrading the v3 fixture — which that commit
+/// checked to be byte for byte a fresh v4 build of the same field:
+///
+/// ```text
+/// mloc upgrade --dir tests/golden/v3_dataset --name fmt --out <out>
+/// ```
+///
+/// It differs from a fresh build in its fixed blocks alone: each bin
+/// file's unit section is the fresh one's byte for byte, the meta
+/// differs in its version byte (4: a chunk directory in every header),
+/// and the catalog not at all.
+#[test]
+fn v4_fixture_is_pinned() {
+    assert_eq!(manifest(4), include_str!("../golden/v4_dataset.txt"));
+    let v4 = fixture(4);
+    agrees_with_a_fresh_build(&v4, 4, |bin| {
+        units(
+            &whole(&v4, &mloc::fileorg::bin_file(DS, VAR, bin)),
+            OLD_FRONT,
+        )
+        .to_vec()
     });
 }
 
@@ -207,21 +237,22 @@ fn payload(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
         .to_vec()
 }
 
-/// The unit section of `raw`, a whole one-file bin of the fixtures'
-/// geometry (16 chunks, 7 parts): v3's and v4's share the layout.
-fn units(raw: &[u8]) -> &[u8] {
-    let geometry = (16, 7);
-    let hdr_len = header_size(geometry.0, geometry.1);
-    let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
-    let tables = Tables::parse(summary, hdr_len, geometry, "bin").unwrap();
-    let slice = |(at, len): (u64, u64)| &raw[at as usize..(at + len) as usize];
-    let index = tables
-        .decode_index(slice(tables.index_span()), "bin")
-        .unwrap();
-    let data = tables
-        .decode_data(slice(tables.data_span()), &index, "bin")
-        .unwrap();
-    &raw[data.extent(0).0 as usize..data.extents_end() as usize]
+/// Where the tables of a one-file bin of the fixtures' geometry (16
+/// chunks, 7 parts) begin: after a v3/v4 header with its directory
+/// (100-byte entries) and 9-byte summary records, and after a v5
+/// header and 13-byte records.
+const OLD_FRONT: usize = 14 + 16 * 100 + 8 + 16 * 9 + 8;
+const FRONT: usize = 14 + 8 + 16 * 13 + 8;
+
+/// The unit section of `raw`, a whole one-file bin whose tables begin
+/// at `front`: the data table's extents, which end at the end marker.
+fn units(raw: &[u8], front: usize) -> &[u8] {
+    let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
+    let (n_index, n_data) = (word(front - 8), word(front - 4));
+    let data_at = front + 8 * n_index + 4;
+    let total: usize = (0..n_data).map(|i| word(data_at + 8 * i)).sum();
+    let end = raw.len() - 12;
+    &raw[end - total..end]
 }
 
 /// `old`, a fixture of meta version `version`, has a fresh build's
@@ -235,12 +266,12 @@ fn agrees_with_a_fresh_build(
     let (fresh, _) = fresh();
     assert_eq!(whole(old, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
     let mut meta = payload(&fresh, "fmt/v/meta");
-    assert_eq!(meta[4], 4);
+    assert_eq!(meta[4], 5);
     meta[4] = version;
     assert_eq!(payload(old, "fmt/v/meta"), meta);
     for bin in 0..8 {
         let raw = whole(&fresh, &mloc::fileorg::bin_file(DS, VAR, bin));
-        assert_eq!(units(&raw), &old_units(bin)[..], "bin {bin}");
+        assert_eq!(units(&raw, FRONT), &old_units(bin)[..], "bin {bin}");
     }
 }
 
@@ -531,14 +562,15 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     // benchmark's smooth fields are the opposite case (ROADMAP item 11).
     let (mut runs, mut wah, mut dir) = (0usize, 0usize, 0usize);
     for bin in 0..BANDED_BINS {
-        let raw = whole(&banded, &mloc::fileorg::bin_file(DS, VAR, bin));
-        let idx = HeaderView::parse(&raw[..]).unwrap();
-        for rank in 0..idx.num_chunks() {
-            let start = idx.bitmap_file_offset(rank) as usize;
-            let pairs = &raw[start..start + idx.bitmap_len(rank) as usize];
-            if pairs.is_empty() {
+        let file = mloc::fileorg::bin_file(DS, VAR, bin);
+        let raw = whole(&banded, &file);
+        let geometry = (store.grid().num_chunks(), store.config().num_parts());
+        let idx = parse_fixed(&raw, geometry, store.config().level_order, &file).unwrap();
+        for rank in 0..geometry.0 {
+            let Some((start, len)) = idx.bitmap(rank) else {
                 continue;
-            }
+            };
+            let pairs = &raw[start as usize..(start + u64::from(len)) as usize];
             let points = store.grid().chunk_points(store.order().cell_at(rank)) as u64;
             let list = RunListRef::stored(pairs, u64::from(idx.count(rank)), points).unwrap();
             let positions: Vec<u64> = list.iter().flat_map(|(at, _, n)| at..at + n).collect();

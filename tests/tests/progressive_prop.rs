@@ -249,7 +249,9 @@ proptest! {
 /// did once: step 0 read 198,200 bytes when each of the 16 bins had two
 /// 24-byte footer trailers, 197,688 with its table sizes and two table
 /// CRCs in their place — 32 bytes fewer per bin. Format v4 did too:
-/// 190,034, the same bitmaps read as run lists, 7,654 bytes fewer.)
+/// 190,034, the same bitmaps read as run lists, 7,654 bytes fewer. And
+/// format v5: 91,730, each bin's 6,400-byte chunk directory gone and a
+/// 4-byte count per chunk in its summary, 6,144 bytes fewer a bin.)
 #[test]
 fn ladder_bytes_on_a_fixed_store_are_pinned() {
     const SIDE: usize = 256;
@@ -270,7 +272,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
     let bytes_per_step: Vec<u64> = pq.steps().iter().map(|s| s.bytes_read).collect();
     assert_eq!(
         bytes_per_step,
-        [190_034, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
+        [91_730, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
     );
     // Early exit: a 1e-6 worst-case relative bound takes three steps.
     let steps_to_eps = 1 + pq
@@ -279,7 +281,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
         .position(|s| s.error_bound <= 1e-6)
         .unwrap();
     assert_eq!(steps_to_eps, 3);
-    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 229_606);
+    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 131_302);
     // What each step costs on the simulated PFS, and the cumulative
     // figures: a pull is priced like a one-rank run, so the ladder's
     // per-rank vector carries every step it took.
@@ -287,12 +289,12 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
     let pull = 0x3fc3_76e5_ac33_6bda;
     assert_eq!(
         io_bits,
-        [0x3fd1_f5e5_fce6_36c6, pull, pull, pull, pull, pull, pull]
+        [0x3fd1_f087_992d_aaa7, pull, pull, pull, pull, pull, pull]
     );
     let m = pq.metrics();
     assert_eq!(
         (m.nranks, m.seeks, m.index_bytes, m.data_bytes),
-        (1, 128, 125_890, 182_860)
+        (1, 128, 27_586, 182_860)
     );
     assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
     assert_eq!(m.per_rank_io.iter().sum::<f64>(), m.io_s);
@@ -336,11 +338,14 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
 fn part_extent(be: &impl StorageBackend, bin: usize, part: usize) -> (String, u64, u32) {
     let file = format!("{DS}/{VAR}/bin{bin:04}.bin");
     let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-    let idx = mloc::index::HeaderView::parse(&raw[..]).unwrap();
-    let rank = (0..idx.num_chunks())
+    let store = MlocStore::open(be, DS, VAR).unwrap();
+    let geometry = (store.grid().num_chunks(), store.config().num_parts());
+    let order = store.config().level_order;
+    let idx = mloc::binfile::parse_fixed(&raw, geometry, order, &file).unwrap();
+    let rank = (0..geometry.0)
         .find(|&r| idx.count(r) > 0)
         .expect("bin has a populated chunk");
-    let loc = idx.unit(rank, part);
+    let loc = idx.unit(rank, part).unwrap();
     assert!(loc.clen > 0, "part unit is empty");
     (file, loc.offset, loc.clen)
 }
