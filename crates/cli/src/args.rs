@@ -181,8 +181,7 @@ USAGE:
                  [--fault-plan FILE]  (inject deterministic storage
                                        faults; directives: seed=N,
                                        transient_rate=P, max_transient=N,
-                                       lose SUBSTR, flip FILE OFF MASK,
-                                       torn FILE KEEP)
+                                       lose SUBSTR, flip FILE OFF MASK)
                  [--profile table|json]   (span/counter profile of the
                                            final pass)
   mloc serve     --dir DIR --name DS --workload FILE

@@ -39,7 +39,7 @@ pub fn meta_file(dataset: &str, var: &str) -> String {
     format!("{dataset}/{var}/meta")
 }
 
-/// Name of the one file of a bin (formats v3, v4).
+/// Name of the one file of a bin (formats v3–v5).
 pub fn bin_file(dataset: &str, var: &str, bin: usize) -> String {
     format!("{dataset}/{var}/bin{bin:04}.bin")
 }

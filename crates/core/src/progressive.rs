@@ -46,11 +46,12 @@
 
 use crate::cache::CachedBlock;
 use crate::config::PlodLevel;
-use crate::degrade::DegradationEvent;
 use crate::exec::{ExecRequest, ParallelExecutor};
 use crate::metrics::{Meter, QueryMetrics};
 use crate::plod;
-use crate::query::engine::{Decoder, Fetcher, RankOutput, RefineUnit, Refinement, UnitBlock};
+use crate::query::engine::{
+    read_parts, Decoder, Fetcher, PartRange, RankOutput, RefineUnit, Refinement,
+};
 use crate::query::plan::{make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
@@ -250,8 +251,8 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
     /// ladder is complete (target reached, or every unit capped).
     ///
     /// A pull is the one-shot retrieval restricted to part `p`: the
-    /// same fetch (block cache, extent fuser, retries, checksum
-    /// verification) and decode stages the engine runs, so a warm
+    /// engine's data stage (block cache, extent fuser, retries, checksum
+    /// verification, decode) asked for parts `p..p + 1`, so a warm
     /// refinement step costs only the bytes nobody has fetched yet, and
     /// it is priced and profiled as a one-rank run's output. A
     /// damaged extent caps the affected unit's ladder (when the
@@ -271,81 +272,40 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         let mut decoder = Decoder::new(store.config().codec);
         // What the pull cost; it emits no positions of its own.
         let mut out = RankOutput::default();
-        // (unit index, decoded part bytes) pending application, and the
-        // units whose part could not be fetched.
+        // (unit index, its part `p`) pending application.
         let mut parts: Vec<(usize, CachedBlock)> = Vec::new();
-        let mut lost: Vec<(usize, MlocError)> = Vec::new();
 
         // Walk the still-climbing units bin by bin (they are sorted), so
         // each bin's extents coalesce into as few physical reads as the
-        // one-shot engine would issue. A unit is one cache probe: a
-        // cached prefix past part `p` serves it; one ending just before
-        // `p` is read past and published again, one part longer.
-        let live: Vec<usize> = (0..self.units.len())
-            .filter(|&k| self.units[k].cap > p && self.units[k].unit.count > 0)
+        // one-shot engine would issue. A lost part caps its unit's
+        // ladder. `live` holds (bin, unit index).
+        let live: Vec<(usize, usize)> = (self.units.iter().enumerate())
+            .filter(|(_, s)| s.cap > p && s.unit.count > 0)
+            .map(|(k, s)| (s.unit.bin, k))
             .collect();
-        let bin_of = |k: usize| self.units[k].unit.bin;
-        for group in live.chunk_by(|&a, &b| bin_of(a) == bin_of(b)) {
-            let fixed = &self.units[group[0]].unit.fixed;
-            let bin = self.units[group[0]].unit.bin;
-            let file = fetcher.bin_file(bin);
-            let mut extents: Vec<(u64, u32)> = Vec::new();
-            // (unit index, the cached prefix the part extends)
-            let mut pending: Vec<(usize, Option<UnitBlock>)> = Vec::new();
-            for &k in group {
-                let unit = &self.units[k].unit;
-                let loc = fixed
-                    .unit(unit.chunk_rank, p)
-                    .ok_or(MlocError::Corrupt("data unit without footer"))?;
-                match fetcher.unit_block(bin, unit.chunk_rank, unit.count as usize) {
-                    Some(block) if block.parts() > p => {
-                        fetcher.served(&file, loc.offset, u64::from(loc.clen));
-                        parts.push((k, block.part(p)));
-                    }
-                    block => {
-                        extents.push((loc.offset, loc.clen));
-                        pending.push((k, block.filter(|b| b.parts() == p)));
-                    }
+        let (mut got, mut eff) = (Vec::new(), Vec::new());
+        for group in live.chunk_by(|a, b| a.0 == b.0) {
+            got.resize(group.len(), None);
+            eff.resize(group.len(), p + 1);
+            let range = PartRange {
+                bin: group[0].0,
+                fixed: &self.units[group[0].1].unit.fixed,
+                parts: p..p + 1,
+                allow_degraded: self.exec.allow_degraded,
+                out: &mut got,
+                eff: &mut eff,
+                degradation: &mut out.degradation,
+            };
+            let units = (group.iter().enumerate())
+                .map(|(slot, &(_, k))| (slot, self.units[k].unit.chunk_rank, false));
+            out.decompress_s += read_parts(&mut fetcher, &mut decoder, range, units, |_, _| {})?;
+            for (&(_, k), part) in group.iter().zip(got.drain(..)) {
+                match part {
+                    Some(part) => parts.push((k, part)),
+                    None => self.units[k].cap = p,
                 }
             }
-            let footer = fixed.data.as_deref();
-            let footer = footer.ok_or(MlocError::Corrupt("data unit without footer"))?;
-            let reads = fetcher.read(&file, &extents, Some(footer), false);
-            let td = Instant::now();
-            for ((k, prefix), got) in pending.into_iter().zip(reads) {
-                let raw = match got {
-                    Ok(raw) => raw,
-                    Err(e) => {
-                        lost.push((k, e));
-                        continue;
-                    }
-                };
-                let unit = &self.units[k].unit;
-                let part = decoder.part(&raw, p, unit.count as usize)?;
-                if let Some(prefix) = prefix {
-                    let longer = decoder.prefix(&[prefix.bytes(), &part]);
-                    fetcher.publish_unit(bin, unit.chunk_rank, longer);
-                }
-                parts.push((k, CachedBlock::Bytes(part)));
-            }
-            out.decompress_s += td.elapsed().as_secs_f64();
-        }
-        // Same degradability rule as the one-shot engine: a non-base
-        // part of a filterless unit may be dropped; parts after it
-        // become unreachable, capping the ladder here.
-        for (k, e) in lost {
-            if !self.exec.allow_degraded {
-                return Err(e);
-            }
-            let st = &mut self.units[k];
-            st.cap = p;
-            out.degradation.events.push(DegradationEvent {
-                bin: st.unit.bin,
-                chunk_rank: st.unit.chunk_rank,
-                lost_part: p,
-                points: u64::from(st.unit.count),
-                reason: e.to_string(),
-            });
+            eff.clear();
         }
 
         // Apply the deltas in place: one byte merged per value.

@@ -4,7 +4,6 @@
 //! cache, so a damaged stream can neither poison the cache nor index
 //! out of range at reconstruction.
 
-use super::fetch::Fetcher;
 use crate::cache::{ByteView, CachedBlock};
 use crate::plod;
 use crate::{MlocError, Result};
@@ -41,22 +40,15 @@ impl Decoder {
         Ok(ByteView::from(bytes))
     }
 
-    /// Decompress the whole-value unit `chunk_rank` of `bin`, holding
-    /// `count` points, check its length, and publish it to the cache.
-    pub fn floats(
-        &mut self,
-        fetcher: &mut Fetcher<'_, '_>,
-        (bin, chunk_rank): (usize, usize),
-        raw: &[u8],
-        count: usize,
-    ) -> Result<CachedBlock> {
+    /// Decompress a whole-value unit holding `count` points and check
+    /// its length.
+    pub fn floats(&mut self, raw: &[u8], count: usize) -> Result<CachedBlock> {
         let vals = self.float_codec.decompress_f64(raw)?;
         if vals.len() != count {
             return Err(MlocError::Corrupt("unit length mismatch"));
         }
         let block = CachedBlock::Floats(Arc::new(vals));
         self.copy_bytes += block.cost();
-        fetcher.publish_unit(bin, chunk_rank, block.clone());
         Ok(block)
     }
 

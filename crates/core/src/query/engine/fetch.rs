@@ -22,7 +22,7 @@ use crate::index::{check_header, SummaryView, HEADER_LEN};
 use crate::integrity::{corrupt_extent, ExtentFooter};
 use crate::plod;
 use crate::store::MlocStore;
-use crate::Result;
+use crate::{MlocError, Result};
 use mloc_bitmap::{RunList, RunListBuf};
 use mloc_obs::Collector;
 use mloc_pfs::{PfsError, RankIo, ReadOp, RetryPolicy};
@@ -191,6 +191,11 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         self.report.bytes_saved += len;
     }
 
+    /// The store the fetches read.
+    pub fn store(&self) -> &'s MlocStore<'a> {
+        self.store
+    }
+
     /// Whether the store has a block cache.
     pub fn caches(&self) -> bool {
         self.store.cache().is_some()
@@ -327,18 +332,10 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         })
     }
 
-    /// Read `len` bytes of `file`'s fixed blocks from `off`. A file too
-    /// short to hold them is torn: its damage is named like any other
-    /// extent's, never served.
+    /// Read `len` bytes of `file`'s fixed blocks from `off`.
     fn read_fixed(&mut self, file: &Arc<str>, off: u64, len: u64) -> Result<Vec<u8>> {
-        self.io
-            .read(Arc::clone(file), off, len)
-            .map_err(|e| match e {
-                PfsError::OutOfBounds { .. } => {
-                    corrupt_extent(file, off, len, "fixed block past end of file (torn write?)")
-                }
-                e => e.into(),
-            })
+        let read = self.io.read(Arc::clone(file), off, len);
+        read.map_err(|e| stored_extent(e.into(), file, off, len))
     }
 
     /// Verify index bytes read ahead at `off` against their file's
@@ -483,7 +480,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         reads
             .into_iter()
             .zip(extents)
-            .map(|(read, &(_, len))| {
+            .map(|(read, &(off, len))| {
                 let len = u64::from(len);
                 if read.res.is_ok() {
                     if read.fused {
@@ -493,7 +490,7 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                         *counted += len;
                     }
                 }
-                read.res
+                read.res.map_err(|e| stored_extent(e, file, off, len))
             })
             .collect()
     }
@@ -507,6 +504,17 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         r.batch_depths = self.io.batch_depths().to_vec();
         r.trace = self.io.into_trace();
         r
+    }
+}
+
+/// A failed read of the stored extent `[off, off + len)` of `file`: one
+/// past the end of a torn file is named as `verify` names it.
+fn stored_extent(e: MlocError, file: &str, off: u64, len: u64) -> MlocError {
+    match e {
+        MlocError::Pfs(PfsError::OutOfBounds { .. }) => {
+            corrupt_extent(file, off, len, "extent past end of file (torn write?)")
+        }
+        e => e,
     }
 }
 

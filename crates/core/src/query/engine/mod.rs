@@ -14,7 +14,8 @@ mod reconstruct;
 
 pub(crate) use decode::Decoder;
 pub use fetch::FetchReport;
-pub(crate) use fetch::{Fetcher, UnitBlock, UnitRuns, Want};
+pub(crate) use fetch::Fetcher;
+use fetch::{UnitBlock, UnitRuns, Want};
 
 use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
@@ -129,8 +130,6 @@ pub struct RankJob<'j, 'a> {
 /// One bin's blocks as the fetch and decode stages fill them in;
 /// the per-unit vectors are indexed like the rank's units of the bin.
 pub(crate) struct BinBlocks {
-    /// The name of the bin's file.
-    pub file: Arc<str>,
     /// The bin's fixed blocks: the chunk summaries, read in place from
     /// the fetched (or cached) bytes, the index checksum table, the
     /// data checksum table, fetched iff a unit of the bin reads data,
@@ -229,14 +228,6 @@ fn reads_data(summaries: &SummaryView<ByteView>, u: &WorkUnit) -> bool {
 }
 
 impl Rank<'_, '_> {
-    /// Close an `index-read` / `data-read` span: its `verify` child,
-    /// and the bytes it read under the bin's label.
-    fn end_read(&mut self, obs: &mut Collector, counter: &'static str, bin: usize, bytes: u64) {
-        self.fetcher.record_verify(obs);
-        obs.end();
-        obs.count_labeled(counter, Label::Index(bin as u32), bytes);
-    }
-
     /// Fetch one bin's index blocks: its fixed blocks, then the
     /// bitmaps of this rank's chunks.
     fn read_index(&mut self, group: &[WorkUnit], obs: &mut Collector) -> Result<BinBlocks> {
@@ -291,7 +282,9 @@ impl Rank<'_, '_> {
                 Ok(())
             })?;
         let bytes = self.fetcher.report.index_bytes - bytes_before;
-        self.end_read(obs, "bin.index.bytes", bin, bytes);
+        self.fetcher.record_verify(obs);
+        obs.end();
+        obs.count_labeled("bin.index.bytes", Label::Index(bin as u32), bytes);
         // A bin's data checksum table comes with its fixed blocks, in
         // `index-read`, and counts under the bin's data bytes.
         let table = self.fetcher.report.data_bytes - data_before;
@@ -299,7 +292,6 @@ impl Rank<'_, '_> {
             obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), table);
         }
         Ok(BinBlocks {
-            file,
             fixed,
             runs,
             local,
@@ -311,137 +303,48 @@ impl Rank<'_, '_> {
     }
 
     /// Fetch and decode one bin's data units (only for units that
-    /// need data). A unit is one cache probe: the block found serves
-    /// the unit's leading parts — a PLoD level-k query reuses parts
-    /// 0..k of any earlier query over the same chunk, whatever its
-    /// level — and the rest are read, decoded, and published as the
-    /// longer prefix.
+    /// need data): the data stage over all the query's parts.
     fn read_data(
         &mut self,
         group: &[WorkUnit],
         blocks: &mut BinBlocks,
         obs: &mut Collector,
     ) -> Result<()> {
-        let (store, n_parts) = (self.job.store, self.recon.n_parts);
-        let config = store.config();
         let bin = group[0].bin;
         obs.begin("data-read");
-        let file = Arc::clone(&blocks.file);
         let bytes_before = self.fetcher.report.data_bytes;
         // The data's checksum table came with the bin's fixed blocks,
         // fetched on this same condition — which depends only on the
         // plan and the index, never on cache state, so cold and warm
         // runs of the same query access it identically.
         let fixed = Arc::clone(&blocks.fixed);
-        let reads_data = |u: &WorkUnit| reads_data(&fixed.summaries, u);
-        if group.iter().any(reads_data) {
-            blocks.parts = vec![None; group.len() * n_parts];
+        let units = (group.iter().enumerate()).filter(|(_, u)| reads_data(&fixed.summaries, u));
+        if units.clone().next().is_some() {
+            blocks.parts = vec![None; group.len() * blocks.n_parts];
         }
-        // Per unit, the parts its cached prefix held (cached PLoD runs
-        // only: a float block is published where it is decoded).
-        let mut held = if config.plod && self.fetcher.caches() {
-            vec![0; group.len()]
-        } else {
-            Vec::new()
+        let range = PartRange {
+            bin,
+            fixed: &fixed,
+            parts: 0..blocks.n_parts,
+            allow_degraded: self.job.allow_degraded,
+            out: &mut blocks.parts,
+            eff: &mut blocks.eff_parts,
+            degradation: &mut self.out.degradation,
         };
-        let mut extents: Vec<(u64, u32)> = Vec::new();
-        let mut slots: Vec<(usize, usize)> = Vec::new(); // (unit idx, part)
-        for (gi, u) in group.iter().enumerate().filter(|(_, u)| reads_data(u)) {
-            let count = fixed.count(u.chunk_rank) as usize;
-            let block = self.fetcher.unit_block(bin, u.chunk_rank, count);
-            let served = block.as_ref().map_or(0, UnitBlock::parts);
-            for p in 0..n_parts {
-                let loc = fixed
-                    .unit(u.chunk_rank, p)
-                    .ok_or(MlocError::Corrupt("unit part not in the data table"))?;
-                match &block {
-                    Some(block) if p < served => {
-                        self.fetcher.served(&file, loc.offset, u64::from(loc.clen));
-                        blocks.parts[gi * n_parts + p] = Some(block.part(p));
-                    }
-                    _ => {
-                        extents.push((loc.offset, loc.clen));
-                        slots.push((gi, p));
-                    }
-                }
-            }
-            if let Some(h) = held.get_mut(gi) {
-                *h = served;
-            }
-        }
-
-        // Sort the per-extent outcomes: stored bytes queue for
-        // decompression; a failed read is fatal unless it is degradable
-        // — a non-base PLoD part of a unit with no value filter
-        // (degrading a filtered unit could silently change which points
-        // match). A unit's extents arrive in part order, so its first
-        // loss is its lowest: everything from that part on is dropped
-        // at reconstruction.
-        let mut stored: Vec<(usize, ByteView)> = Vec::new(); // (extent idx, bytes)
-        let degrade = self.job.allow_degraded && config.plod;
-        let footer = blocks.fixed.data.as_deref();
-        let reads = self.fetcher.read(&file, &extents, footer, false);
-        for (k, got) in reads.into_iter().enumerate() {
-            let (gi, p) = slots[k];
-            let e = match got {
-                Ok(view) => {
-                    stored.push((k, view));
-                    continue;
-                }
-                Err(e) => e,
-            };
-            if !(degrade && p > 0 && !group[gi].value_filter) {
-                return Err(e);
-            }
-            if p < blocks.eff_parts[gi] {
-                blocks.eff_parts[gi] = p;
-                self.out.degradation.events.push(DegradationEvent {
-                    bin,
-                    chunk_rank: group[gi].chunk_rank,
-                    lost_part: p,
-                    points: u64::from(fixed.count(group[gi].chunk_rank)),
-                    reason: e.to_string(),
-                });
-            }
-        }
-        let bytes = self.fetcher.report.data_bytes - bytes_before;
-        self.end_read(obs, "bin.data.bytes", bin, bytes);
-        let codec = Label::Name(config.codec.name());
-        obs.count_labeled("decompress.units", codec, stored.len() as u64);
-
-        // Decompress the fetched parts (timed); cache hits above skip
-        // this entirely, which is where warm-session time goes to ~0.
-        let t = Instant::now();
-        for (k, view) in stored {
-            let (gi, p) = slots[k];
-            let chunk_rank = group[gi].chunk_rank;
-            let count = fixed.count(chunk_rank) as usize;
-            let block = if config.plod {
-                CachedBlock::Bytes(self.decoder.part(&view, p, count)?)
-            } else {
-                let unit = (bin, chunk_rank);
-                self.decoder.floats(&mut self.fetcher, unit, &view, count)?
-            };
-            blocks.parts[gi * n_parts + p] = Some(block);
-        }
-        // Publish each PLoD unit's parts before its first loss, once,
-        // when they go past what its cached block held.
-        for (gi, &had) in held.iter().enumerate() {
-            let eff = blocks.eff_parts[gi];
-            if eff <= had || !reads_data(&group[gi]) {
-                continue;
-            }
-            let mut parts: [&[u8]; NUM_PARTS] = [&[]; NUM_PARTS];
-            for (part, slot) in parts.iter_mut().zip(blocks.unit_parts(gi)).take(eff) {
-                let bytes = slot.as_ref().and_then(CachedBlock::as_bytes);
-                *part = bytes.ok_or(MlocError::Corrupt("missing PLoD part"))?;
-            }
-            let block = self.decoder.prefix(&parts[..eff]);
-            self.fetcher.publish_unit(bin, group[gi].chunk_rank, block);
-        }
+        let units = units.map(|(slot, u)| (slot, u.chunk_rank, u.value_filter));
+        let codec = Label::Name(self.job.store.config().codec.name());
+        // The `data-read` span ends, with its `verify` child, before
+        // the decode.
+        let on_read = |f: &mut Fetcher<'_, '_>, decoded: usize| {
+            f.record_verify(obs);
+            obs.end();
+            let bytes = f.report.data_bytes - bytes_before;
+            obs.count_labeled("bin.data.bytes", Label::Index(bin as u32), bytes);
+            obs.count_labeled("decompress.units", codec, decoded as u64);
+        };
+        let dt = read_parts(&mut self.fetcher, &mut self.decoder, range, units, on_read)?;
         // The profile span gets the same float as the metric, so the
         // two reports reconcile exactly, not just "within noise".
-        let dt = t.elapsed().as_secs_f64();
         self.out.decompress_s += dt;
         obs.record("decompress", dt);
         Ok(())
@@ -486,6 +389,132 @@ impl Rank<'_, '_> {
     }
 }
 
+/// One call of the data stage: parts `parts` of units of `bin`, whose
+/// fixed blocks locate and verify every extent, and where what it finds
+/// goes, by unit slot.
+pub(crate) struct PartRange<'r> {
+    pub bin: usize,
+    pub fixed: &'r FixedBlocks,
+    pub parts: Range<usize>,
+    /// See [`crate::ParallelExecutor::allow_degraded`].
+    pub allow_degraded: bool,
+    /// Slot-major `slots × parts.len()`: the decoded blocks — PLoD byte
+    /// groups, or the one whole-value block.
+    pub out: &'r mut [Option<CachedBlock>],
+    /// Per slot: the end of its usable parts, `parts.end` until a loss.
+    pub eff: &'r mut [usize],
+    pub degradation: &'r mut DegradationReport,
+}
+
+/// The data stage: fetch and decode parts `lo..hi` of one bin's
+/// `units` — `(slot, chunk rank, value filter)` — for a one-shot query
+/// `0..n_parts`, for a refinement pull `p..p + 1`. A unit is one cache
+/// probe: the block found serves the leading parts it holds (a PLoD
+/// level-k query reuses parts `0..k` of any earlier query over the same
+/// chunk), and the rest are read in one coalesced read checked against
+/// the bin's data table. A failed read is fatal unless degradable: a
+/// non-base PLoD part of a unit with no value filter (degrading a
+/// filtered unit could silently change which points match), when
+/// degradation is allowed; a unit is unusable from its lowest loss on.
+/// A unit whose cached prefix covered `0..lo` publishes the longer
+/// prefix, up to its first loss. `on_read` runs once the reads are in,
+/// with the number of extents to decode; the decode and publish seconds
+/// are returned.
+pub(crate) fn read_parts(
+    fetcher: &mut Fetcher<'_, '_>,
+    decoder: &mut Decoder,
+    range: PartRange<'_>,
+    units: impl Iterator<Item = (usize, usize, bool)>,
+    on_read: impl FnOnce(&mut Fetcher<'_, '_>, usize),
+) -> Result<f64> {
+    let PartRange { bin, fixed, .. } = range;
+    let Range { start: lo, end: hi } = range.parts;
+    let at = |slot: usize, p: usize| slot * (hi - lo) + p - lo;
+    let plod = fetcher.store().config().plod;
+    let file = fetcher.bin_file(bin);
+    let mut extents: Vec<(u64, u32)> = Vec::new();
+    // (slot, chunk rank, value filter, part) of every extent to read.
+    let mut wanted: Vec<(usize, usize, bool, usize)> = Vec::new();
+    // Units whose cached prefix grows: PLoD units only (a float block
+    // is published as it is decoded).
+    let mut grow: Vec<(usize, usize, Option<UnitBlock>)> = Vec::new();
+    for (slot, rank, filtered) in units {
+        let block = fetcher.unit_block(bin, rank, fixed.count(rank) as usize);
+        let held = block.as_ref().map_or(0, UnitBlock::parts);
+        for p in lo..hi {
+            let loc = fixed
+                .unit(rank, p)
+                .ok_or(MlocError::Corrupt("unit part not in the data table"))?;
+            match &block {
+                Some(block) if p < held => {
+                    fetcher.served(&file, loc.offset, u64::from(loc.clen));
+                    range.out[at(slot, p)] = Some(block.part(p));
+                }
+                _ => {
+                    extents.push((loc.offset, loc.clen));
+                    wanted.push((slot, rank, filtered, p));
+                }
+            }
+        }
+        if plod && fetcher.caches() && (lo..hi).contains(&held) {
+            grow.push((slot, rank, block));
+        }
+    }
+
+    // A unit's extents arrive in part order: its first loss is its lowest.
+    let mut stored: Vec<(usize, usize, usize, ByteView)> = Vec::new();
+    let reads = fetcher.read(&file, &extents, fixed.data.as_deref(), false);
+    for (&(slot, rank, filtered, p), got) in wanted.iter().zip(reads) {
+        match got {
+            Ok(view) => stored.push((slot, rank, p, view)),
+            Err(e) if !(range.allow_degraded && plod && p > 0 && !filtered) => return Err(e),
+            Err(e) if p < range.eff[slot] => {
+                range.eff[slot] = p;
+                range.degradation.events.push(DegradationEvent {
+                    bin,
+                    chunk_rank: rank,
+                    lost_part: p,
+                    points: u64::from(fixed.count(rank)),
+                    reason: e.to_string(),
+                });
+            }
+            Err(_) => {}
+        }
+    }
+    on_read(fetcher, stored.len());
+
+    // Decompress what was read; cache hits above skip this entirely,
+    // which is where warm-session time goes to ~0.
+    let t = Instant::now();
+    for (slot, rank, p, view) in stored {
+        let count = fixed.count(rank) as usize;
+        range.out[at(slot, p)] = Some(if plod {
+            CachedBlock::Bytes(decoder.part(&view, p, count)?)
+        } else {
+            let block = decoder.floats(&view, count)?;
+            fetcher.publish_unit(bin, rank, block.clone());
+            block
+        });
+    }
+    for (slot, rank, block) in grow {
+        let (held, eff) = (block.as_ref().map_or(0, UnitBlock::parts), range.eff[slot]);
+        if eff <= held {
+            continue;
+        }
+        let mut parts: [&[u8]; NUM_PARTS + 1] = [&[]; NUM_PARTS + 1];
+        parts[0] = block.as_ref().map_or(&[], UnitBlock::bytes);
+        for (part, p) in parts[1..].iter_mut().zip(held..eff) {
+            let bytes = range.out[at(slot, p)]
+                .as_ref()
+                .and_then(CachedBlock::as_bytes);
+            *part = bytes.ok_or(MlocError::Corrupt("missing PLoD part"))?;
+        }
+        let prefix = decoder.prefix(&parts[..=eff - held]);
+        fetcher.publish_unit(bin, rank, prefix);
+    }
+    Ok(t.elapsed().as_secs_f64())
+}
+
 #[cfg(test)]
 mod tests {
     use crate::binfile::{front_lens, parse_fixed, reseal_index};
@@ -527,6 +556,132 @@ mod tests {
             matches!(err, MlocError::Corrupt("index geometry mismatch")),
             "got {err}"
         );
+    }
+
+    /// The data stage over a part range. With a cached prefix of `k`
+    /// parts, a request for `lo..hi` probes once, serves parts
+    /// `lo..min(k, hi)` from the prefix, reads exactly `max(lo, k)..hi`,
+    /// decodes them as a cold read does, and publishes the prefix
+    /// `0..hi` only when the cached one covered `0..lo` — and, when a
+    /// part is lost, nothing from that part on.
+    #[test]
+    fn a_part_range_reads_past_its_cached_prefix_and_extends_it_only_from_lo() {
+        use super::{read_parts, Decoder, Fetcher, PartRange};
+        use crate::cache::{BlockCache, BlockPart, CachedBlock};
+        use crate::degrade::DegradationReport;
+        use crate::plod::prefix_parts;
+        use crate::Result;
+        use mloc_pfs::RetryPolicy;
+        use std::ops::Range;
+        use std::sync::Arc;
+
+        const BIN: usize = 1;
+        let be = MemBackend::new();
+        let values: Vec<f64> = (0..4096).map(|i| ((i * 37) % 4096) as f64 * 0.25).collect();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(4)
+            .build();
+        build_variable(&be, "ds", "v", &values, &config).unwrap();
+        let plain = MlocStore::open(&be, "ds", "v").unwrap();
+        let fixed = Fetcher::new(&plain, RetryPolicy::none(), false)
+            .fixed(BIN, |_| true)
+            .unwrap();
+        let r = (0..16).find(|&r| fixed.count(r) > 0).unwrap();
+        let count = fixed.count(r) as usize;
+        let stored = |parts: Range<usize>| -> u64 {
+            parts
+                .map(|p| u64::from(fixed.unit(r, p).unwrap().clen))
+                .sum()
+        };
+        // Run the stage for unit `r` over `parts`: what it fetched, the
+        // bytes of each part it decoded, its usable end, its events.
+        type Staged = (super::FetchReport, Vec<Vec<u8>>, usize, DegradationReport);
+        let stage = |store: &MlocStore<'_>, parts: Range<usize>, degrade: bool| -> Result<Staged> {
+            let mut fetcher = Fetcher::new(store, RetryPolicy::none(), false);
+            let mut decoder = Decoder::new(store.config().codec);
+            let (mut slots, mut eff) = (vec![None; parts.len()], vec![parts.end]);
+            let mut degradation = DegradationReport::default();
+            let lo = parts.start;
+            let range = PartRange {
+                bin: BIN,
+                fixed: &fixed,
+                parts,
+                allow_degraded: degrade,
+                out: &mut slots,
+                eff: &mut eff,
+                degradation: &mut degradation,
+            };
+            let unit = [(0, r, false)].into_iter();
+            read_parts(&mut fetcher, &mut decoder, range, unit, |_, _| {})?;
+            let bytes = (slots.iter().take(eff[0] - lo))
+                .map(|b| b.as_ref().and_then(CachedBlock::as_bytes).unwrap().to_vec())
+                .collect();
+            Ok((fetcher.finish(), bytes, eff[0], degradation))
+        };
+        // The parts `cache` holds of the unit's prefix.
+        let held = |cache: &BlockCache| {
+            let key = crate::cache::BlockKey {
+                scope: Arc::clone(plain.cache_scope()),
+                bin: BIN as u32,
+                chunk_rank: r as u32,
+                part: BlockPart::PlodUnit,
+            };
+            cache.get(&key).map_or(0, |b| {
+                prefix_parts(count, b.as_bytes().unwrap().len()).unwrap()
+            })
+        };
+        // A store whose cache holds the unit's parts `0..k`.
+        let cached_at = |k: usize| {
+            let cache = Arc::new(BlockCache::with_budget_mb(8));
+            let store = MlocStore::open(&be, "ds", "v")
+                .unwrap()
+                .with_cache(Arc::clone(&cache));
+            if k > 0 {
+                stage(&store, 0..k, false).unwrap();
+            }
+            assert_eq!(held(&cache), k);
+            (store, cache)
+        };
+
+        // (k, lo..hi): k < lo, k = lo, k > lo, and a prefix past hi.
+        for (k, parts) in [(1, 2..5), (2, 2..5), (3, 1..5), (6, 1..4)] {
+            let tag = format!("k = {k}, parts {parts:?}");
+            let (store, cache) = cached_at(k);
+            let (lo, hi) = (parts.start, parts.end);
+            let (io, bytes, eff, events) = stage(&store, parts.clone(), false).unwrap();
+            assert_eq!(io.cache_hits + io.cache_misses, 1, "{tag}: one probe");
+            assert_eq!(io.data_bytes, stored(lo.max(k)..hi), "{tag}: read");
+            assert_eq!(io.bytes_saved, stored(lo..k.clamp(lo, hi)), "{tag}: served");
+            assert_eq!((eff, events.events.len()), (hi, 0), "{tag}");
+            let cold = stage(&plain, parts, false).unwrap();
+            assert_eq!(cold.0.data_bytes, stored(lo..hi), "{tag}: cold");
+            assert_eq!(bytes, cold.1, "{tag}: the parts a cold read decodes");
+            let extended = (lo..hi).contains(&k);
+            assert_eq!(held(&cache), if extended { hi } else { k }, "{tag}");
+        }
+
+        // Part 4 lost: a damaged byte fails its extent's checksum. The
+        // prefixes are cached first, from the intact file.
+        // (k, the prefix cached after): a prefix past part 4 serves it.
+        let cases = [(2, 4), (1, 1), (5, 6)].map(|(k, after)| (k, after, cached_at(k)));
+        let file = plain.bin_file(BIN);
+        let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
+        raw[fixed.unit(r, 4).unwrap().offset as usize] ^= 0x10;
+        be.create(file).unwrap();
+        be.append(file, &raw).unwrap();
+        for (k, after, (store, cache)) in cases {
+            let tag = format!("part 4 lost, k = {k}");
+            let strict = stage(&store, 2..6, false);
+            assert_eq!(strict.is_err(), k <= 4, "{tag}: strict");
+            let (_, bytes, eff, report) = stage(&store, 2..6, true).unwrap();
+            let lost: Vec<usize> = report.events.iter().map(|e| e.lost_part).collect();
+            let want_lost: &[usize] = if k > 4 { &[] } else { &[4] };
+            assert_eq!(lost, want_lost, "{tag}");
+            assert_eq!(eff, if k > 4 { 6 } else { 4 }, "{tag}");
+            assert_eq!(bytes.len(), eff - 2, "{tag}");
+            assert_eq!(held(&cache), after, "{tag}: published");
+        }
     }
 
     /// The key of the run list `store`'s cache would hold of chunk

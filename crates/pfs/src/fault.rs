@@ -12,8 +12,6 @@
 //! * **bit-flip corruption** — targeted bytes are XOR-masked in read
 //!   results. The stored bytes are untouched; the reader sees silent
 //!   corruption exactly as a bad disk would deliver it.
-//! * **torn appends** — the first append to a matching file persists
-//!   only a prefix and then fails, simulating a crash mid-write.
 //!
 //! Everything is deterministic given the plan (seed included), which
 //! is what makes fault-matrix differential testing possible: replaying
@@ -45,16 +43,6 @@ pub struct BitFlip {
     pub mask: u8,
 }
 
-/// One torn append: the first append to a matching file persists only
-/// the first `keep` bytes, then the operation fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TornAppend {
-    /// Substring the file name must contain.
-    pub file: String,
-    /// Bytes of the payload that reach storage before the "crash".
-    pub keep: u64,
-}
-
 /// A scriptable, deterministic fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -70,8 +58,6 @@ pub struct FaultPlan {
     pub lost_files: Vec<String>,
     /// Targeted read-path corruptions.
     pub flips: Vec<BitFlip>,
-    /// Targeted write-path crashes.
-    pub torn_appends: Vec<TornAppend>,
 }
 
 impl FaultPlan {
@@ -83,7 +69,6 @@ impl FaultPlan {
             max_transient: 1,
             lost_files: Vec::new(),
             flips: Vec::new(),
-            torn_appends: Vec::new(),
         }
     }
 
@@ -107,7 +92,6 @@ impl FaultPlan {
     /// max_transient = 2
     /// lose <file-substring>
     /// flip <file-substring> <offset> <xor-mask>
-    /// torn <file-substring> <keep-bytes>
     /// ```
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
@@ -145,17 +129,6 @@ impl FaultPlan {
                         file: file.to_string(),
                         offset,
                         mask,
-                    });
-                }
-                PlanLine::Directive("torn", words) => {
-                    let file = words.next().ok_or_else(|| err("missing file"))?;
-                    let keep = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| err("missing/bad keep"))?;
-                    plan.torn_appends.push(TornAppend {
-                        file: file.to_string(),
-                        keep,
                     });
                 }
                 PlanLine::Directive(..) => return Err(err("unknown directive")),
@@ -219,7 +192,6 @@ pub struct FaultStats {
     transient: AtomicU64,
     flipped: AtomicU64,
     lost_denied: AtomicU64,
-    torn: AtomicU64,
 }
 
 impl FaultStats {
@@ -237,11 +209,6 @@ impl FaultStats {
     pub fn lost_denials(&self) -> u64 {
         self.lost_denied.load(Ordering::Relaxed)
     }
-
-    /// Torn appends executed.
-    pub fn torn_appends(&self) -> u64 {
-        self.torn.load(Ordering::Relaxed)
-    }
 }
 
 /// A [`StorageBackend`] wrapper that injects the faults of a
@@ -252,20 +219,16 @@ pub struct FaultBackend<B: StorageBackend> {
     stats: FaultStats,
     /// attempts seen per distinct (file, offset, len) read signature.
     attempts: Mutex<HashMap<(String, u64, u64), u32>>,
-    /// torn-append rules already fired (by index into the plan).
-    torn_fired: Mutex<Vec<bool>>,
 }
 
 impl<B: StorageBackend> FaultBackend<B> {
     /// Wrap `inner`, injecting per `plan`.
     pub fn new(inner: B, plan: FaultPlan) -> Self {
-        let torn_fired = vec![false; plan.torn_appends.len()];
         FaultBackend {
             inner,
             plan,
             stats: FaultStats::default(),
             attempts: Mutex::new(HashMap::new()),
-            torn_fired: Mutex::new(torn_fired),
         }
     }
 
@@ -324,23 +287,6 @@ impl<B: StorageBackend> StorageBackend for FaultBackend<B> {
     }
 
     fn append(&self, name: &str, data: &[u8]) -> Result<u64, PfsError> {
-        let torn = {
-            let mut fired = self.torn_fired.lock();
-            self.plan
-                .torn_appends
-                .iter()
-                .position(|t| name.contains(t.file.as_str()))
-                .filter(|&i| !std::mem::replace(&mut fired[i], true))
-        };
-        if let Some(i) = torn {
-            let keep = (self.plan.torn_appends[i].keep as usize).min(data.len());
-            self.inner.append(name, &data[..keep])?;
-            self.stats.torn.fetch_add(1, Ordering::Relaxed);
-            return Err(PfsError::Io(std::io::Error::other(format!(
-                "torn append to {name}: {keep} of {} bytes persisted (injected crash)",
-                data.len()
-            ))));
-        }
         self.inner.append(name, data)
     }
 
@@ -875,23 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_append_persists_prefix_then_fails_once() {
-        let mut plan = FaultPlan::none();
-        plan.torn_appends.push(TornAppend {
-            file: "meta".to_string(),
-            keep: 5,
-        });
-        let fb = FaultBackend::new(MemBackend::new(), plan);
-        let err = fb.append("ds/meta", &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap_err();
-        assert!(err.to_string().contains("torn append"));
-        assert_eq!(fb.len("ds/meta").unwrap(), 5);
-        // The rule fires once; later appends succeed.
-        fb.append("ds/meta", &[9, 9]).unwrap();
-        assert_eq!(fb.len("ds/meta").unwrap(), 7);
-        assert_eq!(fb.stats().torn_appends(), 1);
-    }
-
-    #[test]
     fn crash_backend_buffers_until_sync() {
         let cb = CrashBackend::new(MemBackend::new(), CrashPlan::none());
         cb.create("f").unwrap();
@@ -1006,7 +935,6 @@ mod tests {
             max_transient = 2
             lose bin3
             flip v.dat 128 0x80
-            torn meta 10
         ";
         let plan = FaultPlan::parse(text).unwrap();
         assert_eq!(plan.seed, 7);
@@ -1021,16 +949,9 @@ mod tests {
                 mask: 0x80
             }]
         );
-        assert_eq!(
-            plan.torn_appends,
-            vec![TornAppend {
-                file: "meta".to_string(),
-                keep: 10
-            }]
-        );
-
         assert!(FaultPlan::parse("transient_rate = 1.5").is_err());
         assert!(FaultPlan::parse("flip onlyfile").is_err());
         assert!(FaultPlan::parse("bogus directive").is_err());
+        assert!(FaultPlan::parse("torn meta 10").is_err());
     }
 }

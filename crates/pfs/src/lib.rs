@@ -52,9 +52,7 @@ pub mod sim;
 
 pub use backend::{RankIo, ReadOp, ReadRequest, ReplicaAccess, StorageBackend};
 pub use cost::CostModel;
-pub use fault::{
-    BitFlip, CrashBackend, CrashPlan, FaultBackend, FaultPlan, FaultStats, TornAppend,
-};
+pub use fault::{BitFlip, CrashBackend, CrashPlan, FaultBackend, FaultPlan, FaultStats};
 pub use localdir::DirBackend;
 pub use mem::MemBackend;
 pub use retry::{op_token, RetryPolicy};

@@ -644,9 +644,7 @@ flip f | missing/bad offset
 flip f x 1 | missing/bad offset
 flip f 8 | missing/bad mask
 flip f 8 0x100 | missing/bad mask
-torn | missing file
-torn f | missing/bad keep
-torn f -2 | missing/bad keep
+torn meta 10 | unknown directive
 dropsync f | unknown directive
 \tlose a b   | trailing tokens
 flip f 8 0x80 extra | trailing tokens";

@@ -65,6 +65,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+/// Completed-read retention budget of a server's fuser, in MiB.
+const FUSION_WINDOW_MB: u64 = 64;
+
 /// Server configuration; [`ServeConfig::default`] is a sensible
 /// interactive setup (4 workers, windows of 8, cache and fusion on).
 #[derive(Debug, Clone)]
@@ -79,10 +82,8 @@ pub struct ServeConfig {
     /// Shared block-cache budget in MiB (0 disables the cache).
     pub cache_mb: u64,
     /// Whether to fuse overlapping extent reads across the window's
-    /// sessions.
+    /// sessions (the fuser retains up to 64 MiB of completed reads).
     pub fusion: bool,
-    /// Completed-read retention budget of the fuser, in MiB.
-    pub fusion_window_mb: u64,
     /// Ranks each session executes over.
     pub nranks: usize,
     /// Run ranks threaded (the deployment shape) instead of replay.
@@ -103,7 +104,6 @@ impl Default for ServeConfig {
             window: 8,
             cache_mb: 64,
             fusion: true,
-            fusion_window_mb: 64,
             nranks: 1,
             threaded: false,
             retry: RetryPolicy::none(),
@@ -337,7 +337,7 @@ impl<'a> QueryServer<'a> {
             (config.cache_mb > 0).then(|| Arc::new(BlockCache::with_budget_mb(config.cache_mb)));
         let fuser = config
             .fusion
-            .then(|| Arc::new(ExtentFuser::with_window_mb(config.fusion_window_mb)));
+            .then(|| Arc::new(ExtentFuser::with_window_mb(FUSION_WINDOW_MB)));
         QueryServer {
             backend,
             config,

@@ -23,7 +23,8 @@ use mloc::prelude::*;
 use mloc::{verify_variable, MlocError, MlocStore, QueryMetrics, QueryResult};
 use mloc_datagen::gts_like_2d;
 use mloc_pfs::{
-    CostModel, DirBackend, FaultBackend, FaultPlan, MemBackend, ReadOp, RetryPolicy, StorageBackend,
+    CostModel, CrashBackend, CrashPlan, DirBackend, FaultBackend, FaultPlan, MemBackend, ReadOp,
+    RetryPolicy, StorageBackend,
 };
 use mloc_serve::{QueryServer, ServeConfig, ServeError, SessionSpec};
 
@@ -422,21 +423,26 @@ fn lost_files_fail_loudly_but_index_queries_survive_data_loss() {
 fn torn_meta_write_is_an_incomplete_build_in(fresh: Fresh) {
     // Crash mid-meta-write: the footer trailer (the commit marker,
     // written last) never lands, so the variable must refuse to open.
-    let mut plan = FaultPlan::none();
-    plan.torn_appends.push(mloc_pfs::TornAppend {
-        file: "meta".to_string(),
-        keep: 40,
-    });
-    let fb = FaultBackend::new(fresh(), plan);
     let field = gts_like_2d(64, 64, 17);
     let config = MlocConfig::builder(vec![64, 64])
         .chunk_shape(vec![16, 16])
         .num_bins(6)
         .build();
+    let build = |be: &dyn StorageBackend| build_variable(be, DS, VAR, field.values(), &config);
+    // The census finds the build's first append to its meta file.
+    let census = CrashBackend::new(fresh(), CrashPlan::none());
+    build(&census).unwrap();
+    let log = census.op_log();
+    let meta = log
+        .iter()
+        .position(|(kind, file)| *kind == "append" && file.contains("meta"))
+        .expect("the build appends to its meta file");
+    let cb = CrashBackend::new(fresh(), CrashPlan::torn_at(meta as u64 + 1, 40));
     // The build observes the crash...
-    assert!(build_variable(&fb, DS, VAR, field.values(), &config).is_err());
+    assert!(build(&cb).is_err());
+    assert!(cb.crashed());
     // ...and the torn remnant can never be mistaken for a variable.
-    match MlocStore::open(&fb, DS, VAR) {
+    match MlocStore::open(&cb, DS, VAR) {
         Ok(_) => panic!("torn meta opened as a valid variable"),
         Err(err) => assert!(err.is_corruption(), "torn meta opened as: {err}"),
     }
@@ -445,6 +451,93 @@ fn torn_meta_write_is_an_incomplete_build_in(fresh: Fresh) {
 #[test]
 fn torn_meta_write_is_an_incomplete_build() {
     for_both_worlds(torn_meta_write_is_an_incomplete_build_in);
+}
+
+/// A bin file cut 500 bytes short, as a torn write leaves it, loses its
+/// end marker and the extents past its new end, and `verify` names each
+/// one. A query that may not degrade fails, serial and threaded, cold,
+/// cached and fused, as the `CorruptExtent` of one of those extents —
+/// never as a bare storage error. One that may degrade answers within
+/// its reported bound, each event naming the lost extent.
+fn a_truncated_bin_file_is_a_corrupt_extent_in(fresh: Fresh) {
+    const TORN: &str = "extent past end of file (torn write?)";
+    let clean = fresh();
+    build_into(&*clean);
+    let q = full_values_query();
+    let want = MlocStore::open(&*clean, DS, VAR)
+        .unwrap()
+        .query_serial(&q)
+        .unwrap();
+    let be = fresh();
+    build_into(&*be);
+    let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
+    let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
+    be.create(&file).unwrap();
+    be.append(&file, &raw[..raw.len() - 500]).unwrap();
+    be.sync(&file).unwrap();
+
+    let report = verify_variable(&*be, DS, VAR).unwrap();
+    assert!(report.damage.iter().all(|d| d.file == file), "{report}");
+    let torn: Vec<(u64, u64)> = (report.damage.iter())
+        .filter(|d| d.what.ends_with(TORN))
+        .map(|d| (d.offset, d.len))
+        .collect();
+    assert!(!torn.is_empty(), "{report}");
+
+    let open = || MlocStore::open(&*be, DS, VAR).unwrap();
+    let fuser = std::sync::Arc::new(ExtentFuser::with_window_mb(8));
+    fuser.begin_window();
+    let stores = [
+        ("cold", open()),
+        (
+            "cached",
+            open().with_cache(std::sync::Arc::new(BlockCache::with_budget_mb(64))),
+        ),
+        ("fused", open().with_fusion(std::sync::Arc::clone(&fuser))),
+    ];
+    let execs = [
+        ("serial", ParallelExecutor::serial()),
+        (
+            "threaded",
+            ParallelExecutor::new(4, CostModel::default()).threaded(true),
+        ),
+    ];
+    for (how, store) in &stores {
+        for (mode, exec) in &execs {
+            for pass in 0..2 {
+                let tag = format!("{how} {mode} pass {pass}");
+                let strict = exec.clone().allow_degraded(false);
+                match strict.run(store, ExecRequest::new(&q)) {
+                    Err(MlocError::CorruptExtent {
+                        file: f,
+                        offset,
+                        len,
+                        what,
+                    }) => {
+                        assert_eq!((f.as_str(), what.as_str()), (file.as_str(), TORN), "{tag}");
+                        assert!(torn.contains(&(offset, len)), "{tag}: {offset}+{len}");
+                    }
+                    Ok(_) => panic!("{tag}: the torn extents were served"),
+                    Err(other) => panic!("{tag}: wrong error: {other}"),
+                }
+                let out = exec.run(store, ExecRequest::new(&q)).unwrap();
+                let events = &out.metrics.degradation.events;
+                assert!(!events.is_empty(), "{tag}: not degraded");
+                for e in events {
+                    assert!(
+                        e.reason.contains(&file) && e.reason.contains(TORN),
+                        "{tag}: {e:?}"
+                    );
+                }
+                assert_not_silently_wrong(&tag, &want, &out.result, &out.metrics);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_truncated_bin_file_is_a_corrupt_extent() {
+    for_both_worlds(a_truncated_bin_file_is_a_corrupt_extent_in);
 }
 
 /// A fused read that hits a transient fault is retried by the leading
