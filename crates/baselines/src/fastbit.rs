@@ -142,30 +142,38 @@ impl<'a> FastBit<'a> {
 
     /// Read and decode the entire index file (FastBit's per-query
     /// index load). Returns the per-bin bitmaps in stored encoding.
+    ///
+    /// A damaged index is [`MlocError::Corrupt`]: a bin count other
+    /// than the bin spec's (which indexes the maps), a record that runs
+    /// past the file, or a bitmap that is refused, is not its whole
+    /// record, or is not `total_points` long (the logical ops need
+    /// equal lengths).
     fn load_index(&self, io: &mut RankIo<'_>) -> Result<Vec<WahBitmap>> {
         let raw = io.read_all(&self.index_file)?;
-        let num_bins = u32::from_le_bytes(
-            raw.get(0..4)
-                .ok_or(MlocError::Corrupt("index truncated"))?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let mut pos = 5 + (num_bins + 1) * 8;
-        let mut maps = Vec::with_capacity(num_bins);
+        // The `len` bytes at `at`, if the file holds them.
+        let field = |at: usize, len: usize| {
+            at.checked_add(len)
+                .and_then(|end| raw.get(at..end))
+                .ok_or(MlocError::Corrupt("index truncated"))
+        };
+        let le = |b: &[u8]| b.iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x));
+        let num_bins = le(field(0, 4)?);
+        if num_bins != self.spec.num_bins() as u64 {
+            return Err(MlocError::Corrupt(
+                "index bin count disagrees with its bins",
+            ));
+        }
+        let mut pos = 5 + (self.spec.num_bins() + 1) * 8;
+        let mut maps = Vec::with_capacity(self.spec.num_bins());
         for _ in 0..num_bins {
-            let len = u64::from_le_bytes(
-                raw.get(pos..pos + 8)
-                    .ok_or(MlocError::Corrupt("index truncated"))?
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            pos += 8;
-            let (bm, used) = WahBitmap::from_bytes(
-                raw.get(pos..pos + len)
-                    .ok_or(MlocError::Corrupt("index truncated"))?,
-            )?;
-            debug_assert_eq!(used, len);
-            pos += len;
+            let len = usize::try_from(le(field(pos, 8)?))
+                .map_err(|_| MlocError::Corrupt("index truncated"))?;
+            let record = field(pos + 8, len)?;
+            pos += 8 + len;
+            let bm = match WahBitmap::from_bytes(record) {
+                Ok((bm, used)) if used == len && bm.len() == self.total_points => bm,
+                _ => return Err(MlocError::Corrupt("index bitmap damaged")),
+            };
             maps.push(bm);
         }
         Ok(maps)
@@ -387,6 +395,55 @@ mod tests {
             assert_eq!(v, values[p as usize]);
         }
         assert!(ans.bytes_read() > fb.index_bytes());
+    }
+
+    /// Every truncation and single-bit flip of a small index, in either
+    /// encoding: never a panic, and every error is `Corrupt`. A cut
+    /// always fails, and a flip outside the bitmaps' words (bin count,
+    /// bounds, record lengths, bitmap headers) gives the undamaged
+    /// answer or fails. The index carries no checksum, so a flip inside
+    /// the words may change the answer, which stays a rising set of
+    /// points.
+    #[test]
+    fn a_damaged_index_answers_or_is_corrupt() {
+        for enc in [BitmapEncoding::Equality, BitmapEncoding::Range] {
+            let be = MemBackend::new();
+            let values: Vec<f64> = (0..256).map(|i| ((i * 31) % 97) as f64).collect();
+            let fb = FastBit::build_with_encoding(&be, "d", &values, vec![16, 16], 6, enc).unwrap();
+            let (lo, hi) = (20.0, 60.0);
+            let want = fb.region_query(lo, hi).unwrap().positions;
+            let index = be.read(&fb.index_file, 0, fb.index_bytes()).unwrap();
+            // The byte ranges of the bitmaps' words.
+            let mut words = Vec::new();
+            let mut pos = 5 + 7 * 8;
+            while pos < index.len() {
+                let len = u64::from_le_bytes(index[pos..pos + 8].try_into().unwrap()) as usize;
+                words.push(pos + 8 + 16..pos + 8 + len);
+                pos += 8 + len;
+            }
+            let query = |bytes: &[u8]| {
+                be.create(&fb.index_file).unwrap();
+                be.append(&fb.index_file, bytes).unwrap();
+                let got = fb.region_query(lo, hi);
+                if let Err(e) = &got {
+                    assert!(matches!(e, MlocError::Corrupt(_)), "{enc:?}: {e}");
+                }
+                got.ok().map(|a| a.positions)
+            };
+            for cut in 0..index.len() {
+                assert_eq!(query(&index[..cut]), None, "{enc:?}: cut at {cut}");
+            }
+            for bit in 0..index.len() * 8 {
+                let mut flipped = index.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let Some(got) = query(&flipped) else { continue };
+                if words.iter().any(|w| w.contains(&(bit / 8))) {
+                    assert!(got.windows(2).all(|p| p[0] < p[1]) && got.iter().all(|&p| p < 256));
+                } else {
+                    assert_eq!(got, want, "{enc:?}: flip of bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]

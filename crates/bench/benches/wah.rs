@@ -1,7 +1,8 @@
-//! WAH bitmap kernels: construction, logical ops, iteration.
+//! WAH bitmap kernels (the FastBit comparator's): construction, `or`,
+//! run walks and serialization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mloc_bitmap::{and, or, WahBitmap};
+use mloc_bitmap::{or, WahBitmap};
 use std::hint::black_box;
 
 fn sparse_positions(n: u64, every: u64) -> Vec<u64> {
@@ -28,42 +29,23 @@ fn bench_ops(c: &mut Criterion) {
     let n = 1_000_000u64;
     let a = WahBitmap::from_sorted_positions(n, &sparse_positions(n, 37));
     let bmp = WahBitmap::from_sorted_positions(n, &sparse_positions(n, 41));
-    g.bench_function("and_1M", |b| b.iter(|| black_box(and(&a, &bmp))));
     g.bench_function("or_1M", |b| b.iter(|| black_box(or(&a, &bmp))));
-    g.bench_function("count_ones_1M", |b| b.iter(|| black_box(a.count_ones())));
-    g.bench_function("iter_ones_1M", |b| {
-        b.iter(|| black_box(a.iter_ones().sum::<u64>()))
-    });
-    // Run iteration visits O(runs) not O(ones): on fill-heavy bitmaps
-    // it should be orders of magnitude faster than iter_ones.
-    g.bench_function("iter_runs_1M", |b| {
-        b.iter(|| {
-            black_box(
-                a.iter_runs()
-                    .filter(|&(_, _, bit)| bit)
-                    .map(|(_, len, _)| len)
-                    .sum::<u64>(),
-            )
-        })
-    });
-    // Dense case: long one-fills, where iter_ones pays per point and
-    // iter_runs pays per run.
+    // Run walk: one visit per run of ones, so a dense bitmap's long
+    // one-fills cost a visit each, not a step per point.
     let dense =
         WahBitmap::from_sorted_positions(n, &(0..n).filter(|x| x % 1000 != 0).collect::<Vec<_>>());
-    g.bench_function("iter_ones_dense_1M", |b| {
-        b.iter(|| black_box(dense.iter_ones().sum::<u64>()))
-    });
-    g.bench_function("iter_runs_dense_1M", |b| {
-        b.iter(|| {
-            black_box(
-                dense
-                    .iter_runs()
-                    .filter(|&(_, _, bit)| bit)
-                    .map(|(start, len, _)| start + len)
-                    .sum::<u64>(),
-            )
-        })
-    });
+    for (name, m) in [
+        ("for_each_one_run_1M", &a),
+        ("for_each_one_run_dense_1M", &dense),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ones = 0u64;
+                black_box(m.as_ref().for_each_one_run(|_, _, len| ones += len));
+                black_box(ones)
+            })
+        });
+    }
     g.finish();
 }
 

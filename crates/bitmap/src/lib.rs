@@ -8,8 +8,9 @@
 //!   ([`runs`]), its runs of set bits as LEB128 `(gap, len − 1)` pairs,
 //!   validated once as read, then walked run by run.
 //! * The FastBit comparator (`mloc-baselines`) builds its binned bitmap
-//!   index from WAH bitmaps, and `mloc upgrade` decodes the WAH streams
-//!   and rank/select directories a format-v1–v3 store kept.
+//!   index from WAH bitmaps ([`wah`], [`ops`]), and `mloc upgrade`
+//!   decodes the WAH streams and rank/select directories a format-v1–v3
+//!   store kept ([`RunListBuf::push_wah`]).
 //!
 //! The encoding is classic WAH over 32-bit words: a *literal* word
 //! (MSB 0) carries 31 data bits; a *fill* word (MSB 1) carries a fill
@@ -18,11 +19,11 @@
 //! # Example
 //!
 //! ```
-//! use mloc_bitmap::{and, WahBitmap};
+//! use mloc_bitmap::{andnot, WahBitmap};
 //!
 //! let a = WahBitmap::from_sorted_positions(1_000_000, &[3, 500_000]);
 //! let b = WahBitmap::from_sorted_positions(1_000_000, &[3, 4, 999_999]);
-//! assert_eq!(and(&a, &b).to_positions(), vec![3]);
+//! assert_eq!(andnot(&a, &b).to_positions(), vec![500_000]);
 //! // A million-bit sparse bitmap stays tiny.
 //! assert!(a.size_in_bytes() < 64);
 //! ```
@@ -33,6 +34,6 @@ pub mod ops;
 pub mod runs;
 pub mod wah;
 
-pub use ops::{and, andnot, or, or_many};
+pub use ops::{andnot, or, or_many};
 pub use runs::{RunIter, RunList, RunListBuf, RunListRef, RunsError};
-pub use wah::{RankSelectDir, WahBitmap, WahBuilder, WahRef, RANK_SAMPLE_WORDS};
+pub use wah::{RankSelectDir, WahBitmap, WahBuilder, WahRef};

@@ -26,14 +26,16 @@ impl<I: Iterator<Item = Run>> SpanCursor<I> {
     }
 
     fn peek(&mut self) -> Option<Span> {
-        if self.pending.is_none() {
-            self.pending = self.runs.next().map(|r| match r {
-                Run::Fill { bit, groups } => Span::Fill {
+        while self.pending.is_none() {
+            self.pending = match self.runs.next()? {
+                // A fill of no groups covers nothing.
+                Run::Fill { groups: 0, .. } => None,
+                Run::Fill { bit, groups } => Some(Span::Fill {
                     bit,
-                    groups: groups as u64,
-                },
-                Run::Literal(w) => Span::Literal(w),
-            });
+                    groups: u64::from(groups),
+                }),
+                Run::Literal(w) => Some(Span::Literal(w)),
+            };
         }
         self.pending
     }
@@ -77,8 +79,9 @@ fn binary_op(a: &WahBitmap, b: &WahBitmap, f: impl Fn(u32, u32) -> u32) -> WahBi
         let (sa, sb) = match (ca.peek(), cb.peek()) {
             (Some(x), Some(y)) => (x, y),
             (None, None) => break,
-            // Trailing-group bookkeeping differences cannot happen for
-            // equal-length bitmaps produced by WahBuilder.
+            // Equal-length bitmaps cover the same groups: `WahBuilder`
+            // pads to the next group and `from_bytes` refuses any other
+            // cover.
             _ => panic!("bitmap group streams diverge"),
         };
         match (sa, sb) {
@@ -126,11 +129,6 @@ fn binary_op(a: &WahBitmap, b: &WahBitmap, f: impl Fn(u32, u32) -> u32) -> WahBi
     let mut res = out.finish();
     res.set_len(a.len());
     res
-}
-
-/// Bitwise AND of two equal-length bitmaps.
-pub fn and(a: &WahBitmap, b: &WahBitmap) -> WahBitmap {
-    binary_op(a, b, |x, y| x & y)
 }
 
 /// Bitwise OR of two equal-length bitmaps.
@@ -183,7 +181,8 @@ mod tests {
         let b = WahBitmap::from_sorted_positions(n, &pb);
         let (va, vb) = (naive(n, &pa), naive(n, &pb));
 
-        let got_and = and(&a, &b).to_positions();
+        // AND is `a ANDNOT (a ANDNOT b)`.
+        let got_and = andnot(&a, &andnot(&a, &b)).to_positions();
         let want_and: Vec<u64> = (0..n)
             .filter(|&i| va[i as usize] && vb[i as usize])
             .collect();
@@ -206,7 +205,7 @@ mod tests {
     fn ops_preserve_length() {
         let a = WahBitmap::from_sorted_positions(100, &[1, 50]);
         let b = WahBitmap::from_sorted_positions(100, &[50, 99]);
-        assert_eq!(and(&a, &b).len(), 100);
+        assert_eq!(andnot(&a, &b).len(), 100);
         assert_eq!(or(&a, &b).len(), 100);
     }
 
@@ -217,11 +216,31 @@ mod tests {
         let mut ones = WahBuilder::new();
         ones.append_run(true, n);
         let b = ones.finish();
-        assert_eq!(and(&a, &b).to_positions(), vec![0, 500_000]);
-        assert_eq!(or(&a, &b).count_ones(), n);
-        assert_eq!(andnot(&b, &a).count_ones(), n - 2);
+        assert!(andnot(&a, &b).to_positions().is_empty());
+        assert_eq!(or(&a, &b).rank(n), n);
+        assert_eq!(andnot(&b, &a).rank(n), n - 2);
         // Results stay compressed.
         assert!(or(&a, &b).size_in_bytes() < 64);
+    }
+
+    /// A fill of no groups — never written, but a damaged stream may
+    /// hold one — covers nothing, wherever it sits.
+    #[test]
+    fn empty_fills_are_skipped() {
+        let with_empty = |b: &WahBitmap, at: usize| {
+            let mut bytes = b.to_bytes();
+            bytes[12] += 1;
+            let w = 16 + 4 * at;
+            bytes.splice(w..w, crate::wah::FILL_FLAG.to_le_bytes());
+            WahBitmap::from_bytes(&bytes).unwrap().0
+        };
+        let a = WahBitmap::from_sorted_positions(100, &[3, 40, 99]);
+        let b = WahBitmap::from_sorted_positions(100, &[40, 41]);
+        for at in 0..=2 {
+            let a2 = with_empty(&a, at);
+            assert_eq!(or(&a2, &b).to_positions(), [3, 40, 41, 99]);
+            assert_eq!(andnot(&b, &a2).to_positions(), [41]);
+        }
     }
 
     #[test]
@@ -234,9 +253,9 @@ mod tests {
             })
             .collect();
         let all = or_many(&maps, n);
-        assert_eq!(all.count_ones(), n);
+        assert_eq!(all.rank(n), n);
         let none = or_many(&[], n);
-        assert_eq!(none.count_ones(), 0);
+        assert!(none.to_positions().is_empty());
         assert_eq!(none.len(), n);
     }
 
@@ -245,6 +264,6 @@ mod tests {
     fn length_mismatch_panics() {
         let a = WahBitmap::zeros(10);
         let b = WahBitmap::zeros(20);
-        and(&a, &b);
+        or(&a, &b);
     }
 }

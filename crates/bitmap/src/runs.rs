@@ -11,13 +11,13 @@
 //! answers a range walk (visit the runs a box wants) and a membership
 //! probe (merge sorted probes against the runs).
 //!
-//! A format-v4 bin file stores each chunk's positional bitmap as its
-//! pairs and nothing else: the count is in the chunk's directory entry
-//! and the length is the chunk's point count. A build encodes the
-//! pairs straight from a bin's sorted chunk-local positions
-//! ([`RunList::from_sorted_positions`]); a reader takes a stored extent
-//! as it is ([`RunListBuf::push_stored`]) after one validating walk,
-//! which refuses ([`RunsError`]):
+//! A bin file (formats v4 and v5) stores each chunk's positional bitmap
+//! as its pairs and nothing else: the count is in the chunk's summary
+//! record (in v4, its directory entry) and the length is the chunk's
+//! point count. A build encodes the pairs straight from a bin's sorted
+//! chunk-local positions ([`RunList::from_sorted_positions`]); a reader
+//! takes a stored extent as it is ([`RunListBuf::push_stored`]) after
+//! one validating walk, which refuses ([`RunsError`]):
 //!
 //! * a LEB128 value cut off by the end of the extent, or a gap with no
 //!   length after it;
@@ -32,7 +32,7 @@
 //! nothing again.
 //!
 //! Formats v1–v3 stored a WAH stream followed by its sampled rank/select
-//! directory ([`RankSelectDir`](crate::RankSelectDir)) instead.
+//! directory (v2 and v3) instead.
 //! [`RunListBuf::push_wah`] decodes one into the same pairs — in place,
 //! with no word copy — refusing an extent that does not hold together:
 //! bytes that stop before the stream they declare, words that cover
@@ -42,8 +42,8 @@
 //! Only `mloc upgrade` reads such extents.
 
 use crate::wah::{
-    dir_samples, le_u32, BitmapError, FILL_BIT, FILL_COUNT_MASK, FILL_FLAG, GROUP_BITS,
-    LITERAL_MASK, MAGIC,
+    check_cover, container, dir_samples, le_u32, BitmapError, FILL_BIT, FILL_COUNT_MASK, FILL_FLAG,
+    GROUP_BITS, LITERAL_MASK,
 };
 
 /// Append `v` as LEB128: seven bits a byte, low first.
@@ -223,24 +223,12 @@ impl Encoder<'_> {
 /// into run pairs appended to `out`, returning the set-bit count and
 /// the declared length. On an error `out` may hold a partial list.
 fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapError> {
-    if extent.len() < 16 {
-        return Err(BitmapError::Truncated);
-    }
-    let magic = le_u32(extent, 0);
-    if magic != MAGIC {
-        return Err(BitmapError::BadMagic(magic));
-    }
-    let len = u64::from(le_u32(extent, 4)) | u64::from(le_u32(extent, 8)) << 32;
-    let nwords = le_u32(extent, 12) as usize;
-    let words_end = nwords
-        .checked_mul(4)
-        .and_then(|n| n.checked_add(16))
-        .filter(|&end| end <= extent.len())
-        .ok_or(BitmapError::Truncated)?;
+    let (len, words) = container(extent)?;
+    let nwords = words.len() as u64 / 4;
     // The directory — read in place — must fill the rest of the extent.
     // A checkpoint sits after every `every` words, strictly inside the
     // stream, and holds the totals before the next word.
-    let rest = &extent[words_end..];
+    let rest = &extent[16 + words.len()..];
     let (every, samples) = dir_samples(rest).map_err(|_| BitmapError::Directory)?;
     let used = if samples.is_empty() {
         0
@@ -260,7 +248,7 @@ fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapErro
     };
     let (mut sampled, mut next_sample) = (0, due(0));
 
-    out.reserve(words_end - 16);
+    out.reserve(words.len());
     let mut enc = Encoder {
         out,
         start: 0,
@@ -271,7 +259,7 @@ fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapErro
     // Bits the words cover; their ones are the encoder's (a set padding
     // bit is refused below, as past the length).
     let mut pos = 0u64;
-    for (i, w) in extent[16..words_end].chunks_exact(4).enumerate() {
+    for (i, w) in words.chunks_exact(4).enumerate() {
         let w = le_u32(w, 0);
         if w & FILL_FLAG != 0 {
             let n = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
@@ -297,14 +285,14 @@ fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapErro
             }
             pos = next;
         }
-        let words = i as u64 + 1;
-        if words == next_sample {
+        let walked = i as u64 + 1;
+        if walked == next_sample {
             let ones = enc.count + (enc.end - enc.start);
             let (bits, set) = (
                 le_u32(samples, 8 * sampled),
                 le_u32(samples, 8 * sampled + 4),
             );
-            if (u64::from(bits), u64::from(set)) != (pos, ones) || words >= nwords as u64 {
+            if (u64::from(bits), u64::from(set)) != (pos, ones) || walked >= nwords {
                 return Err(BitmapError::Directory);
             }
             sampled += 1;
@@ -316,10 +304,8 @@ fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapErro
     }
     // The words cover the declared length, padded to a whole group, and
     // no run — the last is the furthest — passes it.
-    if pos < len {
-        return Err(BitmapError::Truncated);
-    }
-    if pos - len >= GROUP_BITS || enc.end > len {
+    check_cover(pos, len)?;
+    if enc.end > len {
         return Err(BitmapError::PastEnd);
     }
     enc.flush();
@@ -592,14 +578,8 @@ impl RunListBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RankSelectDir, WahBitmap, WahBuilder};
-
-    /// A bitmap's stored extent: its stream, then its directory.
-    fn stored(b: &WahBitmap) -> Vec<u8> {
-        let mut bytes = b.to_bytes();
-        bytes.extend_from_slice(&RankSelectDir::build(b.as_ref()).to_bytes());
-        bytes
-    }
+    use crate::wah::tests::stored;
+    use crate::{WahBitmap, WahBuilder};
 
     fn runs(list: RunListRef<'_>) -> Vec<(u64, u64, u64)> {
         list.iter().collect()
@@ -689,7 +669,7 @@ mod tests {
     #[test]
     fn an_impossible_checkpoint_is_refused() {
         let b = WahBitmap::from_sorted_positions(62, &[40]);
-        assert_eq!(b.words().len(), 2);
+        assert_eq!(b.to_bytes().len(), 16 + 2 * 4, "two words");
         // One checkpoint every `every` words: (bits, ones) before it.
         let extent = |every: u32, ones: u32| {
             let mut bytes = b.to_bytes();

@@ -1,4 +1,4 @@
-//! The WAH bitmap representation, builder, iteration and serialization.
+//! The WAH bitmap representation, builder, rank and serialization.
 
 /// Number of data bits per WAH group (31 for 32-bit words).
 pub const GROUP_BITS: u64 = 31;
@@ -23,15 +23,6 @@ impl WahBitmap {
     pub fn zeros(num_bits: u64) -> Self {
         let mut b = WahBuilder::new();
         b.append_run(false, num_bits);
-        b.finish()
-    }
-
-    /// Build from a slice of booleans.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut b = WahBuilder::new();
-        for &bit in bits {
-            b.push(bit);
-        }
         b.finish()
     }
 
@@ -69,115 +60,13 @@ impl WahBitmap {
         self.words.len() * 4 + 8
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u64 {
-        let mut total = 0u64;
-        let mut bit_cursor = 0u64;
-        for run in self.runs() {
-            match run {
-                Run::Fill { bit, groups } => {
-                    let nbits = (groups as u64 * GROUP_BITS).min(self.num_bits - bit_cursor);
-                    if bit {
-                        total += nbits;
-                    }
-                    bit_cursor += nbits;
-                }
-                Run::Literal(w) => {
-                    let nbits = GROUP_BITS.min(self.num_bits - bit_cursor);
-                    let mask = if nbits == GROUP_BITS {
-                        LITERAL_MASK
-                    } else {
-                        (1u32 << nbits) - 1
-                    };
-                    total += u64::from((w & mask).count_ones());
-                    bit_cursor += nbits;
-                }
-            }
-        }
-        total
-    }
-
-    /// Test a single bit. O(words) — intended for tests, not hot paths.
-    pub fn get(&self, pos: u64) -> bool {
-        assert!(pos < self.num_bits, "bit {pos} out of range");
-        let mut bit_cursor = 0u64;
-        for run in self.runs() {
-            match run {
-                Run::Fill { bit, groups } => {
-                    let nbits = groups as u64 * GROUP_BITS;
-                    if pos < bit_cursor + nbits {
-                        return bit;
-                    }
-                    bit_cursor += nbits;
-                }
-                Run::Literal(w) => {
-                    if pos < bit_cursor + GROUP_BITS {
-                        return (w >> (pos - bit_cursor)) & 1 == 1;
-                    }
-                    bit_cursor += GROUP_BITS;
-                }
-            }
-        }
-        false
-    }
-
-    /// Iterate maximal `(start, len, bit)` runs of identical bits in
-    /// position order. Runs partition `[0, len())` exactly: adjacent
-    /// runs carry opposite bits, lengths sum to [`Self::len`], and the
-    /// padding bits of a trailing partial group are never reported.
-    ///
-    /// This is the bulk-processing counterpart of [`Self::iter_ones`]:
-    /// a fill of ones surfaces as one run, not as per-bit steps, so a
-    /// consumer can turn it into a single range operation.
-    pub fn iter_runs(&self) -> BitRunsIter<'_> {
-        BitRunsIter {
-            words: &self.words,
-            word_idx: 0,
-            bit_cursor: 0,
-            num_bits: self.num_bits,
-            literal: 0,
-            literal_rem: 0,
-            pending: None,
-        }
-    }
-
-    /// Number of set bits in `[0, pos)`.
+    /// Number of set bits in `[0, pos)`: [`WahRef::rank_with`] through
+    /// no directory, a walk from word 0.
     ///
     /// # Panics
     /// Panics if `pos` exceeds the bitmap length.
     pub fn rank(&self, pos: u64) -> u64 {
-        assert!(pos <= self.num_bits, "rank position {pos} out of range");
-        let mut total = 0u64;
-        for (start, len, bit) in self.iter_runs() {
-            if start >= pos {
-                break;
-            }
-            if bit {
-                total += len.min(pos - start);
-            }
-        }
-        total
-    }
-
-    /// Position of the `k`-th set bit (0-indexed), or `None` when the
-    /// bitmap has `k` or fewer set bits.
-    pub fn select(&self, k: u64) -> Option<u64> {
-        let mut seen = 0u64;
-        for (start, len, bit) in self.iter_runs() {
-            if !bit {
-                continue;
-            }
-            if k < seen + len {
-                return Some(start + (k - seen));
-            }
-            seen += len;
-        }
-        None
-    }
-
-    /// Iterate positions of set bits in increasing order.
-    pub fn iter_ones(&self) -> OnesIter<'_> {
-        self.as_ref().iter_ones()
+        self.as_ref().rank_with(&RankSelectDir::default(), pos)
     }
 
     /// Borrowed view of this bitmap (same queries, no ownership).
@@ -190,12 +79,13 @@ impl WahBitmap {
 
     /// Collect set-bit positions into a vector.
     pub fn to_positions(&self) -> Vec<u64> {
-        self.iter_ones().collect()
-    }
-
-    /// Raw word stream (for size accounting and tests).
-    pub fn words(&self) -> &[u32] {
-        &self.words
+        let (mut out, mut at) = (Vec::new(), 0u64);
+        self.as_ref().for_each_one_run(|gap, _, len| {
+            at += gap;
+            out.extend(at..at + len);
+            at += len;
+        });
+        out
     }
 
     pub(crate) fn runs(&self) -> RunIter<'_> {
@@ -224,24 +114,60 @@ impl WahBitmap {
         out
     }
 
-    /// Deserialize from [`Self::to_bytes`] output.
+    /// Deserialize [`Self::to_bytes`] output, refusing words that cover
+    /// fewer bits than the declared length or a whole group more
+    /// ([`check_cover`]): two bitmaps it accepts with one length walk
+    /// the same groups, so the logical ops never see them diverge.
     ///
     /// Returns the bitmap and the number of bytes consumed.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), BitmapError> {
-        if data.len() < 16 {
-            return Err(BitmapError::Truncated);
+        let (num_bits, body) = container(data)?;
+        let words: Vec<u32> = body.chunks_exact(4).map(|w| le_u32(w, 0)).collect();
+        let mut covered = 0u64;
+        for &w in &words {
+            let bits = if w & FILL_FLAG != 0 {
+                u64::from(w & FILL_COUNT_MASK) * GROUP_BITS
+            } else {
+                GROUP_BITS
+            };
+            covered = covered.checked_add(bits).ok_or(BitmapError::PastEnd)?;
         }
-        let magic = u32::from_le_bytes(bytes_at(data, 0)?);
-        if magic != MAGIC {
-            return Err(BitmapError::BadMagic(magic));
-        }
-        let num_bits = u64::from_le_bytes(bytes_at(data, 4)?);
-        let nwords = u32::from_le_bytes(bytes_at(data, 12)?) as usize;
-        let need = 16 + nwords.saturating_mul(4);
-        let body = data.get(16..need).ok_or(BitmapError::Truncated)?;
-        let words = body.chunks_exact(4).map(|w| le_u32(w, 0)).collect();
-        Ok((WahBitmap { words, num_bits }, need))
+        check_cover(covered, num_bits)?;
+        Ok((WahBitmap { words, num_bits }, 16 + body.len()))
     }
+}
+
+/// The serialized container at the start of `data` — magic, the
+/// declared length (`u64`), the word count (`u32`), then the words —
+/// as the declared length and the words' bytes. Bytes after the words
+/// are not looked at.
+pub(crate) fn container(data: &[u8]) -> Result<(u64, &[u8]), BitmapError> {
+    if data.len() < 16 {
+        return Err(BitmapError::Truncated);
+    }
+    let magic = le_u32(data, 0);
+    if magic != MAGIC {
+        return Err(BitmapError::BadMagic(magic));
+    }
+    let num_bits = u64::from(le_u32(data, 4)) | u64::from(le_u32(data, 8)) << 32;
+    let end = (le_u32(data, 12) as usize)
+        .checked_mul(4)
+        .and_then(|n| n.checked_add(16))
+        .filter(|&end| end <= data.len())
+        .ok_or(BitmapError::Truncated)?;
+    Ok((num_bits, &data[16..end]))
+}
+
+/// Words covering `covered` bits hold a bitmap of `len` bits when they
+/// reach the length and stop short of a whole group past it.
+pub(crate) fn check_cover(covered: u64, len: u64) -> Result<(), BitmapError> {
+    if covered < len {
+        return Err(BitmapError::Truncated);
+    }
+    if covered - len >= GROUP_BITS {
+        return Err(BitmapError::PastEnd);
+    }
+    Ok(())
 }
 
 /// Errors from bitmap deserialization.
@@ -303,108 +229,14 @@ impl Iterator for RunIter<'_> {
     }
 }
 
-/// Iterator over maximal same-bit runs, yielding `(start, len, bit)`.
-///
-/// Produced by [`WahBitmap::iter_runs`]. Adjacent encoded runs of the
-/// same bit (e.g. a fill followed by an all-equal literal) are merged,
-/// so consumers always see maximal runs.
-pub struct BitRunsIter<'a> {
-    words: &'a [u32],
-    word_idx: usize,
-    bit_cursor: u64,
-    num_bits: u64,
-    /// Remaining bits of a partially consumed literal word (shifted so
-    /// the next bit is bit 0).
-    literal: u32,
-    literal_rem: u32,
-    /// A decoded run awaiting merge with its successor.
-    pending: Option<(u64, u64, bool)>,
-}
-
-impl BitRunsIter<'_> {
-    /// Next raw (unmerged) run, clamped to the logical length.
-    fn next_raw(&mut self) -> Option<(u64, u64, bool)> {
-        loop {
-            if self.literal_rem > 0 {
-                let start = self.bit_cursor;
-                let bit = self.literal & 1 == 1;
-                let same = if bit {
-                    self.literal.trailing_ones()
-                } else {
-                    self.literal.trailing_zeros()
-                };
-                let take = same.min(self.literal_rem);
-                // take < 32 always (literal_rem <= 31), so the shift is
-                // in range.
-                self.literal >>= take;
-                self.literal_rem -= take;
-                self.bit_cursor += u64::from(take);
-                if start >= self.num_bits {
-                    continue; // padding bits of the trailing group
-                }
-                let len = u64::from(take).min(self.num_bits - start);
-                return Some((start, len, bit));
-            }
-            let w = *self.words.get(self.word_idx)?;
-            self.word_idx += 1;
-            if w & FILL_FLAG != 0 {
-                let bit = w & FILL_BIT != 0;
-                let nbits = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-                let start = self.bit_cursor;
-                self.bit_cursor += nbits;
-                if nbits == 0 || start >= self.num_bits {
-                    continue;
-                }
-                let len = nbits.min(self.num_bits - start);
-                return Some((start, len, bit));
-            }
-            self.literal = w & LITERAL_MASK;
-            self.literal_rem = GROUP_BITS as u32;
-        }
-    }
-}
-
-impl Iterator for BitRunsIter<'_> {
-    type Item = (u64, u64, bool);
-
-    fn next(&mut self) -> Option<(u64, u64, bool)> {
-        loop {
-            match self.next_raw() {
-                Some((start, len, bit)) => match self.pending {
-                    Some((ps, pl, pb)) if pb == bit && ps + pl == start => {
-                        self.pending = Some((ps, pl + len, bit));
-                    }
-                    Some(prev) => {
-                        self.pending = Some((start, len, bit));
-                        return Some(prev);
-                    }
-                    None => self.pending = Some((start, len, bit)),
-                },
-                None => return self.pending.take(),
-            }
-        }
-    }
-}
-
-/// A borrowed WAH bitmap view: the same queries as [`WahBitmap`],
-/// without ownership.
+/// A borrowed WAH bitmap view.
 #[derive(Debug, Clone, Copy)]
 pub struct WahRef<'a> {
     words: &'a [u32],
     num_bits: u64,
 }
 
-impl<'a> WahRef<'a> {
-    /// Logical number of bits.
-    pub fn len(&self) -> u64 {
-        self.num_bits
-    }
-
-    /// True when the view has zero logical bits.
-    pub fn is_empty(&self) -> bool {
-        self.num_bits == 0
-    }
-
+impl WahRef<'_> {
     /// Visit every run of set bits as `f(gap, ones_before, len)` in
     /// position order, where `gap` is the number of clear bits since
     /// the previous visited run (or the start), `ones_before` the
@@ -412,15 +244,15 @@ impl<'a> WahRef<'a> {
     /// first position — exactly the index of its first value in a
     /// densely packed value block), and `len` the run length.
     ///
-    /// Unlike [`iter_runs`](Self::iter_runs), runs are *not*
-    /// guaranteed maximal: adjacent set runs may be reported
-    /// separately (e.g. a one fill followed by a literal starting with
-    /// ones). Dropping the merge lookahead and folding clear gaps into
-    /// the next visit makes this the cheapest way to walk a bitmap —
-    /// one closure call and one shift/`trailing_zeros` pair per set
-    /// run inside literal words, no iterator state machine. Trailing
-    /// clear bits are never reported. Returns the number of set bits,
-    /// so a walk checks the bitmap against an expected count for free.
+    /// Runs are *not* guaranteed maximal: adjacent set runs may be
+    /// reported separately (e.g. a one fill followed by a literal
+    /// starting with ones). Dropping the merge lookahead and folding
+    /// clear gaps into the next visit makes this the cheapest way to
+    /// walk a bitmap — one closure call and one shift/`trailing_zeros`
+    /// pair per set run inside literal words, no iterator state
+    /// machine. Trailing clear bits are never reported. Returns the
+    /// number of set bits, so a walk checks the bitmap against an
+    /// expected count for free.
     #[inline]
     pub fn for_each_one_run(&self, mut f: impl FnMut(u64, u64, u64)) -> u64 {
         let mut ones_before = 0u64;
@@ -466,216 +298,6 @@ impl<'a> WahRef<'a> {
         ones_before
     }
 
-    /// Iterate maximal `(start, len, bit)` runs — see
-    /// [`WahBitmap::iter_runs`].
-    pub fn iter_runs(&self) -> BitRunsIter<'a> {
-        BitRunsIter {
-            words: self.words,
-            word_idx: 0,
-            bit_cursor: 0,
-            num_bits: self.num_bits,
-            literal: 0,
-            literal_rem: 0,
-            pending: None,
-        }
-    }
-
-    /// Iterate positions of set bits in increasing order.
-    pub fn iter_ones(&self) -> OnesIter<'a> {
-        OnesIter {
-            words: self.words,
-            num_bits: self.num_bits,
-            word_idx: 0,
-            bit_cursor: 0,
-            pending_fill_groups: 0,
-            pending_fill_bit: false,
-            literal: 0,
-            literal_base: 0,
-            literal_active: false,
-        }
-    }
-}
-
-/// Words per sampled checkpoint in a [`RankSelectDir`].
-///
-/// 64 words = 256 bitmap bytes per 8-byte sample, so a directory costs
-/// ~3.1% of the compressed bitmap it describes.
-pub const RANK_SAMPLE_WORDS: usize = 64;
-
-/// The `N` bytes at `at`, or [`BitmapError::Truncated`] if `data`
-/// stops first.
-fn bytes_at<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N], BitmapError> {
-    let b = data.get(at..at + N).ok_or(BitmapError::Truncated)?;
-    b.try_into().map_err(|_| BitmapError::Truncated)
-}
-
-/// Little-endian `u32` at `at` of a slice known to hold it.
-pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
-    let b = &b[at..at + 4];
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// A serialized [`RankSelectDir`] read in place: its sample stride and
-/// the bytes of its samples, eight each — `(bits, ones)`, little-endian
-/// — with no allocation. The empty slice is the empty directory; bytes
-/// after the last sample are not looked at.
-pub(crate) fn dir_samples(data: &[u8]) -> Result<(u32, &[u8]), BitmapError> {
-    if data.is_empty() {
-        return Ok((0, data));
-    }
-    if data.len() < 8 {
-        return Err(BitmapError::Truncated);
-    }
-    let (n, sample_every) = (le_u32(data, 0) as usize, le_u32(data, 4));
-    if sample_every == 0 || n == 0 {
-        return Err(BitmapError::Truncated);
-    }
-    let need = n.saturating_mul(8).saturating_add(8);
-    let samples = data.get(8..need).ok_or(BitmapError::Truncated)?;
-    Ok((sample_every, samples))
-}
-
-/// Sampled rank/select directory over an encoded WAH word stream.
-///
-/// `samples[j]` holds the cumulative `(bits, ones)` totals of the first
-/// `(j + 1) * RANK_SAMPLE_WORDS` encoded words (padded group bits for
-/// `bits`; exact for `ones` because canonical encodings keep padding
-/// bits clear). [`WahRef::rank_with`] / [`WahRef::select_with`] binary
-/// search the samples and then peel at most one sample stride of words,
-/// turning the linear walks of [`WahBitmap::rank`] / `select` into
-/// O(log samples + S) probes.
-///
-/// Bitmaps of at most `RANK_SAMPLE_WORDS` words get an *empty*
-/// directory (zero serialized bytes, `rank_with` degrades to a bounded
-/// linear walk), so short bitmaps pay no overhead at all. Directories
-/// are also left empty when cumulative totals would overflow the `u32`
-/// samples (bitmaps beyond 4 Gbit).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RankSelectDir {
-    sample_every: u32,
-    samples: Vec<(u32, u32)>,
-}
-
-impl RankSelectDir {
-    /// A directory with no samples: every query walks from word 0.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Build a directory for `b` in one pass over its encoded words.
-    pub fn build(b: WahRef<'_>) -> Self {
-        let every = RANK_SAMPLE_WORDS;
-        let nwords = b.words.len();
-        if nwords <= every {
-            return Self::empty();
-        }
-        let mut samples = Vec::with_capacity(nwords / every);
-        let mut bits = 0u64;
-        let mut ones = 0u64;
-        for (i, &w) in b.words.iter().enumerate() {
-            if w & FILL_FLAG != 0 {
-                let nbits = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-                bits += nbits;
-                if w & FILL_BIT != 0 {
-                    ones += nbits;
-                }
-            } else {
-                bits += GROUP_BITS;
-                ones += u64::from(w.count_ones());
-            }
-            if (i + 1) % every == 0 && i + 1 < nwords {
-                if bits > u64::from(u32::MAX) || ones > u64::from(u32::MAX) {
-                    return Self::empty();
-                }
-                samples.push((bits as u32, ones as u32));
-            }
-        }
-        RankSelectDir {
-            sample_every: every as u32,
-            samples,
-        }
-    }
-
-    /// True when no samples were taken (short bitmap or overflow guard).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Serialized size in bytes (zero when empty).
-    pub fn size_in_bytes(&self) -> usize {
-        if self.samples.is_empty() {
-            0
-        } else {
-            8 + self.samples.len() * 8
-        }
-    }
-
-    /// Serialize; an empty directory serializes to zero bytes so short
-    /// bitmaps carry no trailer at all.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        if self.samples.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.size_in_bytes());
-        out.extend_from_slice(&(self.samples.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.sample_every.to_le_bytes());
-        for &(bits, ones) in &self.samples {
-            out.extend_from_slice(&bits.to_le_bytes());
-            out.extend_from_slice(&ones.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialize [`Self::to_bytes`] output; the empty slice decodes
-    /// to the empty directory. Returns the directory and bytes consumed.
-    pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), BitmapError> {
-        let (sample_every, raw) = dir_samples(data)?;
-        let samples = raw
-            .chunks_exact(8)
-            .map(|s| (le_u32(s, 0), le_u32(s, 4)))
-            .collect();
-        let used = if raw.is_empty() { 0 } else { 8 + raw.len() };
-        let dir = RankSelectDir {
-            sample_every,
-            samples,
-        };
-        Ok((dir, used))
-    }
-
-    /// Start state `(word_idx, bits, ones)` for a walk that must reach
-    /// bit position `pos`: the last checkpoint with `bits <= pos`.
-    fn seek_bits(&self, pos: u64) -> (usize, u64, u64) {
-        let idx = self.samples.partition_point(|s| u64::from(s.0) <= pos);
-        if idx == 0 {
-            (0, 0, 0)
-        } else {
-            let (bits, ones) = self.samples[idx - 1];
-            (
-                idx * self.sample_every as usize,
-                u64::from(bits),
-                u64::from(ones),
-            )
-        }
-    }
-
-    /// Start state for a walk that must reach the `k`-th set bit: the
-    /// last checkpoint with `ones <= k`.
-    fn seek_ones(&self, k: u64) -> (usize, u64, u64) {
-        let idx = self.samples.partition_point(|s| u64::from(s.1) <= k);
-        if idx == 0 {
-            (0, 0, 0)
-        } else {
-            let (bits, ones) = self.samples[idx - 1];
-            (
-                idx * self.sample_every as usize,
-                u64::from(bits),
-                u64::from(ones),
-            )
-        }
-    }
-}
-
-impl WahRef<'_> {
     /// Number of set bits in `[0, pos)` via the sampled directory:
     /// binary search to the nearest checkpoint, then walk at most one
     /// sample stride of words (fills resolved arithmetically, literals
@@ -712,96 +334,109 @@ impl WahRef<'_> {
         }
         ones
     }
+}
 
-    /// Position of the `k`-th set bit (0-indexed) via the sampled
-    /// directory, or `None` when fewer than `k + 1` bits are set.
-    pub fn select_with(&self, dir: &RankSelectDir, k: u64) -> Option<u64> {
-        let (start, mut bits, mut ones) = dir.seek_ones(k);
-        for &w in &self.words[start.min(self.words.len())..] {
+/// Words per sampled checkpoint in a [`RankSelectDir`].
+///
+/// 64 words = 256 bitmap bytes per 8-byte sample, so a directory costs
+/// ~3.1% of the compressed bitmap it describes.
+pub const RANK_SAMPLE_WORDS: usize = 64;
+
+/// Little-endian `u32` at `at` of a slice known to hold it.
+pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
+    let b = &b[at..at + 4];
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// A serialized rank/select directory, as formats v2 and v3 appended
+/// one to each bitmap extent, read in place: its sample count and
+/// stride (`u32` each), then its samples, eight bytes each — `(bits,
+/// ones)`, little-endian. Returns the stride and the samples' bytes,
+/// with no allocation. The empty slice is the empty directory; bytes
+/// after the last sample are not looked at.
+pub(crate) fn dir_samples(data: &[u8]) -> Result<(u32, &[u8]), BitmapError> {
+    if data.is_empty() {
+        return Ok((0, data));
+    }
+    if data.len() < 8 {
+        return Err(BitmapError::Truncated);
+    }
+    let (n, sample_every) = (le_u32(data, 0) as usize, le_u32(data, 4));
+    if sample_every == 0 || n == 0 {
+        return Err(BitmapError::Truncated);
+    }
+    let need = n.saturating_mul(8).saturating_add(8);
+    let samples = data.get(8..need).ok_or(BitmapError::Truncated)?;
+    Ok((sample_every, samples))
+}
+
+/// Sampled rank directory over an encoded WAH word stream.
+///
+/// `samples[j]` holds the cumulative `(bits, ones)` totals of the first
+/// `(j + 1) * RANK_SAMPLE_WORDS` encoded words (padded group bits for
+/// `bits`; exact for `ones` because canonical encodings keep padding
+/// bits clear). [`WahRef::rank_with`] binary searches the samples and
+/// then peels at most one sample stride of words, turning the linear
+/// walk of [`WahBitmap::rank`] into O(log samples + S) probes.
+///
+/// Bitmaps of at most `RANK_SAMPLE_WORDS` words get an empty directory
+/// (the default: `rank_with` degrades to a bounded linear walk).
+/// Directories are also left empty when cumulative totals would
+/// overflow the `u32` samples (bitmaps beyond 4 Gbit).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RankSelectDir {
+    sample_every: u32,
+    samples: Vec<(u32, u32)>,
+}
+
+impl RankSelectDir {
+    /// Build a directory for `b` in one pass over its encoded words.
+    pub fn build(b: WahRef<'_>) -> Self {
+        let every = RANK_SAMPLE_WORDS;
+        let nwords = b.words.len();
+        if nwords <= every {
+            return Self::default();
+        }
+        let mut samples = Vec::with_capacity(nwords / every);
+        let mut bits = 0u64;
+        let mut ones = 0u64;
+        for (i, &w) in b.words.iter().enumerate() {
             if w & FILL_FLAG != 0 {
                 let nbits = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
+                bits += nbits;
                 if w & FILL_BIT != 0 {
-                    if k < ones + nbits {
-                        return Some(bits + (k - ones));
-                    }
                     ones += nbits;
                 }
-                bits += nbits;
             } else {
-                let lit = w & LITERAL_MASK;
-                let c = u64::from(lit.count_ones());
-                if k < ones + c {
-                    // Peel down to the (k - ones)-th set bit.
-                    let mut m = lit;
-                    for _ in 0..(k - ones) {
-                        m &= m - 1;
-                    }
-                    return Some(bits + u64::from(m.trailing_zeros()));
-                }
-                ones += c;
                 bits += GROUP_BITS;
+                ones += u64::from(w.count_ones());
+            }
+            if (i + 1) % every == 0 && i + 1 < nwords {
+                if bits > u64::from(u32::MAX) || ones > u64::from(u32::MAX) {
+                    return Self::default();
+                }
+                samples.push((bits as u32, ones as u32));
             }
         }
-        None
+        RankSelectDir {
+            sample_every: every as u32,
+            samples,
+        }
     }
-}
 
-/// Iterator over set-bit positions.
-pub struct OnesIter<'a> {
-    words: &'a [u32],
-    num_bits: u64,
-    word_idx: usize,
-    bit_cursor: u64,
-    pending_fill_groups: u32,
-    pending_fill_bit: bool,
-    literal: u32,
-    literal_base: u64,
-    literal_active: bool,
-}
-
-impl Iterator for OnesIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        loop {
-            if self.literal_active {
-                if self.literal != 0 {
-                    let tz = self.literal.trailing_zeros() as u64;
-                    self.literal &= self.literal - 1;
-                    let pos = self.literal_base + tz;
-                    if pos < self.num_bits {
-                        return Some(pos);
-                    }
-                    continue;
-                }
-                self.literal_active = false;
-            }
-            if self.pending_fill_groups > 0 {
-                // Fills of ones are expanded group by group through the
-                // literal path; fills of zeros are skipped wholesale.
-                if self.pending_fill_bit {
-                    self.literal = LITERAL_MASK;
-                    self.literal_base = self.bit_cursor;
-                    self.literal_active = true;
-                    self.pending_fill_groups -= 1;
-                    self.bit_cursor += GROUP_BITS;
-                    continue;
-                } else {
-                    self.bit_cursor += self.pending_fill_groups as u64 * GROUP_BITS;
-                    self.pending_fill_groups = 0;
-                }
-            }
-            let w = *self.words.get(self.word_idx)?;
-            self.word_idx += 1;
-            if w & FILL_FLAG != 0 {
-                self.pending_fill_bit = w & FILL_BIT != 0;
-                self.pending_fill_groups = w & FILL_COUNT_MASK;
-            } else {
-                self.literal = w;
-                self.literal_base = self.bit_cursor;
-                self.literal_active = true;
-                self.bit_cursor += GROUP_BITS;
-            }
+    /// Start state `(word_idx, bits, ones)` for a walk that must reach
+    /// bit position `pos`: the last checkpoint with `bits <= pos`.
+    fn seek_bits(&self, pos: u64) -> (usize, u64, u64) {
+        let idx = self.samples.partition_point(|s| u64::from(s.0) <= pos);
+        if idx == 0 {
+            (0, 0, 0)
+        } else {
+            let (bits, ones) = self.samples[idx - 1];
+            (
+                idx * self.sample_every as usize,
+                u64::from(bits),
+                u64::from(ones),
+            )
         }
     }
 }
@@ -898,7 +533,7 @@ impl WahBuilder {
     ///
     /// # Panics
     /// Panics if bits have been pushed since the last group boundary.
-    pub fn push_group(&mut self, group: u32) {
+    pub(crate) fn push_group(&mut self, group: u32) {
         assert_eq!(self.active_bits, 0, "push_group requires group alignment");
         let g = group & LITERAL_MASK;
         self.num_bits += GROUP_BITS;
@@ -924,20 +559,10 @@ impl WahBuilder {
             num_bits: self.num_bits,
         }
     }
-
-    /// Bits appended so far.
-    pub fn len(&self) -> u64 {
-        self.num_bits
-    }
-
-    /// True when no bits have been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.num_bits == 0
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A bitmap of `n` bits, all set.
@@ -947,32 +572,60 @@ mod tests {
         b.finish()
     }
 
+    /// A bitmap's stored extent as formats v2 and v3 wrote it: its
+    /// stream, then its directory ([`dir_samples`] reads it back).
+    pub(crate) fn stored(b: &WahBitmap) -> Vec<u8> {
+        let mut bytes = b.to_bytes();
+        let dir = RankSelectDir::build(b.as_ref());
+        if !dir.samples.is_empty() {
+            bytes.extend_from_slice(&(dir.samples.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&dir.sample_every.to_le_bytes());
+            for (bits, ones) in dir.samples {
+                bytes.extend_from_slice(&bits.to_le_bytes());
+                bytes.extend_from_slice(&ones.to_le_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// A bitmap of `bits`, pushed one by one.
+    fn of_bools(bits: &[bool]) -> WahBitmap {
+        let mut b = WahBuilder::new();
+        for &bit in bits {
+            b.push(bit);
+        }
+        b.finish()
+    }
+
+    /// Set bits of `[0, pos)` among sorted `positions`.
+    fn rank_of(positions: &[u64], pos: u64) -> u64 {
+        positions.partition_point(|&p| p < pos) as u64
+    }
+
     #[test]
     fn empty_bitmap() {
         let b = WahBuilder::new().finish();
         assert_eq!(b.len(), 0);
-        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.rank(0), 0);
         assert!(b.to_positions().is_empty());
     }
 
     #[test]
     fn from_bools_roundtrip() {
         let bits: Vec<bool> = (0..200).map(|i| i % 7 == 0).collect();
-        let b = WahBitmap::from_bools(&bits);
+        let b = of_bools(&bits);
         assert_eq!(b.len(), 200);
-        for (i, &bit) in bits.iter().enumerate() {
-            assert_eq!(b.get(i as u64), bit, "bit {i}");
-        }
-        let ones: Vec<u64> = b.to_positions();
         let expect: Vec<u64> = (0..200).filter(|i| i % 7 == 0).collect();
-        assert_eq!(ones, expect);
+        assert_eq!(b.to_positions(), expect);
+        for pos in 0..=200 {
+            assert_eq!(b.rank(pos), rank_of(&expect, pos), "rank at {pos}");
+        }
     }
 
     #[test]
     fn long_zero_run_compresses() {
         let b = WahBitmap::from_sorted_positions(1_000_000, &[0, 999_999]);
         assert!(b.size_in_bytes() < 64, "size {}", b.size_in_bytes());
-        assert_eq!(b.count_ones(), 2);
         assert_eq!(b.to_positions(), vec![0, 999_999]);
     }
 
@@ -980,15 +633,15 @@ mod tests {
     fn long_one_run_compresses() {
         let b = all_ones(1_000_000);
         assert!(b.size_in_bytes() < 64);
-        assert_eq!(b.count_ones(), 1_000_000);
-        assert!(b.get(0) && b.get(999_999));
+        assert_eq!(b.rank(1_000_000), 1_000_000);
+        assert_eq!(b.to_positions(), (0..1_000_000).collect::<Vec<_>>());
     }
 
     #[test]
     fn padding_bits_are_not_ones() {
         // 33 bits = one full group + 2 bits: padding must not count.
         let b = all_ones(33);
-        assert_eq!(b.count_ones(), 33);
+        assert_eq!(b.rank(33), 33);
         assert_eq!(b.to_positions().len(), 33);
     }
 
@@ -997,9 +650,8 @@ mod tests {
         let pos = [3u64, 31, 32, 62, 63, 64, 100];
         let a = WahBitmap::from_sorted_positions(128, &pos);
         let bits: Vec<bool> = (0..128u64).map(|i| pos.contains(&i)).collect();
-        let b = WahBitmap::from_bools(&bits);
-        assert_eq!(a.to_positions(), b.to_positions());
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a, of_bools(&bits));
+        assert_eq!(a.to_positions(), pos);
     }
 
     #[test]
@@ -1025,6 +677,21 @@ mod tests {
         ));
     }
 
+    /// Words that do not cover the declared length, padded to a whole
+    /// group, are refused: one fill word more (the word count bumped to
+    /// match), or one literal word under a longer length.
+    #[test]
+    fn words_that_miss_the_declared_length_are_refused() {
+        let bytes = WahBitmap::from_sorted_positions(100, &[3, 64]).to_bytes();
+        let mut longer = bytes.clone();
+        longer[12] += 1;
+        longer.extend_from_slice(&(FILL_FLAG | 1).to_le_bytes());
+        assert_eq!(WahBitmap::from_bytes(&longer), Err(BitmapError::PastEnd));
+        let mut shorter = bytes;
+        shorter[4..12].copy_from_slice(&1_000u64.to_le_bytes());
+        assert_eq!(WahBitmap::from_bytes(&shorter), Err(BitmapError::Truncated));
+    }
+
     #[test]
     fn append_run_mixed() {
         let mut b = WahBuilder::new();
@@ -1034,165 +701,103 @@ mod tests {
         b.push(true);
         let bm = b.finish();
         assert_eq!(bm.len(), 64);
-        assert_eq!(bm.count_ones(), 51);
-        assert!(!bm.get(9));
-        assert!(bm.get(10));
-        assert!(bm.get(59));
-        assert!(!bm.get(62));
-        assert!(bm.get(63));
+        let want: Vec<u64> = (10..60).chain([63]).collect();
+        assert_eq!(bm.to_positions(), want);
     }
 
-    /// Reference run decomposition straight from per-bit iteration.
-    fn naive_runs(b: &WahBitmap) -> Vec<(u64, u64, bool)> {
-        let mut out: Vec<(u64, u64, bool)> = Vec::new();
-        for pos in 0..b.len() {
-            let bit = b.get(pos);
-            match out.last_mut() {
-                Some((_, len, rb)) if *rb == bit => *len += 1,
-                _ => out.push((pos, 1, bit)),
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn iter_runs_partitions_and_alternates() {
-        let cases = [
-            WahBitmap::from_sorted_positions(200, &[0, 1, 2, 50, 51, 199]),
-            all_ones(100),
-            WahBitmap::zeros(100),
-            WahBitmap::from_sorted_positions(1_000_000, &[0, 31, 62, 999_999]),
-            WahBuilder::new().finish(),
-            WahBitmap::from_bools(&(0..97).map(|i| i % 2 == 0).collect::<Vec<_>>()),
-        ];
-        for b in &cases {
-            let runs: Vec<_> = b.iter_runs().collect();
-            assert_eq!(runs, naive_runs(b));
-            // Runs tile [0, len) and alternate bits.
-            let mut cursor = 0u64;
-            for w in runs.windows(2) {
-                assert_ne!(w[0].2, w[1].2, "adjacent runs share a bit");
-            }
-            for &(start, len, _) in &runs {
-                assert_eq!(start, cursor);
-                assert!(len > 0);
-                cursor += len;
-            }
-            assert_eq!(cursor, b.len());
-        }
-    }
-
-    #[test]
-    fn iter_runs_long_fills_are_single_runs() {
-        // ones fill + literal tail of ones must merge into one run.
-        let mut bld = WahBuilder::new();
-        bld.append_run(true, 31 * 100);
-        bld.append_run(true, 5);
-        bld.append_run(false, 7);
-        let b = bld.finish();
-        let runs: Vec<_> = b.iter_runs().collect();
-        assert_eq!(runs, vec![(0, 3105, true), (3105, 7, false)]);
-    }
-
+    /// `rank` inverts `select` — the `k`-th set position, read off the
+    /// positions the bitmap was built from.
     #[test]
     fn rank_select_roundtrip() {
         let pos = [3u64, 31, 32, 62, 63, 64, 100, 9_999];
         let b = WahBitmap::from_sorted_positions(10_000, &pos);
         for (k, &p) in pos.iter().enumerate() {
-            assert_eq!(b.select(k as u64), Some(p));
             assert_eq!(b.rank(p), k as u64);
             assert_eq!(b.rank(p + 1), k as u64 + 1);
         }
-        assert_eq!(b.select(pos.len() as u64), None);
         assert_eq!(b.rank(0), 0);
-        assert_eq!(b.rank(b.len()), b.count_ones());
+        assert_eq!(b.rank(b.len()), pos.len() as u64);
     }
 
     #[test]
     fn dir_small_bitmap_is_empty_and_costless() {
         let b = WahBitmap::from_sorted_positions(1_000, &[1, 500, 999]);
-        assert!(b.words().len() <= RANK_SAMPLE_WORDS);
+        assert!(b.words.len() <= RANK_SAMPLE_WORDS);
         let dir = RankSelectDir::build(b.as_ref());
-        assert!(dir.is_empty());
-        assert_eq!(dir.size_in_bytes(), 0);
-        assert!(dir.to_bytes().is_empty());
+        assert_eq!(dir, RankSelectDir::default());
+        assert_eq!(stored(&b), b.to_bytes(), "no directory bytes");
         // Queries still work through the empty directory.
         assert_eq!(b.as_ref().rank_with(&dir, 501), 2);
-        assert_eq!(b.as_ref().select_with(&dir, 2), Some(999));
     }
 
     /// A bitmap long enough to carry samples: alternating literal noise
-    /// and multi-group fills of both polarities.
-    fn sampled_case() -> WahBitmap {
-        let mut bld = WahBuilder::new();
+    /// and multi-group fills of both polarities, with its positions.
+    fn sampled_case() -> (WahBitmap, Vec<u64>) {
+        let (mut bld, mut positions, mut at) = (WahBuilder::new(), Vec::new(), 0u64);
+        let mut push = |bld: &mut WahBuilder, bit: bool, n: u64| {
+            bld.append_run(bit, n);
+            if bit {
+                positions.extend(at..at + n);
+            }
+            at += n;
+        };
         for i in 0..200u64 {
             match i % 4 {
-                0 => {
-                    for j in 0..31 {
-                        bld.push((i + j) % 3 == 0);
-                    }
-                }
-                1 => bld.append_run(false, 31 * (1 + i % 5)),
-                2 => bld.append_run(true, 31 * (1 + i % 7)),
-                _ => {
-                    for j in 0..17 {
-                        bld.push((i + j) % 2 == 0);
-                    }
-                }
+                0 => (0..31).for_each(|j| push(&mut bld, (i + j) % 3 == 0, 1)),
+                1 => push(&mut bld, false, 31 * (1 + i % 5)),
+                2 => push(&mut bld, true, 31 * (1 + i % 7)),
+                _ => (0..17).for_each(|j| push(&mut bld, (i + j) % 2 == 0, 1)),
             }
         }
-        bld.finish()
+        (bld.finish(), positions)
     }
 
     #[test]
     fn dir_rank_select_match_linear() {
-        let b = sampled_case();
-        assert!(b.words().len() > RANK_SAMPLE_WORDS, "case too small");
+        let (b, positions) = sampled_case();
+        assert!(b.words.len() > RANK_SAMPLE_WORDS, "case too small");
         let dir = RankSelectDir::build(b.as_ref());
-        assert!(!dir.is_empty());
+        assert!(!dir.samples.is_empty());
         let r = b.as_ref();
-        for pos in (0..b.len()).step_by(13) {
-            assert_eq!(r.rank_with(&dir, pos), b.rank(pos), "rank at {pos}");
+        for pos in (0..b.len()).step_by(13).chain([b.len()]) {
+            let want = rank_of(&positions, pos);
+            assert_eq!(r.rank_with(&dir, pos), want, "rank at {pos}");
+            assert_eq!(b.rank(pos), want, "linear rank at {pos}");
         }
-        assert_eq!(r.rank_with(&dir, b.len()), b.count_ones());
-        let total = b.count_ones();
-        for k in (0..total).step_by(11) {
-            assert_eq!(r.select_with(&dir, k), b.select(k), "select {k}");
-            let p = r.select_with(&dir, k).unwrap();
-            assert_eq!(r.rank_with(&dir, p), k, "rank(select({k}))");
+        // rank(select(k)) = k, select read off the positions.
+        for (k, &p) in positions.iter().enumerate().step_by(11) {
+            assert_eq!(r.rank_with(&dir, p), k as u64, "rank(select({k}))");
         }
-        assert_eq!(r.select_with(&dir, total), None);
     }
 
+    /// A directory as v2/v3 stored it reads back in place, sample for
+    /// sample; a cut one is refused.
     #[test]
     fn dir_serde_roundtrip() {
-        let b = sampled_case();
+        let (b, _) = sampled_case();
         let dir = RankSelectDir::build(b.as_ref());
-        let bytes = dir.to_bytes();
-        assert_eq!(bytes.len(), dir.size_in_bytes());
-        let (dir2, consumed) = RankSelectDir::from_bytes(&bytes).unwrap();
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(dir, dir2);
-        // Empty roundtrip.
-        let (e, c) = RankSelectDir::from_bytes(&[]).unwrap();
-        assert!(e.is_empty());
-        assert_eq!(c, 0);
-        // Truncation is rejected.
-        assert_eq!(
-            RankSelectDir::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(BitmapError::Truncated)
-        );
-        assert_eq!(
-            RankSelectDir::from_bytes(&bytes[..4]),
-            Err(BitmapError::Truncated)
-        );
+        let extent = stored(&b);
+        let bytes = &extent[b.to_bytes().len()..];
+        assert_eq!(bytes.len(), 8 + 8 * dir.samples.len());
+        let (every, samples) = dir_samples(bytes).unwrap();
+        assert_eq!(every as usize, RANK_SAMPLE_WORDS);
+        let back: Vec<(u32, u32)> = samples
+            .chunks_exact(8)
+            .map(|s| (le_u32(s, 0), le_u32(s, 4)))
+            .collect();
+        assert_eq!(back, dir.samples);
+        // The empty directory is no bytes; truncation is refused.
+        assert_eq!(dir_samples(&[]), Ok((0, &[][..])));
+        for cut in [4, bytes.len() - 1] {
+            assert_eq!(dir_samples(&bytes[..cut]), Err(BitmapError::Truncated));
+        }
     }
 
     #[test]
     fn dir_overhead_is_bounded() {
-        let b = sampled_case();
-        let dir = RankSelectDir::build(b.as_ref());
-        let frac = dir.size_in_bytes() as f64 / b.size_in_bytes() as f64;
+        let (b, _) = sampled_case();
+        let dir_bytes = stored(&b).len() - b.to_bytes().len();
+        let frac = dir_bytes as f64 / b.size_in_bytes() as f64;
         assert!(frac <= 0.05, "directory overhead {frac:.3} > 5%");
     }
 
@@ -1205,8 +810,8 @@ mod tests {
         }
         let bm = b.finish();
         assert_eq!(bm.len(), 31 * 10_000);
-        assert_eq!(bm.count_ones(), 0);
+        assert!(bm.to_positions().is_empty());
         // All merged into a single fill word.
-        assert_eq!(bm.words().len(), 1);
+        assert_eq!(bm.words.len(), 1);
     }
 }

@@ -1,11 +1,14 @@
-//! Adversarial decode: a stored bitmap extent — a WAH stream, then its
-//! rank/select directory — is disk bytes, and the decoders that read it
-//! must never panic or allocate past what the bytes can hold. Every
-//! input gives `Ok` or `Err`; a run list the decoder accepts never
-//! holds a run past its length or more ones than it declares, and a
-//! damaged copy of a valid extent that still declares the valid one's
-//! count and length — what a reader checks it against — holds the
-//! valid one's runs.
+//! Adversarial decode: a format-v1–v3 bitmap extent — a WAH stream,
+//! then its rank/select directory — is disk bytes, and the decoders
+//! that read it (`RunListBuf::push_wah` for the upgrade,
+//! `WahBitmap::from_bytes` for the FastBit comparator's index) must
+//! never panic or allocate past what the bytes can hold. Every input
+//! gives `Ok` or `Err`; a run list the decoder accepts never holds a
+//! run past its length or more ones than it declares, and a damaged
+//! copy of a valid extent that still declares the valid one's count and
+//! length — what a reader checks it against — holds the valid one's
+//! runs. A stream `from_bytes` accepts ORs with a valid bitmap of its
+//! length without a panic, and holds the ones `push_wah` finds in it.
 //!
 //! A format-v4 extent — a stored run list — is disk bytes too: every
 //! truncation, bit flip and one-byte extension of one is taken or
@@ -15,15 +18,25 @@
 //! The vendored proptest does not shrink: the damage properties are
 //! functions of one seed, and a failing seed becomes a replay row.
 
-use mloc_bitmap::{RankSelectDir, RunList, RunListBuf, WahBitmap, WahBuilder, RANK_SAMPLE_WORDS};
-use proptest::prelude::*;
+mod support;
 
-/// Decode a directory from `bytes`: whatever it decodes to, it holds
-/// no more than the bytes it came from.
-fn dir_of(bytes: &[u8]) {
-    if let Ok((dir, n)) = RankSelectDir::from_bytes(bytes) {
-        assert!(n <= bytes.len() && dir.size_in_bytes() <= bytes.len());
-    }
+use mloc_bitmap::{or, RunList, RunListBuf, WahBitmap, WahBuilder};
+use proptest::prelude::*;
+use support::stored;
+
+/// Read `data` as the FastBit comparator reads an index bitmap: refused,
+/// or a bitmap, in no more than the bytes, that ORs without a panic
+/// with a valid bitmap of its length — `valid` when that is its length.
+/// Returns the bitmap's ones.
+fn read_wah(data: &[u8], valid: Option<&WahBitmap>) -> Option<u64> {
+    let (b, used) = WahBitmap::from_bytes(data).ok()?;
+    assert!(used <= data.len());
+    let other = match valid {
+        Some(v) if v.len() == b.len() => v.clone(),
+        _ => WahBitmap::zeros(b.len()),
+    };
+    assert_eq!(or(&b, &other).len(), b.len());
+    Some(b.rank(b.len()))
 }
 
 /// What a decoded extent declares and holds.
@@ -38,9 +51,10 @@ struct Decoded {
 /// the bytes after it — into a run list, and walk it: the runs rise,
 /// each with its rank, none past the declared length, their lengths
 /// summing to the declared count, in no more bytes than the input can
-/// account for.
-fn decode_and_walk(data: &[u8]) -> Option<Decoded> {
-    dir_of(data);
+/// account for. The stream is read as an index bitmap too
+/// ([`read_wah`], with `valid`).
+fn decode_and_walk(data: &[u8], valid: Option<&WahBitmap>) -> Option<Decoded> {
+    let wah_ones = read_wah(data, valid);
     let mut buf = RunListBuf::new();
     let at = buf.push_wah(data).ok()?;
     let list = buf.get(at)?;
@@ -57,6 +71,8 @@ fn decode_and_walk(data: &[u8]) -> Option<Decoded> {
     // Two one-byte varints per run, at most sixteen runs a literal word,
     // and a long gap once a fill.
     assert!(list.to_list().heap_bytes() <= 8 * data.len() as u64 + 20);
+    // The same words, read without their directory.
+    assert_eq!(wah_ones, Some(ones), "the stream read two ways");
     Some(Decoded {
         count: list.count(),
         len: list.len(),
@@ -64,10 +80,11 @@ fn decode_and_walk(data: &[u8]) -> Option<Decoded> {
     })
 }
 
-/// Decode a damaged copy of `valid`: an error, or a list that is not
-/// what a reader expects (another count or length), or `valid`'s runs.
-fn damaged(data: &[u8], valid: &Decoded) {
-    if let Some(d) = decode_and_walk(data) {
+/// Decode a damaged copy of `valid`, stored from `b`: an error, or a
+/// list that is not what a reader expects (another count or length),
+/// or `valid`'s runs.
+fn damaged(data: &[u8], valid: &Decoded, b: &WahBitmap) {
+    if let Some(d) = decode_and_walk(data, Some(b)) {
         if (d.count, d.len) == (valid.count, valid.len) {
             assert_eq!(d.runs, valid.runs, "same declarations, other runs");
         }
@@ -95,45 +112,38 @@ fn sampled_bitmap(seed: u64, groups: u64) -> WahBitmap {
     b.finish()
 }
 
-/// The stored form of a bitmap: its stream, then its directory.
-fn stored(b: &WahBitmap) -> Vec<u8> {
-    let dir = RankSelectDir::build(b.as_ref());
-    assert!(!dir.is_empty(), "no directory to damage");
-    let mut bytes = b.to_bytes();
-    bytes.extend_from_slice(&dir.to_bytes());
-    bytes
-}
-
 #[test]
 fn every_truncation_and_bit_flip_of_a_stored_bitmap_decodes_or_fails() {
     // A stream with a directory, and one with none (a v1 extent).
-    for b in [
-        sampled_bitmap(7, 80),
-        WahBitmap::from_sorted_positions(300, &[0, 5, 6, 7, 64, 299]),
+    for (b, with_dir) in [
+        (sampled_bitmap(7, 80), true),
+        (
+            WahBitmap::from_sorted_positions(300, &[0, 5, 6, 7, 64, 299]),
+            false,
+        ),
     ] {
-        let bytes = if b.words().len() > RANK_SAMPLE_WORDS {
-            stored(&b)
-        } else {
-            b.to_bytes()
-        };
-        let valid = decode_and_walk(&bytes).expect("the stored bitmap decodes");
+        let bytes = stored(&b);
+        assert_eq!(bytes.len() > b.to_bytes().len(), with_dir);
+        let valid = decode_and_walk(&bytes, Some(&b)).expect("the stored bitmap decodes");
         let want: Vec<u64> = valid.runs.iter().flat_map(|r| r.0..r.0 + r.2).collect();
         assert_eq!(want, b.to_positions());
         for cut in 0..bytes.len() {
-            damaged(&bytes[..cut], &valid);
+            damaged(&bytes[..cut], &valid, &b);
         }
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            damaged(&flipped, &valid);
+            damaged(&flipped, &valid, &b);
         }
     }
 }
 
 /// A stored bitmap of seed `seed`, with a few random bytes overwritten.
 fn overwrite(seed: u64) {
-    let bytes = stored(&sampled_bitmap(seed, 90));
-    let valid = decode_and_walk(&bytes).expect("the stored bitmap decodes");
+    let b = sampled_bitmap(seed, 90);
+    let bytes = stored(&b);
+    assert!(bytes.len() > b.to_bytes().len(), "no directory to damage");
+    let valid = decode_and_walk(&bytes, Some(&b)).expect("the stored bitmap decodes");
     let mut x = seed | 1;
     let mut copy = bytes.clone();
     for _ in 0..1 + seed % 5 {
@@ -142,7 +152,7 @@ fn overwrite(seed: u64) {
         x ^= x << 17;
         copy[(x % bytes.len() as u64) as usize] = (x >> 32) as u8;
     }
-    let d = decode_and_walk(&copy);
+    let d = decode_and_walk(&copy, Some(&b));
     // Several bytes at once may cancel out in the declarations (not a
     // single flip's guarantee), but never break a walk's invariants.
     if let Some(d) = d.filter(|d| (d.count, d.len) == (valid.count, valid.len)) {
@@ -180,7 +190,7 @@ proptest! {
                 data[12..16].copy_from_slice(&words.to_le_bytes());
             }
         }
-        decode_and_walk(&data);
+        decode_and_walk(&data, None);
     }
 
     /// A stored bitmap with random bytes overwritten: damage anywhere,

@@ -87,19 +87,6 @@ pub fn plan_runs(wants: &[(u64, u32)], gap: u64) -> Vec<WantRun> {
     runs
 }
 
-/// How a merged run was satisfied.
-#[derive(Debug)]
-pub struct FusedExtent {
-    /// The shared buffer, or `None` when the physical read failed (the
-    /// caller falls back to per-want reads).
-    pub buf: Option<Arc<Vec<u8>>>,
-    /// File offset of `buf[0]` — the fused buffer may start before the
-    /// requested range when a containing extent served it.
-    pub base: u64,
-    /// Whether another session's physical read served this call.
-    pub fused: bool,
-}
-
 /// Counters over the fuser's lifetime (never reset by
 /// [`ExtentFuser::begin_window`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,10 +168,13 @@ enum SlotState {
     Failed,
 }
 
-/// Outcome of [`ExtentFuser::acquire`]: resolved from the window, wait
-/// on another session's flight, or lead the physical read yourself.
+/// Outcome of [`ExtentFuser::acquire`]: resolved from the window — the
+/// window extent's buffer (`None` when its read failed) and the file
+/// offset that buffer starts at — wait on another session's flight to
+/// the extent starting at that offset, or lead the physical read
+/// yourself.
 enum Acquire {
-    Ready(FusedExtent),
+    Ready(Option<Arc<Vec<u8>>>, u64),
     Wait(Arc<Flight>, u64),
     Lead(Arc<Flight>),
 }
@@ -256,11 +246,6 @@ impl ExtentFuser {
         ExtentFuser::with_window_bytes(mb * 1024 * 1024)
     }
 
-    /// The completed-read retention budget.
-    pub fn window_bytes(&self) -> u64 {
-        self.window_bytes
-    }
-
     /// Start a new admission window: drop every retained extent.
     /// Counters are cumulative and survive the rotation.
     pub fn begin_window(&self) {
@@ -299,17 +284,9 @@ impl ExtentFuser {
                 SlotState::Done(buf) => {
                     self.fused_reads.fetch_add(1, Ordering::Relaxed);
                     self.fused_bytes.fetch_add(end - start, Ordering::Relaxed);
-                    Acquire::Ready(FusedExtent {
-                        buf: Some(Arc::clone(buf)),
-                        base: e.start,
-                        fused: true,
-                    })
+                    Acquire::Ready(Some(Arc::clone(buf)), e.start)
                 }
-                SlotState::Failed => Acquire::Ready(FusedExtent {
-                    buf: None,
-                    base: start,
-                    fused: true,
-                }),
+                SlotState::Failed => Acquire::Ready(None, start),
                 SlotState::InFlight(f) => Acquire::Wait(Arc::clone(f), e.start),
             },
             None => {
@@ -366,40 +343,6 @@ impl ExtentFuser {
             self.fused_bytes.fetch_add(end - start, Ordering::Relaxed);
         }
         buf
-    }
-
-    /// Acquire `[start, end)` of `file`: fuse with an in-flight or
-    /// completed read that contains the range, or become the leader
-    /// and perform `read` (which should return `None` on failure after
-    /// its own retries). Waiters block only while a leader's physical
-    /// read is in progress.
-    pub fn read_extent<F>(&self, file: &str, start: u64, end: u64, read: F) -> FusedExtent
-    where
-        F: FnOnce() -> Option<Arc<Vec<u8>>>,
-    {
-        match self.acquire(file, start, end) {
-            Acquire::Ready(r) => r,
-            Acquire::Wait(flight, base) => FusedExtent {
-                buf: self.finish_wait(&flight, start, end),
-                base,
-                fused: true,
-            },
-            Acquire::Lead(flight) => {
-                let mut guard = FlightGuard {
-                    flight: &flight,
-                    armed: true,
-                };
-                let buf = read();
-                guard.armed = false;
-                drop(guard);
-                self.finish_lead(file, start, end, &flight, &buf);
-                FusedExtent {
-                    buf,
-                    base: start,
-                    fused: false,
-                }
-            }
-        }
     }
 
     /// Swap the leader's in-flight slot for its outcome and evict
@@ -554,11 +497,11 @@ pub fn coalesced_read_results(
             let mut led: Vec<(usize, Arc<Flight>)> = Vec::new();
             for (k, run) in runs.iter().enumerate() {
                 match fu.acquire(file, run.start, run.end) {
-                    Acquire::Ready(r) => {
-                        if r.buf.is_some() {
+                    Acquire::Ready(buf, base) => {
+                        if buf.is_some() {
                             io.record_cached(Arc::clone(file), run.start, run.end - run.start);
                         }
-                        slots.push(Slot::Ready(r.buf, r.base, r.fused));
+                        slots.push(Slot::Ready(buf, base, true));
                     }
                     Acquire::Wait(flight, base) => slots.push(Slot::Wait(flight, base)),
                     Acquire::Lead(flight) => {
@@ -763,6 +706,24 @@ mod tests {
         assert_eq!(got[1].as_slice().as_ptr(), got[4].as_slice().as_ptr());
     }
 
+    /// One session's read of `wants` from file `f` through `fu`: each
+    /// want's outcome, and the session's trace as `(offset, len,
+    /// cached)`.
+    fn session(
+        be: &MemBackend,
+        fu: &ExtentFuser,
+        wants: &[(u64, u32)],
+    ) -> (Vec<WantRead>, Vec<(u64, u64, bool)>) {
+        let mut io = RankIo::new(be);
+        let got = coalesced_read_results(&mut io, &Arc::from("f"), wants, None, Some(fu), None);
+        let trace = io.trace().iter().map(|op| (op.offset, op.len, op.cached));
+        (got, trace.collect())
+    }
+
+    fn bytes(w: &WantRead) -> &[u8] {
+        w.res.as_ref().unwrap().as_slice()
+    }
+
     #[test]
     fn fuser_serves_repeat_and_contained_runs_without_rereads() {
         let be = MemBackend::new();
@@ -770,22 +731,23 @@ mod tests {
         be.append("f", &data).unwrap();
         let fu = ExtentFuser::with_window_mb(4);
 
-        let mut io = RankIo::new(&be);
-        let first = fu.read_extent("f", 100, 600, || io.read("f", 100, 500).ok().map(Arc::new));
-        assert!(!first.fused);
-        assert_eq!(first.buf.as_ref().unwrap().len(), 500);
+        let (first, trace) = session(&be, &fu, &[(100, 500)]);
+        assert!(!first[0].fused);
+        assert_eq!(bytes(&first[0]), &data[100..600]);
+        assert_eq!(trace, vec![(100, 500, false)]);
 
-        // Identical run: fused, no physical read.
-        let again = fu.read_extent("f", 100, 600, || panic!("must not re-read"));
-        assert!(again.fused);
-        assert_eq!(again.base, 100);
+        // Identical run: fused from the first session's buffer, traced
+        // as cached, no physical read.
+        let (again, trace) = session(&be, &fu, &[(100, 500)]);
+        assert!(again[0].fused);
+        assert_eq!(bytes(&again[0]).as_ptr(), bytes(&first[0]).as_ptr());
+        assert_eq!(trace, vec![(100, 500, true)]);
 
         // Contained run: fused from the larger extent.
-        let inner = fu.read_extent("f", 200, 300, || panic!("must not re-read"));
-        assert!(inner.fused);
-        assert_eq!(inner.base, 100);
-        let buf = inner.buf.unwrap();
-        assert_eq!(&buf[(200 - 100)..(300 - 100)], &data[200..300]);
+        let (inner, trace) = session(&be, &fu, &[(200, 100)]);
+        assert!(inner[0].fused);
+        assert_eq!(bytes(&inner[0]), &data[200..300]);
+        assert_eq!(trace, vec![(200, 100, true)]);
 
         let s = fu.stats();
         assert_eq!(s.physical_reads, 1);
@@ -794,9 +756,9 @@ mod tests {
 
         // A new window forgets the extent.
         fu.begin_window();
-        let mut io = RankIo::new(&be);
-        let fresh = fu.read_extent("f", 100, 600, || io.read("f", 100, 500).ok().map(Arc::new));
-        assert!(!fresh.fused);
+        let (fresh, trace) = session(&be, &fu, &[(100, 500)]);
+        assert!(!fresh[0].fused);
+        assert_eq!(trace, vec![(100, 500, false)]);
         assert_eq!(fu.stats().physical_reads, 2);
     }
 
@@ -805,19 +767,32 @@ mod tests {
         let be = MemBackend::new();
         be.append("f", &[1, 2, 3, 4]).unwrap();
         let fu = ExtentFuser::with_window_mb(1);
-        let r = fu.read_extent("f", 0, 4, || None);
-        assert!(r.buf.is_none() && !r.fused);
-        // Same window: the failure is remembered, peers fall back.
-        let r2 = fu.read_extent("f", 0, 4, || {
-            panic!("failed extents are not retried in-window")
-        });
-        assert!(r2.buf.is_none() && r2.fused);
+        // One merged run, [0, 108), past the file's end: the leader's
+        // read fails and each want is read alone.
+        let wants = [(0u64, 4u32), (100, 8)];
+        let (first, trace) = session(&be, &fu, &wants);
+        assert_eq!(bytes(&first[0]), &[1, 2, 3, 4]);
+        assert!(first[1].res.is_err());
+        assert!(!first[0].fused && !first[1].fused);
+        assert_eq!(trace, [(0, 108, false), (0, 4, false), (100, 8, false)]);
         assert_eq!(fu.stats().failed_reads, 1);
-        // Next window retries for real.
+
+        // Same window, the file grown since: the failure is remembered,
+        // so the next session goes straight to per-want reads.
+        be.append("f", &[7; 200]).unwrap();
+        let (second, trace) = session(&be, &fu, &wants);
+        assert!(second.iter().all(|w| w.res.is_ok() && !w.fused));
+        assert_eq!(trace, [(0, 4, false), (100, 8, false)]);
+        assert_eq!(fu.stats().physical_reads, 0);
+
+        // Next window retries the merged run for real.
         fu.begin_window();
-        let mut io = RankIo::new(&be);
-        let r3 = fu.read_extent("f", 0, 4, || io.read("f", 0, 4).ok().map(Arc::new));
-        assert_eq!(r3.buf.unwrap().as_slice(), &[1, 2, 3, 4]);
+        let (third, trace) = session(&be, &fu, &wants);
+        assert_eq!(bytes(&third[0]), &[1, 2, 3, 4]);
+        assert_eq!(bytes(&third[1]), &[7; 8]);
+        assert_eq!(trace, [(0, 108, false)]);
+        let s = fu.stats();
+        assert_eq!((s.physical_reads, s.failed_reads), (1, 1));
     }
 
     #[test]
@@ -859,22 +834,18 @@ mod tests {
         let be = MemBackend::new();
         be.append("f", &vec![9u8; 1_000_000]).unwrap();
         let fu = ExtentFuser::with_window_bytes(25_000);
-        let mut io = RankIo::new(&be);
         for k in 0..4u64 {
-            let start = k * 200_000;
-            let r = fu.read_extent("f", start, start + 10_000, || {
-                io.read("f", start, 10_000).ok().map(Arc::new)
-            });
-            assert!(!r.fused, "extent {k} must be a fresh read");
+            let (got, _) = session(&be, &fu, &[(k * 200_000, 10_000)]);
+            assert!(!got[0].fused, "extent {k} must be a fresh read");
         }
         // Extents 0 and 1 were evicted (40k read > 25k budget); 2 and 3
         // remain fusable.
-        let r = fu.read_extent("f", 0, 10_000, || {
-            io.read("f", 0, 10_000).ok().map(Arc::new)
-        });
-        assert!(!r.fused, "oldest extent should have been evicted");
-        let r = fu.read_extent("f", 600_000, 610_000, || panic!("newest must be resident"));
-        assert!(r.fused);
+        let (got, trace) = session(&be, &fu, &[(0, 10_000)]);
+        assert!(!got[0].fused, "oldest extent should have been evicted");
+        assert_eq!(trace, [(0, 10_000, false)]);
+        let (got, trace) = session(&be, &fu, &[(600_000, 10_000)]);
+        assert!(got[0].fused, "newest must be resident");
+        assert_eq!(trace, [(600_000, 10_000, true)]);
     }
 
     #[test]
