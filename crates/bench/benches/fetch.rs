@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use mloc::binfile::{parse_fixed, BinFileBuilder};
 use mloc::cache::{BlockCache, BlockKey, BlockPart, ByteView, CachedBlock};
+use mloc::index::Summaries;
 use mloc::LevelOrder;
 use mloc_bitmap::RunList;
 use mloc_pfs::{MemBackend, RankIo};
@@ -34,8 +35,9 @@ fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
         let runs = RunList::from_sorted_positions(16_384, &positions);
         b.set_chunk(rank, runs.as_ref(), &[part.as_slice(); PARTS]);
     }
-    let file = b.finish().unwrap().bytes;
-    let located = parse_fixed(&file, (CHUNKS, PARTS), LevelOrder::Vms, "bench").unwrap();
+    let file = b.finish().unwrap();
+    let summaries = Summaries::parse(file.summary, 1, CHUNKS).unwrap().bin(0);
+    let located = parse_fixed(&file.bytes, &summaries, PARTS, LevelOrder::Vms, "bench").unwrap();
 
     g.bench_function("index_entry_lookup/rows/x64", |bench| {
         bench.iter(|| {
@@ -44,7 +46,7 @@ fn index_entry_lookup(g: &mut BenchmarkGroup<'_>) {
                 let index = black_box(&located);
                 for rank in TOUCHED {
                     let (offset, len) = index.bitmap(rank).unwrap();
-                    sum += u64::from(index.count(rank)) + offset + u64::from(len);
+                    sum += u64::from(summaries.count(rank)) + offset + u64::from(len);
                     for part in 0..PARTS {
                         let loc = index.unit(rank, part).unwrap();
                         sum += loc.offset + u64::from(loc.clen);

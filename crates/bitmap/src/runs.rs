@@ -11,7 +11,7 @@
 //! answers a range walk (visit the runs a box wants) and a membership
 //! probe (merge sorted probes against the runs).
 //!
-//! A bin file (formats v4 and v5) stores each chunk's positional bitmap
+//! A bin file (formats v4 to v6) stores each chunk's positional bitmap
 //! as its pairs and nothing else: the count is in the chunk's summary
 //! record (in v4, its directory entry) and the length is the chunk's
 //! point count. A build encodes the pairs straight from a bin's sorted

@@ -210,9 +210,9 @@ USAGE:
                   the crash left out of the catalog; exits nonzero
                   only when damage is unrepairable)
   mloc upgrade   --dir DIR --name DS --out NEWDIR
-                 (copy a dataset of the formats before v5 — two files
+                 (copy a dataset of the formats before v6 — two files
                   per bin, WAH bitmaps, or chunk directories, which no
-                  other command reads — out to NEWDIR as v5, byte for
+                  other command reads — out to NEWDIR as v6, byte for
                   byte what a
                   build of the same field writes, with the same
                   --shards/--replicas layout; DIR is only read: remove

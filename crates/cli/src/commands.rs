@@ -290,8 +290,10 @@ fn variables(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-variable, per-bin storage breakdown: a bin's index and data
-/// bytes, the two sections of its file, from its fixed blocks.
+/// Per-variable, per-bin storage breakdown: a bin's data bytes, the
+/// data section of its file, and its index bytes — its file's index
+/// section and its chunk summaries, which the meta holds — found from
+/// its fixed blocks, located by those summaries.
 fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let be = backend(args)?;
     let name = args.required("name")?;
@@ -306,32 +308,26 @@ fn stats(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
         let store = ds.store(var).map_err(|e| e.to_string())?;
         let num_bins = store.config().num_bins;
         let bounds = store.bins().bounds().to_vec();
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let order = store.config().level_order;
-        let header_len = mloc::index::HEADER_LEN;
+        let num_parts = store.config().num_parts();
         let mut rows = Vec::new();
         let mut data_total = 0u64;
         let mut index_total = 0u64;
         let mut summary_total = 0u64;
-        let summary_len = mloc::binfile::summary_extent_len(geometry.0);
+        // The column counts the chunk summaries alone.
+        let summary = mloc::index::summary_size(store.grid().num_chunks());
         for bin in 0..num_bins {
             let file = store.bin_file(bin);
-            // The summary extent says how long the tables are; the
-            // tables say how long everything else is.
-            let summary = be
-                .read(file, header_len, summary_len)
-                .map_err(|e| e.to_string())?;
-            let tables = mloc::binfile::Tables::parse(&summary, header_len, geometry, file)
-                .map_err(|e| e.to_string())?;
+            // The summaries say how long the tables are; the tables say
+            // how long everything else is.
+            let summaries = store.summaries().bin(bin);
+            let tables = mloc::binfile::Tables::of(summaries.set_chunks(), num_parts);
             let (data_at, data_len) = tables.data_span();
             let fixed = be
                 .read(file, 0, data_at + data_len)
                 .map_err(|e| e.to_string())?;
-            let fixed = mloc::binfile::parse_fixed(&fixed, geometry, order, file)
-                .map_err(|e| e.to_string())?;
+            let fixed = store.parse_fixed(bin, &fixed).map_err(|e| e.to_string())?;
             let (index, data) = fixed.section_bytes().unwrap_or_default();
-            // The column counts the chunk summaries alone.
-            let summary = summary_len - mloc::index::TABLE_SIZES;
+            let index = index + summary;
             data_total += data;
             index_total += index;
             summary_total += summary;
@@ -605,7 +601,7 @@ fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     }
 }
 
-/// Copy a dataset of the formats before v5 out to `--out` as v5.
+/// Copy a dataset of the formats before v6 out to `--out` as v6.
 fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let old = backend(args)?;
     let new = backend_in(args, args.required("out")?)?;
@@ -613,7 +609,7 @@ fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let report = mloc::upgrade::upgrade(&old, &new, name).map_err(|e| e.to_string())?;
     outln!(
         out,
-        "upgraded {name}: {} variable(s), {} bin file(s) written as v5",
+        "upgraded {name}: {} variable(s), {} bin file(s) written as v6",
         report.variables.len(),
         report.bin_files
     );

@@ -70,7 +70,8 @@ fn control_characters_in_names_leave_as_json_escapes() {
 /// every store `stats` reads: the checked-in v2 dataset once `mloc
 /// upgrade` has copied it out, and a fresh build of the same geometry
 /// (16 chunks), report 8 + 13 × 16 bytes per bin (each record holds the
-/// chunk's count since format v5), 8 × that in all.
+/// chunk's count since format v5, in the meta since v6), 8 × that in
+/// all.
 /// Un-upgraded, the v2 dataset is refused with the error naming `mloc
 /// upgrade`.
 #[test]

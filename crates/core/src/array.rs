@@ -281,6 +281,27 @@ impl ChunkGrid {
         id
     }
 
+    /// The row-major id of the chunk holding global position `pos`, and
+    /// `pos`'s chunk-local offset (row-major within the chunk's clamped
+    /// region), without allocating.
+    pub fn locate(&self, mut pos: u64) -> (usize, u64) {
+        let (mut id, mut scale) = (0usize, 1usize);
+        let (mut local, mut local_scale) = (0u64, 1u64);
+        for d in (0..self.dims()).rev() {
+            let extent = self.shape[d] as u64;
+            let coord = (pos % extent) as usize;
+            pos /= extent;
+            let (cell, edge) = (coord / self.chunk_shape[d], self.chunk_shape[d]);
+            let start = cell * edge;
+            local += (coord - start) as u64 * local_scale;
+            local_scale *= edge.min(self.shape[d] - start) as u64;
+            id += cell * scale;
+            scale *= self.grid[d];
+        }
+        debug_assert_eq!(pos, 0, "position outside the domain");
+        (id, local)
+    }
+
     /// Global coordinates of a chunk-local offset (row-major within the
     /// chunk's clamped region).
     pub fn local_to_coords(&self, chunk: usize, mut local: usize) -> Vec<usize> {
@@ -340,6 +361,24 @@ impl ChunkGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `locate` is `chunk_of` and `coords_to_local`, on ragged 1-, 2-
+    /// and 3-D grids.
+    #[test]
+    fn locate_is_the_chunk_and_the_local_offset() {
+        for (shape, chunk) in [
+            (vec![17], vec![5]),
+            (vec![10, 7], vec![4, 3]),
+            (vec![6, 5, 4], vec![4, 2, 3]),
+        ] {
+            let grid = ChunkGrid::new(shape, chunk);
+            for pos in 0..grid.num_points() as u64 {
+                let (chunk, local) = grid.coords_to_local(&grid.delinearize(pos));
+                assert_eq!(grid.locate(pos), (chunk, local as u64), "{pos}");
+                assert_eq!(grid.chunk_of(pos), chunk);
+            }
+        }
+    }
 
     #[test]
     fn region_basics() {

@@ -1,24 +1,26 @@
-//! Bin file format v5: one file per bin, with every fixed block at its
+//! Bin file format v6: one file per bin, with every fixed block at its
 //! front, storing only what cannot be derived.
 //!
 //! ```text
-//! [0, 14)      header: magic, version 5, bin, chunk and   index extent 0
+//! [0, 14)      header: magic, version 6, bin, chunk and   index extent 0
 //!              part counts
-//! [14, T)      chunk summaries {count, min, max, flags},  index extent 1
-//!              then n_index: u32, n_data: u32 (the two
-//!              tables' sizes)
-//! [T, T+Li)    index-extent table: n_index × {len, crc}, then its CRC
-//! [T+Li, B)    data-extent table:  n_data × {len, crc}, then its CRC
-//! [B, U)       positional bitmaps as run lists, one per   index extents 2..
+//! [14, T)      index-extent table: n_index × {len, crc}, then its CRC
+//! [T, B)       data-extent table:  n_data × {len, crc}, then its CRC
+//! [B, U)       positional bitmaps as run lists, one per   index extents 1..
 //!              set chunk, in curve-rank order
 //! [U, E)       compressed unit parts, in the level order  data extents
 //! [E, E+12)    end marker: the file's length (u64), then "MEND"
 //! ```
 //!
-//! A *set* chunk is one whose summary count is not zero. Nothing else
-//! says where a bitmap or a unit part is; [`Rows`] derives it:
+//! The bin's chunk summaries — per chunk, its count of the bin's points,
+//! the span of their positions and whether they fill the chunk — are
+//! not in the file: they are the bin's section of the variable's meta
+//! ([`crate::index::Summaries`]), checked with it, and held by every
+//! open store. A *set* chunk is one whose count is not zero. Nothing
+//! says where a bitmap or a unit part is; [`Rows`] derives it from the
+//! counts:
 //!
-//! * chunk `rank`'s bitmap is index extent `2 + k`, where `k` is the
+//! * chunk `rank`'s bitmap is index extent `1 + k`, where `k` is the
 //!   number of set chunks before `rank`;
 //! * the unit parts are the data table's rows, in the level order:
 //!   part-major for V-M-S (row `p · n_set + k` is part `p` of the
@@ -28,9 +30,7 @@
 //! ([`ExtentFooter`]), so a lookup is one row of a table already read.
 //! This holds only if every set chunk has exactly one bitmap and one
 //! non-empty extent per part: the builder refuses an empty part
-//! ([`MlocError::EmptyUnit`]), and a reader refuses, as a corrupt
-//! extent, an index table whose bitmap rows are not the set chunks or
-//! a data table whose rows are not set chunks × parts.
+//! ([`MlocError::EmptyUnit`]).
 //!
 //! A chunk's bitmap extent is its run list's LEB128 `(gap, len − 1)`
 //! pairs and nothing else ([`mloc_bitmap::runs`]): the set-bit count is
@@ -38,19 +38,22 @@
 //! geometry. A reader takes the pairs as they are after one validating
 //! walk ([`mloc_bitmap::RunListBuf::push_stored`]).
 //!
-//! `T` follows from the chunk count alone, the table lengths
-//! `Li = 8 n_index + 4` and `Ld = 8 n_data + 4` from the two sizes that
-//! end the summary extent. A query therefore gets every fixed block
-//! with one seek: the header, then the summary and then the tables it
-//! needs, each continuing where the last read ended. A positions-only
-//! query reads the index table alone. This is the superblock idiom:
-//! fixed metadata at a computed offset, read in one seek, never a probe
-//! of the file's tail — and nothing stored that the geometry gives.
+//! The tables' sizes follow from the counts too — `n_index = 1 + n_set`
+//! and `n_data = n_set · parts` ([`Tables::of`]) — so a reader that holds
+//! the summaries gets every fixed block of a file it opens in **one
+//! read** from offset 0: the header and the index table, and the data
+//! table when the bin's units read data. A positions-only query reads
+//! the index table alone. This is the superblock idiom: fixed metadata
+//! at a computed offset, never a probe of the file's tail — and nothing
+//! stored that the meta or the geometry gives. A file whose tables are
+//! not the sizes its summaries give fails the tables' own checksums.
+//! Without the summaries — `verify` of a variable whose meta is lost —
+//! the tables are found by those checksums alone ([`Tables::find`]).
 //!
-//! v3 and v4 had this layout with a dense chunk directory in the header
-//! (each chunk's count, bitmap offset and length, and every unit part's
-//! offset and length) and 9-byte summary records; v3 stored WAH bitmaps.
-//! `mloc upgrade` ([`crate::upgrade`]) rewrites both.
+//! v5 had this layout with the summaries, and the two table sizes,
+//! between the header and the tables; v3 and v4 also had a dense chunk
+//! directory in the header, and v3 stored WAH bitmaps. `mloc upgrade`
+//! ([`crate::upgrade`]) rewrites all three.
 //!
 //! A bin file is written with one `create`, one `append` and one
 //! `sync`. The variable's meta is the build's commit record, written
@@ -64,10 +67,10 @@ use crate::array::ChunkGrid;
 use crate::cache::{ByteView, FixedBlocks};
 use crate::config::{LevelOrder, MlocConfig};
 use crate::index::{
-    check_header, encode_summaries, le_u32, le_u64, parse_header, summary_size, ChunkSummary,
-    SummaryView, UnitLoc, HEADER_LEN, MAGIC, TABLE_SIZES, VERSION,
+    check_header, encode_summaries, le_u32, le_u64, parse_header, ChunkSummary, Summaries,
+    SummaryView, UnitLoc, HEADER_LEN, MAGIC, VERSION,
 };
-use crate::integrity::{corrupt_extent, table_len, ExtentFooter};
+use crate::integrity::{corrupt_extent, crc32, crc32_extend, table_len, ExtentFooter};
 use crate::wire::Writer;
 use crate::{MlocError, Result};
 use mloc_bitmap::{RunListRef, RunsError};
@@ -84,14 +87,16 @@ pub type Geometry = (usize, usize);
 
 /// What a whole-file check holds a variable's bin files to: the
 /// geometry that locates their fixed blocks, the level order that
-/// places their unit parts, and each chunk's point count, the length
-/// every stored run list of the chunk must fit.
+/// places their unit parts, each chunk's point count, the length every
+/// stored run list of the chunk must fit, and — when the variable's
+/// meta gave them — every bin's chunk summaries.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
     pub geometry: Geometry,
     pub level_order: LevelOrder,
     /// Points of the chunk at each curve rank.
     points: Vec<u64>,
+    summaries: Option<Summaries>,
 }
 
 impl Layout {
@@ -106,6 +111,15 @@ impl Layout {
             geometry: (grid.num_chunks(), config.num_parts()),
             level_order: config.level_order,
             points,
+            summaries: None,
+        }
+    }
+
+    /// The layout, with the bins' chunk summaries a verified meta holds.
+    pub fn with_summaries(self, summaries: Summaries) -> Layout {
+        Layout {
+            summaries: Some(summaries),
+            ..self
         }
     }
 
@@ -113,75 +127,63 @@ impl Layout {
     pub fn points(&self, rank: usize) -> u64 {
         self.points.get(rank).copied().unwrap_or(0)
     }
+
+    /// Bin `bin`'s chunk summaries, when the layout holds them.
+    fn summaries(&self, bin: usize) -> Option<SummaryView<ByteView>> {
+        let summaries = self.summaries.as_ref()?;
+        (bin < summaries.num_bins()).then(|| summaries.bin(bin))
+    }
 }
 
-/// Length of the summary extent: the chunk summaries, then the two
-/// table sizes.
-pub fn summary_extent_len(num_chunks: usize) -> u64 {
-    summary_size(num_chunks) + TABLE_SIZES
-}
+/// Index extents in front of a v6 bin file's bitmaps: the header.
+const FIXED_EXTENTS: usize = 1;
 
-/// The lengths of a bin file's header and summary extent — the two
-/// fixed blocks in front of its tables — for a geometry.
-pub(crate) type FrontLens = fn(Geometry) -> (u64, u64);
-
-/// [`FrontLens`] of format v5.
-pub(crate) fn front_lens((num_chunks, _): Geometry) -> (u64, u64) {
-    (HEADER_LEN, summary_extent_len(num_chunks))
-}
-
-/// Where a bin file's two checksum tables are, read off the end of its
-/// summary extent.
+/// Where a bin file's two checksum tables are and how many entries each
+/// holds: in format v6, right after the header, sized by the bin's set
+/// chunks ([`Self::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tables {
-    /// File offset of the index table: where the summary extent ends.
-    at: u64,
-    n_index: u32,
-    n_data: u32,
+    /// File offset of the index table.
+    pub(crate) at: u64,
+    pub(crate) n_index: u32,
+    pub(crate) n_data: u32,
 }
 
 impl Tables {
-    /// Read the table sizes off `summary`, the whole summary extent as
-    /// read from `header_len`, and hold them to the geometry: besides
-    /// the header and the summary, at most one index extent per chunk
-    /// (its bitmap) and one data extent per chunk and part. Sizes past
-    /// those bounds are damage, never a read size.
-    pub fn parse(
-        summary: &[u8],
-        header_len: u64,
-        geometry: Geometry,
-        file: &str,
-    ) -> Result<Tables> {
-        let want = summary_extent_len(geometry.0);
-        Self::parse_sized(summary, header_len, want, geometry, file)
+    /// The tables of a v6 bin file with `n_set` set chunks of
+    /// `num_parts` parts each.
+    pub fn of(n_set: usize, num_parts: usize) -> Tables {
+        Tables {
+            at: HEADER_LEN,
+            n_index: 1 + n_set as u32,
+            n_data: (n_set * num_parts) as u32,
+        }
     }
 
-    /// [`Self::parse`] for a summary extent of `want` bytes — v5's, or
-    /// the older formats' the upgrade reads.
-    pub(crate) fn parse_sized(
-        summary: &[u8],
-        header_len: u64,
-        want: u64,
-        (num_chunks, num_parts): Geometry,
-        file: &str,
-    ) -> Result<Tables> {
-        let corrupt = |what| corrupt_extent(file, header_len, summary.len() as u64, what);
-        let whole = summary.len() as u64 == want;
-        let sizes = summary.split_last_chunk::<{ TABLE_SIZES as usize }>();
-        let Some((_, &[i0, i1, i2, i3, d0, d1, d2, d3])) = sizes.filter(|_| whole) else {
-            return Err(corrupt("summary extent truncated"));
-        };
-        let n_index = u32::from_le_bytes([i0, i1, i2, i3]);
-        let n_data = u32::from_le_bytes([d0, d1, d2, d3]);
-        let index_ok = (2..=2 + num_chunks as u64).contains(&u64::from(n_index));
-        if !index_ok || u64::from(n_data) > num_chunks as u64 * num_parts as u64 {
-            return Err(corrupt("checksum table sizes out of range"));
+    /// The tables of `raw`, a whole v6 bin file of `geometry`, found by
+    /// their own checksums alone: the one index table size from the
+    /// header's extent alone to one bitmap per chunk whose stored CRC
+    /// holds — kept piece by piece, so the search is one pass over the
+    /// table — and whose data table then holds its CRC too. `None` when
+    /// no size does (a damaged table, a torn file).
+    pub(crate) fn find(raw: &[u8], (num_chunks, num_parts): Geometry) -> Option<Tables> {
+        let entries = raw.get(HEADER_LEN as usize..)?;
+        let mut crc = 0;
+        for n_set in 0..=num_chunks {
+            let end = 8 * (n_set + 1);
+            crc = crc32_extend(crc, entries.get(end - 8..end)?);
+            if entries.get(end..end + 4)? != crc.to_le_bytes() {
+                continue;
+            }
+            let tables = Tables::of(n_set, num_parts);
+            let (at, len) = tables.data_span();
+            let data = span(raw, (at, len))?;
+            let (rows, stored) = data.split_at(data.len() - 4);
+            if crc32(rows).to_le_bytes() == stored {
+                return Some(tables);
+            }
         }
-        Ok(Tables {
-            at: header_len + summary.len() as u64,
-            n_index,
-            n_data,
-        })
+        None
     }
 
     /// `(offset, length)` of the index table.
@@ -201,15 +203,22 @@ impl Tables {
         at + len
     }
 
-    /// The index table's runs: header and summary from offset 0, the
-    /// bitmaps from where they begin.
-    pub(crate) fn index_runs(&self) -> [(usize, u64); 2] {
-        [(0, 0), (2, self.bitmaps_at())]
+    /// The index table's runs: the `fixed` extents in front of the
+    /// bitmaps from offset 0, the bitmaps from where they begin.
+    pub(crate) fn index_runs(&self, fixed: usize) -> [(usize, u64); 2] {
+        [(0, 0), (fixed, self.bitmaps_at())]
     }
 
-    /// Parse the index table from `bytes`, all of [`Self::index_span`].
+    /// Parse the index table of a v6 file from `bytes`, all of
+    /// [`Self::index_span`].
     pub fn decode_index(&self, bytes: &[u8], file: &str) -> Result<ExtentFooter> {
-        ExtentFooter::decode_table(bytes, self.at, &self.index_runs(), file)
+        self.decode_index_behind(bytes, FIXED_EXTENTS, file)
+    }
+
+    /// Parse the index table from `bytes`, its bitmaps behind `fixed`
+    /// index extents.
+    fn decode_index_behind(&self, bytes: &[u8], fixed: usize, file: &str) -> Result<ExtentFooter> {
+        ExtentFooter::decode_table(bytes, self.at, &self.index_runs(fixed), file)
     }
 
     /// Parse the data table from `bytes`, all of [`Self::data_span`].
@@ -229,8 +238,8 @@ impl Tables {
 const UNSET: u32 = u32::MAX;
 
 /// Which table row holds each bitmap and unit part of a bin file,
-/// derived from its summary's counts once its tables' sizes have been
-/// held to them (see the module docs). Lookups are O(1).
+/// derived from its summaries' counts (see the module docs). Lookups are
+/// O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rows {
     /// Per chunk rank: the number of set chunks before it, or [`UNSET`].
@@ -242,18 +251,13 @@ pub struct Rows {
 }
 
 impl Rows {
-    /// Derive the rows of a bin file from its verified `summaries`, and
-    /// refuse tables whose sizes disagree with them: an index table
-    /// whose bitmap rows are not the set chunks, or a data table whose
-    /// rows are not set chunks × `num_parts`, names its table as a
-    /// corrupt extent of `file`.
+    /// Derive the rows of a bin file of `num_parts` parts per chunk laid
+    /// out in `order` from its verified `summaries`.
     pub fn derive<B: Deref<Target = [u8]>>(
         summaries: &SummaryView<B>,
-        tables: &Tables,
         num_parts: usize,
         order: LevelOrder,
-        file: &str,
-    ) -> Result<Rows> {
+    ) -> Rows {
         let mut slot = Vec::with_capacity(summaries.num_chunks());
         let mut set = Vec::new();
         for rank in 0..summaries.num_chunks() {
@@ -264,26 +268,17 @@ impl Rows {
                 set.push(rank as u32);
             }
         }
-        let n_set = set.len() as u64;
-        let refuse =
-            |(at, len): (u64, u64), what: String| Err(corrupt_extent(file, at, len, &what));
-        if u64::from(tables.n_index) != 2 + n_set {
-            let rows = tables.n_index - 2;
-            let what = format!("index table has {rows} bitmap rows for {n_set} set chunks");
-            return refuse(tables.index_span(), what);
-        }
-        if u64::from(tables.n_data) != n_set * num_parts as u64 {
-            let rows = tables.n_data;
-            let what =
-                format!("data table has {rows} rows for {n_set} set chunks of {num_parts} parts");
-            return refuse(tables.data_span(), what);
-        }
-        Ok(Rows {
+        Rows {
             slot,
             set,
             num_parts,
             part_major: order == LevelOrder::Vms,
-        })
+        }
+    }
+
+    /// Where the file's tables are, and how many entries each holds.
+    pub fn tables(&self) -> Tables {
+        Tables::of(self.set.len(), self.num_parts)
     }
 
     /// The set chunk index of `rank`, when it has points.
@@ -295,7 +290,7 @@ impl Rows {
     /// The index-table row of chunk `rank`'s bitmap; `None` when the
     /// chunk has no points.
     pub fn bitmap_row(&self, rank: usize) -> Option<usize> {
-        Some(2 + self.slot(rank)?)
+        Some(1 + self.slot(rank)?)
     }
 
     /// The data-table row of part `part` of chunk `rank`'s unit; `None`
@@ -311,7 +306,7 @@ impl Rows {
 
     /// The chunk rank whose bitmap is index-table row `row`.
     pub fn chunk_of_bitmap(&self, row: usize) -> Option<usize> {
-        let k = row.checked_sub(2)?;
+        let k = row.checked_sub(1)?;
         self.set.get(k).map(|&rank| rank as usize)
     }
 
@@ -345,29 +340,27 @@ impl Rows {
 /// A bin file's fixed blocks parsed in place, without verifying a
 /// checksum: how tools that inspect a file — `mloc stats`, tests that
 /// edit one — find its bitmaps and units, through the lookups a query
-/// uses. `raw` must hold the file from its start at least to the end of
-/// its data table, which the result holds. Queries and checks never
-/// take this route: they verify every block before trusting it.
+/// uses. `summaries` are the bin's, from its variable's meta; `raw`
+/// must hold the file from its start at least to the end of its data
+/// table. Queries and checks never take this route: they verify every
+/// block before trusting it.
 pub fn parse_fixed(
     raw: &[u8],
-    geometry: Geometry,
+    summaries: &SummaryView<ByteView>,
+    num_parts: usize,
     order: LevelOrder,
     file: &str,
 ) -> Result<FixedBlocks> {
-    check_header(raw, geometry)?;
+    check_header(raw, (summaries.num_chunks(), num_parts))?;
     let short = || corrupt_extent(file, 0, raw.len() as u64, "file shorter than its tables");
-    let summary = span(raw, (HEADER_LEN, summary_extent_len(geometry.0))).ok_or_else(short)?;
-    let tables = Tables::parse(summary, HEADER_LEN, geometry, file)?;
+    let rows = Rows::derive(summaries, num_parts, order);
+    let tables = rows.tables();
     let index = tables.decode_index(span(raw, tables.index_span()).ok_or_else(short)?, file)?;
     let data = span(raw, tables.data_span()).ok_or_else(short)?;
     let data = tables.decode_data(data, &index, file)?;
-    let summaries = SummaryView::parse(ByteView::from(summary.to_vec()), geometry.0)?;
-    let rows = Rows::derive(&summaries, &tables, geometry.1, order, file)?;
     Ok(FixedBlocks {
-        summaries,
         footer: Arc::new(index),
         data: Some(Arc::new(data)),
-        tables,
         rows,
     })
 }
@@ -401,6 +394,8 @@ pub struct BinFile {
     /// Bytes of its data section: the data table and the units. The
     /// rest is the index section.
     pub data_bytes: u64,
+    /// The bin's chunk-summary section, for the variable's meta.
+    pub summary: Vec<u8>,
 }
 
 impl<'u> BinFileBuilder<'u> {
@@ -464,10 +459,11 @@ impl<'u> BinFileBuilder<'u> {
     }
 
     /// Finish the file: the units' parts laid out in the level order
-    /// behind the bitmaps, both tables computed over the image. A set
-    /// chunk's part that compressed to nothing would have no data-table
-    /// row to derive its location from: it fails as
-    /// [`MlocError::EmptyUnit`], and nothing is built.
+    /// behind the bitmaps, both tables computed over the image, and the
+    /// bin's summary section encoded for the meta. A set chunk's part
+    /// that compressed to nothing would have no data-table row to derive
+    /// its location from: it fails as [`MlocError::EmptyUnit`], and
+    /// nothing is built.
     pub fn finish(self) -> Result<BinFile> {
         let num_chunks = self.summaries.len();
         if let Some(at) = self.parts.iter().position(|p| p.is_empty()) {
@@ -477,32 +473,22 @@ impl<'u> BinFileBuilder<'u> {
                 part: at % self.num_parts,
             });
         }
-        let n_index = 2 + self.set.len() as u32;
-        let n_data = self.parts.len() as u32;
         let mut w = Writer::new();
         w.u32(MAGIC);
         w.u8(VERSION);
         w.u32(self.bin);
         w.u32(num_chunks as u32);
         w.u8(self.num_parts as u8);
-        encode_summaries(&self.summaries, &mut w);
-        w.u32(n_index);
-        w.u32(n_data);
-        let front = w.finish();
-        let summary_len = summary_extent_len(num_chunks);
-        debug_assert_eq!(front.len() as u64, HEADER_LEN + summary_len);
+        let header = w.finish();
+        debug_assert_eq!(header.len() as u64, HEADER_LEN);
 
-        let tables = Tables {
-            at: front.len() as u64,
-            n_index,
-            n_data,
-        };
+        let tables = Tables::of(self.set.len(), self.num_parts);
         let bitmaps_at = tables.bitmaps_at();
         let order = self.level_ordered();
         let units_len: usize = self.parts.iter().map(|p| p.len()).sum();
         let file_len = bitmaps_at + (self.bitmaps.len() + units_len) as u64 + END_LEN;
         let mut image = Vec::with_capacity(file_len as usize);
-        image.extend_from_slice(&front);
+        image.extend_from_slice(&header);
         image.resize(bitmaps_at as usize, 0); // the tables, below
         image.extend_from_slice(&self.bitmaps);
         let units_at = image.len() as u64;
@@ -516,20 +502,27 @@ impl<'u> BinFileBuilder<'u> {
         image.extend_from_slice(&END_MAGIC.to_le_bytes());
         debug_assert_eq!(image.len() as u64, file_len);
 
-        let mut index_lens = vec![HEADER_LEN as u32, summary_len as u32];
+        let mut index_lens = vec![HEADER_LEN as u32];
         index_lens.extend_from_slice(&self.bitmap_lens);
         let (index_at, data_at) = (tables.index_span().0, tables.data_span().0);
-        let index =
-            ExtentFooter::compute_table(&image, index_at, &tables.index_runs(), &index_lens);
+        let index = ExtentFooter::compute_table(
+            &image,
+            index_at,
+            &tables.index_runs(FIXED_EXTENTS),
+            &index_lens,
+        );
         let data = ExtentFooter::compute_table(&image, data_at, &[(0, units_at)], &unit_lens);
         for (table, span) in [(index, tables.index_span()), (data, tables.data_span())] {
             debug_assert_eq!(table.span(), span);
             let (at, len) = span;
             image[at as usize..(at + len) as usize].copy_from_slice(&table.encode_table());
         }
+        let mut summary = Writer::new();
+        encode_summaries(&self.summaries, &mut summary);
         Ok(BinFile {
             bytes: image,
             data_bytes: tables.data_span().1 + units_len as u64,
+            summary: summary.finish(),
         })
     }
 }
@@ -537,47 +530,66 @@ impl<'u> BinFileBuilder<'u> {
 /// A whole bin file, every checksum recomputed — how `verify`, `fsck`
 /// and `repair` read one.
 pub(crate) struct Checked {
-    /// Where the tables are, when the summary extent said.
+    /// Where the tables are: sized by the bin's summaries, or found by
+    /// their own checksums.
     pub tables: Option<Tables>,
     /// The index table, when it decoded.
     pub index: Option<ExtentFooter>,
     /// The data table, when it decoded: where the units are.
     pub data: Option<ExtentFooter>,
-    /// The table rows of every bitmap and unit part, when the header
-    /// and summary verified, held to a [`Layout`], and the tables'
-    /// sizes agree with the summary: what may label the damage.
+    /// The table rows of every bitmap and unit part, when the bin's
+    /// summaries were given and the header verified: what may label the
+    /// damage chunk by chunk.
     pub rows: Option<Rows>,
     /// Extents whose checksum was recomputed.
     pub extents: u64,
-    /// Every failure found: unreadable fixed blocks, bad tables, bad
-    /// extents, a missing end marker, tables whose sizes disagree with
-    /// the summary, and — held to a [`Layout`] — a header of another
-    /// geometry and run lists that disagree with their counts.
+    /// Every failure found: tables not found or bad, bad extents, a
+    /// missing end marker, and — held to a [`Layout`] — a header of
+    /// another geometry and run lists that disagree with their counts.
     pub damage: Vec<MlocError>,
 }
 
-/// Check all of `raw`, the whole bin file `file`. Held to `layout` —
-/// the variable's, when its meta (or else its dataset's catalog) says —
-/// its fixed blocks are located with the layout's geometry, the header
-/// must state it, and every bitmap is taken as a run list of its
-/// chunk's count within its chunk's points, as a query takes it.
-/// Without one, the fixed blocks are located with the counts the header
-/// states, and the header is then checked like every other extent.
-/// Either way the tables' sizes are held to the summary's set chunks.
-pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>) -> Checked {
-    let mut out = check_extents(raw, file, layout.map(|l| l.geometry), front_lens);
-    check_rows(raw, file, layout, &mut out);
+/// Check all of `raw`, the whole file `file` of bin `bin`. Held to
+/// `layout` — the variable's, when its meta (or else its dataset's
+/// catalog) says — the header must state the layout's geometry; with
+/// the bin's summaries, which a verified meta gives, the tables are
+/// sized by them and every bitmap is taken as a run list of its chunk's
+/// count within its chunk's points, as a query takes it. Without
+/// summaries the tables are found by their own checksums, and the
+/// damage is located by them alone. Without a layout the geometry is
+/// the one the header states.
+pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>, bin: usize) -> Checked {
+    let summaries = layout.and_then(|l| l.summaries(bin));
+    let geometry = layout.map_or_else(|| parse_header(raw), |l| Ok(l.geometry));
+    let tables = geometry.and_then(|geometry| {
+        let not_found = || {
+            let len = (raw.len() as u64).saturating_sub(HEADER_LEN + END_LEN);
+            corrupt_extent(file, HEADER_LEN, len, "checksum tables not found")
+        };
+        match &summaries {
+            Some(summaries) => Ok(Tables::of(summaries.set_chunks(), geometry.1)),
+            None => Tables::find(raw, geometry).ok_or_else(not_found),
+        }
+    });
+    let mut out = check_extents(raw, file, tables, FIXED_EXTENTS);
+    if let Some(layout) = layout {
+        check_geometry(raw, file, layout, &mut out);
+        if let Some(summaries) = summaries {
+            check_rows(raw, file, layout, &summaries, &mut out);
+        }
+    }
     out
 }
 
-/// The checksums, tables and end marker of `raw` alone, its header and
-/// summary extent as long as `front` says: what [`check`] checks first,
-/// and all `mloc upgrade` checks of a format-v3 or -v4 file.
+/// The checksums, tables and end marker of `raw` alone, its tables
+/// where `tables` says and its bitmaps behind `fixed` index extents:
+/// what [`check`] checks first, and all `mloc upgrade` checks of a file
+/// of the formats v3 to v5.
 pub(crate) fn check_extents(
     raw: &[u8],
     file: &str,
-    geometry: Option<Geometry>,
-    front: FrontLens,
+    tables: Result<Tables>,
+    fixed: usize,
 ) -> Checked {
     let mut out = Checked {
         tables: None,
@@ -588,14 +600,6 @@ pub(crate) fn check_extents(
         damage: Vec::new(),
     };
     let whole = |what: &str| corrupt_extent(file, 0, raw.len() as u64, what);
-    let tables = geometry
-        .map_or_else(|| parse_header(raw), Ok)
-        .and_then(|geometry| {
-            let (header_len, summary_len) = front(geometry);
-            let summary = span(raw, (header_len, summary_len))
-                .ok_or_else(|| whole("file shorter than its fixed blocks (torn write?)"))?;
-            Tables::parse_sized(summary, header_len, summary_len, geometry, file)
-        });
     let table = |(at, len)| {
         span(raw, (at, len))
             .ok_or_else(|| corrupt_extent(file, at, len, "checksum table past end of file"))
@@ -604,7 +608,8 @@ pub(crate) fn check_extents(
     // finding then.
     let checked = tables.and_then(|tables| {
         out.tables = Some(tables);
-        let index = table(tables.index_span()).and_then(|b| tables.decode_index(b, file))?;
+        let index =
+            table(tables.index_span()).and_then(|b| tables.decode_index_behind(b, fixed, file))?;
         let data = table(tables.data_span()).and_then(|b| tables.decode_data(b, &index, file));
         Ok((index, data))
     });
@@ -637,13 +642,32 @@ pub(crate) fn check_extents(
     out
 }
 
-/// Once the header and summary extents verified (damaged ones may say
-/// anything): hold the header to the layout's geometry, the tables'
-/// sizes to the summary's set chunks, and — held to a layout — take
-/// every bitmap whose extent verified as a run list of its chunk's
-/// count within its chunk.
-fn check_rows(raw: &[u8], file: &str, layout: Option<&Layout>, out: &mut Checked) {
-    let (Some(index), Some(tables)) = (out.index.as_ref(), out.tables) else {
+/// Once the header's extent verified (a damaged header may say
+/// anything), hold it to the layout's geometry: one that states another
+/// is damage to the header.
+fn check_geometry(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
+    let damaged = |e: &MlocError| matches!(e, MlocError::CorruptExtent { offset: 0, .. });
+    if out.index.is_none() || out.damage.iter().any(damaged) {
+        return;
+    }
+    if let Err(e) = check_header(raw, layout.geometry) {
+        let what = format!("header: {e}");
+        out.damage.push(corrupt_extent(file, 0, HEADER_LEN, &what));
+    }
+}
+
+/// Derive the rows from the bin's summaries — the meta's, verified
+/// apart from the file — and, once the index table decoded, take every
+/// bitmap whose extent verified as a run list of its chunk's count
+/// within its chunk.
+fn check_rows(
+    raw: &[u8],
+    file: &str,
+    layout: &Layout,
+    summaries: &SummaryView<ByteView>,
+    out: &mut Checked,
+) {
+    let Some(index) = out.index.as_ref() else {
         return;
     };
     let damaged = |at: u64| {
@@ -651,48 +675,16 @@ fn check_rows(raw: &[u8], file: &str, layout: Option<&Layout>, out: &mut Checked
             |e: &MlocError| matches!(e, MlocError::CorruptExtent { offset, .. } if *offset == at);
         out.damage.iter().any(at_extent)
     };
-    if index.num_extents() < 2 || damaged(0) || damaged(HEADER_LEN) {
-        return;
-    }
-    let geometry = match layout {
-        Some(layout) => {
-            if let Err(e) = check_header(raw, layout.geometry) {
-                let what = format!("header: {e}");
-                out.damage.push(corrupt_extent(file, 0, HEADER_LEN, &what));
-                return;
-            }
-            layout.geometry
-        }
-        None => match parse_header(raw) {
-            Ok(geometry) => geometry,
-            Err(_) => return,
-        },
-    };
-    let (off, len, _) = index.extent(1);
-    let summary = span(raw, (off, u64::from(len)))
-        .and_then(|bytes| SummaryView::parse(bytes, geometry.0).ok());
-    let Some(summary) = summary else {
-        let what = "summary unreadable";
-        out.damage.push(corrupt_extent(file, off, len.into(), what));
-        return;
-    };
-    let order = layout.map_or(LevelOrder::Vms, |l| l.level_order);
-    let rows = match Rows::derive(&summary, &tables, geometry.1, order, file) {
-        Ok(rows) => rows,
-        Err(e) => return out.damage.push(e),
-    };
-    let Some(layout) = layout else {
-        return;
-    };
+    let rows = Rows::derive(summaries, layout.geometry.1, layout.level_order);
     let mut refused = Vec::new();
-    for rank in 0..geometry.0 {
+    for rank in 0..layout.geometry.0 {
         let Some((at, len)) = rows.bitmap(index, rank) else {
             continue;
         };
         if damaged(at) {
             continue;
         }
-        let (count, points) = (summary.count(rank), layout.points(rank));
+        let (count, points) = (summaries.count(rank), layout.points(rank));
         refused.extend(match span(raw, (at, u64::from(len))) {
             None => Some(corrupt_extent(
                 file,
@@ -725,8 +717,8 @@ pub(crate) fn refused_runs(
 }
 
 /// Check a whole bin file; the first damage found, if any.
-pub(crate) fn verified(raw: &[u8], file: &str, layout: Option<&Layout>) -> Result<()> {
-    check(raw, file, layout)
+pub(crate) fn verified(raw: &[u8], file: &str, layout: Option<&Layout>, bin: usize) -> Result<()> {
+    check(raw, file, layout, bin)
         .damage
         .into_iter()
         .next()
@@ -734,7 +726,7 @@ pub(crate) fn verified(raw: &[u8], file: &str, layout: Option<&Layout>) -> Resul
 }
 
 /// `raw[at..at + len]`, when the file holds all of it.
-fn span(raw: &[u8], (at, len): (u64, u64)) -> Option<&[u8]> {
+pub(crate) fn span(raw: &[u8], (at, len): (u64, u64)) -> Option<&[u8]> {
     let start = usize::try_from(at).ok()?;
     raw.get(start..start.checked_add(usize::try_from(len).ok()?)?)
 }
@@ -757,21 +749,27 @@ fn end_marker(raw: &[u8], file: &str) -> Result<()> {
     ))
 }
 
-/// Recompute the index table of `raw`, a whole bin file of `front`'s
-/// format, over its extents as they are now: a test edits a header, a
-/// summary or a bitmap and keeps every checksum holding.
+/// Recompute the index table of `raw`, a whole v6 bin file whose tables
+/// are `tables`, over its extents as they are now: a test edits a
+/// header or a bitmap and keeps every checksum holding.
 #[cfg(test)]
-pub(crate) fn reseal_index(raw: &mut [u8], geometry: Geometry, front: FrontLens, file: &str) {
-    let (header_len, summary_len) = front(geometry);
-    let summary = &raw[header_len as usize..(header_len + summary_len) as usize];
-    let tables = Tables::parse_sized(summary, header_len, summary_len, geometry, file).unwrap();
+pub(crate) fn reseal_index(raw: &mut [u8], tables: Tables, file: &str) {
+    reseal_index_behind(raw, tables, FIXED_EXTENTS, file);
+}
+
+/// [`reseal_index`] of a bin file whose bitmaps are behind `fixed`
+/// index extents.
+#[cfg(test)]
+pub(crate) fn reseal_index_behind(raw: &mut [u8], tables: Tables, fixed: usize, file: &str) {
     let (at, len) = tables.index_span();
     let span = at as usize..(at + len) as usize;
-    let index = tables.decode_index(&raw[span.clone()], file).unwrap();
+    let index = tables
+        .decode_index_behind(&raw[span.clone()], fixed, file)
+        .unwrap();
     let lens: Vec<u32> = (0..index.num_extents())
         .map(|i| index.extent(i).1)
         .collect();
-    let table = ExtentFooter::compute_table(raw, at, &tables.index_runs(), &lens);
+    let table = ExtentFooter::compute_table(raw, at, &tables.index_runs(fixed), &lens);
     raw[span].copy_from_slice(&table.encode_table());
 }
 
@@ -781,13 +779,21 @@ mod tests {
     use mloc_bitmap::RunList;
     use proptest::prelude::*;
 
-    /// `chunks` chunks of 16 points, `parts` parts each.
+    /// `chunks` chunks of 16 points, `parts` parts each, held to the
+    /// bins' `summaries` when given.
     fn layout((chunks, parts): Geometry, level_order: LevelOrder) -> Layout {
         Layout {
             geometry: (chunks, parts),
             level_order,
             points: vec![16; chunks],
+            summaries: None,
         }
+    }
+
+    /// The layout of [`built`]'s bin 0, with its summary section.
+    fn held(summary: &[u8], order: LevelOrder) -> Layout {
+        let summaries = Summaries::parse(summary.to_vec(), 1, 4).unwrap();
+        layout((4, 3), order).with_summaries(summaries)
     }
 
     /// Part `part` of chunk `rank`'s unit in [`built`]: `5 + part`
@@ -797,8 +803,8 @@ mod tests {
     }
 
     /// A small bin file: 4 chunks × 3 parts, three chunks with points
-    /// and units, laid out in `order`.
-    fn built_in(order: LevelOrder) -> (Vec<u8>, Geometry) {
+    /// and units, laid out in `order`; and its summary section.
+    fn built_in(order: LevelOrder) -> (Vec<u8>, Vec<u8>) {
         let parts: Vec<Vec<Vec<u8>>> = (0..4)
             .map(|rank| (0..3).map(|part| part_bytes(rank, part)).collect())
             .collect();
@@ -808,109 +814,73 @@ mod tests {
             let unit: Vec<&[u8]> = parts[rank].iter().map(Vec::as_slice).collect();
             b.set_chunk(rank, runs.as_ref(), &unit);
         }
-        (b.finish().unwrap().bytes, (4, 3))
+        let file = b.finish().unwrap();
+        (file.bytes, file.summary)
     }
 
-    fn built() -> (Vec<u8>, Geometry) {
+    fn built() -> (Vec<u8>, Vec<u8>) {
         built_in(LevelOrder::Vms)
     }
 
-    fn summary_extent(raw: &[u8], (chunks, _): Geometry) -> (&[u8], u64) {
-        let at = HEADER_LEN;
-        let end = (at + summary_extent_len(chunks)).min(raw.len() as u64);
-        (&raw[(at as usize).min(raw.len())..end as usize], at)
-    }
-
-    /// The checked file's tables, summary and rows, all of them clean.
-    fn rows_of(raw: &[u8], order: LevelOrder) -> (Tables, ExtentFooter, ExtentFooter, Rows) {
-        let geometry = (4, 3);
-        let checked = check(raw, "f", Some(&layout(geometry, order)));
+    /// The checked file's tables, index table, data table and rows, all
+    /// of them clean.
+    fn rows_of(
+        raw: &[u8],
+        summary: &[u8],
+        order: LevelOrder,
+    ) -> (Tables, ExtentFooter, ExtentFooter, Rows) {
+        let checked = check(raw, "f", Some(&held(summary, order)), 0);
         assert!(checked.damage.is_empty(), "{:?}", checked.damage);
         let rows = checked.rows.unwrap();
         let (index, data) = (checked.index.unwrap(), checked.data.unwrap());
         (checked.tables.unwrap(), index, data, rows)
     }
 
-    /// Eager decoders of the preamble and the end marker, written apart
-    /// from the ones under test.
-    mod oracle {
-        use super::super::*;
-
-        pub fn tables(
-            summary: &[u8],
-            header_len: u64,
-            (chunks, parts): Geometry,
-            file: &str,
-        ) -> Result<(u64, u32, u32)> {
-            let bad =
-                |what: &str| Err(corrupt_extent(file, header_len, summary.len() as u64, what));
-            let want = 8 + 13 * chunks + 8;
-            if summary.len() != want {
-                return bad("summary extent truncated");
-            }
-            let word = |at: usize| u32::from_le_bytes(summary[at..at + 4].try_into().unwrap());
-            let (n_index, n_data) = (word(want - 8), word(want - 4));
-            let index_max = 2 + chunks as u64;
-            if n_index < 2
-                || u64::from(n_index) > index_max
-                || u64::from(n_data) > (chunks * parts) as u64
-            {
-                return bad("checksum table sizes out of range");
-            }
-            Ok((header_len + want as u64, n_index, n_data))
+    /// The end-marker decoder written apart from the one under test.
+    fn oracle_end_marker(raw: &[u8], file: &str) -> Result<()> {
+        let n = raw.len();
+        if n >= 12 && raw[n - 4..] == *b"MEND" && raw[n - 12..n - 4] == (n as u64).to_le_bytes() {
+            return Ok(());
         }
-
-        pub fn end_marker(raw: &[u8], file: &str) -> Result<()> {
-            let n = raw.len();
-            if n >= 12 && raw[n - 4..] == *b"MEND" && raw[n - 12..n - 4] == (n as u64).to_le_bytes()
-            {
-                return Ok(());
-            }
-            let at = n.saturating_sub(12);
-            Err(corrupt_extent(
-                file,
-                at as u64,
-                (n - at) as u64,
-                "missing end marker (incomplete build?)",
-            ))
-        }
+        let at = n.saturating_sub(12);
+        Err(corrupt_extent(
+            file,
+            at as u64,
+            (n - at) as u64,
+            "missing end marker (incomplete build?)",
+        ))
     }
 
-    /// The preamble and end-marker decoders against the oracle's, on
-    /// one buffer: the same verdict and message, the same tables.
-    fn agree(raw: &[u8], geometry: Geometry) {
-        let (summary, at) = summary_extent(raw, geometry);
-        let got = Tables::parse(summary, at, geometry, "f").map(|t| {
-            let (index_at, index_len) = t.index_span();
-            (
-                index_at,
-                ((index_len - 4) / 8) as u32,
-                ((t.data_span().1 - 4) / 8) as u32,
-            )
-        });
-        let want = oracle::tables(summary, at, geometry, "f");
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        let (got, want) = (end_marker(raw, "f"), oracle::end_marker(raw, "f"));
+    /// The end-marker decoder against the oracle's, on one buffer: the
+    /// same verdict and message.
+    fn agree(raw: &[u8]) {
+        let (got, want) = (end_marker(raw, "f"), oracle_end_marker(raw, "f"));
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]
     fn a_built_file_checks_clean_and_its_sections_add_up() {
-        let (raw, geometry) = built();
-        for stated in [Some(&layout(geometry, LevelOrder::Vms)), None] {
-            let checked = check(&raw, "f", stated);
+        let (raw, summary) = built();
+        let with = held(&summary, LevelOrder::Vms);
+        let without = layout((4, 3), LevelOrder::Vms);
+        for stated in [Some(&with), Some(&without), None] {
+            let checked = check(&raw, "f", stated, 0);
             assert!(checked.damage.is_empty(), "{:?}", checked.damage);
-            // Header, summary, three bitmaps; nine units.
-            assert_eq!(checked.extents, 5 + 9);
+            // Header, three bitmaps; nine units.
+            assert_eq!(checked.extents, 4 + 9);
+            // Sized by the summaries or found by the checksums: the
+            // same tables.
+            assert_eq!(checked.tables, Some(Tables::of(3, 3)));
         }
-        let tables = rows_of(&raw, LevelOrder::Vms).0;
-        let fixed = parse_fixed(&raw, geometry, LevelOrder::Vms, "f").unwrap();
+        let tables = rows_of(&raw, &summary, LevelOrder::Vms).0;
+        let summaries = Summaries::parse(summary, 1, 4).unwrap().bin(0);
+        let fixed = parse_fixed(&raw, &summaries, 3, LevelOrder::Vms, "f").unwrap();
         let (index, data) = fixed.section_bytes().unwrap();
         assert_eq!(index + data, raw.len() as u64);
         assert_eq!(data, tables.data_span().1 + (5 + 6 + 7) * 3);
-        // The header is the prologue alone.
+        // The tables follow the header, itself the prologue alone.
         assert_eq!(HEADER_LEN, 14);
-        assert_eq!(tables.index_span().0, HEADER_LEN + summary_extent_len(4));
+        assert_eq!(tables.index_span(), (HEADER_LEN, table_len(4)));
     }
 
     /// Every bitmap and unit part is where its derived row says, in
@@ -918,8 +888,8 @@ mod tests {
     #[test]
     fn derived_rows_locate_every_bitmap_and_part_in_either_level_order() {
         for order in [LevelOrder::Vms, LevelOrder::Vsm] {
-            let (raw, _) = built_in(order);
-            let (_, index, data, rows) = rows_of(&raw, order);
+            let (raw, summary) = built_in(order);
+            let (_, index, data, rows) = rows_of(&raw, &summary, order);
             for (rank, positions) in [(0usize, &[1u64, 5, 9][..]), (1, &[0]), (3, &[2, 3])] {
                 let (at, len) = rows.bitmap(&index, rank).unwrap();
                 let runs = RunList::from_sorted_positions(16, positions);
@@ -941,55 +911,83 @@ mod tests {
             assert_eq!(rows.unit(&data, 2, 0), None);
             assert_eq!(rows.unit(&data, 0, 3), None);
             assert_eq!(rows.unit_of_row(9), None);
+            assert_eq!(rows.chunk_of_bitmap(0), None, "the header's row");
         }
         // Part-major and chunk-major differ only in where the parts are.
-        let (vms, vsm) = (built_in(LevelOrder::Vms).0, built_in(LevelOrder::Vsm).0);
-        assert_eq!(vms.len(), vsm.len());
-        let units_at = rows_of(&vms, LevelOrder::Vms).2.extent(0).0 as usize;
-        assert_eq!(vms[..HEADER_LEN as usize], vsm[..HEADER_LEN as usize]);
-        assert_ne!(vms[units_at..], vsm[units_at..]);
+        let (vms, vsm) = (built_in(LevelOrder::Vms), built_in(LevelOrder::Vsm));
+        assert_eq!(vms.0.len(), vsm.0.len());
+        assert_eq!(vms.1, vsm.1, "the same summaries");
+        let units_at = rows_of(&vms.0, &vms.1, LevelOrder::Vms).2.extent(0).0 as usize;
+        assert_eq!(vms.0[..HEADER_LEN as usize], vsm.0[..HEADER_LEN as usize]);
+        assert_ne!(vms.0[units_at..], vsm.0[units_at..]);
     }
 
     /// Every prefix of a built file and every single-bit flip of it:
-    /// the decoders agree with the oracle, nothing panics, and the
-    /// whole-file check finds damage in each — every byte of a bin file
-    /// is under a checksum or is its end marker.
+    /// the end-marker decoder agrees with the oracle, nothing panics,
+    /// and the whole-file check finds damage in each, held to the
+    /// summaries, to the geometry alone, or to nothing — every byte of
+    /// a bin file is under a checksum or is its end marker.
     #[test]
     fn every_truncation_and_bit_flip_is_found_and_never_panics() {
-        let (raw, geometry) = built();
-        let layout = layout(geometry, LevelOrder::Vms);
+        let (raw, summary) = built();
+        let with = held(&summary, LevelOrder::Vms);
+        let without = layout((4, 3), LevelOrder::Vms);
         for cut in 0..raw.len() {
-            agree(&raw[..cut], geometry);
-            for stated in [Some(&layout), None] {
-                let checked = check(&raw[..cut], "f", stated);
+            agree(&raw[..cut]);
+            for stated in [Some(&with), Some(&without), None] {
+                let checked = check(&raw[..cut], "f", stated, 0);
                 assert!(!checked.damage.is_empty(), "cut at {cut} passed");
             }
         }
         for bit in 0..raw.len() * 8 {
             let mut bad = raw.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            agree(&bad, geometry);
-            let checked = check(&bad, "f", Some(&layout));
-            assert!(!checked.damage.is_empty(), "flip of bit {bit} passed");
-            let _ = check(&bad, "f", None);
+            agree(&bad);
+            for stated in [Some(&with), Some(&without)] {
+                let checked = check(&bad, "f", stated, 0);
+                assert!(!checked.damage.is_empty(), "flip of bit {bit} passed");
+            }
+            let _ = check(&bad, "f", None, 0);
+        }
+    }
+
+    /// Found by their checksums alone, the tables are the ones the
+    /// summaries size, for every count of set chunks; a damaged index
+    /// or data table is found by nothing.
+    #[test]
+    fn tables_are_found_by_their_checksums_alone() {
+        for set in 0..=4usize {
+            let mut b = BinFileBuilder::new(0, 4, 2, LevelOrder::Vms);
+            for rank in 0..set {
+                let runs = RunList::from_sorted_positions(16, &[rank as u64]);
+                b.set_chunk(rank, runs.as_ref(), &[b"ab", b"c"]);
+            }
+            let raw = b.finish().unwrap().bytes;
+            let tables = Tables::of(set, 2);
+            assert_eq!(Tables::find(&raw, (4, 2)), Some(tables), "{set} set");
+            for at in [tables.index_span().0, tables.data_span().0] {
+                let mut bad = raw.clone();
+                bad[at as usize] ^= 0x04;
+                assert_eq!(Tables::find(&bad, (4, 2)), None, "{set} set, flip at {at}");
+            }
         }
     }
 
     /// A run list edited under a resealed checksum table passes every
-    /// checksum: held to the layout, the check names it, at its extent;
-    /// held to nothing, it cannot.
+    /// checksum: held to the summaries, the check names it, at its
+    /// extent; held to nothing, it cannot.
     #[test]
     fn a_resealed_run_list_that_disagrees_with_its_entry_is_found() {
-        let (raw, geometry) = built();
-        let (_, index, _, rows) = rows_of(&raw, LevelOrder::Vms);
+        let (raw, summary) = built();
+        let (tables, index, _, rows) = rows_of(&raw, &summary, LevelOrder::Vms);
         // Chunk 0's runs are 1, 5, 9: lengthen the last run by one.
         let (at, len) = rows.bitmap(&index, 0).unwrap();
         assert_eq!(len, 6, "three one-byte pairs");
         let mut bad = raw.clone();
         bad[at as usize + 5] = 1;
-        reseal_index(&mut bad, geometry, front_lens, "f");
-        assert!(check(&bad, "f", None).damage.is_empty());
-        let damage = check(&bad, "f", Some(&layout(geometry, LevelOrder::Vms))).damage;
+        reseal_index(&mut bad, tables, "f");
+        assert!(check(&bad, "f", None, 0).damage.is_empty());
+        let damage = check(&bad, "f", Some(&held(&summary, LevelOrder::Vms)), 0).damage;
         let [MlocError::CorruptExtent {
             offset,
             len: n,
@@ -1006,46 +1004,51 @@ mod tests {
         );
     }
 
-    /// A summary that sets one chunk more or fewer than the tables have
-    /// rows for, resealed so every checksum holds, is named at the table
-    /// whose size disagrees — held to a layout or not.
+    /// Summaries that set one chunk more or fewer than the file has
+    /// bitmaps for size its tables wrong: the index table fails its own
+    /// checksum, named at the span the summaries give it.
     #[test]
     fn tables_whose_rows_disagree_with_the_summary_are_named() {
-        let (raw, geometry) = built();
-        let (tables, ..) = rows_of(&raw, LevelOrder::Vms);
-        let count_at = |rank: usize| (HEADER_LEN + 8 + 13 * rank as u64) as usize;
+        let (raw, summary) = built();
+        let count_at = |rank: usize| 8 + 13 * rank;
         // Chunk 2 gains a point; chunk 1 loses its only one.
-        for (rank, count) in [(2usize, 1u32), (1, 0)] {
-            let mut bad = raw.clone();
-            bad[count_at(rank)..count_at(rank) + 4].copy_from_slice(&count.to_le_bytes());
-            reseal_index(&mut bad, geometry, front_lens, "f");
-            for stated in [Some(&layout(geometry, LevelOrder::Vms)), None] {
-                let damage = check(&bad, "f", stated).damage;
-                let [MlocError::CorruptExtent { offset, what, .. }] = &damage[..] else {
-                    panic!("{damage:?}");
-                };
-                assert_eq!(*offset, tables.index_span().0, "{what}");
-                assert!(what.contains("bitmap rows for"), "{what}");
-            }
+        for (rank, count, set) in [(2usize, 1u32, 4usize), (1, 0, 2)] {
+            let mut other = summary.clone();
+            other[count_at(rank)..count_at(rank) + 4].copy_from_slice(&count.to_le_bytes());
+            let damage = check(&raw, "f", Some(&held(&other, LevelOrder::Vms)), 0).damage;
+            let MlocError::CorruptExtent {
+                offset, len, what, ..
+            } = &damage[0]
+            else {
+                panic!("{damage:?}");
+            };
+            assert_eq!((*offset, *len), Tables::of(set, 3).index_span(), "{what}");
+            assert_eq!(what, "checksum table corrupt");
         }
     }
 
-    /// Table sizes one row off what the summary's set chunks need — a
-    /// data row or a bitmap row too many or too few — are refused when
-    /// the rows are derived, naming the table whose size is wrong.
+    /// Tables read at sizes one row off what the summaries' set chunks
+    /// give — a data row or a bitmap row too many or too few — are
+    /// refused by their own checksums, naming the table read.
     #[test]
     fn rows_refuse_table_sizes_other_than_the_summarys() {
-        let (raw, geometry) = built();
-        let (summary, at) = summary_extent(&raw, geometry);
-        let summaries = SummaryView::parse(summary, geometry.0).unwrap();
-        let end = summary.len();
-        for (field, delta) in [(end - 4, 1i64), (end - 4, -1), (end - 8, 1), (end - 8, -1)] {
-            let mut bad = summary.to_vec();
-            let stated = i64::from(le_u32(&bad, field)) + delta;
-            bad[field..field + 4].copy_from_slice(&(stated as u32).to_le_bytes());
-            let tables = Tables::parse(&bad, at, geometry, "f").unwrap();
-            let got = Rows::derive(&summaries, &tables, geometry.1, LevelOrder::Vms, "f");
-            let span = match field == end - 4 {
+        let (raw, _) = built();
+        let right = Tables::of(3, 3);
+        let index = right
+            .decode_index(span(&raw, right.index_span()).unwrap(), "f")
+            .unwrap();
+        for (n_index, n_data) in [(5, 9), (3, 9), (4, 10), (4, 8)] {
+            let tables = Tables {
+                at: HEADER_LEN,
+                n_index,
+                n_data,
+            };
+            let read = |(at, len)| span(&raw, (at, len)).unwrap();
+            let got = match n_index == right.n_index {
+                true => tables.decode_data(read(tables.data_span()), &index, "f"),
+                false => tables.decode_index(read(tables.index_span()), "f"),
+            };
+            let span = match n_index == right.n_index {
                 true => tables.data_span(),
                 false => tables.index_span(),
             };
@@ -1054,9 +1057,9 @@ mod tests {
                     offset, len, what, ..
                 }) => {
                     assert_eq!((offset, len), span, "{what}");
-                    assert!(what.contains("rows for 3 set chunks"), "{what}");
+                    assert_eq!(what, "checksum table corrupt");
                 }
-                other => panic!("{other:?}"),
+                other => panic!("{n_index}, {n_data}: {other:?}"),
             }
         }
     }
@@ -1088,9 +1091,9 @@ mod tests {
 
     proptest! {
         /// Arbitrary buffers, and a built file with arbitrary bytes
-        /// written over it: no decoder panics, the preamble and end
-        /// marker decoders agree with the oracle, and the whole-file
-        /// check allocates nothing the buffer does not bound.
+        /// written over it: no decoder panics, the end-marker decoder
+        /// agrees with the oracle, and the whole-file check allocates
+        /// nothing the buffer does not bound.
         #[test]
         fn arbitrary_bytes_never_panic(
             junk in proptest::collection::vec(any::<u8>(), 0..600),
@@ -1099,16 +1102,17 @@ mod tests {
             chunks in 0usize..6,
             parts in 1usize..4,
         ) {
-            agree(&junk, (chunks, parts));
-            let _ = check(&junk, "f", Some(&layout((chunks, parts), LevelOrder::Vms)));
-            let _ = check(&junk, "f", None);
-            let (mut raw, geometry) = built();
+            agree(&junk);
+            let _ = check(&junk, "f", Some(&layout((chunks, parts), LevelOrder::Vms)), 0);
+            let _ = check(&junk, "f", None, 0);
+            let (mut raw, summary) = built();
             let at = at % raw.len();
             let end = (at + over.len()).min(raw.len());
             raw[at..end].copy_from_slice(&over[..end - at]);
-            agree(&raw, geometry);
-            let checked = check(&raw, "f", Some(&layout(geometry, LevelOrder::Vms)));
+            agree(&raw);
+            let checked = check(&raw, "f", Some(&held(&summary, LevelOrder::Vms)), 0);
             prop_assert!(checked.extents <= raw.len() as u64);
+            let _ = check(&raw, "f", None, 0);
         }
     }
 }

@@ -46,6 +46,7 @@ use crate::binfile::{BinFile, BinFileBuilder};
 use crate::binning::BinSpec;
 use crate::config::MlocConfig;
 use crate::fileorg;
+use crate::index::{summary_size, Summaries};
 use crate::store::VariableMeta;
 use crate::{plod, MlocError, Result};
 use mloc_bitmap::RunList;
@@ -67,10 +68,12 @@ pub struct BuildReport {
     /// Bytes of every bin file's data section: the compressed units and
     /// their checksum table.
     pub data_bytes: u64,
-    /// Bytes of every bin file's index section: header, chunk
-    /// summaries, index checksum table, bitmaps and end marker.
+    /// Bytes of the index: every bin file's index section (header,
+    /// index checksum table, bitmaps and end marker) and the chunk
+    /// summaries, which the meta holds.
     pub index_bytes: u64,
-    /// Metadata bytes. The three fields sum to the bytes on disk.
+    /// The meta's other bytes. The three fields sum to the bytes on
+    /// disk.
     pub meta_bytes: u64,
     /// Raw (uncompressed) size of the variable.
     pub raw_bytes: u64,
@@ -420,8 +423,10 @@ impl<'a> StreamingBuilder<'a> {
 
         // Stage 2 — write, then commit.
         let data_bytes: u64 = assembled.iter().map(|f| f.data_bytes).sum();
-        let files: Vec<Vec<u8>> = assembled.into_iter().map(|f| f.bytes).collect();
-        let index_bytes = files.iter().map(|f| f.len() as u64).sum::<u64>() - data_bytes;
+        let (files, summaries) = into_meta_parts(assembled, num_chunks)?;
+        let summary_bytes = summaries.as_bytes().len() as u64;
+        let files_bytes = files.iter().map(|f| f.len() as u64).sum::<u64>();
+        let index_bytes = files_bytes - data_bytes + summary_bytes;
         let t_write = Instant::now();
         let total_points = self.grid.num_points() as u64;
         let meta = VariableMeta {
@@ -429,8 +434,10 @@ impl<'a> StreamingBuilder<'a> {
             config: self.config.clone(),
             bin_bounds: self.spec.bounds().to_vec(),
             total_points,
+            summaries,
         };
-        let meta_bytes = write_variable(self.backend, &self.dataset, &meta, files, threads)?;
+        let meta_bytes =
+            write_variable(self.backend, &self.dataset, &meta, files, threads)? - summary_bytes;
         let write_seconds = t_write.elapsed().as_secs_f64();
 
         let build_seconds = self.start.elapsed().as_secs_f64();
@@ -460,6 +467,24 @@ impl<'a> StreamingBuilder<'a> {
             profile,
         })
     }
+}
+
+/// Split finished bin files, in bin order, into their bytes and the
+/// meta's summary sections, back to back.
+pub(crate) fn into_meta_parts(
+    files: Vec<BinFile>,
+    num_chunks: usize,
+) -> Result<(Vec<Vec<u8>>, Summaries)> {
+    let num_bins = files.len();
+    let mut sections = Vec::with_capacity(num_bins * summary_size(num_chunks) as usize);
+    let bytes = files
+        .into_iter()
+        .map(|f| {
+            sections.extend_from_slice(&f.summary);
+            f.bytes
+        })
+        .collect();
+    Ok((bytes, Summaries::parse(sections, num_bins, num_chunks)?))
 }
 
 /// The write stage every variable is committed through — a build's,

@@ -36,8 +36,8 @@
 //! reuses them, reads only the missing tail parts, and replaces the
 //! block with the longer prefix.
 //!
-//! A bin's fixed blocks — header, summary, index and data
-//! checksum tables — are cached likewise as one entry
+//! A bin's fixed blocks — header, index and data checksum tables —
+//! are cached likewise as one entry
 //! ([`BlockPart::Fixed`]), verified and parsed ([`FixedBlocks`]), so a
 //! warm bin is one probe too.
 //!
@@ -46,7 +46,7 @@
 //! requires a fresh cache.
 
 use crate::binfile::{Rows, Tables};
-use crate::index::{SummaryView, UnitLoc, HEADER_LEN};
+use crate::index::{UnitLoc, HEADER_LEN};
 use crate::integrity::ExtentFooter;
 use mloc_bitmap::RunList;
 use parking_lot::Mutex;
@@ -252,34 +252,25 @@ impl From<Vec<u8>> for ByteView {
 /// admission ([`Rows`]), and looked up in O(1).
 #[derive(Debug, Clone)]
 pub struct FixedBlocks {
-    /// The chunk summaries: each chunk's count and span.
-    pub summaries: SummaryView<ByteView>,
     /// The bin file's index checksum table.
     pub footer: Arc<ExtentFooter>,
     /// The bin file's data checksum table, once a query needed it.
     pub data: Option<Arc<ExtentFooter>>,
-    /// Where the bin file's tables are: what locates the data table when
-    /// an entry without it is extended.
-    pub tables: Tables,
     /// Which table row holds each bitmap and unit part.
     pub rows: Rows,
 }
 
 impl FixedBlocks {
-    /// `(offset, len)` of each block but the data table, in the order
-    /// a cold fetch reads them: the header, the summary extent, the
-    /// index table. The data table is [`Self::data`]'s span.
-    pub fn index_spans(&self) -> [(u64, u64); 3] {
-        [
-            (0, HEADER_LEN),
-            (HEADER_LEN, self.tables.index_span().0 - HEADER_LEN),
-            self.footer.span(),
-        ]
+    /// Where the bin file's tables are.
+    pub fn tables(&self) -> Tables {
+        self.rows.tables()
     }
 
-    /// Number of the bin's points inside chunk `rank`.
-    pub fn count(&self, rank: usize) -> u32 {
-        self.summaries.count(rank)
+    /// `(offset, len)` of each block the entry holds but the data table
+    /// — the header, the index table — in file order. The data table is
+    /// [`Self::data`]'s span.
+    pub fn index_spans(&self) -> [(u64, u64); 2] {
+        [(0, HEADER_LEN), self.footer.span()]
     }
 
     /// Chunk `rank`'s bitmap extent, `(offset, stored length)`; `None`
@@ -295,9 +286,9 @@ impl FixedBlocks {
     }
 
     /// How the bin file's bytes split between its index section
-    /// (header, summary, index table, bitmaps, end marker) and its data
-    /// section (data table, units): `(index, data)`, from its tables
-    /// alone; `None` when the entry holds no data table.
+    /// (header, index table, bitmaps, end marker) and its data section
+    /// (data table, units): `(index, data)`, from its tables alone;
+    /// `None` when the entry holds no data table.
     pub fn section_bytes(&self) -> Option<(u64, u64)> {
         let lens = |t: &ExtentFooter, from: usize| -> u64 {
             (from..t.num_extents())
@@ -305,15 +296,17 @@ impl FixedBlocks {
                 .sum()
         };
         let data = self.data.as_deref()?;
-        let (data_at, data_len) = self.tables.data_span();
-        let index = data_at + lens(&self.footer, 2) + crate::binfile::END_LEN;
+        let (data_at, data_len) = self.tables().data_span();
+        let index = data_at + lens(&self.footer, 1) + crate::binfile::END_LEN;
         Some((index, data_len + lens(data, 0)))
     }
 
-    /// Stored bytes of every block the entry holds.
+    /// Stored bytes of every block the entry holds: the file's front
+    /// up to the end of its index table, or of its data table when the
+    /// entry holds it.
     fn cost(&self) -> u64 {
-        let data = self.data.as_ref().map_or(0, |d| d.span().1);
-        self.index_spans().iter().map(|(_, len)| len).sum::<u64>() + data
+        let (at, len) = self.tables().data_span();
+        at + if self.data.is_some() { len } else { 0 }
     }
 }
 

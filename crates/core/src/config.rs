@@ -484,37 +484,56 @@ mod tests {
             (config.clone(), catalog.len(), 0)
         );
 
+        // Every bin's summary section: 16 empty chunks each.
+        let mut w = crate::wire::Writer::new();
+        for _ in 0..12 {
+            crate::index::encode_summaries(&[crate::index::ChunkSummary::EMPTY; 16], &mut w);
+        }
+        let sections = w.finish();
+        let section = format!(
+            "4d53554d10000000{}",
+            "00000000ffffffff0000000000".repeat(16)
+        );
+        assert_eq!(hex(&sections), section.repeat(12));
+        let summaries = crate::index::Summaries::parse(sections.clone(), 12, 16).unwrap();
         let meta = crate::store::VariableMeta {
             var: "temp".into(),
             config,
             bin_bounds: (0..=12).map(|i| i as f64 * 0.5).collect(),
             total_points: 16384,
+            summaries,
         };
         let bounds = "0d0000000000000000000000000000000000e03f000000000000f03f\
                       000000000000f83f000000000000004000000000000004400000000000000840\
                       0000000000000c40000000000000104000000000000012400000000000001440\
                       00000000000016400000000000001840";
-        // The version byte (5: locations derived, not stored) is the only
-        // byte the meta of format v5 changed; a version-2 meta (two files
-        // per bin), version-3 one (WAH bitmaps) or version-4 one (chunk
-        // directories) — the checked-in fixtures — decodes for `mloc
-        // upgrade` alone.
+        // The version byte (6: the summaries in the meta) and the summary
+        // sections that end it are all the meta of format v6 changed; a
+        // version-2 meta (two files per bin), version-3 one (WAH
+        // bitmaps), version-4 one (chunk directories) or version-5 one
+        // (derived locations) — the checked-in fixtures — has no
+        // sections, and decodes for `mloc upgrade` alone.
         let payload = |version: &str| {
             format!("4d4d4554{version}0400000074656d70{body}{bounds}0040000000000000")
         };
-        assert_eq!(hex(&meta.encode()), payload("05"));
+        let encoded = meta.encode();
+        assert_eq!(hex(&encoded), payload("06") + &section.repeat(12));
         let decode = crate::store::VariableMeta::decode;
-        assert_eq!(decode(&meta.encode()).unwrap(), meta);
+        assert_eq!(decode(&encoded).unwrap(), meta);
         let any = crate::store::VariableMeta::decode_any;
-        for version in [2u8, 3, 4] {
-            let mut old = meta.encode();
+        let without = crate::store::VariableMeta {
+            summaries: crate::index::Summaries::none(),
+            ..meta.clone()
+        };
+        for version in [2u8, 3, 4, 5] {
+            let mut old = encoded[..encoded.len() - sections.len()].to_vec();
             old[4] = version;
             assert_eq!(hex(&old), payload(&format!("{version:02x}")));
             assert!(matches!(
                 decode(&old),
                 Err(crate::MlocError::NeedsUpgrade { .. })
             ));
-            assert_eq!(any(&old).unwrap(), (version, meta.clone()));
+            assert_eq!(any(&old).unwrap(), (version, without.clone()));
         }
     }
 

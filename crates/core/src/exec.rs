@@ -15,7 +15,7 @@ use crate::store::MlocStore;
 use crate::{MlocError, Result};
 use mloc_obs::{Collector, Label, Profile};
 use mloc_pfs::{CostModel, ReadOp, RetryPolicy};
-use mloc_runtime::{column_order, spmd};
+use mloc_runtime::spmd;
 use std::time::Instant;
 
 /// Executes queries over `nranks` ranks with a PFS cost model.
@@ -223,8 +223,7 @@ impl ParallelExecutor {
                 &planned
             }
         };
-        let unit_bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
-        let assignment = column_order(&unit_bins, self.nranks);
+        let assignment = plan.deal(self.nranks);
         let cache_before = store.cache().filter(|_| self.profiled).map(|c| c.stats());
         let meter = Meter::start(store.backend());
 
@@ -467,12 +466,12 @@ mod tests {
             Query::values_in(Region::new(vec![(5, 30), (10, 50)])),
         ] {
             let plan = make_plan(&store, &q).unwrap();
-            let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
             for nranks in [2, 4, 8] {
                 let exec = ParallelExecutor::new(nranks, CostModel::default());
                 let out = exec.run(&store, ExecRequest::new(&q)).unwrap();
                 assert_eq!(out.metrics.fused_bytes_saved, 0);
-                let lone: Vec<Vec<ReadOp>> = column_order(&bins, nranks)
+                let lone: Vec<Vec<ReadOp>> = plan
+                    .deal(nranks)
                     .per_rank
                     .iter()
                     .map(|dealt| {
@@ -658,9 +657,8 @@ mod tests {
             for (q, filter) in &queries {
                 let plan = make_plan(&store, q).unwrap();
                 expected.push(oracle::expected(&store, &values, q, &plan.units, *filter));
-                let bins: Vec<usize> = plan.units.iter().map(|u| u.bin).collect();
                 for nranks in [1, 3, 8] {
-                    for (rank, dealt) in column_order(&bins, nranks).per_rank.iter().enumerate() {
+                    for (rank, dealt) in plan.deal(nranks).per_rank.iter().enumerate() {
                         let units: Vec<WorkUnit> = dealt.iter().map(|&i| plan.units[i]).collect();
                         let job = RankJob {
                             store: &store,

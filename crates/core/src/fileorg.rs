@@ -25,7 +25,7 @@
 //! II's 1 % MLOC-COL query at 8 ranks, four ranks to a bin, went from
 //! 0.044 to 0.131 s and no longer beats the sequential scan. Stores of
 //! the two-file formats are not read here: `mloc upgrade`
-//! ([`crate::upgrade`]) copies them out as v5.
+//! ([`crate::upgrade`]) copies them out as v6.
 
 use mloc_pfs::{PfsError, StorageBackend};
 
@@ -39,7 +39,7 @@ pub fn meta_file(dataset: &str, var: &str) -> String {
     format!("{dataset}/{var}/meta")
 }
 
-/// Name of the one file of a bin (formats v3–v5).
+/// Name of the one file of a bin (formats v3–v6).
 pub fn bin_file(dataset: &str, var: &str, bin: usize) -> String {
     format!("{dataset}/{var}/bin{bin:04}.bin")
 }

@@ -9,11 +9,15 @@
 //!   "light-weight index" that lets region queries answer aligned bins
 //!   without touching data ([`mloc_bitmap::runs`]).
 //!
-//! Where each bitmap and each compressed unit part is stored is not
-//! written down: it follows from the counts and the file's checksum
-//! tables ([`crate::binfile::Rows`]). So the header is a 14-byte
-//! prologue and the summary section is the one per-chunk structure a
-//! query reads before it touches a bitmap.
+//! The summary records are the index's coarse level, and they live in
+//! the variable's meta, every bin's section back to back
+//! ([`Summaries`]), under the meta's checksum: a store holds them from
+//! the moment it is opened, so the planner culls with them before any
+//! bin file is opened ([`crate::query::plan`]). The run lists stay in
+//! the bin files. Where each bitmap and each compressed unit part is
+//! stored is not written down: it follows from the counts and the
+//! file's checksum tables ([`crate::binfile::Rows`]). So the header is
+//! a 14-byte prologue, followed directly by the tables.
 //!
 //! # Format versions
 //!
@@ -35,11 +39,14 @@
 //! * **v5** — v4 without the directory: the header is its prologue, each
 //!   chunk's count joins its summary record, and every bitmap and unit
 //!   location is derived from the counts and the checksum tables.
+//! * **v6** — v5 with the summary sections moved into the meta: a bin
+//!   file is its header, its two tables (sized by the counts) and its
+//!   extents.
 //!
-//! Only v5 is read here. Nothing writes v1–v4 any more, and nothing but
-//! `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1–v4
-//! store out as v5, deriving v1's missing summaries from its bitmaps.
-//! `tests/golden/v1_dataset` to `v4_dataset` are its inputs.
+//! Only v6 is read here. Nothing writes v1–v5 any more, and nothing but
+//! `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1–v5
+//! store out as v6, deriving v1's missing summaries from its bitmaps.
+//! `tests/golden/v1_dataset` to `v5_dataset` are its inputs.
 
 //! # One writer, one reader
 //!
@@ -50,18 +57,17 @@
 //! prologue, the declared size and the flags once, each accessor then
 //! decodes one field of one chunk in place.
 
+use crate::cache::ByteView;
 use crate::wire::Reader;
 use crate::{MlocError, Result};
 use std::ops::Deref;
+use std::sync::Arc;
 
 pub(crate) const MAGIC: u32 = 0x5844_494D; // "MIDX"
-/// The index format version (v5 = a one-file bin whose bitmap and unit
-/// locations are derived), the only one this crate's readers accept.
-pub const VERSION: u8 = 5;
+/// The index format version (v6 = a one-file bin whose chunk summaries
+/// are in the meta), the only one this crate's readers accept.
+pub const VERSION: u8 = 6;
 pub(crate) const SUMMARY_MAGIC: u32 = 0x4D55_534D; // "MSUM"
-/// The two checksum tables' entry counts (`u32` each) that end the
-/// summary extent, since v3.
-pub const TABLE_SIZES: u64 = 8;
 
 /// Bytes of the header, index extent 0: magic(4) version(1) bin(4)
 /// num_chunks(4) num_parts(1).
@@ -147,9 +153,11 @@ pub(crate) fn le_u64(b: &[u8], at: usize) -> u64 {
     u64::from(le_u32(b, at)) | u64::from(le_u32(b, at + 4)) << 32
 }
 
-/// Exact size in bytes of the chunk-summary section.
-pub(crate) fn summary_size(num_chunks: usize) -> u64 {
-    SUMMARY_PROLOGUE + num_chunks as u64 * SUMMARY_RECORD
+/// Exact size in bytes of one bin's chunk-summary section.
+pub fn summary_size(num_chunks: usize) -> u64 {
+    // Saturating: a damaged meta may state any chunk count, and the
+    // size it then gives must fail a length check, not overflow.
+    SUMMARY_PROLOGUE.saturating_add((num_chunks as u64).saturating_mul(SUMMARY_RECORD))
 }
 
 /// Append the summary section of `summaries` to `out`.
@@ -212,6 +220,13 @@ impl<B: Deref<Target = [u8]>> SummaryView<B> {
         &self.data[at..at + SUMMARY_RECORD as usize]
     }
 
+    /// Number of chunks with points in the bin.
+    pub fn set_chunks(&self) -> usize {
+        (0..self.num_chunks)
+            .filter(|&rank| self.count(rank) > 0)
+            .count()
+    }
+
     /// Number of the bin's points inside chunk `rank`.
     ///
     /// # Panics
@@ -225,20 +240,95 @@ impl<B: Deref<Target = [u8]>> SummaryView<B> {
     /// # Panics
     /// Panics when `rank` is not below the section's chunk count.
     pub fn get(&self, rank: usize) -> ChunkSummary {
-        let rec = self.record(rank);
-        ChunkSummary {
-            count: le_u32(rec, 0),
-            min_pos: le_u32(rec, 4),
-            max_pos: le_u32(rec, 8),
-            all_of_chunk: rec[12] == 1,
+        decode_record(self.record(rank))
+    }
+}
+
+/// Every bin's chunk-summary section of one variable, back to back, as
+/// its meta stores them: bin `b`'s section is bytes
+/// `b · summary_size(num_chunks)` onward. Checked whole when parsed, so
+/// a view of one bin is an `Arc` bump and a lookup decodes one record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Summaries {
+    data: Arc<Vec<u8>>,
+    num_chunks: usize,
+}
+
+impl Summaries {
+    /// No bin at all: what a meta of a format before v6 held.
+    pub(crate) fn none() -> Summaries {
+        Summaries {
+            data: Arc::new(Vec::new()),
+            num_chunks: 0,
         }
+    }
+
+    /// Check `data` as `num_bins` sections of `num_chunks` chunks each —
+    /// its length exactly, then every section as [`SummaryView::parse`]
+    /// checks one.
+    pub fn parse(data: Vec<u8>, num_bins: usize, num_chunks: usize) -> Result<Summaries> {
+        let size = summary_size(num_chunks);
+        if size.checked_mul(num_bins as u64) != Some(data.len() as u64) {
+            return Err(MlocError::Corrupt("summary sections truncated"));
+        }
+        for section in data.chunks_exact(size as usize) {
+            SummaryView::parse(section, num_chunks)?;
+        }
+        Ok(Summaries {
+            data: Arc::new(data),
+            num_chunks,
+        })
+    }
+
+    /// The sections' stored bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Number of bins.
+    pub fn num_bins(&self) -> usize {
+        let size = summary_size(self.num_chunks) as usize;
+        self.data.len().checked_div(size).unwrap_or(0)
+    }
+
+    /// Bin `bin`'s section, viewed in place.
+    ///
+    /// # Panics
+    /// Panics when `bin` is not below the bin count.
+    pub fn bin(&self, bin: usize) -> SummaryView<ByteView> {
+        let size = summary_size(self.num_chunks) as usize;
+        SummaryView {
+            data: ByteView::slice(Arc::clone(&self.data), bin * size, size),
+            num_chunks: self.num_chunks,
+        }
+    }
+
+    /// The summary of chunk `rank` in bin `bin`.
+    ///
+    /// # Panics
+    /// Panics when `bin` or `rank` is out of range.
+    pub fn get(&self, bin: usize, rank: usize) -> ChunkSummary {
+        assert!(rank < self.num_chunks, "chunk rank out of range");
+        let size = summary_size(self.num_chunks) as usize;
+        let at = bin * size + (SUMMARY_PROLOGUE + rank as u64 * SUMMARY_RECORD) as usize;
+        decode_record(&self.data[at..at + SUMMARY_RECORD as usize])
+    }
+}
+
+/// One summary record, as stored.
+fn decode_record(rec: &[u8]) -> ChunkSummary {
+    ChunkSummary {
+        count: le_u32(rec, 0),
+        min_pos: le_u32(rec, 4),
+        max_pos: le_u32(rec, 8),
+        all_of_chunk: rec[12] == 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binfile::{summary_extent_len, BinFileBuilder, END_LEN};
+    use crate::binfile::{BinFile, BinFileBuilder, END_LEN};
     use crate::config::LevelOrder;
     use crate::integrity::table_len;
     use mloc_bitmap::RunList;
@@ -257,14 +347,14 @@ mod tests {
         BinFileBuilder::new(bin, chunks, parts, LevelOrder::Vms)
     }
 
-    fn finish(b: BinFileBuilder<'_>) -> Vec<u8> {
-        b.finish().unwrap().bytes
+    fn finish(b: BinFileBuilder<'_>) -> BinFile {
+        b.finish().unwrap()
     }
 
-    /// The summary section of a built file of `chunks` chunks.
-    fn summary_of(bytes: &[u8], chunks: usize) -> SummaryView<&[u8]> {
-        let at = HEADER_LEN as usize;
-        SummaryView::parse(&bytes[at..at + summary_size(chunks) as usize], chunks).unwrap()
+    /// The summary section of a built bin of `chunks` chunks.
+    fn summary_of(file: &BinFile, chunks: usize) -> SummaryView<&[u8]> {
+        assert_eq!(file.summary.len() as u64, summary_size(chunks));
+        SummaryView::parse(&file.summary[..], chunks).unwrap()
     }
 
     #[test]
@@ -272,10 +362,11 @@ mod tests {
         let mut b = builder(5, 4, 3);
         b.set_chunk(1, runs(100, &[1, 5, 99]).as_ref(), &[b"a", b"bc", b"d"]);
         b.set_chunk(3, runs(50, &[0]).as_ref(), &[b"e", b"f", b"g"]);
-        let bytes = finish(b);
+        let file = finish(b);
+        let bytes = &file.bytes;
         assert_eq!(parse_header(&bytes[..HEADER_LEN as usize]).unwrap(), (4, 3));
-        assert_eq!(le_u32(&bytes, 5), 5, "bin id");
-        let summaries = summary_of(&bytes, 4);
+        assert_eq!(le_u32(bytes, 5), 5, "bin id");
+        let summaries = summary_of(&file, 4);
         let counts: Vec<u32> = (0..4).map(|r| summaries.count(r)).collect();
         assert_eq!(counts, [0, 3, 0, 1]);
         assert_eq!(summaries.get(1).count, 3);
@@ -284,14 +375,16 @@ mod tests {
 
     #[test]
     fn header_size_is_exact() {
-        let bytes = finish(builder(0, 7, 7));
-        // An all-empty bin is exactly its fixed blocks — header,
-        // summary, an index table of header and summary, an empty data
-        // table — and the end marker: no bitmaps, no units.
-        let fixed = HEADER_LEN + summary_extent_len(7) + table_len(2) + table_len(0);
+        let file = finish(builder(0, 7, 7));
+        let bytes = &file.bytes;
+        // An all-empty bin file is exactly its fixed blocks — header,
+        // an index table of the header alone, an empty data table — and
+        // the end marker: no bitmaps, no units. Its summary section,
+        // all sentinels, goes to the meta.
+        let fixed = HEADER_LEN + table_len(1) + table_len(0);
         assert_eq!(bytes.len() as u64, fixed + END_LEN);
         assert_eq!(bytes[4], VERSION);
-        let summaries = summary_of(&bytes, 7);
+        let summaries = summary_of(&file, 7);
         assert!((0..7).all(|rank| summaries.get(rank) == ChunkSummary::EMPTY));
     }
 
@@ -302,8 +395,8 @@ mod tests {
         b.set_chunk(0, runs(20, &[2, 3, 7]).as_ref(), &[b"x"]);
         // Full chunk: all 20 bits.
         b.set_chunk(1, full(20).as_ref(), &[b"y"]);
-        let bytes = finish(b);
-        let summaries = summary_of(&bytes, 3);
+        let file = finish(b);
+        let summaries = summary_of(&file, 3);
         assert_eq!(
             summaries.get(0),
             ChunkSummary {
@@ -327,13 +420,13 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_headers() {
-        let bytes = finish(builder(0, 2, 1));
+        let bytes = finish(builder(0, 2, 1)).bytes;
         assert!(parse_header(&bytes[..5]).is_err());
         let mut bad = bytes.clone();
         bad[0] ^= 1;
         assert!(parse_header(&bad).is_err());
         let mut bad = bytes.clone();
-        bad[4] = 4; // the format before this one
+        bad[4] = 5; // the format before this one
         assert!(parse_header(&bad).is_err());
         let mut bad = bytes;
         bad[13] = 0; // no parts
@@ -342,7 +435,7 @@ mod tests {
 
     /// The eager decoders, as they were before the views existed, kept
     /// as the differential oracle: same checks, same order, same
-    /// messages — for v5's prologue and 13-byte summary records.
+    /// messages — for the prologue and 13-byte summary records.
     mod oracle {
         use super::super::*;
 
@@ -381,7 +474,7 @@ mod tests {
             if r.u32()? != MAGIC {
                 return Err(MlocError::Corrupt("bad index magic"));
             }
-            if r.u8()? != 5 {
+            if r.u8()? != 6 {
                 return Err(MlocError::Corrupt("unsupported index version"));
             }
             let _bin = r.u32()?;
@@ -420,9 +513,9 @@ mod tests {
         }
     }
 
-    /// Built bin files covering the shapes the engine meets: 1 and 7
-    /// parts; empty, partial and all-of-chunk chunks; an all-empty bin.
-    fn built_payloads() -> Vec<(Vec<u8>, usize)> {
+    /// Built bins covering the shapes the engine meets: 1 and 7 parts;
+    /// empty, partial and all-of-chunk chunks; an all-empty bin.
+    fn built_payloads() -> Vec<(BinFile, usize)> {
         let mut out = Vec::new();
         let part: &[u8] = &[7; 9];
         for num_parts in [1usize, 7] {
@@ -451,14 +544,11 @@ mod tests {
     #[test]
     fn views_equal_the_eager_decode_on_built_indexes() {
         for (file, num_chunks) in built_payloads() {
-            agree_header(&file[..HEADER_LEN as usize]);
-            agree_header(&file);
-            let start = HEADER_LEN as usize;
-            check_summary(
-                &file[start..start + summary_extent_len(num_chunks) as usize],
-                num_chunks,
-            );
-            check_summary(&file[start..], num_chunks);
+            agree_header(&file.bytes[..HEADER_LEN as usize]);
+            agree_header(&file.bytes);
+            check_summary(&file.summary, num_chunks);
+            // A section with bytes after it, as the meta holds it.
+            check_summary(&[&file.summary[..], &file.bytes].concat(), num_chunks);
         }
     }
 
@@ -474,10 +564,8 @@ mod tests {
             bad
         };
         for (payload, num_chunks) in built_payloads() {
-            let header = &payload[..HEADER_LEN as usize];
-            // The table sizes end it.
-            let end = HEADER_LEN as usize + summary_extent_len(num_chunks) as usize;
-            let summary = &payload[HEADER_LEN as usize..end];
+            let header = &payload.bytes[..HEADER_LEN as usize];
+            let summary = &payload.summary[..];
             for cut in 0..=header.len() {
                 agree_header(&header[..cut]);
             }
@@ -524,7 +612,7 @@ mod tests {
         // A chunk count near u32::MAX must fail the size check, not
         // drive an allocation or wrap an offset.
         let built = finish(builder(0, 2, 7));
-        let mut huge = built[HEADER_LEN as usize..].to_vec();
+        let mut huge = built.summary.clone();
         huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             message(&SummaryView::parse(&huge[..], u32::MAX as usize)),
@@ -534,7 +622,7 @@ mod tests {
 
     #[test]
     fn header_geometry_must_be_the_stores() {
-        let bytes = finish(builder(3, 16, 7));
+        let bytes = finish(builder(3, 16, 7)).bytes;
         assert!(check_header(&bytes, (16, 7)).is_ok());
         for geometry in [(16, 1), (15, 7), (64, 7), (0, 0)] {
             assert_eq!(
@@ -553,14 +641,41 @@ mod tests {
         b.set_chunk(0, bm.as_ref(), &[b"x"]);
     }
 
+    /// The meta's sections back to back: every bin's view and record
+    /// lookup is its own section's, and a length other than the bins'
+    /// sections, or a damaged section, is refused whole.
+    #[test]
+    fn summaries_view_each_bin_in_place_and_refuse_a_bad_section() {
+        let files: Vec<BinFile> = built_payloads()
+            .into_iter()
+            .filter(|(_, chunks)| *chunks == 6)
+            .map(|(f, _)| f)
+            .collect();
+        let data: Vec<u8> = files.iter().flat_map(|f| f.summary.clone()).collect();
+        let all = Summaries::parse(data.clone(), files.len(), 6).unwrap();
+        assert_eq!(all.num_bins(), files.len());
+        assert_eq!(all.as_bytes(), &data[..]);
+        for (bin, file) in files.iter().enumerate() {
+            let own = summary_of(file, 6);
+            for rank in 0..6 {
+                assert_eq!(all.bin(bin).get(rank), own.get(rank));
+                assert_eq!(all.get(bin, rank), own.get(rank));
+            }
+        }
+        let short = Summaries::parse(data[..data.len() - 1].to_vec(), files.len(), 6);
+        assert!(short.is_err());
+        let mut bad = data;
+        bad[8 + 12] = 2; // the first record's flags
+        assert!(Summaries::parse(bad, files.len(), 6).is_err());
+    }
+
     #[test]
     #[should_panic(expected = "chunk rank out of range")]
     fn summary_rank_past_the_section_panics_like_a_slice() {
-        // The buffer extends past the section (a whole file), so the
-        // bytes exist — the rank is still refused.
-        let bytes = finish(builder(0, 2, 1));
-        SummaryView::parse(&bytes[HEADER_LEN as usize..], 2)
-            .unwrap()
-            .count(2);
+        // The buffer extends past the section (the next bin's, in a
+        // meta), so the bytes exist — the rank is still refused.
+        let file = finish(builder(0, 2, 1));
+        let bytes = [&file.summary[..], &file.summary].concat();
+        SummaryView::parse(&bytes[..], 2).unwrap().count(2);
     }
 }

@@ -30,7 +30,7 @@
 //! the file's validity marker: a torn write that truncates the file
 //! destroys the trailer, so an incomplete file can never verify.
 //!
-//! **Front table** — the two tables of a bin file (formats v3–v5)
+//! **Front table** — the two tables of a bin file (formats v3–v6)
 //! ([`crate::binfile`]), stored ahead of the extents they cover:
 //!
 //! ```text
@@ -94,8 +94,15 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 /// per-byte cost of this loop is a first-order term of cold latency
 /// (DESIGN §12). The values are the standard CRC-32's, bit for bit.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// The CRC32 of `a` followed by `data`, from `crc`, the CRC32 of `a`:
+/// `crc32_extend(crc32(a), b) == crc32(a ++ b)`, so a checksum can be
+/// kept over bytes that arrive piece by piece.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
+    let mut c = !crc;
     let (blocks, tail) = data.as_chunks::<16>();
     for b in blocks {
         let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -527,6 +534,17 @@ mod tests {
         );
     }
 
+    /// A checksum kept piece by piece is the one-shot checksum, for
+    /// every split of the input.
+    #[test]
+    fn crc32_extends_over_every_split() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 % 251) as u8).collect();
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(&data), "cut at {cut}");
+        }
+    }
+
     /// The byte-at-a-time loop `crc32` replaced, kept as the oracle.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut c = !0u32;
@@ -555,10 +573,8 @@ mod tests {
         // Values and bytes captured from the commit before `crc32`
         // became word-at-a-time: files that commit built must verify
         // now, so neither a checksum nor a footer byte may move.
-        use crate::binfile::Tables;
         use crate::build::build_variable;
         use crate::config::MlocConfig;
-        use crate::index::HEADER_LEN;
         use crate::store::MlocStore;
         use mloc_pfs::{MemBackend, StorageBackend};
         let ramp: Vec<u8> = (0..=255u8).collect();
@@ -587,22 +603,11 @@ mod tests {
             .num_bins(2)
             .build();
         build_variable(&be, "ds", "v", &values, &config).unwrap();
-        let file = MlocStore::open(&be, "ds", "v")
-            .unwrap()
-            .bin_file(1)
-            .to_string();
+        let store = MlocStore::open(&be, "ds", "v").unwrap();
+        let file = store.bin_file(1).to_string();
         let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-        let hdr_len = HEADER_LEN;
-        let summary_len = crate::binfile::summary_extent_len(4);
-        let span = hdr_len as usize..(hdr_len + summary_len) as usize;
-        let tables = Tables::parse(&raw[span], hdr_len, (4, 7), &file).unwrap();
-        let slice = |(at, len): (u64, u64)| &raw[at as usize..(at + len) as usize];
-        let index = tables
-            .decode_index(slice(tables.index_span()), &file)
-            .unwrap();
-        let data = tables
-            .decode_data(slice(tables.data_span()), &index, &file)
-            .unwrap();
+        let fixed = store.parse_fixed(1, &raw).unwrap();
+        let data = fixed.data.unwrap();
         let units_at = data.extent(0).0 as usize;
         let units = &raw[units_at..data.extents_end() as usize];
         let lens: Vec<u32> = (0..data.num_extents()).map(|i| data.extent(i).1).collect();

@@ -142,7 +142,7 @@ pub enum MlocError {
     },
     /// Invalid user input (query or configuration).
     Invalid(String),
-    /// A file of the formats before v5, which only `mloc upgrade`
+    /// A file of the formats before v6, which only `mloc upgrade`
     /// ([`upgrade`]) reads.
     NeedsUpgrade {
         /// The file that gave the store away.
@@ -191,8 +191,8 @@ impl std::fmt::Display for MlocError {
             MlocError::Invalid(why) => write!(f, "invalid request: {why}"),
             MlocError::NeedsUpgrade { file } => write!(
                 f,
-                "{file} is of a format before v5, which only `mloc upgrade` reads: copy \
-                 the dataset out as v5 with `mloc upgrade --dir OLD --name NAME --out NEW`"
+                "{file} is of a format before v6, which only `mloc upgrade` reads: copy \
+                 the dataset out as v6 with `mloc upgrade --dir OLD --name NAME --out NEW`"
             ),
             MlocError::EmptyUnit {
                 bin,
@@ -230,7 +230,7 @@ impl From<mloc_bitmap::wah::BitmapError> for MlocError {
 pub type Result<T> = std::result::Result<T, MlocError>;
 
 /// The checked-in datasets of the formats nothing writes any more
-/// (`tests/golden/v{1,2,3,4}_dataset`), the inputs of [`upgrade`]: dataset
+/// (`tests/golden/v{1,2,3,4,5}_dataset`), the inputs of [`upgrade`]: dataset
 /// `fmt`, variable `v`, a `gts_like_2d(64, 64, 41)` field in 16² chunks,
 /// 8 bins, deflate with PLoD byte columns.
 #[cfg(test)]

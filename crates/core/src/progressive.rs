@@ -52,7 +52,7 @@ use crate::plod;
 use crate::query::engine::{
     read_parts, Decoder, Fetcher, PartRange, RankOutput, RefineUnit, Refinement,
 };
-use crate::query::plan::{make_plan, Plan, WorkUnit};
+use crate::query::plan::{candidate_bins, make_plan, Plan, WorkUnit};
 use crate::query::{Query, QueryResult};
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
@@ -166,20 +166,17 @@ impl<'s, 'a> ProgressiveQuery<'s, 'a> {
         // ladder to climb (one step at the target, done immediately).
         // `value_filter` is a per-bin property (all units of a
         // misaligned bin carry it), so each sub-plan owns whole bins
-        // and the two executions touch disjoint files.
+        // and the two executions touch disjoint files. A candidate bin
+        // is refinable when it is aligned: its units carry no value
+        // filter.
         let (base_units, target_units): (Vec<WorkUnit>, Vec<WorkUnit>) =
             plan.units.iter().partition(|u| ladder && !u.value_filter);
-        let sub_plan = |units: Vec<WorkUnit>| Plan {
-            units,
-            bins_touched: plan.bins_touched,
-            aligned_bins: plan.aligned_bins,
-            chunks_touched: plan.chunks_touched,
-        };
-        let target_plan = sub_plan(target_units);
+        let refinable = candidate_bins(store, query).map(|(_, aligned)| ladder && aligned);
+        let target_plan = plan.of_bins(target_units, refinable.clone().map(|r| !r));
         let target = ExecRequest::planned(query, &target_plan, None);
         let (first, second) = if ladder {
             let base_query = query.clone().with_plod(PlodLevel::new(1)?);
-            let base_plan = sub_plan(base_units);
+            let base_plan = plan.of_bins(base_units, refinable);
             let mut req = ExecRequest::planned(&base_query, &base_plan, None);
             req.capture_refine = true;
             let base = exec.run(store, req)?;

@@ -2,23 +2,23 @@
 //! a [`Fetcher`], so a cache hit, a fused want and a physical read of
 //! the same extent are traced, verified and counted in one place.
 //! Three operations, each one cache probe per block the cache keeps: a
-//! bin's fixed blocks ([`Fetcher::fixed`]: header, summary, index table
-//! and — when the bin's units read data — data table, verified, parsed,
-//! their rows derived, and cached as one entry; a warm bin replays
-//! their spans as cached records), a coalesced want-list of bitmaps
-//! ([`Fetcher::wants`], one probe per bitmap; a read bitmap is decoded
-//! once into a run list and checked against its summary count before
-//! anything is cached), and a data unit
-//! ([`Fetcher::unit_block`], one probe whatever number of its extents
-//! the block found serves; the extents it did not serve are read by
-//! [`Fetcher::read`]). A cold bin's header and summary are read *before*
-//! the table that vouches for them and are decided on, and admitted,
-//! only once it has.
+//! bin's fixed blocks ([`Fetcher::fixed`]: header, index table and —
+//! when the bin's units read data — data table, read in one read from
+//! the file's front, sized by the bin's chunk summaries, which the
+//! store holds from its meta; verified, parsed, their rows derived, and
+//! cached as one entry; a warm bin replays their span as a cached
+//! record), a coalesced want-list of bitmaps ([`Fetcher::wants`], one
+//! probe per bitmap; a read bitmap is decoded once into a run list and
+//! checked against its summary count before anything is cached), and a
+//! data unit ([`Fetcher::unit_block`], one probe whatever number of its
+//! extents the block found serves; the extents it did not serve are
+//! read by [`Fetcher::read`]). A cold bin's header is read with the
+//! tables that vouch for it and is decided on only once they have.
 
-use crate::binfile::{refused_runs, summary_extent_len, Rows, Tables};
+use crate::binfile::{refused_runs, Rows};
 use crate::cache::{BlockKey, BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::fusion::coalesced_read_results;
-use crate::index::{check_header, SummaryView, HEADER_LEN};
+use crate::index::{check_header, HEADER_LEN};
 use crate::integrity::{corrupt_extent, ExtentFooter};
 use crate::plod;
 use crate::store::MlocStore;
@@ -250,22 +250,17 @@ impl<'s, 'a> Fetcher<'s, 'a> {
     }
 
     /// `bin`'s fixed blocks, verified and parsed, with its data table
-    /// iff `data` says — from the summary's counts — that a unit of the
-    /// bin reads data. One cache probe: a hit replays the blocks' spans as cached
-    /// records, in the order a cold fetch reads them; an entry without
-    /// the data table a query now needs reads that table alone. What
-    /// was read is cached, as one entry, only once every block in it
-    /// has passed its checks. Any damage is a hard error: without these
-    /// blocks nothing in the bin can be trusted.
-    pub fn fixed(
-        &mut self,
-        bin: usize,
-        data: impl Fn(&SummaryView<ByteView>) -> bool,
-    ) -> Result<Arc<FixedBlocks>> {
+    /// iff `data` — a unit of the bin reads data. One cache probe: a hit
+    /// replays each block it serves — header, index table, data table —
+    /// as a cached record, as it does every extent it serves; an entry
+    /// without the data table a query now needs reads that table alone.
+    /// What was read is cached, as one entry, only once every block in
+    /// it has passed its checks. Any damage is a hard error: without
+    /// these blocks nothing in the bin can be trusted.
+    pub fn fixed(&mut self, bin: usize, data: bool) -> Result<Arc<FixedBlocks>> {
         let key = self.key(bin, 0, BlockPart::Fixed);
         let fixed = match self.probe(&key) {
             Some(CachedBlock::Fixed(hit)) => {
-                let data = data(&hit.summaries);
                 let file = self.bin_file(bin);
                 for (off, len) in hit.index_spans() {
                     self.served(&file, off, len);
@@ -279,9 +274,9 @@ impl<'s, 'a> Fetcher<'s, 'a> {
                     return Ok(hit);
                 }
                 // Built by a query that read no data: the table alone.
-                let table = self.tables(&file, &hit.tables, Some(&hit.footer), true)?.1;
+                let table = self.data_table(&file, &hit)?;
                 FixedBlocks {
-                    data: table,
+                    data: Some(table),
                     ..FixedBlocks::clone(&hit)
                 }
             }
@@ -292,42 +287,39 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(fixed)
     }
 
-    /// Read, verify and parse `bin`'s fixed blocks: the header, the
-    /// summary, then — its last bytes say how long they are — the
-    /// checksum tables, each read continuing the last; then derive
-    /// every bitmap's and unit part's table row from the summary's
-    /// counts, refusing tables of other sizes.
-    fn fetch_fixed(
-        &mut self,
-        bin: usize,
-        data: impl Fn(&SummaryView<ByteView>) -> bool,
-    ) -> Result<FixedBlocks> {
+    /// Read, verify and parse `bin`'s fixed blocks. The bin's summaries,
+    /// from the store's meta, give every bitmap's and unit part's table
+    /// row and so the tables' sizes: the header and the tables come in
+    /// one read from the file's front, the tables are checked against
+    /// their own CRCs, and the header — read ahead of the table that
+    /// vouches for it — against the index table.
+    fn fetch_fixed(&mut self, bin: usize, data: bool) -> Result<FixedBlocks> {
         // The geometry must be the store's: every rank and part index
         // the engine uses comes from the plan.
         let store = self.store;
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
         let file = self.bin_file(bin);
-        // Header and summary are read ahead of the table that vouches
-        // for them: nothing may be decided from their bytes before
-        // `admit` except where that table is and which tables to read.
-        let hdr = self.read_fixed(&file, 0, HEADER_LEN)?;
-        let len = summary_extent_len(geometry.0);
-        let sum = ByteView::from(self.read_fixed(&file, HEADER_LEN, len)?);
-        let tables = Tables::parse(&sum, HEADER_LEN, geometry, &file)?;
-        let summaries = SummaryView::parse(sum.clone(), geometry.0);
-        let data = summaries.as_ref().is_ok_and(data);
-        let (footer, data) = self.tables(&file, &tables, None, data)?;
-        self.admit(&file, &footer, 0, &hdr)?;
-        check_header(&hdr, geometry)?;
-        self.admit(&file, &footer, HEADER_LEN, &sum)?;
-        let summaries = summaries?;
-        let order = store.config().level_order;
-        let rows = Rows::derive(&summaries, &tables, geometry.1, order, &file)?;
+        let summaries = store.summaries().bin(bin);
+        let rows = Rows::derive(&summaries, geometry.1, store.config().level_order);
+        let tables = rows.tables();
+        let (index_span, data_span) = (tables.index_span(), tables.data_span());
+        let end = data_span.0 + if data { data_span.1 } else { 0 };
+        let raw = self.read_fixed(&file, 0, end)?;
+        let at = |(off, len): (u64, u64)| &raw[off as usize..(off + len) as usize];
+        let footer = tables.decode_index(at(index_span), &file)?;
+        self.report.index_bytes += index_span.1;
+        let data = if data {
+            let table = tables.decode_data(at(data_span), &footer, &file)?;
+            self.report.data_bytes += data_span.1;
+            Some(Arc::new(table))
+        } else {
+            None
+        };
+        self.admit(&file, &footer, 0, &raw[..HEADER_LEN as usize])?;
+        check_header(&raw, geometry)?;
         Ok(FixedBlocks {
-            summaries,
-            footer,
+            footer: Arc::new(footer),
             data,
-            tables,
             rows,
         })
     }
@@ -346,40 +338,15 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         Ok(())
     }
 
-    /// Read a bin file's checksum tables, located by `tables`: the
-    /// index table unless it is `known`, and the data table too when
-    /// `data`, in one read. A table that fails its own CRC is a hard
-    /// error.
-    fn tables(
-        &mut self,
-        file: &Arc<str>,
-        tables: &Tables,
-        known: Option<&Arc<ExtentFooter>>,
-        data: bool,
-    ) -> Result<(Arc<ExtentFooter>, Option<Arc<ExtentFooter>>)> {
-        // The data table follows the index table.
-        let (index_span, data_span) = (tables.index_span(), tables.data_span());
-        let start = known.map_or(index_span.0, |_| data_span.0);
-        let end = data_span.0 + if data { data_span.1 } else { 0 };
-        let raw = self.read_fixed(file, start, end - start)?;
-        let at =
-            |(off, len): (u64, u64)| &raw[(off - start) as usize..(off - start + len) as usize];
-        let index = match known {
-            Some(f) => Arc::clone(f),
-            None => {
-                let table = tables.decode_index(at(index_span), file)?;
-                self.report.index_bytes += index_span.1;
-                Arc::new(table)
-            }
-        };
-        let data_table = if data {
-            let table = tables.decode_data(at(data_span), &index, file)?;
-            self.report.data_bytes += data_span.1;
-            Some(Arc::new(table))
-        } else {
-            None
-        };
-        Ok((index, data_table))
+    /// Read the data table of `fixed`'s file alone, for an entry cached
+    /// without it. A table that fails its own CRC is a hard error.
+    fn data_table(&mut self, file: &Arc<str>, fixed: &FixedBlocks) -> Result<Arc<ExtentFooter>> {
+        let tables = fixed.tables();
+        let (at, len) = tables.data_span();
+        let raw = self.read_fixed(file, at, len)?;
+        let table = tables.decode_data(&raw, &fixed.footer, file)?;
+        self.report.data_bytes += len;
+        Ok(Arc::new(table))
     }
 
     /// Fetch a want-list of bitmaps from one file, handing `sink` each
@@ -522,7 +489,7 @@ fn stored_extent(e: MlocError, file: &str, off: u64, len: u64) -> MlocError {
 mod tests {
     use super::super::Decoder;
     use super::*;
-    use crate::binfile::parse_fixed;
+    use crate::binfile::Tables;
     use crate::build::build_variable;
     use crate::cache::BlockCache;
     use crate::config::MlocConfig;
@@ -531,9 +498,10 @@ mod tests {
 
     const BIN: usize = 1;
 
-    /// CRC-32 of [`fill_then_values`]'s text (format v5: no chunk
-    /// directory in front of the summaries, a count in each record).
-    const PARITY_DIGEST: u32 = 0x7EDD_1BFD;
+    /// CRC-32 of [`fill_then_values`]'s text (format v6: the summaries
+    /// in the meta, every bin's fixed blocks one read, and no unit
+    /// planned that cannot hold a hit).
+    const PARITY_DIGEST: u32 = 0xBDBD_7608;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -552,19 +520,25 @@ mod tests {
     fn fixed_of(store: &MlocStore<'_>) -> Arc<FixedBlocks> {
         let store = MlocStore::open(store.backend(), store.dataset(), store.var()).unwrap();
         let mut g = Fetcher::new(&store, RetryPolicy::none(), false);
-        g.fixed(BIN, |_| true).unwrap()
+        g.fixed(BIN, true).unwrap()
     }
 
     /// Where bin `BIN`'s tables are.
     fn tables_of(store: &MlocStore<'_>) -> Tables {
-        fixed_of(store).tables
+        fixed_of(store).tables()
     }
 
     /// Bin `bin` of `store`, a whole file in `be`, parsed in place.
     fn located_in(store: &MlocStore<'_>, raw: &[u8], bin: usize) -> FixedBlocks {
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let order = store.config().level_order;
-        parse_fixed(raw, geometry, order, store.bin_file(bin)).unwrap()
+        store.parse_fixed(bin, raw).unwrap()
+    }
+
+    /// The bin whose file is `file`.
+    fn bin_of(store: &MlocStore<'_>, file: &str) -> usize {
+        let bins = 0..store.config().num_bins;
+        bins.into_iter()
+            .find(|&bin| &**store.bin_file(bin) == file)
+            .unwrap()
     }
 
     /// Fetch the block `part` of chunk rank `r` through the operation
@@ -578,14 +552,14 @@ mod tests {
         let key = f.key(BIN, r, part);
         let data_table = fixed.data.as_deref().unwrap();
         match part {
-            BlockPart::Fixed => drop(f.fixed(BIN, |_| false).unwrap()),
+            BlockPart::Fixed => drop(f.fixed(BIN, false).unwrap()),
             BlockPart::Bitmap => {
                 let (offset, len) = fixed.bitmap(r).unwrap();
                 let want = Want {
                     key,
                     offset,
                     len,
-                    count: fixed.count(r),
+                    count: store.summaries().get(BIN, r).count,
                 };
                 let mut local = RunListBuf::new();
                 f.wants(&file, &[want], Some(&fixed.footer), &mut local, |_, got| {
@@ -594,7 +568,8 @@ mod tests {
                 .unwrap();
             }
             BlockPart::PlodUnit => {
-                let (loc, count) = (fixed.unit(r, 0).unwrap(), fixed.count(r) as usize);
+                let count = store.summaries().get(BIN, r).count as usize;
+                let loc = fixed.unit(r, 0).unwrap();
                 match f.unit_block(BIN, r, count) {
                     Some(block) if block.parts() > 0 => {
                         f.served(&file, loc.offset, u64::from(loc.clen))
@@ -639,13 +614,14 @@ mod tests {
         // Locate the extents from the fixed blocks themselves.
         let file = plain.bin_file(BIN);
         let index = fixed_of(&plain);
+        let summaries = plain.summaries().bin(BIN);
         // A partial chunk: it has a bitmap to read and a data unit.
-        let r = (0..index.summaries.num_chunks())
-            .find(|&r| index.count(r) > 0 && !index.summaries.get(r).all_of_chunk)
+        let r = (0..summaries.num_chunks())
+            .find(|&r| summaries.count(r) > 0 && !summaries.get(r).all_of_chunk)
             .expect("a partially covered chunk");
         let part0 = index.unit(r, 0).unwrap();
-        // Header, summary and index table: one span from the front.
-        let (table_at, table_len) = index.tables.index_span();
+        // Header and index table: one span from the front.
+        let (table_at, table_len) = index.tables().index_span();
         // A bitmap is cached as the run list it is stored as, charged
         // its stored bytes.
         let (bitmap_at, bitmap_len) = index.bitmap(r).unwrap();
@@ -665,7 +641,7 @@ mod tests {
                 part0.offset,
                 u64::from(part0.clen),
                 true,
-                crate::plod::part_range(index.count(r) as usize, 0).len() as u64,
+                crate::plod::part_range(summaries.count(r) as usize, 0).len() as u64,
             ),
         ];
 
@@ -700,19 +676,16 @@ mod tests {
     /// The part count `k` of every unit prefix `cache` holds of the
     /// fixture's store, by `(bin, chunk rank)`.
     fn prefixes(
-        be: &MemBackend,
         store: &MlocStore<'_>,
         cache: &BlockCache,
     ) -> std::collections::BTreeMap<(usize, usize), usize> {
         let mut held = std::collections::BTreeMap::new();
         for bin in 0..store.config().num_bins {
-            let file = store.bin_file(bin);
-            let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-            let index = located_in(store, &raw, bin);
-            for r in 0..index.summaries.num_chunks() {
+            let summaries = store.summaries().bin(bin);
+            for r in 0..summaries.num_chunks() {
                 let key = Fetcher::new(store, RetryPolicy::none(), false).unit_key(bin, r);
                 if let Some(CachedBlock::Bytes(b)) = cache.get(&key) {
-                    let count = index.count(r) as usize;
+                    let count = summaries.count(r) as usize;
                     held.insert((bin, r), crate::plod::prefix_parts(count, b.len()).unwrap());
                 }
             }
@@ -740,7 +713,7 @@ mod tests {
         let at = |level| Query::values_in(region.clone()).with_plod(PlodLevel::new(level).unwrap());
         let run = |s: &MlocStore<'_>, level| s.query_with_metrics(&at(level)).unwrap().1;
         let all_at = |k: usize| {
-            let held = prefixes(&be, &store, &cache);
+            let held = prefixes(&store, &cache);
             assert!(
                 !held.is_empty() && held.values().all(|&n| n == k),
                 "{held:?}"
@@ -785,7 +758,7 @@ mod tests {
             .with_cache(Arc::clone(&cache));
         let q = Query::values_in(Region::new(vec![(5, 50), (20, 30)]));
         let all_at = |k: usize| {
-            let held = prefixes(&be, &store, &cache);
+            let held = prefixes(&store, &cache);
             assert!(
                 !held.is_empty() && held.values().all(|&n| n == k),
                 "{held:?}"
@@ -858,8 +831,9 @@ mod tests {
         let mut raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let store = MlocStore::open(&be, "ds", "v").unwrap();
         let index = located_in(&store, &raw, BIN);
-        let r = (0..index.summaries.num_chunks())
-            .find(|&r| index.count(r) > 0)
+        let summaries = store.summaries().bin(BIN);
+        let r = (0..summaries.num_chunks())
+            .find(|&r| summaries.count(r) > 0)
             .unwrap();
         let at = index.unit(r, 3).unwrap().offset as usize;
         raw[at] ^= 0x40;
@@ -874,15 +848,16 @@ mod tests {
         let exec = crate::ParallelExecutor::serial().allow_degraded(true);
         let out = exec.run(&store, crate::ExecRequest::new(&q)).unwrap();
         assert_eq!(out.metrics.degraded_units, 1);
-        let held = prefixes(&be, &store, &cache);
+        let held = prefixes(&store, &cache);
         assert_eq!(held.get(&(BIN, r)), Some(&3));
         assert!(held.iter().all(|(&unit, &k)| k == 7 || unit == (BIN, r)));
     }
 
-    /// Both tables come in one read when neither is cached; a cached
-    /// entry without the data table gets the data table alone, and is
-    /// replaced by the longer entry. A damaged table fails the fetch
-    /// and admits nothing.
+    /// The header and both tables come in one read from the front when
+    /// nothing is cached; a cached entry without the data table gets the
+    /// data table alone, and is replaced by the longer entry; a warm
+    /// fetch replays each block it serves as a record of its own. A
+    /// damaged table fails the fetch and admits nothing.
     #[test]
     fn tables_are_one_read_and_admitted_together() {
         let be = MemBackend::new();
@@ -893,11 +868,11 @@ mod tests {
             .with_cache(Arc::clone(&cache));
         let tables = tables_of(&MlocStore::open(&be, "ds", "v").unwrap());
         let (index_span, data_span) = (tables.index_span(), tables.data_span());
-        let hdr_len = HEADER_LEN;
-        let sum_len = summary_extent_len(16);
+        assert_eq!(index_span.0, HEADER_LEN, "the tables follow the header");
+        let (index_end, data_end) = (data_span.0, data_span.0 + data_span.1);
         let run = |store: &MlocStore<'_>, data: bool| {
             let mut f = Fetcher::new(store, RetryPolicy::none(), false);
-            f.fixed(BIN, |_| data).unwrap();
+            f.fixed(BIN, data).unwrap();
             let r = f.finish();
             let ops: Vec<(u64, u64, bool)> = r
                 .trace
@@ -912,37 +887,25 @@ mod tests {
                 r.cache_misses,
             )
         };
-        let front = |cached: bool| vec![(0, hdr_len, cached), (hdr_len, sum_len, cached)];
         // The index table alone (a positions-only query), then both:
         // the entry is a hit, and the data table is read alone.
-        let mut want = front(false);
-        want.push((index_span.0, index_span.1, false));
-        let index_bytes = hdr_len + sum_len + index_span.1;
-        assert_eq!(run(&store, false), (want, index_bytes, 0, 0, 1));
-        let mut want = front(true);
-        want.extend([
-            (index_span.0, index_span.1, true),
-            (data_span.0, data_span.1, false),
-        ]);
+        let want = vec![(0, index_end, false)];
+        assert_eq!(run(&store, false), (want, index_end, 0, 0, 1));
+        let served = vec![(0, HEADER_LEN, true), (index_span.0, index_span.1, true)];
+        let mut want = served.clone();
+        want.push((data_span.0, data_span.1, false));
         assert_eq!(run(&store, true), (want, 0, data_span.1, 1, 0));
-        // The longer entry serves both; a positions-only query replays
-        // the data table's span no more.
-        let mut want = front(true);
-        want.extend([
-            (index_span.0, index_span.1, true),
-            (data_span.0, data_span.1, true),
-        ]);
-        assert_eq!(run(&store, true), (want.clone(), 0, 0, 1, 0));
-        want.pop();
-        assert_eq!(run(&store, false), (want, 0, 0, 1, 0));
-        let cost = index_bytes + data_span.1;
-        assert_eq!(cache.stats().resident_bytes, cost);
+        // The longer entry serves both, block by block.
+        let mut want = served.clone();
+        want.push((data_span.0, data_span.1, true));
+        assert_eq!(run(&store, true), (want, 0, 0, 1, 0));
+        assert_eq!(run(&store, false), (served, 0, 0, 1, 0));
+        assert_eq!(cache.stats().resident_bytes, data_end);
 
-        // Cold, both: one read of the two tables.
+        // Cold, both: one read of the header and the two tables.
         let plain = MlocStore::open(&be, "ds", "v").unwrap();
-        let mut want = front(false);
-        want.push((index_span.0, index_span.1 + data_span.1, false));
-        assert_eq!(run(&plain, true), (want, index_bytes, data_span.1, 0, 0));
+        let want = vec![(0, data_end, false)];
+        assert_eq!(run(&plain, true), (want, index_end, data_span.1, 0, 0));
 
         // A damaged data table fails the fetch and admits nothing.
         let file = store.bin_file(BIN);
@@ -955,7 +918,7 @@ mod tests {
             .unwrap()
             .with_cache(Arc::clone(&cache));
         let mut f = Fetcher::new(&store, RetryPolicy::none(), false);
-        let err = f.fixed(BIN, |_| true).unwrap_err();
+        let err = f.fixed(BIN, true).unwrap_err();
         assert!(err.to_string().contains("checksum table corrupt"), "{err}");
         assert!(cache.get(&f.key(BIN, 0, BlockPart::Fixed)).is_none());
         assert_eq!(cache.stats().insertions, 0);
@@ -963,7 +926,7 @@ mod tests {
 
     /// A cold values query on one rank: each bin file is opened once,
     /// nothing past its last unit is read, and its fixed blocks —
-    /// header, summary, both tables — come with one seek.
+    /// header and both tables — come in its first read, with one seek.
     #[test]
     fn a_cold_values_query_opens_each_bin_file_once_and_seeks_once_for_its_fixed_blocks() {
         use crate::binfile::END_LEN;
@@ -984,8 +947,6 @@ mod tests {
             simulate_reads(std::slice::from_ref(trace), &model).total_opens,
             4
         );
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let hdr_len = HEADER_LEN;
         for file in files {
             let ops: Vec<ReadOp> = trace
                 .iter()
@@ -998,23 +959,11 @@ mod tests {
                 "{file}"
             );
             let raw = be.read(file, 0, flen).unwrap();
-            let summary =
-                &raw[hdr_len as usize..(hdr_len + summary_extent_len(geometry.0)) as usize];
-            let tables = Tables::parse(summary, hdr_len, geometry, file).unwrap();
-            let (data_at, data_len) = tables.data_span();
-            let fixed: Vec<(u64, u64)> = ops[..3].iter().map(|op| (op.offset, op.len)).collect();
-            assert_eq!(
-                fixed,
-                [
-                    (0, hdr_len),
-                    (hdr_len, summary.len() as u64),
-                    (
-                        tables.index_span().0,
-                        data_at + data_len - tables.index_span().0
-                    )
-                ]
-            );
-            let sim = simulate_reads(&[ops[..3].to_vec()], &model);
+            let (data_at, data_len) = located_in(&store, &raw, bin_of(&store, file))
+                .tables()
+                .data_span();
+            assert_eq!((ops[0].offset, ops[0].len), (0, data_at + data_len));
+            let sim = simulate_reads(&[ops[..1].to_vec()], &model);
             assert_eq!((sim.total_opens, sim.total_seeks), (1, 1), "{file}");
         }
     }
@@ -1074,15 +1023,10 @@ mod tests {
         build(&be);
         let (log, serial) = fill_then_values(&be);
         let store = MlocStore::open(&be, "ds", "v").unwrap();
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let hdr_len = HEADER_LEN;
         let data_table = |file: &str| {
-            let raw = be.read(file, 0, hdr_len + summary_extent_len(geometry.0));
-            let raw = raw.unwrap();
-            let summary = &raw[hdr_len as usize..];
-            Tables::parse(summary, hdr_len, geometry, file)
-                .unwrap()
-                .data_span()
+            let raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
+            let fixed = located_in(&store, &raw, bin_of(&store, file));
+            fixed.tables().data_span()
         };
         let front = |op: &&ReadOp| op.offset < data_table(&op.file).0 + data_table(&op.file).1;
         let [_, values, again] = &serial[..] else {
@@ -1109,12 +1053,11 @@ mod tests {
     }
 
     /// Every bit flip, truncation and one-byte extension of a bin
-    /// file's fixed blocks — the header, the summary extent, both
-    /// tables — fails a positions query and a values query as a named
-    /// corrupt extent, or leaves its answer unchanged. Nothing panics,
-    /// and no read of the fixed blocks is sized past the bound their
-    /// geometry gives them ([`Tables::parse`] holds the table sizes to
-    /// it), so no buffer is either.
+    /// file's fixed blocks — the header and both tables — fails a
+    /// positions query and a values query as a named corrupt extent, or
+    /// leaves its answer unchanged. Nothing panics, and no read of the
+    /// fixed blocks is sized past the bound their geometry gives them
+    /// (the meta's counts size them), so no buffer is either.
     #[test]
     fn every_mutation_of_the_fixed_blocks_is_named_or_harmless() {
         use crate::integrity::table_len;
@@ -1132,12 +1075,9 @@ mod tests {
         let file = store.bin_file(1).to_string();
         let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
         let (chunks, parts) = (4u32, 7u32);
-        let bound = HEADER_LEN
-            + summary_extent_len(chunks as usize)
-            + table_len(2 + chunks)
-            + table_len(chunks * parts);
+        let bound = HEADER_LEN + table_len(1 + chunks) + table_len(chunks * parts);
         let fixed_end = {
-            let (at, len) = located_in(&store, &raw, 1).tables.data_span();
+            let (at, len) = located_in(&store, &raw, 1).tables().data_span();
             (at + len) as usize
         };
         assert!(fixed_end as u64 <= bound);

@@ -21,7 +21,7 @@ use crate::cache::{BlockPart, ByteView, CachedBlock, FixedBlocks};
 use crate::config::NUM_PARTS;
 use crate::degrade::{DegradationEvent, DegradationReport};
 use crate::exec::ExecRequest;
-use crate::index::SummaryView;
+use crate::index::Summaries;
 use crate::query::plan::WorkUnit;
 use crate::query::Landing;
 use crate::store::MlocStore;
@@ -130,10 +130,10 @@ pub struct RankJob<'j, 'a> {
 /// One bin's blocks as the fetch and decode stages fill them in;
 /// the per-unit vectors are indexed like the rank's units of the bin.
 pub(crate) struct BinBlocks {
-    /// The bin's fixed blocks: the chunk summaries, read in place from
-    /// the fetched (or cached) bytes, the index checksum table, the
-    /// data checksum table, fetched iff a unit of the bin reads data,
-    /// and the rows derived from them that locate every extent.
+    /// The bin's fixed blocks: the index checksum table, the data
+    /// checksum table, fetched iff a unit of the bin reads data, and the
+    /// rows, derived from the store's summaries, that locate every
+    /// extent.
     pub fixed: Arc<FixedBlocks>,
     /// Per unit with points: where its run list is — its stored run
     /// list, checked once against its summary count, or a full chunk's
@@ -222,9 +222,10 @@ pub fn process_units<'j>(job: &'j RankJob<'j, '_>, obs: &mut Collector) -> Resul
 }
 
 /// Whether a unit makes its rank read the bin's data section: the plan
-/// asks for data and the chunk has points in the bin.
-fn reads_data(summaries: &SummaryView<ByteView>, u: &WorkUnit) -> bool {
-    u.needs_data && summaries.count(u.chunk_rank) > 0
+/// asks for data and the chunk has points in the bin (every unit of a
+/// query's plan does; a caller's own plan may hold units that do not).
+fn reads_data(summaries: &Summaries, u: &WorkUnit) -> bool {
+    u.needs_data && summaries.get(u.bin, u.chunk_rank).count > 0
 }
 
 impl Rank<'_, '_> {
@@ -235,9 +236,9 @@ impl Rank<'_, '_> {
         let bytes_before = self.fetcher.report.index_bytes;
         let data_before = self.fetcher.report.data_bytes;
         obs.begin("index-read");
-        let fixed = self.fetcher.fixed(bin, |summaries| {
-            group.iter().any(|u| reads_data(summaries, u))
-        })?;
+        let summaries = self.job.store.summaries();
+        let data = group.iter().any(|u| reads_data(summaries, u));
+        let fixed = self.fetcher.fixed(bin, data)?;
         let file = self.fetcher.bin_file(bin);
 
         // Positional bitmaps for this rank's chunks, as one want-list.
@@ -252,11 +253,12 @@ impl Rank<'_, '_> {
             let Some((offset, len)) = fixed.bitmap(u.chunk_rank) else {
                 continue;
             };
-            let count = fixed.count(u.chunk_rank);
+            let summary = summaries.get(bin, u.chunk_rank);
+            let count = summary.count;
             // Summary classification: a full chunk's bitmap is all ones
             // — one run — so it is never read; partial chunks still
             // fetch their bitmap.
-            if fixed.summaries.get(u.chunk_rank).all_of_chunk {
+            if summary.all_of_chunk {
                 let points = grid.chunk_points(order.cell_at(u.chunk_rank)) as u64;
                 if u64::from(count) != points {
                     return Err(MlocError::Corrupt("index bitmap inconsistent"));
@@ -318,7 +320,8 @@ impl Rank<'_, '_> {
         // plan and the index, never on cache state, so cold and warm
         // runs of the same query access it identically.
         let fixed = Arc::clone(&blocks.fixed);
-        let units = (group.iter().enumerate()).filter(|(_, u)| reads_data(&fixed.summaries, u));
+        let summaries = self.job.store.summaries();
+        let units = (group.iter().enumerate()).filter(|(_, u)| reads_data(summaries, u));
         if units.clone().next().is_some() {
             blocks.parts = vec![None; group.len() * blocks.n_parts];
         }
@@ -430,7 +433,9 @@ pub(crate) fn read_parts(
     let PartRange { bin, fixed, .. } = range;
     let Range { start: lo, end: hi } = range.parts;
     let at = |slot: usize, p: usize| slot * (hi - lo) + p - lo;
-    let plod = fetcher.store().config().plod;
+    let store = fetcher.store();
+    let plod = store.config().plod;
+    let count = |rank: usize| store.summaries().get(bin, rank).count;
     let file = fetcher.bin_file(bin);
     let mut extents: Vec<(u64, u32)> = Vec::new();
     // (slot, chunk rank, value filter, part) of every extent to read.
@@ -439,7 +444,7 @@ pub(crate) fn read_parts(
     // is published as it is decoded).
     let mut grow: Vec<(usize, usize, Option<UnitBlock>)> = Vec::new();
     for (slot, rank, filtered) in units {
-        let block = fetcher.unit_block(bin, rank, fixed.count(rank) as usize);
+        let block = fetcher.unit_block(bin, rank, count(rank) as usize);
         let held = block.as_ref().map_or(0, UnitBlock::parts);
         for p in lo..hi {
             let loc = fixed
@@ -474,7 +479,7 @@ pub(crate) fn read_parts(
                     bin,
                     chunk_rank: rank,
                     lost_part: p,
-                    points: u64::from(fixed.count(rank)),
+                    points: u64::from(count(rank)),
                     reason: e.to_string(),
                 });
             }
@@ -487,7 +492,7 @@ pub(crate) fn read_parts(
     // which is where warm-session time goes to ~0.
     let t = Instant::now();
     for (slot, rank, p, view) in stored {
-        let count = fixed.count(rank) as usize;
+        let count = count(rank) as usize;
         range.out[at(slot, p)] = Some(if plod {
             CachedBlock::Bytes(decoder.part(&view, p, count)?)
         } else {
@@ -517,9 +522,8 @@ pub(crate) fn read_parts(
 
 #[cfg(test)]
 mod tests {
-    use crate::binfile::{front_lens, parse_fixed, reseal_index};
+    use crate::binfile::reseal_index;
     use crate::build::build_variable;
-    use crate::config::LevelOrder;
     use crate::config::MlocConfig;
     use crate::query::Query;
     use crate::store::MlocStore;
@@ -545,9 +549,10 @@ mod tests {
 
         let file = store.bin_file(1);
         let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
+        let tables = store.parse_fixed(1, &raw).unwrap().tables();
         raw[9..13].copy_from_slice(&40u32.to_le_bytes());
         raw[13] = 2;
-        reseal_index(&mut raw, (16, 7), front_lens, file);
+        reseal_index(&mut raw, tables, file);
         be.create(file).unwrap();
         be.append(file, &raw).unwrap();
 
@@ -585,10 +590,11 @@ mod tests {
         build_variable(&be, "ds", "v", &values, &config).unwrap();
         let plain = MlocStore::open(&be, "ds", "v").unwrap();
         let fixed = Fetcher::new(&plain, RetryPolicy::none(), false)
-            .fixed(BIN, |_| true)
+            .fixed(BIN, true)
             .unwrap();
-        let r = (0..16).find(|&r| fixed.count(r) > 0).unwrap();
-        let count = fixed.count(r) as usize;
+        let count_of = |r: usize| plain.summaries().get(BIN, r).count as usize;
+        let r = (0..16).find(|&r| count_of(r) > 0).unwrap();
+        let count = count_of(r);
         let stored = |parts: Range<usize>| -> u64 {
             parts
                 .map(|p| u64::from(fixed.unit(r, p).unwrap().clen))
@@ -728,12 +734,12 @@ mod tests {
         let edited = (0..4).find(|&bin| {
             let file = store.bin_file(bin);
             let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-            let located = parse_fixed(&raw, (16, 7), LevelOrder::Vms, file).unwrap();
+            let located = store.parse_fixed(bin, &raw).unwrap();
             let Some((at, len)) = located.bitmap(rank) else {
                 return false;
             };
             let (at, end) = (at as usize, (at + u64::from(len)) as usize);
-            let count = u64::from(located.count(rank));
+            let count = u64::from(store.summaries().get(bin, rank).count);
             let mut runs = mloc_bitmap::RunListBuf::new();
             let Ok(i) = runs.push_stored(&raw[at..end], count, 256) else {
                 return false;
@@ -745,7 +751,7 @@ mod tests {
                 return false;
             }
             raw[end - 1] += 1;
-            reseal_index(&mut raw, (16, 7), front_lens, file);
+            reseal_index(&mut raw, located.tables(), file);
             be.create(file).unwrap();
             be.append(file, &raw).unwrap();
             true
@@ -804,7 +810,7 @@ mod tests {
             let edited = (0..4).find(|&bin| {
                 let file = store.bin_file(bin);
                 let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-                let located = parse_fixed(&raw, (1, 7), LevelOrder::Vms, file).unwrap();
+                let located = store.parse_fixed(bin, &raw).unwrap();
                 let Some((at, len)) = located.bitmap(0) else {
                     return false;
                 };
@@ -812,7 +818,7 @@ mod tests {
                 if !edit(&mut raw[at..end]) {
                     return false;
                 }
-                reseal_index(&mut raw, (1, 7), front_lens, file);
+                reseal_index(&mut raw, located.tables(), file);
                 be.create(file).unwrap();
                 be.append(file, &raw).unwrap();
                 true

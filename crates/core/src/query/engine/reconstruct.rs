@@ -47,8 +47,6 @@ struct Window {
     /// The chunk's row width, and the box's window of each row.
     row_w: u64,
     cols: (u64, u64),
-    /// The box's first and last offsets.
-    span: (u64, u64),
     /// The box covers the whole chunk.
     whole: bool,
     /// The cursor is past the box's last row.
@@ -65,7 +63,6 @@ impl Window {
             row: 0,
             row_w: 0,
             cols: (0, 0),
-            span: (0, u64::MAX),
             whole: true,
             done: false,
         }
@@ -74,12 +71,12 @@ impl Window {
     /// Aim at the first box row of a chunk spanning `ranges`, the box
     /// being the chunk's part of `region` (`None`: all of the chunk).
     fn set_chunk(&mut self, ranges: &[(usize, usize)], region: Option<&[(usize, usize)]>) {
-        (self.whole, self.done, self.span) = (true, false, (0, u64::MAX));
+        (self.whole, self.done) = (true, false);
         let Some(sc) = region else {
             return;
         };
         let last = ranges.len() - 1;
-        let (mut stride, mut row, mut end) = (1u64, 0u64, 0u64);
+        let (mut stride, mut row) = (1u64, 0u64);
         for d in (0..=last).rev() {
             let (s, e) = ranges[d];
             let (lo, hi) = (sc[d].0.clamp(s, e) - s, sc[d].1.clamp(s, e) - s);
@@ -92,10 +89,8 @@ impl Window {
             if d < last {
                 row += lo as u64 * stride;
             }
-            end += (hi.max(lo + 1) - 1) as u64 * stride;
             stride *= (e - s) as u64;
         }
-        self.span = (row + self.lo[last], end);
         self.row = row;
         self.row_w = (ranges[last].1 - ranges[last].0) as u64;
         self.cols = (self.lo[last], self.hi[last]);
@@ -116,13 +111,6 @@ impl Window {
             self.c[d] = self.lo[d];
         }
         self.done = true;
-    }
-
-    /// Whether the box can hold a set bit of a unit whose set bits all
-    /// lie in `summary`'s span.
-    fn meets(&self, summary: ChunkSummary) -> bool {
-        let (min, max) = (u64::from(summary.min_pos), u64::from(summary.max_pos));
-        !self.done && min <= self.span.1 && max >= self.span.0
     }
 
     /// The first offset at or after `at` inside the box (moving the
@@ -497,7 +485,8 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
         bin: &BinBlocks,
         refine: &mut Refinement,
     ) -> Result<()> {
-        let count = bin.fixed.count(u.chunk_rank);
+        let summary = self.job.store.summaries().get(u.bin, u.chunk_rank);
+        let count = summary.count;
         if count == 0 {
             return Ok(());
         }
@@ -520,14 +509,10 @@ impl<'j, 'a> Reconstructor<'j, 'a> {
                 points: at..at,
             });
         }
-        // A unit keeps only its set bits inside the region: when the
-        // chunk's summary puts them all before or after the region's
-        // box, it has nothing to walk.
+        // A unit keeps only its set bits inside the region; the plan
+        // left out every unit whose summary puts them all before or
+        // after the region's box.
         self.window.set_chunk(&scratch.ranges, self.region(u));
-        let summary = bin.fixed.summaries.get(u.chunk_rank);
-        if !self.window.meets(summary) {
-            return Ok(());
-        }
         // The unit's run list was checked against its summary count —
         // its count of set bits, its chunk's length — when its bitmap
         // was admitted, so no run passes the chunk or the unit's values.

@@ -14,7 +14,7 @@
 use crate::config::PlodLevel;
 use crate::exec::ParallelExecutor;
 use crate::metrics::QueryMetrics;
-use crate::query::plan::{Plan, WorkUnit};
+use crate::query::plan::Plan;
 use crate::query::{Query, QueryOutput, QueryResult};
 use crate::store::MlocStore;
 use crate::Result;
@@ -55,25 +55,7 @@ pub fn subset_value_query(
     let mut ranks: Vec<usize> = h.prefix(level).map(|chunk| order.rank_of(chunk)).collect();
     ranks.sort_unstable();
 
-    let num_bins = store.config().num_bins;
-    let mut units = Vec::with_capacity(num_bins * ranks.len());
-    for bin in 0..num_bins {
-        for &chunk_rank in &ranks {
-            units.push(WorkUnit {
-                bin,
-                chunk_rank,
-                needs_data: true,
-                value_filter: false,
-                spatial_filter: false,
-            });
-        }
-    }
-    let plan = Plan {
-        bins_touched: num_bins,
-        aligned_bins: 0,
-        chunks_touched: ranks.len(),
-        units,
-    };
+    let plan = Plan::whole_chunks(store.config().num_bins, &ranks);
     let query = Query {
         vc: None,
         sc: None,

@@ -12,7 +12,7 @@ use crate::array::ChunkGrid;
 use crate::config::PlodLevel;
 use crate::exec::ParallelExecutor;
 use crate::metrics::QueryMetrics;
-use crate::query::plan::{Plan, WorkUnit};
+use crate::query::plan::Plan;
 use crate::query::{Query, QueryOutput, QueryResult};
 use crate::store::MlocStore;
 use crate::{MlocError, Result};
@@ -94,12 +94,7 @@ pub fn select_then_fetch(
 /// all bins, but only the chunks that contain selections.
 fn fetch_plan(store: &MlocStore<'_>, positions: &[u64]) -> Result<Plan> {
     if positions.is_empty() {
-        return Ok(Plan {
-            units: Vec::new(),
-            bins_touched: 0,
-            aligned_bins: 0,
-            chunks_touched: 0,
-        });
+        return Ok(Plan::default());
     }
     let grid: &ChunkGrid = store.grid();
     let order = store.order();
@@ -110,25 +105,7 @@ fn fetch_plan(store: &MlocStore<'_>, positions: &[u64]) -> Result<Plan> {
     ranks.sort_unstable();
     ranks.dedup();
 
-    let num_bins = store.config().num_bins;
-    let mut units = Vec::with_capacity(num_bins * ranks.len());
-    for bin in 0..num_bins {
-        for &chunk_rank in &ranks {
-            units.push(WorkUnit {
-                bin,
-                chunk_rank,
-                needs_data: true,
-                value_filter: false,
-                spatial_filter: false,
-            });
-        }
-    }
-    Ok(Plan {
-        bins_touched: num_bins,
-        aligned_bins: 0,
-        chunks_touched: ranks.len(),
-        units,
-    })
+    Ok(Plan::whole_chunks(store.config().num_bins, &ranks))
 }
 
 #[cfg(test)]

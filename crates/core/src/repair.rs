@@ -28,7 +28,7 @@
 //! [`StorageBackend`]; replica restore is a no-op on unreplicated
 //! stores (no `replica_access()`, or one replica: the only copy is
 //! re-checked and nothing else can be tried). A store of the formats
-//! before v5 is refused whole, untouched: `mloc upgrade` copies it out.
+//! before v6 is refused whole, untouched: `mloc upgrade` copies it out.
 
 use crate::binfile::{self, Layout};
 use crate::config::MlocConfig;
@@ -201,10 +201,12 @@ impl fmt::Display for RepairReport {
 /// How a whole stored file is checked.
 #[derive(Debug, Clone, Copy)]
 enum Whole<'a> {
-    /// A bin file: its front tables — located with the variable's
-    /// layout, when its meta or the catalog gives one — every extent,
-    /// its end marker, and, held to that layout, its run lists.
-    BinFile(Option<&'a Layout>),
+    /// Bin file `.1`: its front tables — sized by the bin's summaries
+    /// when the variable's meta gives them, else found by their own
+    /// checksums — every extent, its end marker, and, held to the
+    /// variable's layout (from its meta or the catalog), its header's
+    /// geometry and its run lists.
+    BinFile(Option<&'a Layout>, usize),
     /// The meta: its tail footer and every extent.
     TailFooter,
 }
@@ -213,7 +215,7 @@ impl Whole<'_> {
     /// Whether `raw`, all of `file`, is whole.
     fn check(self, raw: &[u8], file: &str) -> Result<()> {
         match self {
-            Whole::BinFile(layout) => binfile::verified(raw, file, layout),
+            Whole::BinFile(layout, bin) => binfile::verified(raw, file, layout, bin),
             Whole::TailFooter => ExtentFooter::split_verified(raw, file).map(drop),
         }
     }
@@ -388,8 +390,10 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
         let meta = committed.then(|| read_meta(backend, ds, &var)).flatten();
         let config = meta.as_ref().map(|m| &m.config).or(catalog_config.as_ref());
         let expect_bins = config.map(|c| c.num_bins);
-        let layout = config.map(Layout::of);
-        let whole = Whole::BinFile(layout.as_ref());
+        let layout = match meta {
+            Some(meta) => Some(Layout::of(&meta.config).with_summaries(meta.summaries)),
+            None => config.map(Layout::of),
+        };
 
         match (meta_state.as_ref().err(), listed) {
             (None, true) => report.committed.push(var.clone()),
@@ -438,7 +442,7 @@ pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
                 continue;
             };
             report.files_checked += 1;
-            match verifies(backend, &file, whole) {
+            match verifies(backend, &file, Whole::BinFile(layout.as_ref(), bin)) {
                 Ok(()) if debris => report.findings.push(FileFinding {
                     file,
                     class: FileClass::Orphaned,
@@ -576,9 +580,9 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         let Some(meta) = read_meta(backend, ds, var) else {
             continue;
         };
-        let layout = Layout::of(&meta.config);
-        let how = Whole::BinFile(Some(&layout));
+        let layout = Layout::of(&meta.config).with_summaries(meta.summaries);
         for bin in 0..meta.config.num_bins {
+            let how = Whole::BinFile(Some(&layout), bin);
             let file = fileorg::bin_file(ds, var, bin);
             let whole = |raw: &[u8]| how.check(raw, &file).is_ok();
             if verifies(backend, &file, how).is_ok() {
@@ -835,7 +839,7 @@ mod tests {
                     .read(f, 0, router.shard(s).len(f).unwrap())
                     .unwrap();
                 let whole = match f.ends_with(".bin") {
-                    true => binfile::verified(&raw, f, None),
+                    true => binfile::verified(&raw, f, None, 0),
                     false => ExtentFooter::split_verified(&raw, f).map(drop),
                 };
                 assert!(

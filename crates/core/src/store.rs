@@ -7,6 +7,7 @@ use crate::config::MlocConfig;
 use crate::exec::ParallelExecutor;
 use crate::fileorg;
 use crate::fusion::ExtentFuser;
+use crate::index::Summaries;
 use crate::metrics::QueryMetrics;
 use crate::query::{Query, QueryResult};
 use crate::wire::{Reader, Writer};
@@ -16,12 +17,12 @@ use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
-/// The meta's version, the bin files' format: 5 since bitmap and unit
-/// locations are derived, not stored. A version-2 meta (formats v1/v2,
-/// two files per bin), version-3 one (WAH bitmaps) or version-4 one (a
-/// chunk directory in every header) is read by [`crate::upgrade`]
-/// alone.
-pub(crate) const VERSION: u8 = 5;
+/// The meta's version, the bin files' format: 6 since the chunk
+/// summaries are the meta's. A version-2 meta (formats v1/v2, two files
+/// per bin), version-3 one (WAH bitmaps), version-4 one (a chunk
+/// directory in every header) or version-5 one (the summaries in every
+/// bin file) is read by [`crate::upgrade`] alone.
+pub(crate) const VERSION: u8 = 6;
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,10 @@ pub struct VariableMeta {
     pub bin_bounds: Vec<f64>,
     /// Total number of points.
     pub total_points: u64,
+    /// Every bin's chunk summaries: the index's coarse level, which the
+    /// planner culls with before it opens a bin file. Empty in a meta
+    /// of the formats before v6, whose bin files held them.
+    pub summaries: Summaries,
 }
 
 impl VariableMeta {
@@ -46,11 +51,12 @@ impl VariableMeta {
         self.config.encode_into(&mut w);
         w.f64_vec(&self.bin_bounds);
         w.u64(self.total_points);
+        w.bytes(self.summaries.as_bytes());
         w.finish()
     }
 
     /// Parse bytes produced by [`Self::encode`]. A meta of versions 2
-    /// to 4 fails with the error that names `mloc upgrade`.
+    /// to 5 fails with the error that names `mloc upgrade`.
     pub fn decode(data: &[u8]) -> Result<VariableMeta> {
         Self::decode_current(data, "meta")
     }
@@ -63,8 +69,10 @@ impl VariableMeta {
         }
     }
 
-    /// Parse a meta of any version, and say which: versions 2 to 4
-    /// differ from 5 in their version byte alone.
+    /// Parse a meta of any version, and say which: versions 2 to 5
+    /// differ from 6 in their version byte and in holding no summaries,
+    /// which a version-6 meta ends with — one section per bin, each
+    /// checked as a query reads it.
     pub(crate) fn decode_any(data: &[u8]) -> Result<(u8, VariableMeta)> {
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {
@@ -81,11 +89,26 @@ impl VariableMeta {
         if bin_bounds.len() != config.num_bins + 1 {
             return Err(MlocError::Corrupt("bin bound count mismatch"));
         }
+        let rest = r.remaining();
+        let summaries = if version == VERSION {
+            // The chunk count of the configuration's grid, with checked
+            // arithmetic: a damaged meta may state any shape.
+            let ceil = |(&s, &c): (&usize, &usize)| (c > 0).then(|| s.div_ceil(c));
+            let mut extents = config.shape.iter().zip(&config.chunk_shape).map(ceil);
+            let num_chunks = extents
+                .try_fold(1usize, |n, e| n.checked_mul(e?))
+                .filter(|_| config.shape.len() == config.chunk_shape.len())
+                .ok_or(MlocError::Corrupt("bad chunk grid"))?;
+            Summaries::parse(rest.to_vec(), config.num_bins, num_chunks)?
+        } else {
+            Summaries::none()
+        };
         let meta = VariableMeta {
             var,
             config,
             bin_bounds,
             total_points,
+            summaries,
         };
         Ok((version, meta))
     }
@@ -231,6 +254,24 @@ impl<'a> MlocStore<'a> {
         &self.spec
     }
 
+    /// Every bin's chunk summaries, from the meta.
+    pub fn summaries(&self) -> &Summaries {
+        &self.meta.summaries
+    }
+
+    /// Bin `bin`'s fixed blocks parsed in place from `raw`, its file
+    /// from the start at least to the end of its data table, by the
+    /// bin's summaries — unverified, for tools that inspect a file
+    /// ([`crate::binfile::parse_fixed`]).
+    ///
+    /// # Panics
+    /// Panics when `bin` is not below the variable's bin count.
+    pub fn parse_fixed(&self, bin: usize, raw: &[u8]) -> Result<crate::cache::FixedBlocks> {
+        let (parts, order) = (self.config().num_parts(), self.config().level_order);
+        let summaries = self.summaries().bin(bin);
+        crate::binfile::parse_fixed(raw, &summaries, parts, order, self.bin_file(bin))
+    }
+
     /// Name of a bin's file.
     ///
     /// # Panics
@@ -254,6 +295,26 @@ impl<'a> MlocStore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{encode_summaries, ChunkSummary};
+
+    /// `bins` sections of `chunks` empty chunks, and one point in chunk
+    /// 0 of bin 0.
+    fn summaries(bins: usize, chunks: usize) -> Summaries {
+        let mut w = Writer::new();
+        for bin in 0..bins {
+            let mut records = vec![ChunkSummary::EMPTY; chunks];
+            if bin == 0 {
+                records[0] = ChunkSummary {
+                    count: 1,
+                    min_pos: 3,
+                    max_pos: 3,
+                    all_of_chunk: false,
+                };
+            }
+            encode_summaries(&records, &mut w);
+        }
+        Summaries::parse(w.finish(), bins, chunks).unwrap()
+    }
 
     #[test]
     fn meta_roundtrip() {
@@ -266,6 +327,7 @@ mod tests {
             config,
             bin_bounds: (0..=10).map(|i| i as f64 * 3.5).collect(),
             total_points: 2048,
+            summaries: summaries(10, 8),
         };
         let decoded = VariableMeta::decode(&meta.encode()).unwrap();
         assert_eq!(decoded, meta);
@@ -282,9 +344,13 @@ mod tests {
             config,
             bin_bounds: vec![0.0, 1.0, 2.0],
             total_points: 64,
+            summaries: summaries(2, 4),
         };
         let bytes = meta.encode();
         assert!(VariableMeta::decode(&bytes[..10]).is_err());
+        // A summary section cut short, or one byte too many.
+        assert!(VariableMeta::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(VariableMeta::decode(&[&bytes[..], &[0]].concat()).is_err());
         let mut bad = bytes.clone();
         bad[0] ^= 1;
         assert!(VariableMeta::decode(&bad).is_err());

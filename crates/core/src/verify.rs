@@ -4,6 +4,9 @@
 //! variable's files — meta and every bin file — and reports each
 //! damaged extent with a human-readable
 //! label (which chunk's bitmap, which byte-group part, which table).
+//! The chunk labels come from the bins' summaries, which the meta
+//! holds: with a damaged meta, the bin files' own tables still locate
+//! every extent, and the labels name table rows instead.
 //! Unlike the query path,
 //! which stops at the first unreadable extent it needs, verification
 //! keeps going and maps *all* the damage, so an operator can decide
@@ -148,7 +151,7 @@ fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<
 /// Verify every stored extent of one variable. Damaged extents are
 /// collected, not fatal: the report lists all of them. Errors are
 /// returned only for conditions that prevent verification from running
-/// at all: a dataset of the formats before v5, which `mloc upgrade`
+/// at all: a dataset of the formats before v6, which `mloc upgrade`
 /// reads and nothing else does. Unreadable files become damage entries.
 pub fn verify_variable(
     backend: &dyn StorageBackend,
@@ -160,7 +163,7 @@ pub fn verify_variable(
 }
 
 /// [`verify_variable`] of a dataset already known to hold no file of a
-/// format before v5.
+/// format before v6.
 fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
     let mut report = VerifyReport::default();
 
@@ -184,60 +187,63 @@ fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> Ver
             .ok()
     });
     relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
-    let layout = meta.as_ref().map(|m| Layout::of(&m.config));
+    let layout = meta.map(|m| Layout::of(&m.config).with_summaries(m.summaries));
     for bin in bins {
         let file = fileorg::bin_file(dataset, var, bin);
-        verify_bin_file(backend, &file, layout.as_ref(), &mut report);
+        verify_bin_file(backend, &file, bin, layout.as_ref(), &mut report);
     }
     report
 }
 
 /// Check one whole bin file and label its damage: the fixed blocks
-/// by where the tables say they are, bitmaps and units by the rows
-/// derived from a header and summary whose own extents verified — a
-/// damaged summary may say anything. Held to the variable's layout,
-/// each bitmap is also taken as a query takes it: a run list of its
-/// chunk's count inside its chunk, so one that passes its checksum but
-/// not its count is named here, not first by a query.
+/// by where the tables are, bitmaps and units by the rows derived from
+/// the bin's summaries, or — when the meta that holds them failed — by
+/// their table rows. Held to the variable's layout, each bitmap is also
+/// taken as a query takes it: a run list of its chunk's count inside
+/// its chunk, so one that passes its checksum but not its count is
+/// named here, not first by a query.
 fn verify_bin_file(
     backend: &dyn StorageBackend,
     file: &str,
+    bin: usize,
     layout: Option<&Layout>,
     report: &mut VerifyReport,
 ) {
     let Some(raw) = read_checked(backend, file, report) else {
         return;
     };
-    let checked = binfile::check(&raw, file, layout);
+    let checked = binfile::check(&raw, file, layout, bin);
     report.extents_checked += checked.extents;
     report
         .damage
         .extend(checked.damage.iter().map(|e| damage_from_error(file, e)));
     let end_marker = (raw.len() as u64).saturating_sub(END_LEN);
     let located = |off: u64| {
-        let rows = checked.rows.as_ref()?;
+        let rows = checked.rows.as_ref();
         let bitmap = checked.index.as_ref().and_then(|t| t.position(off));
-        if let Some(rank) = bitmap.and_then(|i| rows.chunk_of_bitmap(i)) {
-            return Some(format!("bitmap of chunk rank {rank}"));
+        if let Some(row) = bitmap.filter(|&i| i > 0) {
+            return Some(match rows.and_then(|rows| rows.chunk_of_bitmap(row)) {
+                Some(rank) => format!("bitmap of chunk rank {rank}"),
+                None => format!("bitmap in index table row {row}"),
+            });
         }
-        let unit = checked.data.as_ref().and_then(|t| t.position(off));
-        let (rank, part) = unit.and_then(|j| rows.unit_of_row(j))?;
-        Some(format!("chunk rank {rank} byte-group part {part}"))
+        let row = checked.data.as_ref().and_then(|t| t.position(off))?;
+        Some(match rows.and_then(|rows| rows.unit_of_row(row)) {
+            Some((rank, part)) => format!("chunk rank {rank} byte-group part {part}"),
+            None => format!("unit part in data table row {row}"),
+        })
     };
     relabel(report, file, |off| {
         if off == 0 {
             return Some("index header".to_string());
         }
         if off == HEADER_LEN {
-            return Some("chunk summary".to_string());
+            return Some("index checksum table".to_string());
         }
         if let Some(label) = located(off) {
             return Some(label);
         }
-        let tables = checked.tables?;
-        if off == tables.index_span().0 {
-            Some("index checksum table".to_string())
-        } else if off == tables.data_span().0 {
+        if checked.tables?.data_span().0 == off {
             Some("data checksum table".to_string())
         } else {
             (off == end_marker).then(|| "end marker".to_string())
@@ -276,11 +282,17 @@ mod tests {
         be
     }
 
-    /// `raw`, a whole bin file of [`build`]'s variable, parsed in place.
-    fn located(be: &MemBackend, raw: &[u8]) -> crate::cache::FixedBlocks {
+    /// `raw`, the whole file of bin `bin` of [`build`]'s variable,
+    /// parsed in place.
+    fn located(be: &MemBackend, bin: usize, raw: &[u8]) -> crate::cache::FixedBlocks {
         let store = crate::store::MlocStore::open(be, "ds", "v").unwrap();
-        let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        binfile::parse_fixed(raw, geometry, store.config().level_order, "f").unwrap()
+        store.parse_fixed(bin, raw).unwrap()
+    }
+
+    /// Chunks of [`build`]'s variable.
+    fn num_chunks(be: &MemBackend) -> usize {
+        let store = crate::store::MlocStore::open(be, "ds", "v").unwrap();
+        store.grid().num_chunks()
     }
 
     /// Copy every file, flipping one byte of `victim` at `offset`.
@@ -313,8 +325,8 @@ mod tests {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let at = located(&be, &raw);
-        let unit = (0..at.summaries.num_chunks())
+        let at = located(&be, 1, &raw);
+        let unit = (0..num_chunks(&be))
             .flat_map(|r| (0..7).map(move |p| (r, p)))
             .filter_map(|(r, p)| at.unit(r, p))
             .find(|u| u.clen > 3)
@@ -351,35 +363,40 @@ mod tests {
         assert!(r.damage[0].what.starts_with("meta"), "{}", r.damage[0].what);
     }
 
+    /// A flipped byte of a bin's summaries, in the meta, is damage to
+    /// the meta; every bin file, its tables found by their own
+    /// checksums, verifies clean.
     #[test]
     fn flipped_summary_byte_is_pinpointed() {
         let be = build();
-        let victim = "ds/v/bin0000.bin";
+        let victim = "ds/v/meta";
         let len = be.len(victim).unwrap();
-        let raw = be.read(victim, 0, len).unwrap();
-        let summary = located(&be, &raw).footer.extent(1);
-        assert_eq!(summary.0, HEADER_LEN, "the summary follows the header");
-        let bad = corrupt_copy(&be, victim, summary.0 + 5);
+        let store = crate::store::MlocStore::open(&be, "ds", "v").unwrap();
+        let sections = store.summaries().as_bytes().len() as u64;
+        // The summaries end the meta's payload, before its footer.
+        let footer = crate::integrity::TRAILER_LEN + 8;
+        let at = len - footer - sections / 2;
+        let bad = corrupt_copy(&be, victim, at);
         let report = verify_variable(&bad, "ds", "v").unwrap();
         assert_eq!(report.damage.len(), 1, "{report}");
         let d = &report.damage[0];
-        assert!(d.what.starts_with("chunk summary"), "{}", d.what);
-        assert_eq!(d.offset, summary.0);
-        assert_eq!(d.len, u64::from(summary.1));
+        assert_eq!((d.file.as_str(), d.offset), (victim, 0));
+        assert!(d.what.starts_with("meta"), "{}", d.what);
+        assert_eq!(report.files_checked, 5);
     }
 
     /// A header stating a chunk count near `u32::MAX`, plus a flipped
     /// byte in a later chunk's bitmap, footer not recomputed: both
-    /// extents are reported, the bitmap without a label (the header
-    /// that would place it failed its own checksum), and nothing panics
-    /// or sizes anything by the stated count.
+    /// extents are reported — the bitmap by its chunk, which the meta's
+    /// summaries name whatever the header says — and nothing panics or
+    /// sizes anything by the stated count.
     #[test]
     fn damaged_header_offsets_never_panic_and_all_damage_is_reported() {
         let be = build();
         let victim = "ds/v/bin0001.bin";
         let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
-        let at = located(&be, &raw);
-        let with_bitmap: Vec<usize> = (0..at.summaries.num_chunks())
+        let at = located(&be, 1, &raw);
+        let with_bitmap: Vec<usize> = (0..num_chunks(&be))
             .filter(|&r| at.bitmap(r).is_some())
             .collect();
         let later = *with_bitmap.last().unwrap();
@@ -401,7 +418,33 @@ mod tests {
         let d = &report.damage[1];
         assert_eq!(d.file, victim);
         assert_eq!(d.offset, bitmap_at);
-        assert!(d.what.starts_with("checksum"), "{}", d.what);
+        let want = format!("bitmap of chunk rank {later}: checksum mismatch");
+        assert_eq!(d.what, want);
+    }
+
+    /// With the meta gone, a flipped bitmap byte is still pinpointed:
+    /// the file's tables, found by their own checksums, locate every
+    /// extent, and the label names its table row.
+    #[test]
+    fn without_the_meta_a_flipped_bitmap_byte_is_pinpointed() {
+        let be = build();
+        let victim = "ds/v/bin0002.bin";
+        let raw = be.read(victim, 0, be.len(victim).unwrap()).unwrap();
+        let at = located(&be, 2, &raw);
+        let rank = (0..num_chunks(&be))
+            .find(|&r| at.bitmap(r).is_some())
+            .unwrap();
+        let (bitmap_at, len) = at.bitmap(rank).unwrap();
+        let row = at.rows.bitmap_row(rank).unwrap();
+        let bad = corrupt_copy(&be, victim, bitmap_at);
+        bad.remove("ds/v/meta").unwrap();
+        let report = verify_variable(&bad, "ds", "v").unwrap();
+        let found: Vec<(&str, u64, u64, &str)> = (report.damage.iter())
+            .filter(|d| d.file == victim)
+            .map(|d| (d.file.as_str(), d.offset, d.len, d.what.as_str()))
+            .collect();
+        let what = format!("bitmap in index table row {row}: checksum mismatch");
+        assert_eq!(found, [(victim, bitmap_at, u64::from(len), what.as_str())]);
     }
 
     #[test]

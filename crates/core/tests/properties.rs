@@ -369,7 +369,6 @@ proptest! {
     #[test]
     fn summary_classification_matches_bitmap_truth(case in case_strategy()) {
         use mloc::bitmap::RunListRef;
-        use mloc::binfile::parse_fixed;
         use mloc::index::ChunkSummary;
         use mloc_pfs::StorageBackend;
         let be = MemBackend::new();
@@ -378,9 +377,9 @@ proptest! {
         for bin in 0..case.num_bins {
             let name = mloc::fileorg::bin_file("p", "v", bin);
             let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
-            let idx = parse_fixed(&raw, geometry, case.order, &name).unwrap();
+            let idx = store.parse_fixed(bin, &raw).unwrap();
             for r in 0..geometry.0 {
-                let summary = idx.summaries.get(r);
+                let summary = store.summaries().get(bin, r);
                 let Some((off, len)) = idx.bitmap(r) else {
                     prop_assert_eq!(summary, ChunkSummary::EMPTY);
                     continue;
@@ -388,7 +387,7 @@ proptest! {
                 let off = off as usize;
                 let points = store.grid().chunk_points(store.order().cell_at(r)) as u64;
                 let pairs = &raw[off..off + len as usize];
-                let runs = RunListRef::stored(pairs, u64::from(idx.count(r)), points).unwrap();
+                let runs = RunListRef::stored(pairs, u64::from(summary.count), points).unwrap();
                 let pos: Vec<u64> = runs.iter().flat_map(|(at, _, len)| at..at + len).collect();
                 prop_assert_eq!(u64::from(summary.min_pos), pos[0]);
                 prop_assert_eq!(u64::from(summary.max_pos), *pos.last().unwrap());
@@ -446,12 +445,18 @@ proptest! {
         let store = build_case(&be, &case);
         let q = Query::region(-1e9, 1e9);
         let plan = make_plan(&store, &q).unwrap();
-        // Every (candidate bin, candidate chunk) pair appears once.
+        // Every (candidate bin, candidate chunk) pair that holds points
+        // appears once: the whole domain culls only the empty ones.
         let mut seen = std::collections::HashSet::new();
         for u in &plan.units {
             prop_assert!(seen.insert((u.bin, u.chunk_rank)), "duplicate unit");
         }
-        prop_assert_eq!(plan.units.len(), plan.bins_touched * plan.chunks_touched);
+        let summaries = store.summaries();
+        let set = (0..plan.bins_touched)
+            .flat_map(|bin| (0..plan.chunks_touched).map(move |rank| (bin, rank)))
+            .filter(|&(bin, rank)| summaries.get(bin, rank).count > 0)
+            .count();
+        prop_assert_eq!(plan.units.len(), set);
     }
 }
 
@@ -538,7 +543,6 @@ fn windowed_reconstruct_matches_general_path_on_fixed_geometries() {
 /// unit's points, their level-3 values, bit for bit.
 #[test]
 fn a_degraded_straddling_unit_answers_at_its_level() {
-    use mloc::binfile::parse_fixed;
     use mloc_pfs::StorageBackend;
     let case = Case {
         shape: vec![23, 17],
@@ -570,8 +574,7 @@ fn a_degraded_straddling_unit_answers_at_its_level() {
         .expect("a straddling unit");
     let file = store.bin_file(bin);
     let mut raw = be.read(file, 0, be.len(file).unwrap()).unwrap();
-    let geometry = (grid.num_chunks(), store.config().num_parts());
-    let located = parse_fixed(&raw, geometry, case.order, file).unwrap();
+    let located = store.parse_fixed(bin, &raw).unwrap();
     let at = located.unit(rank, 3).unwrap().offset as usize;
     raw[at] ^= 0x40;
     be.create(file).unwrap();

@@ -36,19 +36,43 @@ impl Assignment {
 /// `unit_groups[i]` is the group (bin) of unit `i`. Sorting is stable,
 /// so units keep their relative order within a group.
 pub fn column_order(unit_groups: &[usize], nranks: usize) -> Assignment {
-    assert!(nranks > 0);
     let mut order: Vec<usize> = (0..unit_groups.len()).collect();
     order.sort_by_key(|&i| unit_groups[i]);
+    let mut a = column_order_within(0..order.len(), order.len(), nranks);
+    for unit in a.per_rank.iter_mut().flatten() {
+        *unit = order[*unit];
+    }
+    a
+}
 
-    let n = order.len();
-    let base = n / nranks;
-    let extra = n % nranks;
-    let mut per_rank = Vec::with_capacity(nranks);
-    let mut cursor = 0usize;
-    for r in 0..nranks {
-        let take = base + usize::from(r < extra);
-        per_rank.push(order[cursor..cursor + take].to_vec());
-        cursor += take;
+/// Column-order assignment of units that fill only some of `total`
+/// slots: rank `r`'s share is the `r`-th of `nranks` equal, contiguous
+/// runs of `0..total` (the first `total % nranks` one slot longer), and
+/// unit `i`, whose slot is `slots`' `i`-th, rising, goes to the rank
+/// whose share holds its slot. A slot with no unit leaves a hole in its
+/// rank's share rather than moving the share boundaries, so a rank
+/// holds a subset of what it would hold were every slot filled.
+pub fn column_order_within(
+    slots: impl IntoIterator<Item = usize>,
+    total: usize,
+    nranks: usize,
+) -> Assignment {
+    assert!(nranks > 0);
+    let (base, extra) = (total / nranks, total % nranks);
+    // The first slot past rank `r`'s share.
+    let end = |r: usize| (r + 1) * base + (r + 1).min(extra);
+    let mut per_rank = vec![Vec::new(); nranks];
+    let (mut rank, mut last) = (0, None);
+    for (i, slot) in slots.into_iter().enumerate() {
+        assert!(
+            last < Some(slot) && slot < total,
+            "slots must rise below {total}"
+        );
+        last = Some(slot);
+        while slot >= end(rank) {
+            rank += 1;
+        }
+        per_rank[rank].push(i);
     }
     Assignment { per_rank }
 }
@@ -85,7 +109,26 @@ pub fn distinct_groups_per_rank(assign: &Assignment, unit_groups: &[usize]) -> f
 
 #[cfg(test)]
 mod tests {
+
     use super::*;
+
+    /// With some slots empty, each rank holds the filled slots of the
+    /// share it holds when every slot is filled.
+    #[test]
+    fn a_deal_within_slots_keeps_the_shares_of_the_full_deal() {
+        for (total, nranks) in [(10, 3), (7, 8), (16, 4), (0, 2), (33, 5)] {
+            let full = column_order_within(0..total, total, nranks);
+            let kept: Vec<usize> = (0..total).filter(|s| s % 3 != 1).collect();
+            let within = column_order_within(kept.iter().copied(), total, nranks);
+            for (share, dealt) in full.per_rank.iter().zip(&within.per_rank) {
+                let want: Vec<usize> = (kept.iter().enumerate())
+                    .filter(|(_, s)| share.contains(s))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(dealt, &want, "{total} slots, {nranks} ranks");
+            }
+        }
+    }
 
     fn groups(nbins: usize, per_bin: usize) -> Vec<usize> {
         // Interleaved, as blocks arrive in spatial order.

@@ -38,6 +38,8 @@ pub mod assign;
 pub mod comm;
 pub mod pool;
 
-pub use assign::{column_order, distinct_groups_per_rank, round_robin, Assignment};
+pub use assign::{
+    column_order, column_order_within, distinct_groups_per_rank, round_robin, Assignment,
+};
 pub use comm::{spmd, Comm};
 pub use pool::parallel_map;

@@ -5,7 +5,7 @@
 
 use mloc_pfs::{DirBackend, StorageBackend};
 
-/// Directory of the checked-in version-`version` dataset (1 to 4):
+/// Directory of the checked-in version-`version` dataset (1 to 5):
 /// dataset `fmt`, variable `v`, a `gts_like_2d(64, 64, 41)` field in 16²
 /// chunks, 8 bins, deflate with PLoD byte columns.
 pub fn fixture_dir(version: u8) -> String {

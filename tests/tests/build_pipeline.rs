@@ -258,11 +258,14 @@ fn dataset_stream_waves_match_chunkwise() {
 /// written by the commit before the encode kernel was rebuilt (stored
 /// blocks decided by size, array package-merge, reused LZ77 tables),
 /// so any encoder change that moves a byte on disk fails here; it was
-/// re-derived twice since, when bins became one v3 file each and when
-/// format v5 dropped the chunk directory (every compressed unit byte
-/// kept both times: v5's files are 6,144 bytes a bin shorter with
-/// PLoD, 1,536 without). ISABELA cannot drive PLoD byte columns,
-/// which leaves five stores.
+/// re-derived three times since, when bins became one v3 file each,
+/// when format v5 dropped the chunk directory, and when format v6 moved
+/// the chunk summaries into the meta (every compressed unit byte kept
+/// each time: v5's files are 6,144 bytes a bin shorter with PLoD, 1,536
+/// without; v6's are 856 bytes a bin shorter — the 840-byte summary
+/// section, its table entry and the two table sizes — and the meta 840
+/// bytes a bin longer). ISABELA cannot drive PLoD byte columns, which
+/// leaves five stores.
 #[test]
 fn built_files_are_pinned() {
     let values = gts_like_2d(256, 256, 42).into_values();

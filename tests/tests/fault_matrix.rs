@@ -16,7 +16,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mloc::binfile::parse_fixed;
 use mloc::cache::FixedBlocks;
 use mloc::index::HEADER_LEN;
 use mloc::prelude::*;
@@ -88,11 +87,11 @@ fn build_into(be: &dyn StorageBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// `raw`, a whole bin file `file` of the store in `be`, parsed in place.
-fn located(be: &dyn StorageBackend, raw: &[u8], file: &str) -> FixedBlocks {
+/// `raw`, the whole file of bin `bin` of the store in `be`, parsed in
+/// place.
+fn located(be: &dyn StorageBackend, bin: usize, raw: &[u8]) -> FixedBlocks {
     let store = MlocStore::open(be, DS, VAR).unwrap();
-    let geometry = (store.grid().num_chunks(), store.config().num_parts());
-    parse_fixed(raw, geometry, store.config().level_order, file).unwrap()
+    store.parse_fixed(bin, raw).unwrap()
 }
 
 /// File offset of bin `bin`'s first compressed unit — the first extent
@@ -102,7 +101,7 @@ fn first_unit(bin: usize) -> u64 {
     build_into(&be);
     let file = mloc::fileorg::bin_file(DS, VAR, bin);
     let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-    located(&be, &raw, &file).data.unwrap().extent(0).0
+    located(&be, bin, &raw).data.unwrap().extent(0).0
 }
 
 /// Open the store, retrying transient faults the way a patient caller
@@ -320,59 +319,163 @@ fn verify_pinpoints_injected_flips() {
     for_both_worlds(verify_pinpoints_injected_flips_in);
 }
 
+/// Where the meta's summary sections are: `(offset, length)` in the
+/// meta file of the store in `be`. They end the meta's payload, ahead
+/// of its one-entry footer.
+fn summary_sections(be: &dyn StorageBackend) -> (u64, u64) {
+    let store = MlocStore::open(be, DS, VAR).unwrap();
+    let len = store.summaries().as_bytes().len() as u64;
+    let meta = be.len(&mloc::fileorg::meta_file(DS, VAR)).unwrap();
+    let footer = 8 + mloc::integrity::TRAILER_LEN;
+    (meta - footer - len, len)
+}
+
 fn flipped_summary_extent_is_detected_and_pinpointed_in(fresh: Fresh) {
-    // The v2 chunk-summary section steers which bitmaps a query even
-    // reads, so damage to it must fail queries loudly and be mapped by
-    // offline verification — never silently drop or add chunks.
+    // The chunk summaries steer which units a query plans and which
+    // bin files it opens, so damage to them — in the meta — must fail
+    // the store loudly and be mapped by offline verification: never
+    // silently drop a unit or a bin. Flips across the meta's summary
+    // sections: first and last byte, and between.
     let clean = fresh();
     build_into(&clean);
-    let file = "fm/v/bin0002.bin".to_string();
-    let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
-    let (summary_at, summary_len, _) = located(&*clean, &raw, &file).footer.extent(1);
-    assert_eq!(summary_at, HEADER_LEN, "the summary follows the header");
-    let offset = summary_at + u64::from(summary_len) / 2;
+    let meta = mloc::fileorg::meta_file(DS, VAR);
+    let (at, len) = summary_sections(&*clean);
+    let payload = at + len;
+    for offset in [at, at + 1, at + 8, at + len / 3, at + len / 2, payload - 1] {
+        let mut plan = FaultPlan::none();
+        plan.flips.push(mloc_pfs::BitFlip {
+            file: meta.clone(),
+            offset,
+            mask: 0x10,
+        });
+        let fb = FaultBackend::new(fresh(), plan);
+        build_into(&fb);
+        let tag = format!("flip at {offset}");
 
-    let mut plan = FaultPlan::none();
-    plan.flips.push(mloc_pfs::BitFlip {
-        file: file.clone(),
-        offset,
-        mask: 0x10,
-    });
-    let fb = FaultBackend::new(fresh(), plan);
-    build_into(&fb);
+        // Every mode opens the store, and the open fails with the
+        // meta's one extent named.
+        let want = (meta.as_str(), 0, payload, "checksum mismatch");
+        let failed = |mode: &str, got: mloc::Result<MlocStore<'_>>| match got {
+            Ok(_) => panic!("{tag} ({mode}): damage not detected"),
+            Err(MlocError::CorruptExtent {
+                file,
+                offset,
+                len,
+                what,
+            }) => assert_eq!(
+                (file.as_str(), offset, len, what.as_str()),
+                want,
+                "{tag} ({mode})"
+            ),
+            Err(other) => panic!("{tag} ({mode}): wrong error: {other}"),
+        };
+        failed("serial", MlocStore::open(&fb, DS, VAR));
+        failed("threaded", MlocStore::open(&fb, DS, VAR));
+        let cache = std::sync::Arc::new(BlockCache::with_budget_mb(8));
+        failed(
+            "cached",
+            MlocStore::open(&fb, DS, VAR).map(|s| s.with_cache(cache)),
+        );
+        let fuser = std::sync::Arc::new(ExtentFuser::with_window_mb(8));
+        failed(
+            "fused",
+            MlocStore::open(&fb, DS, VAR).map(|s| s.with_fusion(fuser)),
+        );
 
-    // Every query through that bin fails with the extent named.
-    let store = MlocStore::open(&fb, DS, VAR).unwrap();
-    let err = store
-        .query_serial(&Query::region(f64::MIN, f64::MAX))
-        .unwrap_err();
-    assert!(err.is_corruption(), "wrong error class: {err}");
-    if let MlocError::CorruptExtent {
-        file: f,
-        offset: o,
-        len,
-        ..
-    } = &err
-    {
-        assert_eq!(f, &file);
-        assert!(
-            *o <= offset && offset < o + len,
-            "extent misses flip: {err}"
+        // Offline verification lists the meta, and only the meta: the
+        // bin files' own tables still locate every extent.
+        let report = verify_variable(&fb, DS, VAR).unwrap();
+        let found: Vec<_> = report
+            .damage
+            .iter()
+            .map(|d| (&*d.file, d.offset, d.len, &*d.what))
+            .collect();
+        assert_eq!(
+            found,
+            [(meta.as_str(), 0, payload, "meta: checksum mismatch")],
+            "{tag}: {report}"
         );
     }
-
-    // Offline verification pinpoints and labels the summary extent.
-    let report = verify_variable(&fb, DS, VAR).unwrap();
-    assert_eq!(report.damage.len(), 1, "{report}");
-    let d = &report.damage[0];
-    assert_eq!(d.file, file);
-    assert_eq!(d.offset, summary_at);
-    assert!(d.what.starts_with("chunk summary"), "{}", d.what);
 }
 
 #[test]
 fn flipped_summary_extent_is_detected_and_pinpointed() {
     for_both_worlds(flipped_summary_extent_is_detected_and_pinpointed_in);
+}
+
+/// With the meta destroyed, `verify` still pinpoints a flipped byte of
+/// a bin file — a bitmap's, a unit part's, a table's: the file's tables,
+/// found by their own checksums, locate every extent, and only the
+/// labels get coarser (table rows, not chunks).
+fn without_the_meta_verify_still_pinpoints_a_flipped_bin_byte_in(fresh: Fresh) {
+    let clean = fresh();
+    build_into(&clean);
+    let file = mloc::fileorg::bin_file(DS, VAR, 2);
+    let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
+    let at = located(&*clean, 2, &raw);
+    let rank = (0..16).find(|&r| at.bitmap(r).is_some()).unwrap();
+    let (bitmap_at, bitmap_len) = at.bitmap(rank).unwrap();
+    let unit = at.unit(rank, 1).unwrap();
+    let (table_at, table_len) = at.tables().index_span();
+    let rows = [
+        (
+            bitmap_at + 1,
+            (bitmap_at, u64::from(bitmap_len)),
+            format!(
+                "bitmap in index table row {}: checksum mismatch",
+                at.rows.bitmap_row(rank).unwrap()
+            ),
+        ),
+        (
+            unit.offset,
+            (unit.offset, u64::from(unit.clen)),
+            format!(
+                "unit part in data table row {}: checksum mismatch",
+                at.rows.unit_row(rank, 1).unwrap()
+            ),
+        ),
+        (
+            table_at + 3,
+            (HEADER_LEN, raw.len() as u64 - HEADER_LEN - 12),
+            "index checksum table: checksum tables not found".to_string(),
+        ),
+    ];
+    assert_eq!(table_at, HEADER_LEN);
+    let _ = table_len;
+    for (offset, (want_at, want_len), what) in rows {
+        let mut plan = FaultPlan::none();
+        plan.flips.push(mloc_pfs::BitFlip {
+            file: file.clone(),
+            offset,
+            mask: 0x20,
+        });
+        let fb = FaultBackend::new(fresh(), plan);
+        build_into(&fb);
+        fb.remove(&mloc::fileorg::meta_file(DS, VAR)).unwrap();
+        let report = verify_variable(&fb, DS, VAR).unwrap();
+        let found: Vec<_> = (report.damage.iter())
+            .filter(|d| d.file == file)
+            .map(|d| (d.offset, d.len, d.what.clone()))
+            .collect();
+        assert_eq!(
+            found,
+            [(want_at, want_len, what)],
+            "flip at {offset}: {report}"
+        );
+        // The other bin files verify clean; the meta is named missing.
+        assert!(
+            report
+                .damage
+                .iter()
+                .all(|d| d.file == file || d.file.ends_with("meta")),
+            "{report}"
+        );
+    }
+}
+
+#[test]
+fn without_the_meta_verify_still_pinpoints_a_flipped_bin_byte() {
+    for_both_worlds(without_the_meta_verify_still_pinpoints_a_flipped_bin_byte_in);
 }
 
 fn lost_files_fail_loudly_but_index_queries_survive_data_loss_in(fresh: Fresh) {
@@ -876,7 +979,6 @@ fn assert_each_rank_reads_the_header(
 }
 
 fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
-    use mloc::binfile::{summary_extent_len, Tables};
     let clean = fresh();
     build_into(&clean);
     let site = (DS, SHARED_BIN, [4, 8]);
@@ -884,38 +986,17 @@ fn damaged_fixed_blocks_fail_as_they_are_read_in(fresh: Fresh) {
     assert_each_rank_reads_the_header(&clean, site, &file);
 
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
-    let geometry = (16, 7);
-    let hdr_len = HEADER_LEN;
-    let sum_len = summary_extent_len(geometry.0);
-    let summary = &raw[hdr_len as usize..(hdr_len + sum_len) as usize];
-    let tables = Tables::parse(summary, hdr_len, geometry, &file).unwrap();
+    let tables = located(&*clean, SHARED_BIN, &raw).tables();
     let (index_at, index_len) = tables.index_span();
     let (data_at, data_len) = tables.data_span();
-    // The low byte of the data table's size, at the summary's end.
-    let n_data_at = hdr_len + sum_len - 4;
-    let header_crc = (file.as_str(), 0, hdr_len, "checksum mismatch");
-    let rows: [Row; 6] = [
+    assert_eq!(index_at, HEADER_LEN, "the tables follow the header");
+    let header_crc = (file.as_str(), 0, HEADER_LEN, "checksum mismatch");
+    let rows: [Row; 5] = [
         // A header read ahead of its table fails its checksum once the
         // tables are in. The tables themselves verified on their own.
         ("header bin byte", &file, 6, 0x01, header_crc),
         ("header magic", &file, 0, 0x02, header_crc),
-        (
-            "summary record",
-            &file,
-            hdr_len + 12,
-            0x10,
-            (&file, hdr_len, sum_len, "checksum mismatch"),
-        ),
-        // The table sizes are read ahead of the tables: a size past what
-        // the geometry allows is refused before it becomes a read, one
-        // within it reads a table that fails its own checksum.
-        (
-            "table size out of range",
-            &file,
-            n_data_at + 3,
-            0x80,
-            (&file, hdr_len, sum_len, "checksum table sizes out of range"),
-        ),
+        ("header chunk count", &file, 9, 0x04, header_crc),
         (
             "index table",
             &file,
@@ -1134,7 +1215,6 @@ fn damaged_headers_and_footers_fail_as_they_always_did() {
 /// Every query mode fails naming the extent, its run list is never
 /// cached, and `verify` and `fsck` name it before any query does.
 fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
-    use mloc::binfile::{summary_extent_len, Tables};
     use mloc::bitmap::RunListRef;
     let clean = fresh();
     build_into(&clean);
@@ -1142,8 +1222,9 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
     let file = mloc::fileorg::bin_file(DS, VAR, SHARED_BIN);
     let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
     let store = MlocStore::open(&*clean, DS, VAR).unwrap();
-    let header = located(&*clean, &raw, &file);
+    let header = located(&*clean, SHARED_BIN, &raw);
     let points = |r: usize| store.grid().chunk_points(store.order().cell_at(r)) as u64;
+    let count = |r: usize| store.summaries().get(SHARED_BIN, r).count;
 
     // The first chunk whose last run ends before the chunk does, its
     // length in one byte with room to grow.
@@ -1151,7 +1232,7 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
         .find_map(|r| {
             let (at, len) = header.bitmap(r)?;
             let pairs = &raw[at as usize..(at + u64::from(len)) as usize];
-            let list = RunListRef::stored(pairs, header.count(r).into(), points(r)).ok()?;
+            let list = RunListRef::stored(pairs, count(r).into(), points(r)).ok()?;
             let (start, _, n) = list.iter().last()?;
             let grows = start + n < points(r) && *pairs.last()? < 0x7F;
             grows.then_some((r, at, len))
@@ -1162,14 +1243,10 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
     tampered[last] += 1;
 
     // Reseal: the extent's entry in the index table, then the table's
-    // own checksum. The extent is index extent 2 + its order among the
+    // own checksum. The extent is index extent 1 + its order among the
     // bitmaps, which are laid out in curve-rank order.
-    let geometry = (16, 7);
-    let hdr_len = HEADER_LEN;
-    let summary = &raw[hdr_len as usize..(hdr_len + summary_extent_len(16)) as usize];
-    let tables = Tables::parse(summary, hdr_len, geometry, &file).unwrap();
-    let (table_at, table_len) = tables.index_span();
-    let k = 2 + (0..rank).filter(|&r| header.count(r) > 0).count();
+    let (table_at, table_len) = header.tables().index_span();
+    let k = 1 + (0..rank).filter(|&r| count(r) > 0).count();
     let entry = table_at as usize + 8 * k;
     assert_eq!(
         tampered[entry..entry + 4],
@@ -1195,7 +1272,7 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query_in(fresh: Fresh) {
     let fb = FaultBackend::new(fresh(), plan);
     build_into(&fb);
 
-    let count = header.count(rank);
+    let count = count(rank);
     let what = format!(
         "run list disagrees with its count (summary: {count} of {} points)",
         points(rank)
@@ -1237,63 +1314,55 @@ fn a_resealed_run_list_is_named_by_verify_and_every_query() {
     for_both_worlds(a_resealed_run_list_is_named_by_verify_and_every_query_in);
 }
 
-/// A chunk summary edited so the index table no longer has one bitmap
-/// row per set chunk — a set chunk's count zeroed leaves the table a
-/// row too many, an empty chunk given a point a row too few — and the
-/// table resealed around the summary, so every checksum holds. The
-/// rows are held to the summary before anything is located from them:
-/// `verify`, `fsck` and every query mode name the index table, and no
-/// mode caches the bin's fixed blocks.
+/// A chunk summary edited in the meta so the bin's tables no longer have
+/// one bitmap row per set chunk — a set chunk's count zeroed leaves the
+/// file a row too many, an empty chunk given a point a row too few — and
+/// the meta's footer resealed around it, so every checksum holds. The
+/// summaries size the tables a reader reads, so the bin file's index
+/// table, read at the size they give, fails its own checksum: `verify`,
+/// `fsck` and every query mode name it, and no mode caches the bin's
+/// fixed blocks.
 fn a_resealed_table_with_a_row_too_many_or_too_few_is_named_in(fresh: Fresh) {
     let clean = fresh();
     build_into(&clean);
     let site = (DS, SHARED_BIN, [4, 8]);
     let chunks = 16;
+    let meta = mloc::fileorg::meta_file(DS, VAR);
+    let store = MlocStore::open(&*clean, DS, VAR).unwrap();
+    let summaries = store.summaries();
+    let counts =
+        |bin: usize| -> Vec<u32> { (0..chunks).map(|r| summaries.get(bin, r).count).collect() };
     // A set chunk's count zeroed in the shared bin; an empty chunk's
     // set in the first bin that has one.
-    let counts = |bin: usize| {
-        let file = mloc::fileorg::bin_file(DS, VAR, bin);
-        let raw = clean.read(&file, 0, clean.len(&file).unwrap()).unwrap();
-        let counts: Vec<u32> = {
-            let at = located(&*clean, &raw, &file);
-            (0..chunks).map(|r| at.count(r)).collect()
-        };
-        (file, raw, counts)
-    };
-    let with_empty = (0..6).find(|&bin| counts(bin).2.contains(&0));
+    let with_empty = (0..6).find(|&bin| counts(bin).contains(&0));
     let with_empty = with_empty.expect("a bin with a chunk of no points");
-    let (_, _, shared) = counts(SHARED_BIN);
-    let (_, _, sparse) = counts(with_empty);
-    let set_rank = shared.iter().position(|&c| c > 0).unwrap();
-    let empty_rank = sparse.iter().position(|&c| c == 0).unwrap();
+    let set_rank = counts(SHARED_BIN).iter().position(|&c| c > 0).unwrap();
+    let empty_rank = counts(with_empty).iter().position(|&c| c == 0).unwrap();
+    let raw = clean.read(&meta, 0, clean.len(&meta).unwrap()).unwrap();
+    let (sections_at, _) = summary_sections(&*clean);
+    let section = mloc::index::summary_size(chunks) as usize;
     for (what, bin, rank, count) in [
         ("a row too many", SHARED_BIN, set_rank, 0u32),
         ("a row too few", with_empty, empty_rank, 1),
     ] {
-        let (file, raw, counts) = counts(bin);
-        let set = counts.iter().filter(|&&c| c > 0).count();
+        let file = mloc::fileorg::bin_file(DS, VAR, bin);
+        let set = counts(bin).iter().filter(|&&c| c > 0).count();
         let set_now = if count == 0 { set - 1 } else { set + 1 };
-        let at = located(&*clean, &raw, &file);
-        let (table_at, table_len) = at.tables.index_span();
-        let (summary_at, summary_len, _) = at.footer.extent(1);
-        let mut tampered = raw.clone();
-        let count_at = (summary_at + 8 + 13 * rank as u64) as usize;
-        tampered[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-        // Reseal: the summary's entry (the index table's second), then
-        // the table's own checksum.
-        let summary = summary_at as usize..(summary_at + u64::from(summary_len)) as usize;
-        let crc = mloc::integrity::crc32(&tampered[summary]);
-        let entry = table_at as usize + 8;
-        tampered[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
-        let entries_end = (table_at + table_len - 4) as usize;
-        let table_crc = mloc::integrity::crc32(&tampered[table_at as usize..entries_end]);
-        tampered[entries_end..entries_end + 4].copy_from_slice(&table_crc.to_le_bytes());
+        let (table_at, table_len) = mloc::binfile::Tables::of(set_now, 7).index_span();
+        // The meta, its count edited and its footer recomputed.
+        let payload_len = sections_at as usize + summaries.as_bytes().len();
+        let mut payload = raw[..payload_len].to_vec();
+        let count_at = sections_at as usize + bin * section + 8 + 13 * rank;
+        payload[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        let footer = mloc::ExtentFooter::compute(&payload, &[payload.len() as u32]);
+        let tampered = [payload, footer.encode()].concat();
+        assert_eq!(tampered.len(), raw.len());
 
         let mut plan = FaultPlan::none();
         for (offset, (a, b)) in raw.iter().zip(&tampered).enumerate() {
             if a != b {
                 plan.flips.push(mloc_pfs::BitFlip {
-                    file: file.clone(),
+                    file: meta.clone(),
                     offset: offset as u64,
                     mask: a ^ b,
                 });
@@ -1302,7 +1371,7 @@ fn a_resealed_table_with_a_row_too_many_or_too_few_is_named_in(fresh: Fresh) {
         let fb = FaultBackend::new(fresh(), plan);
         build_into(&fb);
 
-        let want = format!("index table has {set} bitmap rows for {set_now} set chunks");
+        let want = "checksum table corrupt";
         let report = verify_variable(&fb, DS, VAR).unwrap();
         let found: Vec<_> = report
             .damage
@@ -1322,7 +1391,7 @@ fn a_resealed_table_with_a_row_too_many_or_too_few_is_named_in(fresh: Fresh) {
         let q = full_values_query();
         in_every_mode(&fb, site, &q, &|mode, got, store| {
             let tag = format!("{what} ({mode})");
-            assert_corrupt_extent(&tag, got, (&file, table_at, table_len, &want));
+            assert_corrupt_extent(&tag, got, (&file, table_at, table_len, want));
             assert_nothing_admitted(&tag, store, bin);
         });
     }

@@ -1,9 +1,9 @@
-//! The formats before v5, as `mloc upgrade` inputs. Nothing writes v1
-//! to v4 any more, and nothing but the upgrade reads them:
-//! `tests/golden/v1_dataset` to `v4_dataset` are datasets written once
+//! The formats before v6, as `mloc upgrade` inputs. Nothing writes v1
+//! to v5 any more, and nothing but the upgrade reads them:
+//! `tests/golden/v1_dataset` to `v5_dataset` are datasets written once
 //! each, by writers this tree no longer has. Each upgrades, read-only
 //! off its directory and from an in-memory copy, to a store
-//! byte-identical, file for file, to a fresh (v5) build of the same
+//! byte-identical, file for file, to a fresh (v6) build of the same
 //! field, and answers every query identically to it in every execution
 //! mode — serial, threaded at 4 and 8 ranks, cached cold/warm, and
 //! fused. Membership queries are part of the workload, and are
@@ -12,7 +12,6 @@
 //! fire inside a query, and what the stored run lists cost in the built
 //! files against the WAH streams and rank/select directories of v3.
 
-use mloc::binfile::parse_fixed;
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
 use mloc::prelude::*;
@@ -46,7 +45,7 @@ fn build_fresh(be: &MemBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// A fresh (v5) build of the fixtures' field.
+/// A fresh (v6) build of the fixtures' field.
 fn fresh() -> (MemBackend, Vec<f64>) {
     let be = MemBackend::new();
     let values = build_fresh(&be);
@@ -68,12 +67,12 @@ fn upgraded(version: u8) -> MemBackend {
 }
 
 /// The fixtures, newest first.
-const FIXTURES: [u8; 4] = [4, 3, 2, 1];
+const FIXTURES: [u8; 5] = [5, 4, 3, 2, 1];
 
 /// Every store: the fresh build first, then each fixture upgraded.
 struct Sources {
     fresh: MemBackend,
-    upgraded: [MemBackend; 4],
+    upgraded: [MemBackend; 5],
 }
 
 impl Sources {
@@ -86,13 +85,14 @@ impl Sources {
         (sources, values)
     }
 
-    fn all(&self) -> [(&'static str, &dyn StorageBackend); 5] {
+    fn all(&self) -> [(&'static str, &dyn StorageBackend); 6] {
         [
-            ("v5", &self.fresh),
-            ("upgraded v4", &self.upgraded[0]),
-            ("upgraded v3", &self.upgraded[1]),
-            ("upgraded v2", &self.upgraded[2]),
-            ("upgraded v1", &self.upgraded[3]),
+            ("v6", &self.fresh),
+            ("upgraded v5", &self.upgraded[0]),
+            ("upgraded v4", &self.upgraded[1]),
+            ("upgraded v3", &self.upgraded[2]),
+            ("upgraded v2", &self.upgraded[3]),
+            ("upgraded v1", &self.upgraded[4]),
         ]
     }
 }
@@ -229,6 +229,28 @@ fn v4_fixture_is_pinned() {
     });
 }
 
+/// The v5 fixture is pinned too (65,461 bytes in 10 files). It was
+/// written once, at the commit before format v6 (`1f2704c`), by that
+/// commit's release CLI upgrading the v4 fixture — which that commit
+/// checked to be byte for byte a fresh v5 build of the same field:
+///
+/// ```text
+/// mloc upgrade --dir tests/golden/v4_dataset --name fmt --out <out>
+/// ```
+///
+/// It differs from a fresh build in its fixed blocks alone: each bin
+/// file's unit section is the fresh one's byte for byte, the meta
+/// differs in its version byte (5: the summaries in every bin file) and
+/// in holding no summaries, and the catalog not at all.
+#[test]
+fn v5_fixture_is_pinned() {
+    assert_eq!(manifest(5), include_str!("../golden/v5_dataset.txt"));
+    let v5 = fixture(5);
+    agrees_with_a_fresh_build(&v5, 5, |bin| {
+        units(&whole(&v5, &mloc::fileorg::bin_file(DS, VAR, bin)), FRONT).to_vec()
+    });
+}
+
 /// A tail-footered file's payload.
 fn payload(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
     let raw = whole(be, f);
@@ -237,15 +259,20 @@ fn payload(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
         .to_vec()
 }
 
-/// Where the tables of a one-file bin of the fixtures' geometry (16
-/// chunks, 7 parts) begin: after a v3/v4 header with its directory
+/// Where the tables of an old one-file bin of the fixtures' geometry
+/// (16 chunks, 7 parts) begin: after a v3/v4 header with its directory
 /// (100-byte entries) and 9-byte summary records, and after a v5
-/// header and 13-byte records.
+/// header and 13-byte records; each summary extent ends in the two
+/// tables' sizes.
 const OLD_FRONT: usize = 14 + 16 * 100 + 8 + 16 * 9 + 8;
 const FRONT: usize = 14 + 8 + 16 * 13 + 8;
 
-/// The unit section of `raw`, a whole one-file bin whose tables begin
-/// at `front`: the data table's extents, which end at the end marker.
+/// The bytes of the meta's summary sections: 8 bins of 16 chunks.
+const SECTIONS: usize = 8 * (8 + 16 * 13);
+
+/// The unit section of `raw`, a whole old one-file bin whose tables
+/// begin at `front`: the data table's extents, which end at the end
+/// marker.
 fn units(raw: &[u8], front: usize) -> &[u8] {
     let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
     let (n_index, n_data) = (word(front - 8), word(front - 4));
@@ -256,8 +283,8 @@ fn units(raw: &[u8], front: usize) -> &[u8] {
 }
 
 /// `old`, a fixture of meta version `version`, has a fresh build's
-/// catalog, its meta but for the version byte, and — `old_units(bin)`
-/// — each bin's unit section.
+/// catalog, its meta but for the version byte and the summary sections
+/// that end it, and — `old_units(bin)` — each bin's unit section.
 fn agrees_with_a_fresh_build(
     old: &dyn StorageBackend,
     version: u8,
@@ -266,12 +293,16 @@ fn agrees_with_a_fresh_build(
     let (fresh, _) = fresh();
     assert_eq!(whole(old, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
     let mut meta = payload(&fresh, "fmt/v/meta");
-    assert_eq!(meta[4], 5);
+    assert_eq!(meta[4], 6);
     meta[4] = version;
+    meta.truncate(meta.len() - SECTIONS);
     assert_eq!(payload(old, "fmt/v/meta"), meta);
+    let store = MlocStore::open(&fresh, DS, VAR).unwrap();
     for bin in 0..8 {
         let raw = whole(&fresh, &mloc::fileorg::bin_file(DS, VAR, bin));
-        assert_eq!(units(&raw, FRONT), &old_units(bin)[..], "bin {bin}");
+        let data = store.parse_fixed(bin, &raw).unwrap().data.unwrap();
+        let units = &raw[data.extent(0).0 as usize..raw.len() - 12];
+        assert_eq!(units, &old_units(bin)[..], "bin {bin}");
     }
 }
 
@@ -505,7 +536,10 @@ fn plain_membership_is_answered_from_the_index_alone() {
 /// actually firing inside a query (`index.rank_calls`: probes answered
 /// from a stored run list). The counts are exact functions of the
 /// banded field, the planner and the index format: a change means one
-/// of those changed (re-derive and say why), never noise.
+/// of those changed (re-derive and say why), never noise. (The planner
+/// took one hit away in format v6, 51 to 50: a membership unit none of
+/// whose chunk's probes lies in its summary span, which probed no run
+/// then either, is culled.)
 #[test]
 fn summaries_skip_and_directories_probe_inside_queries() {
     let banded = MemBackend::new();
@@ -528,7 +562,7 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     ];
     let p = profile_of(&store, &pass);
     assert_eq!(p.counter_total("index.summary_skips"), 20);
-    assert_eq!(p.counter_total("index.summary_hits"), 51);
+    assert_eq!(p.counter_total("index.summary_hits"), 50);
     assert_eq!(p.counter_total("index.rank_calls"), 10_965);
 
     // The same kinds of pass over the fixtures' field: every store
@@ -567,14 +601,19 @@ fn summaries_skip_and_directories_probe_inside_queries() {
         let file = mloc::fileorg::bin_file(DS, VAR, bin);
         let raw = whole(&banded, &file);
         let geometry = (store.grid().num_chunks(), store.config().num_parts());
-        let idx = parse_fixed(&raw, geometry, store.config().level_order, &file).unwrap();
+        let idx = store.parse_fixed(bin, &raw).unwrap();
         for rank in 0..geometry.0 {
             let Some((start, len)) = idx.bitmap(rank) else {
                 continue;
             };
             let pairs = &raw[start as usize..(start + u64::from(len)) as usize];
             let points = store.grid().chunk_points(store.order().cell_at(rank)) as u64;
-            let list = RunListRef::stored(pairs, u64::from(idx.count(rank)), points).unwrap();
+            let list = RunListRef::stored(
+                pairs,
+                u64::from(store.summaries().get(bin, rank).count),
+                points,
+            )
+            .unwrap();
             let positions: Vec<u64> = list.iter().flat_map(|(at, _, n)| at..at + n).collect();
             let bitmap = WahBitmap::from_sorted_positions(points, &positions);
             runs += pairs.len();

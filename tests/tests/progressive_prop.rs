@@ -251,7 +251,11 @@ proptest! {
 /// CRCs in their place — 32 bytes fewer per bin. Format v4 did too:
 /// 190,034, the same bitmaps read as run lists, 7,654 bytes fewer. And
 /// format v5: 91,730, each bin's 6,400-byte chunk directory gone and a
-/// 4-byte count per chunk in its summary, 6,144 bytes fewer a bin.)
+/// 4-byte count per chunk in its summary, 6,144 bytes fewer a bin. And
+/// format v6: 78,034, each bin's summary extent — now in the meta — its
+/// table entry and the two table sizes gone, 856 bytes fewer a bin; the
+/// region holds whole chunks, so the planner culls only units with no
+/// points, which read nothing before either.)
 #[test]
 fn ladder_bytes_on_a_fixed_store_are_pinned() {
     const SIDE: usize = 256;
@@ -272,7 +276,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
     let bytes_per_step: Vec<u64> = pq.steps().iter().map(|s| s.bytes_read).collect();
     assert_eq!(
         bytes_per_step,
-        [91_730, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
+        [78_034, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
     );
     // Early exit: a 1e-6 worst-case relative bound takes three steps.
     let steps_to_eps = 1 + pq
@@ -281,7 +285,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
         .position(|s| s.error_bound <= 1e-6)
         .unwrap();
     assert_eq!(steps_to_eps, 3);
-    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 131_302);
+    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 117_606);
     // What each step costs on the simulated PFS, and the cumulative
     // figures: a pull is priced like a one-rank run, so the ladder's
     // per-rank vector carries every step it took.
@@ -289,12 +293,12 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
     let pull = 0x3fc3_76e5_ac33_6bda;
     assert_eq!(
         io_bits,
-        [0x3fd1_f087_992d_aaa7, pull, pull, pull, pull, pull, pull]
+        [0x3fd1_efc8_1d48_f474, pull, pull, pull, pull, pull, pull]
     );
     let m = pq.metrics();
     assert_eq!(
         (m.nranks, m.seeks, m.index_bytes, m.data_bytes),
-        (1, 128, 27_586, 182_860)
+        (1, 128, 13_890, 182_860)
     );
     assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
     assert_eq!(m.per_rank_io.iter().sum::<f64>(), m.io_s);
@@ -339,11 +343,9 @@ fn part_extent(be: &impl StorageBackend, bin: usize, part: usize) -> (String, u6
     let file = format!("{DS}/{VAR}/bin{bin:04}.bin");
     let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
     let store = MlocStore::open(be, DS, VAR).unwrap();
-    let geometry = (store.grid().num_chunks(), store.config().num_parts());
-    let order = store.config().level_order;
-    let idx = mloc::binfile::parse_fixed(&raw, geometry, order, &file).unwrap();
-    let rank = (0..geometry.0)
-        .find(|&r| idx.count(r) > 0)
+    let idx = store.parse_fixed(bin, &raw).unwrap();
+    let rank = (0..store.grid().num_chunks())
+        .find(|&r| store.summaries().get(bin, r).count > 0)
         .expect("bin has a populated chunk");
     let loc = idx.unit(rank, part).unwrap();
     assert!(loc.clen > 0, "part unit is empty");
