@@ -151,7 +151,7 @@ fn create(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
             other => return Err(format!("unknown order {other:?} (vms|vsm)")),
         });
     }
-    let config = builder.build();
+    let config = builder.try_build().map_err(|e| e.to_string())?;
     Dataset::create(&be, name, config.clone()).map_err(|e| e.to_string())?;
     outln!(
         out,
@@ -683,6 +683,9 @@ fn query(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let q = Query::new(vc, sc, plod, output);
 
     let ranks = args.optional_parsed::<usize>("ranks")?.unwrap_or(1);
+    if ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
     let mut exec = ParallelExecutor::new(ranks, CostModel::default()).with_retry(retry);
     if args.optional("no-degrade").is_some_and(|v| v == "true") {
         exec = exec.allow_degraded(false);
@@ -1278,6 +1281,39 @@ mod tests {
             "s3d"
         ])
         .is_err());
+        // Configurations `validate` rejects: no bins, a chunk of the
+        // wrong rank, too many resolution levels.
+        for bad in [["--bins", "0"], ["--chunk", "16"], ["--multires", "17"]] {
+            let argv = ["create", "--dir", &dir, "--name", "d4", "--shape", "8,8"];
+            let err = run(&[&argv[..], &bad[..]].concat()).unwrap_err();
+            assert!(err.starts_with("invalid request"), "{bad:?}: {err}");
+        }
+        // Zero ranks.
+        run(&[
+            "import",
+            "--dir",
+            &dir,
+            "--name",
+            "ds",
+            "--var",
+            "v",
+            "--synthetic",
+            "gts",
+        ])
+        .unwrap();
+        let err = run(&[
+            "query", "--dir", &dir, "--name", "ds", "--var", "v", "--sc", "0:4,0:4", "--ranks", "0",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--ranks"), "{err}");
+        // A raw field with no number to bin.
+        let raw = format!("{dir}/nan.raw");
+        std::fs::write(&raw, f64::NAN.to_le_bytes().repeat(64)).unwrap();
+        let err = run(&[
+            "import", "--dir", &dir, "--name", "ds", "--var", "n", "--raw", &raw,
+        ])
+        .unwrap_err();
+        assert!(err.contains("NaN"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

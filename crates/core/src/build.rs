@@ -124,85 +124,93 @@ struct EncodedUnit {
     parts: Vec<Vec<u8>>,
 }
 
-/// Encode one chunk: partition its points by bin, encode each bin's
-/// positional bitmap as a run list, and compress each unit (PLoD byte
-/// columns or the whole-value stream). Pure but for `obs`, which only accumulates
-/// commutative statistics — identical input produces identical bytes,
-/// which is what makes the parallel fan-out deterministic.
-#[allow(clippy::too_many_arguments)] // internal helper; callers are the three build fan-outs
-fn encode_chunk(
-    values: &[f64],
-    spec: &BinSpec,
-    num_bins: usize,
-    use_plod: bool,
-    byte_codec: &dyn Codec,
-    float_codec: &dyn FloatCodec,
+/// Everything a chunk's encoding depends on: the bin bounds, the codecs
+/// and whether units are stored as PLoD byte columns, plus the registry
+/// the encode workers observe compression ratios into. Shared by
+/// reference across the worker pool.
+struct Encoder {
+    spec: BinSpec,
+    plod: bool,
+    byte_codec: Box<dyn Codec>,
+    float_codec: Box<dyn FloatCodec>,
     codec_name: &'static str,
-    obs: &Registry,
-) -> Vec<EncodedUnit> {
-    let chunk_points = values.len();
-    // Counting sort by bin: one pass to size every bin, one to fill a
-    // single permutation of the chunk, so nothing grows per bin.
-    let bins: Vec<u32> = values.iter().map(|&v| spec.bin_of(v) as u32).collect();
-    let mut starts = vec![0usize; num_bins + 1];
-    for &bin in &bins {
-        starts[bin as usize + 1] += 1;
-    }
-    for bin in 0..num_bins {
-        starts[bin + 1] += starts[bin];
-    }
-    let mut cursor = starts[..num_bins].to_vec();
-    let mut locals = vec![0u64; chunk_points];
-    let mut sorted = vec![0f64; chunk_points];
-    for (local, (&v, &bin)) in values.iter().zip(&bins).enumerate() {
-        let at = &mut cursor[bin as usize];
-        locals[*at] = local as u64;
-        sorted[*at] = v;
-        *at += 1;
-    }
+    obs: Registry,
+}
 
-    // Byte columns of the whole permuted chunk at once: a part is
-    // contiguous per value, so a bin's share of it is a sub-slice.
-    let columns = use_plod.then(|| plod::split(&sorted));
-
-    let occupied = starts.windows(2).filter(|w| w[0] < w[1]).count();
-    let mut units = Vec::with_capacity(occupied);
-    for bin in 0..num_bins {
-        let span = starts[bin]..starts[bin + 1];
-        if span.is_empty() {
-            continue;
+impl Encoder {
+    /// Encode one chunk: partition its points by bin, encode each bin's
+    /// positional bitmap as a run list, and compress each unit (PLoD
+    /// byte columns or the whole-value stream). Pure but for `obs`,
+    /// which only accumulates commutative statistics — identical input
+    /// produces identical bytes, which is what makes the parallel
+    /// fan-out deterministic.
+    fn chunk(&self, values: &[f64]) -> Vec<EncodedUnit> {
+        let num_bins = self.spec.num_bins();
+        let chunk_points = values.len();
+        // Counting sort by bin: one pass to size every bin, one to fill a
+        // single permutation of the chunk, so nothing grows per bin.
+        let bins: Vec<u32> = values.iter().map(|&v| self.spec.bin_of(v) as u32).collect();
+        let mut starts = vec![0usize; num_bins + 1];
+        for &bin in &bins {
+            starts[bin as usize + 1] += 1;
         }
-        let bin_locals = &locals[span.clone()];
-        let runs = RunList::from_sorted_positions(chunk_points as u64, bin_locals);
-        let parts: Vec<Vec<u8>> = match &columns {
-            Some(columns) => columns
-                .iter()
-                .zip(plod::PART_BYTES)
-                .map(|(column, width)| {
-                    byte_codec.compress(&column[span.start * width..span.end * width])
-                })
-                .collect(),
-            None => vec![float_codec.compress_f64(&sorted[span])],
-        };
-        // One ratio observation per storage unit, recorded from
-        // whichever worker encoded it. Bucket counts, min and max are
-        // order-independent, so they match under any thread count; the
-        // float `sum` may differ in its last bits with arrival order.
-        let raw = (bin_locals.len() * 8) as f64;
-        let compressed: usize = parts.iter().map(Vec::len).sum();
-        obs.observe(
-            "compress.ratio",
-            Label::Name(codec_name),
-            compressed as f64 / raw,
-        );
-        units.push(EncodedUnit {
-            bin,
-            count: bin_locals.len() as u64,
-            runs,
-            parts,
-        });
+        for bin in 0..num_bins {
+            starts[bin + 1] += starts[bin];
+        }
+        let mut cursor = starts[..num_bins].to_vec();
+        let mut locals = vec![0u64; chunk_points];
+        let mut sorted = vec![0f64; chunk_points];
+        for (local, (&v, &bin)) in values.iter().zip(&bins).enumerate() {
+            let at = &mut cursor[bin as usize];
+            locals[*at] = local as u64;
+            sorted[*at] = v;
+            *at += 1;
+        }
+
+        // Byte columns of the whole permuted chunk at once: a part is
+        // contiguous per value, so a bin's share of it is a sub-slice.
+        let columns = self.plod.then(|| plod::split(&sorted));
+
+        let occupied = starts.windows(2).filter(|w| w[0] < w[1]).count();
+        let mut units = Vec::with_capacity(occupied);
+        for bin in 0..num_bins {
+            let span = starts[bin]..starts[bin + 1];
+            if span.is_empty() {
+                continue;
+            }
+            let bin_locals = &locals[span.clone()];
+            let runs = RunList::from_sorted_positions(chunk_points as u64, bin_locals);
+            let parts: Vec<Vec<u8>> = match &columns {
+                Some(columns) => columns
+                    .iter()
+                    .zip(plod::PART_BYTES)
+                    .map(|(column, width)| {
+                        self.byte_codec
+                            .compress(&column[span.start * width..span.end * width])
+                    })
+                    .collect(),
+                None => vec![self.float_codec.compress_f64(&sorted[span])],
+            };
+            // One ratio observation per storage unit, recorded from
+            // whichever worker encoded it. Bucket counts, min and max are
+            // order-independent, so they match under any thread count; the
+            // float `sum` may differ in its last bits with arrival order.
+            let raw = (bin_locals.len() * 8) as f64;
+            let compressed: usize = parts.iter().map(Vec::len).sum();
+            self.obs.observe(
+                "compress.ratio",
+                Label::Name(self.codec_name),
+                compressed as f64 / raw,
+            );
+            units.push(EncodedUnit {
+                bin,
+                count: bin_locals.len() as u64,
+                runs,
+                parts,
+            });
+        }
+        units
     }
-    units
 }
 
 /// Incremental (in-situ) builder: push chunks as they are produced.
@@ -213,16 +221,13 @@ pub struct StreamingBuilder<'a> {
     config: MlocConfig,
     grid: ChunkGrid,
     order: GridOrder,
-    spec: BinSpec,
-    byte_codec: Box<dyn Codec>,
-    float_codec: Box<dyn FloatCodec>,
+    enc: Encoder,
     pending: Vec<Vec<PendingUnit>>,
     per_bin_points: Vec<u64>,
     pushed: Vec<bool>,
     pushed_count: usize,
     encode_seconds: f64,
     start: Instant,
-    obs: Registry,
 }
 
 impl<'a> StreamingBuilder<'a> {
@@ -237,35 +242,43 @@ impl<'a> StreamingBuilder<'a> {
         sample: &[f64],
     ) -> Result<StreamingBuilder<'a>> {
         config.validate()?;
-        if sample.is_empty() {
-            return Err(MlocError::Invalid("empty binning sample".into()));
+        // Bin bounds need at least one number: an empty or all-NaN
+        // sample has none.
+        if sample.iter().all(|v| v.is_nan()) {
+            return Err(MlocError::Invalid(
+                "binning sample is empty or all NaN".into(),
+            ));
         }
         let grid = ChunkGrid::new(config.shape.clone(), config.chunk_shape.clone());
         let order = config.chunk_order(&grid);
-        let spec = BinSpec::equal_frequency(sample, config.num_bins);
+        let enc = Encoder {
+            spec: BinSpec::equal_frequency(sample, config.num_bins),
+            plod: config.plod,
+            byte_codec: config.codec.byte_codec(),
+            float_codec: config.codec.float_codec(),
+            codec_name: config.codec.name(),
+            obs: Registry::default(),
+        };
         Ok(StreamingBuilder {
             backend,
             dataset: dataset.to_string(),
             var: var.to_string(),
-            byte_codec: config.codec.byte_codec(),
-            float_codec: config.codec.float_codec(),
             pending: (0..config.num_bins).map(|_| Vec::new()).collect(),
             per_bin_points: vec![0u64; config.num_bins],
             pushed: vec![false; grid.num_chunks()],
             pushed_count: 0,
             encode_seconds: 0.0,
             start: Instant::now(),
-            obs: Registry::default(),
             config: config.clone(),
             grid,
             order,
-            spec,
+            enc,
         })
     }
 
     /// The bin specification in force.
     pub fn bins(&self) -> &BinSpec {
-        &self.spec
+        &self.enc.spec
     }
 
     /// The chunk geometry.
@@ -319,16 +332,7 @@ impl<'a> StreamingBuilder<'a> {
     pub fn push_chunk(&mut self, chunk_id: usize, values: &[f64]) -> Result<()> {
         self.validate_push(chunk_id, values.len())?;
         let t = Instant::now();
-        let units = encode_chunk(
-            values,
-            &self.spec,
-            self.config.num_bins,
-            self.config.plod,
-            &*self.byte_codec,
-            &*self.float_codec,
-            self.config.codec.name(),
-            &self.obs,
-        );
+        let units = self.enc.chunk(values);
         self.encode_seconds += t.elapsed().as_secs_f64();
         self.ingest(chunk_id, units);
         Ok(())
@@ -351,34 +355,12 @@ impl<'a> StreamingBuilder<'a> {
             }
         }
         let t = Instant::now();
-        let encoded = {
-            let spec = &self.spec;
-            let num_bins = self.config.num_bins;
-            let use_plod = self.config.plod;
-            let byte_codec: &dyn Codec = &*self.byte_codec;
-            let float_codec: &dyn FloatCodec = &*self.float_codec;
-            let codec_name = self.config.codec.name();
-            let obs = &self.obs;
-            parallel_map(
-                self.config.effective_build_threads(),
-                batch,
-                |_, (chunk_id, values)| {
-                    (
-                        chunk_id,
-                        encode_chunk(
-                            &values,
-                            spec,
-                            num_bins,
-                            use_plod,
-                            byte_codec,
-                            float_codec,
-                            codec_name,
-                            obs,
-                        ),
-                    )
-                },
-            )
-        };
+        let enc = &self.enc;
+        let encoded = parallel_map(
+            self.config.effective_build_threads(),
+            batch,
+            |_, (chunk_id, values)| (chunk_id, enc.chunk(&values)),
+        );
         self.encode_seconds += t.elapsed().as_secs_f64();
         for (chunk_id, units) in encoded {
             self.ingest(chunk_id, units);
@@ -432,7 +414,7 @@ impl<'a> StreamingBuilder<'a> {
         let meta = VariableMeta {
             var: self.var.clone(),
             config: self.config.clone(),
-            bin_bounds: self.spec.bounds().to_vec(),
+            bin_bounds: self.enc.spec.bounds().to_vec(),
             total_points,
             summaries,
         };
@@ -444,7 +426,7 @@ impl<'a> StreamingBuilder<'a> {
         // The registry holds the encode workers' per-unit histogram
         // observations; the stage spans mirror the report's wall-clock
         // fields exactly so the two views always reconcile.
-        let mut profile = self.obs.finish();
+        let mut profile = self.enc.obs.finish();
         profile.record_path(&["build"], build_seconds);
         profile.record_path(&["build", "encode"], self.encode_seconds);
         profile.record_path(&["build", "layout"], layout_seconds);
@@ -550,34 +532,19 @@ pub fn build_variable(
 
     let mut builder = StreamingBuilder::new(backend, dataset, var, config, &sample)?;
     let t = Instant::now();
-    let encoded = {
-        let spec = &builder.spec;
-        let byte_codec: &dyn Codec = &*builder.byte_codec;
-        let float_codec: &dyn FloatCodec = &*builder.float_codec;
-        let codec_name = config.codec.name();
-        let obs = &builder.obs;
-        parallel_map(
-            config.effective_build_threads(),
-            (0..grid.num_chunks()).collect(),
-            |_, chunk| {
-                let chunk_values: Vec<f64> = grid
-                    .chunk_linear_indices(chunk)
-                    .iter()
-                    .map(|&l| values[l as usize])
-                    .collect();
-                encode_chunk(
-                    &chunk_values,
-                    spec,
-                    config.num_bins,
-                    config.plod,
-                    byte_codec,
-                    float_codec,
-                    codec_name,
-                    obs,
-                )
-            },
-        )
-    };
+    let enc = &builder.enc;
+    let encoded = parallel_map(
+        config.effective_build_threads(),
+        (0..grid.num_chunks()).collect(),
+        |_, chunk| {
+            let chunk_values: Vec<f64> = grid
+                .chunk_linear_indices(chunk)
+                .iter()
+                .map(|&l| values[l as usize])
+                .collect();
+            enc.chunk(&chunk_values)
+        },
+    );
     builder.encode_seconds += t.elapsed().as_secs_f64();
     for (chunk, units) in encoded.into_iter().enumerate() {
         builder.ingest(chunk, units);
@@ -855,7 +822,8 @@ mod tests {
         // Finish with missing chunks.
         assert!(b.finish().is_err());
 
-        // Empty sample.
+        // Empty or all-NaN sample.
         assert!(StreamingBuilder::new(&be, "ds", "u", &config, &[]).is_err());
+        assert!(StreamingBuilder::new(&be, "ds", "u", &config, &[f64::NAN; 4]).is_err());
     }
 }

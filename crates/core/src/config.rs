@@ -357,12 +357,20 @@ impl ConfigBuilder {
         self
     }
 
-    /// Finish, deriving defaults: chunk shape from the stripe size and
-    /// PLoD from the codec (byte codecs → PLoD columns).
+    /// [`Self::try_build`] for a configuration that is the caller's
+    /// own: an invalid one is a bug, caught where it is built.
     ///
     /// # Panics
     /// Panics when the resulting configuration is invalid.
     pub fn build(self) -> MlocConfig {
+        #[allow(clippy::expect_used)]
+        self.try_build().expect("invalid configuration")
+    }
+
+    /// Finish, deriving defaults: chunk shape from the stripe size and
+    /// PLoD from the codec (byte codecs → PLoD columns), and check the
+    /// result with [`MlocConfig::validate`].
+    pub fn try_build(self) -> Result<MlocConfig> {
         let plod = self
             .plod
             .unwrap_or(matches!(self.codec, CodecKind::Deflate | CodecKind::Raw));
@@ -381,12 +389,8 @@ impl ConfigBuilder {
             stripe_size: self.stripe_size,
             build_threads: self.build_threads,
         };
-        // The documented contract: an invalid configuration is the
-        // caller's bug, caught where it is built. `validate` is the
-        // fallible check for a configuration read from elsewhere.
-        #[allow(clippy::expect_used)]
-        config.validate().expect("invalid configuration");
-        config
+        config.validate()?;
+        Ok(config)
     }
 }
 

@@ -3,15 +3,10 @@
 use crate::MlocError;
 
 /// Append primitives to a byte buffer.
-///
-/// Some accessors are kept for format evolution even when currently
-/// unused outside tests.
-#[allow(dead_code)]
 pub struct Writer {
     buf: Vec<u8>,
 }
 
-#[allow(dead_code)]
 impl Writer {
     pub fn new() -> Self {
         Writer { buf: Vec::new() }
@@ -19,10 +14,6 @@ impl Writer {
 
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn u32(&mut self, v: u32) {
@@ -66,10 +57,6 @@ impl Writer {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 /// Sequential reader over a byte slice.
@@ -78,7 +65,6 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
-#[allow(dead_code)]
 impl<'a> Reader<'a> {
     pub fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
@@ -123,10 +109,6 @@ impl<'a> Reader<'a> {
         Ok(a)
     }
 
-    pub fn u16(&mut self) -> Result<u16, MlocError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
     pub fn u32(&mut self) -> Result<u32, MlocError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
@@ -137,10 +119,6 @@ impl<'a> Reader<'a> {
 
     pub fn f64(&mut self) -> Result<f64, MlocError> {
         Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], MlocError> {
-        self.take(n)
     }
 
     pub fn string(&mut self) -> Result<String, MlocError> {
@@ -165,11 +143,6 @@ impl<'a> Reader<'a> {
     pub fn remaining(&self) -> &'a [u8] {
         &self.data[self.pos..]
     }
-
-    /// Current read position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +153,6 @@ mod tests {
     fn roundtrip_everything() {
         let mut w = Writer::new();
         w.u8(7);
-        w.u16(300);
         w.u32(70_000);
         w.u64(1 << 40);
         w.f64(-2.5);
@@ -191,7 +163,6 @@ mod tests {
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.f64().unwrap(), -2.5);
@@ -219,7 +190,7 @@ mod tests {
         assert!(Reader::new(&buf).string().is_err());
         assert!(Reader::new(&buf).usize_vec().is_err());
         assert!(Reader::new(&buf).f64_vec().is_err());
-        assert!(Reader::new(&buf).bytes(usize::MAX).is_err());
+        assert!(Reader::new(&buf).take(usize::MAX).is_err());
 
         // Large-but-not-wrapping lengths fail too.
         let mut buf = 1_000_000u32.to_le_bytes().to_vec();
@@ -241,7 +212,6 @@ mod tests {
                 data in proptest::collection::vec(any::<u8>(), 0..256),
             ) {
                 let _ = Reader::new(&data).u8();
-                let _ = Reader::new(&data).u16();
                 let _ = Reader::new(&data).u32();
                 let _ = Reader::new(&data).u64();
                 let _ = Reader::new(&data).f64();
@@ -250,7 +220,7 @@ mod tests {
                 let _ = Reader::new(&data).f64_vec();
                 let mut r = Reader::new(&data);
                 while r.u64().is_ok() {}
-                prop_assert!(r.position() <= data.len());
+                prop_assert!(r.remaining().len() < 8);
             }
 
             // A valid header with one byte flipped and/or a truncated

@@ -10,8 +10,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRequest {
     /// File name, shared: a caller that builds the name once hands
-    /// every request, retry re-submission and trace record of that
-    /// file a pointer clone instead of a fresh string.
+    /// every request and trace record of that file a pointer clone
+    /// instead of a fresh string.
     pub file: Arc<str>,
     /// Byte offset of the read.
     pub offset: u64,
@@ -51,10 +51,10 @@ pub trait StorageBackend: Send + Sync {
     /// sequential loop over [`Self::read`], so simple and wrapping
     /// backends (memory, simulator, fault injection) behave exactly as
     /// if the caller had issued the reads one by one — same bytes, same
-    /// per-request error identity. No backend services a batch
-    /// concurrently: [`crate::ShardRouter`] overrides this to route
-    /// slices and mask errors per replica round, still on the caller's
-    /// thread, and wrappers forward it so the batch shape survives.
+    /// per-request error identity. No backend in this crate overrides
+    /// it — [`crate::ShardRouter`] included, whose `read` already masks
+    /// a failed replica — and the `Box` forward keeps a batch whole for
+    /// a backend outside it that observes whole batches.
     fn read_batch(&self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
         requests
             .iter()
@@ -242,8 +242,7 @@ impl<'a> RankIo<'a> {
     /// Charge one still-failing request its next retry after `attempt`
     /// attempts: the jittered backoff joins [`Self::retry_wait_s`], or,
     /// when that wait would bust the per-query budget, the request
-    /// stops here with a typed error. The one copy of this accounting,
-    /// so `read` and `read_batch` cannot drift apart.
+    /// stops here with a typed error.
     fn charge_retry(
         &mut self,
         file: &str,
@@ -282,27 +281,17 @@ impl<'a> RankIo<'a> {
     ) -> Result<Vec<u8>, PfsError> {
         let file: Arc<str> = file.into();
         self.trace.push(ReadOp::new(Arc::clone(&file), offset, len));
-        let mut attempt = 1u32;
-        loop {
-            match self.backend.read(&file, offset, len) {
-                Ok(buf) => return Ok(buf),
-                Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
-                    self.charge_retry(&file, offset, len, attempt)?;
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let first = self.backend.read(&file, offset, len);
+        self.retry_read(first, &file, offset, len)
     }
 
     /// Submit a batch of reads and return one result per request in
     /// submission order. Each logical read is traced once (exactly as
-    /// [`Self::read`] would trace it); transient failures are retried
-    /// per the handle's [`RetryPolicy`] by re-submitting only the
-    /// still-failing requests as a smaller batch, with the same retry
-    /// and simulated-backoff accounting the sequential path performs.
-    /// The first attempt submits `requests` as they are; only a retry
-    /// copies the requests it re-submits.
+    /// [`Self::read`] would trace it) and the whole batch goes to the
+    /// backend once, as submitted; each slot that failed transiently
+    /// is then retried in place, in submission order, by the same
+    /// loop [`Self::read`] retries with, so both paths charge the same
+    /// retries and simulated backoff.
     pub fn read_batch(&mut self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
         for r in requests {
             self.trace
@@ -314,42 +303,36 @@ impl<'a> RankIo<'a> {
         // A backend that answers fewer requests than it was sent leaves
         // slots unresolved: each fails instead of taking a panic.
         out.resize_with(requests.len(), || Err(PfsError::unanswered()));
-        let mut pending: Vec<usize> = (0..out.len())
-            .filter(|&i| matches!(&out[i], Err(e) if e.is_transient()))
-            .collect();
-        let mut attempt = 1u32;
-        while !pending.is_empty() && self.retry.should_retry(attempt) {
-            // Charge backoff per still-failing slot, in submission
-            // order, so the total matches what the sequential path
-            // would accumulate op by op. Slots whose next wait would
-            // bust the per-query budget stop here with a typed error.
-            let mut kept = Vec::with_capacity(pending.len());
-            for &slot in &pending {
-                let r = &requests[slot];
-                match self.charge_retry(&r.file, r.offset, r.len, attempt) {
-                    Ok(()) => kept.push(slot),
-                    Err(e) => out[slot] = Err(e),
-                }
-            }
-            if kept.is_empty() {
-                break;
-            }
-            attempt += 1;
-            let sub: Vec<ReadRequest> = kept.iter().map(|&i| requests[i].clone()).collect();
-            let mut results = self.backend.read_batch(&sub).into_iter();
-            debug_assert_eq!(results.len(), sub.len());
-            pending.clear();
-            for slot in kept {
-                let res = results
-                    .next()
-                    .unwrap_or_else(|| Err(PfsError::unanswered()));
-                if matches!(&res, Err(e) if e.is_transient()) {
-                    pending.push(slot);
-                }
-                out[slot] = res;
+        for (r, slot) in requests.iter().zip(out.iter_mut()) {
+            if matches!(slot, Err(e) if e.is_transient()) {
+                let first = std::mem::replace(slot, Ok(Vec::new()));
+                *slot = self.retry_read(first, &r.file, r.offset, r.len);
             }
         }
         out
+    }
+
+    /// The one retry loop: given a read's first result, re-read while
+    /// the error is transient and the policy and the per-query budget
+    /// allow, charging each retry through [`Self::charge_retry`].
+    fn retry_read(
+        &mut self,
+        mut res: Result<Vec<u8>, PfsError>,
+        file: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, PfsError> {
+        let mut attempt = 1u32;
+        loop {
+            match res {
+                Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
+                    self.charge_retry(file, offset, len, attempt)?;
+                    attempt += 1;
+                    res = self.backend.read(file, offset, len);
+                }
+                res => return res,
+            }
+        }
     }
 
     /// Record an extent that a cache satisfied without touching the

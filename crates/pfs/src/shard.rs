@@ -3,10 +3,10 @@
 //!
 //! A [`ShardRouter`] owns a fixed set of shard backends (typically one
 //! [`crate::DirBackend`] per shard directory) and routes every file to
-//! a *primary* shard by a stable hash of its name. Batches are split
-//! per shard — the slices are served in order on the caller's thread —
-//! and results are merged back in submission order, so callers cannot
-//! tell a sharded store from a flat one.
+//! a *primary* shard by a stable hash of its name. A batch is the
+//! trait's default loop over [`ShardRouter::read`], on the caller's
+//! thread and in submission order, so callers cannot tell a sharded
+//! store from a flat one.
 //!
 //! With replication factor R ≥ 2 ([`ShardRouter::replicated`]) each
 //! file also lives on the R−1 successor shards (chained declustering:
@@ -19,26 +19,14 @@
 //! behaves exactly like losing the files it owns: reads and `len`
 //! return [`PfsError::NotFound`], and `list` simply omits them.
 
-use crate::backend::{ReadRequest, ReplicaAccess, StorageBackend};
+use crate::backend::{ReplicaAccess, StorageBackend};
 use crate::PfsError;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// One shard's slice of a batch: the submission slots it owns, the
-/// requests, and the shard servicing it.
-struct Slice {
-    slots: Vec<usize>,
-    reqs: Vec<ReadRequest>,
-    shard: usize,
-}
-
-/// One shard's batch results, aligned with its slice's requests.
-type SliceResults = Vec<Result<Vec<u8>, PfsError>>;
 
 /// Routes a flat file namespace over `N` shard backends by a stable
-/// name hash, splitting read batches per shard.
+/// name hash.
 pub struct ShardRouter {
     shards: Vec<Box<dyn StorageBackend>>,
     replicas: usize,
@@ -117,16 +105,6 @@ impl ShardRouter {
         }
     }
 
-    /// Serve a round's per-shard slices in order on the calling thread
-    /// (a thread per slice lost 60 % of `explore_cold` `ops_per_s`, see
-    /// DESIGN.md). Returns per-slice results, aligned with `slices`.
-    fn fan_out(&self, slices: &[Slice]) -> Vec<SliceResults> {
-        slices
-            .iter()
-            .map(|slice| self.shards[slice.shard].read_batch(&slice.reqs))
-            .collect()
-    }
-
     fn owner(&self, name: &str) -> &dyn StorageBackend {
         self.shards[self.shard_of(name)].as_ref()
     }
@@ -182,78 +160,6 @@ impl StorageBackend for ShardRouter {
             }
         }
         Err(first_err.unwrap_or_else(|| PfsError::NotFound(name.to_string())))
-    }
-
-    fn read_batch(&self, requests: &[ReadRequest]) -> Vec<Result<Vec<u8>, PfsError>> {
-        let mut out: Vec<Option<Result<Vec<u8>, PfsError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        // Replica rounds: round k routes the still-failing slots to
-        // their k-th replica. Round 0 is the whole batch on primaries;
-        // later rounds mask errors.
-        let mut pending: Vec<usize> = (0..requests.len()).collect();
-        let mut repair_jobs: Vec<(Arc<str>, usize, Vec<usize>)> = Vec::new();
-        for k in 0..self.replicas {
-            if pending.is_empty() {
-                break;
-            }
-            // Partition this round's slots by serving shard.
-            let mut per_shard: Vec<(Vec<usize>, Vec<ReadRequest>)> =
-                (0..self.shards.len()).map(|_| Default::default()).collect();
-            for &slot in &pending {
-                let s = self.replica_shard_of(&requests[slot].file, k);
-                per_shard[s].0.push(slot);
-                per_shard[s].1.push(requests[slot].clone());
-            }
-            let slices: Vec<Slice> = per_shard
-                .into_iter()
-                .enumerate()
-                .filter(|(_, (slots, _))| !slots.is_empty())
-                .map(|(shard, (slots, reqs))| Slice { slots, reqs, shard })
-                .collect();
-            let mut still = Vec::new();
-            let fanned = self.fan_out(&slices);
-            for (slice, results) in slices.iter().zip(fanned) {
-                debug_assert_eq!(slice.slots.len(), results.len());
-                for (&slot, res) in slice.slots.iter().zip(results) {
-                    match res {
-                        Ok(buf) => {
-                            if k > 0 {
-                                // Round k only carries slots that
-                                // failed on earlier replicas, so
-                                // this read is masked.
-                                self.read_repairs.fetch_add(1, Ordering::Relaxed);
-                                let name = &requests[slot].file;
-                                let healthy = self.replica_shard_of(name, k);
-                                let failed: Vec<usize> =
-                                    (0..k).map(|j| self.replica_shard_of(name, j)).collect();
-                                repair_jobs.push((Arc::clone(name), healthy, failed));
-                            }
-                            out[slot] = Some(Ok(buf));
-                        }
-                        Err(e) => {
-                            if k + 1 < self.replicas {
-                                still.push(slot);
-                            }
-                            // Keep the first (primary) error for
-                            // identity with the unreplicated router.
-                            if out[slot].is_none() {
-                                out[slot] = Some(Err(e));
-                            }
-                        }
-                    }
-                }
-            }
-            still.sort_unstable();
-            pending = still;
-        }
-        for (name, healthy, failed) in repair_jobs {
-            self.write_back(&name, healthy, &failed);
-        }
-        // A shard that answers fewer requests than it was sent leaves
-        // slots unresolved: each fails instead of taking a panic.
-        out.into_iter()
-            .map(|o| o.unwrap_or_else(|| Err(PfsError::unanswered())))
-            .collect()
     }
 
     fn len(&self, name: &str) -> Result<u64, PfsError> {
@@ -351,8 +257,10 @@ impl ReplicaAccess for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ReadRequest;
     use crate::fault::{FaultBackend, FaultPlan};
     use crate::mem::MemBackend;
+    use std::sync::Arc;
 
     fn router(n: usize) -> ShardRouter {
         ShardRouter::new((0..n).map(|_| Box::new(MemBackend::new()) as _).collect()).unwrap()

@@ -58,7 +58,6 @@ use mloc::{
     BlockCache, CacheStats, ExtentFuser, MlocError, MlocStore, ParallelExecutor, ProgressiveStep,
     Query, QueryMetrics, QueryResult,
 };
-use mloc_obs::{Label, Profile, Registry};
 use mloc_pfs::{CostModel, RetryPolicy, StorageBackend};
 use mloc_runtime::parallel_map;
 use std::collections::{BTreeMap, HashMap};
@@ -317,7 +316,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A resident query server over one storage backend.
 ///
 /// `run` executes a batch of sessions window by window; the cache,
-/// fuser, tenant usage, and obs counters persist across `run` calls,
+/// fuser and tenant usage persist across `run` calls,
 /// so a long-lived server keeps its warm state between batches.
 pub struct QueryServer<'a> {
     backend: &'a dyn StorageBackend,
@@ -326,7 +325,6 @@ pub struct QueryServer<'a> {
     fuser: Option<Arc<ExtentFuser>>,
     budgets: HashMap<String, TenantBudget>,
     usage: Mutex<BTreeMap<String, TenantUsage>>,
-    registry: Registry,
 }
 
 impl<'a> QueryServer<'a> {
@@ -345,7 +343,6 @@ impl<'a> QueryServer<'a> {
             fuser,
             budgets: HashMap::new(),
             usage: Mutex::new(BTreeMap::new()),
-            registry: Registry::new(true),
         }
     }
 
@@ -373,11 +370,6 @@ impl<'a> QueryServer<'a> {
     /// Snapshot of per-tenant usage.
     pub fn usage(&self) -> BTreeMap<String, TenantUsage> {
         lock(&self.usage).clone()
-    }
-
-    /// Snapshot of the server's obs counters (`serve.*`).
-    pub fn profile(&self) -> Profile {
-        self.registry.snapshot()
     }
 
     /// Run a batch of sessions and return one report per session, in
@@ -465,7 +457,6 @@ impl<'a> QueryServer<'a> {
         exec: &ParallelExecutor,
     ) -> SessionReport {
         let t0 = Instant::now();
-        self.registry.count("serve.sessions", 1);
         let u = self.charge(tenant, |t| t.sessions += 1);
         // Admission check against usage accumulated by *completed*
         // sessions of this tenant (same-tenant sessions are serial, so
@@ -480,9 +471,6 @@ impl<'a> QueryServer<'a> {
             };
             if let Some((resource, used, limit)) = over {
                 self.charge(tenant, |t| t.rejected += 1);
-                self.registry.count("serve.rejected", 1);
-                self.registry
-                    .count_labeled("serve.rejected_by", Label::Name(resource), 1);
                 return SessionReport {
                     index,
                     tenant: tenant.to_string(),
@@ -504,7 +492,6 @@ impl<'a> QueryServer<'a> {
             Some(Ok(st)) => st,
             opened => {
                 self.charge(tenant, |t| t.failed += 1);
-                self.registry.count("serve.failed", 1);
                 let error = match opened {
                     Some(Err(e)) => e.clone(),
                     _ => "variable was not opened for this batch".to_string(),
@@ -556,21 +543,6 @@ impl<'a> QueryServer<'a> {
                     u.fused_reads += m.fused_reads;
                     u.retries += m.retries;
                 });
-                self.registry.count("serve.completed", 1);
-                self.registry.count("serve.bytes_read", m.bytes_read);
-                self.registry.count("serve.bytes_saved", m.bytes_saved);
-                self.registry
-                    .count("serve.fused_bytes_saved", m.fused_bytes_saved);
-                self.registry.record("serve.io", m.io_s);
-                if let Some(steps) = &steps {
-                    self.registry.count("serve.progressive.sessions", 1);
-                    self.registry
-                        .count("serve.progressive.steps", steps.len() as u64);
-                    self.registry.count(
-                        "serve.progressive.refine_bytes",
-                        steps.iter().skip(1).map(|s| s.bytes_read).sum::<u64>(),
-                    );
-                }
                 SessionReport {
                     index,
                     tenant: tenant.to_string(),
@@ -583,7 +555,6 @@ impl<'a> QueryServer<'a> {
             }
             Err(e) => {
                 self.charge(tenant, |t| t.failed += 1);
-                self.registry.count("serve.failed", 1);
                 SessionReport {
                     index,
                     tenant: tenant.to_string(),
