@@ -112,14 +112,15 @@ fn gts_shapes() {
             "Table III/V GTS 1 %: {system} {io:.4} s is not below Seq. Scan {scan:.4} s"
         );
     }
-    // Reported, not gated: at 0.1 % the scan still wins (0.5502 vs
-    // 0.5216 s over these 3 queries, 0.60 vs 0.52 s over the 10 the
-    // reproducers run). What is left is queueing of ~13 bin files per
-    // rank on 16 OSTs (EXPERIMENTS.md, Table III; ROADMAP 2).
-    println!(
-        "  0.1 % MLOC-ISO {:.4} s vs Seq. Scan {:.4} s (not gated)",
-        io_of(&value, "MLOC-ISO", 0),
-        io_of(&value, "Seq. Scan", 0)
+    // And at 0.1 % MLOC-ISO (ROADMAP 1(e)): once the planner culled
+    // the units that cannot hold a hit (format v6) it beat the scan
+    // here and over the 10 queries the reproducers run (EXPERIMENTS.md,
+    // Table III); before, the scan won on queueing of ~13 bin files per
+    // rank on 16 OSTs (0.5502 vs 0.5216 s over these 3 queries).
+    let (iso, scan) = (io_of(&value, "MLOC-ISO", 0), io_of(&value, "Seq. Scan", 0));
+    assert!(
+        iso < scan,
+        "Table III/V GTS 0.1 %: MLOC-ISO {iso:.4} s is not below Seq. Scan {scan:.4} s"
     );
 
     let (_, col) = &systems.mloc[0];

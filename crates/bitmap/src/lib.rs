@@ -8,9 +8,7 @@
 //!   ([`runs`]), its runs of set bits as LEB128 `(gap, len − 1)` pairs,
 //!   validated once as read, then walked run by run.
 //! * The FastBit comparator (`mloc-baselines`) builds its binned bitmap
-//!   index from WAH bitmaps ([`wah`], [`ops`]), and `mloc upgrade`
-//!   decodes the WAH streams and rank/select directories a format-v1–v3
-//!   store kept ([`RunListBuf::push_wah`]).
+//!   index from WAH bitmaps ([`wah`], [`ops`]).
 //!
 //! The encoding is classic WAH over 32-bit words: a *literal* word
 //! (MSB 0) carries 31 data bits; a *fill* word (MSB 1) carries a fill

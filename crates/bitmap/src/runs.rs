@@ -11,7 +11,7 @@
 //! answers a range walk (visit the runs a box wants) and a membership
 //! probe (merge sorted probes against the runs).
 //!
-//! A bin file (formats v4 to v6) stores each chunk's positional bitmap
+//! A bin file (formats v4 to v7) stores each chunk's positional bitmap
 //! as its pairs and nothing else: the count is in the chunk's summary
 //! record (in v4, its directory entry) and the length is the chunk's
 //! point count. A build encodes the pairs straight from a bin's sorted
@@ -31,20 +31,6 @@
 //! Whatever it accepts is a well-formed run list, so the walks check
 //! nothing again.
 //!
-//! Formats v1–v3 stored a WAH stream followed by its sampled rank/select
-//! directory (v2 and v3) instead.
-//! [`RunListBuf::push_wah`] decodes one into the same pairs — in place,
-//! with no word copy — refusing an extent that does not hold together:
-//! bytes that stop before the stream they declare, words that cover
-//! fewer bits than the declared length or a whole group more, a set bit
-//! at or past the declared length, and a trailing directory that is not
-//! a whole directory or whose checkpoints disagree with the words.
-//! Only `mloc upgrade` reads such extents.
-
-use crate::wah::{
-    check_cover, container, dir_samples, le_u32, BitmapError, FILL_BIT, FILL_COUNT_MASK, FILL_FLAG,
-    GROUP_BITS, LITERAL_MASK,
-};
 
 /// Append `v` as LEB128: seven bits a byte, low first.
 #[inline]
@@ -219,102 +205,9 @@ impl Encoder<'_> {
     }
 }
 
-/// Decode a stored bitmap extent — a WAH stream, then its directory —
-/// into run pairs appended to `out`, returning the set-bit count and
-/// the declared length. On an error `out` may hold a partial list.
-fn decode_wah(extent: &[u8], out: &mut Vec<u8>) -> Result<(u64, u64), BitmapError> {
-    let (len, words) = container(extent)?;
-    let nwords = words.len() as u64 / 4;
-    // The directory — read in place — must fill the rest of the extent.
-    // A checkpoint sits after every `every` words, strictly inside the
-    // stream, and holds the totals before the next word.
-    let rest = &extent[16 + words.len()..];
-    let (every, samples) = dir_samples(rest).map_err(|_| BitmapError::Directory)?;
-    let used = if samples.is_empty() {
-        0
-    } else {
-        8 + samples.len()
-    };
-    if used != rest.len() {
-        return Err(BitmapError::Directory);
-    }
-    let n_samples = samples.len() / 8;
-    let due = |k: usize| {
-        if k < n_samples {
-            u64::from(every) * (k as u64 + 1)
-        } else {
-            u64::MAX
-        }
-    };
-    let (mut sampled, mut next_sample) = (0, due(0));
-
-    out.reserve(words.len());
-    let mut enc = Encoder {
-        out,
-        start: 0,
-        end: 0,
-        encoded: 0,
-        count: 0,
-    };
-    // Bits the words cover; their ones are the encoder's (a set padding
-    // bit is refused below, as past the length).
-    let mut pos = 0u64;
-    for (i, w) in words.chunks_exact(4).enumerate() {
-        let w = le_u32(w, 0);
-        if w & FILL_FLAG != 0 {
-            let n = u64::from(w & FILL_COUNT_MASK) * GROUP_BITS;
-            let next = pos.checked_add(n).ok_or(BitmapError::PastEnd)?;
-            if w & FILL_BIT != 0 {
-                enc.ones(pos, n);
-            }
-            pos = next;
-        } else {
-            let next = pos.checked_add(GROUP_BITS).ok_or(BitmapError::PastEnd)?;
-            // Peel alternating clear and set stretches off the low end:
-            // `m` has at most 31 bits, so each shift is under 32.
-            let mut m = w & LITERAL_MASK;
-            let mut at = pos;
-            while m != 0 {
-                let z = m.trailing_zeros();
-                m >>= z;
-                let o = (!m).trailing_zeros();
-                m >>= o;
-                at += u64::from(z);
-                enc.ones(at, u64::from(o));
-                at += u64::from(o);
-            }
-            pos = next;
-        }
-        let walked = i as u64 + 1;
-        if walked == next_sample {
-            let ones = enc.count + (enc.end - enc.start);
-            let (bits, set) = (
-                le_u32(samples, 8 * sampled),
-                le_u32(samples, 8 * sampled + 4),
-            );
-            if (u64::from(bits), u64::from(set)) != (pos, ones) || walked >= nwords {
-                return Err(BitmapError::Directory);
-            }
-            sampled += 1;
-            next_sample = due(sampled);
-        }
-    }
-    if sampled != n_samples {
-        return Err(BitmapError::Directory);
-    }
-    // The words cover the declared length, padded to a whole group, and
-    // no run — the last is the furthest — passes it.
-    check_cover(pos, len)?;
-    if enc.end > len {
-        return Err(BitmapError::PastEnd);
-    }
-    enc.flush();
-    Ok((enc.count, len))
-}
-
 /// A borrowed run list: the runs of set bits of a bitmap of
 /// [`len`](Self::len) bits, [`count`](Self::count) of them set. Only
-/// the encoder, the validator and the WAH decoder build one, so its
+/// the encoder and the validator build one, so its
 /// pairs are well formed, its runs lie inside the length and their
 /// lengths sum to the count.
 #[derive(Debug, Clone, Copy)]
@@ -527,21 +420,6 @@ impl RunListBuf {
         Ok(self.push(start, count, len))
     }
 
-    /// Decode a format-v1–v3 bitmap extent — a WAH stream, then its
-    /// rank/select directory (none in a v1 extent) — and append its run
-    /// list, returning the list's index. Refused, the extent leaves the
-    /// buffer as it was.
-    pub fn push_wah(&mut self, extent: &[u8]) -> Result<usize, BitmapError> {
-        let start = self.bytes.len();
-        match decode_wah(extent, &mut self.bytes) {
-            Ok((count, len)) => Ok(self.push(start, count, len)),
-            Err(e) => {
-                self.bytes.truncate(start);
-                Err(e)
-            }
-        }
-    }
-
     /// Append the run list of a bitmap of `len` bits all set — one run
     /// — returning its index.
     pub fn push_full(&mut self, len: u64) -> usize {
@@ -578,7 +456,6 @@ impl RunListBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wah::tests::stored;
     use crate::{WahBitmap, WahBuilder};
 
     fn runs(list: RunListRef<'_>) -> Vec<(u64, u64, u64)> {
@@ -618,9 +495,8 @@ mod tests {
         b.append_run(false, 40);
         b.push(true);
         let bm = b.finish();
-        let mut buf = RunListBuf::new();
-        let i = buf.push_wah(&stored(&bm)).unwrap();
-        let list = buf.get(i).unwrap();
+        let list = RunList::from_sorted_positions(bm.len(), &bm.to_positions());
+        let list = list.as_ref();
         assert_eq!(runs(list), vec![(3, 0, 129), (172, 129, 1)]);
         assert_eq!((list.count(), list.len()), (130, bm.len()));
     }
@@ -637,58 +513,40 @@ mod tests {
     }
 
     /// Words that cover fewer bits than the declared length — one
-    /// literal word under 1,000 declared bits — are refused, and leave
-    /// the buffer as it was.
+    /// literal word under 1,000 declared bits — are refused by the one
+    /// WAH reader left, FastBit's, through the same cover check the
+    /// upgrade's WAH decoder used; so is a whole group of words past
+    /// the length.
     #[test]
     fn words_short_of_the_declared_length_are_refused() {
         let mut bytes = WahBitmap::from_sorted_positions(31, &[3]).to_bytes();
         bytes[4..12].copy_from_slice(&1_000u64.to_le_bytes());
-        let mut buf = RunListBuf::new();
-        buf.push_full(5);
-        assert_eq!(buf.push_wah(&bytes), Err(BitmapError::Truncated));
-        assert_eq!(buf.bytes.len(), 2);
-        // A whole group of words past the length is refused too.
-        bytes[4..12].copy_from_slice(&0u64.to_le_bytes());
-        assert_eq!(buf.push_wah(&bytes), Err(BitmapError::PastEnd));
-    }
-
-    /// A set bit at the declared length is past the chunk.
-    #[test]
-    fn a_set_bit_past_the_length_is_refused() {
-        let mut bytes = WahBitmap::from_sorted_positions(20, &[3]).to_bytes();
-        bytes[16 + 2] |= 0x10; // bit 20 of the one literal
         assert_eq!(
-            RunListBuf::new().push_wah(&bytes),
-            Err(BitmapError::PastEnd)
+            WahBitmap::from_bytes(&bytes),
+            Err(crate::wah::BitmapError::Truncated)
+        );
+        bytes[4..12].copy_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            WahBitmap::from_bytes(&bytes),
+            Err(crate::wah::BitmapError::PastEnd)
         );
     }
 
-    /// A checkpoint claiming 4,000,000 set bits within its first 31
-    /// bits disagrees with the words; so does one past the words, and
-    /// bytes after the directory.
+    /// A stored run whose last set bit is at the declared length is
+    /// past the chunk, and leaves the buffer as it was.
     #[test]
-    fn an_impossible_checkpoint_is_refused() {
-        let b = WahBitmap::from_sorted_positions(62, &[40]);
-        assert_eq!(b.to_bytes().len(), 16 + 2 * 4, "two words");
-        // One checkpoint every `every` words: (bits, ones) before it.
-        let extent = |every: u32, ones: u32| {
-            let mut bytes = b.to_bytes();
-            for v in [1, every, 31, ones] {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            bytes
-        };
-        let decode = |bytes: &[u8]| RunListBuf::new().push_wah(bytes);
-        assert_eq!(decode(&extent(1, 4_000_000)), Err(BitmapError::Directory));
-        assert_eq!(decode(&extent(1, 0)), Ok(0), "the honest checkpoint");
-        assert_eq!(decode(&extent(9, 0)), Err(BitmapError::Directory));
-        let mut trailing = extent(1, 0);
-        trailing.push(0);
-        assert_eq!(decode(&trailing), Err(BitmapError::Directory));
+    fn a_set_bit_past_the_length_is_refused() {
+        let mut buf = RunListBuf::new();
+        buf.push_full(5);
+        // A run of one at position 20 in a list of 20 bits.
+        assert_eq!(buf.push_stored(&[20, 0], 1, 20), Err(RunsError::PastEnd));
+        assert_eq!((buf.bytes.len(), buf.lists.len()), (2, 1));
+        assert_eq!(buf.push_stored(&[19, 0], 1, 20), Ok(1));
     }
 
-    /// A stored list as positions encode it: the pairs a WAH extent of
-    /// the same bitmap decodes to, byte for byte, taken back as they are.
+    /// A stored list as positions encode it: the pairs of the runs of
+    /// ones a WAH extent of the same bitmap decodes to, taken back as
+    /// they are.
     #[test]
     fn positions_encode_the_pairs_a_wah_extent_decodes_to() {
         let cases: [(u64, &[u64]); 5] = [
@@ -700,11 +558,15 @@ mod tests {
         ];
         for (len, positions) in cases {
             let encoded = RunList::from_sorted_positions(len, positions);
-            let mut buf = RunListBuf::new();
-            let wah = WahBitmap::from_sorted_positions(len, positions);
-            let decoded = buf.push_wah(&stored(&wah)).unwrap();
-            let decoded = buf.get(decoded).unwrap();
-            assert_eq!(encoded.as_ref().pairs(), decoded.pairs(), "{positions:?}");
+            let bytes = WahBitmap::from_sorted_positions(len, positions).to_bytes();
+            let (wah, _) = WahBitmap::from_bytes(&bytes).unwrap();
+            let (mut wah_runs, mut end) = (Vec::new(), 0);
+            wah.as_ref().for_each_one_run(|gap, before, n| {
+                wah_runs.push((end + gap, before, n));
+                end += gap + n;
+            });
+            assert_eq!(runs(encoded.as_ref()), wah_runs, "{positions:?}");
+            let decoded = encoded.as_ref();
             let count = positions.len() as u64;
             assert_eq!(
                 (encoded.as_ref().count(), encoded.as_ref().len()),
@@ -769,10 +631,8 @@ mod tests {
 
     #[test]
     fn a_walk_from_a_want_stops_past_the_length() {
-        let bm = WahBitmap::from_sorted_positions(100, &[1, 2, 10, 50, 51, 99]);
-        let mut buf = RunListBuf::new();
-        let i = buf.push_wah(&stored(&bm)).unwrap();
-        let list = buf.get(i).unwrap();
+        let list = RunList::from_sorted_positions(100, &[1, 2, 10, 50, 51, 99]);
+        let list = list.as_ref();
         let mut seen = Vec::new();
         list.for_each_run_from(5, |start, ones_before, len| {
             seen.push((start, ones_before, len));

@@ -348,28 +348,6 @@ pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// A serialized rank/select directory, as formats v2 and v3 appended
-/// one to each bitmap extent, read in place: its sample count and
-/// stride (`u32` each), then its samples, eight bytes each — `(bits,
-/// ones)`, little-endian. Returns the stride and the samples' bytes,
-/// with no allocation. The empty slice is the empty directory; bytes
-/// after the last sample are not looked at.
-pub(crate) fn dir_samples(data: &[u8]) -> Result<(u32, &[u8]), BitmapError> {
-    if data.is_empty() {
-        return Ok((0, data));
-    }
-    if data.len() < 8 {
-        return Err(BitmapError::Truncated);
-    }
-    let (n, sample_every) = (le_u32(data, 0) as usize, le_u32(data, 4));
-    if sample_every == 0 || n == 0 {
-        return Err(BitmapError::Truncated);
-    }
-    let need = n.saturating_mul(8).saturating_add(8);
-    let samples = data.get(8..need).ok_or(BitmapError::Truncated)?;
-    Ok((sample_every, samples))
-}
-
 /// Sampled rank directory over an encoded WAH word stream.
 ///
 /// `samples[j]` holds the cumulative `(bits, ones)` totals of the first
@@ -572,8 +550,8 @@ pub(crate) mod tests {
         b.finish()
     }
 
-    /// A bitmap's stored extent as formats v2 and v3 wrote it: its
-    /// stream, then its directory ([`dir_samples`] reads it back).
+    /// A bitmap's stream, then its directory, as formats v2 and v3
+    /// stored them: what a directory costs next to its stream.
     pub(crate) fn stored(b: &WahBitmap) -> Vec<u8> {
         let mut bytes = b.to_bytes();
         let dir = RankSelectDir::build(b.as_ref());
@@ -767,29 +745,6 @@ pub(crate) mod tests {
         // rank(select(k)) = k, select read off the positions.
         for (k, &p) in positions.iter().enumerate().step_by(11) {
             assert_eq!(r.rank_with(&dir, p), k as u64, "rank(select({k}))");
-        }
-    }
-
-    /// A directory as v2/v3 stored it reads back in place, sample for
-    /// sample; a cut one is refused.
-    #[test]
-    fn dir_serde_roundtrip() {
-        let (b, _) = sampled_case();
-        let dir = RankSelectDir::build(b.as_ref());
-        let extent = stored(&b);
-        let bytes = &extent[b.to_bytes().len()..];
-        assert_eq!(bytes.len(), 8 + 8 * dir.samples.len());
-        let (every, samples) = dir_samples(bytes).unwrap();
-        assert_eq!(every as usize, RANK_SAMPLE_WORDS);
-        let back: Vec<(u32, u32)> = samples
-            .chunks_exact(8)
-            .map(|s| (le_u32(s, 0), le_u32(s, 4)))
-            .collect();
-        assert_eq!(back, dir.samples);
-        // The empty directory is no bytes; truncation is refused.
-        assert_eq!(dir_samples(&[]), Ok((0, &[][..])));
-        for cut in [4, bytes.len() - 1] {
-            assert_eq!(dir_samples(&bytes[..cut]), Err(BitmapError::Truncated));
         }
     }
 

@@ -1,16 +1,13 @@
-//! Adversarial decode: a format-v1–v3 bitmap extent — a WAH stream,
-//! then its rank/select directory — is disk bytes, and the decoders
-//! that read it (`RunListBuf::push_wah` for the upgrade,
-//! `WahBitmap::from_bytes` for the FastBit comparator's index) must
-//! never panic or allocate past what the bytes can hold. Every input
-//! gives `Ok` or `Err`; a run list the decoder accepts never holds a
-//! run past its length or more ones than it declares, and a damaged
-//! copy of a valid extent that still declares the valid one's count and
-//! length — what a reader checks it against — holds the valid one's
-//! runs. A stream `from_bytes` accepts ORs with a valid bitmap of its
-//! length without a panic, and holds the ones `push_wah` finds in it.
+//! Adversarial decode: a serialized WAH bitmap — the FastBit
+//! comparator's index records — is disk bytes, and its reader
+//! (`WahBitmap::from_bytes`) must never panic or allocate past what
+//! the bytes can hold. Every input gives `Ok` or `Err`; a bitmap the
+//! reader accepts ORs with a valid bitmap of its length without a
+//! panic and walks runs of ones that never pass its length, and a
+//! damaged copy of a valid stream that still holds the valid one's
+//! count and length holds the valid one's runs.
 //!
-//! A format-v4 extent — a stored run list — is disk bytes too: every
+//! A bin file's bitmap extent — a stored run list — is disk bytes too: every
 //! truncation, bit flip and one-byte extension of one is taken or
 //! refused without a panic, and a list that is taken holds exactly the
 //! count its entry declares.
@@ -18,28 +15,10 @@
 //! The vendored proptest does not shrink: the damage properties are
 //! functions of one seed, and a failing seed becomes a replay row.
 
-mod support;
-
 use mloc_bitmap::{or, RunList, RunListBuf, WahBitmap, WahBuilder};
 use proptest::prelude::*;
-use support::stored;
 
-/// Read `data` as the FastBit comparator reads an index bitmap: refused,
-/// or a bitmap, in no more than the bytes, that ORs without a panic
-/// with a valid bitmap of its length — `valid` when that is its length.
-/// Returns the bitmap's ones.
-fn read_wah(data: &[u8], valid: Option<&WahBitmap>) -> Option<u64> {
-    let (b, used) = WahBitmap::from_bytes(data).ok()?;
-    assert!(used <= data.len());
-    let other = match valid {
-        Some(v) if v.len() == b.len() => v.clone(),
-        _ => WahBitmap::zeros(b.len()),
-    };
-    assert_eq!(or(&b, &other).len(), b.len());
-    Some(b.rank(b.len()))
-}
-
-/// What a decoded extent declares and holds.
+/// What a read bitmap declares and holds.
 #[derive(Debug, PartialEq)]
 struct Decoded {
     count: u64,
@@ -47,41 +26,45 @@ struct Decoded {
     runs: Vec<(u64, u64, u64)>,
 }
 
-/// Decode `data` as a reader does — the stream, then the directory in
-/// the bytes after it — into a run list, and walk it: the runs rise,
-/// each with its rank, none past the declared length, their lengths
-/// summing to the declared count, in no more bytes than the input can
-/// account for. The stream is read as an index bitmap too
-/// ([`read_wah`], with `valid`).
+/// Read `data` as the FastBit comparator reads an index bitmap, and
+/// walk it: refused, or a bitmap, in no more than the bytes, that ORs
+/// without a panic with a valid bitmap of its length — `valid` when
+/// that is its length — and whose runs of ones rise, each with its
+/// rank, none past the declared length, in no more runs than its words
+/// can hold.
 fn decode_and_walk(data: &[u8], valid: Option<&WahBitmap>) -> Option<Decoded> {
-    let wah_ones = read_wah(data, valid);
-    let mut buf = RunListBuf::new();
-    let at = buf.push_wah(data).ok()?;
-    let list = buf.get(at)?;
-    let runs: Vec<(u64, u64, u64)> = list.iter().collect();
-    let (mut ones, mut end) = (0u64, 0u64);
+    let (b, used) = WahBitmap::from_bytes(data).ok()?;
+    assert!(used <= data.len());
+    let other = match valid {
+        Some(v) if v.len() == b.len() => v.clone(),
+        _ => WahBitmap::zeros(b.len()),
+    };
+    assert_eq!(or(&b, &other).len(), b.len());
+    let (mut runs, mut at) = (Vec::new(), 0u64);
+    let ones = b.as_ref().for_each_one_run(|gap, before, len| {
+        runs.push((at + gap, before, len));
+        at += gap + len;
+    });
+    let (mut counted, mut end) = (0u64, 0u64);
     for &(start, ones_before, len) in &runs {
         assert!(len > 0 && start >= end, "runs out of order");
-        assert_eq!(ones_before, ones, "a run's rank");
-        ones += len;
+        assert_eq!(ones_before, counted, "a run's rank");
+        counted += len;
         end = start + len;
     }
-    assert!(end <= list.len(), "a run past the declared length");
-    assert_eq!(ones, list.count(), "more or fewer ones than declared");
-    // Two one-byte varints per run, at most sixteen runs a literal word,
-    // and a long gap once a fill.
-    assert!(list.to_list().heap_bytes() <= 8 * data.len() as u64 + 20);
-    // The same words, read without their directory.
-    assert_eq!(wah_ones, Some(ones), "the stream read two ways");
+    assert!(end <= b.len(), "a run past the declared length");
+    assert_eq!(ones, counted, "the walk's count");
+    // At most sixteen runs a literal word, one a fill.
+    assert!(runs.len() <= 16 * data.len() / 4 + 1);
     Some(Decoded {
-        count: list.count(),
-        len: list.len(),
+        count: ones,
+        len: b.len(),
         runs,
     })
 }
 
-/// Decode a damaged copy of `valid`, stored from `b`: an error, or a
-/// list that is not what a reader expects (another count or length),
+/// Read a damaged copy of `valid`, serialized from `b`: an error, or a
+/// bitmap that is not what a reader expects (another count or length),
 /// or `valid`'s runs.
 fn damaged(data: &[u8], valid: &Decoded, b: &WahBitmap) {
     if let Some(d) = decode_and_walk(data, Some(b)) {
@@ -91,8 +74,8 @@ fn damaged(data: &[u8], valid: &Decoded, b: &WahBitmap) {
     }
 }
 
-/// A stream long enough to carry a real directory: literals of both
-/// densities and fills of both polarities.
+/// A long stream: literals of both densities and fills of both
+/// polarities.
 fn sampled_bitmap(seed: u64, groups: u64) -> WahBitmap {
     let mut x = seed | 1;
     let mut b = WahBuilder::new();
@@ -114,16 +97,12 @@ fn sampled_bitmap(seed: u64, groups: u64) -> WahBitmap {
 
 #[test]
 fn every_truncation_and_bit_flip_of_a_stored_bitmap_decodes_or_fails() {
-    // A stream with a directory, and one with none (a v1 extent).
-    for (b, with_dir) in [
-        (sampled_bitmap(7, 80), true),
-        (
-            WahBitmap::from_sorted_positions(300, &[0, 5, 6, 7, 64, 299]),
-            false,
-        ),
+    // A long stream and a short one.
+    for b in [
+        sampled_bitmap(7, 80),
+        WahBitmap::from_sorted_positions(300, &[0, 5, 6, 7, 64, 299]),
     ] {
-        let bytes = stored(&b);
-        assert_eq!(bytes.len() > b.to_bytes().len(), with_dir);
+        let bytes = b.to_bytes();
         let valid = decode_and_walk(&bytes, Some(&b)).expect("the stored bitmap decodes");
         let want: Vec<u64> = valid.runs.iter().flat_map(|r| r.0..r.0 + r.2).collect();
         assert_eq!(want, b.to_positions());
@@ -141,8 +120,7 @@ fn every_truncation_and_bit_flip_of_a_stored_bitmap_decodes_or_fails() {
 /// A stored bitmap of seed `seed`, with a few random bytes overwritten.
 fn overwrite(seed: u64) {
     let b = sampled_bitmap(seed, 90);
-    let bytes = stored(&b);
-    assert!(bytes.len() > b.to_bytes().len(), "no directory to damage");
+    let bytes = b.to_bytes();
     let valid = decode_and_walk(&bytes, Some(&b)).expect("the stored bitmap decodes");
     let mut x = seed | 1;
     let mut copy = bytes.clone();
@@ -177,7 +155,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary bytes, most behind a valid magic so they reach the
-    /// word and directory decoders, some with a plausible word count.
+    /// word decoder, some with a plausible word count.
     #[test]
     fn arbitrary_bytes_decode_or_fail(
         mut data in proptest::collection::vec(any::<u8>(), 0..600),

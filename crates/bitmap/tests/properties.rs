@@ -1,16 +1,14 @@
 //! Property-based tests: WAH bitmaps behave exactly like plain bit
 //! vectors under construction, rank, run walks, serialization, and
-//! logical ops; a run list decoded from a stored bitmap holds exactly
-//! its runs of ones, and a walk from wants visits exactly the wanted
-//! ones; a run list encoded from positions and taken back as stored
+//! logical ops; a run list encoded from a bitmap's positions holds
+//! exactly its runs of ones, and a walk from wants visits exactly the
+//! wanted ones; a run list encoded from positions and taken back as stored
 //! walks like the position set it came from.
 //!
 //! The vendored proptest does not shrink, so the run-list properties
 //! are functions of one seed: a failure names its seed, and the seed
 //! becomes a row of the property's replay list (`stored_runs.replay`
 //! for the stored lists).
-
-mod support;
 
 use mloc_bitmap::{andnot, or, or_many, RankSelectDir, RunList, RunListBuf, WahBitmap, WahBuilder};
 use proptest::prelude::*;
@@ -247,11 +245,13 @@ fn bitmap_of(rng: &mut Rng, len: u64) -> (WahBitmap, Vec<(u64, u64, u64)>) {
     (b.finish(), runs)
 }
 
-/// `b`'s stored extent (its stream, then its directory) decoded into a
-/// run list in `buf`.
+/// `b`'s run list, encoded from its positions and taken into `buf` as
+/// a reader takes a stored extent.
 fn decode(buf: &mut RunListBuf, b: &WahBitmap) -> usize {
-    buf.push_wah(&support::stored(b))
-        .expect("a stored bitmap decodes")
+    let list = RunList::from_sorted_positions(b.len(), &b.to_positions());
+    let list = list.as_ref();
+    buf.push_stored(list.pairs(), list.count(), list.len())
+        .expect("an encoded list is taken")
 }
 
 /// The run list of a bitmap of `len` bits is the runs of ones it was

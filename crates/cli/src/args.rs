@@ -210,10 +210,9 @@ USAGE:
                   the crash left out of the catalog; exits nonzero
                   only when damage is unrepairable)
   mloc upgrade   --dir DIR --name DS --out NEWDIR
-                 (copy a dataset of the formats before v6 — two files
-                  per bin, WAH bitmaps, or chunk directories, which no
-                  other command reads — out to NEWDIR as v6, byte for
-                  byte what a
+                 (copy a dataset of format v6 — unit parts as
+                  self-describing streams, which no other command
+                  reads — out to NEWDIR as v7, byte for byte what a
                   build of the same field writes, with the same
                   --shards/--replicas layout; DIR is only read: remove
                   it once `mloc verify` passes on NEWDIR)

@@ -601,7 +601,7 @@ fn repair(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     }
 }
 
-/// Copy a dataset of the formats before v6 out to `--out` as v6.
+/// Copy a dataset of format v6 out to `--out` as v7.
 fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let old = backend(args)?;
     let new = backend_in(args, args.required("out")?)?;
@@ -609,7 +609,7 @@ fn upgrade(args: &Args, out: &mut Output<'_>) -> Result<(), String> {
     let report = mloc::upgrade::upgrade(&old, &new, name).map_err(|e| e.to_string())?;
     outln!(
         out,
-        "upgraded {name}: {} variable(s), {} bin file(s) written as v6",
+        "upgraded {name}: {} variable(s), {} bin file(s) written as v7",
         report.variables.len(),
         report.bin_files
     );

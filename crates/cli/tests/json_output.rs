@@ -67,12 +67,12 @@ fn control_characters_in_names_leave_as_json_escapes() {
 }
 
 /// `stats`' `summary_bytes` is the chunk-summary section alone, in
-/// every store `stats` reads: the checked-in v2 dataset once `mloc
+/// every store `stats` reads: the checked-in v6 dataset once `mloc
 /// upgrade` has copied it out, and a fresh build of the same geometry
 /// (16 chunks), report 8 + 13 × 16 bytes per bin (each record holds the
 /// chunk's count since format v5, in the meta since v6), 8 × that in
 /// all.
-/// Un-upgraded, the v2 dataset is refused with the error naming `mloc
+/// Un-upgraded, the v6 dataset is refused with the error naming `mloc
 /// upgrade`.
 #[test]
 fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
@@ -87,10 +87,10 @@ fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap();
 
-    let v2 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v2_dataset");
+    let v6 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v6_dataset");
     let stats = |dir: &str| mloc(&["stats", "--dir", dir, "--name", "fmt", "--json", "true"]);
     let refused = Command::new(env!("CARGO_BIN_EXE_mloc"))
-        .args(["stats", "--dir", v2, "--name", "fmt"])
+        .args(["stats", "--dir", v6, "--name", "fmt"])
         .output()
         .unwrap();
     let stderr = String::from_utf8(refused.stderr).unwrap();
@@ -98,13 +98,13 @@ fn summary_bytes_mean_the_chunk_summaries_in_every_version() {
         !refused.status.success() && stderr.contains("`mloc upgrade"),
         "{stderr}"
     );
-    let upgraded = dir.join("v2");
+    let upgraded = dir.join("v6");
     let upgraded = upgraded.to_str().unwrap();
-    let (ok, text) = mloc(&["upgrade", "--dir", v2, "--name", "fmt", "--out", upgraded]);
+    let (ok, text) = mloc(&["upgrade", "--dir", v6, "--name", "fmt", "--out", upgraded]);
     assert!(ok, "{text}");
     let (ok, json) = stats(upgraded);
     assert!(ok, "{json}");
-    assert_eq!(summaries(&json), want, "upgraded v2: {json}");
+    assert_eq!(summaries(&json), want, "upgraded v6: {json}");
 
     let base = ["--dir", dir_s, "--name", "ds"];
     let geometry = ["--shape", "64,64", "--chunk", "16,16", "--bins", "8"];

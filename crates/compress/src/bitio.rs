@@ -160,6 +160,12 @@ impl<'a> BitReader<'a> {
         self.bit_count as usize + 8 * (self.data.len() - self.pos)
     }
 
+    /// Bytes of the data consumed so far, a partly consumed byte
+    /// counted whole.
+    pub fn bytes_consumed(&self) -> usize {
+        self.pos - (self.bit_count / 8) as usize
+    }
+
     /// Consume `count` bits previously seen via [`Self::peek_padded`].
     #[inline]
     pub fn consume_bits(&mut self, count: u32) {

@@ -186,6 +186,8 @@ impl<'t> Decoder<'t> {
         storage: &'t mut [u16; MAX_TABLE_LEN],
     ) -> Result<Self, CodecError> {
         assert!(lens.len() <= MAX_SYMBOLS, "alphabet too large");
+        #[cfg(test)]
+        TABLES_BUILT.with(|n| n.set(n.get() + 1));
         // One pass over the alphabet: collect the coded symbols and
         // their length histogram. Small blocks use a handful of the
         // 286 literal/length symbols, so unused ones are skipped here
@@ -282,6 +284,13 @@ impl<'t> Decoder<'t> {
         r.consume_bits(len);
         Ok(usize::from(entry >> 4))
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Decode tables this thread has built: what a test holds a decode
+    /// path's table builds to.
+    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The package-merge [`code_lengths`] replaced, verbatim, as its

@@ -1,10 +1,26 @@
 //! A DEFLATE-style byte codec: LZ77 + canonical Huffman coding.
 //!
-//! The container format ("MDF1") is our own, but the machinery is the
-//! same as zlib's: hash-chain LZ77 with a 32 KiB window, length/distance
-//! symbol alphabets with extra bits (RFC 1951's tables), per-block
-//! canonical Huffman codes, and a stored-block fallback when entropy
-//! coding does not pay off.
+//! The machinery is zlib's: hash-chain LZ77 with a 32 KiB window,
+//! length/distance symbol alphabets with extra bits and RFC 1951's
+//! three block kinds — stored, fixed code (§3.2.6's code lengths, no
+//! table) and dynamic code (the block's own canonical codes). Only the
+//! framing is our own, and it is none: a payload is the blocks alone.
+//!
+//! A payload encodes a known number of raw bytes (a bin file derives it
+//! from the unit's count), cut into [`BLOCK_SIZE`] blocks, the last one
+//! possibly shorter. Each block is a kind byte and its body:
+//!
+//! * `0` stored — the block's bytes;
+//! * `1` fixed — the coded symbols up to the end-of-block code, padded
+//!   to a byte;
+//! * `2` dynamic — the two code-length tables as nibbles
+//!   ([`TABLE_BYTES`]), then the coded symbols as for `1`.
+//!
+//! The encoder keeps the smallest kind of each block, and the raw
+//! bytes themselves when the blocks would not be shorter (the raw rule
+//! of [`Codec`]). No length, magic or checksum is stored: a bin file's
+//! data table checksums every part, and a payload must decode to
+//! exactly its raw length and be consumed whole.
 
 pub mod huffman;
 pub mod lz77;
@@ -13,61 +29,24 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::{Codec, CodecError};
 use huffman::{code_lengths, Decoder, Encoder, MAX_CODE_LEN, MAX_TABLE_LEN};
 use lz77::Token;
+use std::sync::OnceLock;
 
-const MAGIC: u32 = 0x3146_444D; // "MDF1"
-/// Independent-block size: bounds memory and enables random access at
-/// a coarser granularity if needed.
-const BLOCK_SIZE: usize = 128 * 1024;
+/// Raw bytes per block: bounds what one block makes a decoder write.
+pub(crate) const BLOCK_SIZE: usize = 128 * 1024;
 
-/// Adler-32 checksum (the integrity check zlib uses). Protects against
-/// corrupt streams that would otherwise decode to plausible garbage.
-pub fn adler32(data: &[u8]) -> u32 {
-    const MOD: u32 = 65_521;
-    let mut a: u32 = 1;
-    let mut b: u32 = 0;
-    // Process in chunks small enough that the sums cannot overflow.
-    for chunk in data.chunks(5_552) {
-        // A little-endian word at a time: byte i of the word is added
-        // to `b` once for itself and once for each byte after it, 8 − i
-        // times, and `a` as it stood before the word eight times. The
-        // even and the odd bytes sit in four 16-bit lanes each; one
-        // multiply sums the lanes, weighted, into the top lane (at most
-        // 255 · 20, so no lane carries into the next).
-        const LANES: u64 = 0x00FF_00FF_00FF_00FF;
-        const ONES: u64 = 1 | 1 << 16 | 1 << 32 | 1 << 48;
-        const EVEN: u64 = 2 | 4 << 16 | 6 << 32 | 8 << 48;
-        const ODD: u64 = 1 | 3 << 16 | 5 << 32 | 7 << 48;
-        let mut words = chunk.chunks_exact(8);
-        for word in &mut words {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
-            let (even, odd) = (word & LANES, (word >> 8) & LANES);
-            let sum = (even + odd).wrapping_mul(ONES) >> 48;
-            let weighted = (even.wrapping_mul(EVEN) >> 48) + (odd.wrapping_mul(ODD) >> 48);
-            b += 8 * a + weighted as u32;
-            a += sum as u32;
-        }
-        for &byte in words.remainder() {
-            a += u32::from(byte);
-            b += a;
-        }
-        a %= MOD;
-        b %= MOD;
-    }
-    (b << 16) | a
-}
+/// Block kinds.
+const STORED: u8 = 0;
+const FIXED: u8 = 1;
+const DYNAMIC: u8 = 2;
 
 /// End-of-block symbol in the literal/length alphabet.
-const EOB: usize = 256;
+pub(crate) const EOB: usize = 256;
 /// Literal/length alphabet size: 256 literals + EOB + 29 length codes.
-const NUM_LITLEN: usize = 286;
+pub(crate) const NUM_LITLEN: usize = 286;
 /// Distance alphabet size.
-const NUM_DIST: usize = 30;
+pub(crate) const NUM_DIST: usize = 30;
 // The two code-length tables are stored as one run of nibble pairs.
 const _: () = assert!((NUM_LITLEN + NUM_DIST).is_multiple_of(2));
-/// Bytes in front of the first block: magic, length, checksum.
-const STREAM_HEADER: usize = 16;
-/// Bytes in front of a block's body: kind and decoded length.
-const BLOCK_HEADER: usize = 5;
 
 /// `(extra_bits, base)` per length code 257..=285 (RFC 1951).
 const LENGTH_CODES: [(u32, u16); 29] = [
@@ -185,212 +164,213 @@ fn dist_symbol(dist: u16) -> (usize, u32, u32) {
     (idx, extra, u32::from(dist - base))
 }
 
-/// Bytes of the packed code-length tables a Huffman block opens with.
-const TABLE_BYTES: usize = (NUM_LITLEN + NUM_DIST) / 2;
-/// Largest block that is stored without looking at it: the Huffman
-/// estimate is payload + tables + 8 bytes of framing and a block is
-/// stored unless that is smaller than the block, which an empty
-/// payload already is not at this size.
-const STORED_UP_TO: usize = TABLE_BYTES + 8;
+/// Bytes of the packed code-length tables a dynamic block opens with.
+pub(crate) const TABLE_BYTES: usize = (NUM_LITLEN + NUM_DIST) / 2;
+
+/// RFC 1951's fixed code lengths (§3.2.6), literal/length then
+/// distance. Its literal/length symbols 286 and 287 and distance
+/// symbols 30 and 31 never occur, so the alphabets stop before them;
+/// the canonical codes of the others are the RFC's.
+const FIXED_LENS: [u8; NUM_LITLEN + NUM_DIST] = {
+    let mut lens = [5u8; NUM_LITLEN + NUM_DIST];
+    let mut sym = 0;
+    while sym < NUM_LITLEN {
+        lens[sym] = match sym {
+            0..=143 => 8,
+            144..=255 => 9,
+            256..=279 => 7,
+            _ => 8,
+        };
+        sym += 1;
+    }
+    lens
+};
+
+/// The fixed code's encoders, built once.
+fn fixed_encoders() -> &'static (Encoder, Encoder) {
+    static FIXED_ENC: OnceLock<(Encoder, Encoder)> = OnceLock::new();
+    FIXED_ENC.get_or_init(|| {
+        let (lit, dist) = FIXED_LENS.split_at(NUM_LITLEN);
+        (Encoder::from_lengths(lit), Encoder::from_lengths(dist))
+    })
+}
+
+/// The fixed code's decoders, built once: a fixed block decodes from
+/// these static tables and builds none of its own.
+fn fixed_decoders() -> &'static (Decoder<'static>, Decoder<'static>) {
+    static FIXED_DEC: OnceLock<(Decoder<'static>, Decoder<'static>)> = OnceLock::new();
+    FIXED_DEC.get_or_init(|| {
+        let (lit, dist) = FIXED_LENS.split_at(NUM_LITLEN);
+        let table = || Box::leak(Box::new([0u16; MAX_TABLE_LEN]));
+        let lit = Decoder::from_lengths(lit, table()).expect("RFC 1951's code");
+        let dist = Decoder::from_lengths(dist, table()).expect("RFC 1951's code");
+        (lit, dist)
+    })
+}
 
 /// The DEFLATE-style codec. Stateless; `Default` gives the standard
 /// configuration.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Deflate;
 
-fn stored_block(block: &[u8], out: &mut Vec<u8>) {
-    out.push(0);
-    out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-    out.extend_from_slice(block);
+/// Bits of `freq` coded with `lens`.
+fn code_bits(freq: &[u32], lens: &[u8]) -> u64 {
+    let each = freq.iter().zip(lens);
+    each.map(|(&f, &l)| u64::from(f) * u64::from(l)).sum()
 }
 
-impl Deflate {
-    /// Append `block` to `out` as a stored or a Huffman block.
-    ///
-    /// Most blocks are a storage unit's few hundred bytes and end up
-    /// stored (DESIGN §7), so the decision is taken as early as it is
-    /// exact: by size alone up to [`STORED_UP_TO`] bytes, otherwise
-    /// from the two frequency tables and their code lengths — the
-    /// encoder tables and the bit stream exist only for a block that
-    /// is Huffman-coded, and go straight into `out`.
-    fn compress_block(&self, block: &[u8], out: &mut Vec<u8>) {
-        if block.len() <= STORED_UP_TO {
-            return stored_block(block, out);
-        }
-        let tokens = lz77::tokenize(block);
+/// Append `block` to `out` as the smallest of its three kinds, unless
+/// that would make `out` reach `limit` bytes — the payload's raw
+/// length, past which the raw bytes are stored instead: then write
+/// nothing and return `false`.
+///
+/// Every size is exact and comes from the tokens' two frequency tables:
+/// the fixed code's from its static lengths, the dynamic code's from
+/// the lengths built for the block — which only a block whose fixed
+/// code outweighs a table builds. Ties go to the kind cheaper to decode
+/// (stored, then fixed). `out` is sized for `limit` bytes once, so it
+/// never grows again.
+fn encode_block(block: &[u8], out: &mut Vec<u8>, limit: usize) -> bool {
+    let tokens = lz77::tokenize(block);
 
-        // Gather symbol frequencies and the extra bits of the matches.
-        let mut lit_freq = [0u32; NUM_LITLEN];
-        let mut dist_freq = [0u32; NUM_DIST];
-        let mut extra_bits = 0u64;
-        lit_freq[EOB] = 1;
-        for &t in &tokens {
-            match t {
-                Token::Literal(b) => lit_freq[b as usize] += 1,
-                Token::Match { len, dist } => {
-                    let (ls, le, _) = length_symbol(len);
-                    let (ds, de, _) = dist_symbol(dist);
-                    lit_freq[ls] += 1;
-                    dist_freq[ds] += 1;
-                    extra_bits += u64::from(le + de);
-                }
+    // Gather symbol frequencies and the extra bits of the matches.
+    let mut lit_freq = [0u32; NUM_LITLEN];
+    let mut dist_freq = [0u32; NUM_DIST];
+    let mut extra_bits = 0u64;
+    lit_freq[EOB] = 1;
+    for &t in &tokens {
+        match t {
+            Token::Literal(b) => lit_freq[b as usize] += 1,
+            Token::Match { len, dist } => {
+                let (ls, le, _) = length_symbol(len);
+                let (ds, de, _) = dist_symbol(dist);
+                lit_freq[ls] += 1;
+                dist_freq[ds] += 1;
+                extra_bits += u64::from(le + de);
             }
         }
-        // Code-length tables, litlen then dist, as they are stored.
-        let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+    }
+    let body_bytes = |lens: &[u8]| {
+        let (lit, dist) = lens.split_at(NUM_LITLEN);
+        let bits = code_bits(&lit_freq, lit) + code_bits(&dist_freq, dist) + extra_bits;
+        bits.div_ceil(8) as usize
+    };
+    let stored = block.len();
+    let fixed = body_bytes(&FIXED_LENS);
+    // Code-length tables, litlen then dist, as they are stored.
+    let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+    let dynamic = if fixed.min(stored) > TABLE_BYTES + 1 {
         let (lit_lens, dist_lens) = lens.split_at_mut(NUM_LITLEN);
         code_lengths(&lit_freq, MAX_CODE_LEN, lit_lens);
         code_lengths(&dist_freq, MAX_CODE_LEN, dist_lens);
+        TABLE_BYTES + body_bytes(&lens)
+    } else {
+        usize::MAX
+    };
 
-        // Estimate the compressed size; fall back to a stored block if
-        // Huffman coding does not pay off. The estimate counts every
-        // token's code and extra bits but not the end-of-block code.
-        let code_bits = |freq: &[u32], lens: &[u8]| {
-            let each = freq.iter().zip(lens);
-            each.map(|(&f, &l)| u64::from(f) * u64::from(l))
-                .sum::<u64>()
-        };
-        let bits = code_bits(&lit_freq, lit_lens) - u64::from(lit_lens[EOB])
-            + code_bits(&dist_freq, dist_lens)
-            + extra_bits;
-        let huff_bytes = (bits as usize).div_ceil(8) + TABLE_BYTES + 8;
-        if huff_bytes >= block.len() {
-            return stored_block(block, out);
-        }
-
-        out.push(1); // huffman
-        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+    if out.len() + 1 + stored.min(fixed).min(dynamic) >= limit {
+        return false;
+    }
+    if out.capacity() == 0 {
+        out.reserve_exact(limit);
+    }
+    if stored <= fixed.min(dynamic) {
+        out.push(STORED);
+        out.extend_from_slice(block);
+    } else if fixed <= dynamic {
+        out.push(FIXED);
+        let (lit_enc, dist_enc) = fixed_encoders();
+        write_symbols(&tokens, lit_enc, dist_enc, out);
+    } else {
+        out.push(DYNAMIC);
+        out.extend(lens.chunks_exact(2).map(|pair| pair[0] | (pair[1] << 4)));
+        let (lit_lens, dist_lens) = lens.split_at(NUM_LITLEN);
         let lit_enc = Encoder::from_lengths(lit_lens);
         let dist_enc = Encoder::from_lengths(dist_lens);
-        out.extend(lens.chunks_exact(2).map(|pair| pair[0] | (pair[1] << 4)));
-        // The payload's length goes in front of it, once it is known.
-        let len_at = out.len();
-        out.extend_from_slice(&[0; 4]);
+        write_symbols(&tokens, &lit_enc, &dist_enc, out);
+    }
+    true
+}
 
-        let mut w = BitWriter::appending_to(std::mem::take(out));
-        for &t in &tokens {
-            match t {
-                Token::Literal(b) => lit_enc.write(&mut w, b as usize),
-                Token::Match { len, dist } => {
-                    let (ls, le, lx) = length_symbol(len);
-                    lit_enc.write(&mut w, ls);
-                    if le > 0 {
-                        w.write_bits(lx, le);
-                    }
-                    let (ds, de, dx) = dist_symbol(dist);
-                    dist_enc.write(&mut w, ds);
-                    if de > 0 {
-                        w.write_bits(dx, de);
-                    }
+/// Append `tokens` and the end-of-block code to `out`, coded with the
+/// two encoders, padded to a byte.
+fn write_symbols(tokens: &[Token], lit_enc: &Encoder, dist_enc: &Encoder, out: &mut Vec<u8>) {
+    let mut w = BitWriter::appending_to(std::mem::take(out));
+    for &t in tokens {
+        match t {
+            Token::Literal(b) => lit_enc.write(&mut w, b as usize),
+            Token::Match { len, dist } => {
+                let (ls, le, lx) = length_symbol(len);
+                lit_enc.write(&mut w, ls);
+                if le > 0 {
+                    w.write_bits(lx, le);
+                }
+                let (ds, de, dx) = dist_symbol(dist);
+                dist_enc.write(&mut w, ds);
+                if de > 0 {
+                    w.write_bits(dx, de);
                 }
             }
         }
-        lit_enc.write(&mut w, EOB);
-        *out = w.finish();
-        let payload_len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
     }
-
-    /// Decode a whole MDF1 stream into the empty `out`, which never
-    /// grows past the length the stream header declares.
-    fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        let mut pos = 0usize;
-        let header = take(input, &mut pos, STREAM_HEADER)?;
-        if le_u32(header) != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let total = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let total = usize::try_from(total).map_err(|_| CodecError::Corrupt("length overflow"))?;
-        let checksum = le_u32(&header[12..]);
-        // `total` is untrusted: pre-reserve only a bounded amount.
-        out.reserve_exact(total.min(16 << 20));
-        while out.len() < total {
-            Self::decompress_block(input, &mut pos, total - out.len(), out)?;
-        }
-        if adler32(out) != checksum {
-            return Err(CodecError::Corrupt("checksum mismatch"));
-        }
-        Ok(())
-    }
-
-    /// Decode the block at `*pos`, appending at most `room` bytes (what
-    /// the stream header says is still missing) to `out`.
-    fn decompress_block(
-        data: &[u8],
-        pos: &mut usize,
-        room: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let header = take(data, pos, BLOCK_HEADER)?;
-        let kind = header[0];
-        let orig_len = le_u32(&header[1..]) as usize;
-        // Every encoder cuts its input into `BLOCK_SIZE` blocks; holding
-        // the decoder to that, and to what the stream still owes, caps
-        // what one block header can make `out` grow by.
-        if orig_len > room.min(BLOCK_SIZE) {
-            return Err(CodecError::Corrupt("block length out of range"));
-        }
-        match kind {
-            0 => {
-                out.extend_from_slice(take(data, pos, orig_len)?);
-                Ok(())
-            }
-            1 => {
-                // Code-length tables: packed nibbles, litlen then dist.
-                let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
-                let packed = take(data, pos, lens.len().div_ceil(2))?;
-                for (pair, &b) in lens.chunks_exact_mut(2).zip(packed) {
-                    pair[0] = b & 0xF;
-                    pair[1] = b >> 4;
-                }
-                let (lit_lens, dist_lens) = lens.split_at(NUM_LITLEN);
-                let payload_len = le_u32(take(data, pos, 4)?) as usize;
-                let payload = take(data, pos, payload_len)?;
-
-                let block_start = out.len();
-                out.resize(block_start + orig_len, 0);
-                let dst = &mut out[block_start..];
-
-                let mut lit_table = [0u16; MAX_TABLE_LEN];
-                let lit_dec = Decoder::from_lengths(lit_lens, &mut lit_table)?;
-                // A block of literals only carries an all-zero distance
-                // alphabet: build nothing for it.
-                if dist_lens.iter().all(|&l| l == 0) {
-                    return inflate(&lit_dec, None, payload, dst);
-                }
-                let mut dist_table = [0u16; MAX_TABLE_LEN];
-                let dist_dec = Decoder::from_lengths(dist_lens, &mut dist_table)?;
-                inflate(&lit_dec, Some(&dist_dec), payload, dst)
-            }
-            _ => Err(CodecError::Corrupt("unknown block type")),
-        }
-    }
+    lit_enc.write(&mut w, EOB);
+    *out = w.finish();
 }
 
 /// The next `n` bytes of `data` at `*pos`, advancing `*pos` past them.
-fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
+pub(crate) fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
     let end = pos.checked_add(n).ok_or(CodecError::Truncated)?;
     let bytes = data.get(*pos..end).ok_or(CodecError::Truncated)?;
     *pos = end;
     Ok(bytes)
 }
 
-fn le_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+/// Decode the coded symbols at the start of `data` — a block body
+/// after its tables — into `dst`, the block's whole output, with the
+/// code-length tables `tables` (packed nibbles, literal/length then
+/// distance), or RFC 1951's fixed code when `tables` is `None`.
+/// Returns the bytes of `data` the symbols took, up to the byte the
+/// end-of-block code ends in.
+pub(crate) fn inflate_block(
+    tables: Option<&[u8]>,
+    data: &[u8],
+    dst: &mut [u8],
+) -> Result<usize, CodecError> {
+    let Some(packed) = tables else {
+        let (lit, dist) = fixed_decoders();
+        return inflate(lit, Some(dist), data, dst);
+    };
+    let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
+    for (pair, &b) in lens.chunks_exact_mut(2).zip(packed) {
+        pair[0] = b & 0xF;
+        pair[1] = b >> 4;
+    }
+    let (lit_lens, dist_lens) = lens.split_at(NUM_LITLEN);
+    let mut lit_table = [0u16; MAX_TABLE_LEN];
+    let lit_dec = Decoder::from_lengths(lit_lens, &mut lit_table)?;
+    // A block of literals only carries an all-zero distance alphabet:
+    // build nothing for it.
+    if dist_lens.iter().all(|&l| l == 0) {
+        return inflate(&lit_dec, None, data, dst);
+    }
+    let mut dist_table = [0u16; MAX_TABLE_LEN];
+    let dist_dec = Decoder::from_lengths(dist_lens, &mut dist_table)?;
+    inflate(&lit_dec, Some(&dist_dec), data, dst)
 }
 
-/// Decode one Huffman block's symbols from `payload` into `dst`, the
-/// block's whole output. The slice is the bound: the first literal or
-/// match that would pass its end fails the block, so a few bytes of
-/// crafted matches cannot expand without limit.
+/// Decode one Huffman block's symbols from `data` into `dst`, the
+/// block's whole output, and return the bytes they took. The slice is
+/// the bound: the first literal or match that would pass its end fails
+/// the block, so a few bytes of crafted matches cannot expand without
+/// limit.
 fn inflate(
     lit_dec: &Decoder<'_>,
     dist_dec: Option<&Decoder<'_>>,
-    payload: &[u8],
+    data: &[u8],
     dst: &mut [u8],
-) -> Result<(), CodecError> {
+) -> Result<usize, CodecError> {
     const OVERRUN: CodecError = CodecError::Corrupt("block output exceeds its declared length");
-    let mut r = BitReader::new(payload);
+    let mut r = BitReader::new(data);
     let mut pos = 0usize;
     loop {
         let sym = lit_dec.read(&mut r)?;
@@ -435,7 +415,7 @@ fn inflate(
             actual: pos,
         });
     }
-    Ok(())
+    Ok(r.bytes_consumed())
 }
 
 impl Codec for Deflate {
@@ -443,36 +423,54 @@ impl Codec for Deflate {
         "deflate"
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        // A unit-sized input becomes one stored block: size it exactly.
-        let mut out = Vec::with_capacity(if input.len() <= STORED_UP_TO {
-            STREAM_HEADER + BLOCK_HEADER + input.len()
-        } else {
-            input.len() / 2 + 64
-        });
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-        out.extend_from_slice(&adler32(input).to_le_bytes());
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
         for block in input.chunks(BLOCK_SIZE) {
-            self.compress_block(block, &mut out);
+            if !encode_block(block, &mut out, input.len()) {
+                return input.to_vec();
+            }
         }
         out
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        Self::decompress_into(input, &mut out)?;
+    fn expand(&self, payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        // `raw_len` may be untrusted: the output grows a block at a
+        // time, as blocks decode.
+        let mut out = Vec::with_capacity(raw_len.min(BLOCK_SIZE));
+        let mut pos = 0usize;
+        while out.len() < raw_len {
+            let n = (raw_len - out.len()).min(BLOCK_SIZE);
+            let kind = *take(payload, &mut pos, 1)?.first().expect("one byte");
+            if kind == STORED {
+                out.extend_from_slice(take(payload, &mut pos, n)?);
+                continue;
+            }
+            let tables = match kind {
+                FIXED => None,
+                DYNAMIC => Some(take(payload, &mut pos, TABLE_BYTES)?),
+                _ => return Err(CodecError::Corrupt("unknown block type")),
+            };
+            let start = out.len();
+            out.resize(start + n, 0);
+            pos += inflate_block(tables, &payload[pos..], &mut out[start..])?;
+        }
+        if pos != payload.len() {
+            return Err(CodecError::Corrupt("payload continues past its last block"));
+        }
         Ok(out)
     }
 }
 
-/// The encoder as it stood before it was sized for storage units,
-/// kept verbatim as the differential oracle of the one above: linear
-/// symbol scans, a full tokenization and two code constructions for
-/// every block, the stored decision last.
+/// The format-v6 (`MDF1`) encoder as it stood before it was sized for
+/// storage units, kept verbatim as the differential oracle of the
+/// dynamic blocks above — whose body is this encoder's Huffman block
+/// without its lengths — and as the writer of the streams the v6
+/// reader is tested on: linear symbol scans, a full tokenization and
+/// two code constructions for every block, the stored decision last.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+    use crate::v6::DEFLATE_MAGIC as MAGIC;
 
     pub fn length_symbol(len: u16) -> (usize, u32, u32) {
         debug_assert!((3..=258).contains(&len));
@@ -614,6 +612,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::v6;
 
     fn roundtrip(data: &[u8]) -> usize {
         let c = Deflate.compress(data);
@@ -621,13 +620,21 @@ mod tests {
         c.len()
     }
 
+    /// The kind byte of `data`'s payload, or `None` when it is raw.
+    fn kind(data: &[u8]) -> Option<u8> {
+        let payload = Deflate.encode(data);
+        (payload.len() < data.len()).then(|| payload[0])
+    }
+
     #[test]
     fn empty_input() {
-        assert!(roundtrip(b"") <= 16);
+        assert_eq!(Deflate.encode(b""), b"");
+        assert_eq!(roundtrip(b""), 1);
     }
 
     #[test]
     fn adler32_known_values() {
+        use v6::adler32;
         // Reference values from the zlib specification.
         assert_eq!(adler32(b""), 1);
         assert_eq!(adler32(b"Wikipedia"), 0x11E6_0398);
@@ -652,6 +659,7 @@ mod tests {
 
     #[test]
     fn adler32_matches_the_bytewise_loop() {
+        use v6::adler32;
         // Every word count and tail length at every start alignment,
         // on bytes heavy enough to fill the lanes.
         let data = xorshift_bytes(608, |x| (x >> 24) as u8 | 0x80);
@@ -667,16 +675,19 @@ mod tests {
         assert_eq!(adler32(&ones), oracle::adler32(&ones));
     }
 
+    /// A v6 stream carries its checksum: a flipped bit anywhere — header,
+    /// tables, coded symbols — fails the v6 reader, never returns wrong
+    /// bytes. (A v7 payload carries none: the bin file's data table
+    /// checksums it.)
     #[test]
     fn bitflips_are_detected() {
         let data = b"scientific data is precious and must not rot ".repeat(200);
-        let c = Deflate.compress(&data);
-        // Flip one bit in every region of the stream: header, tables,
-        // payload. Every case must error, never return wrong bytes.
+        let c = oracle::compress(&data);
+        assert_eq!(v6::deflate(&c).unwrap(), data);
         for pos in [16usize, 30, c.len() / 2, c.len() - 2] {
             let mut bad = c.clone();
             bad[pos] ^= 0x04;
-            match Deflate.decompress(&bad) {
+            match v6::deflate(&bad) {
                 Err(_) => {}
                 Ok(out) => assert_eq!(out, data, "undetected corruption at {pos}"),
             }
@@ -684,7 +695,7 @@ mod tests {
         // Corrupting the stored checksum itself must error.
         let mut bad = c.clone();
         bad[13] ^= 0xFF;
-        assert!(Deflate.decompress(&bad).is_err());
+        assert!(v6::deflate(&bad).is_err());
     }
 
     #[test]
@@ -727,25 +738,25 @@ mod tests {
             let part = xorshift_bytes(n, |x| 0x40 + (x % 7) as u8 * (x >> 29) as u8);
             let c = Deflate.compress(&part);
             assert_eq!(Deflate.decompress(&c).unwrap(), part, "part, {n} bytes");
-            // Incompressible bytes take the stored-block path.
+            // Incompressible bytes are stored raw, as they are.
             let noise = xorshift_bytes(n, |x| (x >> 8) as u8);
+            assert_eq!(Deflate.encode(&noise), noise, "noise, {n} bytes");
             let c = Deflate.compress(&noise);
             assert_eq!(Deflate.decompress(&c).unwrap(), noise, "noise, {n} bytes");
-            if n >= 573 {
-                let kind = |data: &[u8]| Deflate.compress(data)[16];
-                assert_eq!((kind(&part), kind(&noise)), (1, 0), "{n} bytes");
+            if n >= 163 {
+                assert!(matches!(kind(&part), Some(FIXED | DYNAMIC)), "{n} bytes");
             }
         }
     }
 
-    /// A hand-built MDF1 stream of one Huffman block: the header
-    /// declares `total` bytes (all zero, for the checksum), the block
+    /// A hand-built v6 stream of one Huffman block: the header declares
+    /// `total` bytes (all zero, for the checksum), the block
     /// `block_len`, coded with `lens`.
     fn one_block_stream(total: u64, block_len: u32, lens: &[u8], payload: &[u8]) -> Vec<u8> {
         let mut s = Vec::new();
-        s.extend_from_slice(&MAGIC.to_le_bytes());
+        s.extend_from_slice(&v6::DEFLATE_MAGIC.to_le_bytes());
         s.extend_from_slice(&total.to_le_bytes());
-        s.extend_from_slice(&adler32(&vec![0; total as usize]).to_le_bytes());
+        s.extend_from_slice(&v6::adler32(&vec![0; total as usize]).to_le_bytes());
         s.push(1);
         s.extend_from_slice(&block_len.to_le_bytes());
         s.extend(lens.chunks(2).map(|p| p[0] | (p[1] << 4)));
@@ -754,10 +765,10 @@ mod tests {
         s
     }
 
-    /// A stream whose payload is one literal followed by `matches`
-    /// length-258/distance-1 matches (two bits each) and the
+    /// The code lengths and coded symbols of one literal followed by
+    /// `matches` length-258/distance-1 matches (two bits each) and the
     /// end-of-block code.
-    fn match_bomb(total: u64, block_len: u32, matches: usize) -> Vec<u8> {
+    fn match_bomb(matches: usize) -> ([u8; NUM_LITLEN + NUM_DIST], Vec<u8>) {
         let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
         lens[0] = 2; // literal 0
         lens[EOB] = 2;
@@ -772,45 +783,54 @@ mod tests {
             dist_enc.write(&mut w, 0);
         }
         lit_enc.write(&mut w, EOB);
-        one_block_stream(total, block_len, &lens, &w.finish())
+        (lens, w.finish())
+    }
+
+    /// The same symbols as a v7 dynamic block.
+    fn dynamic_bomb(matches: usize) -> Vec<u8> {
+        let (lens, coded) = match_bomb(matches);
+        let mut payload = vec![DYNAMIC];
+        payload.extend(lens.chunks(2).map(|p| p[0] | (p[1] << 4)));
+        payload.extend_from_slice(&coded);
+        payload
     }
 
     #[test]
     fn output_is_bounded_by_the_declared_length() {
-        // The builder makes decodable streams: one literal and one
+        // The builders make decodable blocks: one literal and one
         // match, declared as the 259 bytes they are.
-        let ok = match_bomb(259, 259, 1);
-        assert_eq!(Deflate.decompress(&ok), Ok(vec![0; 259]));
+        let (lens, coded) = match_bomb(1);
+        assert_eq!(
+            v6::deflate(&one_block_stream(259, 259, &lens, &coded)),
+            Ok(vec![0; 259])
+        );
+        assert_eq!(Deflate.expand(&dynamic_bomb(1), 259), Ok(vec![0; 259]));
 
         // 16 bytes declared, ~1 MiB encoded in ~1 KiB of matches: the
         // first match already passes the block's end.
-        let bomb = match_bomb(16, 16, 4064);
+        let overrun = Err(CodecError::Corrupt(
+            "block output exceeds its declared length",
+        ));
+        let (lens, coded) = match_bomb(4064);
+        let bomb = one_block_stream(16, 16, &lens, &coded);
         assert!(bomb.len() < 1300);
-        let mut out = Vec::new();
-        assert_eq!(
-            Deflate::decompress_into(&bomb, &mut out),
-            Err(CodecError::Corrupt(
-                "block output exceeds its declared length"
-            ))
-        );
-        assert!(out.capacity() <= 16, "grew to {}", out.capacity());
+        assert_eq!(v6::deflate(&bomb), overrun);
+        assert_eq!(Deflate.expand(&dynamic_bomb(4064), 16), overrun);
 
-        // The same payload in a block that owns up to its size is
+        // The same payload in a v6 block that owns up to its size is
         // refused before a symbol is decoded: it cannot fit the stream.
         // Nor may a block exceed the block size, whatever the stream
         // declares.
         for (total, block_len) in [(16, 1 << 20), (1 << 20, 1 << 20)] {
-            let bomb = match_bomb(total, block_len, 4064);
-            let mut out = Vec::new();
+            let bomb = one_block_stream(total, block_len, &lens, &coded);
             assert_eq!(
-                Deflate::decompress_into(&bomb, &mut out),
+                v6::deflate(&bomb),
                 Err(CodecError::Corrupt("block length out of range"))
             );
-            assert!(out.is_empty() && out.capacity() as u64 <= total);
         }
 
         // A literal past the end is caught like a match: three
-        // literals in a block (and a stream) of two.
+        // literals in a block of two.
         let mut lens = [0u8; NUM_LITLEN + NUM_DIST];
         (lens[0], lens[EOB]) = (1, 1);
         let enc = Encoder::from_lengths(&lens[..NUM_LITLEN]);
@@ -819,10 +839,8 @@ mod tests {
             enc.write(&mut w, sym);
         }
         assert_eq!(
-            Deflate.decompress(&one_block_stream(2, 2, &lens, &w.finish())),
-            Err(CodecError::Corrupt(
-                "block output exceeds its declared length"
-            ))
+            v6::deflate(&one_block_stream(2, 2, &lens, &w.finish())),
+            overrun
         );
     }
 
@@ -838,50 +856,123 @@ mod tests {
         ]
     }
 
+    /// `block` as one v7 block, its kind byte first.
+    fn one_block(block: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        assert!(encode_block(
+            block,
+            &mut out,
+            2 * block.len() + TABLE_BYTES + 2
+        ));
+        out
+    }
+
+    /// The v6 oracle's Huffman block for `block` without its lengths —
+    /// tables then coded symbols — or `None` when it stores the block.
+    fn oracle_body(block: &[u8]) -> Option<Vec<u8>> {
+        let s = oracle::compress(block);
+        (s.get(16) == Some(&1)).then(|| [&s[21..21 + TABLE_BYTES], &s[25 + TABLE_BYTES..]].concat())
+    }
+
+    /// A v7 block's kind, and where it is dynamic and the oracle codes
+    /// the block too, that the two bodies are one.
+    fn check_block(block: &[u8], ctx: &str) -> u8 {
+        let got = one_block(block);
+        if got[0] == DYNAMIC {
+            if let Some(body) = oracle_body(block) {
+                assert_eq!(got[1..], body[..], "{ctx}");
+            }
+        }
+        got[0]
+    }
+
     #[test]
     fn encoder_matches_oracle_at_every_unit_length() {
         let full = distributions(700);
-        let mut kinds = [[0usize; 2]; 3];
-        for n in 0..=700 {
+        let mut kinds = [[0usize; 3]; 3];
+        for n in 1..=700 {
             for (d, data) in full.iter().enumerate() {
                 // Slide the window so that lengths differ in content.
                 let data = &data[(700 - n) / 2..][..n];
-                let got = Deflate.compress(data);
-                assert_eq!(got, oracle::compress(data), "distribution {d}, {n} bytes");
-                if n > 0 {
-                    kinds[d][got[STREAM_HEADER] as usize] += 1;
-                }
+                let kind = check_block(data, &format!("distribution {d}, {n} bytes"));
+                kinds[d][kind as usize] += 1;
+                // A payload is the block, or the raw bytes when the
+                // block is not shorter.
+                let payload = Deflate.encode(data);
+                let block = one_block(data);
+                assert!(payload == block && block.len() < n || payload == data);
             }
         }
-        // Both branches were taken where they can be: noise is stored
-        // throughout, the other two switch to Huffman blocks.
-        assert!(kinds[0][0] > STORED_UP_TO && kinds[0][1] > 300, "{kinds:?}");
-        assert!(kinds[1][0] > STORED_UP_TO && kinds[1][1] > 0, "{kinds:?}");
-        assert_eq!(kinds[2], [700, 0]);
+        // The branches were taken where they can be: noise is stored
+        // throughout, the dense input takes the fixed code from a few
+        // bytes on, and the skewed one — bytes the fixed code spends 8
+        // bits on — is stored until it amortizes a table.
+        assert_eq!(kinds[2], [700, 0, 0], "{kinds:?}");
+        assert!(kinds[0][0] < 30 && kinds[0][1] > 600, "{kinds:?}");
+        assert!(kinds[1][0] > 300 && kinds[1][2] > 100, "{kinds:?}");
     }
 
     #[test]
     fn encoder_matches_oracle_around_the_block_size() {
         for n in [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1] {
             for (d, data) in distributions(n).iter().enumerate() {
-                assert_eq!(
-                    Deflate.compress(data),
-                    oracle::compress(data),
-                    "distribution {d}, {n} bytes"
-                );
+                let blocks: Vec<u8> = data.chunks(BLOCK_SIZE).flat_map(one_block).collect();
+                let payload = Deflate.encode(data);
+                assert!(payload == blocks || payload == *data, "distribution {d}");
+                for block in data.chunks(BLOCK_SIZE) {
+                    check_block(block, &format!("distribution {d}, {n} bytes"));
+                }
+                assert_eq!(Deflate.expand(&blocks, n).unwrap(), *data);
             }
         }
     }
 
     #[test]
-    fn blocks_up_to_the_table_size_are_stored_unseen() {
+    fn blocks_up_to_the_table_size_never_carry_a_table() {
         // The most compressible input there is — one literal and one
-        // match, two payload bytes — is still stored at 166 bytes: the
-        // tables alone outweigh it. It pays from 169 bytes on.
-        assert_eq!(STORED_UP_TO, 166);
-        let kind = |n: usize| Deflate.compress(&vec![7u8; n])[STREAM_HEADER];
-        let first_huffman = (1..400).find(|&n| kind(n) == 1);
-        assert_eq!(first_huffman, Some(169));
+        // match — takes the fixed code from 6 bytes on; a table never
+        // pays below its own size.
+        let first_fixed = (1..400).find(|&n| kind(&vec![7u8; n]) == Some(FIXED));
+        assert_eq!(first_fixed, Some(6));
+        for n in 1..=TABLE_BYTES + 8 {
+            for data in distributions(n) {
+                assert_ne!(kind(&data), Some(DYNAMIC), "{n} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_blocks_build_no_decode_tables() {
+        let built = || huffman::TABLES_BUILT.with(std::cell::Cell::get);
+        let data = xorshift_bytes(300, |x| 0x40 + (x % 7) as u8 * (x >> 29) as u8);
+        let payload = Deflate.encode(&data);
+        assert_eq!(payload[0], FIXED);
+        fixed_decoders();
+        let before = built();
+        assert_eq!(Deflate.expand(&payload, data.len()).unwrap(), data);
+        assert_eq!(built(), before, "a fixed block built a table");
+        // A dynamic block builds its own.
+        let skewed = &distributions(700)[1];
+        let payload = Deflate.encode(skewed);
+        assert_eq!(payload[0], DYNAMIC);
+        assert_eq!(Deflate.expand(&payload, skewed.len()).unwrap(), *skewed);
+        assert!(built() > before);
+    }
+
+    #[test]
+    fn payloads_are_refused_unless_consumed_whole_at_their_length() {
+        let data = xorshift_bytes(300, |x| 0x40 + (x % 7) as u8 * (x >> 29) as u8);
+        let payload = Deflate.encode(&data);
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(Deflate.expand(&longer, data.len()).is_err());
+        assert!(Deflate.expand(&payload, data.len() - 1).is_err());
+        assert!(Deflate.expand(&payload, data.len() + 1).is_err());
+        assert!(Deflate.decode(&[1, 2, 3], 2).is_err());
+        assert_eq!(Deflate.decode(&[1, 2, 3], 3).unwrap(), [1, 2, 3]);
+        let mut unknown = payload;
+        unknown[0] = 3;
+        assert!(Deflate.expand(&unknown, data.len()).is_err());
     }
 
     #[test]
@@ -914,9 +1005,9 @@ mod tests {
             })
             .collect();
         let size = roundtrip(&data);
-        // Incompressible data must not blow up: stored fallback bounds
-        // overhead to the per-block header.
-        assert!(size <= data.len() + 16 + 5 * 2, "size {size}");
+        // Incompressible data is its own payload: the stream adds its
+        // length alone.
+        assert_eq!(size, data.len() + 3);
     }
 
     #[test]
@@ -927,16 +1018,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut c = Deflate.compress(b"hello");
+        let mut c = oracle::compress(b"hello");
+        assert_eq!(v6::deflate(&c).unwrap(), b"hello");
         c[0] ^= 0x5A;
-        assert_eq!(Deflate.decompress(&c), Err(CodecError::BadMagic));
+        assert_eq!(v6::deflate(&c), Err(CodecError::BadMagic));
     }
 
     #[test]
     fn rejects_truncation() {
-        let c = Deflate.compress(&b"some compressible data ".repeat(100));
-        for cut in [4, 12, 15, c.len() - 1] {
+        let data = b"some compressible data ".repeat(100);
+        let c = Deflate.compress(&data);
+        for cut in [1, 4, 12, 15, c.len() - 1] {
             assert!(Deflate.decompress(&c[..cut]).is_err(), "cut at {cut}");
+        }
+        let c = oracle::compress(&data);
+        for cut in [4, 12, 15, c.len() - 1] {
+            assert!(v6::deflate(&c[..cut]).is_err(), "v6 cut at {cut}");
         }
     }
 

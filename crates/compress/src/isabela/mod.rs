@@ -14,10 +14,13 @@
 //! per-window absolute noise floor, because the encoder verifies the
 //! bound per point and escapes to the exact value when quantization
 //! alone cannot meet it.
+//!
+//! A payload is the `MISA` stream, or, under the raw rule of
+//! [`crate::Codec`], the values' bytes when the stream is not shorter.
 
 pub mod bspline;
 
-use crate::{CodecError, FloatCodec};
+use crate::{read_varint, write_varint, CodecError, FloatCodec};
 use bspline::BSpline;
 
 const MAGIC: u32 = 0x4153_494D; // "MISA"
@@ -74,35 +77,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *data.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(CodecError::Corrupt("varint too long"));
-        }
-    }
 }
 
 /// Bits needed to store indices `0..n`.
@@ -167,7 +141,31 @@ impl FloatCodec for Isabela {
         true
     }
 
-    fn compress_f64(&self, input: &[f64]) -> Vec<u8> {
+    fn encode_f64(&self, input: &[f64]) -> Vec<u8> {
+        let stream = self.encode_stream(input);
+        if stream.len() < 8 * input.len() {
+            stream
+        } else {
+            crate::f64s_to_bytes(input)
+        }
+    }
+
+    fn expand_f64(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+        let values = Self::decode_stream(payload)?;
+        if values.len() != n {
+            return Err(CodecError::LengthMismatch {
+                expected: n,
+                actual: values.len(),
+            });
+        }
+        Ok(values)
+    }
+}
+
+impl Isabela {
+    /// The `MISA` stream of `input`: magic, value count, window, error
+    /// bound, then the windows.
+    fn encode_stream(&self, input: &[f64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() * 2 + 64);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
@@ -180,7 +178,9 @@ impl FloatCodec for Isabela {
         out
     }
 
-    fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>, CodecError> {
+    /// Decode an `MISA` stream: at most one value per stream byte (a
+    /// stored window takes 8 bytes a value, a fitted one a varint).
+    fn decode_stream(input: &[u8]) -> Result<Vec<f64>, CodecError> {
         if input.len() < 24 {
             return Err(CodecError::Truncated);
         }
@@ -202,9 +202,7 @@ impl FloatCodec for Isabela {
         }
         Ok(out)
     }
-}
 
-impl Isabela {
     fn compress_window(&self, win: &[f64], out: &mut Vec<u8>) {
         let n = win.len();
         // Windows too small to fit, or containing non-finite values,

@@ -11,11 +11,16 @@
 //! empirical entropy, compresses columns below the threshold with the
 //! DEFLATE-style codec, and stores the others verbatim.
 
-use crate::deflate::Deflate;
-use crate::{Codec, CodecError, FloatCodec};
+//!
+//! A float unit's payload is one mask byte (bit `j` set: byte column
+//! `j` is compressed), the LEB128 length of each compressed column, then
+//! the eight columns in order — a compressed one as its DEFLATE
+//! payload, a raw one as its `n` bytes. Under the raw rule of
+//! [`crate::Codec`] a unit that would not be shorter than its values is
+//! stored as their bytes.
 
-const MAGIC: u32 = 0x4F53_494D; // "MISO"
-const BYTE_MAGIC: u32 = 0x4253_494D; // "MISB"
+use crate::deflate::Deflate;
+use crate::{read_varint, write_varint, Codec, CodecError, FloatCodec};
 
 /// Entropy threshold (bits/byte) above which a byte column is
 /// considered incompressible and stored raw. DEFLATE needs a margin
@@ -50,41 +55,23 @@ pub fn byte_entropy(data: &[u8]) -> f64 {
 /// entropy-test the stream and either DEFLATE it or store it raw. This
 /// is the codec MLOC pairs with PLoD — each byte group is already a
 /// homogeneous column, so the per-column compressibility test is
-/// exactly the published preconditioner with one column.
+/// exactly the published preconditioner with one column. A payload is
+/// raw bytes or a DEFLATE payload.
 impl Codec for Isobar {
     fn name(&self) -> &'static str {
         "isobar"
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        out.extend_from_slice(&BYTE_MAGIC.to_le_bytes());
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
         if byte_entropy(input) <= ENTROPY_THRESHOLD {
-            let payload = Deflate.compress(input);
-            if payload.len() < input.len() {
-                out.push(1);
-                out.extend_from_slice(&payload);
-                return out;
-            }
+            Deflate.encode(input)
+        } else {
+            input.to_vec()
         }
-        out.push(0);
-        out.extend_from_slice(input);
-        out
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if input.len() < 5 {
-            return Err(CodecError::Truncated);
-        }
-        if u32::from_le_bytes(input[0..4].try_into().unwrap()) != BYTE_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let payload = &input[5..];
-        match input[4] {
-            0 => Ok(payload.to_vec()),
-            1 => Deflate.decompress(payload),
-            _ => Err(CodecError::Corrupt("bad stream flag")),
-        }
+    fn expand(&self, payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        Deflate.expand(payload, raw_len)
     }
 }
 
@@ -97,87 +84,69 @@ impl FloatCodec for Isobar {
         false
     }
 
-    fn compress_f64(&self, input: &[f64]) -> Vec<u8> {
+    fn encode_f64(&self, input: &[f64]) -> Vec<u8> {
         let n = input.len();
         // Transpose into byte columns (LE byte j of every value).
-        let mut columns: Vec<Vec<u8>> = (0..8).map(|_| Vec::with_capacity(n)).collect();
+        let mut columns: [Vec<u8>; 8] = std::array::from_fn(|_| Vec::with_capacity(n));
         for v in input {
             let b = v.to_le_bytes();
-            for (j, col) in columns.iter_mut().enumerate() {
-                col.push(b[j]);
+            for (col, &byte) in columns.iter_mut().zip(&b) {
+                col.push(byte);
             }
         }
-
-        let mut out = Vec::with_capacity(n * 8 / 2 + 64);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        let deflate = Deflate;
-        for col in &columns {
-            let compressible = byte_entropy(col) <= ENTROPY_THRESHOLD;
-            if compressible {
-                let payload = deflate.compress(col);
-                if payload.len() < col.len() {
-                    out.push(1);
-                    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                    out.extend_from_slice(&payload);
-                    continue;
+        let bodies = columns.map(|col| {
+            if byte_entropy(&col) <= ENTROPY_THRESHOLD {
+                let payload = Deflate.encode(&col);
+                if payload.len() < n {
+                    return payload;
                 }
             }
-            out.push(0);
-            out.extend_from_slice(&(col.len() as u64).to_le_bytes());
-            out.extend_from_slice(col);
+            col
+        });
+        let mut out = Vec::with_capacity(8 * n);
+        let mask = (0..8).filter(|&j| bodies[j].len() < n);
+        out.push(mask.clone().fold(0u8, |m, j| m | 1 << j));
+        for j in mask {
+            write_varint(&mut out, bodies[j].len() as u64);
         }
-        out
+        for body in &bodies {
+            out.extend_from_slice(body);
+        }
+        if out.len() < 8 * n {
+            out
+        } else {
+            crate::f64s_to_bytes(input)
+        }
     }
 
-    fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>, CodecError> {
-        if input.len() < 12 {
-            return Err(CodecError::Truncated);
-        }
-        if u32::from_le_bytes(input[0..4].try_into().unwrap()) != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let n = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
-        let mut pos = 12usize;
-        let mut columns: Vec<Vec<u8>> = Vec::with_capacity(8);
-        let deflate = Deflate;
-        for _ in 0..8 {
-            if pos + 9 > input.len() {
-                return Err(CodecError::Truncated);
+    fn expand_f64(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+        let mask = *payload.first().ok_or(CodecError::Truncated)?;
+        let mut pos = 1usize;
+        let mut lens = [n; 8];
+        for (j, len) in lens.iter_mut().enumerate() {
+            if mask & (1 << j) != 0 {
+                // A compressed column is shorter than its raw bytes.
+                *len = usize::try_from(read_varint(payload, &mut pos)?)
+                    .ok()
+                    .filter(|&len| len < n)
+                    .ok_or(CodecError::Corrupt("column length out of range"))?;
             }
-            let flag = input[pos];
-            let len = u64::from_le_bytes(input[pos + 1..pos + 9].try_into().unwrap()) as usize;
-            pos += 9;
-            if pos + len > input.len() {
-                return Err(CodecError::Truncated);
-            }
-            let payload = &input[pos..pos + len];
-            pos += len;
-            let col = match flag {
-                0 => payload.to_vec(),
-                1 => deflate.decompress(payload)?,
-                _ => return Err(CodecError::Corrupt("bad column flag")),
-            };
-            if col.len() != n {
-                return Err(CodecError::LengthMismatch {
-                    expected: n,
-                    actual: col.len(),
-                });
-            }
-            columns.push(col);
         }
-
-        // `n` was validated against every decompressed column above.
-        let mut out = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)] // gathers across columns
-        for i in 0..n {
-            let mut b = [0u8; 8];
-            for (j, bj) in b.iter_mut().enumerate() {
-                *bj = columns[j][i];
-            }
-            out.push(f64::from_le_bytes(b));
+        let mut columns: Vec<std::borrow::Cow<'_, [u8]>> = Vec::with_capacity(8);
+        for (j, &len) in lens.iter().enumerate() {
+            let body = crate::deflate::take(payload, &mut pos, len)?;
+            columns.push(if mask & (1 << j) != 0 {
+                Deflate.expand(body, n)?.into()
+            } else {
+                body.into()
+            });
         }
-        Ok(out)
+        if pos != payload.len() {
+            return Err(CodecError::Corrupt("payload continues past its columns"));
+        }
+        Ok((0..n)
+            .map(|i| f64::from_le_bytes(std::array::from_fn(|j| columns[j][i])))
+            .collect())
     }
 }
 
@@ -258,7 +227,7 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i % 7) as u8).collect();
             assert_eq!(codec.decompress(&codec.compress(&data)).unwrap(), data);
         }
-        // Incompressible stream: stored raw with a 5-byte header.
+        // Incompressible stream: stored raw, the stream adds its length.
         let mut x = 0x12345678u64;
         let noise: Vec<u8> = (0..4096)
             .map(|_| {
@@ -268,18 +237,88 @@ mod tests {
                 x as u8
             })
             .collect();
+        assert_eq!(codec.encode(&noise), noise);
         let c = codec.compress(&noise);
-        assert_eq!(c.len(), noise.len() + 5);
+        assert_eq!(c.len(), noise.len() + 2);
         assert_eq!(codec.decompress(&c).unwrap(), noise);
         // Compressible stream: beats raw.
         let flat = vec![3u8; 4096];
         assert!(codec.compress(&flat).len() < flat.len() / 10);
     }
 
-    /// Both ISOBAR containers over the DEFLATE encoder as it stood
-    /// before it was sized for storage units (`deflate::oracle`).
+    /// A value bin's points: close values, so the top byte columns
+    /// deflate and the low ones are noise.
+    fn unit_values(n: usize) -> Vec<f64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                1500.0 + (i / 40) as f64 + (x >> 40) as f64 * 1e-9
+            })
+            .collect()
+    }
+
+    /// A unit's payload is its mask, the compressed columns' lengths and
+    /// the columns — each compressed exactly when its entropy passes and
+    /// its DEFLATE payload is shorter — or the values' bytes when that
+    /// is not shorter; the v6 oracle's stream of the same unit decodes,
+    /// through the v6 reader, to the same values.
+    #[test]
+    fn unit_sized_streams_match_the_oracle_encoder() {
+        let values = unit_values(700);
+        let (mut deflated, mut raw) = (0, 0);
+        for n in (0..=700)
+            .step_by(7)
+            .chain([163, 164, 165, 166, 167, 328, 573])
+        {
+            let unit = &values[..n];
+            let mut want = Vec::new();
+            let mut mask = 0u8;
+            let mut bodies = Vec::new();
+            for j in 0..8 {
+                let col: Vec<u8> = unit.iter().map(|v| v.to_le_bytes()[j]).collect();
+                let payload = Deflate.encode(&col);
+                if byte_entropy(&col) <= ENTROPY_THRESHOLD && payload.len() < n {
+                    mask |= 1 << j;
+                    write_varint(&mut want, payload.len() as u64);
+                    bodies.push(payload);
+                    deflated += 1;
+                } else {
+                    bodies.push(col);
+                    raw += 1;
+                }
+            }
+            want.insert(0, mask);
+            want.extend(bodies.concat());
+            if want.len() >= 8 * n {
+                want = crate::f64s_to_bytes(unit);
+            }
+            let got = Isobar.encode_f64(unit);
+            assert_eq!(got, want, "{n} values");
+            let back = Isobar.decode_f64(&got, n).unwrap();
+            assert!(back
+                .iter()
+                .zip(unit)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let v6 = oracle_f64(unit);
+            assert_eq!(crate::v6::isobar_f64(&v6).unwrap(), back, "{n} values");
+            for j in 0..8 {
+                let col: Vec<u8> = unit.iter().map(|v| v.to_be_bytes()[j]).collect();
+                assert_eq!(crate::v6::isobar_bytes(&oracle_bytes(&col)).unwrap(), col);
+            }
+        }
+        assert!(
+            deflated > 100 && raw > 100,
+            "{deflated} deflated, {raw} raw"
+        );
+    }
+
+    /// Both v6 ISOBAR containers, over the v6 DEFLATE encoder
+    /// (`deflate::oracle`).
     fn oracle_bytes(input: &[u8]) -> Vec<u8> {
-        let mut out = BYTE_MAGIC.to_le_bytes().to_vec();
+        let mut out = 0x4253_494Du32.to_le_bytes().to_vec();
         let payload = crate::deflate::oracle::compress(input);
         if byte_entropy(input) <= ENTROPY_THRESHOLD && payload.len() < input.len() {
             out.push(1);
@@ -292,7 +331,7 @@ mod tests {
     }
 
     fn oracle_f64(input: &[f64]) -> Vec<u8> {
-        let mut out = MAGIC.to_le_bytes().to_vec();
+        let mut out = 0x4F53_494Du32.to_le_bytes().to_vec();
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
         for j in 0..8 {
             let col: Vec<u8> = input.iter().map(|v| v.to_le_bytes()[j]).collect();
@@ -307,61 +346,38 @@ mod tests {
     }
 
     #[test]
-    fn unit_sized_streams_match_the_oracle_encoder() {
-        // A value bin's points: close values, so the top byte columns
-        // deflate and the low ones are noise.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let values: Vec<f64> = (0..700)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                1500.0 + (i / 40) as f64 + (x >> 40) as f64 * 1e-9
-            })
-            .collect();
-        let (mut deflated, mut raw) = (0, 0);
-        for n in (0..=700)
-            .step_by(7)
-            .chain([163, 164, 165, 166, 167, 328, 573])
-        {
-            let unit = &values[..n];
-            let got = Isobar.compress_f64(unit);
-            assert_eq!(got, oracle_f64(unit), "{n} values");
-            for j in 0..8 {
-                let col: Vec<u8> = unit.iter().map(|v| v.to_be_bytes()[j]).collect();
-                let got = Codec::compress(&Isobar, &col);
-                assert_eq!(got, oracle_bytes(&col), "{n} values, byte {j}");
-                match got[4] {
-                    1 => deflated += 1,
-                    _ => raw += 1,
-                }
-            }
-        }
-        assert!(
-            deflated > 100 && raw > 100,
-            "{deflated} deflated, {raw} raw"
-        );
-    }
-
-    #[test]
     fn byte_stream_rejects_corruption() {
         let codec: &dyn Codec = &Isobar;
-        let c = codec.compress(&[1, 2, 3]);
-        assert!(codec.decompress(&c[..4]).is_err());
-        let mut bad_magic = c.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(codec.decompress(&bad_magic).is_err());
-        let mut bad_flag = c;
-        bad_flag[4] = 9;
-        assert!(codec.decompress(&bad_flag).is_err());
+        let flat = vec![3u8; 400];
+        let c = codec.compress(&flat);
+        assert!(c.len() < 50);
+        // Cut, extended, or with an unknown block kind: refused.
+        assert!(codec.decompress(&c[..c.len() - 1]).is_err());
+        let mut longer = c.clone();
+        longer.push(0);
+        assert!(codec.decompress(&longer).is_err());
+        let mut bad_kind = c;
+        bad_kind[2] = 9;
+        assert!(codec.decompress(&bad_kind).is_err());
     }
 
     #[test]
     fn rejects_corruption() {
-        let c = Isobar.compress_f64(&[1.0, 2.0]);
+        let values = unit_values(300);
+        let c = Isobar.compress_f64(&values);
+        assert!(c.len() < 300 * 8);
         assert!(Isobar.decompress_f64(&c[..8]).is_err());
-        let mut bad = c.clone();
-        bad[2] ^= 0x40;
-        assert!(Isobar.decompress_f64(&bad).is_err());
+        // A column length past its raw length, a mask bit of a raw
+        // column, a byte too many: refused.
+        let payload = Isobar.encode_f64(&values);
+        let mut long_column = payload.clone();
+        long_column[1] = 0xFF;
+        assert!(Isobar.decode_f64(&long_column, 300).is_err());
+        let mut mask = payload.clone();
+        mask[0] |= 0x01;
+        assert!(Isobar.decode_f64(&mask, 300).is_err());
+        let mut longer = payload;
+        longer.push(0);
+        assert!(Isobar.decode_f64(&longer, 300).is_err());
     }
 }

@@ -20,6 +20,8 @@
 //!   (FCM/DFCM predictors + leading-zero suppression), standing in for
 //!   FPZip as "a fast lossless FP codec plug-in".
 //! * [`raw`] — the identity codec (sequential-scan baseline storage).
+//! * [`v6`] — the readers of format v6's self-describing part streams,
+//!   which `mloc upgrade` decodes before encoding the parts again.
 //!
 //! Byte-oriented codecs implement [`Codec`]; float-oriented codecs
 //! implement [`FloatCodec`]. [`CodecKind`] is the serializable selector
@@ -49,6 +51,7 @@ pub mod fpc;
 pub mod isabela;
 pub mod isobar;
 pub mod raw;
+pub mod v6;
 
 mod bitio;
 
@@ -87,21 +90,52 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A byte-stream compressor/decompressor.
+///
+/// What a codec stores for an input is its *payload*. The raw rule
+/// holds for every codec: a payload as long as its input is the input
+/// itself, so the encoder returns the input unchanged whenever coding
+/// would not make it shorter, and a reader that knows the raw length —
+/// a bin file derives it from the unit's count and the part's width —
+/// uses a raw payload in place, without calling the codec.
 pub trait Codec: Send + Sync {
     /// Stable codec name for reports and file headers.
     fn name(&self) -> &'static str;
 
-    /// Compress `input` into a self-contained byte stream.
-    fn compress(&self, input: &[u8]) -> Vec<u8>;
+    /// The payload of `input`: shorter than `input`, or `input` itself.
+    fn encode(&self, input: &[u8]) -> Vec<u8>;
 
-    /// Decompress a stream produced by [`Codec::compress`].
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
+    /// Decode `payload`, shorter than its raw length `raw_len`, to
+    /// exactly `raw_len` bytes, consuming all of it.
+    fn expand(&self, payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError>;
+
+    /// Decode any payload of `raw_len` bytes: a raw one is copied, a
+    /// longer one refused, a shorter one expanded.
+    fn decode(&self, payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        match payload.len().cmp(&raw_len) {
+            std::cmp::Ordering::Equal => Ok(payload.to_vec()),
+            std::cmp::Ordering::Greater => Err(LONGER_THAN_RAW),
+            std::cmp::Ordering::Less => self.expand(payload, raw_len),
+        }
+    }
+
+    /// A self-contained stream: the raw length (LEB128), then the
+    /// payload.
+    fn compress(&self, input: &[u8]) -> Vec<u8> {
+        framed(input.len(), self.encode(input))
+    }
+
+    /// Decode a stream produced by [`Codec::compress`].
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let (raw_len, payload) = unframe(input)?;
+        self.decode(payload, raw_len)
+    }
 }
 
 /// A double-precision-array compressor/decompressor.
 ///
 /// Lossy codecs (ISABELA) bound the per-point *relative* error instead
-/// of reproducing bits exactly.
+/// of reproducing bits exactly. The raw rule of [`Codec`] holds with
+/// the values' little-endian bytes (8 per value) as the raw form.
 pub trait FloatCodec: Send + Sync {
     /// Stable codec name for reports and file headers.
     fn name(&self) -> &'static str;
@@ -109,11 +143,86 @@ pub trait FloatCodec: Send + Sync {
     /// Whether decompression reproduces inputs only approximately.
     fn is_lossy(&self) -> bool;
 
-    /// Compress a slice of doubles into a self-contained byte stream.
-    fn compress_f64(&self, input: &[f64]) -> Vec<u8>;
+    /// The payload of `input`: shorter than its 8 bytes per value, or
+    /// those bytes.
+    fn encode_f64(&self, input: &[f64]) -> Vec<u8>;
 
-    /// Decompress a stream produced by [`FloatCodec::compress_f64`].
-    fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>, CodecError>;
+    /// Decode `payload`, shorter than `8 * n` bytes, to exactly `n`
+    /// values, consuming all of it.
+    fn expand_f64(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError>;
+
+    /// Decode any payload of `n` values (see [`Codec::decode`]).
+    fn decode_f64(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+        let raw_len = n.checked_mul(8).ok_or(LONGER_THAN_RAW)?;
+        match payload.len().cmp(&raw_len) {
+            std::cmp::Ordering::Equal => bytes_to_f64s(payload),
+            std::cmp::Ordering::Greater => Err(LONGER_THAN_RAW),
+            std::cmp::Ordering::Less => self.expand_f64(payload, n),
+        }
+    }
+
+    /// A self-contained stream: the value count (LEB128), then the
+    /// payload.
+    fn compress_f64(&self, input: &[f64]) -> Vec<u8> {
+        framed(input.len(), self.encode_f64(input))
+    }
+
+    /// Decode a stream produced by [`FloatCodec::compress_f64`].
+    fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>, CodecError> {
+        let (n, payload) = unframe(input)?;
+        self.decode_f64(payload, n)
+    }
+}
+
+/// A payload longer than the raw bytes it stands for: no encoder
+/// writes one.
+const LONGER_THAN_RAW: CodecError = CodecError::Corrupt("payload longer than its raw length");
+
+/// `len` as LEB128, then `payload`.
+fn framed(len: usize, payload: Vec<u8>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 10);
+    write_varint(&mut out, len as u64);
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// The length and the payload of a stream written by [`framed`].
+fn unframe(input: &[u8]) -> Result<(usize, &[u8]), CodecError> {
+    let mut pos = 0;
+    let len = read_varint(input, &mut pos)?;
+    let len = usize::try_from(len).map_err(|_| CodecError::Corrupt("length overflow"))?;
+    Ok((len, &input[pos..]))
+}
+
+/// Append `v` as LEB128.
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let b = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(b);
+            break;
+        }
+        out.push(b | 0x80);
+    }
+}
+
+/// The LEB128 value at `*pos`, advancing `*pos` past it.
+pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let b = *data.get(*pos).ok_or(CodecError::Truncated)?;
+        *pos += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+        if shift >= 64 {
+            return Err(CodecError::Corrupt("varint too long"));
+        }
+    }
 }
 
 /// View a `f64` slice as little-endian bytes.
@@ -235,13 +344,16 @@ impl<C: FloatCodec> Codec for FloatAsByte<C> {
         self.0.name()
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
         let values = bytes_to_f64s(input).expect("float codec requires an 8-byte-aligned stream");
-        self.0.compress_f64(&values)
+        self.0.encode_f64(&values)
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(f64s_to_bytes(&self.0.decompress_f64(input)?))
+    fn expand(&self, payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        if !raw_len.is_multiple_of(8) {
+            return Err(CodecError::Corrupt("byte length not a multiple of 8"));
+        }
+        Ok(f64s_to_bytes(&self.0.expand_f64(payload, raw_len / 8)?))
     }
 }
 
@@ -258,12 +370,12 @@ impl<C: Codec> FloatCodec for ByteAsFloat<C> {
         false
     }
 
-    fn compress_f64(&self, input: &[f64]) -> Vec<u8> {
-        self.0.compress(&f64s_to_bytes(input))
+    fn encode_f64(&self, input: &[f64]) -> Vec<u8> {
+        self.0.encode(&f64s_to_bytes(input))
     }
 
-    fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>, CodecError> {
-        bytes_to_f64s(&self.0.decompress(input)?)
+    fn expand_f64(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+        bytes_to_f64s(&self.0.expand(payload, n * 8)?)
     }
 }
 

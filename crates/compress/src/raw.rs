@@ -11,12 +11,15 @@ impl Codec for RawCodec {
         "raw"
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
         input.to_vec()
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(input.to_vec())
+    /// Every payload of this codec is raw: a shorter one is damage.
+    fn expand(&self, _payload: &[u8], _raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        Err(CodecError::Corrupt(
+            "raw payload shorter than its raw length",
+        ))
     }
 }
 
@@ -27,8 +30,10 @@ mod tests {
     #[test]
     fn identity() {
         let data = b"anything at all".to_vec();
+        assert_eq!(RawCodec.encode(&data), data);
         let c = RawCodec.compress(&data);
-        assert_eq!(c, data);
+        assert_eq!(c[1..], data);
         assert_eq!(RawCodec.decompress(&c).unwrap(), data);
+        assert!(RawCodec.decode(&data[1..], data.len()).is_err());
     }
 }

@@ -71,10 +71,10 @@ proptest! {
         }
     }
 
-    // Damaged MDF1 streams — flipped bytes anywhere (header, code-
-    // length nibbles, Huffman payload, stored bytes), then a cut — are
-    // refused or decode to exactly the length their header declares;
-    // they never panic and never outgrow that length.
+    // Damaged streams — flipped bytes anywhere (the length, block
+    // kinds, code-length nibbles, coded symbols, stored bytes), then a
+    // cut — are refused or decode to exactly the length their frame
+    // declares; they never panic and never outgrow that length.
     #[test]
     fn deflate_survives_mutation_and_truncation(
         seed in any::<u8>(),
@@ -94,14 +94,14 @@ proptest! {
             c.truncate(keep % (c.len() + 1));
         }
         if let Ok(out) = Deflate.decompress(&c) {
-            let declared = u64::from_le_bytes(c[4..12].try_into().unwrap());
-            prop_assert_eq!(out.len() as u64, declared);
+            prop_assert_eq!(out.len() as u64, declared(&c));
         }
     }
 
-    // Arbitrary bytes behind a valid stream header and a plausible
-    // block header (so the code-length tables and the payload are
-    // what gets fuzzed, not just the block-kind byte).
+    // Arbitrary bytes behind a frame and a block kind (so the
+    // code-length tables and the coded symbols are what gets fuzzed,
+    // not just the kind byte), and behind a v6 stream header and a
+    // plausible v6 block header, for the v6 reader.
     #[test]
     fn deflate_survives_junk(
         total in 0u64..5000,
@@ -109,12 +109,20 @@ proptest! {
         block_len in 0u32..6000,
         junk in proptest::collection::vec(any::<u8>(), 0..600),
     ) {
-        let mut c = Deflate.compress(b"");
-        c[4..12].copy_from_slice(&total.to_le_bytes());
+        let mut c = Vec::new();
+        leb(&mut c, total);
+        c.push(kind);
+        c.extend_from_slice(&junk);
+        if let Ok(out) = Deflate.decompress(&c) {
+            prop_assert_eq!(out.len() as u64, total);
+        }
+        let mut c = 0x3146_444Du32.to_le_bytes().to_vec();
+        c.extend_from_slice(&total.to_le_bytes());
+        c.extend_from_slice(&1u32.to_le_bytes());
         c.push(kind);
         c.extend_from_slice(&block_len.to_le_bytes());
         c.extend_from_slice(&junk);
-        if let Ok(out) = Deflate.decompress(&c) {
+        if let Ok(out) = mloc_compress::v6::deflate(&c) {
             prop_assert_eq!(out.len() as u64, total);
         }
     }
@@ -150,4 +158,25 @@ proptest! {
             prop_assert!(!byte.is_empty(), "{} byte codec", kind.name());
         }
     }
+}
+
+/// `v` as LEB128.
+fn leb(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The raw length a stream's frame declares (LEB128; 0 if unreadable).
+fn declared(stream: &[u8]) -> u64 {
+    let mut v = 0u64;
+    for (i, &b) in stream.iter().take(10).enumerate() {
+        v |= u64::from(b & 0x7F) << (7 * i);
+        if b & 0x80 == 0 {
+            return v;
+        }
+    }
+    0
 }

@@ -1,14 +1,14 @@
-//! Bin file format v6: one file per bin, with every fixed block at its
+//! Bin file format v7: one file per bin, with every fixed block at its
 //! front, storing only what cannot be derived.
 //!
 //! ```text
-//! [0, 14)      header: magic, version 6, bin, chunk and   index extent 0
+//! [0, 14)      header: magic, version 7, bin, chunk and   index extent 0
 //!              part counts
 //! [14, T)      index-extent table: n_index × {len, crc}, then its CRC
 //! [T, B)       data-extent table:  n_data × {len, crc}, then its CRC
 //! [B, U)       positional bitmaps as run lists, one per   index extents 1..
 //!              set chunk, in curve-rank order
-//! [U, E)       compressed unit parts, in the level order  data extents
+//! [U, E)       unit parts' payloads, in the level order   data extents
 //! [E, E+12)    end marker: the file's length (u64), then "MEND"
 //! ```
 //!
@@ -50,10 +50,13 @@
 //! Without the summaries — `verify` of a variable whose meta is lost —
 //! the tables are found by those checksums alone ([`Tables::find`]).
 //!
-//! v5 had this layout with the summaries, and the two table sizes,
-//! between the header and the tables; v3 and v4 also had a dense chunk
-//! directory in the header, and v3 stored WAH bitmaps. `mloc upgrade`
-//! ([`crate::upgrade`]) rewrites all three.
+//! A unit part is its codec's payload alone ([`mloc_compress::Codec`]):
+//! its raw length is the chunk's count times the part's width, so a
+//! part stored at that length is the raw bytes, read in place, and
+//! nothing frames a coded one. v6 had this layout with each part a
+//! self-describing stream (magic, lengths, Adler-32); `mloc upgrade`
+//! ([`crate::upgrade`]) rewrites it. v5 and before are read by no
+//! reader of this crate.
 //!
 //! A bin file is written with one `create`, one `append` and one
 //! `sync`. The variable's meta is the build's commit record, written
@@ -67,8 +70,8 @@ use crate::array::ChunkGrid;
 use crate::cache::{ByteView, FixedBlocks};
 use crate::config::{LevelOrder, MlocConfig};
 use crate::index::{
-    check_header, encode_summaries, le_u32, le_u64, parse_header, ChunkSummary, Summaries,
-    SummaryView, UnitLoc, HEADER_LEN, MAGIC, VERSION,
+    check_header, check_header_of, encode_summaries, le_u32, le_u64, parse_header_of, ChunkSummary,
+    Summaries, SummaryView, UnitLoc, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::integrity::{corrupt_extent, crc32, crc32_extend, table_len, ExtentFooter};
 use crate::wire::Writer;
@@ -129,17 +132,17 @@ impl Layout {
     }
 
     /// Bin `bin`'s chunk summaries, when the layout holds them.
-    fn summaries(&self, bin: usize) -> Option<SummaryView<ByteView>> {
+    pub fn summaries(&self, bin: usize) -> Option<SummaryView<ByteView>> {
         let summaries = self.summaries.as_ref()?;
         (bin < summaries.num_bins()).then(|| summaries.bin(bin))
     }
 }
 
-/// Index extents in front of a v6 bin file's bitmaps: the header.
+/// Index extents in front of a bin file's bitmaps: the header.
 const FIXED_EXTENTS: usize = 1;
 
 /// Where a bin file's two checksum tables are and how many entries each
-/// holds: in format v6, right after the header, sized by the bin's set
+/// holds: right after the header, sized by the bin's set
 /// chunks ([`Self::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tables {
@@ -150,7 +153,7 @@ pub struct Tables {
 }
 
 impl Tables {
-    /// The tables of a v6 bin file with `n_set` set chunks of
+    /// The tables of a bin file with `n_set` set chunks of
     /// `num_parts` parts each.
     pub fn of(n_set: usize, num_parts: usize) -> Tables {
         Tables {
@@ -160,7 +163,7 @@ impl Tables {
         }
     }
 
-    /// The tables of `raw`, a whole v6 bin file of `geometry`, found by
+    /// The tables of `raw`, a whole bin file of `geometry`, found by
     /// their own checksums alone: the one index table size from the
     /// header's extent alone to one bitmap per chunk whose stored CRC
     /// holds — kept piece by piece, so the search is one pass over the
@@ -203,22 +206,16 @@ impl Tables {
         at + len
     }
 
-    /// The index table's runs: the `fixed` extents in front of the
-    /// bitmaps from offset 0, the bitmaps from where they begin.
-    pub(crate) fn index_runs(&self, fixed: usize) -> [(usize, u64); 2] {
-        [(0, 0), (fixed, self.bitmaps_at())]
+    /// The index table's runs: the header from offset 0, the bitmaps
+    /// from where they begin.
+    pub(crate) fn index_runs(&self) -> [(usize, u64); 2] {
+        [(0, 0), (FIXED_EXTENTS, self.bitmaps_at())]
     }
 
-    /// Parse the index table of a v6 file from `bytes`, all of
+    /// Parse the index table of a bin file from `bytes`, all of
     /// [`Self::index_span`].
     pub fn decode_index(&self, bytes: &[u8], file: &str) -> Result<ExtentFooter> {
-        self.decode_index_behind(bytes, FIXED_EXTENTS, file)
-    }
-
-    /// Parse the index table from `bytes`, its bitmaps behind `fixed`
-    /// index extents.
-    fn decode_index_behind(&self, bytes: &[u8], fixed: usize, file: &str) -> Result<ExtentFooter> {
-        ExtentFooter::decode_table(bytes, self.at, &self.index_runs(fixed), file)
+        ExtentFooter::decode_table(bytes, self.at, &self.index_runs(), file)
     }
 
     /// Parse the data table from `bytes`, all of [`Self::data_span`].
@@ -505,12 +502,8 @@ impl<'u> BinFileBuilder<'u> {
         let mut index_lens = vec![HEADER_LEN as u32];
         index_lens.extend_from_slice(&self.bitmap_lens);
         let (index_at, data_at) = (tables.index_span().0, tables.data_span().0);
-        let index = ExtentFooter::compute_table(
-            &image,
-            index_at,
-            &tables.index_runs(FIXED_EXTENTS),
-            &index_lens,
-        );
+        let index =
+            ExtentFooter::compute_table(&image, index_at, &tables.index_runs(), &index_lens);
         let data = ExtentFooter::compute_table(&image, data_at, &[(0, units_at)], &unit_lens);
         for (table, span) in [(index, tables.index_span()), (data, tables.data_span())] {
             debug_assert_eq!(table.span(), span);
@@ -559,8 +552,21 @@ pub(crate) struct Checked {
 /// damage is located by them alone. Without a layout the geometry is
 /// the one the header states.
 pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>, bin: usize) -> Checked {
+    check_of(raw, file, layout, bin, VERSION)
+}
+
+/// [`check`] of a bin file of format `version`: the current one, or v6
+/// for `mloc upgrade` — laid out alike, the two differ in their unit
+/// parts' bytes alone.
+pub(crate) fn check_of(
+    raw: &[u8],
+    file: &str,
+    layout: Option<&Layout>,
+    bin: usize,
+    version: u8,
+) -> Checked {
     let summaries = layout.and_then(|l| l.summaries(bin));
-    let geometry = layout.map_or_else(|| parse_header(raw), |l| Ok(l.geometry));
+    let geometry = layout.map_or_else(|| parse_header_of(raw, version), |l| Ok(l.geometry));
     let tables = geometry.and_then(|geometry| {
         let not_found = || {
             let len = (raw.len() as u64).saturating_sub(HEADER_LEN + END_LEN);
@@ -571,9 +577,9 @@ pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>, bin: usize)
             None => Tables::find(raw, geometry).ok_or_else(not_found),
         }
     });
-    let mut out = check_extents(raw, file, tables, FIXED_EXTENTS);
+    let mut out = check_extents(raw, file, tables);
     if let Some(layout) = layout {
-        check_geometry(raw, file, layout, &mut out);
+        check_geometry(raw, file, layout, version, &mut out);
         if let Some(summaries) = summaries {
             check_rows(raw, file, layout, &summaries, &mut out);
         }
@@ -582,15 +588,8 @@ pub(crate) fn check(raw: &[u8], file: &str, layout: Option<&Layout>, bin: usize)
 }
 
 /// The checksums, tables and end marker of `raw` alone, its tables
-/// where `tables` says and its bitmaps behind `fixed` index extents:
-/// what [`check`] checks first, and all `mloc upgrade` checks of a file
-/// of the formats v3 to v5.
-pub(crate) fn check_extents(
-    raw: &[u8],
-    file: &str,
-    tables: Result<Tables>,
-    fixed: usize,
-) -> Checked {
+/// where `tables` says: what [`check`] checks first.
+fn check_extents(raw: &[u8], file: &str, tables: Result<Tables>) -> Checked {
     let mut out = Checked {
         tables: None,
         index: None,
@@ -608,8 +607,7 @@ pub(crate) fn check_extents(
     // finding then.
     let checked = tables.and_then(|tables| {
         out.tables = Some(tables);
-        let index =
-            table(tables.index_span()).and_then(|b| tables.decode_index_behind(b, fixed, file))?;
+        let index = table(tables.index_span()).and_then(|b| tables.decode_index(b, file))?;
         let data = table(tables.data_span()).and_then(|b| tables.decode_data(b, &index, file));
         Ok((index, data))
     });
@@ -645,12 +643,12 @@ pub(crate) fn check_extents(
 /// Once the header's extent verified (a damaged header may say
 /// anything), hold it to the layout's geometry: one that states another
 /// is damage to the header.
-fn check_geometry(raw: &[u8], file: &str, layout: &Layout, out: &mut Checked) {
+fn check_geometry(raw: &[u8], file: &str, layout: &Layout, version: u8, out: &mut Checked) {
     let damaged = |e: &MlocError| matches!(e, MlocError::CorruptExtent { offset: 0, .. });
     if out.index.is_none() || out.damage.iter().any(damaged) {
         return;
     }
-    if let Err(e) = check_header(raw, layout.geometry) {
+    if let Err(e) = check_header_of(raw, layout.geometry, version) {
         let what = format!("header: {e}");
         out.damage.push(corrupt_extent(file, 0, HEADER_LEN, &what));
     }
@@ -749,27 +747,18 @@ fn end_marker(raw: &[u8], file: &str) -> Result<()> {
     ))
 }
 
-/// Recompute the index table of `raw`, a whole v6 bin file whose tables
+/// Recompute the index table of `raw`, a whole bin file whose tables
 /// are `tables`, over its extents as they are now: a test edits a
 /// header or a bitmap and keeps every checksum holding.
 #[cfg(test)]
 pub(crate) fn reseal_index(raw: &mut [u8], tables: Tables, file: &str) {
-    reseal_index_behind(raw, tables, FIXED_EXTENTS, file);
-}
-
-/// [`reseal_index`] of a bin file whose bitmaps are behind `fixed`
-/// index extents.
-#[cfg(test)]
-pub(crate) fn reseal_index_behind(raw: &mut [u8], tables: Tables, fixed: usize, file: &str) {
     let (at, len) = tables.index_span();
     let span = at as usize..(at + len) as usize;
-    let index = tables
-        .decode_index_behind(&raw[span.clone()], fixed, file)
-        .unwrap();
+    let index = tables.decode_index(&raw[span.clone()], file).unwrap();
     let lens: Vec<u32> = (0..index.num_extents())
         .map(|i| index.extent(i).1)
         .collect();
-    let table = ExtentFooter::compute_table(raw, at, &tables.index_runs(fixed), &lens);
+    let table = ExtentFooter::compute_table(raw, at, &tables.index_runs(), &lens);
     raw[span].copy_from_slice(&table.encode_table());
 }
 

@@ -186,10 +186,10 @@ impl Encoder {
                     .zip(plod::PART_BYTES)
                     .map(|(column, width)| {
                         self.byte_codec
-                            .compress(&column[span.start * width..span.end * width])
+                            .encode(&column[span.start * width..span.end * width])
                     })
                     .collect(),
-                None => vec![self.float_codec.compress_f64(&sorted[span])],
+                None => vec![self.float_codec.encode_f64(&sorted[span])],
             };
             // One ratio observation per storage unit, recorded from
             // whichever worker encoded it. Bucket counts, min and max are

@@ -511,17 +511,19 @@ mod tests {
                       000000000000f83f000000000000004000000000000004400000000000000840\
                       0000000000000c40000000000000104000000000000012400000000000001440\
                       00000000000016400000000000001840";
-        // The version byte (6: the summaries in the meta) and the summary
-        // sections that end it are all the meta of format v6 changed; a
-        // version-2 meta (two files per bin), version-3 one (WAH
-        // bitmaps), version-4 one (chunk directories) or version-5 one
-        // (derived locations) — the checked-in fixtures — has no
-        // sections, and decodes for `mloc upgrade` alone.
+        // The version byte (7: unit parts are bare payloads) is all the
+        // meta of format v7 changed, and the summary sections that end
+        // it all format v6 did; a version-6 meta — the checked-in
+        // fixture's — has the same sections and decodes for `mloc
+        // upgrade` alone. A version-2 meta (two files per bin),
+        // version-3 one (WAH bitmaps), version-4 one (chunk directories)
+        // or version-5 one (derived locations) has no sections, and is
+        // refused by every reader.
         let payload = |version: &str| {
             format!("4d4d4554{version}0400000074656d70{body}{bounds}0040000000000000")
         };
         let encoded = meta.encode();
-        assert_eq!(hex(&encoded), payload("06") + &section.repeat(12));
+        assert_eq!(hex(&encoded), payload("07") + &section.repeat(12));
         let decode = crate::store::VariableMeta::decode;
         assert_eq!(decode(&encoded).unwrap(), meta);
         let any = crate::store::VariableMeta::decode_any;
@@ -529,6 +531,13 @@ mod tests {
             summaries: crate::index::Summaries::none(),
             ..meta.clone()
         };
+        let mut v6 = encoded.clone();
+        v6[4] = 6;
+        assert!(matches!(
+            decode(&v6),
+            Err(crate::MlocError::NeedsUpgrade { version: 6, .. })
+        ));
+        assert_eq!(any(&v6).unwrap(), (6, meta.clone()));
         for version in [2u8, 3, 4, 5] {
             let mut old = encoded[..encoded.len() - sections.len()].to_vec();
             old[4] = version;

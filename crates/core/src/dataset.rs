@@ -173,7 +173,7 @@ impl<'a> Dataset<'a> {
     }
 
     /// Build and register a variable from row-major values. A dataset
-    /// of a format before v6 is refused ([`MlocError::NeedsUpgrade`])
+    /// of a format before v7 is refused ([`MlocError::NeedsUpgrade`])
     /// before anything is written: upgrade it first.
     pub fn add_variable(&self, var: &str, values: &[f64]) -> Result<BuildReport> {
         self.check_new_variable(var)?;
@@ -190,7 +190,7 @@ impl<'a> Dataset<'a> {
 
     /// Start an *in-situ* build of a variable: chunks are pushed as a
     /// simulation emits them and the variable is registered in the
-    /// catalog when the stream finishes. A dataset of a format before v6
+    /// catalog when the stream finishes. A dataset of a format before v7
     /// is refused, as by [`Self::add_variable`].
     pub fn stream_variable(&self, var: &str, sample: &[f64]) -> Result<DatasetStream<'a>> {
         self.check_new_variable(var)?;
@@ -369,7 +369,7 @@ mod tests {
     }
 
     /// The catalogs and metas a store can meet, as stored: a fresh
-    /// (v6) build's, then each fixture's. Built once per test binary.
+    /// (v7) build's, then the v6 fixture's. Built once per test binary.
     fn catalogs_and_metas() -> &'static [(Vec<u8>, Vec<u8>)] {
         static STORED: std::sync::OnceLock<Vec<(Vec<u8>, Vec<u8>)>> = std::sync::OnceLock::new();
         STORED.get_or_init(|| {
@@ -382,9 +382,7 @@ mod tests {
             let ds = Dataset::create(&fresh, "sim", config()).unwrap();
             ds.add_variable("temp", &values(1)).unwrap();
             let mut out = vec![stored(&fresh, "sim", "temp")];
-            for version in [1, 2, 3, 4, 5] {
-                out.push(stored(&crate::fixtures::mem(version), "fmt", "v"));
-            }
+            out.push(stored(&crate::fixtures::mem(6), "fmt", "v"));
             out
         })
     }
@@ -444,7 +442,7 @@ mod tests {
         #[test]
         fn arbitrary_catalogs_and_metas_never_panic(
             junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
-            which in 0usize..3,
+            which in 0usize..2,
             at in proptest::prelude::any::<usize>(),
             over in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..16),
         ) {

@@ -43,10 +43,15 @@
 //!   file is its header, its two tables (sized by the counts) and its
 //!   extents.
 //!
-//! Only v6 is read here. Nothing writes v1–v5 any more, and nothing but
-//! `mloc upgrade` ([`crate::upgrade`]) reads them: it copies a v1–v5
-//! store out as v6, deriving v1's missing summaries from its bitmaps.
-//! `tests/golden/v1_dataset` to `v5_dataset` are its inputs.
+//! * **v7** — v6 with each unit part its codec's payload alone
+//!   ([`mloc_compress::Codec`]): no per-part magic, lengths or checksum,
+//!   and a part as long as its raw bytes is those bytes.
+//!
+//! Only v7 is read here. Nothing writes v1–v6 any more, and nothing but
+//! `mloc upgrade` ([`crate::upgrade`]) reads v6: it copies a v6 store
+//! out as v7, re-encoding every lossless part. `tests/golden/v6_dataset`
+//! is its input. v1–v5 are read by no reader of this crate: the
+//! `mloc upgrade` of the CLI at commit a0307bd copies them out as v6.
 
 //! # One writer, one reader
 //!
@@ -64,9 +69,9 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 pub(crate) const MAGIC: u32 = 0x5844_494D; // "MIDX"
-/// The index format version (v6 = a one-file bin whose chunk summaries
-/// are in the meta), the only one this crate's readers accept.
-pub const VERSION: u8 = 6;
+/// The index format version (v7 = v6's bin files whose unit parts hold
+/// only their payloads), the only one this crate's readers accept.
+pub const VERSION: u8 = 7;
 pub(crate) const SUMMARY_MAGIC: u32 = 0x4D55_534D; // "MSUM"
 
 /// Bytes of the header, index extent 0: magic(4) version(1) bin(4)
@@ -113,11 +118,17 @@ impl ChunkSummary {
 /// Check a header — magic, version, part count — and return the chunk
 /// and part counts it declares. `data` may extend past the header.
 pub fn parse_header(data: &[u8]) -> Result<(usize, usize)> {
+    parse_header_of(data, VERSION)
+}
+
+/// [`parse_header`] of a header of format `version`: the current one,
+/// or v6 for `mloc upgrade`, whose bin files are laid out alike.
+pub(crate) fn parse_header_of(data: &[u8], version: u8) -> Result<(usize, usize)> {
     let mut r = Reader::new(data);
     if r.u32()? != MAGIC {
         return Err(MlocError::Corrupt("bad index magic"));
     }
-    if r.u8()? != VERSION {
+    if r.u8()? != version {
         return Err(MlocError::Corrupt("unsupported index version"));
     }
     let _bin = r.u32()?; // the file name already says which bin
@@ -133,7 +144,12 @@ pub fn parse_header(data: &[u8]) -> Result<(usize, usize)> {
 /// a header that parses but describes another chunk grid or part count
 /// would otherwise send the engine's rank and part indices out of range.
 pub fn check_header(data: &[u8], geometry: (usize, usize)) -> Result<()> {
-    if parse_header(data)? != geometry {
+    check_header_of(data, geometry, VERSION)
+}
+
+/// [`check_header`] of a header of format `version`.
+pub(crate) fn check_header_of(data: &[u8], geometry: (usize, usize), version: u8) -> Result<()> {
+    if parse_header_of(data, version)? != geometry {
         return Err(MlocError::Corrupt("index geometry mismatch"));
     }
     Ok(())
@@ -474,7 +490,7 @@ mod tests {
             if r.u32()? != MAGIC {
                 return Err(MlocError::Corrupt("bad index magic"));
             }
-            if r.u8()? != 6 {
+            if r.u8()? != 7 {
                 return Err(MlocError::Corrupt("unsupported index version"));
             }
             let _bin = r.u32()?;

@@ -573,10 +573,6 @@ mod tests {
         // Values and bytes captured from the commit before `crc32`
         // became word-at-a-time: files that commit built must verify
         // now, so neither a checksum nor a footer byte may move.
-        use crate::build::build_variable;
-        use crate::config::MlocConfig;
-        use crate::store::MlocStore;
-        use mloc_pfs::{MemBackend, StorageBackend};
         let ramp: Vec<u8> = (0..=255u8).collect();
         let pinned = [
             (1usize, 0xD202_EF8Du32),
@@ -591,49 +587,29 @@ mod tests {
             assert_eq!(crc32(&ramp[..n]), crc, "ramp[..{n}]");
         }
 
-        // Bin 1's data file, as that commit built it, was exactly the
-        // unit section of today's bin file: its tail footer, computed
-        // again from those bytes and the data table's extents, is the
-        // one pinned. (The index payload of that format has no
-        // counterpart today; its bytes are pinned by the v2 fixture.)
-        let be = MemBackend::new();
-        let values: Vec<f64> = (0..1024).map(|i| ((i * 37) % 1024) as f64 * 0.25).collect();
-        let config = MlocConfig::builder(vec![32, 32])
-            .chunk_shape(vec![16, 16])
-            .num_bins(2)
-            .build();
-        build_variable(&be, "ds", "v", &values, &config).unwrap();
-        let store = MlocStore::open(&be, "ds", "v").unwrap();
-        let file = store.bin_file(1).to_string();
-        let raw = be.read(&file, 0, be.len(&file).unwrap()).unwrap();
-        let fixed = store.parse_fixed(1, &raw).unwrap();
-        let data = fixed.data.unwrap();
-        let units_at = data.extent(0).0 as usize;
-        let units = &raw[units_at..data.extents_end() as usize];
-        let lens: Vec<u32> = (0..data.num_extents()).map(|i| data.extent(i).1).collect();
-        let dat = "ec000000f6ec2dc2ef000000f645c7c1f0000000efb70b87f0000000290510ae\
-                   910000002fd1876a9500000095071a0f9600000071b8b68c990000008f1c41cb\
-                   91000000aa6abf1795000000bde4ce9d960000001e919a26990000005aed5613\
-                   91000000aa6abf1795000000bde4ce9d960000001e919a26990000005aed5613\
-                   91000000aa6abf1795000000bde4ce9d960000001e919a26990000005aed5613\
-                   91000000aa6abf1795000000bde4ce9d960000001e919a26990000005aed5613\
-                   91000000aa6abf1795000000bde4ce9d960000001e919a26990000005aed5613\
-                   419064d6b9110000000000001c000000010000004d465452";
-        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
-        assert_eq!(units.len(), 4537);
-        assert_eq!(hex(&ExtentFooter::compute(units, &lens).encode()), dat);
-
-        // And every tail-footered file those formats wrote verifies.
-        for version in [1, 2] {
-            for entry in std::fs::read_dir(crate::fixtures::dir(version)).unwrap() {
-                let path = entry.unwrap().path();
-                let name = path.display().to_string();
-                if !name.ends_with("catalog") {
-                    let raw = std::fs::read(&path).unwrap();
-                    ExtentFooter::split_verified(&raw, &name).unwrap();
-                }
-            }
+        // And every file the v6 fixture holds — written by a CLI of
+        // that format — verifies: the meta's tail footer, each bin
+        // file's two tables over its extents.
+        let old = crate::fixtures::mem(6);
+        let (_, meta) = crate::store::VariableMeta::decode_any(
+            ExtentFooter::split_verified(
+                &crate::fileorg::read_file(&old, "fmt/v/meta").unwrap(),
+                "meta",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let layout = crate::binfile::Layout::of(&meta.config).with_summaries(meta.summaries);
+        let mut extents = 0;
+        for bin in 0..8 {
+            let file = crate::fileorg::bin_file("fmt", "v", bin);
+            let raw = crate::fileorg::read_file(&old, &file).unwrap();
+            let checked = crate::binfile::check_of(&raw, &file, Some(&layout), bin, 6);
+            assert!(checked.damage.is_empty(), "{file}: {:?}", checked.damage);
+            extents += checked.extents;
         }
+        // 8 headers, 124 set chunks' run lists and 7 parts each.
+        assert_eq!(extents, 8 + 124 + 7 * 124);
     }
 
     fn sample() -> (Vec<u8>, Vec<u32>) {

@@ -142,11 +142,14 @@ pub enum MlocError {
     },
     /// Invalid user input (query or configuration).
     Invalid(String),
-    /// A file of the formats before v6, which only `mloc upgrade`
-    /// ([`upgrade`]) reads.
+    /// A file of a format before v7: v6, which only `mloc upgrade`
+    /// ([`upgrade`]) reads, or one before it, which an older `mloc
+    /// upgrade` copies out as v6 first.
     NeedsUpgrade {
         /// The file that gave the store away.
         file: String,
+        /// Its format version (2 for a v1/v2 file, whose meta says 2).
+        version: u8,
     },
     /// A set chunk's unit part that compressed to no bytes: the bin
     /// file would have no data-table row to locate it by
@@ -189,10 +192,16 @@ impl std::fmt::Display for MlocError {
                 "corrupt extent [{offset}, {offset}+{len}) in {file}: {what}"
             ),
             MlocError::Invalid(why) => write!(f, "invalid request: {why}"),
-            MlocError::NeedsUpgrade { file } => write!(
+            MlocError::NeedsUpgrade { file, version: 6 } => write!(
                 f,
-                "{file} is of a format before v6, which only `mloc upgrade` reads: copy \
-                 the dataset out as v6 with `mloc upgrade --dir OLD --name NAME --out NEW`"
+                "{file} is of format v6, which only `mloc upgrade` reads: copy the dataset \
+                 out as v7 with `mloc upgrade --dir OLD --name NAME --out NEW`"
+            ),
+            MlocError::NeedsUpgrade { file, .. } => write!(
+                f,
+                "{file} is of a format before v6: copy the dataset out as v6 with `mloc \
+                 upgrade` of the CLI at commit a0307bd, then as v7 with this CLI's `mloc \
+                 upgrade --dir OLD --name NAME --out NEW`"
             ),
             MlocError::EmptyUnit {
                 bin,

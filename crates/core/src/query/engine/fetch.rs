@@ -498,10 +498,10 @@ mod tests {
 
     const BIN: usize = 1;
 
-    /// CRC-32 of [`fill_then_values`]'s text (format v6: the summaries
-    /// in the meta, every bin's fixed blocks one read, and no unit
-    /// planned that cannot hold a hit).
-    const PARITY_DIGEST: u32 = 0xBDBD_7608;
+    /// CRC-32 of [`fill_then_values`]'s text (format v7: the summaries
+    /// in the meta, every bin's fixed blocks one read, no unit planned
+    /// that cannot hold a hit, and unit parts that are bare payloads).
+    const PARITY_DIGEST: u32 = 0xBACE_E02A;
 
     /// The field and geometry the fetch tests build: 64², 16² chunks (a
     /// 4 × 4 grid), 4 bins, PLoD byte columns.
@@ -579,7 +579,7 @@ mod tests {
                         let raw = f.read(&file, &[extent], Some(data_table), false);
                         let raw = raw.into_iter().next().unwrap().unwrap();
                         let mut decoder = Decoder::new(store.config().codec);
-                        let part = decoder.part(&raw, 0, count).unwrap();
+                        let part = decoder.part(raw, 0, count).unwrap();
                         let block = decoder.prefix(&[&part]);
                         f.publish_unit(BIN, r, block);
                     }

@@ -494,7 +494,7 @@ pub(crate) fn read_parts(
     for (slot, rank, p, view) in stored {
         let count = count(rank) as usize;
         range.out[at(slot, p)] = Some(if plod {
-            CachedBlock::Bytes(decoder.part(&view, p, count)?)
+            CachedBlock::Bytes(decoder.part(view, p, count)?)
         } else {
             let block = decoder.floats(&view, count)?;
             fetcher.publish_unit(bin, rank, block.clone());

@@ -28,7 +28,7 @@
 //! [`StorageBackend`]; replica restore is a no-op on unreplicated
 //! stores (no `replica_access()`, or one replica: the only copy is
 //! re-checked and nothing else can be tried). A store of the formats
-//! before v6 is refused whole, untouched: `mloc upgrade` copies it out.
+//! before v7 is refused whole, untouched: `mloc upgrade` copies it out.
 
 use crate::binfile::{self, Layout};
 use crate::config::MlocConfig;

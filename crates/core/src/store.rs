@@ -17,12 +17,14 @@ use mloc_pfs::StorageBackend;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5445_4D4D; // "MMET"
-/// The meta's version, the bin files' format: 6 since the chunk
-/// summaries are the meta's. A version-2 meta (formats v1/v2, two files
-/// per bin), version-3 one (WAH bitmaps), version-4 one (a chunk
-/// directory in every header) or version-5 one (the summaries in every
-/// bin file) is read by [`crate::upgrade`] alone.
-pub(crate) const VERSION: u8 = 6;
+/// The meta's version, the bin files' format: 7 since a unit part is
+/// its payload alone. A version-6 meta — laid out as this one, over bin
+/// files whose parts are self-describing streams — is read by
+/// [`crate::upgrade`] alone; versions 2 to 5 (the formats before v6) by
+/// nothing here.
+pub(crate) const VERSION: u8 = 7;
+/// The version before [`VERSION`], `mloc upgrade`'s one input.
+pub(crate) const PREVIOUS: u8 = 6;
 
 /// Serialized per-variable metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +58,7 @@ impl VariableMeta {
     }
 
     /// Parse bytes produced by [`Self::encode`]. A meta of versions 2
-    /// to 5 fails with the error that names `mloc upgrade`.
+    /// to 6 fails with the error that names `mloc upgrade`.
     pub fn decode(data: &[u8]) -> Result<VariableMeta> {
         Self::decode_current(data, "meta")
     }
@@ -65,14 +67,14 @@ impl VariableMeta {
     fn decode_current(data: &[u8], file: &str) -> Result<VariableMeta> {
         match Self::decode_any(data)? {
             (VERSION, meta) => Ok(meta),
-            _ => Err(crate::upgrade::needed(file)),
+            (version, _) => Err(crate::upgrade::needed(file, version)),
         }
     }
 
     /// Parse a meta of any version, and say which: versions 2 to 5
-    /// differ from 6 in their version byte and in holding no summaries,
-    /// which a version-6 meta ends with — one section per bin, each
-    /// checked as a query reads it.
+    /// differ from 7 in their version byte and in holding no summaries,
+    /// which a version-6 or -7 meta ends with — one section per bin,
+    /// each checked as a query reads it.
     pub(crate) fn decode_any(data: &[u8]) -> Result<(u8, VariableMeta)> {
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {
@@ -90,7 +92,7 @@ impl VariableMeta {
             return Err(MlocError::Corrupt("bin bound count mismatch"));
         }
         let rest = r.remaining();
-        let summaries = if version == VERSION {
+        let summaries = if version >= PREVIOUS {
             // The chunk count of the configuration's grid, with checked
             // arithmetic: a damaged meta may state any shape.
             let ceil = |(&s, &c): (&usize, &usize)| (c > 0).then(|| s.div_ceil(c));

@@ -151,8 +151,8 @@ fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<
 /// Verify every stored extent of one variable. Damaged extents are
 /// collected, not fatal: the report lists all of them. Errors are
 /// returned only for conditions that prevent verification from running
-/// at all: a dataset of the formats before v6, which `mloc upgrade`
-/// reads and nothing else does. Unreadable files become damage entries.
+/// at all: a dataset of a format before v7, which `mloc upgrade`
+/// copies out and nothing else reads. Unreadable files become damage entries.
 pub fn verify_variable(
     backend: &dyn StorageBackend,
     dataset: &str,
@@ -163,7 +163,7 @@ pub fn verify_variable(
 }
 
 /// [`verify_variable`] of a dataset already known to hold no file of a
-/// format before v6.
+/// format before v7.
 fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
     let mut report = VerifyReport::default();
 
@@ -454,7 +454,7 @@ mod tests {
         let out = MemBackend::new();
         for f in be.list() {
             let len = be.len(&f).unwrap();
-            let keep = if f == victim { len - 20 } else { len };
+            let keep = if f == victim { len - 13 } else { len };
             let data = be.read(&f, 0, keep).unwrap();
             out.create(&f).unwrap();
             out.append(&f, &data).unwrap();

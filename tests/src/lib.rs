@@ -1,11 +1,11 @@
 //! Integration-test package for the MLOC workspace. The tests live in
 //! `tests/tests/`; this library holds what several of them share: the
-//! checked-in datasets of the formats nothing writes any more, which
+//! checked-in dataset of the format nothing writes any more, which
 //! only `mloc upgrade` reads.
 
 use mloc_pfs::{DirBackend, StorageBackend};
 
-/// Directory of the checked-in version-`version` dataset (1 to 5):
+/// Directory of the checked-in version-`version` dataset (6):
 /// dataset `fmt`, variable `v`, a `gts_like_2d(64, 64, 41)` field in 16²
 /// chunks, 8 bins, deflate with PLoD byte columns.
 pub fn fixture_dir(version: u8) -> String {

@@ -296,9 +296,10 @@ fn a_ranks_trace_shares_one_name_allocation_per_file() {
 }
 
 /// The encode kernel at storage-unit size allocates what it returns
-/// and nothing else: the LZ77 tables are built by a thread's first
-/// `tokenize` and reused, package-merge works on the stack, and a
-/// block no longer than the code-length tables is stored unseen.
+/// and the tokens, nothing else: the LZ77 tables are built by a
+/// thread's first `tokenize` and reused, package-merge works on the
+/// stack, the fixed code's tables are static, and a payload is sized
+/// once for its raw length.
 #[test]
 fn encode_kernel_allocates_only_what_it_returns() {
     use mloc_compress::deflate::{huffman, lz77};
@@ -334,15 +335,23 @@ fn encode_kernel_allocates_only_what_it_returns() {
     assert_eq!(n, 0, "code_lengths");
     assert!(lens.iter().any(|&l| l > 0));
 
-    // Stored unseen: the stream. Stored after the estimate: the tokens
-    // and the stream, which outgrows its half-size guess once.
-    let (stream, n) = allocations(|| Deflate.compress(&noise164));
-    assert_eq!((stream[16], n), (0, 1), "164 bytes");
-    let (stream, n) = allocations(|| Deflate.compress(&noise328));
-    assert_eq!((stream[16], n), (0, 3), "328 bytes");
-    // Huffman-coded, the rare branch: tokens, stream (grown once) and
-    // the two encoder tables with their two counting vectors each.
-    let (stream, n) = allocations(|| Deflate.compress(&part573));
-    assert_eq!(stream[16], 1, "573 bytes");
-    assert!(n <= 9, "573 bytes: {n} allocations");
+    // Raw: the tokens and the copy returned. Coded: the tokens and the
+    // payload, sized once; a dynamic block also builds its two encoder
+    // tables, with their two counting vectors each.
+    for noise in [&noise164, &noise328] {
+        let (payload, n) = allocations(|| Deflate.encode(noise));
+        assert_eq!((&payload, n), (noise, 2), "{} bytes", noise.len());
+    }
+    // The fixed code's static encoders are built by the first fixed
+    // block a process codes.
+    Deflate.encode(&part573);
+    let (payload, n) = allocations(|| Deflate.encode(&part573));
+    assert_eq!((payload[0], n), (1, 2), "573 bytes, fixed code");
+    let skewed: Vec<u8> = bytes(700, 63)
+        .iter()
+        .map(|&b| 0x20 + (b & (b >> 1)))
+        .collect();
+    let (payload, n) = allocations(|| Deflate.encode(&skewed));
+    assert_eq!(payload[0], 2, "700 bytes, dynamic code");
+    assert!(n <= 8, "700 bytes: {n} allocations");
 }

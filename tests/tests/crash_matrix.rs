@@ -15,7 +15,7 @@
 //! grammar (catalog header → per bin file create→append→sync → meta
 //! → catalog registration), so a new write in the build path that
 //! extends the chain shows up here as a failed census, forcing the
-//! matrix to grow with it. `mloc upgrade` of the checked-in v2 dataset
+//! matrix to grow with it. `mloc upgrade` of the checked-in v6 dataset
 //! commits through the same write stage, and its chain is swept too:
 //! its census is the build's, and so are its crash states.
 
@@ -60,9 +60,9 @@ fn add_variable(be: &dyn StorageBackend) -> mloc::Result<()> {
     Ok(())
 }
 
-/// The upgrade of the checked-in v2 dataset into `be`.
-fn upgrade_v2(be: &dyn StorageBackend) -> mloc::Result<()> {
-    mloc::upgrade::upgrade(&mloc_integration::fixture(2), be, "fmt").map(drop)
+/// The upgrade of the checked-in v6 dataset into `be`.
+fn upgrade_v6(be: &dyn StorageBackend) -> mloc::Result<()> {
+    mloc::upgrade::upgrade(&mloc_integration::fixture(6), be, "fmt").map(drop)
 }
 
 /// Remove every file, then upgrade again: what an operator does with
@@ -71,7 +71,7 @@ fn upgrade_afresh(be: &dyn StorageBackend) -> mloc::Result<()> {
     for f in be.list() {
         be.remove(&f)?;
     }
-    upgrade_v2(be)
+    upgrade_v6(be)
 }
 
 /// A write chain the matrix crashes: the dataset and the variable it
@@ -97,7 +97,7 @@ const UPGRADE: Chain = Chain {
     ds: "fmt",
     var: "v",
     num_bins: 8,
-    run: upgrade_v2,
+    run: upgrade_v6,
     rerun: upgrade_afresh,
 };
 

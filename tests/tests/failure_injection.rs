@@ -148,10 +148,10 @@ fn rewrite(be: &MemBackend, file: &str, data: &[u8]) {
     be.append(file, data).unwrap();
 }
 
-/// The checked-in v2 dataset, in memory.
-fn v2_fixture() -> MemBackend {
+/// The checked-in v6 dataset, in memory.
+fn v6_fixture() -> MemBackend {
     let be = MemBackend::new();
-    mloc_integration::load_fixture(2, &be);
+    mloc_integration::load_fixture(6, &be);
     be
 }
 
@@ -166,83 +166,76 @@ fn upgraded(be: &MemBackend) -> (mloc::Result<()>, bool) {
 
 /// A file cut inside its checksum table has table bytes where its
 /// trailer should be: the upgrade finds no trailer at the end of the
-/// file, says so, and commits nothing.
+/// file, says so, and commits nothing. (Of a v6 store, the meta is the
+/// tail-footered file.)
 #[test]
 fn a_file_cut_inside_its_table_names_the_missing_trailer() {
-    for name in ["fmt/v/bin0001.idx", "fmt/v/bin0001.dat"] {
-        let be = v2_fixture();
-        let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
-        let payload = mloc::ExtentFooter::split_verified(&raw, name)
-            .unwrap()
-            .len();
-        let table = raw.len() - 24 - payload;
-        assert!(table >= 16, "{name}: a table to cut into");
-        let cut = payload + table / 2;
-        rewrite(&be, name, &raw[..cut]);
-        match upgraded(&be) {
+    let name = "fmt/v/meta";
+    let be = v6_fixture();
+    let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
+    let payload = mloc::ExtentFooter::split_verified(&raw, name)
+        .unwrap()
+        .len();
+    let table = raw.len() - 24 - payload;
+    assert!(table >= 8, "{name}: a table to cut into");
+    let cut = payload + table / 2;
+    rewrite(&be, name, &raw[..cut]);
+    match upgraded(&be) {
+        (
+            Err(mloc::MlocError::CorruptExtent {
+                file,
+                offset,
+                len,
+                what,
+            }),
+            false,
+        ) => assert_eq!(
+            (file.as_str(), offset, len, what.as_str()),
             (
-                Err(mloc::MlocError::CorruptExtent {
-                    file,
-                    offset,
-                    len,
-                    what,
-                }),
-                false,
-            ) => assert_eq!(
-                (file.as_str(), offset, len, what.as_str()),
-                (
-                    name,
-                    cut as u64 - 24,
-                    24,
-                    "missing checksum footer (incomplete build?)"
-                ),
-                "{name}"
+                name,
+                cut as u64 - 24,
+                24,
+                "missing checksum footer (incomplete build?)"
             ),
-            other => panic!("{name}: {other:?}"),
-        }
+            "{name}"
+        ),
+        other => panic!("{name}: {other:?}"),
     }
 }
 
-/// A well-formed file whose directory overstates where its payload
-/// ends (here: the last bitmap's length, with the checksums
-/// recomputed) still has its footer found by its trailer, and then
-/// fails the upgrade on the bitmap that runs past the payload: nothing
-/// is committed.
+/// A well-formed bin file whose directory — its data table, which
+/// locates every unit part — overstates where its parts end (here: the
+/// last part's length, with the table's own checksum recomputed) still
+/// has its tables found, and then fails the upgrade on the part that
+/// runs into the end marker: nothing is committed.
 #[test]
 fn a_directory_overstating_its_payload_fails_the_upgrade() {
-    let be = v2_fixture();
+    let be = v6_fixture();
     assert!(matches!(upgraded(&be), (Ok(()), true)));
 
-    let name = "fmt/v/bin0001.idx";
-    let raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
-    let mut payload = mloc::ExtentFooter::split_verified(&raw, name)
-        .unwrap()
-        .to_vec();
-    let footer = mloc::ExtentFooter::decode(&raw[payload.len()..], raw.len() as u64, name).unwrap();
-    let extents: Vec<u32> = (0..footer.num_extents())
-        .map(|i| footer.extent(i).1)
-        .collect();
-    // 16 chunks of 7 parts: 100-byte directory entries after a 14-byte
-    // prologue, each a count, the bitmap's offset, then its length.
-    let entry = |rank: usize| 14 + rank * 100;
-    let le = |at: usize, len: usize| {
-        let mut b = [0u8; 8];
-        b[..len].copy_from_slice(&payload[at..at + len]);
-        u64::from_le_bytes(b)
-    };
-    let last = (0..16)
-        .max_by_key(|&r| le(entry(r) + 4, 8) + le(entry(r) + 12, 4))
-        .unwrap();
-    let at = entry(last) + 12;
-    let longer = le(at, 4) as u32 + 8;
-    payload[at..at + 4].copy_from_slice(&longer.to_le_bytes());
-    let mut crafted = payload.clone();
-    crafted.extend(mloc::ExtentFooter::compute(&payload, &extents).encode());
-    rewrite(&be, name, &crafted);
+    let name = "fmt/v/bin0001.bin";
+    let mut raw = be.read(name, 0, be.len(name).unwrap()).unwrap();
+    let le = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    // A table is `{len, crc}` rows, then the rows' CRC: the index
+    // table starts after the 14-byte header, and its size is the one
+    // whose rows' CRC follows them.
+    let rows_crc =
+        |at: usize, n: usize| mloc::integrity::crc32(&raw[at..at + 8 * n]) == le(&raw, at + 8 * n);
+    let n_index = (1..=17).find(|&n| rows_crc(14, n)).unwrap();
+    let data_at = 14 + 8 * n_index + 4;
+    let n_data = 7 * (n_index - 1);
+    assert!(rows_crc(data_at, n_data));
+    let last = data_at + 8 * (n_data - 1);
+    let len = le(&raw, last);
+    raw[last..last + 4].copy_from_slice(&(len + 8).to_le_bytes());
+    let crc = mloc::integrity::crc32(&raw[data_at..data_at + 8 * n_data]);
+    raw[data_at + 8 * n_data..][..4].copy_from_slice(&crc.to_le_bytes());
+    rewrite(&be, name, &raw);
 
+    let unit_at = raw.len() as u64 - 12 - u64::from(len);
     match upgraded(&be) {
-        (Err(mloc::MlocError::Corrupt(what)), false) => {
-            assert_eq!(what, "bitmap past its file's payload")
+        (Err(mloc::MlocError::CorruptExtent { file, offset, .. }), false) => {
+            assert_eq!((file.as_str(), offset), (name, unit_at))
         }
         other => panic!("{other:?}"),
     }

@@ -1020,142 +1020,77 @@ fn damaged_fixed_blocks_fail_as_they_are_read() {
     for_both_worlds(damaged_fixed_blocks_fail_as_they_are_read_in);
 }
 
-/// Where the interesting bytes of one bin's two files of the
-/// checked-in v2 dataset are: 16 chunks of 7 parts, so 100-byte
-/// directory entries after a 14-byte prologue.
+/// Where the interesting bytes of one bin file of the checked-in v6
+/// dataset are: its 14-byte header, its two checksum tables — each
+/// `{len, crc}` rows, then the rows' CRC — and its last unit part,
+/// which ends at the end marker.
 struct Anatomy {
-    idx: String,
-    dat: String,
-    idx_len: u64,
-    dat_len: u64,
-    hdr_len: u64,
-    /// File offset of the `bitmap_len` field of the chunk whose bitmap
-    /// ends the index payload.
-    last_bitmap_len_at: u64,
-    /// File offset of the `clen` field of the unit that ends the data
-    /// payload.
-    last_clen_at: u64,
-    /// `(offset, clen)` of that unit, in the data file.
+    bin: String,
+    bin_len: u64,
+    /// `(offset, length)` of the index table and of the data table.
+    index_table: (u64, u64),
+    data_table: (u64, u64),
+    /// `(offset, length)` of the last unit part.
     last_unit: (u64, u64),
-    idx_payload: u64,
-    dat_payload: u64,
+    meta_len: u64,
 }
 
 fn anatomy(be: &dyn StorageBackend, bin: usize) -> Anatomy {
-    let (idx, dat) = (
-        format!("fmt/v/bin{bin:04}.idx"),
-        format!("fmt/v/bin{bin:04}.dat"),
-    );
-    let whole = |f: &str| be.read(f, 0, be.len(f).unwrap()).unwrap();
-    let raw = whole(&idx);
-    let field = |at: u64, len: usize| {
-        let mut le = [0u8; 8];
-        le[..len].copy_from_slice(&raw[at as usize..at as usize + len]);
-        u64::from_le_bytes(le)
-    };
-    let entry = |rank: u64| 14 + rank * 100;
-    let last_bitmap = (0..16)
-        .max_by_key(|&r| field(entry(r) + 4, 8) + field(entry(r) + 12, 4))
-        .unwrap();
-    let unit_at = |(r, p): (u64, u64)| entry(r) + 16 + p * 12;
-    let unit = |rp| (field(unit_at(rp), 8), field(unit_at(rp) + 8, 4));
-    let last = (0..16)
-        .flat_map(|r| (0..7).map(move |p| (r, p)))
-        .max_by_key(|&rp| unit(rp).0 + unit(rp).1)
-        .unwrap();
-    let payload = |file: &str| {
-        let raw = whole(file);
-        mloc::ExtentFooter::split_verified(&raw, file)
-            .unwrap()
-            .len() as u64
-    };
+    let name = format!("fmt/v/bin{bin:04}.bin");
+    let raw = be.read(&name, 0, be.len(&name).unwrap()).unwrap();
+    let le = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
+    let rows_crc =
+        |at: usize, n: usize| mloc::integrity::crc32(&raw[at..at + 8 * n]) == le(at + 8 * n);
+    let n_index = (1..=17).find(|&n| rows_crc(14, n)).unwrap();
+    let data_at = 14 + 8 * n_index + 4;
+    let n_data = 7 * (n_index - 1);
+    assert!(rows_crc(data_at, n_data));
+    let last_len = u64::from(le(data_at + 8 * (n_data - 1)));
     Anatomy {
-        hdr_len: entry(16),
-        last_bitmap_len_at: entry(last_bitmap) + 12,
-        last_clen_at: unit_at(last) + 8,
-        last_unit: unit(last),
-        idx_payload: payload(&idx),
-        dat_payload: payload(&dat),
-        idx_len: be.len(&idx).unwrap(),
-        dat_len: be.len(&dat).unwrap(),
-        idx,
-        dat,
+        index_table: (14, 8 * n_index as u64 + 4),
+        data_table: (data_at as u64, 8 * n_data as u64 + 4),
+        last_unit: (raw.len() as u64 - 12 - last_len, last_len),
+        bin_len: raw.len() as u64,
+        meta_len: be.len("fmt/v/meta").unwrap(),
+        bin: name,
     }
 }
 
-/// Damage to the checked-in v2 dataset — its headers, a unit, its tail
-/// footers — fails `mloc upgrade` with the damaged extent named, and
-/// commits nothing: the new store holds no variable.
+/// Damage to the checked-in v6 dataset — a header, a unit, the meta's
+/// tail footer, the checksum tables — fails `mloc upgrade` with the
+/// damaged extent named, and commits nothing: the new store holds no
+/// variable.
 fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
     let clean = fresh();
-    mloc_integration::load_fixture(2, &*clean);
+    mloc_integration::load_fixture(6, &*clean);
     let a = anatomy(&*clean, 2);
-    let header_crc = (a.idx.as_str(), 0, a.hdr_len, "checksum mismatch");
-    let idx_table = a.idx_len - 24 - a.idx_payload;
-    let dat_table = a.dat_len - 24 - a.dat_payload;
+    let meta = "fmt/v/meta";
+    let header_crc = (a.bin.as_str(), 0, 14, "checksum mismatch");
     let (unit_at, unit_len) = a.last_unit;
-    let rows: [Row; 10] = [
-        // The directory entries that end each payload: the header
-        // fails its checksum.
-        (
-            "header's last bitmap_len, low bit",
-            &a.idx,
-            a.last_bitmap_len_at,
-            0x01,
-            header_crc,
-        ),
-        (
-            "header's last bitmap_len, high bit",
-            &a.idx,
-            a.last_bitmap_len_at + 3,
-            0x40,
-            header_crc,
-        ),
-        (
-            "last unit clen, low bit",
-            &a.idx,
-            a.last_clen_at,
-            0x01,
-            header_crc,
-        ),
-        (
-            "last unit clen, high bit",
-            &a.idx,
-            a.last_clen_at + 3,
-            0x40,
-            header_crc,
-        ),
+    let rows: [Row; 7] = [
+        // The chunk count and the part count: the header fails its
+        // checksum.
+        ("header's chunk count", &a.bin, 9, 0x01, header_crc),
+        ("header's part count", &a.bin, 13, 0x40, header_crc),
         // A header that no longer parses.
-        ("header magic", &a.idx, 0, 0x02, header_crc),
+        ("header magic", &a.bin, 0, 0x02, header_crc),
         // A unit's bytes.
         (
             "last unit",
-            &a.dat,
+            &a.bin,
             unit_at + unit_len / 2,
             0x10,
-            (&a.dat, unit_at, unit_len, "checksum mismatch"),
+            (&a.bin, unit_at, unit_len, "checksum mismatch"),
         ),
-        // The trailer's own geometry.
+        // The meta trailer's own geometry.
         (
-            "index trailer payload_len",
-            &a.idx,
-            a.idx_len - 20,
+            "meta trailer payload_len",
+            meta,
+            a.meta_len - 20,
             0x01,
             (
-                &a.idx,
-                a.idx_len - 24,
-                24,
-                "footer geometry inconsistent with file size",
-            ),
-        ),
-        (
-            "data trailer payload_len",
-            &a.dat,
-            a.dat_len - 20,
-            0x01,
-            (
-                &a.dat,
-                a.dat_len - 24,
+                meta,
+                a.meta_len - 24,
                 24,
                 "footer geometry inconsistent with file size",
             ),
@@ -1163,19 +1098,30 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
         // The checksum tables.
         (
             "index table",
-            &a.idx,
-            a.idx_payload + 5,
+            &a.bin,
+            a.index_table.0 + 5,
             0x08,
-            (&a.idx, a.idx_payload, idx_table, "checksum table corrupt"),
+            (
+                &a.bin,
+                a.index_table.0,
+                a.index_table.1,
+                "checksum table corrupt",
+            ),
         ),
         (
             "data table",
-            &a.dat,
-            a.dat_payload + 5,
+            &a.bin,
+            a.data_table.0 + 5,
             0x08,
-            (&a.dat, a.dat_payload, dat_table, "checksum table corrupt"),
+            (
+                &a.bin,
+                a.data_table.0,
+                a.data_table.1,
+                "checksum table corrupt",
+            ),
         ),
     ];
+    assert!(unit_at + unit_len < a.bin_len);
     for &(what, file, offset, mask, want) in &rows {
         let mut plan = FaultPlan::none();
         plan.flips.push(mloc_pfs::BitFlip {
@@ -1184,7 +1130,7 @@ fn damaged_headers_and_footers_fail_as_they_always_did_in(fresh: Fresh) {
             mask,
         });
         let old = FaultBackend::new(fresh(), plan);
-        mloc_integration::load_fixture(2, &old);
+        mloc_integration::load_fixture(6, &old);
         let new = fresh();
         let got = mloc::upgrade::upgrade(&old, &*new, "fmt").map(|_| ());
         match got {

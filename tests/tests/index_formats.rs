@@ -1,16 +1,15 @@
-//! The formats before v6, as `mloc upgrade` inputs. Nothing writes v1
-//! to v5 any more, and nothing but the upgrade reads them:
-//! `tests/golden/v1_dataset` to `v5_dataset` are datasets written once
-//! each, by writers this tree no longer has. Each upgrades, read-only
-//! off its directory and from an in-memory copy, to a store
-//! byte-identical, file for file, to a fresh (v6) build of the same
-//! field, and answers every query identically to it in every execution
-//! mode — serial, threaded at 4 and 8 ranks, cached cold/warm, and
-//! fused. Membership queries are part of the workload, and are
-//! additionally checked against the naive scan. A second, banded field
-//! pins how often the summary level and the membership probes actually
-//! fire inside a query, and what the stored run lists cost in the built
-//! files against the WAH streams and rank/select directories of v3.
+//! Format v6, as `mloc upgrade`'s input. Nothing writes v6 any more,
+//! and nothing but the upgrade reads it: `tests/golden/v6_dataset` is
+//! a dataset written once, by a CLI this tree no longer has. It
+//! upgrades, read-only off its directory and from an in-memory copy,
+//! to a store byte-identical, file for file, to a fresh (v7) build of
+//! the same field, and answers every query identically to it in every
+//! execution mode — serial, threaded at 4 and 8 ranks, cached
+//! cold/warm, and fused. Membership queries are part of the workload,
+//! and are additionally checked against the naive scan. A second,
+//! banded field pins how often the summary level and the membership
+//! probes actually fire inside a query, and what the stored run lists
+//! cost in the built files against the WAH streams of format v3.
 
 use mloc::dataset::Dataset;
 use mloc::exec::ParallelExecutor;
@@ -30,7 +29,7 @@ const SHAPE: [usize; 2] = [64, 64];
 const DS: &str = "fmt";
 const VAR: &str = "v";
 
-/// The fixtures' field and configuration: `gts_like_2d(64, 64, 41)`,
+/// The fixture's field and configuration: `gts_like_2d(64, 64, 41)`,
 /// 16² chunks, 8 bins, deflate with PLoD byte columns.
 fn build_fresh(be: &MemBackend) -> Vec<f64> {
     let field = gts_like_2d(SHAPE[0], SHAPE[1], 41);
@@ -45,7 +44,7 @@ fn build_fresh(be: &MemBackend) -> Vec<f64> {
     field.into_values()
 }
 
-/// A fresh (v6) build of the fixtures' field.
+/// A fresh (v7) build of the fixture's field.
 fn fresh() -> (MemBackend, Vec<f64>) {
     let be = MemBackend::new();
     let values = build_fresh(&be);
@@ -66,13 +65,13 @@ fn upgraded(version: u8) -> MemBackend {
     new
 }
 
-/// The fixtures, newest first.
-const FIXTURES: [u8; 5] = [5, 4, 3, 2, 1];
+/// The fixtures: format v6 alone, the upgrade's one input.
+const FIXTURES: [u8; 1] = [6];
 
 /// Every store: the fresh build first, then each fixture upgraded.
 struct Sources {
     fresh: MemBackend,
-    upgraded: [MemBackend; 5],
+    upgraded: [MemBackend; 1],
 }
 
 impl Sources {
@@ -85,15 +84,8 @@ impl Sources {
         (sources, values)
     }
 
-    fn all(&self) -> [(&'static str, &dyn StorageBackend); 6] {
-        [
-            ("v6", &self.fresh),
-            ("upgraded v5", &self.upgraded[0]),
-            ("upgraded v4", &self.upgraded[1]),
-            ("upgraded v3", &self.upgraded[2]),
-            ("upgraded v2", &self.upgraded[3]),
-            ("upgraded v1", &self.upgraded[4]),
-        ]
+    fn all(&self) -> [(&'static str, &dyn StorageBackend); 2] {
+        [("v7", &self.fresh), ("upgraded v6", &self.upgraded[0])]
     }
 }
 
@@ -122,133 +114,45 @@ fn manifest(version: u8) -> String {
     got
 }
 
-/// The v1 fixture is pinned (78,374 bytes in 18 files), and it is
-/// exactly what the deleted v1 writer made of a v2 build: every file
-/// but the bin indexes is byte-identical to the v2 fixture, and the
-/// indexes differ by format alone. It was written once, at the commit
-/// before that writer was deleted (`eb3f7cf`), by
+/// The v6 fixture is pinned (65,333 bytes in 10 files). It was
+/// written once, at the commit before format v7 (`a0307bd`), by that
+/// commit's release CLI upgrading the v5 fixture — which that commit
+/// checked to be byte for byte a fresh v6 build of the same field, and
+/// whose upgrades of the v1 to v4 fixtures were `diff -r`-identical to
+/// it:
 ///
 /// ```text
-/// let be = DirBackend::new(out).unwrap();
-/// let ds = Dataset::create(&be, "fmt", config).unwrap(); // as in build_fresh
-/// ds.add_variable("v", gts_like_2d(64, 64, 41).values()).unwrap();
-/// assert_eq!(downgrade_variable_to_v1(&be, "fmt", "v").unwrap(), 8);
+/// mloc upgrade --dir tests/golden/v5_dataset --name fmt --out <out>
 /// ```
 ///
-/// run as a one-off integration test (`MLOC_V1_OUT=<out> cargo test -p
-/// mloc-integration --test write_v1_fixture`). A format change adds a
-/// new fixture; it never rewrites this one.
+/// It differs from a fresh build in its unit parts alone: the meta
+/// differs in its version byte (6: parts as self-describing streams),
+/// the catalog not at all, and each bin file in its header's version
+/// byte and its data table and parts — its bitmaps are a fresh build's
+/// byte for byte.
 #[test]
-fn v1_fixture_is_pinned_and_differs_from_v2_only_in_its_indexes() {
-    assert_eq!(manifest(1), include_str!("../golden/v1_dataset.txt"));
-    let (v1, v2) = (fixture(1), fixture(2));
-    assert_eq!(v1.list(), v2.list());
-    for f in v2.list() {
-        let (old, new) = (whole(&v1, &f), whole(&v2, &f));
-        if f.ends_with(".idx") {
-            // The header's version byte; v1 has no summaries.
-            assert_eq!((old[4], new[4]), (1, 2), "{f}");
-            assert!(old.len() < new.len(), "{f}");
-        } else {
-            assert_eq!(old, new, "{f}");
-        }
+fn v6_fixture_is_pinned() {
+    assert_eq!(manifest(6), include_str!("../golden/v6_dataset.txt"));
+    let v6 = fixture(6);
+    let (fresh, _) = fresh();
+    assert_eq!(whole(&v6, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
+    let mut meta = payload(&fresh, "fmt/v/meta");
+    assert_eq!(meta[4], 7);
+    meta[4] = 6;
+    assert_eq!(payload(&v6, "fmt/v/meta"), meta);
+    let store = MlocStore::open(&fresh, DS, VAR).unwrap();
+    for bin in 0..8 {
+        let file = mloc::fileorg::bin_file(DS, VAR, bin);
+        let (old, new) = (whole(&v6, &file), whole(&fresh, &file));
+        let fixed = store.parse_fixed(bin, &new).unwrap();
+        // The tables' sizes follow from the counts, so the bitmaps sit
+        // at the same offsets in both.
+        let bitmaps = fixed.footer.extent(1).0 as usize..fixed.data.unwrap().extent(0).0 as usize;
+        assert_eq!((old[4], new[4]), (6, 7), "bin {bin}");
+        assert_eq!(old[5..14], new[5..14], "bin {bin}");
+        assert_eq!(old[bitmaps.clone()], new[bitmaps], "bin {bin}");
+        assert!(old.len() > new.len(), "bin {bin}");
     }
-}
-
-/// The v2 fixture is pinned too (79,654 bytes in 18 files). It was
-/// written once, at the commit before format v3 (`5b89f0d`), by
-///
-/// ```text
-/// let be = DirBackend::new(out).unwrap();
-/// let ds = Dataset::create(&be, "fmt", config).unwrap(); // as in build_fresh
-/// ds.add_variable("v", gts_like_2d(64, 64, 41).values()).unwrap();
-/// ```
-///
-/// run as a one-off integration test (`MLOC_V2_OUT=<out> cargo test -p
-/// mloc-integration --test write_v2_fixture`). It differs from a fresh
-/// build in layout alone: each bin's data file payload is the fresh bin
-/// file's unit section byte for byte, the meta differs in its version
-/// byte (2: two files per bin), and the catalog not at all.
-#[test]
-fn v2_fixture_is_pinned() {
-    assert_eq!(manifest(2), include_str!("../golden/v2_dataset.txt"));
-    let v2 = fixture(2);
-    agrees_with_a_fresh_build(&v2, 2, |bin| {
-        payload(&v2, &format!("{DS}/{VAR}/bin{bin:04}.dat"))
-    });
-}
-
-/// The v3 fixture is pinned too (79,494 bytes in 10 files). It was
-/// written once, at the commit before format v4 (`8b9f6ed`), by that
-/// commit's release CLI upgrading the v2 fixture — which that commit
-/// checked to be byte for byte a fresh v3 build of the same field:
-///
-/// ```text
-/// mloc upgrade --dir tests/golden/v2_dataset --name fmt --out <out>
-/// ```
-///
-/// It differs from a fresh build in its bitmaps alone: each bin file's
-/// unit section is the fresh one's byte for byte, the meta differs in
-/// its version byte (3: WAH bitmaps), and the catalog not at all.
-#[test]
-fn v3_fixture_is_pinned() {
-    assert_eq!(manifest(3), include_str!("../golden/v3_dataset.txt"));
-    let v3 = fixture(3);
-    agrees_with_a_fresh_build(&v3, 3, |bin| {
-        units(
-            &whole(&v3, &mloc::fileorg::bin_file(DS, VAR, bin)),
-            OLD_FRONT,
-        )
-        .to_vec()
-    });
-}
-
-/// The v4 fixture is pinned too (77,749 bytes in 10 files). It was
-/// written once, at the commit before format v5 (`70401a5`), by that
-/// commit's release CLI upgrading the v3 fixture — which that commit
-/// checked to be byte for byte a fresh v4 build of the same field:
-///
-/// ```text
-/// mloc upgrade --dir tests/golden/v3_dataset --name fmt --out <out>
-/// ```
-///
-/// It differs from a fresh build in its fixed blocks alone: each bin
-/// file's unit section is the fresh one's byte for byte, the meta
-/// differs in its version byte (4: a chunk directory in every header),
-/// and the catalog not at all.
-#[test]
-fn v4_fixture_is_pinned() {
-    assert_eq!(manifest(4), include_str!("../golden/v4_dataset.txt"));
-    let v4 = fixture(4);
-    agrees_with_a_fresh_build(&v4, 4, |bin| {
-        units(
-            &whole(&v4, &mloc::fileorg::bin_file(DS, VAR, bin)),
-            OLD_FRONT,
-        )
-        .to_vec()
-    });
-}
-
-/// The v5 fixture is pinned too (65,461 bytes in 10 files). It was
-/// written once, at the commit before format v6 (`1f2704c`), by that
-/// commit's release CLI upgrading the v4 fixture — which that commit
-/// checked to be byte for byte a fresh v5 build of the same field:
-///
-/// ```text
-/// mloc upgrade --dir tests/golden/v4_dataset --name fmt --out <out>
-/// ```
-///
-/// It differs from a fresh build in its fixed blocks alone: each bin
-/// file's unit section is the fresh one's byte for byte, the meta
-/// differs in its version byte (5: the summaries in every bin file) and
-/// in holding no summaries, and the catalog not at all.
-#[test]
-fn v5_fixture_is_pinned() {
-    assert_eq!(manifest(5), include_str!("../golden/v5_dataset.txt"));
-    let v5 = fixture(5);
-    agrees_with_a_fresh_build(&v5, 5, |bin| {
-        units(&whole(&v5, &mloc::fileorg::bin_file(DS, VAR, bin)), FRONT).to_vec()
-    });
 }
 
 /// A tail-footered file's payload.
@@ -257,53 +161,6 @@ fn payload(be: &dyn StorageBackend, f: &str) -> Vec<u8> {
     mloc::ExtentFooter::split_verified(&raw, f)
         .unwrap()
         .to_vec()
-}
-
-/// Where the tables of an old one-file bin of the fixtures' geometry
-/// (16 chunks, 7 parts) begin: after a v3/v4 header with its directory
-/// (100-byte entries) and 9-byte summary records, and after a v5
-/// header and 13-byte records; each summary extent ends in the two
-/// tables' sizes.
-const OLD_FRONT: usize = 14 + 16 * 100 + 8 + 16 * 9 + 8;
-const FRONT: usize = 14 + 8 + 16 * 13 + 8;
-
-/// The bytes of the meta's summary sections: 8 bins of 16 chunks.
-const SECTIONS: usize = 8 * (8 + 16 * 13);
-
-/// The unit section of `raw`, a whole old one-file bin whose tables
-/// begin at `front`: the data table's extents, which end at the end
-/// marker.
-fn units(raw: &[u8], front: usize) -> &[u8] {
-    let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
-    let (n_index, n_data) = (word(front - 8), word(front - 4));
-    let data_at = front + 8 * n_index + 4;
-    let total: usize = (0..n_data).map(|i| word(data_at + 8 * i)).sum();
-    let end = raw.len() - 12;
-    &raw[end - total..end]
-}
-
-/// `old`, a fixture of meta version `version`, has a fresh build's
-/// catalog, its meta but for the version byte and the summary sections
-/// that end it, and — `old_units(bin)` — each bin's unit section.
-fn agrees_with_a_fresh_build(
-    old: &dyn StorageBackend,
-    version: u8,
-    old_units: impl Fn(usize) -> Vec<u8>,
-) {
-    let (fresh, _) = fresh();
-    assert_eq!(whole(old, "fmt/catalog"), whole(&fresh, "fmt/catalog"));
-    let mut meta = payload(&fresh, "fmt/v/meta");
-    assert_eq!(meta[4], 6);
-    meta[4] = version;
-    meta.truncate(meta.len() - SECTIONS);
-    assert_eq!(payload(old, "fmt/v/meta"), meta);
-    let store = MlocStore::open(&fresh, DS, VAR).unwrap();
-    for bin in 0..8 {
-        let raw = whole(&fresh, &mloc::fileorg::bin_file(DS, VAR, bin));
-        let data = store.parse_fixed(bin, &raw).unwrap().data.unwrap();
-        let units = &raw[data.extent(0).0 as usize..raw.len() - 12];
-        assert_eq!(units, &old_units(bin)[..], "bin {bin}");
-    }
 }
 
 const BANDED_SIDE: usize = 256;
@@ -384,12 +241,13 @@ fn bitwise_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
-/// Every fixture upgrades — read-only off its directory, and from an
+/// The v6 fixture upgrades — read-only off its directory, and from an
 /// in-memory copy — to a fresh build's files byte for byte (catalog,
-/// meta, 8 bin files), and the upgraded stores answer the workload
+/// meta, 8 bin files), and the upgraded store answers the workload
 /// identically to it in every execution mode: serial, replay and
 /// threaded at 4 and 8 ranks (which also trace the same reads), cached
-/// cold and warm, and fused.
+/// cold and warm, and fused. (The name is from when the fixtures were
+/// formats v1 and v2.)
 #[test]
 fn v1_and_v2_reads_are_byte_identical_in_every_mode() {
     let (sources, values) = Sources::new();
@@ -565,10 +423,9 @@ fn summaries_skip_and_directories_probe_inside_queries() {
     assert_eq!(p.counter_total("index.summary_hits"), 50);
     assert_eq!(p.counter_total("index.rank_calls"), 10_965);
 
-    // The same kinds of pass over the fixtures' field: every store
+    // The same kinds of pass over the fixture's field: every store
     // consults summaries (no chunk of this field is full, so none is
-    // skipped) — the upgraded v1 fixture too, whose summaries the
-    // upgrade derived.
+    // skipped) — the upgraded v6 fixture too.
     let (sources, values) = Sources::new();
     let n = values.len() as u64;
     for (tag, be) in sources.all() {

@@ -255,7 +255,10 @@ proptest! {
 /// format v6: 78,034, each bin's summary extent — now in the meta — its
 /// table entry and the two table sizes gone, 856 bytes fewer a bin; the
 /// region holds whole chunks, so the planner culls only units with no
-/// points, which read nothing before either.)
+/// points, which read nothing before either. And format v7: 65,955,
+/// each unit part its payload alone — every part of the noisy low
+/// byte groups is its raw bytes, so a pull reads exactly one byte a
+/// point, 16,384, where each part's stream framing made it 19,786.)
 #[test]
 fn ladder_bytes_on_a_fixed_store_are_pinned() {
     const SIDE: usize = 256;
@@ -276,7 +279,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
     let bytes_per_step: Vec<u64> = pq.steps().iter().map(|s| s.bytes_read).collect();
     assert_eq!(
         bytes_per_step,
-        [78_034, 19_786, 19_786, 19_786, 19_786, 19_786, 19_786]
+        [65_955, 16_384, 16_384, 16_384, 16_384, 16_384, 16_384]
     );
     // Early exit: a 1e-6 worst-case relative bound takes three steps.
     let steps_to_eps = 1 + pq
@@ -285,20 +288,20 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
         .position(|s| s.error_bound <= 1e-6)
         .unwrap();
     assert_eq!(steps_to_eps, 3);
-    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 117_606);
+    assert_eq!(bytes_per_step[..steps_to_eps].iter().sum::<u64>(), 98_723);
     // What each step costs on the simulated PFS, and the cumulative
     // figures: a pull is priced like a one-rank run, so the ladder's
     // per-rank vector carries every step it took.
     let io_bits: Vec<u64> = pq.steps().iter().map(|s| s.io_s.to_bits()).collect();
-    let pull = 0x3fc3_76e5_ac33_6bda;
+    let pull = 0x3fc3_7686_8bbc_7de8;
     assert_eq!(
         io_bits,
-        [0x3fd1_efc8_1d48_f474, pull, pull, pull, pull, pull, pull]
+        [0x3fd1_ef1f_3cdc_2960, pull, pull, pull, pull, pull, pull]
     );
     let m = pq.metrics();
     assert_eq!(
         (m.nranks, m.seeks, m.index_bytes, m.data_bytes),
-        (1, 128, 13_890, 182_860)
+        (1, 128, 13_890, 150_369)
     );
     assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
     assert_eq!(m.per_rank_io.iter().sum::<f64>(), m.io_s);
@@ -321,7 +324,7 @@ fn ladder_bytes_on_a_fixed_store_are_pinned() {
             above += s.bytes_read;
         }
     }
-    assert_eq!((below, above), (0, 59_358));
+    assert_eq!((below, above), (0, 49_152));
 
     // The profile's `progressive.*` counters are the step log.
     let exec = ParallelExecutor::serial().profiled(true);
