@@ -116,7 +116,7 @@ impl WahBitmap {
 
     /// Deserialize [`Self::to_bytes`] output, refusing words that cover
     /// fewer bits than the declared length or a whole group more
-    /// ([`check_cover`]): two bitmaps it accepts with one length walk
+    /// (`check_cover`): two bitmaps it accepts with one length walk
     /// the same groups, so the logical ops never see them diverge.
     ///
     /// Returns the bitmap and the number of bytes consumed.

@@ -48,7 +48,7 @@ fn known_flags(command: &str) -> Option<impl Iterator<Item = &'static str>> {
 }
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding argv[0]). A flag
+    /// Parse from an iterator of arguments (excluding `argv[0]`). A flag
     /// the selected command never reads is an error here, before the
     /// command runs — a typo must not silently change what it does.
     /// (An unknown command is reported by `dispatch`, with the usage.)

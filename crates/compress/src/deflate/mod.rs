@@ -7,14 +7,14 @@
 //! framing is our own, and it is none: a payload is the blocks alone.
 //!
 //! A payload encodes a known number of raw bytes (a bin file derives it
-//! from the unit's count), cut into [`BLOCK_SIZE`] blocks, the last one
+//! from the unit's count), cut into `BLOCK_SIZE` blocks, the last one
 //! possibly shorter. Each block is a kind byte and its body:
 //!
 //! * `0` stored — the block's bytes;
 //! * `1` fixed — the coded symbols up to the end-of-block code, padded
 //!   to a byte;
 //! * `2` dynamic — the two code-length tables as nibbles
-//!   ([`TABLE_BYTES`]), then the coded symbols as for `1`.
+//!   (`TABLE_BYTES`), then the coded symbols as for `1`.
 //!
 //! The encoder keeps the smallest kind of each block, and the raw
 //! bytes themselves when the blocks would not be shorter (the raw rule

@@ -24,9 +24,9 @@ use crate::{read_varint, write_varint, CodecError, FloatCodec};
 use bspline::BSpline;
 
 const MAGIC: u32 = 0x4153_494D; // "MISA"
-/// Default window length.
+/// Window length (values per independently coded window).
 const WINDOW: usize = 1024;
-/// Default number of spline coefficients per window.
+/// Spline coefficients per window.
 const COEFFS: usize = 32;
 
 /// The ISABELA-style lossy codec.
@@ -34,34 +34,17 @@ const COEFFS: usize = 32;
 pub struct Isabela {
     /// Point-wise relative error bound.
     pub error_bound: f64,
-    /// Window length (values per independently coded window).
-    pub window: usize,
-    /// Spline coefficients per window.
-    pub coeffs: usize,
 }
 
 impl Isabela {
-    /// Codec with the given relative error bound and default window
-    /// geometry (1024-value windows, 32 coefficients).
+    /// Codec with the given relative error bound (1024-value windows,
+    /// 32 coefficients each).
     pub fn new(error_bound: f64) -> Self {
         assert!(
             error_bound.is_finite() && error_bound > 0.0,
             "error bound must be positive"
         );
-        Isabela {
-            error_bound,
-            window: WINDOW,
-            coeffs: COEFFS,
-        }
-    }
-
-    /// Override the window geometry.
-    pub fn with_geometry(mut self, window: usize, coeffs: usize) -> Self {
-        assert!(window >= coeffs && coeffs >= 4);
-        assert!(window <= u16::MAX as usize + 1);
-        self.window = window;
-        self.coeffs = coeffs;
-        self
+        Isabela { error_bound }
     }
 }
 
@@ -169,10 +152,10 @@ impl Isabela {
         let mut out = Vec::with_capacity(input.len() * 2 + 64);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.window as u32).to_le_bytes());
+        out.extend_from_slice(&(WINDOW as u32).to_le_bytes());
         out.extend_from_slice(&self.error_bound.to_le_bytes());
 
-        for win in input.chunks(self.window) {
+        for win in input.chunks(WINDOW) {
             self.compress_window(win, &mut out);
         }
         out
@@ -207,7 +190,7 @@ impl Isabela {
         let n = win.len();
         // Windows too small to fit, or containing non-finite values,
         // are stored raw (flag 0).
-        if n < self.coeffs.max(4) || win.iter().any(|v| !v.is_finite()) {
+        if n < COEFFS || win.iter().any(|v| !v.is_finite()) {
             out.push(0);
             for v in win {
                 out.extend_from_slice(&v.to_le_bytes());
@@ -220,7 +203,7 @@ impl Isabela {
         perm.sort_by(|&a, &b| win[a as usize].partial_cmp(&win[b as usize]).unwrap());
         let sorted: Vec<f64> = perm.iter().map(|&i| win[i as usize]).collect();
 
-        let spline = BSpline::fit(&sorted, self.coeffs);
+        let spline = BSpline::fit(&sorted, COEFFS);
         let approx = spline.eval_all();
 
         // Per-window absolute noise floor below which "relative" error
@@ -251,7 +234,7 @@ impl Isabela {
 
         out.push(1);
         out.extend_from_slice(&(n as u16).to_le_bytes());
-        out.extend_from_slice(&(self.coeffs as u16).to_le_bytes());
+        out.extend_from_slice(&(COEFFS as u16).to_le_bytes());
         out.extend_from_slice(&floor.to_le_bytes());
         for c in spline.coeffs() {
             out.extend_from_slice(&c.to_le_bytes());

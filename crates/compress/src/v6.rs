@@ -14,7 +14,7 @@
 //!   (0) or as an `MDF1` stream (1).
 //!
 //! The Huffman blocks decode through the v7 decoder's
-//! [`inflate_block`], so both formats share one symbol loop.
+//! `inflate_block`, so both formats share one symbol loop.
 
 use crate::deflate::{inflate_block, take, BLOCK_SIZE, TABLE_BYTES};
 use crate::CodecError;

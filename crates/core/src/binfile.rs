@@ -48,7 +48,7 @@
 //! stored that the meta or the geometry gives. A file whose tables are
 //! not the sizes its summaries give fails the tables' own checksums.
 //! Without the summaries — `verify` of a variable whose meta is lost —
-//! the tables are found by those checksums alone ([`Tables::find`]).
+//! the tables are found by those checksums alone (`Tables::find`).
 //!
 //! A unit part is its codec's payload alone ([`mloc_compress::Codec`]):
 //! its raw length is the chunk's count times the part's width, so a

@@ -33,7 +33,7 @@
 //! 3. **write** — one `create`, `append` and `sync` per bin file, one
 //!    worker per bin (bins are separate files, so writes never
 //!    interleave), then the meta, the commit record
-//!    ([`write_variable`], which `mloc upgrade` commits through too).
+//!    (`write_variable`, which `mloc upgrade` commits through too).
 //!
 //! Output is *byte-identical for any thread count*: encoding is a pure
 //! function of a chunk's values, encoded chunks are merged back in
@@ -52,7 +52,7 @@ use crate::{plod, MlocError, Result};
 use mloc_bitmap::RunList;
 use mloc_compress::{Codec, FloatCodec};
 use mloc_hilbert::GridOrder;
-use mloc_obs::{Label, Profile, Registry};
+use mloc_obs::{Histogram, Label, Profile};
 use mloc_pfs::StorageBackend;
 use mloc_runtime::parallel_map;
 use std::time::Instant;
@@ -91,7 +91,7 @@ pub struct BuildReport {
     pub per_bin_points: Vec<u64>,
     /// Span/counter/histogram profile of the build: the stage times as
     /// a `build` span tree plus a per-codec compression-ratio histogram
-    /// observed per storage unit (from the encode workers).
+    /// observed per storage unit, in the order chunks were filed.
     pub profile: Profile,
 }
 
@@ -125,23 +125,19 @@ struct EncodedUnit {
 }
 
 /// Everything a chunk's encoding depends on: the bin bounds, the codecs
-/// and whether units are stored as PLoD byte columns, plus the registry
-/// the encode workers observe compression ratios into. Shared by
+/// and whether units are stored as PLoD byte columns. Shared by
 /// reference across the worker pool.
 struct Encoder {
     spec: BinSpec,
     plod: bool,
     byte_codec: Box<dyn Codec>,
     float_codec: Box<dyn FloatCodec>,
-    codec_name: &'static str,
-    obs: Registry,
 }
 
 impl Encoder {
     /// Encode one chunk: partition its points by bin, encode each bin's
     /// positional bitmap as a run list, and compress each unit (PLoD
-    /// byte columns or the whole-value stream). Pure but for `obs`,
-    /// which only accumulates commutative statistics — identical input
+    /// byte columns or the whole-value stream). Pure — identical input
     /// produces identical bytes, which is what makes the parallel
     /// fan-out deterministic.
     fn chunk(&self, values: &[f64]) -> Vec<EncodedUnit> {
@@ -191,17 +187,6 @@ impl Encoder {
                     .collect(),
                 None => vec![self.float_codec.encode_f64(&sorted[span])],
             };
-            // One ratio observation per storage unit, recorded from
-            // whichever worker encoded it. Bucket counts, min and max are
-            // order-independent, so they match under any thread count; the
-            // float `sum` may differ in its last bits with arrival order.
-            let raw = (bin_locals.len() * 8) as f64;
-            let compressed: usize = parts.iter().map(Vec::len).sum();
-            self.obs.observe(
-                "compress.ratio",
-                Label::Name(self.codec_name),
-                compressed as f64 / raw,
-            );
             units.push(EncodedUnit {
                 bin,
                 count: bin_locals.len() as u64,
@@ -226,6 +211,8 @@ pub struct StreamingBuilder<'a> {
     per_bin_points: Vec<u64>,
     pushed: Vec<bool>,
     pushed_count: usize,
+    /// Compressed / raw bytes of every filed unit, in filing order.
+    ratios: Histogram,
     encode_seconds: f64,
     start: Instant,
 }
@@ -256,8 +243,6 @@ impl<'a> StreamingBuilder<'a> {
             plod: config.plod,
             byte_codec: config.codec.byte_codec(),
             float_codec: config.codec.float_codec(),
-            codec_name: config.codec.name(),
-            obs: Registry::default(),
         };
         Ok(StreamingBuilder {
             backend,
@@ -267,6 +252,7 @@ impl<'a> StreamingBuilder<'a> {
             per_bin_points: vec![0u64; config.num_bins],
             pushed: vec![false; grid.num_chunks()],
             pushed_count: 0,
+            ratios: Histogram::new(),
             encode_seconds: 0.0,
             start: Instant::now(),
             config: config.clone(),
@@ -309,14 +295,17 @@ impl<'a> StreamingBuilder<'a> {
         Ok(())
     }
 
-    /// File an encoded chunk under its curve rank. Callers must have
-    /// validated the push first.
+    /// File an encoded chunk under its curve rank, observing each unit's
+    /// compression ratio. Callers must have validated the push first.
     fn ingest(&mut self, chunk_id: usize, units: Vec<EncodedUnit>) {
         debug_assert!(!self.pushed[chunk_id]);
         self.pushed[chunk_id] = true;
         self.pushed_count += 1;
         let rank = self.order.rank_of(chunk_id);
         for u in units {
+            let compressed: usize = u.parts.iter().map(Vec::len).sum();
+            let raw = u.count * 8;
+            self.ratios.observe(compressed as f64 / raw as f64);
             self.per_bin_points[u.bin] += u.count;
             self.pending[u.bin].push(PendingUnit {
                 rank,
@@ -423,10 +412,12 @@ impl<'a> StreamingBuilder<'a> {
         let write_seconds = t_write.elapsed().as_secs_f64();
 
         let build_seconds = self.start.elapsed().as_secs_f64();
-        // The registry holds the encode workers' per-unit histogram
-        // observations; the stage spans mirror the report's wall-clock
-        // fields exactly so the two views always reconcile.
-        let mut profile = self.enc.obs.finish();
+        // The stage spans mirror the report's wall-clock fields exactly
+        // so the two views always reconcile.
+        let mut profile = Profile::default();
+        profile
+            .histogram_mut("compress.ratio", Label::Name(self.config.codec.name()))
+            .merge(&self.ratios);
         profile.record_path(&["build"], build_seconds);
         profile.record_path(&["build", "encode"], self.encode_seconds);
         profile.record_path(&["build", "layout"], layout_seconds);
@@ -520,11 +511,13 @@ pub fn build_variable(
 ) -> Result<BuildReport> {
     config.validate()?;
     let grid = ChunkGrid::new(config.shape.clone(), config.chunk_shape.clone());
-    assert_eq!(
-        values.len(),
-        grid.num_points(),
-        "value count does not match the configured shape"
-    );
+    if values.len() != grid.num_points() {
+        return Err(MlocError::Invalid(format!(
+            "expected {} values for the configured shape, got {}",
+            grid.num_points(),
+            values.len()
+        )));
+    }
 
     // Bin bounds from a strided sample (paper §IV-A).
     let stride = (values.len() / BIN_SAMPLE).max(1);
@@ -633,28 +626,36 @@ mod tests {
 
     #[test]
     fn parallel_build_profiles_share_histograms() {
-        // Bucket counts, observation count, min and max are
-        // order-independent, so they match no matter how many encode
-        // workers ran (only the float `sum` may drift in its last bits
-        // with the workers' arrival order).
+        // Units are observed on the builder's thread in filing order, so
+        // the ratio histogram — bucket counts, count, min, max and the
+        // float `sum` — is the same for every thread count, through the
+        // one-shot build and through batched pushes alike.
         let values = toy_values(1024);
-        let mut c1 = toy_config();
-        c1.build_threads = 1;
-        let mut c8 = toy_config();
-        c8.build_threads = 8;
-        let be1 = MemBackend::new();
-        let be8 = MemBackend::new();
-        let r1 = build_variable(&be1, "ds", "t", &values, &c1).unwrap();
-        let r8 = build_variable(&be8, "ds", "t", &values, &c8).unwrap();
-        assert_eq!(r1.profile.histograms.len(), r8.profile.histograms.len());
-        for (h1, h8) in r1.profile.histograms.iter().zip(&r8.profile.histograms) {
-            assert_eq!((h1.name, h1.label), (h8.name, h8.label));
-            assert_eq!(h1.histogram.buckets(), h8.histogram.buckets());
-            assert_eq!(h1.histogram.count(), h8.histogram.count());
-            assert_eq!(h1.histogram.min(), h8.histogram.min());
-            assert_eq!(h1.histogram.max(), h8.histogram.max());
+        let grid = ChunkGrid::new(toy_config().shape, toy_config().chunk_shape);
+        let label = Label::Name(toy_config().codec.name());
+        let mut ratios = Vec::new();
+        for threads in [1, 2, 8] {
+            let mut config = toy_config();
+            config.build_threads = threads;
+            let be = MemBackend::new();
+            let one_shot = build_variable(&be, "ds", "t", &values, &config).unwrap();
+            let be = MemBackend::new();
+            let mut b = StreamingBuilder::new(&be, "ds", "t", &config, &values).unwrap();
+            let batch = (0..grid.num_chunks())
+                .map(|c| (c, chunk_values(&values, &grid, c)))
+                .collect();
+            b.push_chunks(batch).unwrap();
+            let pushed = b.finish().unwrap();
+            for report in [one_shot, pushed] {
+                let hist = report.profile.histogram("compress.ratio", label).unwrap();
+                ratios.push(hist.clone());
+            }
         }
-        assert_eq!(r1.profile.structure(), r8.profile.structure());
+        assert!(ratios[0].count() > 0);
+        for (i, h) in ratios.iter().enumerate() {
+            assert_eq!(h, &ratios[0], "run {i} differs");
+            assert_eq!(h.sum().to_bits(), ratios[0].sum().to_bits(), "run {i}");
+        }
     }
 
     #[test]
@@ -702,10 +703,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn wrong_value_count_panics() {
+    fn wrong_value_count_is_refused() {
         let be = MemBackend::new();
-        let _ = build_variable(&be, "ds", "t", &toy_values(100), &toy_config());
+        let err = build_variable(&be, "ds", "t", &toy_values(100), &toy_config()).unwrap_err();
+        assert!(matches!(err, MlocError::Invalid(_)), "got {err}");
+        assert!(
+            be.list().is_empty(),
+            "a refused build wrote {:?}",
+            be.list()
+        );
     }
 
     // ---- streaming (in-situ) builder ----

@@ -175,6 +175,13 @@ impl MlocConfig {
                 "PLoD byte columns require a byte-exact codec".into(),
             ));
         }
+        if let CodecKind::Isabela { error_bound } = self.codec {
+            if !(error_bound.is_finite() && error_bound > 0.0) {
+                return Err(MlocError::Invalid(format!(
+                    "ISABELA error bound must be finite and positive, got {error_bound}"
+                )));
+            }
+        }
         if self.subset_levels > 16 {
             return Err(MlocError::Invalid(
                 "more than 16 resolution levels is never useful".into(),
@@ -436,6 +443,30 @@ mod tests {
             .codec(CodecKind::Isabela { error_bound: 0.01 })
             .plod(true)
             .build();
+    }
+
+    #[test]
+    fn isabela_bound_must_be_finite_and_positive() {
+        for bound in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let built = MlocConfig::builder(vec![16, 16])
+                .chunk_shape(vec![8, 8])
+                .num_bins(4)
+                .codec(CodecKind::Isabela { error_bound: bound })
+                .plod(false)
+                .try_build();
+            assert!(matches!(built, Err(MlocError::Invalid(_))), "{bound}");
+        }
+        // A catalog whose stored bound reads 0.0 is refused on parse.
+        let config = MlocConfig::builder(vec![16, 16])
+            .chunk_shape(vec![8, 8])
+            .codec(CodecKind::Isabela { error_bound: 0.001 })
+            .build();
+        let mut catalog = crate::dataset::catalog_header(&config);
+        let bound = 0.001f64.to_le_bytes();
+        let at = catalog.windows(8).position(|w| w == bound).unwrap();
+        catalog[at..at + 8].copy_from_slice(&0.0f64.to_le_bytes());
+        let parsed = crate::dataset::parse_catalog(&catalog);
+        assert!(matches!(parsed, Err(MlocError::Invalid(_))));
     }
 
     #[test]

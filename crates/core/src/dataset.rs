@@ -12,11 +12,8 @@
 //!   (`var@t` naming), matching the paper's practice of aggregating
 //!   time steps into the spatial grid when needed.
 
-use crate::array::Region;
 use crate::build::{build_variable, BuildReport, StreamingBuilder};
-use crate::config::{MlocConfig, PlodLevel};
-use crate::exec::ParallelExecutor;
-use crate::query::multivar::{select_then_fetch, MultiVarResult};
+use crate::config::MlocConfig;
 use crate::store::MlocStore;
 use crate::wire::{Reader, Writer};
 use crate::{fileorg, MlocError, Result};
@@ -238,23 +235,6 @@ impl<'a> Dataset<'a> {
     /// Open a variable at a time step.
     pub fn store_at(&self, var: &str, step: u32) -> Result<MlocStore<'a>> {
         self.store(&Self::timestep_name(var, step))
-    }
-
-    /// Cross-variable query: select positions on `selector_var` with a
-    /// value constraint (optionally inside a region) and fetch
-    /// `fetch_var`'s values there (paper §III-D.4).
-    pub fn select_then_fetch(
-        &self,
-        selector_var: &str,
-        fetch_var: &str,
-        vc: (f64, f64),
-        sc: Option<Region>,
-        plod: PlodLevel,
-        exec: &ParallelExecutor,
-    ) -> Result<MultiVarResult> {
-        let selector = self.store(selector_var)?;
-        let fetch = self.store(fetch_var)?;
-        select_then_fetch(&selector, &fetch, vc, sc, plod, exec)
     }
 
     /// Total stored bytes across the dataset's files, plus the number
@@ -534,6 +514,9 @@ mod tests {
         assert!(Dataset::create(&be, "sim", config()).is_err());
         assert!(ds.add_variable("bad name", &values(1)).is_err());
         assert!(ds.add_variable("", &values(1)).is_err());
+        let short = ds.add_variable("short", &values(1)[..10]);
+        assert!(matches!(short, Err(MlocError::Invalid(_))));
+        assert!(!ds.has_variable("short"));
     }
 
     #[test]
@@ -548,41 +531,6 @@ mod tests {
         let res = store.query_serial(&Query::region(0.0, 100.0)).unwrap();
         let want = values(2).iter().filter(|&&v| v < 100.0).count();
         assert_eq!(res.len(), want);
-    }
-
-    #[test]
-    fn cross_variable_query_through_dataset() {
-        let be = MemBackend::new();
-        let ds = Dataset::create(&be, "sim", config()).unwrap();
-        let temp = values(5);
-        let humid = values(9);
-        ds.add_variable("temp", &temp).unwrap();
-        ds.add_variable("humid", &humid).unwrap();
-        let out = ds
-            .select_then_fetch(
-                "temp",
-                "humid",
-                (600.0, f64::MAX),
-                None,
-                PlodLevel::FULL,
-                &ParallelExecutor::serial(),
-            )
-            .unwrap();
-        let want: Vec<(u64, f64)> = temp
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t >= 600.0)
-            .map(|(i, _)| (i as u64, humid[i]))
-            .collect();
-        assert!(!want.is_empty());
-        assert_eq!(
-            out.result.positions(),
-            want.iter().map(|&(p, _)| p).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            out.result.values().unwrap(),
-            want.iter().map(|&(_, v)| v).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   in two files — see [`fileorg`] for why this does not). Region
 //!   queries with value constraints read only the relevant bins, and
 //!   *aligned* bins are answered from the index alone.
-//! * **S — spatial chunking** ([`array`], `mloc-hilbert`): the domain
+//! * **S — spatial chunking** ([`mod@array`], `mloc-hilbert`): the domain
 //!   is chunked and chunks are laid out in Hilbert order, so spatially
 //!   constrained queries read contiguous extents.
 //! * **M — multi-resolution** ([`plod`]): each double is split into 7

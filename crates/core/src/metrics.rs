@@ -1,6 +1,6 @@
 //! Query performance metrics, decomposed as in the paper's Fig. 6:
 //! I/O (simulated PFS time), decompression, and reconstruction
-//! (filtering + assembling results). [`Meter::price`] is the one place
+//! (filtering + assembling results). `Meter::price` is the one place
 //! a query's cost is computed — for an executor run and for a
 //! progressive refinement pull alike.
 
@@ -62,9 +62,6 @@ pub struct QueryMetrics {
     pub retries: u64,
     /// Simulated backoff seconds (max over ranks, like `io_s`).
     pub retry_wait_s: f64,
-    /// Reads abandoned because the per-query retry backoff budget ran
-    /// out, across all ranks.
-    pub retries_exhausted: u64,
     /// Reads masked by falling through to a replica shard (0 without
     /// replication).
     pub read_repairs: u64,
@@ -109,7 +106,6 @@ impl QueryMetrics {
         self.fused_bytes_saved += other.fused_bytes_saved;
         self.retries += other.retries;
         self.retry_wait_s += other.retry_wait_s;
-        self.retries_exhausted += other.retries_exhausted;
         self.read_repairs += other.read_repairs;
         self.degraded_units += other.degraded_units;
         self.degradation.merge(&other.degradation);
@@ -143,7 +139,6 @@ impl QueryMetrics {
         self.fused_bytes_saved = avg(self.fused_bytes_saved);
         self.retries = avg(self.retries);
         self.retry_wait_s /= q;
-        self.retries_exhausted = avg(self.retries_exhausted);
         self.read_repairs = avg(self.read_repairs);
         self.degraded_units = avg(self.degraded_units);
         for v in self
@@ -231,7 +226,6 @@ impl<'b> Meter<'b> {
             m.fused_bytes_saved += f.fused_bytes;
             m.retries += f.retries;
             m.retry_wait_s = m.retry_wait_s.max(f.retry_wait_s);
-            m.retries_exhausted += f.retries_exhausted;
             m.degraded_units += out.degradation.events.len() as u64;
             m.degradation.merge(&out.degradation);
         }
@@ -279,7 +273,6 @@ impl<'b> Meter<'b> {
         }
         for (name, value) in [
             ("pfs.retries", m.retries),
-            ("io.retries_exhausted", m.retries_exhausted),
             ("io.read_repair", m.read_repairs),
             ("degraded.units", m.degraded_units),
         ] {

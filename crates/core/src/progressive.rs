@@ -41,7 +41,7 @@
 //!
 //! Degradation composes: a damaged non-base extent discovered during a
 //! refinement pull caps that unit's ladder through the usual
-//! [`DegradationReport`] path instead of failing the query, and the
+//! [`crate::DegradationReport`] path instead of failing the query, and the
 //! per-step error bound accounts for every capped unit.
 
 use crate::cache::CachedBlock;

@@ -55,8 +55,6 @@ pub struct FetchReport {
     pub retries: u64,
     /// Simulated backoff seconds accumulated by those retries.
     pub retry_wait_s: f64,
-    /// Reads abandoned because the retry backoff budget ran out.
-    pub retries_exhausted: u64,
     /// Every logical read in issue order; the PFS simulator prices it.
     pub trace: Vec<ReadOp>,
     /// Request counts of the submitted read batches, in order.
@@ -467,7 +465,6 @@ impl<'s, 'a> Fetcher<'s, 'a> {
         let mut r = self.report;
         r.retries = self.io.retries();
         r.retry_wait_s = self.io.retry_wait_s();
-        r.retries_exhausted = self.io.retries_exhausted();
         r.batch_depths = self.io.batch_depths().to_vec();
         r.trace = self.io.into_trace();
         r
@@ -1134,7 +1131,7 @@ mod tests {
             out,
             "index_bytes={} data_bytes={} cache_hits={} cache_misses={} bytes_saved={} \
              cache_rejected={} fused_reads={} fused_bytes={} retries={} retry_wait_s={} \
-             retries_exhausted={} batch_depths={:?}",
+             batch_depths={:?}",
             r.index_bytes,
             r.data_bytes,
             r.cache_hits,
@@ -1145,7 +1142,6 @@ mod tests {
             r.fused_bytes,
             r.retries,
             r.retry_wait_s,
-            r.retries_exhausted,
             r.batch_depths,
         )
         .unwrap();

@@ -1,7 +1,7 @@
 //! Per-rank query execution, one module per stage of the paper's
-//! Fig. 5 pipeline: [`fetch`] reads index and data extents (through
-//! the block cache and extent fuser), [`decode`] decompresses them,
-//! [`reconstruct`] filters and maps them to global positions. This
+//! Fig. 5 pipeline: `fetch` reads index and data extents (through
+//! the block cache and extent fuser), `decode` decompresses them,
+//! `reconstruct` filters and maps them to global positions. This
 //! module drives a rank's work units through the three, bin by bin.
 //!
 //! The hot path is zero-copy (see `DESIGN.md`, "hot-path memory

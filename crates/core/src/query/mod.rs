@@ -8,7 +8,7 @@
 //! * combined constraints → [`Query::new`] with both set;
 //! * **multi-variable** queries → [`multivar::select_then_fetch`];
 //! * **multi-resolution** access → [`Query::with_plod`] (precision
-//!   based) and [`multires::subset_chunks`] (subset based).
+//!   based) and [`multires::subset_value_query`] (subset based).
 
 pub mod engine;
 pub mod multires;

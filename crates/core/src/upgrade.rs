@@ -28,7 +28,7 @@
 //!    as a v7 build stores it; one that is not is decoded and stored as
 //!    the values it decodes to, the raw form v7 gives it;
 //! 3. the files are committed through the build's own write stage
-//!    ([`write_variable`]: bin files synced, then the meta), then the
+//!    (`write_variable`: bin files synced, then the meta), then the
 //!    variable is registered in the catalog.
 //!
 //! So the new store's crash states are a build's, which `fsck` and

@@ -2,7 +2,7 @@
 //!
 //! Paper §III-B.3: the subset-based multi-resolution approach stores
 //! data "in the same resolution level together" using a hierarchical
-//! Hilbert mapping (similar to Pascucci's hierarchical Z-order [13]).
+//! Hilbert mapping (similar to Pascucci's hierarchical Z-order \[13\]).
 //!
 //! A cell belongs to resolution level `l` (0 = coarsest) when `l` is the
 //! smallest level whose sub-lattice (stride `2^(L-l)` in every

@@ -1,8 +1,7 @@
-//! Recording: the single-owner [`Collector`] and thread-safe [`Registry`].
+//! Recording: the single-owner [`Collector`].
 
 use crate::histogram::Histogram;
 use crate::profile::{Label, Profile, Span};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A per-rank (or per-pipeline) recorder.
@@ -10,8 +9,7 @@ use std::time::Instant;
 /// A collector owns a stack of open spans plus flat counters and
 /// histograms. It is deliberately not `Sync`: each rank records into its
 /// own collector and the resulting [`Profile`]s are merged at gather,
-/// which keeps the hot path lock-free and the merge deterministic. For
-/// recording from worker threads, wrap one in a [`Registry`].
+/// which keeps the hot path lock-free and the merge deterministic.
 ///
 /// Every method checks `enabled` first; a disabled collector costs one
 /// branch per call — no clocks are read and nothing allocates — so
@@ -200,84 +198,6 @@ impl Collector {
     }
 }
 
-/// A thread-safe collector for code that records from worker threads
-/// (e.g. the parallel build encode stage). Only flat recording is
-/// exposed — hierarchical span stacks make no sense across threads —
-/// plus [`Registry::record`] for attributing pre-measured stage times.
-#[derive(Debug)]
-pub struct Registry {
-    inner: Mutex<Collector>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new(true)
-    }
-}
-
-impl Registry {
-    /// A registry that records (or not, when `enabled` is false).
-    pub fn new(enabled: bool) -> Registry {
-        Registry {
-            inner: Mutex::new(Collector::new(enabled)),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Collector> {
-        // A panicking recorder cannot corrupt counters; keep going.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add to an unlabeled counter.
-    pub fn count(&self, name: &'static str, delta: u64) {
-        self.lock().count(name, delta);
-    }
-
-    /// Add to a labeled counter.
-    pub fn count_labeled(&self, name: &'static str, label: Label, delta: u64) {
-        self.lock().count_labeled(name, label, delta);
-    }
-
-    /// Record one observation into a labeled histogram.
-    pub fn observe(&self, name: &'static str, label: Label, value: f64) {
-        self.lock().observe(name, label, value);
-    }
-
-    /// Record a pre-measured duration as a top-level span.
-    pub fn record(&self, name: &'static str, seconds: f64) {
-        self.lock().record(name, seconds);
-    }
-
-    /// Snapshot everything recorded so far into a [`Profile`].
-    pub fn snapshot(&self) -> Profile {
-        let collector = self.lock();
-        let mut proxy = Collector::new(collector.enabled);
-        proxy.nodes = collector
-            .nodes
-            .iter()
-            .map(|n| Node {
-                name: n.name,
-                seconds: n.seconds,
-                count: n.count,
-                children: n.children.clone(),
-            })
-            .collect();
-        proxy.roots = collector.roots.clone();
-        proxy.counters = collector.counters.clone();
-        proxy.histograms = collector.histograms.clone();
-        drop(collector);
-        proxy.finish()
-    }
-
-    /// Consume the registry into a [`Profile`].
-    pub fn finish(self) -> Profile {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,39 +265,5 @@ mod tests {
         let names: Vec<&str> = p.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["plan", "gather"]);
         assert_eq!(p.span(&["plan"]).unwrap().count, 2);
-    }
-
-    #[test]
-    fn registry_is_shareable_across_threads() {
-        let reg = Registry::default();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let reg = &reg;
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        reg.count("n", 1);
-                        reg.count_labeled("per", Label::Index(t), 2);
-                        reg.observe("h", Label::Name("x"), (i + 1) as f64);
-                    }
-                });
-            }
-        });
-        let mid = reg.snapshot();
-        assert_eq!(mid.counter("n", Label::None), 400);
-        reg.record("stage", 1.25);
-        let p = reg.finish();
-        assert_eq!(p.counter("n", Label::None), 400);
-        assert_eq!(p.counter_total("per"), 800);
-        assert_eq!(p.histogram("h", Label::Name("x")).unwrap().count(), 400);
-        assert_eq!(p.span(&["stage"]).unwrap().seconds, 1.25);
-    }
-
-    #[test]
-    fn disabled_registry_snapshot_is_empty() {
-        let reg = Registry::new(false);
-        reg.count("n", 1);
-        reg.record("s", 1.0);
-        assert!(reg.snapshot().is_empty());
-        assert!(reg.finish().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Zero-dependency observability for MLOC.
 //!
-//! Three layers, mirroring how MLOC executes work:
+//! Two layers, mirroring how MLOC executes work:
 //!
 //! * [`Collector`] — a single-owner recorder for one rank (or one build
 //!   pipeline). It holds a stack of open hierarchical timing spans plus
@@ -8,8 +8,6 @@
 //!   collector is disabled, so instrumentation stays compiled in and the
 //!   cost of "profiling off" is one branch per call — no `Instant::now()`,
 //!   no allocation.
-//! * [`Registry`] — a thread-safe wrapper around a collector for code
-//!   that records from worker threads (the parallel build pipeline).
 //! * [`Profile`] — an immutable snapshot: a span tree with per-rank
 //!   maxima, sorted counters, and sorted histograms. Per-rank profiles
 //!   are merged deterministically (rank order, children matched by name
@@ -25,6 +23,6 @@ mod collector;
 mod histogram;
 mod profile;
 
-pub use collector::{Collector, Registry};
+pub use collector::Collector;
 pub use histogram::{Histogram, NUM_BUCKETS};
 pub use profile::{json_string, Counter, HistogramEntry, Label, Profile, Span};

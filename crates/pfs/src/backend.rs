@@ -1,6 +1,6 @@
 //! The storage backend trait and the per-rank tracing I/O handle.
 
-use crate::retry::{op_token, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::PfsError;
 use std::sync::Arc;
 
@@ -216,7 +216,6 @@ pub struct RankIo<'a> {
     retry: RetryPolicy,
     retries: u64,
     retry_wait_s: f64,
-    retries_exhausted: u64,
     batch_depths: Vec<u64>,
 }
 
@@ -234,37 +233,8 @@ impl<'a> RankIo<'a> {
             retry: policy,
             retries: 0,
             retry_wait_s: 0.0,
-            retries_exhausted: 0,
             batch_depths: Vec::new(),
         }
-    }
-
-    /// Charge one still-failing request its next retry after `attempt`
-    /// attempts: the jittered backoff joins [`Self::retry_wait_s`], or,
-    /// when that wait would bust the per-query budget, the request
-    /// stops here with a typed error.
-    fn charge_retry(
-        &mut self,
-        file: &str,
-        offset: u64,
-        len: u64,
-        attempt: u32,
-    ) -> Result<(), PfsError> {
-        let wait = self
-            .retry
-            .backoff_s_for(attempt + 1, op_token(file, offset, len));
-        if self.retry.budget_exceeded(self.retry_wait_s, wait) {
-            self.retries_exhausted += 1;
-            return Err(PfsError::RetriesExhausted {
-                file: file.to_string(),
-                offset,
-                attempts: attempt,
-                waited_s: self.retry_wait_s,
-            });
-        }
-        self.retries += 1;
-        self.retry_wait_s += wait;
-        Ok(())
     }
 
     /// Read and record one extent. Transient backend errors are
@@ -313,8 +283,8 @@ impl<'a> RankIo<'a> {
     }
 
     /// The one retry loop: given a read's first result, re-read while
-    /// the error is transient and the policy and the per-query budget
-    /// allow, charging each retry through [`Self::charge_retry`].
+    /// the error is transient and the policy allows, charging each
+    /// retry's backoff to [`Self::retry_wait_s`].
     fn retry_read(
         &mut self,
         mut res: Result<Vec<u8>, PfsError>,
@@ -326,8 +296,9 @@ impl<'a> RankIo<'a> {
         loop {
             match res {
                 Err(e) if e.is_transient() && self.retry.should_retry(attempt) => {
-                    self.charge_retry(file, offset, len, attempt)?;
                     attempt += 1;
+                    self.retries += 1;
+                    self.retry_wait_s += self.retry.backoff_s(attempt);
                     res = self.backend.read(file, offset, len);
                 }
                 res => return res,
@@ -370,12 +341,6 @@ impl<'a> RankIo<'a> {
     /// Transient-error retries performed so far.
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Reads abandoned because the per-query retry budget ran out
-    /// (each surfaced a [`PfsError::RetriesExhausted`]).
-    pub fn retries_exhausted(&self) -> u64 {
-        self.retries_exhausted
     }
 
     /// Simulated backoff seconds accumulated by retries. Not part of
@@ -511,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_gives_up_like_sequential_when_retries_exhausted() {
+    fn batch_gives_up_like_sequential_when_attempts_run_out() {
         use crate::fault::{FaultBackend, FaultPlan};
         let be = MemBackend::new();
         be.append("f", &[1u8; 4096]).unwrap();
@@ -520,68 +485,6 @@ mod tests {
         let res = io.read_batch(&[ReadRequest::new("f", 0, 1024)]);
         assert!(res[0].as_ref().unwrap_err().is_transient());
         assert_eq!(io.retries(), 1, "attempt budget of 2 = one retry");
-    }
-
-    #[test]
-    fn jittered_batch_accounting_still_matches_sequential() {
-        use crate::fault::{FaultBackend, FaultPlan};
-        let be = MemBackend::new();
-        be.append("f", &[5u8; 8192]).unwrap();
-        let plan = FaultPlan::transient(11, 0.5, 2);
-        let policy = RetryPolicy::with_attempts(4).with_jitter(97);
-        let reqs: Vec<ReadRequest> = (0..16)
-            .map(|i| ReadRequest::new("f", i * 512, 64))
-            .collect();
-
-        let fb = FaultBackend::new(be, plan);
-        let mut seq = RankIo::with_retry(&fb, policy);
-        let seq_res: Vec<_> = reqs
-            .iter()
-            .map(|r| seq.read(Arc::clone(&r.file), r.offset, r.len).unwrap())
-            .collect();
-        assert!(seq.retries() > 0, "plan injected nothing");
-
-        fb.reset_attempts();
-        let mut bat = RankIo::with_retry(&fb, policy);
-        let bat_res = bat.read_batch(&reqs);
-        for (a, b) in seq_res.iter().zip(&bat_res) {
-            assert_eq!(a, b.as_ref().unwrap());
-        }
-        assert_eq!(bat.retries(), seq.retries());
-        assert!(
-            (bat.retry_wait_s() - seq.retry_wait_s()).abs() < 1e-12,
-            "jittered per-op waits must sum identically across paths"
-        );
-    }
-
-    #[test]
-    fn exhausted_budget_surfaces_typed_error_in_both_paths() {
-        use crate::fault::{FaultBackend, FaultPlan};
-        let be = MemBackend::new();
-        be.append("f", &[1u8; 4096]).unwrap();
-        // Every read fails 3 times; the budget only covers the first
-        // retry's 1ms backoff, so the second wait busts it.
-        let fb = FaultBackend::new(be, FaultPlan::transient(11, 1.0, 3));
-        let policy = RetryPolicy::with_attempts(8).with_budget_s(0.0015);
-
-        let mut io = RankIo::with_retry(&fb, policy);
-        let err = io.read("f", 0, 1024).unwrap_err();
-        assert!(err.is_retries_exhausted(), "got {err}");
-        assert!(!err.is_transient(), "budget exhaustion must not re-retry");
-        assert_eq!(io.retries_exhausted(), 1);
-        assert_eq!(io.retries(), 1, "one retry fit in the budget");
-
-        fb.reset_attempts();
-        let mut io = RankIo::with_retry(&fb, policy);
-        let res = io.read_batch(&[ReadRequest::new("f", 0, 1024)]);
-        assert!(res[0].as_ref().unwrap_err().is_retries_exhausted());
-        assert_eq!(io.retries_exhausted(), 1);
-
-        // A generous budget recovers the same read fine.
-        fb.reset_attempts();
-        let mut io = RankIo::with_retry(&fb, RetryPolicy::with_attempts(8).with_budget_s(1.0));
-        assert_eq!(io.read("f", 0, 1024).unwrap(), vec![1u8; 1024]);
-        assert_eq!(io.retries_exhausted(), 0);
     }
 
     #[test]

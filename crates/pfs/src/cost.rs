@@ -43,14 +43,6 @@ impl CostModel {
         }
     }
 
-    /// A model with near-zero seek cost (for ablations isolating the
-    /// transfer-volume component).
-    pub fn seekless(mut self) -> Self {
-        self.seek_s = 0.0;
-        self.open_s = 0.0;
-        self
-    }
-
     /// Aggregate sequential bandwidth across all OSTs.
     pub fn aggregate_bw(&self) -> f64 {
         self.ost_bw * self.num_osts as f64
@@ -109,13 +101,5 @@ mod tests {
             .map(|i| m.ost_of(&format!("bin{i}.dat"), 0))
             .collect();
         assert!(starts.len() > m.num_osts / 2, "starting OSTs too clustered");
-    }
-
-    #[test]
-    fn seekless_zeroes_latency() {
-        let m = CostModel::lens_2012().seekless();
-        assert_eq!(m.seek_s, 0.0);
-        assert_eq!(m.open_s, 0.0);
-        assert_eq!(m.ost_bw, CostModel::lens_2012().ost_bw);
     }
 }

@@ -55,7 +55,7 @@ pub use cost::CostModel;
 pub use fault::{BitFlip, CrashBackend, CrashPlan, FaultBackend, FaultPlan, FaultStats};
 pub use localdir::DirBackend;
 pub use mem::MemBackend;
-pub use retry::{op_token, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use shard::{stable_name_hash, ShardRouter};
 pub use sim::{simulate_reads, RankIoBreakdown, SimReport};
 
@@ -87,21 +87,6 @@ pub enum PfsError {
         /// (1 = first try).
         attempt: u32,
     },
-    /// A transient error outlived the caller's retry budget: the op
-    /// was retried until the accumulated simulated backoff hit
-    /// [`RetryPolicy::max_total_backoff_s`]. Not itself transient —
-    /// the budget is spent — so callers stop instead of backing off
-    /// unboundedly.
-    RetriesExhausted {
-        /// File being read.
-        file: String,
-        /// Requested offset.
-        offset: u64,
-        /// Attempts made before the budget ran out.
-        attempts: u32,
-        /// Simulated backoff accumulated when retrying stopped.
-        waited_s: f64,
-    },
     /// Underlying OS error (directory backend only).
     Io(std::io::Error),
 }
@@ -111,11 +96,6 @@ impl PfsError {
     /// classes (missing file, out-of-bounds, OS errors) return false.
     pub fn is_transient(&self) -> bool {
         matches!(self, PfsError::Transient { .. })
-    }
-
-    /// Whether this error reports an exhausted retry budget.
-    pub fn is_retries_exhausted(&self) -> bool {
-        matches!(self, PfsError::RetriesExhausted { .. })
     }
 
     /// A batch request the backend returned no result for: a backend
@@ -147,16 +127,6 @@ impl std::fmt::Display for PfsError {
             } => write!(
                 f,
                 "transient read error on {file} at offset {offset} (attempt {attempt})"
-            ),
-            PfsError::RetriesExhausted {
-                file,
-                offset,
-                attempts,
-                waited_s,
-            } => write!(
-                f,
-                "retry budget exhausted reading {file} at offset {offset} \
-                 ({attempts} attempts, {waited_s:.6}s simulated backoff)"
             ),
             PfsError::Io(e) => write!(f, "I/O error: {e}"),
         }
@@ -191,17 +161,6 @@ impl Clone for PfsError {
                 file: file.clone(),
                 offset,
                 attempt,
-            },
-            &PfsError::RetriesExhausted {
-                ref file,
-                offset,
-                attempts,
-                waited_s,
-            } => PfsError::RetriesExhausted {
-                file: file.clone(),
-                offset,
-                attempts,
-                waited_s,
             },
             PfsError::Io(e) => PfsError::Io(std::io::Error::new(e.kind(), e.to_string())),
         }

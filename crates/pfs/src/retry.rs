@@ -3,112 +3,49 @@
 //! Transient PFS errors (a flaky OST returning EIO, an injected
 //! [`crate::fault::FaultBackend`] fault) are worth retrying; permanent
 //! ones (missing file, out-of-bounds read) are not. [`RetryPolicy`]
-//! encodes the schedule. Backoff time is *simulated*, never slept:
-//! the query engine runs against a cost simulator, so wall-clock
-//! sleeping would only slow the tests down without changing any
-//! reported number. Callers accumulate [`RetryPolicy::backoff_s`]
-//! into their own wait-time counter instead.
-//!
-//! Two refinements temper the raw exponential curve:
-//!
-//! * **Full jitter** — with [`RetryPolicy::jitter_seed`] set, the wait
-//!   before each retry is drawn uniformly from `[0, curve)` by a
-//!   seeded hash of `(seed, attempt, op token)`. Deterministic: the
-//!   same policy over the same ops always simulates the same waits,
-//!   yet distinct ops no longer retry in lockstep (the thundering-herd
-//!   problem full jitter exists to break).
-//! * **A per-query budget** — [`RetryPolicy::max_total_backoff_s`]
-//!   caps the *total* simulated backoff a caller may accumulate. Once
-//!   the next wait would cross it, retrying stops with a typed
-//!   [`crate::PfsError::RetriesExhausted`] instead of backing off
-//!   unboundedly.
+//! counts the attempts; every policy waits on the same curve. Backoff
+//! time is *simulated*, never slept: the query engine runs against a
+//! cost simulator, so wall-clock sleeping would only slow the tests
+//! down without changing any reported number. Callers accumulate
+//! [`RetryPolicy::backoff_s`] into their own wait-time counter instead.
+
+/// Simulated wait before the first retry, in seconds.
+const BASE_BACKOFF_S: f64 = 1e-3;
+
+/// Growth factor of the wait per subsequent retry.
+const MULTIPLIER: f64 = 2.0;
 
 /// A bounded exponential-backoff retry schedule.
 ///
 /// `max_attempts` counts the first try: `max_attempts == 1` means no
 /// retries at all. Backoff before attempt `k` (k = 2, 3, ...) is
-/// `base_backoff_s * multiplier^(k - 2)` seconds — deterministic; with
-/// [`Self::jitter_seed`] set, that curve value becomes the *upper
-/// bound* of a seeded uniform draw (full jitter) instead of the wait
-/// itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `BASE_BACKOFF_S * MULTIPLIER^(k - 2)` seconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first (>= 1).
     pub max_attempts: u32,
-    /// Simulated wait before the first retry, in seconds.
-    pub base_backoff_s: f64,
-    /// Growth factor applied per subsequent retry.
-    pub multiplier: f64,
-    /// Seed for deterministic full jitter. `None` (the default) keeps
-    /// the raw exponential curve, byte-for-byte compatible with the
-    /// pre-jitter behavior.
-    pub jitter_seed: Option<u64>,
-    /// Budget on the total simulated backoff one caller (one query)
-    /// may accumulate, in seconds. `f64::INFINITY` (the default)
-    /// means unbounded.
-    pub max_total_backoff_s: f64,
 }
 
 impl RetryPolicy {
     /// No retries: one attempt, fail on the first transient error.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_s: 0.0,
-            multiplier: 2.0,
-            jitter_seed: None,
-            max_total_backoff_s: f64::INFINITY,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// `attempts` total attempts with the default 1ms/2x backoff curve.
+    /// `attempts` total attempts (at least one).
     pub fn with_attempts(attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: attempts.max(1),
-            base_backoff_s: 1e-3,
-            multiplier: 2.0,
-            ..RetryPolicy::none()
         }
-    }
-
-    /// Enable deterministic full jitter with this seed.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// Cap the total simulated backoff a caller may accumulate.
-    pub fn with_budget_s(mut self, budget_s: f64) -> Self {
-        self.max_total_backoff_s = budget_s.max(0.0);
-        self
     }
 
     /// Simulated backoff in seconds before attempt `attempt`
     /// (1-based; attempt 1 is the initial try and waits nothing).
-    /// This is the raw curve, ignoring jitter.
     pub fn backoff_s(&self, attempt: u32) -> f64 {
         if attempt <= 1 {
             return 0.0;
         }
-        self.base_backoff_s * self.multiplier.powi(attempt as i32 - 2)
-    }
-
-    /// Simulated backoff before attempt `attempt` of the operation
-    /// identified by `token` (see [`op_token`]). Without a jitter
-    /// seed this equals [`Self::backoff_s`]; with one, it is a
-    /// deterministic uniform draw from `[0, backoff_s(attempt))`.
-    pub fn backoff_s_for(&self, attempt: u32, token: u64) -> f64 {
-        let curve = self.backoff_s(attempt);
-        match self.jitter_seed {
-            None => curve,
-            Some(seed) if curve > 0.0 => {
-                let h = mix(seed ^ token, u64::from(attempt));
-                // Top 53 bits -> uniform in [0, 1).
-                let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-                curve * unit
-            }
-            Some(_) => 0.0,
-        }
+        BASE_BACKOFF_S * MULTIPLIER.powi(attempt as i32 - 2)
     }
 
     /// Whether another attempt is allowed after `attempt` attempts
@@ -116,40 +53,12 @@ impl RetryPolicy {
     pub fn should_retry(&self, attempt: u32) -> bool {
         attempt < self.max_attempts
     }
-
-    /// Whether accumulating `next_wait_s` on top of `waited_s` would
-    /// exceed the per-query budget.
-    pub fn budget_exceeded(&self, waited_s: f64, next_wait_s: f64) -> bool {
-        waited_s + next_wait_s > self.max_total_backoff_s
-    }
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::none()
     }
-}
-
-/// Stable per-operation token for jitter: FNV-1a over the file name
-/// mixed with offset and length. Two different ops retry on different
-/// (but each individually deterministic) schedules.
-pub fn op_token(file: &str, offset: u64, len: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in file.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ offset.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ len.wrapping_mul(0xbf58_476d_1ce4_e5b9)
-}
-
-/// splitmix64-style finalizer: zero-dep, platform-stable.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -162,22 +71,15 @@ mod tests {
         assert_eq!(p.max_attempts, 1);
         assert!(!p.should_retry(1));
         assert_eq!(p.backoff_s(1), 0.0);
-        assert_eq!(p.max_total_backoff_s, f64::INFINITY);
-        assert_eq!(p.jitter_seed, None);
     }
 
     #[test]
     fn backoff_is_exponential_and_deterministic() {
-        let p = RetryPolicy {
-            max_attempts: 4,
-            base_backoff_s: 0.5,
-            multiplier: 2.0,
-            ..RetryPolicy::none()
-        };
+        let p = RetryPolicy::with_attempts(4);
         assert_eq!(p.backoff_s(1), 0.0);
-        assert_eq!(p.backoff_s(2), 0.5);
-        assert_eq!(p.backoff_s(3), 1.0);
-        assert_eq!(p.backoff_s(4), 2.0);
+        assert_eq!(p.backoff_s(2), 1e-3);
+        assert_eq!(p.backoff_s(3), 2e-3);
+        assert_eq!(p.backoff_s(4), 4e-3);
         assert!(p.should_retry(1));
         assert!(p.should_retry(3));
         assert!(!p.should_retry(4));
@@ -187,64 +89,5 @@ mod tests {
     fn with_attempts_clamps_to_one() {
         assert_eq!(RetryPolicy::with_attempts(0).max_attempts, 1);
         assert_eq!(RetryPolicy::with_attempts(5).max_attempts, 5);
-    }
-
-    #[test]
-    fn unjittered_backoff_for_matches_curve() {
-        let p = RetryPolicy::with_attempts(4);
-        for attempt in 1..=4 {
-            assert_eq!(p.backoff_s_for(attempt, 7), p.backoff_s(attempt));
-        }
-    }
-
-    #[test]
-    fn jitter_is_bounded_deterministic_and_spread() {
-        let p = RetryPolicy::with_attempts(6).with_jitter(42);
-        let q = RetryPolicy::with_attempts(6).with_jitter(42);
-        let mut distinct = std::collections::BTreeSet::new();
-        for op in 0..32u64 {
-            let token = op_token("f", op * 64, 64);
-            for attempt in 2..=6 {
-                let w = p.backoff_s_for(attempt, token);
-                assert!(w >= 0.0 && w < p.backoff_s(attempt), "jitter out of range");
-                assert_eq!(
-                    w,
-                    q.backoff_s_for(attempt, token),
-                    "jitter not deterministic"
-                );
-                distinct.insert((w * 1e12) as u64);
-            }
-        }
-        assert!(
-            distinct.len() > 100,
-            "jitter draws collapsed: {}",
-            distinct.len()
-        );
-        // A different seed gives a different schedule.
-        let r = RetryPolicy::with_attempts(6).with_jitter(43);
-        assert_ne!(
-            p.backoff_s_for(3, op_token("f", 0, 64)),
-            r.backoff_s_for(3, op_token("f", 0, 64))
-        );
-        // Attempt 1 still waits nothing.
-        assert_eq!(p.backoff_s_for(1, 99), 0.0);
-    }
-
-    #[test]
-    fn budget_accounting() {
-        let p = RetryPolicy::with_attempts(8).with_budget_s(0.005);
-        assert!(!p.budget_exceeded(0.0, 0.001));
-        assert!(!p.budget_exceeded(0.004, 0.001));
-        assert!(p.budget_exceeded(0.005, 0.001));
-        let unbounded = RetryPolicy::with_attempts(8);
-        assert!(!unbounded.budget_exceeded(1e12, 1e12));
-    }
-
-    #[test]
-    fn op_tokens_differ_per_op() {
-        assert_ne!(op_token("a", 0, 4), op_token("b", 0, 4));
-        assert_ne!(op_token("a", 0, 4), op_token("a", 4, 4));
-        assert_ne!(op_token("a", 0, 4), op_token("a", 0, 8));
-        assert_eq!(op_token("a", 0, 4), op_token("a", 0, 4));
     }
 }

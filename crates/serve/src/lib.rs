@@ -69,6 +69,8 @@ const FUSION_WINDOW_MB: u64 = 64;
 
 /// Server configuration; [`ServeConfig::default`] is a sensible
 /// interactive setup (4 workers, windows of 8, cache and fusion on).
+/// Sessions are priced on the default [`CostModel`] and may complete
+/// degraded (see [`ParallelExecutor::allow_degraded`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Concurrent worker threads per admission window (tenant groups
@@ -89,11 +91,6 @@ pub struct ServeConfig {
     pub threaded: bool,
     /// Retry policy for transient storage errors.
     pub retry: RetryPolicy,
-    /// Whether sessions may complete degraded when a non-base PLoD
-    /// extent is unreadable (see the fault-tolerance contracts).
-    pub allow_degraded: bool,
-    /// Simulated PFS cost model used for `io_s` accounting.
-    pub cost_model: CostModel,
 }
 
 impl Default for ServeConfig {
@@ -106,8 +103,6 @@ impl Default for ServeConfig {
             nranks: 1,
             threaded: false,
             retry: RetryPolicy::none(),
-            allow_degraded: true,
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -400,9 +395,8 @@ impl<'a> QueryServer<'a> {
             });
         }
 
-        let mut exec = ParallelExecutor::new(self.config.nranks.max(1), self.config.cost_model)
-            .with_retry(self.config.retry)
-            .allow_degraded(self.config.allow_degraded);
+        let mut exec = ParallelExecutor::new(self.config.nranks.max(1), CostModel::default())
+            .with_retry(self.config.retry);
         if self.config.threaded {
             exec = exec.threaded(true);
         }
