@@ -72,6 +72,7 @@ pub mod plod;
 pub mod progressive;
 pub mod query;
 pub mod repair;
+mod scan;
 pub mod store;
 pub mod upgrade;
 pub mod verify;

@@ -4,62 +4,58 @@
 //! written and synced (one create, one append, one sync) before the
 //! variable's meta file, and the meta is synced before the catalog line
 //! that registers the variable. The meta is the build's commit record:
-//! a verifying meta means every bin file it names was synced first. A
-//! file is whole when every checksum in it holds and its commit marker
-//! is where a complete write leaves it — a bin file's end marker, the
-//! meta's tail footer. That ordering makes every crash state
+//! a whole meta means every bin file it names was synced first. Whole
+//! is judged by one scan of the store (the private `scan` module, which
+//! `verify` reports too), and the ordering makes every crash state
 //! classifiable from the store alone:
 //!
-//! * **committed** — the catalog lists the variable and its meta
-//!   verifies; bin files are expected to verify too.
-//! * **unlisted** — the meta verifies but the crash hit between the
+//! * **committed** — the catalog lists the variable and its meta is
+//!   whole; bin files are expected to be whole too.
+//! * **unlisted** — the meta is whole but the crash hit between the
 //!   meta sync and the catalog append. The data is complete; repair
 //!   reattaches the catalog line.
-//! * **uncommitted** — the meta is absent or torn and the catalog
+//! * **uncommitted** — the meta is absent or damaged and the catalog
 //!   never listed the variable. The bin files are build debris
 //!   (*orphaned*); repair rolls them back so the build can rerun.
-//! * **torn / missing** — a file of a committed variable fails
-//!   verification (or is gone). Repair rewrites it from the first
-//!   replica holding a verifying copy; without one, the damage is
-//!   reported, never silently served.
+//! * **torn / missing** — a file of a committed variable is damaged
+//!   (or is gone). Repair rewrites it from the first replica holding a
+//!   whole copy; without one, the damage is reported, never silently
+//!   served.
+//! * **orphaned** too — a file of a committed variable its layout does
+//!   not name: a stray, or a bin file numbered past the bin count.
+//!   Repair removes it.
 //!
-//! [`fsck`] only classifies; [`repair`] additionally restores, rolls
-//! back, and reconciles the catalog. Both work through any
-//! [`StorageBackend`]; replica restore is a no-op on unreplicated
-//! stores (no `replica_access()`, or one replica: the only copy is
-//! re-checked and nothing else can be tried). A store of the formats
-//! before v7 is refused whole, untouched: `mloc upgrade` copies it out.
+//! [`fsck`] only classifies; [`repair`] acts on the same scan. Both work
+//! through any [`StorageBackend`]; replica restore is a no-op on
+//! unreplicated stores (no `replica_access()`, or one replica: the scan
+//! judged the only copy). A store of the formats before v7 is refused
+//! whole, untouched: `mloc upgrade` copies it out.
 
-use crate::binfile::{self, Layout};
-use crate::config::MlocConfig;
+use crate::binfile;
 use crate::dataset::{catalog_header, parse_catalog};
-use crate::fileorg::{self, read_file, VarFile};
-use crate::integrity::ExtentFooter;
+use crate::fileorg;
+use crate::scan::{judge, scan, Scan};
 use crate::store::VariableMeta;
 use crate::Result;
 use mloc_pfs::StorageBackend;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// How one file came through the crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Footer verifies: the write committed.
-    Committed,
-    /// Present but fails footer verification (torn write or
-    /// corruption).
+    /// Present but not whole (torn write or corruption).
     Torn,
     /// Expected for a committed variable but absent.
     Missing,
-    /// Debris of an uncommitted build (no verifying meta, no catalog
-    /// entry).
+    /// Debris of an uncommitted build (no whole meta, no catalog entry),
+    /// or a file the layout does not name.
     Orphaned,
 }
 
 impl fmt::Display for FileClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            FileClass::Committed => "committed",
             FileClass::Torn => "torn",
             FileClass::Missing => "missing",
             FileClass::Orphaned => "orphaned",
@@ -91,12 +87,12 @@ pub struct FsckReport {
     pub dataset: String,
     /// Whether the catalog header parses and its body is readable.
     pub catalog_ok: bool,
-    /// Variables listed in the catalog whose meta verifies.
+    /// Variables listed in the catalog (a damaged meta is a finding).
     pub committed: Vec<String>,
-    /// Variables with a verifying meta that the catalog does not list
+    /// Variables with a whole meta that the catalog does not list
     /// (crash between meta sync and catalog append).
     pub unlisted: Vec<String>,
-    /// Variables with no verifying meta and no catalog entry
+    /// Variables with no whole meta and no catalog entry
     /// (interrupted builds).
     pub uncommitted: Vec<String>,
     /// Every file that is not cleanly committed.
@@ -150,11 +146,11 @@ impl fmt::Display for FsckReport {
 pub struct RepairReport {
     /// The pre-repair classification.
     pub fsck: FsckReport,
-    /// Files rewritten from a verifying replica copy.
+    /// Files rewritten from a whole replica copy.
     pub restored: Vec<String>,
     /// Uncommitted variables whose debris was removed.
     pub rolled_back: Vec<String>,
-    /// Files removed by rollback.
+    /// Files removed: rolled-back builds and orphans.
     pub removed_files: usize,
     /// Committed-but-unlisted variables reattached to the catalog.
     pub reattached: Vec<String>,
@@ -198,95 +194,6 @@ impl fmt::Display for RepairReport {
     }
 }
 
-/// How a whole stored file is checked.
-#[derive(Debug, Clone, Copy)]
-enum Whole<'a> {
-    /// Bin file `.1`: its front tables — sized by the bin's summaries
-    /// when the variable's meta gives them, else found by their own
-    /// checksums — every extent, its end marker, and, held to the
-    /// variable's layout (from its meta or the catalog), its header's
-    /// geometry and its run lists.
-    BinFile(Option<&'a Layout>, usize),
-    /// The meta: its tail footer and every extent.
-    TailFooter,
-}
-
-impl Whole<'_> {
-    /// Whether `raw`, all of `file`, is whole.
-    fn check(self, raw: &[u8], file: &str) -> Result<()> {
-        match self {
-            Whole::BinFile(layout, bin) => binfile::verified(raw, file, layout, bin),
-            Whole::TailFooter => ExtentFooter::split_verified(raw, file).map(drop),
-        }
-    }
-}
-
-/// Whether the file exists and is whole.
-fn verifies(
-    backend: &dyn StorageBackend,
-    file: &str,
-    how: Whole,
-) -> std::result::Result<(), String> {
-    match read_file(backend, file) {
-        Err(_) => Err("unreadable".to_string()),
-        Ok(raw) => how.check(&raw, file).map_err(|e| e.to_string()),
-    }
-}
-
-/// A variable's meta, when its file reads, verifies and decodes.
-fn read_meta(backend: &dyn StorageBackend, ds: &str, var: &str) -> Option<VariableMeta> {
-    let name = fileorg::meta_file(ds, var);
-    VariableMeta::from_file(&read_file(backend, &name).ok()?, &name).ok()
-}
-
-/// Every physical copy of `file`, read *directly* in placement order
-/// (`None` = that copy is unreadable). The router's own read path
-/// falls through to a healthy replica on error, so it cannot show one
-/// copy's state; a store without replica access has the one copy
-/// `read` serves.
-fn physical_copies<'a>(
-    backend: &'a dyn StorageBackend,
-    file: &'a str,
-) -> impl Iterator<Item = Option<Vec<u8>>> + 'a {
-    let replicas = backend.replica_access();
-    (0..replicas.map_or(1, |r| r.replica_count())).map(move |k| match replicas {
-        Some(r) => {
-            let len = r.len_replica(file, k).ok()?;
-            r.read_replica(file, k, 0, len).ok()
-        }
-        None => read_file(backend, file).ok(),
-    })
-}
-
-/// The first copy of `file` that passes `check`, as raw bytes.
-fn replica_passing(
-    backend: &dyn StorageBackend,
-    file: &str,
-    check: impl Fn(&[u8]) -> bool,
-) -> Option<Vec<u8>> {
-    physical_copies(backend, file)
-        .flatten()
-        .find(|raw| check(raw))
-}
-
-/// Whether the store keeps more than one copy of each file.
-fn is_replicated(backend: &dyn StorageBackend) -> bool {
-    backend
-        .replica_access()
-        .is_some_and(|r| r.replica_count() > 1)
-}
-
-/// Whether every copy of `file` passes `check`. A file can verify
-/// through `read` while one of its copies is missing — this is how
-/// repair notices the degraded redundancy the fall-through masks.
-fn all_replicas_pass(
-    backend: &dyn StorageBackend,
-    file: &str,
-    check: impl Fn(&[u8]) -> bool,
-) -> bool {
-    physical_copies(backend, file).all(|copy| copy.is_some_and(|raw| check(&raw)))
-}
-
 /// Rewrite `file` with `bytes` — create truncates, and on a
 /// replicated backend the write fans out to every replica, so a
 /// restore heals all copies at once.
@@ -297,197 +204,136 @@ fn rewrite(backend: &dyn StorageBackend, file: &str, bytes: &[u8]) -> Result<()>
     Ok(())
 }
 
-/// Per-variable file inventory scraped from the backend listing.
-#[derive(Default)]
-struct VarFiles {
-    has_meta: bool,
-    /// bin number -> its file.
-    bins: BTreeMap<usize, String>,
-    /// Files under the variable's directory that match no known
-    /// layout name.
-    strays: Vec<String>,
-}
-
-/// Scrape `{ds}/{var}/…` files into per-variable inventories.
-fn inventory(backend: &dyn StorageBackend, ds: &str) -> BTreeMap<String, VarFiles> {
-    let mut vars: BTreeMap<String, VarFiles> = BTreeMap::new();
-    for f in backend.list() {
-        let Some((var, role)) = fileorg::var_file(ds, &f) else {
-            continue;
-        };
-        let entry = vars.entry(var.to_string()).or_default();
-        match role {
-            VarFile::Meta => entry.has_meta = true,
-            VarFile::Bin(bin) => {
-                entry.bins.insert(bin, f.clone());
-            }
-            VarFile::Stray => entry.strays.push(f.clone()),
+/// The first whole copy of `file` on a replicated store, each copy read
+/// *directly* and judged by `whole`, the scan's rule for the file. When
+/// some copy is not whole — torn, or lost behind the read path's
+/// fall-through — `file` is rewritten from that copy, which heals every
+/// copy, and recorded in `restored`. `None` when no copy is whole, and
+/// on a single-copy store, whose one copy the scan already judged.
+fn mend(
+    backend: &dyn StorageBackend,
+    file: &str,
+    whole: impl Fn(&[u8]) -> bool,
+    restored: &mut Vec<String>,
+) -> Result<Option<Vec<u8>>> {
+    let Some(replicas) = backend.replica_access().filter(|r| r.replica_count() > 1) else {
+        return Ok(None);
+    };
+    let (mut good, mut all_whole) = (None, true);
+    for k in 0..replicas.replica_count() {
+        let copy = (replicas.len_replica(file, k))
+            .and_then(|len| replicas.read_replica(file, k, 0, len))
+            .ok()
+            .filter(|raw| whole(raw));
+        match copy {
+            Some(raw) => drop(good.get_or_insert(raw)),
+            None => all_whole = false,
         }
     }
-    vars
+    if let Some(raw) = good.as_deref().filter(|_| !all_whole) {
+        rewrite(backend, file, raw)?;
+        restored.push(file.to_string());
+    }
+    Ok(good)
 }
 
 /// Classify every file of dataset `ds` without modifying anything.
 pub fn fsck(backend: &dyn StorageBackend, ds: &str) -> Result<FsckReport> {
-    crate::upgrade::refuse_old(backend, ds)?;
+    Ok(classify(ds, &scan(backend, ds, None)?))
+}
+
+/// What `fsck` reports of a scan of dataset `ds`.
+fn classify(ds: &str, scan: &Scan) -> FsckReport {
     let mut report = FsckReport {
         dataset: ds.to_string(),
         ..Default::default()
     };
-
-    // Catalog: header + body readable?
-    let catalog_file = fileorg::catalog_file(ds);
-    let mut catalog_vars: BTreeSet<String> = BTreeSet::new();
-    let mut catalog_config: Option<MlocConfig> = None;
-    if let Ok(raw) = read_file(backend, &catalog_file) {
-        report.files_checked += 1;
-        match parse_catalog(&raw) {
-            Ok(catalog) => {
-                report.catalog_ok = true;
-                catalog_vars = catalog.vars.into_iter().collect();
-                catalog_config = Some(catalog.config);
-                if !catalog.clean_tail {
-                    report.findings.push(FileFinding {
-                        file: catalog_file.clone(),
-                        class: FileClass::Torn,
-                        what: "unterminated trailing registration line".to_string(),
-                    });
-                }
-            }
-            Err(e) => report.findings.push(FileFinding {
-                file: catalog_file.clone(),
-                class: FileClass::Torn,
-                what: e.to_string(),
-            }),
-        }
-    } else {
+    let mut found = |file: &str, class, what: &str| {
         report.findings.push(FileFinding {
-            file: catalog_file.clone(),
-            class: FileClass::Missing,
-            what: "catalog unreadable".to_string(),
-        });
+            file: file.to_string(),
+            class,
+            what: what.to_string(),
+        })
+    };
+    let catalog_file = fileorg::catalog_file(ds);
+    let mut catalog = None;
+    match &scan.catalog {
+        Ok((_, Ok(parsed))) => {
+            if !parsed.clean_tail {
+                let what = "unterminated trailing registration line";
+                found(&catalog_file, FileClass::Torn, what);
+            }
+            catalog = Some(parsed);
+        }
+        Ok((_, Err(e))) => found(&catalog_file, FileClass::Torn, &e.to_string()),
+        Err(_) => found(&catalog_file, FileClass::Missing, "catalog unreadable"),
     }
-
-    let vars = inventory(backend, ds);
-
-    // A catalog-listed variable with no files at all is still damage.
-    let mut all_vars: BTreeSet<String> = vars.keys().cloned().collect();
-    all_vars.extend(catalog_vars.iter().cloned());
-
-    for var in all_vars {
-        let files = vars.get(&var);
-        let meta_name = fileorg::meta_file(ds, &var);
-        let meta_state = if files.is_some_and(|f| f.has_meta) {
-            report.files_checked += 1;
-            verifies(backend, &meta_name, Whole::TailFooter)
-        } else {
-            Err("absent".to_string())
-        };
-        let listed = catalog_vars.contains(&var);
-        let committed = meta_state.is_ok();
-        // The variable's bin count and bin geometry: from its own meta
-        // when it verifies, else the shared catalog config.
-        let meta = committed.then(|| read_meta(backend, ds, &var)).flatten();
-        let config = meta.as_ref().map(|m| &m.config).or(catalog_config.as_ref());
-        let expect_bins = config.map(|c| c.num_bins);
-        let layout = match meta {
-            Some(meta) => Some(Layout::of(&meta.config).with_summaries(meta.summaries)),
-            None => config.map(Layout::of),
-        };
-
-        match (meta_state.as_ref().err(), listed) {
-            (None, true) => report.committed.push(var.clone()),
-            (None, false) => report.unlisted.push(var.clone()),
+    let mut checked = usize::from(scan.catalog.is_ok());
+    let (mut committed, mut unlisted, mut uncommitted) = (Vec::new(), Vec::new(), Vec::new());
+    for (var, v) in &scan.vars {
+        let listed = catalog.is_some_and(|c| c.vars.contains(var));
+        let meta = &v.meta;
+        checked += usize::from(meta.present);
+        let why = meta.damage.first().map(|d| d.what.as_str());
+        match (why, listed) {
+            (None, true) => committed.push(var.clone()),
+            (None, false) => unlisted.push(var.clone()),
             (Some(why), true) => {
                 // Listed but broken meta: committed data with damage.
-                report.committed.push(var.clone());
-                report.findings.push(FileFinding {
-                    file: meta_name.clone(),
-                    class: if files.is_some_and(|f| f.has_meta) {
-                        FileClass::Torn
-                    } else {
-                        FileClass::Missing
-                    },
-                    what: why.clone(),
-                });
+                committed.push(var.clone());
+                let class = if meta.present {
+                    FileClass::Torn
+                } else {
+                    FileClass::Missing
+                };
+                found(&meta.file, class, why);
             }
             (Some(why), false) => {
-                report.uncommitted.push(var.clone());
-                if files.is_some_and(|f| f.has_meta) {
-                    report.findings.push(FileFinding {
-                        file: meta_name.clone(),
-                        class: FileClass::Orphaned,
-                        what: format!("uncommitted build: meta {why}"),
-                    });
+                uncommitted.push(var.clone());
+                if meta.present {
+                    let what = format!("uncommitted build: {why}");
+                    found(&meta.file, FileClass::Orphaned, &what);
                 }
             }
         }
-        let debris = !committed && !listed;
-
-        // Bin files: verify the ones present; for committed variables
-        // also demand the full expected set.
-        let mut bins: BTreeSet<usize> = files
-            .map(|f| f.bins.keys().copied().collect())
-            .unwrap_or_default();
-        if !debris {
-            bins.extend(0..expect_bins.unwrap_or(0));
-        }
-        for bin in bins {
-            let Some(file) = files.and_then(|f| f.bins.get(&bin)).cloned() else {
-                report.findings.push(FileFinding {
-                    file: fileorg::bin_file(ds, &var, bin),
-                    class: FileClass::Missing,
-                    what: "expected by committed variable".to_string(),
-                });
-                continue;
+        // A committed variable's bin files must all be there and whole;
+        // an uncommitted build's are debris, whole or not.
+        let debris = why.is_some() && !listed;
+        for (_, bin) in &v.bins {
+            checked += usize::from(bin.present);
+            let (class, what) = match (bin.present, bin.damage.first()) {
+                (false, _) if debris => continue,
+                (false, _) => (FileClass::Missing, "expected by committed variable"),
+                (true, d) if debris => (
+                    FileClass::Orphaned,
+                    d.map_or("uncommitted build debris", |d| &d.what),
+                ),
+                (true, Some(d)) => (FileClass::Torn, d.what.as_str()),
+                (true, None) => continue,
             };
-            report.files_checked += 1;
-            match verifies(backend, &file, Whole::BinFile(layout.as_ref(), bin)) {
-                Ok(()) if debris => report.findings.push(FileFinding {
-                    file,
-                    class: FileClass::Orphaned,
-                    what: "uncommitted build debris".to_string(),
-                }),
-                Ok(()) => {}
-                Err(e) => report.findings.push(FileFinding {
-                    file,
-                    class: if debris {
-                        FileClass::Orphaned
-                    } else {
-                        FileClass::Torn
-                    },
-                    what: e,
-                }),
-            }
+            found(&bin.file, class, what);
         }
-        for stray in files.map(|f| f.strays.as_slice()).unwrap_or_default() {
-            report.findings.push(FileFinding {
-                file: stray.clone(),
-                class: FileClass::Orphaned,
-                what: "not part of the layout".to_string(),
-            });
+        for orphan in &v.orphans {
+            found(orphan, FileClass::Orphaned, "not part of the layout");
         }
     }
-    Ok(report)
+    FsckReport {
+        catalog_ok: catalog.is_some(),
+        committed,
+        unlisted,
+        uncommitted,
+        files_checked: checked,
+        ..report
+    }
 }
 
-/// Remove every stored file of a variable (rollback of an uncommitted
-/// build). Missing files are fine; other removal errors abort.
-fn remove_var(
-    backend: &dyn StorageBackend,
-    ds: &str,
-    var: &str,
-    files: &VarFiles,
-) -> Result<usize> {
+/// Remove `files` (the repair path is the only one that removes
+/// anything). Missing files are fine; other removal errors abort. How
+/// many were removed.
+fn remove<'a>(backend: &dyn StorageBackend, files: impl Iterator<Item = &'a str>) -> Result<usize> {
     let mut removed = 0usize;
-    let mut names = Vec::new();
-    if files.has_meta {
-        names.push(fileorg::meta_file(ds, var));
-    }
-    names.extend(files.bins.values().cloned());
-    names.extend(files.strays.iter().cloned());
-    for name in names {
-        match backend.remove(&name) {
+    for name in files {
+        match backend.remove(name) {
             Ok(()) => removed += 1,
             Err(mloc_pfs::PfsError::NotFound(_)) => {}
             Err(e) => return Err(e.into()),
@@ -497,108 +343,82 @@ fn remove_var(
 }
 
 /// Repair dataset `ds` in place: restore torn/missing files from
-/// replicas, roll back uncommitted builds, and reconcile the catalog
-/// with the set of committed variables. Returns what changed; damage
-/// with no healthy replica is reported in
+/// replicas, roll back uncommitted builds, remove the files the layout
+/// does not name, and reconcile the catalog with the set of committed
+/// variables. Acts on one scan of the dataset, the one `fsck` reports.
+/// Returns what changed; damage with no healthy replica is reported in
 /// [`RepairReport::unrepairable`], never silently dropped.
 pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
+    let scan = scan(backend, ds, None)?;
     let mut report = RepairReport {
-        fsck: fsck(backend, ds)?,
+        fsck: classify(ds, &scan),
         ..Default::default()
     };
+    let Scan { catalog, mut vars } = scan;
     let catalog_file = fileorg::catalog_file(ds);
 
-    // 1. The catalog itself: if the primary copy does not parse, any
-    //    replica copy that does can rewrite it.
-    let mut catalog_raw = read_file(backend, &catalog_file).ok();
-    if catalog_raw
-        .as_deref()
-        .is_none_or(|r| parse_catalog(r).is_err())
-    {
-        if let Some(raw) = replica_passing(backend, &catalog_file, |r| parse_catalog(r).is_ok()) {
-            rewrite(backend, &catalog_file, &raw)?;
-            report.restored.push(catalog_file.clone());
-            catalog_raw = Some(raw);
-        }
-    }
+    // 1. The catalog itself: if it does not parse, any replica copy
+    //    that does can rewrite it.
+    let parses = |raw: &[u8]| parse_catalog(raw).is_ok();
+    let catalog = match catalog {
+        Ok((raw, Ok(parsed))) => Some((parsed, raw)),
+        _ => (mend(backend, &catalog_file, parses, &mut report.restored)?)
+            .and_then(|raw| Some((parse_catalog(&raw).ok()?, raw))),
+    };
+    let listed = catalog
+        .as_ref()
+        .map_or_else(Vec::new, |(c, _)| c.vars.clone());
+    let config = catalog.as_ref().map(|(c, _)| &c.config);
+    // A restored catalog may list a variable the store holds no file of.
+    let lost = listed.iter().filter(|var| !vars.contains_key(*var));
+    report
+        .unrepairable
+        .extend(lost.map(|var| fileorg::meta_file(ds, var)));
 
-    // 2. Metas: every damaged meta gets a replica-restore attempt
-    //    before we decide a variable's fate.
-    let vars = inventory(backend, ds);
-    let meta_is_good = |raw: &[u8], name: &str| VariableMeta::from_file(raw, name).is_ok();
+    // 2. Metas: a damaged one gets a replica-restore attempt before the
+    //    variable's fate is decided, and the variable is judged again
+    //    by the restored meta's layout; a whole one has every copy made
+    //    whole.
     let mut committed: BTreeSet<String> = BTreeSet::new();
     let mut rollback: Vec<String> = Vec::new();
-    let catalog_vars: Vec<String> = catalog_raw
-        .as_deref()
-        .and_then(|r| parse_catalog(r).ok())
-        .map(|c| c.vars)
-        .unwrap_or_default();
-    let listed: BTreeSet<String> = catalog_vars.iter().cloned().collect();
-    let mut all_vars: BTreeSet<String> = vars.keys().cloned().collect();
-    all_vars.extend(listed.iter().cloned());
-    for var in &all_vars {
-        let meta_name = fileorg::meta_file(ds, var);
-        if verifies(backend, &meta_name, Whole::TailFooter).is_ok() {
-            committed.insert(var.clone());
-            // The logical bytes are fine, but a replica copy may be
-            // missing or torn behind the read path's fall-through:
-            // rewrite fans out and heals every copy.
-            if is_replicated(backend)
-                && !all_replicas_pass(backend, &meta_name, |r| meta_is_good(r, &meta_name))
-            {
-                if let Ok(raw) = read_file(backend, &meta_name) {
-                    rewrite(backend, &meta_name, &raw)?;
-                    report.restored.push(meta_name);
-                }
-            }
-            continue;
+    for (var, v) in vars.iter_mut() {
+        let whole = |raw: &[u8]| VariableMeta::from_file(raw, &v.meta.file).is_ok();
+        let healed = mend(backend, &v.meta.file, whole, &mut report.restored)?.is_some();
+        if healed && v.config.is_none() {
+            *v = judge(backend, ds, var, std::mem::take(&mut v.listed), config)?;
         }
-        if let Some(raw) = replica_passing(backend, &meta_name, |r| meta_is_good(r, &meta_name)) {
-            rewrite(backend, &meta_name, &raw)?;
-            report.restored.push(meta_name);
+        if v.config.is_some() {
             committed.insert(var.clone());
         } else if listed.contains(var) {
             // Registered data we cannot recover: loud loss, no
             // rollback of a committed variable.
-            report.unrepairable.push(meta_name);
+            report.unrepairable.push(v.meta.file.clone());
         } else {
             rollback.push(var.clone());
         }
     }
 
-    // 3. Roll back uncommitted builds so they can rerun cleanly.
+    // 3. Roll back uncommitted builds so they can rerun cleanly, and
+    //    remove what the layout of a committed variable does not name.
     for var in rollback {
-        if let Some(files) = vars.get(&var) {
-            report.removed_files += remove_var(backend, ds, &var, files)?;
-        }
+        report.removed_files += remove(backend, vars[&var].files())?;
         report.rolled_back.push(var);
+    }
+    for var in &committed {
+        report.removed_files += remove(backend, vars[var].orphans.iter().map(String::as_str))?;
     }
 
     // 4. Bin files of committed variables: restore torn/missing ones
-    //    from the first verifying replica.
+    //    from the first whole replica copy, and make every copy of a
+    //    whole one whole.
     for var in &committed {
-        let Some(meta) = read_meta(backend, ds, var) else {
-            continue;
-        };
-        let layout = Layout::of(&meta.config).with_summaries(meta.summaries);
-        for bin in 0..meta.config.num_bins {
-            let how = Whole::BinFile(Some(&layout), bin);
-            let file = fileorg::bin_file(ds, var, bin);
-            let whole = |raw: &[u8]| how.check(raw, &file).is_ok();
-            if verifies(backend, &file, how).is_ok() {
-                if is_replicated(backend) && !all_replicas_pass(backend, &file, whole) {
-                    if let Ok(raw) = read_file(backend, &file) {
-                        rewrite(backend, &file, &raw)?;
-                        report.restored.push(file);
-                    }
-                }
-                continue;
-            }
-            if let Some(raw) = replica_passing(backend, &file, whole) {
-                rewrite(backend, &file, &raw)?;
-                report.restored.push(file);
-            } else {
-                report.unrepairable.push(file);
+        let v = &vars[var];
+        for (bin, f) in &v.bins {
+            let whole =
+                |raw: &[u8]| binfile::verified(raw, &f.file, v.layout.as_ref(), *bin).is_ok();
+            let healed = mend(backend, &f.file, whole, &mut report.restored)?.is_some();
+            if !healed && !f.damage.is_empty() {
+                report.unrepairable.push(f.file.clone());
             }
         }
     }
@@ -606,32 +426,28 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
     // 5. Catalog reconciliation: the catalog must list exactly the
     //    committed variables. Order: surviving lines first (original
     //    order), then reattached variables sorted.
-    let desired: Vec<String> = {
-        let mut lines: Vec<String> = catalog_vars
-            .iter()
-            .filter(|v| committed.contains(*v))
-            .cloned()
-            .collect();
-        for var in &committed {
-            if !lines.contains(var) {
-                lines.push(var.clone());
-                report.reattached.push(var.clone());
-            }
+    let mut desired: Vec<String> = (listed.iter())
+        .filter(|v| committed.contains(*v))
+        .cloned()
+        .collect();
+    for var in &committed {
+        if !desired.contains(var) {
+            desired.push(var.clone());
+            report.reattached.push(var.clone());
         }
-        lines
-    };
-    let header = match catalog_raw.as_deref().map(|raw| (raw, parse_catalog(raw))) {
+    }
+    let header = match &catalog {
         // A torn trailing registration line must be truncated even when
         // the committed variable set already matches — a later append
         // would otherwise splice onto the debris.
-        Some((_, Ok(catalog))) if catalog.vars == desired && catalog.clean_tail => None,
-        Some((raw, Ok(catalog))) => Some(raw[..catalog.header_len].to_vec()),
+        Some((parsed, _)) if parsed.vars == desired && parsed.clean_tail => None,
+        Some((parsed, raw)) => Some(raw[..parsed.header_len].to_vec()),
         // No readable catalog on any replica. Reconstruct the header
         // from a committed variable's meta (it embeds the shared build
         // config); with no variables either, there is nothing to
         // reconstruct from.
-        _ => match committed.iter().find_map(|var| read_meta(backend, ds, var)) {
-            Some(meta) => Some(catalog_header(&meta.config)),
+        None => match committed.iter().find_map(|var| vars[var].config.as_ref()) {
+            Some(config) => Some(catalog_header(config)),
             None => {
                 report.unrepairable.push(catalog_file.clone());
                 None
@@ -645,18 +461,10 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         rewrite(backend, &catalog_file, &out)?;
         report.catalog_rewritten = true;
     }
-    // The catalog's replica copies: reconciliation rewrites fan out,
-    // but an untouched catalog can still hide a lost copy behind the
-    // read fall-through.
-    if !report.catalog_rewritten
-        && is_replicated(backend)
-        && read_file(backend, &catalog_file).is_ok_and(|r| parse_catalog(&r).is_ok())
-        && !all_replicas_pass(backend, &catalog_file, |r| parse_catalog(r).is_ok())
-    {
-        if let Ok(raw) = read_file(backend, &catalog_file) {
-            rewrite(backend, &catalog_file, &raw)?;
-            report.restored.push(catalog_file);
-        }
+    // The catalog's copies: a rewrite fans out, but an untouched
+    // catalog can still hide a lost copy behind the read fall-through.
+    if !report.catalog_rewritten && catalog.is_some() {
+        mend(backend, &catalog_file, parses, &mut report.restored)?;
     }
     report.reattached.sort();
     Ok(report)
@@ -667,7 +475,9 @@ mod tests {
     use super::*;
     use crate::config::MlocConfig;
     use crate::dataset::Dataset;
+    use crate::integrity::ExtentFooter;
     use mloc_pfs::{MemBackend, ReplicaAccess, ShardRouter};
+    use std::collections::BTreeMap;
 
     fn config() -> MlocConfig {
         MlocConfig::builder(vec![16, 16])
@@ -871,5 +681,204 @@ mod tests {
         assert_eq!(parse_catalog(&got).unwrap().vars, vec!["humid", "temp"]);
         assert_eq!(got[..want.len() - 11], want[..want.len() - 11]);
         assert!(Dataset::open(&be, "sim").is_ok());
+    }
+
+    fn put(be: &dyn StorageBackend, file: &str, raw: &[u8]) {
+        be.create(file).unwrap();
+        be.append(file, raw).unwrap();
+    }
+
+    /// Files the layout of a committed variable does not name — a stray
+    /// name, a copy of a bin file numbered past the bin count — are
+    /// orphans: fsck flags them, repair removes them, and the healthy
+    /// repair leaves fsck clean.
+    #[test]
+    fn repair_removes_the_orphans_of_a_committed_variable() {
+        let be = MemBackend::new();
+        build(&be);
+        let before = snapshot(&be);
+        put(&be, "sim/temp/junk", b"junk");
+        let bin = be.read(
+            "sim/temp/bin0001.bin",
+            0,
+            be.len("sim/temp/bin0001.bin").unwrap(),
+        );
+        put(&be, "sim/temp/bin0009.bin", &bin.unwrap());
+
+        let f = fsck(&be, "sim").unwrap();
+        assert!(!f.is_clean(), "{f}");
+        let orphans: Vec<(&str, FileClass)> = (f.findings.iter())
+            .map(|d| (d.file.as_str(), d.class))
+            .collect();
+        assert_eq!(
+            orphans,
+            [
+                ("sim/temp/junk", FileClass::Orphaned),
+                ("sim/temp/bin0009.bin", FileClass::Orphaned)
+            ],
+            "{f}"
+        );
+        assert_eq!(f.committed, vec!["humid", "temp"]);
+
+        let r = repair(&be, "sim").unwrap();
+        assert!(r.is_healthy(), "{r}");
+        assert_eq!(r.removed_files, 2, "{r}");
+        assert!(r.rolled_back.is_empty() && !r.catalog_rewritten, "{r}");
+        assert!(fsck(&be, "sim").unwrap().is_clean());
+        assert_eq!(snapshot(&be), before);
+    }
+
+    /// `raw`, a whole meta, with its payload edited by `edit` and its
+    /// footer computed again: every checksum holds.
+    fn resealed(raw: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = ExtentFooter::split_verified(raw, "meta").unwrap().to_vec();
+        edit(&mut payload);
+        let footer = ExtentFooter::compute(&payload, &[payload.len() as u32]);
+        payload.extend_from_slice(&footer.encode());
+        payload
+    }
+
+    /// A meta whose footer holds but whose payload does not decode — one
+    /// bin bound too many, or a version this build does not know — is
+    /// torn, as `MlocStore::open` finds it: fsck names it, repair
+    /// restores it from a replica copy that decodes, and without one
+    /// reports it unrepairable.
+    #[test]
+    fn a_sealed_meta_that_does_not_decode_is_torn() {
+        let meta = "sim/temp/meta";
+        let edits: [fn(&mut Vec<u8>); 2] = [
+            |payload| {
+                let mut m = VariableMeta::decode(payload).unwrap();
+                m.bin_bounds.push(1e9);
+                *payload = m.encode();
+            },
+            |payload| payload[4] = 9,
+        ];
+        for edit in edits {
+            let be = MemBackend::new();
+            build(&be);
+            let raw = be.read(meta, 0, be.len(meta).unwrap()).unwrap();
+            put(&be, meta, &resealed(&raw, edit));
+            assert!(crate::store::MlocStore::open(&be, "sim", "temp").is_err());
+
+            let f = fsck(&be, "sim").unwrap();
+            assert!(!f.is_clean(), "{f}");
+            let torn = |d: &FileFinding| d.file == meta && d.class == FileClass::Torn;
+            assert!(f.findings.iter().any(torn), "{f}");
+            let r = repair(&be, "sim").unwrap();
+            assert_eq!(r.unrepairable, vec![meta.to_string()], "{r}");
+
+            let shards: Vec<Box<dyn StorageBackend>> =
+                (0..2).map(|_| Box::new(MemBackend::new()) as _).collect();
+            let router = ShardRouter::replicated(shards, 2).unwrap();
+            build(&router);
+            let clean = snapshot(&router);
+            put(
+                router.shard(router.shard_of(meta)),
+                meta,
+                &resealed(&raw, edit),
+            );
+            let r = repair(&router, "sim").unwrap();
+            assert!(r.is_healthy(), "{r}");
+            assert_eq!(r.restored, vec![meta.to_string()], "{r}");
+            assert!(fsck(&router, "sim").unwrap().is_clean());
+            assert_eq!(snapshot(&router), clean);
+        }
+    }
+
+    /// A memory store that counts every `read` and the bytes it
+    /// returns, per file.
+    #[derive(Default)]
+    struct Counting {
+        inner: MemBackend,
+        reads: parking_lot::Mutex<BTreeMap<String, (usize, u64)>>,
+    }
+
+    impl Counting {
+        /// The reads since the last call, per file: (calls, bytes).
+        fn take(&self) -> BTreeMap<String, (usize, u64)> {
+            std::mem::take(&mut *self.reads.lock())
+        }
+    }
+
+    impl StorageBackend for Counting {
+        fn create(&self, name: &str) -> std::result::Result<(), mloc_pfs::PfsError> {
+            self.inner.create(name)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> std::result::Result<u64, mloc_pfs::PfsError> {
+            self.inner.append(name, data)
+        }
+        fn read(
+            &self,
+            name: &str,
+            offset: u64,
+            len: u64,
+        ) -> std::result::Result<Vec<u8>, mloc_pfs::PfsError> {
+            let got = self.inner.read(name, offset, len)?;
+            let mut reads = self.reads.lock();
+            let entry = reads.entry(name.to_string()).or_default();
+            *entry = (entry.0 + 1, entry.1 + got.len() as u64);
+            Ok(got)
+        }
+        fn remove(&self, name: &str) -> std::result::Result<(), mloc_pfs::PfsError> {
+            self.inner.remove(name)
+        }
+        fn len(&self, name: &str) -> std::result::Result<u64, mloc_pfs::PfsError> {
+            self.inner.len(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+    }
+
+    /// On a clean single-copy store, `fsck`, `verify_dataset` and
+    /// `repair` each read every file of the dataset once, whole, and
+    /// nothing else; `verify_variable` reads its variable's files once
+    /// and the catalog at most once.
+    #[test]
+    fn each_checker_reads_a_clean_store_once() {
+        let be = Counting::default();
+        let config = MlocConfig::builder(vec![64, 64])
+            .chunk_shape(vec![16, 16])
+            .num_bins(8)
+            .build();
+        let ds = Dataset::create(&be, "sim", config).unwrap();
+        for (var, seed) in [("a", 3), ("b", 4)] {
+            let field = mloc_datagen::gts_like_2d(64, 64, seed);
+            ds.add_variable(var, field.values()).unwrap();
+        }
+        let stored: BTreeMap<String, (usize, u64)> = be
+            .list()
+            .into_iter()
+            .map(|f| {
+                let len = be.len(&f).unwrap();
+                (f, (1, len))
+            })
+            .collect();
+        assert_eq!(stored.len(), 19, "catalog, 2 metas, 16 bin files");
+        be.take();
+
+        assert!(fsck(&be, "sim").unwrap().is_clean());
+        assert_eq!(be.take(), stored, "fsck");
+        assert!(crate::verify::verify_dataset(&be, "sim")
+            .unwrap()
+            .is_clean());
+        assert_eq!(be.take(), stored, "verify_dataset");
+        assert!(repair(&be, "sim").unwrap().is_healthy());
+        assert_eq!(be.take(), stored, "repair");
+
+        assert!(crate::verify::verify_variable(&be, "sim", "a")
+            .unwrap()
+            .is_clean());
+        let mut want = stored.clone();
+        want.retain(|f, _| f.starts_with("sim/a/"));
+        let mut got = be.take();
+        if let Some(catalog) = got.remove("sim/catalog") {
+            assert_eq!(catalog, stored["sim/catalog"], "verify_variable");
+        }
+        assert_eq!(got, want, "verify_variable");
     }
 }

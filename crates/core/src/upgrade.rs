@@ -73,8 +73,9 @@ pub(crate) fn needed(file: &str, version: u8) -> MlocError {
 /// Refuse dataset `ds` when any file of it is of a format before v7 — a
 /// meta of an older version, a bin's index or data file (v1/v2), or,
 /// for a variable with no current meta to say so, a bin file whose
-/// header says v3 to v6 — so that no checker reads such a store as
-/// damage, or repairs it, and no build adds to it.
+/// header says v3 to v6 — so that no build adds to such a store. The
+/// checkers apply the same per-file rules to the bytes their one scan
+/// reads ([`crate::scan`]).
 pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
     let files = backend.list();
     let mut current = BTreeSet::new();
@@ -82,33 +83,18 @@ pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
         let Some((var, VarFile::Meta)) = fileorg::var_file(ds, f) else {
             continue;
         };
-        let raw = read_file(backend, f).ok();
-        let payload = raw
-            .as_deref()
-            .map(|raw| ExtentFooter::split_verified(raw, f));
-        match payload.map(|p| p.and_then(VariableMeta::decode_any)) {
-            Some(Ok((store::VERSION, _))) => drop(current.insert(var)),
-            Some(Ok((version, _))) => return Err(needed(f, version)),
+        match read_file(backend, f).map(|raw| VariableMeta::from_file(&raw, f)) {
+            Ok(Ok(_)) => drop(current.insert(var)),
+            Ok(Err(e @ MlocError::NeedsUpgrade { .. })) => return Err(e),
             _ => {}
         }
     }
     for f in &files {
         let old = match fileorg::var_file(ds, f) {
             Some((var, VarFile::Bin(_))) if !current.contains(var) => {
-                backend.read(f, 0, 5).ok().and_then(|prologue| {
-                    let magic = index::MAGIC.to_le_bytes();
-                    let version = prologue.get(4).copied()?;
-                    (prologue.starts_with(&magic) && (3..index::VERSION).contains(&version))
-                        .then_some(version)
-                })
+                backend.read(f, 0, 5).ok().and_then(|p| old_bin(&p))
             }
-            Some((_, VarFile::Stray)) => {
-                let base = f.rsplit('/').next().unwrap_or_default();
-                let v2 = [".idx", ".dat"]
-                    .iter()
-                    .any(|ext| fileorg::bin_number(base, ext).is_some());
-                v2.then_some(2)
-            }
+            Some((_, VarFile::Stray)) => old_name(f),
             _ => None,
         };
         if let Some(version) = old {
@@ -116,6 +102,24 @@ pub(crate) fn refuse_old(backend: &dyn StorageBackend, ds: &str) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// The format, v3 to v6, of a bin file whose first bytes are `raw`, by
+/// its header's version — the rule for a variable with no current meta.
+pub(crate) fn old_bin(raw: &[u8]) -> Option<u8> {
+    let version = raw.get(4).copied()?;
+    (raw.starts_with(&index::MAGIC.to_le_bytes()) && (3..index::VERSION).contains(&version))
+        .then_some(version)
+}
+
+/// v2, for a stray named as a bin's index or data file of formats v1
+/// and v2.
+pub(crate) fn old_name(file: &str) -> Option<u8> {
+    let base = file.rsplit('/').next().unwrap_or_default();
+    [".idx", ".dat"]
+        .iter()
+        .any(|ext| fileorg::bin_number(base, ext).is_some())
+        .then_some(2)
 }
 
 /// Copy dataset `ds` of `old`, a v6 store, out to `new` as format v7.

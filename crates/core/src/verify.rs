@@ -1,24 +1,24 @@
 //! Offline integrity verification (`mloc verify`).
 //!
 //! Recomputes every checksum recorded in the checksum tables of a
-//! variable's files — meta and every bin file — and reports each
-//! damaged extent with a human-readable
-//! label (which chunk's bitmap, which byte-group part, which table).
-//! The chunk labels come from the bins' summaries, which the meta
-//! holds: with a damaged meta, the bin files' own tables still locate
-//! every extent, and the labels name table rows instead.
-//! Unlike the query path,
+//! variable's files — meta and every bin file, each read once by the
+//! dataset's one scan (the private `scan` module, which `fsck` and
+//! `repair` judge by too) — and reports each damaged extent with a
+//! human-readable label (which chunk's bitmap, which byte-group part,
+//! which table). A bin file the layout numbers that the store lacks is
+//! damage naming it. The chunk labels come from the bins' summaries,
+//! which the meta holds: with a damaged meta, the bin files' own tables
+//! still locate every extent, the labels name table rows instead, and
+//! each header is held to the catalog's geometry. Unlike the query path,
 //! which stops at the first unreadable extent it needs, verification
 //! keeps going and maps *all* the damage, so an operator can decide
 //! whether a degraded dataset is worth keeping.
 
 use crate::binfile::{self, Layout, END_LEN};
-use crate::fileorg::{self, VarFile};
 use crate::index::HEADER_LEN;
-use crate::store::VariableMeta;
+use crate::scan::{scan, Scan, VarScan};
 use crate::{MlocError, Result};
 use mloc_pfs::StorageBackend;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// One damaged (or unreadable) extent found by verification.
@@ -33,6 +33,19 @@ pub struct ExtentDamage {
     /// What is damaged, e.g. `bitmap of chunk rank 3` or
     /// `chunk rank 5 byte-group part 2: checksum mismatch`.
     pub what: String,
+}
+
+impl ExtentDamage {
+    /// Damage to the whole of `file`: one that could not be read or
+    /// decoded at all.
+    pub(crate) fn whole(file: &str, what: String) -> ExtentDamage {
+        ExtentDamage {
+            file: file.to_string(),
+            offset: 0,
+            len: 0,
+            what,
+        }
+    }
 }
 
 impl fmt::Display for ExtentDamage {
@@ -61,13 +74,6 @@ impl VerifyReport {
     pub fn is_clean(&self) -> bool {
         self.damage.is_empty()
     }
-
-    /// Fold another report into this one.
-    pub fn merge(&mut self, other: VerifyReport) {
-        self.files_checked += other.files_checked;
-        self.extents_checked += other.extents_checked;
-        self.damage.extend(other.damage);
-    }
 }
 
 impl fmt::Display for VerifyReport {
@@ -94,7 +100,9 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-fn damage_from_error(file: &str, e: &MlocError) -> ExtentDamage {
+/// Damage to `file` as `verify` reports `e`: a corrupt extent where it
+/// is, any other failure as the whole file's.
+pub(crate) fn damage(file: &str, e: &MlocError) -> ExtentDamage {
     match e {
         MlocError::CorruptExtent {
             file,
@@ -107,116 +115,41 @@ fn damage_from_error(file: &str, e: &MlocError) -> ExtentDamage {
             len: *len,
             what: what.clone(),
         },
-        other => ExtentDamage {
-            file: file.to_string(),
-            offset: 0,
-            len: 0,
-            what: other.to_string(),
-        },
+        other => ExtentDamage::whole(file, other.to_string()),
     }
 }
 
-/// Read a whole file, counting it checked; an unreadable one is
-/// damage.
-fn read_checked(
-    backend: &dyn StorageBackend,
-    file: &str,
-    report: &mut VerifyReport,
-) -> Option<Vec<u8>> {
-    report.files_checked += 1;
-    match fileorg::read_file(backend, file) {
-        Ok(raw) => Some(raw),
-        Err(e) => {
-            report.damage.push(ExtentDamage {
-                file: file.to_string(),
-                offset: 0,
-                len: 0,
-                what: format!("file unreadable: {e}"),
-            });
-            None
-        }
-    }
-}
-
-/// Rewrite the `what` of damage entries in `file` with a location
-/// label derived from the (intact) index structure.
-fn relabel(report: &mut VerifyReport, file: &str, label: impl Fn(u64) -> Option<String>) {
-    for d in report.damage.iter_mut().filter(|d| d.file == file) {
+/// Prefix the `what` of each entry of `damage`, one file's, with a
+/// location label derived from the (intact) index structure.
+fn relabel(damage: &mut [ExtentDamage], label: impl Fn(u64) -> Option<String>) {
+    for d in damage {
         if let Some(l) = label(d.offset) {
             d.what = format!("{l}: {}", d.what);
         }
     }
 }
 
-/// Verify every stored extent of one variable. Damaged extents are
-/// collected, not fatal: the report lists all of them. Errors are
-/// returned only for conditions that prevent verification from running
-/// at all: a dataset of a format before v7, which `mloc upgrade`
-/// copies out and nothing else reads. Unreadable files become damage entries.
-pub fn verify_variable(
-    backend: &dyn StorageBackend,
-    dataset: &str,
-    var: &str,
-) -> Result<VerifyReport> {
-    crate::upgrade::refuse_old(backend, dataset)?;
-    Ok(verify_current(backend, dataset, var))
+/// Label the damage of a variable's meta: the one extent of it.
+pub(crate) fn label_meta(damage: &mut [ExtentDamage]) {
+    relabel(damage, |_| Some("meta".to_string()));
 }
 
-/// [`verify_variable`] of a dataset already known to hold no file of a
-/// format before v7.
-fn verify_current(backend: &dyn StorageBackend, dataset: &str, var: &str) -> VerifyReport {
-    let mut report = VerifyReport::default();
-
-    // Enumerate bins from the directory listing rather than the meta
-    // file, so a destroyed meta does not hide bin damage.
-    let bins: BTreeSet<usize> = backend
-        .list()
-        .iter()
-        .filter_map(|f| match fileorg::var_file(dataset, f) {
-            Some((v, VarFile::Bin(bin))) if v == var => Some(bin),
-            _ => None,
-        })
-        .collect();
-
-    // The meta is one checksummed extent behind its tail footer.
-    let meta_name = fileorg::meta_file(dataset, var);
-    let meta = read_checked(backend, &meta_name, &mut report).and_then(|raw| {
-        report.extents_checked += 1;
-        VariableMeta::from_file(&raw, &meta_name)
-            .map_err(|e| report.damage.push(damage_from_error(&meta_name, &e)))
-            .ok()
-    });
-    relabel(&mut report, &meta_name, |_| Some("meta".to_string()));
-    let layout = meta.map(|m| Layout::of(&m.config).with_summaries(m.summaries));
-    for bin in bins {
-        let file = fileorg::bin_file(dataset, var, bin);
-        verify_bin_file(backend, &file, bin, layout.as_ref(), &mut report);
-    }
-    report
-}
-
-/// Check one whole bin file and label its damage: the fixed blocks
-/// by where the tables are, bitmaps and units by the rows derived from
-/// the bin's summaries, or — when the meta that holds them failed — by
-/// their table rows. Held to the variable's layout, each bitmap is also
-/// taken as a query takes it: a run list of its chunk's count inside
-/// its chunk, so one that passes its checksum but not its count is
-/// named here, not first by a query.
-fn verify_bin_file(
-    backend: &dyn StorageBackend,
+/// Check `raw`, the whole file `file` of bin `bin`, and label its
+/// damage: the fixed blocks by where the tables are, bitmaps and units
+/// by the rows derived from the bin's summaries, or — when the meta that
+/// holds them failed — by their table rows. Held to the variable's
+/// layout, each bitmap is also taken as a query takes it: a run list of
+/// its chunk's count inside its chunk, so one that passes its checksum
+/// but not its count is named here, not first by a query. The extents
+/// checked, and the damage.
+pub(crate) fn bin_damage(
+    raw: &[u8],
     file: &str,
     bin: usize,
     layout: Option<&Layout>,
-    report: &mut VerifyReport,
-) {
-    let Some(raw) = read_checked(backend, file, report) else {
-        return;
-    };
-    let checked = binfile::check(&raw, file, layout, bin);
-    report.extents_checked += checked.extents;
-    report
-        .damage
-        .extend(checked.damage.iter().map(|e| damage_from_error(file, e)));
+) -> (u64, Vec<ExtentDamage>) {
+    let checked = binfile::check(raw, file, layout, bin);
+    let mut found: Vec<ExtentDamage> = checked.damage.iter().map(|e| damage(file, e)).collect();
     let end_marker = (raw.len() as u64).saturating_sub(END_LEN);
     let located = |off: u64| {
         let rows = checked.rows.as_ref();
@@ -233,7 +166,7 @@ fn verify_bin_file(
             None => format!("unit part in data table row {row}"),
         })
     };
-    relabel(report, file, |off| {
+    relabel(&mut found, |off| {
         if off == 0 {
             return Some("index header".to_string());
         }
@@ -249,17 +182,48 @@ fn verify_bin_file(
             (off == end_marker).then(|| "end marker".to_string())
         }
     });
+    (checked.extents, found)
 }
 
-/// Verify every variable listed in a dataset's catalog. Fails only
-/// when the catalog itself cannot be read; per-variable damage is
-/// reported, not fatal.
-pub fn verify_dataset(backend: &dyn StorageBackend, name: &str) -> Result<VerifyReport> {
-    let ds = crate::dataset::Dataset::open(backend, name)?;
-    crate::upgrade::refuse_old(backend, name)?;
+/// Add to `report` what verification reports of one variable's scan:
+/// its meta, then each bin file its layout numbers — a missing one as
+/// damage naming it.
+fn add(report: &mut VerifyReport, var: VarScan) {
+    for f in std::iter::once(var.meta).chain(var.bins.into_iter().map(|(_, f)| f)) {
+        report.files_checked += 1;
+        report.extents_checked += f.extents;
+        report.damage.extend(f.damage);
+    }
+}
+
+/// Verify every stored extent of one variable, and that each bin file
+/// its layout numbers is there. Damaged extents are collected, not
+/// fatal: the report lists all of them. Errors are returned only for
+/// conditions that prevent verification from running at all: a
+/// variable with a file of a format before v7, which `mloc upgrade`
+/// copies out and nothing else reads. Unreadable and missing files
+/// become damage entries. Reads each file of the variable once, and the
+/// catalog, whose configuration holds the bin files to their geometry
+/// when the meta is damaged.
+pub fn verify_variable(
+    backend: &dyn StorageBackend,
+    dataset: &str,
+    var: &str,
+) -> Result<VerifyReport> {
     let mut report = VerifyReport::default();
-    for var in ds.variables()? {
-        report.merge(verify_current(backend, name, &var));
+    (scan(backend, dataset, Some(var))?.vars.into_values()).for_each(|v| add(&mut report, v));
+    Ok(report)
+}
+
+/// Verify every variable listed in a dataset's catalog, in catalog
+/// order, reading each file of the dataset once. Fails only when the
+/// catalog itself cannot be read, or a file is of a format before v7;
+/// per-variable damage is reported, not fatal.
+pub fn verify_dataset(backend: &dyn StorageBackend, name: &str) -> Result<VerifyReport> {
+    let Scan { catalog, mut vars } = scan(backend, name, None)?;
+    let mut report = VerifyReport::default();
+    for scanned in catalog?.1?.vars.iter().filter_map(|var| vars.remove(var)) {
+        add(&mut report, scanned);
     }
     Ok(report)
 }
@@ -468,6 +432,30 @@ mod tests {
             "{report}"
         );
         assert!(report.damage[1].what.starts_with("end marker"), "{report}");
+    }
+
+    /// A bin file the meta numbers but the store lacks is damage naming
+    /// the file, whether one variable or the dataset is verified.
+    #[test]
+    fn a_missing_bin_file_is_damage_naming_it() {
+        let be = MemBackend::new();
+        let config = MlocConfig::builder(vec![16, 16])
+            .chunk_shape(vec![8, 8])
+            .num_bins(8)
+            .build();
+        let ds = crate::dataset::Dataset::create(&be, "ds", config).unwrap();
+        let values: Vec<f64> = (0..256).map(|i| ((i * 37) % 101) as f64).collect();
+        ds.add_variable("a", &values).unwrap();
+        let gone = "ds/a/bin0003.bin";
+        be.remove(gone).unwrap();
+        for report in [
+            verify_variable(&be, "ds", "a").unwrap(),
+            verify_dataset(&be, "ds").unwrap(),
+        ] {
+            assert_eq!(report.files_checked, 9, "{report}");
+            let files: Vec<&str> = report.damage.iter().map(|d| d.file.as_str()).collect();
+            assert_eq!(files, [gone], "{report}");
+        }
     }
 
     #[test]
