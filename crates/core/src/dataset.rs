@@ -276,14 +276,18 @@ impl<'a> Dataset<'a> {
         crate::upgrade::refuse_old(self.backend, &self.name)
     }
 
+    /// No `__` and no trailing `_`: `DirBackend` keeps `/` as `__`, so
+    /// it would list the files of `t_` or `t__x` under variable `t`.
     fn validate_var_name(var: &str) -> Result<()> {
         if var.is_empty()
+            || var.contains("__")
+            || var.ends_with('_')
             || !var
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '@' || c == '-')
         {
             return Err(MlocError::Invalid(format!(
-                "variable name {var:?} must be non-empty [A-Za-z0-9_@-]"
+                "variable name {var:?} must be [A-Za-z0-9_@-]+ with no '__' or trailing '_'"
             )));
         }
         Ok(())
@@ -514,6 +518,10 @@ mod tests {
         assert!(Dataset::create(&be, "sim", config()).is_err());
         assert!(ds.add_variable("bad name", &values(1)).is_err());
         assert!(ds.add_variable("", &values(1)).is_err());
+        for aliased in ["t_", "t__x", "_"] {
+            assert!(ds.add_variable(aliased, &values(1)).is_err(), "{aliased}");
+        }
+        ds.add_variable("_t_x", &values(1)).unwrap();
         let short = ds.add_variable("short", &values(1)[..10]);
         assert!(matches!(short, Err(MlocError::Invalid(_))));
         assert!(!ds.has_variable("short"));

@@ -34,7 +34,7 @@
 use crate::binfile;
 use crate::dataset::{catalog_header, parse_catalog};
 use crate::fileorg;
-use crate::scan::{judge, scan, Scan};
+use crate::scan::{scan, Scan};
 use crate::store::VariableMeta;
 use crate::Result;
 use mloc_pfs::StorageBackend;
@@ -349,12 +349,12 @@ fn remove<'a>(backend: &dyn StorageBackend, files: impl Iterator<Item = &'a str>
 /// Returns what changed; damage with no healthy replica is reported in
 /// [`RepairReport::unrepairable`], never silently dropped.
 pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
-    let scan = scan(backend, ds, None)?;
+    let scanned = scan(backend, ds, None)?;
     let mut report = RepairReport {
-        fsck: classify(ds, &scan),
+        fsck: classify(ds, &scanned),
         ..Default::default()
     };
-    let Scan { catalog, mut vars } = scan;
+    let Scan { catalog, mut vars } = scanned;
     let catalog_file = fileorg::catalog_file(ds);
 
     // 1. The catalog itself: if it does not parse, any replica copy
@@ -368,7 +368,6 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
     let listed = catalog
         .as_ref()
         .map_or_else(Vec::new, |(c, _)| c.vars.clone());
-    let config = catalog.as_ref().map(|(c, _)| &c.config);
     // A restored catalog may list a variable the store holds no file of.
     let lost = listed.iter().filter(|var| !vars.contains_key(*var));
     report
@@ -385,7 +384,7 @@ pub fn repair(backend: &dyn StorageBackend, ds: &str) -> Result<RepairReport> {
         let whole = |raw: &[u8]| VariableMeta::from_file(raw, &v.meta.file).is_ok();
         let healed = mend(backend, &v.meta.file, whole, &mut report.restored)?.is_some();
         if healed && v.config.is_none() {
-            *v = judge(backend, ds, var, std::mem::take(&mut v.listed), config)?;
+            (scan(backend, ds, Some(var))?.vars.into_values()).for_each(|again| *v = again);
         }
         if v.config.is_some() {
             committed.insert(var.clone());
@@ -476,6 +475,7 @@ mod tests {
     use crate::config::MlocConfig;
     use crate::dataset::Dataset;
     use crate::integrity::ExtentFooter;
+    use crate::verify::verify_dataset;
     use mloc_pfs::{MemBackend, ReplicaAccess, ShardRouter};
     use std::collections::BTreeMap;
 
@@ -725,7 +725,39 @@ mod tests {
         assert_eq!(r.removed_files, 2, "{r}");
         assert!(r.rolled_back.is_empty() && !r.catalog_rewritten, "{r}");
         assert!(fsck(&be, "sim").unwrap().is_clean());
+        assert!(verify_dataset(&be, "sim").unwrap().is_clean());
         assert_eq!(snapshot(&be), before);
+    }
+
+    /// A flat directory store keeps '/' as "__", so it lists the files
+    /// of a variable named `t_` — which builds now refuse, but an older
+    /// store may hold — under `t`'s directory, as `sim/t/_meta`. They
+    /// are no strays of `t`: with both committed, fsck is clean and
+    /// repair removes nothing.
+    #[test]
+    fn a_flat_directory_alias_is_no_stray() {
+        let root = std::env::temp_dir().join(format!("mloc-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let be = mloc_pfs::DirBackend::uncached(&root).unwrap();
+        let ds = Dataset::create(&be, "sim", config()).unwrap();
+        ds.add_variable("t", &values(1)).unwrap();
+        assert!(ds.add_variable("t_", &values(2)).is_err());
+        crate::build::build_variable(&be, "sim", "t_", &values(2), &config()).unwrap();
+        be.append("sim/catalog", b"t_\n").unwrap();
+        assert!(be.list().contains(&"sim/t/_meta".to_string()));
+        let before = snapshot(&be);
+
+        let f = fsck(&be, "sim").unwrap();
+        assert!(f.is_clean(), "{f}");
+        assert_eq!(f.committed, vec!["t", "t_"]);
+        assert_eq!(f.files_checked, before.len(), "{f}");
+        assert!(verify_dataset(&be, "sim").unwrap().is_clean());
+        let r = repair(&be, "sim").unwrap();
+        assert!(r.is_healthy(), "{r}");
+        assert_eq!(r.removed_files, 0, "{r}");
+        assert!(r.rolled_back.is_empty() && !r.catalog_rewritten, "{r}");
+        assert_eq!(snapshot(&be), before);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// `raw`, a whole meta, with its payload edited by `edit` and its

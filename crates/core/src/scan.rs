@@ -14,6 +14,11 @@
 //!   [`MlocError::NeedsUpgrade`], by the rules a build is held to
 //!   (`upgrade::refuse_old`).
 //!
+//! A listed name whose base below the variable directory begins with
+//! `_` or holds `/` is left alone: it is how `DirBackend` (`/` kept as
+//! `__`) lists a file of `t_` or `t__x` under `t`, no stray of `t`. Such
+//! a variable is read by the name its catalog gives.
+//!
 //! Damage is labelled as `verify` reports it while the bytes are at
 //! hand; a scan keeps verdicts, not files.
 
@@ -40,15 +45,13 @@ pub(crate) struct Scan {
 /// What the listing holds under a variable's directory besides its
 /// meta, which is read whether listed or not.
 #[derive(Default)]
-pub(crate) struct Listed {
+struct Listed {
     bins: BTreeSet<usize>,
     strays: Vec<String>,
 }
 
 /// One variable's files.
 pub(crate) struct VarScan {
-    /// What the listing held, to judge the variable again by.
-    pub listed: Listed,
     /// Its meta.
     pub meta: FileScan,
     /// The meta's build configuration, when the meta is whole.
@@ -118,7 +121,8 @@ pub(crate) fn scan(backend: &dyn StorageBackend, ds: &str, only: Option<&str>) -
         let Some((var, role)) = fileorg::var_file(ds, &f) else {
             continue;
         };
-        if only.is_some_and(|only| only != var) {
+        let base = &f[ds.len() + var.len() + 2..];
+        if only.is_some_and(|only| only != var) || base.starts_with('_') || base.contains('/') {
             continue;
         }
         let entry = listed.entry(var.to_string()).or_default();
@@ -149,7 +153,7 @@ pub(crate) fn scan(backend: &dyn StorageBackend, ds: &str, only: Option<&str>) -
 /// Judge variable `var` of dataset `ds`, whose directory holds
 /// `listed`: its meta, then each bin file, held to the layout of its
 /// meta or else of `catalog`, the dataset's configuration.
-pub(crate) fn judge(
+fn judge(
     backend: &dyn StorageBackend,
     ds: &str,
     var: &str,
@@ -200,7 +204,6 @@ pub(crate) fn judge(
         bins.push((bin, scanned));
     }
     Ok(VarScan {
-        listed,
         meta,
         config,
         layout,

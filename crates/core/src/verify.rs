@@ -6,7 +6,8 @@
 //! `repair` judge by too) — and reports each damaged extent with a
 //! human-readable label (which chunk's bitmap, which byte-group part,
 //! which table). A bin file the layout numbers that the store lacks is
-//! damage naming it. The chunk labels come from the bins' summaries,
+//! damage naming it, and so is a file of the variable's directory the
+//! layout does not name (`fsck`'s orphan). The chunk labels come from the bins' summaries,
 //! which the meta holds: with a damaged meta, the bin files' own tables
 //! still locate every extent, the labels name table rows instead, and
 //! each header is held to the catalog's geometry. Unlike the query path,
@@ -187,13 +188,17 @@ pub(crate) fn bin_damage(
 
 /// Add to `report` what verification reports of one variable's scan:
 /// its meta, then each bin file its layout numbers — a missing one as
-/// damage naming it.
+/// damage naming it — then each file of its directory the layout does
+/// not name, as damage too: `fsck` calls it orphaned.
 fn add(report: &mut VerifyReport, var: VarScan) {
     for f in std::iter::once(var.meta).chain(var.bins.into_iter().map(|(_, f)| f)) {
         report.files_checked += 1;
         report.extents_checked += f.extents;
         report.damage.extend(f.damage);
     }
+    let stray = |file: String| ExtentDamage::whole(&file, "not part of the layout".into());
+    report.files_checked += var.orphans.len();
+    report.damage.extend(var.orphans.into_iter().map(stray));
 }
 
 /// Verify every stored extent of one variable, and that each bin file
@@ -456,6 +461,37 @@ mod tests {
             let files: Vec<&str> = report.damage.iter().map(|d| d.file.as_str()).collect();
             assert_eq!(files, [gone], "{report}");
         }
+    }
+
+    /// A file of the variable's directory its layout does not name — a
+    /// stray, a bin file numbered past the bin count — is counted and
+    /// named as damage, as `fsck` names it orphaned.
+    #[test]
+    fn a_file_the_layout_does_not_name_is_damage() {
+        let be = build();
+        let copy = be.read("ds/v/bin0001.bin", 0, be.len("ds/v/bin0001.bin").unwrap());
+        for (file, raw) in [
+            ("ds/v/junk", b"junk".to_vec()),
+            ("ds/v/bin0009.bin", copy.unwrap()),
+        ] {
+            be.create(file).unwrap();
+            be.append(file, &raw).unwrap();
+        }
+        let clean = verify_variable(&build(), "ds", "v").unwrap();
+        let report = verify_variable(&be, "ds", "v").unwrap();
+        assert_eq!(report.files_checked, clean.files_checked + 2, "{report}");
+        assert_eq!(report.extents_checked, clean.extents_checked, "{report}");
+        let named: Vec<(&str, &str)> = (report.damage.iter())
+            .map(|d| (d.file.as_str(), d.what.as_str()))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("ds/v/junk", "not part of the layout"),
+                ("ds/v/bin0009.bin", "not part of the layout")
+            ],
+            "{report}"
+        );
     }
 
     #[test]
